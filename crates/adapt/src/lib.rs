@@ -26,7 +26,7 @@
 //!
 //! The `adaptive` personality ([`pk_kernel::KernelConfig::adaptive`])
 //! boots with **zero** fixes enabled and earns each one from
-//! observation; `pk-bench --bin adaptive_report` asserts it reaches
+//! observation; `pk-bench report adaptive` asserts it reaches
 //! ≥ 90% of the hand-fixed PK kernel's throughput on every roster
 //! workload with no per-workload knowledge anywhere in this crate.
 

@@ -13,6 +13,7 @@
 //! same seed produce *identical* ordered traces (asserted by the
 //! `chaos_report` integration test), not merely identical trace sets.
 
+use crate::personality::converge;
 use pk_fault::{FaultEvent, FaultPlane, FaultSchedule};
 use pk_kernel::Kernel;
 use pk_percpu::CoreId;
@@ -477,14 +478,6 @@ pub fn des_chaos(choice: KernelChoice, cores: usize, seed: u64) -> Vec<DesChaosR
         .collect()
 }
 
-/// Measurement epochs' ops/core for the adaptive chaos runs (matches
-/// [`pk_adapt::AdaptPolicy::default`]'s epoch sizing).
-const ADAPT_OPS_PER_CORE: u64 = 200;
-/// Epoch cap for the faulted convergence loop.
-const ADAPT_MAX_EPOCHS: u32 = 32;
-/// Settle window: decision-free epochs before declaring convergence.
-const ADAPT_SETTLE_EPOCHS: u32 = 2;
-
 /// One workload's adaptive-controller convergence under scheduler
 /// faults: the controller leg of the chaos matrix. Every measurement
 /// epoch runs with lock-holder preemption and core stalls armed; the
@@ -523,8 +516,9 @@ impl AdaptiveChaosRow {
 /// Converges the adaptive controller for every roster workload with
 /// scheduler faults armed during each measurement epoch.
 ///
-/// The clean reference uses [`pk_adapt::AdaptController::converge_des`];
-/// the faulted leg drives the same controller manually, measuring each
+/// The clean reference is [`converge`]'s own run;
+/// the faulted leg drives the same default-policy controller manually
+/// (same epoch sizing, cap and settle window), measuring each
 /// epoch through [`des::simulate_with_faults`] so lock-holder
 /// preemption and core stalls perturb the contention samples the
 /// controller sees. Gates per workload: the controller must still
@@ -545,14 +539,9 @@ pub fn adaptive_chaos(cores: usize, seed: u64) -> Vec<AdaptiveChaosRow> {
                     .expect("roster name resolves")
                     .network(cores)
             };
-            let policy = AdaptPolicy {
-                ops_per_core: ADAPT_OPS_PER_CORE,
-                max_epochs: ADAPT_MAX_EPOCHS,
-                settle_epochs: ADAPT_SETTLE_EPOCHS,
-                ..AdaptPolicy::default()
-            };
-            let clean = AdaptController::new(KernelConfig::adaptive(cores), policy, seed)
-                .converge_des(build, cores);
+            let policy = AdaptPolicy::default();
+            let (clean_model, clean) =
+                converge(name, cores, machine, seed).expect("roster name resolves");
 
             // Faulted convergence: same controller semantics, but every
             // epoch's measurement runs under armed scheduler faults.
@@ -562,7 +551,7 @@ pub fn adaptive_chaos(cores: usize, seed: u64) -> Vec<AdaptiveChaosRow> {
             let mut converged = false;
             let mut flips: std::collections::BTreeMap<&'static str, (bool, u32)> =
                 std::collections::BTreeMap::new();
-            while ctl.epoch() < ADAPT_MAX_EPOCHS {
+            while ctl.epoch() < policy.max_epochs {
                 let net = build(&ctl.config());
                 let epoch_seed = seed ^ (u64::from(ctl.epoch()) + 1).wrapping_mul(0x9E37_79B9);
                 let plane = FaultPlane::with_seed(epoch_seed);
@@ -570,7 +559,7 @@ pub fn adaptive_chaos(cores: usize, seed: u64) -> Vec<AdaptiveChaosRow> {
                 plane.set("sim.core_stall", FaultSchedule::EveryNth(389));
                 plane.enable();
                 let r =
-                    des::simulate_with_faults(&net, cores, ADAPT_OPS_PER_CORE, epoch_seed, &plane);
+                    des::simulate_with_faults(&net, cores, policy.ops_per_core, epoch_seed, &plane);
                 faults_injected += plane.injected_total();
                 let observations: Vec<Observation> = net
                     .stations()
@@ -591,7 +580,7 @@ pub fn adaptive_chaos(cores: usize, seed: u64) -> Vec<AdaptiveChaosRow> {
                 }
                 if made.is_empty() {
                     quiet += 1;
-                    if quiet >= ADAPT_SETTLE_EPOCHS {
+                    if quiet >= policy.settle_epochs {
                         converged = true;
                         break;
                     }
@@ -604,14 +593,16 @@ pub fn adaptive_chaos(cores: usize, seed: u64) -> Vec<AdaptiveChaosRow> {
 
             // Judge both configs fault-free over the same seeded run.
             let clean_tput =
-                des::simulate(&build(&clean.config), cores, DES_OPS_PER_CORE, seed).ops_per_cycle;
+                des::simulate(&clean_model.network(cores), cores, DES_OPS_PER_CORE, seed)
+                    .ops_per_cycle;
             let final_ops_per_cycle =
                 des::simulate(&build(&final_config), cores, DES_OPS_PER_CORE, seed).ops_per_cycle;
 
             let mut violations = Vec::new();
             if !converged {
                 violations.push(format!(
-                    "controller wedged: no settle within {ADAPT_MAX_EPOCHS} epochs"
+                    "controller wedged: no settle within {} epochs",
+                    policy.max_epochs
                 ));
             }
             if max_flips > 3 {

@@ -1,72 +1,43 @@
-//! Chaos soak report: MOSBENCH workloads × kernel config × fault mix.
-//!
-//! Runs each functional workload driver fault-free and under the
-//! acceptance fault mix (1% page-allocation ENOMEM + 1% NIC receive
-//! drop) on one seeded fault plane, then the DES roster under
-//! lock-holder preemption and core stalls. Prints throughput
-//! degradation, retry counts, and invariant violations; exits non-zero
-//! if any run panicked or violated an invariant (with `--strict`, also
-//! if a faulted run injected nothing).
-//!
-//! Usage:
-//!   chaos_report [--seed N] [--workloads exim,memcached,apache]
-//!                [--cores N] [--strict]
+//! `report chaos`: prints [`pk_bench::chaos`]'s soak matrix — the
+//! functional drivers under the acceptance fault mix, then the DES,
+//! adaptive-controller, open-loop overload, exhausted-deadline and RCU
+//! overflow legs. Exits 1 if any run panicked or violated an invariant
+//! (with `--strict`, also if a faulted run injected nothing).
 //!
 //! The whole report is a pure function of its arguments: re-running
 //! with the same seed replays the identical fault trace.
 
-use pk_bench::chaos;
+use pk_bench::args::{Args, Kind, Spec};
+use pk_bench::{chaos, header};
+use pk_workloads::roster::{self, SERVING};
 use pk_workloads::KernelChoice;
 
-struct Args {
-    seed: u64,
-    workloads: Vec<String>,
-    cores: usize,
-    strict: bool,
-}
+pub const SPEC: Spec = Spec::flags(
+    "report chaos",
+    &[
+        ("--seed", Kind::Num),
+        ("--workloads", Kind::ListOf(&roster::NAMES)),
+        ("--cores", Kind::Cores(4)),
+        ("--strict", Kind::Switch),
+    ],
+);
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 42,
-        workloads: vec!["exim".into(), "memcached".into(), "apache".into()],
-        cores: 4,
-        strict: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed takes a u64");
-            }
-            "--workloads" => {
-                let list = it.next().expect("--workloads takes a comma list");
-                args.workloads = list.split(',').map(|s| s.trim().to_string()).collect();
-            }
-            "--cores" => {
-                args.cores = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--cores takes a usize");
-            }
-            "--strict" => args.strict = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: chaos_report [--seed N] [--workloads a,b,c] [--cores N] [--strict]"
-                );
-                std::process::exit(2);
-            }
-        }
+/// Prints a row's violations under it; returns whether it had any.
+fn print_violations(violations: &[String]) -> bool {
+    for v in violations {
+        println!("{:>10}   violation: {v}", "");
     }
-    args
+    !violations.is_empty()
 }
 
-fn main() {
-    let args = parse_args();
-    pk_bench::header(
+pub fn run(args: &Args) -> Result<(), String> {
+    let seed = args.get("--seed").unwrap_or(42);
+    let cores = args.cores("--cores");
+    let strict = args.has("--strict");
+    let workloads: Vec<String> = args
+        .list("--workloads")
+        .unwrap_or_else(|| SERVING.map(String::from).to_vec());
+    header(
         "Chaos soak report",
         "Each workload runs the same offered load fault-free (baseline) \
          and under the acceptance fault mix; failures must degrade \
@@ -74,13 +45,13 @@ fn main() {
     );
     println!(
         "seed {}  cores {}  mix: {}\n",
-        args.seed,
-        args.cores,
+        seed,
+        cores,
         chaos::FaultMix::acceptance().label
     );
 
-    let names: Vec<&str> = args.workloads.iter().map(String::as_str).collect();
-    let reports = chaos::soak(args.seed, &names, args.cores);
+    let names: Vec<&str> = workloads.iter().map(String::as_str).collect();
+    let reports = chaos::soak(seed, &names, cores);
     for name in &names {
         if !reports
             .iter()
@@ -122,11 +93,8 @@ fn main() {
             failed = true;
             println!("{:>10}   PANICKED", "");
         }
-        for v in &r.violations {
-            failed = true;
-            println!("{:>10}   violation: {v}", "");
-        }
-        if args.strict && r.faults_injected == 0 {
+        failed |= print_violations(&r.violations);
+        if strict && r.faults_injected == 0 {
             failed = true;
             println!("{:>10}   strict: fault mix never fired", "");
         }
@@ -137,7 +105,7 @@ fn main() {
         "{:>10} {:>16} {:>16} {:>7} {:>9}",
         "workload", "base ops/cyc", "faulted ops/cyc", "degr%", "injected"
     );
-    for row in chaos::des_chaos(KernelChoice::Pk, args.cores, args.seed) {
+    for row in chaos::des_chaos(KernelChoice::Pk, cores, seed) {
         println!(
             "{:>10} {:>16.6} {:>16.6} {:>6.1}% {:>9}",
             row.workload,
@@ -146,7 +114,7 @@ fn main() {
             row.degradation_pct(),
             row.faults_injected
         );
-        if args.strict && row.faults_injected == 0 {
+        if strict && row.faults_injected == 0 {
             failed = true;
             println!("{:>10}   strict: no scheduler faults fired", "");
         }
@@ -157,7 +125,7 @@ fn main() {
         "{:>10} {:>8} {:>8} {:>7} {:>6} {:>9} {:>16} {:>6}",
         "workload", "clean", "faulted", "epochs", "flips", "injected", "final ops/cyc", "ok?"
     );
-    for r in chaos::adaptive_chaos(args.cores, args.seed) {
+    for r in chaos::adaptive_chaos(cores, seed) {
         println!(
             "{:>10} {:>8} {:>8} {:>7} {:>6} {:>9} {:>16.6} {:>6}",
             r.workload,
@@ -169,10 +137,7 @@ fn main() {
             r.final_ops_per_cycle,
             if r.passed() { "pass" } else { "FAIL" }
         );
-        for v in &r.violations {
-            failed = true;
-            println!("{:>10}   violation: {v}", "");
-        }
+        failed |= print_violations(&r.violations);
     }
 
     println!("\nOpen-loop overload (2x arrivals, shedding on, 1% net.rx_drop):");
@@ -190,7 +155,7 @@ fn main() {
         "ok?"
     );
     for choice in [KernelChoice::Stock, KernelChoice::Pk] {
-        for r in chaos::overload_chaos(choice, args.cores, args.seed) {
+        for r in chaos::overload_chaos(choice, cores, seed) {
             println!(
                 "{:>10} {:>6} {:>9} {:>9} {:>8} {:>8} {:>9} {:>12} {:>6}/{:<2} {:>6}",
                 r.workload,
@@ -205,11 +170,8 @@ fn main() {
                 r.admission_cap,
                 if r.passed() { "pass" } else { "FAIL" }
             );
-            for v in &r.violations {
-                failed = true;
-                println!("{:>10}   violation: {v}", "");
-            }
-            if args.strict && r.nic_dropped == 0 {
+            failed |= print_violations(&r.violations);
+            if strict && r.nic_dropped == 0 {
                 failed = true;
                 println!("{:>10}   strict: rx-drop never fired", "");
             }
@@ -218,7 +180,7 @@ fn main() {
 
     println!("\nExhausted-deadline row (budget spent mid-retry must surface Timeout):");
     {
-        let r = chaos::run_exhausted_deadline(args.seed);
+        let r = chaos::run_exhausted_deadline(seed);
         println!(
             "  {} requests: {} timeouts, {} admitted, depth after {} — {}",
             r.requests,
@@ -239,7 +201,7 @@ fn main() {
         "config", "call_rcu", "freed", "pending", "injected", "spills", "ok?"
     );
     for choice in [KernelChoice::Stock, KernelChoice::Pk] {
-        let r = chaos::run_rcu_overflow(choice, args.cores, args.seed);
+        let r = chaos::run_rcu_overflow(choice, cores, seed);
         println!(
             "{:>10} {:>9} {:>8} {:>9} {:>9} {:>8} {:>6}",
             r.config,
@@ -250,10 +212,7 @@ fn main() {
             r.spills,
             if r.passed() { "pass" } else { "FAIL" }
         );
-        for v in &r.violations {
-            failed = true;
-            println!("{:>10}   violation: {v}", "");
-        }
+        failed |= print_violations(&r.violations);
     }
 
     // When the validator is compiled in, the soak doubles as a lockdep
@@ -272,8 +231,8 @@ fn main() {
     }
 
     if failed {
-        eprintln!("\nchaos soak FAILED (see violations above)");
-        std::process::exit(1);
+        return Err("\nchaos soak FAILED (see violations above)".to_string());
     }
     println!("\nchaos soak passed: degradation was graceful and accounted for.");
+    Ok(())
 }

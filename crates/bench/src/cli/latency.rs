@@ -1,55 +1,22 @@
-//! Tail-latency report: the serving roster as open-loop servers.
-//!
-//! Sweeps {stock, PK} × {no-shed, shed} × {normal, 2× overload} at a
-//! fixed seed and prints per-run latency tables plus the two derived
-//! claims: the stock-vs-PK p999 inversion at a capacity-anchored
-//! arrival rate, and shedding bounding p999 (while holding goodput)
-//! under 2× overload where the unbounded queue diverges. Exits
-//! non-zero if either claim fails to reproduce.
-//!
-//! Usage:
-//!   latency_report [--seed N] [--json PATH]
+//! `report latency`: prints [`pk_bench::latency`]'s open-loop serving
+//! grid, its two derived claims and the trace-ring health; exits 1 if
+//! a claim fails to reproduce or a ring overflowed.
 //!
 //! The report — and the `--json` artifact — is a pure function of the
 //! seed: same seed, byte-identical output.
 
-use pk_bench::latency;
+use super::write_artifact;
+use pk_bench::args::{Args, Kind, Spec};
+use pk_bench::{header, latency};
 
-struct Args {
-    seed: u64,
-    json: Option<String>,
-}
+pub const SPEC: Spec = Spec::flags(
+    "report latency",
+    &[("--seed", Kind::Num), ("--json", Kind::Text)],
+);
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 42,
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed takes a u64");
-            }
-            "--json" => {
-                args.json = Some(it.next().expect("--json takes a path"));
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: latency_report [--seed N] [--json PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
-fn main() {
-    let args = parse_args();
-    pk_bench::header(
+pub fn run(args: &Args) -> Result<(), String> {
+    let seed = args.get("--seed").unwrap_or(42);
+    header(
         "Tail latency under overload",
         "Open-loop arrivals anchored to PK saturation capacity; latency \
          in simulated cycles from arrival to completion. The SLO is 8x \
@@ -57,14 +24,14 @@ fn main() {
     );
     println!(
         "seed {}  cores {}  requests/run {}  loads {{{}%, {}%}}\n",
-        args.seed,
+        seed,
         latency::CORES,
         latency::REQUESTS,
         latency::NORMAL_LOAD_PCT,
         latency::OVERLOAD_PCT
     );
 
-    let grid = latency::run_grid(args.seed);
+    let grid = latency::run_grid(seed);
     print!("{}", latency::table(&grid));
     let asserts = latency::assess(&grid);
 
@@ -105,7 +72,7 @@ fn main() {
 
     println!("\nTrace ring health (flow engine, rings sized by flow_ring_capacity):");
     let mut ring_overflow = false;
-    for h in latency::trace_ring_health(args.seed) {
+    for h in latency::trace_ring_health(seed) {
         println!(
             "  {:>10}: {} events captured, {} dropped — {}",
             h.workload,
@@ -127,15 +94,14 @@ fn main() {
         }
     }
 
-    if let Some(path) = &args.json {
-        let artifact = latency::report_json(&grid, &asserts);
-        std::fs::write(path, artifact).expect("write json artifact");
+    if let Some(path) = args.text("--json") {
+        write_artifact(path, &latency::report_json(&grid, &asserts))?;
         println!("wrote {path}");
     }
 
     if !asserts.ok() || ring_overflow {
-        eprintln!("\nlatency report FAILED: an overload claim did not reproduce");
-        std::process::exit(1);
+        return Err("\nlatency report FAILED: an overload claim did not reproduce".to_string());
     }
     println!("\nlatency report passed: tails inverted and shedding held the SLO.");
+    Ok(())
 }

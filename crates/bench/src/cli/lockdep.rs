@@ -1,61 +1,29 @@
-//! Lockdep roster report: every MOSBENCH workload × kernel config run
-//! under the pk-lockdep runtime validator.
-//!
-//! Drives the functional drivers (with per-core work wrapped in
-//! [`pk_lockdep::ActingCore`] declarations) and the DES models under
-//! seeded lock-holder preemption, then prints the observed lock
-//! classes, the lock-order graph, the pk-obs sample export, and every
-//! recorded violation. Exits non-zero if any violation was recorded.
-//!
-//! Usage:
-//!   lockdep_report [--seed N] [--cores N]
+//! `report lockdep`: runs [`pk_bench::lockdep`]'s roster under the
+//! pk-lockdep runtime validator, then prints the observed lock classes,
+//! the lock-order graph, the pk-obs sample export, and every recorded
+//! violation. Exits 1 if any violation was recorded.
 //!
 //! Build with `--features lockdep`; without the feature the hooks are
 //! no-ops and the report says so (exit 0), so accidentally running the
 //! plain build is loud but not a false failure.
 
+use pk_bench::args::{Args, Kind, Spec};
 use pk_bench::lockdep::run_roster;
 use pk_obs::Registry;
 
-struct Args {
-    seed: u64,
-    cores: usize,
-}
+pub const SPEC: Spec = Spec::flags(
+    "report lockdep",
+    &[("--seed", Kind::Num), ("--cores", Kind::Cores(4))],
+);
 
-fn parse_args() -> Args {
-    let mut args = Args { seed: 42, cores: 4 };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed takes a u64");
-            }
-            "--cores" => {
-                args.cores = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--cores takes a usize");
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: lockdep_report [--seed N] [--cores N]");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
-fn main() {
-    let args = parse_args();
+pub fn run(args: &Args) -> Result<(), String> {
+    let seed = args.get("--seed").unwrap_or(42);
+    let cores = args.cores("--cores");
     println!("== lockdep roster report ==");
     println!(
         "seed {}  cores {}  validator {}",
-        args.seed,
-        args.cores,
+        seed,
+        cores,
         if pk_lockdep::enabled() {
             "ENABLED"
         } else {
@@ -64,7 +32,7 @@ fn main() {
     );
     println!();
 
-    let rows = run_roster(args.seed, args.cores);
+    let rows = run_roster(seed, cores);
 
     println!(
         "{:<12} {:<7} {:>10} {:>10} {:>13} {:>10}",
@@ -100,7 +68,7 @@ fn main() {
     println!();
 
     // The pk-obs export: the same samples any registry consumer sees.
-    let registry = Registry::new(args.cores);
+    let registry = Registry::new(cores);
     registry.register_source(pk_lockdep::collector());
     let snapshot = registry.snapshot();
     println!("pk-obs samples:");
@@ -112,11 +80,11 @@ fn main() {
     let violations = pk_lockdep::violations();
     if violations.is_empty() {
         println!("RESULT: PASS — no lockdep violations across the roster");
-        return;
+        return Ok(());
     }
     println!("RESULT: FAIL — {} violation(s):", violations.len());
     for v in &violations {
         println!("  [{}] {}", v.kind.label(), v.message);
     }
-    std::process::exit(1);
+    Err("lockdep roster FAILED (see violations above)".to_string())
 }

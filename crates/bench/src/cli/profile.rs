@@ -1,4 +1,4 @@
-//! profile_report: cycle-attribution tables for all seven MOSBENCH
+//! `report profile`: cycle-attribution tables for all seven MOSBENCH
 //! workloads under the four kernel personalities, plus the CI gates on
 //! the paper's Exim headline (§5.2) and the §7 "past 48 cores"
 //! generation-2 inversions.
@@ -20,11 +20,11 @@
 //! so the lock/syscall/RCU hook plumbing is exercised end to end
 //! (skipped when `--workloads` filters Exim out).
 //!
-//! Artifacts (paths overridable):
-//! * `--json PATH` — deterministic attribution summary
-//!   (`profile_report.json`), byte-identical for a fixed `--seed`.
+//! Artifacts, each written only when its flag is given:
+//! * `--json PATH` — deterministic attribution summary, byte-identical
+//!   for a fixed `--seed`.
 //! * `--perfetto PATH` — Chrome `trace_event` JSON of the stock Exim
-//!   run (`exim_stock.trace.json`), loadable in Perfetto / chrome://tracing.
+//!   run, loadable in Perfetto / chrome://tracing.
 //!
 //! `--workloads a,b,c` restricts the roster (CI's `scale1024` job runs
 //! only the two worst collapsing workloads at `--topology 64x16`).
@@ -32,71 +32,34 @@
 //! scales down inversely with the core count above that, keeping the
 //! total traced event volume (and the ring memory) roughly constant.
 
-use pk_bench::profile;
+use super::write_artifact;
+use pk_bench::args::{Args, Kind, Spec};
+use pk_bench::{header, profile, Personality};
 use pk_percpu::CoreId;
-use pk_sim::MachineSpec;
 use pk_workloads::exim::EximDriver;
 use pk_workloads::{roster, KernelChoice};
 
-fn main() {
-    let mut seed = 42u64;
-    let mut cores = 48usize;
-    let mut ops_arg: Option<u64> = None;
-    let mut json_path = "profile_report.json".to_string();
-    let mut perfetto_path = "exim_stock.trace.json".to_string();
-    let mut machine = MachineSpec::paper();
-    let mut selected: Vec<String> = Vec::new();
+pub const SPEC: Spec = Spec::flags(
+    "report profile",
+    &[
+        ("--seed", Kind::Num),
+        ("--cores", Kind::Cores(48)),
+        ("--ops", Kind::Num),
+        ("--json", Kind::Text),
+        ("--perfetto", Kind::Text),
+        ("--topology", Kind::Topology),
+        ("--workloads", Kind::ListOf(&roster::NAMES)),
+    ],
+);
 
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut val = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{what} requires a value"))
-        };
-        match a.as_str() {
-            "--seed" => seed = val("--seed").parse().expect("--seed takes a u64"),
-            "--cores" => cores = val("--cores").parse().expect("--cores takes a count"),
-            "--ops" => ops_arg = Some(val("--ops").parse().expect("--ops takes a count")),
-            "--json" => json_path = val("--json"),
-            "--perfetto" => perfetto_path = val("--perfetto"),
-            "--workloads" => {
-                for w in val("--workloads").split(',') {
-                    let w = w.trim().to_string();
-                    if !roster::NAMES.contains(&w.as_str()) {
-                        eprintln!(
-                            "profile_report: unknown workload {w:?} (roster: {})",
-                            roster::NAMES.join(", ")
-                        );
-                        std::process::exit(2);
-                    }
-                    selected.push(w);
-                }
-            }
-            "--topology" => {
-                machine = MachineSpec::parse_topology(&val("--topology")).unwrap_or_else(|e| {
-                    eprintln!("profile_report: {e}");
-                    std::process::exit(2)
-                })
-            }
-            other => {
-                eprintln!(
-                    "unknown arg {other}; usage: profile_report [--seed N] [--cores N] \
-                     [--ops N] [--json PATH] [--perfetto PATH] [--topology SxC] \
-                     [--workloads a,b,c]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if let Err(e) = machine.validate_cores(cores) {
-        eprintln!("profile_report: {e}");
-        std::process::exit(2);
-    }
+pub fn run(args: &Args) -> Result<(), String> {
+    let seed = args.get("--seed").unwrap_or(42);
+    let cores = args.cores("--cores");
+    let machine = args.machine();
     // Keep total event volume roughly constant as cores grow: 400
     // ops/core at 48 cores ≈ 40 ops/core at 1024 with the same ring
     // memory. An explicit --ops always wins.
-    let ops = ops_arg.unwrap_or_else(|| {
+    let ops = args.get("--ops").unwrap_or_else(|| {
         if cores <= 48 {
             profile::OPS_PER_CORE
         } else {
@@ -105,29 +68,37 @@ fn main() {
     });
     // Roster order, filtered — keeps the JSON artifact deterministic
     // regardless of the order given on the command line.
+    let selected: Option<Vec<String>> = args.list("--workloads");
     let names: Vec<&str> = roster::NAMES
         .iter()
         .copied()
-        .filter(|n| selected.is_empty() || selected.iter().any(|s| s == n))
+        .filter(|n| selected.as_ref().is_none_or(|s| s.iter().any(|w| w == n)))
         .collect();
 
-    pk_bench::header(
+    header(
         "Cycle attribution (pk-trace)",
         &format!("{cores} simulated cores, {ops} ops/core, seed {seed}"),
     );
 
     let mut runs = Vec::new();
-    let mut exim_pair: Vec<profile::WorkloadAttribution> = Vec::new();
-    let mut gen2_pairs: Vec<(profile::WorkloadAttribution, profile::WorkloadAttribution)> =
-        Vec::new();
+    // (stock, pk) attribution per workload, in roster order.
+    let mut pairs: Vec<(profile::WorkloadAttribution, profile::WorkloadAttribution)> = Vec::new();
     let mut exim_stock_events = Vec::new();
-    for name in &names {
-        let name = *name;
-        let mut stock_attr: Option<profile::WorkloadAttribution> = None;
-        for choice in [KernelChoice::Stock, KernelChoice::Coarse, KernelChoice::Pk] {
-            let (attr, events) = profile::run_traced_on(name, choice, cores, ops, seed, machine)
-                .expect("roster name resolves");
-            println!("--- {name} / {} ---", attr.config);
+    for &name in &names {
+        let mut stock_attr = None;
+        for p in Personality::ALL {
+            let resolved = p
+                .resolve(name, cores, machine, seed)
+                .expect("the parser admits only roster workloads");
+            let (attr, events) = profile::trace(&resolved, name, ops, seed);
+            match &resolved.adapt {
+                None => println!("--- {name} / {} ---", attr.config),
+                Some(out) => println!(
+                    "--- {name} / adaptive ({} promoted in {} epochs) ---",
+                    out.config.enabled_count(),
+                    out.epochs
+                ),
+            }
             print!("{}", attr.table);
             if attr.dropped_events > 0 {
                 println!(
@@ -135,70 +106,43 @@ fn main() {
                     attr.dropped_events
                 );
             }
-            match choice {
-                KernelChoice::Stock => {
+            match p {
+                Personality::Stock => {
                     if name == "exim" {
                         exim_stock_events = events;
-                        exim_pair.push(attr.clone());
                     }
                     stock_attr = Some(attr.clone());
                 }
-                KernelChoice::Pk => {
-                    if name == "exim" {
-                        exim_pair.push(attr.clone());
-                    }
-                    if let Some(stock) = &stock_attr {
-                        gen2_pairs.push((stock.clone(), attr.clone()));
-                    }
+                Personality::Pk => {
+                    let stock = stock_attr.take().expect("stock runs before pk");
+                    pairs.push((stock, attr.clone()));
                 }
-                KernelChoice::Coarse => {}
+                Personality::Coarse | Personality::Adaptive => {}
             }
             runs.push(attr);
         }
-        // The adaptive axis: converge the controller, then attribute
-        // cycles under whatever config it promoted.
-        let build = move |cfg: &pk_kernel::KernelConfig| {
-            roster::model_with_config(name, cfg, machine)
-                .expect("roster name resolves")
-                .network(cores)
-        };
-        let out = pk_adapt::AdaptController::new(
-            pk_kernel::KernelConfig::adaptive(cores),
-            pk_adapt::AdaptPolicy::default(),
-            seed,
-        )
-        .converge_des(build, cores);
-        let (attr, _) =
-            profile::run_traced_config_on(name, &out.config, "adaptive", cores, ops, seed, machine)
-                .expect("roster name resolves");
-        println!(
-            "--- {name} / adaptive ({} promoted in {} epochs) ---",
-            out.config.enabled_count(),
-            out.epochs
-        );
-        print!("{}", attr.table);
-        runs.push(attr);
     }
 
     if names.contains(&"exim") {
         functional_exim_pass();
     }
 
-    let inversion = if exim_pair.len() == 2 {
-        let inv = profile::exim_inversion(&exim_pair[0], &exim_pair[1]);
-        println!("\nExim vfsmount attribution at {cores} cores:");
-        println!(
-            "  stock: {:5.1}% of cycles (top class: {})",
-            100.0 * inv.stock_share,
-            inv.stock_top
-        );
-        println!("  pk:    {:5.1}% of cycles", 100.0 * inv.pk_share);
-        Some(inv)
-    } else {
-        None
-    };
+    let inversion = pairs
+        .iter()
+        .find(|(stock, _)| stock.workload == "exim")
+        .map(|(stock, pk)| {
+            let inv = profile::exim_inversion(stock, pk);
+            println!("\nExim vfsmount attribution at {cores} cores:");
+            println!(
+                "  stock: {:5.1}% of cycles (top class: {})",
+                100.0 * inv.stock_share,
+                inv.stock_top
+            );
+            println!("  pk:    {:5.1}% of cycles", 100.0 * inv.pk_share);
+            inv
+        });
 
-    let gen2: Vec<profile::Gen2Inversion> = gen2_pairs
+    let gen2: Vec<profile::Gen2Inversion> = pairs
         .iter()
         .filter_map(|(stock, pk)| profile::gen2_inversion(stock, pk))
         .collect();
@@ -220,13 +164,17 @@ fn main() {
         }
     }
 
-    let json = profile::report_json(seed, cores, &runs, inversion.as_ref(), &gen2);
-    std::fs::write(&json_path, &json).expect("write json artifact");
-    println!("wrote {json_path}");
-    if !exim_stock_events.is_empty() {
-        let chrome = pk_trace::chrome_trace_json(&exim_stock_events);
-        std::fs::write(&perfetto_path, &chrome).expect("write perfetto artifact");
-        println!("wrote {perfetto_path} ({} events)", exim_stock_events.len());
+    if let Some(path) = args.text("--json") {
+        let json = profile::report_json(seed, cores, &runs, inversion.as_ref(), &gen2);
+        write_artifact(path, &json)?;
+        println!("wrote {path}");
+    }
+    if let Some(path) = args
+        .text("--perfetto")
+        .filter(|_| !exim_stock_events.is_empty())
+    {
+        write_artifact(path, &pk_trace::chrome_trace_json(&exim_stock_events))?;
+        println!("wrote {path} ({} events)", exim_stock_events.len());
     }
 
     // Gate selection: at the paper's scale the Exim headline is the
@@ -240,12 +188,11 @@ fn main() {
                 );
             }
             Some(_) => {
-                eprintln!(
+                return Err(format!(
                     "FAIL: expected vfsmount dominance >= {:.0}% on stock and <= {:.0}% under PK",
                     100.0 * profile::STOCK_DOMINANCE,
                     100.0 * profile::PK_CEILING
-                );
-                std::process::exit(1);
+                ));
             }
             None => println!("exim filtered out; vfsmount gate skipped"),
         }
@@ -258,16 +205,16 @@ fn main() {
                 gen2.len()
             );
         } else {
-            eprintln!(
+            return Err(format!(
                 "FAIL: {observed}/{} gen-2 inversions observed (need >= {required}): \
                  expected the named structure >= {:.0}% of stock cycles and <= {:.0}% under PK",
                 gen2.len(),
                 100.0 * profile::STOCK_DOMINANCE,
                 100.0 * profile::PK_CEILING
-            );
-            std::process::exit(1);
+            ));
         }
     }
+    Ok(())
 }
 
 /// Drives the real Exim substrate under the process-global tracer: the

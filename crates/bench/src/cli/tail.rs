@@ -1,78 +1,30 @@
-//! Tail-attribution report: where the p999 goes, per request.
-//!
-//! Runs `SERVING × {stock, coarse, pk, adaptive}` at 48 cores through
-//! the request-flow engine with causal tracing on, folds each capture
-//! into per-request span trees, and prints the tail quantiles
-//! decomposed over `latency = queue + service + Σ class waits +
-//! slack`. Exits non-zero if any of the three derived claims fails:
-//! the per-request p999 inversion, stock Exim's wait pool
-//! concentrating behind the vfsmount class, or PK's attribution
-//! staying flat.
-//!
-//! Usage:
-//!   tail_report [--seed N] [--json PATH] [--openmetrics PATH]
-//!               [--perfetto DIR] [--lockdep-live]
+//! `report tail`: prints [`pk_bench::tail`]'s per-request tail
+//! decomposition over `SERVING × {stock, coarse, pk, adaptive}`; exits
+//! 1 if any of its three derived claims fails.
 //!
 //! `--perfetto DIR` writes Perfetto-loadable traces of the exim
 //! stock/pk cells; `--lockdep-live` appends the functional-Exim
 //! overload row (meaningful under `--features lockdep`). Every
 //! artifact is a pure function of the seed.
 
-use pk_bench::tail::{self, Personality};
+use super::write_artifact;
+use pk_bench::args::{Args, Kind, Spec};
+use pk_bench::{header, tail, Personality};
 
-struct Args {
-    seed: u64,
-    json: Option<String>,
-    openmetrics: Option<String>,
-    perfetto: Option<String>,
-    lockdep_live: bool,
-}
+pub const SPEC: Spec = Spec::flags(
+    "report tail",
+    &[
+        ("--seed", Kind::Num),
+        ("--json", Kind::Text),
+        ("--openmetrics", Kind::Text),
+        ("--perfetto", Kind::Text),
+        ("--lockdep-live", Kind::Switch),
+    ],
+);
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 42,
-        json: None,
-        openmetrics: None,
-        perfetto: None,
-        lockdep_live: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed takes a u64");
-            }
-            "--json" => {
-                args.json = Some(it.next().expect("--json takes a path"));
-            }
-            "--openmetrics" => {
-                args.openmetrics = Some(it.next().expect("--openmetrics takes a path"));
-            }
-            "--perfetto" => {
-                args.perfetto = Some(it.next().expect("--perfetto takes a directory"));
-            }
-            "--lockdep-live" => {
-                args.lockdep_live = true;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: tail_report [--seed N] [--json PATH] [--openmetrics PATH] \
-                     [--perfetto DIR] [--lockdep-live]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
-fn main() {
-    let args = parse_args();
-    pk_bench::header(
+pub fn run(args: &Args) -> Result<(), String> {
+    let seed = args.get("--seed").unwrap_or(42);
+    header(
         "Where the p999 goes",
         "Per-request causal traces folded into span trees; tail quantiles \
          decomposed over latency = queue + service + class waits + slack. \
@@ -80,14 +32,14 @@ fn main() {
     );
     println!(
         "seed {}  cores {}  requests/cell {}  load {}%  exemplars/cell {}\n",
-        args.seed,
+        seed,
         tail::TAIL_CORES,
         tail::TAIL_REQUESTS,
         tail::TAIL_LOAD_PCT,
         tail::EXEMPLARS_PER_CELL
     );
 
-    let grid = tail::run_grid(args.seed);
+    let grid = tail::run_grid(seed);
     print!("{}", tail::table(&grid));
 
     println!("\nExim p999 decomposition, all personalities:");
@@ -139,28 +91,26 @@ fn main() {
         tail::PK_CLASS_BP_CEILING
     );
 
-    if let Some(path) = &args.json {
-        std::fs::write(path, tail::report_json(&grid, &asserts)).expect("write json artifact");
+    if let Some(path) = args.text("--json") {
+        write_artifact(path, &tail::report_json(&grid, &asserts))?;
         println!("wrote {path}");
     }
-    if let Some(path) = &args.openmetrics {
-        std::fs::write(path, tail::metrics(&grid).render()).expect("write openmetrics artifact");
+    if let Some(path) = args.text("--openmetrics") {
+        write_artifact(path, &tail::metrics(&grid).render())?;
         println!("wrote {path}");
     }
-    if let Some(dir) = &args.perfetto {
-        std::fs::create_dir_all(dir).expect("create perfetto dir");
+    if let Some(dir) = args.text("--perfetto") {
         for p in [Personality::Stock, Personality::Pk] {
-            let (_, events) = tail::run_cell("exim", p, args.seed);
+            let (_, events) = tail::run_cell("exim", p, seed);
             let path = format!("{dir}/tail-exim-{}.json", p.label());
-            std::fs::write(&path, pk_trace::chrome_trace_json(&events))
-                .expect("write perfetto trace");
+            write_artifact(&path, &pk_trace::chrome_trace_json(&events))?;
             println!("wrote {path}");
         }
     }
 
     let mut failed = !asserts.ok();
-    if args.lockdep_live {
-        let row = tail::run_lockdep_live(args.seed);
+    if args.has("--lockdep-live") {
+        let row = tail::run_lockdep_live(seed);
         println!(
             "\nlockdep-live: {} connections on {} cores, {} delivered, \
              {} acquisitions observed, {} violations, {} ctx leaks",
@@ -178,8 +128,8 @@ fn main() {
     }
 
     if failed {
-        eprintln!("\ntail report FAILED: an attribution claim did not reproduce");
-        std::process::exit(1);
+        return Err("\ntail report FAILED: an attribution claim did not reproduce".to_string());
     }
     println!("\ntail report passed: the p999 is named, not just measured.");
+    Ok(())
 }

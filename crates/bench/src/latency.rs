@@ -1,4 +1,4 @@
-//! Tail latency under overload (`latency_report`).
+//! Tail latency under overload (`report latency`).
 //!
 //! Runs the serving roster as open-loop servers across the
 //! {stock, PK} × {no-shed, shed} × {normal, 2× overload} grid and
@@ -15,8 +15,9 @@
 //!    (the queue grows without bound and p999 with it).
 //!
 //! Both are derived from the runs, not asserted as constants — if the
-//! engine stops reproducing them, `latency_report` exits non-zero.
+//! engine stops reproducing them, `report latency` exits non-zero.
 
+use crate::json;
 use pk_fault::FaultPlane;
 use pk_serve::{run_serving, ServeRun, SERVING};
 use pk_workloads::KernelChoice;
@@ -199,7 +200,7 @@ pub fn assess(grid: &LatencyGrid) -> OverloadAssertions {
 /// ([`pk_sim::flow_ring_capacity`]), reporting what each track dropped.
 /// A non-zero drop count means some request's span tree is missing
 /// events — downstream folds would silently under-attribute — so
-/// `latency_report` warns loudly and `tail_report` refuses to run.
+/// `report latency` warns loudly and `report tail` refuses to run.
 #[derive(Debug, Clone)]
 pub struct RingHealth {
     /// Roster workload name.
@@ -301,23 +302,15 @@ pub fn table(grid: &LatencyGrid) -> String {
 /// 6-decimal float formatting, runs in grid order — byte-identical
 /// for a fixed seed.
 pub fn report_json(grid: &LatencyGrid, asserts: &OverloadAssertions) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"seed\": {},", grid.seed);
-    let _ = writeln!(out, "  \"cores\": {},", grid.cores);
-    let _ = writeln!(out, "  \"requests\": {REQUESTS},");
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in grid.runs.iter().enumerate() {
-        let comma = if i + 1 == grid.runs.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"workload\": \"{}\", \"kernel\": \"{}\", \"posture\": \"{}\", \
+    let runs = grid.runs.iter().map(|r| {
+        format!(
+            "{{\"workload\": \"{}\", \"kernel\": \"{}\", \"posture\": \"{}\", \
              \"load_pct\": {}, \"slo_cycles\": {}, \"arrivals\": {}, \"completed\": {}, \
              \"p50\": {}, \"p99\": {}, \"p999\": {}, \"slo_violations\": {}, \
              \"rejected\": {}, \"shed_oldest\": {}, \"shed_probabilistic\": {}, \
              \"deadline_cancelled\": {}, \"degraded\": {}, \"queue_depth_end\": {}, \
              \"queue_depth_peak\": {}, \"distinct_users\": {}, \"new_connections\": {}, \
-             \"goodput_fraction\": {:.6}}}{comma}",
+             \"goodput_fraction\": {:.6}}}",
             r.workload,
             r.choice.label(),
             if r.policy.is_bounded() {
@@ -343,22 +336,14 @@ pub fn report_json(grid: &LatencyGrid, asserts: &OverloadAssertions) -> String {
             r.result.distinct_users,
             r.result.new_connections,
             r.goodput_fraction()
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"verdicts\": [\n");
-    for (i, v) in asserts.verdicts.iter().enumerate() {
-        let comma = if i + 1 == asserts.verdicts.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"workload\": \"{}\", \"stock_p999\": {}, \"pk_p999\": {}, \
+        )
+    });
+    let verdicts = asserts.verdicts.iter().map(|v| {
+        format!(
+            "{{\"workload\": \"{}\", \"stock_p999\": {}, \"pk_p999\": {}, \
              \"inverted\": {}, \"shed_p999\": {}, \"shed_p999_bound\": {}, \
              \"shed_goodput\": {:.6}, \"noshed_queue_end\": {}, \"divergence_floor\": {}, \
-             \"shed_holds\": {}}}{comma}",
+             \"shed_holds\": {}}}",
             v.workload,
             v.stock_p999,
             v.pk_p999,
@@ -369,20 +354,22 @@ pub fn report_json(grid: &LatencyGrid, asserts: &OverloadAssertions) -> String {
             v.noshed_queue_end,
             v.divergence_floor,
             v.shed_holds
-        );
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"assertions\": {{\"inversions\": {}, \"inversion_observed\": {}, \
-         \"shedding_bounds_tail\": {}, \"ok\": {}}}",
+        )
+    });
+    format!(
+        "{{\n  \"seed\": {},\n  \"cores\": {},\n  \"requests\": {REQUESTS},\n  \"runs\": [\n{}  ],\n  \
+         \"verdicts\": [\n{}  ],\n  \
+         \"assertions\": {{\"inversions\": {}, \"inversion_observed\": {}, \
+         \"shedding_bounds_tail\": {}, \"ok\": {}}}\n}}\n",
+        grid.seed,
+        grid.cores,
+        json::lines("    ", runs),
+        json::lines("    ", verdicts),
         asserts.inversions,
         asserts.inversion_observed,
         asserts.shedding_bounds_tail,
         asserts.ok()
-    );
-    out.push_str("}\n");
-    out
+    )
 }
 
 #[cfg(test)]

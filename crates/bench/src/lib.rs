@@ -1,19 +1,27 @@
-//! Shared harness code for the figure-regeneration binaries.
+//! Shared harness code behind the `pk-bench` binary.
 //!
-//! Every binary in `src/bin/` regenerates one of the paper's tables or
-//! figures, printing the same rows/series the paper plots. The helpers
-//! here render core sweeps as aligned text tables so the binaries stay
-//! one-screen small.
+//! Every `pk-bench` subcommand regenerates one of the paper's tables or
+//! figures, or one of the repo's gated reports. This library holds the
+//! report computations plus the small kit they share: the argument
+//! parser ([`args`]), the four-valued personality axis
+//! ([`Personality`]), the JSON joiner ([`json`]) and the helpers below
+//! that render core sweeps as aligned text tables.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
+pub mod adaptive;
+pub mod args;
 pub mod chaos;
+pub mod json;
 pub mod latency;
 pub mod lockdep;
+pub mod personality;
 pub mod profile;
 pub mod scale;
 pub mod tail;
+
+pub use personality::{Personality, Resolved};
 
 /// Serializes tests that read deltas of the process-global `rcu.*`
 /// counters: concurrent churn from a sibling test would perturb the
@@ -26,43 +34,20 @@ pub(crate) fn rcu_serial() -> std::sync::MutexGuard<'static, ()> {
 
 use pk_obs::ContentionReport;
 use pk_sim::SweepPoint;
-use pk_workloads::KernelChoice;
 
-/// Builds the contention report for one workload × kernel config ×
-/// core count from the analytic (MVA) solve: the paper's "which
-/// resource eats the cycles" diagnostic, derived from the model's
-/// per-station residence rather than a hardcoded bottleneck table.
-///
-/// Returns `None` for workload names [`pk_workloads::roster::model`]
-/// does not know.
-pub fn contention_report(
-    workload: &str,
-    choice: KernelChoice,
-    cores: usize,
-) -> Option<ContentionReport> {
-    contention_report_on(workload, choice, cores, pk_sim::MachineSpec::paper())
-}
-
-/// [`contention_report`] on an arbitrary machine topology. `cores`
-/// must fit `machine` (callers validate and surface the typed
-/// [`pk_sim::TopologyError`] before getting here).
-pub fn contention_report_on(
-    workload: &str,
-    choice: KernelChoice,
-    cores: usize,
-    machine: pk_sim::MachineSpec,
-) -> Option<ContentionReport> {
-    machine
-        .validate_cores(cores)
-        .expect("core count validated by the caller");
-    let model = pk_workloads::roster::model_on(workload, choice, machine)?;
-    let solved = model.network(cores).solve(cores);
-    Some(ContentionReport::from_snapshot(
-        display_name(&model.name()),
-        choice.label(),
+/// Builds the contention report for one resolved workload model from
+/// the analytic (MVA) solve: the paper's "which resource eats the
+/// cycles" diagnostic, derived from the model's per-station residence
+/// rather than a hardcoded bottleneck table.
+pub fn contention_report(resolved: &Resolved) -> ContentionReport {
+    let cores = resolved.cores;
+    let solved = resolved.model.network(cores).solve(cores);
+    ContentionReport::from_snapshot(
+        display_name(&resolved.model.name()),
+        resolved.config.clone(),
         cores,
         &solved.snapshot(),
-    ))
+    )
 }
 
 /// Like [`contention_report`], but from the discrete-event simulator's
@@ -70,89 +55,19 @@ pub fn contention_report_on(
 /// cross-check that the attribution is not an artifact of the MVA
 /// approximation. Deterministic for a fixed `seed`.
 pub fn contention_report_des(
-    workload: &str,
-    choice: KernelChoice,
-    cores: usize,
+    resolved: &Resolved,
     ops_per_core: u64,
     seed: u64,
-) -> Option<ContentionReport> {
-    contention_report_des_on(
-        workload,
-        choice,
+) -> ContentionReport {
+    let cores = resolved.cores;
+    let net = resolved.model.network(cores);
+    let measured = pk_sim::des::simulate(&net, cores, ops_per_core, seed);
+    ContentionReport::from_snapshot(
+        display_name(&resolved.model.name()),
+        resolved.config.clone(),
         cores,
-        ops_per_core,
-        seed,
-        pk_sim::MachineSpec::paper(),
+        &measured.snapshot(&net),
     )
-}
-
-/// [`contention_report_des`] on an arbitrary machine topology.
-pub fn contention_report_des_on(
-    workload: &str,
-    choice: KernelChoice,
-    cores: usize,
-    ops_per_core: u64,
-    seed: u64,
-    machine: pk_sim::MachineSpec,
-) -> Option<ContentionReport> {
-    machine
-        .validate_cores(cores)
-        .expect("core count validated by the caller");
-    let model = pk_workloads::roster::model_on(workload, choice, machine)?;
-    let net = model.network(cores);
-    let measured = pk_sim::des::simulate(&net, cores, ops_per_core, seed);
-    Some(ContentionReport::from_snapshot(
-        display_name(&model.name()),
-        choice.label(),
-        cores,
-        &measured.snapshot(&net),
-    ))
-}
-
-/// [`contention_report_on`] for an arbitrary kernel fix subset — the
-/// axis the adaptive personality's controller moves along. The report's
-/// config column carries [`pk_workloads::config_label`], so an
-/// adaptive config renders as `Adaptive(n promoted)`.
-pub fn contention_report_config_on(
-    workload: &str,
-    config: &pk_kernel::KernelConfig,
-    cores: usize,
-    machine: pk_sim::MachineSpec,
-) -> Option<ContentionReport> {
-    machine
-        .validate_cores(cores)
-        .expect("core count validated by the caller");
-    let model = pk_workloads::roster::model_with_config(workload, config, machine)?;
-    let solved = model.network(cores).solve(cores);
-    Some(ContentionReport::from_snapshot(
-        display_name(&model.name()),
-        pk_workloads::config_label(config),
-        cores,
-        &solved.snapshot(),
-    ))
-}
-
-/// [`contention_report_des_on`] for an arbitrary kernel fix subset.
-pub fn contention_report_config_des_on(
-    workload: &str,
-    config: &pk_kernel::KernelConfig,
-    cores: usize,
-    ops_per_core: u64,
-    seed: u64,
-    machine: pk_sim::MachineSpec,
-) -> Option<ContentionReport> {
-    machine
-        .validate_cores(cores)
-        .expect("core count validated by the caller");
-    let model = pk_workloads::roster::model_with_config(workload, config, machine)?;
-    let net = model.network(cores);
-    let measured = pk_sim::des::simulate(&net, cores, ops_per_core, seed);
-    Some(ContentionReport::from_snapshot(
-        display_name(&model.name()),
-        pk_workloads::config_label(config),
-        cores,
-        &measured.snapshot(&net),
-    ))
 }
 
 /// Model names embed their config (`Exim/Stock`); the report prints

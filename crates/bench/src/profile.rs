@@ -1,4 +1,4 @@
-//! Cycle-attribution profiling of the workload models (`profile_report`).
+//! Cycle-attribution profiling of the workload models (`report profile`).
 //!
 //! Runs the discrete-event simulator with a `pk-trace` tracer attached,
 //! folds the drained span stream into the paper's "top functions by %
@@ -6,10 +6,10 @@
 //! Exim's stock collapse is the vfsmount-table spin lock (§5.2), and
 //! the attribution moves off that lock entirely under PK. The derived
 //! inversion gates CI — if the traced simulation stops reproducing it,
-//! `profile_report` exits non-zero.
+//! `report profile` exits non-zero.
 
+use crate::{json, Resolved};
 use pk_trace::{Event, Profile, Tracer};
-use pk_workloads::{roster, KernelChoice};
 
 /// Simulated operations per customer in a profiling run: long enough
 /// for the attribution shares to stabilize, small enough that the
@@ -38,7 +38,7 @@ pub struct ClassShare {
 pub struct WorkloadAttribution {
     /// Roster workload name.
     pub workload: String,
-    /// `"stock"`, `"pk"`, or `"adaptive"`.
+    /// The [`crate::Personality::label`] the run was resolved under.
     pub config: &'static str,
     /// Simulated core count.
     pub cores: usize,
@@ -86,94 +86,17 @@ pub fn ring_capacity(ops_per_core: u64, stations: usize) -> usize {
     (total_ops as usize) * (4 * stations + 2)
 }
 
-/// Runs one traced simulation and folds it. Returns the attribution
-/// plus the raw drained events (for the Chrome trace export). `None`
-/// for workload names the roster does not know.
-pub fn run_traced(
+/// Runs one traced simulation of `resolved`'s model and folds it.
+/// Returns the attribution plus the raw drained events (for the Chrome
+/// trace export).
+pub fn trace(
+    resolved: &Resolved,
     workload: &str,
-    choice: KernelChoice,
-    cores: usize,
-    ops_per_core: u64,
-    seed: u64,
-) -> Option<(WorkloadAttribution, Vec<Event>)> {
-    run_traced_on(
-        workload,
-        choice,
-        cores,
-        ops_per_core,
-        seed,
-        pk_sim::MachineSpec::paper(),
-    )
-}
-
-/// [`run_traced`] on an arbitrary machine topology.
-///
-/// # Panics
-///
-/// Panics if `cores` oversubscribes `machine` — callers (the report
-/// binaries) validate the pair up front and print the typed error.
-pub fn run_traced_on(
-    workload: &str,
-    choice: KernelChoice,
-    cores: usize,
-    ops_per_core: u64,
-    seed: u64,
-    machine: pk_sim::MachineSpec,
-) -> Option<(WorkloadAttribution, Vec<Event>)> {
-    machine
-        .validate_cores(cores)
-        .expect("core count validated by the caller");
-    let model = roster::model_on(workload, choice, machine)?;
-    let label = match choice {
-        KernelChoice::Stock => "stock",
-        KernelChoice::Coarse => "coarse",
-        KernelChoice::Pk => "pk",
-    };
-    Some(trace_model(
-        model.as_ref(),
-        workload,
-        label,
-        cores,
-        ops_per_core,
-        seed,
-    ))
-}
-
-/// [`run_traced_on`] for an arbitrary kernel fix subset — the adaptive
-/// axis. `label` names the axis in the attribution (`"adaptive"`).
-pub fn run_traced_config_on(
-    workload: &str,
-    config: &pk_kernel::KernelConfig,
-    label: &'static str,
-    cores: usize,
-    ops_per_core: u64,
-    seed: u64,
-    machine: pk_sim::MachineSpec,
-) -> Option<(WorkloadAttribution, Vec<Event>)> {
-    machine
-        .validate_cores(cores)
-        .expect("core count validated by the caller");
-    let model = roster::model_with_config(workload, config, machine)?;
-    Some(trace_model(
-        model.as_ref(),
-        workload,
-        label,
-        cores,
-        ops_per_core,
-        seed,
-    ))
-}
-
-/// Shared tracing + folding behind both axes.
-fn trace_model(
-    model: &dyn pk_sim::WorkloadModel,
-    workload: &str,
-    config: &'static str,
-    cores: usize,
     ops_per_core: u64,
     seed: u64,
 ) -> (WorkloadAttribution, Vec<Event>) {
-    let net = model.network(cores);
+    let cores = resolved.cores;
+    let net = resolved.model.network(cores);
     let tracer = Tracer::new(cores, ring_capacity(ops_per_core, net.stations().len()));
     pk_sim::des::simulate_traced(
         &net,
@@ -201,7 +124,7 @@ fn trace_model(
     (
         WorkloadAttribution {
             workload: workload.to_string(),
-            config,
+            config: resolved.personality.label(),
             cores,
             total_cycles: profile.total_cycles,
             dropped_events,
@@ -305,10 +228,6 @@ pub fn gen2_inversion(
     })
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Renders the deterministic JSON artifact: fixed key order, fixed
 /// 6-decimal float formatting, runs in roster × {stock, coarse, pk,
 /// adaptive} order — byte-identical for a fixed seed. `inversion` is
@@ -321,78 +240,86 @@ pub fn report_json(
     inversion: Option<&EximInversion>,
     gen2: &[Gen2Inversion],
 ) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"cores\": {cores},");
-    out.push_str("  \"workloads\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"workload\": \"{}\", \"config\": \"{}\", \"total_cycles\": {}, \"dropped_events\": {}, \"top\": [",
-            json_escape(&r.workload),
-            r.config,
-            r.total_cycles,
-            r.dropped_events
-        );
-        for (j, c) in r.classes.iter().take(8).enumerate() {
-            let comma = if j + 1 == r.classes.len().min(8) {
-                ""
-            } else {
-                ","
-            };
-            let _ = writeln!(
-                out,
-                "      {{\"class\": \"{}\", \"share\": {:.6}, \"exclusive\": {}, \"inclusive\": {}, \"count\": {}}}{comma}",
-                json_escape(&c.name),
+    let runs = runs.iter().map(|r| {
+        let top = r.classes.iter().take(8).map(|c| {
+            format!(
+                "{{\"class\": \"{}\", \"share\": {:.6}, \"exclusive\": {}, \"inclusive\": {}, \"count\": {}}}",
+                json::escape(&c.name),
                 c.share,
                 c.exclusive,
                 c.inclusive,
                 c.count
-            );
-        }
-        let comma = if i + 1 == runs.len() { "" } else { "," };
-        let _ = writeln!(out, "    ]}}{comma}");
-    }
-    out.push_str("  ],\n");
-    match inversion {
-        Some(inv) => {
-            let _ = writeln!(
-                out,
-                "  \"exim_inversion\": {{\"stock_vfsmount_share\": {:.6}, \"pk_vfsmount_share\": {:.6}, \"stock_top\": \"{}\", \"observed\": {}}},",
-                inv.stock_share,
-                inv.pk_share,
-                json_escape(&inv.stock_top),
-                inv.observed
-            );
-        }
-        None => out.push_str("  \"exim_inversion\": null,\n"),
-    }
-    out.push_str("  \"gen2_inversions\": [\n");
-    for (i, g) in gen2.iter().enumerate() {
-        let comma = if i + 1 == gen2.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"workload\": \"{}\", \"structure\": \"{}\", \"stock_share\": {:.6}, \"pk_share\": {:.6}, \"observed\": {}}}{comma}",
-            json_escape(&g.workload),
-            json_escape(g.structure),
+            )
+        });
+        format!(
+            "{{\"workload\": \"{}\", \"config\": \"{}\", \"total_cycles\": {}, \"dropped_events\": {}, \"top\": [\n{}    ]}}",
+            json::escape(&r.workload),
+            r.config,
+            r.total_cycles,
+            r.dropped_events,
+            json::lines("      ", top)
+        )
+    });
+    let inversion = match inversion {
+        Some(inv) => format!(
+            "{{\"stock_vfsmount_share\": {:.6}, \"pk_vfsmount_share\": {:.6}, \"stock_top\": \"{}\", \"observed\": {}}}",
+            inv.stock_share,
+            inv.pk_share,
+            json::escape(&inv.stock_top),
+            inv.observed
+        ),
+        None => "null".to_string(),
+    };
+    let gen2 = gen2.iter().map(|g| {
+        format!(
+            "{{\"workload\": \"{}\", \"structure\": \"{}\", \"stock_share\": {:.6}, \"pk_share\": {:.6}, \"observed\": {}}}",
+            json::escape(&g.workload),
+            json::escape(g.structure),
             g.stock_share,
             g.pk_share,
             g.observed
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+        )
+    });
+    format!(
+        "{{\n  \"seed\": {seed},\n  \"cores\": {cores},\n  \"workloads\": [\n{}  ],\n  \
+         \"exim_inversion\": {inversion},\n  \"gen2_inversions\": [\n{}  ]\n}}\n",
+        json::lines("    ", runs),
+        json::lines("    ", gen2)
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Personality;
+    use pk_sim::MachineSpec;
+    use pk_workloads::roster;
+
+    fn run_traced(
+        workload: &str,
+        personality: Personality,
+        cores: usize,
+        ops_per_core: u64,
+        seed: u64,
+        machine: MachineSpec,
+    ) -> Option<(WorkloadAttribution, Vec<Event>)> {
+        let resolved = personality.resolve(workload, cores, machine, seed)?;
+        Some(trace(&resolved, workload, ops_per_core, seed))
+    }
 
     #[test]
     fn exim_attribution_inverts_between_kernels() {
-        let (stock, _) = run_traced("exim", KernelChoice::Stock, 48, 200, 42).unwrap();
-        let (pk, _) = run_traced("exim", KernelChoice::Pk, 48, 200, 42).unwrap();
+        let (stock, _) = run_traced(
+            "exim",
+            Personality::Stock,
+            48,
+            200,
+            42,
+            MachineSpec::paper(),
+        )
+        .unwrap();
+        let (pk, _) =
+            run_traced("exim", Personality::Pk, 48, 200, 42, MachineSpec::paper()).unwrap();
         assert_eq!(stock.dropped_events, 0, "ring must hold the whole run");
         assert_eq!(pk.dropped_events, 0);
         let inv = exim_inversion(&stock, &pk);
@@ -406,7 +333,8 @@ mod tests {
     #[test]
     fn every_roster_workload_profiles_without_drops() {
         for name in roster::NAMES {
-            let (attr, events) = run_traced(name, KernelChoice::Stock, 8, 100, 7).unwrap();
+            let (attr, events) =
+                run_traced(name, Personality::Stock, 8, 100, 7, MachineSpec::paper()).unwrap();
             assert_eq!(attr.dropped_events, 0, "{name} overflowed its ring");
             assert!(attr.total_cycles > 0, "{name} folded no cycles");
             assert!(!events.is_empty(), "{name} traced no events");
@@ -416,8 +344,10 @@ mod tests {
     #[test]
     fn report_json_is_deterministic_and_shaped() {
         let run = || {
-            let (stock, _) = run_traced("exim", KernelChoice::Stock, 8, 100, 42).unwrap();
-            let (pk, _) = run_traced("exim", KernelChoice::Pk, 8, 100, 42).unwrap();
+            let (stock, _) =
+                run_traced("exim", Personality::Stock, 8, 100, 42, MachineSpec::paper()).unwrap();
+            let (pk, _) =
+                run_traced("exim", Personality::Pk, 8, 100, 42, MachineSpec::paper()).unwrap();
             let inv = exim_inversion(&stock, &pk);
             let gen2: Vec<_> = gen2_inversion(&stock, &pk).into_iter().collect();
             report_json(42, 8, &[stock, pk], Some(&inv), &gen2)
@@ -438,12 +368,11 @@ mod tests {
         // The §7 extrapolation: at 64×16 the generation-2 structures own
         // the stock attribution and the new fixes erase them. Two
         // workloads (one VFS-side, one net-side) gate the claim; the
-        // full-roster pass lives in profile_report/CI.
-        let machine = pk_sim::MachineSpec::with_topology(64, 16).expect("64x16 valid");
+        // full-roster pass lives in `report profile`/CI.
+        let machine = MachineSpec::with_topology(64, 16).expect("64x16 valid");
         for name in ["exim", "memcached"] {
-            let (stock, _) =
-                run_traced_on(name, KernelChoice::Stock, 1024, 40, 42, machine).unwrap();
-            let (pk, _) = run_traced_on(name, KernelChoice::Pk, 1024, 40, 42, machine).unwrap();
+            let (stock, _) = run_traced(name, Personality::Stock, 1024, 40, 42, machine).unwrap();
+            let (pk, _) = run_traced(name, Personality::Pk, 1024, 40, 42, machine).unwrap();
             assert_eq!(stock.dropped_events, 0, "{name} overflowed its ring");
             let inv = gen2_inversion(&stock, &pk).expect("roster workloads have gen2 entries");
             assert!(

@@ -1,29 +1,26 @@
-//! scalebench: the repo's perf-trajectory harness.
+//! `scale`: the repo's perf-trajectory harness.
 //!
-//! Two halves, deliberately separated by determinism:
-//!
-//! * **Deterministic metrics** — analytic (MVA) sweep points, seeded
-//!   discrete-event runs, and single-threaded writer-stall phases that
-//!   churn the real substrates under both RCU reclamation disciplines
-//!   and read the `rcu.*` counter deltas. These are pure functions of
-//!   the seed and regenerate **byte-identically**, so they live in
-//!   `BENCH_scale.json` and CI can diff them against a committed
-//!   baseline.
-//! * **Live microbenches** — real threads hammering the repo's
-//!   primitives (dcache lookup, sloppy counters, RCU read sections,
-//!   spinlock vs MCS handoff). Wall-clock numbers are noisy by nature,
-//!   so they print to stdout and never enter the JSON.
+//! **Deterministic metrics** — analytic (MVA) sweep points, seeded
+//! discrete-event runs, and single-threaded writer-stall phases that
+//! churn the real substrates under both RCU reclamation disciplines
+//! and read the `rcu.*` counter deltas. These are pure functions of
+//! the seed and regenerate **byte-identically**, so they live in
+//! `BENCH_scale.json` and CI can diff them against a committed
+//! baseline. Host wall-clock is recorded by the repo benchmark
+//! (`benchmark/README.md`), not here; the one timing this module takes
+//! is the engine-throughput smoke behind `--check-engine`.
 //!
 //! The JSON is a flat object — one sorted dotted key per line — so the
 //! regression check needs no JSON library, just the line parser below.
 
+use crate::json;
+use crate::personality::converge;
 use pk_percpu::{CoreId, MAX_CORES};
 use pk_sim::{des, CoreSweep};
 use pk_sync::rcu;
 use pk_sync::CYCLES_PER_SPIN_ITERATION;
 use pk_workloads::{roster, KernelChoice};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Bumped whenever the metric set changes shape, so a `--check` against
 /// a stale baseline fails loudly instead of silently skipping keys.
@@ -79,14 +76,8 @@ impl Metrics {
     /// Renders the flat JSON document: `{`, one `  "key": value,` line
     /// per metric in sorted order, `}`, trailing newline.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let last = self.map.len().saturating_sub(1);
-        for (i, (k, v)) in self.map.iter().enumerate() {
-            let comma = if i == last { "" } else { "," };
-            let _ = writeln!(out, "  \"{k}\": {v}{comma}");
-        }
-        out.push_str("}\n");
-        out
+        let metrics = self.map.iter().map(|(k, v)| format!("\"{k}\": {v}"));
+        format!("{{\n{}}}\n", json::lines("  ", metrics))
     }
 
     /// Parses a document produced by [`Metrics::to_json`]. Returns the
@@ -256,8 +247,8 @@ pub fn stall_mm(deferred: bool, ops: usize) -> StallRow {
 ///
 /// Everything here is a pure function of the seed: MVA solves are
 /// plain f64 arithmetic, DES runs are seeded, and the stall phases run
-/// single-threaded on freshly built substrates. Run this before any
-/// live (multi-threaded) benchmarking — the `rcu.*` counters are
+/// single-threaded on freshly built substrates. Nothing else in the
+/// process may churn RCU meanwhile — the `rcu.*` counters are
 /// process-global and concurrent churn would perturb the deltas.
 pub fn deterministic_metrics(seed: u64) -> Metrics {
     let mut m = Metrics::new();
@@ -330,18 +321,8 @@ pub fn deterministic_metrics(seed: u64) -> Metrics {
             }
         }
         {
-            use pk_adapt::{AdaptController, AdaptPolicy};
-            use pk_kernel::KernelConfig;
-            let build = move |cfg: &KernelConfig| {
-                roster::model_with_config("exim", cfg, big)
-                    .expect("exim resolves")
-                    .network(cores)
-            };
-            let out =
-                AdaptController::new(KernelConfig::adaptive(cores), AdaptPolicy::default(), seed)
-                    .converge_des(build, cores);
-            let model = roster::model_with_config("exim", &out.config, big).expect("exim resolves");
-            let p = CoreSweep::try_point(model.as_ref(), cores)
+            let (adaptive, out) = converge("exim", cores, big, seed).expect("exim resolves");
+            let p = CoreSweep::try_point(adaptive.as_ref(), cores)
                 .expect("full-machine core count fits its own topology");
             let prefix = format!("topo.{tlabel}.exim.adaptive.c{cores}");
             m.put_f64(&format!("{prefix}.per_core_per_sec"), p.per_core_per_sec);
@@ -368,18 +349,9 @@ pub fn deterministic_metrics(seed: u64) -> Metrics {
     // count, epochs, flap bound, and the converged config's measured
     // cycles/op (regression-checked like every `*cycles*` metric).
     {
-        use pk_adapt::{AdaptController, AdaptPolicy};
-        use pk_kernel::KernelConfig;
         let machine = pk_sim::MachineSpec::paper();
         for name in roster::NAMES {
-            let build = move |cfg: &KernelConfig| {
-                roster::model_with_config(name, cfg, machine)
-                    .expect("roster name resolves")
-                    .network(48)
-            };
-            let out =
-                AdaptController::new(KernelConfig::adaptive(48), AdaptPolicy::default(), seed)
-                    .converge_des(build, 48);
+            let (adaptive, out) = converge(name, 48, machine, seed).expect("roster name resolves");
             let prefix = format!("adapt.{name}.c48");
             m.put_u64(
                 &format!("{prefix}.promoted"),
@@ -392,7 +364,7 @@ pub fn deterministic_metrics(seed: u64) -> Metrics {
                 &format!("{prefix}.max_direction_changes"),
                 u64::from(out.max_direction_changes()),
             );
-            let r = des::simulate(&build(&out.config), 48, 2_000, seed);
+            let r = des::simulate(&adaptive.network(48), 48, 2_000, seed);
             m.put_f64(&format!("{prefix}.des.cycles_per_op"), r.cycles_per_op);
         }
     }
@@ -534,67 +506,22 @@ pub fn check_against_baseline(baseline_text: &str, current: &Metrics) -> Vec<Str
     check_report(baseline_text, current).failures()
 }
 
-/// Which DES implementation to time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// The calendar-queue fast engine (the production path).
-    Wheel,
-    /// The `BinaryHeap` differential oracle (`pk_sim::des::reference`).
-    ReferenceHeap,
-}
-
-impl Engine {
-    /// Row label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Wheel => "wheel (calendar queue)",
-            Self::ReferenceHeap => "reference (binary heap)",
-        }
-    }
-}
-
-/// One wall-clock engine measurement. Lives on the **live** side of
-/// the determinism split: printed, never persisted into
-/// `BENCH_scale.json` (the committed engine baseline is a hand-set
-/// floor, not a recorded measurement).
-#[derive(Debug, Clone, Copy)]
-pub struct EngineTiming {
-    /// Events the engine dispatched.
-    pub events: u64,
-    /// Wall-clock seconds.
-    pub secs: f64,
-}
-
-impl EngineTiming {
-    /// The headline rate.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.secs.max(1e-9)
-    }
-}
-
-/// Times one engine over the full 48-core roster (both kernels): the
-/// workload mix scalebench's speedup row and the CI throughput smoke
-/// both quote. Identical `(seed, ops)` on either engine simulates the
-/// identical schedule, so the event counts match and the ratio is a
-/// pure engine comparison.
-pub fn time_roster_engine(engine: Engine, ops_per_core: u64, seed: u64) -> EngineTiming {
+/// Times the calendar-queue DES engine over the full 48-core roster
+/// (both kernels) and returns events/sec: the rate the CI throughput
+/// smoke compares against its floor. The only host timing this module
+/// takes, and never persisted into `BENCH_scale.json` (the committed
+/// engine baseline is a hand-set floor, not a recorded measurement).
+pub fn roster_events_per_sec(ops_per_core: u64, seed: u64) -> f64 {
     let mut events = 0u64;
     let start = std::time::Instant::now();
     for name in roster::NAMES {
         for choice in [KernelChoice::Stock, KernelChoice::Pk] {
             let model = roster::model(name, choice).expect("roster name resolves");
             let net = model.network(48);
-            let r = match engine {
-                Engine::Wheel => des::simulate(&net, 48, ops_per_core, seed),
-                Engine::ReferenceHeap => des::reference::simulate(&net, 48, ops_per_core, seed),
-            };
-            events += r.events_processed;
+            events += des::simulate(&net, 48, ops_per_core, seed).events_processed;
         }
     }
-    EngineTiming {
-        events,
-        secs: start.elapsed().as_secs_f64(),
-    }
+    events as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Where the p999 goes (`tail_report`).
+//! Where the p999 goes (`report tail`).
 //!
 //! Runs the serving roster through the request-flow engine with
 //! causal tracing on, folds every capture into per-request span trees
@@ -27,11 +27,13 @@
 //! some exemplar tree is missing a span, so the capture is sized by
 //! [`pk_sim::flow_ring_capacity`] and checked per track.
 
+use crate::json;
+use crate::Personality;
 use pk_serve::{run_serving_flow, FlowRun, SERVING};
-use pk_sim::{flow_ring_capacity, Network};
+use pk_sim::{flow_ring_capacity, MachineSpec};
 use pk_trace::{Event, Tracer};
 use pk_why::{attribute, encode_exemplars, exemplars, fold, Attribution, MetricSet, RequestCost};
-use pk_workloads::{roster, KernelChoice};
+use pk_workloads::KernelChoice;
 
 /// Core count for every traced run: the paper's full machine, past
 /// the collapse knee for every stock serving workload.
@@ -55,70 +57,6 @@ pub const STOCK_MOUNT_SHARE_FLOOR: f64 = 0.90;
 pub const PK_CLASS_BP_CEILING: u64 = 500;
 /// The inversion must show on at least this many serving workloads.
 pub const INVERSION_MIN_WORKLOADS: usize = 2;
-
-/// The four kernel personalities the grid crosses with [`SERVING`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Personality {
-    /// Stock Linux 2.6.35 behavior.
-    Stock,
-    /// One coarse lock per subsystem.
-    Coarse,
-    /// All paper fixes applied.
-    Pk,
-    /// `pk-adapt`'s converged configuration.
-    Adaptive,
-}
-
-impl Personality {
-    /// Grid order.
-    pub const ALL: [Personality; 4] = [
-        Personality::Stock,
-        Personality::Coarse,
-        Personality::Pk,
-        Personality::Adaptive,
-    ];
-
-    /// Stable label used in tables, JSON, and metric labels.
-    pub fn label(self) -> &'static str {
-        match self {
-            Personality::Stock => "stock",
-            Personality::Coarse => "coarse",
-            Personality::Pk => "pk",
-            Personality::Adaptive => "adaptive",
-        }
-    }
-}
-
-/// Builds `workload`'s queueing network under `personality` at
-/// `cores`. Stock/coarse/PK come straight from the roster (the roster
-/// coarsens internally); adaptive boots the zero-fix config and lets
-/// the controller converge on seeded DES observations first.
-pub fn network_for(workload: &str, personality: Personality, cores: usize, seed: u64) -> Network {
-    let machine = pk_sim::MachineSpec::paper();
-    let choice = match personality {
-        Personality::Stock => KernelChoice::Stock,
-        Personality::Coarse => KernelChoice::Coarse,
-        Personality::Pk => KernelChoice::Pk,
-        Personality::Adaptive => {
-            use pk_adapt::{AdaptController, AdaptPolicy};
-            use pk_kernel::KernelConfig;
-            let build = move |cfg: &KernelConfig| {
-                roster::model_with_config(workload, cfg, machine)
-                    .expect("serving workload resolves")
-                    .network(cores)
-            };
-            let out =
-                AdaptController::new(KernelConfig::adaptive(cores), AdaptPolicy::default(), seed)
-                    .converge_des(build, cores);
-            return roster::model_with_config(workload, &out.config, machine)
-                .expect("serving workload resolves")
-                .network(cores);
-        }
-    };
-    roster::model_on(workload, choice, machine)
-        .expect("serving workload resolves")
-        .network(cores)
-}
 
 /// One traced cell: the flow run plus everything `pk-why` derived
 /// from its capture.
@@ -187,7 +125,11 @@ pub fn run_cell(
     seed: u64,
 ) -> (TailCell, Vec<Event>) {
     let cores = TAIL_CORES;
-    let net = network_for(workload, personality, cores, seed);
+    let net = personality
+        .resolve(workload, cores, MachineSpec::paper(), seed)
+        .expect("serving workload resolves")
+        .model
+        .network(cores);
     // Track `cores` carries the admission instants; the ring size is
     // the documented rule, not a guess — overflow below is a bug in
     // the rule, not a tuning problem.
@@ -454,20 +396,45 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 /// Renders the deterministic JSON artifact: fixed key order, fixed
 /// float formatting, cells in grid order — byte-identical per seed.
 pub fn report_json(grid: &TailGrid, asserts: &TailAssertions) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"seed\": {},", grid.seed);
-    let _ = writeln!(out, "  \"cores\": {},", grid.cores);
-    let _ = writeln!(out, "  \"requests\": {},", grid.requests);
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in grid.cells.iter().enumerate() {
-        let comma = if i + 1 == grid.cells.len() { "" } else { "," };
-        let _ = write!(
-            out,
-            "    {{\"workload\": \"{}\", \"kernel\": \"{}\", \"arrivals\": {}, \
+    let cells = grid.cells.iter().map(|c| {
+        let quantiles: Vec<String> = c
+            .attributions
+            .iter()
+            .map(|a| {
+                let by_class: Vec<String> = a
+                    .by_class
+                    .iter()
+                    .map(|s| {
+                        format!(
+                            "{{\"class\": \"{}\", \"wait\": {}, \"share\": {:.6}, \"bp\": {}}}",
+                            json::escape(&s.class),
+                            s.wait,
+                            s.share_of_waits,
+                            s.bp_of_latency
+                        )
+                    })
+                    .collect();
+                format!(
+                    "{{\"q\": {}, \"threshold\": {}, \"requests\": {}, \
+                     \"total_latency\": {}, \"queue\": {}, \"service\": {}, \
+                     \"wait_total\": {}, \"slack\": {}, \"by_class\": [{}]}}",
+                    a.quantile,
+                    a.threshold_cycles,
+                    a.requests,
+                    a.total_latency,
+                    a.queue,
+                    a.service,
+                    a.wait_total,
+                    a.slack,
+                    by_class.join(",")
+                )
+            })
+            .collect();
+        format!(
+            "{{\"workload\": \"{}\", \"kernel\": \"{}\", \"arrivals\": {}, \
              \"completed\": {}, \"folded\": {}, \"in_flight\": {}, \
              \"exemplar_bytes\": {}, \"exemplar_fnv64\": \"{:016x}\", \
-             \"quantiles\": [",
+             \"quantiles\": [{}]}}",
             c.workload,
             c.personality.label(),
             c.run.result.arrivals,
@@ -475,58 +442,29 @@ pub fn report_json(grid: &TailGrid, asserts: &TailAssertions) -> String {
             c.folded,
             c.in_flight,
             c.exemplar_bytes.len(),
-            fnv64(&c.exemplar_bytes)
-        );
-        for (qi, a) in c.attributions.iter().enumerate() {
-            let qcomma = if qi + 1 == c.attributions.len() {
-                ""
-            } else {
-                ","
-            };
-            let _ = write!(
-                out,
-                "{{\"q\": {}, \"threshold\": {}, \"requests\": {}, \
-                 \"total_latency\": {}, \"queue\": {}, \"service\": {}, \
-                 \"wait_total\": {}, \"slack\": {}, \"by_class\": [",
-                a.quantile,
-                a.threshold_cycles,
-                a.requests,
-                a.total_latency,
-                a.queue,
-                a.service,
-                a.wait_total,
-                a.slack
-            );
-            for (ci, s) in a.by_class.iter().enumerate() {
-                let ccomma = if ci + 1 == a.by_class.len() { "" } else { "," };
-                let _ = write!(
-                    out,
-                    "{{\"class\": \"{}\", \"wait\": {}, \"share\": {:.6}, \"bp\": {}}}{ccomma}",
-                    s.class, s.wait, s.share_of_waits, s.bp_of_latency
-                );
-            }
-            let _ = write!(out, "]}}{qcomma}");
-        }
-        let _ = writeln!(out, "]}}{comma}");
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"assertions\": {{\"inversions\": {}, \"inversion_observed\": {}, \
+            fnv64(&c.exemplar_bytes),
+            quantiles.join(",")
+        )
+    });
+    format!(
+        "{{\n  \"seed\": {},\n  \"cores\": {},\n  \"requests\": {},\n  \"cells\": [\n{}  ],\n  \
+         \"assertions\": {{\"inversions\": {}, \"inversion_observed\": {}, \
          \"stock_exim_mount_share\": {:.6}, \"stock_attribution_concentrated\": {}, \
          \"pk_exim_max_class\": \"{}\", \"pk_exim_max_class_bp\": {}, \
-         \"pk_attribution_flat\": {}, \"ok\": {}}}",
+         \"pk_attribution_flat\": {}, \"ok\": {}}}\n}}\n",
+        grid.seed,
+        grid.cores,
+        grid.requests,
+        json::lines("    ", cells),
         asserts.inversions,
         asserts.inversion_observed,
         asserts.stock_exim_mount_share,
         asserts.stock_attribution_concentrated,
-        asserts.pk_exim_max_class,
+        json::escape(&asserts.pk_exim_max_class),
         asserts.pk_exim_max_class_bp,
         asserts.pk_attribution_flat,
         asserts.ok()
-    );
-    out.push_str("}\n");
-    out
+    )
 }
 
 /// Renders the grid as an OpenMetrics exposition (`pk-why`'s
@@ -535,29 +473,27 @@ pub fn report_json(grid: &TailGrid, asserts: &TailAssertions) -> String {
 pub fn metrics(grid: &TailGrid) -> MetricSet {
     let mut m = MetricSet::new();
     for c in &grid.cells {
-        let kernel = c.personality.label();
+        let cell = [("workload", c.workload), ("kernel", c.personality.label())];
+        let dropped = c.dropped_by_track.iter().sum::<u64>();
         m.counter(
             "pk_tail_requests",
             "completed requests folded into span trees",
-            &[("workload", c.workload), ("kernel", kernel)],
+            &cell,
             c.folded as f64,
         );
         m.counter(
             "pk_trace_dropped_events",
             "trace ring overflow drops (must be zero)",
-            &[("workload", c.workload), ("kernel", kernel)],
-            c.dropped_by_track.iter().sum::<u64>() as f64,
+            &cell,
+            dropped as f64,
         );
         for a in &c.attributions {
             let q = format!("{}", a.quantile);
+            let at = [cell[0], cell[1], ("quantile", q.as_str())];
             m.gauge(
                 "pk_tail_threshold_cycles",
                 "exact per-request latency order statistic",
-                &[
-                    ("workload", c.workload),
-                    ("kernel", kernel),
-                    ("quantile", &q),
-                ],
+                &at,
                 a.threshold_cycles as f64,
             );
             for (term, v) in [
@@ -569,36 +505,22 @@ pub fn metrics(grid: &TailGrid) -> MetricSet {
                 m.gauge(
                     "pk_tail_term_cycles",
                     "accounting-identity term summed over the tail set",
-                    &[
-                        ("workload", c.workload),
-                        ("kernel", kernel),
-                        ("quantile", &q),
-                        ("term", term),
-                    ],
+                    &[at[0], at[1], at[2], ("term", term)],
                     v as f64,
                 );
             }
             for s in &a.by_class {
+                let class = [at[0], at[1], at[2], ("class", s.class.as_str())];
                 m.gauge(
                     "pk_tail_wait_share",
                     "fraction of the tail's lock-class wait pool",
-                    &[
-                        ("workload", c.workload),
-                        ("kernel", kernel),
-                        ("quantile", &q),
-                        ("class", &s.class),
-                    ],
+                    &class,
                     s.share_of_waits,
                 );
                 m.gauge(
                     "pk_tail_wait_bp",
                     "basis points of tail latency spent waiting on the class",
-                    &[
-                        ("workload", c.workload),
-                        ("kernel", kernel),
-                        ("quantile", &q),
-                        ("class", &s.class),
-                    ],
+                    &class,
                     s.bp_of_latency as f64,
                 );
             }

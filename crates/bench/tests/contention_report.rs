@@ -2,14 +2,19 @@
 //! must re-derive the paper's Figure-4 diagnosis from measurement, not
 //! from a hardcoded table.
 
-use pk_bench::{contention_report, contention_report_des};
-use pk_workloads::{roster, KernelChoice};
+use pk_bench::{contention_report, contention_report_des, Personality, Resolved};
+use pk_sim::MachineSpec;
+use pk_workloads::roster;
+
+fn resolve(workload: &str, personality: Personality, cores: usize) -> Option<Resolved> {
+    personality.resolve(workload, cores, MachineSpec::paper(), 42)
+}
 
 /// The paper's diagnosis (§5.2.1): on the stock kernel at 48 cores,
 /// Exim collapses on the vfsmount-table spin lock.
 #[test]
 fn exim_stock_48_names_the_vfsmount_lock() {
-    let report = contention_report("exim", KernelChoice::Stock, 48).unwrap();
+    let report = contention_report(&resolve("exim", Personality::Stock, 48).unwrap());
     let top = report.top().expect("non-empty report");
     assert_eq!(top.name, "vfsmount-table lock");
     assert!(
@@ -28,7 +33,8 @@ fn exim_stock_48_names_the_vfsmount_lock() {
 /// simulated measurement (queue waits, not analytic residence).
 #[test]
 fn des_measurement_agrees_on_the_bottleneck() {
-    let report = contention_report_des("exim", KernelChoice::Stock, 48, 1_000, 42).unwrap();
+    let report =
+        contention_report_des(&resolve("exim", Personality::Stock, 48).unwrap(), 1_000, 42);
     assert_eq!(report.top().unwrap().name, "vfsmount-table lock");
     // The measured line-transfer count for the collapsed lock is large:
     // every handoff moves the line and every waiter polls it.
@@ -48,7 +54,7 @@ fn des_measurement_agrees_on_the_bottleneck() {
 /// table (per-core mount caches, Figure 4's fixed curve).
 #[test]
 fn pk_removes_the_mount_lock_from_the_top() {
-    let report = contention_report("exim", KernelChoice::Pk, 48).unwrap();
+    let report = contention_report(&resolve("exim", Personality::Pk, 48).unwrap());
     assert_ne!(report.top().unwrap().name, "vfsmount-table lock");
 }
 
@@ -57,16 +63,17 @@ fn pk_removes_the_mount_lock_from_the_top() {
 #[test]
 fn all_workloads_report_cleanly() {
     for workload in roster::NAMES {
-        for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+        for personality in [Personality::Stock, Personality::Pk] {
             for cores in [1, 48] {
-                let r = contention_report(workload, choice, cores)
+                let resolved = resolve(workload, personality, cores)
                     .unwrap_or_else(|| panic!("{workload} missing"));
+                let r = contention_report(&resolved);
                 assert!(!r.resources.is_empty(), "{workload} has stations");
                 let share_sum: f64 = r.resources.iter().map(|x| x.share).sum();
                 assert!(
                     (share_sum - 1.0).abs() < 1e-9,
                     "{workload}/{}: shares sum to 1, got {share_sum}",
-                    choice.label()
+                    personality.label()
                 );
             }
         }
@@ -75,5 +82,5 @@ fn all_workloads_report_cleanly() {
 
 #[test]
 fn unknown_workload_is_none() {
-    assert!(contention_report("nethack", KernelChoice::Stock, 48).is_none());
+    assert!(resolve("nethack", Personality::Stock, 48).is_none());
 }

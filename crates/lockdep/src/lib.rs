@@ -30,7 +30,7 @@
 //! [`ClassCell`] is one `AtomicU32` per lock in every build.
 //!
 //! Findings surface two ways: [`violations`] returns the deduplicated
-//! reports (the `lockdep_report` binary exits non-zero on any), and
+//! reports (`pk-bench report lockdep` exits non-zero on any), and
 //! [`collector`] exposes counters through the `pk-obs` registry.
 
 #![forbid(unsafe_code)]

@@ -26,7 +26,7 @@
 //! cycles: `pk-sync` reports per-lock acquisition/contention/spin
 //! counts, `pk-sloppy` reports central-vs-local op rates, `pk-sim`
 //! reports per-station queueing delay and cache-line transfers, and
-//! `pk-bench --bin contention_report` turns any of those snapshots into
+//! `pk-bench report contention` turns any of those snapshots into
 //! the ranked table.
 
 #![forbid(unsafe_op_in_unsafe_fn)]

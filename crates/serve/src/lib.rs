@@ -17,7 +17,7 @@
 //! stale-ok reads, Apache shrinking keepalive, Exim deferring
 //! non-essential work), and its SLO budget as a multiple of the PK
 //! kernel's healthy request time. [`run_serving`] assembles the run;
-//! `pk-bench --bin latency_report` sweeps the
+//! `pk-bench report latency` sweeps the
 //! {stock, PK} × {no-shed, shed} × {normal, 2× overload} grid and
 //! asserts the stock-vs-PK tail inversion.
 

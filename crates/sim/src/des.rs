@@ -71,8 +71,8 @@ pub struct DesResult {
     /// line to poll it — the traffic behind the collapse factor).
     pub line_transfers: Vec<u64>,
     /// Events the engine dispatched (station departures processed) —
-    /// the denominator of the wall-clock events/sec rows `scalebench`
-    /// prints. Identical across engines for the same inputs.
+    /// the denominator of the wall-clock events/sec rows `benchmark/`
+    /// records. Identical across engines for the same inputs.
     pub events_processed: u64,
 }
 

@@ -9,7 +9,7 @@
 //! for. `tests/engine_equivalence.rs` drives both engines through
 //! identical seeded schedules (all station kinds × fault injections ×
 //! topologies) and asserts byte-identical results and event traces;
-//! `scalebench` runs it live to print the speedup row. Keep the two
+//! the repo benchmark (`benchmark/`) times both. Keep the two
 //! engines' RNG draws and fault-point checks in lockstep: any
 //! divergence is a bug in one of them, and the oracle is the one that
 //! is easy to audit.

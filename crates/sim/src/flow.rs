@@ -60,7 +60,7 @@ pub const CANCEL_CLASS: &str = "serve.cancel";
 pub const NIC_DROP_CLASS: &str = "serve.nic_drop";
 
 /// Ring capacity per track that guarantees a lossless capture of a
-/// `requests`-arrival flow run (the sizing rule `tail_report` applies,
+/// `requests`-arrival flow run (the sizing rule `pk-bench report tail` applies,
 /// DESIGN.md §15): each request emits at most `8 + 6·stations` events
 /// (ctx pair, admission pair, connect pair, stall pair, and per station
 /// a span pair, a wait pair, and a lock pair), requests spread

@@ -88,7 +88,7 @@ pub enum ArrivalPattern {
 impl ArrivalPattern {
     /// The pattern with every rate scaled by `load` (interarrival
     /// gaps divided by it): `scaled(2.0)` doubles the offered load —
-    /// the 2× overload axis of `latency_report`.
+    /// the 2× overload axis of `pk-bench report latency`.
     #[must_use]
     pub fn scaled(self, load: f64) -> Self {
         match self {

@@ -74,7 +74,7 @@ pub fn current_request() -> u64 {
 
 /// Contexts entered while a previous one was still active on the same
 /// thread, process-wide. Non-zero means some driver leaks request state
-/// across worker-slot reuse; `tail_report` treats it as a hard failure.
+/// across worker-slot reuse; `pk-bench report tail` treats it as a hard failure.
 pub fn ctx_leaks() -> u64 {
     #[cfg(not(feature = "trace-off"))]
     {

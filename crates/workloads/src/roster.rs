@@ -1,9 +1,9 @@
 //! Name-keyed access to the seven MOSBENCH workload models.
 //!
-//! The figure binaries each hardcode their own model; the diagnostic
-//! tools (`contention_report`) instead take a workload name on the
-//! command line, so they need one place that maps names to models and
-//! kernel choices to the paper's before/after variants.
+//! The figure sections each hardcode their own model; the diagnostic
+//! tools (`pk-bench report contention`) instead take a workload name
+//! on the command line, so they need one place that maps names to
+//! models and kernel choices to the paper's before/after variants.
 
 use crate::common::KernelChoice;
 use crate::{apache, exim, gmake, memcached, metis, pedsort, postgres};
