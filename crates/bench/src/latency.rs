@@ -53,8 +53,9 @@ pub struct LatencyGrid {
     pub seed: u64,
     /// Cores per run ([`CORES`]).
     pub cores: usize,
-    /// All runs, in `SERVING × {stock, pk} × posture` order.
-    pub runs: Vec<ServeRun>,
+    /// All runs with the kernel each served on, in
+    /// `SERVING × {stock, pk} × posture` order.
+    pub runs: Vec<(KernelChoice, ServeRun)>,
 }
 
 /// The three serving postures each (workload, kernel) pair runs.
@@ -78,7 +79,7 @@ pub fn run_grid(seed: u64) -> LatencyGrid {
                     run.result.arrivals,
                     "{w}: arrival accounting leaked"
                 );
-                runs.push(run);
+                runs.push((choice, run));
             }
         }
     }
@@ -100,12 +101,13 @@ impl LatencyGrid {
     ) -> &ServeRun {
         self.runs
             .iter()
-            .find(|r| {
+            .find(|(c, r)| {
                 r.workload == workload
-                    && r.choice == choice
+                    && *c == choice
                     && r.policy.is_bounded() == shed
                     && r.load_pct == load_pct
             })
+            .map(|(_, r)| r)
             .expect("grid covers the full cross product")
     }
 }
@@ -272,13 +274,13 @@ pub fn table(grid: &LatencyGrid) -> String {
         "shed",
         "queue_end"
     );
-    for r in &grid.runs {
+    for (choice, r) in &grid.runs {
         let shed_total = r.result.rejected + r.result.shed_oldest + r.result.shed_probabilistic;
         let _ = writeln!(
             out,
             "{:>10} {:>6} {:>8} {:>4}% {:>9} {:>9} {:>10} {:>10} {:>10} {:>8} {:>8} {:>9}",
             r.workload,
-            r.choice.label(),
+            choice.label(),
             if r.policy.is_bounded() {
                 "shed"
             } else {
@@ -302,7 +304,7 @@ pub fn table(grid: &LatencyGrid) -> String {
 /// 6-decimal float formatting, runs in grid order — byte-identical
 /// for a fixed seed.
 pub fn report_json(grid: &LatencyGrid, asserts: &OverloadAssertions) -> String {
-    let runs = grid.runs.iter().map(|r| {
+    let runs = grid.runs.iter().map(|(choice, r)| {
         format!(
             "{{\"workload\": \"{}\", \"kernel\": \"{}\", \"posture\": \"{}\", \
              \"load_pct\": {}, \"slo_cycles\": {}, \"arrivals\": {}, \"completed\": {}, \
@@ -312,7 +314,7 @@ pub fn report_json(grid: &LatencyGrid, asserts: &OverloadAssertions) -> String {
              \"queue_depth_peak\": {}, \"distinct_users\": {}, \"new_connections\": {}, \
              \"goodput_fraction\": {:.6}}}",
             r.workload,
-            r.choice.label(),
+            choice.label(),
             if r.policy.is_bounded() {
                 "shed"
             } else {

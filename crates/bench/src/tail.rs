@@ -29,7 +29,7 @@
 
 use crate::json;
 use crate::Personality;
-use pk_serve::{run_serving_flow, FlowRun, SERVING};
+use pk_serve::{run_serving_flow, ServeRun, SERVING};
 use pk_sim::{flow_ring_capacity, MachineSpec};
 use pk_trace::{Event, Tracer};
 use pk_why::{attribute, encode_exemplars, exemplars, fold, Attribution, MetricSet, RequestCost};
@@ -67,7 +67,7 @@ pub struct TailCell {
     /// Kernel personality.
     pub personality: Personality,
     /// The flow-engine run (counters, histogram latency, policy).
-    pub run: FlowRun,
+    pub run: ServeRun,
     /// Complete span trees the fold recovered (== completed requests).
     pub folded: usize,
     /// Requests still open at the horizon (discarded by the fold).

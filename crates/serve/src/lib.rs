@@ -30,9 +30,7 @@ pub use admission::{serve_with_deadline, AdmissionQueue, SlotGuard};
 
 use pk_fault::FaultPlane;
 use pk_kernel::{OverloadPolicy, ShedPolicy};
-use pk_sim::{
-    simulate_flow, simulate_open_with_faults, ArrivalPattern, ClientMix, Network, OpenLoopResult,
-};
+use pk_sim::{simulate_flow, simulate_open, ArrivalPattern, ClientMix, Network, OpenLoopResult};
 use pk_trace::Tracer;
 use pk_workloads::{roster, KernelChoice};
 
@@ -201,14 +199,14 @@ impl LatencySummary {
     }
 }
 
-/// One serving run: the open-loop result plus everything the latency
-/// tables print.
+/// One serving run, from either engine: the open-loop result plus
+/// everything the latency tables print. Which kernel personality served
+/// it is the caller's to remember — [`run_serving_flow`] takes a
+/// prebuilt network and never learns it.
 #[derive(Debug, Clone)]
 pub struct ServeRun {
     /// Roster workload name.
     pub workload: &'static str,
-    /// Kernel the run served on.
-    pub choice: KernelChoice,
     /// The overload policy in force.
     pub policy: OverloadPolicy,
     /// Offered load as a fraction of PK saturation capacity, percent.
@@ -275,6 +273,39 @@ pub fn policy_for(spec: &ServingSpec, cores: usize, shed: bool, slo: u64) -> Ove
     }
 }
 
+/// Anchors one serving run — SLO, policy, arrival pattern and horizon
+/// are all pinned to the *PK* kernel's capacity at `cores`, whichever
+/// network serves — hands them to `engine`, and wraps its result.
+fn serve(
+    workload: &str,
+    cores: usize,
+    shed: bool,
+    load_pct: u32,
+    requests: u64,
+    engine: impl FnOnce(&ServingSpec, ArrivalPattern, OverloadPolicy, u64) -> Option<OpenLoopResult>,
+) -> Option<ServeRun> {
+    let spec = ServingSpec::for_workload(workload)?;
+    let capacity = capacity_ops_per_cycle(spec.workload, cores)?;
+    let slo = slo_budget_cycles(spec.workload, cores)?;
+    let policy = policy_for(&spec, cores, shed, slo);
+
+    let mean_gap = 1.0 / (capacity * load_pct as f64 / 100.0);
+    let pattern = spec.pattern(mean_gap);
+    let horizon = (requests as f64 * pattern.mean_interarrival_cycles()) as u64;
+
+    let result = engine(&spec, pattern, policy, horizon.max(1))?;
+    let latency = LatencySummary::of(&result.latency);
+    Some(ServeRun {
+        workload: spec.workload,
+        policy,
+        load_pct,
+        result,
+        latency,
+        slo_budget_cycles: slo,
+        capacity_ops_per_cycle: capacity,
+    })
+}
+
 /// Runs `workload` as an open-loop server.
 ///
 /// * `load_pct` — offered load as a percentage of the PK saturation
@@ -295,72 +326,28 @@ pub fn run_serving(
     seed: u64,
     faults: &FaultPlane,
 ) -> Option<ServeRun> {
-    let spec = ServingSpec::for_workload(workload)?;
-    let capacity = capacity_ops_per_cycle(spec.workload, cores)?;
-    let slo = slo_budget_cycles(spec.workload, cores)?;
-    let policy = policy_for(&spec, cores, shed, slo);
-
-    let mean_gap = 1.0 / (capacity * load_pct as f64 / 100.0);
-    let pattern = spec.pattern(mean_gap);
-    let horizon = (requests as f64 * pattern.mean_interarrival_cycles()) as u64;
-
-    // The serving network: the same roster model the closed figures
-    // use, under the kernel actually being measured.
-    let net = roster::model(spec.workload, choice)?.network(cores);
-    let result = simulate_open_with_faults(
-        &net,
+    serve(
+        workload,
         cores,
-        pattern,
-        spec.clients,
-        policy,
-        horizon.max(1),
-        seed,
-        faults,
-    );
-    let latency = LatencySummary::of(&result.latency);
-    Some(ServeRun {
-        workload: spec.workload,
-        choice,
-        policy,
+        shed,
         load_pct,
-        result,
-        latency,
-        slo_budget_cycles: slo,
-        capacity_ops_per_cycle: capacity,
-    })
-}
-
-/// One request-flow serving run: [`run_serving`]'s counters, produced
-/// by the traced per-station engine instead of the lumped one.
-///
-/// There is no `choice` field: the flow entry takes a *prebuilt*
-/// network so callers can serve on any personality — stock, coarse,
-/// PK, or an adaptive controller's converged config — while the SLO
-/// budget and capacity denominator stay anchored to the PK kernel,
-/// exactly as in [`run_serving`].
-#[derive(Debug, Clone)]
-pub struct FlowRun {
-    /// Roster workload name.
-    pub workload: &'static str,
-    /// The overload policy in force.
-    pub policy: OverloadPolicy,
-    /// Offered load as a fraction of PK saturation capacity, percent.
-    pub load_pct: u32,
-    /// The engine's counters and latency histogram.
-    pub result: OpenLoopResult,
-    /// p50/p99/p999 of completed requests.
-    pub latency: LatencySummary,
-    /// The SLO budget applied, cycles.
-    pub slo_budget_cycles: u64,
-    /// PK saturation capacity, ops/cycle — the goodput denominator.
-    pub capacity_ops_per_cycle: f64,
-}
-
-impl FlowRun {
-    /// Goodput as a fraction of saturation capacity.
-    pub fn goodput_fraction(&self) -> f64 {
-        self.result.goodput_ops_per_cycle() / self.capacity_ops_per_cycle
-    }
+        requests,
+        |spec, pattern, policy, horizon| {
+            // The serving network: the same roster model the closed
+            // figures use, under the kernel actually being measured.
+            let net = roster::model(spec.workload, choice)?.network(cores);
+            Some(simulate_open(
+                &net,
+                cores,
+                pattern,
+                spec.clients,
+                policy,
+                horizon,
+                seed,
+                faults,
+            ))
+        },
+    )
 }
 
 /// Runs `workload` as an open-loop server through the request-flow
@@ -372,8 +359,10 @@ impl FlowRun {
 ///
 /// `network` is the serving network of whichever kernel personality is
 /// being measured (`roster::model(w, choice).network(cores)`, or a
-/// `model_with_config` network for the adaptive personality). The
-/// tracer, if any, needs `cores + 1` tracks sized by
+/// `model_with_config` network for the adaptive personality) — stock,
+/// coarse, PK, or an adaptive controller's converged config — while the
+/// SLO budget and capacity denominator stay anchored to the PK kernel.
+/// The tracer, if any, needs `cores + 1` tracks sized by
 /// [`pk_sim::flow_ring_capacity`].
 ///
 /// Returns `None` for non-serving workloads. Deterministic: a pure
@@ -388,36 +377,27 @@ pub fn run_serving_flow(
     requests: u64,
     seed: u64,
     tracer: Option<&Tracer>,
-) -> Option<FlowRun> {
-    let spec = ServingSpec::for_workload(workload)?;
-    let capacity = capacity_ops_per_cycle(spec.workload, cores)?;
-    let slo = slo_budget_cycles(spec.workload, cores)?;
-    let policy = policy_for(&spec, cores, shed, slo);
-
-    let mean_gap = 1.0 / (capacity * load_pct as f64 / 100.0);
-    let pattern = spec.pattern(mean_gap);
-    let horizon = (requests as f64 * pattern.mean_interarrival_cycles()) as u64;
-
-    let result = simulate_flow(
-        network,
+) -> Option<ServeRun> {
+    serve(
+        workload,
         cores,
-        pattern,
-        spec.clients,
-        policy,
-        horizon.max(1),
-        seed,
-        tracer,
-    );
-    let latency = LatencySummary::of(&result.latency);
-    Some(FlowRun {
-        workload: spec.workload,
-        policy,
+        shed,
         load_pct,
-        result,
-        latency,
-        slo_budget_cycles: slo,
-        capacity_ops_per_cycle: capacity,
-    })
+        requests,
+        |spec, pattern, policy, horizon| {
+            Some(simulate_flow(
+                network,
+                cores,
+                pattern,
+                spec.clients,
+                policy,
+                horizon,
+                seed,
+                tracer,
+                &FaultPlane::disabled(),
+            ))
+        },
+    )
 }
 
 #[cfg(test)]
@@ -510,6 +490,12 @@ mod tests {
                     .unwrap_or_else(|| panic!("{w} under {choice:?} must run"));
                 assert!(r.result.completed > 0, "{w}/{choice:?} completed nothing");
                 assert_eq!(r.result.accounted(), r.result.arrivals);
+                // Zero offered load is an infinite mean gap: no arrivals,
+                // and no overflow summing a saturated on/off window.
+                let idle = run_serving(w, choice, 4, true, 0, 100, 42, &plane)
+                    .unwrap_or_else(|| panic!("{w} under {choice:?} must run idle"));
+                assert_eq!(idle.result.arrivals, 0, "{w}/{choice:?} at 0% load");
+                assert_eq!(idle.result.accounted(), 0);
             }
         }
     }

@@ -10,10 +10,11 @@
 //! * the crossing point `n* = (D + Z) / D_max` predicts where the
 //!   throughput curve knees.
 //!
-//! The figure harness uses [`knee`] to sanity-check every model: the
-//! knee position is where the paper's curves change character (e.g.
-//! PostgreSQL's `n* ≈ 36`), and the `bounds_bracket_mva` test keeps the
-//! exact solver inside the bounds for every network.
+//! This is the MVA cross-check, not a report input — nothing outside
+//! this module's own tests calls [`knee`]. The knee position is where
+//! the paper's curves change character (e.g. PostgreSQL's `n* ≈ 36`),
+//! and the `bounds_bracket_mva` test keeps the exact solver inside the
+//! bounds for every network.
 
 use crate::mva::{Network, StationKind};
 

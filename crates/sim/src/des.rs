@@ -15,12 +15,13 @@
 //!
 //! # Two engines, one schedule
 //!
-//! The public entry points run the **fast engine**: a calendar-queue
-//! event wheel ([`wheel::EventWheel`]) that drains one bucket-width
-//! window of simulated time at a time as a sorted batch, over
-//! struct-of-arrays hot state (per-station and per-customer fields in
-//! parallel vectors, station FIFO queues as an intrusive index-linked
-//! list — no per-event allocation anywhere in the loop). The
+//! The public entry points run the **fast engine**: `push`/`pop` on a
+//! calendar-queue event wheel ([`wheel::EventWheel`], which behind
+//! that interface drains one bucket-width window of simulated time at
+//! a time as a sorted batch), over struct-of-arrays hot state
+//! (per-station and per-customer fields in parallel vectors, station
+//! FIFO queues as an intrusive index-linked list — no per-event
+//! allocation anywhere in the loop). The
 //! [`reference`] module keeps the original `BinaryHeap` engine as the
 //! differential oracle: both engines process events in the canonical
 //! `(time, seq)` order — FIFO among simultaneous events — draw from
@@ -37,7 +38,7 @@ use pk_fault::{FaultPlane, FaultPoint};
 use pk_trace::{EventKind, Tracer};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
-use wheel::{EventWheel, WheelEvent};
+use wheel::EventWheel;
 
 /// Extra cycles a lock holder loses when the `sim.lock_holder_preempt`
 /// fault fires at a service start: the holder is descheduled mid
@@ -367,13 +368,12 @@ impl Hot {
     /// `st` with the station's *current* queue length.
     #[inline]
     fn service_params(&self, st: usize) -> (f64, u32) {
-        match self.kind[st] {
-            StationKind::NonScalable { collapse } => (
-                self.demand[st] * (1.0 + collapse * self.qlen[st] as f64),
-                self.qlen[st],
-            ),
-            _ => (self.demand[st], 0),
-        }
+        let pollers = match self.kind[st] {
+            StationKind::NonScalable { .. } => self.qlen[st],
+            _ => 0,
+        };
+        let mean = self.kind[st].service_mean(self.demand[st], pollers as usize);
+        (mean, pollers)
     }
 
     /// Charges the coherence cost of customer `c` starting service.
@@ -465,60 +465,6 @@ impl Hot {
     }
 }
 
-/// Schedules event `(t, seq, c)`.
-///
-/// Three routes, cheapest first:
-///
-/// * **Singleton bypass** — the batch is exhausted and the wheel is
-///   empty, so this event is provably the only one pending (the shape
-///   of a fully serialized network: one lock holder, everyone else in
-///   a station FIFO). It becomes the next batch directly; the wheel
-///   fast-forwards so later pushes stay ahead of its window.
-/// * **Batch merge** — before the current batching horizon it
-///   binary-inserts into the sorted in-flight batch (completion times
-///   are always strictly after `now`, so the insertion point is past
-///   the cursor).
-/// * **Wheel push** — at or beyond the horizon it goes back to the
-///   wheel.
-#[inline]
-fn sched(
-    wheel: &mut EventWheel,
-    batch: &mut Vec<WheelEvent>,
-    cursor: &mut usize,
-    horizon: &mut u64,
-    seq: &mut u64,
-    t: u64,
-    c: u32,
-) {
-    let s = *seq;
-    *seq += 1;
-    if *cursor == batch.len() && wheel.is_empty() {
-        batch.clear();
-        *cursor = 0;
-        batch.push((t, s, c));
-        if t >= *horizon {
-            *horizon = t + 1;
-            wheel.advance_to(t);
-        }
-    } else if t < *horizon {
-        // Completions scheduled below the horizon almost always sort
-        // after everything already batched (service times rarely
-        // shrink), so scan back from the end — typically zero or one
-        // comparisons — and push rather than insert when it lands last.
-        let mut pos = batch.len();
-        while pos > *cursor && (batch[pos - 1].0, batch[pos - 1].1) > (t, s) {
-            pos -= 1;
-        }
-        if pos == batch.len() {
-            batch.push((t, s, c));
-        } else {
-            batch.insert(pos, (t, s, c));
-        }
-    } else {
-        wheel.push(t, s, c);
-    }
-}
-
 /// The fast engine: monomorphized over the trace sink so untraced runs
 /// pay nothing for the hooks.
 fn run<S: TraceSink>(
@@ -535,11 +481,10 @@ fn run<S: TraceSink>(
     let fault_stall = faults.point("sim.core_stall");
     let mut hot = Hot::new(net, cores, seed);
     let max_demand = hot.demand.iter().cloned().fold(1.0_f64, f64::max);
-    let mut wheel = EventWheel::new(max_demand, cores);
+    let mut events = EventWheel::new(max_demand, cores);
 
     let warmup_ops = (ops_per_core / 5).max(1);
     let total_ops = ops_per_core + warmup_ops;
-    let mut seq = 0u64;
     let mut now = 0u64;
     let mut measured_ops = 0u64;
     let mut measured_cycles = 0u128;
@@ -547,15 +492,7 @@ fn run<S: TraceSink>(
     let mut finished = 0usize;
     let mut events_processed = 0u64;
 
-    // The in-flight batch: the current window's events, sorted by
-    // (time, seq). `cursor` walks it; completions landing before the
-    // horizon are merged in at their sorted position.
-    let mut batch: Vec<WheelEvent> = Vec::new();
-    let mut cursor = 0usize;
-    let mut horizon = 0u64;
-
-    // Seed: every customer enters station 0. `horizon` is still 0, so
-    // every completion goes to the wheel.
+    // Seed: every customer enters station 0.
     for c in 0..cores as u32 {
         sink.op_begin(c as usize, 0);
         let (arrival, done) = hot.dispatch(0, c, 0, &fault_preempt, &fault_stall);
@@ -564,29 +501,11 @@ fn run<S: TraceSink>(
             sink.wait_begin(c as usize, arrival, 0);
         }
         if let Some(t) = done {
-            sched(
-                &mut wheel,
-                &mut batch,
-                &mut cursor,
-                &mut horizon,
-                &mut seq,
-                t,
-                c,
-            );
+            events.push(t, c);
         }
     }
 
-    loop {
-        if cursor == batch.len() {
-            batch.clear();
-            cursor = 0;
-            match wheel.next_batch(&mut batch) {
-                Some(h) => horizon = h,
-                None => break,
-            }
-        }
-        let (t, _, c) = batch[cursor];
-        cursor += 1;
+    while let Some((t, c)) = events.pop() {
         events_processed += 1;
         now = t;
         let ci = c as usize;
@@ -613,15 +532,7 @@ fn run<S: TraceSink>(
                 if fault_preempt.should_inject() {
                     done += PREEMPT_CYCLES;
                 }
-                sched(
-                    &mut wheel,
-                    &mut batch,
-                    &mut cursor,
-                    &mut horizon,
-                    &mut seq,
-                    done,
-                    next_c,
-                );
+                events.push(done, next_c);
                 // next_c stays at the same station until its own departure.
             }
         }
@@ -660,15 +571,7 @@ fn run<S: TraceSink>(
             sink.wait_begin(ci, arrival, next_station);
         }
         if let Some(done) = done {
-            sched(
-                &mut wheel,
-                &mut batch,
-                &mut cursor,
-                &mut horizon,
-                &mut seq,
-                done,
-                c,
-            );
+            events.push(done, c);
         }
     }
 

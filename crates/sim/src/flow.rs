@@ -11,16 +11,19 @@
 //! saturated station. §5.2.1 of the paper is exactly that distinction:
 //! 97% of stock Exim's cycles sat in one lock, not 97% spread evenly.
 //!
-//! This engine keeps the open side of `simulate_open` byte-for-byte in
-//! spirit — same arrival processes, same client hashing, same
-//! admission/shed/deadline/degradation policy decisions in the same
-//! order — but each admitted request then *traverses the station list
+//! The open side is not this engine's: arrivals, client hashing,
+//! admission, shedding, deadlines and degradation all come from the
+//! front end in `open.rs` (`FrontEnd`), the same object
+//! `simulate_open` drives, so the two engines see one offered stream
+//! and one policy by construction. What this engine adds is the
+//! service side: each admitted request *traverses the station list
 //! through per-station FIFOs* with the closed engine's service rules:
 //!
 //! * `Delay` stations never queue (perfectly parallel work);
 //! * `Queue` stations serve one request at a time, FCFS;
 //! * `NonScalable` stations additionally inflate the service mean at
-//!   service start by `1 + collapse × waiters` — the §4.1 collapse.
+//!   service start by `1 + collapse × waiters` — the §4.1 collapse
+//!   (`StationKind::service_mean`, shared with the closed DES).
 //!
 //! At most `cores` requests are in the network at once (one per worker
 //! slot); the admission queue holds the rest. Each slot is a trace
@@ -35,9 +38,11 @@
 //! Determinism contract: identical to `simulate_open` — every output,
 //! including the trace stream, is a pure function of the inputs.
 
-use crate::des::wheel::{EventWheel, WheelEvent};
 use crate::mva::{Network, StationKind};
-use crate::open::{ArrivalPattern, ClientMix, OpenLoopResult, OverloadPolicy, ShedPolicy};
+use crate::open::{
+    event_queue, ArrivalPattern, ClientMix, Fate, FrontEnd, OpenLoopResult, OverloadPolicy,
+    Request, ARRIVAL,
+};
 use pk_fault::FaultPlane;
 use pk_trace::{EventKind, Tracer};
 use rand::rngs::SmallRng;
@@ -73,61 +78,7 @@ pub fn flow_ring_capacity(requests: u64, cores: usize, stations: usize) -> usize
     (per_track * per_request * 2).max(64) as usize
 }
 
-/// SplitMix64 finalizer — must match `open.rs` exactly so the two
-/// engines agree on which arrival is which user / slow / churned.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Single-event pop adapter over the batch-draining [`EventWheel`];
-/// same shape as the one in `open.rs` (completions scheduled from
-/// mid-batch must merge into the live sorted batch).
-struct WheelQueue {
-    wheel: EventWheel,
-    buf: Vec<WheelEvent>,
-    pos: usize,
-    horizon: u64,
-}
-
-impl WheelQueue {
-    fn new(max_service_cycles: f64, lanes: usize) -> Self {
-        Self {
-            wheel: EventWheel::new(max_service_cycles, lanes),
-            buf: Vec::new(),
-            pos: 0,
-            horizon: 0,
-        }
-    }
-
-    fn push(&mut self, t: u64, seq: u64, id: u32) {
-        if t < self.horizon {
-            let at =
-                self.buf[self.pos..].partition_point(|&(bt, bs, _)| (bt, bs) < (t, seq)) + self.pos;
-            self.buf.insert(at, (t, seq, id));
-        } else {
-            self.wheel.push(t, seq, id);
-        }
-    }
-
-    fn pop(&mut self) -> Option<WheelEvent> {
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-            self.horizon = self.wheel.next_batch(&mut self.buf)?;
-        }
-        let e = self.buf[self.pos];
-        self.pos += 1;
-        Some(e)
-    }
-}
-
-const ARRIVAL: u32 = u32::MAX;
-
-/// Where a request is in its traversal. A slot's scheduled wheel event
+/// Where a request is in its traversal. A slot's scheduled event
 /// always refers to the end of the phase it is currently *in*; waiting
 /// requests have no scheduled event (their next event is created when
 /// the station's server frees).
@@ -148,20 +99,12 @@ enum Phase {
 struct FlowReq {
     ctx: u64,
     arrival: u64,
-    slow: bool,
     degraded: bool,
+    /// Slow-client stall owed after the last station; 0 for none.
+    stall_cycles: u64,
     phase: Phase,
     /// When the request entered its current station's FIFO.
     enqueued_at: u64,
-}
-
-/// A queued (admitted but not yet in-network) request.
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    ctx: u64,
-    arrival: u64,
-    new_connection: bool,
-    slow: bool,
 }
 
 /// Per-station serialization state (`Queue`/`NonScalable` only).
@@ -198,45 +141,17 @@ impl Emit<'_> {
 
 /// Runs an open-loop request-flow simulation: `pattern` offers requests
 /// exactly as [`simulate_open`](crate::open::simulate_open) does, under
-/// the same `policy`, but admitted requests traverse `network`'s
-/// stations through real FIFOs (see the module docs), and — when
-/// `tracer` is `Some` — every request's path is recorded as a causal
-/// span tree on its worker slot's track. The tracer needs at least
-/// `cores + 1` tracks: track `cores` carries admission-side instants
-/// (sheds, rejects, cancels, NIC drops).
+/// the same `policy` and the same `net.rx_drop` fault point, but
+/// admitted requests traverse `network`'s stations through real FIFOs
+/// (see the module docs), and — when `tracer` is `Some` — every
+/// request's path is recorded as a causal span tree on its worker
+/// slot's track. The tracer needs at least `cores + 1` tracks: track
+/// `cores` carries admission-side instants (sheds, rejects, cancels,
+/// NIC drops).
 ///
 /// Request ids are `pk_trace::request_id(seed, user, arrival_seq)`.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_flow(
-    network: &Network,
-    cores: usize,
-    pattern: ArrivalPattern,
-    clients: ClientMix,
-    policy: OverloadPolicy,
-    horizon_cycles: u64,
-    seed: u64,
-    tracer: Option<&Tracer>,
-) -> OpenLoopResult {
-    simulate_flow_with_faults(
-        network,
-        cores,
-        pattern,
-        clients,
-        policy,
-        horizon_cycles,
-        seed,
-        tracer,
-        &FaultPlane::disabled(),
-    )
-}
-
-/// [`simulate_flow`] with a fault plane: consults `net.rx_drop` on
-/// every arrival before admission, same as
-/// [`simulate_open_with_faults`](crate::open::simulate_open_with_faults);
-/// dropped arrivals record a `serve.nic_drop` instant on the admission
-/// track.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_flow_with_faults(
     network: &Network,
     cores: usize,
     pattern: ArrivalPattern,
@@ -261,8 +176,15 @@ pub fn simulate_flow_with_faults(
     }
     let stations = network.stations();
     let mut svc_rng = SmallRng::seed_from_u64(seed);
-    let mut arr_rng = SmallRng::seed_from_u64(seed ^ 0xa5a5_5a5a_1234_5678);
-    let rx_drop = faults.point("net.rx_drop");
+    let mut front = FrontEnd::new(
+        cores,
+        pattern,
+        clients,
+        policy,
+        horizon_cycles,
+        seed,
+        faults,
+    );
 
     // Resolve every class id up front; zero ring work on the hot path.
     let ctx_class = pk_trace::REQUEST_CLASS.class_id();
@@ -293,23 +215,22 @@ pub fn simulate_flow_with_faults(
         })
         .collect();
     let emit = Emit { tracer };
-    let adm_track = cores as u32;
+    let ctx_of = |req: &Request| pk_trace::request_id(seed, req.user, req.index);
+    // A request that never reaches a worker leaves one instant on the
+    // admission track (track `cores`), `arg` = its request id.
+    let turned_away = |now: u64, class: u32, req: &Request| -> Option<Request> {
+        emit.rec(cores as u32, now, EventKind::Instant, class, ctx_of(req));
+        None
+    };
 
-    let max_demand = stations
-        .iter()
-        .map(|s| s.demand_cycles)
-        .fold(0.0_f64, f64::max);
-    let mut events = WheelQueue::new(max_demand.max(1.0) * cores as f64, cores + 1);
-    let mut seq = 0u64;
+    let mut events = event_queue(network, cores);
 
     let mut slots: Vec<Option<FlowReq>> = vec![None; cores];
     // Round-robin slot reuse spreads requests evenly across trace
     // tracks (the ring-sizing rule in `flow_ring_capacity` relies on
-    // it); `open.rs` uses LIFO, but slot choice is invisible to every
-    // OpenLoopResult field, so the engines still agree on semantics.
+    // it); the lumped engine reuses LIFO, but slot choice is invisible
+    // to every OpenLoopResult field.
     let mut free: VecDeque<u32> = (0..cores as u32).collect();
-    let mut in_network = 0usize;
-    let mut queue: VecDeque<Pending> = VecDeque::new();
     let mut st_q: Vec<StationQueue> = stations
         .iter()
         .map(|_| StationQueue {
@@ -318,36 +239,9 @@ pub fn simulate_flow_with_faults(
         })
         .collect();
 
-    let hist = pk_obs::Histogram::new(cores);
-    let mut users = std::collections::HashSet::new();
-    let mut r = OpenLoopResult {
-        latency: pk_obs::HistogramSnapshot {
-            buckets: Vec::new(),
-            count: 0,
-            sum: 0,
-        },
-        arrivals: 0,
-        completed: 0,
-        slo_violations: 0,
-        rejected: 0,
-        shed_oldest: 0,
-        shed_probabilistic: 0,
-        deadline_cancelled: 0,
-        nic_dropped: 0,
-        degraded: 0,
-        distinct_users: 0,
-        new_connections: 0,
-        slow_requests: 0,
-        queue_depth_end: 0,
-        queue_depth_peak: 0,
-        in_flight_end: 0,
-        horizon_cycles,
-    };
-
     // Draws one station service, applying degradation. Inflation is
-    // applied to the *mean* (matching the closed engine's
-    // `service_params`), not the drawn value, so the exponential shape
-    // is preserved.
+    // applied to the *mean* (`StationKind::service_mean`), not the
+    // drawn value, so the exponential shape is preserved.
     let draw = |rng: &mut SmallRng, mean: f64, degraded: bool| -> u64 {
         let s = crate::des::service(rng, mean);
         if degraded {
@@ -368,12 +262,9 @@ pub fn simulate_flow_with_faults(
                 .as_mut()
                 .expect("service on empty slot");
             let waited = now - req.enqueued_at;
-            let mean = match stations[si].kind {
-                StationKind::NonScalable { collapse } => {
-                    stations[si].demand_cycles * (1.0 + collapse * st_q[si].fifo.len() as f64)
-                }
-                _ => stations[si].demand_cycles,
-            };
+            let mean = stations[si]
+                .kind
+                .service_mean(stations[si].demand_cycles, st_q[si].fifo.len());
             let svc = draw(&mut svc_rng, mean, req.degraded);
             // A request that queued opened a wait span at entry; close
             // it even when the wait was zero-width (dequeued the same
@@ -386,13 +277,11 @@ pub fn simulate_flow_with_faults(
             }
             req.phase = Phase::InService(si);
             st_q[si].busy = true;
-            events.push(now + svc, seq, slot);
-            seq += 1;
+            events.push(now + svc, slot);
         }};
     }
 
-    // Moves `slot` into station `si` (or finishes if past the last) at
-    // time `now`.
+    // Moves `slot` into station `si` at time `now`.
     macro_rules! enter_station {
         ($slot:expr, $si:expr, $now:expr) => {{
             let slot: u32 = $slot;
@@ -405,13 +294,12 @@ pub fn simulate_flow_with_faults(
                 StationKind::Delay => {
                     let svc = draw(&mut svc_rng, stations[si].demand_cycles, req.degraded);
                     req.phase = Phase::InService(si);
-                    events.push(now + svc, seq, slot);
-                    seq += 1;
+                    events.push(now + svc, slot);
                 }
                 StationKind::Queue | StationKind::NonScalable { .. } => {
                     if st_q[si].busy {
                         emit.rec(slot, now, EventKind::SpanBegin, st_ids[si].wait, 0);
-                        slots[slot as usize].as_mut().unwrap().phase = Phase::Waiting(si);
+                        req.phase = Phase::Waiting(si);
                         st_q[si].fifo.push_back(slot);
                     } else {
                         start_service!(slot, si, now);
@@ -421,166 +309,35 @@ pub fn simulate_flow_with_faults(
         }};
     }
 
-    // Dispatches an admitted request into the network at `now`.
-    macro_rules! dispatch {
-        ($p:expr, $now:expr) => {{
-            let p: Pending = $p;
-            let now: u64 = $now;
-            let degraded =
-                policy.degrade_watermark > 0 && queue.len() >= policy.degrade_watermark as usize;
-            if degraded {
-                r.degraded += 1;
-            }
-            in_network += 1;
-            let slot = free.pop_front().expect("dispatch with no free worker");
-            slots[slot as usize] = Some(FlowReq {
-                ctx: p.ctx,
-                arrival: p.arrival,
-                slow: p.slow,
-                degraded,
-                phase: Phase::Connect,
-                enqueued_at: now,
-            });
-            emit.rec(slot, now, EventKind::CtxBegin, ctx_class, p.ctx);
-            // Admission wait rides as a zero-width lock pair at entry,
-            // `arg` = cycles queued, so the fold attributes it without
-            // needing a backdated span (track timestamps stay monotone).
-            emit.rec(
-                slot,
-                now,
-                EventKind::LockBegin,
-                admission_lock,
-                now - p.arrival,
-            );
-            emit.rec(slot, now, EventKind::LockEnd, admission_lock, 0);
-            if p.new_connection && clients.connect_cycles > 0 {
-                emit.rec(slot, now, EventKind::SpanBegin, connect_span, 0);
-                events.push(now + clients.connect_cycles, seq, slot);
-                seq += 1;
-            } else {
-                enter_station!(slot, 0, now);
-            }
-        }};
+    if let Some(first) = front.next_arrival(0) {
+        events.push(first, ARRIVAL);
     }
-
-    // Retires `slot`'s request at `now`, then pulls the next admitted
-    // request (cancelling any whose deadline already passed — deadline
-    // propagation, same order as open.rs).
-    macro_rules! complete {
-        ($slot:expr, $now:expr) => {{
-            let slot: u32 = $slot;
-            let now: u64 = $now;
-            let req = slots[slot as usize].take().expect("complete on empty slot");
-            in_network -= 1;
-            free.push_back(slot);
-            emit.rec(slot, now, EventKind::CtxEnd, ctx_class, req.ctx);
-            let latency = now - req.arrival;
-            hist.record(pk_percpu::CoreId(slot as usize % cores), latency);
-            r.completed += 1;
-            if policy.slo_budget_cycles > 0 && latency > policy.slo_budget_cycles {
-                r.slo_violations += 1;
-            }
-            while let Some(q) = queue.pop_front() {
-                if policy.deadline_propagation
-                    && policy.slo_budget_cycles > 0
-                    && now - q.arrival > policy.slo_budget_cycles
-                {
-                    r.deadline_cancelled += 1;
-                    emit.rec(adm_track, now, EventKind::Instant, cancel_i, q.ctx);
-                    continue;
-                }
-                dispatch!(q, now);
-                break;
-            }
-        }};
-    }
-
-    let first = pattern.next_after(0, &mut arr_rng);
-    if first < horizon_cycles {
-        events.push(first, seq, ARRIVAL);
-        seq += 1;
-    }
-
-    while let Some((now, _, id)) = events.pop() {
+    while let Some((now, id)) = events.pop() {
         if now >= horizon_cycles {
             break;
         }
-        if id == ARRIVAL {
-            // Next arrival first: the arrival RNG stream must never
-            // depend on admission decisions (same rule as open.rs).
-            let next = pattern.next_after(now, &mut arr_rng);
-            if next < horizon_cycles {
-                events.push(next, seq, ARRIVAL);
-                seq += 1;
+        // Either branch may hand a request to a free worker slot.
+        let next = if id == ARRIVAL {
+            if let Some(t) = front.next_arrival(now) {
+                events.push(t, ARRIVAL);
             }
-            let i = r.arrivals;
-            r.arrivals += 1;
-
-            let h = mix64(seed ^ mix64(i.wrapping_add(0x5eed_c11e)));
-            let user = h % clients.population.max(1);
-            users.insert(user);
-            let new_connection = clients.mean_session_requests > 0
-                && mix64(h ^ 1).is_multiple_of(clients.mean_session_requests as u64);
-            let slow =
-                clients.slow_per_mille > 0 && (mix64(h ^ 2) % 1000) < clients.slow_per_mille as u64;
-            if new_connection {
-                r.new_connections += 1;
-            }
-            if slow {
-                r.slow_requests += 1;
-            }
-            let ctx = pk_trace::request_id(seed, user, i);
-            let p = Pending {
-                ctx,
-                arrival: now,
-                new_connection,
-                slow,
-            };
-
-            if rx_drop.should_inject() {
-                r.nic_dropped += 1;
-                emit.rec(adm_track, now, EventKind::Instant, nic_i, ctx);
-                continue;
-            }
-
-            if in_network < cores {
-                dispatch!(p, now);
-            } else {
-                let depth = queue.len() as u64;
-                let cap = policy.admission_cap as u64;
-                if cap > 0 && depth >= cap {
-                    match policy.shed {
-                        ShedPolicy::DropNewest | ShedPolicy::Probabilistic => {
-                            r.rejected += 1;
-                            emit.rec(adm_track, now, EventKind::Instant, reject_i, ctx);
-                        }
-                        ShedPolicy::DropOldest => {
-                            if let Some(old) = queue.pop_front() {
-                                r.shed_oldest += 1;
-                                emit.rec(adm_track, now, EventKind::Instant, shed_i, old.ctx);
-                            }
-                            queue.push_back(p);
-                        }
-                    }
-                } else if cap > 0
-                    && policy.shed == ShedPolicy::Probabilistic
-                    && (mix64(h ^ 3) % cap) < depth
-                {
-                    r.shed_probabilistic += 1;
-                    emit.rec(adm_track, now, EventKind::Instant, shed_i, ctx);
-                } else {
-                    queue.push_back(p);
-                    r.queue_depth_peak = r.queue_depth_peak.max(queue.len() as u64);
-                }
+            match front.arrive(now) {
+                (req, Fate::Dispatch) => Some(req),
+                (_, Fate::Queued) => None,
+                (req, Fate::NicDropped) => turned_away(now, nic_i, &req),
+                (req, Fate::Rejected) => turned_away(now, reject_i, &req),
+                (req, Fate::Shed) => turned_away(now, shed_i, &req),
+                (_, Fate::EvictedOldest(oldest)) => turned_away(now, shed_i, &oldest),
             }
         } else {
             // A slot's current phase ended.
             let slot = id;
             let req = *slots[slot as usize].as_ref().expect("event for empty slot");
-            match req.phase {
+            let finished = match req.phase {
                 Phase::Connect => {
                     emit.rec(slot, now, EventKind::SpanEnd, connect_span, 0);
                     enter_station!(slot, 0, now);
+                    false
                 }
                 Phase::Waiting(_) => unreachable!("waiting requests have no scheduled event"),
                 Phase::InService(si) => {
@@ -596,43 +353,73 @@ pub fn simulate_flow_with_faults(
                     }
                     if si + 1 < stations.len() {
                         enter_station!(slot, si + 1, now);
-                    } else if req.slow {
-                        let stall = if req.degraded {
-                            clients.stall_cycles * policy.degrade_stall_pct as u64 / 100
-                        } else {
-                            clients.stall_cycles
-                        };
-                        if stall > 0 {
-                            emit.rec(slot, now, EventKind::SpanBegin, stall_span, 0);
-                            slots[slot as usize].as_mut().unwrap().phase = Phase::Stalling;
-                            events.push(now + stall, seq, slot);
-                            seq += 1;
-                        } else {
-                            complete!(slot, now);
-                        }
+                        false
+                    } else if req.stall_cycles > 0 {
+                        emit.rec(slot, now, EventKind::SpanBegin, stall_span, 0);
+                        slots[slot as usize].as_mut().unwrap().phase = Phase::Stalling;
+                        events.push(now + req.stall_cycles, slot);
+                        false
                     } else {
-                        complete!(slot, now);
+                        true
                     }
                 }
                 Phase::Stalling => {
                     emit.rec(slot, now, EventKind::SpanEnd, stall_span, 0);
-                    complete!(slot, now);
+                    true
                 }
+            };
+            if !finished {
+                continue;
+            }
+            // Retire the request and pull the next admitted one.
+            slots[slot as usize] = None;
+            free.push_back(slot);
+            emit.rec(slot, now, EventKind::CtxEnd, ctx_class, req.ctx);
+            front.complete(now, req.arrival, slot as usize, |q| {
+                turned_away(now, cancel_i, q);
+            })
+        };
+        if let Some(p) = next {
+            // Dispatch an admitted request into the network.
+            let charge = front.dispatch(&p);
+            let slot = free.pop_front().expect("dispatch with no free worker");
+            let ctx = ctx_of(&p);
+            slots[slot as usize] = Some(FlowReq {
+                ctx,
+                arrival: p.arrival,
+                degraded: charge.degraded,
+                stall_cycles: charge.stall_cycles,
+                phase: Phase::Connect,
+                enqueued_at: now,
+            });
+            emit.rec(slot, now, EventKind::CtxBegin, ctx_class, ctx);
+            // Admission wait rides as a zero-width lock pair at entry,
+            // `arg` = cycles queued, so the fold attributes it without
+            // needing a backdated span (track timestamps stay monotone).
+            emit.rec(
+                slot,
+                now,
+                EventKind::LockBegin,
+                admission_lock,
+                now - p.arrival,
+            );
+            emit.rec(slot, now, EventKind::LockEnd, admission_lock, 0);
+            if charge.connect_cycles > 0 {
+                emit.rec(slot, now, EventKind::SpanBegin, connect_span, 0);
+                events.push(now + charge.connect_cycles, slot);
+            } else {
+                enter_station!(slot, 0, now);
             }
         }
     }
-
-    r.queue_depth_end = queue.len() as u64;
-    r.in_flight_end = in_network as u64;
-    r.distinct_users = users.len() as u64;
-    r.latency = hist.snapshot();
-    r
+    front.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mva::Station;
+    use crate::open::ShedPolicy;
     use pk_trace::encode_stream;
 
     fn toy_network() -> Network {
@@ -667,6 +454,7 @@ mod tests {
             2_000_000,
             seed,
             Some(&tracer),
+            &FaultPlane::disabled(),
         );
         assert_eq!(tracer.dropped(), 0, "ring sizing rule must hold");
         (r, tracer.drain())
@@ -705,6 +493,7 @@ mod tests {
                 1_000_000,
                 7,
                 None,
+                &FaultPlane::disabled(),
             );
             assert_eq!(
                 r.accounted(),
@@ -715,11 +504,14 @@ mod tests {
     }
 
     #[test]
-    fn arrival_stream_matches_the_lumped_engine() {
-        // Same seed, same pattern, same client mix: the two engines
-        // must see the identical offered stream — arrivals, users,
-        // churn, slow clients — because the service side must never
-        // perturb the arrival side in either engine.
+    fn arrival_side_matches_the_lumped_engine_under_every_policy_and_plane() {
+        // Same seed, same pattern, same client mix, same plane: both
+        // engines drive one front end, so they must see the identical
+        // offered stream — arrivals, users, churn, slow clients, NIC
+        // drops — whatever the shed policy, because the service side
+        // must never perturb the arrival side in either engine. And
+        // every arrival the front end turns away must leave exactly
+        // one instant on the traced run's admission track.
         let net = toy_network();
         let clients = ClientMix {
             population: 1_000_000,
@@ -728,29 +520,92 @@ mod tests {
             slow_per_mille: 20,
             stall_cycles: 5_000,
         };
-        let f = simulate_flow(
-            &net,
-            4,
-            poisson(500.0),
-            clients,
-            OverloadPolicy::observe(20_000),
-            2_000_000,
-            42,
-            None,
-        );
-        let o = crate::open::simulate_open(
-            &net,
-            4,
-            poisson(500.0),
-            clients,
-            OverloadPolicy::observe(20_000),
-            2_000_000,
-            42,
-        );
-        assert_eq!(f.arrivals, o.arrivals);
-        assert_eq!(f.distinct_users, o.distinct_users);
-        assert_eq!(f.new_connections, o.new_connections);
-        assert_eq!(f.slow_requests, o.slow_requests);
+        let plane = |drops: bool| {
+            if !drops {
+                return FaultPlane::disabled();
+            }
+            let plane = FaultPlane::with_seed(42);
+            plane.set("net.rx_drop", pk_fault::FaultSchedule::EveryNth(10));
+            plane.enable();
+            plane
+        };
+        let mut cancels = 0;
+        for &(cap, shed) in &[
+            (0u32, ShedPolicy::DropNewest),
+            (8, ShedPolicy::DropNewest),
+            (8, ShedPolicy::DropOldest),
+            (8, ShedPolicy::Probabilistic),
+        ] {
+            for drops in [false, true] {
+                let policy = if cap == 0 {
+                    OverloadPolicy::observe(4_000)
+                } else {
+                    OverloadPolicy::shedding(cap, shed, 4_000)
+                };
+                let case = format!("{shed:?} cap={cap} drops={drops}");
+                let tracer = Tracer::new(3, 1 << 18);
+                let f = simulate_flow(
+                    &net,
+                    2,
+                    poisson(300.0),
+                    clients,
+                    policy,
+                    1_000_000,
+                    7,
+                    Some(&tracer),
+                    &plane(drops),
+                );
+                let o = crate::open::simulate_open(
+                    &net,
+                    2,
+                    poisson(300.0),
+                    clients,
+                    policy,
+                    1_000_000,
+                    7,
+                    &plane(drops),
+                );
+                assert_eq!(f.arrivals, o.arrivals, "{case}");
+                assert_eq!(f.distinct_users, o.distinct_users, "{case}");
+                assert_eq!(f.new_connections, o.new_connections, "{case}");
+                assert_eq!(f.slow_requests, o.slow_requests, "{case}");
+                assert_eq!(f.nic_dropped, o.nic_dropped, "{case}");
+                assert_eq!(f.accounted(), f.arrivals, "{case}: flow leaked");
+                assert_eq!(o.accounted(), o.arrivals, "{case}: open leaked");
+                assert_eq!(f.nic_dropped > 0, drops, "{case}");
+
+                assert_eq!(tracer.dropped(), 0, "{case}: ring overflow");
+                let events = tracer.drain();
+                let instants = |class: &str| {
+                    let class = pk_trace::intern::intern_span(class);
+                    events
+                        .iter()
+                        .filter(|e| {
+                            e.track == 2 && e.kind == EventKind::Instant && e.class == class
+                        })
+                        .count() as u64
+                };
+                assert_eq!(instants(NIC_DROP_CLASS), f.nic_dropped, "{case}");
+                assert_eq!(instants(REJECT_CLASS), f.rejected, "{case}");
+                assert_eq!(
+                    instants(SHED_CLASS),
+                    f.shed_oldest + f.shed_probabilistic,
+                    "{case}"
+                );
+                assert_eq!(instants(CANCEL_CLASS), f.deadline_cancelled, "{case}");
+                cancels += f.deadline_cancelled;
+                // The overloaded rows must actually exercise their path.
+                match (cap, shed) {
+                    (0, _) => assert_eq!(f.rejected + f.shed_oldest + f.shed_probabilistic, 0),
+                    (_, ShedPolicy::DropNewest) => assert!(f.rejected > 0, "{case}"),
+                    (_, ShedPolicy::DropOldest) => assert!(f.shed_oldest > 0, "{case}"),
+                    (_, ShedPolicy::Probabilistic) => {
+                        assert!(f.shed_probabilistic > 0, "{case}")
+                    }
+                }
+            }
+        }
+        assert!(cancels > 0, "no row propagated a deadline");
     }
 
     #[test]
@@ -801,6 +656,7 @@ mod tests {
             2_000_000,
             42,
             Some(&tracer),
+            &FaultPlane::disabled(),
         );
         assert!(r.completed > 100);
         let events = tracer.drain();

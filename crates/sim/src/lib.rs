@@ -45,7 +45,6 @@ pub use flow::{flow_ring_capacity, simulate_flow};
 pub use machine::{MachineSpec, TopologyError};
 pub use mva::{MvaResult, Network, Station, StationKind};
 pub use open::{
-    simulate_open, simulate_open_with_faults, ArrivalPattern, ClientMix, OpenLoopResult,
-    OverloadPolicy, ShedPolicy,
+    simulate_open, ArrivalPattern, ClientMix, OpenLoopResult, OverloadPolicy, ShedPolicy,
 };
 pub use workload::{Coarsened, CoreSweep, SweepPoint, WorkloadModel};

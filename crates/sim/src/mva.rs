@@ -24,6 +24,20 @@ pub enum StationKind {
     },
 }
 
+impl StationKind {
+    /// Mean service time for a service starting with `waiters` queued
+    /// behind it: `demand_cycles`, inflated at a non-scalable lock by
+    /// `1 + collapse × waiters`. The event-driven engines draw around
+    /// this mean, so the exponential shape is preserved.
+    #[inline]
+    pub(crate) fn service_mean(self, demand_cycles: f64, waiters: usize) -> f64 {
+        match self {
+            Self::NonScalable { collapse } => demand_cycles * (1.0 + collapse * waiters as f64),
+            _ => demand_cycles,
+        }
+    }
+}
+
 /// One station in the network.
 #[derive(Debug, Clone)]
 pub struct Station {

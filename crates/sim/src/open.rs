@@ -18,36 +18,31 @@
 //!   load shedding, per-request deadline propagation, and graceful
 //!   degradation, all `Copy + Eq` so `KernelConfig` can carry them
 //!   as a sweepable axis like every other knob;
-//! * [`simulate_open`] — the engine: an M/G/c-style discrete-event
-//!   loop over the calendar-queue [`EventWheel`](crate::des::wheel),
-//!   drawing per-request service from the same exponential stream the
-//!   closed engines use, with closed-MVA-style inflation (`Queue`
-//!   stations serialize, `NonScalable` stations collapse) so a stock
-//!   kernel's tail degrades *faster* than PK's as load climbs.
+//! * `FrontEnd` — the open side of a run, written once: arrivals,
+//!   client hashing, the `net.rx_drop` point, admission, shedding,
+//!   deadlines, degradation and every [`OpenLoopResult`] counter. Both
+//!   open-loop engines drive it and keep only their service model;
+//! * [`simulate_open`] — the lumped engine: an M/G/c-style
+//!   discrete-event loop over the calendar-queue
+//!   [`EventWheel`](crate::des::wheel), drawing per-request service
+//!   from the same exponential stream the closed engines use, with
+//!   closed-MVA-style inflation (`Queue` stations serialize,
+//!   `NonScalable` stations collapse) so a stock kernel's tail
+//!   degrades *faster* than PK's as load climbs.
+//!   [`simulate_flow`](crate::flow::simulate_flow) is the per-station
+//!   engine behind the same front end.
 //!
 //! Determinism contract: every output of [`simulate_open`] is a pure
 //! function of `(network, cores, pattern, clients, policy,
 //! horizon_cycles, seed, fault plane)` — byte-identical across runs,
 //! platforms, and opt levels, like the closed engines.
 
-use crate::des::wheel::{EventWheel, WheelEvent};
+use crate::des::wheel::EventWheel;
 use crate::mva::{Network, StationKind};
-use pk_fault::FaultPlane;
+use pk_fault::{mix64, FaultPlane, FaultPoint};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
-
-/// SplitMix64 finalizer — the stateless hash behind client-population
-/// draws and probabilistic shedding. Same construction as
-/// `pk-fault`'s schedule hashing, local so the engine has no hidden
-/// coupling to the plane's internals.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+use std::collections::{HashSet, VecDeque};
 
 /// A deterministic seeded arrival process. All rates are expressed as
 /// mean interarrival gaps in cycles, so patterns compose with any
@@ -132,7 +127,7 @@ impl ArrivalPattern {
                 on_cycles,
                 off_cycles,
             } => {
-                let period = (on_cycles + off_cycles) as f64;
+                let period = on_cycles.saturating_add(off_cycles) as f64;
                 mean_interarrival_cycles * period / on_cycles.max(1) as f64
             }
             Self::Diurnal {
@@ -148,10 +143,8 @@ impl ArrivalPattern {
         }
     }
 
-    /// Draws the next arrival time strictly after `now`. Shared with
-    /// the request-flow engine (`flow.rs`) so both draw identical
-    /// arrival streams from the same seed.
-    pub(crate) fn next_after(&self, now: u64, rng: &mut SmallRng) -> u64 {
+    /// Draws the next arrival time strictly after `now`.
+    fn next_after(&self, now: u64, rng: &mut SmallRng) -> u64 {
         match *self {
             Self::Poisson {
                 mean_interarrival_cycles,
@@ -162,7 +155,7 @@ impl ArrivalPattern {
                 off_cycles,
             } => {
                 let t = now + crate::des::service(rng, mean_interarrival_cycles);
-                let period = on_cycles + off_cycles;
+                let period = on_cycles.saturating_add(off_cycles);
                 if period == 0 || on_cycles == 0 {
                     return t;
                 }
@@ -173,7 +166,7 @@ impl ArrivalPattern {
                     // Landed in the silent window: defer to the next
                     // burst start (the whole backlog of the off window
                     // stampedes in together).
-                    t - pos + period
+                    (t - pos).saturating_add(period)
                 }
             }
             Self::Diurnal {
@@ -423,89 +416,283 @@ impl OpenLoopResult {
     }
 }
 
-/// One queued request.
-#[derive(Debug, Clone, Copy)]
-struct Request {
-    arrival: u64,
+/// One offered request, as the front end hands it to an engine.
+#[derive(Clone, Copy)]
+pub(crate) struct Request {
+    /// Arrival time, cycles.
+    pub(crate) arrival: u64,
+    /// Position in the arrival stream. With `user` and the seed it
+    /// determines `pk_trace::request_id`, which only the tracing engine
+    /// derives.
+    pub(crate) index: u64,
+    /// The hashed user behind the request.
+    pub(crate) user: u64,
     new_connection: bool,
     slow: bool,
 }
 
-/// Single-event pop adapter over the batch-draining [`EventWheel`].
-///
-/// The wheel's contract says any event pushed *below* the horizon of
-/// the current batch must be merged into that batch, not pushed back
-/// (the window has already been drained). The closed engines satisfy
-/// it by construction; the open engine schedules completions from
-/// mid-batch dispatches, so this adapter keeps the live batch as a
-/// sorted buffer and insert-sorts sub-horizon pushes into it.
-struct WheelQueue {
-    wheel: EventWheel,
-    buf: Vec<WheelEvent>,
-    pos: usize,
-    horizon: u64,
+/// What the front end decided about one arrival.
+pub(crate) enum Fate {
+    /// A worker is free: the engine dispatches the request now.
+    Dispatch,
+    /// Joined the admission queue.
+    Queued,
+    /// Refused at a full queue (drop-newest, and the deterministic
+    /// floor of probabilistic shed).
+    Rejected,
+    /// Admitted in place of the oldest queued request, carried here.
+    EvictedOldest(Request),
+    /// Shed probabilistically below the cap.
+    Shed,
+    /// Lost to the injected NIC before admission (`net.rx_drop`).
+    NicDropped,
 }
 
-impl WheelQueue {
-    fn new(max_service_cycles: f64, lanes: usize) -> Self {
-        Self {
-            wheel: EventWheel::new(max_service_cycles, lanes),
-            buf: Vec::new(),
-            pos: 0,
-            horizon: 0,
-        }
-    }
-
-    fn push(&mut self, t: u64, seq: u64, id: u32) {
-        if t < self.horizon {
-            // Below the live batch's horizon: merge, keeping the
-            // remaining tail sorted by (time, seq).
-            let at =
-                self.buf[self.pos..].partition_point(|&(bt, bs, _)| (bt, bs) < (t, seq)) + self.pos;
-            self.buf.insert(at, (t, seq, id));
-        } else {
-            self.wheel.push(t, seq, id);
-        }
-    }
-
-    fn pop(&mut self) -> Option<WheelEvent> {
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-            self.horizon = self.wheel.next_batch(&mut self.buf)?;
-        }
-        let e = self.buf[self.pos];
-        self.pos += 1;
-        Some(e)
-    }
+/// What a dispatched request is charged beyond its station demands.
+pub(crate) struct Charge {
+    /// Served in degraded mode: the engine scales its service draws by
+    /// `OverloadPolicy::degrade_demand_pct`.
+    pub(crate) degraded: bool,
+    /// Connection-establishment cycles; 0 on a warm connection.
+    pub(crate) connect_cycles: u64,
+    /// Slow-client stall cycles, degradation applied; 0 for a fast
+    /// client.
+    pub(crate) stall_cycles: u64,
 }
 
-/// Sentinel customer id for arrival events; worker completions use
-/// their slot index.
-const ARRIVAL: u32 = u32::MAX;
-
-/// Runs an open-loop serving simulation with no fault plane.
-/// See [`simulate_open_with_faults`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_open(
-    network: &Network,
-    cores: usize,
+/// The open side of a serving run, shared by [`simulate_open`] and
+/// [`simulate_flow`](crate::flow::simulate_flow): the arrival process,
+/// the client population, the `net.rx_drop` point, the admission queue
+/// and its shed/deadline/degradation policy, and every
+/// [`OpenLoopResult`] counter. An engine asks it four things — when the
+/// next request arrives, what becomes of an arrival, which admitted
+/// request a freed worker takes next, and what a dispatch is charged —
+/// and keeps only its own service model.
+pub(crate) struct FrontEnd {
     pattern: ArrivalPattern,
     clients: ClientMix,
     policy: OverloadPolicy,
-    horizon_cycles: u64,
     seed: u64,
-) -> OpenLoopResult {
-    simulate_open_with_faults(
-        network,
-        cores,
-        pattern,
-        clients,
-        policy,
-        horizon_cycles,
-        seed,
-        &FaultPlane::disabled(),
-    )
+    cores: usize,
+    /// Seeded apart from the service stream, so the arrival schedule
+    /// never depends on admission or service decisions.
+    arr_rng: SmallRng,
+    rx_drop: FaultPoint,
+    /// Admitted requests waiting for a worker.
+    queue: VecDeque<Request>,
+    /// Requests on a worker.
+    in_flight: usize,
+    users: HashSet<u64>,
+    hist: pk_obs::Histogram,
+    r: OpenLoopResult,
+}
+
+impl FrontEnd {
+    pub(crate) fn new(
+        cores: usize,
+        pattern: ArrivalPattern,
+        clients: ClientMix,
+        policy: OverloadPolicy,
+        horizon_cycles: u64,
+        seed: u64,
+        faults: &FaultPlane,
+    ) -> Self {
+        let hist = pk_obs::Histogram::new(cores);
+        // Sized for the whole run up front (arrivals are at least a
+        // cycle apart), so the per-arrival insert never regrows the
+        // table inside the event loop.
+        let expected = horizon_cycles as f64 / pattern.mean_interarrival_cycles().max(1.0);
+        let users = HashSet::with_capacity(expected.min(clients.population as f64) as usize);
+        Self {
+            pattern,
+            clients,
+            policy,
+            seed,
+            cores,
+            arr_rng: SmallRng::seed_from_u64(seed ^ 0xa5a5_5a5a_1234_5678),
+            rx_drop: faults.point("net.rx_drop"),
+            queue: VecDeque::new(),
+            in_flight: 0,
+            users,
+            r: OpenLoopResult {
+                latency: hist.snapshot(),
+                arrivals: 0,
+                completed: 0,
+                slo_violations: 0,
+                rejected: 0,
+                shed_oldest: 0,
+                shed_probabilistic: 0,
+                deadline_cancelled: 0,
+                nic_dropped: 0,
+                degraded: 0,
+                distinct_users: 0,
+                new_connections: 0,
+                slow_requests: 0,
+                queue_depth_end: 0,
+                queue_depth_peak: 0,
+                in_flight_end: 0,
+                horizon_cycles,
+            },
+            hist,
+        }
+    }
+
+    /// The next arrival time strictly after `now`; `None` once the
+    /// stream runs past the horizon. Engines schedule it before they
+    /// handle the arrival at `now`.
+    pub(crate) fn next_arrival(&mut self, now: u64) -> Option<u64> {
+        let t = self.pattern.next_after(now, &mut self.arr_rng);
+        (t < self.r.horizon_cycles).then_some(t)
+    }
+
+    /// Requests on a worker, the one being dispatched included.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.in_flight
+    }
+
+    /// Offers the arrival at `now`: hashes its client, consults the NIC
+    /// fault point, and applies the admission policy.
+    pub(crate) fn arrive(&mut self, now: u64) -> (Request, Fate) {
+        let index = self.r.arrivals;
+        self.r.arrivals += 1;
+
+        // Client population: stateless hashes of the arrival index,
+        // seeded separately from service and arrivals.
+        let h = mix64(self.seed ^ mix64(index.wrapping_add(0x5eed_c11e)));
+        let user = h % self.clients.population.max(1);
+        self.users.insert(user);
+        let new_connection = self.clients.mean_session_requests > 0
+            && mix64(h ^ 1).is_multiple_of(self.clients.mean_session_requests as u64);
+        let slow = self.clients.slow_per_mille > 0
+            && (mix64(h ^ 2) % 1000) < self.clients.slow_per_mille as u64;
+        if new_connection {
+            self.r.new_connections += 1;
+        }
+        if slow {
+            self.r.slow_requests += 1;
+        }
+        let req = Request {
+            arrival: now,
+            index,
+            user,
+            new_connection,
+            slow,
+        };
+
+        let depth = self.queue.len() as u64;
+        let cap = self.policy.admission_cap as u64;
+        let fate = if self.rx_drop.should_inject() {
+            self.r.nic_dropped += 1;
+            Fate::NicDropped
+        } else if self.in_flight < self.cores {
+            Fate::Dispatch
+        } else if cap > 0 && depth >= cap {
+            match self.policy.shed {
+                ShedPolicy::DropNewest | ShedPolicy::Probabilistic => {
+                    self.r.rejected += 1;
+                    Fate::Rejected
+                }
+                ShedPolicy::DropOldest => {
+                    let oldest = self.queue.pop_front().expect("a full queue is not empty");
+                    self.r.shed_oldest += 1;
+                    self.queue.push_back(req);
+                    Fate::EvictedOldest(oldest)
+                }
+            }
+        } else if cap > 0
+            && self.policy.shed == ShedPolicy::Probabilistic
+            && (mix64(h ^ 3) % cap) < depth
+        {
+            self.r.shed_probabilistic += 1;
+            Fate::Shed
+        } else {
+            self.queue.push_back(req);
+            self.r.queue_depth_peak = self.r.queue_depth_peak.max(self.queue.len() as u64);
+            Fate::Queued
+        };
+        (req, fate)
+    }
+
+    /// Puts `req` on a worker: decides degradation from the queue depth
+    /// at this instant and returns what the request is charged.
+    pub(crate) fn dispatch(&mut self, req: &Request) -> Charge {
+        let degraded = self.policy.degrade_watermark > 0
+            && self.queue.len() >= self.policy.degrade_watermark as usize;
+        if degraded {
+            self.r.degraded += 1;
+        }
+        self.in_flight += 1;
+        let stall_cycles = match (req.slow, degraded) {
+            (false, _) => 0,
+            (true, false) => self.clients.stall_cycles,
+            (true, true) => self.clients.stall_cycles * self.policy.degrade_stall_pct as u64 / 100,
+        };
+        Charge {
+            degraded,
+            connect_cycles: if req.new_connection {
+                self.clients.connect_cycles
+            } else {
+                0
+            },
+            stall_cycles,
+        }
+    }
+
+    /// Retires the request that arrived at `arrival` from worker `slot`
+    /// at `now`, then pulls the next admitted request for the freed
+    /// worker. Queued requests whose deadline already passed are
+    /// cancelled instead (deadline propagation) and reported to
+    /// `cancelled`.
+    pub(crate) fn complete(
+        &mut self,
+        now: u64,
+        arrival: u64,
+        slot: usize,
+        mut cancelled: impl FnMut(&Request),
+    ) -> Option<Request> {
+        self.in_flight -= 1;
+        let latency = now - arrival;
+        self.hist.record(pk_percpu::CoreId(slot), latency);
+        self.r.completed += 1;
+        let slo = self.policy.slo_budget_cycles;
+        if slo > 0 && latency > slo {
+            self.r.slo_violations += 1;
+        }
+        while let Some(q) = self.queue.pop_front() {
+            if self.policy.deadline_propagation && slo > 0 && now - q.arrival > slo {
+                self.r.deadline_cancelled += 1;
+                cancelled(&q);
+                continue;
+            }
+            return Some(q);
+        }
+        None
+    }
+
+    /// Closes the run at the horizon.
+    pub(crate) fn finish(mut self) -> OpenLoopResult {
+        self.r.queue_depth_end = self.queue.len() as u64;
+        self.r.in_flight_end = self.in_flight as u64;
+        self.r.distinct_users = self.users.len() as u64;
+        self.r.latency = self.hist.snapshot();
+        self.r
+    }
+}
+
+/// Sentinel event id for arrivals; worker completions use their slot
+/// index.
+pub(crate) const ARRIVAL: u32 = u32::MAX;
+
+/// Queue sizing both open engines share: lanes for every worker plus
+/// the arrival stream, spaced by the slowest station's demand with all
+/// workers serialized behind it.
+pub(crate) fn event_queue(network: &Network, cores: usize) -> EventWheel {
+    let max_demand = network
+        .stations()
+        .iter()
+        .map(|s| s.demand_cycles)
+        .fold(0.0_f64, f64::max);
+    EventWheel::new(max_demand.max(1.0) * cores as f64, cores + 1)
 }
 
 /// Runs an open-loop serving simulation: `pattern` offers requests to
@@ -514,7 +701,7 @@ pub fn simulate_open(
 /// rules, until the horizon closes. Consults the plane's
 /// `net.rx_drop` point on every arrival (a dropped arrival never
 /// reaches admission), so chaos runs can cross overload with packet
-/// loss.
+/// loss; pass [`FaultPlane::disabled`] for a fault-free run.
 ///
 /// Service model: each request draws an exponential service time per
 /// station; `Queue` stations serialize (`× n` in-service requests)
@@ -523,7 +710,7 @@ pub fn simulate_open(
 /// a stock network's workers slow each other down under load exactly
 /// the way its closed curves collapse.
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_open_with_faults(
+pub fn simulate_open(
     network: &Network,
     cores: usize,
     pattern: ArrivalPattern,
@@ -539,59 +726,32 @@ pub fn simulate_open_with_faults(
         "open-loop serving needs at least one station"
     );
     let mut svc_rng = SmallRng::seed_from_u64(seed);
-    let mut arr_rng = SmallRng::seed_from_u64(seed ^ 0xa5a5_5a5a_1234_5678);
-    let rx_drop = faults.point("net.rx_drop");
-
-    let max_demand = network
-        .stations()
-        .iter()
-        .map(|s| s.demand_cycles)
-        .fold(0.0_f64, f64::max);
-    let mut events = WheelQueue::new(max_demand.max(1.0) * cores as f64, cores + 1);
-    let mut seq = 0u64;
-
-    // Worker slots: `slots[i]` holds the request the slot is serving.
-    let mut slots: Vec<Option<Request>> = vec![None; cores];
-    let mut free: Vec<u32> = (0..cores as u32).rev().collect();
-    let mut in_service = 0usize;
-    let mut queue: VecDeque<Request> = VecDeque::new();
-
-    let hist = pk_obs::Histogram::new(cores);
-    let mut users = std::collections::HashSet::new();
-    let mut r = OpenLoopResult {
-        latency: pk_obs::HistogramSnapshot {
-            buckets: Vec::new(),
-            count: 0,
-            sum: 0,
-        },
-        arrivals: 0,
-        completed: 0,
-        slo_violations: 0,
-        rejected: 0,
-        shed_oldest: 0,
-        shed_probabilistic: 0,
-        deadline_cancelled: 0,
-        nic_dropped: 0,
-        degraded: 0,
-        distinct_users: 0,
-        new_connections: 0,
-        slow_requests: 0,
-        queue_depth_end: 0,
-        queue_depth_peak: 0,
-        in_flight_end: 0,
+    let mut front = FrontEnd::new(
+        cores,
+        pattern,
+        clients,
+        policy,
         horizon_cycles,
-    };
+        seed,
+        faults,
+    );
+    let mut events = event_queue(network, cores);
+
+    // Worker slots, reused LIFO: `slots[i]` holds the arrival time of
+    // the request slot `i` is serving.
+    let mut slots: Vec<Option<u64>> = vec![None; cores];
+    let mut free: Vec<u32> = (0..cores as u32).rev().collect();
 
     // Draws one request's total service, inflated by the in-service
     // count at dispatch.
-    let mut draw_service = |rng: &mut SmallRng, n: usize, degraded: bool| -> u64 {
+    let mut draw_service = |n: usize, degraded: bool| -> u64 {
         let nf = n as f64;
         let mut total = 0u64;
         for st in network.stations() {
             if st.demand_cycles <= 0.0 {
                 continue;
             }
-            let base = crate::des::service(rng, st.demand_cycles);
+            let base = crate::des::service(&mut svc_rng, st.demand_cycles);
             let inflated = match st.kind {
                 StationKind::Delay => base as f64,
                 StationKind::Queue => base as f64 * nf,
@@ -607,178 +767,41 @@ pub fn simulate_open_with_faults(
         total.max(1)
     };
 
-    let first = pattern.next_after(0, &mut arr_rng);
-    if first < horizon_cycles {
-        events.push(first, seq, ARRIVAL);
-        seq += 1;
+    if let Some(first) = front.next_arrival(0) {
+        events.push(first, ARRIVAL);
     }
-
-    while let Some((now, _, id)) = events.pop() {
+    while let Some((now, id)) = events.pop() {
         if now >= horizon_cycles {
             break;
         }
-        if id == ARRIVAL {
-            // Schedule the next arrival first so the arrival RNG
-            // stream never depends on admission decisions.
-            let next = pattern.next_after(now, &mut arr_rng);
-            if next < horizon_cycles {
-                events.push(next, seq, ARRIVAL);
-                seq += 1;
+        let next = if id == ARRIVAL {
+            if let Some(t) = front.next_arrival(now) {
+                events.push(t, ARRIVAL);
             }
-            let i = r.arrivals;
-            r.arrivals += 1;
-
-            // Client population: stateless hashes of the arrival
-            // index, seeded separately from service and arrivals.
-            let h = mix64(seed ^ mix64(i.wrapping_add(0x5eed_c11e)));
-            users.insert(h % clients.population.max(1));
-            let new_connection = clients.mean_session_requests > 0
-                && mix64(h ^ 1).is_multiple_of(clients.mean_session_requests as u64);
-            let slow =
-                clients.slow_per_mille > 0 && (mix64(h ^ 2) % 1000) < clients.slow_per_mille as u64;
-            if new_connection {
-                r.new_connections += 1;
-            }
-            if slow {
-                r.slow_requests += 1;
-            }
-            let req = Request {
-                arrival: now,
-                new_connection,
-                slow,
-            };
-
-            if rx_drop.should_inject() {
-                r.nic_dropped += 1;
-                continue;
-            }
-
-            if in_service < cores {
-                dispatch(
-                    req,
-                    now,
-                    &mut svc_rng,
-                    &mut draw_service,
-                    &mut slots,
-                    &mut free,
-                    &mut in_service,
-                    &mut events,
-                    &mut seq,
-                    &queue,
-                    &policy,
-                    &clients,
-                    &mut r,
-                );
-            } else {
-                let depth = queue.len() as u64;
-                let cap = policy.admission_cap as u64;
-                if cap > 0 && depth >= cap {
-                    match policy.shed {
-                        ShedPolicy::DropNewest | ShedPolicy::Probabilistic => r.rejected += 1,
-                        ShedPolicy::DropOldest => {
-                            queue.pop_front();
-                            r.shed_oldest += 1;
-                            queue.push_back(req);
-                        }
-                    }
-                } else if cap > 0
-                    && policy.shed == ShedPolicy::Probabilistic
-                    && (mix64(h ^ 3) % cap) < depth
-                {
-                    r.shed_probabilistic += 1;
-                } else {
-                    queue.push_back(req);
-                    r.queue_depth_peak = r.queue_depth_peak.max(queue.len() as u64);
-                }
+            match front.arrive(now) {
+                (req, Fate::Dispatch) => Some(req),
+                _ => None,
             }
         } else {
             // A worker finished.
-            let slot = id as usize;
-            let req = slots[slot].take().expect("completion for an empty slot");
-            in_service -= 1;
+            let arrival = slots[id as usize]
+                .take()
+                .expect("completion for an empty slot");
             free.push(id);
-            let latency = now - req.arrival;
-            hist.record(pk_percpu::CoreId(slot % cores), latency);
-            r.completed += 1;
-            if policy.slo_budget_cycles > 0 && latency > policy.slo_budget_cycles {
-                r.slo_violations += 1;
-            }
-
-            // Pull the next admitted request, cancelling any whose
-            // deadline already passed (deadline propagation).
-            while let Some(q) = queue.pop_front() {
-                if policy.deadline_propagation
-                    && policy.slo_budget_cycles > 0
-                    && now - q.arrival > policy.slo_budget_cycles
-                {
-                    r.deadline_cancelled += 1;
-                    continue;
-                }
-                dispatch(
-                    q,
-                    now,
-                    &mut svc_rng,
-                    &mut draw_service,
-                    &mut slots,
-                    &mut free,
-                    &mut in_service,
-                    &mut events,
-                    &mut seq,
-                    &queue,
-                    &policy,
-                    &clients,
-                    &mut r,
-                );
-                break;
-            }
+            front.complete(now, arrival, id as usize, |_| {})
+        };
+        if let Some(req) = next {
+            // Start service on a free worker.
+            let charge = front.dispatch(&req);
+            let service = draw_service(front.in_flight(), charge.degraded)
+                .saturating_add(charge.connect_cycles)
+                .saturating_add(charge.stall_cycles);
+            let slot = free.pop().expect("dispatch with no free worker");
+            slots[slot as usize] = Some(req.arrival);
+            events.push(now + service, slot);
         }
     }
-
-    r.queue_depth_end = queue.len() as u64;
-    r.in_flight_end = in_service as u64;
-    r.distinct_users = users.len() as u64;
-    r.latency = hist.snapshot();
-    r
-}
-
-/// Starts service for `req` on a free worker slot at `now`.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    req: Request,
-    now: u64,
-    svc_rng: &mut SmallRng,
-    draw_service: &mut impl FnMut(&mut SmallRng, usize, bool) -> u64,
-    slots: &mut [Option<Request>],
-    free: &mut Vec<u32>,
-    in_service: &mut usize,
-    events: &mut WheelQueue,
-    seq: &mut u64,
-    queue: &VecDeque<Request>,
-    policy: &OverloadPolicy,
-    clients: &ClientMix,
-    r: &mut OpenLoopResult,
-) {
-    let degraded = policy.degrade_watermark > 0 && queue.len() >= policy.degrade_watermark as usize;
-    if degraded {
-        r.degraded += 1;
-    }
-    *in_service += 1;
-    let mut service = draw_service(svc_rng, *in_service, degraded);
-    if req.new_connection {
-        service = service.saturating_add(clients.connect_cycles);
-    }
-    if req.slow {
-        let stall = if degraded {
-            clients.stall_cycles * policy.degrade_stall_pct as u64 / 100
-        } else {
-            clients.stall_cycles
-        };
-        service = service.saturating_add(stall);
-    }
-    let slot = free.pop().expect("dispatch with no free worker");
-    slots[slot as usize] = Some(req);
-    events.push(now + service.max(1), *seq, slot);
-    *seq += 1;
+    front.finish()
 }
 
 #[cfg(test)]
@@ -813,6 +836,7 @@ mod tests {
                 OverloadPolicy::observe(20_000),
                 2_000_000,
                 42,
+                &FaultPlane::disabled(),
             )
         };
         let a = run();
@@ -846,6 +870,7 @@ mod tests {
                 policy,
                 1_000_000,
                 7,
+                &FaultPlane::disabled(),
             );
             assert_eq!(
                 r.accounted(),
@@ -866,6 +891,7 @@ mod tests {
             OverloadPolicy::NONE,
             10_000_000,
             42,
+            &FaultPlane::disabled(),
         );
         let expected = 10_000.0;
         assert!(
@@ -894,6 +920,7 @@ mod tests {
             OverloadPolicy::NONE,
             8_000_000,
             42,
+            &FaultPlane::disabled(),
         );
         let nominal = 8_000_000.0 / pattern.mean_interarrival_cycles();
         assert!(
@@ -916,6 +943,7 @@ mod tests {
             OverloadPolicy::shedding(16, ShedPolicy::DropNewest, 50_000),
             2_000_000,
             42,
+            &FaultPlane::disabled(),
         );
         assert!(shed.queue_depth_peak <= 16, "cap violated: {shed:?}");
         assert!(shed.rejected > 0, "overload never rejected: {shed:?}");
@@ -928,6 +956,7 @@ mod tests {
             OverloadPolicy::observe(50_000),
             2_000_000,
             42,
+            &FaultPlane::disabled(),
         );
         assert!(
             noshed.queue_depth_end > 100,
@@ -946,6 +975,7 @@ mod tests {
             OverloadPolicy::shedding(8, ShedPolicy::DropOldest, 50_000),
             1_000_000,
             42,
+            &FaultPlane::disabled(),
         );
         assert!(oldest.shed_oldest > 0, "drop-oldest never evicted");
         let prob = simulate_open(
@@ -956,6 +986,7 @@ mod tests {
             OverloadPolicy::shedding(8, ShedPolicy::Probabilistic, 50_000),
             1_000_000,
             42,
+            &FaultPlane::disabled(),
         );
         assert!(
             prob.shed_probabilistic > 0,
@@ -975,6 +1006,7 @@ mod tests {
             OverloadPolicy::shedding(512, ShedPolicy::DropNewest, 2_000),
             1_000_000,
             42,
+            &FaultPlane::disabled(),
         );
         assert!(r.deadline_cancelled > 0, "no deadlines propagated: {r:?}");
     }
@@ -991,6 +1023,7 @@ mod tests {
             base,
             2_000_000,
             42,
+            &FaultPlane::disabled(),
         );
         let degraded = simulate_open(
             &net,
@@ -1000,6 +1033,7 @@ mod tests {
             base.with_degradation(4, 50, 0),
             2_000_000,
             42,
+            &FaultPlane::disabled(),
         );
         assert!(degraded.degraded > 0, "degradation never engaged");
         assert!(
@@ -1028,6 +1062,7 @@ mod tests {
             OverloadPolicy::NONE,
             10_000_000,
             42,
+            &FaultPlane::disabled(),
         );
         assert!(r.new_connections > 0, "no connection churn");
         assert!(r.slow_requests > 0, "no slow clients");
@@ -1047,7 +1082,7 @@ mod tests {
         let plane = FaultPlane::with_seed(42);
         plane.set("net.rx_drop", FaultSchedule::EveryNth(10));
         plane.enable();
-        let r = simulate_open_with_faults(
+        let r = simulate_open(
             &net,
             4,
             poisson(500.0),

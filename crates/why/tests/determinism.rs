@@ -11,6 +11,7 @@
 //!    in the flow engine, and the fold recovers exactly the requests
 //!    the engine says completed.
 
+use pk_fault::FaultPlane;
 use pk_sim::{
     flow_ring_capacity, simulate_flow, ArrivalPattern, ClientMix, Network, OverloadPolicy, Station,
 };
@@ -47,6 +48,7 @@ fn traced_run(seed: u64) -> (u64, Vec<Event>) {
         1_500_000,
         seed,
         Some(&tracer),
+        &FaultPlane::disabled(),
     );
     assert_eq!(tracer.dropped(), 0, "sizing rule must hold");
     (r.completed, tracer.drain())
