@@ -1,10 +1,12 @@
 //! Inodes: files and directories.
 
+use crate::pagecache::{CachedPage, Mapping, PageCache, PAGE_BYTES};
 use parking_lot::RwLock;
 use pk_sync::{AdaptiveMutex, SpinLock};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A unique inode number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -45,8 +47,14 @@ pub struct Inode {
     size: AtomicU64,
     /// Link count.
     nlink: AtomicU64,
-    /// File contents (empty for directories).
+    /// File contents (empty for directories). Also what keeps the page
+    /// cache coherent: writers drop the pages they changed before they
+    /// release it, fills read and publish under its read side. Never
+    /// taken inside an RCU read-side section.
     data: RwLock<Vec<u8>>,
+    /// The page-cache mapping (`address_space`), made by the first fill:
+    /// a file never read through the cache has none.
+    pub(crate) mapping: OnceLock<Mapping>,
     /// Directory entries (empty for files); the lock is the per-directory
     /// lock serializing creation/removal in that directory.
     children: SpinLock<HashMap<String, InodeId>>,
@@ -63,6 +71,7 @@ impl Inode {
             size: AtomicU64::new(0),
             nlink: AtomicU64::new(1),
             data: RwLock::new(Vec::new()),
+            mapping: OnceLock::new(),
             children: SpinLock::new(HashMap::new()),
             i_mutex: AdaptiveMutex::new(()),
         };
@@ -123,11 +132,14 @@ impl Inode {
     /// number of bytes written.
     pub fn write_at(&self, offset: u64, buf: &[u8]) -> usize {
         let mut data = self.data.write();
-        let end = offset as usize + buf.len();
+        let (old_len, start) = (data.len(), offset as usize);
+        let end = start + buf.len();
         if data.len() < end {
             data.resize(end, 0);
         }
-        data[offset as usize..end].copy_from_slice(buf);
+        data[start..end].copy_from_slice(buf);
+        // A write past the end also zero-fills from the old end.
+        self.drop_pages(start.min(old_len), end);
         self.size.store(data.len() as u64, Ordering::Release);
         buf.len()
     }
@@ -135,18 +147,51 @@ impl Inode {
     /// Appends `buf`, returning the offset it was written at.
     pub fn append(&self, buf: &[u8]) -> u64 {
         let mut data = self.data.write();
-        let off = data.len() as u64;
+        let off = data.len();
         data.extend_from_slice(buf);
+        self.drop_pages(off, data.len());
         self.size.store(data.len() as u64, Ordering::Release);
-        off
+        off as u64
     }
 
     /// Truncates the file to `len` bytes.
     pub fn truncate(&self, len: u64) {
         let mut data = self.data.write();
+        let old_len = data.len();
         data.truncate(len as usize);
         data.shrink_to_fit();
+        self.drop_pages(data.len(), old_len);
         self.size.store(data.len() as u64, Ordering::Release);
+    }
+
+    /// Drops the cached pages that overlap the changed bytes
+    /// `from..to`. The caller holds the data write lock, so no fill can
+    /// republish the old bytes behind it. One load for a file that was
+    /// never read through the cache.
+    fn drop_pages(&self, from: usize, to: usize) {
+        if from < to {
+            if let Some(mapping) = self.mapping.get() {
+                mapping.drop_range((from / PAGE_BYTES) as u64..=((to - 1) / PAGE_BYTES) as u64);
+            }
+        }
+    }
+
+    /// Drops every cached page (the last name is gone).
+    pub(crate) fn invalidate_pages(&self) {
+        if let Some(mapping) = self.mapping.get() {
+            let _data = self.data.write();
+            mapping.drop_range(0..=u64::MAX);
+        }
+    }
+
+    /// Reads page `index` from the file and publishes it in `cache`,
+    /// both under the data read lock: the page cannot be older than a
+    /// write that completed before it was published.
+    pub(crate) fn fill_page(&self, cache: &PageCache, index: u64) -> Arc<CachedPage> {
+        let data = self.data.read();
+        let start = (index as usize * PAGE_BYTES).min(data.len());
+        let end = (start + PAGE_BYTES).min(data.len());
+        cache.fill(self, index, data[start..end].to_vec())
     }
 
     /// Looks up a child by name (directories only).

@@ -94,7 +94,8 @@ impl Tmpfs {
     }
 
     /// Unlinks `name` from `parent`. Directories must be empty. When the
-    /// link count reaches zero the inode is freed.
+    /// link count reaches zero the inode is freed and its cached pages
+    /// are released with it.
     pub fn unlink_child(&self, parent: &Inode, name: &str) -> Result<InodeId, VfsError> {
         if parent.kind != InodeKind::Dir {
             return Err(VfsError::NotADirectory);
@@ -106,6 +107,7 @@ impl Tmpfs {
         }
         parent.remove_child(name).ok_or(VfsError::NotFound)?;
         if inode.dec_nlink() == 0 {
+            inode.invalidate_pages();
             self.drop_inode(id);
         }
         Ok(id)

@@ -77,7 +77,7 @@ impl Vfs {
             dcache: Dcache::with_faults(4096, config, Arc::clone(&stats), faults),
             mounts: MountTable::new(config, Arc::clone(&stats)),
             sb: SuperBlock::new(config, Arc::clone(&stats)),
-            pages: PageCache::new(1024),
+            pages: PageCache::new(config.deferred_reclamation),
             stats,
         }
     }
@@ -134,12 +134,9 @@ impl Vfs {
         let mut out = Vec::with_capacity(size);
         let pages = size.div_ceil(PAGE_BYTES).max(1);
         for idx in 0..pages as u64 {
-            let page = match self.pages.lookup(inode.id, idx) {
+            let page = match self.pages.lookup(&inode, idx) {
                 Some(p) => p,
-                None => {
-                    let data = inode.read_at(idx * PAGE_BYTES as u64, PAGE_BYTES);
-                    self.pages.fill(inode.id, idx, data)
-                }
+                None => inode.fill_page(&self.pages, idx),
             };
             out.extend_from_slice(&page.data);
             self.pages.put(&page);
@@ -250,9 +247,7 @@ impl Vfs {
         self.sb.dcache_list_bookkeeping(true); // dentry leaves the cache
         self.dcache.remove(&key, core);
         self.sb.inode_list_bookkeeping(true); // inode may be freed
-        let ino = self.fs.lookup_child(&pl.parent, &pl.name)?.id;
         self.fs.unlink_child(&pl.parent, &pl.name)?;
-        self.pages.invalidate(ino);
         Ok(())
     }
 
@@ -338,8 +333,6 @@ impl Vfs {
         };
         file.inode.truncate(0);
         file.write(data)?;
-        // Writes invalidate stale buffer-cache pages.
-        self.pages.invalidate(file.inode.id);
         self.close(&file, core);
         Ok(())
     }
@@ -515,6 +508,129 @@ mod tests {
         assert_eq!(vfs.page_cache().len(), 1);
         vfs.unlink("/f", core).unwrap();
         assert_eq!(vfs.page_cache().len(), 0);
+    }
+
+    /// `read_cached` and `read_file` agree, and both equal `want`.
+    fn assert_coherent(vfs: &Vfs, path: &str, want: &[u8]) {
+        let core = CoreId(0);
+        assert_eq!(vfs.read_file(path, core).unwrap(), want);
+        assert_eq!(vfs.read_cached(path, core).unwrap(), want);
+    }
+
+    #[test]
+    fn writes_through_an_open_file_reach_read_cached() {
+        // Neither write below passes through `write_file`: the inode
+        // itself has to drop the pages, or `read_cached` serves "hello".
+        for cfg in [VfsConfig::stock(4), VfsConfig::pk(4)] {
+            let vfs = Vfs::new(cfg);
+            let core = CoreId(0);
+            vfs.write_file("/f", b"hello", core).unwrap();
+            assert_coherent(&vfs, "/f", b"hello");
+            let f = vfs.open("/f", core).unwrap();
+            f.append(b" world").unwrap();
+            vfs.close(&f, core);
+            assert_coherent(&vfs, "/f", b"hello world");
+            let f = vfs.open("/f", core).unwrap();
+            f.write(b"J").unwrap();
+            vfs.close(&f, core);
+            assert_coherent(&vfs, "/f", b"Jello world");
+        }
+    }
+
+    #[test]
+    fn truncate_below_a_cached_page_drops_it() {
+        let vfs = pk();
+        let core = CoreId(0);
+        let body: Vec<u8> = (0..3 * PAGE_BYTES).map(|i| (i % 251) as u8).collect();
+        vfs.write_file("/f", &body, core).unwrap();
+        assert_coherent(&vfs, "/f", &body);
+        assert_eq!(vfs.page_cache().len(), 3);
+        let f = vfs.open("/f", core).unwrap();
+        // Into page 1: page 0 is untouched and stays, pages 1 and 2 go.
+        f.inode.truncate(PAGE_BYTES as u64 + 10);
+        assert_eq!(vfs.page_cache().len(), 1);
+        assert_coherent(&vfs, "/f", &body[..PAGE_BYTES + 10]);
+        // Growing back zero-fills; the short page 1 must not survive.
+        f.inode.write_at(2 * PAGE_BYTES as u64, b"tail");
+        let mut grown = body[..PAGE_BYTES + 10].to_vec();
+        grown.resize(2 * PAGE_BYTES, 0);
+        grown.extend_from_slice(b"tail");
+        assert_coherent(&vfs, "/f", &grown);
+        f.inode.truncate(0);
+        assert_eq!(vfs.page_cache().len(), 0);
+        assert_coherent(&vfs, "/f", b"");
+        vfs.close(&f, core);
+    }
+
+    #[test]
+    fn cached_pages_live_until_the_last_link_goes() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let vfs = pk();
+        let core = CoreId(0);
+        let inodes = vfs.tmpfs().inode_count();
+        let body = vec![b'x'; PAGE_BYTES + 1];
+        vfs.write_file("/f", &body, core).unwrap();
+        vfs.link("/f", "/g", core).unwrap();
+        assert_coherent(&vfs, "/f", &body);
+        let stats = vfs.page_cache().stats();
+        let misses = stats.misses.load(Relaxed);
+        vfs.unlink("/f", core).unwrap();
+        // The survivor keeps the pages: nothing dropped, nothing refilled.
+        assert_eq!(vfs.page_cache().len(), 2);
+        assert_coherent(&vfs, "/g", &body);
+        assert_eq!(stats.misses.load(Relaxed), misses);
+        assert_eq!(stats.invalidated.load(Relaxed), 0);
+        vfs.unlink("/g", core).unwrap();
+        assert_eq!(vfs.page_cache().len(), 0);
+        assert_eq!(stats.invalidated.load(Relaxed), 2);
+        assert_eq!(vfs.tmpfs().inode_count(), inodes);
+    }
+
+    #[test]
+    fn readers_see_whole_records_while_a_writer_appends() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+        const RECORD: usize = 1000; // not a divisor of the page size
+        const RECORDS: usize = 40;
+        fn record(i: usize) -> Vec<u8> {
+            vec![i as u8; RECORD]
+        }
+        for cfg in [VfsConfig::stock(4), VfsConfig::pk(4)] {
+            let vfs = Vfs::new(cfg);
+            vfs.write_file("/log", b"", CoreId(0)).unwrap();
+            let (done, reads) = (AtomicBool::new(false), AtomicUsize::new(0));
+            std::thread::scope(|s| {
+                let readers: Vec<_> = (1..4)
+                    .map(|t| {
+                        let (vfs, done, reads) = (&vfs, &done, &reads);
+                        s.spawn(move || {
+                            while !done.load(SeqCst) {
+                                let got = vfs.read_cached("/log", CoreId(t)).unwrap();
+                                reads.fetch_add(1, SeqCst);
+                                assert_eq!(got.len() % RECORD, 0, "torn tail");
+                                for (i, rec) in got.chunks(RECORD).enumerate() {
+                                    assert_eq!(rec, record(i), "record {i} of {}", got.len());
+                                }
+                            }
+                        })
+                    })
+                    .collect();
+                let f = vfs.open("/log", CoreId(0)).unwrap();
+                for i in 0..RECORDS {
+                    f.append(&record(i)).unwrap();
+                    // Each append is followed by at least one cached read,
+                    // so appends land on pages a reader has just filled
+                    // (unless every reader already failed: then just end).
+                    let seen = reads.load(SeqCst);
+                    while reads.load(SeqCst) == seen && !readers.iter().all(|r| r.is_finished()) {
+                        std::thread::yield_now();
+                    }
+                }
+                vfs.close(&f, CoreId(0));
+                done.store(true, SeqCst);
+            });
+            let want: Vec<u8> = (0..RECORDS).flat_map(record).collect();
+            assert_coherent(&vfs, "/log", &want);
+        }
     }
 
     #[test]
