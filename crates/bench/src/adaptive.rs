@@ -13,7 +13,8 @@
 //! epoch cap on every workload.
 
 use crate::json;
-use crate::personality::{converge, Personality};
+use crate::personality::{converge, resolve};
+use pk_kernel::Personality;
 use pk_sim::{des, MachineSpec, WorkloadModel};
 use pk_workloads::roster;
 
@@ -67,7 +68,7 @@ pub fn run_all(seed: u64, cores: usize, ops: u64) -> Vec<Row> {
                 des::simulate(&model.network(cores), cores, ops, seed).ops_per_cycle
             };
             let fixed = |p: Personality| {
-                let r = p.resolve(name, cores, machine, seed);
+                let r = resolve(p, name, cores, machine, seed);
                 throughput(r.expect("roster name resolves").model.as_ref())
             };
             let (adaptive, out) =

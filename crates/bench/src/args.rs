@@ -8,6 +8,7 @@
 //! word outside the accepted set (a workload outside `roster::NAMES`)
 //! is an `Err`, never a panic deep inside a simulator.
 
+use pk_kernel::Personality;
 use pk_sim::MachineSpec;
 use std::str::FromStr;
 
@@ -34,6 +35,22 @@ pub enum Kind {
     /// Free text (a path).
     Text,
 }
+
+/// The [`Personality::label`]s of `personalities`, as the word list of
+/// a [`Kind::OneOf`] — usage text and the accepted words come from the
+/// enum, so neither can drift from it.
+pub const fn labels<const N: usize>(personalities: [Personality; N]) -> [&'static str; N] {
+    let mut words = [""; N];
+    let mut i = 0;
+    while i < N {
+        words[i] = personalities[i].label();
+        i += 1;
+    }
+    words
+}
+
+/// Every personality's label: the `PERSONALITY` positional.
+pub const PERSONALITIES: [&str; 4] = labels(Personality::ALL);
 
 /// A flag (`("--seed", Kind::Num)`) or positional (`("CORES", Kind::Cores(48))`).
 pub type Arg = (&'static str, Kind);

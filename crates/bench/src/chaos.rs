@@ -15,13 +15,13 @@
 
 use crate::personality::converge;
 use pk_fault::{FaultEvent, FaultPlane, FaultSchedule};
-use pk_kernel::Kernel;
+use pk_kernel::{Kernel, Personality};
 use pk_percpu::CoreId;
 use pk_sim::des;
 use pk_workloads::apache::ApacheDriver;
 use pk_workloads::exim::EximDriver;
 use pk_workloads::memcached::MemcachedDriver;
-use pk_workloads::{roster, KernelChoice};
+use pk_workloads::roster;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -191,7 +191,7 @@ fn exim_work(d: &EximDriver, cores: usize) -> (u64, u64) {
 }
 
 /// Soaks Exim under `mix`. Ops metric: messages delivered.
-pub fn run_exim(choice: KernelChoice, cores: usize, seed: u64, mix: &FaultMix) -> ChaosReport {
+pub fn run_exim(choice: Personality, cores: usize, seed: u64, mix: &FaultMix) -> ChaosReport {
     let baseline = {
         let d = EximDriver::new(choice, cores).expect("boot exim");
         exim_work(&d, cores);
@@ -261,7 +261,7 @@ fn memcached_work(d: &MemcachedDriver, cores: usize) -> (u64, u64) {
 }
 
 /// Soaks memcached under `mix`. Ops metric: requests served.
-pub fn run_memcached(choice: KernelChoice, cores: usize, seed: u64, mix: &FaultMix) -> ChaosReport {
+pub fn run_memcached(choice: Personality, cores: usize, seed: u64, mix: &FaultMix) -> ChaosReport {
     let baseline = {
         let d = MemcachedDriver::new(choice, cores);
         memcached_work(&d, cores);
@@ -329,7 +329,7 @@ fn apache_work(d: &ApacheDriver, cores: usize) -> (u64, u64) {
 }
 
 /// Soaks Apache under `mix`. Ops metric: requests served.
-pub fn run_apache(choice: KernelChoice, cores: usize, seed: u64, mix: &FaultMix) -> ChaosReport {
+pub fn run_apache(choice: Personality, cores: usize, seed: u64, mix: &FaultMix) -> ChaosReport {
     let baseline = {
         let d = ApacheDriver::new(choice, cores);
         apache_work(&d, cores);
@@ -380,7 +380,7 @@ pub fn run_apache(choice: KernelChoice, cores: usize, seed: u64, mix: &FaultMix)
 #[allow(clippy::too_many_arguments)]
 fn finish(
     workload: &'static str,
-    choice: KernelChoice,
+    choice: Personality,
     mix: &FaultMix,
     baseline_ops: u64,
     faulted_ops: u64,
@@ -397,7 +397,7 @@ fn finish(
     let stats = plane.stats();
     ChaosReport {
         workload,
-        config: choice.label(),
+        config: choice.legend(),
         mix: mix.label,
         baseline_ops,
         faulted_ops,
@@ -424,7 +424,7 @@ fn finish(
 /// a functional driver (the DES sweep covers the rest of the roster).
 pub fn run_workload(
     name: &str,
-    choice: KernelChoice,
+    choice: Personality,
     cores: usize,
     seed: u64,
     mix: &FaultMix,
@@ -444,7 +444,7 @@ pub fn soak(seed: u64, workloads: &[&str], cores: usize) -> Vec<ChaosReport> {
     let mix = FaultMix::acceptance();
     let mut out = Vec::new();
     for name in workloads {
-        for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+        for choice in [Personality::Stock, Personality::Pk] {
             if let Some(r) = run_workload(name, choice, cores, seed, &mix) {
                 out.push(r);
             }
@@ -456,7 +456,7 @@ pub fn soak(seed: u64, workloads: &[&str], cores: usize) -> Vec<ChaosReport> {
 /// Simulates every roster model with and without scheduler-level
 /// faults (lock-holder preemption every 211th dispatch, a core stall
 /// every 389th): the DES leg of the chaos matrix.
-pub fn des_chaos(choice: KernelChoice, cores: usize, seed: u64) -> Vec<DesChaosRow> {
+pub fn des_chaos(choice: Personality, cores: usize, seed: u64) -> Vec<DesChaosRow> {
     roster::NAMES
         .iter()
         .filter_map(|name| {
@@ -678,7 +678,7 @@ impl OverloadChaosRow {
 /// Runs every serving workload at [`OVERLOAD_LOAD_PCT`] offered load
 /// with shedding on and 1% `net.rx_drop` armed. Deterministic per
 /// `(choice, cores, seed)`.
-pub fn overload_chaos(choice: KernelChoice, cores: usize, seed: u64) -> Vec<OverloadChaosRow> {
+pub fn overload_chaos(choice: Personality, cores: usize, seed: u64) -> Vec<OverloadChaosRow> {
     pk_serve::SERVING
         .iter()
         .map(|w| {
@@ -720,7 +720,7 @@ pub fn overload_chaos(choice: KernelChoice, cores: usize, seed: u64) -> Vec<Over
             }
             OverloadChaosRow {
                 workload: w,
-                config: choice.label(),
+                config: choice.legend(),
                 arrivals: r.arrivals,
                 completed: r.completed,
                 nic_dropped: r.nic_dropped,
@@ -882,7 +882,7 @@ fn rcu_sample(snap: &pk_obs::Snapshot, name: &str) -> u64 {
 ///
 /// Single-threaded and seeded like the other soaks: the injection
 /// trace, and therefore every counter delta, replays from the seed.
-pub fn run_rcu_overflow(choice: KernelChoice, cores: usize, seed: u64) -> RcuChaosReport {
+pub fn run_rcu_overflow(choice: Personality, cores: usize, seed: u64) -> RcuChaosReport {
     use pk_sync::rcu;
 
     let kernel = Kernel::new(choice.config(cores));
@@ -956,7 +956,7 @@ pub fn run_rcu_overflow(choice: KernelChoice, cores: usize, seed: u64) -> RcuCha
         ));
     }
     RcuChaosReport {
-        config: choice.label(),
+        config: choice.legend(),
         injected,
         spills,
         call_rcu,
@@ -994,7 +994,7 @@ mod tests {
 
     #[test]
     fn overload_chaos_sheds_and_accounts_under_packet_loss() {
-        for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+        for choice in [Personality::Stock, Personality::Pk] {
             let rows = overload_chaos(choice, 4, 42);
             assert_eq!(rows.len(), pk_serve::SERVING.len());
             for r in &rows {
@@ -1031,7 +1031,7 @@ mod tests {
     #[test]
     fn rcu_overflow_soak_balances_and_replays() {
         let _serial = crate::rcu_serial();
-        for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+        for choice in [Personality::Stock, Personality::Pk] {
             let r = run_rcu_overflow(choice, 4, 7);
             assert!(r.passed(), "{}: {:?}", r.config, r.violations);
             assert!(r.injected > 0 && r.spills >= r.injected);
@@ -1066,7 +1066,7 @@ mod tests {
 
     #[test]
     fn des_chaos_degrades_but_stays_positive() {
-        let rows = des_chaos(KernelChoice::Pk, 8, 7);
+        let rows = des_chaos(Personality::Pk, 8, 7);
         assert_eq!(rows.len(), roster::NAMES.len());
         for r in &rows {
             assert!(r.faults_injected > 0, "{}: no faults fired", r.workload);

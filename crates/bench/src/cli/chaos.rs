@@ -9,8 +9,8 @@
 
 use pk_bench::args::{Args, Kind, Spec};
 use pk_bench::{chaos, header};
+use pk_kernel::Personality;
 use pk_workloads::roster::{self, SERVING};
-use pk_workloads::KernelChoice;
 
 pub const SPEC: Spec = Spec::flags(
     "report chaos",
@@ -105,7 +105,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         "{:>10} {:>16} {:>16} {:>7} {:>9}",
         "workload", "base ops/cyc", "faulted ops/cyc", "degr%", "injected"
     );
-    for row in chaos::des_chaos(KernelChoice::Pk, cores, seed) {
+    for row in chaos::des_chaos(Personality::Pk, cores, seed) {
         println!(
             "{:>10} {:>16.6} {:>16.6} {:>6.1}% {:>9}",
             row.workload,
@@ -154,7 +154,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         "peak/cap",
         "ok?"
     );
-    for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+    for choice in [Personality::Stock, Personality::Pk] {
         for r in chaos::overload_chaos(choice, cores, seed) {
             println!(
                 "{:>10} {:>6} {:>9} {:>9} {:>8} {:>8} {:>9} {:>12} {:>6}/{:<2} {:>6}",
@@ -200,7 +200,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         "{:>10} {:>9} {:>8} {:>9} {:>9} {:>8} {:>6}",
         "config", "call_rcu", "freed", "pending", "injected", "spills", "ok?"
     );
-    for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+    for choice in [Personality::Stock, Personality::Pk] {
         let r = chaos::run_rcu_overflow(choice, cores, seed);
         println!(
             "{:>10} {:>9} {:>8} {:>9} {:>9} {:>8} {:>6}",

@@ -18,21 +18,19 @@
 //! the vfsmount-table lock first.
 
 use pk_adapt::render_log;
-use pk_bench::args::{Args, Kind, Spec};
-use pk_bench::{contention_report, contention_report_des, header, Personality};
+use pk_bench::args::{self, Args, Kind, Spec};
+use pk_bench::{contention_report, contention_report_des, header, resolve};
+use pk_kernel::Personality;
 use pk_percpu::CoreId;
 use pk_sim::MachineSpec;
 use pk_workloads::exim::EximDriver;
-use pk_workloads::{roster, KernelChoice};
+use pk_workloads::roster;
 
 pub const SPEC: Spec = Spec {
     command: "report contention",
     positionals: &[
         ("WORKLOAD", Kind::OneOf(&roster::NAMES)),
-        (
-            "PERSONALITY",
-            Kind::OneOf(&["stock", "coarse", "pk", "adaptive"]),
-        ),
+        ("PERSONALITY", Kind::OneOf(&args::PERSONALITIES)),
         ("CORES", Kind::Cores(48)),
     ],
     required: 0,
@@ -57,8 +55,7 @@ fn report_one(
     des: bool,
     machine: MachineSpec,
 ) {
-    let resolved = personality
-        .resolve(workload, cores, machine, DES_SEED)
+    let resolved = resolve(personality, workload, cores, machine, DES_SEED)
         .expect("the parser admits only roster workloads");
     if let Some(out) = &resolved.adapt {
         println!(
@@ -88,15 +85,17 @@ fn report_one(
     }
 }
 
-/// Runs the functional Exim driver and prints the kernel's own
-/// measured contention counters: the same resource names as the model
-/// stations, but from real lock acquisitions.
-fn functional_exim(choice: KernelChoice, cores: usize) {
+/// Runs the functional Exim driver on a kernel booted as `personality`
+/// (adaptive: zero fixes, sloppy refs armed but degraded to central)
+/// and prints the kernel's own measured contention counters: the same
+/// resource names as the model stations, but from real lock
+/// acquisitions. Returns the driver it ran.
+fn functional_exim(personality: Personality, cores: usize) -> EximDriver {
     header(
         "functional kernel measurement",
         "EximDriver on the userspace kernel; counters from Kernel::obs_snapshot()",
     );
-    let driver = EximDriver::new(choice, cores).expect("boot exim");
+    let driver = EximDriver::new(personality, cores).expect("boot exim");
     for core in 0..cores {
         for user in 0..2 {
             driver
@@ -110,6 +109,7 @@ fn functional_exim(choice: KernelChoice, cores: usize) {
         cores
     );
     print!("{}", driver.kernel().obs_snapshot());
+    driver
 }
 
 pub fn run(args: &Args) -> Result<(), String> {
@@ -125,10 +125,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         for workload in roster::NAMES {
             for p in Personality::ALL {
                 header(
-                    &format!(
-                        "{workload} / {}",
-                        p.fixed().map_or(p.label(), KernelChoice::label)
-                    ),
+                    &format!("{workload} / {}", p.legend()),
                     "cycle attribution from the MVA solve",
                 );
                 report_one(workload, p, cores, top, des, args.machine());
@@ -137,10 +134,30 @@ pub fn run(args: &Args) -> Result<(), String> {
     } else {
         report_one(workload, personality, cores, top, des, args.machine());
         if args.has("--functional") && workload == "exim" {
-            // The functional driver runs a booted kernel, so the
-            // adaptive axis boots the zero-fix adaptive personality.
-            functional_exim(personality.fixed().unwrap_or(KernelChoice::Stock), cores);
+            let _ = functional_exim(personality, cores);
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `--functional` used to boot stock for `adaptive`: the kernel the
+    /// driver runs on must be the personality that was asked for.
+    #[test]
+    fn functional_exim_boots_the_requested_personality() {
+        for p in Personality::ALL {
+            let driver = functional_exim(p, 2);
+            assert_eq!(driver.kernel().config().personality(), p);
+            assert!(driver.delivered() > 0);
+            // Adaptive is not stock under another name: its sloppy refs
+            // are allocated, degraded to central, for promotion.
+            assert_eq!(
+                driver.kernel().config().vfs().refs_start_degraded,
+                p == Personality::Adaptive
+            );
+        }
+    }
 }

@@ -2,14 +2,14 @@
 //! same rows/series the paper plots.
 
 use pk_bench::{header, print_cpu_breakdown, print_ratio, print_throughput};
-use pk_kernel::{FIXES, LINES_ADDED, LINES_REMOVED};
+use pk_kernel::{Personality, FIXES, LINES_ADDED, LINES_REMOVED};
 use pk_percpu::CoreId;
 use pk_sim::SweepPoint;
 use pk_sloppy::SloppyCounter;
 use pk_workloads::metis::{self, MetisVariant};
 use pk_workloads::pedsort::{self, PedsortVariant};
 use pk_workloads::postgres::{self, PgVariant};
-use pk_workloads::{apache, exim, gmake, memcached, summary, KernelChoice};
+use pk_workloads::{apache, exim, gmake, memcached, summary};
 
 type Series = Vec<(String, Vec<SweepPoint>)>;
 
@@ -30,12 +30,12 @@ fn throughput<V: Copy>(
 }
 
 /// The stock-vs-PK throughput table most application figures open with.
-fn stock_vs_pk(unit: &str, scale: f64, figure: fn(KernelChoice) -> Vec<SweepPoint>) -> Series {
+fn stock_vs_pk(unit: &str, scale: f64, figure: fn(Personality) -> Vec<SweepPoint>) -> Series {
     throughput(
         unit,
         scale,
-        &[KernelChoice::Stock, KernelChoice::Pk],
-        KernelChoice::label,
+        &[Personality::Stock, Personality::Pk],
+        Personality::legend,
         figure,
     )
 }

@@ -34,10 +34,11 @@
 
 use super::write_artifact;
 use pk_bench::args::{Args, Kind, Spec};
-use pk_bench::{header, profile, Personality};
+use pk_bench::{header, profile, resolve};
+use pk_kernel::Personality;
 use pk_percpu::CoreId;
 use pk_workloads::exim::EximDriver;
-use pk_workloads::{roster, KernelChoice};
+use pk_workloads::roster;
 
 pub const SPEC: Spec = Spec::flags(
     "report profile",
@@ -87,8 +88,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     for &name in &names {
         let mut stock_attr = None;
         for p in Personality::ALL {
-            let resolved = p
-                .resolve(name, cores, machine, seed)
+            let resolved = resolve(p, name, cores, machine, seed)
                 .expect("the parser admits only roster workloads");
             let (attr, events) = profile::trace(&resolved, name, ops, seed);
             match &resolved.adapt {
@@ -223,7 +223,7 @@ pub fn run(args: &Args) -> Result<(), String> {
 fn functional_exim_pass() {
     let tracer = pk_trace::install_global(pk_trace::DEFAULT_RING_CAPACITY);
     let _core = pk_percpu::registry::current_or_register();
-    let driver = EximDriver::new(KernelChoice::Stock, 4).expect("exim boots");
+    let driver = EximDriver::new(Personality::Stock, 4).expect("exim boots");
     for conn in 0..4 {
         driver
             .run_connection(CoreId(0), conn)

@@ -5,9 +5,10 @@
 //! pk-bench sweep postgres --rw --kernel pk
 //! ```
 
-use pk_bench::args::{Args, Kind, Spec};
+use pk_bench::args::{self, Args, Kind, Spec};
+use pk_kernel::Personality;
 use pk_sim::{CoreSweep, WorkloadModel};
-use pk_workloads::{apache, exim, gmake, memcached, metis, pedsort, postgres, KernelChoice};
+use pk_workloads::{metis, pedsort, postgres, roster};
 
 pub const SPEC: Spec = Spec {
     command: "sweep",
@@ -28,25 +29,29 @@ pub const SPEC: Spec = Spec {
     )],
     required: 1,
     flags: &[
-        ("--kernel", Kind::OneOf(&["stock", "coarse", "pk"])),
+        ("--kernel", Kind::OneOf(&KERNELS)),
         ("--cores", Kind::CoreList),
         ("--rw", Kind::Switch),
     ],
 };
 
-fn model(app: &str, choice: KernelChoice, rw: bool) -> Box<dyn WorkloadModel> {
+/// No `adaptive`: its model needs a controller converged at one core
+/// count (`report contention APP adaptive N`), and a sweep has many.
+const KERNELS: [&str; 3] = args::labels([Personality::Stock, Personality::Coarse, Personality::Pk]);
+
+/// The rows that name an application variant the roster does not (mod
+/// PG on stock, `--rw`, each pedsort and Metis line) are built here, on
+/// the variant's own kernel; the rest is the roster's model.
+fn model(app: &str, personality: Personality, rw: bool) -> Box<dyn WorkloadModel> {
     let m: Box<dyn WorkloadModel> = match app {
-        "exim" => Box::new(exim::EximModel::new(choice)),
-        "memcached" => Box::new(memcached::MemcachedModel::new(choice)),
-        "apache" => Box::new(apache::ApacheModel::new(choice)),
         "postgres" => {
-            let variant = match choice {
-                KernelChoice::Stock | KernelChoice::Coarse => postgres::PgVariant::StockModPg,
-                KernelChoice::Pk => postgres::PgVariant::PkModPg,
+            // Always the modified PostgreSQL: Figure 7/8's kernel axis.
+            let variant = match personality {
+                Personality::Pk => postgres::PgVariant::PkModPg,
+                _ => postgres::PgVariant::StockModPg,
             };
             Box::new(postgres::PostgresModel::new(variant, !rw))
         }
-        "gmake" => Box::new(gmake::GmakeModel::new(choice)),
         "pedsort-threads" => Box::new(pedsort::PedsortModel::new(pedsort::PedsortVariant::Threads)),
         "pedsort-procs" => Box::new(pedsort::PedsortModel::new(pedsort::PedsortVariant::Procs)),
         "pedsort-rr" => Box::new(pedsort::PedsortModel::new(
@@ -54,9 +59,10 @@ fn model(app: &str, choice: KernelChoice, rw: bool) -> Box<dyn WorkloadModel> {
         )),
         "metis-4k" => Box::new(metis::MetisModel::new(metis::MetisVariant::StockSmallPages)),
         "metis-2m" => Box::new(metis::MetisModel::new(metis::MetisVariant::PkSuperPages)),
-        other => unreachable!("the parser admits only SPEC's apps, got {other}"),
+        // exim, memcached, apache, gmake; the roster coarsens itself.
+        _ => return roster::model(app, personality).expect("the parser admits only SPEC's apps"),
     };
-    if choice == KernelChoice::Coarse {
+    if personality == Personality::Coarse {
         Box::new(pk_sim::Coarsened(m))
     } else {
         m
@@ -64,13 +70,12 @@ fn model(app: &str, choice: KernelChoice, rw: bool) -> Box<dyn WorkloadModel> {
 }
 
 pub fn run(args: &Args) -> Result<(), String> {
-    let choice = match args.text("--kernel") {
-        Some("stock") => KernelChoice::Stock,
-        Some("coarse") => KernelChoice::Coarse,
-        _ => KernelChoice::Pk,
-    };
+    let personality = args
+        .text("--kernel")
+        .and_then(Personality::parse)
+        .unwrap_or(Personality::Pk);
     let app = args.text("APP").expect("required positional");
-    let m = model(app, choice, args.has("--rw"));
+    let m = model(app, personality, args.has("--rw"));
     let counts = args
         .list("--cores")
         .unwrap_or_else(CoreSweep::paper_core_counts);

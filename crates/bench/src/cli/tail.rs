@@ -9,7 +9,8 @@
 
 use super::write_artifact;
 use pk_bench::args::{Args, Kind, Spec};
-use pk_bench::{header, tail, Personality};
+use pk_bench::{header, tail};
+use pk_kernel::Personality;
 
 pub const SPEC: Spec = Spec::flags(
     "report tail",

@@ -19,8 +19,8 @@
 
 use crate::json;
 use pk_fault::FaultPlane;
+use pk_kernel::Personality;
 use pk_serve::{run_serving, ServeRun, SERVING};
-use pk_workloads::KernelChoice;
 
 /// Core count for every serving run: past the paper's single-socket
 /// knee, small enough that the grid stays sub-second.
@@ -55,7 +55,7 @@ pub struct LatencyGrid {
     pub cores: usize,
     /// All runs with the kernel each served on, in
     /// `SERVING × {stock, pk} × posture` order.
-    pub runs: Vec<(KernelChoice, ServeRun)>,
+    pub runs: Vec<(Personality, ServeRun)>,
 }
 
 /// The three serving postures each (workload, kernel) pair runs.
@@ -70,7 +70,7 @@ pub fn run_grid(seed: u64) -> LatencyGrid {
     let plane = FaultPlane::disabled();
     let mut runs = Vec::new();
     for w in SERVING {
-        for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+        for choice in [Personality::Stock, Personality::Pk] {
             for (shed, load) in POSTURES {
                 let run = run_serving(w, choice, CORES, shed, load, REQUESTS, seed, &plane)
                     .expect("every SERVING workload has a serving spec");
@@ -95,7 +95,7 @@ impl LatencyGrid {
     pub fn find(
         &self,
         workload: &str,
-        choice: KernelChoice,
+        choice: Personality,
         shed: bool,
         load_pct: u32,
     ) -> &ServeRun {
@@ -164,10 +164,10 @@ pub fn assess(grid: &LatencyGrid) -> OverloadAssertions {
     let verdicts: Vec<WorkloadVerdict> = SERVING
         .iter()
         .map(|w| {
-            let stock = grid.find(w, KernelChoice::Stock, false, NORMAL_LOAD_PCT);
-            let pk = grid.find(w, KernelChoice::Pk, false, NORMAL_LOAD_PCT);
-            let shed = grid.find(w, KernelChoice::Pk, true, OVERLOAD_PCT);
-            let noshed = grid.find(w, KernelChoice::Pk, false, OVERLOAD_PCT);
+            let stock = grid.find(w, Personality::Stock, false, NORMAL_LOAD_PCT);
+            let pk = grid.find(w, Personality::Pk, false, NORMAL_LOAD_PCT);
+            let shed = grid.find(w, Personality::Pk, true, OVERLOAD_PCT);
+            let noshed = grid.find(w, Personality::Pk, false, OVERLOAD_PCT);
             let shed_p999_bound = shed.slo_budget_cycles * SHED_P999_SLO_MULT;
             let divergence_floor = (REQUESTS as f64 * DIVERGENCE_FLOOR_FRACTION) as u64;
             let shed_goodput = shed.goodput_fraction();
@@ -224,7 +224,7 @@ pub fn trace_ring_health(seed: u64) -> Vec<RingHealth> {
     SERVING
         .iter()
         .map(|w| {
-            let net = pk_workloads::roster::model(w, KernelChoice::Pk)
+            let net = pk_workloads::roster::model(w, Personality::Pk)
                 .expect("serving workload resolves")
                 .network(CORES);
             let tracer = Tracer::new(
@@ -280,7 +280,7 @@ pub fn table(grid: &LatencyGrid) -> String {
             out,
             "{:>10} {:>6} {:>8} {:>4}% {:>9} {:>9} {:>10} {:>10} {:>10} {:>8} {:>8} {:>9}",
             r.workload,
-            choice.label(),
+            choice.legend(),
             if r.policy.is_bounded() {
                 "shed"
             } else {
@@ -314,7 +314,7 @@ pub fn report_json(grid: &LatencyGrid, asserts: &OverloadAssertions) -> String {
              \"queue_depth_peak\": {}, \"distinct_users\": {}, \"new_connections\": {}, \
              \"goodput_fraction\": {:.6}}}",
             r.workload,
-            choice.label(),
+            choice.legend(),
             if r.policy.is_bounded() {
                 "shed"
             } else {

@@ -3,8 +3,9 @@
 //! Every `pk-bench` subcommand regenerates one of the paper's tables or
 //! figures, or one of the repo's gated reports. This library holds the
 //! report computations plus the small kit they share: the argument
-//! parser ([`args`]), the four-valued personality axis
-//! ([`Personality`]), the JSON joiner ([`json`]) and the helpers below
+//! parser ([`args`]), personality resolution ([`personality::resolve`]:
+//! the roster's model, or `pk-adapt`'s converged one), the JSON joiner
+//! ([`json`]) and the helpers below
 //! that render core sweeps as aligned text tables.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
@@ -21,7 +22,7 @@ pub mod profile;
 pub mod scale;
 pub mod tail;
 
-pub use personality::{Personality, Resolved};
+pub use personality::{resolve, Resolved};
 
 /// Serializes tests that read deltas of the process-global `rcu.*`
 /// counters: concurrent churn from a sibling test would perturb the

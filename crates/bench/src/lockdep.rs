@@ -14,7 +14,7 @@
 //! lock-order and epoch rules.
 
 use pk_fault::{FaultPlane, FaultSchedule};
-use pk_kernel::Kernel;
+use pk_kernel::{Kernel, Personality};
 use pk_lockdep::ActingCore;
 use pk_percpu::CoreId;
 use pk_sim::des;
@@ -24,8 +24,8 @@ use pk_workloads::gmake_exec::{BuildGraph, ParallelMake};
 use pk_workloads::memcached::MemcachedDriver;
 use pk_workloads::metis::MetisDriver;
 use pk_workloads::pedsort_indexer::Indexer;
-use pk_workloads::postgres::{PgVariant, PostgresDriver};
-use pk_workloads::{metis, roster, KernelChoice};
+use pk_workloads::postgres::PostgresDriver;
+use pk_workloads::roster;
 use std::sync::Arc;
 
 /// Simulated operations per core for the DES leg.
@@ -49,23 +49,9 @@ pub struct LockdepRow {
     pub violations: usize,
 }
 
-fn variant_of(choice: KernelChoice) -> PgVariant {
-    match choice {
-        KernelChoice::Stock | KernelChoice::Coarse => PgVariant::Stock,
-        KernelChoice::Pk => PgVariant::PkModPg,
-    }
-}
-
-fn metis_variant(choice: KernelChoice) -> metis::MetisVariant {
-    match choice {
-        KernelChoice::Stock | KernelChoice::Coarse => metis::MetisVariant::StockSmallPages,
-        KernelChoice::Pk => metis::MetisVariant::PkSuperPages,
-    }
-}
-
 /// Runs the functional driver for `name` (if any) with per-core work
 /// wrapped in [`ActingCore`] declarations. Returns ops completed.
-fn run_functional(name: &str, choice: KernelChoice, cores: usize) -> u64 {
+fn run_functional(name: &str, choice: Personality, cores: usize) -> u64 {
     match name {
         "exim" => {
             let d = EximDriver::new(choice, cores).expect("boot exim");
@@ -117,7 +103,8 @@ fn run_functional(name: &str, choice: KernelChoice, cores: usize) -> u64 {
             d.served()
         }
         "postgres" => {
-            let d = PostgresDriver::new(variant_of(choice), cores, 256).expect("boot postgres");
+            let d = PostgresDriver::new(roster::pairing(choice).postgres, cores, 256)
+                .expect("boot postgres");
             for i in 0..cores as u64 * 32 {
                 let core = (i as usize) % cores;
                 let _ac = ActingCore::enter(core);
@@ -168,7 +155,7 @@ fn run_functional(name: &str, choice: KernelChoice, cores: usize) -> u64 {
             stats.distinct_terms as u64
         }
         "metis" => {
-            let d = MetisDriver::new(metis_variant(choice), cores);
+            let d = MetisDriver::new(roster::pairing(choice).metis, cores);
             let docs: Vec<String> = (0..16)
                 .map(|i| format!("word{} word{} shared common doc{i}", i % 5, i % 11))
                 .collect();
@@ -181,7 +168,7 @@ fn run_functional(name: &str, choice: KernelChoice, cores: usize) -> u64 {
 /// DES leg: simulates the workload's queueing model with lock-holder
 /// preemption armed from `seed`, so the validator also sees the
 /// schedules the simulator perturbs. Returns faults injected.
-fn run_des(name: &str, choice: KernelChoice, cores: usize, seed: u64) -> u64 {
+fn run_des(name: &str, choice: Personality, cores: usize, seed: u64) -> u64 {
     let Some(model) = roster::model(name, choice) else {
         return 0;
     };
@@ -197,12 +184,12 @@ fn run_des(name: &str, choice: KernelChoice, cores: usize, seed: u64) -> u64 {
 pub fn run_roster(seed: u64, cores: usize) -> Vec<LockdepRow> {
     let mut rows = Vec::new();
     for name in roster::NAMES {
-        for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+        for choice in [Personality::Stock, Personality::Pk] {
             let functional_ops = run_functional(name, choice, cores);
             let des_faults = run_des(name, choice, cores, seed);
             rows.push(LockdepRow {
                 workload: name,
-                config: choice.label(),
+                config: choice.legend(),
                 functional_ops,
                 des_faults,
                 acquisitions: pk_lockdep::acquisition_count(),

@@ -1,28 +1,15 @@
-//! The one personality axis every report sweeps.
+//! Resolving a workload under a personality.
 //!
-//! `pk-workloads` knows the three fixed kernels ([`KernelChoice`]);
-//! `pk-adapt` knows how to converge a controller. This crate is the
-//! only one that sees both, so the fourth personality — boot with zero
-//! fixes, let the controller earn them, then model whatever it
-//! promoted — is resolved here, once.
+//! The axis itself is [`pk_kernel::Personality`], and `pk-workloads`'
+//! roster builds the model for any of its values. What only this crate
+//! can do is *earn* the adaptive personality's fixes: it sees both the
+//! roster and `pk-adapt`'s controller, so "boot with zero fixes,
+//! converge, then model whatever was promoted" is resolved here, once.
 
 use pk_adapt::{AdaptController, AdaptPolicy, ConvergeOutcome};
-use pk_kernel::KernelConfig;
+use pk_kernel::{KernelConfig, Personality};
 use pk_sim::{MachineSpec, WorkloadModel};
-use pk_workloads::{roster, KernelChoice};
-
-/// The four kernel personalities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Personality {
-    /// Stock Linux 2.6.35 behavior.
-    Stock,
-    /// One coarse lock per subsystem.
-    Coarse,
-    /// All paper fixes applied.
-    Pk,
-    /// `pk-adapt`'s converged configuration.
-    Adaptive,
-}
+use pk_workloads::roster;
 
 /// A workload's model under one personality at one core count, plus
 /// the controller's outcome when the personality had to be converged.
@@ -74,71 +61,33 @@ pub fn converge(
     ))
 }
 
-impl Personality {
-    /// Grid order.
-    pub const ALL: [Personality; 4] = [Self::Stock, Self::Coarse, Self::Pk, Self::Adaptive];
-
-    /// Stable lowercase label used in tables, JSON, metric labels and
-    /// on the command line.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Stock => "stock",
-            Self::Coarse => "coarse",
-            Self::Pk => "pk",
-            Self::Adaptive => "adaptive",
-        }
-    }
-
-    /// Parses a [`Personality::label`] (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        Self::ALL
-            .into_iter()
-            .find(|p| p.label().eq_ignore_ascii_case(s))
-    }
-
-    /// The fixed kernel behind this personality (`None` for adaptive).
-    pub fn fixed(self) -> Option<KernelChoice> {
-        match self {
-            Self::Stock => Some(KernelChoice::Stock),
-            Self::Coarse => Some(KernelChoice::Coarse),
-            Self::Pk => Some(KernelChoice::Pk),
-            Self::Adaptive => None,
-        }
-    }
-
-    /// Builds `workload`'s model under this personality at `cores` on
-    /// `machine`: fixed personalities come straight from the roster
-    /// (which keeps the paper's before/after application pairings and
-    /// coarsens internally), adaptive from [`converge`]. `None` and
-    /// panics as there.
-    pub fn resolve(
-        self,
-        workload: &str,
-        cores: usize,
-        machine: MachineSpec,
-        seed: u64,
-    ) -> Option<Resolved> {
-        let (config, model, adapt) = match self.fixed() {
-            Some(choice) => {
-                machine
-                    .validate_cores(cores)
-                    .expect("core count validated by the caller");
-                let model = roster::model_on(workload, choice, machine)?;
-                (choice.label().to_string(), model, None)
-            }
-            None => {
-                let (model, out) = converge(workload, cores, machine, seed)?;
-                (pk_workloads::config_label(&out.config), model, Some(out))
-            }
-        };
-        Some(Resolved {
-            personality: self,
-            cores,
-            config,
-            model,
-            adapt,
-        })
-    }
+/// Builds `workload`'s model under `personality` at `cores` on
+/// `machine`: the fixed personalities come straight from the roster,
+/// adaptive from [`converge`]. `None` and panics as there.
+pub fn resolve(
+    personality: Personality,
+    workload: &str,
+    cores: usize,
+    machine: MachineSpec,
+    seed: u64,
+) -> Option<Resolved> {
+    let (config, model, adapt) = if personality == Personality::Adaptive {
+        let (model, out) = converge(workload, cores, machine, seed)?;
+        (pk_workloads::config_label(&out.config), model, Some(out))
+    } else {
+        machine
+            .validate_cores(cores)
+            .expect("core count validated by the caller");
+        let model = roster::model_on(workload, personality, machine)?;
+        (personality.legend().to_string(), model, None)
+    };
+    Some(Resolved {
+        personality,
+        cores,
+        config,
+        model,
+        adapt,
+    })
 }
 
 #[cfg(test)]
@@ -146,31 +95,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn labels_round_trip() {
-        for p in Personality::ALL {
-            assert_eq!(Personality::parse(p.label()), Some(p));
-        }
-        assert_eq!(Personality::parse("PK"), Some(Personality::Pk));
-        assert_eq!(Personality::parse("fast"), None);
-    }
-
-    #[test]
-    fn fixed_personalities_are_the_roster_models() {
+    fn preset_personalities_are_the_roster_models() {
         let machine = MachineSpec::paper();
         for p in [Personality::Stock, Personality::Coarse, Personality::Pk] {
-            let choice = p.fixed().unwrap();
-            let r = p.resolve("exim", 48, machine, 42).unwrap();
-            let direct = roster::model_on("exim", choice, machine).unwrap();
+            let r = resolve(p, "exim", 48, machine, 42).unwrap();
+            let direct = roster::model_on("exim", p, machine).unwrap();
             assert!(r.adapt.is_none());
             assert_eq!((r.cores, r.model.name()), (48, direct.name()));
             assert_eq!(
                 r.model.network(48).solve(48).ops_per_cycle,
                 direct.network(48).solve(48).ops_per_cycle
             );
-            assert_eq!(r.config, choice.label());
+            assert_eq!(r.config, p.legend());
         }
         for p in Personality::ALL {
-            assert!(p.resolve("nethack", 48, machine, 42).is_none());
+            assert!(resolve(p, "nethack", 48, machine, 42).is_none());
         }
     }
 
@@ -188,8 +127,7 @@ mod tests {
             let by_hand =
                 AdaptController::new(KernelConfig::adaptive(48), AdaptPolicy::default(), 42)
                     .converge_des(build, 48);
-            let r = Personality::Adaptive
-                .resolve(name, 48, machine, 42)
+            let r = resolve(Personality::Adaptive, name, 48, machine, 42)
                 .expect("roster name resolves");
             let out = r.adapt.as_ref().expect("adaptive carries its outcome");
             assert_eq!(out.config, by_hand.config, "{name}: same promoted set");

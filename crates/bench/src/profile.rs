@@ -38,7 +38,7 @@ pub struct ClassShare {
 pub struct WorkloadAttribution {
     /// Roster workload name.
     pub workload: String,
-    /// The [`crate::Personality::label`] the run was resolved under.
+    /// The [`pk_kernel::Personality::label`] the run was resolved under.
     pub config: &'static str,
     /// Simulated core count.
     pub cores: usize,
@@ -291,7 +291,7 @@ pub fn report_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Personality;
+    use pk_kernel::Personality;
     use pk_sim::MachineSpec;
     use pk_workloads::roster;
 
@@ -303,7 +303,7 @@ mod tests {
         seed: u64,
         machine: MachineSpec,
     ) -> Option<(WorkloadAttribution, Vec<Event>)> {
-        let resolved = personality.resolve(workload, cores, machine, seed)?;
+        let resolved = crate::resolve(personality, workload, cores, machine, seed)?;
         Some(trace(&resolved, workload, ops_per_core, seed))
     }
 

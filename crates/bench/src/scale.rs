@@ -15,11 +15,12 @@
 
 use crate::json;
 use crate::personality::converge;
+use pk_kernel::Personality;
 use pk_percpu::{CoreId, MAX_CORES};
 use pk_sim::{des, CoreSweep};
 use pk_sync::rcu;
 use pk_sync::CYCLES_PER_SPIN_ITERATION;
-use pk_workloads::{roster, KernelChoice};
+use pk_workloads::roster;
 use std::collections::BTreeMap;
 
 /// Bumped whenever the metric set changes shape, so a `--check` against
@@ -258,7 +259,8 @@ pub fn deterministic_metrics(seed: u64) -> Metrics {
     // Analytic sweep points: the paper's per-core throughput axis at
     // 1 and 48 cores, both kernels, all seven workloads.
     for name in roster::NAMES {
-        for (choice, label) in [(KernelChoice::Stock, "stock"), (KernelChoice::Pk, "pk")] {
+        for choice in [Personality::Stock, Personality::Pk] {
+            let label = choice.label();
             let model = roster::model(name, choice).expect("roster name resolves");
             let p1 = CoreSweep::point(model.as_ref(), 1);
             let p48 = CoreSweep::point(model.as_ref(), 48);
@@ -306,11 +308,8 @@ pub fn deterministic_metrics(seed: u64) -> Metrics {
         let big =
             pk_sim::MachineSpec::with_topology(sockets, per).expect("sweep topologies are valid");
         for name in roster::NAMES {
-            for (choice, label) in [
-                (KernelChoice::Stock, "stock"),
-                (KernelChoice::Coarse, "coarse"),
-                (KernelChoice::Pk, "pk"),
-            ] {
+            for choice in [Personality::Stock, Personality::Coarse, Personality::Pk] {
+                let label = choice.label();
                 let model = roster::model_on(name, choice, big).expect("roster name resolves");
                 let p = CoreSweep::try_point(model.as_ref(), cores)
                     .expect("full-machine core count fits its own topology");
@@ -332,7 +331,8 @@ pub fn deterministic_metrics(seed: u64) -> Metrics {
             );
             m.put_u64(&format!("{prefix}.converged"), u64::from(out.converged));
         }
-        for (choice, label) in [(KernelChoice::Stock, "stock"), (KernelChoice::Pk, "pk")] {
+        for choice in [Personality::Stock, Personality::Pk] {
+            let label = choice.label();
             let model = roster::model_on("exim", choice, big).expect("exim resolves");
             let net = model.network(cores);
             let ops = (192_000 / cores as u64).max(100);
@@ -515,7 +515,7 @@ pub fn roster_events_per_sec(ops_per_core: u64, seed: u64) -> f64 {
     let mut events = 0u64;
     let start = std::time::Instant::now();
     for name in roster::NAMES {
-        for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+        for choice in [Personality::Stock, Personality::Pk] {
             let model = roster::model(name, choice).expect("roster name resolves");
             let net = model.network(48);
             events += des::simulate(&net, 48, ops_per_core, seed).events_processed;

@@ -27,13 +27,12 @@
 //! some exemplar tree is missing a span, so the capture is sized by
 //! [`pk_sim::flow_ring_capacity`] and checked per track.
 
-use crate::json;
-use crate::Personality;
+use crate::{json, resolve};
+use pk_kernel::Personality;
 use pk_serve::{run_serving_flow, ServeRun, SERVING};
 use pk_sim::{flow_ring_capacity, MachineSpec};
 use pk_trace::{Event, Tracer};
 use pk_why::{attribute, encode_exemplars, exemplars, fold, Attribution, MetricSet, RequestCost};
-use pk_workloads::KernelChoice;
 
 /// Core count for every traced run: the paper's full machine, past
 /// the collapse knee for every stock serving workload.
@@ -125,8 +124,7 @@ pub fn run_cell(
     seed: u64,
 ) -> (TailCell, Vec<Event>) {
     let cores = TAIL_CORES;
-    let net = personality
-        .resolve(workload, cores, MachineSpec::paper(), seed)
+    let net = resolve(personality, workload, cores, MachineSpec::paper(), seed)
         .expect("serving workload resolves")
         .model
         .network(cores);
@@ -561,7 +559,7 @@ pub fn run_lockdep_live(seed: u64) -> LockdepLiveRow {
     const CORES: usize = 8;
     const CONNS_PER_CORE: usize = 4;
 
-    let driver = EximDriver::new(KernelChoice::Pk, CORES).expect("driver boots");
+    let driver = EximDriver::new(Personality::Pk, CORES).expect("driver boots");
     let leaks_before = pk_trace::ctx_leaks();
     std::thread::scope(|s| {
         for core in 0..CORES {

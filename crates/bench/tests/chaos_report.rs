@@ -6,7 +6,7 @@
 
 use pk_bench::chaos::{self, FaultMix};
 use pk_fault::RetryPolicy;
-use pk_workloads::KernelChoice;
+use pk_kernel::Personality;
 
 const SEED: u64 = 0xC4A0_5EED;
 const WORKLOADS: [&str; 3] = ["exim", "memcached", "apache"];
@@ -100,7 +100,7 @@ fn every_workload_survives_the_acceptance_mix() {
 #[test]
 fn heavy_mix_still_cannot_panic_the_drivers() {
     let mix = FaultMix::heavy();
-    for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+    for choice in [Personality::Stock, Personality::Pk] {
         for name in WORKLOADS {
             let r = chaos::run_workload(name, choice, CORES, SEED, &mix)
                 .expect("driver exists for every named workload");

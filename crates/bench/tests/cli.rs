@@ -191,3 +191,54 @@ fn scale_out_creates_its_directory() {
     assert!(text.contains("\"meta.schema_version\""), "{text}");
     std::fs::remove_dir_all(&dir).expect("clean up");
 }
+
+/// The words `--kernel` and `PERSONALITY` accept are the enum's labels:
+/// the usage line lists every personality (sweep: all but `adaptive`,
+/// which needs a config converged at one core count).
+#[test]
+fn personality_words_in_usage_come_from_the_enum() {
+    use pk_kernel::Personality;
+    let all = Personality::ALL.map(Personality::label).join("|");
+    assert_eq!(all, "stock|coarse|pk|adaptive");
+    for (line, words) in [
+        ("report contention exim fast", format!("[{all}]")),
+        (
+            "sweep exim --kernel adaptive",
+            format!("[--kernel {}]", all.trim_end_matches("|adaptive")),
+        ),
+    ] {
+        let stderr = String::from_utf8_lossy(&pk_bench(line).stderr).into_owned();
+        assert!(stderr.contains(&words), "`{line}`: {words} not in {stderr}");
+    }
+    for p in Personality::ALL {
+        let out = pk_bench(&format!("report contention exim {} 2 --no-des", p.label()));
+        assert_eq!(out.status.code(), Some(0), "{p:?}");
+    }
+}
+
+/// `fig all` is a pure function of the source: its stdout is committed,
+/// so a refactor that moves a byte fails here instead of relying on a
+/// hand-run `cmp` against a parent build.
+#[test]
+fn fig_all_matches_the_committed_golden() {
+    let golden = include_str!("golden/fig_all.txt");
+    let out = pk_bench("fig all");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    if stdout == golden {
+        return;
+    }
+    let line = (stdout.lines().zip(golden.lines()))
+        .position(|(got, want)| got != want)
+        .unwrap_or_else(|| stdout.lines().count().min(golden.lines().count()));
+    panic!(
+        "`pk-bench fig all` differs from tests/golden/fig_all.txt at line {}:\n  \
+         got:  {:?}\n  want: {:?}\n\
+         if the change is intended, regenerate with\n  \
+         cargo run --release -q -p pk-bench -- fig all > crates/bench/tests/golden/fig_all.txt\n\
+         and say which lines moved and why",
+        line + 1,
+        stdout.lines().nth(line).unwrap_or("<end of output>"),
+        golden.lines().nth(line).unwrap_or("<end of file>"),
+    );
+}

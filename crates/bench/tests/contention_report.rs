@@ -2,12 +2,13 @@
 //! must re-derive the paper's Figure-4 diagnosis from measurement, not
 //! from a hardcoded table.
 
-use pk_bench::{contention_report, contention_report_des, Personality, Resolved};
+use pk_bench::{contention_report, contention_report_des, Resolved};
+use pk_kernel::Personality;
 use pk_sim::MachineSpec;
 use pk_workloads::roster;
 
 fn resolve(workload: &str, personality: Personality, cores: usize) -> Option<Resolved> {
-    personality.resolve(workload, cores, MachineSpec::paper(), 42)
+    pk_bench::resolve(personality, workload, cores, MachineSpec::paper(), 42)
 }
 
 /// The paper's diagnosis (§5.2.1): on the stock kernel at 48 cores,

@@ -7,19 +7,19 @@ use pk_net::NetConfig;
 use pk_sim::OverloadPolicy;
 use pk_vfs::VfsConfig;
 
-/// Which kind of kernel this configuration describes.
+/// Which kind of kernel a configuration describes — the one axis every
+/// driver, model and report sweeps.
 ///
-/// `Stock` and `Pk` are the paper's two endpoints. `Adaptive` is the
-/// third personality (ROADMAP item 5): it *boots* with the same fix
-/// set as stock — zero hand-placed fixes — but carries the machinery
-/// for `pk-adapt` to enable fixes at runtime from observed contention,
-/// and its functional substrates keep sloppy counters present but
-/// degraded-to-central so the controller can promote them in place.
-/// `Coarse` is the fourth personality (the coarse-grained-locking
-/// point from the microkernel literature): the named fine-grained lock
-/// classes are clustered into one coarse lock per subsystem, which
-/// beats stock at low core counts (fewer acquisitions) and collapses
-/// harder at scale (one merged queue).
+/// `Stock` and `Pk` are the paper's two endpoints. `Adaptive` *boots*
+/// with the same fix set as stock — zero hand-placed fixes — but
+/// carries the machinery for `pk-adapt` to enable fixes at runtime from
+/// observed contention, and its functional substrates keep sloppy
+/// counters present but degraded-to-central so the controller can
+/// promote them in place. `Coarse` is the coarse-grained-locking point
+/// from the microkernel literature: the named fine-grained lock classes
+/// are clustered into one coarse lock per subsystem, which beats stock
+/// at low core counts (fewer acquisitions) and collapses harder at
+/// scale (one merged queue).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Personality {
     /// Stock Linux 2.6.35-rc5 semantics; the fix set is frozen.
@@ -35,11 +35,11 @@ pub enum Personality {
 
 /// A kernel build: core count plus the enabled fix set.
 ///
-/// [`KernelConfig::stock`] is Linux 2.6.35-rc5; [`KernelConfig::pk`]
-/// enables all 16 Figure-1 fixes; [`KernelConfig::adaptive`] starts
-/// from zero fixes and lets the `pk-adapt` controller enable them;
-/// [`KernelConfig::with_fix`] toggles individual fixes for ablation
-/// studies.
+/// [`KernelConfig::preset`] builds a personality's boot configuration
+/// ([`KernelConfig::stock`] is Linux 2.6.35-rc5, [`KernelConfig::pk`]
+/// enables every registered fix); [`KernelConfig::with_fix`] toggles
+/// individual fixes for ablation studies and the `pk-adapt`
+/// controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelConfig {
     /// Number of cores the kernel serves.
@@ -66,64 +66,84 @@ pub struct KernelConfig {
     overload: OverloadPolicy,
 }
 
+impl Personality {
+    /// Every personality, in grid order.
+    pub const ALL: [Personality; 4] = [Self::Stock, Self::Coarse, Self::Pk, Self::Adaptive];
+
+    /// Stable lowercase label used in tables, JSON, metric labels and
+    /// on the command line.
+    pub const fn label(self) -> &'static str {
+        match self {
+            Self::Stock => "stock",
+            Self::Coarse => "coarse",
+            Self::Pk => "pk",
+            Self::Adaptive => "adaptive",
+        }
+    }
+
+    /// Parses a [`Personality::label`] (case-insensitive).
+    pub fn parse(s: &str) -> Option<Self> {
+        Self::ALL
+            .into_iter()
+            .find(|p| p.label().eq_ignore_ascii_case(s))
+    }
+
+    /// Figure-legend spelling.
+    pub fn legend(self) -> &'static str {
+        match self {
+            Self::Stock => "Stock",
+            Self::Coarse => "Coarse",
+            Self::Pk => "PK",
+            Self::Adaptive => "Adaptive",
+        }
+    }
+
+    /// This personality's boot configuration for `cores`
+    /// ([`KernelConfig::preset`]).
+    pub fn config(self, cores: usize) -> KernelConfig {
+        KernelConfig::preset(self, cores)
+    }
+}
+
 impl KernelConfig {
+    /// The boot configuration of `personality`: PK enables every
+    /// registered fix (the 16 Figure-1 rows plus the generation-2 set),
+    /// the other three none. The personality tag carries the rest:
+    /// [`Personality::Coarse`] makes the model layer cluster the named
+    /// lock classes into one coarse lock per subsystem
+    /// (`Network::coarsen`) while the functional substrates boot
+    /// stock-shaped; [`Personality::Adaptive`] keeps the runtime levers
+    /// in place (sloppy counters allocated but degraded to central
+    /// mode) for `pk-adapt` to promote via [`KernelConfig::with_fix`].
+    pub fn preset(personality: Personality, cores: usize) -> Self {
+        Self {
+            cores,
+            sockets: 8,
+            fixes: [personality == Personality::Pk; NUM_FIXES],
+            personality,
+            deferred_reclamation: true,
+            overload: OverloadPolicy::NONE,
+        }
+    }
+
     /// Stock Linux 2.6.35-rc5: no fixes.
     pub fn stock(cores: usize) -> Self {
-        Self {
-            cores,
-            sockets: 8,
-            fixes: [false; NUM_FIXES],
-            personality: Personality::Stock,
-            deferred_reclamation: true,
-            overload: OverloadPolicy::NONE,
-        }
+        Self::preset(Personality::Stock, cores)
     }
 
-    /// The PK kernel: every registered fix (the 16 Figure-1 rows plus
-    /// the generation-2 set).
+    /// The PK kernel: every registered fix.
     pub fn pk(cores: usize) -> Self {
-        Self {
-            cores,
-            sockets: 8,
-            fixes: [true; NUM_FIXES],
-            personality: Personality::Pk,
-            deferred_reclamation: true,
-            overload: OverloadPolicy::NONE,
-        }
+        Self::preset(Personality::Pk, cores)
     }
 
-    /// The coarse kernel: stock's fix set (none), but tagged
-    /// [`Personality::Coarse`] so the model layer clusters the named
-    /// lock classes into one coarse lock per subsystem
-    /// (`Network::coarsen`). The functional substrates boot
-    /// stock-shaped — coarse clustering is a locking-spectrum point the
-    /// reports sweep, not a separately implemented kernel.
+    /// The coarse kernel: stock's fix set under coarse subsystem locks.
     pub fn coarse(cores: usize) -> Self {
-        Self {
-            cores,
-            sockets: 8,
-            fixes: [false; NUM_FIXES],
-            personality: Personality::Coarse,
-            deferred_reclamation: true,
-            overload: OverloadPolicy::NONE,
-        }
+        Self::preset(Personality::Coarse, cores)
     }
 
-    /// The adaptive kernel: boots with zero fixes enabled, like stock,
-    /// but tagged [`Personality::Adaptive`] so the substrates keep the
-    /// runtime levers in place (sloppy counters allocated but degraded
-    /// to central mode) for `pk-adapt` to promote once contention is
-    /// observed. Fix flips happen via [`KernelConfig::with_fix`], driven
-    /// by the controller, never by hand.
+    /// The adaptive kernel: zero fixes at boot, levers armed.
     pub fn adaptive(cores: usize) -> Self {
-        Self {
-            cores,
-            sockets: 8,
-            fixes: [false; NUM_FIXES],
-            personality: Personality::Adaptive,
-            deferred_reclamation: true,
-            overload: OverloadPolicy::NONE,
-        }
+        Self::preset(Personality::Adaptive, cores)
     }
 
     /// Returns a copy lowered for a machine with `sockets` sockets.
@@ -175,22 +195,15 @@ impl KernelConfig {
         self.overload
     }
 
-    fn index(fix: FixId) -> usize {
-        crate::fixes::FIXES
-            .iter()
-            .chain(crate::fixes::GEN2_FIXES.iter())
-            .position(|f| f.id == fix)
-            .expect("every FixId appears in FIXES or GEN2_FIXES")
-    }
-
-    /// Returns whether `fix` is enabled.
+    /// Returns whether `fix` is enabled. [`FixId`] is declared in
+    /// registry order, so its discriminant is the fix's index.
     pub fn has(&self, fix: FixId) -> bool {
-        self.fixes[Self::index(fix)]
+        self.fixes[fix as usize]
     }
 
     /// Returns a copy with `fix` set to `enabled`.
     pub fn with_fix(mut self, fix: FixId, enabled: bool) -> Self {
-        self.fixes[Self::index(fix)] = enabled;
+        self.fixes[fix as usize] = enabled;
         self
     }
 
@@ -292,6 +305,42 @@ mod tests {
             Personality::Coarse,
             "coarse differs from stock only by personality"
         );
+    }
+
+    #[test]
+    fn personality_labels_round_trip_and_presets_carry_their_tag() {
+        for p in Personality::ALL {
+            assert_eq!(Personality::parse(p.label()), Some(p));
+            assert_eq!(Personality::parse(&p.label().to_uppercase()), Some(p));
+            assert_eq!(KernelConfig::preset(p, 8).personality(), p);
+            assert_eq!(p.config(8), KernelConfig::preset(p, 8));
+            let fixes = if p == Personality::Pk { NUM_FIXES } else { 0 };
+            assert_eq!(p.config(8).enabled_count(), fixes, "{p:?}");
+        }
+        assert_eq!(Personality::parse("fast"), None);
+        assert_eq!(
+            Personality::ALL.map(Personality::legend),
+            ["Stock", "Coarse", "PK", "Adaptive"]
+        );
+        assert_eq!(KernelConfig::stock(8), Personality::Stock.config(8));
+        assert_eq!(KernelConfig::coarse(8), Personality::Coarse.config(8));
+        assert_eq!(KernelConfig::pk(8), Personality::Pk.config(8));
+        assert_eq!(KernelConfig::adaptive(8), Personality::Adaptive.config(8));
+    }
+
+    /// `has`/`with_fix` index the fix vector with `fix as usize`; this
+    /// is the invariant that makes that the registry row.
+    #[test]
+    fn fix_ids_are_declared_in_registry_order() {
+        use crate::fixes::{FIXES, GEN2_FIXES};
+        for (i, f) in FIXES.iter().chain(GEN2_FIXES.iter()).enumerate() {
+            assert_eq!(f.id as usize, i, "{:?} is row {i}", f.id);
+            let only = KernelConfig::stock(8).with_fix(f.id, true);
+            assert!(only.has(f.id) && only.enabled_count() == 1);
+        }
+        // The last declared variant closes the vector: no FixId indexes
+        // past it.
+        assert_eq!(FixId::PerSocketPageFreelists as usize + 1, NUM_FIXES);
     }
 
     #[test]

@@ -29,10 +29,10 @@ pub mod admission;
 pub use admission::{serve_with_deadline, AdmissionQueue, SlotGuard};
 
 use pk_fault::FaultPlane;
-use pk_kernel::{OverloadPolicy, ShedPolicy};
+use pk_kernel::{OverloadPolicy, Personality, ShedPolicy};
 use pk_sim::{simulate_flow, simulate_open, ArrivalPattern, ClientMix, Network, OpenLoopResult};
 use pk_trace::Tracer;
-use pk_workloads::{roster, KernelChoice};
+use pk_workloads::roster;
 
 /// The serving subset of the roster: workloads whose real-world shape
 /// is a network server with latency SLOs, not a batch job.
@@ -234,7 +234,7 @@ impl ServeRun {
 /// capacity does this kernel serve within SLO" is the question the
 /// paper's throughput figures ask, transposed to latency.
 pub fn capacity_ops_per_cycle(workload: &str, cores: usize) -> Option<f64> {
-    let model = roster::model(workload, KernelChoice::Pk)?;
+    let model = roster::model(workload, Personality::Pk)?;
     Some(model.network(cores).solve(cores).ops_per_cycle)
 }
 
@@ -244,7 +244,7 @@ pub fn capacity_ops_per_cycle(workload: &str, cores: usize) -> Option<f64> {
 /// product, not the kernel.
 pub fn slo_budget_cycles(workload: &str, cores: usize) -> Option<u64> {
     let spec = ServingSpec::for_workload(workload)?;
-    let model = roster::model(workload, KernelChoice::Pk)?;
+    let model = roster::model(workload, Personality::Pk)?;
     let mean = model.network(cores).solve(cores).cycles_per_op;
     Some((mean * spec.slo_multiple as f64) as u64)
 }
@@ -318,7 +318,7 @@ fn serve(
 #[allow(clippy::too_many_arguments)]
 pub fn run_serving(
     workload: &str,
-    choice: KernelChoice,
+    choice: Personality,
     cores: usize,
     shed: bool,
     load_pct: u32,
@@ -420,7 +420,7 @@ mod tests {
         let run = || {
             run_serving(
                 "memcached",
-                KernelChoice::Pk,
+                Personality::Pk,
                 8,
                 true,
                 150,
@@ -440,17 +440,8 @@ mod tests {
     #[test]
     fn overload_sheds_and_normal_load_mostly_meets_slo() {
         let plane = FaultPlane::disabled();
-        let normal = run_serving(
-            "memcached",
-            KernelChoice::Pk,
-            8,
-            true,
-            60,
-            3_000,
-            42,
-            &plane,
-        )
-        .unwrap();
+        let normal =
+            run_serving("memcached", Personality::Pk, 8, true, 60, 3_000, 42, &plane).unwrap();
         assert_eq!(normal.result.accounted(), normal.result.arrivals);
         assert!(
             normal.result.slo_violations * 10 < normal.result.completed,
@@ -461,7 +452,7 @@ mod tests {
 
         let over = run_serving(
             "memcached",
-            KernelChoice::Pk,
+            Personality::Pk,
             8,
             true,
             200,
@@ -485,7 +476,7 @@ mod tests {
     fn all_serving_specs_run_on_both_kernels() {
         let plane = FaultPlane::disabled();
         for w in SERVING {
-            for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+            for choice in [Personality::Stock, Personality::Pk] {
                 let r = run_serving(w, choice, 4, false, 80, 1_000, 42, &plane)
                     .unwrap_or_else(|| panic!("{w} under {choice:?} must run"));
                 assert!(r.result.completed > 0, "{w}/{choice:?} completed nothing");
@@ -505,11 +496,11 @@ mod tests {
         // Same anchoring, same seed: the two engines must agree on
         // everything on the arrival side of the admission decision.
         let plane = FaultPlane::disabled();
-        let net = roster::model("exim", KernelChoice::Stock)
+        let net = roster::model("exim", Personality::Stock)
             .unwrap()
             .network(8);
         let f = run_serving_flow("exim", &net, 8, true, 120, 2_000, 42, None).unwrap();
-        let o = run_serving("exim", KernelChoice::Stock, 8, true, 120, 2_000, 42, &plane).unwrap();
+        let o = run_serving("exim", Personality::Stock, 8, true, 120, 2_000, 42, &plane).unwrap();
         assert_eq!(f.result.arrivals, o.result.arrivals);
         assert_eq!(f.result.distinct_users, o.result.distinct_users);
         assert_eq!(f.result.new_connections, o.result.new_connections);
@@ -523,7 +514,7 @@ mod tests {
         use pk_sim::flow_ring_capacity;
         use pk_trace::EventKind;
         let cores = 8;
-        for choice in [KernelChoice::Stock, KernelChoice::Coarse, KernelChoice::Pk] {
+        for choice in [Personality::Stock, Personality::Coarse, Personality::Pk] {
             let net = roster::model("memcached", choice).unwrap().network(cores);
             let tracer = Tracer::new(
                 cores + 1,
@@ -551,7 +542,7 @@ mod tests {
         let plane = FaultPlane::disabled();
         let r = run_serving(
             "memcached",
-            KernelChoice::Pk,
+            Personality::Pk,
             8,
             false,
             50,

@@ -13,9 +13,9 @@
 //! cannot keep up ... the card's internal receive packet FIFO overflows"
 //! — server idle time reaches 18% at 48 cores.
 
-use crate::common::{config_label, demand_unless, gen2_demand, KernelChoice};
+use crate::common::{config_label, demand_unless, gen2_demand};
 use pk_fault::{FaultPlane, RetryPolicy};
-use pk_kernel::{FixId, Kernel, KernelConfig, KernelError};
+use pk_kernel::{FixId, Kernel, KernelConfig, KernelError, Personality};
 use pk_net::FlowHash;
 use pk_percpu::CoreId;
 use pk_sim::{CoreSweep, MachineSpec, Network, Station, SweepPoint, WorkloadModel};
@@ -60,13 +60,13 @@ pub struct ApacheDriver {
 
 impl ApacheDriver {
     /// Boots a kernel, publishes the document root, and listens on :80.
-    pub fn new(choice: KernelChoice, cores: usize) -> Self {
+    pub fn new(choice: Personality, cores: usize) -> Self {
         Self::with_faults(choice, cores, Arc::new(FaultPlane::disabled()))
     }
 
     /// As [`ApacheDriver::new`], with every substrate wired to `faults`.
     /// Arm the plane only after construction so setup runs clean.
-    pub fn with_faults(choice: KernelChoice, cores: usize, faults: Arc<FaultPlane>) -> Self {
+    pub fn with_faults(choice: Personality, cores: usize, faults: Arc<FaultPlane>) -> Self {
         Self::with_config_and_faults(choice.config(cores), faults)
     }
 
@@ -240,7 +240,7 @@ pub struct ApacheModel {
 
 impl ApacheModel {
     /// Creates the model for `choice`.
-    pub fn new(choice: KernelChoice) -> Self {
+    pub fn new(choice: Personality) -> Self {
         Self::with_config(choice.config(48))
     }
 
@@ -346,7 +346,7 @@ impl WorkloadModel for ApacheModel {
 }
 
 /// Runs the Figure-6 sweep for one kernel.
-pub fn figure6(choice: KernelChoice) -> Vec<SweepPoint> {
+pub fn figure6(choice: Personality) -> Vec<SweepPoint> {
     CoreSweep::run(&ApacheModel::new(choice))
 }
 
@@ -356,7 +356,7 @@ mod tests {
 
     #[test]
     fn one_core_anchor() {
-        for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+        for choice in [Personality::Stock, Personality::Pk] {
             let p = CoreSweep::point(&ApacheModel::new(choice), 1);
             let err = (p.per_core_per_sec - REQS_PER_SEC_1CORE).abs() / REQS_PER_SEC_1CORE;
             assert!(err < 0.01, "{choice:?}: {}", p.per_core_per_sec);
@@ -365,8 +365,8 @@ mod tests {
 
     #[test]
     fn figure6_shapes() {
-        let stock = figure6(KernelChoice::Stock);
-        let pk = figure6(KernelChoice::Pk);
+        let stock = figure6(Personality::Stock);
+        let pk = figure6(Personality::Pk);
         let ratio = |s: &[SweepPoint]| s.last().unwrap().per_core_per_sec / s[0].per_core_per_sec;
         assert!(ratio(&stock) < 0.2, "stock collapses: {}", ratio(&stock));
         let pk_ratio = ratio(&pk);
@@ -403,7 +403,7 @@ mod tests {
 
     #[test]
     fn driver_serves_connections_locally_on_pk() {
-        let d = ApacheDriver::new(KernelChoice::Pk, 4);
+        let d = ApacheDriver::new(Personality::Pk, 4);
         let mut flows = Vec::new();
         for i in 0..40 {
             flows.push(d.client_connect(0x0b00_0000 + i));
@@ -437,7 +437,7 @@ mod tests {
 
     #[test]
     fn empty_accept_polls_back_off_deterministically() {
-        let d = ApacheDriver::new(KernelChoice::Pk, 2);
+        let d = ApacheDriver::new(Personality::Pk, 2);
         // No connections queued: every poll backs off, exponentially.
         for _ in 0..4 {
             assert!(d.serve_one(0).is_none());
@@ -452,7 +452,7 @@ mod tests {
         assert_eq!(d.accept_backoffs(), 5);
         // A fresh driver replays the identical backoff schedule (jitter
         // derives from the fault seed, not wall-clock state).
-        let d2 = ApacheDriver::new(KernelChoice::Pk, 2);
+        let d2 = ApacheDriver::new(Personality::Pk, 2);
         for _ in 0..4 {
             assert!(d2.serve_one(0).is_none());
         }
@@ -462,7 +462,7 @@ mod tests {
     #[test]
     fn bounded_backlog_surfaces_typed_overload() {
         use pk_kernel::{OverloadPolicy, ShedPolicy};
-        let config = KernelChoice::Pk
+        let config = Personality::Pk
             .config(2)
             .with_overload(OverloadPolicy::shedding(3, ShedPolicy::DropNewest, 0));
         let d = ApacheDriver::with_config_and_faults(config, Arc::new(FaultPlane::disabled()));
@@ -481,7 +481,7 @@ mod tests {
 
     #[test]
     fn driver_stock_serializes_on_shared_backlog() {
-        let d = ApacheDriver::new(KernelChoice::Stock, 4);
+        let d = ApacheDriver::new(Personality::Stock, 4);
         for i in 0..8 {
             d.client_connect(0x0c00_0000 + i);
         }

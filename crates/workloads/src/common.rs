@@ -1,55 +1,11 @@
 //! Shared workload plumbing.
 
-use pk_kernel::KernelConfig;
+use pk_kernel::{FixId, KernelConfig, Personality, NUM_FIXES};
 
-/// Which kernel a workload runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelChoice {
-    /// Stock Linux 2.6.35-rc5.
-    Stock,
-    /// Stock with the named lock classes clustered into a few coarse
-    /// locks (the microkernel coarse-grained-locking point on the
-    /// spectrum); no fixes applied.
-    Coarse,
-    /// The patched kernel with every registered fix.
-    Pk,
-}
-
-impl KernelChoice {
-    /// Lowers to a [`KernelConfig`] for `cores`.
-    pub fn config(self, cores: usize) -> KernelConfig {
-        match self {
-            Self::Stock => KernelConfig::stock(cores),
-            Self::Coarse => KernelConfig::coarse(cores),
-            Self::Pk => KernelConfig::pk(cores),
-        }
-    }
-
-    /// Figure legend label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Stock => "Stock",
-            Self::Coarse => "Coarse",
-            Self::Pk => "PK",
-        }
-    }
-
-    /// Returns 0.0 when this choice enables the fix (PK), `demand`
-    /// otherwise — the "a fix stops touching the shared line" lowering.
-    /// Coarse applies no fixes: per-class demands survive and are then
-    /// clustered by [`pk_sim::Network::coarsen`].
-    pub fn unless_fixed(self, demand: f64) -> f64 {
-        match self {
-            Self::Stock | Self::Coarse => demand,
-            Self::Pk => 0.0,
-        }
-    }
-}
-
-/// Zeroes `demand` when `fix` is enabled in `config` — the per-fix
-/// generalization of [`KernelChoice::unless_fixed`], used by the
-/// ablation harness to model arbitrary fix subsets.
-pub fn demand_unless(config: &pk_kernel::KernelConfig, fix: pk_kernel::FixId, demand: f64) -> f64 {
+/// Zeroes `demand` when `fix` is enabled in `config` — the "a fix stops
+/// touching the shared line" lowering every model's kernel stations go
+/// through, for presets and hand-picked fix subsets alike.
+pub fn demand_unless(config: &KernelConfig, fix: FixId, demand: f64) -> f64 {
     if config.has(fix) {
         0.0
     } else {
@@ -68,19 +24,17 @@ pub fn gen2_demand(total_cycles: f64, coef: f64, cores: usize) -> f64 {
     total_cycles * coef * cores.saturating_sub(1) as f64
 }
 
-/// A human-readable label for a config: "Stock", "PK", "custom(n)", or
-/// — for the adaptive personality — the promoted-fix count.
-pub fn config_label(config: &pk_kernel::KernelConfig) -> String {
-    if config.personality() == pk_kernel::Personality::Adaptive {
-        return format!("Adaptive({} promoted)", config.enabled_count());
-    }
-    if config.personality() == pk_kernel::Personality::Coarse {
-        return "Coarse".to_string();
-    }
-    match config.enabled_count() {
-        0 => "Stock".to_string(),
-        n if n == pk_kernel::NUM_FIXES => "PK".to_string(),
-        n => format!("custom({n} fixes)"),
+/// A human-readable label for a config: its personality's legend for
+/// the presets, "custom(n fixes)" for a hand-picked subset, and — for
+/// the adaptive personality — the promoted-fix count.
+pub fn config_label(config: &KernelConfig) -> String {
+    let personality = config.personality();
+    match (personality, config.enabled_count()) {
+        (Personality::Adaptive, n) => format!("{}({n} promoted)", personality.legend()),
+        (Personality::Coarse, _) => personality.legend().to_string(),
+        (_, 0) => Personality::Stock.legend().to_string(),
+        (_, NUM_FIXES) => Personality::Pk.legend().to_string(),
+        (_, n) => format!("custom({n} fixes)"),
     }
 }
 
@@ -89,19 +43,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lowering_matches_presets() {
-        assert_eq!(KernelChoice::Stock.config(8), KernelConfig::stock(8));
-        assert_eq!(KernelChoice::Coarse.config(8), KernelConfig::coarse(8));
-        assert_eq!(KernelChoice::Pk.config(8), KernelConfig::pk(8));
-        assert_eq!(KernelChoice::Stock.unless_fixed(5.0), 5.0);
-        assert_eq!(KernelChoice::Coarse.unless_fixed(5.0), 5.0);
-        assert_eq!(KernelChoice::Pk.unless_fixed(5.0), 0.0);
-    }
-
-    #[test]
     fn labels_cover_all_personalities() {
         assert_eq!(config_label(&KernelConfig::stock(8)), "Stock");
         assert_eq!(config_label(&KernelConfig::coarse(8)), "Coarse");
         assert_eq!(config_label(&KernelConfig::pk(8)), "PK");
+        assert_eq!(
+            config_label(&KernelConfig::adaptive(8).with_fix(FixId::AtomicLseek, true)),
+            "Adaptive(1 promoted)"
+        );
+        assert_eq!(
+            config_label(&KernelConfig::pk(8).with_fix(FixId::AtomicLseek, false)),
+            format!("custom({} fixes)", NUM_FIXES - 1)
+        );
     }
 }

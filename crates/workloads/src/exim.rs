@@ -12,9 +12,9 @@
 //! residual limit is application-induced contention on the per-directory
 //! locks of the spool directories.
 
-use crate::common::{config_label, demand_unless, gen2_demand, KernelChoice};
+use crate::common::{config_label, demand_unless, gen2_demand};
 use pk_fault::{FaultPlane, RetryPolicy};
-use pk_kernel::{FixId, Kernel, KernelConfig, KernelError};
+use pk_kernel::{FixId, Kernel, KernelConfig, KernelError, Personality};
 use pk_percpu::CoreId;
 use pk_proc::Pid;
 use pk_sim::{CoreSweep, MachineSpec, Network, Station, SweepPoint, WorkloadModel};
@@ -72,13 +72,13 @@ impl EximDriver {
     /// Fails if the spool layout cannot be created — every directory
     /// goes through the kernel's syscall surface, so a boot-time fault
     /// surfaces as an error, not a panic.
-    pub fn new(choice: KernelChoice, cores: usize) -> Result<Self, KernelError> {
+    pub fn new(choice: Personality, cores: usize) -> Result<Self, KernelError> {
         Self::with_bdb(choice, cores, true)
     }
 
     /// As [`EximDriver::new`], selecting stock vs modified Berkeley DB.
     pub fn with_bdb(
-        choice: KernelChoice,
+        choice: Personality,
         cores: usize,
         bdb_caches_cpu_count: bool,
     ) -> Result<Self, KernelError> {
@@ -89,7 +89,7 @@ impl EximDriver {
     /// and deliver_drop_privilege). Arm the plane only after
     /// construction: the spool layout must not eat injected faults.
     pub fn with_faults(
-        choice: KernelChoice,
+        choice: Personality,
         cores: usize,
         faults: Arc<FaultPlane>,
     ) -> Result<Self, KernelError> {
@@ -99,7 +99,7 @@ impl EximDriver {
     /// Full application-configuration control: Berkeley DB caching and
     /// the deliver_drop_privilege (no-exec) setting.
     pub fn with_app_config(
-        choice: KernelChoice,
+        choice: Personality,
         cores: usize,
         bdb_caches_cpu_count: bool,
         avoid_exec: bool,
@@ -114,7 +114,7 @@ impl EximDriver {
     }
 
     fn build(
-        choice: KernelChoice,
+        choice: Personality,
         cores: usize,
         bdb_caches_cpu_count: bool,
         avoid_exec: bool,
@@ -340,7 +340,7 @@ pub struct EximModel {
 
 impl EximModel {
     /// Creates the model for `choice` on the paper machine.
-    pub fn new(choice: KernelChoice) -> Self {
+    pub fn new(choice: Personality) -> Self {
         Self::with_config(choice.config(48))
     }
 
@@ -441,7 +441,7 @@ impl WorkloadModel for EximModel {
 }
 
 /// Runs the Figure-4 sweep for one kernel.
-pub fn figure4(choice: KernelChoice) -> Vec<SweepPoint> {
+pub fn figure4(choice: Personality) -> Vec<SweepPoint> {
     CoreSweep::run(&EximModel::new(choice))
 }
 
@@ -451,7 +451,7 @@ mod tests {
 
     #[test]
     fn driver_delivers_mail_on_both_kernels() {
-        for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+        for choice in [Personality::Stock, Personality::Pk] {
             let d = EximDriver::new(choice, 4).unwrap();
             d.run_connection(CoreId(0), 0).unwrap();
             d.run_connection(CoreId(1), 1).unwrap();
@@ -476,14 +476,14 @@ mod tests {
 
     #[test]
     fn driver_exercises_the_right_stats() {
-        let d = EximDriver::new(KernelChoice::Stock, 4).unwrap();
+        let d = EximDriver::new(Personality::Stock, 4).unwrap();
         d.run_connection(CoreId(0), 0).unwrap();
         let stats = d.kernel().vfs().stats();
         assert!(
             stats.mount_central_lookups.load(Ordering::Relaxed) > 30,
             "dozens of vfsmount accesses per connection"
         );
-        let pk = EximDriver::new(KernelChoice::Pk, 4).unwrap();
+        let pk = EximDriver::new(Personality::Pk, 4).unwrap();
         pk.run_connection(CoreId(0), 0).unwrap();
         let pk_central = pk
             .kernel()
@@ -503,7 +503,7 @@ mod tests {
         // CtxBegin/CtxEnd pair carrying request_id(conn, user, msg), and
         // the scope leaves nothing pinned on the thread afterwards.
         let t = pk_trace::install_global(1 << 16);
-        let d = EximDriver::new(KernelChoice::Stock, 2).unwrap();
+        let d = EximDriver::new(Personality::Stock, 2).unwrap();
         let conn = d.kernel().fork(Pid(1), CoreId(0)).unwrap();
         let leaks_before = pk_trace::ctx_leaks();
         t.enable();
@@ -525,13 +525,13 @@ mod tests {
 
     #[test]
     fn deliver_drop_privilege_avoids_execs() {
-        let stock_app = EximDriver::with_app_config(KernelChoice::Pk, 2, true, false).unwrap();
+        let stock_app = EximDriver::with_app_config(Personality::Pk, 2, true, false).unwrap();
         stock_app.run_connection(CoreId(0), 0).unwrap();
         assert_eq!(
             stock_app.kernel().procs().exec_count(),
             2 * MSGS_PER_CONNECTION as u64
         );
-        let mod_app = EximDriver::new(KernelChoice::Pk, 2).unwrap();
+        let mod_app = EximDriver::new(Personality::Pk, 2).unwrap();
         mod_app.run_connection(CoreId(0), 0).unwrap();
         assert_eq!(mod_app.kernel().procs().exec_count(), 0);
     }
@@ -540,7 +540,7 @@ mod tests {
     fn bdb_proc_stat_caching() {
         // Stock Berkeley DB reads /proc/stat per message; the modified
         // one reads it once.
-        let stock_bdb = EximDriver::with_bdb(KernelChoice::Pk, 2, false).unwrap();
+        let stock_bdb = EximDriver::with_bdb(Personality::Pk, 2, false).unwrap();
         stock_bdb.run_connection(CoreId(0), 0).unwrap();
         assert_eq!(
             stock_bdb
@@ -550,7 +550,7 @@ mod tests {
                 .load(Ordering::Relaxed),
             MSGS_PER_CONNECTION as u64
         );
-        let mod_bdb = EximDriver::with_bdb(KernelChoice::Pk, 2, true).unwrap();
+        let mod_bdb = EximDriver::with_bdb(Personality::Pk, 2, true).unwrap();
         mod_bdb.run_connection(CoreId(0), 0).unwrap();
         assert_eq!(
             mod_bdb
@@ -565,7 +565,7 @@ mod tests {
     #[test]
     fn transient_faults_are_requeued_not_fatal() {
         let faults = Arc::new(FaultPlane::with_seed(0xE215));
-        let d = EximDriver::with_faults(KernelChoice::Pk, 4, Arc::clone(&faults)).unwrap();
+        let d = EximDriver::with_faults(Personality::Pk, 4, Arc::clone(&faults)).unwrap();
         // Roughly 5% fork failures and occasional allocator trouble.
         faults.set("proc.fork_fail", pk_fault::FaultSchedule::EveryNth(20));
         faults.set("vfs.dentry_alloc", pk_fault::FaultSchedule::EveryNth(40));
@@ -593,7 +593,7 @@ mod tests {
 
     #[test]
     fn fault_free_run_counts_no_retries() {
-        let d = EximDriver::new(KernelChoice::Pk, 2).unwrap();
+        let d = EximDriver::new(Personality::Pk, 2).unwrap();
         d.run_connection(CoreId(0), 0).unwrap();
         assert_eq!(d.tempfails(), 0);
         assert_eq!(d.bounced(), 0);
@@ -603,7 +603,7 @@ mod tests {
 
     #[test]
     fn one_core_throughputs_match_anchor() {
-        for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+        for choice in [Personality::Stock, Personality::Pk] {
             let p = CoreSweep::point(&EximModel::new(choice), 1);
             let err = (p.per_core_per_sec - MSGS_PER_SEC_1CORE).abs() / MSGS_PER_SEC_1CORE;
             assert!(err < 0.01, "{choice:?}: {}", p.per_core_per_sec);
@@ -612,8 +612,8 @@ mod tests {
 
     #[test]
     fn figure4_shapes() {
-        let stock = figure4(KernelChoice::Stock);
-        let pk = figure4(KernelChoice::Pk);
+        let stock = figure4(Personality::Stock);
+        let pk = figure4(Personality::Pk);
         let ratio = |s: &[SweepPoint]| s.last().unwrap().per_core_per_sec / s[0].per_core_per_sec;
         let stock_ratio = ratio(&stock);
         let pk_ratio = ratio(&pk);

@@ -7,9 +7,9 @@
 //! both the stock and PK kernels" — limited only by "serial stages at
 //! the beginning of the build and straggling processes at the end."
 
-use crate::common::{config_label, demand_unless, gen2_demand, KernelChoice};
+use crate::common::{config_label, demand_unless, gen2_demand};
 use pk_fault::FaultPlane;
-use pk_kernel::{FixId, Kernel, KernelConfig, KernelError};
+use pk_kernel::{FixId, Kernel, KernelConfig, KernelError, Personality};
 use pk_percpu::CoreId;
 use pk_proc::Pid;
 use pk_sim::{CoreSweep, MachineSpec, Network, Station, SweepPoint, WorkloadModel};
@@ -33,13 +33,13 @@ pub struct GmakeDriver {
 
 impl GmakeDriver {
     /// Boots a kernel and lays out a source tree of `sources` files.
-    pub fn new(choice: KernelChoice, cores: usize, sources: usize) -> Result<Self, KernelError> {
+    pub fn new(choice: Personality, cores: usize, sources: usize) -> Result<Self, KernelError> {
         Self::with_faults(choice, cores, sources, Arc::new(FaultPlane::disabled()))
     }
 
     /// Like [`GmakeDriver::new`], with every substrate wired to `faults`.
     pub fn with_faults(
-        choice: KernelChoice,
+        choice: Personality,
         cores: usize,
         sources: usize,
         faults: Arc<FaultPlane>,
@@ -127,7 +127,7 @@ pub struct GmakeModel {
 
 impl GmakeModel {
     /// Creates the model.
-    pub fn new(choice: KernelChoice) -> Self {
+    pub fn new(choice: Personality) -> Self {
         Self::with_config(choice.config(48))
     }
 
@@ -192,7 +192,7 @@ impl WorkloadModel for GmakeModel {
 }
 
 /// Runs the Figure-9 sweep for one kernel.
-pub fn figure9(choice: KernelChoice) -> Vec<SweepPoint> {
+pub fn figure9(choice: Personality) -> Vec<SweepPoint> {
     CoreSweep::run(&GmakeModel::new(choice))
 }
 
@@ -202,14 +202,14 @@ mod tests {
 
     #[test]
     fn one_core_anchor() {
-        let p = CoreSweep::point(&GmakeModel::new(KernelChoice::Stock), 1);
+        let p = CoreSweep::point(&GmakeModel::new(Personality::Stock), 1);
         let per_hour = p.per_core_per_sec * 3600.0;
         assert!((per_hour - BUILDS_PER_HOUR_1CORE).abs() / BUILDS_PER_HOUR_1CORE < 0.01);
     }
 
     #[test]
     fn figure9_shapes() {
-        for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+        for choice in [Personality::Stock, Personality::Pk] {
             let sweep = figure9(choice);
             let speedup = sweep.last().unwrap().total_per_sec / sweep[0].total_per_sec;
             assert!(
@@ -218,15 +218,15 @@ mod tests {
             );
         }
         // PK system time is slightly lower than stock.
-        let stock48 = figure9(KernelChoice::Stock).last().unwrap().system_usec;
-        let pk48 = figure9(KernelChoice::Pk).last().unwrap().system_usec;
+        let stock48 = figure9(Personality::Stock).last().unwrap().system_usec;
+        let pk48 = figure9(Personality::Pk).last().unwrap().system_usec;
         assert!(pk48 < stock48);
         assert!(pk48 > stock48 * 0.95, "only *slightly* lower");
     }
 
     #[test]
     fn driver_builds_and_links() {
-        let d = GmakeDriver::new(KernelChoice::Pk, 4, 12).unwrap();
+        let d = GmakeDriver::new(Personality::Pk, 4, 12).unwrap();
         for i in 0..12 {
             d.compile(i % 4, i).unwrap();
         }

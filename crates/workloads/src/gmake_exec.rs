@@ -261,9 +261,9 @@ fn run_rule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::KernelChoice;
+    use pk_kernel::Personality;
 
-    fn kernel_with_sources(choice: KernelChoice, cores: usize, n: usize) -> Arc<Kernel> {
+    fn kernel_with_sources(choice: Personality, cores: usize, n: usize) -> Arc<Kernel> {
         let k = Arc::new(Kernel::new(choice.config(cores)));
         k.vfs().mkdir_p("/src", CoreId(0)).unwrap();
         for i in 0..n {
@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn builds_the_kernel_shape() {
-        let k = kernel_with_sources(KernelChoice::Pk, 4, 20);
+        let k = kernel_with_sources(Personality::Pk, 4, 20);
         let graph = BuildGraph::kernel_build(20);
         assert_eq!(graph.len(), 22); // configure + 20 compiles + link
         let report = ParallelMake::new(8).build(&k, &graph).unwrap();
@@ -295,7 +295,7 @@ mod tests {
     #[test]
     fn respects_dependencies() {
         // A diamond: a → (b, c) → d; d must see both b and c outputs.
-        let k = Arc::new(Kernel::new(KernelChoice::Pk.config(2)));
+        let k = Arc::new(Kernel::new(Personality::Pk.config(2)));
         let mut g = BuildGraph::new();
         let a = g.add("a", vec![], |k, c| k.vfs().write_file("/a", b"A", c));
         let b = g.add("b", vec![a], |k, c| {
@@ -318,7 +318,7 @@ mod tests {
 
     #[test]
     fn single_job_is_fully_serial() {
-        let k = kernel_with_sources(KernelChoice::Stock, 1, 6);
+        let k = kernel_with_sources(Personality::Stock, 1, 6);
         let report = ParallelMake::new(1)
             .build(&k, &BuildGraph::kernel_build(6))
             .unwrap();
@@ -330,7 +330,7 @@ mod tests {
     fn parallel_jobs_overlap() {
         // Recipes yield mid-execution so overlap happens even on a
         // single-CPU host.
-        let k = Arc::new(Kernel::new(KernelChoice::Pk.config(4)));
+        let k = Arc::new(Kernel::new(Personality::Pk.config(4)));
         let mut g = BuildGraph::new();
         for i in 0..16 {
             g.add(format!("job{i}"), vec![], move |k, c| {
@@ -350,7 +350,7 @@ mod tests {
 
     #[test]
     fn failed_recipe_surfaces_typed_and_reaps_children() {
-        let k = Arc::new(Kernel::new(KernelChoice::Pk.config(2)));
+        let k = Arc::new(Kernel::new(Personality::Pk.config(2)));
         let mut g = BuildGraph::new();
         let missing = g.add("cc missing.o", vec![], |k, c| {
             // Reads a source that was never laid out: permanent ENOENT.
@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn stock_and_pk_build_identical_images() {
         let mut images = Vec::new();
-        for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+        for choice in [Personality::Stock, Personality::Pk] {
             let k = kernel_with_sources(choice, 4, 10);
             ParallelMake::new(8)
                 .build(&k, &BuildGraph::kernel_build(10))

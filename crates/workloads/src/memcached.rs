@@ -12,10 +12,10 @@
 //! number of virtual queues increases" — throughput per core drops off
 //! after 16 cores.
 
-use crate::common::{config_label, demand_unless, gen2_demand, KernelChoice};
+use crate::common::{config_label, demand_unless, gen2_demand};
 use bytes::Bytes;
 use pk_fault::{FaultPlane, RetryPolicy};
-use pk_kernel::{FixId, Kernel, KernelConfig};
+use pk_kernel::{FixId, Kernel, KernelConfig, Personality};
 use pk_net::{SockAddr, UdpSocket};
 use pk_percpu::CoreId;
 use pk_sim::{CoreSweep, MachineSpec, Network, Station, SweepPoint, WorkloadModel};
@@ -53,13 +53,13 @@ pub struct MemcachedDriver {
 
 impl MemcachedDriver {
     /// Boots a kernel and binds one instance per core.
-    pub fn new(choice: KernelChoice, cores: usize) -> Self {
+    pub fn new(choice: Personality, cores: usize) -> Self {
         Self::with_faults(choice, cores, Arc::new(FaultPlane::disabled()))
     }
 
     /// Boots a kernel wired to `faults` and binds one instance per core.
     /// Arm the plane only after construction so the binds run clean.
-    pub fn with_faults(choice: KernelChoice, cores: usize, faults: Arc<FaultPlane>) -> Self {
+    pub fn with_faults(choice: Personality, cores: usize, faults: Arc<FaultPlane>) -> Self {
         let kernel = Kernel::with_faults(choice.config(cores), faults);
         let sockets = (0..cores)
             .map(|c| {
@@ -193,7 +193,7 @@ pub struct MemcachedModel {
 
 impl MemcachedModel {
     /// Creates the model for `choice`.
-    pub fn new(choice: KernelChoice) -> Self {
+    pub fn new(choice: Personality) -> Self {
         Self::with_config(choice.config(48))
     }
 
@@ -293,7 +293,7 @@ impl WorkloadModel for MemcachedModel {
 }
 
 /// Runs the Figure-5 sweep for one kernel.
-pub fn figure5(choice: KernelChoice) -> Vec<SweepPoint> {
+pub fn figure5(choice: Personality) -> Vec<SweepPoint> {
     CoreSweep::run(&MemcachedModel::new(choice))
 }
 
@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn one_core_anchor() {
-        for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+        for choice in [Personality::Stock, Personality::Pk] {
             let p = CoreSweep::point(&MemcachedModel::new(choice), 1);
             let err = (p.per_core_per_sec - REQS_PER_SEC_1CORE).abs() / REQS_PER_SEC_1CORE;
             assert!(err < 0.01, "{choice:?}: {}", p.per_core_per_sec);
@@ -312,8 +312,8 @@ mod tests {
 
     #[test]
     fn figure5_shapes() {
-        let stock = figure5(KernelChoice::Stock);
-        let pk = figure5(KernelChoice::Pk);
+        let stock = figure5(Personality::Stock);
+        let pk = figure5(Personality::Pk);
         let ratio = |s: &[SweepPoint]| s.last().unwrap().per_core_per_sec / s[0].per_core_per_sec;
         assert!(
             ratio(&stock) < 0.3,
@@ -351,7 +351,7 @@ mod tests {
 
     #[test]
     fn driver_round_trip() {
-        let d = MemcachedDriver::new(KernelChoice::Pk, 4);
+        let d = MemcachedDriver::new(Personality::Pk, 4);
         d.client_batch(1, 2);
         let served = d.drain_all();
         assert_eq!(served, BATCH);
@@ -366,7 +366,7 @@ mod tests {
 
     #[test]
     fn driver_separate_ports_per_core() {
-        let d = MemcachedDriver::new(KernelChoice::Stock, 3);
+        let d = MemcachedDriver::new(Personality::Stock, 3);
         for c in 0..3 {
             d.client_batch(c as u32 + 10, c);
         }
@@ -382,7 +382,7 @@ mod tests {
     #[test]
     fn injected_rx_drops_are_retried_and_reported() {
         let faults = Arc::new(FaultPlane::with_seed(0x11211));
-        let d = MemcachedDriver::with_faults(KernelChoice::Pk, 2, Arc::clone(&faults));
+        let d = MemcachedDriver::with_faults(Personality::Pk, 2, Arc::clone(&faults));
         faults.set("net.rx_drop", pk_fault::FaultSchedule::EveryNth(10));
         faults.enable();
         let mut sent = 0;

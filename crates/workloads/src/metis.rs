@@ -13,9 +13,9 @@
 //!   scalability is limited primarily by the DRAM bandwidth required by
 //!   the reduce phase" (50.0 of 51.5 GB/s at 48 cores).
 
-use crate::common::{demand_unless, gen2_demand, KernelChoice};
+use crate::common::{demand_unless, gen2_demand};
 use pk_fault::FaultPlane;
-use pk_kernel::{FixId, Kernel, KernelConfig, KernelError};
+use pk_kernel::{FixId, Kernel, KernelConfig, KernelError, Personality};
 use pk_mapreduce::{InvertedIndex, MapReduce, MapReduceConfig, MemoryHook};
 use pk_mm::PageSize;
 use pk_sim::{CoreSweep, DramModel, MachineSpec, Network, Station, SweepPoint, WorkloadModel};
@@ -51,10 +51,10 @@ impl MetisVariant {
     }
 
     /// The kernel this variant runs on.
-    pub fn kernel(self) -> KernelChoice {
+    pub fn kernel(self) -> Personality {
         match self {
-            Self::StockSmallPages => KernelChoice::Stock,
-            Self::PkSuperPages => KernelChoice::Pk,
+            Self::StockSmallPages => Personality::Stock,
+            Self::PkSuperPages => Personality::Pk,
         }
     }
 
@@ -114,34 +114,25 @@ impl MetisDriver {
 /// Figure-11 performance model.
 #[derive(Debug, Clone, Copy)]
 pub struct MetisModel {
-    /// Which line.
+    /// Which Metis (4 KB or 2 MB table pages) and which legend line.
     pub variant: MetisVariant,
-    /// When set, kernel demands derive from this fix subset instead of
-    /// the variant pairing (the adaptive axis). The application side is
-    /// always the 2 MB-page Metis — with the super-page kernel fixes
-    /// *off*, its faults contend on the single super-page allocation
-    /// mutex and cache-polluting zeroing until the fixes are promoted.
-    pub config: Option<KernelConfig>,
+    /// The kernel whose fix set the kernel-side demands derive from.
+    /// [`MetisModel::new`] boots the variant's own kernel; the roster
+    /// swaps in any other beside the variant that personality pairs
+    /// with. 2 MB pages with the super-page fixes *off* (the adaptive
+    /// boot) contend on the single super-page allocation mutex and
+    /// cache-polluting zeroing until the fixes are promoted.
+    pub config: KernelConfig,
     /// The modelled machine.
     pub machine: MachineSpec,
 }
 
 impl MetisModel {
-    /// Creates the model.
+    /// Creates the model on the variant's own kernel.
     pub fn new(variant: MetisVariant) -> Self {
         Self {
             variant,
-            config: None,
-            machine: MachineSpec::paper(),
-        }
-    }
-
-    /// Creates the model for an arbitrary kernel fix subset, paired with
-    /// the 2 MB-page Metis (the paper's PK application pairing).
-    pub fn with_config(config: KernelConfig) -> Self {
-        Self {
-            variant: MetisVariant::PkSuperPages,
-            config: Some(config),
+            config: variant.kernel().config(48),
             machine: MachineSpec::paper(),
         }
     }
@@ -157,9 +148,14 @@ impl MetisModel {
 
 impl WorkloadModel for MetisModel {
     fn name(&self) -> String {
-        match &self.config {
-            Some(cfg) => format!("Metis/2MB pages + {}", crate::common::config_label(cfg)),
-            None => format!("Metis/{}", self.variant.label()),
+        // The figure legend names the variant; an adaptive kernel has
+        // no legend line, so it shows its promoted-fix count.
+        match self.config.personality() {
+            Personality::Adaptive => format!(
+                "Metis/2MB pages + {}",
+                crate::common::config_label(&self.config)
+            ),
+            _ => format!("Metis/{}", self.variant.label()),
         }
     }
 
@@ -169,45 +165,22 @@ impl WorkloadModel for MetisModel {
 
     fn network(&self, cores: usize) -> Network {
         let t = self.total_cycles();
+        let cfg = &self.config;
+        let mut net = Network::new();
         // Generation-2 growth station: table allocation frees and
         // refills through the global page freelist; even with super-page
         // faults fixed, the freelist lock is the collapse at 1024.
-        let g = gen2_demand(t, 0.000_08, cores);
-        let mut net = Network::new();
-        if let Some(cfg) = &self.config {
-            // 2 MB pages on an arbitrary kernel: until the super-page
-            // fixes land, every super-page fault funnels through one
-            // allocation mutex and zeroes 2 MB through the cache,
-            // evicting every core's working set (§4.5). Promoting
-            // SuperPageFineLocking gives each mapping its own mutex;
-            // NoCacheSuperPageZeroing moves the zeroing off the caches.
-            let super_mutex = demand_unless(cfg, FixId::SuperPageFineLocking, t * 0.040);
-            let zeroing = demand_unless(cfg, FixId::NoCacheSuperPageZeroing, t * 0.012);
-            let fault_local = t * 0.0015;
-            let user = t - super_mutex - zeroing - fault_local;
-            net.push(Station::delay("map/reduce (user)", user, false));
-            net.push(Station::delay("fault handling", fault_local, true));
-            // Gen-2 station first in visit order: past ~96 cores it is
-            // the first to saturate and captures the collapse queue.
-            net.push(
-                Station::spinlock(
-                    "global page freelist",
-                    demand_unless(cfg, FixId::PerSocketPageFreelists, g),
-                    0.25,
-                    true,
-                )
-                .with_class("mm.page_freelist"),
-            );
-            net.push(
-                Station::queue("super-page alloc mutex", super_mutex, true)
-                    .with_class("mm.super_page_mutex"),
-            );
-            net.push(
-                Station::queue("super-page zeroing", zeroing, true)
-                    .with_class("mm.super_page_zeroing"),
-            );
-            return net;
-        }
+        let freelist = Station::spinlock(
+            "global page freelist",
+            demand_unless(
+                cfg,
+                FixId::PerSocketPageFreelists,
+                gen2_demand(t, 0.000_08, cores),
+            ),
+            0.25,
+            true,
+        )
+        .with_class("mm.page_freelist");
         match self.variant {
             MetisVariant::StockSmallPages => {
                 // ~524k soft faults per job; the shared region-list lock
@@ -219,23 +192,39 @@ impl WorkloadModel for MetisModel {
                 let user = t - region_lock - fault_local;
                 net.push(Station::delay("map/reduce (user)", user, false));
                 net.push(Station::delay("fault handling", fault_local, true));
-                // Gen-2 station first in visit order (see above).
-                net.push(
-                    Station::spinlock("global page freelist", g, 0.25, true)
-                        .with_class("mm.page_freelist"),
-                );
+                // Gen-2 station first in visit order: past ~96 cores it
+                // is the first to saturate and captures the collapse
+                // queue.
+                net.push(freelist);
                 // The rw-semaphore's shared lock word serializes (reader
                 // counter updates are fair handoffs, so the station
                 // saturates without collapsing).
                 net.push(Station::queue("region-list lock word", region_lock, true));
             }
             MetisVariant::PkSuperPages => {
-                // 512× fewer faults behind per-mapping mutexes: kernel
-                // time "becomes negligible."
+                // 512× fewer faults. Until the super-page fixes land,
+                // every super-page fault funnels through one allocation
+                // mutex and zeroes 2 MB through the cache, evicting
+                // every core's working set (§4.5). SuperPageFineLocking
+                // gives each mapping its own mutex and
+                // NoCacheSuperPageZeroing moves the zeroing off the
+                // caches: on PK kernel time "becomes negligible."
+                let super_mutex = demand_unless(cfg, FixId::SuperPageFineLocking, t * 0.040);
+                let zeroing = demand_unless(cfg, FixId::NoCacheSuperPageZeroing, t * 0.012);
                 let fault_local = t * 0.0015;
-                let user = t - fault_local;
+                let user = t - super_mutex - zeroing - fault_local;
                 net.push(Station::delay("map/reduce (user)", user, false));
                 net.push(Station::delay("fault handling", fault_local, true));
+                // Gen-2 station first in visit order (see above).
+                net.push(freelist);
+                net.push(
+                    Station::queue("super-page alloc mutex", super_mutex, true)
+                        .with_class("mm.super_page_mutex"),
+                );
+                net.push(
+                    Station::queue("super-page zeroing", zeroing, true)
+                        .with_class("mm.super_page_zeroing"),
+                );
             }
         }
         net

@@ -18,9 +18,9 @@
 //!   sockets: "each new socket provides access to more total L3 cache
 //!   space," so mid-range core counts run faster.
 
-use crate::common::{gen2_demand, KernelChoice};
+use crate::common::gen2_demand;
 use pk_fault::FaultPlane;
-use pk_kernel::{Kernel, KernelError};
+use pk_kernel::{Kernel, KernelError, Personality};
 use pk_mm::{AddressSpace, PageSize};
 use pk_percpu::CoreId;
 use pk_sim::{CoreSweep, L3Model, MachineSpec, Network, Station, SweepPoint, WorkloadModel};
@@ -80,7 +80,7 @@ pub struct PedsortDriver {
 impl PedsortDriver {
     /// Boots a kernel with `files` corpus files and `workers` workers.
     pub fn new(
-        choice: KernelChoice,
+        choice: Personality,
         cores: usize,
         files: usize,
         threads: bool,
@@ -98,7 +98,7 @@ impl PedsortDriver {
     /// failures (corpus population under injected ENOMEM / dentry
     /// faults) surface as typed errors instead of panics.
     pub fn with_faults(
-        choice: KernelChoice,
+        choice: Personality,
         cores: usize,
         files: usize,
         threads: bool,
@@ -331,7 +331,7 @@ mod tests {
     #[test]
     fn driver_indexes_with_shared_and_private_spaces() {
         for threads in [true, false] {
-            let d = PedsortDriver::new(KernelChoice::Stock, 2, 6, threads).unwrap();
+            let d = PedsortDriver::new(Personality::Stock, 2, 6, threads).unwrap();
             for f in 0..6 {
                 d.index_file(f % 2, f).unwrap();
             }

@@ -355,8 +355,8 @@ pub fn load_final_index(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::KernelChoice;
     use pk_kernel::KernelConfig;
+    use pk_kernel::Personality;
 
     fn corpus(kernel: &Kernel, files: &[&str]) {
         let core = CoreId(0);
@@ -438,7 +438,7 @@ mod tests {
     fn stock_and_pk_kernels_agree() {
         let texts = ["the quick brown fox", "jumps over the lazy dog"];
         let mut indexes = Vec::new();
-        for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+        for choice in [Personality::Stock, Personality::Pk] {
             let kernel = Arc::new(Kernel::new(choice.config(2)));
             corpus(&kernel, &texts);
             Indexer::with_limits(Arc::clone(&kernel), 8, 8)

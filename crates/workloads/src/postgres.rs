@@ -19,8 +19,8 @@
 //!   residual limit is an application-level spin lock on the buffer-cache
 //!   page holding the root of the table index.
 
-use crate::common::{demand_unless, gen2_demand, KernelChoice};
-use pk_kernel::{FixId, Kernel, KernelConfig, KernelError};
+use crate::common::{demand_unless, gen2_demand};
+use pk_kernel::{FixId, Kernel, KernelConfig, KernelError, Personality};
 use pk_percpu::{CacheAligned, CoreId};
 use pk_sim::{CoreSweep, MachineSpec, Network, Station, SweepPoint, WorkloadModel};
 use pk_sync::AdaptiveMutex;
@@ -192,10 +192,10 @@ impl PgVariant {
     }
 
     /// The kernel this variant runs on.
-    pub fn kernel(self) -> KernelChoice {
+    pub fn kernel(self) -> Personality {
         match self {
-            Self::Stock | Self::StockModPg => KernelChoice::Stock,
-            Self::PkModPg => KernelChoice::Pk,
+            Self::Stock | Self::StockModPg => Personality::Stock,
+            Self::PkModPg => Personality::Pk,
         }
     }
 
@@ -336,37 +336,27 @@ impl PostgresDriver {
 /// Figure-7/8 performance model.
 #[derive(Debug, Clone, Copy)]
 pub struct PostgresModel {
-    /// Which configuration.
+    /// Which PostgreSQL (unmodified or modified lock manager) and which
+    /// figure-legend line.
     pub variant: PgVariant,
     /// 100% reads (Figure 7) or 95/5 read/write (Figure 8).
     pub read_only: bool,
-    /// When set, kernel demands derive from this fix subset instead of
-    /// the variant's stock/PK pairing (the ablation and adaptive axis).
-    /// The application side is always the modified PostgreSQL — the
-    /// config axis covers only the 16 kernel fixes.
-    pub config: Option<KernelConfig>,
+    /// The kernel whose fix set the kernel-side demands derive from.
+    /// [`PostgresModel::new`] boots the variant's own kernel; the roster
+    /// swaps in any other (coarse, an adaptive fix subset) beside the
+    /// application variant that personality pairs with.
+    pub config: KernelConfig,
     /// The modelled machine.
     pub machine: MachineSpec,
 }
 
 impl PostgresModel {
-    /// Creates the model.
+    /// Creates the model on the variant's own kernel.
     pub fn new(variant: PgVariant, read_only: bool) -> Self {
         Self {
             variant,
             read_only,
-            config: None,
-            machine: MachineSpec::paper(),
-        }
-    }
-
-    /// Creates the model for an arbitrary kernel fix subset, paired with
-    /// the modified PostgreSQL (the paper's PK application pairing).
-    pub fn with_config(config: KernelConfig, read_only: bool) -> Self {
-        Self {
-            variant: PgVariant::PkModPg,
-            read_only,
-            config: Some(config),
+            config: variant.kernel().config(48),
             machine: MachineSpec::paper(),
         }
     }
@@ -378,9 +368,11 @@ impl PostgresModel {
 
 impl WorkloadModel for PostgresModel {
     fn name(&self) -> String {
-        let kernel = match &self.config {
-            Some(cfg) => crate::common::config_label(cfg),
-            None => self.variant.label().to_string(),
+        // The figure legend names the application variant; an adaptive
+        // kernel has no legend line, so it shows its promoted-fix count.
+        let kernel = match self.config.personality() {
+            Personality::Adaptive => crate::common::config_label(&self.config),
+            _ => self.variant.label().to_string(),
         };
         format!(
             "PostgreSQL {}/{}",
@@ -398,17 +390,13 @@ impl WorkloadModel for PostgresModel {
         // The kernel-side lseek inode mutex: present until the atomic-
         // read fix removes it. The starvation-prone adaptive mutex gives
         // it a collapse term (knee ≈36 cores).
-        let lseek = match &self.config {
-            Some(cfg) => demand_unless(cfg, FixId::AtomicLseek, t * 0.028),
-            None if self.variant.kernel() == KernelChoice::Stock => t * 0.028,
-            None => 0.0,
-        };
+        let lseek = demand_unless(&self.config, FixId::AtomicLseek, t * 0.028);
         // The user-level lock manager. Unmodified: 16 partitions; heavy
         // for the read/write mix, light for read-only (which "makes
         // little use of row- and table-level locks"). Modified: 64× more
         // partitions plus the lock-free path.
         let lm_base = if self.read_only { t * 0.005 } else { t * 0.042 };
-        let lock_manager = if self.config.is_some() || self.variant.modified_pg() {
+        let lock_manager = if self.variant.modified_pg() {
             lm_base / 64.0
         } else {
             lm_base
@@ -421,12 +409,11 @@ impl WorkloadModel for PostgresModel {
         // Generation-2 growth station: each query's open/lseek cycle
         // still pays the reference walk per component; linear in cores,
         // it owns the stock curve past a few hundred cores.
-        let g = gen2_demand(t, 0.000_08, cores);
-        let path_walk = match &self.config {
-            Some(cfg) => demand_unless(cfg, FixId::RcuPathWalk, g),
-            None if self.variant.kernel() == KernelChoice::Stock => g,
-            None => 0.0,
-        };
+        let path_walk = demand_unless(
+            &self.config,
+            FixId::RcuPathWalk,
+            gen2_demand(t, 0.000_08, cores),
+        );
 
         let mut net = Network::new();
         net.push(Station::delay("user", user, false));

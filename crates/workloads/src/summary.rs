@@ -1,8 +1,8 @@
 //! Cross-application summaries: Figure 3 and Figure 12.
 
-use crate::common::KernelChoice;
-use crate::{apache, exim, gmake, memcached, metis, pedsort, postgres, roster};
-use pk_sim::{CoreSweep, MachineSpec, WorkloadModel};
+use crate::roster;
+use pk_kernel::Personality;
+use pk_sim::{CoreSweep, MachineSpec};
 
 /// One Figure-3 bar pair: per-core throughput at 48 cores relative to
 /// one core, before and after the modifications.
@@ -16,93 +16,31 @@ pub struct Figure3Bar {
     pub pk: f64,
 }
 
-/// Computes every Figure-3 bar.
-///
-/// "Before" and "after" follow the paper's pairings: pedsort's before is
-/// the threaded version and its after the round-robin process version
-/// (both on stock — the fix was in the application); Metis pairs 4 KB
-/// stock against 2 MB PK.
+/// Computes every Figure-3 bar on the paper machine.
 pub fn figure3(max_cores: usize) -> Vec<Figure3Bar> {
-    let ratio = |m: &dyn WorkloadModel| CoreSweep::figure3_ratio(m, max_cores);
-    vec![
-        Figure3Bar {
-            app: "Exim",
-            stock: ratio(&exim::EximModel::new(KernelChoice::Stock)),
-            pk: ratio(&exim::EximModel::new(KernelChoice::Pk)),
-        },
-        Figure3Bar {
-            app: "memcached",
-            stock: ratio(&memcached::MemcachedModel::new(KernelChoice::Stock)),
-            pk: ratio(&memcached::MemcachedModel::new(KernelChoice::Pk)),
-        },
-        Figure3Bar {
-            app: "Apache",
-            stock: ratio(&apache::ApacheModel::new(KernelChoice::Stock)),
-            pk: ratio(&apache::ApacheModel::new(KernelChoice::Pk)),
-        },
-        Figure3Bar {
-            app: "PostgreSQL",
-            stock: ratio(&postgres::PostgresModel::new(
-                postgres::PgVariant::Stock,
-                true,
-            )),
-            pk: ratio(&postgres::PostgresModel::new(
-                postgres::PgVariant::PkModPg,
-                true,
-            )),
-        },
-        Figure3Bar {
-            app: "gmake",
-            stock: ratio(&gmake::GmakeModel::new(KernelChoice::Stock)),
-            pk: ratio(&gmake::GmakeModel::new(KernelChoice::Pk)),
-        },
-        Figure3Bar {
-            app: "pedsort",
-            stock: ratio(&pedsort::PedsortModel::new(
-                pedsort::PedsortVariant::Threads,
-            )),
-            pk: ratio(&pedsort::PedsortModel::new(
-                pedsort::PedsortVariant::ProcsRoundRobin,
-            )),
-        },
-        Figure3Bar {
-            app: "Metis",
-            stock: ratio(&metis::MetisModel::new(
-                metis::MetisVariant::StockSmallPages,
-            )),
-            pk: ratio(&metis::MetisModel::new(metis::MetisVariant::PkSuperPages)),
-        },
-    ]
+    figure3_on(max_cores, MachineSpec::paper())
 }
 
 /// [`figure3`] on an arbitrary machine topology — the §7 "past 48
-/// cores" axis. The before/after pairings come from the roster's
-/// `KernelChoice` mapping, which encodes exactly the Figure-3 pairs
-/// (threaded vs. round-robin pedsort, 4 KB vs. 2 MB Metis, stock vs.
-/// modified PostgreSQL), so at the paper machine this agrees with
-/// [`figure3`] bar for bar.
+/// cores" axis. "Before" and "after" are the roster's stock and PK
+/// models, so the application side follows [`roster::pairing`]:
+/// pedsort's before is the threaded version and its after the
+/// round-robin process version (both on stock — the fix was in the
+/// application); Metis pairs 4 KB stock against 2 MB PK; PostgreSQL
+/// stock against PK with the modified lock manager.
 pub fn figure3_on(max_cores: usize, machine: MachineSpec) -> Vec<Figure3Bar> {
-    const PRETTY: [&str; 7] = [
-        "Exim",
-        "memcached",
-        "Apache",
-        "PostgreSQL",
-        "gmake",
-        "pedsort",
-        "Metis",
-    ];
     roster::NAMES
         .iter()
-        .zip(PRETTY)
-        .map(|(name, app)| {
-            let ratio = |choice| {
-                let m = roster::model_on(name, choice, machine).expect("roster name resolves");
+        .zip(APPS)
+        .map(|(name, (app, ..))| {
+            let ratio = |personality| {
+                let m = roster::model_on(name, personality, machine).expect("roster name resolves");
                 CoreSweep::figure3_ratio(m.as_ref(), max_cores)
             };
             Figure3Bar {
                 app,
-                stock: ratio(KernelChoice::Stock),
-                pk: ratio(KernelChoice::Pk),
+                stock: ratio(Personality::Stock),
+                pk: ratio(Personality::Pk),
             }
         })
         .collect()
@@ -131,75 +69,56 @@ pub struct Figure12Row {
     pub observed: String,
 }
 
-/// Derives Figure 12 from the models' own 48-core diagnostics.
+/// The roster's applications as the figures spell them, each with
+/// Figure 12's published attribution, in [`roster::NAMES`] order.
+const APPS: [(&str, BottleneckKind, &str); 7] = [
+    (
+        "Exim",
+        BottleneckKind::Application,
+        "App: Contention on spool directories",
+    ),
+    (
+        "memcached",
+        BottleneckKind::Hardware,
+        "HW: Transmit queues on NIC",
+    ),
+    (
+        "Apache",
+        BottleneckKind::Hardware,
+        "HW: Receive queues on NIC",
+    ),
+    (
+        "PostgreSQL",
+        BottleneckKind::Application,
+        "App: Application-level spin lock",
+    ),
+    (
+        "gmake",
+        BottleneckKind::Application,
+        "App: Serial stages and stragglers",
+    ),
+    ("pedsort", BottleneckKind::Hardware, "HW: Cache capacity"),
+    ("Metis", BottleneckKind::Hardware, "HW: DRAM throughput"),
+];
+
+/// Derives Figure 12 from the PK models' own 48-core diagnostics.
 pub fn figure12() -> Vec<Figure12Row> {
-    let at48 = |m: &dyn WorkloadModel| CoreSweep::point(m, 48);
-
-    let exim = at48(&exim::EximModel::new(KernelChoice::Pk));
-    let memcached = at48(&memcached::MemcachedModel::new(KernelChoice::Pk));
-    let apache = at48(&apache::ApacheModel::new(KernelChoice::Pk));
-    let postgres = at48(&postgres::PostgresModel::new(
-        postgres::PgVariant::PkModPg,
-        true,
-    ));
-    let gmake = at48(&gmake::GmakeModel::new(KernelChoice::Pk));
-    let pedsort = at48(&pedsort::PedsortModel::new(
-        pedsort::PedsortVariant::ProcsRoundRobin,
-    ));
-    let metis = at48(&metis::MetisModel::new(metis::MetisVariant::PkSuperPages));
-
-    let describe = |p: &pk_sim::SweepPoint| {
-        if p.hw_capped {
-            format!("hardware cap binds ({} uncapped)", p.bottleneck)
-        } else {
-            p.bottleneck.to_string()
-        }
-    };
-
-    vec![
-        Figure12Row {
-            app: "Exim",
-            kind: BottleneckKind::Application,
-            description: "App: Contention on spool directories",
-            observed: describe(&exim),
-        },
-        Figure12Row {
-            app: "memcached",
-            kind: BottleneckKind::Hardware,
-            description: "HW: Transmit queues on NIC",
-            observed: describe(&memcached),
-        },
-        Figure12Row {
-            app: "Apache",
-            kind: BottleneckKind::Hardware,
-            description: "HW: Receive queues on NIC",
-            observed: describe(&apache),
-        },
-        Figure12Row {
-            app: "PostgreSQL",
-            kind: BottleneckKind::Application,
-            description: "App: Application-level spin lock",
-            observed: describe(&postgres),
-        },
-        Figure12Row {
-            app: "gmake",
-            kind: BottleneckKind::Application,
-            description: "App: Serial stages and stragglers",
-            observed: describe(&gmake),
-        },
-        Figure12Row {
-            app: "pedsort",
-            kind: BottleneckKind::Hardware,
-            description: "HW: Cache capacity",
-            observed: describe(&pedsort),
-        },
-        Figure12Row {
-            app: "Metis",
-            kind: BottleneckKind::Hardware,
-            description: "HW: DRAM throughput",
-            observed: describe(&metis),
-        },
-    ]
+    (roster::NAMES.iter().zip(APPS))
+        .map(|(name, (app, kind, description))| {
+            let m = roster::model(name, Personality::Pk).expect("roster name resolves");
+            let p = CoreSweep::point(m.as_ref(), 48);
+            Figure12Row {
+                app,
+                kind,
+                description,
+                observed: if p.hw_capped {
+                    format!("hardware cap binds ({} uncapped)", p.bottleneck)
+                } else {
+                    p.bottleneck.to_string()
+                },
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

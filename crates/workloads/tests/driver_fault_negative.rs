@@ -10,14 +10,13 @@
 //! accounting) — a panic fails the test by failing the harness.
 
 use pk_fault::{FaultPlane, FaultSchedule};
-use pk_kernel::{Kernel, KernelError};
+use pk_kernel::{Kernel, KernelError, Personality};
 use pk_percpu::CoreId;
 use pk_workloads::exim::EximDriver;
 use pk_workloads::gmake::GmakeDriver;
 use pk_workloads::metis::{MetisDriver, MetisVariant};
 use pk_workloads::pedsort_indexer::{load_final_index, Indexer};
 use pk_workloads::postgres::{PgVariant, PostgresDriver};
-use pk_workloads::KernelChoice;
 use std::sync::Arc;
 
 /// A plane that fails every Nth check at the named points.
@@ -35,7 +34,7 @@ fn exim_boot_survives_dentry_alloc_faults() {
     // Arm the plane *before* construction: the spool layout itself now
     // propagates instead of panicking on "spool layout".
     let faults = plane(11, 3, &["vfs.dentry_alloc"]);
-    match EximDriver::with_faults(KernelChoice::Pk, 4, faults) {
+    match EximDriver::with_faults(Personality::Pk, 4, faults) {
         // EveryNth(3) across 60+ mkdirs must trip at least once.
         Ok(_) => panic!("boot was expected to hit an injected fault"),
         Err(e) => assert!(e.is_transient(), "ENOMEM is transient: {e}"),
@@ -44,7 +43,7 @@ fn exim_boot_survives_dentry_alloc_faults() {
 
 #[test]
 fn exim_delivery_absorbs_midstream_faults() {
-    for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+    for choice in [Personality::Stock, Personality::Pk] {
         // Boot fault-free, then arm: failures land mid-delivery.
         let faults = Arc::new(FaultPlane::with_seed(7));
         let d = EximDriver::with_faults(choice, 4, Arc::clone(&faults)).unwrap();
@@ -134,7 +133,7 @@ fn pedsort_driver_index_file_fails_typed_under_alloc_faults() {
     // Boot fault-free, then arm: failures land inside index_file's
     // mmap/touch/write/munmap path, which used to `expect()` each one.
     let faults = Arc::new(FaultPlane::with_seed(31));
-    let d = PedsortDriver::with_faults(KernelChoice::Pk, 2, 12, true, Arc::clone(&faults)).unwrap();
+    let d = PedsortDriver::with_faults(Personality::Pk, 2, 12, true, Arc::clone(&faults)).unwrap();
     faults.set("mm.alloc_enomem", FaultSchedule::EveryNth(3));
     faults.set("vfs.dentry_alloc", FaultSchedule::EveryNth(3));
     faults.enable();
@@ -157,7 +156,7 @@ fn pedsort_driver_index_file_fails_typed_under_alloc_faults() {
 fn pedsort_driver_boot_fails_typed_under_dentry_faults() {
     use pk_workloads::pedsort::PedsortDriver;
     let faults = plane(37, 3, &["vfs.dentry_alloc"]);
-    match PedsortDriver::with_faults(KernelChoice::Pk, 2, 24, false, faults) {
+    match PedsortDriver::with_faults(Personality::Pk, 2, 24, false, faults) {
         Ok(_) => panic!("corpus population was expected to hit an injected fault"),
         Err(e) => assert!(e.is_transient(), "ENOMEM is transient: {e}"),
     }
@@ -167,7 +166,7 @@ fn pedsort_driver_boot_fails_typed_under_dentry_faults() {
 fn pedsort_run_fails_typed_under_alloc_faults() {
     let faults = Arc::new(FaultPlane::with_seed(23));
     let kernel = Arc::new(Kernel::with_faults(
-        KernelChoice::Pk.config(4),
+        Personality::Pk.config(4),
         Arc::clone(&faults),
     ));
     let core = CoreId(0);
@@ -200,7 +199,7 @@ fn gmake_compile_fails_typed_under_fork_faults() {
     // Boot fault-free, then make every other fork fail with EAGAIN —
     // the path that used to `expect("fork cc")` inside `compile`.
     let faults = Arc::new(FaultPlane::with_seed(31));
-    let d = GmakeDriver::with_faults(KernelChoice::Pk, 4, 8, Arc::clone(&faults)).unwrap();
+    let d = GmakeDriver::with_faults(Personality::Pk, 4, 8, Arc::clone(&faults)).unwrap();
     faults.set("proc.fork_fail", FaultSchedule::EveryNth(2));
     faults.enable();
     let mut failed = 0;
@@ -245,7 +244,7 @@ fn metis_job_fails_typed_under_alloc_faults() {
 
 #[test]
 fn corrupt_index_surfaces_as_typed_error() {
-    let kernel = Arc::new(Kernel::new(KernelChoice::Pk.config(2)));
+    let kernel = Arc::new(Kernel::new(Personality::Pk.config(2)));
     let core = CoreId(0);
     kernel.vfs().mkdir_p("/out", core).unwrap();
     // A chunk whose line has no term/postings tab: the deserializer

@@ -3,13 +3,13 @@
 //!
 //! Run with: `cargo run --example keyvalue`
 
+use mosbench::kernel::Personality;
 use mosbench::workloads::memcached::MemcachedDriver;
-use mosbench::workloads::KernelChoice;
 use std::sync::atomic::Ordering;
 
-fn run(choice: KernelChoice) {
-    println!("--- {} kernel ---", choice.label());
-    let driver = MemcachedDriver::new(choice, 4);
+fn run(personality: Personality) {
+    println!("--- {} kernel ---", personality.legend());
+    let driver = MemcachedDriver::new(personality, 4);
 
     // 20 clients send batches of 20 requests, spread deterministically
     // over the 4 per-core instances (as the paper's clients do).
@@ -46,8 +46,8 @@ fn run(choice: KernelChoice) {
 
 fn main() {
     println!("memcached-style key-value serving, stock vs PK (4 cores)\n");
-    run(KernelChoice::Stock);
-    run(KernelChoice::Pk);
+    run(Personality::Stock);
+    run(Personality::Pk);
     println!(
         "PK allocates buffers from per-core pools on the local NUMA node \
          and counts dst_entry references sloppily."

@@ -9,15 +9,15 @@
 //! difference is the whole point of the paper: the PK kernel does the
 //! same work while barely touching shared lines.
 
+use mosbench::kernel::Personality;
 use mosbench::percpu::CoreId;
 use mosbench::workloads::exim::EximDriver;
-use mosbench::workloads::KernelChoice;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-fn run(choice: KernelChoice) {
-    println!("--- {} kernel ---", choice.label());
-    let driver = Arc::new(EximDriver::new(choice, 4).expect("boot exim"));
+fn run(personality: Personality) {
+    println!("--- {} kernel ---", personality.legend());
+    let driver = Arc::new(EximDriver::new(personality, 4).expect("boot exim"));
 
     // Four "SMTP client" threads, each hammering its own core with
     // connections (10 messages per connection, like the paper's driver).
@@ -62,8 +62,8 @@ fn run(choice: KernelChoice) {
 
 fn main() {
     println!("Exim-style mail delivery, stock vs PK (4 cores, 20 connections)\n");
-    run(KernelChoice::Stock);
-    run(KernelChoice::Pk);
+    run(Personality::Stock);
+    run(Personality::Pk);
     println!(
         "Same mail, same syscalls — the PK kernel routes nearly all of the \
          bookkeeping through per-core structures."

@@ -3,13 +3,13 @@
 //!
 //! Run with: `cargo run --example webserver`
 
+use mosbench::kernel::Personality;
 use mosbench::workloads::apache::ApacheDriver;
-use mosbench::workloads::KernelChoice;
 use std::sync::atomic::Ordering;
 
-fn run(choice: KernelChoice, connections: u32) {
-    println!("--- {} kernel ---", choice.label());
-    let driver = ApacheDriver::new(choice, 4);
+fn run(personality: Personality, connections: u32) {
+    println!("--- {} kernel ---", personality.legend());
+    let driver = ApacheDriver::new(personality, 4);
 
     // Clients connect; the NIC steers each handshake to a core's queue.
     for i in 0..connections {
@@ -53,8 +53,8 @@ fn run(choice: KernelChoice, connections: u32) {
 
 fn main() {
     println!("Apache-style static file serving, stock vs PK (4 cores)\n");
-    run(KernelChoice::Stock, 200);
-    run(KernelChoice::Pk, 200);
+    run(Personality::Stock, 200);
+    run(Personality::Pk, 200);
     println!(
         "With per-core backlogs + hash flow steering, a connection is \
          accepted and processed on the core its packets arrive on."

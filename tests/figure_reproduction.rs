@@ -1,9 +1,8 @@
 //! End-to-end checks that the harness reproduces every figure's headline
 //! claims, and that regeneration is fully deterministic.
 
-use mosbench::workloads::{
-    apache, exim, gmake, memcached, metis, pedsort, postgres, summary, KernelChoice,
-};
+use mosbench::kernel::Personality;
+use mosbench::workloads::{apache, exim, gmake, memcached, metis, pedsort, postgres, summary};
 
 /// The paper's one-sentence summary of Figure 3: "except for gmake, all
 /// applications trigger scalability bottlenecks inside a recent Linux
@@ -55,12 +54,38 @@ fn figure3_claims_past_48_cores() {
             (cores, summary::figure3_on(cores, machine))
         })
         .collect();
-    // At the paper machine the topology-parameterized path must agree
-    // with the hardwired Figure-3 pairings bar for bar.
-    for (a, b) in summary::figure3(48).iter().zip(sweeps[0].1.iter()) {
-        assert_eq!(a.app, b.app);
-        assert_eq!(a.stock, b.stock, "{}: stock pairing drifted", a.app);
-        assert_eq!(a.pk, b.pk, "{}: pk pairing drifted", a.app);
+    // The bars come from the roster, so the paper's before/after
+    // application pairing is whatever `roster::pairing` says. Pin it:
+    // each paired bar must equal the figure's own variant model, bit
+    // for bit.
+    {
+        use metis::MetisVariant::{PkSuperPages, StockSmallPages};
+        use mosbench::sim::{CoreSweep, WorkloadModel};
+        use pedsort::PedsortVariant::{ProcsRoundRobin, Threads};
+        use postgres::PgVariant;
+        let ratio = |m: &dyn WorkloadModel| CoreSweep::figure3_ratio(m, 48);
+        let paired = [
+            (
+                "PostgreSQL",
+                ratio(&postgres::PostgresModel::new(PgVariant::Stock, true)),
+                ratio(&postgres::PostgresModel::new(PgVariant::PkModPg, true)),
+            ),
+            (
+                "pedsort",
+                ratio(&pedsort::PedsortModel::new(Threads)),
+                ratio(&pedsort::PedsortModel::new(ProcsRoundRobin)),
+            ),
+            (
+                "Metis",
+                ratio(&metis::MetisModel::new(StockSmallPages)),
+                ratio(&metis::MetisModel::new(PkSuperPages)),
+            ),
+        ];
+        for (app, before, after) in paired {
+            let bar = sweeps[0].1.iter().find(|b| b.app == app).unwrap();
+            assert_eq!(bar.stock, before, "{app}: stock pairing drifted");
+            assert_eq!(bar.pk, after, "{app}: pk pairing drifted");
+        }
     }
     for (i, (cores, bars)) in sweeps.iter().enumerate() {
         for (j, b) in bars.iter().enumerate() {
@@ -117,9 +142,9 @@ fn figure3_claims_past_48_cores() {
 #[test]
 fn stock_kernels_do_less_work_per_core() {
     for (name, sweep) in [
-        ("exim", exim::figure4(KernelChoice::Stock)),
-        ("memcached", memcached::figure5(KernelChoice::Stock)),
-        ("apache", apache::figure6(KernelChoice::Stock)),
+        ("exim", exim::figure4(Personality::Stock)),
+        ("memcached", memcached::figure5(Personality::Stock)),
+        ("apache", apache::figure6(Personality::Stock)),
         (
             "postgres",
             postgres::figure(postgres::PgVariant::Stock, true),
@@ -134,7 +159,7 @@ fn stock_kernels_do_less_work_per_core() {
 #[test]
 fn crossover_positions() {
     // Exim stock collapses in the teens of cores.
-    let exim_stock = exim::figure4(KernelChoice::Stock);
+    let exim_stock = exim::figure4(Personality::Stock);
     let peak = exim_stock
         .iter()
         .max_by(|a, b| a.total_per_sec.total_cmp(&b.total_per_sec))
@@ -145,14 +170,14 @@ fn crossover_positions() {
         peak.cores
     );
     // memcached PK's per-core knee is at/before 16 cores (the card).
-    let mc_pk = memcached::figure5(KernelChoice::Pk);
+    let mc_pk = memcached::figure5(Personality::Pk);
     let knee = mc_pk
         .iter()
         .max_by(|a, b| a.per_core_per_sec.total_cmp(&b.per_core_per_sec))
         .unwrap();
     assert!(knee.cores <= 16);
     // Apache PK total throughput peaks near 36 (RX FIFO overflow).
-    let ap_pk = apache::figure6(KernelChoice::Pk);
+    let ap_pk = apache::figure6(Personality::Pk);
     let ap_peak = ap_pk
         .iter()
         .max_by(|a, b| a.total_per_sec.total_cmp(&b.total_per_sec))
@@ -166,7 +191,7 @@ fn crossover_positions() {
         .unwrap();
     assert!((24..=44).contains(&pg_peak.cores));
     // gmake speedup ≈35× on both kernels.
-    for choice in [KernelChoice::Stock, KernelChoice::Pk] {
+    for choice in [Personality::Stock, Personality::Pk] {
         let g = gmake::figure9(choice);
         let speedup = g.last().unwrap().total_per_sec / g[0].total_per_sec;
         assert!((32.0..38.0).contains(&speedup));
@@ -217,7 +242,7 @@ fn dominant_fix_is_load_bearing() {
     use mosbench::kernel::{FixId, KernelConfig};
     use mosbench::sim::{CoreSweep, WorkloadModel};
     let ratio = |m: &dyn WorkloadModel| CoreSweep::figure3_ratio(m, 48);
-    let pk = ratio(&exim::EximModel::new(KernelChoice::Pk));
+    let pk = ratio(&exim::EximModel::new(Personality::Pk));
     let without_vfsmount = ratio(&exim::EximModel::with_config(
         KernelConfig::pk(48).with_fix(FixId::PerCoreMountCache, false),
     ));
@@ -239,8 +264,8 @@ fn regeneration_is_deterministic() {
         assert!((x.stock - y.stock).abs() == 0.0);
         assert!((x.pk - y.pk).abs() == 0.0);
     }
-    let s1 = exim::figure4(KernelChoice::Pk);
-    let s2 = exim::figure4(KernelChoice::Pk);
+    let s1 = exim::figure4(Personality::Pk);
+    let s2 = exim::figure4(Personality::Pk);
     for (p, q) in s1.iter().zip(s2.iter()) {
         assert_eq!(p.per_core_per_sec, q.per_core_per_sec);
         assert_eq!(p.system_usec, q.system_usec);
@@ -254,10 +279,10 @@ fn one_core_time_accounting_balances() {
     use mosbench::sim::{CoreSweep, MachineSpec, WorkloadModel};
     let machine = MachineSpec::paper();
     let models: Vec<Box<dyn WorkloadModel>> = vec![
-        Box::new(exim::EximModel::new(KernelChoice::Pk)),
-        Box::new(memcached::MemcachedModel::new(KernelChoice::Pk)),
-        Box::new(apache::ApacheModel::new(KernelChoice::Pk)),
-        Box::new(gmake::GmakeModel::new(KernelChoice::Pk)),
+        Box::new(exim::EximModel::new(Personality::Pk)),
+        Box::new(memcached::MemcachedModel::new(Personality::Pk)),
+        Box::new(apache::ApacheModel::new(Personality::Pk)),
+        Box::new(gmake::GmakeModel::new(Personality::Pk)),
     ];
     for m in models {
         let p = CoreSweep::point(m.as_ref(), 1);
