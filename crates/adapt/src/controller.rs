@@ -15,7 +15,8 @@
 //! logs, which is what lets CI assert on the controller's behaviour.
 
 use pk_kernel::{fix_for_class, FixId, KernelConfig};
-use pk_sim::{des, Network};
+use pk_sim::des::{self, DesResult};
+use pk_sim::Network;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -35,7 +36,7 @@ pub struct AdaptPolicy {
     /// Consecutive decision-free epochs after which the controller
     /// declares convergence.
     pub settle_epochs: u32,
-    /// Hard epoch cap for [`AdaptController::converge_des`].
+    /// Hard epoch cap for [`AdaptController::converge_with`].
     pub max_epochs: u32,
     /// DES operations per core per measurement epoch.
     pub ops_per_core: u64,
@@ -66,6 +67,24 @@ pub struct Observation {
     pub share_bp: u64,
 }
 
+impl Observation {
+    /// One observation per classed station of `net`: its residence
+    /// (service demand + mean queueing wait in `result`) as a share of
+    /// the run's cycles/op.
+    pub fn from_des(net: &Network, result: &DesResult) -> Vec<Self> {
+        net.stations()
+            .iter()
+            .enumerate()
+            .filter_map(|(j, st)| {
+                let class = st.class?;
+                let residence = st.demand_cycles + result.mean_wait_cycles[j];
+                let share_bp = (residence / result.cycles_per_op * 10_000.0).round() as u64;
+                Some(Self { class, share_bp })
+            })
+            .collect()
+    }
+}
+
 /// One policy change the controller committed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decision {
@@ -92,7 +111,7 @@ struct KnobState {
     direction_changes: u32,
 }
 
-/// Result of running the controller to convergence over the DES.
+/// Result of running the controller to convergence.
 #[derive(Debug, Clone)]
 pub struct ConvergeOutcome {
     /// The final (post-adaptation) kernel configuration.
@@ -119,8 +138,9 @@ impl ConvergeOutcome {
 ///
 /// Workload-agnostic by construction: it sees only classed stations and
 /// the fix registry, never workload names. Feed it observations
-/// directly ([`AdaptController::observe`]) or let it measure through
-/// the DES ([`AdaptController::converge_des`]).
+/// directly ([`AdaptController::observe`]), hand it a measurement
+/// closure ([`AdaptController::converge_with`]) or let it measure
+/// through the DES ([`AdaptController::converge_des`]).
 #[derive(Debug)]
 pub struct AdaptController {
     policy: AdaptPolicy,
@@ -166,11 +186,6 @@ impl AdaptController {
     /// The controller's current configuration (fixes flipped so far).
     pub fn config(&self) -> KernelConfig {
         self.config
-    }
-
-    /// Epochs observed so far.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
     }
 
     /// The full decision log, in commit order.
@@ -237,39 +252,20 @@ impl AdaptController {
         made
     }
 
-    /// Measures one epoch through the DES: builds the network for the
-    /// current config, simulates it at this epoch's derived seed, and
-    /// returns the per-class residence shares.
-    fn measure<F>(&self, build: &F, cores: usize) -> Vec<Observation>
-    where
-        F: Fn(&KernelConfig) -> Network,
-    {
-        let net = build(&self.config);
-        let epoch_seed = splitmix64(self.seed ^ u64::from(self.epoch).wrapping_mul(0xA5A5_A5A5));
-        let r = des::simulate(&net, cores, self.policy.ops_per_core, epoch_seed);
-        let mut obs = Vec::new();
-        for (j, st) in net.stations().iter().enumerate() {
-            let Some(class) = st.class else { continue };
-            let residence = st.demand_cycles + r.mean_wait_cycles[j];
-            let share_bp = (residence / r.cycles_per_op * 10_000.0).round() as u64;
-            obs.push(Observation { class, share_bp });
-        }
-        obs
-    }
-
     /// Runs measure→observe epochs until the policy settles (no
     /// decision for `settle_epochs` consecutive epochs) or `max_epochs`
-    /// is hit. `build` lowers a config to the workload's queueing
-    /// network — the only workload-specific input, supplied by the
-    /// caller so this crate stays workload-agnostic.
-    pub fn converge_des<F>(mut self, build: F, cores: usize) -> ConvergeOutcome
-    where
-        F: Fn(&KernelConfig) -> Network,
-    {
+    /// is hit. `measure` gets the current config and the number of
+    /// epochs observed so far (0-based), and returns that epoch's
+    /// observations — how they are produced (which engine, which seed,
+    /// with or without injected faults) is the caller's business.
+    pub fn converge_with(
+        mut self,
+        mut measure: impl FnMut(&KernelConfig, u32) -> Vec<Observation>,
+    ) -> ConvergeOutcome {
         let mut quiet = 0u32;
         let mut converged = false;
         while self.epoch < self.policy.max_epochs {
-            let observations = self.measure(&build, cores);
+            let observations = measure(&self.config, self.epoch);
             let made = self.observe(&observations);
             if made.is_empty() {
                 quiet += 1;
@@ -293,6 +289,24 @@ impl AdaptController {
             decisions: self.log,
             direction_changes,
         }
+    }
+
+    /// [`Self::converge_with`] measuring through the fault-free DES at
+    /// a per-epoch seed derived from the controller's. `build` lowers a
+    /// config to the workload's queueing network — the only
+    /// workload-specific input, supplied by the caller so this crate
+    /// stays workload-agnostic.
+    pub fn converge_des<F>(self, build: F, cores: usize) -> ConvergeOutcome
+    where
+        F: Fn(&KernelConfig) -> Network,
+    {
+        let (seed, ops_per_core) = (self.seed, self.policy.ops_per_core);
+        self.converge_with(|config, epoch| {
+            let net = build(config);
+            let epoch_seed = splitmix64(seed ^ u64::from(epoch).wrapping_mul(0xA5A5_A5A5));
+            let r = des::simulate(&net, cores, ops_per_core, epoch_seed);
+            Observation::from_des(&net, &r)
+        })
     }
 
     /// Renders the decision log as JSON lines (one object per

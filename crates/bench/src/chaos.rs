@@ -545,51 +545,27 @@ pub fn adaptive_chaos(cores: usize, seed: u64) -> Vec<AdaptiveChaosRow> {
 
             // Faulted convergence: same controller semantics, but every
             // epoch's measurement runs under armed scheduler faults.
-            let mut ctl = AdaptController::new(KernelConfig::adaptive(cores), policy, seed);
             let mut faults_injected = 0u64;
-            let mut quiet = 0u32;
-            let mut converged = false;
-            let mut flips: std::collections::BTreeMap<&'static str, (bool, u32)> =
-                std::collections::BTreeMap::new();
-            while ctl.epoch() < policy.max_epochs {
-                let net = build(&ctl.config());
-                let epoch_seed = seed ^ (u64::from(ctl.epoch()) + 1).wrapping_mul(0x9E37_79B9);
-                let plane = FaultPlane::with_seed(epoch_seed);
-                plane.set("sim.lock_holder_preempt", FaultSchedule::EveryNth(211));
-                plane.set("sim.core_stall", FaultSchedule::EveryNth(389));
-                plane.enable();
-                let r =
-                    des::simulate_with_faults(&net, cores, policy.ops_per_core, epoch_seed, &plane);
-                faults_injected += plane.injected_total();
-                let observations: Vec<Observation> = net
-                    .stations()
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(j, st)| {
-                        let class = st.class?;
-                        let residence = st.demand_cycles + r.mean_wait_cycles[j];
-                        let share_bp = (residence / r.cycles_per_op * 10_000.0).round() as u64;
-                        Some(Observation { class, share_bp })
-                    })
-                    .collect();
-                let made = ctl.observe(&observations);
-                for d in &made {
-                    let e = flips.entry(d.class).or_insert((d.enabled, 0));
-                    e.0 = d.enabled;
-                    e.1 += 1;
-                }
-                if made.is_empty() {
-                    quiet += 1;
-                    if quiet >= policy.settle_epochs {
-                        converged = true;
-                        break;
-                    }
-                } else {
-                    quiet = 0;
-                }
-            }
-            let max_flips = flips.values().map(|(_, n)| *n).max().unwrap_or(0);
-            let final_config = ctl.config();
+            let out = AdaptController::new(KernelConfig::adaptive(cores), policy, seed)
+                .converge_with(|cfg, epoch| {
+                    let net = build(cfg);
+                    let epoch_seed = seed ^ (u64::from(epoch) + 1).wrapping_mul(0x9E37_79B9);
+                    let plane = FaultPlane::with_seed(epoch_seed);
+                    plane.set("sim.lock_holder_preempt", FaultSchedule::EveryNth(211));
+                    plane.set("sim.core_stall", FaultSchedule::EveryNth(389));
+                    plane.enable();
+                    let r = des::simulate_with_faults(
+                        &net,
+                        cores,
+                        policy.ops_per_core,
+                        epoch_seed,
+                        &plane,
+                    );
+                    faults_injected += plane.injected_total();
+                    Observation::from_des(&net, &r)
+                });
+            let (converged, max_flips) = (out.converged, out.max_direction_changes());
+            let final_config = out.config;
 
             // Judge both configs fault-free over the same seeded run.
             let clean_tput =
@@ -621,7 +597,7 @@ pub fn adaptive_chaos(cores: usize, seed: u64) -> Vec<AdaptiveChaosRow> {
                 workload: name,
                 clean_promoted: clean.config.enabled_count(),
                 faulted_promoted: final_config.enabled_count(),
-                epochs: ctl.epoch(),
+                epochs: out.epochs,
                 converged,
                 max_flips,
                 faults_injected,

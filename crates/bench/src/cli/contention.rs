@@ -152,12 +152,6 @@ mod tests {
             let driver = functional_exim(p, 2);
             assert_eq!(driver.kernel().config().personality(), p);
             assert!(driver.delivered() > 0);
-            // Adaptive is not stock under another name: its sloppy refs
-            // are allocated, degraded to central, for promotion.
-            assert_eq!(
-                driver.kernel().config().vfs().refs_start_degraded,
-                p == Personality::Adaptive
-            );
         }
     }
 }

@@ -146,28 +146,6 @@ impl SloppyRefCount {
     pub fn op_counts(&self) -> (u64, u64) {
         self.counter.op_counts()
     }
-
-    /// Degrades the backing counter to central-only mode (see
-    /// [`SloppyCounter::degrade_to_central`]).
-    pub fn degrade_to_central(&self) {
-        self.counter.degrade_to_central();
-    }
-
-    /// Resumes per-core banking (see [`SloppyCounter::restore_per_core`]).
-    pub fn restore_per_core(&self) {
-        self.counter.restore_per_core();
-    }
-
-    /// Whether the backing counter is in degraded (central-only) mode.
-    pub fn is_degraded(&self) -> bool {
-        self.counter.is_degraded()
-    }
-
-    /// Retunes the backing counter's banking threshold (see
-    /// [`SloppyCounter::set_threshold`]).
-    pub fn set_threshold(&self, threshold: i64) {
-        self.counter.set_threshold(threshold);
-    }
 }
 
 /// A SNZI-tree reference count: the generation-2 (§7) backing for
@@ -255,22 +233,6 @@ impl SnziRefCount {
     /// `(central_ops, local_ops)` from the underlying tree.
     pub fn op_counts(&self) -> (u64, u64) {
         self.counter.op_counts()
-    }
-
-    /// Degrades the tree to central-only mode (see
-    /// [`Snzi::degrade_to_central`]).
-    pub fn degrade_to_central(&self) {
-        self.counter.degrade_to_central();
-    }
-
-    /// Resumes per-core leaf updates (see [`Snzi::restore_per_core`]).
-    pub fn restore_per_core(&self) {
-        self.counter.restore_per_core();
-    }
-
-    /// Whether the tree is in degraded (central-only) mode.
-    pub fn is_degraded(&self) -> bool {
-        self.counter.is_degraded()
     }
 }
 
@@ -412,46 +374,6 @@ impl RefCount {
             Self::Snzi(rc) => rc.op_counts(),
         }
     }
-
-    /// Returns whether this refcount is sloppy-backed.
-    pub fn is_sloppy(&self) -> bool {
-        matches!(self, Self::Sloppy(_))
-    }
-
-    /// Sets whether per-core banking is live on a sloppy-backed
-    /// refcount: `true` restores per-core banks, `false` degrades to
-    /// central-only mode. A no-op on the atomic variant, which has no
-    /// banks — this is the promotion lever `pk-adapt` pulls, and it has
-    /// to be safe to aim at any object.
-    pub fn set_banking(&self, enabled: bool) {
-        match self {
-            Self::Atomic { .. } => {}
-            Self::Sloppy(rc) => {
-                if enabled {
-                    rc.restore_per_core();
-                } else {
-                    rc.degrade_to_central();
-                }
-            }
-            Self::Snzi(rc) => {
-                if enabled {
-                    rc.restore_per_core();
-                } else {
-                    rc.degrade_to_central();
-                }
-            }
-        }
-    }
-
-    /// Whether get/put currently bounce a shared cache line: true for
-    /// the atomic variant and for a degraded sloppy counter or tree.
-    pub fn is_central_only(&self) -> bool {
-        match self {
-            Self::Atomic { .. } => true,
-            Self::Sloppy(rc) => rc.is_degraded(),
-            Self::Snzi(rc) => rc.is_degraded(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -512,23 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn banking_lever_flips_sloppy_and_ignores_atomic() {
-        let rc = RefCount::new_sloppy(4);
-        assert!(!rc.is_central_only());
-        rc.set_banking(false);
-        assert!(rc.is_central_only());
-        rc.get(CoreId(2)).unwrap();
-        rc.put(CoreId(2));
-        rc.set_banking(true);
-        assert!(!rc.is_central_only());
-        assert_eq!(rc.references(), 1);
-
-        let atomic = RefCount::new_atomic();
-        atomic.set_banking(true); // no-op, must not panic
-        assert!(atomic.is_central_only());
-    }
-
-    #[test]
     fn snzi_refcount_mirrors_sloppy_lifecycle() {
         let rc = SnziRefCount::new(16, 4);
         assert_eq!(rc.references(), 1);
@@ -544,19 +449,14 @@ mod tests {
     }
 
     #[test]
-    fn refcount_snzi_variant_wires_the_lever() {
+    fn new_scaled_picks_backing_by_fix_generation() {
         let rc = RefCount::new_scaled(true, true, 16, 4);
         assert!(matches!(rc, RefCount::Snzi(_)));
-        assert!(!rc.is_central_only());
-        rc.set_banking(false);
-        assert!(rc.is_central_only());
         rc.get(CoreId(9)).unwrap();
         rc.put(CoreId(2));
-        rc.set_banking(true);
-        assert!(!rc.is_central_only());
         assert_eq!(rc.references(), 1);
-        // Selection table: sloppy without the gen-2 flag stays sloppy,
-        // no sloppy at all stays atomic whatever the snzi flag says.
+        // Sloppy without the gen-2 flag stays sloppy, no sloppy at all
+        // stays atomic whatever the snzi flag says.
         assert!(matches!(
             RefCount::new_scaled(true, false, 8, 2),
             RefCount::Sloppy(_)

@@ -1,7 +1,7 @@
 //! The sloppy counter (paper §4.3).
 
 use pk_percpu::{CoreId, PerCore};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Tuning parameters for a [`SloppyCounter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,19 +62,8 @@ pub struct SloppyCounter {
     central: AtomicI64,
     local: PerCore<AtomicI64>,
     config: SloppyConfig,
-    /// Live copy of `config.threshold`, runtime-tunable: `pk-adapt`
-    /// retunes it from observed drift-vs-contention ratios while other
-    /// cores keep acquiring/releasing. Reads are Relaxed — a stale
-    /// threshold only shifts *when* excess is returned, never the
-    /// `central = in_use + spares` invariant.
-    threshold: AtomicI64,
     central_ops: AtomicU64,
     local_ops: AtomicU64,
-    /// When set, per-core banking is bypassed and every operation goes
-    /// straight to the central counter (graceful degradation when
-    /// per-core state is unavailable — e.g. under injected memory
-    /// pressure). Slower, never wrong.
-    degraded: AtomicBool,
 }
 
 impl SloppyCounter {
@@ -95,10 +84,8 @@ impl SloppyCounter {
             central: AtomicI64::new(0),
             local: PerCore::new_with(cores, |_| AtomicI64::new(0)),
             config,
-            threshold: AtomicI64::new(config.threshold),
             central_ops: AtomicU64::new(0),
             local_ops: AtomicU64::new(0),
-            degraded: AtomicBool::new(false),
         }
     }
 
@@ -118,11 +105,6 @@ impl SloppyCounter {
     /// Panics if `v < 0`.
     pub fn acquire(&self, core: CoreId, v: i64) {
         assert!(v >= 0, "acquire amount must be non-negative");
-        if self.degraded.load(Ordering::Acquire) {
-            self.central.fetch_add(v, Ordering::AcqRel);
-            self.central_ops.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
         pk_lockdep::check_percore_mutation("sloppy.counter.bank", core.index());
         let slot = self.local.get(core);
         // Try to decrement the per-core counter by `v`; succeed only if it
@@ -162,7 +144,7 @@ impl SloppyCounter {
     /// same spares, and a concurrent `acquire` draining the slot simply
     /// shrinks (or cancels) the claim.
     fn return_excess(&self, slot: &AtomicI64, after: i64) {
-        let threshold = self.threshold.load(Ordering::Relaxed);
+        let threshold = self.config.threshold;
         if after <= threshold {
             return;
         }
@@ -195,11 +177,6 @@ impl SloppyCounter {
     /// Panics if `v < 0`.
     pub fn release(&self, core: CoreId, v: i64) {
         assert!(v >= 0, "release amount must be non-negative");
-        if self.degraded.load(Ordering::Acquire) {
-            self.central.fetch_sub(v, Ordering::AcqRel);
-            self.central_ops.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
         pk_lockdep::check_percore_mutation("sloppy.counter.bank", core.index());
         let slot = self.local.get(core);
         let after = slot.fetch_add(v, Ordering::AcqRel) + v;
@@ -248,34 +225,6 @@ impl SloppyCounter {
         self.central()
     }
 
-    /// Switches the counter to degraded (central-only) mode.
-    ///
-    /// The first caller to degrade also reconciles: banked spares are
-    /// flushed back to the central counter so that, while degraded,
-    /// `central` tracks [`Self::in_use`] exactly. Every subsequent
-    /// `acquire`/`release` then hits the shared cache line — the
-    /// pre-sloppy-counter behaviour — which is slow but has no per-core
-    /// state to lose. Idempotent and safe to call concurrently.
-    pub fn degrade_to_central(&self) {
-        if !self.degraded.swap(true, Ordering::AcqRel) {
-            self.reconcile();
-        }
-    }
-
-    /// Leaves degraded mode, resuming per-core banking.
-    ///
-    /// No reconciliation is needed on the way back: degraded mode never
-    /// creates spares, so the invariant `central = in_use + spares`
-    /// already holds when banking resumes.
-    pub fn restore_per_core(&self) {
-        self.degraded.store(false, Ordering::Release);
-    }
-
-    /// Reports whether the counter is running in degraded mode.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Acquire)
-    }
-
     /// Returns `(central_ops, local_ops)`: how many operations hit the
     /// shared cache line versus stayed core-local. The whole point of the
     /// technique is to make the first number small.
@@ -286,31 +235,9 @@ impl SloppyCounter {
         )
     }
 
-    /// Returns the tuning configuration, with the *current* (possibly
-    /// retuned) threshold.
+    /// Returns the tuning configuration.
     pub fn config(&self) -> SloppyConfig {
-        SloppyConfig {
-            threshold: self.threshold.load(Ordering::Relaxed),
-            prefetch: self.config.prefetch,
-        }
-    }
-
-    /// Retunes the spare-banking threshold at runtime.
-    ///
-    /// Raising it banks more spares per core (fewer central ops, more
-    /// slop in `central`); lowering it drains banks toward central on
-    /// each subsequent release. Safe to call concurrently with
-    /// operations on any core: the threshold only decides when excess
-    /// is returned, so the counter invariant is unaffected. Lowering
-    /// does not eagerly flush existing banks — the next release on each
-    /// core does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold < 0`.
-    pub fn set_threshold(&self, threshold: i64) {
-        assert!(threshold >= 0, "threshold must be non-negative");
-        self.threshold.store(threshold, Ordering::Relaxed);
+        self.config
     }
 }
 
@@ -515,84 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn degrade_reconciles_and_routes_centrally() {
-        let c = SloppyCounter::new(2);
-        c.acquire(CoreId(0), 3);
-        c.release(CoreId(0), 2); // 2 banked spares
-        assert_eq!(c.spares(), 2);
-        assert!(!c.is_degraded());
-
-        c.degrade_to_central();
-        assert!(c.is_degraded());
-        assert_eq!(c.spares(), 0, "degrading must flush banked spares");
-        assert_eq!(c.central(), 1, "central tracks in_use exactly");
-
-        // Every op now hits the central counter, never the (empty) banks.
-        let (central_before, local_before) = c.op_counts();
-        c.acquire(CoreId(0), 1);
-        c.release(CoreId(0), 1);
-        c.release(CoreId(0), 1); // would have banked a spare pre-degrade
-        let (central_after, local_after) = c.op_counts();
-        assert_eq!(central_after, central_before + 3);
-        assert_eq!(local_after, local_before);
-        assert_eq!(c.spares(), 0);
-        assert_invariant(&c, 0);
-    }
-
-    #[test]
-    fn degrade_is_idempotent() {
-        let c = SloppyCounter::new(2);
-        c.acquire(CoreId(1), 4);
-        c.release(CoreId(1), 4);
-        c.degrade_to_central();
-        let (central_ops, _) = c.op_counts();
-        c.degrade_to_central(); // second call must not re-reconcile
-        assert_eq!(c.op_counts().0, central_ops);
-        assert_invariant(&c, 0);
-    }
-
-    #[test]
-    fn restore_resumes_local_banking() {
-        let c = SloppyCounter::new(2);
-        c.degrade_to_central();
-        c.acquire(CoreId(0), 2);
-        c.restore_per_core();
-        assert!(!c.is_degraded());
-
-        c.release(CoreId(0), 2); // banked locally again
-        assert_eq!(c.spares(), 2);
-        let (central_before, _) = c.op_counts();
-        c.acquire(CoreId(0), 2); // satisfied from the spares
-        assert_eq!(c.op_counts().0, central_before);
-        assert_invariant(&c, 2);
-    }
-
-    #[test]
-    fn concurrent_ops_while_degrading_preserve_invariant() {
-        let c = Arc::new(SloppyCounter::new(4));
-        let handles: Vec<_> = (0..4)
-            .map(|core| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for i in 0..2_000 {
-                        c.acquire(CoreId(core), 1);
-                        if core == 0 && i == 500 {
-                            c.degrade_to_central();
-                        }
-                        c.release(CoreId(core), 1);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(c.is_degraded());
-        assert_eq!(c.in_use(), 0);
-        assert_eq!(c.reconcile(), 0);
-    }
-
-    #[test]
     fn concurrent_acquire_release_preserves_invariant() {
         let c = Arc::new(SloppyCounter::new(8));
         let handles: Vec<_> = (0..8)
@@ -611,32 +460,6 @@ mod tests {
         }
         assert_eq!(c.in_use(), 0);
         assert_eq!(c.reconcile(), 0);
-    }
-
-    #[test]
-    fn set_threshold_retunes_banking_live() {
-        let c = SloppyCounter::with_config(
-            2,
-            SloppyConfig {
-                threshold: 2,
-                prefetch: 0,
-            },
-        );
-        c.acquire(CoreId(0), 10);
-        c.release(CoreId(0), 10); // threshold 2 → 8 returned, 2 banked
-        assert_eq!(c.spares(), 2);
-        c.set_threshold(16);
-        assert_eq!(c.config().threshold, 16);
-        c.acquire(CoreId(0), 10); // miss (2 spares): central += 10
-        c.release(CoreId(0), 10); // bank of 12 ≤ 16 → all stay banked
-        assert_eq!(c.spares(), 12);
-        assert_invariant(&c, 0);
-        // Lowering drains on the next release.
-        c.set_threshold(1);
-        c.acquire(CoreId(0), 1);
-        c.release(CoreId(0), 1);
-        assert_eq!(c.spares(), 1);
-        assert_invariant(&c, 0);
     }
 
     #[test]

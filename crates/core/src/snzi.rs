@@ -3,7 +3,7 @@
 
 use crate::traits::Counter;
 use pk_percpu::{CoreId, PerCore};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Per-leaf state: an exact count plus a flag recording whether this leaf
@@ -146,15 +146,6 @@ struct TreeLeaf {
 /// folds the leaves together — the same "exact reads cost more"
 /// trade-off as sloppy counters, and safe for reference counts (an
 /// object is never freed early, only later).
-///
-/// # Degraded mode
-///
-/// [`Snzi::degrade_to_central`] mirrors
-/// [`SloppyCounter::degrade_to_central`](crate::SloppyCounter::degrade_to_central):
-/// the first caller reconciles every leaf into the central count (which
-/// zeroes all surplus), and subsequent operations hit the central word
-/// only — the demotion lever `pk-adapt` pulls when the tree stops
-/// paying for itself.
 #[derive(Debug)]
 pub struct Snzi {
     /// Number of sockets currently holding nonzero surplus.
@@ -163,10 +154,9 @@ pub struct Snzi {
     socket_surplus: Vec<AtomicI64>,
     cores_per_socket: usize,
     leaves: PerCore<Mutex<TreeLeaf>>,
-    /// Exact count absorbed by reconciliation and by degraded-mode
-    /// operations; always part of the logical value.
+    /// Exact count absorbed by reconciliation; always part of the
+    /// logical value.
     central: AtomicI64,
-    degraded: AtomicBool,
     central_ops: AtomicU64,
     local_ops: AtomicU64,
 }
@@ -187,7 +177,6 @@ impl Snzi {
             cores_per_socket: cores.div_ceil(sockets).max(1),
             leaves: PerCore::new_with(cores, |_| Mutex::new(TreeLeaf::default())),
             central: AtomicI64::new(0),
-            degraded: AtomicBool::new(false),
             central_ops: AtomicU64::new(0),
             local_ops: AtomicU64::new(0),
         }
@@ -212,11 +201,6 @@ impl Snzi {
     /// up the tree. The single mutation path behind `arrive`/`depart`.
     fn update(&self, core: CoreId, delta: i64) {
         if delta == 0 {
-            return;
-        }
-        if self.degraded.load(Ordering::Acquire) {
-            self.central.fetch_add(delta, Ordering::AcqRel);
-            self.central_ops.fetch_add(1, Ordering::Relaxed);
             return;
         }
         pk_lockdep::check_percore_mutation("snzi.leaf", core.index());
@@ -304,33 +288,8 @@ impl Snzi {
         self.central.load(Ordering::Acquire)
     }
 
-    /// Switches to degraded (central-only) mode. The first caller
-    /// reconciles, so no leaf surplus is stranded; subsequent
-    /// operations hit the central word. Idempotent.
-    pub fn degrade_to_central(&self) {
-        if !self.degraded.swap(true, Ordering::AcqRel) {
-            // Every op after this point hits the shared central word, so
-            // record which request triggered the mode switch — degrades
-            // show up in tail attribution as service-time inflation with
-            // no owning lock class otherwise.
-            pk_trace::trace_instant!("snzi.degrade_to_central", pk_trace::current_request());
-            self.reconcile();
-        }
-    }
-
-    /// Leaves degraded mode, resuming leaf updates. The central count
-    /// keeps whatever it absorbed — `value` always sums both.
-    pub fn restore_per_core(&self) {
-        self.degraded.store(false, Ordering::Release);
-    }
-
-    /// Whether the tree is in degraded (central-only) mode.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Acquire)
-    }
-
     /// Returns `(central_ops, local_ops)`: operations that touched a
-    /// shared line (socket/root propagation, central updates) versus
+    /// shared line (socket/root propagation, reconciliation) versus
     /// leaf-only updates.
     pub fn op_counts(&self) -> (u64, u64) {
         (
@@ -453,27 +412,6 @@ mod tests {
         assert_eq!(s.reconcile(), 0);
         assert!(!s.query(), "reconcile clears migration residue");
         assert_eq!(s.root.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn tree_degrade_flushes_and_restore_resumes() {
-        let s = Snzi::new(8, 4);
-        s.arrive(CoreId(1), 3);
-        s.arrive(CoreId(5), 2);
-        s.degrade_to_central();
-        assert!(s.is_degraded());
-        assert_eq!(s.root.load(Ordering::Relaxed), 0, "no stranded surplus");
-        assert_eq!(s.value(), 5);
-        assert!(s.query(), "degraded indicator reads central");
-        s.depart(CoreId(2), 5); // central-only: any core may depart
-        assert!(!s.query());
-        s.restore_per_core();
-        assert!(!s.is_degraded());
-        s.arrive(CoreId(7), 1);
-        assert!(s.query());
-        s.depart(CoreId(7), 1);
-        assert!(!s.query());
-        assert_eq!(s.value(), 0);
     }
 
     #[test]

@@ -144,56 +144,6 @@ proptest! {
         }
     }
 
-    /// The adaptive governor's levers — degrade to central-only,
-    /// restore per-core banking, retune the threshold — interleaved
-    /// arbitrarily with refcount traffic must preserve the invariant at
-    /// every step, and degrading must never strand spares (the
-    /// reconcile-on-degrade contract).
-    ///
-    /// Op encoding: kind 0–1 acquire, 2–3 release, 4 degrade,
-    /// 5 restore, 6 set_threshold(v).
-    #[test]
-    fn degrade_restore_cycles_preserve_invariant(
-        threshold in 0..16i64,
-        prefetch in 0..8i64,
-        ops in proptest::collection::vec((0..7usize, 0..6usize, 0..8i64), 1..200),
-    ) {
-        let c = SloppyCounter::with_config(6, SloppyConfig { threshold, prefetch });
-        let mut in_use: i64 = 0;
-        for &(kind, core, v) in &ops {
-            match kind {
-                0 | 1 => {
-                    c.acquire(CoreId(core), v);
-                    in_use += v;
-                }
-                2 | 3 => {
-                    let v = v.min(in_use);
-                    c.release(CoreId(core), v);
-                    in_use -= v;
-                }
-                4 => {
-                    c.degrade_to_central();
-                    // Degrading reconciles: no spare may be stranded
-                    // where central-only traffic can't see it.
-                    prop_assert_eq!(c.spares(), 0);
-                    prop_assert!(c.is_degraded());
-                }
-                5 => {
-                    c.restore_per_core();
-                    prop_assert!(!c.is_degraded());
-                }
-                6 => c.set_threshold(v),
-                _ => unreachable!(),
-            }
-            prop_assert_eq!(c.central(), in_use + c.spares());
-            prop_assert_eq!(c.in_use(), in_use);
-        }
-        // However the run ended (degraded or banking, any threshold),
-        // reconciliation lands on the exact count with nothing lost.
-        prop_assert_eq!(c.reconcile(), in_use);
-        prop_assert_eq!(c.spares(), 0);
-    }
-
     /// Thread migration: references acquired on core A and released on
     /// core B (never the same core) must preserve the invariant at every
     /// step — the spares just bank on a different core than the one that
@@ -223,66 +173,6 @@ proptest! {
         prop_assert_eq!(c.spares(), 0);
         prop_assert_eq!(c.in_use(), in_use);
     }
-}
-
-/// Concurrent mode flips: worker threads run balanced acquire/release
-/// traffic while a governor thread degrades, restores, and retunes the
-/// counter underneath them — the racy version of the adaptive
-/// controller's promotion/demotion path. A reference acquired before a
-/// flip may be released after it (and on the central path), so every
-/// transition edge gets exercised. At quiescence nothing may be lost:
-/// the logical value is zero and reconcile converges.
-#[test]
-fn concurrent_mode_flips_lose_nothing() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    let cores = 8usize;
-    let c = Arc::new(SloppyCounter::with_config(
-        cores,
-        SloppyConfig {
-            threshold: 4,
-            prefetch: 2,
-        },
-    ));
-    let stop = Arc::new(AtomicBool::new(false));
-    let governor = {
-        let c = Arc::clone(&c);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut t = 1i64;
-            while !stop.load(Ordering::Relaxed) {
-                c.degrade_to_central();
-                c.set_threshold(t);
-                c.restore_per_core();
-                t = (t * 2).clamp(1, 64);
-                std::thread::yield_now();
-            }
-        })
-    };
-    let workers: Vec<_> = (0..cores)
-        .map(|core| {
-            let c = Arc::clone(&c);
-            std::thread::spawn(move || {
-                for i in 0..4_000i64 {
-                    let v = 1 + (i % 3);
-                    c.acquire(CoreId(core), v);
-                    std::hint::black_box(&c);
-                    c.release(CoreId(core), v);
-                }
-            })
-        })
-        .collect();
-    for h in workers {
-        h.join().unwrap();
-    }
-    stop.store(true, Ordering::Relaxed);
-    governor.join().unwrap();
-    // Balanced traffic: logical zero, invariant intact, reconcile exact.
-    assert_eq!(c.in_use(), 0, "references lost or invented across flips");
-    assert_eq!(c.central(), c.spares(), "central = in_use + spares");
-    assert_eq!(c.reconcile(), 0, "reconcile converges after mode churn");
-    assert_eq!(c.spares(), 0, "reconcile clears every bank");
 }
 
 /// Concurrent cross-core migration: producer threads acquire on their

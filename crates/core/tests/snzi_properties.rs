@@ -2,8 +2,8 @@
 //! generation-2 refcount backing (ISSUE 9 satellite).
 //!
 //! The central properties, checked against a sequential model under
-//! any interleaving of arrives, departs, cross-socket migration, and
-//! degrade/restore flips:
+//! any interleaving of arrives, departs, cross-socket migration and
+//! reconciliation:
 //!
 //! * the cheap indicator is **exact in the sequential model**: `query`
 //!   is true iff some leaf or the central word is nonzero — so
@@ -11,26 +11,22 @@
 //!   leaf already drained;
 //! * `value` always equals the model sum (migration drives leaves
 //!   negative, never loses a unit);
-//! * degrading reconciles: no surplus may be stranded in a leaf where
-//!   central-only traffic can't see it, across any number of flips;
 //! * `reconcile` converges to the exact count and clears all residue.
 //!
 //! Real-thread stress mirrors `counter_properties.rs`: migration
-//! through a producer/consumer pipe and mode flips under fire, plus a
-//! holder thread proving the indicator never reports zero while a
-//! reference is provably held.
+//! through a producer/consumer pipe, plus a holder thread proving the
+//! indicator never reports zero while a reference is provably held.
 
 use pk_percpu::CoreId;
 use pk_sloppy::{Snzi, SnziRefCount};
 use proptest::prelude::*;
 
-/// Sequential model of the tree: per-leaf counts, the central word,
-/// and the degraded flag. Mirrors the documented update rules only —
-/// no surplus bookkeeping, which is exactly what the properties probe.
+/// Sequential model of the tree: per-leaf counts and the central word.
+/// Mirrors the documented update rules only — no surplus bookkeeping,
+/// which is exactly what the properties probe.
 struct Model {
     leaves: Vec<i64>,
     central: i64,
-    degraded: bool,
 }
 
 impl Model {
@@ -38,16 +34,11 @@ impl Model {
         Self {
             leaves: vec![0; cores],
             central: 0,
-            degraded: false,
         }
     }
 
     fn add(&mut self, core: usize, delta: i64) {
-        if self.degraded {
-            self.central += delta;
-        } else {
-            self.leaves[core] += delta;
-        }
+        self.leaves[core] += delta;
     }
 
     fn reconcile(&mut self) {
@@ -67,16 +58,13 @@ impl Model {
 }
 
 /// One step of a tree workload, decoded from a `(kind, core, n)`
-/// tuple: kinds 0–3 arrive, 4–7 depart, 8 degrade, 9 restore,
-/// 10 reconcile. Arrive/depart cores are drawn independently, so
-/// cross-socket migration (negative leaves) is the common case, not
-/// the corner.
+/// tuple: kinds 0–3 arrive, 4–7 depart, 8 reconcile. Arrive/depart
+/// cores are drawn independently, so cross-socket migration (negative
+/// leaves) is the common case, not the corner.
 #[derive(Debug, Clone)]
 enum Op {
     Arrive { core: usize, n: i64 },
     Depart { core: usize, n: i64 },
-    Degrade,
-    Restore,
     Reconcile,
 }
 
@@ -85,8 +73,6 @@ impl Op {
         match kind {
             0..=3 => Op::Arrive { core, n },
             4..=7 => Op::Depart { core, n },
-            8 => Op::Degrade,
-            9 => Op::Restore,
             _ => Op::Reconcile,
         }
     }
@@ -100,7 +86,7 @@ proptest! {
     fn tree_indicator_is_exact_in_the_sequential_model(
         cores in 1..12usize,
         sockets in 1..5usize,
-        raw in proptest::collection::vec((0..11usize, 0..12usize, 0..6i64), 1..200),
+        raw in proptest::collection::vec((0..9usize, 0..12usize, 0..6i64), 1..200),
     ) {
         let s = Snzi::new(cores, sockets);
         let mut model = Model::new(cores);
@@ -116,22 +102,6 @@ proptest! {
                     let core = core % cores;
                     s.depart(CoreId(core), n);
                     model.add(core, -n);
-                }
-                Op::Degrade => {
-                    s.degrade_to_central();
-                    // Degrading reconciles: every leaf must drain into
-                    // the central word, no surplus stranded behind the
-                    // central-only path.
-                    model.reconcile();
-                    model.degraded = true;
-                    prop_assert!(s.is_degraded());
-                    prop_assert_eq!(s.query(), model.central != 0,
-                        "degraded indicator must read central exactly");
-                }
-                Op::Restore => {
-                    s.restore_per_core();
-                    model.degraded = false;
-                    prop_assert!(!s.is_degraded());
                 }
                 Op::Reconcile => {
                     prop_assert_eq!(s.reconcile(), {
@@ -184,35 +154,6 @@ proptest! {
                 prop_assert!(rc.get(CoreId(core)).is_err(), "no resurrection");
                 return Ok(());
             }
-        }
-    }
-
-    /// Degrade/restore flips interleaved with refcount traffic never
-    /// lose a reference or invent one — the tree analogue of the
-    /// sloppy `degrade_restore_cycles_preserve_invariant` property.
-    #[test]
-    fn refcount_mode_flips_preserve_the_count(
-        ops in proptest::collection::vec((0..6usize, 0..8usize), 1..150),
-    ) {
-        let rc = SnziRefCount::new(8, 4);
-        let mut refs: i64 = 1;
-        for &(kind, core) in &ops {
-            match kind {
-                0..=2 => {
-                    rc.get(CoreId(core)).unwrap();
-                    refs += 1;
-                }
-                3 if refs > 1 => {
-                    rc.put(CoreId((core + 3) % 8));
-                    refs -= 1;
-                }
-                3 => {}
-                4 => rc.degrade_to_central(),
-                5 => rc.restore_per_core(),
-                _ => unreachable!(),
-            }
-            prop_assert_eq!(rc.references(), refs);
-            prop_assert!(rc.maybe_referenced(), "live object must probe nonzero");
         }
     }
 }
@@ -270,59 +211,9 @@ fn concurrent_migration_preserves_the_refcount() {
     assert!(rc.get(CoreId(0)).is_err(), "dead object refuses gets");
 }
 
-/// Balanced arrive/depart churn on every core while a governor thread
-/// degrades, restores, and re-degrades the tree underneath: at
-/// quiescence nothing is lost, and after a final reconcile the
-/// indicator agrees the tree is empty with zero residue anywhere.
-#[test]
-fn concurrent_mode_flips_strand_no_surplus() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    let s = Arc::new(Snzi::new(8, 4));
-    let stop = Arc::new(AtomicBool::new(false));
-    let governor = {
-        let s = Arc::clone(&s);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                s.degrade_to_central();
-                std::thread::yield_now();
-                s.restore_per_core();
-                std::thread::yield_now();
-            }
-        })
-    };
-    let workers: Vec<_> = (0..8)
-        .map(|core| {
-            let s = Arc::clone(&s);
-            std::thread::spawn(move || {
-                for i in 0..4_000i64 {
-                    let n = 1 + (i % 3);
-                    s.arrive(CoreId(core), n);
-                    // Depart from the mirror core: cross-socket by
-                    // construction, so a flip can strand the arrive on
-                    // a leaf and route the depart through central.
-                    s.depart(CoreId(7 - core), n);
-                }
-            })
-        })
-        .collect();
-    for h in workers {
-        h.join().unwrap();
-    }
-    stop.store(true, Ordering::Relaxed);
-    governor.join().unwrap();
-    // Balanced traffic: the logical value is zero however the flips
-    // interleaved, and reconciliation clears every line of residue.
-    assert_eq!(s.value(), 0, "references lost or invented across flips");
-    assert_eq!(s.reconcile(), 0, "reconcile converges after mode churn");
-    assert!(!s.query(), "no stranded surplus after reconcile");
-}
-
 /// Nonzero-detection is never lost: while one thread provably holds a
-/// reference, no interleaving of churn on other cores or governor mode
-/// flips may ever let the cheap probe report zero.
+/// reference, no interleaving of churn on other cores may ever let the
+/// cheap probe report zero.
 #[test]
 fn indicator_never_drops_a_held_reference() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -343,18 +234,6 @@ fn indicator_never_drops_a_held_reference() {
             })
         })
         .collect();
-    let governor = {
-        let s = Arc::clone(&s);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                s.degrade_to_central();
-                std::thread::yield_now();
-                s.restore_per_core();
-                std::thread::yield_now();
-            }
-        })
-    };
     for _ in 0..50_000 {
         assert!(s.query(), "indicator dropped a held reference");
     }
@@ -362,7 +241,6 @@ fn indicator_never_drops_a_held_reference() {
     for h in churners {
         h.join().unwrap();
     }
-    governor.join().unwrap();
     assert!(s.query());
     assert_eq!(s.reconcile(), 1);
 }

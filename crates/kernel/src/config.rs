@@ -11,11 +11,12 @@ use pk_vfs::VfsConfig;
 /// driver, model and report sweeps.
 ///
 /// `Stock` and `Pk` are the paper's two endpoints. `Adaptive` *boots*
-/// with the same fix set as stock — zero hand-placed fixes — but
-/// carries the machinery for `pk-adapt` to enable fixes at runtime from
-/// observed contention, and its functional substrates keep sloppy
-/// counters present but degraded-to-central so the controller can
-/// promote them in place. `Coarse` is the coarse-grained-locking point
+/// with the same fix set and the same substrates as stock — zero
+/// hand-placed fixes — and is the configuration `pk-adapt`'s
+/// model-space controller edits: it enables fixes with
+/// [`KernelConfig::with_fix`] from contention observed in the DES, and
+/// a kernel booted from the result gets exactly the substrates those
+/// fixes select. `Coarse` is the coarse-grained-locking point
 /// from the microkernel literature: the named fine-grained lock classes
 /// are clustered into one coarse lock per subsystem, which beats stock
 /// at low core counts (fewer acquisitions) and collapses harder at
@@ -29,7 +30,7 @@ pub enum Personality {
     Coarse,
     /// The hand-patched PK kernel; the fix set is frozen.
     Pk,
-    /// Fixes start off and are flipped at runtime by `pk-adapt`.
+    /// Fixes start off; `pk-adapt` flips them in the configuration.
     Adaptive,
 }
 
@@ -112,9 +113,9 @@ impl KernelConfig {
     /// [`Personality::Coarse`] makes the model layer cluster the named
     /// lock classes into one coarse lock per subsystem
     /// (`Network::coarsen`) while the functional substrates boot
-    /// stock-shaped; [`Personality::Adaptive`] keeps the runtime levers
-    /// in place (sloppy counters allocated but degraded to central
-    /// mode) for `pk-adapt` to promote via [`KernelConfig::with_fix`].
+    /// stock-shaped; [`Personality::Adaptive`] marks the configuration
+    /// `pk-adapt` promotes fix by fix via [`KernelConfig::with_fix`],
+    /// and lowers to stock's substrates until it does.
     pub fn preset(personality: Personality, cores: usize) -> Self {
         Self {
             cores,
@@ -141,7 +142,7 @@ impl KernelConfig {
         Self::preset(Personality::Coarse, cores)
     }
 
-    /// The adaptive kernel: zero fixes at boot, levers armed.
+    /// The adaptive kernel: zero fixes at boot, stock's substrates.
     pub fn adaptive(cores: usize) -> Self {
         Self::preset(Personality::Adaptive, cores)
     }
@@ -213,21 +214,11 @@ impl KernelConfig {
     }
 
     /// Lowers the fix set onto the VFS substrate's configuration.
-    ///
-    /// The adaptive personality allocates sloppy refcounts even while
-    /// their fixes are off, but boots them degraded to central mode:
-    /// semantically identical to stock's atomic counters, yet leaving
-    /// `restore_per_core` as a lever the controller can pull without a
-    /// structure swap.
     pub fn vfs(&self) -> VfsConfig {
-        let adaptive = self.personality == Personality::Adaptive;
         VfsConfig {
             cores: self.cores,
-            sloppy_dentry_refs: adaptive || self.has(FixId::SloppyDentryRefs),
-            sloppy_vfsmount_refs: adaptive || self.has(FixId::SloppyVfsmountRefs),
-            refs_start_degraded: adaptive
-                && !self.has(FixId::SloppyDentryRefs)
-                && !self.has(FixId::SloppyVfsmountRefs),
+            sloppy_dentry_refs: self.has(FixId::SloppyDentryRefs),
+            sloppy_vfsmount_refs: self.has(FixId::SloppyVfsmountRefs),
             lockfree_dlookup: self.has(FixId::LockFreeDlookup),
             percore_mount_cache: self.has(FixId::PerCoreMountCache),
             percore_open_lists: self.has(FixId::PerCoreOpenLists),
@@ -379,23 +370,17 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_boots_like_stock_with_levers_armed() {
+    fn adaptive_substrates_are_stock_until_promoted() {
         let a = KernelConfig::adaptive(48);
+        let stock = KernelConfig::stock(48);
         assert_eq!(a.enabled_count(), 0, "zero hand-placed fixes at boot");
         assert_eq!(a.personality(), Personality::Adaptive);
-        let v = a.vfs();
-        assert!(v.sloppy_dentry_refs && v.sloppy_vfsmount_refs);
-        assert!(v.refs_start_degraded, "counters boot degraded to central");
-        // Once the controller promotes the sloppy-counter fixes, fresh
-        // objects boot with per-core banks live.
-        let promoted = a
-            .with_fix(FixId::SloppyDentryRefs, true)
-            .with_fix(FixId::SloppyVfsmountRefs, true);
-        assert!(!promoted.vfs().refs_start_degraded);
+        assert_eq!(a.vfs(), stock.vfs());
+        assert_eq!(a.net(), stock.net());
+        assert_eq!(a.mm(), stock.mm());
+        let promoted = a.with_fix(FixId::SloppyDentryRefs, true);
+        assert!(promoted.vfs().sloppy_dentry_refs);
         assert_eq!(promoted.personality(), Personality::Adaptive);
-        // The net/mm substrates boot exactly like stock.
-        assert_eq!(a.net(), KernelConfig::stock(48).net());
-        assert_eq!(a.mm(), KernelConfig::stock(48).mm());
     }
 
     #[test]

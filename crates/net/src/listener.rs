@@ -155,11 +155,6 @@ impl Listener {
     pub fn backlog(&self) -> u64 {
         self.queued.load(Ordering::Acquire)
     }
-
-    /// Contention stats of the shared backlog lock.
-    pub fn shared_lock_stats(&self) -> &pk_sync::LockStats {
-        self.shared.stats()
-    }
 }
 
 #[cfg(test)]

@@ -244,11 +244,6 @@ impl Nic {
         self.flow_table.len()
     }
 
-    /// Returns the number of RX queues.
-    pub fn queue_count(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Total packets currently queued across all RX queues.
     pub fn pending(&self) -> usize {
         self.queues.iter().map(|q| q.lock().len()).sum()

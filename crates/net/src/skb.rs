@@ -115,11 +115,6 @@ impl SkbPool {
     pub fn free_count(&self) -> usize {
         self.global.lock().len() + self.percore.fold(0, |a, l| a + l.lock().len())
     }
-
-    /// The global free-list lock's contention statistics.
-    pub fn global_lock_stats(&self) -> &pk_sync::LockStats {
-        self.global.stats()
-    }
 }
 
 #[cfg(test)]

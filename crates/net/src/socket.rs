@@ -57,11 +57,6 @@ impl UdpSocket {
     pub fn pending(&self) -> usize {
         self.rx.lock().len()
     }
-
-    /// Contention stats of the socket-queue lock.
-    pub fn queue_lock_stats(&self) -> &pk_sync::LockStats {
-        self.rx.stats()
-    }
 }
 
 #[cfg(test)]

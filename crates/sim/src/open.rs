@@ -397,11 +397,6 @@ impl OpenLoopResult {
         self.goodput_ops() as f64 / self.horizon_cycles.max(1) as f64
     }
 
-    /// Offered load as ops/cycle over the horizon.
-    pub fn offered_ops_per_cycle(&self) -> f64 {
-        self.arrivals as f64 / self.horizon_cycles.max(1) as f64
-    }
-
     /// Sum of all per-arrival dispositions; equals [`Self::arrivals`]
     /// by construction, asserted in tests and the chaos harness.
     pub fn accounted(&self) -> u64 {

@@ -281,29 +281,6 @@ impl Profile {
         }
         out
     }
-
-    /// Indented rendering of the attribution tree to `max_depth`.
-    pub fn render_tree(&self, max_depth: usize) -> String {
-        fn walk(n: &ProfileNode, depth: usize, max_depth: usize, out: &mut String) {
-            if depth > max_depth {
-                return;
-            }
-            out.push_str(&format!(
-                "{}{} incl={} excl={} n={}\n",
-                "  ".repeat(depth),
-                n.name,
-                n.inclusive,
-                n.exclusive,
-                n.count
-            ));
-            for c in &n.children {
-                walk(c, depth + 1, max_depth, out);
-            }
-        }
-        let mut out = String::new();
-        walk(&self.root, 0, max_depth, &mut out);
-        out
-    }
 }
 
 #[cfg(test)]

@@ -26,12 +26,6 @@ pub struct VfsConfig {
     pub avoid_inode_list_locks: bool,
     /// "Avoid acquiring the [dcache list] locks when not necessary."
     pub avoid_dcache_list_locks: bool,
-    /// Boot sloppy reference counters degraded to central mode: the
-    /// per-core banks are allocated but inactive, so behaviour matches
-    /// stock's atomic counters until `restore_per_core` promotes them.
-    /// Only the adaptive personality sets this — it is the lever
-    /// `pk-adapt` pulls at runtime instead of a hand-placed fix.
-    pub refs_start_degraded: bool,
     /// Retire replaced RCU snapshots (dcache buckets, umounted mounts)
     /// through `call_rcu` deferred-free queues instead of blocking each
     /// writer on a full `synchronize()` grace period. Not a Figure-1 fix:
@@ -65,7 +59,6 @@ impl VfsConfig {
             atomic_lseek: false,
             avoid_inode_list_locks: false,
             avoid_dcache_list_locks: false,
-            refs_start_degraded: false,
             deferred_reclamation: true,
             rcu_path_walk: false,
             snzi_refs: false,
@@ -85,7 +78,6 @@ impl VfsConfig {
             atomic_lseek: true,
             avoid_inode_list_locks: true,
             avoid_dcache_list_locks: true,
-            refs_start_degraded: false,
             deferred_reclamation: true,
             rcu_path_walk: true,
             snzi_refs: true,

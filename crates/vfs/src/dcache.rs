@@ -8,32 +8,9 @@ use crate::stats::VfsStats;
 use pk_fault::{FaultPlane, FaultPoint};
 use pk_percpu::CoreId;
 use pk_sync::rcu::{self, RcuCell};
-use pk_sync::AdaptiveMutex;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// One generation of the hash table: the bucket array itself is an
-/// RCU-published snapshot, so `pk-adapt` can double the stripe count at
-/// runtime (the §4.4 lock-striping decision made online instead of at
-/// boot) without stopping readers.
-///
-/// The cells are `Arc`-shared between generations in flight: a writer
-/// that captured a cell from the old table can finish its bucket update
-/// and then notice the swap via `version`.
-///
-/// `version` is even for a stable generation and odd for the
-/// intermediate generation [`Dcache::split_buckets`] publishes *before*
-/// it snapshots the buckets. Writers only accept an even, unchanged
-/// version as proof their update cannot have raced a snapshot; anything
-/// else forces a re-apply against the next stable generation.
-#[derive(Debug)]
-struct DcacheTable {
-    cells: Vec<Arc<RcuCell<Vec<Arc<Dentry>>>>>,
-    mask: usize,
-    version: u64,
-}
 
 /// A hash table of dentries with RCU buckets.
 ///
@@ -51,18 +28,12 @@ struct DcacheTable {
 /// taken on the caller's behalf.
 #[derive(Debug)]
 pub struct Dcache {
-    table: RcuCell<DcacheTable>,
+    /// One RCU-published snapshot per hash bucket; the bucket count is
+    /// fixed at construction.
+    buckets: Box<[RcuCell<Vec<Arc<Dentry>>>]>,
+    mask: usize,
     config: VfsConfig,
     stats: Arc<VfsStats>,
-    /// Serializes table-generation swaps ([`Dcache::split_buckets`]) and
-    /// the shrink walk against each other. Ordinary inserts/removes never
-    /// take it — they detect a concurrent swap by version (odd = a split
-    /// is mid-snapshot) and re-apply.
-    split_lock: AdaptiveMutex<()>,
-    /// Whether fresh dentries get live per-core refcount banks. The
-    /// adaptive personality boots this off (`refs_start_degraded`) and
-    /// lets the controller flip it via [`Dcache::set_ref_banking`].
-    ref_banking: AtomicBool,
     /// `vfs.dentry_alloc`: a dentry allocation fails with ENOMEM.
     fault_alloc: FaultPoint,
     /// `vfs.dcache_pressure`: a lookup misses as if the entry had been
@@ -87,22 +58,11 @@ impl Dcache {
         faults: &FaultPlane,
     ) -> Self {
         let n = buckets.next_power_of_two().max(1);
-        let split_lock = AdaptiveMutex::new(());
-        split_lock.set_class(pk_lockdep::register_class(
-            "vfs.dcache.split",
-            "pk-vfs",
-            pk_lockdep::LockKind::Blocking,
-        ));
         Self {
-            table: RcuCell::new(DcacheTable {
-                cells: (0..n).map(|_| Arc::new(RcuCell::new(Vec::new()))).collect(),
-                mask: n - 1,
-                version: 0,
-            }),
+            buckets: (0..n).map(|_| RcuCell::new(Vec::new())).collect(),
+            mask: n - 1,
             config,
             stats,
-            split_lock,
-            ref_banking: AtomicBool::new(!config.refs_start_degraded),
             fault_alloc: faults.point("vfs.dentry_alloc"),
             fault_pressure: faults.point("vfs.dcache_pressure"),
         }
@@ -114,18 +74,8 @@ impl Dcache {
         h.finish()
     }
 
-    /// Captures the bucket for `key` in the current table generation,
-    /// plus that generation's version for the writer's swap check.
-    fn cell_and_version(&self, key: &DentryKey) -> (Arc<RcuCell<Vec<Arc<Dentry>>>>, u64) {
-        let guard = rcu::read_lock();
-        let t = self.table.read(&guard);
-        let cell = Arc::clone(&t.cells[(Self::hash_key(key) as usize) & t.mask]);
-        (cell, t.version)
-    }
-
-    fn table_version(&self) -> u64 {
-        let guard = rcu::read_lock();
-        self.table.read(&guard).version
+    fn bucket(&self, key: &DentryKey) -> &RcuCell<Vec<Arc<Dentry>>> {
+        &self.buckets[(Self::hash_key(key) as usize) & self.mask]
     }
 
     /// Publishes a rewritten bucket snapshot, retiring the replaced one
@@ -133,11 +83,11 @@ impl Dcache {
     /// (the writer continues immediately) or a blocking `synchronize()`
     /// grace period.
     fn replace_bucket(
+        &self,
         cell: &RcuCell<Vec<Arc<Dentry>>>,
-        deferred: bool,
         f: impl FnOnce(&Vec<Arc<Dentry>>) -> Vec<Arc<Dentry>>,
     ) {
-        if deferred {
+        if self.config.deferred_reclamation {
             cell.update_with_deferred(f);
         } else {
             cell.update_with(f);
@@ -156,8 +106,7 @@ impl Dcache {
             return None;
         }
         let guard = rcu::read_lock();
-        let t = self.table.read(&guard);
-        let bucket = t.cells[(Self::hash_key(key) as usize) & t.mask].read(&guard);
+        let bucket = self.bucket(key).read(&guard);
         for d in bucket.iter() {
             if self.config.lockfree_dlookup {
                 match d.compare_lockfree(key, core) {
@@ -209,8 +158,7 @@ impl Dcache {
             return Some(None);
         }
         let guard = rcu::read_lock();
-        let t = self.table.read(&guard);
-        let bucket = t.cells[(Self::hash_key(key) as usize) & t.mask].read(&guard);
+        let bucket = self.bucket(key).read(&guard);
         for d in bucket.iter() {
             match d.peek(key) {
                 Some(Some(ino)) => {
@@ -252,8 +200,9 @@ impl Dcache {
             VfsStats::bump(&self.stats.dentry_alloc_failures);
             return Err(VfsError::OutOfMemory);
         }
+        let bucket = self.bucket(&key);
         let dentry = Dentry::with_refcount(
-            key.clone(),
+            key,
             inode,
             pk_sloppy::RefCount::new_scaled(
                 self.config.sloppy_dentry_refs,
@@ -262,52 +211,17 @@ impl Dcache {
                 self.config.sockets,
             ),
         );
-        let banking = self.ref_banking.load(Ordering::Acquire);
-        if !banking {
-            dentry.set_ref_banking(false);
-        }
         // The cache holds the creation reference; take one for the caller.
         // A freshly created dentry can only be dead if something tore it
         // down concurrently — surface that as ESTALE on the syscall path
         // rather than panicking in the kernel.
         dentry.get(core).map_err(|_| VfsError::Stale)?;
         let inserted = Arc::clone(&dentry);
-        // If a bucket split swaps the table mid-update, the new
-        // generation may or may not have copied our entry; re-apply
-        // against the new bucket, skipping if the copy already landed.
-        loop {
-            let (cell, version) = self.cell_and_version(&key);
-            Self::replace_bucket(&cell, self.config.deferred_reclamation, |v| {
-                if v.iter().any(|d| Arc::ptr_eq(d, &inserted)) {
-                    return v.clone();
-                }
-                let mut v = v.clone();
-                v.push(Arc::clone(&inserted));
-                v
-            });
-            // Pairs with the fence `split_buckets` issues between
-            // publishing the intermediate (odd) generation and reading
-            // its bucket snapshot: if the load below still sees our
-            // even generation, the snapshot saw this bucket update.
-            fence(Ordering::SeqCst);
-            if version & 1 == 0 && self.table_version() == version {
-                break;
-            }
-            // Odd version: a split is mid-snapshot; even mismatch: the
-            // table already swapped. Re-apply against the next stable
-            // generation either way.
-            std::thread::yield_now();
-        }
-        // Re-check the banking flag: a `set_ref_banking` sweep may have
-        // walked the buckets before our publish landed while we were
-        // still acting on the old flag. The loop's trailing fence
-        // orders the publish before this load (pairing with the fence
-        // in `set_ref_banking`), so either the sweep saw the dentry or
-        // this load sees the new flag — never neither.
-        let now = self.ref_banking.load(Ordering::Acquire);
-        if now != banking {
-            dentry.set_ref_banking(now);
-        }
+        self.replace_bucket(bucket, |v| {
+            let mut v = v.clone();
+            v.push(inserted);
+            v
+        });
         Ok(dentry)
     }
 
@@ -318,33 +232,17 @@ impl Dcache {
     /// Returns `true` if an entry was removed.
     pub fn remove(&self, key: &DentryKey, core: CoreId) -> bool {
         let mut removed: Option<Arc<Dentry>> = None;
-        // Same swap-detection loop as `insert`: once a victim is chosen,
-        // retries only scrub that exact entry from the new generation.
-        loop {
-            let (cell, version) = self.cell_and_version(key);
-            let prior = removed.clone();
-            Self::replace_bucket(&cell, self.config.deferred_reclamation, |v| {
-                if let Some(d) = &prior {
-                    return v.iter().filter(|e| !Arc::ptr_eq(e, d)).cloned().collect();
+        self.replace_bucket(self.bucket(key), |v| {
+            let mut kept = Vec::with_capacity(v.len());
+            for d in v.iter() {
+                if removed.is_none() && !d.is_unhashed() && d.key == *key {
+                    removed = Some(Arc::clone(d));
+                } else {
+                    kept.push(Arc::clone(d));
                 }
-                let mut kept = Vec::with_capacity(v.len());
-                for d in v.iter() {
-                    if removed.is_none() && !d.is_unhashed() && d.key == *key {
-                        removed = Some(Arc::clone(d));
-                    } else {
-                        kept.push(Arc::clone(d));
-                    }
-                }
-                kept
-            });
-            // Same discipline as `insert`: only an even, unchanged
-            // version proves the scrub cannot have raced a snapshot.
-            fence(Ordering::SeqCst);
-            if version & 1 == 0 && self.table_version() == version {
-                break;
             }
-            std::thread::yield_now();
-        }
+            kept
+        });
         match removed {
             Some(d) => {
                 d.begin_modify().unhash();
@@ -357,100 +255,6 @@ impl Dcache {
         }
     }
 
-    /// Doubles the number of hash buckets (lock striping ×2), rehashing
-    /// every entry into a new table generation published through the
-    /// configured RCU reclamation discipline.
-    ///
-    /// This is the structure-swap lever `pk-adapt` pulls when per-bucket
-    /// contention stays above its bound: readers keep traversing the old
-    /// generation until the swap, writers in flight detect the version
-    /// bump and re-apply. Returns the new bucket count.
-    ///
-    /// The swap is two-phase so the version bump is observable *before*
-    /// the buckets are snapshotted: phase 1 publishes an intermediate
-    /// generation (same cells, odd version), phase 2 rehashes into the
-    /// next even generation. Without phase 1, a writer could update an
-    /// old bucket after the snapshot copied it, read the pre-split
-    /// version (the rebuilt table not yet being published), and break
-    /// out of its re-apply loop — silently losing the update.
-    pub fn split_buckets(&self) -> usize {
-        let _g = self.split_lock.lock();
-        let bump = |old: &DcacheTable| DcacheTable {
-            cells: old.cells.clone(),
-            mask: old.mask,
-            version: old.version + 1,
-        };
-        if self.config.deferred_reclamation {
-            self.table.update_with_deferred(bump);
-        } else {
-            self.table.update_with(bump);
-        }
-        // Pairs with the fence in the writers' re-apply loops: either a
-        // racing writer observes the odd generation published above (and
-        // re-applies against the rebuilt table), or its bucket update is
-        // visible to the snapshot below.
-        fence(Ordering::SeqCst);
-        let rebuild = |old: &DcacheTable| {
-            let n = (old.mask + 1) * 2;
-            let mut entries: Vec<Vec<Arc<Dentry>>> = vec![Vec::new(); n];
-            {
-                let guard = rcu::read_lock();
-                for cell in &old.cells {
-                    for d in cell.read(&guard).iter() {
-                        entries[(Self::hash_key(&d.key) as usize) & (n - 1)].push(Arc::clone(d));
-                    }
-                }
-            }
-            DcacheTable {
-                cells: entries
-                    .into_iter()
-                    .map(|v| Arc::new(RcuCell::new(v)))
-                    .collect(),
-                mask: n - 1,
-                version: old.version + 1,
-            }
-        };
-        if self.config.deferred_reclamation {
-            self.table.update_with_deferred(rebuild);
-        } else {
-            self.table.update_with(rebuild);
-        }
-        VfsStats::bump(&self.stats.dcache_splits);
-        self.bucket_count()
-    }
-
-    /// Returns the current number of hash buckets (stripes).
-    pub fn bucket_count(&self) -> usize {
-        let guard = rcu::read_lock();
-        self.table.read(&guard).mask + 1
-    }
-
-    /// Switches per-core refcount banking for every cached dentry and
-    /// for all future inserts: `true` promotes to live sloppy banks,
-    /// `false` degrades to central-only mode. The sweep is the adaptive
-    /// personality's promotion path for [`crate::VfsConfig::refs_start_degraded`]
-    /// objects; a no-op on atomic-backed (stock) refcounts.
-    pub fn set_ref_banking(&self, enabled: bool) {
-        self.ref_banking.store(enabled, Ordering::SeqCst);
-        // Pairs with the post-publish flag re-check in `insert`: a
-        // dentry published concurrently with this call is either
-        // already visible to the sweep below, or its inserter's re-check
-        // sees the flag stored above and applies the mode itself.
-        fence(Ordering::SeqCst);
-        let guard = rcu::read_lock();
-        let t = self.table.read(&guard);
-        for cell in &t.cells {
-            for d in cell.read(&guard).iter() {
-                d.set_ref_banking(enabled);
-            }
-        }
-    }
-
-    /// Whether fresh dentries currently get live per-core banks.
-    pub fn ref_banking(&self) -> bool {
-        self.ref_banking.load(Ordering::Acquire)
-    }
-
     /// Shrinks the cache: evicts up to `target` dentries that only the
     /// cache itself still references, scanning buckets in order.
     ///
@@ -460,20 +264,13 @@ impl Dcache {
     /// counters should only be used for objects that are relatively
     /// infrequently de-allocated"). Returns the number evicted.
     pub fn shrink(&self, target: usize, core: CoreId) -> usize {
-        // Excludes concurrent bucket splits so the walk sees one stable
-        // generation (maintenance paths serialize; hot paths never wait).
-        let _g = self.split_lock.lock();
-        let cells: Vec<Arc<RcuCell<Vec<Arc<Dentry>>>>> = {
-            let guard = rcu::read_lock();
-            self.table.read(&guard).cells.to_vec()
-        };
         let mut evicted = 0;
-        for bucket in &cells {
+        for bucket in self.buckets.iter() {
             if evicted >= target {
                 break;
             }
             let mut victims = Vec::new();
-            Self::replace_bucket(bucket, self.config.deferred_reclamation, |v| {
+            self.replace_bucket(bucket, |v| {
                 let mut kept = Vec::with_capacity(v.len());
                 for d in v.iter() {
                     // Only the cache's reference remains → evictable.
@@ -488,19 +285,13 @@ impl Dcache {
             for d in victims {
                 d.begin_modify().unhash();
                 d.put(core);
-                match d.try_dealloc() {
-                    Ok(()) => {
-                        evicted += 1;
-                        VfsStats::bump(&self.stats.dcache_evictions);
-                    }
-                    // A lookup raced us and took a reference between the
-                    // scan and the dealloc; the object stays alive (but
-                    // unhashed) until that user drops it.
-                    Err(_) => {
-                        evicted += 1;
-                        VfsStats::bump(&self.stats.dcache_evictions);
-                    }
-                }
+                // `Err` means a lookup raced us and took a reference
+                // between the scan and the dealloc; the object stays
+                // alive (but unhashed) until that user drops it. Either
+                // way the entry left the cache.
+                let _ = d.try_dealloc();
+                evicted += 1;
+                VfsStats::bump(&self.stats.dcache_evictions);
             }
         }
         evicted
@@ -510,8 +301,7 @@ impl Dcache {
     /// buckets).
     pub fn len(&self) -> usize {
         let guard = rcu::read_lock();
-        let t = self.table.read(&guard);
-        t.cells.iter().map(|b| b.read(&guard).len()).sum()
+        self.buckets.iter().map(|b| b.read(&guard).len()).sum()
     }
 
     /// Returns whether the cache is empty.
@@ -651,35 +441,10 @@ mod tests {
     }
 
     #[test]
-    fn split_doubles_buckets_and_keeps_entries() {
-        let c = cache(true);
-        let core = CoreId(0);
-        for i in 0..50u64 {
-            c.insert(
-                DentryKey::new(InodeId(1), format!("s{i}")),
-                InodeId(i),
-                core,
-            )
-            .unwrap();
-        }
-        assert_eq!(c.bucket_count(), 64);
-        assert_eq!(c.split_buckets(), 128);
-        assert_eq!(c.split_buckets(), 256);
-        assert_eq!(c.len(), 50, "rehash loses nothing");
-        for i in 0..50u64 {
-            let key = DentryKey::new(InodeId(1), format!("s{i}"));
-            assert_eq!(c.lookup(&key, core).unwrap().inode(), InodeId(i));
-        }
-        // Removal still works against the rehashed generation.
-        assert!(c.remove(&DentryKey::new(InodeId(1), "s7"), core));
-        assert_eq!(c.len(), 49);
-    }
-
-    #[test]
-    fn split_under_concurrent_writers_loses_no_updates() {
-        // Writers race table swaps: every insert must survive (or be
-        // re-applied past) the generation change, and every remove must
-        // scrub its victim from whichever generation won.
+    fn concurrent_writers_lose_no_bucket_updates() {
+        // Four writers share four buckets: every insert must survive its
+        // neighbours' bucket rewrites, and every remove must take out
+        // exactly its own victim.
         for deferred in [true, false] {
             let mut cfg = VfsConfig::pk(8);
             cfg.deferred_reclamation = deferred;
@@ -701,20 +466,9 @@ mod tests {
                     })
                 })
                 .collect();
-            let splitter = {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for _ in 0..5 {
-                        c.split_buckets();
-                        std::thread::yield_now();
-                    }
-                })
-            };
             for w in writers {
                 w.join().unwrap();
             }
-            splitter.join().unwrap();
-            assert_eq!(c.bucket_count(), 128);
             // Per writer: 100 inserts, 34 removes → 66 survivors.
             assert_eq!(c.len(), 4 * 66);
             for t in 0..4u64 {
@@ -724,83 +478,6 @@ mod tests {
                 assert!(c
                     .lookup(&DentryKey::new(InodeId(t), "w0"), CoreId(0))
                     .is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn ref_banking_boots_degraded_and_promotes_in_place() {
-        let mut cfg = VfsConfig::pk(4);
-        cfg.refs_start_degraded = true;
-        let c = Dcache::new(16, cfg, Arc::new(VfsStats::new()));
-        let core = CoreId(1);
-        let key = DentryKey::new(InodeId(1), "boot");
-        let d = c.insert(key.clone(), InodeId(9), core).unwrap();
-        // Degraded: every get/put is a central (shared) op.
-        let (central0, local0) = d.refcount_ops();
-        d.get(core).unwrap();
-        d.put(core);
-        let (central1, local1) = d.refcount_ops();
-        assert_eq!(local1, local0, "degraded ops never stay core-local");
-        assert!(central1 > central0);
-        // Promote: the sweep restores banking for cached dentries and
-        // future inserts.
-        assert!(!c.ref_banking());
-        c.set_ref_banking(true);
-        assert!(c.ref_banking());
-        d.get(core).unwrap();
-        d.put(core);
-        d.get(core).unwrap();
-        d.put(core);
-        let (_, local2) = d.refcount_ops();
-        assert!(local2 > local1, "promoted ops bank core-locally");
-        d.put(core);
-    }
-
-    #[test]
-    fn ref_banking_flip_covers_concurrent_inserts() {
-        // Inserts racing the promotion sweep must never strand a dentry
-        // in the pre-flip mode: either the sweep sees the published
-        // dentry, or the inserter's re-check sees the new flag.
-        let mut cfg = VfsConfig::pk(4);
-        cfg.refs_start_degraded = true;
-        let c = Arc::new(Dcache::new(16, cfg, Arc::new(VfsStats::new())));
-        let inserters: Vec<_> = (0..3u64)
-            .map(|t| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for i in 0..200u64 {
-                        let d = c
-                            .insert(
-                                DentryKey::new(InodeId(t), format!("r{i}")),
-                                InodeId(i),
-                                CoreId(t as usize),
-                            )
-                            .unwrap();
-                        d.put(CoreId(t as usize));
-                    }
-                })
-            })
-            .collect();
-        // Flip banking while inserts are in flight, ending promoted.
-        for flips in 0..7 {
-            c.set_ref_banking(flips % 2 == 0);
-            std::thread::yield_now();
-        }
-        for t in inserters {
-            t.join().unwrap();
-        }
-        assert!(c.ref_banking());
-        for t in 0..3u64 {
-            for i in 0..200u64 {
-                let d = c
-                    .lookup(&DentryKey::new(InodeId(t), format!("r{i}")), CoreId(0))
-                    .unwrap();
-                assert!(
-                    !d.ref_is_central_only(),
-                    "dentry stranded in degraded mode after promotion"
-                );
-                d.put(CoreId(0));
             }
         }
     }

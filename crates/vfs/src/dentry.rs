@@ -84,19 +84,6 @@ impl Dentry {
         InodeId(self.inode.load(Ordering::Acquire))
     }
 
-    /// Switches the refcount's per-core banking (`true` = live sloppy
-    /// banks, `false` = central-only). A no-op on stock atomic
-    /// refcounts; this is `pk-adapt`'s in-place promotion lever.
-    pub fn set_ref_banking(&self, enabled: bool) {
-        self.refcount.set_banking(enabled);
-    }
-
-    /// Whether get/put currently bounce a shared cache line (atomic
-    /// refcount, or sloppy refcount in degraded mode).
-    pub fn ref_is_central_only(&self) -> bool {
-        self.refcount.is_central_only()
-    }
-
     /// Returns whether the dentry has been unhashed.
     pub fn is_unhashed(&self) -> bool {
         self.unhashed.load(Ordering::Acquire)
@@ -209,11 +196,6 @@ impl Dentry {
             dentry: self,
             _lock,
         }
-    }
-
-    /// Exposes the spin lock's contention stats.
-    pub fn lock_stats(&self) -> &pk_sync::LockStats {
-        self.lock.stats()
     }
 
     /// Attempts to free the dentry (reconciles a sloppy refcount).

@@ -227,11 +227,6 @@ impl Inode {
         names.sort_unstable();
         names
     }
-
-    /// Exposes the per-directory lock's contention stats.
-    pub fn dir_lock_stats(&self) -> &pk_sync::LockStats {
-        self.children.stats()
-    }
 }
 
 #[cfg(test)]

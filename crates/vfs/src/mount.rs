@@ -6,7 +6,6 @@ use pk_percpu::{CoreId, PerCore};
 use pk_sloppy::{DeallocError, RefCount};
 use pk_sync::{rcu, SpinLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// A mounted file system object (`struct vfsmount`).
@@ -57,17 +56,6 @@ impl VfsMount {
     pub fn refcount_ops(&self) -> (u64, u64) {
         self.refcount.op_counts()
     }
-
-    /// Switches the refcount's per-core banking (`pk-adapt`'s in-place
-    /// promotion lever; no-op on stock atomic refcounts).
-    pub fn set_ref_banking(&self, enabled: bool) {
-        self.refcount.set_banking(enabled);
-    }
-
-    /// Whether get/put currently bounce a shared cache line.
-    pub fn ref_is_central_only(&self) -> bool {
-        self.refcount.is_central_only()
-    }
 }
 
 /// One mapping from mount point to mount, as the central table holds it.
@@ -94,10 +82,6 @@ pub struct MountTable {
     percore: PerCore<SpinLock<Option<MountMap>>>,
     config: VfsConfig,
     stats: Arc<VfsStats>,
-    /// Whether mount refcounts bank per-core. The adaptive personality
-    /// boots this off (`VfsConfig::refs_start_degraded`) and promotes
-    /// via [`MountTable::set_ref_banking`].
-    ref_banking: AtomicBool,
 }
 
 impl MountTable {
@@ -115,7 +99,6 @@ impl MountTable {
                 l.set_class(percore_class);
                 l
             }),
-            ref_banking: AtomicBool::new(!config.refs_start_degraded),
             config,
             stats,
         };
@@ -144,17 +127,9 @@ impl MountTable {
                 self.config.sockets,
             ),
         );
-        {
-            // The banking mode is decided under the central lock, which
-            // the `set_ref_banking` sweep also holds: either that sweep
-            // finds this mount in the table, or this load sees the new
-            // flag — a mount can never be published in a stale mode.
-            let mut central = self.central.lock();
-            if !self.ref_banking.load(Ordering::Acquire) {
-                m.set_ref_banking(false);
-            }
-            central.insert(mount_point.to_string(), Arc::clone(&m));
-        }
+        self.central
+            .lock()
+            .insert(mount_point.to_string(), Arc::clone(&m));
         let swept = self.sweep_percore_caches();
         if !swept.is_empty() {
             self.retire(swept);
@@ -292,26 +267,6 @@ impl MountTable {
     /// Returns the central-table lock statistics.
     pub fn central_lock_stats(&self) -> &pk_sync::LockStats {
         self.central.stats()
-    }
-
-    /// Switches per-core refcount banking for every installed mount and
-    /// for all future mounts — the adaptive promotion sweep for
-    /// vfsmount refcounts. A no-op per object when the refcounts are
-    /// stock atomics.
-    pub fn set_ref_banking(&self, enabled: bool) {
-        // Flag flip and sweep form one critical section under the
-        // central lock; `mount` decides each new mount's mode under the
-        // same lock, so no mount can miss both.
-        let central = self.central.lock();
-        self.ref_banking.store(enabled, Ordering::Release);
-        for m in central.values() {
-            m.set_ref_banking(enabled);
-        }
-    }
-
-    /// Whether fresh mounts currently get live per-core banks.
-    pub fn ref_banking(&self) -> bool {
-        self.ref_banking.load(Ordering::Acquire)
     }
 }
 

@@ -3,7 +3,7 @@
 
 use crate::dcache::Dcache;
 use crate::dentry::DentryKey;
-use crate::inode::{Inode, InodeId, InodeKind};
+use crate::inode::{Inode, InodeKind};
 use crate::mount::MountTable;
 use crate::tmpfs::Tmpfs;
 use crate::VfsError;
@@ -200,11 +200,6 @@ impl<'a> PathWalker<'a> {
         })();
         mount.put(core);
         result
-    }
-
-    /// Returns the inode id a path currently resolves to (diagnostic).
-    pub fn resolve_id(&self, path: &str, core: CoreId) -> Result<InodeId, VfsError> {
-        Ok(self.resolve(path, core)?.id)
     }
 }
 

@@ -43,9 +43,6 @@ pub struct VfsStats {
     pub dentry_alloc_failures: AtomicU64,
     /// Lookup misses forced by injected dcache memory pressure.
     pub dcache_pressure_misses: AtomicU64,
-    /// Runtime bucket splits (`Dcache::split_buckets`): each doubles the
-    /// dcache stripe count under `pk-adapt` control.
-    pub dcache_splits: AtomicU64,
     /// Whole-path RCU walks that completed without any shared write —
     /// no refcount op, no lock, per component (generation-2 fix).
     pub rcu_walks: AtomicU64,
@@ -106,7 +103,6 @@ impl VfsStats {
             &self.dcache_evictions,
             &self.dentry_alloc_failures,
             &self.dcache_pressure_misses,
-            &self.dcache_splits,
             &self.rcu_walks,
             &self.rcu_walk_fallbacks,
         ] {
