@@ -5,8 +5,7 @@
 //! per track, timestamps in virtual cycles (the format nominally wants
 //! microseconds; cycles render fine and keep the export deterministic).
 
-use crate::event::{Event, EventKind};
-use crate::intern;
+use crate::event::{ClassKey, ClassNames, Event, EventKind};
 
 fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -24,21 +23,14 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-fn event_name(e: &Event) -> String {
-    if e.kind.is_lock() {
-        pk_lockdep::class_name(pk_lockdep::ClassId::from_raw(e.class))
-    } else {
-        intern::span_name(e.class)
-    }
-}
-
 /// Renders a drained event stream as a complete Chrome `trace_event`
 /// JSON document. Deterministic: same events, same bytes.
 pub fn chrome_trace_json(events: &[Event]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
+    let mut names = ClassNames::new();
     for e in events {
-        let name = escape_json(&event_name(e));
+        let name = escape_json(&names.get(ClassKey::of(e)));
         let cat = if e.kind.is_lock() {
             "lock"
         } else if e.kind.is_ctx() {
@@ -89,6 +81,7 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intern;
 
     fn ev(ts: u64, kind: EventKind, class: u32, arg: u64) -> Event {
         Event {

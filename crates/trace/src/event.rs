@@ -6,6 +6,9 @@
 //! lives in the intern tables and is resolved post-hoc, never on the
 //! hot path.
 
+use crate::intern;
+use std::sync::Arc;
+
 /// What an [`Event`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
@@ -90,6 +93,79 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+/// An event's class id together with the namespace it indexes: the
+/// pk-trace span intern table, or the `pk-lockdep` class registry for
+/// lock events ([`EventKind::is_lock`]). Both tables are name ↔ id
+/// bijections, so two events name the same class iff their keys are
+/// equal — consumers match spans by key and resolve a name once per
+/// class ([`ClassNames`]), never once per event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum ClassKey {
+    /// A span-class id from [`crate::intern`].
+    Span(u32),
+    /// A raw `pk_lockdep::ClassId`.
+    Lock(u32),
+}
+
+impl ClassKey {
+    /// The class `e` refers to.
+    #[inline]
+    pub fn of(e: &Event) -> Self {
+        if e.kind.is_lock() {
+            Self::Lock(e.class)
+        } else {
+            Self::Span(e.class)
+        }
+    }
+
+    /// Resolves the class name (a placeholder for unknown ids). Takes
+    /// the owning table's mutex and allocates: call it per class.
+    pub fn name(self) -> String {
+        match self {
+            Self::Span(id) => intern::span_name(id),
+            Self::Lock(id) => pk_lockdep::class_name(pk_lockdep::ClassId::from_raw(id)),
+        }
+    }
+}
+
+/// A resolve-once name cache for one pass over an event stream: the
+/// first [`get`](Self::get) of a class resolves it, every later one is
+/// a vector index. Names are `Arc<str>` so a consumer that stores one
+/// per node shares the class's single allocation.
+#[derive(Debug, Default)]
+pub struct ClassNames {
+    span: Vec<Option<Arc<str>>>,
+    lock: Vec<Option<Arc<str>>>,
+}
+
+impl ClassNames {
+    /// Ids the tables hand out are small and dense; an id at or past
+    /// this bound can only come from a foreign or corrupt stream, and
+    /// is resolved (to its placeholder) uncached rather than sizing a
+    /// vector by it.
+    const DENSE_IDS: usize = 1 << 16;
+
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The name of `key`, resolved on first sight.
+    pub fn get(&mut self, key: ClassKey) -> Arc<str> {
+        let (names, id) = match key {
+            ClassKey::Span(id) => (&mut self.span, id as usize),
+            ClassKey::Lock(id) => (&mut self.lock, id as usize),
+        };
+        if id >= Self::DENSE_IDS {
+            return key.name().into();
+        }
+        if id >= names.len() {
+            names.resize(id + 1, None);
+        }
+        names[id].get_or_insert_with(|| key.name().into()).clone()
+    }
+}
+
 /// Wire size of one encoded event (`ts, arg, class, site, track, kind`).
 pub const ENCODED_EVENT_BYTES: usize = 8 + 8 + 4 + 4 + 4 + 1;
 
@@ -143,6 +219,25 @@ mod tests {
         assert!(EventKind::CtxBegin.is_ctx() && EventKind::CtxEnd.is_ctx());
         assert!(!EventKind::CtxBegin.is_lock());
         assert!(!EventKind::SpanBegin.is_ctx());
+    }
+
+    #[test]
+    fn class_names_resolve_once_per_namespace_and_bound_their_tables() {
+        let span = intern::intern_span("test.event.names");
+        let lock =
+            pk_lockdep::register_class("test.event.names", "pk-trace", pk_lockdep::LockKind::Spin);
+        let mut names = ClassNames::new();
+        let first = names.get(ClassKey::Span(span));
+        assert_eq!(&*first, "test.event.names");
+        assert!(Arc::ptr_eq(&first, &names.get(ClassKey::Span(span))));
+        // Same name, other namespace: its own entry.
+        let locked = names.get(ClassKey::Lock(lock.raw()));
+        assert_eq!(locked, first);
+        assert!(!Arc::ptr_eq(&locked, &first));
+        // Garbage ids get their placeholder without a 4-G-entry table.
+        assert_eq!(&*names.get(ClassKey::Span(u32::MAX)), "span#4294967295");
+        assert_eq!(&*names.get(ClassKey::Lock(0)), "class#0");
+        assert!(names.span.len() <= ClassNames::DENSE_IDS);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! answers *where the cycles went along a request's path*:
 //!
 //! * **Recording** — per-track fixed-capacity lock-free rings of 32-byte
-//!   [`Event`]s ([`ring`]), stamped by a deterministic virtual clock
-//!   ([`Tracer`]): DES simulation cycles under `pk-sim`, a monotone
-//!   per-core op counter in the functional drivers. Overflow is
-//!   counted-and-dropped; a hot path never blocks on the tracer.
+//!   [`Event`]s ([`ring`], allocated in chunks as they fill), stamped by
+//!   a deterministic virtual clock ([`Tracer`]): DES simulation cycles
+//!   under `pk-sim`, a monotone per-core op counter in the functional
+//!   drivers. Overflow is counted-and-dropped; a hot path never blocks
+//!   on the tracer.
 //! * **Spans** — [`trace_span!`] RAII guards (`#[track_caller]` call
 //!   sites) wired through the `pk-kernel` syscalls, every `pk-sync`
 //!   lock guard (named via the always-compiled `pk-lockdep` class
@@ -40,7 +41,7 @@ mod span;
 mod tracer;
 
 pub use chrome::chrome_trace_json;
-pub use event::{encode_stream, Event, EventKind, ENCODED_EVENT_BYTES};
+pub use event::{encode_stream, ClassKey, ClassNames, Event, EventKind, ENCODED_EVENT_BYTES};
 pub use profile::{ClassTotals, Profile, ProfileNode};
 pub use request::{
     ctx_leaks, current_request, request_id, RequestScope, CTX_LEAK_CLASS, REQUEST_CLASS,
@@ -181,8 +182,9 @@ pub fn lock_released(cell: &pk_lockdep::ClassCell, kind: pk_lockdep::LockKind) {
     let _ = (cell, kind);
 }
 
-/// The pull-model trace sink: exports ring occupancy and drop counts
-/// through `pk-obs` so a truncated capture is always visible.
+/// The pull-model trace sink: exports ring occupancy, drop counts
+/// (this capture window) and torn-drain counts (lifetime) through
+/// `pk-obs` so a truncated capture is always visible.
 struct TraceSink;
 
 impl pk_obs::Collect for TraceSink {
@@ -203,6 +205,10 @@ impl pk_obs::Collect for TraceSink {
         out.push(pk_obs::Sample::counter(
             "trace.dropped_events",
             installed.map(Tracer::dropped).unwrap_or(0),
+        ));
+        out.push(pk_obs::Sample::counter(
+            "trace.torn_events",
+            installed.map(Tracer::torn).unwrap_or(0),
         ));
         out.push(pk_obs::Sample::gauge(
             "trace.span_classes",
@@ -228,6 +234,7 @@ mod tests {
         collector().collect(&mut snap);
         assert!(snap.find("trace.installed").is_some());
         assert!(snap.find("trace.dropped_events").is_some());
+        assert!(snap.find("trace.torn_events").is_some());
     }
 
     #[cfg(not(feature = "trace-off"))]
@@ -249,16 +256,7 @@ mod tests {
         lock_acquired(&cell, pk_lockdep::LockKind::Spin, 3);
         lock_released(&cell, pk_lockdep::LockKind::Spin);
         let events = t.drain();
-        let names: Vec<String> = events
-            .iter()
-            .map(|e| {
-                if e.kind.is_lock() {
-                    pk_lockdep::class_name(pk_lockdep::ClassId::from_raw(e.class))
-                } else {
-                    intern::span_name(e.class)
-                }
-            })
-            .collect();
+        let names: Vec<String> = events.iter().map(|e| ClassKey::of(e).name()).collect();
         assert!(names.iter().any(|n| n == "test.lib.outer"));
         assert!(names.iter().any(|n| n == "test.lib.tick"));
         assert!(names.iter().any(|n| n == "test.lib.bytes"));

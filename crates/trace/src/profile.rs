@@ -12,33 +12,8 @@
 //! always-compiled `pk-lockdep` class registry; span events through the
 //! pk-trace intern table. Resolution happens here, never on a hot path.
 
-use crate::event::{Event, EventKind};
-use crate::intern;
+use crate::event::{ClassKey, Event, EventKind};
 use std::collections::BTreeMap;
-
-/// Class key carrying its namespace (trace intern vs lockdep registry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum Key {
-    Span(u32),
-    Lock(u32),
-}
-
-impl Key {
-    fn of(e: &Event) -> Key {
-        if e.kind.is_lock() {
-            Key::Lock(e.class)
-        } else {
-            Key::Span(e.class)
-        }
-    }
-
-    fn name(self) -> String {
-        match self {
-            Key::Span(id) => intern::span_name(id),
-            Key::Lock(id) => pk_lockdep::class_name(pk_lockdep::ClassId::from_raw(id)),
-        }
-    }
-}
 
 /// Flat per-class roll-up across all tracks.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,11 +48,11 @@ struct Node {
     count: u64,
     inclusive: u64,
     exclusive: u64,
-    children: BTreeMap<Key, Node>,
+    children: BTreeMap<ClassKey, Node>,
 }
 
 impl Node {
-    fn at_path(&mut self, path: &[Key]) -> &mut Node {
+    fn at_path(&mut self, path: &[ClassKey]) -> &mut Node {
         let mut cur = self;
         for k in path {
             cur = cur.children.entry(*k).or_default();
@@ -112,7 +87,7 @@ fn sat(acc: &mut u64, delta: u64) {
 }
 
 struct Frame {
-    key: Key,
+    key: ClassKey,
     begin: u64,
     children: u64,
 }
@@ -148,15 +123,15 @@ impl Profile {
     /// seen timestamp.
     pub fn build(events: &[Event]) -> Profile {
         let mut tracks: BTreeMap<u32, TrackState> = BTreeMap::new();
-        let mut flat: BTreeMap<Key, (u64, u64, u64)> = BTreeMap::new();
-        let mut counters: BTreeMap<Key, i64> = BTreeMap::new();
-        let mut instants: BTreeMap<Key, u64> = BTreeMap::new();
+        let mut flat: BTreeMap<ClassKey, (u64, u64, u64)> = BTreeMap::new();
+        let mut counters: BTreeMap<ClassKey, i64> = BTreeMap::new();
+        let mut instants: BTreeMap<ClassKey, u64> = BTreeMap::new();
         let mut tree = Node::default();
         let mut total_cycles = 0u64;
 
         let mut close = |state: &mut TrackState,
                          tree: &mut Node,
-                         flat: &mut BTreeMap<Key, (u64, u64, u64)>,
+                         flat: &mut BTreeMap<ClassKey, (u64, u64, u64)>,
                          ts: u64| {
             let frame = state.stack.pop().expect("caller checked non-empty");
             let inclusive = ts.saturating_sub(frame.begin);
@@ -165,7 +140,7 @@ impl Profile {
             sat(&mut entry.0, 1);
             sat(&mut entry.1, inclusive);
             sat(&mut entry.2, exclusive);
-            let path: Vec<Key> = state
+            let path: Vec<ClassKey> = state
                 .stack
                 .iter()
                 .map(|f| f.key)
@@ -184,7 +159,7 @@ impl Profile {
         for e in events {
             let state = tracks.entry(e.track).or_default();
             state.last_ts = state.last_ts.max(e.ts);
-            let key = Key::of(e);
+            let key = ClassKey::of(e);
             match e.kind {
                 // Request contexts fold exactly like spans: the ctx
                 // becomes the root frame of its request's subtree.
@@ -286,6 +261,7 @@ impl Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intern;
 
     fn span(track: u32, ts: u64, kind: EventKind, class: u32) -> Event {
         Event {

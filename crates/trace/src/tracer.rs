@@ -10,6 +10,10 @@
 //! * **Sim domain** — `pk-sim` stamps events with explicit DES cycles
 //!   via [`Tracer::record_at`]; the tick clock is bypassed entirely.
 //!
+//! Rings are capacity promises backed by on-demand chunks (see
+//! [`crate::ring`]), so `Tracer::new` costs a few words per chunk and a
+//! track that records nothing allocates nothing.
+//!
 //! A `Tracer` can be a local instance (the DES harness makes one per
 //! simulation) or the process-wide default used by the macros and the
 //! lock/RCU/syscall hooks ([`install_global`]). The global default does
@@ -29,6 +33,7 @@ pub struct Tracer {
     rings: Box<[Ring]>,
     ticks: Box<[pk_percpu::CacheAligned<AtomicU64>]>,
     out_of_range: AtomicU64,
+    torn: AtomicU64,
     enabled: AtomicBool,
 }
 
@@ -44,6 +49,7 @@ impl Tracer {
             rings: rings.into_boxed_slice(),
             ticks: ticks.into_boxed_slice(),
             out_of_range: AtomicU64::new(0),
+            torn: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
         }
     }
@@ -127,19 +133,31 @@ impl Tracer {
         self.rings.iter().map(Ring::dropped).collect()
     }
 
+    /// Slots a drain found claimed but not yet published, over the
+    /// tracer's lifetime. Unlike [`dropped`](Self::dropped) this is
+    /// *not* reset by [`drain`](Self::drain): the drain that tears a
+    /// trace is the only place the loss can be seen, so the count must
+    /// outlive it. Zero unless a drain raced a writer.
+    pub fn torn(&self) -> u64 {
+        self.torn.load(Ordering::Relaxed)
+    }
+
     /// Drains every ring at a quiescent point, returning the events in
     /// canonical order — by track, then per-track program order — and
-    /// resetting the rings and tick clocks for the next capture window.
+    /// resetting the rings, the drop counts and the tick clocks for the
+    /// next capture window.
     ///
     /// The canonical order makes a drain deterministic regardless of
     /// how OS threads interleaved *across* tracks: only per-track order
     /// matters, and each track has a single logical writer.
     pub fn drain(&self) -> Vec<Event> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.recorded() as usize);
+        let mut torn = 0;
         for ring in self.rings.iter() {
-            ring.drain_into(&mut out);
+            torn += ring.drain_into(&mut out);
             ring.reset();
         }
+        self.torn.fetch_add(torn, Ordering::Relaxed);
         for tick in self.ticks.iter() {
             tick.store(0, Ordering::Relaxed);
         }
@@ -153,7 +171,8 @@ static GLOBAL: OnceLock<Tracer> = OnceLock::new();
 /// Installs (or returns) the process-wide default tracer used by the
 /// span macros and the lock/RCU/syscall/fault hooks. One track per
 /// possible core ([`pk_percpu::MAX_CORES`]); rings are `capacity`
-/// slots. Idempotent — the first caller's capacity wins.
+/// slots, allocated as the cores that record fill them. Idempotent —
+/// the first caller's capacity wins.
 pub fn install_global(capacity: usize) -> &'static Tracer {
     GLOBAL.get_or_init(|| Tracer::new(pk_percpu::MAX_CORES, capacity))
 }
@@ -196,6 +215,33 @@ mod tests {
         let again = t.drain();
         assert_eq!(again.len(), 1);
         assert_eq!(again[0].ts, 0, "tick clock must rewind on drain");
+    }
+
+    #[test]
+    fn a_torn_drain_is_counted_and_the_count_survives_the_drain() {
+        let t = Tracer::new(2, 8);
+        t.record(1, EventKind::Instant, 1, 0, 0);
+        t.rings[1].claim_unpublished();
+        assert_eq!(t.torn(), 0);
+        assert_eq!(t.drain().len(), 1);
+        assert_eq!(t.torn(), 1);
+        assert_eq!(t.dropped(), 0, "a torn slot is not an overflow");
+        assert!(t.drain().is_empty());
+        assert_eq!(t.torn(), 1, "lifetime counter: a clean drain keeps it");
+    }
+
+    #[test]
+    fn an_idle_track_allocates_nothing() {
+        // The global tracer's shape: every possible core gets a 2 MB
+        // promise, and only the cores that record pay for a chunk.
+        let t = Tracer::new(pk_percpu::MAX_CORES, 1 << 16);
+        let resident = |t: &Tracer| t.rings.iter().map(Ring::resident_slots).sum::<usize>();
+        assert_eq!(resident(&t), 0);
+        for i in 0..10 {
+            t.record(i % 3, EventKind::Instant, 1, 0, 0);
+        }
+        assert_eq!(resident(&t), 3 * crate::ring::CHUNK);
+        assert_eq!(t.drain().len(), 10);
     }
 
     #[test]

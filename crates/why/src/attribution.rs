@@ -97,7 +97,7 @@ pub fn attribute(costs: &[RequestCost], q: f64) -> Option<Attribution> {
         a.service += c.service;
         a.slack += c.slack;
         for (class, w) in &c.waits {
-            *pool.entry(class).or_default() += w;
+            *pool.entry(&**class).or_default() += w;
         }
     }
     a.wait_total = pool.values().sum();
@@ -122,9 +122,10 @@ pub fn attribute(costs: &[RequestCost], q: f64) -> Option<Attribution> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn cost(ctx: u64, queue: u64, service: u64, waits: &[(&str, u64)]) -> RequestCost {
-        let waits: BTreeMap<String, u64> = waits.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+        let waits: BTreeMap<Arc<str>, u64> = waits.iter().map(|&(k, v)| (k.into(), v)).collect();
         let wait_sum: u64 = waits.values().sum();
         RequestCost {
             ctx,

@@ -14,8 +14,9 @@
 //! preserved) cannot change a byte of the fold.
 
 use crate::ADMISSION_QUEUE_CLASS;
-use pk_trace::{Event, EventKind};
+use pk_trace::{ClassKey, ClassNames, Event, EventKind};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// What a [`SpanNode`] in a folded tree represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -44,11 +45,12 @@ impl NodeKind {
 
 /// One node of a folded request tree. Names are resolved at fold time
 /// (lockdep registry for locks, span intern table otherwise) — trees
-/// never carry raw interned ids.
+/// never carry raw interned ids. Every node of one class in one fold
+/// shares that class's single name allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanNode {
     /// Resolved class name.
-    pub name: String,
+    pub name: Arc<str>,
     /// What the node is.
     pub kind: NodeKind,
     /// Open timestamp (virtual cycles).
@@ -74,7 +76,7 @@ pub struct RequestTree {
     /// The deterministic request id (`pk_trace::request_id`).
     pub ctx: u64,
     /// Resolved name of the context class (`serve.request`).
-    pub kind_name: String,
+    pub kind_name: Arc<str>,
     /// Envelope open (dispatch time in the flow engine).
     pub start: u64,
     /// Envelope close (completion).
@@ -107,6 +109,9 @@ pub struct FoldOutput {
 
 struct Frame {
     node: SpanNode,
+    /// The opening event's class. Ends match on this, not on the name:
+    /// both name tables are bijections, so it is the same test.
+    key: ClassKey,
     /// `Some(id)` iff this frame is a request envelope.
     ctx: Option<u64>,
 }
@@ -115,47 +120,39 @@ struct Frame {
 fn matches(f: &Frame, e: &Event) -> bool {
     match e.kind {
         EventKind::CtxEnd => f.ctx == Some(e.arg),
-        EventKind::LockEnd => {
-            f.ctx.is_none() && f.node.kind == NodeKind::Lock && f.node.name == resolve(e)
-        }
-        EventKind::SpanEnd => {
-            f.ctx.is_none() && f.node.kind == NodeKind::Span && f.node.name == resolve(e)
-        }
+        EventKind::LockEnd | EventKind::SpanEnd => f.ctx.is_none() && f.key == ClassKey::of(e),
         _ => false,
-    }
-}
-
-/// Resolves an event's class id to its name in the right namespace.
-fn resolve(e: &Event) -> String {
-    if e.kind.is_lock() {
-        pk_lockdep::class_name(pk_lockdep::ClassId::from_raw(e.class))
-    } else {
-        pk_trace::intern::span_name(e.class)
     }
 }
 
 /// Folds a drained stream into complete per-request span trees.
 ///
-/// Events are grouped by track (preserving each track's stream order)
-/// and each track is walked with a frame stack. Events outside any
-/// request envelope — the admission track's shed/reject instants,
-/// driver spans between requests — are dropped: the fold answers
-/// per-request questions only.
+/// Events are grouped by track with a stable sort (each track's stream
+/// order survives; a drained stream is already in this order, which
+/// the sort detects in one pass) and each track is walked with a frame
+/// stack. Events outside any request envelope — the admission track's
+/// shed/reject instants, driver spans between requests — are dropped:
+/// the fold answers per-request questions only.
+///
+/// An end closes the innermost open frame of its `(namespace, class
+/// id)`, and each class name is resolved once per fold
+/// ([`ClassNames`]): the per-event path takes no lock and allocates no
+/// string.
 pub fn fold(events: &[Event]) -> FoldOutput {
-    let mut by_track: BTreeMap<u32, Vec<&Event>> = BTreeMap::new();
-    for e in events {
-        by_track.entry(e.track).or_default().push(e);
-    }
+    let mut by_track: Vec<&Event> = events.iter().collect();
+    by_track.sort_by_key(|e| e.track);
 
     let mut out = FoldOutput::default();
-    for track in by_track.values() {
+    let mut names = ClassNames::new();
+    for track in by_track.chunk_by(|a, b| a.track == b.track) {
         let mut stack: Vec<Frame> = Vec::new();
         for &e in track {
             match e.kind {
                 EventKind::SpanBegin | EventKind::LockBegin | EventKind::CtxBegin => {
+                    let key = ClassKey::of(e);
                     stack.push(Frame {
                         node: SpanNode {
-                            name: resolve(e),
+                            name: names.get(key),
                             kind: if e.kind.is_lock() {
                                 NodeKind::Lock
                             } else {
@@ -170,6 +167,7 @@ pub fn fold(events: &[Event]) -> FoldOutput {
                             },
                             children: Vec::new(),
                         },
+                        key,
                         ctx: (e.kind == EventKind::CtxBegin).then_some(e.arg),
                     });
                 }
@@ -210,7 +208,7 @@ pub fn fold(events: &[Event]) -> FoldOutput {
                 EventKind::Instant | EventKind::Counter => {
                     if let Some(top) = stack.last_mut() {
                         top.node.children.push(SpanNode {
-                            name: resolve(e),
+                            name: names.get(ClassKey::of(e)),
                             kind: if e.kind == EventKind::Instant {
                                 NodeKind::Instant
                             } else {
@@ -253,15 +251,15 @@ pub struct RequestCost {
     pub slack: u64,
     /// Cycles waited per lock class, admission excluded. Keyed by
     /// resolved class name — the shared `pk-lockdep` vocabulary.
-    pub waits: BTreeMap<String, u64>,
+    pub waits: BTreeMap<Arc<str>, u64>,
 }
 
 impl RequestCost {
     /// Prices one complete tree.
     pub fn of(tree: &RequestTree) -> Self {
-        fn walk(n: &SpanNode, queue: &mut u64, waits: &mut BTreeMap<String, u64>) {
+        fn walk(n: &SpanNode, queue: &mut u64, waits: &mut BTreeMap<Arc<str>, u64>) {
             if n.kind == NodeKind::Lock {
-                if n.name == ADMISSION_QUEUE_CLASS {
+                if &*n.name == ADMISSION_QUEUE_CLASS {
                     *queue += n.wait;
                 } else {
                     *waits.entry(n.name.clone()).or_default() += n.wait;
