@@ -123,6 +123,42 @@ pub fn register_class(name: &str, krate: &str, kind: LockKind) -> ClassId {
     imp::intern(name, krate, kind)
 }
 
+/// A lock class declared once as a `static` and registered on first
+/// use — the twin of `pk_trace::LazySpanClass` — for constructors that
+/// run per object (every inode, dentry, mapping): after the first
+/// [`id`](Self::id) the class costs one `OnceLock` load, not a trip
+/// through the registry's mutex and name map.
+///
+/// Registration still happens at the first construction, so class ids
+/// come out in the order they always did.
+#[derive(Debug)]
+pub struct LazyClass {
+    name: &'static str,
+    krate: &'static str,
+    kind: LockKind,
+    id: OnceLock<ClassId>,
+}
+
+impl LazyClass {
+    /// Declares a class. `const` so it can live in a `static`.
+    pub const fn new(name: &'static str, krate: &'static str, kind: LockKind) -> Self {
+        Self {
+            name,
+            krate,
+            kind,
+            id: OnceLock::new(),
+        }
+    }
+
+    /// The class id, registering the class on first use.
+    #[inline]
+    pub fn id(&self) -> ClassId {
+        *self
+            .id
+            .get_or_init(|| register_class(self.name, self.krate, self.kind))
+    }
+}
+
 /// Resolves the class id of the lock owning `cell`, minting a fresh
 /// anonymous class on first use for unclassified locks (so distinct
 /// instances are never aliased). This is the always-compiled lookup

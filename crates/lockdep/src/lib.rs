@@ -6,7 +6,8 @@
 //! none of the five lock types in `pk-sync` validated how. This crate
 //! closes that gap with four checks:
 //!
-//! 1. **Lock classes** ([`register_class`]) — validation is per class
+//! 1. **Lock classes** ([`register_class`], or a [`LazyClass`] static
+//!    where the constructor runs per object) — validation is per class
 //!    of lock (all dentry `d_lock`s are one class), so an ordering
 //!    observed once stands for the whole population.
 //! 2. **Lock-order graph** — every acquisition records the class→class
@@ -45,7 +46,8 @@ mod percore;
 mod report;
 
 pub use class::{
-    class_name, classes, classify, register_class, ClassCell, ClassId, ClassInfo, LockKind,
+    class_name, classes, classify, register_class, ClassCell, ClassId, ClassInfo, LazyClass,
+    LockKind,
 };
 pub use percore::{acting_core, check_percore_mutation, ActingCore, MigrationScope};
 pub use report::{violation_count, violations, Violation, ViolationKind};
@@ -217,6 +219,19 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, ClassId::UNSET);
         assert!(classes().iter().any(|c| c.name == "test.lib.a"));
+    }
+
+    #[test]
+    fn lazy_class_registers_on_first_use_and_agrees_with_the_registry() {
+        static LAZY: LazyClass = LazyClass::new("test.lib.lazy", "pk-lockdep", LockKind::Blocking);
+        assert!(!classes().iter().any(|c| c.name == "test.lib.lazy"));
+        let id = LAZY.id();
+        assert_eq!(id, LAZY.id());
+        assert_eq!(
+            id,
+            register_class("test.lib.lazy", "pk-lockdep", LockKind::Blocking)
+        );
+        assert_eq!(classes()[id.raw() as usize - 1].kind, LockKind::Blocking);
     }
 
     #[test]

@@ -10,6 +10,19 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// Lock classes of the address-space-wide super-page mutex and of each
+/// region's mapping mutex, registered at first construction.
+static SUPERPAGE_CLASS: pk_lockdep::LazyClass = pk_lockdep::LazyClass::new(
+    "mm.mmap.superpage_global",
+    "pk-mm",
+    pk_lockdep::LockKind::Blocking,
+);
+static MAPPING_MUTEX_CLASS: pk_lockdep::LazyClass = pk_lockdep::LazyClass::new(
+    "mm.mmap.mapping_mutex",
+    "pk-mm",
+    pk_lockdep::LockKind::Blocking,
+);
+
 /// Identifies a mapping within an address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RegionId(pub u64);
@@ -108,11 +121,7 @@ impl AddressSpace {
             config,
             stats,
         };
-        asp.superpage_mutex.set_class(pk_lockdep::register_class(
-            "mm.mmap.superpage_global",
-            "pk-mm",
-            pk_lockdep::LockKind::Blocking,
-        ));
+        asp.superpage_mutex.set_class(SUPERPAGE_CLASS.id());
         asp
     }
 
@@ -135,11 +144,7 @@ impl AddressSpace {
             node_pages: Mutex::new(Vec::new()),
             mapping_mutex: AdaptiveMutex::new(()),
         });
-        region.mapping_mutex.set_class(pk_lockdep::register_class(
-            "mm.mmap.mapping_mutex",
-            "pk-mm",
-            pk_lockdep::LockKind::Blocking,
-        ));
+        region.mapping_mutex.set_class(MAPPING_MUTEX_CLASS.id());
         MmStats::bump(&self.stats.region_write_locks);
         self.replace_regions(|v| {
             let mut v = v.clone();

@@ -10,7 +10,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Maximum number of logical cores supported by the global registry.
 ///
@@ -68,6 +68,9 @@ static SLOTS: [AtomicBool; MAX_CORES] = {
     [FREE; MAX_CORES]
 };
 
+/// One past the highest slot index ever handed out; never decreases.
+static HIGH_WATER: AtomicUsize = AtomicUsize::new(0);
+
 thread_local! {
     static CURRENT: Cell<Option<usize>> = const { Cell::new(None) };
     /// Token held for threads registered implicitly via
@@ -122,6 +125,9 @@ pub fn register() -> Result<CoreToken, RegistryError> {
             .is_ok()
         {
             CURRENT.with(|c| c.set(Some(i)));
+            // Before the token exists: whatever its holder later stores
+            // into a per-core slot is sequenced after this.
+            HIGH_WATER.fetch_max(i + 1, Ordering::SeqCst);
             return Ok(CoreToken {
                 id: CoreId(i),
                 _not_send: std::marker::PhantomData,
@@ -129,6 +135,15 @@ pub fn register() -> Result<CoreToken, RegistryError> {
         }
     }
     Err(RegistryError::Exhausted)
+}
+
+/// One past the highest [`CoreId`] index any thread has ever been
+/// registered with: monotonic, and raised before [`register`] returns
+/// the token. A scan over per-core state indexed by registered core can
+/// stop here instead of at [`MAX_CORES`] — slots at or above it have
+/// never had an owner.
+pub fn high_water() -> usize {
+    HIGH_WATER.load(Ordering::SeqCst)
 }
 
 /// Returns the logical core id of the current thread, if registered.
@@ -173,6 +188,36 @@ mod tests {
         let token2 = register().unwrap();
         assert!(token2.core_id().index() < MAX_CORES);
         let _ = id;
+    }
+
+    #[test]
+    fn high_water_is_monotonic_and_covers_every_live_token() {
+        // Raises `seen` to the current mark, which must cover `token`.
+        fn covered(token: &CoreToken, seen: &mut usize) {
+            let now = high_water();
+            assert!(now >= *seen, "high water fell from {seen} to {now}");
+            assert!(now > token.core_id().index() && now <= MAX_CORES);
+            *seen = now;
+        }
+        let mut seen = high_water();
+        let outer = register().unwrap();
+        covered(&outer, &mut seen);
+        // `outer` stays registered, so this thread lands on other slots;
+        // dropping one and registering again never lowers the mark.
+        seen = std::thread::spawn(move || {
+            for _ in 0..3 {
+                let token = register().unwrap();
+                covered(&token, &mut seen);
+                drop(token);
+                assert!(high_water() >= seen);
+            }
+            seen
+        })
+        .join()
+        .unwrap();
+        covered(&outer, &mut seen);
+        drop(outer);
+        assert!(high_water() >= seen);
     }
 
     #[test]

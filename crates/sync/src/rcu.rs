@@ -33,6 +33,18 @@
 //! in non-decreasing target order (the epoch is monotonic), so reclaim
 //! pops from the front until the first entry whose grace period has not
 //! elapsed.
+//!
+//! ## The scan bound
+//!
+//! Grace scans read reader slots `0..registry::high_water()`, not all
+//! `MAX_CORES`: a slot at or above the high-water mark has never had an
+//! owner, so it holds 0. The bound cannot hide a reader. A thread's
+//! `fetch_max` on the mark (inside `register`, `SeqCst`) is sequenced
+//! before its first epoch store, and a retirer loads the mark (`SeqCst`)
+//! after it unpublishes; so wherever the argument above orders a
+//! reader's epoch store before the unpublish — the only readers a scan
+//! has to find — the same chain orders that reader's `fetch_max` before
+//! the retirer's load of the mark, and the scan reaches its slot.
 
 use pk_percpu::{registry, CacheAligned, MAX_CORES};
 use std::cell::Cell;
@@ -163,7 +175,7 @@ pub fn synchronize() {
     let _span = pk_trace::trace_span!("rcu.synchronize");
     SYNCHRONIZE_CALLS.fetch_add(1, Ordering::Relaxed);
     let target = GLOBAL_EPOCH.fetch_add(1, Ordering::SeqCst) + 1;
-    for slot in READER_EPOCHS.iter() {
+    for slot in &READER_EPOCHS[..registry::high_water()] {
         let mut spins = 0u64;
         loop {
             let e = slot.load(Ordering::SeqCst);
@@ -256,7 +268,7 @@ fn min_active_reader_epoch() -> u64 {
     // unpublished it, so this scan cannot miss it.
     fence(Ordering::SeqCst);
     let mut min = u64::MAX;
-    for slot in READER_EPOCHS.iter() {
+    for slot in &READER_EPOCHS[..registry::high_water()] {
         let e = slot.load(Ordering::SeqCst);
         if e != 0 && e < min {
             min = e;
@@ -325,11 +337,11 @@ pub fn rcu_barrier() {
     pk_lockdep::check_rcu_barrier();
     let _span = pk_trace::trace_span!("rcu.barrier");
     BARRIER_CALLS.fetch_add(1, Ordering::Relaxed);
-    // Steal every queue's current contents first, then wait one grace
-    // period: the epoch is monotonic, so that single wait covers every
-    // stolen target.
+    // Steal every queue's current contents first (only a core that was
+    // ever registered has any), then wait one grace period: the epoch is
+    // monotonic, so that single wait covers every stolen target.
     let mut stolen = Vec::new();
-    for q in DEFER_QUEUES.iter() {
+    for q in &DEFER_QUEUES[..registry::high_water()] {
         let mut q = q.lock().unwrap_or_else(|e| e.into_inner());
         stolen.extend(q.drain(..));
     }

@@ -19,6 +19,7 @@
 //! `cargo miri test -- miri_smoke_` (kept single-threaded so the
 //! interpreter stays fast under the interpreter-of-interpreters).
 
+use pk_percpu::registry;
 use pk_sync::rcu;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,6 +58,8 @@ enum Cmd {
 }
 
 struct Reader {
+    /// The registry slot the reader thread runs on.
+    core: usize,
     tx: Sender<Cmd>,
     ack: std::sync::mpsc::Receiver<()>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -68,7 +71,9 @@ impl Reader {
     fn spawn() -> Self {
         let (tx, rx) = channel::<Cmd>();
         let (ack_tx, ack) = channel::<()>();
+        let (core_tx, core) = channel::<usize>();
         let handle = std::thread::spawn(move || {
+            let _ = core_tx.send(registry::current_or_register().index());
             let mut guards = Vec::new();
             for cmd in rx {
                 match cmd {
@@ -84,6 +89,7 @@ impl Reader {
             }
         });
         Self {
+            core: core.recv().expect("reader thread registered"),
             tx,
             ack,
             handle: Some(handle),
@@ -243,6 +249,59 @@ fn nested_sections_release_only_at_outermost_exit() {
     script.push(Step::Update); // still nested once: must stay protected
     script.push(Step::Exit(0));
     run_script(&script, 1);
+}
+
+/// The grace scans stop at `registry::high_water()`. A reader on a slot
+/// at or above the bound the writer's *previous* scan used — a thread
+/// that registered after it — must still hold back the next
+/// `synchronize()` and a `defer_drop` until it exits.
+#[test]
+fn reader_above_the_previous_scan_bound_holds_back_reclamation() {
+    rcu::synchronize();
+    let bound = registry::high_water();
+    // Slots are handed out lowest free first: park readers on them until
+    // one lands at or above the old bound.
+    let mut parked = Vec::new();
+    let mut late = loop {
+        let reader = Reader::spawn();
+        if reader.core >= bound {
+            break reader;
+        }
+        parked.push(reader);
+    };
+    late.run(Cmd::Enter);
+    let flag = retire();
+    let synced = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let synced = Arc::clone(&synced);
+        std::thread::spawn(move || {
+            rcu::synchronize();
+            synced.store(true, Ordering::SeqCst);
+        })
+    };
+    // Every retirement is also a reclamation attempt on this core.
+    for _ in 0..64 {
+        retire();
+        std::thread::yield_now();
+    }
+    assert!(!freed(&flag), "freed under a reader the bound left out");
+    assert!(
+        !synced.load(Ordering::SeqCst),
+        "grace period ended under a reader the bound left out"
+    );
+    late.run(Cmd::Exit);
+    writer.join().unwrap();
+    // The next retirement on this core reaps its queue. No `rcu_barrier`
+    // here: it would steal other tests' entries from under their own
+    // barriers (and one of theirs may hold `flag`'s entry for a moment).
+    for _ in 0..10_000 {
+        if freed(&flag) {
+            break;
+        }
+        retire();
+        std::thread::yield_now();
+    }
+    assert!(freed(&flag), "reclaimed after quiescence");
 }
 
 // ---------------------------------------------------------------------

@@ -1,15 +1,13 @@
 //! The directory entry cache (`dcache`).
 
 use crate::config::VfsConfig;
-use crate::dentry::{Dentry, DentryKey};
+use crate::dentry::{Dentry, DentryKey, DentryProbe};
 use crate::error::VfsError;
 use crate::inode::InodeId;
 use crate::stats::VfsStats;
 use pk_fault::{FaultPlane, FaultPoint};
 use pk_percpu::CoreId;
 use pk_sync::rcu::{self, RcuCell};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A hash table of dentries with RCU buckets.
@@ -26,6 +24,12 @@ use std::sync::Arc;
 ///
 /// A successful lookup returns the dentry with one new reference already
 /// taken on the caller's behalf.
+///
+/// Lookups take anything that converts to a [`DentryProbe`] — the path
+/// walker's borrowed probe, or `&DentryKey` — and select the bucket from
+/// the hash the probe already carries; nothing is hashed here. A bucket
+/// holds at most one live dentry per key: [`Dcache::insert`] returns the
+/// existing one instead of pushing a duplicate.
 #[derive(Debug)]
 pub struct Dcache {
     /// One RCU-published snapshot per hash bucket; the bucket count is
@@ -68,14 +72,8 @@ impl Dcache {
         }
     }
 
-    fn hash_key(key: &DentryKey) -> u64 {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        h.finish()
-    }
-
-    fn bucket(&self, key: &DentryKey) -> &RcuCell<Vec<Arc<Dentry>>> {
-        &self.buckets[(Self::hash_key(key) as usize) & self.mask]
+    fn bucket(&self, probe: &DentryProbe<'_>) -> &RcuCell<Vec<Arc<Dentry>>> {
+        &self.buckets[(probe.hash() as usize) & self.mask]
     }
 
     /// Publishes a rewritten bucket snapshot, retiring the replaced one
@@ -97,7 +95,8 @@ impl Dcache {
     /// Looks up `(parent, name)`, taking a reference on the hit.
     ///
     /// `core` is the acting core (for sloppy refcounts and stats).
-    pub fn lookup(&self, key: &DentryKey, core: CoreId) -> Option<Arc<Dentry>> {
+    pub fn lookup<'a>(&self, key: impl Into<DentryProbe<'a>>, core: CoreId) -> Option<Arc<Dentry>> {
+        let key = &key.into();
         if self.fault_pressure.should_inject() {
             // The entry was "evicted" under memory pressure: the caller
             // falls back to the filesystem, exactly as on a cold miss.
@@ -148,7 +147,8 @@ impl Dcache {
     /// A miss is also grounds for fallback at the walk level (the entry
     /// may simply not be cached yet), but the two are distinguished so
     /// the stats can attribute fallbacks to churn vs. cold cache.
-    pub fn peek(&self, key: &DentryKey) -> Option<Option<InodeId>> {
+    pub fn peek<'a>(&self, key: impl Into<DentryProbe<'a>>) -> Option<Option<InodeId>> {
+        let key = &key.into();
         if self.fault_pressure.should_inject() {
             // Same degradation as `lookup`: the entry was "evicted"
             // under memory pressure, so the RCU walk sees a miss and
@@ -184,8 +184,14 @@ impl Dcache {
         &self.stats
     }
 
-    /// Inserts a freshly created dentry for `key → inode` and returns it
-    /// with one caller reference (plus the cache's own).
+    /// Caches `key → inode` and returns the dentry with one caller
+    /// reference (plus the cache's own).
+    ///
+    /// If a live dentry for `key` is already hashed — another walker
+    /// missed the same cold component and got here first — that dentry
+    /// is returned (with the caller's reference) and nothing is pushed:
+    /// a second entry would survive the first `remove` and answer every
+    /// later lookup of the name with a stale inode.
     ///
     /// Fails with [`VfsError::OutOfMemory`] when the dentry allocation
     /// does (only under an injected `vfs.dentry_alloc` fault); nothing is
@@ -200,8 +206,8 @@ impl Dcache {
             VfsStats::bump(&self.stats.dentry_alloc_failures);
             return Err(VfsError::OutOfMemory);
         }
-        let bucket = self.bucket(&key);
-        let dentry = Dentry::with_refcount(
+        let bucket = self.bucket(&key.probe());
+        let mut dentry = Dentry::with_refcount(
             key,
             inode,
             pk_sloppy::RefCount::new_scaled(
@@ -216,43 +222,46 @@ impl Dcache {
         // down concurrently — surface that as ESTALE on the syscall path
         // rather than panicking in the kernel.
         dentry.get(core).map_err(|_| VfsError::Stale)?;
-        let inserted = Arc::clone(&dentry);
         self.replace_bucket(bucket, |v| {
             let mut v = v.clone();
-            v.push(inserted);
+            // Bucket rewrites are serialized, so a live match found here
+            // has not been removed: its reference is taken before any
+            // remove or shrink can drop the cache's.
+            let live =
+                |d: &&Arc<Dentry>| d.is_live_match(&dentry.key.probe()) && d.get(core).is_ok();
+            match v.iter().find(live) {
+                Some(existing) => dentry = Arc::clone(existing),
+                None => v.push(Arc::clone(&dentry)),
+            }
             v
         });
         Ok(dentry)
     }
 
-    /// Removes the dentry for `key` from the cache (unlink/rename):
-    /// unhashes it under its modification guard and drops the cache's
-    /// reference.
+    /// Removes `key` from the cache (unlink/rename): every live dentry
+    /// for it leaves the bucket, is unhashed under its modification
+    /// guard and loses the cache's reference.
     ///
     /// Returns `true` if an entry was removed.
-    pub fn remove(&self, key: &DentryKey, core: CoreId) -> bool {
-        let mut removed: Option<Arc<Dentry>> = None;
+    pub fn remove<'a>(&self, key: impl Into<DentryProbe<'a>>, core: CoreId) -> bool {
+        let key = &key.into();
+        let mut removed = false;
         self.replace_bucket(self.bucket(key), |v| {
             let mut kept = Vec::with_capacity(v.len());
             for d in v.iter() {
-                if removed.is_none() && !d.is_unhashed() && d.key == *key {
-                    removed = Some(Arc::clone(d));
+                if d.is_live_match(key) {
+                    d.begin_modify().unhash();
+                    // Drop the cache's reference; the object is freed when
+                    // the last user reference goes away.
+                    d.put(core);
+                    removed = true;
                 } else {
                     kept.push(Arc::clone(d));
                 }
             }
             kept
         });
-        match removed {
-            Some(d) => {
-                d.begin_modify().unhash();
-                // Drop the cache's reference; the object is freed when the
-                // last user reference goes away.
-                d.put(core);
-                true
-            }
-            None => false,
-        }
+        removed
     }
 
     /// Shrinks the cache: evicts up to `target` dentries that only the
@@ -313,6 +322,8 @@ impl Dcache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
 
     fn cache(lockfree: bool) -> Dcache {
         let mut cfg = VfsConfig::pk(4);
@@ -371,6 +382,81 @@ mod tests {
         assert!(c.lookup(&key, CoreId(0)).is_none());
         assert!(!c.remove(&key, CoreId(0)), "second remove is a no-op");
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn keys_land_in_the_bucket_the_derived_hash_selects() {
+        // What `Dcache::hash_key` computed per probe before keys carried
+        // their hash: the derived `Hash` of the pair through
+        // `DefaultHasher::new()`. Placement decides which dentries share
+        // a bucket, and with it the `d_lock` counts the goldens pin.
+        #[derive(Hash)]
+        struct Derived {
+            parent: InodeId,
+            name: String,
+        }
+        let c = cache(false);
+        let core = CoreId(0);
+        for (parent, name) in [
+            (1, "etc"),
+            (1, "var"),
+            (2, "var"),
+            (7, ""),
+            (u64::MAX, "spool"),
+            (42, "a-much-longer-component-name.with.dots"),
+            (3, "ünïcödé"),
+        ] {
+            let key = DentryKey::new(InodeId(parent), name);
+            let probe = DentryProbe::new(InodeId(parent), name);
+            assert_eq!(key.probe().hash(), probe.hash(), "owned and borrowed agree");
+            let mut h = DefaultHasher::new();
+            Derived {
+                parent: InodeId(parent),
+                name: name.to_string(),
+            }
+            .hash(&mut h);
+            assert_eq!(probe.hash(), h.finish(), "({parent}, {name:?})");
+            let d = c.insert(key, InodeId(9), core).unwrap();
+            let guard = rcu::read_lock();
+            let bucket = c.buckets[h.finish() as usize & c.mask].read(&guard);
+            assert!(bucket.iter().any(|b| Arc::ptr_eq(b, &d)));
+        }
+    }
+
+    #[test]
+    fn a_second_insert_of_a_live_key_returns_the_first_dentry() {
+        // What two walkers that miss the same cold component together do.
+        for lockfree in [false, true] {
+            let c = cache(lockfree);
+            let key = DentryKey::new(InodeId(1), "f");
+            let first = c.insert(key.clone(), InodeId(5), CoreId(0)).unwrap();
+            let second = c.insert(key.clone(), InodeId(5), CoreId(1)).unwrap();
+            assert!(Arc::ptr_eq(&first, &second));
+            assert_eq!(c.len(), 1);
+            assert_eq!(first.references(), 3, "cache + one per caller");
+            assert!(c.remove(&key, CoreId(0)));
+            assert!(c.is_empty());
+            assert!(c.lookup(&key, CoreId(0)).is_none());
+            assert_eq!(c.peek(&key), Some(None));
+            // The name is reusable: the next insert is found, not shadowed.
+            c.insert(key.clone(), InodeId(6), CoreId(0)).unwrap();
+            assert_eq!(c.lookup(&key, CoreId(0)).unwrap().inode(), InodeId(6));
+        }
+    }
+
+    #[test]
+    fn remove_unhashes_every_live_match() {
+        // A bucket cannot get two live dentries for one key through
+        // `insert` any more; plant them to check `remove` alone.
+        let c = cache(true);
+        let key = DentryKey::new(InodeId(1), "f");
+        let planted: Vec<_> = (0..2)
+            .map(|_| Dentry::new(key.clone(), InodeId(5), true, 4))
+            .collect();
+        c.replace_bucket(c.bucket(&key.probe()), |_| planted.clone());
+        assert!(c.remove(&key, CoreId(0)));
+        assert!(c.is_empty());
+        assert!(planted.iter().all(|d| d.is_unhashed()));
     }
 
     #[test]

@@ -1,28 +1,100 @@
 //! Directory entries and the two comparison protocols.
+//!
+//! A name is hashed **once**: a [`DentryProbe`] — Linux's `struct qstr`,
+//! `(parent, &str, hash)` — is built per path component from the
+//! borrowed name and is what every comparison and bucket lookup takes;
+//! a [`DentryKey`] is the owned form a cached dentry keeps, carrying
+//! the same hash so a miss can be inserted without hashing again. The
+//! hash is `DefaultHasher::new()` over `(parent, name)`, exactly what
+//! the derived `Hash` of a `(InodeId, String)` pair produces, so bucket
+//! placement (and with it every collision the goldens pin) is the one
+//! the cache has always had.
+//!
+//! Inside a comparison the stored hash is the first reject, but only
+//! *after* `d_lock` is taken (stock) or the generation is read (PK):
+//! the protocols touch the same shared state in the same order whether
+//! or not the hashes differ, so no `VfsStats` counter depends on it.
 
 use crate::inode::InodeId;
 use pk_percpu::CoreId;
 use pk_sloppy::{DeallocError, RefCount};
 use pk_sync::{GenCounter, SpinLock};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Hash key of a dentry: parent directory inode + component name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Lock class of every dentry's `d_lock`, registered by the first
+/// dentry constructed.
+static D_LOCK_CLASS: pk_lockdep::LazyClass =
+    pk_lockdep::LazyClass::new("vfs.dentry.d_lock", "pk-vfs", pk_lockdep::LockKind::Spin);
+
+/// A borrowed lookup key: parent directory inode, component name and
+/// their hash, computed once at construction.
+#[derive(Debug, Clone, Copy)]
+pub struct DentryProbe<'a> {
+    parent: InodeId,
+    name: &'a str,
+    hash: u64,
+}
+
+impl<'a> DentryProbe<'a> {
+    /// Hashes `(parent, name)` and borrows the name.
+    pub fn new(parent: InodeId, name: &'a str) -> Self {
+        let mut h = DefaultHasher::new();
+        parent.hash(&mut h);
+        name.hash(&mut h);
+        Self {
+            parent,
+            name,
+            hash: h.finish(),
+        }
+    }
+
+    /// The hash that selects the dcache bucket.
+    pub fn hash(&self) -> u64 {
+        self.hash
+    }
+
+    /// The owned key for inserting what this probe missed; the name is
+    /// copied, the hash is not recomputed.
+    pub fn to_key(&self) -> DentryKey {
+        DentryKey {
+            parent: self.parent,
+            name: self.name.into(),
+            hash: self.hash,
+        }
+    }
+}
+
+/// Hash key of a dentry: parent directory inode + component name, plus
+/// their hash. The name is a `Box<str>` so the key stays 32 bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DentryKey {
-    /// The parent directory's inode.
-    pub parent: InodeId,
-    /// The path component name.
-    pub name: String,
+    parent: InodeId,
+    name: Box<str>,
+    hash: u64,
 }
 
 impl DentryKey {
-    /// Creates a key.
-    pub fn new(parent: InodeId, name: impl Into<String>) -> Self {
-        Self {
-            parent,
-            name: name.into(),
+    /// Creates a key, hashing it once.
+    pub fn new(parent: InodeId, name: impl AsRef<str>) -> Self {
+        DentryProbe::new(parent, name.as_ref()).to_key()
+    }
+
+    /// The borrowed form of this key (no hashing, no copy).
+    pub fn probe(&self) -> DentryProbe<'_> {
+        DentryProbe {
+            parent: self.parent,
+            name: &self.name,
+            hash: self.hash,
         }
+    }
+}
+
+impl<'a> From<&'a DentryKey> for DentryProbe<'a> {
+    fn from(key: &'a DentryKey) -> Self {
+        key.probe()
     }
 }
 
@@ -71,11 +143,7 @@ impl Dentry {
             lock: SpinLock::new(()),
             generation: GenCounter::new(),
         });
-        d.lock.set_class(pk_lockdep::register_class(
-            "vfs.dentry.d_lock",
-            "pk-vfs",
-            pk_lockdep::LockKind::Spin,
-        ));
+        d.lock.set_class(D_LOCK_CLASS.id());
         d
     }
 
@@ -89,13 +157,28 @@ impl Dentry {
         self.unhashed.load(Ordering::Acquire)
     }
 
+    /// Whether this dentry's key equals `probe`: the stored hashes
+    /// first (one word rejects a bucket neighbour), then parent and
+    /// name.
+    fn matches(&self, probe: &DentryProbe<'_>) -> bool {
+        self.key.hash == probe.hash
+            && self.key.parent == probe.parent
+            && *self.key.name == *probe.name
+    }
+
+    /// Whether this is the live (hashed) dentry for `probe` — the
+    /// cache's own test when it rewrites a bucket.
+    pub(crate) fn is_live_match(&self, probe: &DentryProbe<'_>) -> bool {
+        !self.is_unhashed() && self.matches(probe)
+    }
+
     /// The stock comparison protocol: take the per-dentry spin lock,
     /// compare fields, and take a reference on a match.
     ///
     /// Returns `true` on a successful match-and-reference.
-    pub fn compare_locked(&self, key: &DentryKey, core: CoreId) -> bool {
+    pub fn compare_locked(&self, probe: &DentryProbe<'_>, core: CoreId) -> bool {
         let _g = self.lock.lock();
-        if self.is_unhashed() || self.key != *key {
+        if self.is_unhashed() || !self.matches(probe) {
             return false;
         }
         self.refcount.get(core).is_ok()
@@ -112,7 +195,7 @@ impl Dentry {
     ///
     /// Returns `Some(matched)` if the protocol completed lock-free, or
     /// `None` if the caller must fall back to [`Dentry::compare_locked`].
-    pub fn compare_lockfree(&self, key: &DentryKey, core: CoreId) -> Option<bool> {
+    pub fn compare_lockfree(&self, probe: &DentryProbe<'_>, core: CoreId) -> Option<bool> {
         let snapshot = self.generation.begin_read()?;
         // Copy the mutable fields to locals.
         let inode = self.inode.load(Ordering::Acquire);
@@ -121,7 +204,7 @@ impl Dentry {
             return None;
         }
         let _ = inode; // the caller reads it again via `inode()` on a hit
-        if unhashed || self.key != *key {
+        if unhashed || !self.matches(probe) {
             return Some(false);
         }
         match self.refcount.get(core) {
@@ -151,14 +234,14 @@ impl Dentry {
     /// stable non-match, or `None` when the seqcount tore (a
     /// rename/unlink is in flight) and the caller must fall back to the
     /// reference walk.
-    pub fn peek(&self, key: &DentryKey) -> Option<Option<InodeId>> {
+    pub fn peek(&self, probe: &DentryProbe<'_>) -> Option<Option<InodeId>> {
         let snapshot = self.generation.begin_read()?;
         let inode = self.inode.load(Ordering::Acquire);
         let unhashed = self.unhashed.load(Ordering::Acquire);
         if !self.generation.validate(snapshot) {
             return None;
         }
-        if unhashed || self.key != *key {
+        if unhashed || !self.matches(probe) {
             return Some(None);
         }
         Some(Some(InodeId(inode)))
@@ -239,10 +322,10 @@ mod tests {
     #[test]
     fn locked_compare_matches() {
         let d = dentry(false);
-        assert!(d.compare_locked(&DentryKey::new(InodeId(1), "usr"), CoreId(0)));
+        assert!(d.compare_locked(&DentryProbe::new(InodeId(1), "usr"), CoreId(0)));
         assert_eq!(d.references(), 2);
-        assert!(!d.compare_locked(&DentryKey::new(InodeId(1), "var"), CoreId(0)));
-        assert!(!d.compare_locked(&DentryKey::new(InodeId(9), "usr"), CoreId(0)));
+        assert!(!d.compare_locked(&DentryProbe::new(InodeId(1), "var"), CoreId(0)));
+        assert!(!d.compare_locked(&DentryProbe::new(InodeId(9), "usr"), CoreId(0)));
     }
 
     #[test]
@@ -250,12 +333,12 @@ mod tests {
         for sloppy in [false, true] {
             let d = dentry(sloppy);
             assert_eq!(
-                d.compare_lockfree(&DentryKey::new(InodeId(1), "usr"), CoreId(1)),
+                d.compare_lockfree(&DentryProbe::new(InodeId(1), "usr"), CoreId(1)),
                 Some(true)
             );
             assert_eq!(d.references(), 2);
             assert_eq!(
-                d.compare_lockfree(&DentryKey::new(InodeId(1), "var"), CoreId(1)),
+                d.compare_lockfree(&DentryProbe::new(InodeId(1), "var"), CoreId(1)),
                 Some(false)
             );
         }
@@ -266,13 +349,13 @@ mod tests {
         let d = dentry(true);
         let guard = d.begin_modify();
         assert_eq!(
-            d.compare_lockfree(&DentryKey::new(InodeId(1), "usr"), CoreId(0)),
+            d.compare_lockfree(&DentryProbe::new(InodeId(1), "usr"), CoreId(0)),
             None,
             "generation parked at 0 → fallback"
         );
         drop(guard);
         assert_eq!(
-            d.compare_lockfree(&DentryKey::new(InodeId(1), "usr"), CoreId(0)),
+            d.compare_lockfree(&DentryProbe::new(InodeId(1), "usr"), CoreId(0)),
             Some(true)
         );
     }
@@ -282,10 +365,10 @@ mod tests {
         let d = dentry(true);
         let (shared0, local0) = d.refcount_ops();
         assert_eq!(
-            d.peek(&DentryKey::new(InodeId(1), "usr")),
+            d.peek(&DentryProbe::new(InodeId(1), "usr")),
             Some(Some(InodeId(2)))
         );
-        assert_eq!(d.peek(&DentryKey::new(InodeId(1), "var")), Some(None));
+        assert_eq!(d.peek(&DentryProbe::new(InodeId(1), "var")), Some(None));
         assert_eq!(d.refcount_ops(), (shared0, local0));
         assert_eq!(d.references(), 1, "no reference taken");
     }
@@ -293,7 +376,7 @@ mod tests {
     #[test]
     fn peek_tears_during_modification_then_recovers() {
         let d = dentry(false);
-        let key = DentryKey::new(InodeId(1), "usr");
+        let key = DentryProbe::new(InodeId(1), "usr");
         let guard = d.begin_modify();
         assert_eq!(d.peek(&key), None, "seqcount parked → documented fallback");
         guard.set_inode(InodeId(7));
@@ -307,10 +390,10 @@ mod tests {
         d.begin_modify().unhash();
         assert!(d.is_unhashed());
         assert_eq!(
-            d.compare_lockfree(&DentryKey::new(InodeId(1), "usr"), CoreId(0)),
+            d.compare_lockfree(&DentryProbe::new(InodeId(1), "usr"), CoreId(0)),
             Some(false)
         );
-        assert!(!d.compare_locked(&DentryKey::new(InodeId(1), "usr"), CoreId(0)));
+        assert!(!d.compare_locked(&DentryProbe::new(InodeId(1), "usr"), CoreId(0)));
     }
 
     #[test]
@@ -327,7 +410,7 @@ mod tests {
         d.put(CoreId(0));
         assert_eq!(d.try_dealloc(), Ok(()));
         assert_eq!(
-            d.compare_lockfree(&DentryKey::new(InodeId(1), "usr"), CoreId(2)),
+            d.compare_lockfree(&DentryProbe::new(InodeId(1), "usr"), CoreId(2)),
             None,
             "dead dentry forces fallback"
         );

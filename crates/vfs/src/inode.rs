@@ -8,6 +8,19 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+/// Lock classes of the per-directory child map and of `i_mutex`,
+/// registered (in this order) by the first inode constructed.
+static DIR_CHILDREN_CLASS: pk_lockdep::LazyClass = pk_lockdep::LazyClass::new(
+    "vfs.inode.dir_children",
+    "pk-vfs",
+    pk_lockdep::LockKind::Spin,
+);
+static I_MUTEX_CLASS: pk_lockdep::LazyClass = pk_lockdep::LazyClass::new(
+    "vfs.inode.i_mutex",
+    "pk-vfs",
+    pk_lockdep::LockKind::Blocking,
+);
+
 /// A unique inode number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InodeId(pub u64);
@@ -75,16 +88,8 @@ impl Inode {
             children: SpinLock::new(HashMap::new()),
             i_mutex: AdaptiveMutex::new(()),
         };
-        inode.children.set_class(pk_lockdep::register_class(
-            "vfs.inode.dir_children",
-            "pk-vfs",
-            pk_lockdep::LockKind::Spin,
-        ));
-        inode.i_mutex.set_class(pk_lockdep::register_class(
-            "vfs.inode.i_mutex",
-            "pk-vfs",
-            pk_lockdep::LockKind::Blocking,
-        ));
+        inode.children.set_class(DIR_CHILDREN_CLASS.id());
+        inode.i_mutex.set_class(I_MUTEX_CLASS.id());
         inode
     }
 

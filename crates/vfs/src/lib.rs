@@ -41,7 +41,7 @@ mod vfs;
 
 pub use config::VfsConfig;
 pub use dcache::Dcache;
-pub use dentry::{Dentry, DentryKey};
+pub use dentry::{Dentry, DentryKey, DentryProbe};
 pub use error::VfsError;
 pub use file::{OpenFile, Whence};
 pub use inode::{Inode, InodeId, InodeKind};

@@ -1,11 +1,16 @@
 //! Mount points: the global vfsmount table and PK's per-core caches.
+//!
+//! The central table and every per-core snapshot are the same thing: a
+//! slice of mounts sorted longest mount point first. Resolution is one
+//! pass over it — the first entry whose mount point is `/` or a prefix
+//! of the path ending at a component boundary is the longest covering
+//! mount — with no allocation and no hashing; only the hit is cloned.
 
 use crate::config::VfsConfig;
 use crate::stats::VfsStats;
 use pk_percpu::{CoreId, PerCore};
 use pk_sloppy::{DeallocError, RefCount};
 use pk_sync::{rcu, SpinLock};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A mounted file system object (`struct vfsmount`).
@@ -58,11 +63,22 @@ impl VfsMount {
     }
 }
 
-/// One mapping from mount point to mount, as the central table holds it.
-type MountMap = HashMap<String, Arc<VfsMount>>;
+/// The mounts of one table (central or a per-core snapshot), sorted by
+/// [`rank`] descending: longest mount point first, `/` last.
+type MountMap = Vec<Arc<VfsMount>>;
 
-/// The mount table: a central map under a global spin lock, with optional
-/// per-core caches in front of it (§4.5).
+/// Sort key of a mount point: its length, except that `/` — which covers
+/// every path, prefix or not — ranks below everything else.
+fn rank(mount_point: &str) -> usize {
+    if mount_point == "/" {
+        0
+    } else {
+        mount_point.len()
+    }
+}
+
+/// The mount table: a central table under a global spin lock, with
+/// optional per-core caches in front of it (§4.5).
 ///
 /// Stock: every resolution locks the central table. PK: "when the kernel
 /// needs to look up the vfsmount for a path, it first looks in the
@@ -93,7 +109,7 @@ impl MountTable {
             pk_lockdep::LockKind::Spin,
         );
         let t = Self {
-            central: SpinLock::new(HashMap::new()),
+            central: SpinLock::new(Vec::new()),
             percore: PerCore::new_with(config.cores, |_| {
                 let l = SpinLock::new(None);
                 l.set_class(percore_class);
@@ -111,7 +127,8 @@ impl MountTable {
         t
     }
 
-    /// Installs a mount at `mount_point`.
+    /// Installs a mount at `mount_point`, replacing any mount already
+    /// there.
     ///
     /// Invalidates every per-core snapshot: the new entry may be a
     /// longer prefix than anything a snapshot holds, and a stale
@@ -127,9 +144,16 @@ impl MountTable {
                 self.config.sockets,
             ),
         );
-        self.central
-            .lock()
-            .insert(mount_point.to_string(), Arc::clone(&m));
+        {
+            let mut central = self.central.lock();
+            match central.iter_mut().find(|e| e.mount_point == mount_point) {
+                Some(existing) => *existing = Arc::clone(&m),
+                None => {
+                    let at = central.partition_point(|e| rank(&e.mount_point) >= rank(mount_point));
+                    central.insert(at, Arc::clone(&m));
+                }
+            }
+        }
         let swept = self.sweep_percore_caches();
         if !swept.is_empty() {
             self.retire(swept);
@@ -146,7 +170,11 @@ impl MountTable {
     /// through `call_rcu` by default, or via a blocking `synchronize()`
     /// when `deferred_reclamation` is off.
     pub fn umount(&self, mount_point: &str) -> Option<Arc<VfsMount>> {
-        let removed = self.central.lock().remove(mount_point);
+        let removed = {
+            let mut central = self.central.lock();
+            let at = central.iter().position(|e| e.mount_point == mount_point);
+            at.map(|at| central.remove(at))
+        };
         if let Some(ref m) = removed {
             let swept = self.sweep_percore_caches();
             self.retire((Arc::clone(m), swept));
@@ -198,8 +226,8 @@ impl MountTable {
                 *cache = Some(self.central.lock().clone());
             }
             let snapshot = cache.as_ref().expect("snapshot just refilled");
-            match Self::longest_prefix_in(snapshot, path) {
-                Some((_, m)) => {
+            match Self::longest_prefix_in(snapshot, path).cloned() {
+                Some(m) => {
                     drop(cache);
                     if m.get(core).is_ok() {
                         if !refilled {
@@ -218,7 +246,7 @@ impl MountTable {
         VfsStats::bump(&self.stats.mount_central_lookups);
         let m = {
             let central = self.central.lock();
-            Self::longest_prefix_in(&central, path)?.1
+            Arc::clone(Self::longest_prefix_in(&central, path)?)
         };
         m.get(core).ok()?;
         Some(m)
@@ -240,28 +268,20 @@ impl MountTable {
         Some(Self::longest_prefix_in(snapshot, path).is_some())
     }
 
-    /// Finds the entry with the longest mount-point prefix of `path` in
-    /// `map`, scanning candidates from longest to shortest.
-    fn longest_prefix_in(
-        map: &HashMap<String, Arc<VfsMount>>,
-        path: &str,
-    ) -> Option<(String, Arc<VfsMount>)> {
-        let mut candidate = path.trim_end_matches('/').to_string();
-        loop {
-            if candidate.is_empty() {
-                candidate.push('/');
-            }
-            if let Some(m) = map.get(candidate.as_str()) {
-                return Some((candidate, Arc::clone(m)));
-            }
-            if candidate == "/" {
-                return None;
-            }
-            match candidate.rfind('/') {
-                Some(0) | None => candidate = "/".to_string(),
-                Some(i) => candidate.truncate(i),
-            }
-        }
+    /// Finds the mount with the longest mount point covering `path` in
+    /// `mounts` (sorted by [`rank`], so the first cover is the longest):
+    /// `/` covers everything; any other mount point covers the paths it
+    /// is a prefix of up to a component boundary, trailing slashes of
+    /// the path aside.
+    fn longest_prefix_in<'m>(mounts: &'m [Arc<VfsMount>], path: &str) -> Option<&'m Arc<VfsMount>> {
+        let path = path.trim_end_matches('/');
+        mounts.iter().find(|m| {
+            let point = m.mount_point.as_str();
+            point == "/"
+                || (!point.is_empty()
+                    && path.starts_with(point)
+                    && matches!(path.as_bytes().get(point.len()), None | Some(b'/')))
+        })
     }
 
     /// Returns the central-table lock statistics.
@@ -273,6 +293,143 @@ impl MountTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The resolver this table had while mounts lived in a map, kept as
+    /// the reference: probe with the trimmed path, then with the path
+    /// cut at each `/` from the right, then with `/`.
+    fn reference_longest_prefix(
+        map: &HashMap<String, Arc<VfsMount>>,
+        path: &str,
+    ) -> Option<Arc<VfsMount>> {
+        let mut candidate = path.trim_end_matches('/').to_string();
+        loop {
+            if candidate.is_empty() {
+                candidate.push('/');
+            }
+            if let Some(m) = map.get(candidate.as_str()) {
+                return Some(Arc::clone(m));
+            }
+            if candidate == "/" {
+                return None;
+            }
+            match candidate.rfind('/') {
+                Some(0) | None => candidate = "/".to_string(),
+                Some(i) => candidate.truncate(i),
+            }
+        }
+    }
+
+    /// Nested, sibling, look-alike, slash-terminated, relative and empty.
+    const POINTS: [&str; 11] = [
+        "/",
+        "/var",
+        "/var/spool",
+        "/var/spool/input",
+        "/varx",
+        "/var/",
+        "/usr",
+        "/a/b",
+        "/é",
+        "r",
+        "",
+    ];
+    const PATHS: [&str; 22] = [
+        "/",
+        "",
+        "//",
+        "/var",
+        "/var/",
+        "/var//",
+        "/varx",
+        "/varx/y",
+        "/va",
+        "/var/spool/input/m1",
+        "/var/spool/inputs",
+        "/var//spool/input",
+        "/var/spool//",
+        "/usr/lib",
+        "/usr//lib",
+        "/a",
+        "/a/b/c",
+        "/é/x",
+        "/éx",
+        "rel/path",
+        "r/x",
+        "var",
+    ];
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Mount(usize),
+        Umount(usize),
+        Resolve { path: usize, core: usize },
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0..POINTS.len()).prop_map(Op::Mount),
+            (0..POINTS.len()).prop_map(Op::Umount),
+            (0..PATHS.len(), 0..4usize).prop_map(|(path, core)| Op::Resolve { path, core }),
+            (0..PATHS.len(), 0..4usize).prop_map(|(path, core)| Op::Resolve { path, core }),
+        ]
+    }
+
+    fn same(a: &Option<Arc<VfsMount>>, b: &Option<Arc<VfsMount>>) -> bool {
+        match (a, b) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Per-core snapshots and the central table give the answer the
+        /// map-probing resolver gave, whatever was mounted (twice),
+        /// umounted and swept in between.
+        #[test]
+        fn slice_resolver_equals_the_map_resolver(ops in proptest::collection::vec(op(), 1..60)) {
+            for percore in [true, false] {
+                let t = table(percore);
+                let root = t.resolve("/", CoreId(0)).unwrap();
+                root.put(CoreId(0));
+                let mut model = HashMap::from([("/".to_string(), root)]);
+                for op in &ops {
+                    match *op {
+                        Op::Mount(p) => {
+                            model.insert(POINTS[p].to_string(), t.mount(POINTS[p]));
+                        }
+                        Op::Umount(p) => {
+                            prop_assert!(same(&t.umount(POINTS[p]), &model.remove(POINTS[p])));
+                        }
+                        Op::Resolve { path, core } => {
+                            let (path, core) = (PATHS[path], CoreId(core));
+                            let want = reference_longest_prefix(&model, path);
+                            // A swept (or absent) snapshot declines; a
+                            // warm one must already agree.
+                            let cold = t.peek(path, core);
+                            prop_assert!(cold.is_none() || cold == Some(want.is_some()));
+                            let got = t.resolve(path, core);
+                            prop_assert!(
+                                same(&got, &want),
+                                "{path:?}: got {:?}, want {:?}",
+                                got.as_ref().map(|m| &m.mount_point),
+                                want.as_ref().map(|m| &m.mount_point)
+                            );
+                            if let Some(m) = got {
+                                m.put(core);
+                            }
+                            let warm = percore.then_some(want.is_some());
+                            prop_assert_eq!(t.peek(path, core), warm);
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn table(percore: bool) -> MountTable {
         let mut cfg = VfsConfig::pk(4);

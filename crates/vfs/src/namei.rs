@@ -1,8 +1,14 @@
 //! Path resolution (`namei`): walking components through the dcache and
 //! the mount table.
+//!
+//! A warm walk allocates nothing and hashes each component once: the
+//! path is validated up front (absolute, no `..`) and then split lazily,
+//! each component becomes a borrowed [`DentryProbe`] whose hash serves
+//! the bucket lookup, the comparison and — on a miss — the inserted key,
+//! and [`ParentAndLeaf`] borrows the leaf name from the path.
 
 use crate::dcache::Dcache;
-use crate::dentry::DentryKey;
+use crate::dentry::DentryProbe;
 use crate::inode::{Inode, InodeKind};
 use crate::mount::MountTable;
 use crate::tmpfs::Tmpfs;
@@ -25,13 +31,13 @@ pub struct PathWalker<'a> {
 }
 
 /// The result of resolving the parent of a path: the parent directory
-/// inode plus the final component name.
+/// inode plus the final component name, borrowed from the path.
 #[derive(Debug)]
-pub struct ParentAndLeaf {
+pub struct ParentAndLeaf<'p> {
     /// The parent directory.
     pub parent: Arc<Inode>,
     /// The final path component.
-    pub name: String,
+    pub name: &'p str,
 }
 
 impl<'a> PathWalker<'a> {
@@ -40,23 +46,17 @@ impl<'a> PathWalker<'a> {
         Self { fs, dcache, mounts }
     }
 
-    /// Splits a path into normalized components.
+    /// Splits a path into normalized components, lazily.
     ///
     /// Only absolute paths are supported (the userspace kernel has no
-    /// per-process CWD); `.` components are dropped and `..` is rejected.
-    pub fn components(path: &str) -> Result<Vec<&str>, VfsError> {
-        if !path.starts_with('/') {
+    /// per-process CWD); `.` components are dropped and `..` is rejected
+    /// — both checked here, before the first component is yielded, so a
+    /// malformed path fails before any of it is walked.
+    pub fn components(path: &str) -> Result<impl Iterator<Item = &str>, VfsError> {
+        if !path.starts_with('/') || path.split('/').any(|c| c == "..") {
             return Err(VfsError::InvalidArgument);
         }
-        let mut out = Vec::new();
-        for comp in path.split('/') {
-            match comp {
-                "" | "." => {}
-                ".." => return Err(VfsError::InvalidArgument),
-                c => out.push(c),
-            }
-        }
-        Ok(out)
+        Ok(path.split('/').filter(|c| !matches!(*c, "" | ".")))
     }
 
     /// Resolves one component under `dir`, going through the dcache and
@@ -67,8 +67,8 @@ impl<'a> PathWalker<'a> {
         name: &str,
         core: CoreId,
     ) -> Result<Arc<Inode>, VfsError> {
-        let key = DentryKey::new(dir.id, name);
-        if let Some(dentry) = self.dcache.lookup(&key, core) {
+        let probe = DentryProbe::new(dir.id, name);
+        if let Some(dentry) = self.dcache.lookup(probe, core) {
             let ino = dentry.inode();
             // The walk holds the reference only while reading the target;
             // release it as `path_put` would.
@@ -77,7 +77,7 @@ impl<'a> PathWalker<'a> {
         }
         // Miss: consult the file system and populate the cache.
         let child = self.fs.lookup_child(dir, name)?;
-        match self.dcache.insert(key, child.id, core) {
+        match self.dcache.insert(probe.to_key(), child.id, core) {
             Ok(dentry) => dentry.put(core),
             // Dentry allocation failed: degrade to uncached resolution.
             // The walk still succeeds — the next lookup just misses again
@@ -147,7 +147,7 @@ impl<'a> PathWalker<'a> {
             if cur.kind != InodeKind::Dir {
                 return Some(Err(VfsError::NotADirectory));
             }
-            let ino = self.dcache.peek(&DentryKey::new(cur.id, comp))??;
+            let ino = self.dcache.peek(DentryProbe::new(cur.id, comp))??;
             // A peeked inode may be mid-teardown; only a live read is
             // trustworthy, anything else drops to the reference walk.
             cur = self.fs.get(ino).ok()?;
@@ -178,24 +178,31 @@ impl<'a> PathWalker<'a> {
     /// Resolves everything but the final component, returning the parent
     /// directory and the leaf name — the shape `open(O_CREAT)`, `unlink`,
     /// and `rename` need.
-    pub fn resolve_parent(&self, path: &str, core: CoreId) -> Result<ParentAndLeaf, VfsError> {
+    pub fn resolve_parent<'p>(
+        &self,
+        path: &'p str,
+        core: CoreId,
+    ) -> Result<ParentAndLeaf<'p>, VfsError> {
         let mount = self.mounts.resolve(path, core).ok_or(VfsError::NotFound)?;
         let result = (|| {
-            let comps = Self::components(path)?;
-            let (leaf, dirs) = comps.split_last().ok_or(VfsError::InvalidArgument)?;
+            let mut comps = Self::components(path)?;
+            // `leaf` trails the walk by one component: whatever is still
+            // in it when the iterator runs dry is the final name.
+            let mut leaf = comps.next().ok_or(VfsError::InvalidArgument)?;
             let mut cur = self.fs.get(self.fs.root())?;
-            for comp in dirs {
+            for next in comps {
                 if cur.kind != InodeKind::Dir {
                     return Err(VfsError::NotADirectory);
                 }
-                cur = self.walk_component(&cur, comp, core)?;
+                cur = self.walk_component(&cur, leaf, core)?;
+                leaf = next;
             }
             if cur.kind != InodeKind::Dir {
                 return Err(VfsError::NotADirectory);
             }
             Ok(ParentAndLeaf {
                 parent: cur,
-                name: (*leaf).to_string(),
+                name: leaf,
             })
         })();
         mount.put(core);
@@ -207,6 +214,7 @@ impl<'a> PathWalker<'a> {
 mod tests {
     use super::*;
     use crate::config::VfsConfig;
+    use crate::dentry::DentryKey;
     use crate::stats::VfsStats;
 
     struct Fixture {
@@ -235,19 +243,13 @@ mod tests {
 
     #[test]
     fn components_normalize() {
-        assert_eq!(
-            PathWalker::components("/a//b/./c").unwrap(),
-            vec!["a", "b", "c"]
-        );
-        assert_eq!(PathWalker::components("/").unwrap(), Vec::<&str>::new());
-        assert_eq!(
-            PathWalker::components("rel/path").unwrap_err(),
-            VfsError::InvalidArgument
-        );
-        assert_eq!(
-            PathWalker::components("/a/../b").unwrap_err(),
-            VfsError::InvalidArgument
-        );
+        let split = |p| PathWalker::components(p).map(|c| c.collect::<Vec<_>>());
+        assert_eq!(split("/a//b/./c"), Ok(vec!["a", "b", "c"]));
+        assert_eq!(split("/"), Ok(vec![]));
+        assert_eq!(split("rel/path"), Err(VfsError::InvalidArgument));
+        assert_eq!(split("/a/../b"), Err(VfsError::InvalidArgument));
+        // `..` anywhere fails the whole path before a component is yielded.
+        assert_eq!(split("/a/b/.."), Err(VfsError::InvalidArgument));
     }
 
     #[test]

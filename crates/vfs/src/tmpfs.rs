@@ -4,8 +4,33 @@ use crate::inode::{Inode, InodeId, InodeKind};
 use crate::VfsError;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Hasher of the inode table's shard maps. Keys are inode numbers this
+/// file system handed out itself, so one multiply (and a fold, because a
+/// shard's ids all share their low bits) replaces SipHash on the
+/// per-component [`Tmpfs::get`].
+#[derive(Debug, Default)]
+struct InodeIdHasher(u64);
+
+impl Hasher for InodeIdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("inode table keys are u64");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type Shard = RwLock<HashMap<u64, Arc<Inode>, BuildHasherDefault<InodeIdHasher>>>;
 
 /// An in-memory file system, standing in for Linux's tmpfs.
 ///
@@ -15,7 +40,7 @@ use std::sync::Arc;
 /// their own children under per-directory locks (see [`Inode`]).
 #[derive(Debug)]
 pub struct Tmpfs {
-    shards: Vec<RwLock<HashMap<u64, Arc<Inode>>>>,
+    shards: Vec<Shard>,
     next: AtomicU64,
     root: InodeId,
 }
@@ -26,7 +51,7 @@ impl Tmpfs {
     /// Creates a file system with an empty root directory.
     pub fn new() -> Self {
         let fs = Self {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Shard::default()).collect(),
             next: AtomicU64::new(1),
             root: InodeId(1),
         };
@@ -35,7 +60,7 @@ impl Tmpfs {
         fs
     }
 
-    fn shard(&self, id: InodeId) -> &RwLock<HashMap<u64, Arc<Inode>>> {
+    fn shard(&self, id: InodeId) -> &Shard {
         &self.shards[(id.0 as usize) % SHARDS]
     }
 

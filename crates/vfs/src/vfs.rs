@@ -2,7 +2,7 @@
 
 use crate::config::VfsConfig;
 use crate::dcache::Dcache;
-use crate::dentry::DentryKey;
+use crate::dentry::{DentryKey, DentryProbe};
 use crate::file::OpenFile;
 use crate::inode::{InodeId, InodeKind};
 use crate::mount::MountTable;
@@ -174,7 +174,7 @@ impl Vfs {
     pub fn mkdir(&self, path: &str, core: CoreId) -> Result<(), VfsError> {
         let pl = self.walker().resolve_parent(path, core)?;
         self.sb.inode_list_bookkeeping(true);
-        self.fs.create_child(&pl.parent, &pl.name, InodeKind::Dir)?;
+        self.fs.create_child(&pl.parent, pl.name, InodeKind::Dir)?;
         Ok(())
     }
 
@@ -185,19 +185,16 @@ impl Vfs {
         }
         let pl = self.walker().resolve_parent(path, core)?;
         self.sb.inode_list_bookkeeping(true); // new inode joins the list
-        let inode = self
-            .fs
-            .create_child(&pl.parent, &pl.name, InodeKind::File)?;
-        match self.dcache.insert(
-            DentryKey::new(pl.parent.id, pl.name.clone()),
-            inode.id,
-            core,
-        ) {
+        let inode = self.fs.create_child(&pl.parent, pl.name, InodeKind::File)?;
+        match self
+            .dcache
+            .insert(DentryKey::new(pl.parent.id, pl.name), inode.id, core)
+        {
             Ok(dentry) => dentry.put(core),
             Err(e) => {
                 // Error-path resource release: undo the creation so the
                 // failed syscall leaves no half-made file behind.
-                let _ = self.fs.unlink_child(&pl.parent, &pl.name);
+                let _ = self.fs.unlink_child(&pl.parent, pl.name);
                 return Err(e);
             }
         }
@@ -243,11 +240,11 @@ impl Vfs {
             return Err(VfsError::ReadOnly);
         }
         let pl = self.walker().resolve_parent(path, core)?;
-        let key = DentryKey::new(pl.parent.id, pl.name.as_str());
+        let key = DentryProbe::new(pl.parent.id, pl.name);
         self.sb.dcache_list_bookkeeping(true); // dentry leaves the cache
-        self.dcache.remove(&key, core);
+        self.dcache.remove(key, core);
         self.sb.inode_list_bookkeeping(true); // inode may be freed
-        self.fs.unlink_child(&pl.parent, &pl.name)?;
+        self.fs.unlink_child(&pl.parent, pl.name)?;
         Ok(())
     }
 
@@ -256,16 +253,16 @@ impl Vfs {
     pub fn rename(&self, old: &str, new: &str, core: CoreId) -> Result<(), VfsError> {
         let old_pl = self.walker().resolve_parent(old, core)?;
         let new_pl = self.walker().resolve_parent(new, core)?;
-        let inode = self.fs.lookup_child(&old_pl.parent, &old_pl.name)?;
-        if !new_pl.parent.insert_child(&new_pl.name, inode.id) {
+        let inode = self.fs.lookup_child(&old_pl.parent, old_pl.name)?;
+        if !new_pl.parent.insert_child(new_pl.name, inode.id) {
             return Err(VfsError::Exists);
         }
-        old_pl.parent.remove_child(&old_pl.name);
+        old_pl.parent.remove_child(old_pl.name);
         // Invalidate the old name in the dcache; populate the new one
         // lazily on the next lookup.
         self.sb.dcache_list_bookkeeping(true);
         self.dcache
-            .remove(&DentryKey::new(old_pl.parent.id, old_pl.name), core);
+            .remove(DentryProbe::new(old_pl.parent.id, old_pl.name), core);
         Ok(())
     }
 
@@ -280,15 +277,14 @@ impl Vfs {
             return Err(VfsError::IsADirectory);
         }
         let pl = self.walker().resolve_parent(new, core)?;
-        if !pl.parent.insert_child(&pl.name, inode.id) {
+        if !pl.parent.insert_child(pl.name, inode.id) {
             return Err(VfsError::Exists);
         }
         inode.inc_nlink();
-        match self.dcache.insert(
-            DentryKey::new(pl.parent.id, pl.name.clone()),
-            inode.id,
-            core,
-        ) {
+        match self
+            .dcache
+            .insert(DentryKey::new(pl.parent.id, pl.name), inode.id, core)
+        {
             Ok(dentry) => {
                 dentry.put(core);
                 Ok(())
@@ -296,7 +292,7 @@ impl Vfs {
             Err(e) => {
                 // Roll the half-made link back: drop the directory entry
                 // and the extra nlink taken above.
-                pl.parent.remove_child(&pl.name);
+                pl.parent.remove_child(pl.name);
                 inode.dec_nlink();
                 Err(e)
             }
@@ -395,6 +391,52 @@ mod tests {
         vfs.stat("/tmp1", core).unwrap(); // warm the dcache
         vfs.unlink("/tmp1", core).unwrap();
         assert_eq!(vfs.stat("/tmp1", core).unwrap_err(), VfsError::NotFound);
+    }
+
+    #[test]
+    fn a_racing_walkers_insert_does_not_poison_the_name() {
+        for cfg in [VfsConfig::stock(4), VfsConfig::pk(4)] {
+            let vfs = Vfs::new(cfg);
+            let core = CoreId(0);
+            vfs.write_file("/f", b"1", core).unwrap();
+            let ino = vfs.stat("/f", core).unwrap().ino;
+            // What a walker that missed `f` alongside the creator does.
+            let key = DentryKey::new(vfs.tmpfs().root(), "f");
+            vfs.dcache().insert(key, ino, core).unwrap().put(core);
+            vfs.unlink("/f", core).unwrap();
+            assert_eq!(vfs.stat("/f", core).unwrap_err(), VfsError::NotFound);
+            vfs.write_file("/f", b"22", core).unwrap();
+            assert_eq!(vfs.stat("/f", core).unwrap().size, 2);
+            assert_eq!(vfs.read_file("/f", core).unwrap(), b"22");
+        }
+    }
+
+    #[test]
+    fn two_walkers_missing_the_same_cold_path_cache_it_once() {
+        for cfg in [VfsConfig::stock(4), VfsConfig::pk(4)] {
+            let vfs = Vfs::new(cfg);
+            vfs.mkdir_p("/a/b/c", CoreId(0)).unwrap();
+            vfs.write_file("/a/b/c/f", b"x", CoreId(0)).unwrap();
+            // `write_file` cached the whole path; start cold again.
+            vfs.dcache().shrink(usize::MAX, CoreId(0));
+            assert!(vfs.dcache().is_empty());
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for t in 0..2 {
+                    let (vfs, start) = (&vfs, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        assert_eq!(vfs.stat("/a/b/c/f", CoreId(t)).unwrap().size, 1);
+                    });
+                }
+            });
+            assert_eq!(vfs.dcache().len(), 4, "one dentry per component");
+            vfs.unlink("/a/b/c/f", CoreId(0)).unwrap();
+            assert_eq!(
+                vfs.stat("/a/b/c/f", CoreId(1)).unwrap_err(),
+                VfsError::NotFound
+            );
+        }
     }
 
     #[test]

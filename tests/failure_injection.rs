@@ -156,8 +156,8 @@ fn dead_dentry_is_not_revived() {
     assert_eq!(cache.shrink(1, CoreId(0)), 1);
     // The evicted object is dead and unhashed: both protocols report a
     // definitive miss.
-    assert_eq!(d.compare_lockfree(&key, CoreId(1)), Some(false));
-    assert!(!d.compare_locked(&key, CoreId(1)));
+    assert_eq!(d.compare_lockfree(&key.probe(), CoreId(1)), Some(false));
+    assert!(!d.compare_locked(&key.probe(), CoreId(1)));
     assert!(cache.lookup(&key, CoreId(1)).is_none());
 }
 
