@@ -1,8 +1,8 @@
 //! Where the p999 goes (`report tail`).
 //!
 //! Runs the serving roster through the request-flow engine with
-//! causal tracing on, folds every capture into per-request span trees
-//! (`pk-why`), and decomposes the tail quantiles over the accounting
+//! causal tracing on, folds every capture into priced per-request
+//! records (`pk-why`), and decomposes the tail quantiles over the accounting
 //! identity `latency = queue + service + Σ class waits + slack`.
 //! The grid is `SERVING × {stock, coarse, pk, adaptive}` at
 //! [`TAIL_CORES`] cores, observe posture, [`TAIL_LOAD_PCT`]% of PK
@@ -67,7 +67,7 @@ pub struct TailCell {
     pub personality: Personality,
     /// The flow-engine run (counters, histogram latency, policy).
     pub run: ServeRun,
-    /// Complete span trees the fold recovered (== completed requests).
+    /// Complete requests the fold recovered (== completed requests).
     pub folded: usize,
     /// Requests still open at the horizon (discarded by the fold).
     pub in_flight: usize,

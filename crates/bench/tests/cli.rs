@@ -216,29 +216,56 @@ fn personality_words_in_usage_come_from_the_enum() {
     }
 }
 
+/// Fails, naming the first differing line and how to regenerate, unless
+/// `got` is the committed golden byte for byte.
+fn assert_matches_golden(what: &str, got: &str, golden: &str, file: &str, regenerate: &str) {
+    if got == golden {
+        return;
+    }
+    let line = (got.lines().zip(golden.lines()))
+        .position(|(got, want)| got != want)
+        .unwrap_or_else(|| got.lines().count().min(golden.lines().count()));
+    panic!(
+        "`{what}` differs from tests/golden/{file} at line {}:\n  \
+         got:  {:?}\n  want: {:?}\n\
+         if the change is intended, regenerate with\n  \
+         cargo run --release -q -p pk-bench -- {regenerate}crates/bench/tests/golden/{file}\n\
+         and say which lines moved and why",
+        line + 1,
+        got.lines().nth(line).unwrap_or("<end of output>"),
+        golden.lines().nth(line).unwrap_or("<end of file>"),
+    );
+}
+
 /// `fig all` is a pure function of the source: its stdout is committed,
 /// so a refactor that moves a byte fails here instead of relying on a
 /// hand-run `cmp` against a parent build.
 #[test]
 fn fig_all_matches_the_committed_golden() {
-    let golden = include_str!("golden/fig_all.txt");
     let out = pk_bench("fig all");
     assert_eq!(out.status.code(), Some(0));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    if stdout == golden {
-        return;
-    }
-    let line = (stdout.lines().zip(golden.lines()))
-        .position(|(got, want)| got != want)
-        .unwrap_or_else(|| stdout.lines().count().min(golden.lines().count()));
-    panic!(
-        "`pk-bench fig all` differs from tests/golden/fig_all.txt at line {}:\n  \
-         got:  {:?}\n  want: {:?}\n\
-         if the change is intended, regenerate with\n  \
-         cargo run --release -q -p pk-bench -- fig all > crates/bench/tests/golden/fig_all.txt\n\
-         and say which lines moved and why",
-        line + 1,
-        stdout.lines().nth(line).unwrap_or("<end of output>"),
-        golden.lines().nth(line).unwrap_or("<end of file>"),
+    assert_matches_golden(
+        "pk-bench fig all",
+        &String::from_utf8_lossy(&out.stdout),
+        include_str!("golden/fig_all.txt"),
+        "fig_all.txt",
+        "fig all > ",
+    );
+}
+
+/// `report tail --seed 42 --json` likewise: the 12-cell,
+/// 4-personality grid (exact p50/p99/p999 per cell, the attribution
+/// shares, the exemplar hashes) is committed, and recomputed here
+/// in-process.
+#[test]
+fn tail_matches_the_committed_golden() {
+    use pk_bench::tail;
+    let grid = tail::run_grid(42);
+    assert_matches_golden(
+        "pk-bench report tail --seed 42 --json",
+        &tail::report_json(&grid, &tail::assess(&grid)),
+        include_str!("golden/tail.json"),
+        "tail.json",
+        "report tail --seed 42 --json ",
     );
 }

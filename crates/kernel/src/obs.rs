@@ -84,11 +84,8 @@ impl Kernel {
             load(&n.skb_global_allocs),
             load(&n.skb_percore_allocs),
         ));
-        snap.push(Sample::op_mix(
-            "net.dst-cache",
-            load(&n.dst_shared_ops),
-            load(&n.dst_local_ops),
-        ));
+        let (dst_shared, dst_local) = self.net().dst_cache().op_counts();
+        snap.push(Sample::op_mix("net.dst-cache", dst_shared, dst_local));
         snap.push(Sample::op_mix(
             "net.accept-queue",
             load(&n.accept_shared_queue),
@@ -190,5 +187,40 @@ mod tests {
             "PK per-core mount caches shed central lookups: stock={stock_central}, pk={pk_central}"
         );
         assert!(pk_local > 0, "PK serves lookups from per-core caches");
+    }
+
+    /// The `net.dst-cache` row is every destination's refcount traffic.
+    /// A row that mirrored the last-routed destination would drop to
+    /// `(1, 0)` at the one packet to the second address.
+    #[test]
+    fn dst_cache_row_sums_every_destination_and_never_decreases() {
+        use pk_net::SockAddr;
+        for k in [
+            Kernel::new(KernelConfig::stock(4)),
+            Kernel::new(KernelConfig::pk(4)),
+        ] {
+            let row = || match &k.obs_snapshot().find("net.dst-cache").unwrap().value {
+                MetricValue::OpMix { central, local } => (*central, *local),
+                v => panic!("wrong value kind: {v:?}"),
+            };
+            let send = |ip| {
+                let (from, to) = (SockAddr::new(0x0a00_0001, 9), SockAddr::new(ip, 11211));
+                k.net()
+                    .udp_send(CoreId(1), from, to, bytes::Bytes::from_static(b"get k"))
+                    .unwrap();
+            };
+            assert_eq!(row(), (0, 0));
+            for _ in 0..100 {
+                send(0x0a00_0002);
+            }
+            let hot = row();
+            assert!(hot.0 + hot.1 >= 200, "100 get/put pairs: {hot:?}");
+            send(0x0a00_0003);
+            let both = row();
+            assert!(both.0 >= hot.0 && both.1 >= hot.1, "{hot:?} -> {both:?}");
+            assert!(both.0 + both.1 >= hot.0 + hot.1 + 2, "{hot:?} -> {both:?}");
+            assert_eq!(both, k.net().dst_cache().op_counts());
+            assert_eq!(row(), both, "reading the row moves nothing");
+        }
     }
 }

@@ -1,7 +1,6 @@
 //! The destination (routing) cache and its reference counts.
 
 use crate::config::NetConfig;
-use crate::stats::NetStats;
 use parking_lot::RwLock;
 use pk_percpu::CoreId;
 use pk_sloppy::{DeallocError, RefCount};
@@ -67,35 +66,41 @@ impl DstEntry {
     }
 }
 
+#[derive(Debug, Default)]
+struct Routes {
+    live: HashMap<u32, Arc<DstEntry>>,
+    /// Refcount operations of the routes evicted so far: what keeps
+    /// [`DstCache::op_counts`] from running backwards.
+    evicted_ops: (u64, u64),
+}
+
 /// The destination cache: destination IP → [`DstEntry`].
 #[derive(Debug)]
 pub struct DstCache {
-    entries: RwLock<HashMap<u32, Arc<DstEntry>>>,
+    entries: RwLock<Routes>,
     config: NetConfig,
-    stats: Arc<NetStats>,
 }
 
 impl DstCache {
     /// Creates an empty cache.
-    pub fn new(config: NetConfig, stats: Arc<NetStats>) -> Self {
+    pub fn new(config: NetConfig) -> Self {
         Self {
-            entries: RwLock::new(HashMap::new()),
+            entries: RwLock::default(),
             config,
-            stats,
         }
     }
 
     /// Looks up (or creates) the entry for `dest_ip` and takes a packet
     /// reference on it on behalf of `core`.
     pub fn route(&self, dest_ip: u32, core: CoreId) -> Arc<DstEntry> {
-        if let Some(e) = self.entries.read().get(&dest_ip).cloned() {
+        if let Some(e) = self.entries.read().live.get(&dest_ip).cloned() {
             if e.get(core).is_ok() {
-                self.account(&e);
                 return e;
             }
         }
         let mut table = self.entries.write();
         let e = table
+            .live
             .entry(dest_ip)
             .or_insert_with(|| {
                 DstEntry::with_refcount(
@@ -111,24 +116,24 @@ impl DstCache {
             })
             .clone();
         e.get(core).expect("cached dst cannot be dead");
-        self.account(&e);
         e
     }
 
-    fn account(&self, e: &DstEntry) {
-        // Mirror the refcount's shared/local split into the stack stats.
-        let (shared, local) = e.refcount_ops();
-        self.stats
-            .dst_shared_ops
-            .store(shared, std::sync::atomic::Ordering::Relaxed);
-        self.stats
-            .dst_local_ops
-            .store(local, std::sync::atomic::Ordering::Relaxed);
+    /// `(shared_ops, local_ops)` of the refcounts of every route this
+    /// cache has held, summed when asked: `route` itself writes no
+    /// cache-wide line.
+    pub fn op_counts(&self) -> (u64, u64) {
+        let table = self.entries.read();
+        table
+            .live
+            .values()
+            .map(|e| e.refcount_ops())
+            .fold(table.evicted_ops, |(s, l), (es, el)| (s + es, l + el))
     }
 
     /// Number of cached routes.
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        self.entries.read().live.len()
     }
 
     /// Returns whether the cache is empty.
@@ -140,7 +145,7 @@ impl DstCache {
     /// hold references (the reconcile-on-dealloc protocol).
     pub fn evict(&self, dest_ip: u32) -> Result<(), DeallocError> {
         let mut table = self.entries.write();
-        let Some(e) = table.get(&dest_ip) else {
+        let Some(e) = table.live.get(&dest_ip) else {
             return Err(DeallocError::AlreadyDead);
         };
         // Drop the cache's own reference for the check, restoring it on
@@ -148,7 +153,10 @@ impl DstCache {
         e.put(CoreId(0));
         match e.try_dealloc() {
             Ok(()) => {
-                table.remove(&dest_ip);
+                let (shared, local) = e.refcount_ops();
+                table.live.remove(&dest_ip);
+                table.evicted_ops.0 += shared;
+                table.evicted_ops.1 += local;
                 Ok(())
             }
             Err(err) => {
@@ -174,7 +182,7 @@ mod tests {
         } else {
             NetConfig::stock(4)
         };
-        DstCache::new(cfg, Arc::new(NetStats::new()))
+        DstCache::new(cfg)
     }
 
     #[test]
@@ -233,7 +241,7 @@ mod tests {
         // the per-socket tree. Under sustained load a core always has
         // packets in flight, so its leaf stays nonzero and further
         // get/put pairs never leave the leaf.
-        let c = DstCache::new(NetConfig::pk(8), Arc::new(NetStats::new()));
+        let c = DstCache::new(NetConfig::pk(8));
         let pin = c.route(1, CoreId(2)); // keeps core 2's leaf nonzero
         let e = c.route(1, CoreId(2));
         let (shared_before, _) = e.refcount_ops();
@@ -258,8 +266,45 @@ mod tests {
         let e = c.route(7, CoreId(0));
         assert!(c.evict(7).is_err(), "packet in flight");
         e.put(CoreId(0));
+        let before = c.op_counts();
         assert_eq!(c.evict(7), Ok(()));
         assert!(c.is_empty());
         assert!(c.evict(7).is_err(), "already gone");
+        let after = c.op_counts();
+        assert!(
+            after.0 >= before.0 && after.1 >= before.1,
+            "an evicted route keeps its operations: {before:?} -> {after:?}"
+        );
+    }
+
+    /// The totals are every route's operations, not the last-routed
+    /// one's, and they only grow.
+    #[test]
+    fn op_counts_sum_every_route_and_never_run_backwards() {
+        for sloppy in [false, true] {
+            let c = cache(sloppy);
+            let mut last = c.op_counts();
+            assert_eq!(last, (0, 0));
+            let mut send = |dest| {
+                c.route(dest, CoreId(1)).put(CoreId(1));
+                let now = c.op_counts();
+                assert!(now.0 >= last.0 && now.1 >= last.1, "{last:?} -> {now:?}");
+                last = now;
+            };
+            for _ in 0..100 {
+                send(1);
+            }
+            send(2);
+            let (shared, local) = c.op_counts();
+            // 100 + 1 get/put pairs; a sloppy count also pays one
+            // shared operation per route to fetch its first spares.
+            assert_eq!(shared + local, if sloppy { 204 } else { 202 });
+            assert_eq!(sloppy, local > shared, "({shared}, {local})");
+            let sum = [1, 2]
+                .map(|dest| c.entries.read().live[&dest].refcount_ops())
+                .iter()
+                .fold((0, 0), |(s, l), (es, el)| (s + es, l + el));
+            assert_eq!((shared, local), sum);
+        }
     }
 }

@@ -88,7 +88,7 @@ impl NetStack {
             config,
             nic: Nic::with_faults(config, Arc::clone(&stats), faults),
             pool: SkbPool::new(config, Arc::clone(&stats)),
-            dst: DstCache::new(config, Arc::clone(&stats)),
+            dst: DstCache::new(config),
             proto: ProtoAccounting::new(config, Arc::clone(&stats)),
             udp_ports: RcuCell::new(HashMap::new()),
             listeners: RcuCell::new(HashMap::new()),

@@ -11,10 +11,6 @@ pub struct NetStats {
     pub skb_percore_allocs: AtomicU64,
     /// Skb allocations that crossed NUMA nodes (stock DMA policy).
     pub skb_remote_node_allocs: AtomicU64,
-    /// dst_entry refcount operations hitting the shared counter.
-    pub dst_shared_ops: AtomicU64,
-    /// dst_entry refcount operations satisfied core-locally.
-    pub dst_local_ops: AtomicU64,
     /// Protocol-accounting updates hitting the shared counter.
     pub proto_shared_ops: AtomicU64,
     /// Protocol-accounting updates satisfied core-locally.
@@ -75,8 +71,6 @@ impl NetStats {
             &self.skb_global_allocs,
             &self.skb_percore_allocs,
             &self.skb_remote_node_allocs,
-            &self.dst_shared_ops,
-            &self.dst_local_ops,
             &self.proto_shared_ops,
             &self.proto_local_ops,
             &self.accept_shared_queue,

@@ -2,8 +2,9 @@
 //!
 //! `pk-trace` records what happened; `pk-obs` records how much. This
 //! crate closes the remaining gap — **per-request causality**: it folds
-//! a drained trace stream into one span tree per request context
-//! ([`fold`]), prices each tree against the accounting identity
+//! a drained trace stream into one record per request context
+//! ([`fold`]), pricing each in the same pass against the accounting
+//! identity
 //!
 //! ```text
 //! request latency = admission queue wait
@@ -13,10 +14,13 @@
 //! ```
 //!
 //! ([`RequestCost`]), decomposes a tail quantile's cycles into
-//! wait-by-lock-class basis points ([`attribute`]), and keeps a
-//! deterministic reservoir of the slowest complete trees as exemplars
-//! ([`exemplars`], [`encode_exemplars`]). [`MetricSet`] renders the
-//! attribution tables in OpenMetrics text format for CI artifacts.
+//! wait-by-lock-class basis points ([`attribute`]), and picks a
+//! deterministic set of the slowest complete requests as exemplars
+//! ([`exemplars`]). A record keeps the events of its request, and its
+//! span tree is built from them only when asked for
+//! ([`RequestTree::children`]) — which [`encode_exemplars`] does, for
+//! the handful of exemplars and no other request. [`MetricSet`] renders
+//! the attribution tables in OpenMetrics text format for CI artifacts.
 //!
 //! This is §5.2.1 of the paper made per-request: "the kernel time of
 //! [stock] Exim is dominated by one lock" becomes *this* request's
@@ -24,8 +28,8 @@
 //!
 //! Two contracts the rest of the tree relies on:
 //!
-//! * **Names, not raw ids.** Folded trees and exemplar encodings embed
-//!   *resolved* class names (`pk-lockdep` registry for lock events,
+//! * **Names, not raw ids.** Records, span trees and exemplar encodings
+//!   embed *resolved* class names (`pk-lockdep` registry for lock events,
 //!   the pk-trace intern table for spans). Raw interned ids are
 //!   registration-order-dependent and must never appear in canonical
 //!   bytes.

@@ -1,11 +1,13 @@
 //! The determinism and exactness contracts of the fold, over *real*
 //! traced flow runs (DESIGN.md §15):
 //!
-//! 1. **Rerun identity** — same seed, same workload: folded trees,
+//! 1. **Rerun identity** — same seed, same workload: folded requests,
 //!    exemplar bytes, and attribution tables are byte-identical.
 //! 2. **Migration invariance** — permuting track ids and re-interleaving
 //!    the stream (what thread migration / worker renumbering does to a
 //!    capture) changes nothing, as long as per-track order survives.
+//!    Records keep their track-bound events, so requests are compared
+//!    in materialised form: canonical bytes and cost.
 //! 3. **Exactness** — every folded request satisfies
 //!    `latency = queue + service + Σ waits + slack` with `slack = 0`
 //!    in the flow engine, and the fold recovers exactly the requests
@@ -16,7 +18,7 @@ use pk_sim::{
     flow_ring_capacity, simulate_flow, ArrivalPattern, ClientMix, Network, OverloadPolicy, Station,
 };
 use pk_trace::{Event, Tracer};
-use pk_why::{attribute, encode_exemplars, exemplars, fold, RequestCost};
+use pk_why::{attribute, encode_exemplars, encode_tree, exemplars, fold, FoldOutput, RequestCost};
 use proptest::prelude::*;
 
 fn toy_network() -> Network {
@@ -52,6 +54,19 @@ fn traced_run(seed: u64) -> (u64, Vec<Event>) {
     );
     assert_eq!(tracer.dropped(), 0, "sizing rule must hold");
     (r.completed, tracer.drain())
+}
+
+/// Everything the fold says about each request, with no track in it:
+/// the canonical bytes (id, kind, envelope, span tree) and the cost.
+fn materialise(f: &FoldOutput) -> Vec<(Vec<u8>, RequestCost)> {
+    f.trees
+        .iter()
+        .map(|t| {
+            let mut bytes = Vec::new();
+            encode_tree(t, &mut bytes);
+            (bytes, RequestCost::of(t))
+        })
+        .collect()
 }
 
 /// Relabels track `t` as `perm[t]` and re-interleaves the stream
@@ -106,7 +121,7 @@ fn rerun_produces_byte_identical_exemplars_and_attribution() {
     let (_, ea) = traced_run(42);
     let (_, eb) = traced_run(42);
     let (fa, fb) = (fold(&ea), fold(&eb));
-    assert_eq!(fa.trees, fb.trees);
+    assert_eq!(materialise(&fa), materialise(&fb));
     assert_eq!(
         encode_exemplars(&exemplars(&fa.trees, 5, 42)),
         encode_exemplars(&exemplars(&fb.trees, 5, 42))
@@ -128,7 +143,7 @@ proptest! {
         let perm: Vec<u32> = (0..5u32).map(|t| (t + rot) % 5).collect();
         let migrated = migrate(&events, &perm);
         let (a, b) = (fold(&events), fold(&migrated));
-        prop_assert_eq!(&a.trees, &b.trees);
+        prop_assert_eq!(materialise(&a), materialise(&b));
         prop_assert_eq!(a.in_flight, b.in_flight);
         prop_assert_eq!(
             encode_exemplars(&exemplars(&a.trees, 5, seed)),
