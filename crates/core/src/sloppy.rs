@@ -1,6 +1,13 @@
 //! The sloppy counter (paper §4.3).
+//!
+//! A local acquire or release "modifies only the per-core counter": the
+//! spare count and the tally of local operations share one per-core
+//! slot, so the whole operation — bookkeeping included — writes exactly
+//! one cache line, the acting core's own. Only an operation that goes to
+//! the central counter writes a shared line, and its tally
+//! (`central_ops`) sits beside the central RMW it accompanies.
 
-use pk_percpu::{CoreId, PerCore};
+use pk_percpu::{owner_add, CoreId, PerCore};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Tuning parameters for a [`SloppyCounter`].
@@ -60,10 +67,21 @@ impl Default for SloppyConfig {
 #[derive(Debug)]
 pub struct SloppyCounter {
     central: AtomicI64,
-    local: PerCore<AtomicI64>,
+    local: PerCore<Slot>,
     config: SloppyConfig,
     central_ops: AtomicU64,
-    local_ops: AtomicU64,
+}
+
+/// One core's share: the spares it has banked and the count of
+/// operations they absorbed, on one line.
+#[derive(Debug, Default)]
+struct Slot {
+    spares: AtomicI64,
+    /// Local (non-central) operations on this slot. Written with a
+    /// relaxed load + store by the acting core, so it is exact under the
+    /// one-thread-per-core discipline `check_percore_mutation` enforces;
+    /// threads sharing a `CoreId` may lose counts here (never spares).
+    ops: AtomicU64,
 }
 
 impl SloppyCounter {
@@ -82,10 +100,9 @@ impl SloppyCounter {
         assert!(config.prefetch >= 0, "prefetch must be non-negative");
         Self {
             central: AtomicI64::new(0),
-            local: PerCore::new_with(cores, |_| AtomicI64::new(0)),
+            local: PerCore::new(cores),
             config,
             central_ops: AtomicU64::new(0),
-            local_ops: AtomicU64::new(0),
         }
     }
 
@@ -107,14 +124,15 @@ impl SloppyCounter {
         assert!(v >= 0, "acquire amount must be non-negative");
         pk_lockdep::check_percore_mutation("sloppy.counter.bank", core.index());
         let slot = self.local.get(core);
+        let spares = &slot.spares;
         // Try to decrement the per-core counter by `v`; succeed only if it
         // holds at least `v` spares. A CAS loop keeps the slot non-negative
         // even if another thread shares this logical core id.
-        let mut cur = slot.load(Ordering::Relaxed);
+        let mut cur = spares.load(Ordering::Relaxed);
         while cur >= v {
-            match slot.compare_exchange_weak(cur, cur - v, Ordering::AcqRel, Ordering::Relaxed) {
+            match spares.compare_exchange_weak(cur, cur - v, Ordering::AcqRel, Ordering::Relaxed) {
                 Ok(_) => {
-                    self.local_ops.fetch_add(1, Ordering::Relaxed);
+                    owner_add(&slot.ops, 1);
                     return;
                 }
                 Err(actual) => cur = actual,
@@ -126,13 +144,13 @@ impl SloppyCounter {
         self.central_ops.fetch_add(1, Ordering::Relaxed);
         if self.config.prefetch > 0 {
             let after =
-                slot.fetch_add(self.config.prefetch, Ordering::AcqRel) + self.config.prefetch;
+                spares.fetch_add(self.config.prefetch, Ordering::AcqRel) + self.config.prefetch;
             // Banking the prefetch must honour the same threshold as
             // `release`: with `prefetch > threshold` (or concurrent
             // releases racing into the same slot) the bank could
             // otherwise exceed the threshold and stay there forever,
             // breaking the documented bound on banked spares.
-            self.return_excess(slot, after);
+            self.return_excess(spares, after);
         }
     }
 
@@ -179,9 +197,9 @@ impl SloppyCounter {
         assert!(v >= 0, "release amount must be non-negative");
         pk_lockdep::check_percore_mutation("sloppy.counter.bank", core.index());
         let slot = self.local.get(core);
-        let after = slot.fetch_add(v, Ordering::AcqRel) + v;
-        self.local_ops.fetch_add(1, Ordering::Relaxed);
-        self.return_excess(slot, after);
+        let after = slot.spares.fetch_add(v, Ordering::AcqRel) + v;
+        owner_add(&slot.ops, 1);
+        self.return_excess(&slot.spares, after);
     }
 
     /// Returns the central counter value: references in use **plus** all
@@ -193,7 +211,8 @@ impl SloppyCounter {
 
     /// Returns the sum of per-core spare counts.
     pub fn spares(&self) -> i64 {
-        self.local.fold(0, |a, s| a + s.load(Ordering::Acquire))
+        self.local
+            .fold(0, |a, s| a + s.spares.load(Ordering::Acquire))
     }
 
     /// Computes the true logical value (references actually in use).
@@ -216,7 +235,7 @@ impl SloppyCounter {
         // §4.3 "expensive" de-allocation step, by design cross-core.
         let _migrate = pk_lockdep::MigrationScope::enter();
         for slot in self.local.iter() {
-            let spares = slot.swap(0, Ordering::AcqRel);
+            let spares = slot.spares.swap(0, Ordering::AcqRel);
             if spares != 0 {
                 self.central.fetch_sub(spares, Ordering::AcqRel);
                 self.central_ops.fetch_add(1, Ordering::Relaxed);
@@ -228,10 +247,17 @@ impl SloppyCounter {
     /// Returns `(central_ops, local_ops)`: how many operations hit the
     /// shared cache line versus stayed core-local. The whole point of the
     /// technique is to make the first number small.
+    ///
+    /// `local_ops` folds the per-core slots. It is exact when each
+    /// `CoreId` is driven by one thread at a time (the discipline
+    /// `pk_lockdep::check_percore_mutation` enforces); threads that share
+    /// a `CoreId` keep every *value* identity — the spares are moved by
+    /// CAS and RMW — but race on the slot's plain op tally, so there it
+    /// is a lower bound on the local operations performed.
     pub fn op_counts(&self) -> (u64, u64) {
         (
             self.central_ops.load(Ordering::Relaxed),
-            self.local_ops.load(Ordering::Relaxed),
+            self.local.fold(0, |a, s| a + s.ops.load(Ordering::Relaxed)),
         )
     }
 
@@ -475,5 +501,62 @@ mod tests {
             "steady state should be core-local, central_ops={central_ops}"
         );
         assert!(local_ops >= 1_998);
+    }
+
+    #[test]
+    fn op_counts_are_exact_with_one_thread_per_core() {
+        // The local tally is a load + store in the core's own slot: with
+        // each core driven by one thread, every one of the 800 000 calls
+        // must be counted, as central or as local, exactly once.
+        const PAIRS: u64 = 100_000;
+        let c = SloppyCounter::new(4);
+        std::thread::scope(|s| {
+            for core in 0..4 {
+                let c = &c;
+                s.spawn(move || {
+                    for _ in 0..PAIRS {
+                        c.acquire(CoreId(core), 1);
+                        c.release(CoreId(core), 1);
+                    }
+                });
+            }
+        });
+        let (central, local) = c.op_counts();
+        // One miss per core, then every acquire finds the spare its own
+        // release banked; a lone spare never reaches the threshold.
+        assert_eq!(central, 4);
+        assert_eq!(central + local, 4 * 2 * PAIRS);
+        assert_eq!(c.central(), c.spares(), "central = in_use (0) + spares");
+        assert_eq!(c.in_use(), 0);
+    }
+
+    #[test]
+    fn threads_sharing_a_core_keep_the_value_identities() {
+        // Two threads on one `CoreId` break the per-core discipline. The
+        // spares move by CAS and RMW, so no reference is lost or forged;
+        // only the slot's plain op tally may drop counts (documented on
+        // `op_counts`), so it is bounded, not pinned.
+        const PAIRS: u64 = 100_000;
+        let c = SloppyCounter::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..PAIRS {
+                        c.acquire(CoreId(1), 1);
+                        c.release(CoreId(1), 1);
+                    }
+                });
+            }
+        });
+        assert_eq!(c.in_use(), 0);
+        assert_eq!(c.central(), c.spares());
+        assert!(
+            (0..=2).contains(&c.spares()),
+            "one spare per holder at most"
+        );
+        let (central, local) = c.op_counts();
+        assert!(central >= 1, "the first acquire had to miss");
+        assert!((1..=2 * 2 * PAIRS).contains(&local));
+        assert_eq!(c.reconcile(), 0);
     }
 }

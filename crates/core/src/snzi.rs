@@ -1,9 +1,13 @@
 //! Scalable NonZero Indicator (SNZI): the flat two-level
 //! [`SnziCounter`] and the topology-aware [`Snzi`] tree.
+//!
+//! The tree's operation tallies (`op_counts`) are plain fields of each
+//! leaf, written under the leaf mutex an update already holds — an
+//! update's only atomics are the surplus crossings themselves.
 
 use crate::traits::Counter;
 use pk_percpu::{CoreId, PerCore};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Mutex;
 
 /// Per-leaf state: an exact count plus a flag recording whether this leaf
@@ -115,6 +119,12 @@ struct TreeLeaf {
     /// Whether this leaf currently contributes one unit of surplus to
     /// its socket node.
     present: bool,
+    /// Updates applied at this leaf. Like `central_ops`, a plain field:
+    /// its writer already holds the leaf mutex.
+    local_ops: u64,
+    /// Of those, the ones that went on to write a shared line (a surplus
+    /// crossing at the socket node, or a reconciliation fold).
+    central_ops: u64,
 }
 
 /// A three-level Scalable NonZero Indicator shaped like the machine:
@@ -157,8 +167,6 @@ pub struct Snzi {
     /// Exact count absorbed by reconciliation; always part of the
     /// logical value.
     central: AtomicI64,
-    central_ops: AtomicU64,
-    local_ops: AtomicU64,
 }
 
 impl Snzi {
@@ -177,8 +185,6 @@ impl Snzi {
             cores_per_socket: cores.div_ceil(sockets).max(1),
             leaves: PerCore::new_with(cores, |_| Mutex::new(TreeLeaf::default())),
             central: AtomicI64::new(0),
-            central_ops: AtomicU64::new(0),
-            local_ops: AtomicU64::new(0),
         }
     }
 
@@ -207,11 +213,11 @@ impl Snzi {
         let socket = self.socket_of(core.index());
         let mut leaf = self.leaves.get(core).lock().unwrap();
         leaf.count += delta;
-        self.local_ops.fetch_add(1, Ordering::Relaxed);
+        leaf.local_ops += 1;
         let nonzero = leaf.count != 0;
         if nonzero && !leaf.present {
             leaf.present = true;
-            self.central_ops.fetch_add(1, Ordering::Relaxed);
+            leaf.central_ops += 1;
             let prev = self.socket_surplus[socket].fetch_add(1, Ordering::AcqRel);
             if prev == 0 {
                 // Socket surplus crossed zero: propagate to the root.
@@ -219,7 +225,7 @@ impl Snzi {
             }
         } else if !nonzero && leaf.present {
             leaf.present = false;
-            self.central_ops.fetch_add(1, Ordering::Relaxed);
+            leaf.central_ops += 1;
             let prev = self.socket_surplus[socket].fetch_sub(1, Ordering::AcqRel);
             if prev == 1 {
                 self.root.fetch_sub(1, Ordering::AcqRel);
@@ -274,7 +280,7 @@ impl Snzi {
             let mut leaf = self.leaves.get(CoreId(core)).lock().unwrap();
             if leaf.count != 0 {
                 self.central.fetch_add(leaf.count, Ordering::AcqRel);
-                self.central_ops.fetch_add(1, Ordering::Relaxed);
+                leaf.central_ops += 1;
                 leaf.count = 0;
             }
             if leaf.present {
@@ -290,12 +296,14 @@ impl Snzi {
 
     /// Returns `(central_ops, local_ops)`: operations that touched a
     /// shared line (socket/root propagation, reconciliation) versus
-    /// leaf-only updates.
+    /// leaf updates. Both are tallied in the leaf, under the mutex the
+    /// operation already holds, so they are exact for any thread-to-core
+    /// mapping; this read locks each leaf in turn to sum them.
     pub fn op_counts(&self) -> (u64, u64) {
-        (
-            self.central_ops.load(Ordering::Relaxed),
-            self.local_ops.load(Ordering::Relaxed),
-        )
+        self.leaves.fold((0, 0), |(central, local), l| {
+            let leaf = l.lock().unwrap();
+            (central + leaf.central_ops, local + leaf.local_ops)
+        })
     }
 }
 
@@ -489,5 +497,50 @@ mod tests {
         }
         assert!(!s.query());
         assert_eq!(s.value(), 0);
+    }
+
+    #[test]
+    fn tree_op_counts_are_exact_with_real_threads() {
+        // The op tallies are plain fields of the leaf, written under the
+        // leaf mutex `update` already holds: every call is counted.
+        const PAIRS: u64 = 100_000;
+        let s = Snzi::new(4, 2);
+        std::thread::scope(|sc| {
+            for core in 0..4 {
+                let s = &s;
+                sc.spawn(move || {
+                    for _ in 0..PAIRS {
+                        s.arrive(CoreId(core), 1);
+                        s.depart(CoreId(core), 1);
+                    }
+                });
+            }
+        });
+        let (central, local) = s.op_counts();
+        assert_eq!(local, 4 * 2 * PAIRS, "every update is a leaf op");
+        // Each pair crosses zero twice on an otherwise empty leaf.
+        assert_eq!(central, 4 * 2 * PAIRS);
+        assert!(!s.query(), "quiescent tree reads zero");
+        assert_eq!(s.value(), 0);
+    }
+
+    #[test]
+    fn tree_op_counts_survive_threads_sharing_a_leaf() {
+        // Unlike the sloppy counter's slot tally, a leaf's tallies sit
+        // under its mutex, so even two threads on one core lose nothing.
+        const PAIRS: u64 = 50_000;
+        let s = Snzi::new(2, 1);
+        std::thread::scope(|sc| {
+            for _ in 0..2 {
+                sc.spawn(|| {
+                    for _ in 0..PAIRS {
+                        s.arrive(CoreId(0), 1);
+                        s.depart(CoreId(0), 1);
+                    }
+                });
+            }
+        });
+        assert_eq!(s.op_counts().1, 2 * 2 * PAIRS);
+        assert!(!s.query());
     }
 }

@@ -9,9 +9,10 @@
 
 use crate::kernel::Kernel;
 use pk_obs::{LockSample, Sample, Snapshot};
-use std::sync::atomic::{AtomicU64, Ordering};
+use pk_percpu::Tally;
+use std::sync::atomic::Ordering;
 
-fn load(c: &AtomicU64) -> u64 {
+fn load(c: &Tally) -> u64 {
     c.load(Ordering::Relaxed)
 }
 
@@ -108,7 +109,7 @@ impl Kernel {
         snap.push(Sample::counter("mm.faults", self.mm_stats().faults()));
         snap.push(Sample::counter(
             "proc.stat-reads",
-            load(&self.proc_stats().stat_reads),
+            self.proc_stats().stat_reads.load(Ordering::Relaxed),
         ));
         let (user, system) = self.cpu().totals();
         snap.push(Sample::counter("cpu.user-cycles", user));

@@ -145,7 +145,7 @@ impl AddressSpace {
             mapping_mutex: AdaptiveMutex::new(()),
         });
         region.mapping_mutex.set_class(MAPPING_MUTEX_CLASS.id());
-        MmStats::bump(&self.stats.region_write_locks);
+        self.stats.region_write_locks.bump();
         self.replace_regions(|v| {
             let mut v = v.clone();
             v.push(Arc::clone(&region));
@@ -166,7 +166,7 @@ impl AddressSpace {
 
     /// Unmaps a region, returning its faulted pages to the allocator.
     pub fn munmap(&self, id: RegionId, core: usize) -> Result<(), MmapError> {
-        MmStats::bump(&self.stats.region_write_locks);
+        self.stats.region_write_locks.bump();
         let region = {
             let g = rcu::read_lock();
             self.regions
@@ -202,7 +202,7 @@ impl AddressSpace {
     pub fn page_fault(&self, id: RegionId, page_idx: u64, core: usize) -> Result<bool, FaultError> {
         // Every fault takes the region-list read lock (shared-lock-state
         // modification is the §5.8 bottleneck).
-        MmStats::bump(&self.stats.region_read_locks);
+        self.stats.region_read_locks.bump();
         let region = {
             let g = rcu::read_lock();
             self.regions
@@ -217,19 +217,19 @@ impl AddressSpace {
         }
         match region.page_size {
             PageSize::Base4K => {
-                MmStats::bump(&self.stats.faults_4k);
+                self.stats.faults_4k.bump();
                 self.populate(&region, page_idx, core)
             }
             PageSize::Super2M => {
-                MmStats::bump(&self.stats.faults_2m);
+                self.stats.faults_2m.bump();
                 // Serialize super-page instantiation on the configured
                 // mutex.
                 if self.config.per_mapping_superpage_mutex {
-                    MmStats::bump(&self.stats.superpage_local_mutex);
+                    self.stats.superpage_local_mutex.bump();
                     let _g = region.mapping_mutex.lock();
                     self.populate(&region, page_idx, core)
                 } else {
-                    MmStats::bump(&self.stats.superpage_global_mutex);
+                    self.stats.superpage_global_mutex.bump();
                     let _g = self.superpage_mutex.lock();
                     self.populate(&region, page_idx, core)
                 }
@@ -269,11 +269,11 @@ impl AddressSpace {
         // stores are enabled (Figure 1).
         let bytes = region.page_size.bytes();
         if region.page_size == PageSize::Super2M && !self.config.nocache_superpage_zeroing {
-            MmStats::add(&self.stats.cached_zero_bytes, bytes);
+            self.stats.cached_zero_bytes.add(bytes);
         } else if region.page_size == PageSize::Super2M {
-            MmStats::add(&self.stats.nocache_zero_bytes, bytes);
+            self.stats.nocache_zero_bytes.add(bytes);
         } else {
-            MmStats::add(&self.stats.cached_zero_bytes, bytes);
+            self.stats.cached_zero_bytes.add(bytes);
         }
         Ok(true)
     }

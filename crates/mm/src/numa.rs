@@ -87,9 +87,9 @@ impl NumaAllocator {
             if *free >= pages {
                 *free -= pages;
                 if candidate == node {
-                    MmStats::bump(&self.stats.local_node_allocs);
+                    self.stats.local_node_allocs.bump();
                 } else {
-                    MmStats::bump(&self.stats.remote_node_allocs);
+                    self.stats.remote_node_allocs.bump();
                 }
                 return Ok(candidate);
             }

@@ -1,67 +1,41 @@
 //! Memory-management diagnostics.
+//!
+//! Every counter is a [`pk_percpu::Tally`] (a load + store on the calling
+//! thread's own row, summed when read), so counting a fault writes no
+//! shared line.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-/// Counters of shared events inside the memory-management substrate.
-#[derive(Debug, Default)]
-pub struct MmStats {
-    /// Region-list read-lock acquisitions (every soft page fault).
-    pub region_read_locks: AtomicU64,
-    /// Region-list write-lock acquisitions (`mmap`/`munmap`).
-    pub region_write_locks: AtomicU64,
-    /// 4 KB page faults served.
-    pub faults_4k: AtomicU64,
-    /// 2 MB super-page faults served.
-    pub faults_2m: AtomicU64,
-    /// Super-page faults that serialized on the global mutex (stock).
-    pub superpage_global_mutex: AtomicU64,
-    /// Super-page faults using the per-mapping mutex (PK).
-    pub superpage_local_mutex: AtomicU64,
-    /// Pages allocated from the faulting core's local node.
-    pub local_node_allocs: AtomicU64,
-    /// Pages allocated from a remote node (local node exhausted).
-    pub remote_node_allocs: AtomicU64,
-    /// Bytes zeroed with cache-polluting stores.
-    pub cached_zero_bytes: AtomicU64,
-    /// Bytes zeroed with non-caching stores (PK).
-    pub nocache_zero_bytes: AtomicU64,
+pk_percpu::tally_struct! {
+    /// Counters of shared events inside the memory-management substrate.
+    pub struct MmStats {
+        /// Region-list read-lock acquisitions (every soft page fault).
+        pub region_read_locks,
+        /// Region-list write-lock acquisitions (`mmap`/`munmap`).
+        pub region_write_locks,
+        /// 4 KB page faults served.
+        pub faults_4k,
+        /// 2 MB super-page faults served.
+        pub faults_2m,
+        /// Super-page faults that serialized on the global mutex (stock).
+        pub superpage_global_mutex,
+        /// Super-page faults using the per-mapping mutex (PK).
+        pub superpage_local_mutex,
+        /// Pages allocated from the faulting core's local node.
+        pub local_node_allocs,
+        /// Pages allocated from a remote node (local node exhausted).
+        pub remote_node_allocs,
+        /// Bytes zeroed with cache-polluting stores.
+        pub cached_zero_bytes,
+        /// Bytes zeroed with non-caching stores (PK).
+        pub nocache_zero_bytes,
+    }
 }
 
 impl MmStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Total faults of either size.
     pub fn faults(&self) -> u64 {
         self.faults_4k.load(Ordering::Relaxed) + self.faults_2m.load(Ordering::Relaxed)
-    }
-
-    /// Resets every counter.
-    pub fn reset(&self) {
-        for c in [
-            &self.region_read_locks,
-            &self.region_write_locks,
-            &self.faults_4k,
-            &self.faults_2m,
-            &self.superpage_global_mutex,
-            &self.superpage_local_mutex,
-            &self.local_node_allocs,
-            &self.remote_node_allocs,
-            &self.cached_zero_bytes,
-            &self.nocache_zero_bytes,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -72,9 +46,9 @@ mod tests {
     #[test]
     fn fault_totals() {
         let s = MmStats::new();
-        MmStats::bump(&s.faults_4k);
-        MmStats::bump(&s.faults_2m);
-        MmStats::add(&s.faults_2m, 2);
+        s.faults_4k.bump();
+        s.faults_2m.bump();
+        s.faults_2m.add(2);
         assert_eq!(s.faults(), 4);
         s.reset();
         assert_eq!(s.faults(), 0);

@@ -2,9 +2,8 @@
 
 use crate::config::NetConfig;
 use parking_lot::RwLock;
-use pk_percpu::CoreId;
+use pk_percpu::{CoreId, IntKeyMap};
 use pk_sloppy::{DeallocError, RefCount};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A routing-table entry (`struct dst_entry`).
@@ -68,7 +67,9 @@ impl DstEntry {
 
 #[derive(Debug, Default)]
 struct Routes {
-    live: HashMap<u32, Arc<DstEntry>>,
+    /// Keyed by destination address: an integer the drivers make up,
+    /// not outside input, so no SipHash per packet.
+    live: IntKeyMap<u32, Arc<DstEntry>>,
     /// Refcount operations of the routes evicted so far: what keeps
     /// [`DstCache::op_counts`] from running backwards.
     evicted_ops: (u64, u64),

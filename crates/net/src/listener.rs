@@ -87,7 +87,7 @@ impl Listener {
     pub fn enqueue(&self, flow: FlowHash, core: CoreId) -> bool {
         let cap = self.config.accept_backlog_cap as u64;
         if cap > 0 && self.backlog() >= cap {
-            NetStats::bump(&self.stats.accept_overflows);
+            self.stats.accept_overflows.bump();
             return false;
         }
         let req = ConnRequest {
@@ -116,7 +116,7 @@ impl Listener {
             pk_lockdep::check_percore_mutation("net.listener.percore_queue", core.index());
             if let Some(req) = self.percore.get(core).lock().pop_front() {
                 self.queued.fetch_sub(1, Ordering::Release);
-                NetStats::bump(&self.stats.accept_local_queue);
+                self.stats.accept_local_queue.bump();
                 return Some(Connection {
                     flow: req.flow,
                     core,
@@ -130,7 +130,7 @@ impl Listener {
                 let victim = CoreId((core.index() + offset) % self.percore.cores());
                 if let Some(req) = self.percore.get(victim).lock().pop_front() {
                     self.queued.fetch_sub(1, Ordering::Release);
-                    NetStats::bump(&self.stats.accept_steals);
+                    self.stats.accept_steals.bump();
                     return Some(Connection {
                         flow: req.flow,
                         core,
@@ -142,7 +142,7 @@ impl Listener {
         } else {
             let req = self.shared.lock().pop_front()?;
             self.queued.fetch_sub(1, Ordering::Release);
-            NetStats::bump(&self.stats.accept_shared_queue);
+            self.stats.accept_shared_queue.bump();
             Some(Connection {
                 flow: req.flow,
                 core,

@@ -6,9 +6,9 @@ use crate::skb::Skb;
 use crate::stats::NetStats;
 use parking_lot::RwLock;
 use pk_fault::{FaultPlane, FaultPoint};
-use pk_percpu::{CoreId, PerCore};
+use pk_percpu::{CoreId, IntKeyMap, PerCore};
 use pk_sync::SpinLock;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -78,8 +78,8 @@ pub struct Nic {
     /// ([`NetConfig::flow_table_shards`]): a sampling update from a core
     /// only writes its socket's shard, so the rwlock cache line stops
     /// bouncing between packages (generation-2 fix past 48 cores).
-    flow_table: Vec<RwLock<HashMap<u64, usize>>>,
-    port_table: RwLock<HashMap<u16, usize>>,
+    flow_table: Vec<RwLock<IntKeyMap<u64, usize>>>,
+    port_table: RwLock<IntKeyMap<u16, usize>>,
     tx_counters: PerCore<AtomicU64>,
     queue_capacity: usize,
     config: NetConfig,
@@ -118,9 +118,9 @@ impl Nic {
                 })
                 .collect(),
             flow_table: (0..config.flow_table_shards.max(1))
-                .map(|_| RwLock::new(HashMap::new()))
+                .map(|_| RwLock::default())
                 .collect(),
-            port_table: RwLock::new(HashMap::new()),
+            port_table: RwLock::default(),
             tx_counters: PerCore::new_with(config.cores, |_| AtomicU64::new(0)),
             queue_capacity: 4096,
             config,
@@ -170,14 +170,14 @@ impl Nic {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1))
             .is_ok()
         {
-            NetStats::bump(&self.stats.rx_link_down_drops);
+            self.stats.rx_link_down_drops.bump();
             return Err(RxDrop {
                 reason: DropReason::LinkDown,
                 skb,
             });
         }
         if self.fault_rx_drop.should_inject() {
-            NetStats::bump(&self.stats.rx_fault_drops);
+            self.stats.rx_fault_drops.bump();
             return Err(RxDrop {
                 reason: DropReason::FaultInjected,
                 skb,
@@ -185,13 +185,13 @@ impl Nic {
         }
         let q = self.steer(&flow);
         if q == owner.index() % self.queues.len() {
-            NetStats::bump(&self.stats.rx_steered_local);
+            self.stats.rx_steered_local.bump();
         } else {
-            NetStats::bump(&self.stats.rx_misdirected);
+            self.stats.rx_misdirected.bump();
         }
         let mut queue = self.queues[q].lock();
         if queue.len() >= self.queue_capacity {
-            NetStats::bump(&self.stats.rx_fifo_drops);
+            self.stats.rx_fifo_drops.bump();
             return Err(RxDrop {
                 reason: DropReason::QueueOverflow,
                 skb,
@@ -235,7 +235,7 @@ impl Nic {
     /// The flow-director shard holding flow hash `h`. With one shard
     /// (stock) this is the single global table; with per-socket sharding
     /// the hash picks a stable shard so steer/tx agree on placement.
-    fn flow_shard(&self, h: u64) -> &RwLock<HashMap<u64, usize>> {
+    fn flow_shard(&self, h: u64) -> &RwLock<IntKeyMap<u64, usize>> {
         &self.flow_table[(h as usize) % self.flow_table.len()]
     }
 

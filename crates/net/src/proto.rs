@@ -77,9 +77,9 @@ impl ProtoAccounting {
 
     fn record(&self, _proto: Protocol) {
         if self.tcp.name() == "sloppy" {
-            NetStats::bump(&self.stats.proto_local_ops);
+            self.stats.proto_local_ops.bump();
         } else {
-            NetStats::bump(&self.stats.proto_shared_ops);
+            self.stats.proto_shared_ops.bump();
         }
     }
 

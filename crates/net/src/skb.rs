@@ -79,14 +79,14 @@ impl SkbPool {
             0
         };
         if node != self.config.node_of_core(core.index()) {
-            NetStats::bump(&self.stats.skb_remote_node_allocs);
+            self.stats.skb_remote_node_allocs.bump();
         }
         let recycled = if self.config.percore_skb_pools {
-            NetStats::bump(&self.stats.skb_percore_allocs);
+            self.stats.skb_percore_allocs.bump();
             pk_lockdep::check_percore_mutation("net.skb.pool_percore", core.index());
             self.percore.get(core).lock().pop()
         } else {
-            NetStats::bump(&self.stats.skb_global_allocs);
+            self.stats.skb_global_allocs.bump();
             self.global.lock().pop()
         };
         match recycled {

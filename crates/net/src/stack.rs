@@ -11,9 +11,8 @@ use crate::socket::UdpSocket;
 use crate::stats::NetStats;
 use bytes::Bytes;
 use pk_fault::FaultPlane;
-use pk_percpu::CoreId;
+use pk_percpu::{CoreId, IntKeyMap};
 use pk_sync::rcu::{self, RcuCell};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// An IPv4 socket address.
@@ -70,9 +69,12 @@ pub struct NetStack {
     /// under a read-side section without writing shared lock state;
     /// binds/listens copy, update, publish, and retire the old snapshot
     /// per the configured reclamation discipline.
-    udp_ports: RcuCell<HashMap<u16, (Arc<UdpSocket>, CoreId)>>,
-    listeners: RcuCell<HashMap<u16, Arc<Listener>>>,
+    udp_ports: RcuCell<PortMap<(Arc<UdpSocket>, CoreId)>>,
+    listeners: RcuCell<PortMap<Arc<Listener>>>,
 }
+
+/// A table keyed by port number — an integer, so no SipHash per packet.
+type PortMap<V> = IntKeyMap<u16, V>;
 
 impl NetStack {
     /// Creates a stack under `config`.
@@ -90,8 +92,8 @@ impl NetStack {
             pool: SkbPool::new(config, Arc::clone(&stats)),
             dst: DstCache::new(config),
             proto: ProtoAccounting::new(config, Arc::clone(&stats)),
-            udp_ports: RcuCell::new(HashMap::new()),
-            listeners: RcuCell::new(HashMap::new()),
+            udp_ports: RcuCell::new(PortMap::default()),
+            listeners: RcuCell::new(PortMap::default()),
             stats,
         }
     }
@@ -125,9 +127,7 @@ impl NetStack {
     /// per the configured reclamation discipline.
     fn replace_udp_ports(
         &self,
-        f: impl FnOnce(
-            &HashMap<u16, (Arc<UdpSocket>, CoreId)>,
-        ) -> HashMap<u16, (Arc<UdpSocket>, CoreId)>,
+        f: impl FnOnce(&PortMap<(Arc<UdpSocket>, CoreId)>) -> PortMap<(Arc<UdpSocket>, CoreId)>,
     ) {
         if self.config.deferred_reclamation {
             self.udp_ports.update_with_deferred(f);

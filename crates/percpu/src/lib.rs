@@ -13,6 +13,12 @@
 //! * [`PerCore`] — a fixed array of cache-aligned slots indexed by
 //!   [`CoreId`], standing in for the kernel's `DEFINE_PER_CPU` machinery
 //!   (paper §4.5).
+//! * [`Tally`] — event counters bumped with a plain load
+//!   and store on a row only the calling thread writes, standing in for
+//!   `this_cpu_inc` statistics.
+//! * [`IntKeyMap`] / [`IntKeyHasher`] — maps keyed by integers this
+//!   program hands out itself (inode numbers, ports, flow hashes), hashed
+//!   with one multiply instead of SipHash.
 //!
 //! # Examples
 //!
@@ -29,10 +35,14 @@
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
+mod inthash;
 mod padded;
 mod percore;
 pub mod registry;
+mod tally;
 
+pub use inthash::{IntKeyHasher, IntKeyMap};
 pub use padded::{CacheAligned, CACHE_LINE_BYTES};
 pub use percore::PerCore;
 pub use registry::{CoreId, CoreToken, RegistryError, MAX_CORES};
+pub use tally::{owner_add, Tally, MAX_TALLIES};

@@ -131,11 +131,11 @@ impl EventWheel {
                 self.advance_to(t);
             }
         } else if t < self.horizon {
-            // Pushes below the horizon almost always sort after
-            // everything already batched (service times rarely shrink),
-            // so scan back from the end — typically zero or one
-            // comparisons — and push rather than insert when it lands
-            // last.
+            // Scan back from the end for the insertion point. This is
+            // rarely an append: counted over the 14-cell roster, a push
+            // below the horizon lands last only 0–6 % of the time, so
+            // the usual case is a scan plus a `Vec::insert` (DESIGN §11
+            // has the numbers and the untried smaller batch).
             let mut at = self.batch.len();
             while at > self.pos && (self.batch[at - 1].0, self.batch[at - 1].1) > (t, e.1) {
                 at -= 1;

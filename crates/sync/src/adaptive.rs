@@ -81,8 +81,10 @@ impl<T: ?Sized> AdaptiveMutex<T> {
                 .is_ok()
             {
                 self.stats.record_acquisition(spins + yield_rounds);
-                self.max_wait_rounds
-                    .fetch_max(yield_rounds, Ordering::Relaxed);
+                // Written under the mutex just won, like the stats.
+                if yield_rounds > self.max_wait_rounds.load(Ordering::Relaxed) {
+                    self.max_wait_rounds.store(yield_rounds, Ordering::Relaxed);
+                }
                 pk_trace::lock_acquired(&self.class, LockKind::Blocking, spins + yield_rounds);
                 return AdaptiveMutexGuard { lock: self };
             }

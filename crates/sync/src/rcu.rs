@@ -158,7 +158,13 @@ impl Drop for RcuReadGuard {
             v
         });
         if nesting == 0 {
-            READER_EPOCHS[self.core].store(0, Ordering::SeqCst);
+            // `Release`, not `SeqCst`: a section pays one fence, on entry.
+            // A grace scan that reads this 0 (its loads are `SeqCst`,
+            // hence acquire) synchronizes with it, so everything the
+            // section read happens-before the reclaim. A scan that reads
+            // a 0 from *before* the section is the case `read_lock`'s
+            // `SeqCst` epoch store decides, and that store is unchanged.
+            READER_EPOCHS[self.core].store(0, Ordering::Release);
         }
     }
 }

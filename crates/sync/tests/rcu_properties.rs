@@ -304,6 +304,66 @@ fn reader_above_the_previous_scan_bound_holds_back_reclamation() {
     assert!(freed(&flag), "reclaimed after quiescence");
 }
 
+/// The read section's exit is a `Release` store, its entry a `SeqCst`
+/// one (one fence per section). The property that pairing has to keep:
+/// a blocking update never frees a snapshot a reader is still inside.
+/// Three readers spin through `read_lock(); load; check; drop` while a
+/// writer replaces the snapshot 20 000 times; each replaced snapshot is
+/// poisoned by its `Drop` just before its memory is freed. A reader
+/// that sees its snapshot's number change under it — to the poison, or
+/// to a later generation's because the slot was reused — has caught a
+/// reclaim that did not wait for it.
+#[test]
+fn blocking_updates_never_reclaim_under_a_live_reader() {
+    const GENERATIONS: u64 = 20_000;
+    const POISON: u64 = u64::MAX;
+    struct Snapshot(std::sync::atomic::AtomicU64);
+    impl Drop for Snapshot {
+        fn drop(&mut self) {
+            self.0.store(POISON, Ordering::SeqCst);
+        }
+    }
+    let cell = rcu::RcuCell::new(Snapshot(0.into()));
+    let done = AtomicBool::new(false);
+    let start = std::sync::Barrier::new(4);
+    let sections: u64 = std::thread::scope(|s| {
+        let readers: Vec<_> = (0..3)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    let (mut sections, mut newest) = (0u64, 0u64);
+                    while !done.load(Ordering::Acquire) {
+                        let guard = rcu::read_lock();
+                        let snapshot = cell.read(&guard);
+                        let first = snapshot.0.load(Ordering::SeqCst);
+                        std::hint::spin_loop();
+                        let again = snapshot.0.load(Ordering::SeqCst);
+                        drop(guard);
+                        assert_ne!(first, POISON, "loaded a freed snapshot");
+                        assert_eq!(first, again, "snapshot reclaimed mid-section");
+                        assert!(first >= newest, "snapshots went backwards");
+                        newest = first;
+                        sections += 1;
+                    }
+                    sections
+                })
+            })
+            .collect();
+        start.wait();
+        for _ in 0..GENERATIONS {
+            cell.update_with(|old| Snapshot((old.0.load(Ordering::SeqCst) + 1).into()));
+        }
+        done.store(true, Ordering::Release);
+        readers
+            .into_iter()
+            .map(|r| r.join().expect("a reader saw a reclaimed snapshot"))
+            .sum()
+    });
+    let guard = rcu::read_lock();
+    assert_eq!(cell.read(&guard).0.load(Ordering::SeqCst), GENERATIONS);
+    assert!(sections > 0, "the readers never overlapped the writer");
+}
+
 // ---------------------------------------------------------------------
 // Miri smoke subset: single-threaded, no channels, fast under Miri.
 // ---------------------------------------------------------------------

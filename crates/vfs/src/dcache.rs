@@ -100,8 +100,8 @@ impl Dcache {
         if self.fault_pressure.should_inject() {
             // The entry was "evicted" under memory pressure: the caller
             // falls back to the filesystem, exactly as on a cold miss.
-            VfsStats::bump(&self.stats.dcache_pressure_misses);
-            VfsStats::bump(&self.stats.dcache_misses);
+            self.stats.dcache_pressure_misses.bump();
+            self.stats.dcache_misses.bump();
             return None;
         }
         let guard = rcu::read_lock();
@@ -110,31 +110,31 @@ impl Dcache {
             if self.config.lockfree_dlookup {
                 match d.compare_lockfree(key, core) {
                     Some(true) => {
-                        VfsStats::bump(&self.stats.lockfree_lookups);
-                        VfsStats::bump(&self.stats.dcache_hits);
+                        self.stats.lockfree_lookups.bump();
+                        self.stats.dcache_hits.bump();
                         return Some(Arc::clone(d));
                     }
                     Some(false) => continue,
                     None => {
                         // Fall back to the locking protocol (§4.4).
-                        VfsStats::bump(&self.stats.lockfree_fallbacks);
+                        self.stats.lockfree_fallbacks.bump();
                         if d.compare_locked(key, core) {
-                            VfsStats::bump(&self.stats.dentry_lock_acquisitions);
-                            VfsStats::bump(&self.stats.dcache_hits);
+                            self.stats.dentry_lock_acquisitions.bump();
+                            self.stats.dcache_hits.bump();
                             return Some(Arc::clone(d));
                         }
                         continue;
                     }
                 }
             } else {
-                VfsStats::bump(&self.stats.dentry_lock_acquisitions);
+                self.stats.dentry_lock_acquisitions.bump();
                 if d.compare_locked(key, core) {
-                    VfsStats::bump(&self.stats.dcache_hits);
+                    self.stats.dcache_hits.bump();
                     return Some(Arc::clone(d));
                 }
             }
         }
-        VfsStats::bump(&self.stats.dcache_misses);
+        self.stats.dcache_misses.bump();
         None
     }
 
@@ -153,8 +153,8 @@ impl Dcache {
             // Same degradation as `lookup`: the entry was "evicted"
             // under memory pressure, so the RCU walk sees a miss and
             // drops to the reference walk.
-            VfsStats::bump(&self.stats.dcache_pressure_misses);
-            VfsStats::bump(&self.stats.dcache_misses);
+            self.stats.dcache_pressure_misses.bump();
+            self.stats.dcache_misses.bump();
             return Some(None);
         }
         let guard = rcu::read_lock();
@@ -162,7 +162,7 @@ impl Dcache {
         for d in bucket.iter() {
             match d.peek(key) {
                 Some(Some(ino)) => {
-                    VfsStats::bump(&self.stats.dcache_hits);
+                    self.stats.dcache_hits.bump();
                     return Some(Some(ino));
                 }
                 Some(None) => continue,
@@ -203,7 +203,7 @@ impl Dcache {
         core: CoreId,
     ) -> Result<Arc<Dentry>, VfsError> {
         if self.fault_alloc.should_inject() {
-            VfsStats::bump(&self.stats.dentry_alloc_failures);
+            self.stats.dentry_alloc_failures.bump();
             return Err(VfsError::OutOfMemory);
         }
         let bucket = self.bucket(&key.probe());
@@ -300,7 +300,7 @@ impl Dcache {
                 // way the entry left the cache.
                 let _ = d.try_dealloc();
                 evicted += 1;
-                VfsStats::bump(&self.stats.dcache_evictions);
+                self.stats.dcache_evictions.bump();
             }
         }
         evicted

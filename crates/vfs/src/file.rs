@@ -75,10 +75,10 @@ impl OpenFile {
             Whence::Cur => self.offset() as i64,
             Whence::End => {
                 if self.config.atomic_lseek {
-                    VfsStats::bump(&self.stats.lseek_atomic_reads);
+                    self.stats.lseek_atomic_reads.bump();
                     self.inode.size() as i64
                 } else {
-                    VfsStats::bump(&self.stats.lseek_mutex_acquisitions);
+                    self.stats.lseek_mutex_acquisitions.bump();
                     self.inode.size_locked() as i64
                 }
             }

@@ -218,7 +218,7 @@ impl MountTable {
             let mut cache = self.percore.get(core).lock();
             let refilled = cache.is_none();
             if refilled {
-                VfsStats::bump(&self.stats.mount_central_lookups);
+                self.stats.mount_central_lookups.bump();
                 pk_lockdep::check_percore_mutation("vfs.mount.percore_cache", core.index());
                 // percore → central is the only nesting of these two
                 // classes (mount/umount release the central lock before
@@ -231,7 +231,7 @@ impl MountTable {
                     drop(cache);
                     if m.get(core).is_ok() {
                         if !refilled {
-                            VfsStats::bump(&self.stats.mount_percore_hits);
+                            self.stats.mount_percore_hits.bump();
                         }
                         return Some(m);
                     }
@@ -243,7 +243,7 @@ impl MountTable {
                 None => return None,
             }
         }
-        VfsStats::bump(&self.stats.mount_central_lookups);
+        self.stats.mount_central_lookups.bump();
         let m = {
             let central = self.central.lock();
             Arc::clone(Self::longest_prefix_in(&central, path)?)
@@ -264,7 +264,7 @@ impl MountTable {
         }
         let cache = self.percore.get(core).lock();
         let snapshot = cache.as_ref()?;
-        VfsStats::bump(&self.stats.mount_percore_hits);
+        self.stats.mount_percore_hits.bump();
         Some(Self::longest_prefix_in(snapshot, path).is_some())
     }
 

@@ -6,6 +6,15 @@
 //! each component becomes a borrowed [`DentryProbe`] whose hash serves
 //! the bucket lookup, the comparison and — on a miss — the inserted key,
 //! and [`ParentAndLeaf`] borrows the leaf name from the path.
+//!
+//! Two walks share that shape. The RCU walk ([`PathWalker::resolve_rcu`])
+//! carries inode *numbers* from probe to probe and fetches exactly one
+//! inode from the table — the one it returns; it takes no reference and
+//! no shared lock on any component. The reference walk
+//! ([`PathWalker::resolve_ref`]) fetches an inode and takes and drops a
+//! dentry reference per component, and is what every fallback and every
+//! definitive per-component error (`NotADirectory`, `NotFound`) comes
+//! from.
 
 use crate::dcache::Dcache;
 use crate::dentry::DentryProbe;
@@ -93,10 +102,11 @@ impl<'a> PathWalker<'a> {
     /// With [`crate::config::VfsConfig::rcu_path_walk`] enabled, first
     /// attempts the whole-path RCU walk ([`PathWalker::resolve_rcu`]):
     /// every component resolved under seqcount validation with **no
-    /// refcount op and no lock anywhere on the path** — the
-    /// generation-2 fix for the per-component get/put that still
-    /// saturates dentry and vfsmount refcounts past 48 cores. Any torn
-    /// seqcount, cold cache entry, or cold mount snapshot drops the
+    /// refcount op and no lock on any component** (one inode-table
+    /// fetch at the end, for the result) — the generation-2 fix for the
+    /// per-component get/put that still saturates dentry and vfsmount
+    /// refcounts past 48 cores. Any torn seqcount, cold cache entry,
+    /// cold mount snapshot or non-directory intermediate drops the
     /// whole walk to the reference walk below.
     ///
     /// Otherwise (or on fallback): the reference walk — the mount table
@@ -106,11 +116,11 @@ impl<'a> PathWalker<'a> {
         if self.dcache.rcu_walk_enabled() {
             match self.resolve_rcu(path, core) {
                 Some(result) => {
-                    crate::stats::VfsStats::bump(&self.dcache.stats().rcu_walks);
+                    self.dcache.stats().rcu_walks.bump();
                     return result;
                 }
                 None => {
-                    crate::stats::VfsStats::bump(&self.dcache.stats().rcu_walk_fallbacks);
+                    self.dcache.stats().rcu_walk_fallbacks.bump();
                     // Tag the fallback with the request that paid for it:
                     // the span tree then shows *whose* tail absorbed the
                     // reference walk, not just that one happened.
@@ -125,12 +135,21 @@ impl<'a> PathWalker<'a> {
     /// path lock-free, or returns `None` when the walk cannot complete
     /// without references (the documented fallback).
     ///
+    /// The walk carries inode *numbers*: the per-core mount snapshot,
+    /// then one seqcount-validated dcache probe per component keyed by
+    /// the parent's number, and a single [`Tmpfs::get`] — the walk's only
+    /// lock and only shared write — for the inode it finally returns.
+    ///
     /// A `Some(Err(..))` is *definitive* — it reflects stable state
-    /// (bad path shape, a non-directory component, no covering mount) —
-    /// while `None` covers every transient reason: a component whose
+    /// (bad path shape, no covering mount) — while `None` covers every
+    /// reason to ask the reference walk instead: a component whose
     /// seqcount tore mid-read (rename/unlink in flight), a component not
-    /// in the dcache, an inode racing teardown, or a cold per-core mount
-    /// snapshot.
+    /// in the dcache, a final inode racing teardown, a cold per-core
+    /// mount snapshot — and a path *through a non-directory*
+    /// (`/a/file/x`): nothing is ever cached under a file's number, so
+    /// the probe for `x` misses and the reference walk reports
+    /// `NotADirectory`. That error path counts one `rcu_walk_fallbacks`
+    /// where it used to count one `rcu_walks`; no other counter moves.
     pub fn resolve_rcu(&self, path: &str, core: CoreId) -> Option<Result<Arc<Inode>, VfsError>> {
         if !self.mounts.peek(path, core)? {
             return Some(Err(VfsError::NotFound));
@@ -139,20 +158,13 @@ impl<'a> PathWalker<'a> {
             Ok(c) => c,
             Err(e) => return Some(Err(e)),
         };
-        let mut cur = match self.fs.get(self.fs.root()) {
-            Ok(i) => i,
-            Err(e) => return Some(Err(e)),
-        };
+        let mut cur = self.fs.root();
         for comp in comps {
-            if cur.kind != InodeKind::Dir {
-                return Some(Err(VfsError::NotADirectory));
-            }
-            let ino = self.dcache.peek(DentryProbe::new(cur.id, comp))??;
-            // A peeked inode may be mid-teardown; only a live read is
-            // trustworthy, anything else drops to the reference walk.
-            cur = self.fs.get(ino).ok()?;
+            cur = self.dcache.peek(DentryProbe::new(cur, comp))??;
         }
-        Some(Ok(cur))
+        // A peeked inode may be mid-teardown; only a live read is
+        // trustworthy, anything else drops to the reference walk.
+        self.fs.get(cur).ok().map(Ok)
     }
 
     /// The reference walk: touches the mount table once and the dcache

@@ -80,11 +80,11 @@ impl SuperBlock {
         if self.config.percore_open_lists {
             pk_lockdep::check_percore_mutation("vfs.sb.open_list_percore", core.index());
             self.percore_lists.get(core).lock().insert(id);
-            VfsStats::bump(&self.stats.open_list_percore_ops);
+            self.stats.open_list_percore_ops.bump();
             (id, core)
         } else {
             self.global_list.lock().insert(id);
-            VfsStats::bump(&self.stats.open_list_global_ops);
+            self.stats.open_list_global_ops.bump();
             (id, core)
         }
     }
@@ -97,19 +97,19 @@ impl SuperBlock {
     pub fn remove_open_file(&self, id: OpenFileId, home: CoreId, core: CoreId) {
         if self.config.percore_open_lists {
             if home != core {
-                VfsStats::bump(&self.stats.open_list_cross_core_removals);
+                self.stats.open_list_cross_core_removals.bump();
                 // The expensive migrated-close path of §4.5: removing
                 // from another core's list is the documented exception.
                 let _migrate = pk_lockdep::MigrationScope::enter();
                 self.percore_lists.get(home).lock().remove(&id);
                 return;
             }
-            VfsStats::bump(&self.stats.open_list_percore_ops);
+            self.stats.open_list_percore_ops.bump();
             pk_lockdep::check_percore_mutation("vfs.sb.open_list_percore", home.index());
             self.percore_lists.get(home).lock().remove(&id);
         } else {
             self.global_list.lock().remove(&id);
-            VfsStats::bump(&self.stats.open_list_global_ops);
+            self.stats.open_list_global_ops.bump();
         }
     }
 
@@ -151,9 +151,9 @@ impl SuperBlock {
     pub fn inode_list_bookkeeping(&self, necessary: bool) {
         if necessary || !self.config.avoid_inode_list_locks {
             let _g = self.inode_list.lock();
-            VfsStats::bump(&self.stats.list_lock_acquisitions);
+            self.stats.list_lock_acquisitions.bump();
         } else {
-            VfsStats::bump(&self.stats.list_lock_skips);
+            self.stats.list_lock_skips.bump();
         }
     }
 
@@ -162,9 +162,9 @@ impl SuperBlock {
     pub fn dcache_list_bookkeeping(&self, necessary: bool) {
         if necessary || !self.config.avoid_dcache_list_locks {
             let _g = self.dcache_list.lock();
-            VfsStats::bump(&self.stats.list_lock_acquisitions);
+            self.stats.list_lock_acquisitions.bump();
         } else {
-            VfsStats::bump(&self.stats.list_lock_skips);
+            self.stats.list_lock_skips.bump();
         }
     }
 }

@@ -3,34 +3,14 @@
 use crate::inode::{Inode, InodeId, InodeKind};
 use crate::VfsError;
 use parking_lot::RwLock;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use pk_percpu::IntKeyMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Hasher of the inode table's shard maps. Keys are inode numbers this
-/// file system handed out itself, so one multiply (and a fold, because a
-/// shard's ids all share their low bits) replaces SipHash on the
-/// per-component [`Tmpfs::get`].
-#[derive(Debug, Default)]
-struct InodeIdHasher(u64);
-
-impl Hasher for InodeIdHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("inode table keys are u64");
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type Shard = RwLock<HashMap<u64, Arc<Inode>, BuildHasherDefault<InodeIdHasher>>>;
+/// A shard of the inode table. Keys are inode numbers this file system
+/// handed out itself, so the multiply-and-fold [`IntKeyMap`] hasher
+/// replaces SipHash on [`Tmpfs::get`].
+type Shard = RwLock<IntKeyMap<u64, Arc<Inode>>>;
 
 /// An in-memory file system, standing in for Linux's tmpfs.
 ///
@@ -43,6 +23,10 @@ pub struct Tmpfs {
     shards: Vec<Shard>,
     next: AtomicU64,
     root: InodeId,
+    /// Test-only count of [`Tmpfs::get`] calls: pins how many inode-table
+    /// fetches a path walk performs.
+    #[cfg(test)]
+    gets: AtomicU64,
 }
 
 const SHARDS: usize = 16;
@@ -54,6 +38,8 @@ impl Tmpfs {
             shards: (0..SHARDS).map(|_| Shard::default()).collect(),
             next: AtomicU64::new(1),
             root: InodeId(1),
+            #[cfg(test)]
+            gets: AtomicU64::new(0),
         };
         let root = fs.alloc(InodeKind::Dir);
         debug_assert_eq!(root.id, fs.root);
@@ -79,11 +65,19 @@ impl Tmpfs {
 
     /// Fetches an inode by id.
     pub fn get(&self, id: InodeId) -> Result<Arc<Inode>, VfsError> {
+        #[cfg(test)]
+        self.gets.fetch_add(1, Ordering::Relaxed);
         self.shard(id)
             .read()
             .get(&id.0)
             .cloned()
             .ok_or(VfsError::Stale)
+    }
+
+    /// How many times [`Tmpfs::get`] has run.
+    #[cfg(test)]
+    pub(crate) fn gets(&self) -> u64 {
+        self.gets.load(Ordering::Relaxed)
     }
 
     /// Creates a child of `parent` named `name`.

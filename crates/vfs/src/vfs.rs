@@ -826,4 +826,137 @@ mod tests {
         assert_eq!(vfs.stat("/spool", CoreId(0)).unwrap().kind, InodeKind::Dir);
         assert_eq!(vfs.superblock().open_files(), 0);
     }
+
+    #[test]
+    fn the_rcu_walk_fetches_one_inode_however_deep_the_path() {
+        let vfs = pk();
+        let core = CoreId(0);
+        vfs.mkdir_p("/a/b/c/d", core).unwrap();
+        vfs.write_file("/a/b/c/d/e", b"leaf", core).unwrap();
+        vfs.mkdir_p("/htdocs", core).unwrap();
+        vfs.write_file("/htdocs/index.html", b"<html>", core)
+            .unwrap();
+        // Warm the dcache and this core's mount snapshot.
+        vfs.stat("/a/b/c/d/e", core).unwrap();
+        vfs.stat("/htdocs/index.html", core).unwrap();
+
+        let before = vfs.tmpfs().gets();
+        let ino = vfs.walker().resolve_rcu("/a/b/c/d/e", core);
+        assert_eq!(ino.unwrap().unwrap().read_at(0, 4), b"leaf");
+        assert_eq!(
+            vfs.tmpfs().gets() - before,
+            1,
+            "five components, one inode-table fetch: the result's"
+        );
+
+        // One Apache request: stat, open, read of the cached file.
+        let before = vfs.tmpfs().gets();
+        vfs.stat("/htdocs/index.html", core).unwrap();
+        let file = vfs.open("/htdocs/index.html", core).unwrap();
+        assert_eq!(
+            vfs.read_cached("/htdocs/index.html", core).unwrap(),
+            b"<html>"
+        );
+        assert_eq!(vfs.tmpfs().gets() - before, 3, "one fetch per syscall");
+        vfs.close(&file, core);
+    }
+
+    #[test]
+    fn a_path_through_a_regular_file_is_enotdir_on_every_config() {
+        use std::sync::atomic::Ordering::Relaxed;
+        for cfg in [VfsConfig::stock(4), VfsConfig::pk(4)] {
+            let vfs = Vfs::new(cfg);
+            let core = CoreId(1);
+            vfs.mkdir_p("/htdocs", core).unwrap();
+            vfs.write_file("/htdocs/index.html", b"<html>", core)
+                .unwrap();
+            vfs.stat("/htdocs/index.html", core).unwrap(); // warm
+            let s = vfs.stats();
+            let (walks, fallbacks) = (
+                s.rcu_walks.load(Relaxed),
+                s.rcu_walk_fallbacks.load(Relaxed),
+            );
+            assert_eq!(
+                vfs.stat("/htdocs/index.html/x", core).unwrap_err(),
+                VfsError::NotADirectory
+            );
+            // The RCU walk carries inode numbers, not kinds: nothing is
+            // cached under a file's number, so its probe for `x` misses
+            // and the reference walk names the error. That is one
+            // fallback on PK (stock never tries the RCU leg) and never a
+            // completed RCU walk.
+            assert_eq!(s.rcu_walks.load(Relaxed), walks);
+            assert_eq!(
+                s.rcu_walk_fallbacks.load(Relaxed) - fallbacks,
+                u64::from(cfg.rcu_path_walk)
+            );
+        }
+    }
+
+    #[test]
+    fn stats_tallies_are_exact_under_real_threads() {
+        use std::sync::atomic::Ordering::Relaxed;
+        const STATS: u64 = 20_000;
+        const DEPTH: u64 = 3;
+        let rcu = VfsConfig::pk(4);
+        let refwalk = VfsConfig {
+            rcu_path_walk: false,
+            ..rcu
+        };
+        for cfg in [rcu, refwalk] {
+            let vfs = Vfs::new(cfg);
+            vfs.mkdir_p("/var/www", CoreId(0)).unwrap();
+            vfs.write_file("/var/www/index.html", b"x", CoreId(0))
+                .unwrap();
+            // Warm-up, one thread: every core's mount snapshot and the
+            // dcache. Whatever shared events happen, happen here.
+            for core in 0..4 {
+                vfs.stat("/var/www/index.html", CoreId(core)).unwrap();
+            }
+            let s = vfs.stats();
+            let base = |t: &pk_percpu::Tally| t.load(Relaxed);
+            let (lockfree, walks, mount_hits, hits, shared) = (
+                base(&s.lockfree_lookups),
+                base(&s.rcu_walks),
+                base(&s.mount_percore_hits),
+                base(&s.dcache_hits),
+                s.shared_events(),
+            );
+            std::thread::scope(|sc| {
+                for core in 0..4 {
+                    let vfs = &vfs;
+                    sc.spawn(move || {
+                        for _ in 0..STATS {
+                            vfs.stat("/var/www/index.html", CoreId(core)).unwrap();
+                        }
+                    });
+                }
+            });
+            // Four threads bumped with load + store, each on its own row:
+            // not one event may be missing.
+            let (walked, looked_up) = if cfg.rcu_path_walk {
+                (4 * STATS, 0)
+            } else {
+                (0, 4 * STATS * DEPTH)
+            };
+            assert_eq!(s.rcu_walks.load(Relaxed) - walks, walked);
+            assert_eq!(s.lockfree_lookups.load(Relaxed) - lockfree, looked_up);
+            assert_eq!(s.mount_percore_hits.load(Relaxed) - mount_hits, 4 * STATS);
+            assert_eq!(s.dcache_hits.load(Relaxed) - hits, 4 * STATS * DEPTH);
+            assert_eq!(s.shared_events(), shared, "warm PK stats share nothing");
+            s.reset();
+            let after_reset = std::thread::scope(|sc| {
+                sc.spawn(|| {
+                    (
+                        s.local_events(),
+                        s.shared_events(),
+                        s.dcache_hits.load(Relaxed),
+                    )
+                })
+                .join()
+                .unwrap()
+            });
+            assert_eq!(after_reset, (0, 0, 0), "reset reaches every thread's row");
+        }
+    }
 }

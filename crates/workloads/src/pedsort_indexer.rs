@@ -19,8 +19,7 @@
 use pk_kernel::{Kernel, KernelError};
 use pk_percpu::CoreId;
 use pk_sync::SpinLock;
-use std::collections::BTreeMap;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// A word occurrence: `(file_id, position)`.
@@ -122,14 +121,26 @@ impl Indexer {
         }
         let file_count = files.len();
         let queue = WorkQueue::new(files);
+        self.run_queues(out_dir, &vec![&queue; workers], file_count)
+    }
 
+    /// The two phases, worker `w` pulling its phase-1 files from
+    /// `queues[w]`. [`Indexer::run`] hands every worker the same shared
+    /// queue; a test hands each its own to force a particular split.
+    fn run_queues(
+        &self,
+        out_dir: &str,
+        queues: &[&WorkQueue],
+        file_count: usize,
+    ) -> Result<IndexStats, KernelError> {
         // Phase 1 in parallel. Worker errors come back through the join
         // and fail the whole run; only a worker panic (a bug, not a
         // syscall failure) still unwinds.
         let results: Vec<(u64, usize, Vec<String>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let queue = &queue;
+            let handles: Vec<_> = queues
+                .iter()
+                .enumerate()
+                .map(|(w, &queue)| {
                     let kernel = Arc::clone(&self.kernel);
                     s.spawn(move || phase1(&kernel, queue, out_dir, w, self.table_limit))
                 })
@@ -143,7 +154,7 @@ impl Indexer {
         let flushes: usize = results.iter().map(|r| r.1).sum();
 
         // Phase 2 in parallel: each worker merges its own intermediates.
-        let chunk_counts: Vec<(usize, usize)> = std::thread::scope(|s| {
+        let merged: Vec<(usize, Vec<String>)> = std::thread::scope(|s| {
             let handles: Vec<_> = results
                 .iter()
                 .enumerate()
@@ -159,12 +170,17 @@ impl Indexer {
                 .collect::<Result<_, _>>()
         })?;
 
+        // A term two workers both met is in both their indexes: count it
+        // once, over the union, so the figure does not depend on which
+        // worker popped which file.
+        let final_chunks = merged.iter().map(|m| m.0).sum();
+        let terms: BTreeSet<String> = merged.into_iter().flat_map(|m| m.1).collect();
         Ok(IndexStats {
             files: file_count,
             tokens,
             intermediate_flushes: flushes,
-            final_chunks: chunk_counts.iter().map(|c| c.0).sum(),
-            distinct_terms: chunk_counts.iter().map(|c| c.1).sum(),
+            final_chunks,
+            distinct_terms: terms.len(),
         })
     }
 }
@@ -277,14 +293,14 @@ fn phase1(
 }
 
 /// Phase 2 for one worker: merge its intermediates, emit chunked final
-/// indexes. Returns `(chunks, distinct_terms)`.
+/// indexes. Returns `(chunks, the terms it indexed)`.
 fn phase2(
     kernel: &Kernel,
     intermediates: &[String],
     out_dir: &str,
     worker: usize,
     chunk_entries: usize,
-) -> Result<(usize, usize), KernelError> {
+) -> Result<(usize, Vec<String>), KernelError> {
     let core = CoreId(worker);
     let vfs = kernel.vfs();
     // Merge, concatenating position lists of words that appear in
@@ -297,7 +313,7 @@ fn phase2(
         }
         vfs.unlink(path, core)?;
     }
-    let distinct = merged.len();
+    let terms = merged.keys().cloned().collect();
     for posts in merged.values_mut() {
         posts.sort_unstable();
     }
@@ -323,7 +339,7 @@ fn phase2(
         }
     }
     write_chunk(&current, &mut chunks)?;
-    Ok((chunks, distinct))
+    Ok((chunks, terms))
 }
 
 /// Loads an entire final index (all chunks of all workers) for
@@ -389,6 +405,29 @@ mod tests {
     }
 
     #[test]
+    fn a_term_two_workers_both_saw_is_counted_once() {
+        // Regression: `distinct_terms` summed each worker's own count, so
+        // it read 5 here whenever the files split this way ("beta" is in
+        // doc0 and doc1) and 4 when one worker drained the queue first.
+        // Each worker gets its own queue, so the split is forced.
+        let kernel = Arc::new(Kernel::new(KernelConfig::pk(4)));
+        corpus(&kernel, &["alpha beta alpha", "beta gamma", "delta"]);
+        kernel.vfs().mkdir_p("/out", CoreId(0)).unwrap();
+        let doc = |i: u32| (i, format!("/corpus/doc{i}"), 1);
+        let (w0, w1) = (
+            WorkQueue::new(vec![doc(0)]),
+            WorkQueue::new(vec![doc(1), doc(2)]),
+        );
+        let stats = Indexer::with_limits(Arc::clone(&kernel), 64, 64)
+            .run_queues("/out", &[&w0, &w1], 3)
+            .unwrap();
+        assert_eq!(stats.tokens, 6);
+        assert_eq!(stats.final_chunks, 2, "both workers indexed something");
+        assert_eq!(stats.distinct_terms, 4);
+        assert_eq!(load_final_index(&kernel, "/out").unwrap().len(), 4);
+    }
+
+    #[test]
     fn results_are_identical_across_worker_counts() {
         let texts: Vec<String> = (0..12)
             .map(|i| format!("w{} common shared tokens row {}", i % 5, i))
@@ -402,6 +441,7 @@ mod tests {
             let stats = idx.run("/corpus", "/out", workers).unwrap();
             assert_eq!(stats.tokens, 72);
             let index = load_final_index(&kernel, "/out").unwrap();
+            assert_eq!(stats.distinct_terms, index.len(), "workers={workers}");
             match &baseline {
                 None => baseline = Some(index),
                 Some(b) => assert_eq!(b, &index, "workers={workers}"),
