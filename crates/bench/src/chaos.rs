@@ -873,7 +873,6 @@ pub fn run_rcu_overflow(choice: Personality, cores: usize, seed: u64) -> RcuChao
     );
     plane.enable();
     let point = plane.point("rcu.defer_overflow");
-    rcu::set_spill_probe(Some(Arc::new(move || point.should_inject())));
 
     let vfs = kernel.vfs();
     let churn = || -> Result<(), pk_vfs::VfsError> {
@@ -890,10 +889,11 @@ pub fn run_rcu_overflow(choice: Personality, cores: usize, seed: u64) -> RcuChao
         }
         Ok(())
     };
-    let outcome = catch_unwind(AssertUnwindSafe(churn));
-
-    // Always restore the global probe before judging the run.
-    rcu::set_spill_probe(None);
+    // The probe is this thread's only, and gone again (unwind included)
+    // before the run is judged.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        rcu::with_spill_probe(move || point.should_inject(), churn)
+    }));
     plane.disable();
     rcu::rcu_barrier();
     let after = kernel.obs_snapshot();

@@ -9,7 +9,6 @@
 
 use pk_bench::args::{Args, Kind, Spec};
 use pk_bench::lockdep::run_roster;
-use pk_obs::Registry;
 
 pub const SPEC: Spec = Spec::flags(
     "report lockdep",
@@ -67,10 +66,9 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
     println!();
 
-    // The pk-obs export: the same samples any registry consumer sees.
-    let registry = Registry::new(cores);
-    registry.register_source(pk_lockdep::collector());
-    let snapshot = registry.snapshot();
+    // The pk-obs export: the same samples any `Collect` consumer sees.
+    let mut snapshot = pk_obs::Snapshot::new();
+    pk_lockdep::collector().collect(&mut snapshot);
     println!("pk-obs samples:");
     for s in snapshot.iter().filter(|s| s.name.starts_with("lockdep.")) {
         println!("  {s}");

@@ -23,8 +23,12 @@
 //! counter: code that only reads the central value (or that acquires and
 //! releases through it) keeps working, which is why the paper could patch
 //! just the contended *uses* of a counter. [`SloppyCounter::central`]
-//! exposes that view, and [`SloppyRefCount`] packages the dentry-style
-//! object lifecycle (including the expensive reconcile-on-dealloc).
+//! exposes that view. The dentry-style object lifecycle (creator's
+//! reference, get/put, the expensive settle-on-dealloc, no resurrection)
+//! is written once and runs over any of three counters: [`SloppyRefCount`]
+//! and [`SnziRefCount`] are its aliases over a sloppy counter and a SNZI
+//! tree, and [`RefCount`] picks between those and the stock kernel's
+//! shared atomic word at object-creation time.
 //!
 //! For comparison the crate also implements the related designs the paper
 //! cites: [`SnziCounter`] (Scalable NonZero Indicators), the plain
@@ -46,7 +50,7 @@ mod traits;
 pub use approx::ApproxCounter;
 pub use atomic::AtomicCounter;
 pub use distributed::DistributedCounter;
-pub use refcount::{DeallocError, RefCount, SloppyRefCount, SnziRefCount};
+pub use refcount::{DeallocError, Lifecycle, RefCount, SloppyRefCount, SnziRefCount};
 pub use sloppy::{SloppyConfig, SloppyCounter};
 pub use snzi::{Snzi, SnziCounter};
 pub use traits::Counter;

@@ -38,7 +38,7 @@ pub trait Counter: Send + Sync {
         (0, 0)
     }
 
-    /// Packages [`Counter::op_counts`] as a registry sample, named
+    /// Packages [`Counter::op_counts`] as a `pk-obs` sample, named
     /// after the design. This is how every counter joins the
     /// observability layer: the report can compare how often each
     /// design pays for shared state.

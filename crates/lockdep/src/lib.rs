@@ -32,7 +32,7 @@
 //!
 //! Findings surface two ways: [`violations`] returns the deduplicated
 //! reports (`pk-bench report lockdep` exits non-zero on any), and
-//! [`collector`] exposes counters through the `pk-obs` registry.
+//! [`collector`] exposes counters as `pk-obs` samples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -203,7 +203,7 @@ impl pk_obs::Collect for LockdepSource {
 }
 
 /// Returns the validator's `pk-obs` metric source (edges observed, max
-/// held depth, violations). Register it with a `Registry`.
+/// held depth, violations).
 pub fn collector() -> std::sync::Arc<dyn pk_obs::Collect> {
     std::sync::Arc::new(LockdepSource)
 }

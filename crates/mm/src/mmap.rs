@@ -146,22 +146,12 @@ impl AddressSpace {
         });
         region.mapping_mutex.set_class(MAPPING_MUTEX_CLASS.id());
         self.stats.region_write_locks.bump();
-        self.replace_regions(|v| {
+        self.regions.publish(self.config.deferred_reclamation, |v| {
             let mut v = v.clone();
             v.push(Arc::clone(&region));
             v
         });
         Ok(id)
-    }
-
-    /// Publishes a rewritten region list, retiring the old snapshot per
-    /// the configured reclamation discipline.
-    fn replace_regions(&self, f: impl FnOnce(&Vec<Arc<Region>>) -> Vec<Arc<Region>>) {
-        if self.config.deferred_reclamation {
-            self.regions.update_with_deferred(f);
-        } else {
-            self.regions.update_with(f);
-        }
     }
 
     /// Unmaps a region, returning its faulted pages to the allocator.
@@ -180,7 +170,9 @@ impl AddressSpace {
         // retired `Arc<Region>`) is freed past a grace period. The pages
         // themselves are returned to the allocator *now* — munmap's
         // observable effect is synchronous either way.
-        self.replace_regions(|v| v.iter().filter(|r| r.id != id).cloned().collect());
+        self.regions.publish(self.config.deferred_reclamation, |v| {
+            v.iter().filter(|r| r.id != id).cloned().collect()
+        });
         let _ = core;
         // Return every faulted page to the node it was allocated from.
         for (node, pages) in region

@@ -123,19 +123,6 @@ impl NetStack {
         &self.proto
     }
 
-    /// Publishes a rewritten UDP port table, retiring the old snapshot
-    /// per the configured reclamation discipline.
-    fn replace_udp_ports(
-        &self,
-        f: impl FnOnce(&PortMap<(Arc<UdpSocket>, CoreId)>) -> PortMap<(Arc<UdpSocket>, CoreId)>,
-    ) {
-        if self.config.deferred_reclamation {
-            self.udp_ports.update_with_deferred(f);
-        } else {
-            self.udp_ports.update_with(f);
-        }
-    }
-
     /// Binds a UDP socket to `port`, owned (processed) by `owner`.
     pub fn udp_bind(&self, port: u16, owner: CoreId) -> Option<Arc<UdpSocket>> {
         {
@@ -151,11 +138,12 @@ impl NetStack {
         // the *same* port are resolved by the insert below being a no-op
         // overwrite of an identical owner (the paper's workloads bind
         // each port once, at startup).
-        self.replace_udp_ports(|ports| {
-            let mut ports = ports.clone();
-            ports.insert(port, (Arc::clone(&s), owner));
-            ports
-        });
+        self.udp_ports
+            .publish(self.config.deferred_reclamation, |ports| {
+                let mut ports = ports.clone();
+                ports.insert(port, (Arc::clone(&s), owner));
+                ports
+            });
         // Dedicate a hardware queue to this socket's core (§5.3).
         self.nic.pin_port(port, owner.index());
         Some(s)
@@ -265,19 +253,12 @@ impl NetStack {
     pub fn listen(&self, port: u16) -> Arc<Listener> {
         let l = Arc::new(Listener::new(port, self.config, Arc::clone(&self.stats)));
         let inserted = Arc::clone(&l);
-        if self.config.deferred_reclamation {
-            self.listeners.update_with_deferred(move |m| {
+        self.listeners
+            .publish(self.config.deferred_reclamation, move |m| {
                 let mut m = m.clone();
-                m.insert(port, Arc::clone(&inserted));
+                m.insert(port, inserted);
                 m
             });
-        } else {
-            self.listeners.update_with(move |m| {
-                let mut m = m.clone();
-                m.insert(port, Arc::clone(&inserted));
-                m
-            });
-        }
         l
     }
 

@@ -5,18 +5,16 @@
 //! attribution on the 48-core machine (§3, §5). This crate is the
 //! reproduction's version of that toolchain:
 //!
-//! * [`metrics`] — cache-aligned metric primitives ([`Counter`],
-//!   [`Gauge`], [`Histogram`]). Every cell lives in its own
-//!   128-byte-aligned per-core slot, so the instrumentation never
-//!   creates the false sharing it is trying to measure.
-//! * [`Registry`] — a process-wide, name-keyed home for metrics plus
-//!   pull-based [`Collect`] sources, so subsystems that already own
-//!   their counters (lock stats, VFS stats, sloppy-counter op mixes)
-//!   can be snapshotted through one interface.
-//! * [`Sample`]/[`Snapshot`] — the wire format between instrumented
-//!   crates and reports. A sample is one named measurement; the value
-//!   kinds mirror what the paper measured (lock contention, central
-//!   vs. local operation mixes, per-station queueing).
+//! * [`metrics`] — the cache-aligned [`Histogram`]. Every shard lives
+//!   in its own 128-byte-aligned per-core slot, so the instrumentation
+//!   never creates the false sharing it is trying to measure.
+//! * [`Sample`]/[`Snapshot`]/[`Collect`] — the wire format between
+//!   instrumented crates and reports. A sample is one named
+//!   measurement; the value kinds mirror what the paper measured (lock
+//!   contention, central vs. local operation mixes, per-station
+//!   queueing). Subsystems that already own their counters (lock
+//!   stats, VFS stats, sloppy-counter op mixes) implement [`Collect`]
+//!   and are polled by whoever builds the snapshot.
 //! * [`ContentionReport`] — the Figure-1 "bottleneck" column re-derived
 //!   from a snapshot: the top-N contended resources ranked by their
 //!   share of total cycles per operation.
@@ -34,12 +32,10 @@
 
 pub mod buckets;
 pub mod metrics;
-mod registry;
 mod report;
 mod sample;
 
-pub use metrics::{Counter, Gauge, Histogram};
-pub use registry::Registry;
+pub use metrics::Histogram;
 pub use report::{ContentionReport, Resource};
 pub use sample::{
     Collect, HistogramSnapshot, LockSample, MetricValue, Sample, Snapshot, StationSample,

@@ -1,106 +1,17 @@
-//! Cache-aligned metric primitives.
+//! The cache-aligned histogram.
 //!
-//! All three primitives shard their state per core through
-//! [`PerCore`], whose slots are 128-byte aligned: an instrumented hot
-//! path touches only its own core's cache line, so adding a metric to
-//! a scalable path cannot itself become the bottleneck the paper warns
-//! about. Reads traverse all cores (the same "significantly more work
-//! to find the true value" trade-off as the counters in `pk-sloppy`).
+//! State is sharded per core through [`PerCore`], whose slots are
+//! 128-byte aligned: an instrumented hot path touches only its own
+//! core's cache line, so adding a metric to a scalable path cannot
+//! itself become the bottleneck the paper warns about. Reads traverse
+//! all cores (the same "significantly more work to find the true value"
+//! trade-off as the counters in `pk-sloppy`).
 
 use pk_percpu::{CoreId, PerCore};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-
-use crate::sample::HistogramSnapshot;
-
-/// A monotonically increasing event count, sharded per core.
-#[derive(Debug)]
-pub struct Counter {
-    cells: PerCore<AtomicU64>,
-}
-
-impl Counter {
-    /// Creates a counter with one cell per core.
-    pub fn new(cores: usize) -> Self {
-        Self {
-            cells: PerCore::new_with(cores, |_| AtomicU64::new(0)),
-        }
-    }
-
-    /// Adds one event on behalf of `core`.
-    pub fn inc(&self, core: CoreId) {
-        self.add(core, 1);
-    }
-
-    /// Adds `n` events on behalf of `core`.
-    pub fn add(&self, core: CoreId, n: u64) {
-        self.cells.get(core).fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Sums every core's cell.
-    pub fn total(&self) -> u64 {
-        self.cells.fold(0, |a, c| a + c.load(Ordering::Relaxed))
-    }
-
-    /// Returns each core's count, indexed by core id.
-    pub fn per_core(&self) -> Vec<u64> {
-        self.cells
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Zeroes every cell.
-    pub fn reset(&self) {
-        for c in self.cells.iter() {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// A signed instantaneous value (queue depth, in-flight ops), sharded
-/// per core; the logical value is the sum of the per-core cells.
-#[derive(Debug)]
-pub struct Gauge {
-    cells: PerCore<AtomicI64>,
-}
-
-impl Gauge {
-    /// Creates a gauge with one cell per core.
-    pub fn new(cores: usize) -> Self {
-        Self {
-            cells: PerCore::new_with(cores, |_| AtomicI64::new(0)),
-        }
-    }
-
-    /// Adds `delta` (may be negative) to `core`'s cell.
-    pub fn add(&self, core: CoreId, delta: i64) {
-        self.cells.get(core).fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Overwrites `core`'s cell.
-    pub fn set(&self, core: CoreId, value: i64) {
-        self.cells.get(core).store(value, Ordering::Relaxed);
-    }
-
-    /// Reads `core`'s cell.
-    pub fn read(&self, core: CoreId) -> i64 {
-        self.cells.get(core).load(Ordering::Relaxed)
-    }
-
-    /// Sums every core's cell (the logical gauge value).
-    pub fn sum(&self) -> i64 {
-        self.cells.fold(0, |a, c| a + c.load(Ordering::Relaxed))
-    }
-
-    /// Zeroes every cell.
-    pub fn reset(&self) {
-        for c in self.cells.iter() {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::buckets::{bucket_of, BUCKETS};
+use crate::sample::HistogramSnapshot;
 
 /// One core's histogram shard.
 #[derive(Debug)]
@@ -121,7 +32,7 @@ impl HistShard {
 }
 
 /// A bucketed histogram of u64 samples (latencies in cycles, queue
-/// lengths), sharded per core like [`Counter`].
+/// lengths), sharded per core.
 ///
 /// Buckets are log2 below `2^TAIL_SPLIT` and 8-per-octave above it
 /// (see [`crate::buckets`]): a fixed footprint and a branch-free
@@ -214,28 +125,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_sums_across_cores() {
-        let c = Counter::new(4);
-        c.inc(CoreId(0));
-        c.add(CoreId(3), 9);
-        assert_eq!(c.total(), 10);
-        assert_eq!(c.per_core(), vec![1, 0, 0, 9]);
-        c.reset();
-        assert_eq!(c.total(), 0);
-    }
-
-    #[test]
-    fn gauge_sums_signed_cells() {
-        let g = Gauge::new(2);
-        g.add(CoreId(0), 5);
-        g.add(CoreId(1), -2);
-        assert_eq!(g.sum(), 3);
-        g.set(CoreId(0), 0);
-        assert_eq!(g.sum(), -2);
-        assert_eq!(g.read(CoreId(1)), -2);
-    }
-
-    #[test]
     fn histogram_buckets_by_log2() {
         assert_eq!(bucket_of(0), 0);
         assert_eq!(bucket_of(1), 1);
@@ -273,24 +162,5 @@ mod tests {
         let h = Histogram::new(1);
         assert_eq!(h.quantile(0.99), 0);
         assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn concurrent_counter_is_exact() {
-        let c = std::sync::Arc::new(Counter::new(8));
-        let handles: Vec<_> = (0..8)
-            .map(|core| {
-                let c = std::sync::Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        c.inc(CoreId(core));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.total(), 80_000);
     }
 }

@@ -92,12 +92,8 @@ impl HistogramSnapshot {
 pub enum MetricValue {
     /// A monotone event count.
     Counter(u64),
-    /// A counter broken out per core.
-    PerCoreCounter(Vec<u64>),
     /// A signed instantaneous value.
     Gauge(i64),
-    /// A latency/size distribution.
-    Histogram(HistogramSnapshot),
     /// Per-lock contention counters.
     Lock(LockSample),
     /// How many operations hit a shared cache line versus stayed
@@ -168,19 +164,7 @@ impl fmt::Display for Sample {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.value {
             MetricValue::Counter(v) => write!(f, "{} = {v}", self.name),
-            MetricValue::PerCoreCounter(cells) => {
-                let total: u64 = cells.iter().sum();
-                write!(f, "{} = {total} across {} cores", self.name, cells.len())
-            }
             MetricValue::Gauge(v) => write!(f, "{} = {v}", self.name),
-            MetricValue::Histogram(h) => write!(
-                f,
-                "{}: n={} mean={:.1} p99<={}",
-                self.name,
-                h.count,
-                h.mean(),
-                h.quantile(0.99)
-            ),
             MetricValue::Lock(l) => write!(
                 f,
                 "{}: {} acquires, {} contended ({:.1}%), {} spin cycles",
@@ -274,8 +258,8 @@ impl fmt::Display for Snapshot {
 }
 
 /// A pull-based metric source: subsystems that already own their
-/// counters (lock stats, VFS stats, op mixes) implement this so one
-/// [`crate::Registry::snapshot`] call reaches everything.
+/// counters (lock stats, VFS stats, op mixes) implement this, and a
+/// report polls the sources it wants into one [`Snapshot`].
 pub trait Collect: Send + Sync {
     /// Appends this source's current samples to `out`.
     fn collect(&self, out: &mut Snapshot);

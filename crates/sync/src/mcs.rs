@@ -1,81 +1,61 @@
 //! MCS queue lock — the scalable spin lock.
 
-use crate::stats::LockStats;
-use pk_lockdep::{ClassCell, ClassId, LockKind};
-use std::cell::UnsafeCell;
-use std::fmt;
-use std::ops::{Deref, DerefMut};
+use crate::lock::{spin_wait, Guard, Lock, RawLock};
+use pk_lockdep::LockKind;
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
-
-/// Per-acquirer queue node. Each waiter spins on the `locked` flag of its
-/// *own* node, which is the property that makes MCS scalable: a release
-/// touches exactly one waiter's cache line instead of invalidating all of
-/// them.
-struct Node {
-    locked: AtomicBool,
-    next: AtomicPtr<Node>,
-}
 
 /// An MCS queue lock protecting a `T`.
 ///
 /// Mellor-Crummey & Scott's list-based queue lock, cited by the paper
 /// (\[41\]) as the classic fix for non-scalable spin locks: per-acquire
 /// interconnect traffic is constant rather than proportional to the number
-/// of waiting cores. The workspace uses it as the "scalable lock" arm in
-/// lock ablations.
-///
-/// # Examples
-///
-/// ```
-/// let lock = pk_sync::McsLock::new(0);
-/// *lock.lock() += 1;
-/// assert_eq!(*lock.lock(), 1);
-/// ```
-pub struct McsLock<T: ?Sized> {
-    stats: LockStats,
-    class: ClassCell,
-    tail: AtomicPtr<Node>,
-    value: UnsafeCell<T>,
+/// of waiting cores — the "scalable lock" arm of the lock ablations.
+pub type McsLock<T> = Lock<RawMcs, T>;
+
+/// RAII guard for [`McsLock`]; hands the lock to the next waiter on drop.
+pub type McsGuard<'a, T> = Guard<'a, RawMcs, T>;
+
+/// Per-acquirer queue node: each waiter spins on the `locked` flag of its
+/// *own* node, so a release touches exactly one waiter's cache line instead
+/// of invalidating all of them.
+pub struct Node {
+    locked: AtomicBool,
+    next: AtomicPtr<Node>,
 }
 
-// SAFETY: The queue protocol grants exclusive access to `value`.
-unsafe impl<T: ?Sized + Send> Send for McsLock<T> {}
-// SAFETY: Mutation only happens through the exclusive guard.
-unsafe impl<T: ?Sized + Send> Sync for McsLock<T> {}
-
-impl<T> McsLock<T> {
-    /// Creates an unlocked MCS lock containing `value`.
-    pub fn new(value: T) -> Self {
-        Self {
-            stats: LockStats::new(),
-            class: ClassCell::new(),
-            tail: AtomicPtr::new(ptr::null_mut()),
-            value: UnsafeCell::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.value.into_inner()
-    }
-}
-
-impl<T: ?Sized> McsLock<T> {
-    /// Assigns this lock to a `pk-lockdep` class (no-op unless the
-    /// `lockdep` feature is enabled).
-    pub fn set_class(&self, class: ClassId) {
-        self.class.set_class(class);
-    }
-
-    /// Acquires the lock, enqueueing behind any existing waiters.
-    #[track_caller]
-    pub fn lock(&self) -> McsGuard<'_, T> {
-        pk_lockdep::acquire(&self.class, LockKind::Mcs, false);
-        let node = Box::into_raw(Box::new(Node {
+impl Node {
+    #[inline]
+    fn alloc() -> *mut Node {
+        Box::into_raw(Box::new(Node {
             locked: AtomicBool::new(true),
             next: AtomicPtr::new(ptr::null_mut()),
-        }));
+        }))
+    }
+}
+
+/// The MCS algorithm: the queue's tail pointer.
+pub struct RawMcs {
+    tail: AtomicPtr<Node>,
+}
+
+// SAFETY: The queue is a FIFO of nodes; the holder is the thread whose
+// node is at its head — it swapped into an empty tail, or its
+// predecessor cleared its `locked` flag (`Release`, read `Acquire`) —
+// and only the holder hands the head on. A node's fields are atomics
+// and the token is its unique handle, so any thread may release.
+unsafe impl RawLock for RawMcs {
+    const INIT: Self = Self {
+        tail: AtomicPtr::new(ptr::null_mut()),
+    };
+    const KIND: LockKind = LockKind::Mcs;
+    const NAME: &'static str = "McsLock";
+    /// The holder's queue node.
+    type Token = *mut Node;
+
+    #[inline]
+    fn lock(&self) -> (*mut Node, u64) {
+        let node = Node::alloc();
         let prev = self.tail.swap(node, Ordering::AcqRel);
         let mut spins = 0u64;
         if !prev.is_null() {
@@ -83,36 +63,24 @@ impl<T: ?Sized> McsLock<T> {
             // until it has observed and woken its successor, which requires
             // the `next` pointer we are about to publish.
             unsafe { (*prev).next.store(node, Ordering::Release) };
-            // SAFETY: `node` is owned by this call until the guard drops.
+            // SAFETY: `node` is owned by this acquisition until `unlock`.
             while unsafe { (*node).locked.load(Ordering::Acquire) } {
-                spins += 1;
-                std::hint::spin_loop();
-                if spins.is_multiple_of(1024) {
-                    std::thread::yield_now();
-                }
+                spin_wait(&mut spins);
             }
         }
-        self.stats.record_acquisition(spins);
-        pk_trace::lock_acquired(&self.class, LockKind::Mcs, spins);
-        McsGuard { lock: self, node }
+        (node, spins)
     }
 
-    /// Attempts to acquire the lock only if the queue is empty.
-    #[track_caller]
-    pub fn try_lock(&self) -> Option<McsGuard<'_, T>> {
-        let node = Box::into_raw(Box::new(Node {
-            locked: AtomicBool::new(true),
-            next: AtomicPtr::new(ptr::null_mut()),
-        }));
+    /// Acquires the lock only if the queue is empty.
+    #[inline]
+    fn try_lock(&self) -> Option<*mut Node> {
+        let node = Node::alloc();
         if self
             .tail
             .compare_exchange(ptr::null_mut(), node, Ordering::AcqRel, Ordering::Relaxed)
             .is_ok()
         {
-            self.stats.record_acquisition(0);
-            pk_lockdep::acquire(&self.class, LockKind::Mcs, true);
-            pk_trace::lock_acquired(&self.class, LockKind::Mcs, 0);
-            Some(McsGuard { lock: self, node })
+            Some(node)
         } else {
             // SAFETY: The node was never published; we still own it.
             drop(unsafe { Box::from_raw(node) });
@@ -120,70 +88,13 @@ impl<T: ?Sized> McsLock<T> {
         }
     }
 
-    /// Returns the lock's contention statistics.
-    pub fn stats(&self) -> &LockStats {
-        &self.stats
-    }
-
-    /// Returns a mutable reference to the value (no locking needed).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.value.get_mut()
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for McsLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("McsLock").field("value", &&*g).finish(),
-            None => f.write_str("McsLock(<locked>)"),
-        }
-    }
-}
-
-impl<T: Default> Default for McsLock<T> {
-    fn default() -> Self {
-        Self::new(T::default())
-    }
-}
-
-/// RAII guard for [`McsLock`]; hands the lock to the next waiter on drop.
-#[must_use = "dropping the guard immediately releases the lock"]
-pub struct McsGuard<'a, T: ?Sized> {
-    lock: &'a McsLock<T>,
-    node: *mut Node,
-}
-
-// SAFETY: The guard represents exclusive ownership of the lock; the raw
-// node pointer is only dereferenced by the owning guard.
-unsafe impl<T: ?Sized + Send> Send for McsGuard<'_, T> {}
-
-impl<T: ?Sized> Deref for McsGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // SAFETY: The guard holds the lock, so no other reference exists.
-        unsafe { &*self.lock.value.get() }
-    }
-}
-
-impl<T: ?Sized> DerefMut for McsGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: The guard holds the lock exclusively.
-        unsafe { &mut *self.lock.value.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for McsGuard<'_, T> {
-    fn drop(&mut self) {
-        pk_trace::lock_released(&self.lock.class, LockKind::Mcs);
-        pk_lockdep::release(&self.lock.class);
-        let node = self.node;
-        // SAFETY: `node` is owned by this guard until handoff completes.
+    #[inline]
+    unsafe fn unlock(&self, node: *mut Node) {
+        // SAFETY: `node` is owned by the holder until handoff completes.
         let mut next = unsafe { (*node).next.load(Ordering::Acquire) };
         if next.is_null() {
             // No visible successor: try to swing the tail back to empty.
             if self
-                .lock
                 .tail
                 .compare_exchange(node, ptr::null_mut(), Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
@@ -207,69 +118,5 @@ impl<T: ?Sized> Drop for McsGuard<'_, T> {
         unsafe { (*next).locked.store(false, Ordering::Release) };
         // SAFETY: After handoff nothing references our node.
         drop(unsafe { Box::from_raw(node) });
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn exclusive_increment() {
-        let lock = Arc::new(McsLock::new(0u64));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let lock = Arc::clone(&lock);
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        *lock.lock() += 1;
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*lock.lock(), 40_000);
-    }
-
-    #[test]
-    fn try_lock_behaviour() {
-        let lock = McsLock::new(7);
-        let g = lock.lock();
-        assert!(lock.try_lock().is_none());
-        drop(g);
-        assert_eq!(*lock.try_lock().unwrap(), 7);
-    }
-
-    #[test]
-    fn handoff_chain_of_waiters() {
-        let lock = Arc::new(McsLock::new(Vec::<usize>::new()));
-        let holder = lock.lock();
-        let mut handles = Vec::new();
-        for id in 0..8 {
-            let lock = Arc::clone(&lock);
-            handles.push(std::thread::spawn(move || {
-                lock.lock().push(id);
-            }));
-        }
-        // Give waiters a moment to enqueue, then release.
-        std::thread::yield_now();
-        drop(holder);
-        for h in handles {
-            h.join().unwrap();
-        }
-        let v = lock.lock();
-        assert_eq!(v.len(), 8);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn into_inner_returns_value() {
-        let lock = McsLock::new(String::from("x"));
-        assert_eq!(lock.into_inner(), "x");
     }
 }

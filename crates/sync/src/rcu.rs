@@ -47,10 +47,11 @@
 //! the retirer's load of the mark, and the scan reaches its slot.
 
 use pk_percpu::{registry, CacheAligned, MAX_CORES};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Mutex;
 
 /// Global epoch; advanced by `synchronize()` and `call_rcu()`.
 static GLOBAL_EPOCH: AtomicU64 = AtomicU64::new(1);
@@ -98,14 +99,17 @@ static DEFERRED_FREED: AtomicU64 = AtomicU64::new(0);
 static DEFER_SPILLS: AtomicU64 = AtomicU64::new(0);
 static BARRIER_CALLS: AtomicU64 = AtomicU64::new(0);
 
-/// Test hook: when installed and returning `true`, the next `call_rcu`
-/// treats its queue as over capacity and spills (the `rcu.defer_overflow`
-/// fault point is wired through this).
-#[allow(clippy::type_complexity)]
-static SPILL_PROBE: RwLock<Option<Arc<dyn Fn() -> bool + Send + Sync>>> = RwLock::new(None);
+/// Serializes [`rcu_barrier`] calls end to end (steal, grace wait,
+/// free): a barrier that starts after another has stolen a batch must
+/// not return before that batch is freed, and the thief is the only one
+/// who can free it.
+static BARRIER: Mutex<()> = Mutex::new(());
 
 thread_local! {
     static NESTING: Cell<u32> = const { Cell::new(0) };
+    /// Test hook, see [`with_spill_probe`]. Thread-scoped: a probe only
+    /// ever forces spills of the thread that installed it.
+    static SPILL_PROBE: RefCell<Option<Rc<dyn Fn() -> bool>>> = const { RefCell::new(None) };
 }
 
 /// A read-side critical section; ends when dropped.
@@ -236,11 +240,11 @@ pub unsafe fn call_rcu(ptr: *mut (), drop_fn: unsafe fn(*mut ())) {
     if NESTING.with(Cell::get) > 0 {
         return;
     }
-    let forced = SPILL_PROBE
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .as_ref()
-        .is_some_and(|p| p());
+    // Cloned out of the cell before it runs: a probe may itself retire
+    // objects. `try_with`: a thread-local's destructor may retire too,
+    // after this one is gone.
+    let probe = SPILL_PROBE.try_with(|p| p.borrow().clone());
+    let forced = probe.ok().flatten().is_some_and(|p| p());
     if len > DEFER_QUEUE_CAP || forced {
         spill(core);
     } else {
@@ -257,8 +261,8 @@ pub fn defer_drop<T: Send + 'static>(value: Box<T>) {
     unsafe { call_rcu(Box::into_raw(value).cast(), drop_box::<T>) }
 }
 
-/// Type-erased box destructor used by `defer_drop` and the deferred
-/// `RcuCell` updates.
+/// Type-erased box destructor used by `defer_drop` and deferred
+/// [`RcuCell::publish`].
 unsafe fn drop_box<T>(ptr: *mut ()) {
     // SAFETY: `ptr` came from `Box::into_raw` of a `Box<T>` and this is
     // its unique owner (the queue entry).
@@ -335,14 +339,21 @@ fn free_batch(batch: Vec<Deferred>) -> usize {
 /// Waits for the grace periods of everything deferred so far and runs
 /// those drops (the shutdown/test flush; equivalent to `rcu_barrier()`).
 ///
-/// Objects retired by other threads *during* the call are not covered.
-/// Like [`synchronize`], this must not be called from inside a read-side
-/// section (it would wait on the caller's own epoch).
+/// Covered: every entry queued when the call starts, and every entry a
+/// barrier that started earlier has stolen and not yet freed — barriers
+/// run one at a time, so this one steals only after the previous one's
+/// drops have run. Objects retired by other threads *during* the call
+/// are not covered. Like [`synchronize`], this must not be called from
+/// inside a read-side section (it would wait on the caller's own epoch),
+/// nor from a deferred drop (it would wait on the barrier running it).
 #[track_caller]
 pub fn rcu_barrier() {
     pk_lockdep::check_rcu_barrier();
     let _span = pk_trace::trace_span!("rcu.barrier");
     BARRIER_CALLS.fetch_add(1, Ordering::Relaxed);
+    // A drop that panicked under an earlier barrier leaves nothing
+    // half-done that this one could trip over.
+    let _serial = BARRIER.lock().unwrap_or_else(|e| e.into_inner());
     // Steal every queue's current contents first (only a core that was
     // ever registered has any), then wait one grace period: the epoch is
     // monotonic, so that single wait covers every stolen target.
@@ -358,13 +369,21 @@ pub fn rcu_barrier() {
     free_batch(stolen);
 }
 
-/// Installs (or clears, with `None`) the spill probe consulted by every
-/// `call_rcu`: when the probe returns `true` the queue is treated as
-/// over capacity and spilled. The `rcu.defer_overflow` fault point is
-/// connected through this hook.
-#[allow(clippy::type_complexity)]
-pub fn set_spill_probe(probe: Option<Arc<dyn Fn() -> bool + Send + Sync>>) {
-    *SPILL_PROBE.write().unwrap_or_else(|e| e.into_inner()) = probe;
+/// Runs `f` with `probe` installed as this thread's spill probe: every
+/// `call_rcu` the thread makes inside `f` (outside a read-side section)
+/// asks it, and a `true` treats the queue as over capacity and spills.
+/// The `rcu.defer_overflow` fault point is connected through this hook.
+/// Other threads are unaffected; the previous probe is restored when `f`
+/// returns or unwinds.
+pub fn with_spill_probe<R>(probe: impl Fn() -> bool + 'static, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Rc<dyn Fn() -> bool>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SPILL_PROBE.with(|p| *p.borrow_mut() = self.0.take());
+        }
+    }
+    let _restore = Restore(SPILL_PROBE.with(|p| p.borrow_mut().replace(Rc::new(probe))));
+    f()
 }
 
 /// A snapshot of the grace-period machinery's counters.
@@ -436,11 +455,9 @@ impl pk_obs::Collect for RcuObs {
 /// An RCU-protected pointer to an immutable `T` snapshot.
 ///
 /// Readers obtain a cheap, wait-free reference under a [`RcuReadGuard`];
-/// writers replace the snapshot wholesale and either block for a grace
-/// period before freeing the previous one ([`RcuCell::update`],
-/// [`RcuCell::update_with`]) or retire it through the deferred-free
-/// queues without stalling ([`RcuCell::update_deferred`],
-/// [`RcuCell::update_with_deferred`]).
+/// writers replace the snapshot wholesale with [`RcuCell::publish`],
+/// which either blocks for a grace period before freeing the previous
+/// one or retires it through the deferred-free queues without stalling.
 ///
 /// # Examples
 ///
@@ -452,8 +469,8 @@ impl pk_obs::Collect for RcuObs {
 ///     let guard = rcu::read_lock();
 ///     assert_eq!(cell.read(&guard).len(), 3);
 /// }
-/// cell.update(vec![4]);
-/// cell.update_with_deferred(|v| v.iter().map(|x| x * 10).collect());
+/// cell.publish(false, |_| vec![4]); // waits out a grace period
+/// cell.publish(true, |v| v.iter().map(|x| x * 10).collect()); // does not
 /// let guard = rcu::read_lock();
 /// assert_eq!(cell.read(&guard), &[40]);
 /// ```
@@ -485,71 +502,46 @@ impl<T> RcuCell<T> {
     /// writer cannot free the snapshot until the guard drops.
     pub fn read<'g>(&self, _guard: &'g RcuReadGuard) -> &'g T {
         let p = self.ptr.load(Ordering::Acquire);
-        // SAFETY: `p` was published by `new`/`update` and cannot be freed
-        // before the guard's read-side section ends: blocking updates wait
-        // for a grace period covering it, deferred updates queue the old
-        // snapshot with a target epoch past this reader.
+        // SAFETY: `p` was published by `new`/`publish` and cannot be freed
+        // before the guard's read-side section ends: a blocking publish
+        // waits for a grace period covering it, a deferred one queues the
+        // old snapshot with a target epoch past this reader.
         unsafe { &*p }
-    }
-
-    /// Publishes a new snapshot and frees the old one after a grace
-    /// period. Blocks until the grace period elapses.
-    pub fn update(&self, value: T) {
-        let new = Box::into_raw(Box::new(value));
-        let old = {
-            // Lock poisoning only means a previous writer panicked; the
-            // cell itself is always in a published, consistent state.
-            let _w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-            self.ptr.swap(new, Ordering::SeqCst)
-        };
-        synchronize();
-        // SAFETY: `old` was the published pointer; after `synchronize` no
-        // reader that could have loaded it is still in a read section, and
-        // the swap removed it from the cell, so we hold the only copy.
-        drop(unsafe { Box::from_raw(old) });
-    }
-
-    /// Applies `f` to the current snapshot to compute a replacement, then
-    /// publishes it (read-copy-update). Writers are serialized.
-    pub fn update_with(&self, f: impl FnOnce(&T) -> T) {
-        let _w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let cur = self.ptr.load(Ordering::Acquire);
-        // SAFETY: We hold the writer lock, so `cur` cannot be swapped out
-        // or freed concurrently.
-        let new = Box::into_raw(Box::new(f(unsafe { &*cur })));
-        let old = self.ptr.swap(new, Ordering::SeqCst);
-        synchronize();
-        // SAFETY: As in `update`.
-        drop(unsafe { Box::from_raw(old) });
     }
 }
 
 impl<T: Send + 'static> RcuCell<T> {
-    /// Publishes a new snapshot and retires the old one through the
-    /// deferred-free queues. Never blocks for a grace period.
-    pub fn update_deferred(&self, value: T) {
-        let new = Box::into_raw(Box::new(value));
+    /// Applies `f` to the current snapshot to compute a replacement and
+    /// publishes it (read-copy-update); writers are serialized. The
+    /// replaced snapshot is retired per `deferred`: through the
+    /// deferred-free queues (`true`: the writer never waits for a grace
+    /// period) or by blocking in [`synchronize`] and freeing it here
+    /// (`false`). Either way the writer lock is released first, so a
+    /// grace wait stalls this writer only.
+    pub fn publish(&self, deferred: bool, f: impl FnOnce(&T) -> T) {
         let old = {
+            // Lock poisoning only means a previous writer's `f` panicked;
+            // the cell itself is always in a published, consistent state.
             let _w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+            let cur = self.ptr.load(Ordering::Acquire);
+            // SAFETY: We hold the writer lock, so `cur` cannot be swapped
+            // out or freed concurrently.
+            let new = Box::into_raw(Box::new(f(unsafe { &*cur })));
             self.ptr.swap(new, Ordering::SeqCst)
         };
-        // SAFETY: `old` is unpublished (the swap removed the last shared
-        // path to it) and `T: Send + 'static`, so its drop may run later
-        // on any thread; `drop_box::<T>` frees it exactly once.
-        unsafe { call_rcu(old.cast(), drop_box::<T>) };
-    }
-
-    /// Like [`RcuCell::update_with`], but retires the replaced snapshot
-    /// through the deferred-free queues instead of blocking.
-    pub fn update_with_deferred(&self, f: impl FnOnce(&T) -> T) {
-        let _w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let cur = self.ptr.load(Ordering::Acquire);
-        // SAFETY: We hold the writer lock, so `cur` cannot be swapped out
-        // or freed concurrently.
-        let new = Box::into_raw(Box::new(f(unsafe { &*cur })));
-        let old = self.ptr.swap(new, Ordering::SeqCst);
-        // SAFETY: As in `update_deferred`.
-        unsafe { call_rcu(old.cast(), drop_box::<T>) };
+        if deferred {
+            // SAFETY: `old` is unpublished (the swap removed the last
+            // shared path to it) and `T: Send + 'static`, so its drop may
+            // run later on any thread; `drop_box::<T>` frees it once.
+            unsafe { call_rcu(old.cast(), drop_box::<T>) };
+        } else {
+            synchronize();
+            // SAFETY: `old` was the published pointer; after `synchronize`
+            // no reader that could have loaded it is still in a read
+            // section, and the swap removed it from the cell, so we hold
+            // the only copy.
+            drop(unsafe { Box::from_raw(old) });
+        }
     }
 }
 
@@ -578,27 +570,27 @@ mod tests {
     }
 
     #[test]
-    fn update_replaces_snapshot() {
+    fn publish_replaces_snapshot() {
         let cell = RcuCell::new(String::from("old"));
-        cell.update(String::from("new"));
+        cell.publish(false, |_| String::from("new"));
         let g = read_lock();
         assert_eq!(cell.read(&g), "new");
     }
 
     #[test]
-    fn update_with_reads_current() {
+    fn publish_reads_current() {
         let cell = RcuCell::new(10u64);
-        cell.update_with(|v| v + 1);
-        cell.update_with(|v| v * 2);
+        cell.publish(false, |v| v + 1);
+        cell.publish(false, |v| v * 2);
         let g = read_lock();
         assert_eq!(*cell.read(&g), 22);
     }
 
     #[test]
-    fn deferred_update_publishes_immediately() {
+    fn deferred_publish_is_visible_immediately() {
         let cell = RcuCell::new(10u64);
-        cell.update_deferred(11);
-        cell.update_with_deferred(|v| v * 2);
+        cell.publish(true, |_| 11);
+        cell.publish(true, |v| v * 2);
         let g = read_lock();
         assert_eq!(*cell.read(&g), 22);
         drop(g);
@@ -650,7 +642,7 @@ mod tests {
             std::thread::yield_now();
         }
         // Writer does not block...
-        cell.update_deferred(Tracked(Arc::new(AtomicBool::new(false))));
+        cell.publish(true, |_| Tracked(Arc::new(AtomicBool::new(false))));
         // ...and churning more deferred work must still not free the old
         // snapshot while the reader is inside.
         for _ in 0..64 {
@@ -681,13 +673,68 @@ mod tests {
     #[test]
     fn spill_probe_forces_blocking_drain() {
         let before = stats_snapshot();
-        set_spill_probe(Some(Arc::new(|| true)));
         let dropped = Arc::new(AtomicBool::new(false));
-        defer_drop(Box::new(Tracked(Arc::clone(&dropped))));
-        set_spill_probe(None);
-        assert!(dropped.load(Ordering::SeqCst), "spill drains synchronously");
-        let after = stats_snapshot();
-        assert!(after.spills > before.spills);
+        with_spill_probe(
+            || true,
+            || defer_drop(Box::new(Tracked(Arc::clone(&dropped)))),
+        );
+        assert!(
+            stats_snapshot().spills > before.spills,
+            "took the spill path"
+        );
+        // The spill drained this thread's queue after its grace wait —
+        // unless a concurrent barrier (another test's) had stolen the
+        // entry first, in which case that barrier frees it and ours
+        // waits for it.
+        rcu_barrier();
+        assert!(dropped.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn spill_probe_is_scoped_to_its_thread_and_restored_on_unwind() {
+        // A sibling parks with an always-true probe installed. While the
+        // probe was process-wide this wedged: the retire below spilled
+        // into `synchronize()` and waited on this thread's own reader.
+        let (installed, release) = (AtomicBool::new(false), AtomicBool::new(false));
+        let reader_in = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                with_spill_probe(
+                    || true,
+                    || {
+                        installed.store(true, Ordering::SeqCst);
+                        while !release.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                    },
+                )
+            });
+            while !installed.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            let reader = s.spawn(|| {
+                let _g = read_lock();
+                reader_in.store(true, Ordering::SeqCst);
+                while !release.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            });
+            while !reader_in.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            let dropped = Arc::new(AtomicBool::new(false));
+            defer_drop(Box::new(Tracked(Arc::clone(&dropped))));
+            let freed_early = dropped.load(Ordering::SeqCst);
+            release.store(true, Ordering::SeqCst);
+            reader.join().unwrap();
+            assert!(!freed_early, "freed under the parked reader");
+            rcu_barrier();
+            assert!(dropped.load(Ordering::SeqCst));
+        });
+        // A probe that unwinds out of its scope is gone afterwards.
+        let unwound = std::panic::catch_unwind(|| with_spill_probe(|| true, || panic!("scoped")));
+        assert!(unwound.is_err());
+        assert!(SPILL_PROBE.with(|p| p.borrow().is_none()), "probe restored");
     }
 
     #[test]
@@ -748,7 +795,7 @@ mod tests {
             let cell = Arc::clone(&cell);
             let updated = Arc::clone(&updated);
             std::thread::spawn(move || {
-                cell.update(2);
+                cell.publish(false, |_| 2);
                 updated.store(true, Ordering::SeqCst);
             })
         };
@@ -784,9 +831,9 @@ mod tests {
             .collect();
         for i in 1..20 {
             if i % 2 == 0 {
-                cell.update(vec![i; 8]);
+                cell.publish(false, |_| vec![i; 8]);
             } else {
-                cell.update_deferred(vec![i; 8]);
+                cell.publish(true, |_| vec![i; 8]);
             }
         }
         stop.store(true, Ordering::Relaxed);

@@ -172,6 +172,10 @@ impl<T: Copy> Drop for SeqLockWriteGuard<'_, T> {
 /// 2. Copy the protected fields.
 /// 3. Re-check the generation; on mismatch, fall back to locking.
 ///
+/// Generations are per object: a write publishes its predecessor + 1
+/// (skipping 0), so the only line a modification writes is the object's
+/// own, and a 64-bit generation never repeats for a snapshot to mistake.
+///
 /// # Examples
 ///
 /// ```
@@ -187,6 +191,9 @@ impl<T: Copy> Drop for SeqLockWriteGuard<'_, T> {
 #[derive(Debug)]
 pub struct GenCounter {
     generation: AtomicU64,
+    /// The generation `begin_write` displaced, for `end_write` to advance
+    /// from. Only the writer touches it, under the object lock.
+    parked: AtomicU64,
 }
 
 impl Default for GenCounter {
@@ -200,6 +207,7 @@ impl GenCounter {
     pub const fn new() -> Self {
         Self {
             generation: AtomicU64::new(1),
+            parked: AtomicU64::new(1),
         }
     }
 
@@ -226,16 +234,21 @@ impl GenCounter {
     ///
     /// [`end_write`]: GenCounter::end_write
     pub fn begin_write(&self) -> u64 {
-        self.generation.swap(0, Ordering::AcqRel)
+        let prev = self.generation.swap(0, Ordering::AcqRel);
+        if prev != 0 {
+            // Relaxed: the object lock orders one writer's store before
+            // the next writer's load.
+            self.parked.store(prev, Ordering::Relaxed);
+        }
+        prev
     }
 
-    /// Completes a modification, advancing to a fresh non-zero generation.
+    /// Completes a modification, advancing to a fresh non-zero
+    /// generation: the successor of the one `begin_write` displaced,
+    /// which no snapshot of this object can hold.
     pub fn end_write(&self) {
-        // Generation numbers only need to be distinct from all snapshots
-        // still in flight; a global monotonic source provides that.
-        static NEXT: AtomicU64 = AtomicU64::new(2);
-        let g = NEXT.fetch_add(1, Ordering::Relaxed);
-        self.generation.store(g.max(1), Ordering::Release);
+        let next = self.parked.load(Ordering::Relaxed).wrapping_add(1);
+        self.generation.store(next.max(1), Ordering::Release);
     }
 
     /// Returns whether a write is currently in progress.
@@ -305,5 +318,77 @@ mod tests {
         let snap2 = g.begin_read().unwrap();
         assert_ne!(snap2, 0);
         assert_ne!(snap2, snap);
+    }
+
+    #[test]
+    fn gen_counter_generations_are_per_object() {
+        // A fresh counter after k writes reads 1 + k whatever any other
+        // counter does: there is no process-wide source to interleave.
+        let (a, b) = (GenCounter::new(), GenCounter::new());
+        let b_snap = b.begin_read().unwrap();
+        for k in 1..=5u64 {
+            assert_eq!(a.begin_write(), k);
+            assert!(b.validate(b_snap), "a write to `a` moved `b`");
+            a.end_write();
+            assert_eq!(a.begin_read(), Some(k + 1));
+        }
+        b.begin_write();
+        b.end_write();
+        assert_eq!(b.begin_read(), Some(2));
+        assert_eq!(a.begin_read(), Some(6));
+        // The sentinel is skipped when the generation wraps.
+        a.generation.store(u64::MAX, Ordering::Relaxed);
+        a.begin_write();
+        a.end_write();
+        assert_eq!(a.begin_read(), Some(1));
+    }
+
+    #[test]
+    fn gen_counter_never_validates_a_stale_snapshot() {
+        // Two writers (serialized by the object lock, as `d_lock` does)
+        // and two readers on one counter guarding a pair with the
+        // invariant `b == 31 * a`. A read the counter validates must be
+        // of one write, and validated generations never go backwards.
+        const WRITES_PER_WRITER: u64 = 20_000;
+        let gen = GenCounter::new();
+        let object = crate::SpinLock::new(0u64);
+        let (a, b) = (AtomicU64::new(0), AtomicU64::new(0));
+        let writers_left = AtomicU64::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..WRITES_PER_WRITER {
+                        let mut v = object.lock();
+                        *v += 1;
+                        gen.begin_write();
+                        a.store(*v, Ordering::Relaxed);
+                        b.store(v.wrapping_mul(31), Ordering::Relaxed);
+                        gen.end_write();
+                    }
+                    writers_left.fetch_sub(1, Ordering::Release);
+                });
+            }
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let (mut newest, mut validated) = (0u64, 0u64);
+                    while writers_left.load(Ordering::Acquire) > 0 {
+                        let Some(snap) = gen.begin_read() else {
+                            std::hint::spin_loop();
+                            continue;
+                        };
+                        let (x, y) = (a.load(Ordering::Relaxed), b.load(Ordering::Relaxed));
+                        if gen.validate(snap) {
+                            assert_eq!(y, x.wrapping_mul(31), "validated a torn read");
+                            assert_eq!(snap, x + 1, "generation {snap} is not write {x}'s");
+                            assert!(snap >= newest, "generations went backwards");
+                            newest = snap;
+                            validated += 1;
+                        }
+                    }
+                    validated
+                });
+            }
+        });
+        assert_eq!(gen.begin_read(), Some(2 * WRITES_PER_WRITER + 1));
     }
 }

@@ -1,10 +1,7 @@
 //! Test-and-test-and-set spin lock — the non-scalable baseline.
 
-use crate::stats::LockStats;
-use pk_lockdep::{ClassCell, ClassId, LockKind};
-use std::cell::UnsafeCell;
-use std::fmt;
-use std::ops::{Deref, DerefMut};
+use crate::lock::{spin_wait, Guard, Lock, RawLock};
+use pk_lockdep::LockKind;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A test-and-test-and-set spin lock protecting a `T`.
@@ -13,211 +10,56 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// on the same cache line, so each release triggers interconnect traffic
 /// proportional to the number of waiters (§4.1). The stock kernel's
 /// vfsmount-table lock that collapses Exim (§5.2) behaves like this.
-///
-/// Waiters first spin on a plain load (local cache) and only attempt the
-/// atomic swap when the lock looks free — the classic TTAS refinement.
-/// That keeps the userspace implementation honest without changing the
-/// fundamental all-waiters-on-one-line behaviour.
-///
-/// # Examples
-///
-/// ```
-/// let lock = pk_sync::SpinLock::new(vec![1, 2]);
-/// lock.lock().push(3);
-/// assert_eq!(lock.lock().len(), 3);
-/// ```
-pub struct SpinLock<T: ?Sized> {
-    stats: LockStats,
-    class: ClassCell,
+pub type SpinLock<T> = Lock<RawSpin, T>;
+
+/// RAII guard for [`SpinLock`]; releases the lock on drop.
+pub type SpinGuard<'a, T> = Guard<'a, RawSpin, T>;
+
+/// The TTAS algorithm: one flag, polled with plain loads and swapped only
+/// when it looks free — all waiters still share its line.
+pub struct RawSpin {
     locked: AtomicBool,
-    value: UnsafeCell<T>,
 }
 
-// SAFETY: The lock provides exclusive access to `value`; sharing the lock
-// across threads is sound whenever sending the protected value is.
-unsafe impl<T: ?Sized + Send> Send for SpinLock<T> {}
-// SAFETY: Only one thread can observe `&mut T` at a time (guard holds the
-// lock), so `&SpinLock<T>` is shareable whenever `T: Send`.
-unsafe impl<T: ?Sized + Send> Sync for SpinLock<T> {}
+// SAFETY: Only the thread whose CAS flipped `locked` false → true
+// (`Acquire`) holds the lock until its `Release` store of false.
+unsafe impl RawLock for RawSpin {
+    const INIT: Self = Self {
+        locked: AtomicBool::new(false),
+    };
+    const KIND: LockKind = LockKind::Spin;
+    const NAME: &'static str = "SpinLock";
+    type Token = ();
 
-impl<T> SpinLock<T> {
-    /// Creates an unlocked spin lock containing `value`.
-    pub const fn new(value: T) -> Self {
-        Self {
-            stats: LockStats::new(),
-            class: ClassCell::new(),
-            locked: AtomicBool::new(false),
-            value: UnsafeCell::new(value),
+    #[inline]
+    fn lock(&self) -> ((), u64) {
+        let mut spins = 0u64;
+        while self.try_lock().is_none() {
+            // Spin on a plain load until the line looks free (TTAS).
+            while self.locked.load(Ordering::Relaxed) {
+                spin_wait(&mut spins);
+            }
         }
+        ((), spins)
     }
 
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.value.into_inner()
+    #[inline]
+    fn try_lock(&self) -> Option<()> {
+        self.locked
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+            .then_some(())
+    }
+
+    #[inline]
+    unsafe fn unlock(&self, (): ()) {
+        self.locked.store(false, Ordering::Release);
     }
 }
 
 impl<T: ?Sized> SpinLock<T> {
-    /// Assigns this lock to a `pk-lockdep` class (no-op unless the
-    /// `lockdep` feature is enabled).
-    pub fn set_class(&self, class: ClassId) {
-        self.class.set_class(class);
-    }
-
-    /// Acquires the lock, spinning until it is available.
-    #[track_caller]
-    pub fn lock(&self) -> SpinGuard<'_, T> {
-        pk_lockdep::acquire(&self.class, LockKind::Spin, false);
-        let mut spins = 0u64;
-        loop {
-            if self
-                .locked
-                .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                self.stats.record_acquisition(spins);
-                pk_trace::lock_acquired(&self.class, LockKind::Spin, spins);
-                return SpinGuard { lock: self };
-            }
-            // Spin on a plain load until the line looks free (TTAS).
-            while self.locked.load(Ordering::Relaxed) {
-                spins += 1;
-                std::hint::spin_loop();
-                if spins.is_multiple_of(1024) {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-
-    /// Attempts to acquire the lock without spinning.
-    #[track_caller]
-    pub fn try_lock(&self) -> Option<SpinGuard<'_, T>> {
-        if self
-            .locked
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            self.stats.record_acquisition(0);
-            pk_lockdep::acquire(&self.class, LockKind::Spin, true);
-            pk_trace::lock_acquired(&self.class, LockKind::Spin, 0);
-            Some(SpinGuard { lock: self })
-        } else {
-            None
-        }
-    }
-
     /// Returns whether the lock is currently held.
     pub fn is_locked(&self) -> bool {
-        self.locked.load(Ordering::Relaxed)
-    }
-
-    /// Returns the lock's contention statistics.
-    pub fn stats(&self) -> &LockStats {
-        &self.stats
-    }
-
-    /// Returns a mutable reference to the value (no locking needed).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.value.get_mut()
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for SpinLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("SpinLock").field("value", &&*g).finish(),
-            None => f.write_str("SpinLock(<locked>)"),
-        }
-    }
-}
-
-impl<T: Default> Default for SpinLock<T> {
-    fn default() -> Self {
-        Self::new(T::default())
-    }
-}
-
-/// RAII guard for [`SpinLock`]; releases the lock on drop.
-#[must_use = "dropping the guard immediately releases the lock"]
-pub struct SpinGuard<'a, T: ?Sized> {
-    lock: &'a SpinLock<T>,
-}
-
-impl<T: ?Sized> Deref for SpinGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // SAFETY: The guard holds the lock, so no other reference exists.
-        unsafe { &*self.lock.value.get() }
-    }
-}
-
-impl<T: ?Sized> DerefMut for SpinGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: The guard holds the lock exclusively.
-        unsafe { &mut *self.lock.value.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for SpinGuard<'_, T> {
-    fn drop(&mut self) {
-        pk_trace::lock_released(&self.lock.class, LockKind::Spin);
-        pk_lockdep::release(&self.lock.class);
-        self.lock.locked.store(false, Ordering::Release);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn guards_exclusive_access() {
-        let lock = SpinLock::new(0u32);
-        {
-            let mut g = lock.lock();
-            *g += 1;
-            assert!(lock.try_lock().is_none());
-            assert!(lock.is_locked());
-        }
-        assert!(!lock.is_locked());
-        assert_eq!(*lock.lock(), 1);
-    }
-
-    #[test]
-    fn concurrent_increments_are_not_lost() {
-        let lock = Arc::new(SpinLock::new(0u64));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let lock = Arc::clone(&lock);
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        *lock.lock() += 1;
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*lock.lock(), 40_000);
-        assert_eq!(lock.stats().acquisitions(), 40_001);
-    }
-
-    #[test]
-    fn into_inner_and_get_mut() {
-        let mut lock = SpinLock::new(String::from("a"));
-        lock.get_mut().push('b');
-        assert_eq!(lock.into_inner(), "ab");
-    }
-
-    #[test]
-    fn debug_formats() {
-        let lock = SpinLock::new(5);
-        assert!(format!("{lock:?}").contains('5'));
-        let _g = lock.lock();
-        assert!(format!("{lock:?}").contains("locked"));
+        self.raw.locked.load(Ordering::Relaxed)
     }
 }

@@ -80,7 +80,7 @@ impl LockStats {
     }
 
     /// Packages the counters as a named [`pk_obs::Sample`] for the
-    /// metrics registry and the contention report.
+    /// contention report.
     pub fn sample(&self, name: impl Into<String>) -> pk_obs::Sample {
         pk_obs::Sample::lock(
             name,
@@ -157,36 +157,5 @@ mod tests {
         assert_eq!(s.acquisitions(), 0);
         assert_eq!(s.contended(), 0);
         assert_eq!(s.spin_iterations(), 0);
-    }
-
-    #[test]
-    fn counts_written_under_the_lock_are_exact_with_real_threads() {
-        // The counters are load + store, not RMWs: they stay exact only
-        // because every writer holds the lock. 200 000 acquisitions from
-        // four threads must read 200 000 on every lock kind (the four
-        // share no trait, hence the macro).
-        macro_rules! hammer {
-            ($name:literal, $lock:expr) => {{
-                let lock = $lock;
-                std::thread::scope(|s| {
-                    for _ in 0..4 {
-                        s.spawn(|| {
-                            for _ in 0..50_000 {
-                                *lock.lock() += 1;
-                            }
-                        });
-                    }
-                });
-                let stats = lock.stats();
-                assert_eq!(stats.acquisitions(), 200_000, "{}: lost a count", $name);
-                assert!(stats.contended() <= stats.acquisitions(), "{}", $name);
-                assert!(stats.spin_iterations() >= stats.contended(), "{}", $name);
-                assert_eq!(lock.into_inner(), 200_000u64, "{}: lost an update", $name);
-            }};
-        }
-        hammer!("spin", crate::SpinLock::new(0u64));
-        hammer!("ticket", crate::TicketLock::new(0u64));
-        hammer!("mcs", crate::McsLock::new(0u64));
-        hammer!("adaptive", crate::AdaptiveMutex::new(0u64));
     }
 }

@@ -1,10 +1,7 @@
 //! FIFO ticket lock.
 
-use crate::stats::LockStats;
-use pk_lockdep::{ClassCell, ClassId, LockKind};
-use std::cell::UnsafeCell;
-use std::fmt;
-use std::ops::{Deref, DerefMut};
+use crate::lock::{spin_wait, Guard, Lock, RawLock};
+use pk_lockdep::LockKind;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A FIFO ticket lock protecting a `T`.
@@ -14,216 +11,61 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Fairness prevents starvation, but all waiters still spin on the single
 /// now-serving word, so the lock remains non-scalable under contention —
 /// each handoff invalidates every waiter's cache line.
-///
-/// # Examples
-///
-/// ```
-/// let lock = pk_sync::TicketLock::new(0);
-/// *lock.lock() += 1;
-/// assert_eq!(*lock.lock(), 1);
-/// ```
-pub struct TicketLock<T: ?Sized> {
-    stats: LockStats,
-    class: ClassCell,
+pub type TicketLock<T> = Lock<RawTicket, T>;
+
+/// RAII guard for [`TicketLock`]; advances `now_serving` on drop.
+pub type TicketGuard<'a, T> = Guard<'a, RawTicket, T>;
+
+/// The ticket algorithm: a dispenser and a now-serving word.
+pub struct RawTicket {
     next_ticket: AtomicU64,
     now_serving: AtomicU64,
-    value: UnsafeCell<T>,
 }
 
-// SAFETY: As for `SpinLock` — the lock serializes access to `value`.
-unsafe impl<T: ?Sized + Send> Send for TicketLock<T> {}
-// SAFETY: Mutation only happens through the exclusive guard.
-unsafe impl<T: ?Sized + Send> Sync for TicketLock<T> {}
+// SAFETY: Tickets are unique (`fetch_add`, or the CAS in `try_lock`), the
+// holder is the one thread whose ticket equals `now_serving` (read with
+// `Acquire`), and only the holder advances it (`Release`).
+unsafe impl RawLock for RawTicket {
+    const INIT: Self = Self {
+        next_ticket: AtomicU64::new(0),
+        now_serving: AtomicU64::new(0),
+    };
+    const KIND: LockKind = LockKind::Ticket;
+    const NAME: &'static str = "TicketLock";
+    type Token = ();
 
-impl<T> TicketLock<T> {
-    /// Creates an unlocked ticket lock containing `value`.
-    pub const fn new(value: T) -> Self {
-        Self {
-            stats: LockStats::new(),
-            class: ClassCell::new(),
-            next_ticket: AtomicU64::new(0),
-            now_serving: AtomicU64::new(0),
-            value: UnsafeCell::new(value),
+    #[inline]
+    fn lock(&self) -> ((), u64) {
+        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
+        let mut spins = 0u64;
+        while self.now_serving.load(Ordering::Acquire) != ticket {
+            spin_wait(&mut spins);
         }
+        ((), spins)
     }
 
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.value.into_inner()
+    /// Takes the lock only if no one is waiting or holding it.
+    #[inline]
+    fn try_lock(&self) -> Option<()> {
+        let serving = self.now_serving.load(Ordering::Acquire);
+        self.next_ticket
+            .compare_exchange(serving, serving + 1, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+            .then_some(())
+    }
+
+    #[inline]
+    unsafe fn unlock(&self, (): ()) {
+        self.now_serving.fetch_add(1, Ordering::Release);
     }
 }
 
 impl<T: ?Sized> TicketLock<T> {
-    /// Assigns this lock to a `pk-lockdep` class (no-op unless the
-    /// `lockdep` feature is enabled).
-    pub fn set_class(&self, class: ClassId) {
-        self.class.set_class(class);
-    }
-
-    /// Acquires the lock, waiting in FIFO order.
-    #[track_caller]
-    pub fn lock(&self) -> TicketGuard<'_, T> {
-        pk_lockdep::acquire(&self.class, LockKind::Ticket, false);
-        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        let mut spins = 0u64;
-        while self.now_serving.load(Ordering::Acquire) != ticket {
-            spins += 1;
-            std::hint::spin_loop();
-            if spins.is_multiple_of(1024) {
-                std::thread::yield_now();
-            }
-        }
-        self.stats.record_acquisition(spins);
-        pk_trace::lock_acquired(&self.class, LockKind::Ticket, spins);
-        TicketGuard { lock: self }
-    }
-
-    /// Attempts to take the lock only if no one is waiting or holding it.
-    #[track_caller]
-    pub fn try_lock(&self) -> Option<TicketGuard<'_, T>> {
-        let serving = self.now_serving.load(Ordering::Acquire);
-        if self
-            .next_ticket
-            .compare_exchange(serving, serving + 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            self.stats.record_acquisition(0);
-            pk_lockdep::acquire(&self.class, LockKind::Ticket, true);
-            pk_trace::lock_acquired(&self.class, LockKind::Ticket, 0);
-            Some(TicketGuard { lock: self })
-        } else {
-            None
-        }
-    }
-
-    /// Returns the lock's contention statistics.
-    pub fn stats(&self) -> &LockStats {
-        &self.stats
-    }
-
-    /// Returns a mutable reference to the value (no locking needed).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.value.get_mut()
-    }
-
     /// Returns how many tickets are waiting (including the holder).
     pub fn queue_depth(&self) -> u64 {
-        self.next_ticket
+        let raw = &self.raw;
+        raw.next_ticket
             .load(Ordering::Relaxed)
-            .saturating_sub(self.now_serving.load(Ordering::Relaxed))
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for TicketLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("TicketLock").field("value", &&*g).finish(),
-            None => f.write_str("TicketLock(<locked>)"),
-        }
-    }
-}
-
-impl<T: Default> Default for TicketLock<T> {
-    fn default() -> Self {
-        Self::new(T::default())
-    }
-}
-
-/// RAII guard for [`TicketLock`]; advances `now_serving` on drop.
-#[must_use = "dropping the guard immediately releases the lock"]
-pub struct TicketGuard<'a, T: ?Sized> {
-    lock: &'a TicketLock<T>,
-}
-
-impl<T: ?Sized> Deref for TicketGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // SAFETY: The guard holds the lock, so no other reference exists.
-        unsafe { &*self.lock.value.get() }
-    }
-}
-
-impl<T: ?Sized> DerefMut for TicketGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: The guard holds the lock exclusively.
-        unsafe { &mut *self.lock.value.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for TicketGuard<'_, T> {
-    fn drop(&mut self) {
-        pk_trace::lock_released(&self.lock.class, LockKind::Ticket);
-        pk_lockdep::release(&self.lock.class);
-        self.lock.now_serving.fetch_add(1, Ordering::Release);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn serializes_increments() {
-        let lock = Arc::new(TicketLock::new(0u64));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let lock = Arc::clone(&lock);
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        *lock.lock() += 1;
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*lock.lock(), 40_000);
-    }
-
-    #[test]
-    fn try_lock_fails_when_held() {
-        let lock = TicketLock::new(());
-        let g = lock.lock();
-        assert!(lock.try_lock().is_none());
-        drop(g);
-        assert!(lock.try_lock().is_some());
-    }
-
-    #[test]
-    fn queue_depth_counts_holder() {
-        let lock = TicketLock::new(());
-        assert_eq!(lock.queue_depth(), 0);
-        let g = lock.lock();
-        assert_eq!(lock.queue_depth(), 1);
-        drop(g);
-        assert_eq!(lock.queue_depth(), 0);
-    }
-
-    #[test]
-    fn fifo_order_is_respected() {
-        // Take the lock, queue two waiters in a known arrival order, and
-        // check they are served in that order.
-        let lock = Arc::new(TicketLock::new(Vec::new()));
-        let first = lock.lock();
-        let mut handles = Vec::new();
-        for id in 0..2 {
-            // Ensure arrival order by waiting until the previous waiter is
-            // queued before spawning the next.
-            let lock2 = Arc::clone(&lock);
-            handles.push(std::thread::spawn(move || {
-                lock2.lock().push(id);
-            }));
-            while lock.queue_depth() < 2 + id as u64 {
-                std::thread::yield_now();
-            }
-        }
-        drop(first);
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*lock.lock(), vec![0, 1]);
+            .saturating_sub(raw.now_serving.load(Ordering::Relaxed))
     }
 }

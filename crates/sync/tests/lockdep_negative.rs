@@ -9,8 +9,8 @@
 
 #![cfg(feature = "lockdep")]
 
-use pk_lockdep::{LockKind, Violation, ViolationKind};
-use pk_sync::{rcu, AdaptiveMutex, SpinLock};
+use pk_lockdep::{Violation, ViolationKind};
+use pk_sync::{rcu, Lock, RawAdaptive, RawLock, RawMcs, RawSpin, RawTicket};
 
 /// Finds the violation of `kind` whose message contains every needle,
 /// or panics with the full store for debugging.
@@ -26,20 +26,21 @@ fn find_violation(kind: ViolationKind, needles: &[&str]) -> Violation {
         })
 }
 
-#[test]
-fn abba_reports_both_classes_and_acquisition_sites() {
-    let a = SpinLock::new(0u32);
-    let b = SpinLock::new(0u32);
-    a.set_class(pk_lockdep::register_class(
-        "negtest.abba.a",
-        "pk-sync",
-        LockKind::Spin,
-    ));
-    b.set_class(pk_lockdep::register_class(
-        "negtest.abba.b",
-        "pk-sync",
-        LockKind::Spin,
-    ));
+/// A fresh lock of raw kind `R` in a fresh class named after the test,
+/// the kind and `side` (the violation store is process-wide).
+fn classed<R: RawLock>(test: &str, side: &str) -> (Lock<R, u32>, String) {
+    let name = format!("negtest.{test}.{}.{side}", R::KIND.label());
+    let lock = Lock::new(0);
+    lock.set_class(pk_lockdep::register_class(&name, "pk-sync", R::KIND));
+    (lock, name)
+}
+
+/// The shell carries every kind through the same hooks: an ABBA is
+/// caught whichever algorithm waits underneath, and the sites reported
+/// are this file's — `#[track_caller]` survives the generic.
+fn abba_is_reported<R: RawLock>() {
+    let (a, a_name) = classed::<R>("abba", "a");
+    let (b, b_name) = classed::<R>("abba", "b");
     {
         // Establish the order a -> b.
         let _ga = a.lock();
@@ -51,38 +52,45 @@ fn abba_reports_both_classes_and_acquisition_sites() {
         let _gb = b.lock();
         let _ga = a.lock();
     }
-    let v = find_violation(
-        ViolationKind::LockOrder,
-        &["negtest.abba.a", "negtest.abba.b"],
-    );
+    let v = find_violation(ViolationKind::LockOrder, &[&a_name, &b_name]);
     assert!(
         v.message.contains("would-deadlock"),
         "missing would-deadlock diagnosis: {}",
         v.message
     );
-    // Both acquisition stacks must name their source sites (this file).
+    // Both acquisition stacks must name their source sites (this file),
+    // not the shell's.
     assert!(
         v.message.matches("lockdep_negative.rs").count() >= 2,
         "message must name both acquisition sites: {}",
         v.message
     );
+    assert!(!v.message.contains("src/lock.rs"), "{}", v.message);
+}
+
+#[test]
+fn abba_reports_both_classes_and_acquisition_sites() {
+    abba_is_reported::<RawSpin>();
+    abba_is_reported::<RawTicket>();
+    abba_is_reported::<RawMcs>();
+    abba_is_reported::<RawAdaptive>();
+}
+
+/// Acquires a fresh classed lock of kind `R` inside a read-side section
+/// and returns its class name.
+fn lock_inside_epoch<R: RawLock>() -> String {
+    let (l, name) = classed::<R>("epoch", "l");
+    let _g = rcu::read_lock();
+    let _lg = l.lock();
+    name
 }
 
 #[test]
 fn blocking_lock_inside_epoch_section_is_reported() {
-    let m = AdaptiveMutex::new(());
-    m.set_class(pk_lockdep::register_class(
-        "negtest.epoch.mutex",
-        "pk-sync",
-        LockKind::Blocking,
-    ));
-    {
-        let _g = rcu::read_lock();
-        // A blocking acquisition inside a read-side section: a
-        // preempted holder would stall every writer's grace period.
-        let _mg = m.lock();
-    }
-    let v = find_violation(ViolationKind::BlockingInEpoch, &["negtest.epoch.mutex"]);
+    // A blocking acquisition inside a read-side section: a preempted
+    // holder would stall every writer's grace period.
+    let name = lock_inside_epoch::<RawAdaptive>();
+    let v = find_violation(ViolationKind::BlockingInEpoch, &[&name]);
     assert!(
         v.message.contains("epoch read-side"),
         "missing epoch diagnosis: {}",
@@ -96,23 +104,19 @@ fn blocking_lock_inside_epoch_section_is_reported() {
 }
 
 #[test]
-fn spin_lock_inside_epoch_section_is_allowed() {
-    let l = SpinLock::new(0u32);
-    l.set_class(pk_lockdep::register_class(
-        "negtest.epoch.spin",
-        "pk-sync",
-        LockKind::Spin,
-    ));
-    {
-        let _g = rcu::read_lock();
-        let _lg = l.lock();
+fn spinning_locks_inside_epoch_section_are_allowed() {
+    for name in [
+        lock_inside_epoch::<RawSpin>(),
+        lock_inside_epoch::<RawTicket>(),
+        lock_inside_epoch::<RawMcs>(),
+    ] {
+        assert!(
+            !pk_lockdep::violations()
+                .iter()
+                .any(|v| v.message.contains(&name)),
+            "non-blocking lock inside an epoch must not be flagged: {name}"
+        );
     }
-    assert!(
-        !pk_lockdep::violations()
-            .iter()
-            .any(|v| v.message.contains("negtest.epoch.spin")),
-        "non-blocking lock inside an epoch must not be flagged"
-    );
 }
 
 #[test]

@@ -351,7 +351,9 @@ fn blocking_updates_never_reclaim_under_a_live_reader() {
             .collect();
         start.wait();
         for _ in 0..GENERATIONS {
-            cell.update_with(|old| Snapshot((old.0.load(Ordering::SeqCst) + 1).into()));
+            cell.publish(false, |old| {
+                Snapshot((old.0.load(Ordering::SeqCst) + 1).into())
+            });
         }
         done.store(true, Ordering::Release);
         readers
@@ -362,6 +364,62 @@ fn blocking_updates_never_reclaim_under_a_live_reader() {
     let guard = rcu::read_lock();
     assert_eq!(cell.read(&guard).0.load(Ordering::SeqCst), GENERATIONS);
     assert!(sections > 0, "the readers never overlapped the writer");
+}
+
+/// `rcu_barrier()` covers a retirement that a *concurrent* barrier has
+/// already stolen from the queues and not yet freed.
+///
+/// A reader parks in-section, this thread retires an object, and a
+/// sibling enters `rcu_barrier()`: it steals the entry and parks in its
+/// grace wait behind the reader. This thread's own barrier now finds the
+/// queues empty — and must still not return before the drop has run.
+/// (Before barriers were serialized it returned at once; the reader
+/// leaves only well after seeing this thread head into its barrier, so
+/// that early return lands while the entry is still held.)
+#[test]
+fn barrier_covers_entries_a_concurrent_barrier_stole() {
+    let reader_in = AtomicBool::new(false);
+    let sibling_in = AtomicBool::new(false);
+    let main_entering = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let guard = rcu::read_lock();
+            reader_in.store(true, Ordering::SeqCst);
+            while !main_entering.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            // Leave only once this thread's barrier is well under way.
+            for _ in 0..2_000 {
+                std::thread::yield_now();
+            }
+            drop(guard);
+        });
+        while !reader_in.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let flag = retire();
+        s.spawn(|| {
+            sibling_in.store(true, Ordering::SeqCst);
+            rcu::rcu_barrier();
+        });
+        while !sibling_in.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        // Let the sibling steal and reach its grace wait. (If a barrier
+        // of another test in this binary stole the entry first, that one
+        // is the concurrent thief; the property is the same.)
+        for _ in 0..2_000 {
+            std::thread::yield_now();
+        }
+        let freed_early = freed(&flag);
+        main_entering.store(true, Ordering::SeqCst);
+        rcu::rcu_barrier();
+        assert!(!freed_early, "freed under a reader that predates it");
+        assert!(
+            freed(&flag),
+            "rcu_barrier returned while an entry retired before it was still unfreed"
+        );
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -398,9 +456,9 @@ fn miri_smoke_nested_sections_defer_until_outermost() {
 }
 
 #[test]
-fn miri_smoke_rcu_cell_deferred_update() {
+fn miri_smoke_rcu_cell_deferred_publish() {
     let cell = rcu::RcuCell::new(7u64);
-    cell.update_deferred(8);
+    cell.publish(true, |v| v + 1);
     let g = rcu::read_lock();
     assert_eq!(*cell.read(&g), 8);
     drop(g);

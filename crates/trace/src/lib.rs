@@ -19,10 +19,9 @@
 //! * **Attribution** — [`Profile`] folds a drained stream into an
 //!   inclusive/exclusive cycle tree plus the paper-style top-functions
 //!   table; [`chrome_trace_json`] exports a perfetto-loadable timeline.
-//! * **Export** — drains are pull-model: [`collector`] registers a
-//!   `TraceSink` with the `pk-obs` [`Registry`](pk_obs::Registry)
-//!   exposing buffered/dropped counts; harnesses call
-//!   [`Tracer::drain`] at quiescent points.
+//! * **Export** — drains are pull-model: [`collector`] is a `pk-obs`
+//!   [`Collect`](pk_obs::Collect) source exposing buffered/dropped
+//!   counts; harnesses call [`Tracer::drain`] at quiescent points.
 //!
 //! The `trace-off` cargo feature compiles the macros and hooks to
 //! no-ops ([`SpanGuard`] becomes a ZST) while keeping the aggregation
@@ -217,8 +216,8 @@ impl pk_obs::Collect for TraceSink {
     }
 }
 
-/// Returns the tracer's `pk-obs` metric source. Register it with a
-/// [`Registry`](pk_obs::Registry) to drain occupancy/drop counts.
+/// Returns the tracer's `pk-obs` metric source: `collect` it into a
+/// [`Snapshot`](pk_obs::Snapshot) to read occupancy/drop counts.
 pub fn collector() -> std::sync::Arc<dyn pk_obs::Collect> {
     std::sync::Arc::new(TraceSink)
 }

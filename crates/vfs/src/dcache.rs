@@ -76,22 +76,6 @@ impl Dcache {
         &self.buckets[(probe.hash() as usize) & self.mask]
     }
 
-    /// Publishes a rewritten bucket snapshot, retiring the replaced one
-    /// per the configured reclamation discipline: `call_rcu` deferral
-    /// (the writer continues immediately) or a blocking `synchronize()`
-    /// grace period.
-    fn replace_bucket(
-        &self,
-        cell: &RcuCell<Vec<Arc<Dentry>>>,
-        f: impl FnOnce(&Vec<Arc<Dentry>>) -> Vec<Arc<Dentry>>,
-    ) {
-        if self.config.deferred_reclamation {
-            cell.update_with_deferred(f);
-        } else {
-            cell.update_with(f);
-        }
-    }
-
     /// Looks up `(parent, name)`, taking a reference on the hit.
     ///
     /// `core` is the acting core (for sloppy refcounts and stats).
@@ -222,7 +206,7 @@ impl Dcache {
         // down concurrently — surface that as ESTALE on the syscall path
         // rather than panicking in the kernel.
         dentry.get(core).map_err(|_| VfsError::Stale)?;
-        self.replace_bucket(bucket, |v| {
+        bucket.publish(self.config.deferred_reclamation, |v| {
             let mut v = v.clone();
             // Bucket rewrites are serialized, so a live match found here
             // has not been removed: its reference is taken before any
@@ -246,21 +230,22 @@ impl Dcache {
     pub fn remove<'a>(&self, key: impl Into<DentryProbe<'a>>, core: CoreId) -> bool {
         let key = &key.into();
         let mut removed = false;
-        self.replace_bucket(self.bucket(key), |v| {
-            let mut kept = Vec::with_capacity(v.len());
-            for d in v.iter() {
-                if d.is_live_match(key) {
-                    d.begin_modify().unhash();
-                    // Drop the cache's reference; the object is freed when
-                    // the last user reference goes away.
-                    d.put(core);
-                    removed = true;
-                } else {
-                    kept.push(Arc::clone(d));
+        self.bucket(key)
+            .publish(self.config.deferred_reclamation, |v| {
+                let mut kept = Vec::with_capacity(v.len());
+                for d in v.iter() {
+                    if d.is_live_match(key) {
+                        d.begin_modify().unhash();
+                        // Drop the cache's reference; the object is freed when
+                        // the last user reference goes away.
+                        d.put(core);
+                        removed = true;
+                    } else {
+                        kept.push(Arc::clone(d));
+                    }
                 }
-            }
-            kept
-        });
+                kept
+            });
         removed
     }
 
@@ -279,7 +264,7 @@ impl Dcache {
                 break;
             }
             let mut victims = Vec::new();
-            self.replace_bucket(bucket, |v| {
+            bucket.publish(self.config.deferred_reclamation, |v| {
                 let mut kept = Vec::with_capacity(v.len());
                 for d in v.iter() {
                     // Only the cache's reference remains → evictable.
@@ -453,7 +438,8 @@ mod tests {
         let planted: Vec<_> = (0..2)
             .map(|_| Dentry::new(key.clone(), InodeId(5), true, 4))
             .collect();
-        c.replace_bucket(c.bucket(&key.probe()), |_| planted.clone());
+        c.bucket(&key.probe())
+            .publish(c.config.deferred_reclamation, |_| planted.clone());
         assert!(c.remove(&key, CoreId(0)));
         assert!(c.is_empty());
         assert!(planted.iter().all(|d| d.is_unhashed()));

@@ -74,7 +74,10 @@ struct Shared {
 type PageMap = BTreeMap<u64, Arc<CachedPage>>;
 
 /// One inode's `page index → page` map, swapped wholesale under RCU so
-/// readers never lock. Created by the inode's first fill.
+/// readers never lock. Created by the inode's first fill. Writers
+/// publish per the cache's reclamation discipline while holding at most
+/// the inode's data lock, which no read-side section takes, so a
+/// blocking grace period cannot wait on a reader that waits on them.
 #[derive(Debug)]
 pub(crate) struct Mapping {
     pages: RcuCell<PageMap>,
@@ -82,22 +85,9 @@ pub(crate) struct Mapping {
 }
 
 impl Mapping {
-    /// Publishes `f(current)` and retires the replaced map per the
-    /// configured reclamation discipline, like `Dcache::replace_bucket`.
-    /// Callers hold at most the inode's data lock, which no read-side
-    /// section takes, so a blocking grace period here cannot wait on a
-    /// reader that waits on the caller.
-    fn replace(&self, f: impl FnOnce(&PageMap) -> PageMap) {
-        if self.cache.deferred {
-            self.pages.update_with_deferred(f);
-        } else {
-            self.pages.update_with(f);
-        }
-    }
-
     fn insert(&self, page: Arc<CachedPage>) {
         let mut fresh = false;
-        self.replace(|m| {
+        self.pages.publish(self.cache.deferred, |m| {
             let mut m = m.clone();
             fresh = m.insert(page.index, page).is_none();
             m
@@ -122,7 +112,7 @@ impl Mapping {
             return;
         }
         let mut dropped = 0;
-        self.replace(|m| {
+        self.pages.publish(self.cache.deferred, |m| {
             let mut kept = m.clone();
             kept.retain(|index, _| !range.contains(index));
             dropped = m.len() - kept.len();
