@@ -651,7 +651,7 @@ impl OverloadChaosRow {
     }
 }
 
-/// Runs every serving workload at [`OVERLOAD_LOAD_PCT`] offered load
+/// Runs every serving workload at `OVERLOAD_LOAD_PCT` offered load
 /// with shedding on and 1% `net.rx_drop` armed. Deterministic per
 /// `(choice, cores, seed)`.
 pub fn overload_chaos(choice: Personality, cores: usize, seed: u64) -> Vec<OverloadChaosRow> {
@@ -740,7 +740,7 @@ impl DeadlineChaosRow {
     }
 }
 
-/// Runs the exhausted-deadline row: [`DEADLINE_REQUESTS`] requests hit
+/// Runs the exhausted-deadline row: `DEADLINE_REQUESTS` requests hit
 /// a downstream that fails transiently on every attempt, under a
 /// deadline budget smaller than the first retry backoff. Every request
 /// must come back `Timeout` with the admission queue fully drained;
@@ -849,7 +849,7 @@ fn rcu_sample(snap: &pk_obs::Snapshot, name: &str) -> u64 {
 /// Soaks the deferred-reclamation machinery under forced queue spills.
 ///
 /// Arms a `rcu.defer_overflow` fault point as the RCU spill probe, so
-/// every [`RCU_OVERFLOW_EVERY`]th `call_rcu` is forced down the
+/// every `RCU_OVERFLOW_EVERY`th `call_rcu` is forced down the
 /// blocking overflow path mid-churn, then drives dcache and mount-table
 /// write traffic through a real kernel and checks — via the kernel's
 /// `rcu.*` observability samples — that every retired object was freed

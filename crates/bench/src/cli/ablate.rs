@@ -293,17 +293,7 @@ fn flowsteer_run(hash_steering: bool, conns: u32, pkts_per_conn: u32) -> f64 {
             nic.tx(owner, flow);
         }
     }
-    1.0 - stats_accuracy(&stats)
-}
-
-fn stats_accuracy(stats: &NetStats) -> f64 {
-    let local = stats.rx_steered_local.load(Ordering::Relaxed) as f64;
-    let miss = stats.rx_misdirected.load(Ordering::Relaxed) as f64;
-    if local + miss == 0.0 {
-        1.0
-    } else {
-        local / (local + miss)
-    }
+    1.0 - stats.steering_accuracy()
 }
 
 /// Ablation: flow-director policies for short vs long connections

@@ -33,10 +33,6 @@ impl Counter for AtomicCounter {
     fn value(&self) -> i64 {
         self.value.load(Ordering::Acquire)
     }
-
-    fn name(&self) -> &'static str {
-        "atomic"
-    }
 }
 
 #[cfg(test)]

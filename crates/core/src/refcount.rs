@@ -246,10 +246,6 @@ impl Counter for CountAndOps {
         self.load().0
     }
 
-    fn name(&self) -> &'static str {
-        "atomic.word"
-    }
-
     /// Every operation on the one word is a shared one.
     fn op_counts(&self) -> (u64, u64) {
         (self.load().1, 0)
@@ -375,7 +371,7 @@ mod tests {
 
     fn lifecycle_in_order<B: Backing>(make: impl Fn() -> Lifecycle<B>) {
         let rc = make();
-        let name = rc.counter.name();
+        let name = std::any::type_name::<B>();
         assert_eq!(rc.references(), 1, "{name}: the creator's reference");
         assert!(!rc.is_dead());
         rc.get(CoreId(1)).unwrap();
@@ -419,7 +415,7 @@ mod tests {
         // reference is still counted, and no later get succeeds.
         for _ in 0..300 {
             let rc = make();
-            let name = rc.counter.name();
+            let name = std::any::type_name::<B>();
             rc.put(CoreId(0));
             let start = std::sync::Barrier::new(2);
             let (got, freed) = std::thread::scope(|s| {
@@ -472,9 +468,6 @@ mod tests {
         }
         fn value(&self) -> i64 {
             self.count.load(Ordering::SeqCst)
-        }
-        fn name(&self) -> &'static str {
-            "scripted"
         }
     }
 

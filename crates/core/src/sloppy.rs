@@ -280,10 +280,6 @@ impl crate::traits::Counter for SloppyCounter {
         self.in_use()
     }
 
-    fn name(&self) -> &'static str {
-        "sloppy"
-    }
-
     fn op_counts(&self) -> (u64, u64) {
         SloppyCounter::op_counts(self)
     }
@@ -404,24 +400,6 @@ mod tests {
             c.spares()
         );
         assert_invariant(&c, 1);
-    }
-
-    #[test]
-    fn op_mix_sample_reports_central_share() {
-        use crate::traits::Counter;
-        let c = SloppyCounter::new(2);
-        c.acquire(CoreId(0), 1); // central
-        c.release(CoreId(0), 1); // local
-        c.acquire(CoreId(0), 1); // local
-        let sample = Counter::sample(&c);
-        assert_eq!(sample.name, "sloppy");
-        match sample.value {
-            pk_obs::MetricValue::OpMix { central, local } => {
-                assert_eq!(central, 1);
-                assert_eq!(local, 2);
-            }
-            v => panic!("wrong value kind: {v:?}"),
-        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Scalable NonZero Indicator (SNZI): the flat two-level
-//! [`SnziCounter`] and the topology-aware [`Snzi`] tree.
+//! Scalable NonZero Indicator (SNZI): the topology-aware [`Snzi`] tree
+//! (\[22\], compared with sloppy counters in §4.3; Solaris incorporates
+//! SNZIs).
 //!
 //! The tree's operation tallies (`op_counts`) are plain fields of each
 //! leaf, written under the leaf mutex an update already holds — an
@@ -10,111 +11,12 @@ use pk_percpu::{CoreId, PerCore};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Mutex;
 
-/// Per-leaf state: an exact count plus a flag recording whether this leaf
-/// currently contributes an "arrival" to the root.
-#[derive(Debug, Default)]
-struct Leaf {
-    count: i64,
-    arrived_at_root: bool,
-}
-
-/// A two-level Scalable NonZero Indicator (\[22\], compared with sloppy
-/// counters in §4.3; Solaris incorporates SNZIs).
-///
-/// A SNZI answers *"is the count nonzero?"* with a read of a single root
-/// word, while updates mostly touch per-core leaves: a leaf propagates to
-/// the root only when its own count crosses zero. Exact [`Counter::value`]
-/// reads must still visit every leaf.
-///
-/// # Contract
-///
-/// As in the SNZI paper, departs must be issued from the same leaf (core)
-/// as the matching arrives, and a leaf's count must never go negative.
-/// [`Counter::add`] panics if a depart would underflow its leaf.
-#[derive(Debug)]
-pub struct SnziCounter {
-    root: AtomicI64,
-    leaves: PerCore<Mutex<Leaf>>,
-}
-
-impl SnziCounter {
-    /// Creates an indicator with one leaf per core.
-    pub fn new(cores: usize) -> Self {
-        Self {
-            root: AtomicI64::new(0),
-            leaves: PerCore::new_with(cores, |_| Mutex::new(Leaf::default())),
-        }
-    }
-
-    /// Records `n` arrivals at `core`'s leaf.
-    pub fn arrive(&self, core: CoreId, n: i64) {
-        assert!(n >= 0, "arrive count must be non-negative");
-        let mut leaf = self.leaves.get(core).lock().unwrap();
-        leaf.count += n;
-        if leaf.count > 0 && !leaf.arrived_at_root {
-            // 0 → positive transition: this leaf now contributes to the
-            // root indicator.
-            self.root.fetch_add(1, Ordering::AcqRel);
-            leaf.arrived_at_root = true;
-        }
-    }
-
-    /// Records `n` departures from `core`'s leaf.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the leaf holds fewer than `n` arrivals (contract
-    /// violation: departs must match arrives on the same leaf).
-    pub fn depart(&self, core: CoreId, n: i64) {
-        assert!(n >= 0, "depart count must be non-negative");
-        let mut leaf = self.leaves.get(core).lock().unwrap();
-        assert!(
-            leaf.count >= n,
-            "SNZI contract violation: departing {n} from a leaf holding {}",
-            leaf.count
-        );
-        leaf.count -= n;
-        if leaf.count == 0 && leaf.arrived_at_root {
-            self.root.fetch_sub(1, Ordering::AcqRel);
-            leaf.arrived_at_root = false;
-        }
-    }
-
-    /// The cheap indicator query: one shared read, no leaf traversal.
-    pub fn query(&self) -> bool {
-        self.root.load(Ordering::Acquire) > 0
-    }
-}
-
-impl Counter for SnziCounter {
-    fn add(&self, core: CoreId, delta: i64) {
-        if delta >= 0 {
-            self.arrive(core, delta);
-        } else {
-            self.depart(core, -delta);
-        }
-    }
-
-    fn value(&self) -> i64 {
-        self.leaves.fold(0, |a, l| a + l.lock().unwrap().count)
-    }
-
-    fn is_nonzero(&self) -> bool {
-        self.query()
-    }
-
-    fn name(&self) -> &'static str {
-        "snzi"
-    }
-}
-
 /// One per-core leaf of the [`Snzi`] tree.
 #[derive(Debug, Default)]
-struct TreeLeaf {
-    /// The leaf's share of the logical count. Unlike [`SnziCounter`]
-    /// leaves this may go *negative*: a reference acquired on one core
-    /// and released on another (cross-socket migration) departs from
-    /// the releasing core's leaf.
+struct Leaf {
+    /// The leaf's share of the logical count. It may go *negative*: a
+    /// reference acquired on one core and released on another
+    /// (cross-socket migration) departs from the releasing core's leaf.
     count: i64,
     /// Whether this leaf currently contributes one unit of surplus to
     /// its socket node.
@@ -163,7 +65,7 @@ pub struct Snzi {
     /// Per-socket surplus: how many of the socket's leaves are nonzero.
     socket_surplus: Vec<AtomicI64>,
     cores_per_socket: usize,
-    leaves: PerCore<Mutex<TreeLeaf>>,
+    leaves: PerCore<Mutex<Leaf>>,
     /// Exact count absorbed by reconciliation; always part of the
     /// logical value.
     central: AtomicI64,
@@ -183,7 +85,7 @@ impl Snzi {
             root: AtomicI64::new(0),
             socket_surplus: (0..sockets).map(|_| AtomicI64::new(0)).collect(),
             cores_per_socket: cores.div_ceil(sockets).max(1),
-            leaves: PerCore::new_with(cores, |_| Mutex::new(TreeLeaf::default())),
+            leaves: PerCore::new_with(cores, |_| Mutex::new(Leaf::default())),
             central: AtomicI64::new(0),
         }
     }
@@ -243,10 +145,9 @@ impl Snzi {
         self.update(core, n);
     }
 
-    /// Records `n` departures at `core`'s leaf. Unlike
-    /// [`SnziCounter::depart`] the departing core need not match the
-    /// arriving one: migrated departs drive the leaf negative and the
-    /// leaf keeps carrying surplus until reconciled.
+    /// Records `n` departures at `core`'s leaf. The departing core need
+    /// not match the arriving one: migrated departs drive the leaf
+    /// negative and the leaf keeps carrying surplus until reconciled.
     ///
     /// # Panics
     ///
@@ -316,14 +217,6 @@ impl Counter for Snzi {
         Snzi::value(self)
     }
 
-    fn is_nonzero(&self) -> bool {
-        self.query()
-    }
-
-    fn name(&self) -> &'static str {
-        "snzi.tree"
-    }
-
     fn op_counts(&self) -> (u64, u64) {
         Snzi::op_counts(self)
     }
@@ -333,38 +226,6 @@ impl Counter for Snzi {
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    #[test]
-    fn indicator_tracks_zero_crossings() {
-        let s = SnziCounter::new(4);
-        assert!(!s.query());
-        s.arrive(CoreId(0), 1);
-        assert!(s.query());
-        s.arrive(CoreId(1), 2);
-        assert!(s.query());
-        s.depart(CoreId(0), 1);
-        assert!(s.query(), "core 1 still present");
-        s.depart(CoreId(1), 2);
-        assert!(!s.query());
-    }
-
-    #[test]
-    fn root_counts_leaves_not_arrivals() {
-        let s = SnziCounter::new(2);
-        s.arrive(CoreId(0), 100);
-        assert_eq!(s.root.load(Ordering::Relaxed), 1);
-        s.arrive(CoreId(1), 1);
-        assert_eq!(s.root.load(Ordering::Relaxed), 2);
-        assert_eq!(s.value(), 101);
-    }
-
-    #[test]
-    #[should_panic(expected = "contract violation")]
-    fn cross_leaf_depart_panics() {
-        let s = SnziCounter::new(2);
-        s.arrive(CoreId(0), 1);
-        s.depart(CoreId(1), 1);
-    }
 
     #[test]
     fn tree_surplus_propagates_per_socket() {
@@ -428,8 +289,7 @@ mod tests {
         Counter::add(&s, CoreId(0), 5);
         Counter::add(&s, CoreId(3), -2);
         assert_eq!(Counter::value(&s), 3);
-        assert!(Counter::is_nonzero(&s));
-        assert_eq!(Counter::name(&s), "snzi.tree");
+        assert!(s.query());
         Counter::add(&s, CoreId(0), -3);
         assert_eq!(Counter::value(&s), 0);
     }
@@ -475,28 +335,6 @@ mod tests {
             s.depart(CoreId(core), 1);
         }
         assert!(!s.query());
-    }
-
-    #[test]
-    fn concurrent_sessions_leave_zero() {
-        let s = Arc::new(SnziCounter::new(8));
-        let handles: Vec<_> = (0..8)
-            .map(|core| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    for _ in 0..2_000 {
-                        s.arrive(CoreId(core), 1);
-                        assert!(s.query());
-                        s.depart(CoreId(core), 1);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(!s.query());
-        assert_eq!(s.value(), 0);
     }
 
     #[test]

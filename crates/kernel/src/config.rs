@@ -249,7 +249,6 @@ impl KernelConfig {
             local_dma_alloc: self.has(FixId::LocalDmaBuffers),
             percore_accept_queues: self.has(FixId::ParallelAccept),
             hash_flow_steering: self.has(FixId::ParallelAccept),
-            isolate_false_sharing: self.has(FixId::NetDeviceFalseSharing),
             // RFS is a software alternative the paper cites but PK does
             // not enable (it relies on hardware steering instead).
             software_rfs: false,
@@ -275,7 +274,6 @@ impl KernelConfig {
             },
             per_mapping_superpage_mutex: self.has(FixId::SuperPageFineLocking),
             nocache_superpage_zeroing: self.has(FixId::NoCacheSuperPageZeroing),
-            split_page_layout: self.has(FixId::PageFalseSharing),
             deferred_reclamation: self.deferred_reclamation,
             ..base
         }

@@ -37,7 +37,7 @@ impl std::error::Error for NoSuchProcFile {}
 ///
 /// Supported paths: `/proc/stat`, `/proc/cpuinfo`, `/proc/loadavg`,
 /// `/proc/meminfo`. Unknown paths fail with
-/// [`KernelError::NoSuchProcFile`].
+/// [`KernelError::NoSuchProcFile`](crate::KernelError::NoSuchProcFile).
 pub fn read(kernel: &Kernel, path: &str) -> Result<Vec<u8>, crate::KernelError> {
     let stats = kernel.proc_stats();
     match path {

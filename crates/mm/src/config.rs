@@ -34,9 +34,6 @@ pub struct MmConfig {
     /// "Use non-caching instructions to zero the contents of super-pages"
     /// so zeroing does not flush the on-chip caches (Figure 1).
     pub nocache_superpage_zeroing: bool,
-    /// Place `struct page`'s read-mostly fields on their own cache line
-    /// (§4.6, the Exim false-sharing fix).
-    pub split_page_layout: bool,
     /// Retire replaced region-list snapshots through `call_rcu` per-core
     /// deferred-free queues instead of blocking `mmap`/`munmap` on a
     /// `synchronize()` grace period. Not a Figure-1 fix; on in both
@@ -53,7 +50,6 @@ impl MmConfig {
             pages_per_node: 8 << 20 >> 2, // 8 GB/node of 4 KB pages
             per_mapping_superpage_mutex: false,
             nocache_superpage_zeroing: false,
-            split_page_layout: false,
             deferred_reclamation: true,
         }
     }
@@ -63,7 +59,6 @@ impl MmConfig {
         Self {
             per_mapping_superpage_mutex: true,
             nocache_superpage_zeroing: true,
-            split_page_layout: true,
             ..Self::stock(cores)
         }
     }

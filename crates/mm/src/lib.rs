@@ -12,7 +12,10 @@
 //! * Super-pages — 2 MB mappings with either one global super-page mutex
 //!   (stock) or one mutex per mapping (PK, Figure 1), plus the
 //!   cache-flushing vs non-caching zeroing model.
-//! * [`page`] — the `struct page` false-sharing demonstration (§4.6).
+//!
+//! The §4.6 `struct page` false-sharing fix is a cost-model station
+//! (`FixId::PageFalseSharing` in the Exim model), not substrate state:
+//! splitting a struct's cache lines changes no behaviour to emulate.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -20,7 +23,6 @@
 mod config;
 mod mmap;
 mod numa;
-pub mod page;
 mod stats;
 
 pub use config::{MmConfig, PageSize};

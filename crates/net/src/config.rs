@@ -2,7 +2,9 @@
 
 /// Selects, fix by fix, stock versus PK behaviour. Each flag corresponds
 /// to a Figure-1 row (plus the accept-queue and flow-steering changes of
-/// §4.2).
+/// §4.2). The §4.6 `net_device` false-sharing fix has no flag: it
+/// changes no behaviour, only cache-line placement, so it lives in the
+/// cost models alone (`FixId::NetDeviceFalseSharing`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
     /// Number of cores served (sizes per-core structures and NIC queues).
@@ -26,10 +28,6 @@ pub struct NetConfig {
     /// IXGBE sample-every-20th-TX-packet flow director that misdirects
     /// short connections (§4.2).
     pub hash_flow_steering: bool,
-    /// Place read-only `net_device`/`device` fields on their own cache
-    /// lines (§4.6). Functionally inert; drives the false-sharing cost
-    /// model and the layout types in the nic module.
-    pub isolate_false_sharing: bool,
     /// Software Receive Flow Steering (§4.2 cites RFS \[25\]): the kernel
     /// re-steers polled packets to the core that owns the flow's socket,
     /// paying a cross-core queue hop when the hardware misdirected them.
@@ -69,7 +67,6 @@ impl NetConfig {
             local_dma_alloc: false,
             percore_accept_queues: false,
             hash_flow_steering: false,
-            isolate_false_sharing: false,
             software_rfs: false,
             deferred_reclamation: true,
             accept_backlog_cap: 0,
@@ -89,7 +86,6 @@ impl NetConfig {
             local_dma_alloc: true,
             percore_accept_queues: true,
             hash_flow_steering: true,
-            isolate_false_sharing: true,
             software_rfs: false,
             deferred_reclamation: true,
             accept_backlog_cap: 0,

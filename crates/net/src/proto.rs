@@ -26,13 +26,16 @@ pub enum Protocol {
 pub struct ProtoAccounting {
     tcp: Box<dyn Counter>,
     udp: Box<dyn Counter>,
+    /// Whether both counters are sloppy (their updates stay core-local)
+    /// rather than one shared atomic each.
+    sloppy: bool,
     stats: Arc<NetStats>,
 }
 
 impl std::fmt::Debug for ProtoAccounting {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProtoAccounting")
-            .field("backing", &self.tcp.name())
+            .field("backing", &if self.sloppy { "sloppy" } else { "atomic" })
             .field("tcp_usage", &self.tcp.value())
             .field("udp_usage", &self.udp.value())
             .finish()
@@ -42,7 +45,8 @@ impl std::fmt::Debug for ProtoAccounting {
 impl ProtoAccounting {
     /// Creates accounting counters per `config`.
     pub fn new(config: NetConfig, stats: Arc<NetStats>) -> Self {
-        let make = |sloppy: bool| -> Box<dyn Counter> {
+        let sloppy = config.sloppy_proto_accounting;
+        let make = || -> Box<dyn Counter> {
             if sloppy {
                 Box::new(SloppyCounter::new(config.cores))
             } else {
@@ -50,8 +54,9 @@ impl ProtoAccounting {
             }
         };
         Self {
-            tcp: make(config.sloppy_proto_accounting),
-            udp: make(config.sloppy_proto_accounting),
+            tcp: make(),
+            udp: make(),
+            sloppy,
             stats,
         }
     }
@@ -66,17 +71,17 @@ impl ProtoAccounting {
     /// Charges `bytes` of memory to `proto` on behalf of `core`.
     pub fn charge(&self, proto: Protocol, bytes: usize, core: CoreId) {
         self.counter(proto).add(core, bytes as i64);
-        self.record(proto);
+        self.record();
     }
 
     /// Releases `bytes` of memory from `proto` on behalf of `core`.
     pub fn uncharge(&self, proto: Protocol, bytes: usize, core: CoreId) {
         self.counter(proto).add(core, -(bytes as i64));
-        self.record(proto);
+        self.record();
     }
 
-    fn record(&self, _proto: Protocol) {
-        if self.tcp.name() == "sloppy" {
+    fn record(&self) {
+        if self.sloppy {
             self.stats.proto_local_ops.bump();
         } else {
             self.stats.proto_shared_ops.bump();

@@ -21,8 +21,8 @@
 //! a time as a sorted batch), over struct-of-arrays hot state
 //! (per-station and per-customer fields in parallel vectors, station
 //! FIFO queues as an intrusive index-linked list — no per-event
-//! allocation anywhere in the loop). The
-//! [`reference`] module keeps the original `BinaryHeap` engine as the
+//! allocation anywhere in the loop). The [`reference`](mod@reference)
+//! module keeps the original `BinaryHeap` engine as the
 //! differential oracle: both engines process events in the canonical
 //! `(time, seq)` order — FIFO among simultaneous events — draw from
 //! the service-time RNG at identical points, and consult the fault
@@ -219,11 +219,11 @@ pub fn simulate(net: &Network, cores: usize, ops_per_core: u64, seed: u64) -> De
 ///
 /// * `sim.lock_holder_preempt` — checked at every Queue/NonScalable
 ///   service start; when it fires the service time is inflated by
-///   [`PREEMPT_CYCLES`], modeling the holder losing its timeslice
+///   `PREEMPT_CYCLES`, modeling the holder losing its timeslice
 ///   inside the critical section (the pathology spin locks are famously
 ///   vulnerable to).
 /// * `sim.core_stall` — checked at every dispatch; when it fires the
-///   customer arrives [`STALL_CYCLES`] late, modeling a stalled core.
+///   customer arrives `STALL_CYCLES` late, modeling a stalled core.
 ///
 /// With the plane disabled this is byte-for-byte [`simulate`]: the
 /// fault checks cost one relaxed atomic load and draw nothing from the

@@ -31,7 +31,6 @@
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-pub mod bounds;
 mod caps;
 pub mod des;
 pub mod flow;

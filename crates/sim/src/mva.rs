@@ -234,8 +234,8 @@ impl Network {
     /// the kernel takes a single subsystem lock (`coarse.vfs_lock`,
     /// `coarse.net_lock`, `coarse.mm_lock`).
     ///
-    /// Each cluster's demand is the sum of its members' demands times
-    /// [`Self::COARSE_DISCOUNT`] (fewer distinct lock operations per
+    /// Each cluster's demand is the sum of its members' demands times a
+    /// fixed discount, 0.85 (fewer distinct lock operations per
     /// syscall — the trade-off's upside), and its collapse factor is the
     /// worst member's (polling waiters hammer the one lock — the
     /// downside, which dominates as cores grow). Delay stations and
@@ -378,6 +378,30 @@ mod tests {
         // At 1 core there is no queueing at all.
         let r1 = net.solve(1);
         assert!(close(r1.cycles_per_op, 10_000.0, 1e-9));
+    }
+
+    #[test]
+    fn asymptotic_bounds_are_tight_below_the_knee() {
+        // Operational analysis brackets X(n) by n/(Z + D) and 1/D_max;
+        // well below the knee n* = (Z + D)/D_max the first bound is
+        // nearly met, not just respected.
+        let mut net = Network::new();
+        net.push(Station::delay("user", 9_000.0, false));
+        net.push(Station::queue("lock", 1_000.0, true));
+        net.push(Station::queue("counter", 250.0, true));
+        let (total, d_max) = (10_250.0, 1_000.0);
+        let knee = total / d_max;
+        for n in [1, 2, 5, 10, 11, 20, 48] {
+            let exact = net.solve(n).ops_per_cycle;
+            let bound = (n as f64 / total).min(1.0 / d_max);
+            assert!(
+                exact <= bound * (1.0 + 1e-9),
+                "n={n}: {exact} above {bound}"
+            );
+            if (n as f64) < knee / 2.0 {
+                assert!(exact > 0.8 * bound, "n={n}: bound too loose");
+            }
+        }
     }
 
     #[test]

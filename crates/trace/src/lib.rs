@@ -6,7 +6,7 @@
 //! answers *where the cycles went along a request's path*:
 //!
 //! * **Recording** — per-track fixed-capacity lock-free rings of 32-byte
-//!   [`Event`]s ([`ring`], allocated in chunks as they fill), stamped by
+//!   [`Event`]s (the `ring` module, allocated in chunks as they fill), stamped by
 //!   a deterministic virtual clock ([`Tracer`]): DES simulation cycles
 //!   under `pk-sim`, a monotone per-core op counter in the functional
 //!   drivers. Overflow is counted-and-dropped; a hot path never blocks

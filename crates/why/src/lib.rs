@@ -23,7 +23,7 @@
 //! the attribution tables in OpenMetrics text format for CI artifacts.
 //!
 //! This is §5.2.1 of the paper made per-request: "the kernel time of
-//! [stock] Exim is dominated by one lock" becomes *this* request's
+//! \[stock\] Exim is dominated by one lock" becomes *this* request's
 //! p999 decomposed into the cycles it spent behind each named class.
 //!
 //! Two contracts the rest of the tree relies on:
