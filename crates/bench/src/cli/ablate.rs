@@ -1,8 +1,8 @@
 //! `ablate <threshold|dlookup|accept|fixes|flowsteer>`: the design-choice
 //! ablations behind the paper's fixes.
 
+use super::header;
 use bytes::Bytes;
-use pk_bench::header;
 use pk_kernel::{KernelConfig, FIXES};
 use pk_net::{FlowHash, Listener, NetConfig, NetStack, NetStats, Nic, Skb};
 use pk_percpu::CoreId;

@@ -5,12 +5,11 @@
 //! in-process: the JSON artifact must be byte-identical across two
 //! full runs at the same seed. Exits 1 if any gate fails.
 
-use super::write_artifact;
+use super::{header, write_artifact};
 use pk_bench::adaptive::{
-    failures, report_json, run_all, MAX_FLIPS, MEASURE_OPS_PER_CORE, PK_FLOOR,
+    failures, report_json, row_table, run_all, MAX_FLIPS, MEASURE_OPS_PER_CORE, PK_FLOOR,
 };
 use pk_bench::args::{Args, Kind, Spec};
-use pk_bench::header;
 
 pub const SPEC: Spec = Spec::flags(
     "report adaptive",
@@ -40,30 +39,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let rows = run_all(seed, cores, ops);
     let mut fails = failures(&rows);
 
-    println!(
-        "{:>10}  {:>12}  {:>12}  {:>12}  {:>8}  {:>8}  {:>7}  {:>5}",
-        "workload",
-        "stock op/cy",
-        "pk op/cy",
-        "adapt op/cy",
-        "vs PK",
-        "promoted",
-        "epochs",
-        "flips"
-    );
-    for r in &rows {
-        println!(
-            "{:>10}  {:>12.6}  {:>12.6}  {:>12.6}  {:>7.1}%  {:>8}  {:>7}  {:>5}",
-            r.workload,
-            r.stock_ops_per_cycle,
-            r.pk_ops_per_cycle,
-            r.adaptive_ops_per_cycle,
-            100.0 * r.ratio_vs_pk(),
-            r.promoted,
-            r.epochs,
-            r.max_flips
-        );
-    }
+    print!("{}", row_table().text(&rows));
     println!();
     for r in &rows {
         if !r.decisions.is_empty() {

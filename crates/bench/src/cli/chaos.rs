@@ -7,9 +7,13 @@
 //! The whole report is a pure function of its arguments: re-running
 //! with the same seed replays the identical fault trace.
 
+use super::header;
 use pk_bench::args::{Args, Kind, Spec};
-use pk_bench::{chaos, header};
+use pk_bench::chaos::{
+    self, AdaptiveChaosRow, ChaosReport, DesChaosRow, OverloadChaosRow, RcuChaosReport,
+};
 use pk_kernel::Personality;
+use pk_obs::Table;
 use pk_workloads::roster::{self, SERVING};
 
 pub const SPEC: Spec = Spec::flags(
@@ -21,6 +25,15 @@ pub const SPEC: Spec = Spec::flags(
         ("--strict", Kind::Switch),
     ],
 );
+
+/// A row's `ok?` cell.
+fn verdict(passed: bool) -> &'static str {
+    if passed {
+        "pass"
+    } else {
+        "FAIL"
+    }
+}
 
 /// Prints a row's violations under it; returns whether it had any.
 fn print_violations(violations: &[String]) -> bool {
@@ -61,34 +74,21 @@ pub fn run(args: &Args) -> Result<(), String> {
         }
     }
 
-    println!(
-        "{:>10} {:>6} {:>10} {:>10} {:>7} {:>8} {:>12} {:>9} {:>9} {:>6}",
-        "workload",
-        "config",
-        "baseline",
-        "faulted",
-        "degr%",
-        "retries",
-        "backoff_cyc",
-        "checked",
-        "injected",
-        "ok?"
-    );
+    let soaks = Table::<ChaosReport>::new()
+        .col("{workload:>10}", "", |r| r.workload)
+        .col(" {config:>6}", "", |r| r.config)
+        .col(" {baseline:>10}", "", |r| r.baseline_ops)
+        .col(" {faulted:>10}", "", |r| r.faulted_ops)
+        .col(" {degr%:>6.1}%", "", ChaosReport::degradation_pct)
+        .col(" {retries:>8}", "", |r| r.retries)
+        .col(" {backoff_cyc:>12}", "", |r| r.backoff_cycles)
+        .col(" {checked:>9}", "", |r| r.faults_checked)
+        .col(" {injected:>9}", "", |r| r.faults_injected)
+        .col(" {ok?:>6}", "", |r| verdict(r.passed()));
+    println!("{}", soaks.header());
     let mut failed = false;
     for r in &reports {
-        println!(
-            "{:>10} {:>6} {:>10} {:>10} {:>6.1}% {:>8} {:>12} {:>9} {:>9} {:>6}",
-            r.workload,
-            r.config,
-            r.baseline_ops,
-            r.faulted_ops,
-            r.degradation_pct(),
-            r.retries,
-            r.backoff_cycles,
-            r.faults_checked,
-            r.faults_injected,
-            if r.passed() { "pass" } else { "FAIL" }
-        );
+        println!("{}", soaks.row(r));
         if r.panicked {
             failed = true;
             println!("{:>10}   PANICKED", "");
@@ -101,19 +101,15 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
 
     println!("\nDES chaos (lock-holder preemption + core stalls), PK config:");
-    println!(
-        "{:>10} {:>16} {:>16} {:>7} {:>9}",
-        "workload", "base ops/cyc", "faulted ops/cyc", "degr%", "injected"
-    );
+    let des = Table::<DesChaosRow>::new()
+        .col("{workload:>10}", "", |r| r.workload)
+        .col(" {base ops/cyc:>16.6}", "", |r| r.baseline_ops_per_cycle)
+        .col(" {faulted ops/cyc:>16.6}", "", |r| r.faulted_ops_per_cycle)
+        .col(" {degr%:>6.1}%", "", DesChaosRow::degradation_pct)
+        .col(" {injected:>9}", "", |r| r.faults_injected);
+    println!("{}", des.header());
     for row in chaos::des_chaos(Personality::Pk, cores, seed) {
-        println!(
-            "{:>10} {:>16.6} {:>16.6} {:>6.1}% {:>9}",
-            row.workload,
-            row.baseline_ops_per_cycle,
-            row.faulted_ops_per_cycle,
-            row.degradation_pct(),
-            row.faults_injected
-        );
+        println!("{}", des.row(&row));
         if strict && row.faults_injected == 0 {
             failed = true;
             println!("{:>10}   strict: no scheduler faults fired", "");
@@ -121,55 +117,39 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
 
     println!("\nAdaptive-controller chaos (convergence under scheduler faults):");
-    println!(
-        "{:>10} {:>8} {:>8} {:>7} {:>6} {:>9} {:>16} {:>6}",
-        "workload", "clean", "faulted", "epochs", "flips", "injected", "final ops/cyc", "ok?"
-    );
+    let adaptive = Table::<AdaptiveChaosRow>::new()
+        .col("{workload:>10}", "", |r| r.workload)
+        .col(" {clean:>8}", "", |r| r.clean_promoted)
+        .col(" {faulted:>8}", "", |r| r.faulted_promoted)
+        .col(" {epochs:>7}", "", |r| r.epochs)
+        .col(" {flips:>6}", "", |r| r.max_flips)
+        .col(" {injected:>9}", "", |r| r.faults_injected)
+        .col(" {final ops/cyc:>16.6}", "", |r| r.final_ops_per_cycle)
+        .col(" {ok?:>6}", "", |r| verdict(r.passed()));
+    println!("{}", adaptive.header());
     for r in chaos::adaptive_chaos(cores, seed) {
-        println!(
-            "{:>10} {:>8} {:>8} {:>7} {:>6} {:>9} {:>16.6} {:>6}",
-            r.workload,
-            r.clean_promoted,
-            r.faulted_promoted,
-            r.epochs,
-            r.max_flips,
-            r.faults_injected,
-            r.final_ops_per_cycle,
-            if r.passed() { "pass" } else { "FAIL" }
-        );
+        println!("{}", adaptive.row(&r));
         failed |= print_violations(&r.violations);
     }
 
     println!("\nOpen-loop overload (2x arrivals, shedding on, 1% net.rx_drop):");
-    println!(
-        "{:>10} {:>6} {:>9} {:>9} {:>8} {:>8} {:>9} {:>12} {:>9} {:>6}",
-        "workload",
-        "config",
-        "arrivals",
-        "completed",
-        "rx-drop",
-        "shed",
-        "cancelled",
-        "p999",
-        "peak/cap",
-        "ok?"
-    );
+    let overload = Table::<OverloadChaosRow>::new()
+        .col("{workload:>10}", "", |r| r.workload)
+        .col(" {config:>6}", "", |r| r.config)
+        .col(" {arrivals:>9}", "", |r| r.arrivals)
+        .col(" {completed:>9}", "", |r| r.completed)
+        .col(" {rx-drop:>8}", "", |r| r.nic_dropped)
+        .col(" {shed:>8}", "", |r| r.shed)
+        .col(" {cancelled:>9}", "", |r| r.deadline_cancelled)
+        .col(" {p999:>12}", "", |r| r.p999)
+        .col(" {peak/cap:>9}", "", |r| {
+            format!("{:>6}/{:<2}", r.queue_depth_peak, r.admission_cap)
+        })
+        .col(" {ok?:>6}", "", |r| verdict(r.passed()));
+    println!("{}", overload.header());
     for choice in [Personality::Stock, Personality::Pk] {
         for r in chaos::overload_chaos(choice, cores, seed) {
-            println!(
-                "{:>10} {:>6} {:>9} {:>9} {:>8} {:>8} {:>9} {:>12} {:>6}/{:<2} {:>6}",
-                r.workload,
-                r.config,
-                r.arrivals,
-                r.completed,
-                r.nic_dropped,
-                r.shed,
-                r.deadline_cancelled,
-                r.p999,
-                r.queue_depth_peak,
-                r.admission_cap,
-                if r.passed() { "pass" } else { "FAIL" }
-            );
+            println!("{}", overload.row(&r));
             failed |= print_violations(&r.violations);
             if strict && r.nic_dropped == 0 {
                 failed = true;
@@ -179,39 +159,33 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
 
     println!("\nExhausted-deadline row (budget spent mid-retry must surface Timeout):");
-    {
-        let r = chaos::run_exhausted_deadline(seed);
-        println!(
-            "  {} requests: {} timeouts, {} admitted, depth after {} — {}",
-            r.requests,
-            r.timeouts,
-            r.admitted,
-            r.depth_after,
-            if r.passed() { "pass" } else { "FAIL" }
-        );
-        for v in &r.violations {
-            failed = true;
-            println!("    violation: {v}");
-        }
+    let r = chaos::run_exhausted_deadline(seed);
+    println!(
+        "  {} requests: {} timeouts, {} admitted, depth after {} — {}",
+        r.requests,
+        r.timeouts,
+        r.admitted,
+        r.depth_after,
+        verdict(r.passed())
+    );
+    for v in &r.violations {
+        failed = true;
+        println!("    violation: {v}");
     }
 
     println!("\nRCU deferred-reclamation soak (forced queue spills via rcu.defer_overflow):");
-    println!(
-        "{:>10} {:>9} {:>8} {:>9} {:>9} {:>8} {:>6}",
-        "config", "call_rcu", "freed", "pending", "injected", "spills", "ok?"
-    );
+    let rcu = Table::<RcuChaosReport>::new()
+        .col("{config:>10}", "", |r| r.config)
+        .col(" {call_rcu:>9}", "", |r| r.call_rcu)
+        .col(" {freed:>8}", "", |r| r.freed)
+        .col(" {pending:>9}", "", |r| r.pending_after_barrier)
+        .col(" {injected:>9}", "", |r| r.injected)
+        .col(" {spills:>8}", "", |r| r.spills)
+        .col(" {ok?:>6}", "", |r| verdict(r.passed()));
+    println!("{}", rcu.header());
     for choice in [Personality::Stock, Personality::Pk] {
         let r = chaos::run_rcu_overflow(choice, cores, seed);
-        println!(
-            "{:>10} {:>9} {:>8} {:>9} {:>9} {:>8} {:>6}",
-            r.config,
-            r.call_rcu,
-            r.freed,
-            r.pending_after_barrier,
-            r.injected,
-            r.spills,
-            if r.passed() { "pass" } else { "FAIL" }
-        );
+        println!("{}", rcu.row(&r));
         failed |= print_violations(&r.violations);
     }
 

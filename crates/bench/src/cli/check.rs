@@ -1,8 +1,8 @@
 //! `check <machine|sim|udpmicro>`: methodology checks that make the
 //! simulated substitution auditable.
 
+use super::header;
 use bytes::Bytes;
-use pk_bench::header;
 use pk_kernel::Personality;
 use pk_net::{NetConfig, NetStack, SockAddr};
 use pk_percpu::CoreId;

@@ -17,9 +17,10 @@
 //! configuration behind Figure 4's collapse, whose report must name
 //! the vfsmount-table lock first.
 
+use super::header;
 use pk_adapt::render_log;
 use pk_bench::args::{self, Args, Kind, Spec};
-use pk_bench::{contention_report, contention_report_des, header, resolve};
+use pk_bench::{contention_report, contention_report_des, resolve};
 use pk_kernel::Personality;
 use pk_percpu::CoreId;
 use pk_sim::MachineSpec;

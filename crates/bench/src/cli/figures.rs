@@ -1,19 +1,22 @@
 //! `fig <1..12>`: one section per paper figure or table, printing the
 //! same rows/series the paper plots.
 
-use pk_bench::{header, print_cpu_breakdown, print_ratio, print_throughput};
+use super::header;
 use pk_kernel::{Personality, FIXES, LINES_ADDED, LINES_REMOVED};
+use pk_obs::Table;
 use pk_percpu::CoreId;
 use pk_sim::SweepPoint;
 use pk_sloppy::SloppyCounter;
 use pk_workloads::metis::{self, MetisVariant};
 use pk_workloads::pedsort::{self, PedsortVariant};
 use pk_workloads::postgres::{self, PgVariant};
-use pk_workloads::{apache, exim, gmake, memcached, summary};
+use pk_workloads::summary::{self, Figure12Row};
+use pk_workloads::{apache, exim, gmake, memcached};
 
 type Series = Vec<(String, Vec<SweepPoint>)>;
 
-/// Runs `figure` under each variant and prints the throughput table.
+/// Runs `figure` under each variant and prints the labelled sweeps as
+/// one throughput-per-core table in `unit`, each value × `scale`.
 fn throughput<V: Copy>(
     unit: &str,
     scale: f64,
@@ -25,8 +28,34 @@ fn throughput<V: Copy>(
         .iter()
         .map(|&v| (label(v).to_string(), figure(v)))
         .collect();
-    print_throughput(unit, scale, &series);
+    print!("{:>6}", "cores");
+    for (label, _) in &series {
+        print!("  {label:>18}");
+    }
+    println!("    ({unit})");
+    for i in 0..series[0].1.len() {
+        print!("{:>6}", series[0].1[i].cores);
+        for (_, sweep) in &series {
+            let p = &sweep[i];
+            let capped = if p.hw_capped { "*" } else { " " };
+            print!("  {:>17.1}{capped}", p.per_core_per_sec * scale);
+        }
+        println!();
+    }
+    println!("  (*: bound by a hardware ceiling — NIC or DRAM)");
     series
+}
+
+/// Prints the CPU-time breakdown (user/system per operation) for one
+/// sweep, in `unit` (e.g. "µsec/message"), each value × `scale`.
+fn cpu_breakdown(label: &str, unit: &str, scale: f64, sweep: &[SweepPoint]) {
+    println!("\n{label} CPU time ({unit}):");
+    let table = Table::<SweepPoint>::new()
+        .col("{cores:>6}", "", |p| p.cores)
+        .col("  {user:>12.2}", "", move |p| p.user_usec * scale)
+        .col("  {system:>12.2}", "", move |p| p.system_usec * scale)
+        .col("  {bottleneck:>24}", "", |p| p.bottleneck);
+    print!("{}", table.text(sweep));
 }
 
 /// The stock-vs-PK throughput table most application figures open with.
@@ -40,10 +69,17 @@ fn stock_vs_pk(unit: &str, scale: f64, figure: fn(Personality) -> Vec<SweepPoint
     )
 }
 
-/// The closing scalability lines, one per series.
+/// The closing scalability lines the tests assert on, one per series:
+/// per-core throughput at max cores relative to one core.
 fn ratios(series: &Series) {
     for (label, sweep) in series {
-        print_ratio(label, sweep);
+        let first = sweep.first().expect("non-empty sweep");
+        let last = sweep.last().expect("non-empty sweep");
+        println!(
+            "{label}: per-core throughput at {} cores = {:.2}x of 1 core",
+            last.cores,
+            last.per_core_per_sec / first.per_core_per_sec
+        );
     }
 }
 
@@ -142,7 +178,7 @@ pub fn fig4() {
         "Exim throughput (messages/sec/core) and CPU time (usec/message), 1-48 cores.",
     );
     let series = stock_vs_pk("messages/sec/core", 1.0, exim::figure4);
-    print_cpu_breakdown("PK", "usec/message", 1.0, &series[1].1);
+    cpu_breakdown("PK", "usec/message", 1.0, &series[1].1);
     println!();
     ratios(&series);
 }
@@ -169,7 +205,7 @@ pub fn fig6() {
     );
     let series = stock_vs_pk("requests/sec/core", 1.0, apache::figure6);
     let pk = &series[1].1;
-    print_cpu_breakdown("PK", "usec/request", 1.0, pk);
+    cpu_breakdown("PK", "usec/request", 1.0, pk);
     let idle48 = pk.last().expect("non-empty sweep").idle_fraction;
     println!(
         "\nPK server idle time at 48 cores: {:.0}% (paper reports 18%)",
@@ -195,8 +231,8 @@ pub fn fig7() {
         PgVariant::label,
         |v| postgres::figure(v, true),
     );
-    print_cpu_breakdown("Stock + mod PG", "usec/query", 1.0, &series[1].1);
-    print_cpu_breakdown("PK + mod PG", "usec/query", 1.0, &series[2].1);
+    cpu_breakdown("Stock + mod PG", "usec/query", 1.0, &series[1].1);
+    cpu_breakdown("PK + mod PG", "usec/query", 1.0, &series[2].1);
     println!();
     ratios(&series);
 }
@@ -216,7 +252,7 @@ pub fn fig8() {
         PgVariant::label,
         |v| postgres::figure(v, false),
     );
-    print_cpu_breakdown("Stock (unmodified PG)", "usec/query", 1.0, &series[0].1);
+    cpu_breakdown("Stock (unmodified PG)", "usec/query", 1.0, &series[0].1);
     println!();
     ratios(&series);
 }
@@ -232,7 +268,7 @@ pub fn fig9() {
     let series = stock_vs_pk("builds/hour/core", 3600.0, gmake::figure9);
     let pk = &series[1].1;
     // Seconds/build = usec * 1e-6.
-    print_cpu_breakdown("PK", "sec/build", 1e-6, pk);
+    cpu_breakdown("PK", "sec/build", 1e-6, pk);
     println!();
     let speedup = pk.last().expect("non-empty sweep").total_per_sec / pk[0].total_per_sec;
     println!("PK speedup at 48 cores: {speedup:.1}x");
@@ -257,8 +293,8 @@ pub fn fig10() {
         PedsortVariant::label,
         pedsort::figure10,
     );
-    print_cpu_breakdown("Stock + Procs RR", "sec/job", 1e-6, &series[2].1);
-    print_cpu_breakdown("Stock + Threads", "sec/job", 1e-6, &series[0].1);
+    cpu_breakdown("Stock + Procs RR", "sec/job", 1e-6, &series[2].1);
+    cpu_breakdown("Stock + Threads", "sec/job", 1e-6, &series[0].1);
     println!();
     ratios(&series);
 }
@@ -278,8 +314,8 @@ pub fn fig11() {
         MetisVariant::label,
         metis::figure11,
     );
-    print_cpu_breakdown("Stock + 4KB pages", "sec/job", 1e-6, &series[0].1);
-    print_cpu_breakdown("PK + 2MB pages", "sec/job", 1e-6, &series[1].1);
+    cpu_breakdown("Stock + 4KB pages", "sec/job", 1e-6, &series[0].1);
+    cpu_breakdown("PK + 2MB pages", "sec/job", 1e-6, &series[1].1);
     println!();
     ratios(&series);
 }
@@ -291,11 +327,11 @@ pub fn fig12() {
         "Summary of the current bottlenecks in MOSBENCH, attributed \
          either to hardware (HW) or application structure (App).",
     );
-    println!(
-        "{:<12} {:<42} model diagnostic at 48 cores",
-        "Application", "Bottleneck"
-    );
-    for row in summary::figure12() {
-        println!("{:<12} {:<42} {}", row.app, row.description, row.observed);
-    }
+    let table = Table::<Figure12Row>::new()
+        .col("{Application:<12}", "", |r| r.app)
+        .col(" {Bottleneck:<42}", "", |r| r.description)
+        .col(" {model diagnostic at 48 cores}", "", |r| {
+            r.observed.clone()
+        });
+    print!("{}", table.text(&summary::figure12()));
 }

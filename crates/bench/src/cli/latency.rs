@@ -5,9 +5,9 @@
 //! The report — and the `--json` artifact — is a pure function of the
 //! seed: same seed, byte-identical output.
 
-use super::write_artifact;
+use super::{header, write_artifact};
 use pk_bench::args::{Args, Kind, Spec};
-use pk_bench::{header, latency};
+use pk_bench::latency;
 
 pub const SPEC: Spec = Spec::flags(
     "report latency",
@@ -32,7 +32,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     );
 
     let grid = latency::run_grid(seed);
-    print!("{}", latency::table(&grid));
+    print!("{}", latency::run_table().text(&grid.runs));
     let asserts = latency::assess(&grid);
 
     println!("\nDerived claims:");

@@ -8,7 +8,8 @@
 //! plain build is loud but not a false failure.
 
 use pk_bench::args::{Args, Kind, Spec};
-use pk_bench::lockdep::run_roster;
+use pk_bench::lockdep::{run_roster, LockdepRow};
+use pk_obs::Table;
 
 pub const SPEC: Spec = Spec::flags(
     "report lockdep",
@@ -33,17 +34,14 @@ pub fn run(args: &Args) -> Result<(), String> {
 
     let rows = run_roster(seed, cores);
 
-    println!(
-        "{:<12} {:<7} {:>10} {:>10} {:>13} {:>10}",
-        "workload", "config", "func ops", "des flts", "acquisitions", "violations"
-    );
-    for r in &rows {
-        println!(
-            "{:<12} {:<7} {:>10} {:>10} {:>13} {:>10}",
-            r.workload, r.config, r.functional_ops, r.des_faults, r.acquisitions, r.violations
-        );
-    }
-    println!();
+    let table = Table::<LockdepRow>::new()
+        .col("{workload:<12}", "", |r| r.workload)
+        .col(" {config:<7}", "", |r| r.config)
+        .col(" {func ops:>10}", "", |r| r.functional_ops)
+        .col(" {des flts:>10}", "", |r| r.des_faults)
+        .col(" {acquisitions:>13}", "", |r| r.acquisitions)
+        .col(" {violations:>10}", "", |r| r.violations);
+    println!("{}", table.text(&rows));
 
     let classes = pk_lockdep::classes();
     let (anon, named): (Vec<_>, Vec<_>) = classes.iter().partition(|c| c.name.starts_with("anon."));

@@ -17,6 +17,12 @@ pub mod tail;
 
 use std::path::Path;
 
+/// Prints a section header: the figure or report title and its caption.
+pub fn header(title: &str, caption: &str) {
+    println!("\n=== {title} ===");
+    println!("{caption}\n");
+}
+
 /// Writes a report artifact, creating its directory first so a path
 /// such as `target/reports/tail.json` works on a fresh checkout.
 fn write_artifact(path: &str, contents: &str) -> Result<(), String> {

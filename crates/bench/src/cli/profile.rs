@@ -32,9 +32,9 @@
 //! scales down inversely with the core count above that, keeping the
 //! total traced event volume (and the ring memory) roughly constant.
 
-use super::write_artifact;
+use super::{header, write_artifact};
 use pk_bench::args::{Args, Kind, Spec};
-use pk_bench::{header, profile, resolve};
+use pk_bench::{profile, resolve};
 use pk_kernel::Personality;
 use pk_percpu::CoreId;
 use pk_workloads::exim::EximDriver;
@@ -99,7 +99,7 @@ pub fn run(args: &Args) -> Result<(), String> {
                     out.epochs
                 ),
             }
-            print!("{}", attr.table);
+            print!("{}", attr.profile.table(8));
             if attr.dropped_events > 0 {
                 println!(
                     "  (! {} events dropped to ring overflow)",
@@ -148,19 +148,9 @@ pub fn run(args: &Args) -> Result<(), String> {
         .collect();
     if cores > 48 && !gen2.is_empty() {
         println!("\nGeneration-2 inversions at {cores} cores:");
+        let table = profile::gen2_table();
         for g in &gen2 {
-            println!(
-                "  {:10} {:28} stock {:5.1}% -> pk {:4.1}%  [{}]",
-                g.workload,
-                g.structure,
-                100.0 * g.stock_share.min(1.0),
-                100.0 * g.pk_share,
-                if g.observed {
-                    "observed"
-                } else {
-                    "NOT observed"
-                }
-            );
+            println!("{}", table.row(g));
         }
     }
 

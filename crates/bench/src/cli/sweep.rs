@@ -7,7 +7,8 @@
 
 use pk_bench::args::{self, Args, Kind, Spec};
 use pk_kernel::Personality;
-use pk_sim::{CoreSweep, WorkloadModel};
+use pk_obs::Table;
+use pk_sim::{CoreSweep, SweepPoint, WorkloadModel};
 use pk_workloads::{metis, pedsort, postgres, roster};
 
 pub const SPEC: Spec = Spec {
@@ -80,21 +81,17 @@ pub fn run(args: &Args) -> Result<(), String> {
         .list("--cores")
         .unwrap_or_else(CoreSweep::paper_core_counts);
     println!("{}", m.name());
-    println!(
-        "{:>6} {:>16} {:>16} {:>12} {:>12} {:>6}",
-        "cores", "total/s", "per-core/s", "user µs", "sys µs", "cap?"
-    );
-    for n in counts {
-        let p = CoreSweep::point(m.as_ref(), n);
-        println!(
-            "{:>6} {:>16.1} {:>16.1} {:>12.2} {:>12.2} {:>6}",
-            p.cores,
-            p.total_per_sec,
-            p.per_core_per_sec,
-            p.user_usec,
-            p.system_usec,
-            if p.hw_capped { "HW" } else { "" }
-        );
-    }
+    let points: Vec<SweepPoint> = counts
+        .into_iter()
+        .map(|n| CoreSweep::point(m.as_ref(), n))
+        .collect();
+    let table = Table::<SweepPoint>::new()
+        .col("{cores:>6}", "", |p| p.cores)
+        .col(" {total/s:>16.1}", "", |p| p.total_per_sec)
+        .col(" {per-core/s:>16.1}", "", |p| p.per_core_per_sec)
+        .col(" {user µs:>12.2}", "", |p| p.user_usec)
+        .col(" {sys µs:>12.2}", "", |p| p.system_usec)
+        .col(" {cap?:>6}", "", |p| if p.hw_capped { "HW" } else { "" });
+    print!("{}", table.text(&points));
     Ok(())
 }

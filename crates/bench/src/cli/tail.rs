@@ -7,9 +7,9 @@
 //! overload row (meaningful under `--features lockdep`). Every
 //! artifact is a pure function of the seed.
 
-use super::write_artifact;
+use super::{header, write_artifact};
 use pk_bench::args::{Args, Kind, Spec};
-use pk_bench::{header, tail};
+use pk_bench::tail;
 use pk_kernel::Personality;
 
 pub const SPEC: Spec = Spec::flags(
@@ -41,10 +41,10 @@ pub fn run(args: &Args) -> Result<(), String> {
     );
 
     let grid = tail::run_grid(seed);
-    print!("{}", tail::table(&grid));
+    print!("{}", tail::cell_table().text(&grid.cells));
 
     println!("\nExim p999 decomposition, all personalities:");
-    print!("{}", tail::class_table(&grid, "exim"));
+    print!("{}", tail::decomposition(&grid, "exim"));
 
     // Ring health: every cell already hard-failed on overflow; print
     // the margin so a shrinking one is visible before it bites.
@@ -97,7 +97,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         println!("wrote {path}");
     }
     if let Some(path) = args.text("--openmetrics") {
-        write_artifact(path, &tail::metrics(&grid).render())?;
+        write_artifact(path, &tail::openmetrics(&grid))?;
         println!("wrote {path}");
     }
     if let Some(dir) = args.text("--perfetto") {

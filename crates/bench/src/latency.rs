@@ -17,9 +17,9 @@
 //! Both are derived from the runs, not asserted as constants — if the
 //! engine stops reproducing them, `report latency` exits non-zero.
 
-use crate::json;
 use pk_fault::FaultPlane;
 use pk_kernel::Personality;
+use pk_obs::{document, Table};
 use pk_serve::{run_serving, ServeRun, SERVING};
 
 /// Core count for every serving run: past the paper's single-socket
@@ -254,124 +254,77 @@ pub fn trace_ring_health(seed: u64) -> Vec<RingHealth> {
         .collect()
 }
 
-/// Renders the per-run latency table, one row per run.
-pub fn table(grid: &LatencyGrid) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:>10} {:>6} {:>8} {:>5} {:>9} {:>9} {:>10} {:>10} {:>10} {:>8} {:>8} {:>9}",
-        "workload",
-        "kernel",
-        "posture",
-        "load",
-        "arrivals",
-        "completed",
-        "p50",
-        "p99",
-        "p999",
-        "sloviol",
-        "shed",
-        "queue_end"
-    );
-    for (choice, r) in &grid.runs {
-        let shed_total = r.result.rejected + r.result.shed_oldest + r.result.shed_probabilistic;
-        let _ = writeln!(
-            out,
-            "{:>10} {:>6} {:>8} {:>4}% {:>9} {:>9} {:>10} {:>10} {:>10} {:>8} {:>8} {:>9}",
-            r.workload,
-            choice.legend(),
-            if r.policy.is_bounded() {
-                "shed"
-            } else {
-                "no-shed"
-            },
-            r.load_pct,
-            r.result.arrivals,
-            r.result.completed,
-            r.latency.p50,
-            r.latency.p99,
-            r.latency.p999,
-            r.result.slo_violations,
-            shed_total,
+/// The per-run columns: a text row and a JSON object per run.
+pub fn run_table() -> Table<(Personality, ServeRun)> {
+    let posture = |r: &ServeRun| {
+        if r.policy.is_bounded() {
+            "shed"
+        } else {
+            "no-shed"
+        }
+    };
+    Table::<(Personality, ServeRun)>::new()
+        .col("{workload:>10}", "workload", |(_, r)| r.workload)
+        .col(" {kernel:>6}", "kernel", |(p, _)| p.legend())
+        .col(" {posture:>8}", "posture", move |(_, r)| posture(r))
+        .col(" {load:>4}%", "load_pct", |(_, r)| r.load_pct)
+        .col("", "slo_cycles", |(_, r)| r.slo_budget_cycles)
+        .col(" {arrivals:>9}", "arrivals", |(_, r)| r.result.arrivals)
+        .col(" {completed:>9}", "completed", |(_, r)| r.result.completed)
+        .col(" {p50:>10}", "p50", |(_, r)| r.latency.p50)
+        .col(" {p99:>10}", "p99", |(_, r)| r.latency.p99)
+        .col(" {p999:>10}", "p999", |(_, r)| r.latency.p999)
+        .col(" {sloviol:>8}", "slo_violations", |(_, r)| {
+            r.result.slo_violations
+        })
+        .col(" {shed:>8}", "", |(_, r)| {
+            r.result.rejected + r.result.shed_oldest + r.result.shed_probabilistic
+        })
+        .col("", "rejected", |(_, r)| r.result.rejected)
+        .col("", "shed_oldest", |(_, r)| r.result.shed_oldest)
+        .col("", "shed_probabilistic", |(_, r)| {
+            r.result.shed_probabilistic
+        })
+        .col("", "deadline_cancelled", |(_, r)| {
+            r.result.deadline_cancelled
+        })
+        .col("", "degraded", |(_, r)| r.result.degraded)
+        .col(" {queue_end:>9}", "queue_depth_end", |(_, r)| {
             r.result.queue_depth_end
-        );
-    }
-    out
+        })
+        .col("", "queue_depth_peak", |(_, r)| r.result.queue_depth_peak)
+        .col("", "distinct_users", |(_, r)| r.result.distinct_users)
+        .col("", "new_connections", |(_, r)| r.result.new_connections)
+        .col("", "goodput_fraction", |(_, r)| r.goodput_fraction())
 }
 
-/// Renders the deterministic JSON artifact: fixed key order, fixed
-/// 6-decimal float formatting, runs in grid order — byte-identical
-/// for a fixed seed.
+/// Renders the deterministic JSON artifact: runs in grid order —
+/// byte-identical for a fixed seed.
 pub fn report_json(grid: &LatencyGrid, asserts: &OverloadAssertions) -> String {
-    let runs = grid.runs.iter().map(|(choice, r)| {
-        format!(
-            "{{\"workload\": \"{}\", \"kernel\": \"{}\", \"posture\": \"{}\", \
-             \"load_pct\": {}, \"slo_cycles\": {}, \"arrivals\": {}, \"completed\": {}, \
-             \"p50\": {}, \"p99\": {}, \"p999\": {}, \"slo_violations\": {}, \
-             \"rejected\": {}, \"shed_oldest\": {}, \"shed_probabilistic\": {}, \
-             \"deadline_cancelled\": {}, \"degraded\": {}, \"queue_depth_end\": {}, \
-             \"queue_depth_peak\": {}, \"distinct_users\": {}, \"new_connections\": {}, \
-             \"goodput_fraction\": {:.6}}}",
-            r.workload,
-            choice.legend(),
-            if r.policy.is_bounded() {
-                "shed"
-            } else {
-                "no-shed"
-            },
-            r.load_pct,
-            r.slo_budget_cycles,
-            r.result.arrivals,
-            r.result.completed,
-            r.latency.p50,
-            r.latency.p99,
-            r.latency.p999,
-            r.result.slo_violations,
-            r.result.rejected,
-            r.result.shed_oldest,
-            r.result.shed_probabilistic,
-            r.result.deadline_cancelled,
-            r.result.degraded,
-            r.result.queue_depth_end,
-            r.result.queue_depth_peak,
-            r.result.distinct_users,
-            r.result.new_connections,
-            r.goodput_fraction()
-        )
-    });
-    let verdicts = asserts.verdicts.iter().map(|v| {
-        format!(
-            "{{\"workload\": \"{}\", \"stock_p999\": {}, \"pk_p999\": {}, \
-             \"inverted\": {}, \"shed_p999\": {}, \"shed_p999_bound\": {}, \
-             \"shed_goodput\": {:.6}, \"noshed_queue_end\": {}, \"divergence_floor\": {}, \
-             \"shed_holds\": {}}}",
-            v.workload,
-            v.stock_p999,
-            v.pk_p999,
-            v.inverted,
-            v.shed_p999,
-            v.shed_p999_bound,
-            v.shed_goodput,
-            v.noshed_queue_end,
-            v.divergence_floor,
-            v.shed_holds
-        )
-    });
-    format!(
-        "{{\n  \"seed\": {},\n  \"cores\": {},\n  \"requests\": {REQUESTS},\n  \"runs\": [\n{}  ],\n  \
-         \"verdicts\": [\n{}  ],\n  \
-         \"assertions\": {{\"inversions\": {}, \"inversion_observed\": {}, \
-         \"shedding_bounds_tail\": {}, \"ok\": {}}}\n}}\n",
-        grid.seed,
-        grid.cores,
-        json::lines("    ", runs),
-        json::lines("    ", verdicts),
-        asserts.inversions,
-        asserts.inversion_observed,
-        asserts.shedding_bounds_tail,
-        asserts.ok()
-    )
+    let verdicts = Table::<WorkloadVerdict>::new()
+        .col("", "workload", |v| v.workload)
+        .col("", "stock_p999", |v| v.stock_p999)
+        .col("", "pk_p999", |v| v.pk_p999)
+        .col("", "inverted", |v| v.inverted)
+        .col("", "shed_p999", |v| v.shed_p999)
+        .col("", "shed_p999_bound", |v| v.shed_p999_bound)
+        .col("", "shed_goodput", |v| v.shed_goodput)
+        .col("", "noshed_queue_end", |v| v.noshed_queue_end)
+        .col("", "divergence_floor", |v| v.divergence_floor)
+        .col("", "shed_holds", |v| v.shed_holds);
+    let assertions = Table::<OverloadAssertions>::new()
+        .col("", "inversions", |a| a.inversions)
+        .col("", "inversion_observed", |a| a.inversion_observed)
+        .col("", "shedding_bounds_tail", |a| a.shedding_bounds_tail)
+        .col("", "ok", OverloadAssertions::ok);
+    document([
+        ("seed", grid.seed.into()),
+        ("cores", grid.cores.into()),
+        ("requests", REQUESTS.into()),
+        ("runs", run_table().block(&grid.runs, 1)),
+        ("verdicts", verdicts.block(&asserts.verdicts, 1)),
+        ("assertions", assertions.object(asserts)),
+    ])
 }
 
 #[cfg(test)]
@@ -420,20 +373,5 @@ mod tests {
                 h.workload, h.dropped_by_track
             );
         }
-    }
-
-    #[test]
-    fn report_json_is_deterministic_and_shaped() {
-        let run = || {
-            let grid = run_grid(42);
-            let asserts = assess(&grid);
-            report_json(&grid, &asserts)
-        };
-        let a = run();
-        assert_eq!(a, run(), "artifact must be byte-identical per seed");
-        assert!(a.contains("\"seed\": 42"));
-        assert!(a.contains("\"workload\": \"memcached\""));
-        assert!(a.contains("\"assertions\""));
-        assert!(!table(&run_grid(42)).is_empty());
     }
 }

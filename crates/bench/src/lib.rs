@@ -2,11 +2,11 @@
 //!
 //! Every `pk-bench` subcommand regenerates one of the paper's tables or
 //! figures, or one of the repo's gated reports. This library holds the
-//! report computations plus the small kit they share: the argument
-//! parser ([`args`]), personality resolution ([`personality::resolve`]:
-//! the roster's model, or `pk-adapt`'s converged one), the JSON joiner
-//! ([`json`]) and the helpers below
-//! that render core sweeps as aligned text tables.
+//! report computations, each row type's columns as a [`pk_obs::Table`]
+//! (its text table, JSON and OpenMetrics are renders of that one
+//! statement), and the small kit they share: the argument parser
+//! ([`args`]) and personality resolution ([`personality::resolve`]:
+//! the roster's model, or `pk-adapt`'s converged one).
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -14,7 +14,6 @@
 pub mod adaptive;
 pub mod args;
 pub mod chaos;
-pub mod json;
 pub mod latency;
 pub mod lockdep;
 pub mod personality;
@@ -34,7 +33,6 @@ pub(crate) fn rcu_serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 use pk_obs::ContentionReport;
-use pk_sim::SweepPoint;
 
 /// Builds the contention report for one resolved workload model from
 /// the analytic (MVA) solve: the paper's "which resource eats the
@@ -79,95 +77,4 @@ fn display_name(model_name: &str) -> String {
         .next()
         .unwrap_or(model_name)
         .to_string()
-}
-
-/// Prints a figure header.
-pub fn header(title: &str, caption: &str) {
-    println!("\n=== {title} ===");
-    println!("{caption}\n");
-}
-
-/// Prints one or more labelled sweeps as a throughput-per-core table,
-/// in the units given (e.g. "msgs/sec/core").
-pub fn print_throughput(unit: &str, scale: f64, series: &[(String, Vec<SweepPoint>)]) {
-    print!("{:>6}", "cores");
-    for (label, _) in series {
-        print!("  {label:>18}");
-    }
-    println!("    ({unit})");
-    let n = series[0].1.len();
-    for i in 0..n {
-        print!("{:>6}", series[0].1[i].cores);
-        for (_, sweep) in series {
-            let p = &sweep[i];
-            let capped = if p.hw_capped { "*" } else { " " };
-            print!("  {:>17.1}{capped}", p.per_core_per_sec * scale);
-        }
-        println!();
-    }
-    println!("  (*: bound by a hardware ceiling — NIC or DRAM)");
-}
-
-/// Prints the CPU-time breakdown (user/system per operation) for one
-/// sweep, in the units given (e.g. "µsec/message").
-pub fn print_cpu_breakdown(label: &str, unit: &str, scale: f64, sweep: &[SweepPoint]) {
-    println!("\n{label} CPU time ({unit}):");
-    println!(
-        "{:>6}  {:>12}  {:>12}  {:>24}",
-        "cores", "user", "system", "bottleneck"
-    );
-    for p in sweep {
-        println!(
-            "{:>6}  {:>12.2}  {:>12.2}  {:>24}",
-            p.cores,
-            p.user_usec * scale,
-            p.system_usec * scale,
-            p.bottleneck
-        );
-    }
-}
-
-/// Prints the scalability summary line the tests assert on: per-core
-/// throughput at max cores relative to one core.
-pub fn print_ratio(label: &str, sweep: &[SweepPoint]) {
-    let first = sweep.first().expect("non-empty sweep");
-    let last = sweep.last().expect("non-empty sweep");
-    println!(
-        "{label}: per-core throughput at {} cores = {:.2}x of 1 core",
-        last.cores,
-        last.per_core_per_sec / first.per_core_per_sec
-    );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pk_sim::{CoreSweep, MachineSpec, Network, Station, WorkloadModel};
-
-    struct Flat;
-
-    impl WorkloadModel for Flat {
-        fn name(&self) -> String {
-            "flat".into()
-        }
-
-        fn machine(&self) -> MachineSpec {
-            MachineSpec::paper()
-        }
-
-        fn network(&self, _cores: usize) -> Network {
-            let mut n = Network::new();
-            n.push(Station::delay("user", 1000.0, false));
-            n
-        }
-    }
-
-    #[test]
-    fn printers_do_not_panic() {
-        let sweep = CoreSweep::run(&Flat);
-        header("Figure X", "caption");
-        print_throughput("ops/sec/core", 1.0, &[("flat".to_string(), sweep.clone())]);
-        print_cpu_breakdown("flat", "µsec/op", 1.0, &sweep);
-        print_ratio("flat", &sweep);
-    }
 }

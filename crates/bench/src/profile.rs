@@ -8,30 +8,15 @@
 //! inversion gates CI — if the traced simulation stops reproducing it,
 //! `report profile` exits non-zero.
 
-use crate::{json, Resolved};
-use pk_trace::{Event, Profile, Tracer};
+use crate::Resolved;
+use pk_obs::{document, Cell, Table};
+use pk_trace::{ClassTotals, Event, Profile, Tracer};
 
 /// Simulated operations per customer in a profiling run: long enough
 /// for the attribution shares to stabilize, small enough that the
 /// per-track rings (sized by [`ring_capacity`]) stay in tens of
 /// megabytes at 48 cores.
 pub const OPS_PER_CORE: u64 = 400;
-
-/// One class's slice of a run's cycles, ranked by exclusive (self)
-/// time like a sampling profiler.
-#[derive(Debug, Clone)]
-pub struct ClassShare {
-    /// Resolved span-class name (station, `<station> (wait)`, `des.op`).
-    pub name: String,
-    /// Spans of this class that closed.
-    pub count: u64,
-    /// Σ (end − begin) cycles.
-    pub inclusive: u64,
-    /// Self cycles (inclusive minus children).
-    pub exclusive: u64,
-    /// `exclusive / total_cycles`.
-    pub share: f64,
-}
 
 /// The folded attribution of one traced DES run.
 #[derive(Debug, Clone)]
@@ -42,14 +27,11 @@ pub struct WorkloadAttribution {
     pub config: &'static str,
     /// Simulated core count.
     pub cores: usize,
-    /// Denominator: Σ inclusive cycles of the root `des.op` spans.
-    pub total_cycles: u64,
     /// Events lost to ring overflow (0 in a correctly sized run).
     pub dropped_events: u64,
-    /// Every class, ranked by exclusive cycles descending.
-    pub classes: Vec<ClassShare>,
-    /// Rendered paper-style table of the top classes.
-    pub table: String,
+    /// Every class ranked by exclusive cycles, over the denominator
+    /// `total_cycles` (Σ inclusive cycles of the root `des.op` spans).
+    pub profile: Profile,
 }
 
 impl WorkloadAttribution {
@@ -59,18 +41,20 @@ impl WorkloadAttribution {
     pub fn share_of(&self, pattern: &str) -> f64 {
         // u128: a collapsed 1024-core gmake run sums past u64::MAX.
         let hit: u128 = self
-            .classes
+            .profile
+            .totals()
             .iter()
             .filter(|c| c.name.contains(pattern))
             .map(|c| u128::from(c.exclusive))
             .sum();
-        hit as f64 / self.total_cycles.max(1) as f64
+        hit as f64 / self.profile.total_cycles.max(1) as f64
     }
 
     /// The top class by exclusive cycles, excluding the synthetic
     /// `des.op` root (which only holds per-op residue).
     pub fn top_class(&self) -> &str {
-        self.classes
+        self.profile
+            .totals()
             .iter()
             .map(|c| c.name.as_str())
             .find(|n| *n != "des.op")
@@ -108,28 +92,13 @@ pub fn trace(
     );
     let dropped_events = tracer.dropped();
     let events = tracer.drain();
-    let profile = Profile::build(&events);
-    let total = profile.total_cycles.max(1);
-    let classes = profile
-        .totals()
-        .iter()
-        .map(|t| ClassShare {
-            name: t.name.clone(),
-            count: t.count,
-            inclusive: t.inclusive,
-            exclusive: t.exclusive,
-            share: t.exclusive as f64 / total as f64,
-        })
-        .collect();
     (
         WorkloadAttribution {
             workload: workload.to_string(),
             config: resolved.personality.label(),
             cores,
-            total_cycles: profile.total_cycles,
             dropped_events,
-            classes,
-            table: profile.table(8),
+            profile: Profile::build(&events),
         },
         events,
     )
@@ -228,11 +197,30 @@ pub fn gen2_inversion(
     })
 }
 
-/// Renders the deterministic JSON artifact: fixed key order, fixed
-/// 6-decimal float formatting, runs in roster × {stock, coarse, pk,
-/// adaptive} order — byte-identical for a fixed seed. `inversion` is
-/// `None` when Exim was filtered out of the run; `gen2` carries the
-/// big-topology inversions (empty on the 48-core paper machine).
+/// The gen-2 inversion columns: a text line (stock's share clamped to
+/// 100%) and a JSON object per workload.
+pub fn gen2_table() -> Table<Gen2Inversion> {
+    Table::<Gen2Inversion>::new()
+        .col("  {:<10}", "workload", |g| g.workload.clone())
+        .col(" {:<28}", "structure", |g| g.structure)
+        .col("", "stock_share", |g| g.stock_share)
+        .col(" stock {:>5.1}%", "", |g| 100.0 * g.stock_share.min(1.0))
+        .col(" -> pk {:>4.1}%", "pk_share", |g| Cell::Share(g.pk_share))
+        .col("", "observed", |g| g.observed)
+        .col("  [{}]", "", |g| {
+            if g.observed {
+                "observed"
+            } else {
+                "NOT observed"
+            }
+        })
+}
+
+/// Renders the deterministic JSON artifact: runs in roster × {stock,
+/// coarse, pk, adaptive} order — byte-identical for a fixed seed.
+/// `inversion` is `None` when Exim was filtered out of the run; `gen2`
+/// carries the big-topology inversions (empty on the 48-core paper
+/// machine).
 pub fn report_json(
     seed: u64,
     cores: usize,
@@ -240,52 +228,37 @@ pub fn report_json(
     inversion: Option<&EximInversion>,
     gen2: &[Gen2Inversion],
 ) -> String {
-    let runs = runs.iter().map(|r| {
-        let top = r.classes.iter().take(8).map(|c| {
-            format!(
-                "{{\"class\": \"{}\", \"share\": {:.6}, \"exclusive\": {}, \"inclusive\": {}, \"count\": {}}}",
-                json::escape(&c.name),
-                c.share,
-                c.exclusive,
-                c.inclusive,
-                c.count
-            )
+    let runs_table = Table::<WorkloadAttribution>::new()
+        .col("", "workload", |r| r.workload.clone())
+        .col("", "config", |r| r.config)
+        .col("", "total_cycles", |r| r.profile.total_cycles)
+        .col("", "dropped_events", |r| r.dropped_events)
+        .col("", "top", |r| {
+            let total = r.profile.total_cycles.max(1);
+            Table::<ClassTotals>::new()
+                .col("", "class", |c| c.name.clone())
+                .col("", "share", move |c| c.exclusive as f64 / total as f64)
+                .col("", "exclusive", |c| c.exclusive)
+                .col("", "inclusive", |c| c.inclusive)
+                .col("", "count", |c| c.count)
+                .block(r.profile.top_exclusive(8), 2)
         });
-        format!(
-            "{{\"workload\": \"{}\", \"config\": \"{}\", \"total_cycles\": {}, \"dropped_events\": {}, \"top\": [\n{}    ]}}",
-            json::escape(&r.workload),
-            r.config,
-            r.total_cycles,
-            r.dropped_events,
-            json::lines("      ", top)
-        )
-    });
-    let inversion = match inversion {
-        Some(inv) => format!(
-            "{{\"stock_vfsmount_share\": {:.6}, \"pk_vfsmount_share\": {:.6}, \"stock_top\": \"{}\", \"observed\": {}}}",
-            inv.stock_share,
-            inv.pk_share,
-            json::escape(&inv.stock_top),
-            inv.observed
+    let inversion_table = Table::<EximInversion>::new()
+        .col("", "stock_vfsmount_share", |i| i.stock_share)
+        .col("", "pk_vfsmount_share", |i| i.pk_share)
+        .col("", "stock_top", |i| i.stock_top.clone())
+        .col("", "observed", |i| i.observed);
+    let null = Cell::Json("null".to_string());
+    document([
+        ("seed", seed.into()),
+        ("cores", cores.into()),
+        ("workloads", runs_table.block(runs, 1)),
+        (
+            "exim_inversion",
+            inversion.map_or(null, |i| inversion_table.object(i)),
         ),
-        None => "null".to_string(),
-    };
-    let gen2 = gen2.iter().map(|g| {
-        format!(
-            "{{\"workload\": \"{}\", \"structure\": \"{}\", \"stock_share\": {:.6}, \"pk_share\": {:.6}, \"observed\": {}}}",
-            json::escape(&g.workload),
-            json::escape(g.structure),
-            g.stock_share,
-            g.pk_share,
-            g.observed
-        )
-    });
-    format!(
-        "{{\n  \"seed\": {seed},\n  \"cores\": {cores},\n  \"workloads\": [\n{}  ],\n  \
-         \"exim_inversion\": {inversion},\n  \"gen2_inversions\": [\n{}  ]\n}}\n",
-        json::lines("    ", runs),
-        json::lines("    ", gen2)
-    )
+        ("gen2_inversions", gen2_table().block(gen2, 1)),
+    ])
 }
 
 #[cfg(test)]
@@ -336,29 +309,14 @@ mod tests {
             let (attr, events) =
                 run_traced(name, Personality::Stock, 8, 100, 7, MachineSpec::paper()).unwrap();
             assert_eq!(attr.dropped_events, 0, "{name} overflowed its ring");
-            assert!(attr.total_cycles > 0, "{name} folded no cycles");
+            assert!(attr.profile.total_cycles > 0, "{name} folded no cycles");
             assert!(!events.is_empty(), "{name} traced no events");
         }
     }
 
     #[test]
-    fn report_json_is_deterministic_and_shaped() {
-        let run = || {
-            let (stock, _) =
-                run_traced("exim", Personality::Stock, 8, 100, 42, MachineSpec::paper()).unwrap();
-            let (pk, _) =
-                run_traced("exim", Personality::Pk, 8, 100, 42, MachineSpec::paper()).unwrap();
-            let inv = exim_inversion(&stock, &pk);
-            let gen2: Vec<_> = gen2_inversion(&stock, &pk).into_iter().collect();
-            report_json(42, 8, &[stock, pk], Some(&inv), &gen2)
-        };
-        let a = run();
-        assert_eq!(a, run(), "artifact must be byte-identical per seed");
-        assert!(a.contains("\"seed\": 42"));
-        assert!(a.contains("\"workload\": \"exim\""));
-        assert!(a.contains("\"exim_inversion\""));
-        assert!(a.contains("\"gen2_inversions\""));
-        // Filtered runs emit a null exim block but stay parseable JSON.
+    fn filtered_runs_render_a_null_exim_block() {
+        // Runs without Exim emit a null exim block but stay parseable JSON.
         let b = report_json(42, 8, &[], None, &[]);
         assert!(b.contains("\"exim_inversion\": null"));
     }

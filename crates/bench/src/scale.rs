@@ -13,9 +13,9 @@
 //! The JSON is a flat object — one sorted dotted key per line — so the
 //! regression check needs no JSON library, just the line parser below.
 
-use crate::json;
 use crate::personality::converge;
 use pk_kernel::Personality;
+use pk_obs::{document, Cell};
 use pk_percpu::{CoreId, MAX_CORES};
 use pk_sim::{des, CoreSweep};
 use pk_sync::rcu;
@@ -35,12 +35,12 @@ pub const SCHEMA_VERSION: u64 = 4;
 /// calls it a regression (the issue's 10% budget).
 pub const REGRESSION_BUDGET: f64 = 0.10;
 
-/// A flat, sorted metric map with pre-formatted values. `BTreeMap`
-/// ordering plus fixed float formatting is what makes the emitted JSON
-/// byte-identical across runs.
+/// A flat, sorted metric map. `BTreeMap` ordering plus the renderer's
+/// fixed float formatting is what makes the emitted JSON byte-identical
+/// across runs.
 #[derive(Debug, Default, Clone)]
 pub struct Metrics {
-    map: BTreeMap<String, String>,
+    map: BTreeMap<String, Cell>,
 }
 
 impl Metrics {
@@ -51,12 +51,12 @@ impl Metrics {
 
     /// Records an integer metric.
     pub fn put_u64(&mut self, key: &str, v: u64) {
-        self.map.insert(key.to_string(), v.to_string());
+        self.map.insert(key.to_string(), v.into());
     }
 
-    /// Records a float metric with fixed 6-decimal formatting.
+    /// Records a float metric (rendered to six decimals).
     pub fn put_f64(&mut self, key: &str, v: f64) {
-        self.map.insert(key.to_string(), format!("{v:.6}"));
+        self.map.insert(key.to_string(), v.into());
     }
 
     /// Number of metrics recorded.
@@ -69,16 +69,15 @@ impl Metrics {
         self.map.is_empty()
     }
 
-    /// Looks up a metric as a float.
+    /// Looks up a metric as a float, as written (six decimals).
     pub fn get(&self, key: &str) -> Option<f64> {
-        self.map.get(key).and_then(|v| v.parse().ok())
+        self.map.get(key).and_then(|v| v.json().parse().ok())
     }
 
     /// Renders the flat JSON document: `{`, one `  "key": value,` line
     /// per metric in sorted order, `}`, trailing newline.
     pub fn to_json(&self) -> String {
-        let metrics = self.map.iter().map(|(k, v)| format!("\"{k}\": {v}"));
-        format!("{{\n{}}}\n", json::lines("  ", metrics))
+        document(self.map.iter().map(|(k, v)| (k.as_str(), v.clone())))
     }
 
     /// Parses a document produced by [`Metrics::to_json`]. Returns the
@@ -426,22 +425,6 @@ impl CheckReport {
     pub fn passed(&self) -> bool {
         self.drift.is_empty() && self.regressions.is_empty()
     }
-
-    /// Every failure as a message line (drift first, then regressions
-    /// worst-first) — the flat form [`check_against_baseline`] returns.
-    pub fn failures(&self) -> Vec<String> {
-        let mut out = self.drift.clone();
-        out.extend(self.regressions.iter().map(|r| {
-            format!(
-                "regression in {}: {:.3} -> {:.3} (budget {:.0}%)",
-                r.key,
-                r.baseline,
-                r.candidate,
-                REGRESSION_BUDGET * 100.0
-            )
-        }));
-        out
-    }
 }
 
 /// Diffs `current` against a committed `baseline` document.
@@ -498,12 +481,6 @@ pub fn check_report(baseline_text: &str, current: &Metrics) -> CheckReport {
         .regressions
         .sort_by(|a, b| b.ratio.total_cmp(&a.ratio).then(a.key.cmp(&b.key)));
     report
-}
-
-/// Flat-message form of [`check_report`] (empty = pass), kept for
-/// callers that only need pass/fail plus printable lines.
-pub fn check_against_baseline(baseline_text: &str, current: &Metrics) -> Vec<String> {
-    check_report(baseline_text, current).failures()
 }
 
 /// Times the calendar-queue DES engine over the full 48-core roster
@@ -599,19 +576,20 @@ mod tests {
         let mut ok = Metrics::new();
         ok.put_f64("des.x.cycles_per_op", 104.0);
         ok.put_u64("stall.y.modeled_stall_cycles", 1000);
-        assert!(check_against_baseline(&text, &ok).is_empty());
+        assert!(check_report(&text, &ok).passed());
 
         let mut slow = ok.clone();
         slow.put_f64("des.x.cycles_per_op", 120.0);
-        let fails = check_against_baseline(&text, &slow);
-        assert_eq!(fails.len(), 1);
-        assert!(fails[0].contains("regression in des.x.cycles_per_op"));
+        let report = check_report(&text, &slow);
+        assert!(report.drift.is_empty());
+        let keys: Vec<&str> = report.regressions.iter().map(|r| r.key.as_str()).collect();
+        assert_eq!(keys, ["des.x.cycles_per_op"]);
 
         let mut drifted = ok.clone();
         drifted.put_u64("stall.z.new_metric", 1);
-        assert!(check_against_baseline(&text, &drifted)
-            .iter()
-            .any(|f| f.contains("not in baseline")));
+        let report = check_report(&text, &drifted);
+        assert!(report.regressions.is_empty());
+        assert!(report.drift.iter().any(|f| f.contains("not in baseline")));
     }
 
     #[test]
@@ -634,9 +612,5 @@ mod tests {
         let worst = &report.regressions[0];
         assert_eq!((worst.baseline, worst.candidate), (100.0, 300.0));
         assert!((worst.ratio - 3.0).abs() < 1e-9);
-        // The flat form renders both, worst first, with the values.
-        let flat = report.failures();
-        assert_eq!(flat.len(), 2);
-        assert!(flat[0].contains("b.cycles_per_op") && flat[0].contains("300.000"));
     }
 }

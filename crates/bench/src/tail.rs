@@ -27,12 +27,13 @@
 //! some exemplar tree is missing a span, so the capture is sized by
 //! [`pk_sim::flow_ring_capacity`] and checked per track.
 
-use crate::{json, resolve};
+use crate::resolve;
 use pk_kernel::Personality;
+use pk_obs::{document, Cell, OpenMetrics, Table};
 use pk_serve::{run_serving_flow, ServeRun, SERVING};
 use pk_sim::{flow_ring_capacity, MachineSpec};
 use pk_trace::{Event, Tracer};
-use pk_why::{attribute, encode_exemplars, exemplars, fold, Attribution, MetricSet, RequestCost};
+use pk_why::{attribute, encode_exemplars, exemplars, fold, Attribution, ClassShare, RequestCost};
 
 /// Core count for every traced run: the paper's full machine, past
 /// the collapse knee for every stock serving workload.
@@ -302,62 +303,110 @@ pub fn assess(grid: &TailGrid) -> TailAssertions {
     }
 }
 
-/// Renders the per-cell summary table: one row per cell, the p999
-/// decomposition compressed to its widest class.
-pub fn table(grid: &TailGrid) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:>10} {:>9} {:>9} {:>9} {:>10} {:>10} {:>10} {:>24} {:>7} {:>6}",
-        "workload",
-        "kernel",
-        "arrivals",
-        "folded",
-        "p50",
-        "p99",
-        "p999",
-        "p999 widest class",
-        "share",
-        "bp"
-    );
-    for c in &grid.cells {
-        let a = c.at(0.999);
-        let (class, share, bp) = a
-            .by_class
-            .first()
-            .map(|s| (s.class.as_str(), s.share_of_waits, s.bp_of_latency))
-            .unwrap_or(("-", 0.0, 0));
-        let _ = writeln!(
-            out,
-            "{:>10} {:>9} {:>9} {:>9} {:>10} {:>10} {:>10} {:>24} {:>6.1}% {:>6}",
-            c.workload,
-            c.personality.label(),
-            c.run.result.arrivals,
-            c.folded,
-            c.at(0.5).threshold_cycles,
-            c.at(0.99).threshold_cycles,
-            a.threshold_cycles,
-            class,
-            share * 100.0,
-            bp
-        );
-    }
-    out
+/// The per-cell columns: text one row per cell with the p999
+/// decomposition compressed to its widest class, JSON one object per
+/// cell, OpenMetrics the cell's completions and ring drops.
+pub fn cell_table() -> Table<TailCell> {
+    let widest = |c: &TailCell| c.at(0.999).by_class.first().cloned();
+    Table::<TailCell>::new()
+        .col("{workload:>10}", "workload", |c| c.workload)
+        .col(" {kernel:>9}", "kernel", |c| c.personality.label())
+        .col(" {arrivals:>9}", "arrivals", |c| c.run.result.arrivals)
+        .col("", "completed", |c| c.run.result.completed)
+        .col(" {folded:>9}", "folded", |c| c.folded)
+        .counter(
+            "pk_tail_requests",
+            "completed requests folded into span trees",
+        )
+        .col("", "in_flight", |c| c.in_flight)
+        .col("", "exemplar_bytes", |c| c.exemplar_bytes.len())
+        .col("", "exemplar_fnv64", |c| {
+            format!("{:016x}", fnv64(&c.exemplar_bytes))
+        })
+        .col("", "quantiles", |c| {
+            attribution_table().inline(&c.attributions)
+        })
+        .col("", "", |c| c.dropped_by_track.iter().sum::<u64>())
+        .counter(
+            "pk_trace_dropped_events",
+            "trace ring overflow drops (must be zero)",
+        )
+        .col(" {p50:>10}", "", |c| c.at(0.5).threshold_cycles)
+        .col(" {p99:>10}", "", |c| c.at(0.99).threshold_cycles)
+        .col(" {p999:>10}", "", |c| c.at(0.999).threshold_cycles)
+        .col(" {p999 widest class:>24}", "", move |c| {
+            widest(c).map_or("-".to_string(), |s| s.class)
+        })
+        .col(" {share:>6.1}%", "", move |c| {
+            Cell::Share(widest(c).map_or(0.0, |s| s.share_of_waits))
+        })
+        .col(" {bp:>6}", "", move |c| {
+            widest(c).map_or(0, |s| s.bp_of_latency)
+        })
 }
 
-/// Renders one workload's full p999 decomposition across all four
-/// personalities: the accounting-identity terms, then every class.
-pub fn class_table(grid: &TailGrid, workload: &str) -> String {
-    use std::fmt::Write as _;
+/// The family, and its help, gauging a tail quantile's
+/// accounting-identity terms.
+const TERM: &str = "pk_tail_term_cycles";
+const TERM_HELP: &str = "accounting-identity term summed over the tail set";
+
+/// The per-quantile columns: the accounting-identity terms and the
+/// classes behind them, in JSON and as OpenMetrics gauges.
+fn attribution_table() -> Table<Attribution> {
+    Table::<Attribution>::new()
+        .col("", "q", |a| Cell::Json(a.quantile.to_string()))
+        .col("", "threshold", |a| a.threshold_cycles)
+        .gauge(
+            "pk_tail_threshold_cycles",
+            &[],
+            "exact per-request latency order statistic",
+        )
+        .col("", "requests", |a| a.requests)
+        .col("", "total_latency", |a| a.total_latency)
+        .col("", "queue", |a| a.queue)
+        .gauge(TERM, &[("term", "queue")], TERM_HELP)
+        .col("", "service", |a| a.service)
+        .gauge(TERM, &[("term", "service")], TERM_HELP)
+        .col("", "wait_total", |a| a.wait_total)
+        .gauge(TERM, &[("term", "wait")], TERM_HELP)
+        .col("", "slack", |a| a.slack)
+        .gauge(TERM, &[("term", "slack")], TERM_HELP)
+        .col("", "by_class", |a| class_share_table().inline(&a.by_class))
+}
+
+/// One lock class's share of a tail quantile: a line of the text
+/// decomposition, a JSON object, two OpenMetrics gauges.
+fn class_share_table() -> Table<ClassShare> {
+    Table::<ClassShare>::new()
+        .col("    {:>24}", "class", |s| s.class.clone())
+        .col(" {:>12} cycles", "wait", |s| s.wait)
+        .col(" {:>6.1}% of waits", "share", |s| {
+            Cell::Share(s.share_of_waits)
+        })
+        .gauge(
+            "pk_tail_wait_share",
+            &[],
+            "fraction of the tail's lock-class wait pool",
+        )
+        .col(" {:>6} bp of latency", "bp", |s| s.bp_of_latency)
+        .gauge(
+            "pk_tail_wait_bp",
+            &[],
+            "basis points of tail latency spent waiting on the class",
+        )
+}
+
+/// `workload`'s p999 decomposition under every personality: the
+/// accounting identity's terms, then one line per class behind its
+/// waits.
+pub fn decomposition(grid: &TailGrid, workload: &str) -> String {
+    let classes = class_share_table();
     let mut out = String::new();
     for p in Personality::ALL {
-        let c = grid.find(workload, p);
-        let a = c.at(0.999);
-        let _ = writeln!(
-            out,
+        let a = grid.find(workload, p).at(0.999);
+        out += &format!(
             "{workload}/{}: p999 >= {} cycles over {} requests \
-             (queue {}, service {}, waits {}, slack {})",
+             (queue {}, service {}, waits {}, slack {})\n",
             p.label(),
             a.threshold_cycles,
             a.requests,
@@ -367,14 +416,7 @@ pub fn class_table(grid: &TailGrid, workload: &str) -> String {
             a.slack
         );
         for s in &a.by_class {
-            let _ = writeln!(
-                out,
-                "    {:>24} {:>12} cycles {:>6.1}% of waits {:>6} bp of latency",
-                s.class,
-                s.wait,
-                s.share_of_waits * 100.0,
-                s.bp_of_latency
-            );
+            out += &(classes.row(s) + "\n");
         }
     }
     out
@@ -391,140 +433,52 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Renders the deterministic JSON artifact: fixed key order, fixed
-/// float formatting, cells in grid order — byte-identical per seed.
-pub fn report_json(grid: &TailGrid, asserts: &TailAssertions) -> String {
-    let cells = grid.cells.iter().map(|c| {
-        let quantiles: Vec<String> = c
-            .attributions
-            .iter()
-            .map(|a| {
-                let by_class: Vec<String> = a
-                    .by_class
-                    .iter()
-                    .map(|s| {
-                        format!(
-                            "{{\"class\": \"{}\", \"wait\": {}, \"share\": {:.6}, \"bp\": {}}}",
-                            json::escape(&s.class),
-                            s.wait,
-                            s.share_of_waits,
-                            s.bp_of_latency
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"q\": {}, \"threshold\": {}, \"requests\": {}, \
-                     \"total_latency\": {}, \"queue\": {}, \"service\": {}, \
-                     \"wait_total\": {}, \"slack\": {}, \"by_class\": [{}]}}",
-                    a.quantile,
-                    a.threshold_cycles,
-                    a.requests,
-                    a.total_latency,
-                    a.queue,
-                    a.service,
-                    a.wait_total,
-                    a.slack,
-                    by_class.join(",")
-                )
-            })
-            .collect();
-        format!(
-            "{{\"workload\": \"{}\", \"kernel\": \"{}\", \"arrivals\": {}, \
-             \"completed\": {}, \"folded\": {}, \"in_flight\": {}, \
-             \"exemplar_bytes\": {}, \"exemplar_fnv64\": \"{:016x}\", \
-             \"quantiles\": [{}]}}",
-            c.workload,
-            c.personality.label(),
-            c.run.result.arrivals,
-            c.run.result.completed,
-            c.folded,
-            c.in_flight,
-            c.exemplar_bytes.len(),
-            fnv64(&c.exemplar_bytes),
-            quantiles.join(",")
-        )
-    });
-    format!(
-        "{{\n  \"seed\": {},\n  \"cores\": {},\n  \"requests\": {},\n  \"cells\": [\n{}  ],\n  \
-         \"assertions\": {{\"inversions\": {}, \"inversion_observed\": {}, \
-         \"stock_exim_mount_share\": {:.6}, \"stock_attribution_concentrated\": {}, \
-         \"pk_exim_max_class\": \"{}\", \"pk_exim_max_class_bp\": {}, \
-         \"pk_attribution_flat\": {}, \"ok\": {}}}\n}}\n",
-        grid.seed,
-        grid.cores,
-        grid.requests,
-        json::lines("    ", cells),
-        asserts.inversions,
-        asserts.inversion_observed,
-        asserts.stock_exim_mount_share,
-        asserts.stock_attribution_concentrated,
-        json::escape(&asserts.pk_exim_max_class),
-        asserts.pk_exim_max_class_bp,
-        asserts.pk_attribution_flat,
-        asserts.ok()
-    )
+/// The grid's gate verdicts as one JSON object.
+fn assertion_table() -> Table<TailAssertions> {
+    Table::<TailAssertions>::new()
+        .col("", "inversions", |a| a.inversions)
+        .col("", "inversion_observed", |a| a.inversion_observed)
+        .col("", "stock_exim_mount_share", |a| a.stock_exim_mount_share)
+        .col("", "stock_attribution_concentrated", |a| {
+            a.stock_attribution_concentrated
+        })
+        .col("", "pk_exim_max_class", |a| a.pk_exim_max_class.clone())
+        .col("", "pk_exim_max_class_bp", |a| a.pk_exim_max_class_bp)
+        .col("", "pk_attribution_flat", |a| a.pk_attribution_flat)
+        .col("", "ok", TailAssertions::ok)
 }
 
-/// Renders the grid as an OpenMetrics exposition (`pk-why`'s
-/// renderer): thresholds, identity terms, and per-class shares as
-/// gauges; completions and ring drops as counters.
-pub fn metrics(grid: &TailGrid) -> MetricSet {
-    let mut m = MetricSet::new();
+/// Renders the deterministic JSON artifact: cells in grid order —
+/// byte-identical per seed.
+pub fn report_json(grid: &TailGrid, asserts: &TailAssertions) -> String {
+    document([
+        ("seed", grid.seed.into()),
+        ("cores", grid.cores.into()),
+        ("requests", grid.requests.into()),
+        ("cells", cell_table().block(&grid.cells, 1)),
+        ("assertions", assertion_table().object(asserts)),
+    ])
+}
+
+/// Renders the grid as an OpenMetrics exposition: thresholds, identity
+/// terms and per-class shares as gauges; completions and ring drops as
+/// counters.
+pub fn openmetrics(grid: &TailGrid) -> String {
+    let (cells, quantiles, classes) = (cell_table(), attribution_table(), class_share_table());
+    let mut om = OpenMetrics::default();
     for c in &grid.cells {
         let cell = [("workload", c.workload), ("kernel", c.personality.label())];
-        let dropped = c.dropped_by_track.iter().sum::<u64>();
-        m.counter(
-            "pk_tail_requests",
-            "completed requests folded into span trees",
-            &cell,
-            c.folded as f64,
-        );
-        m.counter(
-            "pk_trace_dropped_events",
-            "trace ring overflow drops (must be zero)",
-            &cell,
-            dropped as f64,
-        );
+        om.row(&cells, c, &cell);
         for a in &c.attributions {
-            let q = format!("{}", a.quantile);
-            let at = [cell[0], cell[1], ("quantile", q.as_str())];
-            m.gauge(
-                "pk_tail_threshold_cycles",
-                "exact per-request latency order statistic",
-                &at,
-                a.threshold_cycles as f64,
-            );
-            for (term, v) in [
-                ("queue", a.queue),
-                ("service", a.service),
-                ("wait", a.wait_total),
-                ("slack", a.slack),
-            ] {
-                m.gauge(
-                    "pk_tail_term_cycles",
-                    "accounting-identity term summed over the tail set",
-                    &[at[0], at[1], at[2], ("term", term)],
-                    v as f64,
-                );
-            }
+            let q = a.quantile.to_string();
+            let at = [cell[0], cell[1], ("quantile", &q)];
+            om.row(&quantiles, a, &at);
             for s in &a.by_class {
-                let class = [at[0], at[1], at[2], ("class", s.class.as_str())];
-                m.gauge(
-                    "pk_tail_wait_share",
-                    "fraction of the tail's lock-class wait pool",
-                    &class,
-                    s.share_of_waits,
-                );
-                m.gauge(
-                    "pk_tail_wait_bp",
-                    "basis points of tail latency spent waiting on the class",
-                    &class,
-                    s.bp_of_latency as f64,
-                );
+                om.row(&classes, s, &[at[0], at[1], at[2], ("class", &s.class)]);
             }
         }
     }
-    m
+    om.render()
 }
 
 /// The lockdep-live overload row: the *functional* Exim driver (real
@@ -653,11 +607,12 @@ mod tests {
         assert_eq!(json, report_json(grid, &asserts));
         assert!(json.contains("\"seed\": 42"));
         assert!(json.contains(MOUNT_CLASS));
-        let text = metrics(grid).render();
+        let text = openmetrics(grid);
         assert!(text.contains("pk_tail_wait_share"));
         assert!(text.ends_with("# EOF\n"));
-        assert!(!table(grid).is_empty());
-        assert!(class_table(grid, "exim").contains("exim/pk"));
+        let table = cell_table().text(&grid.cells);
+        assert_eq!(table.lines().count(), grid.cells.len() + 1);
+        assert!(decomposition(grid, "exim").contains("exim/pk"));
     }
 
     #[test]

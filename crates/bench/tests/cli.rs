@@ -149,8 +149,8 @@ fn a_failed_gate_is_exit_1_not_2() {
 }
 
 /// Runs `line` in a fresh scratch directory and returns the directory
-/// (for the caller to inspect and remove) with the exit code.
-fn run_in_scratch(tag: &str, line: &str) -> (std::path::PathBuf, Option<i32>) {
+/// (for the caller to inspect and remove) with the run's output.
+fn run_in_scratch(tag: &str, line: &str) -> (std::path::PathBuf, Output) {
     let dir = std::env::temp_dir().join(format!("pk-bench-cli-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let out = Command::new(env!("CARGO_BIN_EXE_pk-bench"))
@@ -158,26 +158,47 @@ fn run_in_scratch(tag: &str, line: &str) -> (std::path::PathBuf, Option<i32>) {
         .current_dir(&dir)
         .output()
         .expect("pk-bench runs");
-    (dir, out.status.code())
+    (dir, out)
 }
 
 #[test]
 fn artifacts_are_written_only_where_told_and_directories_are_created() {
-    for (tag, command) in [
-        ("adaptive", "report adaptive --cores 4 --ops 100"),
+    for (tag, command, artifacts) in [
+        (
+            "adaptive",
+            "report adaptive --cores 4 --ops 100",
+            "--json reports/out.json",
+        ),
         (
             "profile",
             "report profile --cores 4 --ops 50 --workloads exim",
+            "--json reports/out.json",
+        ),
+        ("latency", "report latency", "--json reports/out.json"),
+        (
+            "tail",
+            "report tail",
+            "--json reports/out.json --openmetrics reports/out.om",
         ),
     ] {
-        let (dir, code) = run_in_scratch(tag, command);
+        let (dir, out) = run_in_scratch(tag, command);
+        let code = out.status.code();
         assert!(matches!(code, Some(0 | 1)), "`{command}` ran: {code:?}");
         let left = std::fs::read_dir(&dir).expect("scratch dir").count();
         assert_eq!(left, 0, "`{command}`: no artifact flag, nothing in cwd");
-        let (dir, _) = run_in_scratch(tag, &format!("{command} --json reports/out.json"));
-        let text = std::fs::read_to_string(dir.join("reports/out.json"))
-            .expect("--json creates its directory");
-        assert!(text.starts_with("{\n  \"seed\": 42,\n  \"cores\": 4,\n"));
+        let (dir, _) = run_in_scratch(tag, &format!("{command} {artifacts}"));
+        for path in artifacts.split_whitespace().skip(1).step_by(2) {
+            let text = std::fs::read_to_string(dir.join(path))
+                .unwrap_or_else(|e| panic!("`{command}` creates {path}'s directory: {e}"));
+            if path.ends_with(".json") {
+                assert!(
+                    text.starts_with("{\n  \"seed\": 42,\n  \"cores\": "),
+                    "{text}"
+                );
+            } else {
+                assert!(text.ends_with("# EOF\n"), "{text}");
+            }
+        }
         std::fs::remove_dir_all(&dir).expect("clean up");
     }
 }
@@ -185,8 +206,8 @@ fn artifacts_are_written_only_where_told_and_directories_are_created() {
 /// CI writes `scale --out target/reports/...` on a fresh runner.
 #[test]
 fn scale_out_creates_its_directory() {
-    let (dir, code) = run_in_scratch("scale", "scale --seed 42 --out fresh/reports/scale.json");
-    assert_eq!(code, Some(0));
+    let (dir, out) = run_in_scratch("scale", "scale --seed 42 --out fresh/reports/scale.json");
+    assert_eq!(out.status.code(), Some(0));
     let text = std::fs::read_to_string(dir.join("fresh/reports/scale.json")).expect("written");
     assert!(text.contains("\"meta.schema_version\""), "{text}");
     std::fs::remove_dir_all(&dir).expect("clean up");
@@ -253,12 +274,12 @@ fn fig_all_matches_the_committed_golden() {
     );
 }
 
-/// `report tail --seed 42 --json` likewise: the 12-cell,
-/// 4-personality grid (exact p50/p99/p999 per cell, the attribution
-/// shares, the exemplar hashes) is committed, and recomputed here
-/// in-process.
+/// `report tail --seed 42 --json` and `--openmetrics` likewise: the
+/// 12-cell, 4-personality grid (exact p50/p99/p999 per cell, the
+/// attribution shares, the exemplar hashes) is committed, and
+/// recomputed here in-process, once for both artifacts.
 #[test]
-fn tail_matches_the_committed_golden() {
+fn tail_matches_the_committed_goldens() {
     use pk_bench::tail;
     let grid = tail::run_grid(42);
     assert_matches_golden(
@@ -268,4 +289,75 @@ fn tail_matches_the_committed_golden() {
         "tail.json",
         "report tail --seed 42 --json ",
     );
+    assert_matches_golden(
+        "pk-bench report tail --seed 42 --openmetrics",
+        &tail::openmetrics(&grid),
+        include_str!("golden/tail.om"),
+        "tail.om",
+        "report tail --seed 42 --openmetrics ",
+    );
+}
+
+/// Runs `command --json out.json` in a scratch directory and compares
+/// the artifact with `golden/{file}`; returns the run's stdout.
+fn assert_json_matches_golden(tag: &str, command: &str, golden: &str, file: &str) -> String {
+    let (dir, out) = run_in_scratch(tag, &format!("{command} --json {file}"));
+    let got = std::fs::read_to_string(dir.join(file)).expect("--json writes its file");
+    std::fs::remove_dir_all(&dir).expect("clean up");
+    let what = format!("pk-bench {command} --json");
+    assert_matches_golden(&what, &got, golden, file, &format!("{command} --json "));
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// `report latency --seed 42`: the open-loop grid's table, derived
+/// claims and ring health on stdout, and its `--json` artifact.
+#[test]
+fn latency_matches_the_committed_goldens() {
+    let command = "report latency --seed 42";
+    let golden = include_str!("golden/latency.json");
+    let stdout = assert_json_matches_golden("latency-golden", command, golden, "latency.json");
+    let (what, file) = ("pk-bench report latency --seed 42", "latency.txt");
+    let regenerate = "report latency --seed 42 --json latency.json > ";
+    let golden = include_str!("golden/latency.txt");
+    assert_matches_golden(what, &stdout, golden, file, regenerate);
+}
+
+/// `report profile` on Exim at 8 cores and `report adaptive` at 8 cores
+/// and 200 ops/core: the nested `top` and `decisions` arrays.
+#[test]
+fn profile_and_adaptive_match_the_committed_goldens() {
+    for (tag, command, golden, file) in [
+        (
+            "profile-golden",
+            "report profile --seed 42 --workloads exim --cores 8",
+            include_str!("golden/profile_exim_8.json"),
+            "profile_exim_8.json",
+        ),
+        (
+            "adaptive-golden",
+            "report adaptive --seed 42 --cores 8 --ops 200",
+            include_str!("golden/adaptive_8.json"),
+            "adaptive_8.json",
+        ),
+    ] {
+        assert_json_matches_golden(tag, command, golden, file);
+    }
+}
+
+/// `report chaos` at CI's seed: all five soak tables and the violation
+/// lines. With `--features lockdep` the report adds a validator line
+/// before its verdict; everything up to it must still match.
+#[test]
+fn chaos_matches_the_committed_golden() {
+    let command = "report chaos --seed 42 --workloads exim,memcached --cores 4 --strict";
+    let out = pk_bench(command);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let golden = include_str!("golden/chaos.txt");
+    let (got, want) = match stdout.split_once("\nlockdep (under fault mix)") {
+        Some((before, _)) => (before, golden.split("\nchaos soak passed").next().unwrap()),
+        None => (&*stdout, golden),
+    };
+    let what = format!("pk-bench {command}");
+    assert_matches_golden(&what, got, want, "chaos.txt", &format!("{command} > "));
 }

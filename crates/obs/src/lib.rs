@@ -18,6 +18,9 @@
 //! * [`ContentionReport`] — the Figure-1 "bottleneck" column re-derived
 //!   from a snapshot: the top-N contended resources ranked by their
 //!   share of total cycles per operation.
+//! * [`Table`] — how report tables and artifacts print: a row type's
+//!   columns, each stated once and rendered as an aligned text table,
+//!   as JSON ([`document`]) and as OpenMetrics ([`OpenMetrics`]).
 //!
 //! `pk-obs` sits at the bottom of the dependency stack (it depends only
 //! on `pk-percpu`), so every other crate can use it for hooks without
@@ -34,9 +37,11 @@ pub mod buckets;
 pub mod metrics;
 mod report;
 mod sample;
+mod table;
 
 pub use metrics::Histogram;
 pub use report::{ContentionReport, Resource};
 pub use sample::{
     Collect, HistogramSnapshot, LockSample, MetricValue, Sample, Snapshot, StationSample,
 };
+pub use table::{document, Cell, OpenMetrics, Table};

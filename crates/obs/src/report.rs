@@ -2,6 +2,7 @@
 //! re-derived from measurement.
 
 use crate::sample::{MetricValue, Snapshot};
+use crate::table::{Cell, Table};
 use std::fmt;
 
 /// One contended resource and its share of an operation's cycles.
@@ -108,41 +109,24 @@ impl ContentionReport {
 
     /// Renders the top-`n` table.
     pub fn render(&self, n: usize) -> String {
-        let mut out = String::new();
-        use fmt::Write;
-        writeln!(
-            out,
-            "contention report — {} on {}, {} cores",
-            self.workload, self.config, self.cores
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "total {:.0} cycles/op, {:.1}% in the kernel",
+        let ranked: Vec<(usize, &Resource)> = (1..).zip(self.top_n(n)).collect();
+        let table = Table::<(usize, &Resource)>::new()
+            .col("{rank:>4}", "", |(rank, _)| *rank)
+            .col("  {resource:<32}", "", |(_, r)| r.name.clone())
+            .col(" {share:>5.1}%", "", |(_, r)| Cell::Share(r.share))
+            .col("  {cycles/op:>12.1}", "", |(_, r)| r.cycles_per_op)
+            .col("  {wait/op:>10.1}", "", |(_, r)| r.wait_cycles_per_op)
+            .col("  {queue:>7.2}", "", |(_, r)| r.queue_len);
+        format!(
+            "contention report — {} on {}, {} cores\n\
+             total {:.0} cycles/op, {:.1}% in the kernel\n{}",
+            self.workload,
+            self.config,
+            self.cores,
             self.total_cycles_per_op,
-            self.system_share() * 100.0
+            self.system_share() * 100.0,
+            table.text(&ranked)
         )
-        .unwrap();
-        writeln!(
-            out,
-            "{:>4}  {:<32} {:>6}  {:>12}  {:>10}  {:>7}",
-            "rank", "resource", "share", "cycles/op", "wait/op", "queue"
-        )
-        .unwrap();
-        for (i, r) in self.top_n(n).iter().enumerate() {
-            writeln!(
-                out,
-                "{:>4}  {:<32} {:>5.1}%  {:>12.1}  {:>10.1}  {:>7.2}",
-                i + 1,
-                r.name,
-                r.share * 100.0,
-                r.cycles_per_op,
-                r.wait_cycles_per_op,
-                r.queue_len
-            )
-            .unwrap();
-        }
-        out
     }
 }
 

@@ -16,9 +16,10 @@
 //!   lock guard (named via the always-compiled `pk-lockdep` class
 //!   registry), RCU read sections and grace periods, `pk-fault`
 //!   injection points, and the DES station service/wait edges.
-//! * **Attribution** — [`Profile`] folds a drained stream into an
-//!   inclusive/exclusive cycle tree plus the paper-style top-functions
-//!   table; [`chrome_trace_json`] exports a perfetto-loadable timeline.
+//! * **Attribution** — [`Profile`] folds a drained stream into flat
+//!   per-class inclusive/exclusive cycles and the paper-style
+//!   top-functions table; [`chrome_trace_json`] exports a
+//!   perfetto-loadable timeline.
 //! * **Export** — drains are pull-model: [`collector`] is a `pk-obs`
 //!   [`Collect`](pk_obs::Collect) source exposing buffered/dropped
 //!   counts; harnesses call [`Tracer::drain`] at quiescent points.
@@ -41,7 +42,7 @@ mod tracer;
 
 pub use chrome::chrome_trace_json;
 pub use event::{encode_stream, ClassKey, ClassNames, Event, EventKind, ENCODED_EVENT_BYTES};
-pub use profile::{ClassTotals, Profile, ProfileNode};
+pub use profile::{ClassTotals, Profile};
 pub use request::{
     ctx_leaks, current_request, request_id, RequestScope, CTX_LEAK_CLASS, REQUEST_CLASS,
 };

@@ -1,6 +1,6 @@
-//! Post-hoc cycle attribution: folds a drained event stream into an
-//! inclusive/exclusive cycle tree and flat per-class totals — the
-//! paper's "X% of cycles in function Y at 48 cores" tables (§4).
+//! Post-hoc cycle attribution: folds a drained event stream into flat
+//! per-class inclusive/exclusive cycle totals — the paper's "X% of
+//! cycles in function Y at 48 cores" tables (§4).
 //!
 //! * **Inclusive** cycles of a span = end − begin.
 //! * **Exclusive** cycles = inclusive − Σ inclusive of direct children,
@@ -26,53 +26,6 @@ pub struct ClassTotals {
     pub inclusive: u64,
     /// Σ (end − begin − children), the "self time".
     pub exclusive: u64,
-}
-
-/// One node of the attribution tree (children sorted by name).
-#[derive(Debug, Clone)]
-pub struct ProfileNode {
-    /// Resolved class name (`<root>` for the synthetic root).
-    pub name: String,
-    /// Spans that closed at this tree position.
-    pub count: u64,
-    /// Inclusive cycles at this position.
-    pub inclusive: u64,
-    /// Exclusive cycles at this position.
-    pub exclusive: u64,
-    /// Callees, sorted by name.
-    pub children: Vec<ProfileNode>,
-}
-
-#[derive(Default)]
-struct Node {
-    count: u64,
-    inclusive: u64,
-    exclusive: u64,
-    children: BTreeMap<ClassKey, Node>,
-}
-
-impl Node {
-    fn at_path(&mut self, path: &[ClassKey]) -> &mut Node {
-        let mut cur = self;
-        for k in path {
-            cur = cur.children.entry(*k).or_default();
-        }
-        cur
-    }
-
-    fn resolve(&self, name: String) -> ProfileNode {
-        ProfileNode {
-            name,
-            count: self.count,
-            inclusive: self.inclusive,
-            exclusive: self.exclusive,
-            children: self
-                .children
-                .iter()
-                .map(|(k, n)| n.resolve(k.name()))
-                .collect(),
-        }
-    }
 }
 
 /// Saturating accumulate. The fold consumes *external* event streams
@@ -105,11 +58,6 @@ pub struct Profile {
     /// Σ inclusive cycles of top-of-stack (root) spans: the denominator
     /// for "% of cycles".
     pub total_cycles: u64,
-    /// Per-class counter sums (`trace_counter!` deltas).
-    pub counters: Vec<(String, i64)>,
-    /// Per-class instant-event counts.
-    pub instants: Vec<(String, u64)>,
-    root: ProfileNode,
 }
 
 impl Profile {
@@ -120,41 +68,27 @@ impl Profile {
     /// matching open frame is ignored; an `End` matching a non-top
     /// frame closes the frames above it at the same timestamp; frames
     /// still open when the stream ends are closed at the track's last
-    /// seen timestamp.
+    /// seen timestamp. Instant and counter events carry no cycles and
+    /// are skipped.
     pub fn build(events: &[Event]) -> Profile {
         let mut tracks: BTreeMap<u32, TrackState> = BTreeMap::new();
         let mut flat: BTreeMap<ClassKey, (u64, u64, u64)> = BTreeMap::new();
-        let mut counters: BTreeMap<ClassKey, i64> = BTreeMap::new();
-        let mut instants: BTreeMap<ClassKey, u64> = BTreeMap::new();
-        let mut tree = Node::default();
         let mut total_cycles = 0u64;
 
-        let mut close = |state: &mut TrackState,
-                         tree: &mut Node,
-                         flat: &mut BTreeMap<ClassKey, (u64, u64, u64)>,
-                         ts: u64| {
-            let frame = state.stack.pop().expect("caller checked non-empty");
-            let inclusive = ts.saturating_sub(frame.begin);
-            let exclusive = inclusive.saturating_sub(frame.children);
-            let entry = flat.entry(frame.key).or_default();
-            sat(&mut entry.0, 1);
-            sat(&mut entry.1, inclusive);
-            sat(&mut entry.2, exclusive);
-            let path: Vec<ClassKey> = state
-                .stack
-                .iter()
-                .map(|f| f.key)
-                .chain(std::iter::once(frame.key))
-                .collect();
-            let node = tree.at_path(&path);
-            sat(&mut node.count, 1);
-            sat(&mut node.inclusive, inclusive);
-            sat(&mut node.exclusive, exclusive);
-            match state.stack.last_mut() {
-                Some(parent) => sat(&mut parent.children, inclusive),
-                None => sat(&mut total_cycles, inclusive),
-            }
-        };
+        let mut close =
+            |state: &mut TrackState, flat: &mut BTreeMap<ClassKey, (u64, u64, u64)>, ts: u64| {
+                let frame = state.stack.pop().expect("caller checked non-empty");
+                let inclusive = ts.saturating_sub(frame.begin);
+                let exclusive = inclusive.saturating_sub(frame.children);
+                let entry = flat.entry(frame.key).or_default();
+                sat(&mut entry.0, 1);
+                sat(&mut entry.1, inclusive);
+                sat(&mut entry.2, exclusive);
+                match state.stack.last_mut() {
+                    Some(parent) => sat(&mut parent.children, inclusive),
+                    None => sat(&mut total_cycles, inclusive),
+                }
+            };
 
         for e in events {
             let state = tracks.entry(e.track).or_default();
@@ -173,19 +107,18 @@ impl Profile {
                 EventKind::SpanEnd | EventKind::LockEnd | EventKind::CtxEnd => {
                     if state.stack.iter().any(|f| f.key == key) {
                         while state.stack.last().map(|f| f.key) != Some(key) {
-                            close(state, &mut tree, &mut flat, e.ts);
+                            close(state, &mut flat, e.ts);
                         }
-                        close(state, &mut tree, &mut flat, e.ts);
+                        close(state, &mut flat, e.ts);
                     }
                 }
-                EventKind::Instant => *instants.entry(key).or_default() += 1,
-                EventKind::Counter => *counters.entry(key).or_default() += e.arg as i64,
+                EventKind::Instant | EventKind::Counter => {}
             }
         }
         for state in tracks.values_mut() {
             let ts = state.last_ts;
             while !state.stack.is_empty() {
-                close(state, &mut tree, &mut flat, ts);
+                close(state, &mut flat, ts);
             }
         }
 
@@ -203,9 +136,6 @@ impl Profile {
         Profile {
             totals,
             total_cycles,
-            counters: counters.into_iter().map(|(k, v)| (k.name(), v)).collect(),
-            instants: instants.into_iter().map(|(k, v)| (k.name(), v)).collect(),
-            root: tree.resolve("<root>".to_string()),
         }
     }
 
@@ -217,11 +147,6 @@ impl Profile {
     /// The top `n` classes by exclusive cycles.
     pub fn top_exclusive(&self, n: usize) -> &[ClassTotals] {
         &self.totals[..n.min(self.totals.len())]
-    }
-
-    /// The attribution tree under a synthetic `<root>`.
-    pub fn tree(&self) -> &ProfileNode {
-        &self.root
     }
 
     /// Fraction of total cycles spent *exclusively* in classes whose
@@ -297,10 +222,6 @@ mod tests {
         assert_eq!((o.inclusive, o.exclusive, o.count), (50, 30, 1));
         let i = get("test.profile.inner");
         assert_eq!((i.inclusive, i.exclusive, i.count), (20, 20, 1));
-        // Tree: root -> outer -> inner.
-        assert_eq!(p.tree().children.len(), 1);
-        assert_eq!(p.tree().children[0].name, "test.profile.outer");
-        assert_eq!(p.tree().children[0].children[0].name, "test.profile.inner");
         assert!((p.share_where(|n| n.contains("inner")) - 0.4).abs() < 1e-9);
     }
 
@@ -335,28 +256,6 @@ mod tests {
         let names: Vec<&str> = p.totals().iter().map(|t| t.name.as_str()).collect();
         assert!(names.contains(&"test.profile.ragged.a"));
         assert!(names.contains(&"test.profile.ragged.b"));
-    }
-
-    #[test]
-    fn counters_and_instants_accumulate() {
-        let c = intern::intern_span("test.profile.counter");
-        let i = intern::intern_span("test.profile.instant");
-        let mut ev = vec![
-            span(0, 0, EventKind::Counter, c),
-            span(0, 1, EventKind::Counter, c),
-            span(0, 2, EventKind::Instant, i),
-        ];
-        ev[0].arg = 5;
-        ev[1].arg = (-2i64) as u64;
-        let p = Profile::build(&ev);
-        assert!(p
-            .counters
-            .iter()
-            .any(|(n, v)| n == "test.profile.counter" && *v == 3));
-        assert!(p
-            .instants
-            .iter()
-            .any(|(n, v)| n == "test.profile.instant" && *v == 1));
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //! ([`exemplars`]). A record keeps the events of its request, and its
 //! span tree is built from them only when asked for
 //! ([`RequestTree::children`]) — which [`encode_exemplars`] does, for
-//! the handful of exemplars and no other request. [`MetricSet`] renders
-//! the attribution tables in OpenMetrics text format for CI artifacts.
+//! the handful of exemplars and no other request.
 //!
 //! This is §5.2.1 of the paper made per-request: "the kernel time of
 //! \[stock\] Exim is dominated by one lock" becomes *this* request's
@@ -49,12 +48,10 @@
 
 mod attribution;
 mod fold;
-mod openmetrics;
 mod reservoir;
 
 pub use attribution::{attribute, Attribution, ClassShare};
 pub use fold::{fold, FoldOutput, NodeKind, RequestCost, RequestTree, SpanNode};
-pub use openmetrics::MetricSet;
 pub use reservoir::{encode_exemplars, encode_tree, exemplars};
 
 /// Resolved class name of the admission-queue wait (the zero-width
