@@ -14,6 +14,7 @@
 //! seed: two runs at the same seed produce byte-identical decision
 //! logs, which is what lets CI assert on the controller's behaviour.
 
+use pk_fault::mix64;
 use pk_kernel::{fix_for_class, FixId, KernelConfig};
 use pk_sim::des::{self, DesResult};
 use pk_sim::Network;
@@ -149,15 +150,6 @@ pub struct AdaptController {
     epoch: u32,
     knobs: BTreeMap<&'static str, KnobState>,
     log: Vec<Decision>,
-}
-
-/// SplitMix64: the per-epoch seed mixer (deterministic, stateless).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl AdaptController {
@@ -303,7 +295,7 @@ impl AdaptController {
         let (seed, ops_per_core) = (self.seed, self.policy.ops_per_core);
         self.converge_with(|config, epoch| {
             let net = build(config);
-            let epoch_seed = splitmix64(seed ^ u64::from(epoch).wrapping_mul(0xA5A5_A5A5));
+            let epoch_seed = mix64(seed ^ u64::from(epoch).wrapping_mul(0xA5A5_A5A5));
             let r = des::simulate(&net, cores, ops_per_core, epoch_seed);
             Observation::from_des(&net, &r)
         })

@@ -1,12 +1,10 @@
-//! `scale`: regenerate or check the deterministic `BENCH_scale.json`
-//! metric set, and run the engine-throughput smoke.
+//! `scale`: regenerate the deterministic `BENCH_scale.json` metric set,
+//! and run the engine-throughput smoke.
 //!
 //! * Default: compute the metric set for `--seed` (default 42), write
 //!   it to `--out` (default `BENCH_scale.json`) and print the writer
-//!   stall headline.
-//! * `--check PATH`: recompute the metrics and diff them against the
-//!   committed baseline at `PATH`; exits 1 on any key drift or a >10%
-//!   regression in a cycles metric.
+//!   stall headline. The metrics are a pure function of the seed, so
+//!   checking a committed baseline is `cmp` against a regenerated file.
 //! * `--check-engine PATH`: time the calendar-queue DES engine over
 //!   the 48-core roster and compare events/sec against the committed
 //!   floor baseline at `PATH` (`BENCH_engine.json`); exits 1 if the
@@ -24,7 +22,6 @@ pub const SPEC: Spec = Spec::flags(
     &[
         ("--seed", Kind::Num),
         ("--out", Kind::Text),
-        ("--check", Kind::Text),
         ("--check-engine", Kind::Text),
     ],
 );
@@ -34,8 +31,8 @@ pub const SPEC: Spec = Spec::flags(
 const ENGINE_TIMING_OPS: u64 = 500;
 
 /// A measured rate this far below the committed floor fails the CI
-/// smoke (the issue's 20% budget).
-const ENGINE_REGRESSION_BUDGET: f64 = 0.20;
+/// smoke.
+const ENGINE_BUDGET: f64 = 0.20;
 
 pub fn run(args: &Args) -> Result<(), String> {
     let seed = args.get("--seed").unwrap_or(42);
@@ -44,41 +41,6 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
 
     let metrics = scale::deterministic_metrics(seed);
-
-    if let Some(baseline_path) = args.text("--check") {
-        let baseline = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("scale: cannot read baseline {baseline_path}: {e}"))?;
-        let report = scale::check_report(&baseline, &metrics);
-        if report.passed() {
-            println!(
-                "scale --check: {} metrics match {baseline_path} (seed {seed})",
-                metrics.len()
-            );
-            return Ok(());
-        }
-        eprintln!("scale --check FAILED against {baseline_path}:");
-        for f in &report.drift {
-            eprintln!("  {f}");
-        }
-        if !report.regressions.is_empty() {
-            eprintln!(
-                "  top {} regressed metrics (of {}, worst first):",
-                report.regressions.len().min(3),
-                report.regressions.len()
-            );
-            for r in report.regressions.iter().take(3) {
-                eprintln!(
-                    "    {}: baseline {:.3} -> candidate {:.3} ({:+.1}%)",
-                    r.key,
-                    r.baseline,
-                    r.candidate,
-                    (r.ratio - 1.0) * 100.0
-                );
-            }
-        }
-        return Err(format!("scale: {baseline_path} does not match seed {seed}"));
-    }
-
     let out = args.text("--out").unwrap_or("BENCH_scale.json");
     super::write_artifact(out, &metrics.to_json())?;
     println!(
@@ -107,7 +69,7 @@ fn check_engine_throughput(baseline_path: &str, seed: u64) -> Result<(), String>
         })
         .ok_or_else(|| format!("scale: {baseline_path} lacks engine.wheel.events_per_sec.floor"))?;
     let measured = scale::roster_events_per_sec(ENGINE_TIMING_OPS, seed);
-    let limit = floor * (1.0 - ENGINE_REGRESSION_BUDGET);
+    let limit = floor * (1.0 - ENGINE_BUDGET);
     println!(
         "engine smoke: wheel {measured:.0} events/sec vs committed floor {floor:.0} \
          (fail below {limit:.0})"
@@ -116,7 +78,7 @@ fn check_engine_throughput(baseline_path: &str, seed: u64) -> Result<(), String>
         return Err(format!(
             "scale --check-engine FAILED: {measured:.0} events/sec is more than \
              {:.0}% below the committed floor {floor:.0}",
-            ENGINE_REGRESSION_BUDGET * 100.0
+            ENGINE_BUDGET * 100.0
         ));
     }
     Ok(())

@@ -131,8 +131,8 @@ fn run_functional(name: &str, choice: Personality, cores: usize) -> u64 {
             report.processes
         }
         "pedsort" => {
-            // Both pedsort variants share the functional indexer; the
-            // threads/processes split only matters to the DES model.
+            // Stock's threads map every input file through one shared
+            // address space; PK's processes each map through their own.
             let k = Arc::new(Kernel::new(choice.config(cores)));
             k.vfs().mkdir_p("/corpus", CoreId(0)).expect("mkdir corpus");
             for i in 0..8 {
@@ -149,7 +149,7 @@ fn run_functional(name: &str, choice: Personality, cores: usize) -> u64 {
                     )
                     .expect("write corpus");
             }
-            let stats = Indexer::new(Arc::clone(&k))
+            let stats = Indexer::new(Arc::clone(&k), roster::pairing(choice).pedsort)
                 .run("/corpus", "/out", cores.min(4))
                 .expect("indexer run");
             stats.distinct_terms as u64

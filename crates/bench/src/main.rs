@@ -6,7 +6,7 @@
 //! pk-bench ablate <threshold|dlookup|accept|fixes|flowsteer>
 //! pk-bench check <machine|sim|udpmicro>
 //! pk-bench sweep <app> [--kernel stock|coarse|pk] [--cores N[,N,...]] [--rw]
-//! pk-bench scale [--seed N] [--out PATH] [--check PATH] [--check-engine PATH]
+//! pk-bench scale [--seed N] [--out PATH] [--check-engine PATH]
 //! pk-bench report <contention|chaos|latency|tail|profile|adaptive|lockdep> [...]
 //! ```
 //!

@@ -5,13 +5,14 @@
 //! churn the real substrates under both RCU reclamation disciplines
 //! and read the `rcu.*` counter deltas. These are pure functions of
 //! the seed and regenerate **byte-identically**, so they live in
-//! `BENCH_scale.json` and CI can diff them against a committed
-//! baseline. Host wall-clock is recorded by the repo benchmark
+//! `BENCH_scale.json` and a regenerated file must `cmp` equal to the
+//! committed one. Host wall-clock is recorded by the repo benchmark
 //! (`benchmark/README.md`), not here; the one timing this module takes
 //! is the engine-throughput smoke behind `--check-engine`.
 //!
-//! The JSON is a flat object — one sorted dotted key per line — so the
-//! regression check needs no JSON library, just the line parser below.
+//! The JSON is a flat object — one sorted dotted key per line — so
+//! reading the engine floor back needs no JSON library, just the line
+//! parser below.
 
 use crate::personality::converge;
 use pk_kernel::Personality;
@@ -23,17 +24,13 @@ use pk_sync::CYCLES_PER_SPIN_ITERATION;
 use pk_workloads::roster;
 use std::collections::BTreeMap;
 
-/// Bumped whenever the metric set changes shape, so a `--check` against
-/// a stale baseline fails loudly instead of silently skipping keys.
+/// Bumped whenever the metric set changes shape, so a stale baseline
+/// differs from a regenerated file even where no value moved.
 /// v2: added `topo.*` large-topology rows (16×12 / 192 cores).
 /// v3: added `adapt.*` adaptive-personality convergence rows.
 /// v4: four-way personality curves (stock/coarse/pk/adaptive) keyed by
 /// topology at 96 (16×6), 192 (16×12), and 1024 (64×16) cores.
 pub const SCHEMA_VERSION: u64 = 4;
-
-/// Allowed relative growth in a `*cycles*` metric before `--check`
-/// calls it a regression (the issue's 10% budget).
-pub const REGRESSION_BUDGET: f64 = 0.10;
 
 /// A flat, sorted metric map. `BTreeMap` ordering plus the renderer's
 /// fixed float formatting is what makes the emitted JSON byte-identical
@@ -346,7 +343,7 @@ pub fn deterministic_metrics(seed: u64) -> Metrics {
     // the zero-fix adaptive config, let the controller promote levers
     // from seeded DES observations, and pin the outcome — promoted-fix
     // count, epochs, flap bound, and the converged config's measured
-    // cycles/op (regression-checked like every `*cycles*` metric).
+    // cycles/op.
     {
         let machine = pk_sim::MachineSpec::paper();
         for name in roster::NAMES {
@@ -395,92 +392,6 @@ pub fn deterministic_metrics(seed: u64) -> Metrics {
     // Leave the global queues clean for whoever runs next.
     rcu::rcu_barrier();
     m
-}
-
-/// One `*cycles*` metric that grew past the budget.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Metric key.
-    pub key: String,
-    /// Committed baseline value.
-    pub baseline: f64,
-    /// Regenerated value.
-    pub candidate: f64,
-    /// `candidate / baseline` (`f64::INFINITY` for a 0 baseline).
-    pub ratio: f64,
-}
-
-/// Structured result of diffing regenerated metrics against a
-/// committed baseline document.
-#[derive(Debug, Clone, Default)]
-pub struct CheckReport {
-    /// Key-set drift (and unreadable-baseline) messages.
-    pub drift: Vec<String>,
-    /// Budget-busting `*cycles*` metrics, worst ratio first.
-    pub regressions: Vec<Regression>,
-}
-
-impl CheckReport {
-    /// Whether the candidate is clean.
-    pub fn passed(&self) -> bool {
-        self.drift.is_empty() && self.regressions.is_empty()
-    }
-}
-
-/// Diffs `current` against a committed `baseline` document.
-///
-/// Failure modes, all reported:
-/// * key sets differ (schema drift — regenerate and commit the baseline);
-/// * any `*cycles*` metric grew more than [`REGRESSION_BUDGET`].
-pub fn check_report(baseline_text: &str, current: &Metrics) -> CheckReport {
-    let baseline = match Metrics::parse_json(baseline_text) {
-        Ok(b) => b,
-        Err(e) => {
-            return CheckReport {
-                drift: vec![format!("baseline unreadable: {e}")],
-                regressions: Vec::new(),
-            }
-        }
-    };
-    let mut report = CheckReport::default();
-    for key in baseline.keys() {
-        if !current.map.contains_key(key) {
-            report
-                .drift
-                .push(format!("metric {key} in baseline but not regenerated"));
-        }
-    }
-    for key in current.map.keys() {
-        if !baseline.contains_key(key) {
-            report.drift.push(format!(
-                "new metric {key} not in baseline (regenerate and commit)"
-            ));
-        }
-    }
-    for (key, old_raw) in &baseline {
-        if !key.contains("cycles") {
-            continue;
-        }
-        let (Some(new), Ok(old)) = (current.get(key), old_raw.parse::<f64>()) else {
-            continue;
-        };
-        // Deterministic metrics should be byte-identical; the budget
-        // exists so intentional model tweaks within 10% don't need a
-        // baseline bump. The +0.5 floor keeps a 0 → tiny change legal.
-        let limit = old * (1.0 + REGRESSION_BUDGET) + 0.5;
-        if new > limit {
-            report.regressions.push(Regression {
-                key: key.clone(),
-                baseline: old,
-                candidate: new,
-                ratio: if old == 0.0 { f64::INFINITY } else { new / old },
-            });
-        }
-    }
-    report
-        .regressions
-        .sort_by(|a, b| b.ratio.total_cmp(&a.ratio).then(a.key.cmp(&b.key)));
-    report
 }
 
 /// Times the calendar-queue DES engine over the full 48-core roster
@@ -564,53 +475,5 @@ mod tests {
             );
         }
         rcu::rcu_barrier();
-    }
-
-    #[test]
-    fn check_flags_regressions_and_drift() {
-        let mut baseline = Metrics::new();
-        baseline.put_f64("des.x.cycles_per_op", 100.0);
-        baseline.put_u64("stall.y.modeled_stall_cycles", 1000);
-        let text = baseline.to_json();
-
-        let mut ok = Metrics::new();
-        ok.put_f64("des.x.cycles_per_op", 104.0);
-        ok.put_u64("stall.y.modeled_stall_cycles", 1000);
-        assert!(check_report(&text, &ok).passed());
-
-        let mut slow = ok.clone();
-        slow.put_f64("des.x.cycles_per_op", 120.0);
-        let report = check_report(&text, &slow);
-        assert!(report.drift.is_empty());
-        let keys: Vec<&str> = report.regressions.iter().map(|r| r.key.as_str()).collect();
-        assert_eq!(keys, ["des.x.cycles_per_op"]);
-
-        let mut drifted = ok.clone();
-        drifted.put_u64("stall.z.new_metric", 1);
-        let report = check_report(&text, &drifted);
-        assert!(report.regressions.is_empty());
-        assert!(report.drift.iter().any(|f| f.contains("not in baseline")));
-    }
-
-    #[test]
-    fn check_report_ranks_regressions_worst_first() {
-        let mut baseline = Metrics::new();
-        baseline.put_f64("a.cycles_per_op", 100.0);
-        baseline.put_f64("b.cycles_per_op", 100.0);
-        baseline.put_f64("c.cycles_per_op", 100.0);
-        let text = baseline.to_json();
-
-        let mut cur = Metrics::new();
-        cur.put_f64("a.cycles_per_op", 150.0); // +50%
-        cur.put_f64("b.cycles_per_op", 300.0); // +200% — the worst
-        cur.put_f64("c.cycles_per_op", 101.0); // within budget
-        let report = check_report(&text, &cur);
-        assert!(!report.passed());
-        assert!(report.drift.is_empty());
-        let keys: Vec<&str> = report.regressions.iter().map(|r| r.key.as_str()).collect();
-        assert_eq!(keys, ["b.cycles_per_op", "a.cycles_per_op"]);
-        let worst = &report.regressions[0];
-        assert_eq!((worst.baseline, worst.candidate), (100.0, 300.0));
-        assert!((worst.ratio - 3.0).abs() < 1e-9);
     }
 }

@@ -203,14 +203,21 @@ fn artifacts_are_written_only_where_told_and_directories_are_created() {
     }
 }
 
-/// CI writes `scale --out target/reports/...` on a fresh runner.
+/// CI writes `scale --out target/reports/...` on a fresh runner, and
+/// the file it writes is the committed `BENCH_scale.json` byte for byte.
 #[test]
 fn scale_out_creates_its_directory() {
     let (dir, out) = run_in_scratch("scale", "scale --seed 42 --out fresh/reports/scale.json");
     assert_eq!(out.status.code(), Some(0));
     let text = std::fs::read_to_string(dir.join("fresh/reports/scale.json")).expect("written");
-    assert!(text.contains("\"meta.schema_version\""), "{text}");
     std::fs::remove_dir_all(&dir).expect("clean up");
+    assert_matches_golden(
+        "pk-bench scale --seed 42",
+        &text,
+        include_str!("../../../BENCH_scale.json"),
+        "BENCH_scale.json",
+        "scale --seed 42 --out ",
+    );
 }
 
 /// The words `--kernel` and `PERSONALITY` accept are the enum's labels:
@@ -237,9 +244,13 @@ fn personality_words_in_usage_come_from_the_enum() {
     }
 }
 
+/// Where the goldens live, relative to the repository root.
+const GOLDEN: &str = "crates/bench/tests/golden/";
+
 /// Fails, naming the first differing line and how to regenerate, unless
-/// `got` is the committed golden byte for byte.
-fn assert_matches_golden(what: &str, got: &str, golden: &str, file: &str, regenerate: &str) {
+/// `got` is the committed golden at `path` (relative to the repository
+/// root) byte for byte.
+fn assert_matches_golden(what: &str, got: &str, golden: &str, path: &str, regenerate: &str) {
     if got == golden {
         return;
     }
@@ -247,10 +258,10 @@ fn assert_matches_golden(what: &str, got: &str, golden: &str, file: &str, regene
         .position(|(got, want)| got != want)
         .unwrap_or_else(|| got.lines().count().min(golden.lines().count()));
     panic!(
-        "`{what}` differs from tests/golden/{file} at line {}:\n  \
+        "`{what}` differs from {path} at line {}:\n  \
          got:  {:?}\n  want: {:?}\n\
          if the change is intended, regenerate with\n  \
-         cargo run --release -q -p pk-bench -- {regenerate}crates/bench/tests/golden/{file}\n\
+         cargo run --release -q -p pk-bench -- {regenerate}{path}\n\
          and say which lines moved and why",
         line + 1,
         got.lines().nth(line).unwrap_or("<end of output>"),
@@ -269,7 +280,7 @@ fn fig_all_matches_the_committed_golden() {
         "pk-bench fig all",
         &String::from_utf8_lossy(&out.stdout),
         include_str!("golden/fig_all.txt"),
-        "fig_all.txt",
+        &format!("{GOLDEN}fig_all.txt"),
         "fig all > ",
     );
 }
@@ -286,14 +297,14 @@ fn tail_matches_the_committed_goldens() {
         "pk-bench report tail --seed 42 --json",
         &tail::report_json(&grid, &tail::assess(&grid)),
         include_str!("golden/tail.json"),
-        "tail.json",
+        &format!("{GOLDEN}tail.json"),
         "report tail --seed 42 --json ",
     );
     assert_matches_golden(
         "pk-bench report tail --seed 42 --openmetrics",
         &tail::openmetrics(&grid),
         include_str!("golden/tail.om"),
-        "tail.om",
+        &format!("{GOLDEN}tail.om"),
         "report tail --seed 42 --openmetrics ",
     );
 }
@@ -305,7 +316,8 @@ fn assert_json_matches_golden(tag: &str, command: &str, golden: &str, file: &str
     let got = std::fs::read_to_string(dir.join(file)).expect("--json writes its file");
     std::fs::remove_dir_all(&dir).expect("clean up");
     let what = format!("pk-bench {command} --json");
-    assert_matches_golden(&what, &got, golden, file, &format!("{command} --json "));
+    let path = format!("{GOLDEN}{file}");
+    assert_matches_golden(&what, &got, golden, &path, &format!("{command} --json "));
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
@@ -316,10 +328,11 @@ fn latency_matches_the_committed_goldens() {
     let command = "report latency --seed 42";
     let golden = include_str!("golden/latency.json");
     let stdout = assert_json_matches_golden("latency-golden", command, golden, "latency.json");
-    let (what, file) = ("pk-bench report latency --seed 42", "latency.txt");
+    let what = "pk-bench report latency --seed 42";
+    let path = format!("{GOLDEN}latency.txt");
     let regenerate = "report latency --seed 42 --json latency.json > ";
     let golden = include_str!("golden/latency.txt");
-    assert_matches_golden(what, &stdout, golden, file, regenerate);
+    assert_matches_golden(what, &stdout, golden, &path, regenerate);
 }
 
 /// `report profile` on Exim at 8 cores and `report adaptive` at 8 cores
@@ -359,5 +372,6 @@ fn chaos_matches_the_committed_golden() {
         None => (&*stdout, golden),
     };
     let what = format!("pk-bench {command}");
-    assert_matches_golden(&what, got, want, "chaos.txt", &format!("{command} > "));
+    let path = format!("{GOLDEN}chaos.txt");
+    assert_matches_golden(&what, got, want, &path, &format!("{command} > "));
 }

@@ -6,6 +6,7 @@
 /// from `(seed, point id, arrival index)`. The construction is the same
 /// finalizer the NIC's RSS hash and the vendored `rand` seeding use, so
 /// consecutive arrival indices decorrelate fully.
+#[inline]
 pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x ^= x >> 30;

@@ -145,7 +145,7 @@ impl AddressSpace {
             mapping_mutex: AdaptiveMutex::new(()),
         });
         region.mapping_mutex.set_class(MAPPING_MUTEX_CLASS.id());
-        self.stats.region_write_locks.bump();
+        self.stats.mmaps.bump();
         self.regions.publish(self.config.deferred_reclamation, |v| {
             let mut v = v.clone();
             v.push(Arc::clone(&region));
@@ -156,7 +156,7 @@ impl AddressSpace {
 
     /// Unmaps a region, returning its faulted pages to the allocator.
     pub fn munmap(&self, id: RegionId, core: usize) -> Result<(), MmapError> {
-        self.stats.region_write_locks.bump();
+        self.stats.munmaps.bump();
         let region = {
             let g = rcu::read_lock();
             self.regions

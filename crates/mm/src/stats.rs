@@ -11,8 +11,10 @@ pk_percpu::tally_struct! {
     pub struct MmStats {
         /// Region-list read-lock acquisitions (every soft page fault).
         pub region_read_locks,
-        /// Region-list write-lock acquisitions (`mmap`/`munmap`).
-        pub region_write_locks,
+        /// Region-list write-lock acquisitions by `mmap`.
+        pub mmaps,
+        /// Region-list write-lock acquisitions by `munmap`.
+        pub munmaps,
         /// 4 KB page faults served.
         pub faults_4k,
         /// 2 MB super-page faults served.

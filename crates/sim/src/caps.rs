@@ -70,8 +70,9 @@ impl DramModel {
 ///
 /// pedsort "is bottlenecked by cache capacity": as the per-socket working
 /// set outgrows the shared L3, `msort_with_tmp` takes more misses and
-/// user time rises. The model inflates user cycles by the miss fraction
-/// times the DRAM/L3 latency gap.
+/// user time rises. `check machine` prints the miss fraction; the
+/// pedsort model itself inflates user time linearly in active cores per
+/// socket, calibrated to Figure 10.
 #[derive(Debug, Clone, Copy)]
 pub struct L3Model {
     spec: MachineSpec,
@@ -92,21 +93,6 @@ impl L3Model {
         } else {
             (1.0 - cap / working_set_bytes_per_socket).clamp(0.0, 1.0)
         }
-    }
-
-    /// Inflates `user_cycles` for a workload whose cache-resident
-    /// fraction `access_intensity` (accesses per cycle-ish, 0..=1 of
-    /// cycles being cache accesses) runs with the given per-socket
-    /// working set.
-    pub fn inflate_user_cycles(
-        &self,
-        user_cycles: f64,
-        access_intensity: f64,
-        working_set_bytes_per_socket: f64,
-    ) -> f64 {
-        let miss = self.miss_fraction(working_set_bytes_per_socket);
-        let extra_per_access = self.spec.dram_local_cycles - self.spec.l3_cycles;
-        user_cycles * (1.0 + access_intensity * miss * extra_per_access / self.spec.l3_cycles)
     }
 }
 
@@ -150,16 +136,5 @@ mod tests {
         assert_eq!(l3.miss_fraction(cap), 0.0);
         assert!(l3.miss_fraction(cap * 2.0) > 0.49);
         assert!(l3.miss_fraction(cap * 2.0) < 0.51);
-    }
-
-    #[test]
-    fn l3_inflation_grows_user_time() {
-        let l3 = L3Model::new(MachineSpec::paper());
-        let cap = (5u64 << 20) as f64;
-        let base = 1000.0;
-        let fit = l3.inflate_user_cycles(base, 0.3, cap * 0.9);
-        let spill = l3.inflate_user_cycles(base, 0.3, cap * 4.0);
-        assert_eq!(fit, base);
-        assert!(spill > base * 1.5, "misses must hurt: {spill}");
     }
 }

@@ -3,10 +3,10 @@
 //! evidence.
 //!
 //! Selection ranks by latency (slowest first) with a **seeded
-//! tie-break**: equal-latency requests are ordered by
-//! `splitmix64(seed ^ ctx)`, so the choice among ties is arbitrary but
-//! byte-identical across reruns and across track layouts — never "the
-//! one whose worker drained first". A plain `(latency, ctx)` order
+//! tie-break**: equal-latency requests are ordered by the splitmix64
+//! finalizer [`mix64`]`(seed ^ ctx)`, so the choice among ties is
+//! arbitrary but byte-identical across reruns and across track layouts
+//! — never "the one whose worker drained first". A plain `(latency, ctx)` order
 //! would also be deterministic, but it would bias ties toward low
 //! request ids, i.e. toward early arrivals; the seeded hash keeps the
 //! exemplar set unbiased while staying reproducible.
@@ -21,13 +21,7 @@
 //! same evidence iff [`encode_exemplars`] agrees byte-for-byte.
 
 use crate::fold::{RequestTree, SpanNode};
-
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+use pk_fault::mix64;
 
 /// Selects the `k` slowest requests (by accounting-identity latency,
 /// admission wait included), seeded tie-break. Returns references in

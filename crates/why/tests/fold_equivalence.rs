@@ -161,9 +161,8 @@ fn cost_by_walk(tree: &OracleTree) -> RequestCost {
 }
 
 /// `exemplars` + `encode_exemplars` as they stood: price every tree,
-/// stable-sort all of them (ties by `pk_fault::mix64`, the same
-/// splitmix64 finalizer `pk-why` carries privately), keep `k`, encode
-/// the nodes already built.
+/// stable-sort all of them (ties by `pk_fault::mix64`, as `pk-why`
+/// ranks them), keep `k`, encode the nodes already built.
 fn exemplar_bytes_by_sort(trees: &[OracleTree], k: usize, seed: u64) -> Vec<u8> {
     fn encode_node(n: &SpanNode, out: &mut Vec<u8>) {
         out.push(match n.kind {

@@ -6,15 +6,14 @@
 //! the stock kernel — "35 times faster on 48 cores than on one core for
 //! both the stock and PK kernels" — limited only by "serial stages at
 //! the beginning of the build and straggling processes at the end."
+//!
+//! This module is the model; the functional driver is
+//! [`ParallelMake`](crate::gmake_exec::ParallelMake) over
+//! [`BuildGraph::kernel_build`](crate::gmake_exec::BuildGraph::kernel_build).
 
 use crate::common::{config_label, demand_unless, gen2_demand};
-use pk_fault::FaultPlane;
-use pk_kernel::{FixId, Kernel, KernelConfig, KernelError, Personality};
-use pk_percpu::CoreId;
-use pk_proc::Pid;
+use pk_kernel::{FixId, KernelConfig, Personality};
 use pk_sim::{CoreSweep, MachineSpec, Network, Station, SweepPoint, WorkloadModel};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Single-core throughput anchor, builds/hour/core (Figure 9).
 pub const BUILDS_PER_HOUR_1CORE: f64 = 5.5;
@@ -23,97 +22,6 @@ pub const SYSTEM_FRACTION: f64 = 0.076;
 /// Amdahl serial fraction giving the paper's 35× speedup at 48 cores:
 /// `48 / (1 + 47 f) = 35`.
 pub const SERIAL_FRACTION: f64 = 0.0079;
-
-/// Functional driver: a miniature kernel build over the real substrate.
-#[derive(Debug)]
-pub struct GmakeDriver {
-    kernel: Kernel,
-    objects_built: AtomicU64,
-}
-
-impl GmakeDriver {
-    /// Boots a kernel and lays out a source tree of `sources` files.
-    pub fn new(choice: Personality, cores: usize, sources: usize) -> Result<Self, KernelError> {
-        Self::with_faults(choice, cores, sources, Arc::new(FaultPlane::disabled()))
-    }
-
-    /// Like [`GmakeDriver::new`], with every substrate wired to `faults`.
-    pub fn with_faults(
-        choice: Personality,
-        cores: usize,
-        sources: usize,
-        faults: Arc<FaultPlane>,
-    ) -> Result<Self, KernelError> {
-        let kernel = Kernel::with_faults(choice.config(cores), faults);
-        let core = CoreId(0);
-        kernel.vfs().mkdir_p("/src", core)?;
-        kernel.vfs().mkdir_p("/obj", core)?;
-        for i in 0..sources {
-            kernel.vfs().write_file(
-                &format!("/src/f{i}.c"),
-                format!("int f{i}();").as_bytes(),
-                core,
-            )?;
-        }
-        Ok(Self {
-            kernel,
-            objects_built: AtomicU64::new(0),
-        })
-    }
-
-    /// Returns the kernel.
-    pub fn kernel(&self) -> &Kernel {
-        &self.kernel
-    }
-
-    /// Objects built so far.
-    pub fn objects_built(&self) -> u64 {
-        self.objects_built.load(Ordering::Relaxed)
-    }
-
-    /// Compiles one translation unit on `core`: fork the compiler
-    /// process, read the source, write the object, exit.
-    pub fn compile(&self, core: usize, source_id: usize) -> Result<(), KernelError> {
-        let core_id = CoreId(core);
-        let cc = self.kernel.fork(Pid(1), core_id)?;
-        let compiled = self.compile_unit(core_id, source_id);
-        // Reap the compiler even when it failed; the compile error wins.
-        let reaped = self.kernel.exit(cc, core_id);
-        compiled.and(reaped)?;
-        self.objects_built.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn compile_unit(&self, core: CoreId, source_id: usize) -> Result<(), KernelError> {
-        let src = self
-            .kernel
-            .vfs()
-            .read_file(&format!("/src/f{source_id}.c"), core)?;
-        let obj: Vec<u8> = src.iter().rev().copied().collect();
-        self.kernel
-            .vfs()
-            .write_file(&format!("/obj/f{source_id}.o"), &obj, core)?;
-        Ok(())
-    }
-
-    /// Links every object into `/obj/vmlinux` (the serial final stage).
-    pub fn link(&self, sources: usize) -> Result<(), KernelError> {
-        let core = CoreId(0);
-        let ld = self.kernel.fork(Pid(1), core)?;
-        let linked = self.link_image(core, sources);
-        let reaped = self.kernel.exit(ld, core);
-        linked.and(reaped)
-    }
-
-    fn link_image(&self, core: CoreId, sources: usize) -> Result<(), KernelError> {
-        let mut image = Vec::new();
-        for i in 0..sources {
-            image.extend(self.kernel.vfs().read_file(&format!("/obj/f{i}.o"), core)?);
-        }
-        self.kernel.vfs().write_file("/obj/vmlinux", &image, core)?;
-        Ok(())
-    }
-}
 
 /// Figure-9 performance model.
 #[derive(Debug, Clone, Copy)]
@@ -222,20 +130,5 @@ mod tests {
         let pk48 = figure9(Personality::Pk).last().unwrap().system_usec;
         assert!(pk48 < stock48);
         assert!(pk48 > stock48 * 0.95, "only *slightly* lower");
-    }
-
-    #[test]
-    fn driver_builds_and_links() {
-        let d = GmakeDriver::new(Personality::Pk, 4, 12).unwrap();
-        for i in 0..12 {
-            d.compile(i % 4, i).unwrap();
-        }
-        d.link(12).unwrap();
-        assert_eq!(d.objects_built(), 12);
-        let st = d.kernel().vfs().stat("/obj/vmlinux", CoreId(0)).unwrap();
-        assert!(st.size > 0);
-        // One process per compile + one linker, all reaped.
-        assert_eq!(d.kernel().procs().fork_count(), 13);
-        assert_eq!(d.kernel().procs().len(), 1);
     }
 }

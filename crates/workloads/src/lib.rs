@@ -1,12 +1,20 @@
-//! The seven MOSBENCH applications (§3), each in two forms:
+//! The seven MOSBENCH applications (§3), each with one driver and one
+//! model:
 //!
 //! 1. a **driver** that issues the application's kernel-operation mix
 //!    against the real [`pk_kernel::Kernel`] substrate — the functional
 //!    workload used by tests and examples, and the source of truth for
-//!    *which* shared objects each app hammers;
+//!    *which* shared objects each app hammers. Most live beside their
+//!    model; gmake's is [`gmake_exec::ParallelMake`] over
+//!    [`gmake_exec::BuildGraph::kernel_build`] and pedsort's is
+//!    [`pedsort_indexer::Indexer`];
 //! 2. a **model** implementing [`pk_sim::WorkloadModel`] — the same
 //!    operation mix expressed as per-operation cycle demands on the
 //!    simulated 48-core machine, which regenerates the paper's figures.
+//!
+//! Where the paper changed the application as well as the kernel
+//! (PostgreSQL, pedsort, Metis), driver and model take the same variant,
+//! and [`roster::pairing`] says which one a personality runs.
 //!
 //! Model parameters are documented constants: per-operation cycle totals
 //! come from the paper's own single-core throughput and in-kernel time

@@ -17,15 +17,13 @@
 //! * **Stock + Procs RR** — the same processes spread round-robin over
 //!   sockets: "each new socket provides access to more total L3 cache
 //!   space," so mid-range core counts run faster.
+//!
+//! This module is the model; the functional driver is
+//! [`Indexer`](crate::pedsort_indexer::Indexer), which runs a variant
+//! over one shared address space or one per worker.
 
 use crate::common::gen2_demand;
-use pk_fault::FaultPlane;
-use pk_kernel::{Kernel, KernelError, Personality};
-use pk_mm::{AddressSpace, PageSize};
-use pk_percpu::CoreId;
-use pk_sim::{CoreSweep, L3Model, MachineSpec, Network, Station, SweepPoint, WorkloadModel};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use pk_sim::{CoreSweep, MachineSpec, Network, Station, SweepPoint, WorkloadModel};
 
 /// Corpus size (§5.7).
 pub const CORPUS_BYTES: u64 = 368 << 20;
@@ -61,121 +59,6 @@ impl PedsortVariant {
             Self::Procs => "Stock + Procs",
             Self::ProcsRoundRobin => "Stock + Procs RR",
         }
-    }
-}
-
-/// Functional driver: index files through the real kernel, with the
-/// threads/procs distinction expressed as shared vs per-worker address
-/// spaces.
-#[derive(Debug)]
-pub struct PedsortDriver {
-    kernel: Kernel,
-    /// One address space shared by all workers (threads) or one per
-    /// worker (procs).
-    spaces: Vec<Arc<AddressSpace>>,
-    shared_space: bool,
-    indexed: AtomicU64,
-}
-
-impl PedsortDriver {
-    /// Boots a kernel with `files` corpus files and `workers` workers.
-    pub fn new(
-        choice: Personality,
-        cores: usize,
-        files: usize,
-        threads: bool,
-    ) -> Result<Self, KernelError> {
-        Self::with_faults(
-            choice,
-            cores,
-            files,
-            threads,
-            Arc::new(FaultPlane::disabled()),
-        )
-    }
-
-    /// [`PedsortDriver::new`] on a kernel wired to `plane` — setup
-    /// failures (corpus population under injected ENOMEM / dentry
-    /// faults) surface as typed errors instead of panics.
-    pub fn with_faults(
-        choice: Personality,
-        cores: usize,
-        files: usize,
-        threads: bool,
-        plane: Arc<FaultPlane>,
-    ) -> Result<Self, KernelError> {
-        let kernel = Kernel::with_faults(choice.config(cores), plane);
-        let core = CoreId(0);
-        kernel.vfs().mkdir_p("/corpus", core)?;
-        kernel.vfs().mkdir_p("/out", core)?;
-        for i in 0..files {
-            kernel.vfs().write_file(
-                &format!("/corpus/f{i}"),
-                format!("word{} common text {}", i % 7, i).as_bytes(),
-                core,
-            )?;
-        }
-        let spaces = if threads {
-            vec![kernel.new_address_space()]
-        } else {
-            (0..cores).map(|_| kernel.new_address_space()).collect()
-        };
-        Ok(Self {
-            kernel,
-            spaces,
-            shared_space: threads,
-            indexed: AtomicU64::new(0),
-        })
-    }
-
-    /// Returns the kernel.
-    pub fn kernel(&self) -> &Kernel {
-        &self.kernel
-    }
-
-    /// Files indexed so far.
-    pub fn indexed(&self) -> u64 {
-        self.indexed.load(Ordering::Relaxed)
-    }
-
-    /// Indexes one corpus file on `core`: mmap the input (libc file
-    /// streams "access file contents via mmap"), read it, tokenize into
-    /// the per-core table, write an index chunk, munmap.
-    ///
-    /// Every kernel call propagates as a typed [`KernelError`] — an
-    /// injected allocation failure mid-index unwinds the mapping it
-    /// created instead of panicking the worker.
-    pub fn index_file(&self, core: usize, file_id: usize) -> Result<(), KernelError> {
-        let core_id = CoreId(core);
-        let space = if self.shared_space {
-            &self.spaces[0]
-        } else {
-            &self.spaces[core % self.spaces.len()]
-        };
-        let data = self
-            .kernel
-            .vfs()
-            .read_file(&format!("/corpus/f{file_id}"), core_id)?;
-        // The mmap/munmap pair on the (possibly shared) address space —
-        // the threaded version's serialization point.
-        let region = space.mmap(data.len().max(1) as u64, PageSize::Base4K)?;
-        // From here the mapping must not leak: tear it down before
-        // surfacing any later failure.
-        let indexed = (|| -> Result<(), KernelError> {
-            space.touch_all(region, core)?;
-            let tokens = data.split(|b| *b == b' ').count();
-            self.kernel.vfs().write_file(
-                &format!("/out/core{core}-f{file_id}.idx"),
-                format!("{tokens}").as_bytes(),
-                core_id,
-            )?;
-            Ok(())
-        })();
-        let unmapped = space.munmap(region, core).map_err(KernelError::from);
-        indexed?;
-        unmapped?;
-        self.indexed.fetch_add(1, Ordering::Relaxed);
-        Ok(())
     }
 }
 
@@ -232,8 +115,6 @@ impl WorkloadModel for PedsortModel {
         // is modelled as a linear user-time inflation per extra core on
         // the socket, calibrated to Figure 10's packed-procs decline.
         let cps = self.cores_per_socket(cores);
-        let l3 = L3Model::new(self.machine);
-        let _ = l3; // capacity model retained for the ablation binaries
         user *= 1.0 + 0.065 * (cps - 1.0);
         let mut net = Network::new();
         match self.variant {
@@ -326,28 +207,5 @@ mod tests {
         assert!(at(&rr, 4) > 1.1 * at(&procs, 4), "RR wins at 4 cores");
         let full = (at(&rr, 48) - at(&procs, 48)).abs() / at(&procs, 48);
         assert!(full < 0.01, "lines converge at 48 cores: {full}");
-    }
-
-    #[test]
-    fn driver_indexes_with_shared_and_private_spaces() {
-        for threads in [true, false] {
-            let d = PedsortDriver::new(Personality::Stock, 2, 6, threads).unwrap();
-            for f in 0..6 {
-                d.index_file(f % 2, f).unwrap();
-            }
-            assert_eq!(d.indexed(), 6);
-            // All mappings were torn down.
-            for s in &d.spaces {
-                assert_eq!(s.region_count(), 0);
-            }
-            // Threads share one space: all mmap write-locks hit the same
-            // region list.
-            let writes = d
-                .kernel()
-                .mm_stats()
-                .region_write_locks
-                .load(Ordering::Relaxed);
-            assert_eq!(writes, 12, "6 mmaps + 6 munmaps");
-        }
     }
 }

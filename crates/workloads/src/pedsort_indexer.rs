@@ -15,8 +15,16 @@
 //!
 //! The index files live in the kernel's tmpfs, so phase 1 is both
 //! compute- and file-system-intensive exactly as the paper describes.
+//!
+//! libc file streams "access file contents via mmap" (§5.7), so phase 1
+//! maps, touches and unmaps every input file. Under
+//! [`PedsortVariant::Threads`] every worker does so through one shared
+//! address space, whose region-list lock is the threaded version's
+//! serialisation point; the process variants give each worker its own.
 
+use crate::pedsort::PedsortVariant;
 use pk_kernel::{Kernel, KernelError};
+use pk_mm::{AddressSpace, PageSize};
 use pk_percpu::CoreId;
 use pk_sync::SpinLock;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -62,6 +70,7 @@ impl WorkQueue {
 #[derive(Debug)]
 pub struct Indexer {
     kernel: Arc<Kernel>,
+    variant: PedsortVariant,
     table_limit: usize,
     chunk_entries: usize,
 }
@@ -82,17 +91,23 @@ pub struct IndexStats {
 }
 
 impl Indexer {
-    /// Creates an indexer with the paper's limits.
-    pub fn new(kernel: Arc<Kernel>) -> Self {
-        Self::with_limits(kernel, DEFAULT_TABLE_LIMIT, DEFAULT_CHUNK_ENTRIES)
+    /// Creates an indexer running `variant` with the paper's limits.
+    pub fn new(kernel: Arc<Kernel>, variant: PedsortVariant) -> Self {
+        Self::with_limits(kernel, variant, DEFAULT_TABLE_LIMIT, DEFAULT_CHUNK_ENTRIES)
     }
 
     /// Creates an indexer with explicit table/chunk limits (for tests
     /// and scaled-down corpora).
-    pub fn with_limits(kernel: Arc<Kernel>, table_limit: usize, chunk_entries: usize) -> Self {
+    pub fn with_limits(
+        kernel: Arc<Kernel>,
+        variant: PedsortVariant,
+        table_limit: usize,
+        chunk_entries: usize,
+    ) -> Self {
         assert!(table_limit > 0 && chunk_entries > 0);
         Self {
             kernel,
+            variant,
             table_limit,
             chunk_entries,
         }
@@ -121,16 +136,29 @@ impl Indexer {
         }
         let file_count = files.len();
         let queue = WorkQueue::new(files);
-        self.run_queues(out_dir, &vec![&queue; workers], file_count)
+        let spaces = self.address_spaces(workers);
+        self.run_queues(out_dir, &vec![&queue; workers], &spaces, file_count)
+    }
+
+    /// The address spaces phase 1 maps through: one for every worker
+    /// under [`PedsortVariant::Threads`], one each otherwise.
+    fn address_spaces(&self, workers: usize) -> Vec<Arc<AddressSpace>> {
+        let n = match self.variant {
+            PedsortVariant::Threads => 1,
+            PedsortVariant::Procs | PedsortVariant::ProcsRoundRobin => workers,
+        };
+        (0..n).map(|_| self.kernel.new_address_space()).collect()
     }
 
     /// The two phases, worker `w` pulling its phase-1 files from
-    /// `queues[w]`. [`Indexer::run`] hands every worker the same shared
-    /// queue; a test hands each its own to force a particular split.
+    /// `queues[w]` and mapping them through `spaces[w % spaces.len()]`.
+    /// [`Indexer::run`] hands every worker the same shared queue; a test
+    /// hands each its own to force a particular split.
     fn run_queues(
         &self,
         out_dir: &str,
         queues: &[&WorkQueue],
+        spaces: &[Arc<AddressSpace>],
         file_count: usize,
     ) -> Result<IndexStats, KernelError> {
         // Phase 1 in parallel. Worker errors come back through the join
@@ -142,7 +170,8 @@ impl Indexer {
                 .enumerate()
                 .map(|(w, &queue)| {
                     let kernel = Arc::clone(&self.kernel);
-                    s.spawn(move || phase1(&kernel, queue, out_dir, w, self.table_limit))
+                    let space = &spaces[w % spaces.len()];
+                    s.spawn(move || phase1(&kernel, queue, space, out_dir, w, self.table_limit))
                 })
                 .collect();
             handles
@@ -242,11 +271,23 @@ fn deserialize(data: &[u8]) -> Result<BTreeMap<String, Vec<Posting>>, KernelErro
     Ok(map)
 }
 
+/// Maps `bytes` of an input file through `space`, touches every page
+/// and unmaps it again, tearing the mapping down on every error path.
+fn map_input(space: &AddressSpace, bytes: usize, core: usize) -> Result<(), KernelError> {
+    let region = space.mmap(bytes.max(1) as u64, PageSize::Base4K)?;
+    let touched = space.touch_all(region, core);
+    let unmapped = space.munmap(region, core);
+    touched?;
+    unmapped?;
+    Ok(())
+}
+
 /// Phase 1 for one worker. Returns `(tokens, flushes, intermediate
 /// paths)`.
 fn phase1(
     kernel: &Kernel,
     queue: &WorkQueue,
+    space: &AddressSpace,
     out_dir: &str,
     worker: usize,
     table_limit: usize,
@@ -272,6 +313,7 @@ fn phase1(
     };
     while let Some((file_id, path)) = queue.pop() {
         let data = vfs.read_file(&path, core)?;
+        map_input(space, data.len(), worker)?;
         let text = String::from_utf8_lossy(&data);
         for (pos, word) in text.split_whitespace().enumerate() {
             let term = word.to_ascii_lowercase();
@@ -373,6 +415,8 @@ mod tests {
     use super::*;
     use pk_kernel::KernelConfig;
     use pk_kernel::Personality;
+    use std::sync::atomic::Ordering;
+    use PedsortVariant::{Procs, Threads};
 
     fn corpus(kernel: &Kernel, files: &[&str]) {
         let core = CoreId(0);
@@ -389,7 +433,7 @@ mod tests {
     fn indexes_a_small_corpus() {
         let kernel = Arc::new(Kernel::new(KernelConfig::pk(4)));
         corpus(&kernel, &["alpha beta alpha", "beta gamma", "delta"]);
-        let idx = Indexer::with_limits(Arc::clone(&kernel), 64, 64);
+        let idx = Indexer::with_limits(Arc::clone(&kernel), Procs, 64, 64);
         let stats = idx.run("/corpus", "/out", 2).unwrap();
         assert_eq!(stats.files, 3);
         assert_eq!(stats.tokens, 6);
@@ -418,8 +462,9 @@ mod tests {
             WorkQueue::new(vec![doc(0)]),
             WorkQueue::new(vec![doc(1), doc(2)]),
         );
-        let stats = Indexer::with_limits(Arc::clone(&kernel), 64, 64)
-            .run_queues("/out", &[&w0, &w1], 3)
+        let idx = Indexer::with_limits(Arc::clone(&kernel), Procs, 64, 64);
+        let stats = idx
+            .run_queues("/out", &[&w0, &w1], &idx.address_spaces(2), 3)
             .unwrap();
         assert_eq!(stats.tokens, 6);
         assert_eq!(stats.final_chunks, 2, "both workers indexed something");
@@ -434,17 +479,44 @@ mod tests {
             .collect();
         let refs: Vec<&str> = texts.iter().map(|s| s.as_str()).collect();
         let mut baseline = None;
-        for workers in [1, 2, 4] {
+        for (variant, workers) in [(Threads, 1), (Threads, 4), (Procs, 2), (Procs, 4)] {
             let kernel = Arc::new(Kernel::new(KernelConfig::pk(4)));
             corpus(&kernel, &refs);
-            let idx = Indexer::with_limits(Arc::clone(&kernel), 16, 32);
+            let idx = Indexer::with_limits(Arc::clone(&kernel), variant, 16, 32);
             let stats = idx.run("/corpus", "/out", workers).unwrap();
             assert_eq!(stats.tokens, 72);
             let index = load_final_index(&kernel, "/out").unwrap();
-            assert_eq!(stats.distinct_terms, index.len(), "workers={workers}");
+            let what = format!("{variant:?} workers={workers}");
+            assert_eq!(stats.distinct_terms, index.len(), "{what}");
             match &baseline {
                 None => baseline = Some(index),
-                Some(b) => assert_eq!(b, &index, "workers={workers}"),
+                Some(b) => assert_eq!(b, &index, "{what}"),
+            }
+        }
+    }
+
+    #[test]
+    fn threads_share_one_address_space_and_procs_get_one_each() {
+        for (variant, spaces) in [(Threads, 1), (Procs, 2)] {
+            let kernel = Arc::new(Kernel::new(Personality::Stock.config(2)));
+            corpus(&kernel, &["a b", "b c", "c d", "d a", "a", "b"]);
+            kernel.vfs().mkdir_p("/out", CoreId(0)).unwrap();
+            let doc = |i: u32| (i, format!("/corpus/doc{i}"), 1);
+            let (w0, w1) = (
+                WorkQueue::new((0..3).map(doc).collect()),
+                WorkQueue::new((3..6).map(doc).collect()),
+            );
+            let idx = Indexer::with_limits(Arc::clone(&kernel), variant, 64, 64);
+            let asps = idx.address_spaces(2);
+            assert_eq!(asps.len(), spaces, "{variant:?}");
+            idx.run_queues("/out", &[&w0, &w1], &asps, 6).unwrap();
+            // Every file took the region-list write lock twice, all on
+            // the one space under threads, and left no mapping behind.
+            let stats = kernel.mm_stats();
+            assert_eq!(stats.mmaps.load(Ordering::Relaxed), 6, "{variant:?}");
+            assert_eq!(stats.munmaps.load(Ordering::Relaxed), 6, "{variant:?}");
+            for space in &asps {
+                assert_eq!(space.region_count(), 0, "{variant:?}");
             }
         }
     }
@@ -453,7 +525,7 @@ mod tests {
     fn small_table_limit_forces_flushes() {
         let kernel = Arc::new(Kernel::new(KernelConfig::pk(2)));
         corpus(&kernel, &["a b c d e f g h i j k l m n o p"]);
-        let idx = Indexer::with_limits(Arc::clone(&kernel), 4, 1000);
+        let idx = Indexer::with_limits(Arc::clone(&kernel), Threads, 4, 1000);
         let stats = idx.run("/corpus", "/out", 1).unwrap();
         assert!(
             stats.intermediate_flushes >= 4,
@@ -467,7 +539,7 @@ mod tests {
     fn chunking_splits_the_final_index() {
         let kernel = Arc::new(Kernel::new(KernelConfig::pk(2)));
         corpus(&kernel, &["one two three four five six seven eight"]);
-        let idx = Indexer::with_limits(Arc::clone(&kernel), 1000, 3);
+        let idx = Indexer::with_limits(Arc::clone(&kernel), Threads, 1000, 3);
         let stats = idx.run("/corpus", "/out", 1).unwrap();
         assert_eq!(stats.final_chunks, 3, "8 terms / 3 per chunk");
         let index = load_final_index(&kernel, "/out").unwrap();
@@ -481,7 +553,8 @@ mod tests {
         for choice in [Personality::Stock, Personality::Pk] {
             let kernel = Arc::new(Kernel::new(choice.config(2)));
             corpus(&kernel, &texts);
-            Indexer::with_limits(Arc::clone(&kernel), 8, 8)
+            let variant = crate::roster::pairing(choice).pedsort;
+            Indexer::with_limits(Arc::clone(&kernel), variant, 8, 8)
                 .run("/corpus", "/out", 2)
                 .unwrap();
             indexes.push(load_final_index(&kernel, "/out").unwrap());

@@ -4,8 +4,8 @@
 //! Every test arms real fault points (`vfs.dentry_alloc`,
 //! `mm.alloc_enomem`) on a seeded plane and drives the exact paths
 //! that used to `unwrap()`/`expect()` kernel results: driver boot,
-//! per-message delivery, per-query execution, and the pedsort
-//! index/merge cycle. A failure must come back as a typed
+//! per-message delivery, per-query execution, the gmake build and the
+//! pedsort index/merge cycle. A failure must come back as a typed
 //! [`KernelError`] (or be absorbed by the driver's retry/bounce
 //! accounting) — a panic fails the test by failing the harness.
 
@@ -13,10 +13,12 @@ use pk_fault::{FaultPlane, FaultSchedule};
 use pk_kernel::{Kernel, KernelError, Personality};
 use pk_percpu::CoreId;
 use pk_workloads::exim::EximDriver;
-use pk_workloads::gmake::GmakeDriver;
+use pk_workloads::gmake_exec::{BuildGraph, ParallelMake};
 use pk_workloads::metis::{MetisDriver, MetisVariant};
 use pk_workloads::pedsort_indexer::{load_final_index, Indexer};
 use pk_workloads::postgres::{PgVariant, PostgresDriver};
+use pk_workloads::roster;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A plane that fails every Nth check at the named points.
@@ -128,96 +130,80 @@ fn postgres_queries_degrade_gracefully_under_dcache_faults() {
 }
 
 #[test]
-fn pedsort_driver_index_file_fails_typed_under_alloc_faults() {
-    use pk_workloads::pedsort::PedsortDriver;
-    // Boot fault-free, then arm: failures land inside index_file's
-    // mmap/touch/write/munmap path, which used to `expect()` each one.
-    let faults = Arc::new(FaultPlane::with_seed(31));
-    let d = PedsortDriver::with_faults(Personality::Pk, 2, 12, true, Arc::clone(&faults)).unwrap();
-    faults.set("mm.alloc_enomem", FaultSchedule::EveryNth(3));
-    faults.set("vfs.dentry_alloc", FaultSchedule::EveryNth(3));
-    faults.enable();
-    let mut failures = 0;
-    for f in 0..12 {
-        if let Err(e) = d.index_file(f % 2, f) {
-            assert!(e.is_transient(), "alloc faults are transient: {e}");
-            failures += 1;
-        }
-    }
-    assert!(failures > 0, "EveryNth(3) across 12 indexes must fire");
-    faults.disable();
-    assert!(faults.injected_total() > 0);
-    // Recovery: with the plane quiet again, the same driver keeps
-    // indexing — failed files tore their mappings down on the way out.
-    d.index_file(0, 0).unwrap();
-}
-
-#[test]
-fn pedsort_driver_boot_fails_typed_under_dentry_faults() {
-    use pk_workloads::pedsort::PedsortDriver;
-    let faults = plane(37, 3, &["vfs.dentry_alloc"]);
-    match PedsortDriver::with_faults(Personality::Pk, 2, 24, false, faults) {
-        Ok(_) => panic!("corpus population was expected to hit an injected fault"),
-        Err(e) => assert!(e.is_transient(), "ENOMEM is transient: {e}"),
-    }
-}
-
-#[test]
 fn pedsort_run_fails_typed_under_alloc_faults() {
-    let faults = Arc::new(FaultPlane::with_seed(23));
+    // Stock's threads share one address space, PK's processes each own
+    // one: both map every input file in phase 1.
+    for choice in [Personality::Stock, Personality::Pk] {
+        let faults = Arc::new(FaultPlane::with_seed(23));
+        let kernel = Arc::new(Kernel::with_faults(choice.config(4), Arc::clone(&faults)));
+        let core = CoreId(0);
+        kernel.vfs().mkdir_p("/corpus", core).unwrap();
+        for i in 0..6 {
+            kernel
+                .vfs()
+                .write_file(
+                    &format!("/corpus/doc{i}"),
+                    format!("alpha beta gamma doc{i} token{}", i * 3).as_bytes(),
+                    core,
+                )
+                .unwrap();
+        }
+        let indexer =
+            Indexer::with_limits(Arc::clone(&kernel), roster::pairing(choice).pedsort, 8, 8);
+        faults.set("vfs.dentry_alloc", FaultSchedule::EveryNth(4));
+        faults.set("mm.alloc_enomem", FaultSchedule::EveryNth(4));
+        faults.enable();
+        // The phase-1/phase-2 workers ferry errors back through the scope
+        // join instead of `expect("phase 1")`-ing inside the thread.
+        match indexer.run("/corpus", "/out", 2) {
+            Ok(_) => panic!("{choice:?}: EveryNth(4) across the index run must fire"),
+            Err(e) => assert!(e.is_transient(), "alloc faults are transient: {e}"),
+        }
+        faults.disable();
+        assert!(faults.injected_total() > 0);
+        // A file whose pages failed to fault in still unmapped its
+        // input: every mmap has its munmap.
+        let mm = kernel.mm_stats();
+        assert_eq!(
+            mm.mmaps.load(Ordering::Relaxed),
+            mm.munmaps.load(Ordering::Relaxed),
+            "{choice:?}: a failed file left its mapping behind"
+        );
+        assert_eq!(indexer.run("/corpus", "/out", 2).unwrap().files, 6);
+    }
+}
+
+#[test]
+fn gmake_build_fails_typed_under_fork_faults() {
+    // Lay the sources out fault-free, then make every other fork fail
+    // with EAGAIN: the first compile whose fork fails stops the build.
+    let faults = Arc::new(FaultPlane::with_seed(31));
     let kernel = Arc::new(Kernel::with_faults(
         Personality::Pk.config(4),
         Arc::clone(&faults),
     ));
-    let core = CoreId(0);
-    kernel.vfs().mkdir_p("/corpus", core).unwrap();
-    for i in 0..6 {
+    kernel.vfs().mkdir_p("/src", CoreId(0)).unwrap();
+    for i in 0..8 {
+        let source = format!("int f{i}();");
         kernel
             .vfs()
-            .write_file(
-                &format!("/corpus/doc{i}"),
-                format!("alpha beta gamma doc{i} token{}", i * 3).as_bytes(),
-                core,
-            )
+            .write_file(&format!("/src/f{i}.c"), source.as_bytes(), CoreId(0))
             .unwrap();
     }
-    faults.set("vfs.dentry_alloc", FaultSchedule::EveryNth(4));
-    faults.set("mm.alloc_enomem", FaultSchedule::EveryNth(4));
+    let graph = BuildGraph::kernel_build(8);
+    faults.set("proc.fork_fail", FaultSchedule::EveryNth(2));
     faults.enable();
-    // The phase-1/phase-2 workers now ferry errors back through the
-    // scope join instead of `expect("phase 1")`-ing inside the thread.
-    match Indexer::with_limits(Arc::clone(&kernel), 8, 8).run("/corpus", "/out", 2) {
-        Ok(_) => panic!("EveryNth(4) across the index run must fire"),
-        Err(e) => assert!(e.is_transient(), "alloc faults are transient: {e}"),
+    match ParallelMake::new(8).build(&kernel, &graph) {
+        Ok(_) => panic!("EveryNth(2) across the build's forks must fire"),
+        Err(e) => assert!(e.is_transient(), "EAGAIN is transient: {e}"),
     }
     faults.disable();
     assert!(faults.injected_total() > 0);
-}
-
-#[test]
-fn gmake_compile_fails_typed_under_fork_faults() {
-    // Boot fault-free, then make every other fork fail with EAGAIN —
-    // the path that used to `expect("fork cc")` inside `compile`.
-    let faults = Arc::new(FaultPlane::with_seed(31));
-    let d = GmakeDriver::with_faults(Personality::Pk, 4, 8, Arc::clone(&faults)).unwrap();
-    faults.set("proc.fork_fail", FaultSchedule::EveryNth(2));
-    faults.enable();
-    let mut failed = 0;
-    for i in 0..8 {
-        if let Err(e) = d.compile(i % 4, i) {
-            assert!(e.is_transient(), "EAGAIN is transient: {e}");
-            failed += 1;
-        }
-    }
-    assert!(failed > 0, "EveryNth(2) across 8 forks must fire");
-    faults.disable();
-    // Failed forks leaked nothing; the build completes once the
+    // Failed forks leaked nothing; a fresh build completes once the
     // pressure lifts.
-    for i in 0..8 {
-        d.compile(i % 4, i).unwrap();
-    }
-    d.link(8).unwrap();
-    assert_eq!(d.kernel().procs().len(), 1, "compiler processes leaked");
+    let report = ParallelMake::new(8).build(&kernel, &graph).unwrap();
+    assert_eq!(report.rules_run, graph.len());
+    assert_eq!(kernel.procs().len(), 1, "compiler processes leaked");
 }
 
 #[test]

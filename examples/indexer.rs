@@ -5,6 +5,7 @@
 
 use mosbench::kernel::{Kernel, KernelConfig};
 use mosbench::percpu::CoreId;
+use mosbench::workloads::pedsort::PedsortVariant;
 use mosbench::workloads::pedsort_indexer::{load_final_index, Indexer};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -30,9 +31,11 @@ fn main() {
             .unwrap();
     }
 
-    // Index with 4 workers; small limits so phases 1 and 2 both do real
-    // work on this corpus size.
-    let indexer = Indexer::with_limits(Arc::clone(&kernel), 256, 512);
+    // Index with 4 worker processes, each mapping its input files
+    // through its own address space; small limits so phases 1 and 2
+    // both do real work on this corpus size.
+    let variant = PedsortVariant::ProcsRoundRobin;
+    let indexer = Indexer::with_limits(Arc::clone(&kernel), variant, 256, 512);
     let stats = indexer.run("/corpus", "/index", 4).expect("index run");
     println!("indexed {} files, {} tokens", stats.files, stats.tokens);
     println!(
