@@ -837,24 +837,15 @@ impl RcuChaosReport {
     }
 }
 
-/// Reads an `rcu.*` counter out of an observability snapshot.
-fn rcu_sample(snap: &pk_obs::Snapshot, name: &str) -> u64 {
-    match snap.find(name).map(|s| &s.value) {
-        Some(pk_obs::MetricValue::Counter(v)) => *v,
-        Some(pk_obs::MetricValue::Gauge(v)) => u64::try_from(*v).unwrap_or(0),
-        _ => 0,
-    }
-}
-
 /// Soaks the deferred-reclamation machinery under forced queue spills.
 ///
 /// Arms a `rcu.defer_overflow` fault point as the RCU spill probe, so
 /// every `RCU_OVERFLOW_EVERY`th `call_rcu` is forced down the
 /// blocking overflow path mid-churn, then drives dcache and mount-table
-/// write traffic through a real kernel and checks — via the kernel's
-/// `rcu.*` observability samples — that every retired object was freed
-/// exactly once: `call_rcu == deferred_freed` after the final barrier,
-/// with nothing left pending.
+/// write traffic through a real kernel and checks — via the RCU
+/// counters ([`pk_sync::rcu::stats_snapshot`]) — that every retired
+/// object was freed exactly once: `call_rcu == deferred_freed` after
+/// the final barrier, with nothing left pending.
 ///
 /// Single-threaded and seeded like the other soaks: the injection
 /// trace, and therefore every counter delta, replays from the seed.
@@ -864,7 +855,7 @@ pub fn run_rcu_overflow(choice: Personality, cores: usize, seed: u64) -> RcuChao
     let kernel = Kernel::new(choice.config(cores));
     // Start from drained queues so the pending gauge reads 0-based.
     rcu::rcu_barrier();
-    let before = kernel.obs_snapshot();
+    let before = rcu::stats_snapshot();
 
     let plane = Arc::new(FaultPlane::with_seed(seed));
     plane.set(
@@ -896,14 +887,13 @@ pub fn run_rcu_overflow(choice: Personality, cores: usize, seed: u64) -> RcuChao
     }));
     plane.disable();
     rcu::rcu_barrier();
-    let after = kernel.obs_snapshot();
+    let after = rcu::stats_snapshot();
 
-    let delta = |name: &str| rcu_sample(&after, name) - rcu_sample(&before, name);
     let injected = plane.injected_total();
-    let call_rcu = delta("rcu.call_rcu");
-    let freed = delta("rcu.deferred_freed");
-    let spills = delta("rcu.spills");
-    let pending_after_barrier = rcu_sample(&after, "rcu.deferred_pending");
+    let call_rcu = after.call_rcu_calls - before.call_rcu_calls;
+    let freed = after.deferred_freed - before.deferred_freed;
+    let spills = after.spills - before.spills;
+    let pending_after_barrier = after.deferred_pending;
 
     let mut violations = Vec::new();
     if outcome.is_err() {

@@ -1,6 +1,6 @@
 //! `report lockdep`: runs [`pk_bench::lockdep`]'s roster under the
 //! pk-lockdep runtime validator, then prints the observed lock classes,
-//! the lock-order graph, the pk-obs sample export, and every recorded
+//! the lock-order graph, the validator's counters, and every recorded
 //! violation. Exits 1 if any violation was recorded.
 //!
 //! Build with `--features lockdep`; without the feature the hooks are
@@ -64,12 +64,17 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
     println!();
 
-    // The pk-obs export: the same samples any `Collect` consumer sees.
-    let mut snapshot = pk_obs::Snapshot::new();
-    pk_lockdep::collector().collect(&mut snapshot);
     println!("pk-obs samples:");
-    for s in snapshot.iter().filter(|s| s.name.starts_with("lockdep.")) {
-        println!("  {s}");
+    let counters = [
+        ("enabled", usize::from(pk_lockdep::enabled())),
+        ("classes", classes.len()),
+        ("edges", edges.len()),
+        ("max_held_depth", pk_lockdep::max_held_depth()),
+        ("acquisitions", pk_lockdep::acquisition_count() as usize),
+        ("violations", pk_lockdep::violation_count()),
+    ];
+    for (name, value) in counters {
+        println!("  lockdep.{name} = {value}");
     }
     println!();
 

@@ -99,7 +99,8 @@ pub fn run(args: &Args) -> Result<(), String> {
                     out.epochs
                 ),
             }
-            print!("{}", attr.profile.table(8));
+            let table = profile::class_table(attr.profile.total_cycles);
+            print!("{}", table.text(attr.profile.top_exclusive(8)));
             if attr.dropped_events > 0 {
                 println!(
                     "  (! {} events dropped to ring overflow)",
@@ -220,9 +221,10 @@ fn functional_exim_pass() {
             .expect("fault-free delivery");
     }
     let events = tracer.drain();
-    let p = pk_trace::Profile::build(&events);
+    let p = pk_why::Profile::build(&events);
     println!("--- exim functional driver (driver clock domain) ---");
-    print!("{}", p.table(10));
+    let table = profile::class_table(p.total_cycles);
+    print!("{}", table.text(p.top_exclusive(10)));
     assert!(
         !events.is_empty(),
         "global tracer hooks recorded nothing — wiring broke"

@@ -41,11 +41,11 @@ use pk_obs::ContentionReport;
 pub fn contention_report(resolved: &Resolved) -> ContentionReport {
     let cores = resolved.cores;
     let solved = resolved.model.network(cores).solve(cores);
-    ContentionReport::from_snapshot(
+    ContentionReport::new(
         display_name(&resolved.model.name()),
         resolved.config.clone(),
         cores,
-        &solved.snapshot(),
+        solved.resources(),
     )
 }
 
@@ -61,11 +61,11 @@ pub fn contention_report_des(
     let cores = resolved.cores;
     let net = resolved.model.network(cores);
     let measured = pk_sim::des::simulate(&net, cores, ops_per_core, seed);
-    ContentionReport::from_snapshot(
+    ContentionReport::new(
         display_name(&resolved.model.name()),
         resolved.config.clone(),
         cores,
-        &measured.snapshot(&net),
+        measured.resources(&net),
     )
 }
 

@@ -10,7 +10,8 @@
 
 use crate::Resolved;
 use pk_obs::{document, Cell, Table};
-use pk_trace::{ClassTotals, Event, Profile, Tracer};
+use pk_trace::{Event, Tracer};
+use pk_why::{ClassTotals, Profile};
 
 /// Simulated operations per customer in a profiling run: long enough
 /// for the attribution shares to stabilize, small enough that the
@@ -60,6 +61,28 @@ impl WorkloadAttribution {
             .find(|n| *n != "des.op")
             .unwrap_or("")
     }
+}
+
+/// A profile's class rows out of `total_cycles`: the paper-style
+/// top-functions table (`%cycl` of the total, then exclusive, inclusive
+/// and count) and each class's JSON object.
+pub fn class_table(total_cycles: u64) -> Table<ClassTotals> {
+    Table::<ClassTotals>::new()
+        .col("", "class", |c| c.name.clone())
+        .col("", "share", move |c| {
+            c.exclusive as f64 / total_cycles.max(1) as f64
+        })
+        .col("  {%cycl:>5.1}", "", move |c| {
+            if total_cycles == 0 {
+                0.0
+            } else {
+                100.0 * c.exclusive as f64 / total_cycles as f64
+            }
+        })
+        .col("  {exclusive:>9}", "exclusive", |c| c.exclusive)
+        .col("  {inclusive:>10}", "inclusive", |c| c.inclusive)
+        .col("  {count:>8}", "count", |c| c.count)
+        .col("  {class}", "", |c| c.name.clone())
 }
 
 /// Ring slots needed per track: every operation visits each station at
@@ -234,14 +257,7 @@ pub fn report_json(
         .col("", "total_cycles", |r| r.profile.total_cycles)
         .col("", "dropped_events", |r| r.dropped_events)
         .col("", "top", |r| {
-            let total = r.profile.total_cycles.max(1);
-            Table::<ClassTotals>::new()
-                .col("", "class", |c| c.name.clone())
-                .col("", "share", move |c| c.exclusive as f64 / total as f64)
-                .col("", "exclusive", |c| c.exclusive)
-                .col("", "inclusive", |c| c.inclusive)
-                .col("", "count", |c| c.count)
-                .block(r.profile.top_exclusive(8), 2)
+            class_table(r.profile.total_cycles).block(r.profile.top_exclusive(8), 2)
         });
     let inversion_table = Table::<EximInversion>::new()
         .col("", "stock_vfsmount_share", |i| i.stock_share)

@@ -22,9 +22,9 @@
 //!   exponential backoff and deterministic jitter drawn from the same
 //!   seed, so a workload's recovery schedule replays too.
 //!
-//! The plane implements [`pk_obs::Collect`], exporting per-point
-//! `fault.<point>.checked` / `fault.<point>.injected` counters into the
-//! same snapshots the contention reports read.
+//! [`FaultPlane::stats`] reports each point's checked and injected
+//! counts; `pk-kernel` exports them as `fault.<point>.checked` /
+//! `fault.<point>.injected` samples next to the contention counters.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]

@@ -4,8 +4,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use pk_obs::{Collect, Sample, Snapshot};
-
 use crate::schedule::FaultSchedule;
 
 /// Cap on the replay trace so a long soak cannot grow without bound.
@@ -254,21 +252,6 @@ impl FaultPlane {
     }
 }
 
-impl Collect for FaultPlane {
-    fn collect(&self, out: &mut Snapshot) {
-        for s in self.stats() {
-            out.push(Sample::counter(
-                format!("fault.{}.checked", s.name),
-                s.checked,
-            ));
-            out.push(Sample::counter(
-                format!("fault.{}.injected", s.name),
-                s.injected,
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,14 +337,18 @@ mod tests {
     }
 
     #[test]
-    fn collect_exports_fault_counters() {
+    fn stats_report_each_point_by_name() {
         let plane = FaultPlane::with_seed(9);
-        plane.set("t.obs", FaultSchedule::EveryNth(1));
+        plane.set("t.obs", FaultSchedule::EveryNth(2));
         plane.enable();
-        plane.point("t.obs").should_inject();
-        let mut snap = Snapshot::new();
-        plane.collect(&mut snap);
-        assert!(snap.find("fault.t.obs.checked").is_some());
-        assert!(snap.find("fault.t.obs.injected").is_some());
+        let p = plane.point("t.obs");
+        p.should_inject();
+        p.should_inject();
+        let expect = PointStats {
+            name: "t.obs",
+            checked: 2,
+            injected: 1,
+        };
+        assert_eq!(plane.stats(), [expect]);
     }
 }

@@ -1,7 +1,6 @@
 //! The assembled kernel.
 
 use crate::config::KernelConfig;
-use crate::cputime::CpuAccounting;
 use crate::error::KernelError;
 use pk_fault::FaultPlane;
 use pk_mm::{AddressSpace, MmStats, NumaAllocator};
@@ -16,8 +15,7 @@ use std::sync::Arc;
 /// The workloads drive this the way MOSBENCH drives Linux: through
 /// syscall-shaped operations that touch the same data structures the
 /// paper profiles. Every subsystem keeps its own contention statistics;
-/// [`Kernel::cpu`] aggregates user/system time the way the figures
-/// report it.
+/// [`Kernel::obs_snapshot`] gathers them.
 ///
 /// # Examples
 ///
@@ -41,7 +39,6 @@ pub struct Kernel {
     allocator: Arc<NumaAllocator>,
     procs: ProcessTable,
     sched: Scheduler,
-    cpu: CpuAccounting,
     proc_stats: crate::procfs::ProcStats,
     faults: Arc<FaultPlane>,
 }
@@ -72,7 +69,6 @@ impl Kernel {
             mm_stats,
             procs: ProcessTable::with_faults(&faults),
             sched: Scheduler::new(config.cores),
-            cpu: CpuAccounting::new(config.cores),
             proc_stats: crate::procfs::ProcStats::default(),
             faults,
             config,
@@ -117,11 +113,6 @@ impl Kernel {
     /// The scheduler.
     pub fn sched(&self) -> &Scheduler {
         &self.sched
-    }
-
-    /// CPU-time accounting.
-    pub fn cpu(&self) -> &CpuAccounting {
-        &self.cpu
     }
 
     /// procfs read counters.
@@ -245,12 +236,5 @@ mod tests {
             pk_obs::MetricValue::Counter(n) => assert_eq!(*n, 1),
             v => panic!("wrong value kind: {v:?}"),
         }
-    }
-
-    #[test]
-    fn cpu_accounting_is_reachable() {
-        let k = Kernel::new(KernelConfig::pk(2));
-        k.cpu().charge_system(CoreId(0), 10);
-        assert_eq!(k.cpu().totals(), (0, 10));
     }
 }

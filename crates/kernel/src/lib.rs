@@ -7,14 +7,12 @@
 //! them, [`FIXES`] carries the Figure-1 metadata (problem, solution,
 //! affected applications) — and lowers them onto the substrate configs.
 //! [`Kernel`] assembles the substrates and offers a syscall-shaped
-//! surface plus per-core CPU-time accounting, which is how the workloads
-//! report the paper's user/system breakdowns.
+//! surface plus one snapshot of every subsystem's counters.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
 mod config;
-mod cputime;
 mod error;
 mod fixes;
 mod kernel;
@@ -22,7 +20,6 @@ mod obs;
 pub mod procfs;
 
 pub use config::{KernelConfig, Personality};
-pub use cputime::{CpuAccounting, CpuTime};
 pub use error::KernelError;
 pub use fixes::{
     fix_for_class, App, Fix, FixId, FIXES, GEN2_FIXES, LINES_ADDED, LINES_REMOVED, NUM_FIXES,

@@ -21,8 +21,8 @@ impl Kernel {
     ///
     /// The snapshot contains lock samples for the shared locks the
     /// paper singles out, central-vs-local operation mixes for every
-    /// substrate that keeps them, and plain counters for CPU time and
-    /// fault totals.
+    /// substrate that keeps them, and plain counters for page faults,
+    /// procfs reads, fault injection and RCU reclamation.
     pub fn obs_snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
 
@@ -111,20 +111,31 @@ impl Kernel {
             "proc.stat-reads",
             self.proc_stats().stat_reads.load(Ordering::Relaxed),
         ));
-        let (user, system) = self.cpu().totals();
-        snap.push(Sample::counter("cpu.user-cycles", user));
-        snap.push(Sample::counter("cpu.system-cycles", system));
 
         // Fault-injection counters: `fault.<point>.checked` and
         // `fault.<point>.injected` for every registered point, so chaos
         // runs report injected failures next to the contention they cause.
-        pk_obs::Collect::collect(self.faults().as_ref(), &mut snap);
+        for p in self.faults().stats() {
+            let point = |what| format!("fault.{}.{what}", p.name);
+            snap.push(Sample::counter(point("checked"), p.checked));
+            snap.push(Sample::counter(point("injected"), p.injected));
+        }
 
         // RCU reclamation counters (`rcu.*`): process-global, since the
-        // epoch machinery is shared by every kernel in the process. They
-        // let chaos runs assert no deferred callback leaked or ran twice
+        // epoch machinery is shared by every kernel in the process
         // (`rcu.call_rcu == rcu.deferred_freed + rcu.deferred_pending`).
-        pk_obs::Collect::collect(&pk_sync::rcu::RcuObs, &mut snap);
+        let r = pk_sync::rcu::stats_snapshot();
+        snap.push(Sample::counter(
+            "rcu.synchronize_calls",
+            r.synchronize_calls,
+        ));
+        snap.push(Sample::counter("rcu.sync_spin_iters", r.sync_spin_iters));
+        snap.push(Sample::counter("rcu.call_rcu", r.call_rcu_calls));
+        snap.push(Sample::counter("rcu.deferred_freed", r.deferred_freed));
+        let pending = r.deferred_pending as i64;
+        snap.push(Sample::gauge("rcu.deferred_pending", pending));
+        snap.push(Sample::counter("rcu.spills", r.spills));
+        snap.push(Sample::counter("rcu.barriers", r.barriers));
 
         snap
     }
@@ -160,7 +171,6 @@ mod tests {
             v => panic!("wrong value kind: {v:?}"),
         }
         assert!(snap.find("vfs.events").is_some());
-        assert!(snap.find("cpu.user-cycles").is_some());
         assert!(
             snap.find("rcu.call_rcu").is_some(),
             "RCU reclamation counters are part of the kernel snapshot"

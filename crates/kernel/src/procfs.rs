@@ -8,7 +8,6 @@
 //! on demand from live kernel state, like the real procfs.
 
 use crate::kernel::Kernel;
-use pk_percpu::CoreId;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -44,13 +43,12 @@ pub fn read(kernel: &Kernel, path: &str) -> Result<Vec<u8>, crate::KernelError> 
         "/proc/stat" => {
             stats.stat_reads.fetch_add(1, Ordering::Relaxed);
             let mut out = String::new();
-            let (user, system) = kernel.cpu().totals();
+            // No CPU time is charged: the time columns read zero.
             // Writes into a String are infallible; ignore the Result
             // rather than panicking on a syscall-facing path.
-            let _ = writeln!(out, "cpu  {user} 0 {system} 0 0 0 0 0 0 0");
+            let _ = writeln!(out, "cpu  0 0 0 0 0 0 0 0 0 0");
             for core in 0..kernel.config().cores {
-                let (u, s) = kernel.cpu().of(CoreId(core));
-                let _ = writeln!(out, "cpu{core} {u} 0 {s} 0 0 0 0 0 0 0");
+                let _ = writeln!(out, "cpu{core} 0 0 0 0 0 0 0 0 0 0");
             }
             let _ = writeln!(out, "processes {}", kernel.procs().fork_count());
             Ok(out.into_bytes())
@@ -76,7 +74,8 @@ pub fn read(kernel: &Kernel, path: &str) -> Result<Vec<u8>, crate::KernelError> 
         }
         "/proc/meminfo" => {
             stats.other_reads.fetch_add(1, Ordering::Relaxed);
-            let free: u64 = (0..8).map(|n| kernel.allocator().free_pages(n)).sum();
+            let nodes = 0..kernel.config().mm().numa_nodes;
+            let free: u64 = nodes.map(|n| kernel.allocator().free_pages(n)).sum();
             Ok(format!("MemFree: {} kB\n", free * 4).into_bytes())
         }
         _ => Err(NoSuchProcFile.into()),
@@ -100,12 +99,26 @@ mod tests {
     #[test]
     fn proc_stat_reports_all_cores() {
         let k = Kernel::new(KernelConfig::pk(6));
-        k.cpu().charge_user(CoreId(2), 100);
         let stat = read(&k, "/proc/stat").unwrap();
         assert_eq!(parse_cpu_count(&stat), 6);
         let text = String::from_utf8(stat).unwrap();
-        assert!(text.contains("cpu2 100 0 0"));
+        assert!(text.starts_with("cpu  0 0 0 0 0 0 0 0 0 0\ncpu0 0 0 0"));
+        assert!(text.contains("\ncpu5 0 0 0 0 0 0 0 0 0 0\nprocesses "));
         assert_eq!(k.proc_stats().stat_reads.load(Ordering::Relaxed), 1);
+    }
+
+    /// MemFree counts every NUMA node's free list once, whatever the
+    /// socket count the kernel was lowered for.
+    #[test]
+    fn meminfo_sums_each_numa_node_once() {
+        for sockets in [2, 16] {
+            let k = Kernel::new(KernelConfig::pk(32).with_sockets(sockets));
+            let mm = k.config().mm();
+            assert_eq!(mm.numa_nodes, sockets);
+            let kb = sockets as u64 * mm.pages_per_node * 4;
+            let meminfo = read(&k, "/proc/meminfo").unwrap();
+            assert_eq!(meminfo, format!("MemFree: {kb} kB\n").into_bytes());
+        }
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //!
 //! Findings surface two ways: [`violations`] returns the deduplicated
 //! reports (`pk-bench report lockdep` exits non-zero on any), and
-//! [`collector`] exposes counters as `pk-obs` samples.
+//! [`enabled`], [`classes`], [`edges`], [`max_held_depth`],
+//! [`acquisition_count`] and [`violation_count`] are the counters that
+//! report prints.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -175,37 +177,6 @@ pub fn acquisition_count() -> u64 {
     }
     #[cfg(not(feature = "lockdep"))]
     0
-}
-
-struct LockdepSource;
-
-impl pk_obs::Collect for LockdepSource {
-    fn collect(&self, out: &mut pk_obs::Snapshot) {
-        out.push(pk_obs::Sample::gauge("lockdep.enabled", enabled() as i64));
-        out.push(pk_obs::Sample::gauge(
-            "lockdep.classes",
-            classes().len() as i64,
-        ));
-        out.push(pk_obs::Sample::gauge("lockdep.edges", edges().len() as i64));
-        out.push(pk_obs::Sample::gauge(
-            "lockdep.max_held_depth",
-            max_held_depth() as i64,
-        ));
-        out.push(pk_obs::Sample::counter(
-            "lockdep.acquisitions",
-            acquisition_count(),
-        ));
-        out.push(pk_obs::Sample::counter(
-            "lockdep.violations",
-            violation_count() as u64,
-        ));
-    }
-}
-
-/// Returns the validator's `pk-obs` metric source (edges observed, max
-/// held depth, violations).
-pub fn collector() -> std::sync::Arc<dyn pk_obs::Collect> {
-    std::sync::Arc::new(LockdepSource)
 }
 
 #[cfg(all(test, feature = "lockdep"))]
@@ -421,15 +392,5 @@ mod tests {
         assert!(violations()
             .iter()
             .any(|v| v.message.contains(&name_of(ca)) && v.message.contains(&name_of(cb))));
-    }
-
-    #[test]
-    fn collector_exports_lockdep_samples() {
-        let mut snap = pk_obs::Snapshot::new();
-        collector().collect(&mut snap);
-        assert!(snap.find("lockdep.enabled").is_some());
-        assert!(snap.find("lockdep.violations").is_some());
-        assert!(snap.find("lockdep.edges").is_some());
-        assert!(snap.find("lockdep.max_held_depth").is_some());
     }
 }

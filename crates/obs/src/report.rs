@@ -1,7 +1,6 @@
 //! Bottleneck attribution: the paper's Figure-1 "bottleneck" column
 //! re-derived from measurement.
 
-use crate::sample::{MetricValue, Snapshot};
 use crate::table::{Cell, Table};
 use std::fmt;
 
@@ -16,7 +15,8 @@ pub struct Resource {
     /// The waiting portion — what contention costs, over and above the
     /// work itself.
     pub wait_cycles_per_op: f64,
-    /// This resource's share of total cycles per operation, in `[0, 1]`.
+    /// This resource's share of total cycles per operation, in `[0, 1]`
+    /// (filled in by [`ContentionReport::new`]).
     pub share: f64,
     /// Mean queue length observed at the resource.
     pub queue_len: f64,
@@ -31,8 +31,8 @@ pub struct Resource {
 ///
 /// This is the reproduction of the diagnostic the paper ran on the
 /// real 48-core machine (§3): instead of reading the bottleneck off a
-/// hardcoded table, the report derives it from a [`Snapshot`] of
-/// per-station measurements.
+/// hardcoded table, the report derives it from per-station rows of a
+/// model solve or a simulated run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContentionReport {
     /// Workload name (e.g. `Exim`).
@@ -48,30 +48,14 @@ pub struct ContentionReport {
 }
 
 impl ContentionReport {
-    /// Builds a report from every [`MetricValue::Station`] sample in
-    /// `snapshot`. Non-station samples are ignored (they carry raw
-    /// counts, not cycle attribution).
-    pub fn from_snapshot(
+    /// Ranks `resources` by cycles per operation and fills in each
+    /// one's share of their total.
+    pub fn new(
         workload: impl Into<String>,
         config: impl Into<String>,
         cores: usize,
-        snapshot: &Snapshot,
+        mut resources: Vec<Resource>,
     ) -> Self {
-        let mut resources: Vec<Resource> = snapshot
-            .iter()
-            .filter_map(|s| match &s.value {
-                MetricValue::Station(st) => Some(Resource {
-                    name: s.name.clone(),
-                    cycles_per_op: st.residence_cycles,
-                    wait_cycles_per_op: st.wait_cycles,
-                    share: 0.0,
-                    queue_len: st.queue_len,
-                    line_transfers: st.line_transfers,
-                    is_system: st.is_system,
-                }),
-                _ => None,
-            })
-            .collect();
         let total: f64 = resources.iter().map(|r| r.cycles_per_op).sum();
         if total > 0.0 {
             for r in &mut resources {
@@ -139,34 +123,32 @@ impl fmt::Display for ContentionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sample::{Sample, StationSample};
 
-    fn station(residence: f64, demand: f64, system: bool) -> StationSample {
-        StationSample {
-            demand_cycles: demand,
-            residence_cycles: residence,
-            wait_cycles: residence - demand,
+    fn resource(name: &str, cycles: f64, wait: f64, system: bool) -> Resource {
+        Resource {
+            name: name.to_string(),
+            cycles_per_op: cycles,
+            wait_cycles_per_op: wait,
+            share: 0.0,
             queue_len: 1.0,
-            utilization: 0.5,
             line_transfers: 0.0,
             is_system: system,
         }
     }
 
-    fn snapshot() -> Snapshot {
-        let mut snap = Snapshot::new();
-        snap.push(Sample::station("user", station(4000.0, 4000.0, false)));
-        snap.push(Sample::station("hot lock", station(5000.0, 500.0, true)));
-        snap.push(Sample::station("cold lock", station(1000.0, 900.0, true)));
-        snap.push(Sample::counter("ignored", 7));
-        snap
+    fn report(cores: usize) -> ContentionReport {
+        let rows = vec![
+            resource("user", 4000.0, 0.0, false),
+            resource("hot lock", 5000.0, 4500.0, true),
+            resource("cold lock", 1000.0, 100.0, true),
+        ];
+        ContentionReport::new("toy", "stock", cores, rows)
     }
 
     #[test]
     fn ranks_by_cycles_and_normalizes_shares() {
-        let r = ContentionReport::from_snapshot("toy", "stock", 48, &snapshot());
+        let r = report(48);
         assert_eq!(r.top().unwrap().name, "hot lock");
-        assert_eq!(r.resources.len(), 3, "non-station samples ignored");
         let total_share: f64 = r.resources.iter().map(|x| x.share).sum();
         assert!((total_share - 1.0).abs() < 1e-12);
         assert!((r.total_cycles_per_op - 10_000.0).abs() < 1e-9);
@@ -175,15 +157,14 @@ mod tests {
 
     #[test]
     fn top_n_clamps() {
-        let r = ContentionReport::from_snapshot("toy", "stock", 1, &snapshot());
+        let r = report(1);
         assert_eq!(r.top_n(99).len(), 3);
         assert_eq!(r.top_n(1)[0].name, "hot lock");
     }
 
     #[test]
     fn render_names_the_bottleneck_first() {
-        let r = ContentionReport::from_snapshot("toy", "PK", 48, &snapshot());
-        let text = r.render(2);
+        let text = report(48).render(2);
         let hot = text.find("hot lock").unwrap();
         let user = text.find("user").unwrap();
         assert!(hot < user, "bottleneck renders first:\n{text}");
@@ -191,8 +172,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_snapshot_is_harmless() {
-        let r = ContentionReport::from_snapshot("toy", "stock", 4, &Snapshot::new());
+    fn empty_report_is_harmless() {
+        let r = ContentionReport::new("toy", "stock", 4, Vec::new());
         assert!(r.top().is_none());
         assert_eq!(r.total_cycles_per_op, 0.0);
         let _ = r.render(5);

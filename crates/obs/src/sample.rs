@@ -25,28 +25,6 @@ impl LockSample {
     }
 }
 
-/// Per-station queueing measurements from the simulator (MVA solve or
-/// discrete-event run): where each operation's cycles go.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StationSample {
-    /// Service demand per operation, cycles.
-    pub demand_cycles: f64,
-    /// Mean residence (service + waiting) per operation, cycles.
-    pub residence_cycles: f64,
-    /// Mean waiting per operation, cycles — the queueing delay the
-    /// paper attributes to contended locks and cache lines.
-    pub wait_cycles: f64,
-    /// Mean queue length seen at the station.
-    pub queue_len: f64,
-    /// Server utilization in `[0, 1]`.
-    pub utilization: f64,
-    /// Cache-line transfers per operation charged to this station by
-    /// the MESI cost model (0 when the solver does not track them).
-    pub line_transfers: f64,
-    /// Whether residence here is system (kernel) time.
-    pub is_system: bool,
-}
-
 /// A merged, immutable view of a [`crate::Histogram`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -104,8 +82,6 @@ pub enum MetricValue {
         /// Operations satisfied from per-core state.
         local: u64,
     },
-    /// Per-station queueing detail from the simulator.
-    Station(StationSample),
 }
 
 /// One named measurement.
@@ -150,14 +126,6 @@ impl Sample {
             value: MetricValue::OpMix { central, local },
         }
     }
-
-    /// A simulator station sample.
-    pub fn station(name: impl Into<String>, station: StationSample) -> Self {
-        Self {
-            name: name.into(),
-            value: MetricValue::Station(station),
-        }
-    }
 }
 
 impl fmt::Display for Sample {
@@ -187,11 +155,6 @@ impl fmt::Display for Sample {
                     self.name
                 )
             }
-            MetricValue::Station(s) => write!(
-                f,
-                "{}: {:.0} cycles/op ({:.0} waiting), queue {:.2}, util {:.2}",
-                self.name, s.residence_cycles, s.wait_cycles, s.queue_len, s.utilization
-            ),
         }
     }
 }
@@ -255,14 +218,6 @@ impl fmt::Display for Snapshot {
         }
         Ok(())
     }
-}
-
-/// A pull-based metric source: subsystems that already own their
-/// counters (lock stats, VFS stats, op mixes) implement this, and a
-/// report polls the sources it wants into one [`Snapshot`].
-pub trait Collect: Send + Sync {
-    /// Appends this source's current samples to `out`.
-    fn collect(&self, out: &mut Snapshot);
 }
 
 #[cfg(test)]

@@ -145,7 +145,7 @@ impl<'a> SimTrace<'a> {
 
 /// Trace hooks the engine loop calls. The no-op implementation compiles
 /// to nothing, so the untraced hot loop carries no `Option` checks.
-pub(crate) trait TraceSink {
+pub(crate) trait TraceHooks {
     fn op_begin(&self, track: usize, ts: u64);
     fn op_end(&self, track: usize, ts: u64);
     fn station_begin(&self, track: usize, ts: u64, station: usize);
@@ -157,7 +157,7 @@ pub(crate) trait TraceSink {
 /// The zero-cost sink for untraced runs.
 pub(crate) struct NoTrace;
 
-impl TraceSink for NoTrace {
+impl TraceHooks for NoTrace {
     #[inline(always)]
     fn op_begin(&self, _: usize, _: u64) {}
     #[inline(always)]
@@ -172,7 +172,7 @@ impl TraceSink for NoTrace {
     fn wait_end(&self, _: usize, _: u64, _: usize) {}
 }
 
-impl TraceSink for SimTrace<'_> {
+impl TraceHooks for SimTrace<'_> {
     #[inline]
     fn op_begin(&self, track: usize, ts: u64) {
         self.begin(track, ts, self.op_class);
@@ -467,7 +467,7 @@ impl Hot {
 
 /// The fast engine: monomorphized over the trace sink so untraced runs
 /// pay nothing for the hooks.
-fn run<S: TraceSink>(
+fn run<S: TraceHooks>(
     net: &Network,
     cores: usize,
     ops_per_core: u64,
@@ -580,29 +580,24 @@ fn run<S: TraceSink>(
 }
 
 impl DesResult {
-    /// Exports the measured per-station detail as [`pk_obs::Sample`]s,
-    /// mirroring [`crate::mva::MvaResult::snapshot`] but with *measured*
-    /// waits and transfer counts instead of analytic ones. `net` must be
-    /// the network that was simulated (it supplies names and demands).
-    pub fn snapshot(&self, net: &Network) -> pk_obs::Snapshot {
-        let mut snap = pk_obs::Snapshot::new();
+    /// Every station as a contention-report row, like
+    /// [`crate::mva::MvaResult::resources`] but with *measured* waits
+    /// and transfer counts instead of analytic ones. `net` must be the
+    /// network that was simulated (it supplies names and demands).
+    pub fn resources(&self, net: &Network) -> Vec<pk_obs::Resource> {
         let per_op = self.completed_ops.max(1) as f64;
-        for (j, st) in net.stations().iter().enumerate() {
-            let wait = self.mean_wait_cycles[j];
-            snap.push(pk_obs::Sample::station(
-                st.name,
-                pk_obs::StationSample {
-                    demand_cycles: st.demand_cycles,
-                    residence_cycles: st.demand_cycles + wait,
-                    wait_cycles: wait,
-                    queue_len: self.mean_queue_len[j],
-                    utilization: (self.ops_per_cycle * st.demand_cycles).min(1.0),
-                    line_transfers: self.line_transfers[j] as f64 / per_op,
-                    is_system: st.is_system,
-                },
-            ));
-        }
-        snap
+        let stations = net.stations().iter().enumerate();
+        stations
+            .map(|(j, st)| pk_obs::Resource {
+                name: st.name.to_string(),
+                cycles_per_op: st.demand_cycles + self.mean_wait_cycles[j],
+                wait_cycles_per_op: self.mean_wait_cycles[j],
+                share: 0.0,
+                queue_len: self.mean_queue_len[j],
+                line_transfers: self.line_transfers[j] as f64 / per_op,
+                is_system: st.is_system,
+            })
+            .collect()
     }
 }
 
@@ -758,22 +753,22 @@ mod tests {
     }
 
     #[test]
-    fn des_snapshot_matches_measured_fields() {
+    fn des_resources_carry_measured_fields() {
         let mut net = Network::new();
         net.push(Station::delay("u", 3_000.0, false));
         net.push(Station::queue("q", 1_500.0, true));
         let r = simulate(&net, 16, 3_000, 9);
-        let snap = r.snapshot(&net);
-        assert_eq!(snap.len(), 2);
-        match &snap.find("q").unwrap().value {
-            pk_obs::MetricValue::Station(s) => {
-                assert_eq!(s.wait_cycles, r.mean_wait_cycles[1]);
-                assert!(s.residence_cycles >= s.demand_cycles);
-                assert!(s.line_transfers > 0.0);
-                assert!(s.is_system);
-            }
-            v => panic!("wrong value kind: {v:?}"),
-        }
+        let rows = r.resources(&net);
+        assert_eq!(rows.len(), 2);
+        let q = &rows[1];
+        assert_eq!(q.name, "q");
+        assert_eq!(q.wait_cycles_per_op, r.mean_wait_cycles[1]);
+        assert_eq!(
+            q.cycles_per_op,
+            net.stations()[1].demand_cycles + q.wait_cycles_per_op
+        );
+        assert!(q.line_transfers > 0.0);
+        assert!(q.is_system);
     }
 
     fn faulted_net() -> Network {
@@ -873,17 +868,6 @@ mod tests {
             assert!(e.ts >= *prev, "track {} went backwards", e.track);
             *prev = e.ts;
         }
-
-        let profile = pk_trace::Profile::build(&events);
-        assert!(profile.total_cycles > 0);
-        let names: Vec<&str> = profile.totals().iter().map(|t| t.name.as_str()).collect();
-        assert!(names.contains(&"trace-lock"), "{names:?}");
-        assert!(names.contains(&"trace-lock (wait)"), "contention queued");
-        assert!(names.contains(&"des.op"));
-        // The contended lock's hold + wait cycles dominate the delay
-        // station's self time at this load.
-        let lock_share = profile.share_where(|n| n.contains("trace-lock"));
-        assert!(lock_share > 0.1, "lock_share={lock_share}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! divergence is a bug in one of them, and the oracle is the one that
 //! is easy to audit.
 
-use super::{add_sat, service, DesResult, NoTrace, SimTrace, TraceSink};
+use super::{add_sat, service, DesResult, NoTrace, SimTrace, TraceHooks};
 use super::{PREEMPT_CYCLES, STALL_CYCLES};
 use crate::mva::{Network, StationKind};
 use pk_fault::{FaultPlane, FaultPoint};
@@ -115,7 +115,7 @@ pub fn simulate_traced(
     }
 }
 
-fn run<S: TraceSink>(
+fn run<S: TraceHooks>(
     net: &Network,
     cores: usize,
     ops_per_core: u64,

@@ -168,37 +168,29 @@ impl MvaResult {
             .expect("networks have at least one station")
     }
 
-    /// Exports every station as a [`pk_obs::Sample`] so the solve can
-    /// feed the metrics registry and the contention report.
+    /// Every station as a contention-report row.
     ///
     /// Cache-line transfers per operation are the MESI estimate for a
     /// line owned by a serialized station: each visit moves the line
     /// unless the same core held it last (`(n-1)/n`), and every queued
     /// waiter at a non-scalable lock re-pulls the line while polling —
     /// the same traffic the collapse factor charges to the holder.
-    pub fn snapshot(&self) -> pk_obs::Snapshot {
-        let mut snap = pk_obs::Snapshot::new();
+    pub fn resources(&self) -> Vec<pk_obs::Resource> {
         let handoff = 1.0 - 1.0 / self.cores as f64;
-        for st in &self.stations {
-            let line_transfers = match st.kind {
+        let rows = self.stations.iter().map(|st| pk_obs::Resource {
+            name: st.name.to_string(),
+            cycles_per_op: st.residence_cycles,
+            wait_cycles_per_op: st.wait_cycles(),
+            share: 0.0,
+            queue_len: st.queue_len,
+            line_transfers: match st.kind {
                 StationKind::Delay => 0.0,
                 StationKind::Queue => handoff,
                 StationKind::NonScalable { .. } => handoff + st.queue_len,
-            };
-            snap.push(pk_obs::Sample::station(
-                st.name,
-                pk_obs::StationSample {
-                    demand_cycles: st.demand_cycles,
-                    residence_cycles: st.residence_cycles,
-                    wait_cycles: st.wait_cycles(),
-                    queue_len: st.queue_len,
-                    utilization: st.utilization,
-                    line_transfers,
-                    is_system: st.is_system,
-                },
-            ));
-        }
-        snap
+            },
+            is_system: st.is_system,
+        });
+        rows.collect()
     }
 }
 
@@ -469,29 +461,24 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_exports_station_samples() {
+    fn resources_carry_station_detail() {
         let mut net = Network::new();
         net.push(Station::delay("user", 5_000.0, false));
         net.push(Station::spinlock("hot", 800.0, 0.4, true));
         let r = net.solve(32);
-        let snap = r.snapshot();
-        assert_eq!(snap.len(), 2);
-        let user = snap.find("user").unwrap();
-        let hot = snap.find("hot").unwrap();
-        match (&user.value, &hot.value) {
-            (pk_obs::MetricValue::Station(u), pk_obs::MetricValue::Station(h)) => {
-                assert_eq!(u.wait_cycles, 0.0, "delay stations never wait");
-                assert_eq!(u.line_transfers, 0.0, "core-local lines never move");
-                assert!(h.wait_cycles > 0.0, "a contended lock waits");
-                assert!(
-                    h.line_transfers > 1.0,
-                    "handoffs plus waiter polling move the line: {}",
-                    h.line_transfers
-                );
-                assert!(h.is_system && !u.is_system);
-            }
-            v => panic!("wrong value kinds: {v:?}"),
-        }
+        let [u, h] = &r.resources()[..] else {
+            panic!("one row per station")
+        };
+        assert_eq!((u.name.as_str(), h.name.as_str()), ("user", "hot"));
+        assert_eq!(u.wait_cycles_per_op, 0.0, "delay stations never wait");
+        assert_eq!(u.line_transfers, 0.0, "core-local lines never move");
+        assert!(h.wait_cycles_per_op > 0.0, "a contended lock waits");
+        assert!(
+            h.line_transfers > 1.0,
+            "handoffs plus waiter polling move the line: {}",
+            h.line_transfers
+        );
+        assert!(h.is_system && !u.is_system);
     }
 
     #[test]

@@ -423,35 +423,6 @@ pub fn stats_snapshot() -> RcuStats {
     }
 }
 
-/// Pull-model observability source exporting the `rcu.*` samples.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RcuObs;
-
-impl pk_obs::Collect for RcuObs {
-    fn collect(&self, out: &mut pk_obs::Snapshot) {
-        let s = stats_snapshot();
-        out.push(pk_obs::Sample::counter(
-            "rcu.synchronize_calls",
-            s.synchronize_calls,
-        ));
-        out.push(pk_obs::Sample::counter(
-            "rcu.sync_spin_iters",
-            s.sync_spin_iters,
-        ));
-        out.push(pk_obs::Sample::counter("rcu.call_rcu", s.call_rcu_calls));
-        out.push(pk_obs::Sample::counter(
-            "rcu.deferred_freed",
-            s.deferred_freed,
-        ));
-        out.push(pk_obs::Sample::gauge(
-            "rcu.deferred_pending",
-            s.deferred_pending as i64,
-        ));
-        out.push(pk_obs::Sample::counter("rcu.spills", s.spills));
-        out.push(pk_obs::Sample::counter("rcu.barriers", s.barriers));
-    }
-}
-
 /// An RCU-protected pointer to an immutable `T` snapshot.
 ///
 /// Readers obtain a cheap, wait-free reference under a [`RcuReadGuard`];

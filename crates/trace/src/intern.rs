@@ -84,15 +84,6 @@ pub fn site_name(id: u32) -> String {
         .name_of(id, "site")
 }
 
-/// Number of span classes interned so far (for the `TraceSink`).
-pub fn span_class_count() -> usize {
-    spans()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .names
-        .len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

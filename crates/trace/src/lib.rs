@@ -1,9 +1,11 @@
-//! `pk-trace`: per-core event tracing and cycle-attribution profiling.
+//! `pk-trace`: per-core event tracing.
 //!
 //! Every bottleneck in the paper was found by attributing cycles to
 //! kernel functions and reading the locking story off the hot symbols
 //! (§4). `pk-obs` answers *how much* contention exists; this crate
-//! answers *where the cycles went along a request's path*:
+//! records *where the cycles went along a request's path*, and `pk-why`
+//! folds what it records into per-class profiles and per-request
+//! attribution:
 //!
 //! * **Recording** — per-track fixed-capacity lock-free rings of 32-byte
 //!   [`Event`]s (the `ring` module, allocated in chunks as they fill), stamped by
@@ -16,17 +18,14 @@
 //!   lock guard (named via the always-compiled `pk-lockdep` class
 //!   registry), RCU read sections and grace periods, `pk-fault`
 //!   injection points, and the DES station service/wait edges.
-//! * **Attribution** — [`Profile`] folds a drained stream into flat
-//!   per-class inclusive/exclusive cycles and the paper-style
-//!   top-functions table; [`chrome_trace_json`] exports a
+//! * **Export** — drains are pull-model: harnesses call
+//!   [`Tracer::drain`] at quiescent points (read [`Tracer::dropped`]
+//!   first); [`chrome_trace_json`] turns a drained stream into a
 //!   perfetto-loadable timeline.
-//! * **Export** — drains are pull-model: [`collector`] is a `pk-obs`
-//!   [`Collect`](pk_obs::Collect) source exposing buffered/dropped
-//!   counts; harnesses call [`Tracer::drain`] at quiescent points.
 //!
 //! The `trace-off` cargo feature compiles the macros and hooks to
-//! no-ops ([`SpanGuard`] becomes a ZST) while keeping the aggregation
-//! side available, so tools build in both states.
+//! no-ops ([`SpanGuard`] becomes a ZST) while keeping the [`Tracer`]
+//! and the export available, so tools build in both states.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +33,6 @@
 mod chrome;
 mod event;
 pub mod intern;
-mod profile;
 mod request;
 mod ring;
 mod span;
@@ -42,7 +40,6 @@ mod tracer;
 
 pub use chrome::chrome_trace_json;
 pub use event::{encode_stream, ClassKey, ClassNames, Event, EventKind, ENCODED_EVENT_BYTES};
-pub use profile::{ClassTotals, Profile};
 pub use request::{
     ctx_leaks, current_request, request_id, RequestScope, CTX_LEAK_CLASS, REQUEST_CLASS,
 };
@@ -182,62 +179,11 @@ pub fn lock_released(cell: &pk_lockdep::ClassCell, kind: pk_lockdep::LockKind) {
     let _ = (cell, kind);
 }
 
-/// The pull-model trace sink: exports ring occupancy, drop counts
-/// (this capture window) and torn-drain counts (lifetime) through
-/// `pk-obs` so a truncated capture is always visible.
-struct TraceSink;
-
-impl pk_obs::Collect for TraceSink {
-    fn collect(&self, out: &mut pk_obs::Snapshot) {
-        let installed = tracer::global();
-        out.push(pk_obs::Sample::gauge(
-            "trace.installed",
-            installed.is_some() as i64,
-        ));
-        out.push(pk_obs::Sample::gauge(
-            "trace.enabled",
-            installed.map(|t| t.is_enabled()).unwrap_or(false) as i64,
-        ));
-        out.push(pk_obs::Sample::counter(
-            "trace.buffered_events",
-            installed.map(Tracer::recorded).unwrap_or(0),
-        ));
-        out.push(pk_obs::Sample::counter(
-            "trace.dropped_events",
-            installed.map(Tracer::dropped).unwrap_or(0),
-        ));
-        out.push(pk_obs::Sample::counter(
-            "trace.torn_events",
-            installed.map(Tracer::torn).unwrap_or(0),
-        ));
-        out.push(pk_obs::Sample::gauge(
-            "trace.span_classes",
-            intern::span_class_count() as i64,
-        ));
-    }
-}
-
-/// Returns the tracer's `pk-obs` metric source: `collect` it into a
-/// [`Snapshot`](pk_obs::Snapshot) to read occupancy/drop counts.
-pub fn collector() -> std::sync::Arc<dyn pk_obs::Collect> {
-    std::sync::Arc::new(TraceSink)
-}
-
 #[cfg(test)]
+#[cfg(not(feature = "trace-off"))]
 mod tests {
     use super::*;
 
-    #[test]
-    fn sink_reports_even_without_a_global_tracer() {
-        // Must not install a tracer as a side effect.
-        let mut snap = pk_obs::Snapshot::new();
-        collector().collect(&mut snap);
-        assert!(snap.find("trace.installed").is_some());
-        assert!(snap.find("trace.dropped_events").is_some());
-        assert!(snap.find("trace.torn_events").is_some());
-    }
-
-    #[cfg(not(feature = "trace-off"))]
     #[test]
     fn macros_and_hooks_record_through_the_global_tracer() {
         let t = install_global(DEFAULT_RING_CAPACITY);

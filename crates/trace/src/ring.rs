@@ -16,8 +16,8 @@
 //! allocation per chunk, never a drain and never a full ring. Chunks
 //! stay allocated across [`reset`](Ring::reset); a refill reuses them.
 //!
-//! Draining is the pull model: a quiescent reader (the `TraceSink`, a
-//! test, the profiler) walks the claimed prefix in slot order and then
+//! Draining is the pull model: a quiescent reader (a test, the
+//! profiler) walks the claimed prefix in slot order and then
 //! resets the ring. Slot order *is* program order per track because
 //! every track has one logical writer at a time (a core, or a DES
 //! customer processed by the deterministic event loop).

@@ -1,12 +1,12 @@
-//! Folding a drained event stream into priced per-request records.
+//! Folding a drained event stream, per track, through one stack walk
+//! ([`walk`]): into priced per-request records ([`fold`]) and into flat
+//! per-class cycle totals ([`Profile`]).
 //!
-//! The fold is a per-track stack walk, exactly like
-//! `pk_trace::Profile::build`, except the unit of output is the
-//! *request*: every `CtxBegin`/`CtxEnd` envelope that closes inside
-//! the stream becomes one [`RequestTree`]; envelopes still open at the
-//! end of the stream (requests in flight at the horizon) are counted
-//! and discarded — a partial record would misprice every term of the
-//! accounting identity.
+//! The request fold's unit of output is the *request*: every
+//! `CtxBegin`/`CtxEnd` envelope that closes inside the stream becomes
+//! one [`RequestTree`]; envelopes still open at the end of the stream
+//! (requests in flight at the horizon) are counted and discarded — a
+//! partial record would misprice every term of the accounting identity.
 //!
 //! It is a *pricing pass*: the walk keeps plain-old-data frames and one
 //! accumulator per open envelope, and a closing envelope emits a record
@@ -14,7 +14,7 @@
 //! node is built; [`RequestTree::children`] replays one record's events
 //! through the same walk to build its span tree, and only the exemplar
 //! encoder asks for that. The nesting rules live in [`walk`] alone —
-//! pricing and node building are two [`Sink`]s under it.
+//! pricing, node building and profiling are three [`Sink`]s under it.
 //!
 //! Track layout is erased: what a record prices and materialises
 //! carries no track id and the output is sorted by `(start, ctx)`, so
@@ -512,6 +512,130 @@ impl RequestCost {
     }
 }
 
+/// One class's row of a [`Profile`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClassTotals {
+    /// Resolved class name.
+    pub name: String,
+    /// Spans of this class that closed.
+    pub count: u64,
+    /// Σ (end − begin).
+    pub inclusive: u64,
+    /// Σ (end − begin − children), the "self time".
+    pub exclusive: u64,
+}
+
+/// Flat per-class cycle totals of one capture window — the paper's "X%
+/// of cycles in function Y" tables (§4). A span's *inclusive* cycles
+/// are end − begin; its *exclusive* cycles are that less the inclusive
+/// cycles of its direct children, a sampling profiler's self time.
+/// Envelopes fold like any span; instant and counter events carry no
+/// cycles.
+#[derive(Debug, Clone)]
+pub struct Profile {
+    totals: Vec<ClassTotals>,
+    /// Σ inclusive cycles of root spans: the denominator for "% of
+    /// cycles".
+    pub total_cycles: u64,
+}
+
+impl Profile {
+    /// Folds a drained stream (any track interleaving; per-track order
+    /// is what matters) under the request fold's nesting rules: an end
+    /// closes the innermost open frame of its class key — a `CtxEnd`,
+    /// the innermost envelope of its id — and force-closes the frames
+    /// above it at its timestamp; an end that matches nothing is
+    /// ignored. Frames still open at the end of a track close at the
+    /// track's last timestamp.
+    ///
+    /// Every sum saturates: the stream may be external and ragged, and
+    /// a 1024-track soak can push cycle sums toward `u64::MAX`, so a
+    /// total pins at the ceiling rather than wrapping (or panicking in
+    /// a debug build) and every derived percentage stays finite.
+    pub fn build(events: &[Event]) -> Profile {
+        let grouped = if events.is_sorted_by_key(|e| e.track) {
+            Cow::Borrowed(events)
+        } else {
+            let mut grouped = events.to_vec();
+            grouped.sort_by_key(|e| e.track);
+            Cow::Owned(grouped)
+        };
+        let mut sink = ClassSink::default();
+        for track in grouped.chunk_by(|a, b| a.track == b.track) {
+            walk(track, &mut sink);
+            let last = track.iter().map(|e| e.ts).max().unwrap_or(0);
+            while !sink.open.is_empty() {
+                sink.shut(last);
+            }
+        }
+        let mut totals: Vec<ClassTotals> = sink
+            .flat
+            .into_iter()
+            .map(|(key, (count, inclusive, exclusive))| ClassTotals {
+                name: key.name(),
+                count,
+                inclusive,
+                exclusive,
+            })
+            .collect();
+        totals.sort_by(|a, b| b.exclusive.cmp(&a.exclusive).then(a.name.cmp(&b.name)));
+        Profile {
+            totals,
+            total_cycles: sink.total,
+        }
+    }
+
+    /// Per-class totals, ranked by exclusive cycles (descending).
+    pub fn totals(&self) -> &[ClassTotals] {
+        &self.totals
+    }
+
+    /// The top `n` classes by exclusive cycles.
+    pub fn top_exclusive(&self, n: usize) -> &[ClassTotals] {
+        &self.totals[..n.min(self.totals.len())]
+    }
+}
+
+/// The profiling sink: per-class `(count, inclusive, exclusive)`, each
+/// open frame carrying the Σ inclusive cycles of its closed children.
+#[derive(Default)]
+struct ClassSink {
+    /// `(class, start, Σ children)` per open frame, innermost last.
+    open: Vec<(ClassKey, u64, u64)>,
+    flat: BTreeMap<ClassKey, (u64, u64, u64)>,
+    /// Σ inclusive cycles of root frames.
+    total: u64,
+}
+
+impl ClassSink {
+    /// Closes the innermost open frame at `end`.
+    fn shut(&mut self, end: u64) {
+        let (key, start, children) = self.open.pop().expect("one entry per open frame");
+        let inclusive = end.saturating_sub(start);
+        let (count, incl, excl) = self.flat.entry(key).or_default();
+        *count = count.saturating_add(1);
+        *incl = incl.saturating_add(inclusive);
+        *excl = excl.saturating_add(inclusive.saturating_sub(children));
+        let parent = match self.open.last_mut() {
+            Some(parent) => &mut parent.2,
+            None => &mut self.total,
+        };
+        *parent = parent.saturating_add(inclusive);
+    }
+}
+
+impl Sink<'_> for ClassSink {
+    fn open(&mut self, f: &Frame) {
+        self.open.push((f.key, f.start, 0));
+    }
+
+    fn point(&mut self, _: &Event) {}
+
+    fn close(&mut self, _: &Frame, _: Option<&Frame>, end: u64, _: Option<&[Event]>) {
+        self.shut(end);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -711,5 +835,149 @@ mod tests {
         assert_eq!(kids.len(), 1);
         assert_eq!(kids[0].kind, NodeKind::Instant);
         assert_eq!(kids[0].wait, 99);
+    }
+
+    fn class<'p>(p: &'p Profile, name: &str) -> &'p ClassTotals {
+        let found = p.totals().iter().find(|t| t.name == name);
+        found.unwrap_or_else(|| panic!("missing {name}"))
+    }
+
+    #[test]
+    fn profile_folds_inclusive_and_exclusive_cycles() {
+        let outer = pk_trace::intern::intern_span("test.profile.outer");
+        let inner = pk_trace::intern::intern_span("test.profile.inner");
+        let events = vec![
+            ev(0, 0, EventKind::SpanBegin, outer, 0),
+            ev(0, 10, EventKind::SpanBegin, inner, 0),
+            ev(0, 30, EventKind::SpanEnd, inner, 0),
+            ev(0, 50, EventKind::SpanEnd, outer, 0),
+        ];
+        let p = Profile::build(&events);
+        assert_eq!(p.total_cycles, 50);
+        let o = class(&p, "test.profile.outer");
+        assert_eq!((o.inclusive, o.exclusive, o.count), (50, 30, 1));
+        let i = class(&p, "test.profile.inner");
+        assert_eq!((i.inclusive, i.exclusive, i.count), (20, 20, 1));
+        assert_eq!(p.top_exclusive(1)[0], *o, "ranked by self time");
+    }
+
+    #[test]
+    fn profile_tracks_fold_independently_and_sum() {
+        let c = pk_trace::intern::intern_span("test.profile.pertrack");
+        let events = vec![
+            ev(0, 0, EventKind::SpanBegin, c, 0),
+            ev(1, 5, EventKind::SpanBegin, c, 0),
+            ev(0, 10, EventKind::SpanEnd, c, 0),
+            ev(1, 25, EventKind::SpanEnd, c, 0),
+        ];
+        let p = Profile::build(&events);
+        assert_eq!(p.total_cycles, 30);
+        let t = &p.totals()[0];
+        assert_eq!((t.count, t.inclusive), (2, 30));
+    }
+
+    #[test]
+    fn profile_closes_ragged_streams() {
+        let a = pk_trace::intern::intern_span("test.profile.ragged.a");
+        let b = pk_trace::intern::intern_span("test.profile.ragged.b");
+        let events = vec![
+            ev(0, 0, EventKind::SpanEnd, b, 0), // unmatched end: ignored
+            ev(0, 1, EventKind::SpanBegin, a, 0),
+            ev(0, 3, EventKind::SpanBegin, b, 0),
+            ev(0, 9, EventKind::SpanEnd, a, 0), // closes b at 9, then a
+            ev(0, 12, EventKind::SpanBegin, b, 0), // left open: closed at 12
+        ];
+        let p = Profile::build(&events);
+        assert_eq!(p.total_cycles, 8);
+        let a = class(&p, "test.profile.ragged.a");
+        assert_eq!((a.count, a.inclusive, a.exclusive), (1, 8, 2));
+        let b = class(&p, "test.profile.ragged.b");
+        assert_eq!((b.count, b.inclusive, b.exclusive), (2, 6, 6));
+    }
+
+    #[test]
+    fn profile_totals_saturate_instead_of_wrapping() {
+        // Two back-to-back spans whose inclusive cycles sum past
+        // u64::MAX. A wrapping fold would report a tiny total (2 +
+        // wrap) and every percentage would be garbage; the saturating
+        // fold pins class totals and the denominator at the ceiling.
+        let c = pk_trace::intern::intern_span("test.profile.saturate");
+        let events = vec![
+            ev(0, 0, EventKind::SpanBegin, c, 0),
+            ev(0, u64::MAX - 1, EventKind::SpanEnd, c, 0),
+            ev(0, 0, EventKind::SpanBegin, c, 0),
+            ev(0, u64::MAX - 1, EventKind::SpanEnd, c, 0),
+        ];
+        let p = Profile::build(&events);
+        assert_eq!(p.total_cycles, u64::MAX);
+        let t = &p.totals()[0];
+        assert_eq!((t.count, t.inclusive, t.exclusive), (2, u64::MAX, u64::MAX));
+    }
+
+    #[test]
+    fn profile_resolves_lock_events_through_the_lockdep_registry() {
+        let id = pk_lockdep::register_class(
+            "test.profile.lockname",
+            "pk-why",
+            pk_lockdep::LockKind::Spin,
+        );
+        let events = vec![
+            ev(0, 0, EventKind::LockBegin, id.raw(), 0),
+            ev(0, 7, EventKind::LockEnd, id.raw(), 0),
+        ];
+        let p = Profile::build(&events);
+        assert_eq!(p.totals()[0].name, "test.profile.lockname");
+        assert_eq!(p.totals()[0].inclusive, 7);
+    }
+
+    /// The profile nests by [`walk`]'s rules: a `CtxEnd` closes the
+    /// envelope with its id, whatever envelopes of its class are open
+    /// above it, and a span end never closes an envelope.
+    #[test]
+    fn profile_closes_envelopes_by_id() {
+        let (ctx, ..) = classes();
+        let events = vec![
+            ev(0, 0, EventKind::CtxBegin, ctx, 1),
+            ev(0, 10, EventKind::CtxBegin, ctx, 2),
+            // Closes envelope 1, forcing 2 shut at the same timestamp.
+            ev(0, 30, EventKind::CtxEnd, ctx, 1),
+            ev(0, 40, EventKind::CtxBegin, ctx, 3),
+            // The envelope's class, but a span end: it matches nothing.
+            ev(0, 50, EventKind::SpanEnd, ctx, 0),
+            ev(0, 60, EventKind::CtxEnd, ctx, 3),
+        ];
+        let p = Profile::build(&events);
+        // 1 = [0, 30] around 2 = [10, 30], then 3 = [40, 60].
+        let r = &p.totals()[0];
+        assert_eq!((r.count, r.inclusive, r.exclusive), (3, 70, 50));
+        assert_eq!(p.total_cycles, 50);
+    }
+
+    #[test]
+    fn a_traced_des_run_profiles_its_contended_lock() {
+        let mut net = pk_sim::Network::new();
+        net.push(pk_sim::Station::delay("trace-u", 4_000.0, false));
+        net.push(pk_sim::Station::spinlock("trace-lock", 1_000.0, 0.3, true));
+        let tracer = pk_trace::Tracer::new(8, 1 << 16);
+        let plane = pk_fault::FaultPlane::disabled();
+        pk_sim::des::simulate_traced(&net, 8, 1_000, 17, &plane, Some(&tracer));
+        assert_eq!(tracer.dropped(), 0, "ring sized for the whole run");
+
+        let profile = Profile::build(&tracer.drain());
+        assert!(profile.total_cycles > 0);
+        let names: Vec<&str> = profile.totals().iter().map(|t| t.name.as_str()).collect();
+        assert!(names.contains(&"trace-lock"), "{names:?}");
+        assert!(names.contains(&"trace-lock (wait)"), "contention queued");
+        assert!(names.contains(&"des.op"));
+        // The contended lock's hold + wait cycles dominate the delay
+        // station's self time at this load.
+        let lock: u64 = profile
+            .totals()
+            .iter()
+            .filter(|t| t.name.contains("trace-lock"))
+            .map(|t| t.exclusive)
+            .sum();
+        let lock_share = lock as f64 / profile.total_cycles as f64;
+        assert!(lock_share > 0.1, "lock_share={lock_share}");
     }
 }

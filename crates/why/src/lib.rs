@@ -25,6 +25,12 @@
 //! \[stock\] Exim is dominated by one lock" becomes *this* request's
 //! p999 decomposed into the cycles it spent behind each named class.
 //!
+//! The same nesting walk also folds a stream into the paper's flat
+//! "X% of cycles in function Y" tables (§4): [`Profile`] totals each
+//! class's inclusive and exclusive cycles over the whole capture, the
+//! attribution `report profile` prints. Span nesting is stated once,
+//! for both.
+//!
 //! Two contracts the rest of the tree relies on:
 //!
 //! * **Names, not raw ids.** Records, span trees and exemplar encodings
@@ -51,7 +57,9 @@ mod fold;
 mod reservoir;
 
 pub use attribution::{attribute, Attribution, ClassShare};
-pub use fold::{fold, FoldOutput, NodeKind, RequestCost, RequestTree, SpanNode};
+pub use fold::{
+    fold, ClassTotals, FoldOutput, NodeKind, Profile, RequestCost, RequestTree, SpanNode,
+};
 pub use reservoir::{encode_exemplars, encode_tree, exemplars};
 
 /// Resolved class name of the admission-queue wait (the zero-width

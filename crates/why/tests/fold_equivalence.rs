@@ -8,10 +8,15 @@
 //! nesting in every way the fold has a rule for (stray ends, ends that
 //! skip open frames — envelopes among them — envelopes left open, ends
 //! in the wrong namespace).
+//!
+//! `Profile` folds through the same walk. The profiler's own stack
+//! walk, which it replaced, is kept here too, and the two must agree
+//! on the same streams wherever their nesting rules do.
 
 use pk_trace::{ClassKey, Event, EventKind};
 use pk_why::{
-    encode_exemplars, exemplars, fold, NodeKind, RequestCost, SpanNode, ADMISSION_QUEUE_CLASS,
+    encode_exemplars, exemplars, fold, ClassTotals, NodeKind, Profile, RequestCost, SpanNode,
+    ADMISSION_QUEUE_CLASS,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -202,6 +207,119 @@ fn exemplar_bytes_by_sort(trees: &[OracleTree], k: usize, seed: u64) -> Vec<u8> 
     out
 }
 
+/// `Profile::build` as it stood, with a stack walk of its own: an end
+/// closes the innermost open frame of its class key, whatever kind of
+/// frame that is — an envelope's `CtxEnd` by class, not by id.
+fn profile_by_stack_walk(events: &[Event]) -> (Vec<ClassTotals>, u64) {
+    struct Frame {
+        key: ClassKey,
+        begin: u64,
+        children: u64,
+    }
+    #[derive(Default)]
+    struct TrackState {
+        stack: Vec<Frame>,
+        last_ts: u64,
+    }
+    fn sat(acc: &mut u64, delta: u64) {
+        *acc = acc.saturating_add(delta);
+    }
+
+    let mut tracks: BTreeMap<u32, TrackState> = BTreeMap::new();
+    let mut flat: BTreeMap<ClassKey, (u64, u64, u64)> = BTreeMap::new();
+    let mut total_cycles = 0u64;
+
+    let mut close =
+        |state: &mut TrackState, flat: &mut BTreeMap<ClassKey, (u64, u64, u64)>, ts: u64| {
+            let frame = state.stack.pop().expect("caller checked non-empty");
+            let inclusive = ts.saturating_sub(frame.begin);
+            let exclusive = inclusive.saturating_sub(frame.children);
+            let entry = flat.entry(frame.key).or_default();
+            sat(&mut entry.0, 1);
+            sat(&mut entry.1, inclusive);
+            sat(&mut entry.2, exclusive);
+            match state.stack.last_mut() {
+                Some(parent) => sat(&mut parent.children, inclusive),
+                None => sat(&mut total_cycles, inclusive),
+            }
+        };
+
+    for e in events {
+        let state = tracks.entry(e.track).or_default();
+        state.last_ts = state.last_ts.max(e.ts);
+        let key = ClassKey::of(e);
+        match e.kind {
+            EventKind::SpanBegin | EventKind::LockBegin | EventKind::CtxBegin => {
+                state.stack.push(Frame {
+                    key,
+                    begin: e.ts,
+                    children: 0,
+                })
+            }
+            EventKind::SpanEnd | EventKind::LockEnd | EventKind::CtxEnd => {
+                if state.stack.iter().any(|f| f.key == key) {
+                    while state.stack.last().map(|f| f.key) != Some(key) {
+                        close(state, &mut flat, e.ts);
+                    }
+                    close(state, &mut flat, e.ts);
+                }
+            }
+            EventKind::Instant | EventKind::Counter => {}
+        }
+    }
+    for state in tracks.values_mut() {
+        let ts = state.last_ts;
+        while !state.stack.is_empty() {
+            close(state, &mut flat, ts);
+        }
+    }
+
+    let mut totals: Vec<ClassTotals> = flat
+        .into_iter()
+        .map(|(k, (count, inclusive, exclusive))| ClassTotals {
+            name: k.name(),
+            count,
+            inclusive,
+            exclusive,
+        })
+        .collect();
+    totals.sort_by(|a, b| b.exclusive.cmp(&a.exclusive).then(a.name.cmp(&b.name)));
+    (totals, total_cycles)
+}
+
+/// `events` less every end the two profilers' nesting rules would
+/// match differently: the reference closes the innermost frame of the
+/// end's class key, `walk` the innermost envelope of a `CtxEnd`'s id,
+/// or the innermost frame of a span or lock end's key that is not an
+/// envelope. Every end kept closes the same frame under both, so a
+/// stream stays as ragged as both read alike — stray ends, frames
+/// force-closed, frames left open.
+fn ends_both_rules_match_alike(events: &[Event]) -> Vec<Event> {
+    let mut open: BTreeMap<u32, Vec<(ClassKey, Option<u64>)>> = BTreeMap::new();
+    let mut kept = Vec::with_capacity(events.len());
+    for e in events {
+        let stack = open.entry(e.track).or_default();
+        let key = ClassKey::of(e);
+        if e.kind.is_begin() {
+            stack.push((key, (e.kind == EventKind::CtxBegin).then_some(e.arg)));
+        } else if e.kind.is_end() {
+            let by_key = stack.iter().rposition(|f| f.0 == key);
+            let by_walk = stack.iter().rposition(|f| match e.kind {
+                EventKind::CtxEnd => f.1 == Some(e.arg),
+                _ => f.1.is_none() && f.0 == key,
+            });
+            if by_key != by_walk {
+                continue;
+            }
+            if let Some(depth) = by_key {
+                stack.truncate(depth);
+            }
+        }
+        kept.push(*e);
+    }
+    kept
+}
+
 /// Class ids to draw from, per namespace: two registered names — one
 /// of them spelled the same in both namespaces, so only the namespace
 /// tells a span end from a lock end — two ids neither table knows
@@ -336,5 +454,28 @@ proptest! {
                 "k = {}", k
             );
         }
+    }
+
+    /// With `huge`, timestamps scale toward `u64::MAX` (saturating), so
+    /// widths and their sums pin at the ceiling.
+    #[test]
+    fn profile_equals_the_stack_walk_it_replaced(
+        ops in proptest::collection::vec((0u32..3, 0u8..12, 0usize..5, 0u64..3), 1..120),
+        broken in prop::bool::ANY,
+        huge in prop::bool::ANY,
+    ) {
+        let scale = if huge { u64::MAX / 64 } else { 1 };
+        let mut events = stream(&ops, broken);
+        for e in &mut events {
+            e.ts = e.ts.saturating_mul(scale);
+        }
+        let kept = ends_both_rules_match_alike(&events);
+        if !broken {
+            prop_assert_eq!(kept.len(), events.len(), "well-formed ends match alike");
+        }
+        let (totals, total_cycles) = profile_by_stack_walk(&kept);
+        let p = Profile::build(&kept);
+        prop_assert_eq!(p.totals(), &totals[..]);
+        prop_assert_eq!(p.total_cycles, total_cycles);
     }
 }
