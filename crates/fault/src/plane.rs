@@ -92,10 +92,17 @@ impl FaultPoint {
     /// Disabled plane: one relaxed load, no counter advance — arrivals
     /// before `enable()` do not shift the schedule, so a driver can warm
     /// up fault-free and then arm the plane.
+    #[inline]
     pub fn should_inject(&self) -> bool {
-        if !self.shared.enabled.load(Ordering::Relaxed) {
-            return false;
-        }
+        self.shared.enabled.load(Ordering::Relaxed) && self.inject_armed()
+    }
+
+    /// The armed path of [`Self::should_inject`]: advance the arrival
+    /// counter, consult the schedule and record a firing. Kept out of
+    /// line so the disabled check inlines into every caller.
+    #[inline(never)]
+    #[cold]
+    fn inject_armed(&self) -> bool {
         let n = self.state.ops.fetch_add(1, Ordering::Relaxed);
         let schedule = *self.state.schedule.lock().unwrap();
         if !schedule.fires(self.shared.seed, self.state.id, n) {

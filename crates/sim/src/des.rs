@@ -381,7 +381,7 @@ impl Hot {
     fn start_service(&mut self, st: usize, c: u32, pollers: u32) {
         add_sat(&mut self.service_starts[st], 1);
         if self.last_owner[st] != c {
-            self.transfers[st] += 1;
+            add_sat(&mut self.transfers[st], 1);
         }
         self.last_owner[st] = c;
         // Every waiter polling a non-scalable lock pulls the line

@@ -66,7 +66,7 @@ impl StationState {
     fn start_service(&mut self, c: usize, nonscalable_waiters: usize) {
         add_sat(&mut self.service_starts, 1);
         if self.last_owner != Some(c) {
-            self.transfers += 1;
+            add_sat(&mut self.transfers, 1);
         }
         self.last_owner = Some(c);
         // Every waiter polling a non-scalable lock pulls the line

@@ -4,12 +4,20 @@
 //! A classic binary heap costs `O(log n)` comparisons per push/pop and
 //! scatters events across the heap array. The calendar queue instead
 //! hashes each event by time into a ring of buckets (`bucket = (t >>
-//! shift) & mask`), so a push is a `Vec::push` and a pop amortizes to
-//! a few comparisons: the queue drains one *window* — the slice of
+//! shift) & mask`), so a push is a slab-slot link and a pop amortizes
+//! to a few comparisons: the queue drains one *window* — the slice of
 //! simulated time one bucket covers — at a time, sorts that handful of
 //! events once, and pops them off as a batch (the synchronization
 //! horizon; see `DESIGN.md` §11). All of that is private: callers see
 //! [`EventWheel::push`] and [`EventWheel::pop`] and nothing else.
+//!
+//! Event storage: every filed event lives in one slab, and each bucket
+//! is an intrusive index-linked chain through it (`heads[bucket]`, then
+//! `next[slot]`), with freed slots on a free list — the idiom `des::Hot`
+//! uses for station FIFOs. The ring costs one `u32` per bucket instead
+//! of a heap buffer per bucket, and the slab never holds more slots
+//! than the peak number of filed events. A drain unlinks the due events
+//! of its window and leaves later-rotation ones chained in place.
 //!
 //! Ordering contract: `push(t, id)` stamps the event with the next
 //! value of a FIFO sequence counter and `pop` returns events in
@@ -31,16 +39,29 @@
 /// One pending event: `(time, sequence, id)`.
 type WheelEvent = (u64, u64, u32);
 
-/// Soft cap on events per drained batch. Large enough to amortize the
-/// refill and sort over a dense schedule, small enough that the
-/// in-batch merge inserts (pushes landing before the horizon) stay a
-/// sub-cache-line memmove.
-const TARGET_BATCH: usize = 32;
+/// End of a bucket chain or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// Soft cap on events per drained batch. Pushes that land below the
+/// horizon are merged into the live batch by a back-scan plus
+/// `Vec::insert`, and they are most pushes at 48 cores, so a short
+/// batch keeps that merge to a few entries; four still amortizes the
+/// refill and sort over a dense schedule (`DESIGN.md` §11 has the
+/// before/after).
+const TARGET_BATCH: usize = 4;
 
 /// A calendar queue over `(time, seq, id)` events.
 #[derive(Debug)]
 pub struct EventWheel {
-    buckets: Vec<Vec<WheelEvent>>,
+    /// First slab slot of each bucket's chain, or [`NIL`].
+    heads: Vec<u32>,
+    /// Filed events; a slot is live while linked from `heads`/`next`.
+    slab: Vec<WheelEvent>,
+    /// Chain link per slab slot: the next slot in the same bucket, or
+    /// the next free slot for slots on the free list.
+    next: Vec<u32>,
+    /// Head of the free-slot list, or [`NIL`].
+    free: u32,
     /// `nbuckets - 1`; bucket index = `(t >> shift) & mask`.
     mask: usize,
     /// log2 of the bucket width in cycles.
@@ -53,10 +74,10 @@ pub struct EventWheel {
     len: usize,
     /// One bit per bucket, set while the bucket holds any event (of
     /// any rotation). The drain skips runs of empty buckets in word
-    /// steps instead of probing each `Vec` — under heavy contention
-    /// events sit far apart (a serialized lock spaces completions by
-    /// the full inflated service time), and probing every bucket in
-    /// between used to dominate the whole engine.
+    /// steps instead of probing each chain head — under heavy
+    /// contention events sit far apart (a serialized lock spaces
+    /// completions by the full inflated service time), and probing
+    /// every bucket in between used to dominate the whole engine.
     occupied: Vec<u64>,
     /// The live batch: every pending event below `horizon`, sorted by
     /// `(time, seq)`. `pos` walks it; pushes landing below the horizon
@@ -84,7 +105,10 @@ impl EventWheel {
         let width = (spacing as u64).clamp(1, 1 << 40).next_power_of_two();
         let nbuckets = (2 * lanes + 16).next_power_of_two();
         Self {
-            buckets: vec![Vec::new(); nbuckets],
+            heads: vec![NIL; nbuckets],
+            slab: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
             mask: nbuckets - 1,
             shift: width.trailing_zeros(),
             cursor: 0,
@@ -132,19 +156,13 @@ impl EventWheel {
             }
         } else if t < self.horizon {
             // Scan back from the end for the insertion point. This is
-            // rarely an append: counted over the 14-cell roster, a push
-            // below the horizon lands last only 0–6 % of the time, so
-            // the usual case is a scan plus a `Vec::insert` (DESIGN §11
-            // has the numbers and the untried smaller batch).
+            // rarely an append (a push below the horizon lands last
+            // 0–6 % of the time), which is why the batch is short.
             let mut at = self.batch.len();
             while at > self.pos && (self.batch[at - 1].0, self.batch[at - 1].1) > (t, e.1) {
                 at -= 1;
             }
-            if at == self.batch.len() {
-                self.batch.push(e);
-            } else {
-                self.batch.insert(at, e);
-            }
+            self.batch.insert(at, e);
         } else {
             self.insert(e);
         }
@@ -177,14 +195,26 @@ impl EventWheel {
         ((t >> self.shift) as usize) & self.mask
     }
 
-    /// Files an event in its bucket. `e.0` must not precede the current
-    /// window ([`Self::push`] routes events due inside the
+    /// Files an event at the head of its bucket's chain, reusing a
+    /// free slab slot when there is one. `e.0` must not precede the
+    /// current window ([`Self::push`] routes events due inside the
     /// already-drained window into the live batch instead).
     #[inline]
     fn insert(&mut self, e: WheelEvent) {
         debug_assert!(e.0 >= self.win_start, "event scheduled in the past");
         let b = self.bucket_of(e.0);
-        self.buckets[b].push(e);
+        let slot = if self.free != NIL {
+            let slot = self.free;
+            self.free = self.next[slot as usize];
+            self.slab[slot as usize] = e;
+            slot
+        } else {
+            self.slab.push(e);
+            self.next.push(NIL);
+            (self.slab.len() - 1) as u32
+        };
+        self.next[slot as usize] = self.heads[b];
+        self.heads[b] = slot;
         self.occupied[b >> 6] |= 1u64 << (b & 63);
         self.len += 1;
     }
@@ -228,6 +258,53 @@ impl EventWheel {
         unreachable!("len > 0 but the occupancy bitmap is empty");
     }
 
+    /// Moves every event of bucket `b` due before `win_end` into `out`,
+    /// returning their slots to the free list; later-rotation events
+    /// stay chained in their original order.
+    #[inline]
+    fn drain_bucket(&mut self, b: usize, win_end: u64, out: &mut Vec<WheelEvent>) {
+        let mut prev = NIL;
+        let mut slot = self.heads[b];
+        while slot != NIL {
+            let i = slot as usize;
+            let after = self.next[i];
+            if self.slab[i].0 < win_end {
+                out.push(self.slab[i]);
+                if prev == NIL {
+                    self.heads[b] = after;
+                } else {
+                    self.next[prev as usize] = after;
+                }
+                self.next[i] = self.free;
+                self.free = slot;
+            } else {
+                prev = slot;
+            }
+            slot = after;
+        }
+        if self.heads[b] == NIL {
+            self.occupied[b >> 6] &= !(1u64 << (b & 63));
+        }
+    }
+
+    /// Earliest time filed in any bucket, visiting only occupied ones.
+    fn min_filed_time(&self) -> u64 {
+        let mut min_t = u64::MAX;
+        for (wi, &word) in self.occupied.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let b = (wi << 6) + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let mut slot = self.heads[b];
+                while slot != NIL {
+                    min_t = min_t.min(self.slab[slot as usize].0);
+                    slot = self.next[slot as usize];
+                }
+            }
+        }
+        min_t
+    }
+
     /// Drains the next batch of due events into `out` (sorted ascending
     /// by `(time, seq)`) and returns the batch's exclusive time horizon.
     /// Returns `None` when no events are pending.
@@ -235,7 +312,7 @@ impl EventWheel {
     /// A batch coalesces consecutive windows — up to [`TARGET_BATCH`]
     /// events, and never more than one full rotation of the ring — so
     /// the per-batch costs (the refill call, the sort) amortize over
-    /// many events when the schedule is dense, without revisiting a
+    /// several events when the schedule is dense, without revisiting a
     /// bucket whose later-rotation events are not yet due.
     ///
     /// The returned horizon is the batching contract: every pending
@@ -266,37 +343,15 @@ impl EventWheel {
             advanced += skip;
 
             let win_end = self.win_start + width;
-            let bucket = &mut self.buckets[self.cursor];
-            let mut i = 0;
-            while i < bucket.len() {
-                if bucket[i].0 < win_end {
-                    out.push(bucket.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            if bucket.is_empty() {
-                self.occupied[self.cursor >> 6] &= !(1u64 << (self.cursor & 63));
-            }
+            self.drain_bucket(self.cursor, win_end, out);
             self.cursor = (self.cursor + 1) & self.mask;
             self.win_start = win_end;
             advanced += 1;
             if out.len() == start && advanced > self.mask {
                 // A full rotation with nothing due: every pending
                 // event is at least one wheel-span away. Jump the
-                // window straight to the earliest one, visiting only
-                // occupied buckets to find it.
-                let mut min_t = u64::MAX;
-                for (wi, &word) in self.occupied.iter().enumerate() {
-                    let mut word = word;
-                    while word != 0 {
-                        let b = (wi << 6) + word.trailing_zeros() as usize;
-                        word &= word - 1;
-                        for e in &self.buckets[b] {
-                            min_t = min_t.min(e.0);
-                        }
-                    }
-                }
+                // window straight to the earliest one.
+                let min_t = self.min_filed_time();
                 debug_assert_ne!(min_t, u64::MAX, "len > 0 but no events in any bucket");
                 self.win_start = min_t & !(width - 1);
                 self.cursor = self.bucket_of(min_t);
@@ -331,6 +386,7 @@ mod tests {
             let mut heap = BinaryHeap::new();
             let (mut now, mut seq, mut last_push) = (0u64, 0u64, 0u64);
             let mut routes = [0u32; 3];
+            let mut peak_pending = 0usize;
             for (kind, near, rotations) in ops {
                 let t = match kind {
                     // At `now` itself or just past it: below the live
@@ -358,6 +414,9 @@ mod tests {
                 heap.push(Reverse((t, seq, seq as u32)));
                 seq += 1;
                 last_push = t;
+                peak_pending = peak_pending.max(heap.len());
+                // Freed slots are reused before the slab grows.
+                prop_assert!(w.slab.len() <= peak_pending, "slab {} > peak {peak_pending}", w.slab.len());
             }
             while let Some(Reverse((t, _, id))) = heap.pop() {
                 prop_assert_eq!(w.pop(), Some((t, id)));
@@ -393,7 +452,7 @@ mod tests {
     fn simultaneous_events_pop_fifo_by_seq() {
         // The tie-break regression guard at the data-structure layer:
         // equal times must come out in push (sequence) order even
-        // though swap_remove scrambles the bucket internally.
+        // though head insertion reverses the bucket chain.
         let mut w = EventWheel::new(1.0, 2);
         for seq in 0..16u64 {
             w.insert((7, seq, seq as u32));
@@ -481,5 +540,74 @@ mod tests {
         batch.clear();
         w.next_batch(&mut batch).unwrap();
         assert_eq!(batch, [(span + 1, 1, 1)]);
+    }
+
+    /// Whether bucket `b`'s occupancy bit is set.
+    fn occupied(w: &EventWheel, b: usize) -> bool {
+        w.occupied[b >> 6] & (1u64 << (b & 63)) != 0
+    }
+
+    #[test]
+    fn drain_unlinks_due_events_anywhere_in_a_chain() {
+        // Events are filed at the head of their chain, so inserting
+        // due, later, due, later, due leaves the due events at the
+        // chain's head, middle and tail with later-rotation events
+        // between them.
+        let mut w = EventWheel::new(64.0, 2);
+        let span = w.width() * (w.mask as u64 + 1);
+        let b = w.bucket_of(5);
+        w.insert((7, 0, 0)); // tail once the chain is built
+        w.insert((5 + span, 1, 1));
+        w.insert((5, 2, 2)); // middle
+        w.insert((6 + 2 * span, 3, 3));
+        w.insert((6, 4, 4)); // head
+        assert!(occupied(&w, b));
+
+        let mut batch = Vec::new();
+        w.next_batch(&mut batch).unwrap();
+        assert_eq!(batch, [(5, 2, 2), (6, 4, 4), (7, 0, 0)]);
+        assert_eq!(w.len, 2);
+        assert!(
+            occupied(&w, b),
+            "later-rotation events keep the bucket occupied"
+        );
+
+        batch.clear();
+        w.next_batch(&mut batch).unwrap();
+        assert_eq!(batch, [(5 + span, 1, 1)]);
+        assert!(occupied(&w, b), "one event is still chained");
+
+        batch.clear();
+        w.next_batch(&mut batch).unwrap();
+        assert_eq!(batch, [(6 + 2 * span, 3, 3)]);
+        assert!(!occupied(&w, b), "the bit clears when the chain empties");
+        assert!(w.next_batch(&mut batch).is_none());
+    }
+
+    #[test]
+    fn slab_never_outgrows_the_pending_peak() {
+        // 10 k steps of a closed loop with `k` lanes: each pop schedules
+        // its successor a few windows to several rotations out, so the
+        // ring wraps many times while at most `k` events are pending.
+        let k = 16usize;
+        let mut w = EventWheel::new(64.0, 4);
+        let span = w.width() * (w.mask as u64 + 1);
+        for lane in 0..k as u32 {
+            w.push(u64::from(lane), lane);
+        }
+        let mut last = 0;
+        for step in 0..10_000u64 {
+            let (t, id) = w.pop().expect("k events stay pending");
+            assert!(t >= last, "pop order regressed at step {step}");
+            last = t;
+            let gap = (step * 7919 + u64::from(id) * 31) % (3 * span) + 1;
+            w.push(t + gap, id);
+            assert!(
+                w.slab.len() <= k,
+                "slab grew to {} at step {step}",
+                w.slab.len()
+            );
+        }
+        assert!(last > 100 * span, "the run spans many rotations");
     }
 }
