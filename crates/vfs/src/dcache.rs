@@ -23,7 +23,8 @@ use std::sync::Arc;
 ///   on a concurrent modification or a zero refcount.
 ///
 /// A successful lookup returns the dentry with one new reference already
-/// taken on the caller's behalf.
+/// taken on the caller's behalf; [`Dcache::lookup_inode`], the reference
+/// walk's step, runs the same protocol and returns only the inode number.
 ///
 /// Lookups take anything that converts to a [`DentryProbe`] — the path
 /// walker's borrowed probe, or `&DentryKey` — and select the bucket from
@@ -80,7 +81,30 @@ impl Dcache {
     ///
     /// `core` is the acting core (for sloppy refcounts and stats).
     pub fn lookup<'a>(&self, key: impl Into<DentryProbe<'a>>, core: CoreId) -> Option<Arc<Dentry>> {
-        let key = &key.into();
+        self.find(&key.into(), core, Arc::clone)
+    }
+
+    /// The reference walk's step: [`Dcache::lookup`]'s protocol and
+    /// counters, returning the target inode number. The counted reference
+    /// is taken and dropped inside the read section, as `path_put` would
+    /// after reading the target; no `Arc<Dentry>` leaves the bucket.
+    pub fn lookup_inode(&self, probe: &DentryProbe<'_>, core: CoreId) -> Option<InodeId> {
+        self.find(probe, core, |d| {
+            let ino = d.inode();
+            d.put(core);
+            ino
+        })
+    }
+
+    /// The one lookup protocol: on a referenced hit, `hit` runs on the
+    /// dentry before the read section ends.
+    #[inline]
+    fn find<R>(
+        &self,
+        key: &DentryProbe<'_>,
+        core: CoreId,
+        hit: impl FnOnce(&Arc<Dentry>) -> R,
+    ) -> Option<R> {
         if self.fault_pressure.should_inject() {
             // The entry was "evicted" under memory pressure: the caller
             // falls back to the filesystem, exactly as on a cold miss.
@@ -96,7 +120,7 @@ impl Dcache {
                     Some(true) => {
                         self.stats.lockfree_lookups.bump();
                         self.stats.dcache_hits.bump();
-                        return Some(Arc::clone(d));
+                        return Some(hit(d));
                     }
                     Some(false) => continue,
                     None => {
@@ -105,7 +129,7 @@ impl Dcache {
                         if d.compare_locked(key, core) {
                             self.stats.dentry_lock_acquisitions.bump();
                             self.stats.dcache_hits.bump();
-                            return Some(Arc::clone(d));
+                            return Some(hit(d));
                         }
                         continue;
                     }
@@ -114,7 +138,7 @@ impl Dcache {
                 self.stats.dentry_lock_acquisitions.bump();
                 if d.compare_locked(key, core) {
                     self.stats.dcache_hits.bump();
-                    return Some(Arc::clone(d));
+                    return Some(hit(d));
                 }
             }
         }
@@ -186,6 +210,27 @@ impl Dcache {
         inode: InodeId,
         core: CoreId,
     ) -> Result<Arc<Dentry>, VfsError> {
+        self.hash_in(key, inode, core, true)
+    }
+
+    /// Caches `key → inode` with the cache's reference only — what a
+    /// fill that has no use for the dentry calls instead of
+    /// [`Dcache::insert`] followed by an immediate `put`. Same
+    /// duplicate-key rule, same faults, same counters.
+    pub fn cache(&self, key: DentryKey, inode: InodeId, core: CoreId) -> Result<(), VfsError> {
+        self.hash_in(key, inode, core, false).map(drop)
+    }
+
+    /// The one insertion: publishes a dentry for `key` unless a live one
+    /// is hashed, and returns whichever is in the bucket — with one
+    /// reference for the caller if `caller_ref`.
+    fn hash_in(
+        &self,
+        key: DentryKey,
+        inode: InodeId,
+        core: CoreId,
+        caller_ref: bool,
+    ) -> Result<Arc<Dentry>, VfsError> {
         if self.fault_alloc.should_inject() {
             self.stats.dentry_alloc_failures.bump();
             return Err(VfsError::OutOfMemory);
@@ -205,7 +250,9 @@ impl Dcache {
         // A freshly created dentry can only be dead if something tore it
         // down concurrently — surface that as ESTALE on the syscall path
         // rather than panicking in the kernel.
-        dentry.get(core).map_err(|_| VfsError::Stale)?;
+        if caller_ref {
+            dentry.get(core).map_err(|_| VfsError::Stale)?;
+        }
         bucket.publish(self.config.deferred_reclamation, |v| {
             let mut v = v.clone();
             // Bucket rewrites are serialized, so a live match found here
@@ -214,7 +261,12 @@ impl Dcache {
             let live =
                 |d: &&Arc<Dentry>| d.is_live_match(&dentry.key.probe()) && d.get(core).is_ok();
             match v.iter().find(live) {
-                Some(existing) => dentry = Arc::clone(existing),
+                Some(existing) => {
+                    if !caller_ref {
+                        existing.put(core);
+                    }
+                    dentry = Arc::clone(existing);
+                }
                 None => v.push(Arc::clone(&dentry)),
             }
             v

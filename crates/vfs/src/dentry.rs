@@ -56,6 +56,11 @@ impl<'a> DentryProbe<'a> {
         self.hash
     }
 
+    /// The borrowed component name.
+    pub(crate) fn name(&self) -> &'a str {
+        self.name
+    }
+
     /// The owned key for inserting what this probe missed; the name is
     /// copied, the hash is not recomputed.
     pub fn to_key(&self) -> DentryKey {

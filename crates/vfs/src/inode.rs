@@ -71,6 +71,9 @@ pub struct Inode {
     /// Directory entries (empty for files); the lock is the per-directory
     /// lock serializing creation/removal in that directory.
     children: SpinLock<HashMap<String, InodeId>>,
+    /// Names removed from `children` so far, bumped under its lock: a
+    /// dcache fill that read a name re-validates it with one load.
+    removals: AtomicU64,
     /// The per-inode mutex (`i_mutex`); stock `lseek` takes it.
     i_mutex: AdaptiveMutex<()>,
 }
@@ -86,6 +89,7 @@ impl Inode {
             data: RwLock::new(Vec::new()),
             mapping: OnceLock::new(),
             children: SpinLock::new(HashMap::new()),
+            removals: AtomicU64::new(0),
             i_mutex: AdaptiveMutex::new(()),
         };
         inode.children.set_class(DIR_CHILDREN_CLASS.id());
@@ -218,7 +222,24 @@ impl Inode {
 
     /// Removes a child entry, returning its inode id if present.
     pub fn remove_child(&self, name: &str) -> Option<InodeId> {
-        self.children.lock().remove(name)
+        let mut children = self.children.lock();
+        let removed = children.remove(name);
+        if removed.is_some() {
+            pk_percpu::owner_add(&self.removals, 1);
+        }
+        removed
+    }
+
+    /// How many names have been removed from this directory. A name read
+    /// while this was `n` still maps to the same inode for as long as it
+    /// reads `n`: insertions never replace an entry.
+    ///
+    /// The count publishes no data, so the load is relaxed. Whatever
+    /// orders a removal before a later read of this count (the
+    /// `children` lock, or the dcache bucket lock an `unlink` takes
+    /// after its removal) makes that read see it.
+    pub(crate) fn removals(&self) -> u64 {
+        self.removals.load(Ordering::Relaxed)
     }
 
     /// Returns the number of directory entries.

@@ -7,18 +7,23 @@
 //! the bucket lookup, the comparison and — on a miss — the inserted key,
 //! and [`ParentAndLeaf`] borrows the leaf name from the path.
 //!
-//! Two walks share that shape. The RCU walk ([`PathWalker::resolve_rcu`])
-//! carries inode *numbers* from probe to probe and fetches exactly one
-//! inode from the table — the one it returns; it takes no reference and
-//! no shared lock on any component. The reference walk
-//! ([`PathWalker::resolve_ref`]) fetches an inode and takes and drops a
-//! dentry reference per component, and is what every fallback and every
-//! definitive per-component error (`NotADirectory`, `NotFound`) comes
-//! from.
+//! Two walks share that shape, and both carry inode *numbers* from probe
+//! to probe, fetching exactly one inode from the table — the one they
+//! return. The RCU walk ([`PathWalker::resolve_rcu`]) takes no reference
+//! and no shared lock on any component. The reference walk
+//! ([`PathWalker::resolve_ref`]) takes and drops a dentry reference per
+//! component inside the dcache's read section, fetches a directory only
+//! to fill a miss, and is what every fallback and every definitive
+//! per-component error (`NotADirectory`, `NotFound`) comes from.
+//!
+//! A fill (a walk's miss, `create`, `link`) caches a name it read from
+//! its directory, then re-validates it (`PathWalker::fill`): an
+//! `unlink` that removed the name in between would otherwise leave a
+//! dentry for a freed inode behind.
 
 use crate::dcache::Dcache;
 use crate::dentry::DentryProbe;
-use crate::inode::{Inode, InodeKind};
+use crate::inode::{Inode, InodeId, InodeKind};
 use crate::mount::MountTable;
 use crate::tmpfs::Tmpfs;
 use crate::VfsError;
@@ -68,33 +73,67 @@ impl<'a> PathWalker<'a> {
         Ok(path.split('/').filter(|c| !matches!(*c, "" | ".")))
     }
 
-    /// Resolves one component under `dir`, going through the dcache and
-    /// demand-populating it from the backing file system on a miss.
+    /// Resolves one component under directory `dir`, going through the
+    /// dcache and demand-populating it from the backing file system on a
+    /// miss — the only time `dir` itself is fetched from the table.
+    ///
+    /// Nothing is cached under a regular file's number, so a component
+    /// under a file misses and the miss path reports `NotADirectory`.
     pub fn walk_component(
         &self,
-        dir: &Inode,
+        dir: InodeId,
         name: &str,
         core: CoreId,
-    ) -> Result<Arc<Inode>, VfsError> {
-        let probe = DentryProbe::new(dir.id, name);
-        if let Some(dentry) = self.dcache.lookup(probe, core) {
-            let ino = dentry.inode();
-            // The walk holds the reference only while reading the target;
-            // release it as `path_put` would.
-            dentry.put(core);
-            return self.fs.get(ino);
+    ) -> Result<InodeId, VfsError> {
+        let probe = DentryProbe::new(dir, name);
+        if let Some(ino) = self.dcache.lookup_inode(&probe, core) {
+            return Ok(ino);
         }
         // Miss: consult the file system and populate the cache.
-        let child = self.fs.lookup_child(dir, name)?;
-        match self.dcache.insert(probe.to_key(), child.id, core) {
-            Ok(dentry) => dentry.put(core),
+        let dir = self.fs.get(dir)?;
+        if dir.kind != InodeKind::Dir {
+            return Err(VfsError::NotADirectory);
+        }
+        let seen = dir.removals();
+        let child = dir.child(name).ok_or(VfsError::NotFound)?;
+        match self.fill(&dir, probe, child, seen, core) {
+            Ok(true) => Ok(child),
+            // Unlinked since it was read: the walk comes after the unlink.
+            Ok(false) => Err(VfsError::NotFound),
             // Dentry allocation failed: degrade to uncached resolution.
             // The walk still succeeds — the next lookup just misses again
             // instead of the whole path walk failing with ENOMEM.
-            Err(VfsError::OutOfMemory) => {}
-            Err(e) => return Err(e),
+            Err(VfsError::OutOfMemory) => Ok(child),
+            Err(e) => Err(e),
         }
-        Ok(child)
+    }
+
+    /// Caches `probe → ino`, a name the caller read from (or put in)
+    /// directory `dir` when its [`Inode::removals`] was `seen`, then
+    /// re-validates it: if a removal has happened since and the name no
+    /// longer maps to `ino`, the dentry comes out again and the result
+    /// is `Ok(false)`. An `unlink` removes the directory entry before the
+    /// dentry, so either its removal finds this fill's dentry or this
+    /// fill's re-validation finds its removal — no dentry for a freed
+    /// inode survives. The common case is one load.
+    pub(crate) fn fill(
+        &self,
+        dir: &Inode,
+        probe: DentryProbe<'_>,
+        ino: InodeId,
+        seen: u64,
+        core: CoreId,
+    ) -> Result<bool, VfsError> {
+        #[cfg(test)]
+        run_fill_probe();
+        self.dcache.cache(probe.to_key(), ino, core)?;
+        if dir.removals() == seen || dir.child(probe.name()) == Some(ino) {
+            return Ok(true);
+        }
+        // Whatever is hashed under the name now goes: this fill's stale
+        // dentry, or at worst a successor's, which the next lookup refills.
+        self.dcache.remove(probe, core);
+        Ok(false)
     }
 
     /// Resolves `path` to an inode.
@@ -168,7 +207,8 @@ impl<'a> PathWalker<'a> {
     }
 
     /// The reference walk: touches the mount table once and the dcache
-    /// once per component, taking and dropping a reference each step.
+    /// once per component, taking and dropping a reference each step,
+    /// and fetches one inode — the result — plus one directory per miss.
     pub fn resolve_ref(&self, path: &str, core: CoreId) -> Result<Arc<Inode>, VfsError> {
         let mount = self.mounts.resolve(path, core).ok_or(VfsError::NotFound)?;
         let result = self.resolve_from_root(path, core);
@@ -177,14 +217,11 @@ impl<'a> PathWalker<'a> {
     }
 
     fn resolve_from_root(&self, path: &str, core: CoreId) -> Result<Arc<Inode>, VfsError> {
-        let mut cur = self.fs.get(self.fs.root())?;
+        let mut cur = self.fs.root();
         for comp in Self::components(path)? {
-            if cur.kind != InodeKind::Dir {
-                return Err(VfsError::NotADirectory);
-            }
-            cur = self.walk_component(&cur, comp, core)?;
+            cur = self.walk_component(cur, comp, core)?;
         }
-        Ok(cur)
+        self.fs.get(cur)
     }
 
     /// Resolves everything but the final component, returning the parent
@@ -201,24 +238,51 @@ impl<'a> PathWalker<'a> {
             // `leaf` trails the walk by one component: whatever is still
             // in it when the iterator runs dry is the final name.
             let mut leaf = comps.next().ok_or(VfsError::InvalidArgument)?;
-            let mut cur = self.fs.get(self.fs.root())?;
+            let mut cur = self.fs.root();
             for next in comps {
-                if cur.kind != InodeKind::Dir {
-                    return Err(VfsError::NotADirectory);
-                }
-                cur = self.walk_component(&cur, leaf, core)?;
+                cur = self.walk_component(cur, leaf, core)?;
                 leaf = next;
             }
-            if cur.kind != InodeKind::Dir {
+            let parent = self.fs.get(cur)?;
+            if parent.kind != InodeKind::Dir {
                 return Err(VfsError::NotADirectory);
             }
-            Ok(ParentAndLeaf {
-                parent: cur,
-                name: leaf,
-            })
+            Ok(ParentAndLeaf { parent, name: leaf })
         })();
         mount.put(core);
         result
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook, see [`with_fill_probe`].
+    static FILL_PROBE: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+/// Runs `f` with `probe` installed as this thread's fill probe: the
+/// first [`PathWalker::fill`] the thread makes inside `f` runs it between
+/// reading the directory and caching the name, and uninstalls it (so a
+/// fill inside the probe does not recurse). Other threads are
+/// unaffected; the previous probe is restored when `f` returns or
+/// unwinds.
+#[cfg(test)]
+pub(crate) fn with_fill_probe<R>(probe: impl FnOnce() + 'static, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Box<dyn FnOnce()>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            FILL_PROBE.with(|p| *p.borrow_mut() = self.0.take());
+        }
+    }
+    let _restore = Restore(FILL_PROBE.with(|p| p.borrow_mut().replace(Box::new(probe))));
+    f()
+}
+
+#[cfg(test)]
+fn run_fill_probe() {
+    if let Some(probe) = FILL_PROBE.with(|p| p.borrow_mut().take()) {
+        probe();
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::config::VfsConfig;
 use crate::dcache::Dcache;
-use crate::dentry::{DentryKey, DentryProbe};
+use crate::dentry::DentryProbe;
 use crate::file::OpenFile;
 use crate::inode::{InodeId, InodeKind};
 use crate::mount::MountTable;
@@ -185,18 +185,16 @@ impl Vfs {
         }
         let pl = self.walker().resolve_parent(path, core)?;
         self.sb.inode_list_bookkeeping(true); // new inode joins the list
+        let seen = pl.parent.removals();
         let inode = self.fs.create_child(&pl.parent, pl.name, InodeKind::File)?;
-        match self
-            .dcache
-            .insert(DentryKey::new(pl.parent.id, pl.name), inode.id, core)
-        {
-            Ok(dentry) => dentry.put(core),
-            Err(e) => {
-                // Error-path resource release: undo the creation so the
-                // failed syscall leaves no half-made file behind.
-                let _ = self.fs.unlink_child(&pl.parent, pl.name);
-                return Err(e);
-            }
+        let probe = DentryProbe::new(pl.parent.id, pl.name);
+        // A racing unlink of the new name leaves it uncached; the create
+        // still happened, before that unlink.
+        if let Err(e) = self.walker().fill(&pl.parent, probe, inode.id, seen, core) {
+            // Error-path resource release: undo the creation so the
+            // failed syscall leaves no half-made file behind.
+            let _ = self.fs.unlink_child(&pl.parent, pl.name);
+            return Err(e);
         }
         let (id, home) = self.sb.add_open_file(core);
         Ok(Arc::new(OpenFile::new(
@@ -240,11 +238,16 @@ impl Vfs {
             return Err(VfsError::ReadOnly);
         }
         let pl = self.walker().resolve_parent(path, core)?;
-        let key = DentryProbe::new(pl.parent.id, pl.name);
         self.sb.dcache_list_bookkeeping(true); // dentry leaves the cache
-        self.dcache.remove(key, core);
         self.sb.inode_list_bookkeeping(true); // inode may be freed
+
+        // The name leaves the directory before its dentry leaves the
+        // cache, as in `rename`: a fill that read the name either caches
+        // it before the removal below or sees the directory's removal
+        // count move (see `PathWalker::fill`).
         self.fs.unlink_child(&pl.parent, pl.name)?;
+        self.dcache
+            .remove(DentryProbe::new(pl.parent.id, pl.name), core);
         Ok(())
     }
 
@@ -277,18 +280,14 @@ impl Vfs {
             return Err(VfsError::IsADirectory);
         }
         let pl = self.walker().resolve_parent(new, core)?;
+        let seen = pl.parent.removals();
         if !pl.parent.insert_child(pl.name, inode.id) {
             return Err(VfsError::Exists);
         }
         inode.inc_nlink();
-        match self
-            .dcache
-            .insert(DentryKey::new(pl.parent.id, pl.name), inode.id, core)
-        {
-            Ok(dentry) => {
-                dentry.put(core);
-                Ok(())
-            }
+        let probe = DentryProbe::new(pl.parent.id, pl.name);
+        match self.walker().fill(&pl.parent, probe, inode.id, seen, core) {
+            Ok(_) => Ok(()),
             Err(e) => {
                 // Roll the half-made link back: drop the directory entry
                 // and the extra nlink taken above.
@@ -345,6 +344,7 @@ impl Vfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dentry::DentryKey;
     use crate::file::Whence;
 
     fn pk() -> Vfs {
@@ -408,6 +408,45 @@ mod tests {
             vfs.write_file("/f", b"22", core).unwrap();
             assert_eq!(vfs.stat("/f", core).unwrap().size, 2);
             assert_eq!(vfs.read_file("/f", core).unwrap(), b"22");
+        }
+    }
+
+    #[test]
+    fn a_fill_racing_an_unlink_does_not_poison_the_name() {
+        use crate::namei::with_fill_probe;
+        for cfg in [VfsConfig::stock(4), VfsConfig::pk(4)] {
+            let vfs = Arc::new(Vfs::new(cfg));
+            let core = CoreId(0);
+            // The probe runs between a fill's directory read and its
+            // dcache fill: `unlink` finishes in that window.
+            let unlink = |path: &'static str| {
+                let vfs = Arc::clone(&vfs);
+                move || vfs.unlink(path, core).unwrap()
+            };
+
+            // A cold walk reads `f` from the directory.
+            vfs.write_file("/f", b"1", core).unwrap();
+            vfs.dcache().shrink(usize::MAX, core);
+            let raced = with_fill_probe(unlink("/f"), || vfs.stat("/f", core));
+            assert_eq!(raced.unwrap_err(), VfsError::NotFound, "{cfg:?}");
+            assert_eq!(vfs.stat("/f", core).unwrap_err(), VfsError::NotFound);
+            vfs.write_file("/f", b"22", core).unwrap();
+            assert_eq!(vfs.read_file("/f", core).unwrap(), b"22");
+
+            // `create` put the name in the directory itself.
+            let f = with_fill_probe(unlink("/g"), || vfs.create("/g", core)).unwrap();
+            vfs.close(&f, core);
+            assert_eq!(vfs.stat("/g", core).unwrap_err(), VfsError::NotFound);
+            let f = vfs.create("/g", core).unwrap();
+            vfs.close(&f, core);
+            vfs.open("/g", core).map(|f| vfs.close(&f, core)).unwrap();
+
+            // So did `link`; the inode lives on under `/f`, so a stale
+            // dentry would answer with the wrong file, not `Stale`.
+            with_fill_probe(unlink("/h"), || vfs.link("/f", "/h", core)).unwrap();
+            assert_eq!(vfs.stat("/h", core).unwrap_err(), VfsError::NotFound);
+            assert_eq!(vfs.stat("/f", core).unwrap().nlink, 1);
+            assert_eq!(vfs.superblock().open_files(), 0);
         }
     }
 
@@ -859,6 +898,36 @@ mod tests {
         );
         assert_eq!(vfs.tmpfs().gets() - before, 3, "one fetch per syscall");
         vfs.close(&file, core);
+
+        // The reference walk carries numbers too: one fetch for the
+        // result, plus one per cold component for the directory it is
+        // filled from.
+        let refwalk = VfsConfig {
+            rcu_path_walk: false,
+            ..VfsConfig::pk(4)
+        };
+        for cfg in [VfsConfig::stock(4), refwalk] {
+            let vfs = Vfs::new(cfg);
+            vfs.mkdir_p("/a/b/c/d", core).unwrap();
+            vfs.write_file("/a/b/c/d/e", b"leaf", core).unwrap();
+            let w = vfs.walker();
+            let gets = |f: &dyn Fn()| {
+                let before = vfs.tmpfs().gets();
+                f();
+                vfs.tmpfs().gets() - before
+            };
+            let leaf = || assert_eq!(w.resolve_ref("/a/b/c/d/e", core).unwrap().size(), 4);
+            let parent = || assert_eq!(w.resolve_parent("/a/b/c/d/e", core).unwrap().name, "e");
+            for path in ["/", "/a", "/a/b/c/d/e"] {
+                let walk = || assert!(w.resolve_ref(path, core).is_ok());
+                assert_eq!(gets(&walk), 1, "{cfg:?}: warm {path}");
+            }
+            assert_eq!(gets(&parent), 1, "{cfg:?}: warm parent walk");
+            vfs.dcache().shrink(usize::MAX, core);
+            assert_eq!(gets(&parent), 1 + 4, "{cfg:?}: four cold directories");
+            assert_eq!(gets(&leaf), 1 + 1, "{cfg:?}: the leaf's directory");
+            assert_eq!(gets(&leaf), 1, "{cfg:?}: warm again");
+        }
     }
 
     #[test]
@@ -876,10 +945,34 @@ mod tests {
                 s.rcu_walks.load(Relaxed),
                 s.rcu_walk_fallbacks.load(Relaxed),
             );
+            let counts = || {
+                [
+                    &s.dcache_hits,
+                    &s.dcache_misses,
+                    &s.lockfree_lookups,
+                    &s.dentry_lock_acquisitions,
+                ]
+                .map(|t| t.load(Relaxed))
+            };
+            let before = counts();
             assert_eq!(
                 vfs.stat("/htdocs/index.html/x", core).unwrap_err(),
                 VfsError::NotADirectory
             );
+            // The reference walk carries numbers, not kinds, too: `x` is
+            // probed under the file's number and misses (one
+            // `dcache_misses`, plus on stock a `d_lock` per dentry in that
+            // bucket — none here), and the miss path fetches the file
+            // and names the error.
+            let after = counts();
+            let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+            let want = if cfg.lockfree_dlookup {
+                // hits: two RCU-leg peeks, two reference-walk lookups.
+                [4, 1, 2, 0]
+            } else {
+                [2, 1, 0, 2]
+            };
+            assert_eq!(delta, want, "{cfg:?}: hits, misses, lock-free, d_lock");
             // The RCU walk carries inode numbers, not kinds: nothing is
             // cached under a file's number, so its probe for `x` misses
             // and the reference walk names the error. That is one

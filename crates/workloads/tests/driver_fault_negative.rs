@@ -86,7 +86,7 @@ fn postgres_boot_fails_typed_under_dentry_alloc_faults() {
 fn postgres_queries_degrade_gracefully_under_dcache_faults() {
     // Boot fault-free, then put the per-query open path under memory
     // pressure: `vfs.dcache_pressure` forces lookup misses on the two
-    // hot paths, pushing each walk back through `Dcache::insert`, and
+    // hot paths, pushing each walk back through `Dcache::cache`, and
     // `vfs.dentry_alloc` fails those re-insertions. The namei contract
     // is that a failed dentry *cache fill* degrades to uncached
     // resolution rather than failing the walk with ENOMEM — so every
