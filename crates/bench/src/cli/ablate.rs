@@ -270,7 +270,7 @@ fn flowsteer_run(hash_steering: bool, conns: u32, pkts_per_conn: u32) -> f64 {
         // PK: accepted on the arrival core. Stock: accepted by whichever
         // worker popped the shared backlog (round-robin here).
         let owner = if hash_steering {
-            CoreId(nic.steer(&flow))
+            CoreId(nic.steer(&flow, None))
         } else {
             CoreId((c % 8) as usize)
         };
@@ -282,6 +282,7 @@ fn flowsteer_run(hash_steering: bool, conns: u32, pkts_per_conn: u32) -> f64 {
                     node: 0,
                 },
                 owner,
+                None,
             )
             .expect("queues are drained every iteration");
             // Drain so queues never overflow, and reply (TX drives the
@@ -330,7 +331,7 @@ pub fn flowsteer() {
     cfg.software_rfs = true;
     let stack = NetStack::new(cfg);
     let server = stack.udp_bind(6000, CoreId(2)).unwrap();
-    stack.nic().pin_port(6000, 0); // force hardware misdelivery
+    stack.pin_port(6000, 0); // force hardware misdelivery
     for i in 0..100u32 {
         stack
             .udp_send(

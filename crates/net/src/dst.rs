@@ -1,9 +1,9 @@
 //! The destination (routing) cache and its reference counts.
 
 use crate::config::NetConfig;
-use parking_lot::RwLock;
 use pk_percpu::{CoreId, IntKeyMap};
 use pk_sloppy::{DeallocError, RefCount};
+use pk_sync::rcu::{self, RcuCell, RcuReadGuard};
 use std::sync::Arc;
 
 /// A routing-table entry (`struct dst_entry`).
@@ -24,19 +24,19 @@ pub struct DstEntry {
 
 impl DstEntry {
     /// Creates an entry with one (cache) reference.
-    pub fn new(dest_ip: u32, gateway: u32, sloppy: bool, cores: usize) -> Arc<Self> {
+    pub fn new(dest_ip: u32, gateway: u32, sloppy: bool, cores: usize) -> Self {
         Self::with_refcount(dest_ip, gateway, RefCount::new(sloppy, cores))
     }
 
     /// [`DstEntry::new`] with an explicit refcount backing — how the
     /// cache selects the generation-2 SNZI tree when
     /// `NetConfig::snzi_dst_refs` is set.
-    pub fn with_refcount(dest_ip: u32, gateway: u32, refcount: RefCount) -> Arc<Self> {
-        Arc::new(Self {
+    pub fn with_refcount(dest_ip: u32, gateway: u32, refcount: RefCount) -> Self {
+        Self {
             dest_ip,
             gateway,
             refcount,
-        })
+        }
     }
 
     /// Takes a reference for a packet in flight.
@@ -65,20 +65,29 @@ impl DstEntry {
     }
 }
 
-#[derive(Debug, Default)]
+/// One published snapshot of the cache.
+#[derive(Debug, Default, Clone)]
 struct Routes {
     /// Keyed by destination address: an integer the drivers make up,
-    /// not outside input, so no SipHash per packet.
+    /// not outside input, so no SipHash per packet. The `Arc` is what
+    /// successive snapshots share; packets borrow, they never clone it.
     live: IntKeyMap<u32, Arc<DstEntry>>,
     /// Refcount operations of the routes evicted so far: what keeps
     /// [`DstCache::op_counts`] from running backwards.
     evicted_ops: (u64, u64),
 }
 
-/// The destination cache: destination IP → [`DstEntry`].
+/// The destination cache: destination IP → [`DstEntry`], RCU-published.
+///
+/// Lookups run under the caller's read-side section, as Linux 2.6.35's
+/// route-cache lookups run under `rcu_read_lock_bh`: they write nothing
+/// but the entry's refcount. Inserts and evictions copy the map and
+/// publish it, so a write costs O(routes) — at most 513 routes per
+/// kernel in the repo benchmark's `kernel_apps`; a workload that needs
+/// more would shard the map into RCU buckets the way the dcache does.
 #[derive(Debug)]
 pub struct DstCache {
-    entries: RwLock<Routes>,
+    routes: RcuCell<Routes>,
     config: NetConfig,
 }
 
@@ -86,55 +95,76 @@ impl DstCache {
     /// Creates an empty cache.
     pub fn new(config: NetConfig) -> Self {
         Self {
-            entries: RwLock::default(),
+            routes: RcuCell::new(Routes::default()),
             config,
         }
     }
 
-    /// Looks up (or creates) the entry for `dest_ip` and takes a packet
-    /// reference on it on behalf of `core`.
-    pub fn route(&self, dest_ip: u32, core: CoreId) -> Arc<DstEntry> {
-        if let Some(e) = self.entries.read().live.get(&dest_ip).cloned() {
-            if e.get(core).is_ok() {
-                return e;
-            }
-        }
-        let mut table = self.entries.write();
-        let e = table
-            .live
-            .entry(dest_ip)
-            .or_insert_with(|| {
-                DstEntry::with_refcount(
-                    dest_ip,
-                    dest_ip ^ 0x0101_0101,
-                    RefCount::new_scaled(
-                        self.config.sloppy_dst_refs,
-                        self.config.snzi_dst_refs,
-                        self.config.cores,
-                        self.config.numa_nodes,
-                    ),
-                )
-            })
-            .clone();
-        e.get(core).expect("cached dst cannot be dead");
-        e
+    /// Takes a packet reference on `dest_ip`'s entry on behalf of `core`
+    /// and lends the entry for the rest of `guard`'s read section.
+    ///
+    /// The refcount is the `dst_entry` count the paper measures; it is
+    /// not what keeps the memory alive. An entry is freed with the last
+    /// snapshot holding it, after a grace period, so the borrow outlives
+    /// even an eviction published meanwhile (`call_rcu` on `dst_entry`
+    /// in Linux).
+    ///
+    /// `None` on a miss: no entry yet, or one an eviction has just
+    /// killed. The caller ends its section, calls [`DstCache::insert`]
+    /// and retries.
+    pub fn route<'g>(
+        &self,
+        dest_ip: u32,
+        core: CoreId,
+        guard: &'g RcuReadGuard,
+    ) -> Option<&'g DstEntry> {
+        let entry = self.routes.read(guard).live.get(&dest_ip)?;
+        entry.get(core).is_ok().then_some(&**entry)
+    }
+
+    /// Caches an entry for `dest_ip` unless one is already there.
+    ///
+    /// Publishes, so it must run outside any read-side section: under
+    /// the blocking discipline a publish waits out a grace period, which
+    /// would wait on the caller's own section.
+    pub fn insert(&self, dest_ip: u32) {
+        let config = self.config;
+        let _already_cached = self
+            .routes
+            .try_publish(config.deferred_reclamation, |routes| {
+                if routes.live.contains_key(&dest_ip) {
+                    return Err(());
+                }
+                let refcount = RefCount::new_scaled(
+                    config.sloppy_dst_refs,
+                    config.snzi_dst_refs,
+                    config.cores,
+                    config.numa_nodes,
+                );
+                let entry = DstEntry::with_refcount(dest_ip, dest_ip ^ 0x0101_0101, refcount);
+                let mut routes = routes.clone();
+                routes.live.insert(dest_ip, Arc::new(entry));
+                Ok(routes)
+            });
     }
 
     /// `(shared_ops, local_ops)` of the refcounts of every route this
     /// cache has held, summed when asked: `route` itself writes no
     /// cache-wide line.
     pub fn op_counts(&self) -> (u64, u64) {
-        let table = self.entries.read();
-        table
+        let g = rcu::read_lock();
+        let routes = self.routes.read(&g);
+        routes
             .live
             .values()
             .map(|e| e.refcount_ops())
-            .fold(table.evicted_ops, |(s, l), (es, el)| (s + es, l + el))
+            .fold(routes.evicted_ops, |(s, l), (es, el)| (s + es, l + el))
     }
 
     /// Number of cached routes.
     pub fn len(&self) -> usize {
-        self.entries.read().live.len()
+        let g = rcu::read_lock();
+        self.routes.read(&g).live.len()
     }
 
     /// Returns whether the cache is empty.
@@ -144,27 +174,31 @@ impl DstCache {
 
     /// Attempts to evict the route for `dest_ip`; fails while packets
     /// hold references (the reconcile-on-dealloc protocol).
+    ///
+    /// The decision is taken under the cache's writer lock, and the
+    /// evicted entry is retired with the snapshot that still holds it:
+    /// a packet that borrowed it keeps a valid entry (whose `get` now
+    /// fails) until its section ends.
     pub fn evict(&self, dest_ip: u32) -> Result<(), DeallocError> {
-        let mut table = self.entries.write();
-        let Some(e) = table.live.get(&dest_ip) else {
-            return Err(DeallocError::AlreadyDead);
-        };
-        // Drop the cache's own reference for the check, restoring it on
-        // failure.
-        e.put(CoreId(0));
-        match e.try_dealloc() {
-            Ok(()) => {
+        self.routes
+            .try_publish(self.config.deferred_reclamation, |routes| {
+                let Some(e) = routes.live.get(&dest_ip) else {
+                    return Err(DeallocError::AlreadyDead);
+                };
+                // Drop the cache's own reference for the check, restoring
+                // it on failure.
+                e.put(CoreId(0));
+                if let Err(err) = e.try_dealloc() {
+                    e.get(CoreId(0)).expect("entry still live");
+                    return Err(err);
+                }
                 let (shared, local) = e.refcount_ops();
-                table.live.remove(&dest_ip);
-                table.evicted_ops.0 += shared;
-                table.evicted_ops.1 += local;
-                Ok(())
-            }
-            Err(err) => {
-                e.get(CoreId(0)).expect("entry still live");
-                Err(err)
-            }
-        }
+                let mut routes = routes.clone();
+                routes.live.remove(&dest_ip);
+                routes.evicted_ops.0 += shared;
+                routes.evicted_ops.1 += local;
+                Ok(routes)
+            })
     }
 }
 
@@ -186,13 +220,32 @@ mod tests {
         DstCache::new(cfg)
     }
 
+    /// One packet's route get/put, as `udp_send` does it.
+    fn send(c: &DstCache, dest_ip: u32, core: CoreId) {
+        c.insert(dest_ip);
+        let g = rcu::read_lock();
+        c.route(dest_ip, core, &g).expect("inserted").put(core);
+    }
+
+    /// `(shared, local)` refcount operations of the entry for `dest_ip`.
+    fn ops_of(c: &DstCache, dest_ip: u32) -> (u64, u64) {
+        let g = rcu::read_lock();
+        c.routes.read(&g).live[&dest_ip].refcount_ops()
+    }
+
     #[test]
-    fn route_creates_then_reuses() {
+    fn route_misses_until_inserted_then_reuses() {
         let c = cache(true);
-        let e1 = c.route(0x0a000001, CoreId(0));
-        let e2 = c.route(0x0a000001, CoreId(1));
-        assert!(Arc::ptr_eq(&e1, &e2));
-        assert_eq!(c.len(), 1);
+        let g = rcu::read_lock();
+        assert!(c.route(0x0a000001, CoreId(0), &g).is_none(), "cold miss");
+        drop(g);
+        c.insert(0x0a000001);
+        c.insert(0x0a000001);
+        assert_eq!(c.len(), 1, "a second insert finds the first");
+        let g = rcu::read_lock();
+        let e1 = c.route(0x0a000001, CoreId(0), &g).unwrap();
+        let e2 = c.route(0x0a000001, CoreId(1), &g).unwrap();
+        assert!(std::ptr::eq(e1, e2));
         assert_eq!(e1.references(), 3); // cache + 2 packets
         e1.put(CoreId(0));
         e2.put(CoreId(1));
@@ -202,37 +255,24 @@ mod tests {
     fn hot_destination_is_core_local_when_sloppy() {
         let c = cache(true);
         // Warm up each core's spares.
-        let mut refs = Vec::new();
         for core in 0..4 {
-            refs.push((core, c.route(1, CoreId(core))));
+            send(&c, 1, CoreId(core));
         }
-        for (core, e) in refs {
-            e.put(CoreId(core));
-        }
-        let e = c.route(1, CoreId(2));
-        let (shared_before, _) = e.refcount_ops();
-        e.put(CoreId(2));
+        let (shared_before, _) = ops_of(&c, 1);
         for _ in 0..1_000 {
-            let e = c.route(1, CoreId(2));
-            e.put(CoreId(2));
+            send(&c, 1, CoreId(2));
         }
-        let e = c.route(1, CoreId(2));
-        let (shared_after, _) = e.refcount_ops();
-        e.put(CoreId(2));
-        assert_eq!(shared_before, shared_after, "hot path must stay local");
+        assert_eq!(shared_before, ops_of(&c, 1).0, "hot path must stay local");
     }
 
     #[test]
     fn atomic_refcount_is_always_shared() {
         let c = cache(false);
         for _ in 0..100 {
-            let e = c.route(1, CoreId(0));
-            e.put(CoreId(0));
+            send(&c, 1, CoreId(0));
         }
-        let e = c.route(1, CoreId(0));
-        let (shared, local) = e.refcount_ops();
-        e.put(CoreId(0));
-        assert!(shared >= 200);
+        let (shared, local) = ops_of(&c, 1);
+        assert_eq!(shared, 200);
         assert_eq!(local, 0);
     }
 
@@ -243,19 +283,16 @@ mod tests {
         // packets in flight, so its leaf stays nonzero and further
         // get/put pairs never leave the leaf.
         let c = DstCache::new(NetConfig::pk(8));
-        let pin = c.route(1, CoreId(2)); // keeps core 2's leaf nonzero
-        let e = c.route(1, CoreId(2));
-        let (shared_before, _) = e.refcount_ops();
-        e.put(CoreId(2));
+        c.insert(1);
+        let g = rcu::read_lock();
+        let pin = c.route(1, CoreId(2), &g).unwrap(); // keeps core 2's leaf nonzero
+        let (shared_before, _) = pin.refcount_ops();
         for _ in 0..1_000 {
-            let e = c.route(1, CoreId(2));
-            e.put(CoreId(2));
+            c.route(1, CoreId(2), &g).unwrap().put(CoreId(2));
         }
-        let e = c.route(1, CoreId(2));
-        let (shared_after, _) = e.refcount_ops();
-        e.put(CoreId(2));
         assert_eq!(
-            shared_before, shared_after,
+            shared_before,
+            pin.refcount_ops().0,
             "loaded leaf must stay core-local under the SNZI tree"
         );
         pin.put(CoreId(2));
@@ -264,18 +301,34 @@ mod tests {
     #[test]
     fn evict_respects_in_flight_packets() {
         let c = cache(true);
-        let e = c.route(7, CoreId(0));
+        c.insert(7);
+        let g = rcu::read_lock();
+        let e = c.route(7, CoreId(0), &g).unwrap();
         assert!(c.evict(7).is_err(), "packet in flight");
         e.put(CoreId(0));
         let before = c.op_counts();
         assert_eq!(c.evict(7), Ok(()));
         assert!(c.is_empty());
         assert!(c.evict(7).is_err(), "already gone");
+        // The borrow outlives the eviction: the entry is retired with
+        // the snapshot this section still reads, and it is dead.
+        assert_eq!(e.dest_ip, 7);
+        assert!(
+            c.route(7, CoreId(0), &g).is_none(),
+            "the new snapshot misses"
+        );
+        assert!(
+            e.get(CoreId(0)).is_err(),
+            "an evicted entry takes no packet"
+        );
+        drop(g);
         let after = c.op_counts();
         assert!(
             after.0 >= before.0 && after.1 >= before.1,
             "an evicted route keeps its operations: {before:?} -> {after:?}"
         );
+        send(&c, 7, CoreId(0));
+        assert_eq!(c.len(), 1, "a miss after eviction caches a fresh entry");
     }
 
     /// The totals are every route's operations, not the last-routed
@@ -287,7 +340,7 @@ mod tests {
             let mut last = c.op_counts();
             assert_eq!(last, (0, 0));
             let mut send = |dest| {
-                c.route(dest, CoreId(1)).put(CoreId(1));
+                send(&c, dest, CoreId(1));
                 let now = c.op_counts();
                 assert!(now.0 >= last.0 && now.1 >= last.1, "{last:?} -> {now:?}");
                 last = now;
@@ -302,10 +355,26 @@ mod tests {
             assert_eq!(shared + local, if sloppy { 204 } else { 202 });
             assert_eq!(sloppy, local > shared, "({shared}, {local})");
             let sum = [1, 2]
-                .map(|dest| c.entries.read().live[&dest].refcount_ops())
+                .map(|dest| ops_of(&c, dest))
                 .iter()
                 .fold((0, 0), |(s, l), (es, el)| (s + es, l + el));
             assert_eq!((shared, local), sum);
         }
+    }
+
+    /// Under Miri: an entry borrowed under a guard stays readable while
+    /// an eviction and an insert each publish and retire a snapshot.
+    #[test]
+    fn miri_smoke_borrowed_route_survives_eviction() {
+        let c = cache(true);
+        c.insert(7);
+        let g = rcu::read_lock();
+        let e = c.route(7, CoreId(1), &g).unwrap();
+        e.put(CoreId(1));
+        assert_eq!(c.evict(7), Ok(()));
+        c.insert(8);
+        assert_eq!((e.dest_ip, e.gateway), (7, 7 ^ 0x0101_0101));
+        drop(g);
+        rcu::rcu_barrier();
     }
 }

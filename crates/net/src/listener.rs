@@ -84,12 +84,27 @@ impl Listener {
     /// already at it. A refusal bumps `accept_overflows`; the caller
     /// (the stack's RX path) surfaces it as backpressure so admission
     /// control composes with both the shared and per-core layouts.
+    ///
+    /// The slot is reserved before the request is pushed, in the one RMW
+    /// that checks the cap: two handshakes racing for the last slot
+    /// cannot both pass, and an accept can only count down a request
+    /// whose slot is already counted.
     pub fn enqueue(&self, flow: FlowHash, core: CoreId) -> bool {
         let cap = self.config.accept_backlog_cap as u64;
-        if cap > 0 && self.backlog() >= cap {
+        if cap == 0 {
+            self.queued.fetch_add(1, Ordering::AcqRel);
+        } else if self
+            .queued
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |q| {
+                (q < cap).then_some(q + 1)
+            })
+            .is_err()
+        {
             self.stats.accept_overflows.bump();
             return false;
         }
+        #[cfg(test)]
+        crate::run_race_probe();
         let req = ConnRequest {
             flow,
             arrived_on: core,
@@ -103,7 +118,6 @@ impl Listener {
         } else {
             self.shared.lock().push_back(req);
         }
-        self.queued.fetch_add(1, Ordering::Release);
         true
     }
 
@@ -233,6 +247,36 @@ mod tests {
         // Draining one slot re-opens admission.
         l.accept(CoreId(0)).unwrap();
         assert!(l.enqueue(flow(4), CoreId(3)));
+    }
+
+    /// Two handshakes racing for the last slot: the competitor runs
+    /// between the first one's admission check and its push. With the
+    /// check and the reservation apart, both were admitted (cap 1,
+    /// backlog 2) — the bound `OverloadPolicy` lowers onto overshot.
+    #[test]
+    fn racing_handshakes_cannot_overshoot_the_cap() {
+        for percore in [false, true] {
+            let stats = Arc::new(NetStats::new());
+            let mut config = NetConfig::pk(4);
+            config.accept_backlog_cap = 1;
+            config.percore_accept_queues = percore;
+            let l = Arc::new(Listener::new(80, config, Arc::clone(&stats)));
+            let rival = Arc::clone(&l);
+            let rival_admitted = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let saw = Arc::clone(&rival_admitted);
+            let admitted = crate::with_race_probe(
+                move || saw.store(rival.enqueue(flow(2), CoreId(1)), Ordering::Relaxed),
+                || l.enqueue(flow(1), CoreId(0)),
+            );
+            let rival_admitted = rival_admitted.load(Ordering::Relaxed);
+            assert!(admitted, "the first reservation wins (percore {percore})");
+            assert!(
+                !rival_admitted,
+                "the rival must be refused (percore {percore})"
+            );
+            assert_eq!(l.backlog(), 1);
+            assert_eq!(stats.accept_overflows.load(Ordering::Relaxed), 1);
+        }
     }
 
     #[test]

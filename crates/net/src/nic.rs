@@ -79,7 +79,6 @@ pub struct Nic {
     /// only writes its socket's shard, so the rwlock cache line stops
     /// bouncing between packages (generation-2 fix past 48 cores).
     flow_table: Vec<RwLock<IntKeyMap<u64, usize>>>,
-    port_table: RwLock<IntKeyMap<u16, usize>>,
     tx_counters: PerCore<AtomicU64>,
     queue_capacity: usize,
     config: NetConfig,
@@ -120,7 +119,6 @@ impl Nic {
             flow_table: (0..config.flow_table_shards.max(1))
                 .map(|_| RwLock::default())
                 .collect(),
-            port_table: RwLock::default(),
             tx_counters: PerCore::new_with(config.cores, |_| AtomicU64::new(0)),
             queue_capacity: 4096,
             config,
@@ -131,19 +129,17 @@ impl Nic {
         }
     }
 
-    /// Configures the card to "inspect the port number in each incoming
-    /// packet header \[and\] place the packet on the queue dedicated to the
-    /// associated ... core" (§5.3) — used by memcached on both kernels.
-    pub fn pin_port(&self, dst_port: u16, queue: usize) {
-        self.port_table
-            .write()
-            .insert(dst_port, queue % self.queues.len());
-    }
-
     /// The queue (= core) the card will steer `flow` to right now.
-    pub fn steer(&self, flow: &FlowHash) -> usize {
-        if let Some(&q) = self.port_table.read().get(&flow.dst_port) {
-            return q;
+    ///
+    /// `pinned` is the queue `flow.dst_port` is pinned to, if any: the
+    /// card "inspect\[s\] the port number in each incoming packet header
+    /// \[and\] place\[s\] the packet on the queue dedicated to the
+    /// associated ... core" (§5.3). The pins live in the stack's port
+    /// table ([`crate::NetStack::pin_port`]), which the caller has
+    /// already read; a stand-alone card has none.
+    pub fn steer(&self, flow: &FlowHash, pinned: Option<usize>) -> usize {
+        if let Some(q) = pinned {
+            return q % self.queues.len();
         }
         if !self.config.hash_flow_steering {
             let h = flow.hash();
@@ -155,12 +151,19 @@ impl Nic {
     }
 
     /// Delivers an incoming packet. `owner` is the core that will process
-    /// the flow (for steering-accuracy stats).
+    /// the flow (for steering-accuracy stats); `pinned` is as for
+    /// [`Nic::steer`].
     ///
     /// On overflow, injected loss, or a down link, the packet is refused
     /// and the buffer handed back in the [`RxDrop`] so the caller can
     /// release it and its accounting — the drop is never silent.
-    pub fn rx(&self, flow: FlowHash, skb: Skb, owner: CoreId) -> Result<(), RxDrop> {
+    pub fn rx(
+        &self,
+        flow: FlowHash,
+        skb: Skb,
+        owner: CoreId,
+        pinned: Option<usize>,
+    ) -> Result<(), RxDrop> {
         if self.fault_link_flap.should_inject() {
             self.link_down_remaining
                 .store(LINK_FLAP_DROPS, Ordering::Relaxed);
@@ -183,7 +186,7 @@ impl Nic {
                 skb,
             });
         }
-        let q = self.steer(&flow);
+        let q = self.steer(&flow, pinned);
         if q == owner.index() % self.queues.len() {
             self.stats.rx_steered_local.bump();
         } else {
@@ -275,9 +278,9 @@ mod tests {
     fn hash_steering_is_deterministic_per_flow() {
         let nic = Nic::new(NetConfig::pk(8), Arc::new(NetStats::new()));
         let f = flow(1234);
-        let q = nic.steer(&f);
+        let q = nic.steer(&f, None);
         for _ in 0..10 {
-            assert_eq!(nic.steer(&f), q);
+            assert_eq!(nic.steer(&f, None), q);
         }
     }
 
@@ -286,7 +289,7 @@ mod tests {
         let nic = Nic::new(NetConfig::pk(8), Arc::new(NetStats::new()));
         let mut used = std::collections::HashSet::new();
         for p in 0..200 {
-            used.insert(nic.steer(&flow(p)));
+            used.insert(nic.steer(&flow(p), None));
         }
         assert!(used.len() >= 6, "flows should spread over queues");
     }
@@ -295,14 +298,14 @@ mod tests {
     fn sampling_updates_flow_table_every_20th_tx() {
         let nic = Nic::new(NetConfig::stock(8), Arc::new(NetStats::new()));
         let f = flow(5555);
-        let default_q = nic.steer(&f);
+        let default_q = nic.steer(&f, None);
         // 19 transmissions: no update yet.
         for _ in 0..19 {
             nic.tx(CoreId(3), f);
         }
-        assert_eq!(nic.steer(&f), default_q);
+        assert_eq!(nic.steer(&f, None), default_q);
         nic.tx(CoreId(3), f); // the 20th
-        assert_eq!(nic.steer(&f), 3);
+        assert_eq!(nic.steer(&f, None), 3);
     }
 
     #[test]
@@ -341,7 +344,7 @@ mod tests {
         }
         // 8 flows × 20 tx on one core → 8 sampled updates, one per flow.
         for port in 100..108u16 {
-            assert_eq!(nic.steer(&flow(port)), 5, "port {port}");
+            assert_eq!(nic.steer(&flow(port), None), 5, "port {port}");
         }
     }
 
@@ -350,9 +353,9 @@ mod tests {
         let stats = Arc::new(NetStats::new());
         let nic = Nic::new(NetConfig::pk(4), Arc::clone(&stats));
         let f = flow(42);
-        let owner = CoreId(nic.steer(&f));
-        assert!(nic.rx(f, skb(), owner).is_ok());
-        assert!(nic.rx(f, skb(), CoreId(owner.index() + 1)).is_ok());
+        let owner = CoreId(nic.steer(&f, None));
+        assert!(nic.rx(f, skb(), owner, None).is_ok());
+        assert!(nic.rx(f, skb(), CoreId(owner.index() + 1), None).is_ok());
         assert_eq!(stats.rx_steered_local.load(Ordering::Relaxed), 1);
         assert_eq!(stats.rx_misdirected.load(Ordering::Relaxed), 1);
     }
@@ -361,8 +364,8 @@ mod tests {
     fn poll_drains_the_right_queue() {
         let nic = Nic::new(NetConfig::pk(4), Arc::new(NetStats::new()));
         let f = flow(42);
-        let q = nic.steer(&f);
-        nic.rx(f, skb(), CoreId(q)).unwrap();
+        let q = nic.steer(&f, None);
+        nic.rx(f, skb(), CoreId(q), None).unwrap();
         assert!(nic.poll(CoreId((q + 1) % 4)).is_none());
         let pkt = nic.poll(CoreId(q)).unwrap();
         assert_eq!(pkt.flow, f);
@@ -375,10 +378,10 @@ mod tests {
         let mut nic = Nic::new(NetConfig::pk(2), Arc::clone(&stats));
         nic.queue_capacity = 2;
         let f = flow(1);
-        let q = CoreId(nic.steer(&f));
-        assert!(nic.rx(f, skb(), q).is_ok());
-        assert!(nic.rx(f, skb(), q).is_ok());
-        assert!(nic.rx(f, skb(), q).is_err(), "third packet overflows");
+        let q = CoreId(nic.steer(&f, None));
+        assert!(nic.rx(f, skb(), q, None).is_ok());
+        assert!(nic.rx(f, skb(), q, None).is_ok());
+        assert!(nic.rx(f, skb(), q, None).is_err(), "third packet overflows");
         assert_eq!(stats.rx_fifo_drops.load(Ordering::Relaxed), 1);
     }
 
@@ -391,9 +394,9 @@ mod tests {
         let mut nic = Nic::new(NetConfig::pk(2), Arc::clone(&stats));
         nic.queue_capacity = 1;
         let f = flow(1);
-        let q = CoreId(nic.steer(&f));
-        nic.rx(f, skb(), q).unwrap();
-        let drop = nic.rx(f, skb(), q).unwrap_err();
+        let q = CoreId(nic.steer(&f, None));
+        nic.rx(f, skb(), q, None).unwrap();
+        let drop = nic.rx(f, skb(), q, None).unwrap_err();
         assert_eq!(drop.reason, DropReason::QueueOverflow);
         assert_eq!(drop.skb.data.as_ref(), b"pkt", "buffer comes back");
         assert_eq!(nic.pending(), 1, "the dropped packet never queued");
@@ -407,9 +410,9 @@ mod tests {
         faults.enable();
         let nic = Nic::with_faults(NetConfig::pk(2), Arc::clone(&stats), &faults);
         let f = flow(1);
-        let q = CoreId(nic.steer(&f));
-        assert!(nic.rx(f, skb(), q).is_ok());
-        let drop = nic.rx(f, skb(), q).unwrap_err();
+        let q = CoreId(nic.steer(&f, None));
+        assert!(nic.rx(f, skb(), q, None).is_ok());
+        let drop = nic.rx(f, skb(), q, None).unwrap_err();
         assert_eq!(drop.reason, DropReason::FaultInjected);
         assert_eq!(stats.rx_fault_drops.load(Ordering::Relaxed), 1);
         assert_eq!(nic.pending(), 1);
@@ -423,12 +426,12 @@ mod tests {
         faults.enable();
         let nic = Nic::with_faults(NetConfig::pk(2), Arc::clone(&stats), &faults);
         let f = flow(1);
-        let q = CoreId(nic.steer(&f));
+        let q = CoreId(nic.steer(&f, None));
         for i in 0..LINK_FLAP_DROPS {
-            let drop = nic.rx(f, skb(), q).unwrap_err();
+            let drop = nic.rx(f, skb(), q, None).unwrap_err();
             assert_eq!(drop.reason, DropReason::LinkDown, "packet {i}");
         }
-        assert!(nic.rx(f, skb(), q).is_ok(), "link back up");
+        assert!(nic.rx(f, skb(), q, None).is_ok(), "link back up");
         assert_eq!(
             stats.rx_link_down_drops.load(Ordering::Relaxed),
             LINK_FLAP_DROPS

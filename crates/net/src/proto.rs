@@ -3,8 +3,17 @@
 use crate::config::NetConfig;
 use crate::stats::NetStats;
 use pk_percpu::CoreId;
-use pk_sloppy::{AtomicCounter, Counter, SloppyCounter};
+use pk_sloppy::{AtomicCounter, Counter, SloppyConfig, SloppyCounter};
 use std::sync::Arc;
+
+/// Bytes a core may bank in its slot of a sloppy protocol counter:
+/// Linux's `SK_MEM_QUANTUM`, one page. Charges are byte counts — 64 to
+/// 68 per memcached packet — so a bank sized in references (the §4.3
+/// default of 8) would send every charge to the central word and return
+/// every uncharge's excess: the shared writes the fix exists to remove.
+/// With a page, a core's charges and uncharges stay in its own slot
+/// after its first packet.
+const SK_MEM_QUANTUM: i64 = 4096;
 
 /// A transport protocol with tracked memory usage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,7 +31,7 @@ pub enum Protocol {
 /// every free uncharges it — which in stock Linux means every core
 /// hammers one cache line per protocol ("cores contend on counters for
 /// tracking protocol memory consumption", Figure 1). PK swaps in sloppy
-/// counters.
+/// counters that bank up to `SK_MEM_QUANTUM` (4 096) bytes per core.
 pub struct ProtoAccounting {
     tcp: Box<dyn Counter>,
     udp: Box<dyn Counter>,
@@ -48,7 +57,13 @@ impl ProtoAccounting {
         let sloppy = config.sloppy_proto_accounting;
         let make = || -> Box<dyn Counter> {
             if sloppy {
-                Box::new(SloppyCounter::new(config.cores))
+                Box::new(SloppyCounter::with_config(
+                    config.cores,
+                    SloppyConfig {
+                        threshold: SK_MEM_QUANTUM,
+                        prefetch: 0,
+                    },
+                ))
             } else {
                 Box::new(AtomicCounter::new())
             }
@@ -92,6 +107,15 @@ impl ProtoAccounting {
     pub fn usage(&self, proto: Protocol) -> i64 {
         self.counter(proto).value()
     }
+
+    /// `(central_ops, local_ops)` of `proto`'s sloppy counter: how many
+    /// charges and uncharges wrote the shared word versus stayed in a
+    /// core's slot. The stock atomic counter keeps no split and reports
+    /// `(0, 0)`; every one of its updates is central
+    /// (`NetStats::proto_shared_ops`).
+    pub fn op_counts(&self, proto: Protocol) -> (u64, u64) {
+        self.counter(proto).op_counts()
+    }
 }
 
 #[cfg(test)]
@@ -113,6 +137,26 @@ mod tests {
             assert_eq!(acc.usage(Protocol::Udp), 0);
             assert_eq!(acc.usage(Protocol::Tcp), 0);
         }
+    }
+
+    /// PK's steady state never touches the central word: a core's first
+    /// packet-sized charge misses, and from then on its uncharges bank
+    /// the bytes its next charges take.
+    #[test]
+    fn pk_packets_stay_in_the_core_slot_after_the_first() {
+        let acc = ProtoAccounting::new(NetConfig::pk(4), Arc::new(NetStats::new()));
+        let packet = |len| {
+            acc.charge(Protocol::Udp, len, CoreId(1));
+            acc.uncharge(Protocol::Udp, len, CoreId(1));
+        };
+        packet(68);
+        assert_eq!(acc.op_counts(Protocol::Udp), (1, 1));
+        for _ in 0..1_000 {
+            packet(68);
+            packet(64);
+        }
+        assert_eq!(acc.op_counts(Protocol::Udp), (1, 4_001));
+        assert_eq!(acc.usage(Protocol::Udp), 0);
     }
 
     #[test]

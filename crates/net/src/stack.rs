@@ -38,6 +38,11 @@ impl SockAddr {
 /// receive path, which is how the workloads drive the same code the
 /// paper's client machines drove over 10 GbE.
 ///
+/// Every packet operation runs in one RCU read-side section and borrows
+/// what it needs — route, socket, listener, port pin — from the
+/// RCU-published snapshots: no reader-writer lock and no `Arc` clone per
+/// packet.
+///
 /// # Examples
 ///
 /// ```
@@ -65,16 +70,28 @@ pub struct NetStack {
     pool: SkbPool,
     dst: DstCache,
     proto: ProtoAccounting,
-    /// RCU-published socket tables: every RX/accept path reads a snapshot
-    /// under a read-side section without writing shared lock state;
-    /// binds/listens copy, update, publish, and retire the old snapshot
-    /// per the configured reclamation discipline.
-    udp_ports: RcuCell<PortMap<(Arc<UdpSocket>, CoreId)>>,
-    listeners: RcuCell<PortMap<Arc<Listener>>>,
+    /// The RCU-published port table: packet paths read a snapshot inside
+    /// their read-side section without writing shared lock state; binds,
+    /// listens and pins copy, update, publish, and retire the old
+    /// snapshot per the configured reclamation discipline.
+    ports: RcuCell<PortMap>,
 }
 
-/// A table keyed by port number — an integer, so no SipHash per packet.
-type PortMap<V> = IntKeyMap<u16, V>;
+/// Port number → what is bound to it. An integer key, so no SipHash
+/// per packet.
+type PortMap = IntKeyMap<u16, Port>;
+
+/// Everything bound to one port number. The TCP and UDP port spaces are
+/// independent: one number can carry a UDP socket and a listener.
+#[derive(Debug, Default, Clone)]
+struct Port {
+    /// The bound UDP socket and the core that owns (processes) it.
+    udp: Option<(Arc<UdpSocket>, CoreId)>,
+    /// The TCP listener.
+    listener: Option<Arc<Listener>>,
+    /// The NIC queue the card steers packets for this port to (§5.3).
+    pinned: Option<usize>,
+}
 
 impl NetStack {
     /// Creates a stack under `config`.
@@ -92,8 +109,7 @@ impl NetStack {
             pool: SkbPool::new(config, Arc::clone(&stats)),
             dst: DstCache::new(config),
             proto: ProtoAccounting::new(config, Arc::clone(&stats)),
-            udp_ports: RcuCell::new(PortMap::default()),
-            listeners: RcuCell::new(PortMap::default()),
+            ports: RcuCell::new(PortMap::default()),
             stats,
         }
     }
@@ -123,36 +139,64 @@ impl NetStack {
         &self.proto
     }
 
-    /// Binds a UDP socket to `port`, owned (processed) by `owner`.
-    pub fn udp_bind(&self, port: u16, owner: CoreId) -> Option<Arc<UdpSocket>> {
-        {
-            let g = rcu::read_lock();
-            if self.udp_ports.read(&g).contains_key(&port) {
-                return None;
-            }
-        }
-        let s = UdpSocket::new(port);
-        // Writers are serialized by the cell; re-check under that lock by
-        // keeping the bind race benign: last publish wins, and both
-        // publishes carry the same port→socket shape. Concurrent binds of
-        // the *same* port are resolved by the insert below being a no-op
-        // overwrite of an identical owner (the paper's workloads bind
-        // each port once, at startup).
-        self.udp_ports
+    /// Publishes the port table with `update` applied to `port`'s entry.
+    fn update_port(&self, port: u16, update: impl FnOnce(&mut Port)) {
+        self.ports
             .publish(self.config.deferred_reclamation, |ports| {
                 let mut ports = ports.clone();
-                ports.insert(port, (Arc::clone(&s), owner));
+                update(ports.entry(port).or_default());
                 ports
             });
-        // Dedicate a hardware queue to this socket's core (§5.3).
-        self.nic.pin_port(port, owner.index());
+    }
+
+    /// Binds a UDP socket to `port`, owned (processed) by `owner`, and
+    /// dedicates the NIC queue of `owner` to it (§5.3).
+    pub fn udp_bind(&self, port: u16, owner: CoreId) -> Option<Arc<UdpSocket>> {
+        // A bind refused here publishes nothing.
+        if self.owner_of(port).is_some() {
+            return None;
+        }
+        #[cfg(test)]
+        crate::run_race_probe();
+        let s = UdpSocket::new(port);
+        // "Taken" is decided again under the writer lock, so of two
+        // racing binds exactly one gets the port. The pin rides the same
+        // publish: a bind is one publish, not two.
+        self.ports
+            .try_publish(self.config.deferred_reclamation, |ports| {
+                if ports.get(&port).is_some_and(|p| p.udp.is_some()) {
+                    return Err(());
+                }
+                let mut ports = ports.clone();
+                let entry = ports.entry(port).or_default();
+                entry.udp = Some((Arc::clone(&s), owner));
+                entry.pinned = Some(owner.index());
+                Ok(ports)
+            })
+            .ok()?;
         Some(s)
+    }
+
+    /// Configures the card to "inspect the port number in each incoming
+    /// packet header \[and\] place the packet on the queue dedicated to the
+    /// associated ... core" (§5.3): packets for `port` go to `queue`.
+    /// [`NetStack::udp_bind`] pins its socket's owner already.
+    pub fn pin_port(&self, port: u16, queue: usize) {
+        self.update_port(port, |p| p.pinned = Some(queue));
     }
 
     /// Returns the core that owns the socket bound to `port`.
     pub fn owner_of(&self, port: u16) -> Option<CoreId> {
         let g = rcu::read_lock();
-        self.udp_ports.read(&g).get(&port).map(|(_, c)| *c)
+        let (_, owner) = self.ports.read(&g).get(&port)?.udp.as_ref()?;
+        Some(*owner)
+    }
+
+    /// The queue (= core) the card steers `flow` to right now, port pins
+    /// included.
+    pub fn steer(&self, flow: &FlowHash) -> usize {
+        let g = rcu::read_lock();
+        steer_in(&self.nic, self.ports.read(&g), flow)
     }
 
     /// Sends a UDP datagram from `core`. If the destination port is bound
@@ -160,7 +204,7 @@ impl NetStack {
     ///
     /// Exercises, in order: the destination cache refcount, protocol
     /// memory accounting, the skb pool, the TX queue, and (on loopback)
-    /// flow steering into an RX queue.
+    /// flow steering into an RX queue — all inside one read-side section.
     ///
     /// A refused packet releases its buffer and protocol charge before
     /// the error is returned, so the books stay balanced whether or not
@@ -174,7 +218,19 @@ impl NetStack {
         to: SockAddr,
         payload: Bytes,
     ) -> Result<(), NetError> {
-        let route = self.dst.route(to.ip, core);
+        let mut g = rcu::read_lock();
+        let route = loop {
+            match self.dst.route(to.ip, core, &g) {
+                Some(route) => break route,
+                None => {
+                    // Caching a route publishes, which must not happen
+                    // inside a read-side section.
+                    drop(g);
+                    self.dst.insert(to.ip);
+                    g = rcu::read_lock();
+                }
+            }
+        };
         let len = payload.len();
         self.proto.charge(Protocol::Udp, len, core);
         let skb = self.pool.alloc(core, payload);
@@ -186,24 +242,23 @@ impl NetStack {
         };
         self.nic.tx(core, flow);
         route.put(core);
-        let owner = self.owner_of(to.port);
-        match owner {
-            Some(owner) => self.nic.rx(flow, skb, owner).map_err(|drop| {
-                // The NIC hands the buffer back on refusal; release it
-                // and the charge (this used to leak both).
-                let err = NetError::from(&drop);
-                self.proto.uncharge(Protocol::Udp, len, core);
-                self.pool.free(core, drop.skb);
-                err
-            }),
-            None => {
-                // Left the machine: the buffer is freed and the charge
-                // released immediately (the wire owns it now).
-                self.proto.uncharge(Protocol::Udp, len, core);
-                self.pool.free(core, skb);
-                Ok(())
-            }
-        }
+        let port = self.ports.read(&g).get(&to.port);
+        let Some(&(_, owner)) = port.and_then(|p| p.udp.as_ref()) else {
+            // Left the machine: the buffer is freed and the charge
+            // released immediately (the wire owns it now).
+            self.proto.uncharge(Protocol::Udp, len, core);
+            self.pool.free(core, skb);
+            return Ok(());
+        };
+        let pinned = port.and_then(|p| p.pinned);
+        self.nic.rx(flow, skb, owner, pinned).map_err(|drop| {
+            // The NIC hands the buffer back on refusal; release it and
+            // the charge (this used to leak both).
+            let err = NetError::from(&drop);
+            self.proto.uncharge(Protocol::Udp, len, core);
+            self.pool.free(core, drop.skb);
+            err
+        })
     }
 
     /// Processes up to `budget` packets from `core`'s NIC queue,
@@ -218,24 +273,20 @@ impl NetStack {
             let Some(pkt) = self.nic.poll(core) else {
                 break;
             };
-            let dst_port = pkt.flow.dst_port;
-            let hit = {
-                let g = rcu::read_lock();
-                self.udp_ports.read(&g).get(&dst_port).cloned()
-            };
-            if let Some((sock, owner)) = hit {
-                if self.config.software_rfs && owner != core {
+            let g = rcu::read_lock();
+            let port = self.ports.read(&g).get(&pkt.flow.dst_port);
+            match port.and_then(|p| p.udp.as_ref()) {
+                Some(&(_, owner)) if self.config.software_rfs && owner != core => {
                     // Hop to the owning core's backlog; it will deliver
                     // on its own poll.
                     self.nic.requeue(pkt, owner);
-                    n += 1;
-                    continue;
                 }
-                sock.deliver(pkt.flow, pkt.skb);
-            } else {
-                // No receiver: drop and release the charge.
-                self.proto.uncharge(Protocol::Udp, pkt.skb.len(), core);
-                self.pool.free(core, pkt.skb);
+                Some((sock, _)) => sock.deliver(pkt.flow, pkt.skb),
+                None => {
+                    // No receiver: drop and release the charge.
+                    self.proto.uncharge(Protocol::Udp, pkt.skb.len(), core);
+                    self.pool.free(core, pkt.skb);
+                }
             }
             n += 1;
         }
@@ -252,13 +303,7 @@ impl NetStack {
     /// Starts listening on TCP `port`.
     pub fn listen(&self, port: u16) -> Arc<Listener> {
         let l = Arc::new(Listener::new(port, self.config, Arc::clone(&self.stats)));
-        let inserted = Arc::clone(&l);
-        self.listeners
-            .publish(self.config.deferred_reclamation, move |m| {
-                let mut m = m.clone();
-                m.insert(port, inserted);
-                m
-            });
+        self.update_port(port, |p| p.listener = Some(Arc::clone(&l)));
         l
     }
 
@@ -272,25 +317,25 @@ impl NetStack {
     /// `accept_overflows` counter, and callers that own the listener
     /// (the serving drivers) surface it as `Overloaded`.
     pub fn incoming_connection(&self, port: u16, flow: FlowHash) -> bool {
-        let l = {
-            let g = rcu::read_lock();
-            self.listeners.read(&g).get(&port).cloned()
-        };
-        let Some(l) = l else {
+        let g = rcu::read_lock();
+        let ports = self.ports.read(&g);
+        let Some(l) = ports.get(&port).and_then(|p| p.listener.as_ref()) else {
             return false;
         };
-        let core = CoreId(self.nic.steer(&flow));
-        l.enqueue(flow, core)
+        l.enqueue(flow, CoreId(steer_in(&self.nic, ports, &flow)))
     }
 
     /// Accepts a pending connection on `port` from `core`.
     pub fn accept(&self, port: u16, core: CoreId) -> Option<Connection> {
-        let l = {
-            let g = rcu::read_lock();
-            self.listeners.read(&g).get(&port).cloned()
-        };
-        l?.accept(core)
+        let g = rcu::read_lock();
+        let listener = self.ports.read(&g).get(&port)?.listener.as_ref()?;
+        listener.accept(core)
     }
+}
+
+/// [`Nic::steer`] with `flow`'s port pin looked up in `ports`.
+fn steer_in(nic: &Nic, ports: &PortMap, flow: &FlowHash) -> usize {
+    nic.steer(flow, ports.get(&flow.dst_port).and_then(|p| p.pinned))
 }
 
 #[cfg(test)]
@@ -323,6 +368,59 @@ mod tests {
         assert_eq!(stack.proto().usage(Protocol::Udp), 0);
     }
 
+    /// Two binds of one port: the rival runs between the first bind's
+    /// "taken" check and its publish. With the check outside the writer
+    /// lock both got a socket, the last publish won, and the loser's
+    /// socket never received a packet.
+    #[test]
+    fn racing_binds_of_one_port_yield_one_socket() {
+        let stack = Arc::new(NetStack::new(NetConfig::pk(4)));
+        let rival = Arc::clone(&stack);
+        let rival_sock = Arc::new(std::sync::Mutex::new(None));
+        let slot = Arc::clone(&rival_sock);
+        let first = crate::with_race_probe(
+            move || *slot.lock().unwrap() = rival.udp_bind(5000, CoreId(3)),
+            || stack.udp_bind(5000, CoreId(1)),
+        );
+        let rival_sock = rival_sock.lock().unwrap().take();
+        assert!(rival_sock.is_some(), "the rival's bind ran first and won");
+        assert!(first.is_none(), "the port was taken under the writer lock");
+        assert_eq!(stack.owner_of(5000), Some(CoreId(3)));
+        stack
+            .udp_send(
+                CoreId(0),
+                SockAddr::new(1, 1),
+                SockAddr::new(2, 5000),
+                Bytes::from_static(b"won"),
+            )
+            .unwrap();
+        assert_eq!(stack.process_rx(CoreId(3), 16), 1, "pinned to the winner");
+        let d = rival_sock
+            .unwrap()
+            .recv()
+            .expect("the bound socket receives");
+        stack.release(CoreId(3), d.skb);
+    }
+
+    /// Under Miri: a route and a socket borrowed under one guard stay
+    /// readable while an eviction and a bind publish and retire the
+    /// snapshots they were borrowed from.
+    #[test]
+    fn miri_smoke_packet_borrows_outlive_republish() {
+        let stack = NetStack::new(NetConfig::pk(2));
+        stack.udp_bind(7000, CoreId(1)).unwrap();
+        stack.dst_cache().insert(9);
+        let g = rcu::read_lock();
+        let route = stack.dst_cache().route(9, CoreId(0), &g).unwrap();
+        route.put(CoreId(0));
+        let (sock, owner) = stack.ports.read(&g)[&7000].udp.as_ref().unwrap();
+        assert_eq!(stack.dst_cache().evict(9), Ok(()));
+        stack.udp_bind(7001, CoreId(0)).unwrap();
+        assert_eq!((route.dest_ip, sock.port, *owner), (9, 7000, CoreId(1)));
+        drop(g);
+        rcu::rcu_barrier();
+    }
+
     #[test]
     fn send_to_unbound_port_leaves_machine() {
         let stack = NetStack::new(NetConfig::pk(2));
@@ -349,7 +447,7 @@ mod tests {
             dst_port: 80,
         };
         assert!(stack.incoming_connection(80, flow));
-        let steered = CoreId(stack.nic().steer(&flow));
+        let steered = CoreId(stack.steer(&flow));
         let conn = stack.accept(80, steered).unwrap();
         assert!(conn.local, "accepted on the steered core");
         assert!(stack.accept(80, steered).is_none());
@@ -380,7 +478,7 @@ mod tests {
             1
         );
         // Accepting a connection frees a slot.
-        let steered = CoreId(stack.nic().steer(&mk(0)));
+        let steered = CoreId(stack.steer(&mk(0)));
         stack.accept(80, steered).unwrap();
         assert!(stack.incoming_connection(80, mk(4)));
     }
@@ -393,7 +491,7 @@ mod tests {
         let server = stack.udp_bind(5000, CoreId(3)).unwrap();
         // Defeat port pinning to force a hardware misdelivery, then let
         // software RFS fix it up.
-        stack.nic().pin_port(5000, 1);
+        stack.pin_port(5000, 1);
         stack
             .udp_send(
                 CoreId(0),

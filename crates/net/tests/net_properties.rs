@@ -53,9 +53,9 @@ proptest! {
     ) {
         let nic = pk_net::Nic::new(NetConfig::pk(48), Arc::new(NetStats::new()));
         let f = FlowHash { src_ip, src_port, dst_ip, dst_port };
-        let q = nic.steer(&f);
+        let q = nic.steer(&f, None);
         prop_assert!(q < 48);
-        prop_assert_eq!(nic.steer(&f), q);
+        prop_assert_eq!(nic.steer(&f, None), q);
     }
 
     /// Protocol accounting balances for any send/receive/release
@@ -132,7 +132,7 @@ fn sampling_converges_for_long_flows() {
     let serving = CoreId(5);
     let mut local_after_convergence = true;
     for pkt in 0..100 {
-        let steered = nic.steer(&flow);
+        let steered = nic.steer(&flow, None);
         if pkt > 25 && steered != serving.index() {
             local_after_convergence = false;
         }

@@ -490,6 +490,19 @@ impl<T: Send + 'static> RcuCell<T> {
     /// (`false`). Either way the writer lock is released first, so a
     /// grace wait stalls this writer only.
     pub fn publish(&self, deferred: bool, f: impl FnOnce(&T) -> T) {
+        self.try_publish(deferred, |cur| Ok::<T, std::convert::Infallible>(f(cur)))
+            .unwrap_or_else(|never| match never {});
+    }
+
+    /// [`RcuCell::publish`] for a writer that decides under the writer
+    /// lock: `f` sees the current snapshot with every other writer
+    /// excluded, and an `Err` from it is returned with nothing published
+    /// and nothing retired.
+    pub fn try_publish<E>(
+        &self,
+        deferred: bool,
+        f: impl FnOnce(&T) -> Result<T, E>,
+    ) -> Result<(), E> {
         let old = {
             // Lock poisoning only means a previous writer's `f` panicked;
             // the cell itself is always in a published, consistent state.
@@ -497,7 +510,7 @@ impl<T: Send + 'static> RcuCell<T> {
             let cur = self.ptr.load(Ordering::Acquire);
             // SAFETY: We hold the writer lock, so `cur` cannot be swapped
             // out or freed concurrently.
-            let new = Box::into_raw(Box::new(f(unsafe { &*cur })));
+            let new = Box::into_raw(Box::new(f(unsafe { &*cur })?));
             self.ptr.swap(new, Ordering::SeqCst)
         };
         if deferred {
@@ -513,6 +526,7 @@ impl<T: Send + 'static> RcuCell<T> {
             // the only copy.
             drop(unsafe { Box::from_raw(old) });
         }
+        Ok(())
     }
 }
 
@@ -555,6 +569,15 @@ mod tests {
         cell.publish(false, |v| v * 2);
         let g = read_lock();
         assert_eq!(*cell.read(&g), 22);
+    }
+
+    #[test]
+    fn declined_publish_leaves_the_snapshot() {
+        let cell = RcuCell::new(1u32);
+        assert_eq!(cell.try_publish(false, |_| Err("taken")), Err("taken"));
+        assert_eq!(cell.try_publish(false, |v| Ok::<_, ()>(v + 1)), Ok(()));
+        let g = read_lock();
+        assert_eq!(*cell.read(&g), 2);
     }
 
     #[test]

@@ -111,7 +111,7 @@ fn accept_and_serve_across_subsystems() {
         dst_port: 80,
     };
     assert!(k.net().incoming_connection(80, flow));
-    let steered = CoreId(k.net().nic().steer(&flow));
+    let steered = CoreId(k.net().steer(&flow));
     let conn = k.net().accept(80, steered).expect("backlogged connection");
     assert!(conn.local);
     let st = k.vfs().stat("/www/i.html", steered).unwrap();
