@@ -39,6 +39,16 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Records one sample in place, exactly as [`crate::Histogram::record`]
+    /// would (same bucket, wrapping sum): the recording path of a
+    /// histogram with a single owner, which needs no per-core shards
+    /// and no atomic read-modify-writes.
+    pub fn record(&mut self, value: u64) {
+        self.buckets[crate::buckets::bucket_of(value)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+    }
+
     /// Upper bound on the `q`-quantile; see [`crate::Histogram::quantile`].
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {

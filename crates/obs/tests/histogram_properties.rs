@@ -1,7 +1,7 @@
 //! Property tests for the latency histogram: the quantile contract the
 //! serving layer's SLO accounting is built on.
 //!
-//! Three laws, for arbitrary sample sets and arbitrary distributions of
+//! Four laws, for arbitrary sample sets and arbitrary distributions of
 //! those samples across cores:
 //!
 //! 1. **Exact at bucket edges** — the reported quantile is always the
@@ -12,6 +12,9 @@
 //! 3. **Merge-deterministic** — the snapshot is a pure function of the
 //!    recorded multiset: how samples are spread across cores (or how
 //!    many cores the histogram has) must not change a single bucket.
+//! 4. **Owner-equivalent** — recording into a snapshot in place
+//!    (`HistogramSnapshot::record`, the single-owner path) yields the
+//!    snapshot the sharded histogram merges to.
 
 use pk_obs::{buckets, Histogram, HistogramSnapshot};
 use pk_percpu::CoreId;
@@ -137,5 +140,27 @@ proptest! {
         for q in [0.5, 0.99, 0.999] {
             prop_assert_eq!(a.quantile(q), b.quantile(q));
         }
+    }
+
+    /// A single-owner histogram recording into its snapshot in place is
+    /// the sharded histogram with one owner: the same samples, however
+    /// the sharded one spreads them across cores, give equal snapshots.
+    /// `u64::MAX` and 1 ride along so the sum always wraps, and both
+    /// paths must wrap it the same way.
+    #[test]
+    fn in_place_record_matches_the_sharded_histogram(
+        samples in proptest::collection::vec(any::<u64>(), 0..200),
+        cores in 1..9usize,
+        stride in 1..17usize,
+    ) {
+        let samples = [samples, vec![u64::MAX, 1]].concat();
+        let sharded = hist_from(&samples, cores, |i| i * stride);
+        let mut in_place = Histogram::new(1).snapshot();
+        for &v in &samples {
+            in_place.record(v);
+        }
+        let wrapped = samples.iter().fold(0u64, |a, &v| a.wrapping_add(v));
+        prop_assert_eq!(in_place.sum, wrapped);
+        prop_assert_eq!(&in_place, &sharded);
     }
 }

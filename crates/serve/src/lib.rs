@@ -228,25 +228,22 @@ impl ServeRun {
     }
 }
 
-/// The machine's serving capacity for `workload`: the PK kernel's
-/// closed-loop saturation throughput at `cores`, in ops/cycle. Both
-/// kernels are measured against it — "how much of the hardware's
-/// capacity does this kernel serve within SLO" is the question the
-/// paper's throughput figures ask, transposed to latency.
-pub fn capacity_ops_per_cycle(workload: &str, cores: usize) -> Option<f64> {
-    let model = roster::model(workload, Personality::Pk)?;
-    Some(model.network(cores).solve(cores).ops_per_cycle)
-}
-
-/// The SLO budget for `workload` at `cores`: `slo_multiple` × the PK
-/// kernel's mean closed-loop request time. One budget per workload,
-/// shared by every kernel/policy variant — the SLO belongs to the
-/// product, not the kernel.
-pub fn slo_budget_cycles(workload: &str, cores: usize) -> Option<u64> {
-    let spec = ServingSpec::for_workload(workload)?;
-    let model = roster::model(workload, Personality::Pk)?;
-    let mean = model.network(cores).solve(cores).cycles_per_op;
-    Some((mean * spec.slo_multiple as f64) as u64)
+/// The two numbers every serving run is anchored to, from one solve of
+/// the PK kernel's closed-loop model at `cores`:
+///
+/// * the machine's serving capacity, the PK saturation throughput in
+///   ops/cycle. Both kernels are measured against it — "how much of the
+///   hardware's capacity does this kernel serve within SLO" is the
+///   question the paper's throughput figures ask, transposed to latency;
+/// * the SLO budget in cycles, `slo_multiple` × the PK mean request
+///   time. One budget per workload, shared by every kernel/policy
+///   variant — the SLO belongs to the product, not the kernel.
+fn anchor(spec: &ServingSpec, cores: usize) -> Option<(f64, u64)> {
+    let pk = roster::model(spec.workload, Personality::Pk)?
+        .network(cores)
+        .solve(cores);
+    let slo = (pk.cycles_per_op * spec.slo_multiple as f64) as u64;
+    Some((pk.ops_per_cycle, slo))
 }
 
 /// The overload policy a run uses: `shed = false` observes the SLO
@@ -285,8 +282,7 @@ fn serve(
     engine: impl FnOnce(&ServingSpec, ArrivalPattern, OverloadPolicy, u64) -> Option<OpenLoopResult>,
 ) -> Option<ServeRun> {
     let spec = ServingSpec::for_workload(workload)?;
-    let capacity = capacity_ops_per_cycle(spec.workload, cores)?;
-    let slo = slo_budget_cycles(spec.workload, cores)?;
+    let (capacity, slo) = anchor(&spec, cores)?;
     let policy = policy_for(&spec, cores, shed, slo);
 
     let mean_gap = 1.0 / (capacity * load_pct as f64 / 100.0);
@@ -535,7 +531,8 @@ mod tests {
 
     #[test]
     fn slo_budget_scales_with_the_pk_request_time() {
-        let slo8 = slo_budget_cycles("memcached", 8).unwrap();
+        let spec = ServingSpec::for_workload("memcached").unwrap();
+        let (_, slo8) = anchor(&spec, 8).unwrap();
         assert!(slo8 > 0);
         // The budget is a multiple of the mean request time, so it is
         // far above the p50 of a healthy run.

@@ -28,9 +28,11 @@
 //!
 //! Sizing is a pure function of `(max service demand, lanes)`, so the
 //! wheel introduces no nondeterminism: width ≈ `max_demand / lanes`
-//! (the mean spacing between completions when every core is busy on
-//! the slowest station) rounded to a power of two, and `2·lanes`
-//! buckets so the wheel's span covers about two full service times.
+//! (for the closed DES, the mean spacing between completions when every
+//! core is busy on the slowest station) rounded to a power of two, and
+//! `2·lanes` buckets so the wheel's span covers about two full service
+//! times. The open engines pass the mean arrival gap × `lanes` instead,
+//! for one-gap buckets (`open::event_queue`).
 //! Events beyond the span stay in their bucket and are skipped until
 //! their rotation comes around; if a whole rotation finds nothing due
 //! (a rare lull, e.g. after a preemption fault pushes the only event
@@ -376,12 +378,20 @@ mod tests {
 
         /// The whole queue contract, differentially: any interleaving
         /// of pushes (never earlier than the last pop) and pops yields
-        /// exactly what a `(time, seq)` min-heap yields.
+        /// exactly what a `(time, seq)` min-heap yields, whatever the
+        /// geometry — from 1-cycle buckets, where every push lands
+        /// several rotations out, to buckets wider than the whole
+        /// near-term schedule (up to 2^23 cycles against at most
+        /// 300 × 24), where it all falls in one window.
         #[test]
         fn push_pop_interleavings_match_a_binary_heap(
             ops in proptest::collection::vec((0u8..8, 0u64..24, 1u64..4), 1..300),
+            width_bits in 0u32..24,
+            stretch in 1.0f64..2.0,
+            lanes in 1usize..64,
         ) {
-            let mut w = EventWheel::new(32.0, 4);
+            let max_demand = lanes as f64 * (1u64 << width_bits) as f64 * stretch;
+            let mut w = EventWheel::new(max_demand, lanes);
             let rotation = w.width() * (w.mask as u64 + 1);
             let mut heap = BinaryHeap::new();
             let (mut now, mut seq, mut last_push) = (0u64, 0u64, 0u64);

@@ -223,7 +223,7 @@ pub fn simulate_flow(
         None
     };
 
-    let mut events = event_queue(network, cores);
+    let mut events = event_queue(&pattern, cores);
 
     let mut slots: Vec<Option<FlowReq>> = vec![None; cores];
     // Round-robin slot reuse spreads requests evenly across trace
@@ -375,7 +375,7 @@ pub fn simulate_flow(
             slots[slot as usize] = None;
             free.push_back(slot);
             emit.rec(slot, now, EventKind::CtxEnd, ctx_class, req.ctx);
-            front.complete(now, req.arrival, slot as usize, |q| {
+            front.complete(now, req.arrival, |q| {
                 turned_away(now, cancel_i, q);
             })
         };

@@ -40,9 +40,11 @@
 use crate::des::wheel::EventWheel;
 use crate::mva::{Network, StationKind};
 use pk_fault::{mix64, FaultPlane, FaultPoint};
+use pk_percpu::IntKeyHasher;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::{HashSet, VecDeque};
+use std::hash::BuildHasherDefault;
 
 /// A deterministic seeded arrival process. All rates are expressed as
 /// mean interarrival gaps in cycles, so patterns compose with any
@@ -463,6 +465,9 @@ pub(crate) struct Charge {
 /// next request arrives, what becomes of an arrival, which admitted
 /// request a freed worker takes next, and what a dispatch is charged —
 /// and keeps only its own service model.
+///
+/// One engine thread owns it for the whole run, so its bookkeeping is
+/// plain single-owner state: no per-core shards, no atomics.
 pub(crate) struct FrontEnd {
     pattern: ArrivalPattern,
     clients: ClientMix,
@@ -477,8 +482,10 @@ pub(crate) struct FrontEnd {
     queue: VecDeque<Request>,
     /// Requests on a worker.
     in_flight: usize,
-    users: HashSet<u64>,
-    hist: pk_obs::Histogram,
+    /// Every user seen. User ids are `mix64` outputs reduced by the
+    /// population, made by this program, so the integer-key hasher's
+    /// "no outside keys" rule holds.
+    users: HashSet<u64, BuildHasherDefault<IntKeyHasher>>,
     r: OpenLoopResult,
 }
 
@@ -492,12 +499,14 @@ impl FrontEnd {
         seed: u64,
         faults: &FaultPlane,
     ) -> Self {
-        let hist = pk_obs::Histogram::new(cores);
         // Sized for the whole run up front (arrivals are at least a
         // cycle apart), so the per-arrival insert never regrows the
         // table inside the event loop.
         let expected = horizon_cycles as f64 / pattern.mean_interarrival_cycles().max(1.0);
-        let users = HashSet::with_capacity(expected.min(clients.population as f64) as usize);
+        let users = HashSet::with_capacity_and_hasher(
+            expected.min(clients.population as f64) as usize,
+            BuildHasherDefault::default(),
+        );
         Self {
             pattern,
             clients,
@@ -510,7 +519,11 @@ impl FrontEnd {
             in_flight: 0,
             users,
             r: OpenLoopResult {
-                latency: hist.snapshot(),
+                latency: pk_obs::HistogramSnapshot {
+                    buckets: vec![0; pk_obs::buckets::BUCKETS],
+                    count: 0,
+                    sum: 0,
+                },
                 arrivals: 0,
                 completed: 0,
                 slo_violations: 0,
@@ -528,7 +541,6 @@ impl FrontEnd {
                 in_flight_end: 0,
                 horizon_cycles,
             },
-            hist,
         }
     }
 
@@ -633,8 +645,8 @@ impl FrontEnd {
         }
     }
 
-    /// Retires the request that arrived at `arrival` from worker `slot`
-    /// at `now`, then pulls the next admitted request for the freed
+    /// Retires the request that arrived at `arrival` from its worker at
+    /// `now`, then pulls the next admitted request for the freed
     /// worker. Queued requests whose deadline already passed are
     /// cancelled instead (deadline propagation) and reported to
     /// `cancelled`.
@@ -642,12 +654,11 @@ impl FrontEnd {
         &mut self,
         now: u64,
         arrival: u64,
-        slot: usize,
         mut cancelled: impl FnMut(&Request),
     ) -> Option<Request> {
         self.in_flight -= 1;
         let latency = now - arrival;
-        self.hist.record(pk_percpu::CoreId(slot), latency);
+        self.r.latency.record(latency);
         self.r.completed += 1;
         let slo = self.policy.slo_budget_cycles;
         if slo > 0 && latency > slo {
@@ -669,7 +680,6 @@ impl FrontEnd {
         self.r.queue_depth_end = self.queue.len() as u64;
         self.r.in_flight_end = self.in_flight as u64;
         self.r.distinct_users = self.users.len() as u64;
-        self.r.latency = self.hist.snapshot();
         self.r
     }
 }
@@ -679,15 +689,20 @@ impl FrontEnd {
 pub(crate) const ARRIVAL: u32 = u32::MAX;
 
 /// Queue sizing both open engines share: lanes for every worker plus
-/// the arrival stream, spaced by the slowest station's demand with all
-/// workers serialized behind it.
-pub(crate) fn event_queue(network: &Network, cores: usize) -> EventWheel {
-    let max_demand = network
-        .stations()
-        .iter()
-        .map(|s| s.demand_cycles)
-        .fold(0.0_f64, f64::max);
-    EventWheel::new(max_demand.max(1.0) * cores as f64, cores + 1)
+/// the arrival stream, and buckets one mean arrival gap wide.
+///
+/// An open engine's event rate is set by its arrivals: each one makes
+/// at most one completion, so a bucket one gap wide holds about one
+/// arrival and one completion, however long service runs. A width
+/// drawn from service time instead (the closed engine's spacing with
+/// every worker serialized behind the slowest station, which is a
+/// whole service time) piles most pending completions into the bucket
+/// being drained. Completions past the ring's span (at least `2·lanes`
+/// gaps) wait in their bucket for their rotation.
+pub(crate) fn event_queue(pattern: &ArrivalPattern, cores: usize) -> EventWheel {
+    let lanes = cores + 1;
+    // `EventWheel::new` spaces buckets `max_demand / lanes` apart.
+    EventWheel::new(pattern.mean_interarrival_cycles() * lanes as f64, lanes)
 }
 
 /// Runs an open-loop serving simulation: `pattern` offers requests to
@@ -730,7 +745,7 @@ pub fn simulate_open(
         seed,
         faults,
     );
-    let mut events = event_queue(network, cores);
+    let mut events = event_queue(&pattern, cores);
 
     // Worker slots, reused LIFO: `slots[i]` holds the arrival time of
     // the request slot `i` is serving.
@@ -783,7 +798,7 @@ pub fn simulate_open(
                 .take()
                 .expect("completion for an empty slot");
             free.push(id);
-            front.complete(now, arrival, id as usize, |_| {})
+            front.complete(now, arrival, |_| {})
         };
         if let Some(req) = next {
             // Start service on a free worker.
