@@ -19,7 +19,6 @@ use pk_kernel::{fix_for_class, FixId, KernelConfig};
 use pk_sim::des::{self, DesResult};
 use pk_sim::Network;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Tuning for the hysteresis state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -300,27 +299,6 @@ impl AdaptController {
             Observation::from_des(&net, &r)
         })
     }
-
-    /// Renders the decision log as JSON lines (one object per
-    /// decision, keys in fixed order). Byte-identical for identical
-    /// seeds — the determinism contract's observable artifact.
-    pub fn log_json(&self) -> String {
-        render_log(&self.log)
-    }
-}
-
-/// Renders a decision slice as JSON lines (shared by the controller and
-/// [`ConvergeOutcome`] consumers).
-pub fn render_log(decisions: &[Decision]) -> String {
-    let mut out = String::new();
-    for d in decisions {
-        let _ = writeln!(
-            out,
-            "{{\"epoch\":{},\"class\":\"{}\",\"fix\":\"{:?}\",\"enabled\":{},\"share_bp\":{}}}",
-            d.epoch, d.class, d.fix, d.enabled, d.share_bp
-        );
-    }
-    out
 }
 
 #[cfg(test)]
@@ -435,7 +413,7 @@ mod tests {
                 .converge_des(build, 8)
         };
         let (a, b) = (run(), run());
-        assert_eq!(render_log(&a.decisions), render_log(&b.decisions));
+        assert_eq!(a.decisions, b.decisions);
         assert_eq!(a.epochs, b.epochs);
         assert_eq!(a.config, b.config);
     }

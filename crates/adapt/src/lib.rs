@@ -29,6 +29,4 @@
 
 mod controller;
 
-pub use controller::{
-    render_log, AdaptController, AdaptPolicy, ConvergeOutcome, Decision, Observation,
-};
+pub use controller::{AdaptController, AdaptPolicy, ConvergeOutcome, Decision, Observation};

@@ -10,7 +10,7 @@
 //! a knob strictly alternate, and every decision's trigger share is on
 //! the correct side of the band.
 
-use pk_adapt::{render_log, AdaptController, AdaptPolicy, Observation};
+use pk_adapt::{AdaptController, AdaptPolicy, Observation};
 use pk_kernel::{FixId, KernelConfig};
 use pk_sim::{Network, Station};
 use proptest::prelude::*;
@@ -50,17 +50,16 @@ fn decision_log_is_byte_identical_across_os_threads() {
         !reference.decisions.is_empty(),
         "cascade must promote something"
     );
-    let reference_log = render_log(&reference.decisions);
 
     // Eight racing controllers, each on its own OS thread, interleaved
     // however the host scheduler pleases.
     let handles: Vec<_> = (0..8)
-        .map(|_| thread::spawn(move || render_log(&run().decisions)))
+        .map(|_| thread::spawn(move || run().decisions))
         .collect();
     for h in handles {
         assert_eq!(
             h.join().unwrap(),
-            reference_log,
+            reference.decisions,
             "host scheduling leaked into the decision log"
         );
     }
@@ -89,7 +88,7 @@ fn different_seeds_may_differ_but_each_seed_is_stable() {
                 .converge_des(cascade, 24)
         };
         let (a, b) = (run(seed), run(seed));
-        assert_eq!(render_log(&a.decisions), render_log(&b.decisions));
+        assert_eq!(a.decisions, b.decisions);
         assert_eq!(a.config, b.config);
         assert_eq!(a.epochs, b.epochs);
     }
@@ -166,7 +165,7 @@ proptest! {
                     .collect();
                 c.observe(&obs);
             }
-            c.log_json()
+            c.decisions().to_vec()
         };
         prop_assert_eq!(feed(), feed());
     }

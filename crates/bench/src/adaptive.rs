@@ -13,6 +13,7 @@
 //! epoch cap on every workload.
 
 use crate::personality::{converge, resolve};
+use pk_adapt::Decision;
 use pk_kernel::Personality;
 use pk_obs::{document, Cell, Table};
 use pk_sim::{des, MachineSpec, WorkloadModel};
@@ -47,7 +48,7 @@ pub struct Row {
     /// Largest direction-change count over all knobs.
     pub max_flips: u32,
     /// The controller's decision log, in commit order.
-    pub decisions: Vec<pk_adapt::Decision>,
+    pub decisions: Vec<Decision>,
 }
 
 impl Row {
@@ -133,15 +134,18 @@ pub fn row_table() -> Table<Row> {
         .col("  {epochs:>7}", "epochs", |r| r.epochs)
         .col("", "converged", |r| r.converged)
         .col("  {flips:>5}", "max_flips", |r| r.max_flips)
-        .col("", "decisions", |r| {
-            Table::<pk_adapt::Decision>::new()
-                .col("", "epoch", |d| d.epoch)
-                .col("", "class", |d| d.class)
-                .col("", "fix", |d| format!("{:?}", d.fix))
-                .col("", "enabled", |d| d.enabled)
-                .col("", "share_bp", |d| d.share_bp)
-                .block(&r.decisions, 2)
-        })
+        .col("", "decisions", |r| decision_table().block(&r.decisions, 2))
+}
+
+/// One controller decision as a JSON object: the artifact's
+/// `decisions` arrays and the decision logs the reports print.
+pub fn decision_table() -> Table<Decision> {
+    Table::<Decision>::new()
+        .col("", "epoch", |d| d.epoch)
+        .col("", "class", |d| d.class)
+        .col("", "fix", |d| format!("{:?}", d.fix))
+        .col("", "enabled", |d| d.enabled)
+        .col("", "share_bp", |d| d.share_bp)
 }
 
 /// Renders the deterministic JSON artifact: rows in roster order,

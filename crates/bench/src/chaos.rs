@@ -1,27 +1,26 @@
 //! Chaos soak harness: MOSBENCH drivers × kernel config × seeded fault
-//! mix.
+//! mix, plus the DES, adaptive-controller, open-loop overload,
+//! exhausted-deadline and RCU overflow legs. Every leg yields [`Soak`]
+//! rows: a cell, its printed counts, one named [`Check`] per invariant,
+//! and the faulted run's injection trace.
 //!
-//! Each run drives one functional workload driver twice over the same
-//! offered load — once fault-free for the throughput baseline, once
-//! with a [`FaultMix`] armed on a seeded [`FaultPlane`] — and reports
-//! throughput degradation, retry counts, and invariant violations. The
-//! faulted run's trace is a pure function of the seed, so a failing
-//! soak replays byte-for-byte from its seed alone.
-//!
-//! The harness is deliberately single-threaded: one thread drives every
-//! core's share of the load in a fixed order, so two soaks with the
-//! same seed produce *identical* ordered traces (asserted by the
-//! `chaos_report` integration test), not merely identical trace sets.
+//! Each functional driver runs the same load fault-free (the baseline)
+//! and with a [`FaultMix`] armed on a seeded [`FaultPlane`], on one
+//! thread in a fixed order: the faulted run's ordered trace is a pure
+//! function of the seed, so a failing soak replays from its seed alone.
 
+use crate::adaptive::MAX_FLIPS;
 use crate::personality::converge;
 use pk_fault::{FaultEvent, FaultPlane, FaultSchedule};
 use pk_kernel::{Kernel, Personality};
+use pk_obs::{Cell, Table};
 use pk_percpu::CoreId;
 use pk_sim::des;
 use pk_workloads::apache::ApacheDriver;
 use pk_workloads::exim::EximDriver;
 use pk_workloads::memcached::MemcachedDriver;
 use pk_workloads::roster;
+use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -39,6 +38,14 @@ const APACHE_CONNECTIONS: u32 = 120;
 const CHURN_PAGES: u64 = 4;
 /// Operations per core for the discrete-event-simulator chaos runs.
 const DES_OPS_PER_CORE: u64 = 2_000;
+/// Requests per open-loop overload chaos run.
+const OVERLOAD_REQUESTS: u64 = 2_000;
+/// Offered load for the overload rows, percent of PK capacity.
+const OVERLOAD_LOAD_PCT: u32 = 200;
+/// Requests driven through the exhausted-deadline row.
+const DEADLINE_REQUESTS: u64 = 16;
+/// VFS operations per RCU overflow soak.
+const RCU_CHURN_OPS: usize = 600;
 
 /// A named set of schedules to arm on the plane before a faulted run.
 #[derive(Debug, Clone)]
@@ -80,6 +87,35 @@ impl FaultMix {
         }
     }
 
+    /// The DES and adaptive legs' scheduler faults: lock-holder
+    /// preemption every 211th dispatch and a core stall every 389th.
+    pub fn scheduler() -> Self {
+        Self {
+            label: "lock-holder preemption + core stalls",
+            points: vec![
+                ("sim.lock_holder_preempt", FaultSchedule::EveryNth(211)),
+                ("sim.core_stall", FaultSchedule::EveryNth(389)),
+            ],
+        }
+    }
+
+    /// The overload leg's packet loss: 1% NIC receive drop.
+    pub fn rx_drop() -> Self {
+        Self {
+            label: "1% net.rx_drop",
+            points: vec![("net.rx_drop", FaultSchedule::Probability(0.01))],
+        }
+    }
+
+    /// The RCU leg's forced spills: every 17th `call_rcu` takes the
+    /// blocking overflow path.
+    pub fn rcu_overflow() -> Self {
+        Self {
+            label: "rcu.defer_overflow every 17th call_rcu",
+            points: vec![("rcu.defer_overflow", FaultSchedule::EveryNth(17))],
+        }
+    }
+
     /// Arms every schedule on `plane` and enables it. Call only after
     /// driver construction, so setup runs clean.
     pub fn arm(&self, plane: &FaultPlane) {
@@ -90,334 +126,287 @@ impl FaultMix {
     }
 }
 
-/// One workload's soak outcome under one kernel config and fault mix.
+/// How one leg of the chaos matrix prints.
+#[derive(Debug)]
+pub struct Leg {
+    /// The line above the leg's rows (`""` for none).
+    pub title: &'static str,
+    /// Whether a header line precedes the rows.
+    pub header: bool,
+    /// The row layout: one [`Table::col`] text spec per column, each
+    /// running to its `}` and any non-space text right after it. A
+    /// column shows what its header names: the row's `workload` or
+    /// `config`, its `ok?` verdict, or the count of that name.
+    pub layout: &'static str,
+}
+
+/// The functional drivers under a fault mix.
+pub const FUNCTIONAL: Leg = Leg {
+    title: "",
+    header: true,
+    layout: "{workload:>10} {config:>6} {baseline:>10} {faulted:>10} {degr%:>6.1}% \
+             {retries:>8} {backoff_cyc:>12} {checked:>9} {injected:>9} {ok?:>6}",
+};
+
+/// The roster's models in the DES under scheduler faults.
+pub const DES: Leg = Leg {
+    title: "DES chaos (lock-holder preemption + core stalls), PK config:",
+    header: true,
+    layout: "{workload:>10} {base ops/cyc:>16.6} {faulted ops/cyc:>16.6} {degr%:>6.1}% \
+             {injected:>9}",
+};
+
+/// The adaptive controller converging under scheduler faults.
+pub const ADAPTIVE: Leg = Leg {
+    title: "Adaptive-controller chaos (convergence under scheduler faults):",
+    header: true,
+    layout: "{workload:>10} {clean:>8} {faulted:>8} {epochs:>7} {flips:>6} {injected:>9} \
+             {final ops/cyc:>16.6} {ok?:>6}",
+};
+
+/// The serving workloads under 2× arrivals and packet loss.
+pub const OVERLOAD: Leg = Leg {
+    title: "Open-loop overload (2x arrivals, shedding on, 1% net.rx_drop):",
+    header: true,
+    layout: "{workload:>10} {config:>6} {arrivals:>9} {completed:>9} {rx-drop:>8} {shed:>8} \
+             {cancelled:>9} {p999:>12} {peak/cap:>9} {ok?:>6}",
+};
+
+/// One sentence: requests whose deadline runs out mid-retry.
+pub const DEADLINE: Leg = Leg {
+    title: "Exhausted-deadline row (budget spent mid-retry must surface Timeout):",
+    header: false,
+    layout: "  {requests} requests: {timeouts} timeouts, {admitted} admitted, \
+             depth after {depth} — {ok?}",
+};
+
+/// Deferred reclamation under forced queue spills.
+pub const RCU: Leg = Leg {
+    title: "RCU deferred-reclamation soak (forced queue spills via rcu.defer_overflow):",
+    header: true,
+    layout: "{config:>10} {call_rcu:>9} {freed:>8} {pending:>9} {injected:>9} {spills:>8} \
+             {ok?:>6}",
+};
+
+/// The check every leg carries: its fault mix injected something.
+pub const FIRED: &str = "fault mix fired";
+
+/// One named invariant of a soak row.
+///
+/// A failed check fails `report chaos` (exit 1) unless it is
+/// `strict_only`; those fail it only under `--strict`. Exactly two are
+/// strict-only: the functional and DES legs' [`FIRED`] checks. The
+/// adaptive, overload and RCU legs' [`FIRED`] checks always gate. A
+/// row's `ok?` verdict counts only the checks that always gate.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Check {
+    /// The invariant, e.g. `delivered + bounced == attempted`.
+    pub name: &'static str,
+    /// Whether the check gates only under `--strict`.
+    pub strict_only: bool,
+    /// What broke (the values, where the check has them; else empty),
+    /// or `None` if the invariant held.
+    pub failure: Option<String>,
+}
+
+/// One row of the chaos matrix.
 #[derive(Debug, Clone)]
-pub struct ChaosReport {
-    /// Workload name (`exim`, `memcached`, `apache`).
+pub struct Soak {
+    /// The leg the row belongs to.
+    pub leg: &'static Leg,
+    /// Workload name.
     pub workload: &'static str,
-    /// Kernel config label (`stock` / `PK`).
+    /// Kernel config label (`Stock` / `PK`).
     pub config: &'static str,
-    /// Fault-mix label.
-    pub mix: &'static str,
-    /// Operations completed by the fault-free baseline run.
-    pub baseline_ops: u64,
-    /// Operations completed by the faulted run.
-    pub faulted_ops: u64,
-    /// Transient failures absorbed by retries during the faulted run.
-    pub retries: u64,
-    /// Simulated backoff the retries charged, in cycles.
-    pub backoff_cycles: u64,
-    /// Allocator-churn probes that shed their allocation on ENOMEM.
-    pub enomem_shed: u64,
-    /// Fault-point arrivals checked while the plane was enabled.
-    pub faults_checked: u64,
-    /// Faults actually injected.
-    pub faults_injected: u64,
-    /// Invariant violations found after the faulted run (empty = pass).
-    pub violations: Vec<String>,
-    /// Whether the faulted run panicked (always a failure).
-    pub panicked: bool,
+    /// The printed counts, named by their column headers, in order.
+    pub counts: Vec<(&'static str, Cell)>,
+    /// The row's invariants.
+    pub checks: Vec<Check>,
     /// The faulted run's ordered injection trace, for replay checks.
     pub trace: Vec<FaultEvent>,
 }
 
-impl ChaosReport {
-    /// Throughput lost to the fault mix, as a percentage of baseline.
-    pub fn degradation_pct(&self) -> f64 {
-        if self.baseline_ops == 0 {
-            return 0.0;
+impl Soak {
+    /// An empty row of `leg` for `workload` on `config`.
+    fn new(leg: &'static Leg, workload: &'static str, config: &'static str) -> Self {
+        let (counts, checks, trace) = (Vec::new(), Vec::new(), Vec::new());
+        Soak {
+            leg,
+            workload,
+            config,
+            counts,
+            checks,
+            trace,
         }
-        100.0 * (1.0 - self.faulted_ops as f64 / self.baseline_ops as f64)
     }
 
-    /// Whether the soak passed: no panic and no invariant violations.
+    /// Appends the count `name`.
+    fn with(mut self, name: &'static str, value: impl Into<Cell>) -> Self {
+        self.counts.push((name, value.into()));
+        self
+    }
+
+    /// Appends the always-gating check `name`: it `held`, or failed as
+    /// `why` says.
+    fn check(mut self, name: &'static str, held: bool, why: impl FnOnce() -> String) -> Self {
+        let (strict_only, failure) = (false, (!held).then(why));
+        self.checks.push(Check {
+            name,
+            strict_only,
+            failure,
+        });
+        self
+    }
+
+    /// Appends the identity check `got == want`.
+    fn eq<T: PartialEq + Display>(self, name: &'static str, got: T, want: T) -> Self {
+        self.check(name, got == want, || format!("{got} != {want}"))
+    }
+
+    /// Appends the bound check `got <= cap`.
+    fn le<T: PartialOrd + Display>(self, name: &'static str, got: T, cap: T) -> Self {
+        self.check(name, got <= cap, || format!("{got} > {cap}"))
+    }
+
+    /// Appends the [`FIRED`] check: `mix` injected `injected` faults.
+    fn fired(self, mix: &FaultMix, injected: u64, strict_only: bool) -> Self {
+        let mut soak = self.check(FIRED, injected > 0, || format!("{} never fired", mix.label));
+        soak.checks.last_mut().expect("just appended").strict_only = strict_only;
+        soak
+    }
+
+    /// Records `plane`'s injection trace.
+    fn traced(mut self, plane: &FaultPlane) -> Self {
+        self.trace = plane.trace();
+        self
+    }
+
+    /// The count `name` (panics if the row has none).
+    pub fn count(&self, name: &str) -> &Cell {
+        let found = self.counts.iter().find(|(n, _)| *n == name);
+        &found.unwrap_or_else(|| panic!("no count {name:?}")).1
+    }
+
+    /// The numeric count `name`, as a float.
+    pub fn num(&self, name: &str) -> f64 {
+        match self.count(name) {
+            Cell::Int(v) => *v as f64,
+            Cell::Float(v) => *v,
+            other => panic!("count {name:?} is not a number: {other:?}"),
+        }
+    }
+
+    /// The `ok?` verdict: every always-gating check held.
     pub fn passed(&self) -> bool {
-        !self.panicked && self.violations.is_empty()
+        let held = |c: &Check| c.strict_only || c.failure.is_none();
+        self.checks.iter().all(held)
+    }
+
+    /// The checks that fail the run, with or without `--strict`.
+    pub fn failures(&self, strict: bool) -> impl Iterator<Item = &Check> {
+        let gates = move |c: &&Check| c.failure.is_some() && (strict || !c.strict_only);
+        self.checks.iter().filter(gates)
     }
 }
 
-/// One DES chaos row: a workload model simulated with and without
-/// lock-holder preemption and core stalls.
-#[derive(Debug, Clone)]
-pub struct DesChaosRow {
-    /// Workload model name.
-    pub workload: &'static str,
-    /// Ops/cycle without faults.
-    pub baseline_ops_per_cycle: f64,
-    /// Ops/cycle with preemption and stall faults armed.
-    pub faulted_ops_per_cycle: f64,
-    /// Faults injected during the faulted simulation.
-    pub faults_injected: u64,
-}
-
-impl DesChaosRow {
-    /// Simulated throughput lost to the faults, percent of baseline.
-    pub fn degradation_pct(&self) -> f64 {
-        if self.baseline_ops_per_cycle == 0.0 {
-            return 0.0;
+/// `rows` as `leg` prints them: its title, header and rows, each row
+/// followed by one violation line per check that fails the run. Returns
+/// the text and whether any check failed the run.
+pub fn render(leg: &Leg, rows: &[Soak], strict: bool) -> (String, bool) {
+    let (mut table, mut rest) = (Table::new(), leg.layout);
+    while let Some(close) = rest.find('}') {
+        let end = rest[close..].find(' ').map_or(rest.len(), |n| close + n);
+        let (spec, tail) = rest.split_at(end);
+        let (_, named) = spec.split_once('{').expect("a named column");
+        let head = named.split([':', '}']).next().unwrap_or_default();
+        table = table.col(spec, "", move |s: &Soak| -> Cell {
+            match head {
+                "workload" => s.workload.into(),
+                "config" => s.config.into(),
+                "ok?" => (if s.passed() { "pass" } else { "FAIL" }).into(),
+                name => s.count(name).clone(),
+            }
+        });
+        rest = tail;
+    }
+    let mut out = String::new();
+    if !leg.title.is_empty() {
+        out += &format!("\n{}\n", leg.title);
+    }
+    if leg.header {
+        out += &format!("{}\n", table.header());
+    }
+    let mut failed = false;
+    for s in rows {
+        out += &format!("{}\n", table.row(s));
+        for c in s.failures(strict) {
+            failed = true;
+            let why = c.failure.as_deref().filter(|w| !w.is_empty());
+            let why = why.map(|w| format!(": {w}")).unwrap_or_default();
+            out += &format!("{:>10}   violation: {}{why}\n", "", c.name);
         }
-        100.0 * (1.0 - self.faulted_ops_per_cycle / self.baseline_ops_per_cycle)
     }
+    (out, failed)
+}
+
+/// Throughput lost from `base` to `faulted`, percent of `base`.
+fn degradation(base: f64, faulted: f64) -> f64 {
+    if base == 0.0 {
+        return 0.0;
+    }
+    100.0 * (1.0 - faulted / base)
 }
 
 /// Probes the allocator with a small allocation the workload would shed
-/// under memory pressure; returns whether it had to shed (ENOMEM).
-fn churn(kernel: &Kernel, core: CoreId) -> bool {
-    match kernel.allocator().alloc_local(core.0, CHURN_PAGES) {
-        Ok(node) => {
-            kernel.allocator().free_on(node, CHURN_PAGES);
-            false
-        }
-        Err(_) => true,
+/// under memory pressure.
+fn churn(kernel: &Kernel, core: usize) {
+    if let Ok(node) = kernel.allocator().alloc_local(core, CHURN_PAGES) {
+        kernel.allocator().free_on(node, CHURN_PAGES);
     }
 }
 
-/// Drives the Exim soak load: round-robin SMTP connections across the
-/// cores, with allocator churn per connection. Returns `(hard errors,
-/// ENOMEM sheds)`.
-fn exim_work(d: &EximDriver, cores: usize) -> (u64, u64) {
-    let mut hard = 0;
-    let mut shed = 0;
-    for conn in 0..EXIM_CONNECTIONS {
-        let core = CoreId(conn % cores);
-        if churn(d.kernel(), core) {
-            shed += 1;
-        }
-        if d.run_connection(core, conn).is_err() {
-            hard += 1;
-        }
-    }
-    (hard, shed)
-}
-
-/// Soaks Exim under `mix`. Ops metric: messages delivered.
-pub fn run_exim(choice: Personality, cores: usize, seed: u64, mix: &FaultMix) -> ChaosReport {
-    let baseline = {
-        let d = EximDriver::new(choice, cores).expect("boot exim");
-        exim_work(&d, cores);
-        d.delivered()
-    };
-    let plane = Arc::new(FaultPlane::with_seed(seed));
-    let d = EximDriver::with_faults(choice, cores, Arc::clone(&plane))
-        .expect("boot exim (plane not yet armed)");
-    mix.arm(&plane);
-    let outcome = catch_unwind(AssertUnwindSafe(|| exim_work(&d, cores)));
-    plane.disable();
-    let (panicked, hard, shed) = match outcome {
-        Ok((hard, shed)) => (false, hard, shed),
-        Err(_) => (true, 0, 0),
-    };
-    let mut violations = Vec::new();
-    if hard > 0 {
-        violations.push(format!("{hard} connections aborted on permanent errors"));
-    }
-    if d.delivered() + d.bounced() != d.attempted() {
-        violations.push(format!(
-            "message accounting leaked: {} delivered + {} bounced != {} attempted",
-            d.delivered(),
-            d.bounced(),
-            d.attempted()
-        ));
-    }
-    if d.kernel().procs().len() != 1 {
-        violations.push(format!(
-            "process table leaked: {} live (want 1: init)",
-            d.kernel().procs().len()
-        ));
-    }
-    let open = d.kernel().vfs().superblock().open_files();
-    if open != 0 {
-        violations.push(format!("open-file accounting leaked: {open} (want 0)"));
-    }
-    finish(
-        "exim",
-        choice,
-        mix,
-        baseline,
-        d.delivered(),
-        d.tempfails(),
-        d.retry_backoff_cycles(),
-        shed,
-        &plane,
-        violations,
-        panicked,
-    )
-}
-
-/// Drives the memcached soak load. Returns `(requests that got
-/// through, ENOMEM sheds)`.
-fn memcached_work(d: &MemcachedDriver, cores: usize) -> (u64, u64) {
-    let mut sent = 0u64;
-    let mut shed = 0u64;
-    for round in 0..MEMCACHED_BATCHES {
-        let core = round as usize % cores;
-        if churn(d.kernel(), CoreId(core)) {
-            shed += 1;
-        }
-        sent += d.client_batch(round, core) as u64;
-    }
-    d.drain_all();
-    (sent, shed)
-}
-
-/// Soaks memcached under `mix`. Ops metric: requests served.
-pub fn run_memcached(choice: Personality, cores: usize, seed: u64, mix: &FaultMix) -> ChaosReport {
-    let baseline = {
-        let d = MemcachedDriver::new(choice, cores);
-        memcached_work(&d, cores);
-        d.served()
-    };
-    let plane = Arc::new(FaultPlane::with_seed(seed));
-    let d = MemcachedDriver::with_faults(choice, cores, Arc::clone(&plane));
-    mix.arm(&plane);
-    let outcome = catch_unwind(AssertUnwindSafe(|| memcached_work(&d, cores)));
-    plane.disable();
-    let (panicked, sent, shed) = match outcome {
-        Ok((sent, shed)) => (false, sent, shed),
-        Err(_) => (true, 0, 0),
-    };
-    let mut violations = Vec::new();
-    if !panicked && d.served() != sent {
-        violations.push(format!(
-            "request accounting leaked: {} served != {} accepted by the NIC",
-            d.served(),
-            sent
-        ));
-    }
-    let usage = d.kernel().net().proto().usage(pk_net::Protocol::Udp);
-    if usage != 0 {
-        violations.push(format!("UDP memory accounting leaked: {usage} (want 0)"));
-    }
-    finish(
-        "memcached",
-        choice,
-        mix,
-        baseline,
-        d.served(),
-        d.client_retries(),
-        0,
-        shed,
-        &plane,
-        violations,
-        panicked,
-    )
-}
-
-/// Drives the Apache soak load. Returns `(connections accepted,
-/// ENOMEM sheds)`.
-fn apache_work(d: &ApacheDriver, cores: usize) -> (u64, u64) {
-    for i in 0..APACHE_CONNECTIONS {
-        d.client_connect(0x0e00_0000 + i);
-    }
-    let mut accepted = 0u64;
-    let mut shed = 0u64;
-    loop {
-        let mut progress = false;
-        for core in 0..cores {
-            if churn(d.kernel(), CoreId(core)) {
-                shed += 1;
-            }
-            if d.serve_one(core).is_some() {
-                progress = true;
-                accepted += 1;
-            }
-        }
-        if !progress {
-            return (accepted, shed);
-        }
-    }
-}
-
-/// Soaks Apache under `mix`. Ops metric: requests served.
-pub fn run_apache(choice: Personality, cores: usize, seed: u64, mix: &FaultMix) -> ChaosReport {
-    let baseline = {
-        let d = ApacheDriver::new(choice, cores);
-        apache_work(&d, cores);
-        d.served()
-    };
-    let plane = Arc::new(FaultPlane::with_seed(seed));
-    let d = ApacheDriver::with_faults(choice, cores, Arc::clone(&plane));
-    mix.arm(&plane);
-    let outcome = catch_unwind(AssertUnwindSafe(|| apache_work(&d, cores)));
-    plane.disable();
-    let (panicked, accepted, shed) = match outcome {
-        Ok((accepted, shed)) => (false, accepted, shed),
-        Err(_) => (true, 0, 0),
-    };
-    let mut violations = Vec::new();
-    if !panicked && accepted != u64::from(APACHE_CONNECTIONS) {
-        violations.push(format!(
-            "connections lost: accepted {accepted} of {APACHE_CONNECTIONS}"
-        ));
-    }
-    if !panicked && d.served() + d.failed_requests() != accepted {
-        violations.push(format!(
-            "request accounting leaked: {} served + {} failed != {} accepted",
-            d.served(),
-            d.failed_requests(),
-            accepted
-        ));
-    }
-    let open = d.kernel().vfs().superblock().open_files();
-    if open != 0 {
-        violations.push(format!("open-file accounting leaked: {open} (want 0)"));
-    }
-    finish(
-        "apache",
-        choice,
-        mix,
-        baseline,
-        d.served(),
-        d.request_tempfails(),
-        d.accept_backoff_cycles(),
-        shed,
-        &plane,
-        violations,
-        panicked,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    workload: &'static str,
-    choice: Personality,
+/// Soaks one functional driver into `row`, its cell: the same load
+/// fault-free (the baseline) and then with `mix` armed on a plane seeded
+/// `seed`. `boot` builds the driver on a plane, `work` drives the load
+/// and returns its tally, and `ops` reads the operations a run
+/// completed. `judge` appends the faulted run's `retries` and
+/// `backoff_cyc` counts and its invariants, given its driver and tally
+/// (`None` if the work panicked).
+fn run<D>(
+    row: Soak,
+    seed: u64,
     mix: &FaultMix,
-    baseline_ops: u64,
-    faulted_ops: u64,
-    retries: u64,
-    backoff_cycles: u64,
-    enomem_shed: u64,
-    plane: &FaultPlane,
-    violations: Vec<String>,
-    panicked: bool,
-) -> ChaosReport {
+    boot: impl Fn(Arc<FaultPlane>) -> D,
+    work: impl Fn(&D) -> u64,
+    ops: impl Fn(&D) -> u64,
+    judge: impl Fn(&D, Option<u64>, Soak) -> Soak,
+) -> Soak {
+    let baseline = {
+        let d = boot(Arc::new(FaultPlane::disabled()));
+        work(&d);
+        ops(&d)
+    };
+    let plane = Arc::new(FaultPlane::with_seed(seed));
+    let d = boot(Arc::clone(&plane));
+    mix.arm(&plane);
+    let tally = catch_unwind(AssertUnwindSafe(|| work(&d))).ok();
+    plane.disable();
+    let faulted = ops(&d);
+    let row = row
+        .with("baseline", baseline)
+        .with("faulted", faulted)
+        .with("degr%", degradation(baseline as f64, faulted as f64))
+        .check("no panic", tally.is_some(), String::new);
     // Count only the points the mix armed: arrivals at Never-scheduled
     // points would inflate `checked` and make an inert mix look busy.
-    let armed = |name: &str| mix.points.iter().any(|(n, _)| *n == name);
     let stats = plane.stats();
-    ChaosReport {
-        workload,
-        config: choice.legend(),
-        mix: mix.label,
-        baseline_ops,
-        faulted_ops,
-        retries,
-        backoff_cycles,
-        enomem_shed,
-        faults_checked: stats
-            .iter()
-            .filter(|p| armed(p.name))
-            .map(|p| p.checked)
-            .sum(),
-        faults_injected: stats
-            .iter()
-            .filter(|p| armed(p.name))
-            .map(|p| p.injected)
-            .sum(),
-        violations,
-        panicked,
-        trace: plane.trace(),
-    }
+    let armed = || (stats.iter()).filter(|p| mix.points.iter().any(|(n, _)| *n == p.name));
+    let injected = armed().map(|p| p.injected).sum();
+    judge(&d, tally, row)
+        .with("checked", armed().map(|p| p.checked).sum::<u64>())
+        .with("injected", injected)
+        .fired(mix, injected, true)
+        .traced(&plane)
 }
 
 /// Runs one workload's soak by name. Returns `None` for names without
@@ -428,109 +417,155 @@ pub fn run_workload(
     cores: usize,
     seed: u64,
     mix: &FaultMix,
-) -> Option<ChaosReport> {
-    match name.to_ascii_lowercase().as_str() {
-        "exim" => Some(run_exim(choice, cores, seed, mix)),
-        "memcached" => Some(run_memcached(choice, cores, seed, mix)),
-        "apache" => Some(run_apache(choice, cores, seed, mix)),
-        _ => None,
-    }
+) -> Option<Soak> {
+    let cell = |workload| Soak::new(&FUNCTIONAL, workload, choice.legend());
+    let open_files = |k: &Kernel| k.vfs().superblock().open_files();
+    Some(match name.to_ascii_lowercase().as_str() {
+        // Ops: messages delivered. Tally: connections aborted on
+        // permanent errors.
+        "exim" => run(
+            cell("exim"),
+            seed,
+            mix,
+            |p| EximDriver::with_faults(choice, cores, p).expect("boot exim (plane not yet armed)"),
+            |d| {
+                let mut aborted = 0;
+                for conn in 0..EXIM_CONNECTIONS {
+                    churn(d.kernel(), conn % cores);
+                    aborted += u64::from(d.run_connection(CoreId(conn % cores), conn).is_err());
+                }
+                aborted
+            },
+            EximDriver::delivered,
+            |d, aborted, row| {
+                let (sum, attempted) = (d.delivered() + d.bounced(), d.attempted());
+                row.with("retries", d.tempfails())
+                    .with("backoff_cyc", d.retry_backoff_cycles())
+                    .eq("aborted connections == 0", aborted.unwrap_or(0), 0)
+                    .eq("delivered + bounced == attempted", sum, attempted)
+                    .eq("live processes == 1 (init)", d.kernel().procs().len(), 1)
+                    .eq("open files == 0", open_files(d.kernel()), 0)
+            },
+        ),
+        // Ops: requests served. Tally: requests the NIC accepted.
+        "memcached" => run(
+            cell("memcached"),
+            seed,
+            mix,
+            |p| MemcachedDriver::with_faults(choice, cores, p),
+            |d| {
+                let mut sent = 0;
+                for round in 0..MEMCACHED_BATCHES {
+                    let core = round as usize % cores;
+                    churn(d.kernel(), core);
+                    sent += d.client_batch(round, core) as u64;
+                }
+                d.drain_all();
+                sent
+            },
+            MemcachedDriver::served,
+            |d, sent, row| {
+                let served = d.served();
+                let usage = d.kernel().net().proto().usage(pk_net::Protocol::Udp);
+                row.with("retries", d.client_retries())
+                    .with("backoff_cyc", 0u64)
+                    .eq("served == accepted", served, sent.unwrap_or(served))
+                    .eq("UDP memory charged == 0", usage, 0)
+            },
+        ),
+        // Ops: requests served. Tally: connections accepted.
+        "apache" => run(
+            cell("apache"),
+            seed,
+            mix,
+            |p| ApacheDriver::with_faults(choice, cores, p),
+            |d| {
+                for i in 0..APACHE_CONNECTIONS {
+                    d.client_connect(0x0e00_0000 + i);
+                }
+                let mut accepted = 0;
+                loop {
+                    let mut progress = false;
+                    for core in 0..cores {
+                        churn(d.kernel(), core);
+                        if d.serve_one(core).is_some() {
+                            progress = true;
+                            accepted += 1;
+                        }
+                    }
+                    if !progress {
+                        return accepted;
+                    }
+                }
+            },
+            ApacheDriver::served,
+            |d, accepted, row| {
+                let (all, done) = (APACHE_CONNECTIONS.into(), d.served() + d.failed_requests());
+                row.with("retries", d.request_tempfails())
+                    .with("backoff_cyc", d.accept_backoff_cycles())
+                    .eq("accepted == connected", accepted.unwrap_or(all), all)
+                    .eq(
+                        "served + failed == accepted",
+                        done,
+                        accepted.unwrap_or(done),
+                    )
+                    .eq("open files == 0", open_files(d.kernel()), 0)
+            },
+        ),
+        _ => return None,
+    })
 }
 
 /// Soaks every named workload under both kernel configs with the
 /// acceptance mix. The report order (and each report's trace) is a pure
 /// function of `(seed, workloads, cores)`.
-pub fn soak(seed: u64, workloads: &[&str], cores: usize) -> Vec<ChaosReport> {
+pub fn soak(seed: u64, workloads: &[&str], cores: usize) -> Vec<Soak> {
     let mix = FaultMix::acceptance();
-    let mut out = Vec::new();
-    for name in workloads {
-        for choice in [Personality::Stock, Personality::Pk] {
-            if let Some(r) = run_workload(name, choice, cores, seed, &mix) {
-                out.push(r);
-            }
-        }
-    }
-    out
+    let both = [Personality::Stock, Personality::Pk];
+    let cells = workloads
+        .iter()
+        .flat_map(|&name| both.map(|choice| (name, choice)));
+    let soak = |(name, choice)| run_workload(name, choice, cores, seed, &mix);
+    cells.filter_map(soak).collect()
 }
 
-/// Simulates every roster model with and without scheduler-level
-/// faults (lock-holder preemption every 211th dispatch, a core stall
-/// every 389th): the DES leg of the chaos matrix.
-pub fn des_chaos(choice: Personality, cores: usize, seed: u64) -> Vec<DesChaosRow> {
+/// Simulates every roster model with and without
+/// [`FaultMix::scheduler`]: the DES leg of the chaos matrix.
+pub fn des_chaos(choice: Personality, cores: usize, seed: u64) -> Vec<Soak> {
+    let mix = FaultMix::scheduler();
     roster::NAMES
         .iter()
-        .filter_map(|name| {
-            let model = roster::model(name, choice)?;
-            let net = model.network(cores);
-            let base = des::simulate(&net, cores, DES_OPS_PER_CORE, seed);
+        .filter_map(|&name| {
+            let net = roster::model(name, choice)?.network(cores);
+            let base = des::simulate(&net, cores, DES_OPS_PER_CORE, seed).ops_per_cycle;
             let plane = FaultPlane::with_seed(seed);
-            plane.set("sim.lock_holder_preempt", FaultSchedule::EveryNth(211));
-            plane.set("sim.core_stall", FaultSchedule::EveryNth(389));
-            plane.enable();
+            mix.arm(&plane);
             let faulted = des::simulate_with_faults(&net, cores, DES_OPS_PER_CORE, seed, &plane);
-            Some(DesChaosRow {
-                workload: name,
-                baseline_ops_per_cycle: base.ops_per_cycle,
-                faulted_ops_per_cycle: faulted.ops_per_cycle,
-                faults_injected: plane.injected_total(),
-            })
+            let (faulted, injected) = (faulted.ops_per_cycle, plane.injected_total());
+            let row = Soak::new(&DES, name, choice.legend())
+                .with("base ops/cyc", base)
+                .with("faulted ops/cyc", faulted)
+                .with("degr%", degradation(base, faulted))
+                .with("injected", injected);
+            Some(row.fired(&mix, injected, true).traced(&plane))
         })
         .collect()
 }
 
-/// One workload's adaptive-controller convergence under scheduler
-/// faults: the controller leg of the chaos matrix. Every measurement
-/// epoch runs with lock-holder preemption and core stalls armed; the
-/// controller must still settle, keep its flip bound, and land on a
-/// config that performs.
-#[derive(Debug, Clone)]
-pub struct AdaptiveChaosRow {
-    /// Workload model name.
-    pub workload: &'static str,
-    /// Fixes promoted by the fault-free reference convergence.
-    pub clean_promoted: usize,
-    /// Fixes promoted while faults were armed.
-    pub faulted_promoted: usize,
-    /// Epochs the faulted convergence consumed.
-    pub epochs: u32,
-    /// Whether the faulted controller settled before the epoch cap.
-    pub converged: bool,
-    /// Max direction changes of any knob during the faulted run.
-    pub max_flips: u32,
-    /// Scheduler faults injected across the measurement epochs.
-    pub faults_injected: u64,
-    /// Ops/cycle of the faulted run's final config (fault-free
-    /// measurement — the config must perform once the noise is gone).
-    pub final_ops_per_cycle: f64,
-    /// Invariant violations (empty = pass).
-    pub violations: Vec<String>,
-}
-
-impl AdaptiveChaosRow {
-    /// Whether the row passed.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
 /// Converges the adaptive controller for every roster workload with
-/// scheduler faults armed during each measurement epoch.
-///
-/// The clean reference is [`converge`]'s own run;
-/// the faulted leg drives the same default-policy controller manually
-/// (same epoch sizing, cap and settle window), measuring each
-/// epoch through [`des::simulate_with_faults`] so lock-holder
-/// preemption and core stalls perturb the contention samples the
-/// controller sees. Gates per workload: the controller must still
-/// settle, no knob may flap (> 3 direction changes), faults must
-/// actually fire, and the converged config must reach 90% of the clean
-/// config's fault-free throughput. Deterministic per `(cores, seed)`.
-pub fn adaptive_chaos(cores: usize, seed: u64) -> Vec<AdaptiveChaosRow> {
+/// [`FaultMix::scheduler`] perturbing each measurement epoch (the
+/// controller leg). It must still settle, change no knob's direction
+/// more than [`MAX_FLIPS`] times, see faults fire, and land on a config
+/// with 90% of the fault-free throughput of [`converge`]'s clean one.
+/// Deterministic per `(cores, seed)`.
+pub fn adaptive_chaos(cores: usize, seed: u64) -> Vec<Soak> {
     use pk_adapt::{AdaptController, AdaptPolicy, Observation};
     use pk_kernel::KernelConfig;
     use pk_sim::MachineSpec;
 
     let machine = MachineSpec::paper();
+    let mix = FaultMix::scheduler();
+    let policy = AdaptPolicy::default();
     roster::NAMES
         .iter()
         .map(|&name| {
@@ -539,317 +574,117 @@ pub fn adaptive_chaos(cores: usize, seed: u64) -> Vec<AdaptiveChaosRow> {
                     .expect("roster name resolves")
                     .network(cores)
             };
-            let policy = AdaptPolicy::default();
             let (clean_model, clean) =
                 converge(name, cores, machine, seed).expect("roster name resolves");
-
-            // Faulted convergence: same controller semantics, but every
-            // epoch's measurement runs under armed scheduler faults.
-            let mut faults_injected = 0u64;
+            let mut injected = 0u64;
             let out = AdaptController::new(KernelConfig::adaptive(cores), policy, seed)
                 .converge_with(|cfg, epoch| {
                     let net = build(cfg);
                     let epoch_seed = seed ^ (u64::from(epoch) + 1).wrapping_mul(0x9E37_79B9);
                     let plane = FaultPlane::with_seed(epoch_seed);
-                    plane.set("sim.lock_holder_preempt", FaultSchedule::EveryNth(211));
-                    plane.set("sim.core_stall", FaultSchedule::EveryNth(389));
-                    plane.enable();
-                    let r = des::simulate_with_faults(
-                        &net,
-                        cores,
-                        policy.ops_per_core,
-                        epoch_seed,
-                        &plane,
-                    );
-                    faults_injected += plane.injected_total();
+                    mix.arm(&plane);
+                    let ops = policy.ops_per_core;
+                    let r = des::simulate_with_faults(&net, cores, ops, epoch_seed, &plane);
+                    injected += plane.injected_total();
                     Observation::from_des(&net, &r)
                 });
-            let (converged, max_flips) = (out.converged, out.max_direction_changes());
-            let final_config = out.config;
-
+            let flips = out.max_direction_changes();
             // Judge both configs fault-free over the same seeded run.
-            let clean_tput =
-                des::simulate(&clean_model.network(cores), cores, DES_OPS_PER_CORE, seed)
-                    .ops_per_cycle;
-            let final_ops_per_cycle =
-                des::simulate(&build(&final_config), cores, DES_OPS_PER_CORE, seed).ops_per_cycle;
-
-            let mut violations = Vec::new();
-            if !converged {
-                violations.push(format!(
-                    "controller wedged: no settle within {} epochs",
-                    policy.max_epochs
-                ));
-            }
-            if max_flips > 3 {
-                violations.push(format!("a knob flapped {max_flips} times under faults"));
-            }
-            if faults_injected == 0 {
-                violations.push("scheduler faults never fired".to_string());
-            }
-            if final_ops_per_cycle < 0.90 * clean_tput {
-                violations.push(format!(
-                    "faulted convergence landed on a bad config: {final_ops_per_cycle:.6} \
-                     vs clean {clean_tput:.6} ops/cycle"
-                ));
-            }
-            AdaptiveChaosRow {
-                workload: name,
-                clean_promoted: clean.config.enabled_count(),
-                faulted_promoted: final_config.enabled_count(),
-                epochs: out.epochs,
-                converged,
-                max_flips,
-                faults_injected,
-                final_ops_per_cycle,
-                violations,
-            }
+            let tput = |net| des::simulate(&net, cores, DES_OPS_PER_CORE, seed).ops_per_cycle;
+            let (clean_tput, final_tput) =
+                (tput(clean_model.network(cores)), tput(build(&out.config)));
+            Soak::new(&ADAPTIVE, name, Personality::Adaptive.legend())
+                .with("clean", clean.config.enabled_count())
+                .with("faulted", out.config.enabled_count())
+                .with("epochs", out.epochs)
+                .with("flips", flips)
+                .with("injected", injected)
+                .with("final ops/cyc", final_tput)
+                .check("controller settles", out.converged, String::new)
+                .le("flips <= MAX_FLIPS", flips, MAX_FLIPS)
+                .fired(&mix, injected, false)
+                .le("0.9 × clean <= final", 0.90 * clean_tput, final_tput)
         })
         .collect()
 }
 
-/// Requests per open-loop overload chaos run.
-const OVERLOAD_REQUESTS: u64 = 2_000;
-/// Offered load for the overload rows, percent of PK capacity.
-const OVERLOAD_LOAD_PCT: u32 = 200;
-
-/// One serving workload under 2× arrival overload with 1% NIC receive
-/// drop: the open-loop leg of the chaos matrix. The shedding policy
-/// must keep the admission queue bounded and every arrival accounted
-/// for — completed, shed, cancelled, dropped by the NIC, or still in
-/// the system — while the fault plane eats packets underneath it.
-#[derive(Debug, Clone)]
-pub struct OverloadChaosRow {
-    /// Workload name.
-    pub workload: &'static str,
-    /// Kernel config label (`stock` / `PK`).
-    pub config: &'static str,
-    /// Requests the arrival process offered.
-    pub arrivals: u64,
-    /// Requests served to completion.
-    pub completed: u64,
-    /// Arrivals lost to the injected NIC drop.
-    pub nic_dropped: u64,
-    /// Arrivals refused or evicted by the shedding policy.
-    pub shed: u64,
-    /// Requests cancelled by deadline propagation.
-    pub deadline_cancelled: u64,
-    /// p999 of completed requests, cycles.
-    pub p999: u64,
-    /// Peak admission-queue depth (must respect the policy cap).
-    pub queue_depth_peak: u64,
-    /// The policy's admission cap.
-    pub admission_cap: u32,
-    /// Invariant violations (empty = pass).
-    pub violations: Vec<String>,
-}
-
-impl OverloadChaosRow {
-    /// Whether the row passed.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Runs every serving workload at `OVERLOAD_LOAD_PCT` offered load
-/// with shedding on and 1% `net.rx_drop` armed. Deterministic per
-/// `(choice, cores, seed)`.
-pub fn overload_chaos(choice: Personality, cores: usize, seed: u64) -> Vec<OverloadChaosRow> {
+/// Runs every serving workload at `OVERLOAD_LOAD_PCT` offered load with
+/// shedding on and [`FaultMix::rx_drop`] armed (the open-loop leg): the
+/// admission queue must stay bounded and every arrival accounted for
+/// while the plane eats packets. Deterministic per `(choice, cores, seed)`.
+pub fn overload_chaos(choice: Personality, cores: usize, seed: u64) -> Vec<Soak> {
+    let mix = FaultMix::rx_drop();
     pk_serve::SERVING
         .iter()
-        .map(|w| {
+        .map(|&w| {
             let plane = FaultPlane::with_seed(seed);
-            plane.set("net.rx_drop", FaultSchedule::Probability(0.01));
-            plane.enable();
-            let run = pk_serve::run_serving(
-                w,
-                choice,
-                cores,
-                true,
-                OVERLOAD_LOAD_PCT,
-                OVERLOAD_REQUESTS,
-                seed,
-                &plane,
-            )
-            .expect("SERVING workloads all have serving specs");
-            let r = &run.result;
-            let mut violations = Vec::new();
-            if r.accounted() != r.arrivals {
-                violations.push(format!(
-                    "arrival accounting leaked: {} accounted != {} arrivals",
-                    r.accounted(),
-                    r.arrivals
-                ));
-            }
-            if r.nic_dropped == 0 {
-                violations.push("net.rx_drop never fired".to_string());
-            }
-            let cap = run.policy.admission_cap;
-            if r.queue_depth_peak > u64::from(cap) {
-                violations.push(format!(
-                    "admission cap breached: peak {} > cap {cap}",
-                    r.queue_depth_peak
-                ));
-            }
-            if r.completed == 0 {
-                violations.push("overload starved the server completely".to_string());
-            }
-            OverloadChaosRow {
-                workload: w,
-                config: choice.legend(),
-                arrivals: r.arrivals,
-                completed: r.completed,
-                nic_dropped: r.nic_dropped,
-                shed: r.rejected + r.shed_oldest + r.shed_probabilistic,
-                deadline_cancelled: r.deadline_cancelled,
-                p999: run.latency.p999,
-                queue_depth_peak: r.queue_depth_peak,
-                admission_cap: cap,
-                violations,
-            }
+            mix.arm(&plane);
+            let (load, requests) = (OVERLOAD_LOAD_PCT, OVERLOAD_REQUESTS);
+            let run = pk_serve::run_serving(w, choice, cores, true, load, requests, seed, &plane)
+                .expect("SERVING workloads all have serving specs");
+            let (r, cap) = (&run.result, run.policy.admission_cap);
+            let peak = r.queue_depth_peak;
+            Soak::new(&OVERLOAD, w, choice.legend())
+                .with("arrivals", r.arrivals)
+                .with("completed", r.completed)
+                .with("rx-drop", r.nic_dropped)
+                .with("shed", r.rejected + r.shed_oldest + r.shed_probabilistic)
+                .with("cancelled", r.deadline_cancelled)
+                .with("p999", run.latency.p999)
+                .with("peak/cap", format!("{peak:>6}/{cap:<2}"))
+                .eq("accounted == arrivals", r.accounted(), r.arrivals)
+                .fired(&mix, r.nic_dropped, false)
+                .le("peak <= admission cap", peak, cap.into())
+                .check("completed > 0", r.completed > 0, String::new)
+                .traced(&plane)
         })
         .collect()
 }
 
-/// Requests driven through the exhausted-deadline row.
-const DEADLINE_REQUESTS: u64 = 16;
-
-/// The `exhausted-deadline` chaos row: a request that burns its whole
-/// retry budget past its deadline must surface as
-/// [`pk_kernel::KernelError::Timeout`] — *not* its last transient
-/// error, which would invite the retry amplification the deadline
-/// forbids — and must uncharge its admission slot on the way out.
-#[derive(Debug, Clone)]
-pub struct DeadlineChaosRow {
-    /// Requests driven into the permanently-failing downstream.
-    pub requests: u64,
-    /// Requests that surfaced `Timeout`, as required.
-    pub timeouts: u64,
-    /// Admission-queue depth after the storm (must be 0).
-    pub depth_after: u32,
-    /// Requests admitted across the row.
-    pub admitted: u64,
-    /// Invariant violations (empty = pass).
-    pub violations: Vec<String>,
-}
-
-impl DeadlineChaosRow {
-    /// Whether the row passed.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Runs the exhausted-deadline row: `DEADLINE_REQUESTS` requests hit
-/// a downstream that fails transiently on every attempt, under a
-/// deadline budget smaller than the first retry backoff. Every request
-/// must come back `Timeout` with the admission queue fully drained;
-/// one recovery request afterwards proves the queue still serves.
-pub fn run_exhausted_deadline(seed: u64) -> DeadlineChaosRow {
+/// The exhausted-deadline row: `DEADLINE_REQUESTS` requests whose
+/// downstream fails transiently on every attempt, under a deadline
+/// shorter than the first retry backoff. Each must surface
+/// [`pk_kernel::KernelError::Timeout`] — not its last transient error,
+/// which invites retry amplification — and uncharge its admission slot;
+/// a recovery request afterwards must still be served.
+pub fn run_exhausted_deadline(seed: u64) -> Soak {
     use pk_fault::RetryPolicy;
     use pk_kernel::KernelError;
     use pk_serve::{serve_with_deadline, AdmissionQueue};
 
     let queue = AdmissionQueue::new(4);
-    let mut timeouts = 0u64;
-    let mut violations = Vec::new();
+    let serve = |req, ok: bool| {
+        serve_with_deadline(&queue, RetryPolicy::DEFAULT, seed, req, 10, |_| {
+            // Recovered, or a downstream stuck in backpressure.
+            let stuck = KernelError::Net(pk_net::NetError::Backpressure);
+            ok.then_some(()).ok_or(stuck)
+        })
+    };
+    let (mut timeouts, mut charged) = (0u64, 0);
     for req in 0..DEADLINE_REQUESTS {
-        let out = serve_with_deadline(&queue, RetryPolicy::DEFAULT, seed, req, 10, |_| {
-            // A downstream stuck in backpressure: transient every time.
-            Err::<(), _>(KernelError::Net(pk_net::NetError::Backpressure))
-        });
-        match out {
-            Err(KernelError::Timeout) => timeouts += 1,
-            Err(e) => violations.push(format!(
-                "request {req} leaked its last transient error: {e}"
-            )),
-            Ok(()) => violations.push(format!("request {req} cannot have succeeded")),
-        }
-        if queue.depth() != 0 {
-            violations.push(format!(
-                "request {req} left its admission slot charged (depth {})",
-                queue.depth()
-            ));
-        }
+        timeouts += u64::from(matches!(serve(req, false), Err(KernelError::Timeout)));
+        charged = charged.max(queue.depth());
     }
-    if timeouts != DEADLINE_REQUESTS {
-        violations.push(format!(
-            "only {timeouts} of {DEADLINE_REQUESTS} dead requests surfaced Timeout"
-        ));
-    }
-    // The queue must still serve once the downstream recovers.
-    match serve_with_deadline(
-        &queue,
-        RetryPolicy::DEFAULT,
-        seed,
-        DEADLINE_REQUESTS,
-        10,
-        |_| Ok::<_, pk_kernel::KernelError>(()),
-    ) {
-        Ok(()) => {}
-        Err(e) => violations.push(format!("recovery request failed: {e}")),
-    }
-    if queue.depth() != 0 {
-        violations.push(format!(
-            "queue not drained after recovery (depth {})",
-            queue.depth()
-        ));
-    }
-    DeadlineChaosRow {
-        requests: DEADLINE_REQUESTS,
-        timeouts,
-        depth_after: queue.depth(),
-        admitted: queue.admitted(),
-        violations,
-    }
+    let recovery = serve(DEADLINE_REQUESTS, true);
+    let depth = queue.depth();
+    Soak::new(&DEADLINE, "deadline", "")
+        .with("requests", DEADLINE_REQUESTS)
+        .with("timeouts", timeouts)
+        .with("admitted", queue.admitted())
+        .with("depth", depth)
+        .eq("Timeouts == dead requests", timeouts, DEADLINE_REQUESTS)
+        .eq("depth after each Timeout == 0", charged, 0)
+        .check("recovery request served", recovery.is_ok(), String::new)
+        .eq("depth after recovery == 0", depth, 0)
 }
 
-/// VFS operations per RCU overflow soak.
-const RCU_CHURN_OPS: usize = 600;
-/// Force a deferred-queue spill on every Nth `call_rcu`.
-const RCU_OVERFLOW_EVERY: u64 = 17;
-
-/// Outcome of the RCU deferred-queue overflow soak: `rcu.*` counter
-/// deltas (read through the kernel's observability snapshot) plus the
-/// leak/double-free verdict.
-#[derive(Debug, Clone)]
-pub struct RcuChaosReport {
-    /// Kernel config label (`stock` / `PK`).
-    pub config: &'static str,
-    /// `rcu.defer_overflow` injections (forced spills).
-    pub injected: u64,
-    /// Blocking spills the queues actually took.
-    pub spills: u64,
-    /// Objects retired through `call_rcu` during the soak.
-    pub call_rcu: u64,
-    /// Deferred objects reclaimed by the end (post-barrier).
-    pub freed: u64,
-    /// Deferred objects still queued after `rcu_barrier` (must be 0).
-    pub pending_after_barrier: u64,
-    /// Invariant violations (empty = pass: no leak, no double-free).
-    pub violations: Vec<String>,
-}
-
-impl RcuChaosReport {
-    /// Whether the soak passed.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Soaks the deferred-reclamation machinery under forced queue spills.
-///
-/// Arms a `rcu.defer_overflow` fault point as the RCU spill probe, so
-/// every `RCU_OVERFLOW_EVERY`th `call_rcu` is forced down the
-/// blocking overflow path mid-churn, then drives dcache and mount-table
-/// write traffic through a real kernel and checks — via the RCU
-/// counters ([`pk_sync::rcu::stats_snapshot`]) — that every retired
-/// object was freed exactly once: `call_rcu == deferred_freed` after
-/// the final barrier, with nothing left pending.
-///
-/// Single-threaded and seeded like the other soaks: the injection
-/// trace, and therefore every counter delta, replays from the seed.
-pub fn run_rcu_overflow(choice: Personality, cores: usize, seed: u64) -> RcuChaosReport {
+/// Soaks deferred reclamation under forced queue spills: arms
+/// [`FaultMix::rcu_overflow`] as the RCU spill probe, drives dcache and
+/// mount-table writes through a real kernel, and checks from the RCU
+/// counters ([`pk_sync::rcu::stats_snapshot`]) that every retired
+/// object was freed exactly once. Single-threaded and seeded, so every
+/// counter delta replays from the seed.
+pub fn run_rcu_overflow(choice: Personality, cores: usize, seed: u64) -> Soak {
     use pk_sync::rcu;
 
     let kernel = Kernel::new(choice.config(cores));
@@ -857,12 +692,9 @@ pub fn run_rcu_overflow(choice: Personality, cores: usize, seed: u64) -> RcuChao
     rcu::rcu_barrier();
     let before = rcu::stats_snapshot();
 
-    let plane = Arc::new(FaultPlane::with_seed(seed));
-    plane.set(
-        "rcu.defer_overflow",
-        FaultSchedule::EveryNth(RCU_OVERFLOW_EVERY),
-    );
-    plane.enable();
+    let mix = FaultMix::rcu_overflow();
+    let plane = FaultPlane::with_seed(seed);
+    mix.arm(&plane);
     let point = plane.point("rcu.defer_overflow");
 
     let vfs = kernel.vfs();
@@ -893,48 +725,31 @@ pub fn run_rcu_overflow(choice: Personality, cores: usize, seed: u64) -> RcuChao
     let call_rcu = after.call_rcu_calls - before.call_rcu_calls;
     let freed = after.deferred_freed - before.deferred_freed;
     let spills = after.spills - before.spills;
-    let pending_after_barrier = after.deferred_pending;
-
-    let mut violations = Vec::new();
-    if outcome.is_err() {
-        violations.push("churn panicked under forced spills".to_string());
-    }
-    if call_rcu == 0 {
-        violations.push("no call_rcu traffic: soak exercised nothing".to_string());
-    }
-    if injected == 0 {
-        violations.push("rcu.defer_overflow never fired".to_string());
-    }
-    if spills < injected {
-        violations.push(format!(
-            "forced overflows lost: {injected} injected but only {spills} spills"
-        ));
-    }
-    if pending_after_barrier != 0 {
-        violations.push(format!(
-            "leak: {pending_after_barrier} deferred objects survived rcu_barrier"
-        ));
-    }
-    if call_rcu != freed {
-        violations.push(format!(
-            "reclamation imbalance: {call_rcu} retired != {freed} freed \
-             (leak if under, double-free if over)"
-        ));
-    }
-    RcuChaosReport {
-        config: choice.legend(),
-        injected,
-        spills,
-        call_rcu,
-        freed,
-        pending_after_barrier,
-        violations,
-    }
+    let pending = after.deferred_pending;
+    Soak::new(&RCU, "rcu", choice.legend())
+        .with("call_rcu", call_rcu)
+        .with("freed", freed)
+        .with("pending", pending)
+        .with("injected", injected)
+        .with("spills", spills)
+        .check("no panic", outcome.is_ok(), String::new)
+        .check("call_rcu > 0", call_rcu > 0, String::new)
+        .fired(&mix, injected, false)
+        .le("injected <= spills", injected, spills)
+        .eq("pending after rcu_barrier == 0", pending, 0)
+        .eq("call_rcu == freed", call_rcu, freed)
+        .traced(&plane)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The names of `s`'s failed checks, in order.
+    fn failed(s: &Soak) -> Vec<&'static str> {
+        let failed = s.checks.iter().filter(|c| c.failure.is_some());
+        failed.map(|c| c.name).collect()
+    }
 
     #[test]
     fn acceptance_mix_names_only_registered_points() {
@@ -950,12 +765,86 @@ mod tests {
             "proc.fork_fail",
             "sim.lock_holder_preempt",
             "sim.core_stall",
+            "rcu.defer_overflow",
         ];
-        for mix in [FaultMix::acceptance(), FaultMix::heavy()] {
+        let mixes = [
+            FaultMix::acceptance(),
+            FaultMix::heavy(),
+            FaultMix::scheduler(),
+            FaultMix::rx_drop(),
+            FaultMix::rcu_overflow(),
+        ];
+        for mix in mixes {
             for (name, _) in &mix.points {
                 assert!(known.contains(name), "unknown fault point {name}");
             }
         }
+    }
+
+    #[test]
+    fn an_inert_mix_fails_one_check_and_only_under_strict() {
+        let inert = FaultMix {
+            label: "inert",
+            points: vec![("mm.alloc_enomem", FaultSchedule::Never)],
+        };
+        let s = run(
+            Soak::new(&FUNCTIONAL, "probe", "PK"),
+            42,
+            &inert,
+            |plane| plane,
+            |plane| {
+                let point = plane.point("mm.alloc_enomem");
+                (0..100).filter(|_| point.should_inject()).count() as u64
+            },
+            |_| 0,
+            |_, _, row| row.with("retries", 0u64).with("backoff_cyc", 0u64),
+        );
+        assert_eq!((s.num("checked"), s.num("injected")), (100.0, 0.0));
+        assert_eq!(failed(&s), [FIRED]);
+        assert!(s.passed(), "a strict-only check leaves the row `pass`");
+        let rows = [s];
+        assert!(!render(&FUNCTIONAL, &rows, false).1);
+        let (text, strict_fails) = render(&FUNCTIONAL, &rows, true);
+        assert!(strict_fails);
+        assert!(text.contains("violation: fault mix fired: inert never fired"));
+    }
+
+    #[test]
+    fn a_broken_identity_renders_fail_and_names_its_check() {
+        let s = Soak::new(&RCU, "rcu", "PK")
+            .with("call_rcu", 5u64)
+            .with("freed", 4u64)
+            .with("pending", 0u64)
+            .with("injected", 1u64)
+            .with("spills", 1u64)
+            .eq("call_rcu == freed", 5u64, 4);
+        let (text, failed) = render(&RCU, &[s], false);
+        assert!(failed);
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[3].starts_with("        PK") && lines[3].ends_with("FAIL"));
+        let violations: Vec<_> = lines.iter().filter(|l| l.contains("violation")).collect();
+        assert_eq!(violations.len(), 1);
+        assert!(violations[0].ends_with("violation: call_rcu == freed: 5 != 4"));
+    }
+
+    #[test]
+    fn the_runner_turns_a_panicking_run_into_a_failed_check() {
+        let s = run(
+            Soak::new(&FUNCTIONAL, "probe", "Stock"),
+            42,
+            &FaultMix::acceptance(),
+            |plane| (plane, std::cell::Cell::new(0)),
+            |(plane, done)| {
+                assert!(!plane.is_enabled(), "the faulted run panics");
+                done.set(7);
+                7
+            },
+            |(_, done)| done.get(),
+            |_, _, row| row,
+        );
+        assert_eq!(failed(&s), ["no panic", FIRED]);
+        assert!(!s.passed());
+        assert_eq!((s.num("baseline"), s.num("faulted")), (7.0, 0.0));
     }
 
     #[test]
@@ -964,22 +853,14 @@ mod tests {
             let rows = overload_chaos(choice, 4, 42);
             assert_eq!(rows.len(), pk_serve::SERVING.len());
             for r in &rows {
-                assert!(
-                    r.passed(),
-                    "{}/{}: {:?}",
-                    r.workload,
-                    r.config,
-                    r.violations
-                );
-                assert!(r.nic_dropped > 0, "{}: rx-drop must fire", r.workload);
-                assert!(r.shed > 0, "{}: 2x overload must shed", r.workload);
+                assert!(r.passed(), "{}/{}: {:?}", r.workload, r.config, r.checks);
+                assert!(r.num("rx-drop") > 0.0, "{}: rx-drop must fire", r.workload);
+                assert!(r.num("shed") > 0.0, "{}: 2x overload must shed", r.workload);
             }
             // Same seed → identical rows: the soak replays.
             let again = overload_chaos(choice, 4, 42);
             for (a, b) in rows.iter().zip(&again) {
-                assert_eq!(a.completed, b.completed);
-                assert_eq!(a.nic_dropped, b.nic_dropped);
-                assert_eq!(a.p999, b.p999);
+                assert_eq!(a.counts, b.counts);
             }
         }
     }
@@ -987,11 +868,11 @@ mod tests {
     #[test]
     fn exhausted_deadline_row_surfaces_timeout_and_drains() {
         let r = run_exhausted_deadline(42);
-        assert!(r.passed(), "{:?}", r.violations);
-        assert_eq!(r.timeouts, r.requests);
-        assert_eq!(r.depth_after, 0);
+        assert!(r.passed(), "{:?}", r.checks);
+        assert_eq!(r.num("timeouts"), r.num("requests"));
+        assert_eq!(r.num("depth"), 0.0);
         // Every dead request plus the recovery request took a slot.
-        assert_eq!(r.admitted, r.requests + 1);
+        assert_eq!(r.num("admitted"), r.num("requests") + 1.0);
     }
 
     #[test]
@@ -999,13 +880,17 @@ mod tests {
         let _serial = crate::rcu_serial();
         for choice in [Personality::Stock, Personality::Pk] {
             let r = run_rcu_overflow(choice, 4, 7);
-            assert!(r.passed(), "{}: {:?}", r.config, r.violations);
-            assert!(r.injected > 0 && r.spills >= r.injected);
-            assert_eq!(r.call_rcu, r.freed, "every retirement freed exactly once");
+            assert!(r.passed(), "{}: {:?}", r.config, r.checks);
+            assert!(r.num("injected") > 0.0 && r.num("spills") >= r.num("injected"));
+            assert_eq!(
+                r.num("call_rcu"),
+                r.num("freed"),
+                "every retirement freed once"
+            );
             // Same seed → identical injection counts: the soak replays.
             let again = run_rcu_overflow(choice, 4, 7);
-            assert_eq!(again.injected, r.injected);
-            assert_eq!(again.call_rcu, r.call_rcu);
+            assert_eq!(again.num("injected"), r.num("injected"));
+            assert_eq!(again.num("call_rcu"), r.num("call_rcu"));
         }
     }
 
@@ -1014,19 +899,15 @@ mod tests {
         let rows = adaptive_chaos(8, 7);
         assert_eq!(rows.len(), roster::NAMES.len());
         for r in &rows {
-            assert!(r.passed(), "{}: {:?}", r.workload, r.violations);
-            assert!(r.converged, "{}: wedged under faults", r.workload);
-            assert!(r.max_flips <= 3, "{}: flapped", r.workload);
+            assert!(r.passed(), "{}: {:?}", r.workload, r.checks);
         }
         // Faults fire somewhere in the roster (workloads whose stations
         // are pure delays may see none).
-        assert!(rows.iter().any(|r| r.faults_injected > 0));
+        assert!(rows.iter().any(|r| r.num("injected") > 0.0));
         // Same seed → identical rows: the soak replays.
         let again = adaptive_chaos(8, 7);
         for (a, b) in rows.iter().zip(&again) {
-            assert_eq!(a.faulted_promoted, b.faulted_promoted);
-            assert_eq!(a.epochs, b.epochs);
-            assert_eq!(a.faults_injected, b.faults_injected);
+            assert_eq!(a.counts, b.counts);
         }
     }
 
@@ -1035,24 +916,26 @@ mod tests {
         let rows = des_chaos(Personality::Pk, 8, 7);
         assert_eq!(rows.len(), roster::NAMES.len());
         for r in &rows {
-            assert!(r.faults_injected > 0, "{}: no faults fired", r.workload);
             assert!(
-                r.faulted_ops_per_cycle > 0.0,
-                "{}: simulation starved",
-                r.workload
+                r.failures(true).next().is_none(),
+                "{}: {:?}",
+                r.workload,
+                r.checks
             );
+            let faulted = r.num("faulted ops/cyc");
+            assert!(faulted > 0.0, "{}: simulation starved", r.workload);
             // Faults never make a model faster (small measurement-window
             // jitter aside); workloads whose bottleneck is a delay
             // station may show ~0 loss.
+            let degr = r.num("degr%");
             assert!(
-                r.degradation_pct() > -2.0,
-                "{}: faults sped the model up: {:.2}%",
-                r.workload,
-                r.degradation_pct()
+                degr > -2.0,
+                "{}: faults sped the model up: {degr:.2}%",
+                r.workload
             );
         }
         assert!(
-            rows.iter().any(|r| r.degradation_pct() > 0.5),
+            rows.iter().any(|r| r.num("degr%") > 0.5),
             "no workload showed clear preemption cost"
         );
     }

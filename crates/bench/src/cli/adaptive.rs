@@ -5,7 +5,7 @@
 //! in-process: the JSON artifact must be byte-identical across two
 //! full runs at the same seed. Exits 1 if any gate fails.
 
-use super::{header, write_artifact};
+use super::{header, print_decisions, write_artifact};
 use pk_bench::adaptive::{
     failures, report_json, row_table, run_all, MAX_FLIPS, MEASURE_OPS_PER_CORE, PK_FLOOR,
 };
@@ -44,7 +44,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     for r in &rows {
         if !r.decisions.is_empty() {
             println!("{} decision log:", r.workload);
-            print!("{}", pk_adapt::render_log(&r.decisions));
+            print_decisions(&r.decisions);
         }
     }
 

@@ -17,8 +17,7 @@
 //! configuration behind Figure 4's collapse, whose report must name
 //! the vfsmount-table lock first.
 
-use super::header;
-use pk_adapt::render_log;
+use super::{header, print_decisions};
 use pk_bench::args::{self, Args, Kind, Spec};
 use pk_bench::{contention_report, contention_report_des, resolve};
 use pk_kernel::Personality;
@@ -67,7 +66,7 @@ fn report_one(
             out.config.enabled_count(),
             out.max_direction_changes()
         );
-        print!("{}", render_log(&out.decisions));
+        print_decisions(&out.decisions);
         println!();
     }
     let analytic = contention_report(&resolved);

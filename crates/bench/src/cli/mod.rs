@@ -15,12 +15,22 @@ pub mod scale;
 pub mod sweep;
 pub mod tail;
 
+use pk_adapt::Decision;
+use pk_bench::adaptive::decision_table;
 use std::path::Path;
 
 /// Prints a section header: the figure or report title and its caption.
 pub fn header(title: &str, caption: &str) {
     println!("\n=== {title} ===");
     println!("{caption}\n");
+}
+
+/// Prints a controller's decision log, one JSON object per line.
+fn print_decisions(decisions: &[Decision]) {
+    let table = decision_table();
+    for d in decisions {
+        println!("{}", table.object(d).json());
+    }
 }
 
 /// Writes a report artifact, creating its directory first so a path

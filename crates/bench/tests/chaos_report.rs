@@ -27,9 +27,7 @@ fn fixed_seed_replays_the_identical_fault_trace() {
             "{}/{}: trace diverged across replays",
             a.workload, a.config
         );
-        assert_eq!(a.faulted_ops, b.faulted_ops);
-        assert_eq!(a.retries, b.retries);
-        assert_eq!(a.backoff_cycles, b.backoff_cycles);
+        assert_eq!(a.counts, b.counts);
     }
     // A different seed must not replay the same decisions everywhere
     // (sanity that the trace actually derives from the seed).
@@ -46,55 +44,47 @@ fn every_workload_survives_the_acceptance_mix() {
     // Every workload × both kernel configs ran.
     assert_eq!(reports.len(), WORKLOADS.len() * 2);
     for r in &reports {
+        let failed: Vec<_> = r.failures(false).collect();
         assert!(
-            !r.panicked,
-            "{}/{} panicked under faults",
-            r.workload, r.config
-        );
-        assert!(
-            r.violations.is_empty(),
-            "{}/{} violated invariants: {:?}",
+            failed.is_empty(),
+            "{}/{} panicked or violated invariants: {failed:?}",
             r.workload,
-            r.config,
-            r.violations
+            r.config
         );
+        let (baseline, faulted) = (r.num("baseline"), r.num("faulted"));
+        let retries = r.num("retries");
         assert!(
-            r.baseline_ops > 0 && r.faulted_ops > 0,
-            "{}/{} starved: baseline {} faulted {}",
+            baseline > 0.0 && faulted > 0.0,
+            "{}/{} starved: baseline {baseline} faulted {faulted}",
             r.workload,
-            r.config,
-            r.baseline_ops,
-            r.faulted_ops
+            r.config
         );
         // Retries are bounded by the policy: no request can retry more
         // than max_attempts - 1 times, so the total is bounded by the
         // checked arrival count times the budget.
-        let budget = u64::from(RetryPolicy::DEFAULT.max_attempts);
+        let budget = f64::from(RetryPolicy::DEFAULT.max_attempts);
         assert!(
-            r.retries <= r.faults_checked.max(1) * budget,
-            "{}/{} retried without bound: {} retries",
+            retries <= r.num("checked").max(1.0) * budget,
+            "{}/{} retried without bound: {retries} retries",
             r.workload,
-            r.config,
-            r.retries
+            r.config
         );
         // Degradation is reported, not hidden: the faulted run may not
         // claim more throughput than the fault-free baseline.
         assert!(
-            r.faulted_ops <= r.baseline_ops,
-            "{}/{} hid its degradation: faulted {} > baseline {}",
+            faulted <= baseline,
+            "{}/{} hid its degradation: faulted {faulted} > baseline {baseline}",
             r.workload,
-            r.config,
-            r.faulted_ops,
-            r.baseline_ops
+            r.config
         );
-        assert!(r.degradation_pct().is_finite());
+        assert!(r.num("degr%").is_finite());
     }
     // The mix actually bit somewhere: across the soak at least one
     // fault was injected and at least one retry was charged.
-    assert!(reports.iter().any(|r| r.faults_injected > 0));
+    assert!(reports.iter().any(|r| r.num("injected") > 0.0));
     assert!(reports
         .iter()
-        .any(|r| r.retries > 0 || r.faulted_ops < r.baseline_ops));
+        .any(|r| r.num("retries") > 0.0 || r.num("faulted") < r.num("baseline")));
 }
 
 #[test]
@@ -104,19 +94,10 @@ fn heavy_mix_still_cannot_panic_the_drivers() {
         for name in WORKLOADS {
             let r = chaos::run_workload(name, choice, CORES, SEED, &mix)
                 .expect("driver exists for every named workload");
+            let failed: Vec<_> = r.failures(true).collect();
             assert!(
-                !r.panicked,
-                "{name}/{:?} panicked under the heavy mix",
-                choice
-            );
-            assert!(
-                r.violations.is_empty(),
-                "{name}/{choice:?} violated invariants: {:?}",
-                r.violations
-            );
-            assert!(
-                r.faults_injected > 0,
-                "{name}/{choice:?}: heavy mix never fired"
+                failed.is_empty(),
+                "{name}/{choice:?} panicked, violated invariants or never fired: {failed:?}"
             );
         }
     }
