@@ -35,7 +35,7 @@ pub mod wheel;
 
 use crate::mva::{Network, StationKind};
 use pk_fault::{FaultPlane, FaultPoint};
-use pk_trace::{EventKind, Tracer};
+use pk_trace::{EventKind, TraceWriter, Tracer};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use wheel::EventWheel;
@@ -103,9 +103,10 @@ pub(crate) fn add_sat(acc: &mut u64, delta: u64) {
 }
 
 /// Span classes for one traced simulation, interned up front so the
-/// event loop records bare `u32`s.
+/// event loop records bare `u32`s through one batching [`TraceWriter`]
+/// (the run owns every track; the writer flushes when this drops).
 pub(crate) struct SimTrace<'a> {
-    tracer: &'a Tracer,
+    writer: TraceWriter<'a>,
     /// `des.op` — one root span per operation (end-to-end latency).
     op_class: u32,
     /// Per station: (service span, queue-wait child span). The wait
@@ -118,7 +119,7 @@ pub(crate) struct SimTrace<'a> {
 impl<'a> SimTrace<'a> {
     pub(crate) fn new(tracer: &'a Tracer, stations: &[crate::mva::Station]) -> Self {
         Self {
-            tracer,
+            writer: tracer.writer(),
             op_class: pk_trace::intern::intern_span("des.op"),
             station_classes: stations
                 .iter()
@@ -132,13 +133,13 @@ impl<'a> SimTrace<'a> {
         }
     }
 
-    pub(crate) fn begin(&self, track: usize, ts: u64, class: u32) {
-        self.tracer
+    pub(crate) fn begin(&mut self, track: usize, ts: u64, class: u32) {
+        self.writer
             .record_at(track, ts, EventKind::SpanBegin, class, 0, 0);
     }
 
-    pub(crate) fn end(&self, track: usize, ts: u64, class: u32) {
-        self.tracer
+    pub(crate) fn end(&mut self, track: usize, ts: u64, class: u32) {
+        self.writer
             .record_at(track, ts, EventKind::SpanEnd, class, 0, 0);
     }
 }
@@ -146,12 +147,12 @@ impl<'a> SimTrace<'a> {
 /// Trace hooks the engine loop calls. The no-op implementation compiles
 /// to nothing, so the untraced hot loop carries no `Option` checks.
 pub(crate) trait TraceHooks {
-    fn op_begin(&self, track: usize, ts: u64);
-    fn op_end(&self, track: usize, ts: u64);
-    fn station_begin(&self, track: usize, ts: u64, station: usize);
-    fn station_end(&self, track: usize, ts: u64, station: usize);
-    fn wait_begin(&self, track: usize, ts: u64, station: usize);
-    fn wait_end(&self, track: usize, ts: u64, station: usize);
+    fn op_begin(&mut self, track: usize, ts: u64);
+    fn op_end(&mut self, track: usize, ts: u64);
+    fn station_begin(&mut self, track: usize, ts: u64, station: usize);
+    fn station_end(&mut self, track: usize, ts: u64, station: usize);
+    fn wait_begin(&mut self, track: usize, ts: u64, station: usize);
+    fn wait_end(&mut self, track: usize, ts: u64, station: usize);
 }
 
 /// The zero-cost sink for untraced runs.
@@ -159,42 +160,42 @@ pub(crate) struct NoTrace;
 
 impl TraceHooks for NoTrace {
     #[inline(always)]
-    fn op_begin(&self, _: usize, _: u64) {}
+    fn op_begin(&mut self, _: usize, _: u64) {}
     #[inline(always)]
-    fn op_end(&self, _: usize, _: u64) {}
+    fn op_end(&mut self, _: usize, _: u64) {}
     #[inline(always)]
-    fn station_begin(&self, _: usize, _: u64, _: usize) {}
+    fn station_begin(&mut self, _: usize, _: u64, _: usize) {}
     #[inline(always)]
-    fn station_end(&self, _: usize, _: u64, _: usize) {}
+    fn station_end(&mut self, _: usize, _: u64, _: usize) {}
     #[inline(always)]
-    fn wait_begin(&self, _: usize, _: u64, _: usize) {}
+    fn wait_begin(&mut self, _: usize, _: u64, _: usize) {}
     #[inline(always)]
-    fn wait_end(&self, _: usize, _: u64, _: usize) {}
+    fn wait_end(&mut self, _: usize, _: u64, _: usize) {}
 }
 
 impl TraceHooks for SimTrace<'_> {
     #[inline]
-    fn op_begin(&self, track: usize, ts: u64) {
+    fn op_begin(&mut self, track: usize, ts: u64) {
         self.begin(track, ts, self.op_class);
     }
     #[inline]
-    fn op_end(&self, track: usize, ts: u64) {
+    fn op_end(&mut self, track: usize, ts: u64) {
         self.end(track, ts, self.op_class);
     }
     #[inline]
-    fn station_begin(&self, track: usize, ts: u64, station: usize) {
+    fn station_begin(&mut self, track: usize, ts: u64, station: usize) {
         self.begin(track, ts, self.station_classes[station].0);
     }
     #[inline]
-    fn station_end(&self, track: usize, ts: u64, station: usize) {
+    fn station_end(&mut self, track: usize, ts: u64, station: usize) {
         self.end(track, ts, self.station_classes[station].0);
     }
     #[inline]
-    fn wait_begin(&self, track: usize, ts: u64, station: usize) {
+    fn wait_begin(&mut self, track: usize, ts: u64, station: usize) {
         self.begin(track, ts, self.station_classes[station].1);
     }
     #[inline]
-    fn wait_end(&self, track: usize, ts: u64, station: usize) {
+    fn wait_end(&mut self, track: usize, ts: u64, station: usize) {
         self.end(track, ts, self.station_classes[station].1);
     }
 }
@@ -263,9 +264,9 @@ pub fn simulate_traced(
             ops_per_core,
             seed,
             faults,
-            &SimTrace::new(t, net.stations()),
+            &mut SimTrace::new(t, net.stations()),
         ),
-        None => run(net, cores, ops_per_core, seed, faults, &NoTrace),
+        None => run(net, cores, ops_per_core, seed, faults, &mut NoTrace),
     }
 }
 
@@ -473,7 +474,7 @@ fn run<S: TraceHooks>(
     ops_per_core: u64,
     seed: u64,
     faults: &FaultPlane,
-    sink: &S,
+    sink: &mut S,
 ) -> DesResult {
     let stations = net.stations();
     let n_stations = stations.len();
@@ -885,8 +886,20 @@ mod tests {
                 &pk_fault::FaultPlane::disabled(),
                 Some(&tracer),
             );
-            pk_trace::encode_stream(&tracer.drain())
+            tracer.drain()
         };
-        assert_eq!(run(), run(), "same seed, same bytes");
+        let events = run();
+        assert_eq!(
+            pk_trace::encode_stream(&events),
+            pk_trace::encode_stream(&run()),
+            "same seed, same bytes"
+        );
+        // Pinned: a reordered, lost or extra event changes the digest.
+        assert_eq!(events.len(), 27_780, "event count");
+        assert_eq!(
+            crate::stream_digest(&events),
+            0x69c3_9a08_0e12_bad6,
+            "stream digest"
+        );
     }
 }

@@ -109,9 +109,9 @@ pub fn simulate_traced(
             ops_per_core,
             seed,
             faults,
-            &SimTrace::new(t, net.stations()),
+            &mut SimTrace::new(t, net.stations()),
         ),
-        None => run(net, cores, ops_per_core, seed, faults, &NoTrace),
+        None => run(net, cores, ops_per_core, seed, faults, &mut NoTrace),
     }
 }
 
@@ -121,7 +121,7 @@ fn run<S: TraceHooks>(
     ops_per_core: u64,
     seed: u64,
     faults: &FaultPlane,
-    sink: &S,
+    sink: &mut S,
 ) -> DesResult {
     let stations = net.stations();
     let fault_preempt = faults.point("sim.lock_holder_preempt");

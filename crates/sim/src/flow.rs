@@ -44,7 +44,7 @@ use crate::open::{
     Request, ARRIVAL,
 };
 use pk_fault::FaultPlane;
-use pk_trace::{EventKind, Tracer};
+use pk_trace::{EventKind, TraceWriter, Tracer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -125,16 +125,18 @@ struct StationIds {
 }
 
 /// Trace emitter: all recording funnels here so an untraced run costs
-/// one branch per would-be event.
+/// one branch per would-be event. The run owns every track of its
+/// tracer, so it records through one batching [`TraceWriter`], which
+/// flushes when the emitter drops at the end of the run.
 struct Emit<'a> {
-    tracer: Option<&'a Tracer>,
+    writer: Option<TraceWriter<'a>>,
 }
 
 impl Emit<'_> {
     #[inline]
-    fn rec(&self, track: u32, ts: u64, kind: EventKind, class: u32, arg: u64) {
-        if let Some(t) = self.tracer {
-            t.record_at(track as usize, ts, kind, class, 0, arg);
+    fn rec(&mut self, track: u32, ts: u64, kind: EventKind, class: u32, arg: u64) {
+        if let Some(w) = &mut self.writer {
+            w.record_at(track as usize, ts, kind, class, 0, arg);
         }
     }
 }
@@ -214,11 +216,13 @@ pub fn simulate_flow(
             },
         })
         .collect();
-    let emit = Emit { tracer };
+    let mut emit = Emit {
+        writer: tracer.map(Tracer::writer),
+    };
     let ctx_of = |req: &Request| pk_trace::request_id(seed, req.user, req.index);
     // A request that never reaches a worker leaves one instant on the
     // admission track (track `cores`), `arg` = its request id.
-    let turned_away = |now: u64, class: u32, req: &Request| -> Option<Request> {
+    let turned_away = |emit: &mut Emit, now: u64, class: u32, req: &Request| -> Option<Request> {
         emit.rec(cores as u32, now, EventKind::Instant, class, ctx_of(req));
         None
     };
@@ -324,10 +328,10 @@ pub fn simulate_flow(
             match front.arrive(now) {
                 (req, Fate::Dispatch) => Some(req),
                 (_, Fate::Queued) => None,
-                (req, Fate::NicDropped) => turned_away(now, nic_i, &req),
-                (req, Fate::Rejected) => turned_away(now, reject_i, &req),
-                (req, Fate::Shed) => turned_away(now, shed_i, &req),
-                (_, Fate::EvictedOldest(oldest)) => turned_away(now, shed_i, &oldest),
+                (req, Fate::NicDropped) => turned_away(&mut emit, now, nic_i, &req),
+                (req, Fate::Rejected) => turned_away(&mut emit, now, reject_i, &req),
+                (req, Fate::Shed) => turned_away(&mut emit, now, shed_i, &req),
+                (_, Fate::EvictedOldest(oldest)) => turned_away(&mut emit, now, shed_i, &oldest),
             }
         } else {
             // A slot's current phase ended.
@@ -376,7 +380,7 @@ pub fn simulate_flow(
             free.push_back(slot);
             emit.rec(slot, now, EventKind::CtxEnd, ctx_class, req.ctx);
             front.complete(now, req.arrival, |q| {
-                turned_away(now, cancel_i, q);
+                turned_away(&mut emit, now, cancel_i, q);
             })
         };
         if let Some(p) = next {
@@ -468,6 +472,13 @@ mod tests {
         assert_eq!(a.arrivals, b.arrivals);
         assert_eq!(a.completed, b.completed);
         assert_eq!(encode_stream(&ea), encode_stream(&eb));
+        // Pinned: a reordered, lost or extra event changes the digest.
+        assert_eq!(ea.len(), 59_482, "event count");
+        assert_eq!(
+            crate::stream_digest(&ea),
+            0x20bd_fa68_a2a9_66f7,
+            "stream digest"
+        );
     }
 
     #[test]

@@ -47,3 +47,32 @@ pub use open::{
     simulate_open, ArrivalPattern, ClientMix, OpenLoopResult, OverloadPolicy, ShedPolicy,
 };
 pub use workload::{Coarsened, CoreSweep, SweepPoint, WorkloadModel};
+
+/// FNV-1a 64 of a drained stream's canonical bytes
+/// ([`pk_trace::encode_stream`]), with every class id renumbered in
+/// first-seen order per namespace: interned ids depend on which test in
+/// the binary interned a name first, while the digest pins what an
+/// engine recorded and in which order.
+#[cfg(test)]
+pub(crate) fn stream_digest(events: &[pk_trace::Event]) -> u64 {
+    let mut seen: Vec<pk_trace::ClassKey> = Vec::new();
+    let canonical: Vec<pk_trace::Event> = events
+        .iter()
+        .map(|e| {
+            let key = pk_trace::ClassKey::of(e);
+            let class = seen.iter().position(|&k| k == key).unwrap_or_else(|| {
+                seen.push(key);
+                seen.len() - 1
+            });
+            pk_trace::Event {
+                class: class as u32,
+                ..*e
+            }
+        })
+        .collect();
+    pk_trace::encode_stream(&canonical)
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}

@@ -44,7 +44,7 @@ pub use request::{
     ctx_leaks, current_request, request_id, RequestScope, CTX_LEAK_CLASS, REQUEST_CLASS,
 };
 pub use span::{LazySpanClass, SpanGuard};
-pub use tracer::{global, install_global, Tracer, DEFAULT_RING_CAPACITY};
+pub use tracer::{global, install_global, TraceWriter, Tracer, DEFAULT_RING_CAPACITY};
 
 /// Opens a span of the named class on the current core's track,
 /// returning an RAII guard that closes it when dropped.

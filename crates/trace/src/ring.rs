@@ -1,11 +1,13 @@
 //! The per-track lock-free event ring.
 //!
-//! Fixed capacity, append-only between drains: a writer claims a slot
-//! with one `fetch_add`, writes the event into four atomic words, and
-//! publishes with a release store of the tagged word. When the ring is
-//! full further events are **counted and dropped** — a hot path never
-//! blocks on the tracer (ISSUE 5 overflow semantics; `pk-obs` exports
-//! the drop counter so a truncated trace is always visible).
+//! Fixed capacity, append-only between drains: a writer claims slots
+//! with one `fetch_add` — one slot per [`push`](Ring::push), a whole run
+//! per [`push_slice`](Ring::push_slice) — writes each event into four
+//! atomic words, and publishes it with a release store of the tagged
+//! word. When the ring is full further events are **counted and
+//! dropped** — a hot path never blocks on the tracer (ISSUE 5 overflow
+//! semantics; `pk-obs` exports the drop counter so a truncated trace is
+//! always visible).
 //!
 //! The capacity is a promise, not an allocation: slots live in
 //! [`CHUNK`]-slot chunks published on first touch through a
@@ -17,10 +19,10 @@
 //! stay allocated across [`reset`](Ring::reset); a refill reuses them.
 //!
 //! Draining is the pull model: a quiescent reader (a test, the
-//! profiler) walks the claimed prefix in slot order and then
-//! resets the ring. Slot order *is* program order per track because
-//! every track has one logical writer at a time (a core, or a DES
-//! customer processed by the deterministic event loop).
+//! profiler) walks the claimed prefix in slot order, clearing each tag
+//! it reads, and then rewinds the ring. Slot order *is* program order
+//! per track because every track has one logical writer at a time (a
+//! core, or a DES customer processed by the deterministic event loop).
 
 use crate::event::{Event, EventKind};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -39,6 +41,21 @@ struct Slot {
     arg: AtomicU64,
     ids: AtomicU64, // class | site << 32
     tag: AtomicU64, // track | kind << 32 | PUBLISHED
+}
+
+impl Slot {
+    /// Writes `e`'s payload, then publishes it.
+    #[inline]
+    fn publish(&self, e: &Event) {
+        self.ts.store(e.ts, Ordering::Relaxed);
+        self.arg.store(e.arg, Ordering::Relaxed);
+        self.ids.store(
+            u64::from(e.class) | u64::from(e.site) << 32,
+            Ordering::Relaxed,
+        );
+        let tag = u64::from(e.track) | (e.kind as u64) << 32 | PUBLISHED;
+        self.tag.store(tag, Ordering::Release);
+    }
 }
 
 pub(crate) struct Ring {
@@ -62,6 +79,16 @@ impl Ring {
         }
     }
 
+    /// Chunk `c`, allocated by whichever writer touches it first.
+    #[inline]
+    fn chunk(&self, c: usize) -> &[Slot] {
+        self.chunks[c].get_or_init(|| {
+            let mut slots = Vec::new();
+            slots.resize_with(CHUNK.min(self.capacity - c * CHUNK), Slot::default);
+            slots.into_boxed_slice()
+        })
+    }
+
     /// Records one event; returns `false` (and counts it) on overflow.
     pub(crate) fn push(&self, e: Event) -> bool {
         let idx = self.next.fetch_add(1, Ordering::Relaxed);
@@ -69,22 +96,37 @@ impl Ring {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        let c = idx >> CHUNK_BITS;
-        let chunk = self.chunks[c].get_or_init(|| {
-            let mut slots = Vec::new();
-            slots.resize_with(CHUNK.min(self.capacity - c * CHUNK), Slot::default);
-            slots.into_boxed_slice()
-        });
-        let slot = &chunk[idx & (CHUNK - 1)];
-        slot.ts.store(e.ts, Ordering::Relaxed);
-        slot.arg.store(e.arg, Ordering::Relaxed);
-        slot.ids.store(
-            u64::from(e.class) | u64::from(e.site) << 32,
-            Ordering::Relaxed,
-        );
-        let tag = u64::from(e.track) | (e.kind as u64) << 32 | PUBLISHED;
-        slot.tag.store(tag, Ordering::Release);
+        self.chunk(idx >> CHUNK_BITS)[idx & (CHUNK - 1)].publish(&e);
         true
+    }
+
+    /// Records a run of events with one claim: a single `fetch_add`
+    /// takes `events.len()` consecutive slots, and each is published as
+    /// [`push`](Self::push) publishes one. On overflow the first events
+    /// that fit are kept and the rest counted, so the ring ends up
+    /// exactly as one `push` per event, in slice order, would leave it.
+    /// Returns how many were kept.
+    pub(crate) fn push_slice(&self, events: &[Event]) -> usize {
+        if events.is_empty() {
+            return 0;
+        }
+        let first = self.next.fetch_add(events.len(), Ordering::Relaxed);
+        let kept = events.len().min(self.capacity.saturating_sub(first));
+        if kept < events.len() {
+            self.dropped
+                .fetch_add((events.len() - kept) as u64, Ordering::Relaxed);
+        }
+        let (mut idx, mut rest) = (first, &events[..kept]);
+        while !rest.is_empty() {
+            let at = idx & (CHUNK - 1);
+            let n = rest.len().min(CHUNK - at);
+            let slots = &self.chunk(idx >> CHUNK_BITS)[at..at + n];
+            for (slot, e) in slots.iter().zip(&rest[..n]) {
+                slot.publish(e);
+            }
+            (idx, rest) = (idx + n, &rest[n..]);
+        }
+        kept
     }
 
     /// Number of events recorded (claimed and published) so far.
@@ -97,38 +139,28 @@ impl Ring {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// The claimed prefix, chunk by chunk: each chunk (`None` while a
-    /// racing writer is still allocating it) with how many of its
-    /// slots are claimed.
-    fn claimed(&self) -> impl Iterator<Item = (Option<&[Slot]>, usize)> {
-        let n = self.len();
-        self.chunks
-            .iter()
-            .take(n.div_ceil(CHUNK))
-            .enumerate()
-            .map(move |(c, cell)| {
-                let claimed = CHUNK.min(n - c * CHUNK);
-                (cell.get().map(|chunk| &chunk[..claimed]), claimed)
-            })
-    }
-
-    /// Appends the recorded prefix, in slot (= program) order, to `out`
-    /// and returns the number of **torn** slots: claimed by a racing
-    /// writer but not yet published, hence skipped. Zero at a quiescent
-    /// point, which is the only place a drain belongs.
+    /// Appends the recorded prefix, in slot (= program) order, to `out`,
+    /// clearing each published tag as it reads it, and returns the
+    /// number of **torn** slots: claimed by a racing writer but not yet
+    /// published, hence skipped. Zero at a quiescent point, which is the
+    /// only place a drain belongs.
     pub(crate) fn drain_into(&self, out: &mut Vec<Event>) -> u64 {
+        let n = self.len();
         let mut torn = 0;
-        for (chunk, claimed) in self.claimed() {
-            let Some(chunk) = chunk else {
+        for (c, cell) in self.chunks.iter().take(n.div_ceil(CHUNK)).enumerate() {
+            let claimed = CHUNK.min(n - c * CHUNK);
+            let Some(chunk) = cell.get() else {
+                // A racing writer is still allocating it.
                 torn += claimed as u64;
                 continue;
             };
-            for slot in chunk {
+            for slot in &chunk[..claimed] {
                 let tag = slot.tag.load(Ordering::Acquire);
                 if tag & PUBLISHED == 0 {
                     torn += 1;
                     continue;
                 }
+                slot.tag.store(0, Ordering::Relaxed);
                 let ids = slot.ids.load(Ordering::Relaxed);
                 let kind = (tag >> 32 & 0xff) as u8;
                 out.push(Event {
@@ -145,12 +177,11 @@ impl Ring {
         torn
     }
 
-    /// Rewinds the ring for the next capture window. Chunks already
-    /// published stay allocated.
+    /// Rewinds the ring for the next capture window: the counters only.
+    /// Chunks already published stay allocated, and their tags were
+    /// cleared by the [`drain_into`](Self::drain_into) that precedes a
+    /// reset — a torn slot was never published, so it reads clear too.
     pub(crate) fn reset(&self) {
-        for slot in self.claimed().filter_map(|(chunk, _)| chunk).flatten() {
-            slot.tag.store(0, Ordering::Relaxed);
-        }
         self.dropped.store(0, Ordering::Relaxed);
         self.next.store(0, Ordering::Release);
     }
@@ -205,29 +236,61 @@ mod tests {
         assert_eq!(r.dropped(), 0);
     }
 
+    /// Cuts `0..n` into consecutive runs of seeded random length
+    /// (1..=`max`; splitmix64 steps, so the cuts replay).
+    fn splits(n: usize, max: usize, mut seed: u64) -> Vec<std::ops::Range<usize>> {
+        let mut runs = Vec::new();
+        let mut at = 0;
+        while at < n {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ z >> 30).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ z >> 27).wrapping_mul(0x94d0_49bb_1331_11eb);
+            let len = (1 + (z ^ z >> 31) as usize % max).min(n - at);
+            runs.push(at..at + len);
+            at += len;
+        }
+        runs
+    }
+
     /// Every capacity shape — empty, one slot, either side of a chunk
     /// boundary, and a short last chunk — keeps the first `capacity`
-    /// events in order and counts exactly the rest.
+    /// events in order and counts exactly the rest, whether the events
+    /// go in one `push` at a time or as seeded random `push_slice` runs
+    /// (some straddling a chunk boundary or the capacity itself).
     #[test]
     fn first_capacity_events_survive_at_every_chunk_shape() {
         for capacity in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 37] {
-            let r = Ring::new(capacity);
             let pushed = capacity + 5;
-            for i in 0..pushed {
-                assert_eq!(r.push(ev(i as u64)), i < capacity, "capacity {capacity}");
+            let events: Vec<Event> = (0..pushed as u64).map(ev).collect();
+            let single = Ring::new(capacity);
+            for (i, &e) in events.iter().enumerate() {
+                assert_eq!(single.push(e), i < capacity, "capacity {capacity}");
             }
-            assert_eq!(r.len(), capacity);
-            assert_eq!(
-                drained(&r),
-                (0..capacity as u64).map(ev).collect::<Vec<_>>(),
-                "capacity {capacity}"
+            let expect = (
+                drained(&single),
+                single.dropped(),
+                single.len(),
+                single.resident_slots(),
             );
-            assert_eq!(r.dropped(), (pushed - capacity) as u64);
-            assert_eq!(
-                r.resident_slots(),
-                capacity,
-                "a full ring is fully resident"
-            );
+            assert_eq!(expect.0, events[..capacity], "capacity {capacity}");
+            assert_eq!(expect.1, (pushed - capacity) as u64);
+            assert_eq!(expect.2, capacity);
+            assert_eq!(expect.3, capacity, "a full ring is fully resident");
+            for (seed, max) in [(1, 1), (2, 7), (3, 64), (4, 700), (5, 3 * CHUNK)] {
+                let batched = Ring::new(capacity);
+                for run in splits(pushed, max, seed) {
+                    let fit = run.end.min(capacity).saturating_sub(run.start);
+                    assert_eq!(batched.push_slice(&events[run]), fit);
+                }
+                let got = (
+                    drained(&batched),
+                    batched.dropped(),
+                    batched.len(),
+                    batched.resident_slots(),
+                );
+                assert_eq!(got, expect, "capacity {capacity}, runs of ≤ {max}");
+            }
         }
     }
 
@@ -281,31 +344,63 @@ mod tests {
         r.reset();
         assert!(r.push(ev(9)));
         assert_eq!(drained(&r), [ev(9)]);
+
+        // The drain cleared the tags it read, so after the reset a
+        // reclaimed slot that never publishes is torn, not a stale event.
+        r.reset();
+        r.claim_unpublished();
+        assert!(r.push(ev(10)));
+        let mut out = Vec::new();
+        assert_eq!(r.drain_into(&mut out), 1);
+        assert_eq!(out, [ev(10)]);
     }
 
     #[test]
     fn concurrent_writers_lose_nothing_across_chunk_boundaries() {
         // 4 × 2 000 events cross three chunk boundaries; at each one
-        // the writers race to publish the same chunk.
+        // the writers race to publish the same chunk. Writers push one
+        // event at a time, then claim seeded runs of 1..=300 slots with
+        // one `push_slice` each, runs straddling the boundaries: nothing
+        // is lost, and every run comes out as one contiguous block.
         const PER_WRITER: usize = 2_000;
-        let r = Ring::new(4 * PER_WRITER);
         const { assert!(4 * PER_WRITER > 3 * CHUNK) };
-        let start = std::sync::Barrier::new(4);
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let (r, start) = (&r, &start);
-                s.spawn(move || {
-                    start.wait();
-                    for i in 0..PER_WRITER {
-                        assert!(r.push(ev((t * PER_WRITER + i) as u64)));
-                    }
-                });
+        for max_run in [1, 300] {
+            let r = Ring::new(4 * PER_WRITER);
+            let runs: Vec<_> = (0..4)
+                .map(|t| splits(PER_WRITER, max_run, 77 + t as u64))
+                .collect();
+            let start = std::sync::Barrier::new(4);
+            std::thread::scope(|s| {
+                for (t, runs) in runs.iter().enumerate() {
+                    let (r, start) = (&r, &start);
+                    s.spawn(move || {
+                        let base = (t * PER_WRITER) as u64;
+                        let events: Vec<Event> =
+                            (0..PER_WRITER as u64).map(|i| ev(base + i)).collect();
+                        start.wait();
+                        for run in runs {
+                            if max_run == 1 {
+                                assert!(r.push(events[run.start]));
+                            } else {
+                                assert_eq!(r.push_slice(&events[run.clone()]), run.len());
+                            }
+                        }
+                    });
+                }
+            });
+            let out = drained(&r);
+            assert_eq!(r.dropped(), 0);
+            let mut ts: Vec<u64> = out.iter().map(|e| e.ts).collect();
+            for (t, runs) in runs.iter().enumerate() {
+                for run in runs {
+                    let first = (t * PER_WRITER + run.start) as u64;
+                    let at = ts.iter().position(|&x| x == first).expect("run landed");
+                    let block: Vec<u64> = (first..first + run.len() as u64).collect();
+                    assert_eq!(ts[at..at + run.len()], block, "writer {t}, run {run:?}");
+                }
             }
-        });
-        let out = drained(&r);
-        assert_eq!(r.dropped(), 0);
-        let mut ts: Vec<u64> = out.iter().map(|e| e.ts).collect();
-        ts.sort_unstable();
-        assert_eq!(ts, (0..4 * PER_WRITER as u64).collect::<Vec<u64>>());
+            ts.sort_unstable();
+            assert_eq!(ts, (0..4 * PER_WRITER as u64).collect::<Vec<u64>>());
+        }
     }
 }

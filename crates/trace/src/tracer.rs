@@ -9,6 +9,9 @@
 //!   registered core's track.
 //! * **Sim domain** — `pk-sim` stamps events with explicit DES cycles
 //!   via [`Tracer::record_at`]; the tick clock is bypassed entirely.
+//!   A simulation owns every track of its local tracer, so it records
+//!   through one [`TraceWriter`], which claims ring slots a batch at a
+//!   time instead of one `fetch_add` per event.
 //!
 //! Rings are capacity promises backed by on-demand chunks (see
 //! [`crate::ring`]), so `Tracer::new` costs a few words per chunk and a
@@ -27,6 +30,12 @@ use std::sync::OnceLock;
 
 /// Default slots per track for the global tracer.
 pub const DEFAULT_RING_CAPACITY: usize = 8192;
+
+/// Events a [`TraceWriter`] buffers per track before claiming ring
+/// slots for all of them with one `fetch_add`. Chosen by measurement on
+/// the traced `serving_tail` chain: 32 to 256 were within noise of each
+/// other, 16 gave part of the gain back.
+const BATCH: usize = 64;
 
 /// A set of per-track event rings sharing one enabled switch.
 pub struct Tracer {
@@ -113,6 +122,16 @@ impl Tracer {
         });
     }
 
+    /// A batching writer for a caller that owns every track of this
+    /// tracer — a simulation recording into its local tracer. See
+    /// [`TraceWriter`].
+    pub fn writer(&self) -> TraceWriter<'_> {
+        TraceWriter {
+            tracer: self,
+            pending: self.rings.iter().map(|_| Vec::new()).collect(),
+        }
+    }
+
     /// Events currently buffered across all tracks.
     pub fn recorded(&self) -> u64 {
         self.rings.iter().map(|r| r.len() as u64).sum()
@@ -163,6 +182,67 @@ impl Tracer {
         }
         self.out_of_range.store(0, Ordering::Relaxed);
         out
+    }
+}
+
+/// The single-owner writer of a sim-domain run: [`record_at`] buffers
+/// each track's events, hands a full buffer of 64 events to the track's
+/// ring in one claim, and hands over every non-empty buffer when the
+/// writer drops — at the end of the run, or as a panic unwinds it.
+///
+/// Per-event [`Tracer::record`] pays a locked read-modify-write on the
+/// ring's claim counter, which waits for the slot stores ahead of it to
+/// drain; one claim per batch takes that off the engines' hot loop.
+/// What lands is byte-for-byte what per-event `record_at` calls in the
+/// same order would leave: per-track order is call order, and on
+/// overflow the first events that fit are kept and the rest counted.
+/// Buffered events are not yet visible to [`Tracer::recorded`] or a
+/// drain, and a track written both through a writer and directly would
+/// interleave out of order — so every event of the run goes through
+/// one writer. A track's buffer is allocated by its first event.
+///
+/// [`record_at`]: TraceWriter::record_at
+pub struct TraceWriter<'a> {
+    tracer: &'a Tracer,
+    pending: Box<[Vec<Event>]>,
+}
+
+impl TraceWriter<'_> {
+    /// [`Tracer::record_at`], buffered.
+    #[inline]
+    pub fn record_at(
+        &mut self,
+        track: usize,
+        ts: u64,
+        kind: EventKind,
+        class: u32,
+        site: u32,
+        arg: u64,
+    ) {
+        let Some(pending) = self.pending.get_mut(track) else {
+            self.tracer.out_of_range.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        pending.push(Event {
+            ts,
+            arg,
+            class,
+            site,
+            track: track as u32,
+            kind,
+        });
+        if pending.len() == BATCH {
+            self.tracer.rings[track].push_slice(pending);
+            pending.clear();
+        }
+    }
+}
+
+impl Drop for TraceWriter<'_> {
+    fn drop(&mut self) {
+        for (ring, pending) in self.tracer.rings.iter().zip(self.pending.iter()) {
+            ring.push_slice(pending);
+        }
     }
 }
 
@@ -249,8 +329,48 @@ mod tests {
         let t = Tracer::new(1, 4);
         t.record(9, EventKind::Instant, 1, 0, 0);
         t.record_at(9, 5, EventKind::Instant, 1, 0, 0);
-        assert_eq!(t.dropped(), 2);
+        t.writer().record_at(9, 5, EventKind::Instant, 1, 0, 0);
+        assert_eq!(t.dropped(), 3);
         assert!(t.drain().is_empty());
+    }
+
+    /// A writer leaves the tracer exactly as per-event `record_at` calls
+    /// in the same order do — streams, drops per track, lengths — over
+    /// full batches, partial ones and an overflowing track.
+    #[test]
+    fn a_writer_records_what_per_event_calls_record() {
+        let calls: Vec<(usize, u64)> = (0..5 * BATCH as u64 + 17)
+            .map(|i| ((i * 7 % 3) as usize, i))
+            .collect();
+        let direct = Tracer::new(3, BATCH + 5);
+        let batched = Tracer::new(3, BATCH + 5);
+        {
+            let mut w = batched.writer();
+            for &(track, ts) in &calls {
+                direct.record_at(track, ts, EventKind::Instant, 1, 2, ts * 3);
+                w.record_at(track, ts, EventKind::Instant, 1, 2, ts * 3);
+            }
+            assert!(
+                batched.recorded() < direct.recorded(),
+                "buffered until drop"
+            );
+        }
+        assert_eq!(batched.recorded(), direct.recorded());
+        assert_eq!(batched.dropped_by_track(), direct.dropped_by_track());
+        assert!(direct.dropped() > 0, "the run overflows a track");
+        assert_eq!(batched.drain(), direct.drain());
+    }
+
+    #[test]
+    fn a_writer_flushes_as_a_panic_unwinds() {
+        let t = Tracer::new(2, 16);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut w = t.writer();
+            w.record_at(1, 4, EventKind::Instant, 1, 0, 0);
+            panic!("engine bug");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(t.drain().len(), 1);
     }
 
     #[test]

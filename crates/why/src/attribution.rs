@@ -74,9 +74,9 @@ pub fn attribute(costs: &[RequestCost], q: f64) -> Option<Attribution> {
         return None;
     }
     let mut lat: Vec<u64> = costs.iter().map(|c| c.latency).collect();
-    lat.sort_unstable();
     let rank = ((q.clamp(0.0, 1.0) * lat.len() as f64).ceil() as usize).max(1);
-    let threshold = lat[rank - 1];
+    // The order statistic alone, not a sorted copy: a selection is linear.
+    let threshold = *lat.select_nth_unstable(rank - 1).1;
 
     let mut a = Attribution {
         quantile: q,
@@ -144,6 +144,23 @@ mod tests {
         let a = attribute(&costs, 0.9).unwrap();
         assert_eq!(a.threshold_cycles, 118);
         assert_eq!(a.requests, 2, "latencies 118 and 119 are in the tail");
+
+        // Seeded random latencies, ties included, against a sorted
+        // reference at the rank rule `ceil(q·n)`.
+        for (seed, n) in [(1u64, 1usize), (2, 2), (3, 10), (4, 999), (5, 5_000)] {
+            let costs: Vec<RequestCost> = (0..n as u64)
+                .map(|i| cost(i, 0, pk_fault::mix64(seed << 32 | i) % 4_000, &[]))
+                .collect();
+            let mut sorted: Vec<u64> = costs.iter().map(|c| c.latency).collect();
+            sorted.sort_unstable();
+            for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
+                let rank = ((q * n as f64).ceil() as usize).max(1);
+                let a = attribute(&costs, q).unwrap();
+                assert_eq!(a.threshold_cycles, sorted[rank - 1], "n={n} q={q}");
+                let tail = sorted.iter().filter(|&&l| l >= sorted[rank - 1]).count();
+                assert_eq!(a.requests, tail, "n={n} q={q}");
+            }
+        }
     }
 
     #[test]

@@ -424,17 +424,73 @@ impl Sink<'_> for NodeSink {
 /// name is resolved once per fold ([`ClassNames`]), and a record costs
 /// one allocation, its wait list.
 pub fn fold(events: &[Event]) -> FoldOutput<'_> {
-    if events.is_sorted_by_key(|e| e.track) {
-        price(events, Cow::Borrowed)
-    } else {
-        let mut grouped = events.to_vec();
-        grouped.sort_by_key(|e| e.track);
-        price(&grouped, |own| Cow::Owned(own.to_vec()))
+    by_track(
+        events,
+        |tracks| price(tracks, Cow::Borrowed),
+        |tracks| price(tracks, |own| Cow::Owned(own.to_vec())),
+    )
+}
+
+/// A stream's track groups, in stream order, for as long as their ids
+/// ascend — the layout a drain leaves. A group whose id is not above the
+/// one before it (a track that repeats, as in an interleaved stream, or
+/// any other layout a drain never leaves) ends the iteration and marks
+/// the stream for regrouping.
+struct Tracks<'t> {
+    groups: std::slice::ChunkBy<'t, Event, fn(&Event, &Event) -> bool>,
+    last: Option<u32>,
+    repeated: bool,
+}
+
+impl<'t> Tracks<'t> {
+    fn new(events: &'t [Event]) -> Self {
+        Self {
+            groups: events.chunk_by(|a, b| a.track == b.track),
+            last: None,
+            repeated: false,
+        }
     }
 }
 
+impl<'t> Iterator for Tracks<'t> {
+    type Item = &'t [Event];
+
+    fn next(&mut self) -> Option<&'t [Event]> {
+        let group = self.groups.next()?;
+        let track = group[0].track;
+        if self.last.is_some_and(|last| track <= last) {
+            self.repeated = true;
+            return None;
+        }
+        self.last = Some(track);
+        Some(group)
+    }
+}
+
+/// The one grouping rule of both folds: each track is walked on its
+/// own, in ascending track order. A drained stream is already laid out
+/// that way, so `in_place` walks its groups in the same pass that finds
+/// them, and what it returns may borrow from `events`. Only when the ids
+/// stop ascending is that result thrown away and `regrouped` run over a
+/// stably sorted copy (each track's stream order survives).
+fn by_track<'e, R>(
+    events: &'e [Event],
+    in_place: impl FnOnce(&mut Tracks<'e>) -> R,
+    regrouped: impl FnOnce(&mut Tracks<'_>) -> R,
+) -> R {
+    let mut tracks = Tracks::new(events);
+    let out = in_place(&mut tracks);
+    if !tracks.repeated {
+        return out;
+    }
+    drop(out);
+    let mut grouped = events.to_vec();
+    grouped.sort_by_key(|e| e.track);
+    regrouped(&mut Tracks::new(&grouped))
+}
+
 fn price<'t, 'a>(
-    grouped: &'t [Event],
+    tracks: &mut Tracks<'t>,
     keep: impl Fn(&'t [Event]) -> Cow<'a, [Event]>,
 ) -> FoldOutput<'a> {
     let mut pricer = Pricer {
@@ -446,7 +502,7 @@ fn price<'t, 'a>(
         trees: Vec::new(),
     };
     let (mut malformed, mut in_flight) = (0, 0);
-    for track in grouped.chunk_by(|a, b| a.track == b.track) {
+    for track in tracks {
         let (bad, open) = walk(track, &mut pricer);
         malformed += bad;
         in_flight += open;
@@ -553,21 +609,7 @@ impl Profile {
     /// total pins at the ceiling rather than wrapping (or panicking in
     /// a debug build) and every derived percentage stays finite.
     pub fn build(events: &[Event]) -> Profile {
-        let grouped = if events.is_sorted_by_key(|e| e.track) {
-            Cow::Borrowed(events)
-        } else {
-            let mut grouped = events.to_vec();
-            grouped.sort_by_key(|e| e.track);
-            Cow::Owned(grouped)
-        };
-        let mut sink = ClassSink::default();
-        for track in grouped.chunk_by(|a, b| a.track == b.track) {
-            walk(track, &mut sink);
-            let last = track.iter().map(|e| e.ts).max().unwrap_or(0);
-            while !sink.open.is_empty() {
-                sink.shut(last);
-            }
-        }
+        let sink = by_track(events, ClassSink::fold, ClassSink::fold);
         let mut totals: Vec<ClassTotals> = sink
             .flat
             .into_iter()
@@ -608,6 +650,21 @@ struct ClassSink {
 }
 
 impl ClassSink {
+    /// Walks every track into one sink.
+    fn fold(tracks: &mut Tracks) -> Self {
+        let mut sink = Self::default();
+        for track in tracks {
+            walk(track, &mut sink);
+            if !sink.open.is_empty() {
+                let last = track.iter().map(|e| e.ts).max().unwrap_or(0);
+                while !sink.open.is_empty() {
+                    sink.shut(last);
+                }
+            }
+        }
+        sink
+    }
+
     /// Closes the innermost open frame at `end`.
     fn shut(&mut self, end: u64) {
         let (key, start, children) = self.open.pop().expect("one entry per open frame");
@@ -864,16 +921,24 @@ mod tests {
     #[test]
     fn profile_tracks_fold_independently_and_sum() {
         let c = pk_trace::intern::intern_span("test.profile.pertrack");
-        let events = vec![
+        let interleaved = vec![
             ev(0, 0, EventKind::SpanBegin, c, 0),
             ev(1, 5, EventKind::SpanBegin, c, 0),
             ev(0, 10, EventKind::SpanEnd, c, 0),
             ev(1, 25, EventKind::SpanEnd, c, 0),
         ];
-        let p = Profile::build(&events);
-        assert_eq!(p.total_cycles, 30);
-        let t = &p.totals()[0];
-        assert_eq!((t.count, t.inclusive), (2, 30));
+        // The same stream as a drain lays it out, and with its tracks
+        // swapped: one profile, however the tracks were grouped.
+        let mut grouped = interleaved.clone();
+        grouped.sort_by_key(|e| e.track);
+        let mut descending = grouped.clone();
+        descending.sort_by_key(|e| std::cmp::Reverse(e.track));
+        for events in [interleaved, grouped, descending] {
+            let p = Profile::build(&events);
+            assert_eq!(p.total_cycles, 30);
+            let t = &p.totals()[0];
+            assert_eq!((t.count, t.inclusive), (2, 30));
+        }
     }
 
     #[test]
