@@ -93,11 +93,14 @@ pub fn run_all(seed: u64, cores: usize, ops: u64) -> Vec<Row> {
 pub fn failures(rows: &[Row]) -> Vec<String> {
     let mut out = Vec::new();
     for r in rows {
-        if r.ratio_vs_pk() < PK_FLOOR {
+        // A NaN ratio (no throughput measured) is no evidence of
+        // reaching the floor, so it fails too.
+        let ratio = r.ratio_vs_pk();
+        if ratio.is_nan() || ratio < PK_FLOOR {
             out.push(format!(
                 "{}: adaptive reached only {:.1}% of PK (floor {:.0}%)",
                 r.workload,
-                100.0 * r.ratio_vs_pk(),
+                100.0 * ratio,
                 100.0 * PK_FLOOR
             ));
         }
@@ -184,5 +187,23 @@ mod tests {
         assert!(fails[0].contains("only 50.0% of PK"));
         assert!(fails[1].contains("changed direction 4 times"));
         assert!(fails[2].contains("did not settle within 32 epochs"));
+    }
+
+    #[test]
+    fn zero_throughput_fails_the_pk_floor() {
+        let row = Row {
+            workload: "exim",
+            stock_ops_per_cycle: 0.0,
+            pk_ops_per_cycle: 0.0,
+            adaptive_ops_per_cycle: 0.0,
+            promoted: 0,
+            epochs: 1,
+            converged: true,
+            max_flips: 0,
+            decisions: Vec::new(),
+        };
+        let fails = failures(&[row]);
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].contains("NaN% of PK"), "{fails:?}");
     }
 }

@@ -2,9 +2,9 @@
 //! and run the engine-throughput smoke.
 //!
 //! * Default: compute the metric set for `--seed` (default 42), write
-//!   it to `--out` (default `BENCH_scale.json`) and print the writer
-//!   stall headline. The metrics are a pure function of the seed, so
-//!   checking a committed baseline is `cmp` against a regenerated file.
+//!   it to `--out` (default `BENCH_scale.json`). The metrics are a pure
+//!   function of the seed, so checking a committed baseline is `cmp`
+//!   against a regenerated file.
 //! * `--check-engine PATH`: time the calendar-queue DES engine over
 //!   the 48-core roster and compare events/sec against the committed
 //!   floor baseline at `PATH` (`BENCH_engine.json`); exits 1 if the
@@ -47,7 +47,6 @@ pub fn run(args: &Args) -> Result<(), String> {
         "scale: wrote {} metrics to {out} (seed {seed})",
         metrics.len()
     );
-    report_stall_headline(&metrics);
     Ok(())
 }
 
@@ -82,17 +81,4 @@ fn check_engine_throughput(baseline_path: &str, seed: u64) -> Result<(), String>
         ));
     }
     Ok(())
-}
-
-/// Prints the acceptance-criteria headline: dcache writer stall under
-/// both reclamation disciplines.
-fn report_stall_headline(m: &scale::Metrics) {
-    let blocking = m.get("stall.dcache.blocking.modeled_stall_cycles");
-    let deferred = m.get("stall.dcache.deferred.modeled_stall_cycles");
-    let pct = m.get("stall.dcache.stall_reduction_pct");
-    if let (Some(b), Some(d), Some(p)) = (blocking, deferred, pct) {
-        println!(
-            "dcache writer stall: blocking synchronize {b:.0} cycles vs deferred call_rcu {d:.0} cycles ({p:.1}% reduction)"
-        );
-    }
 }

@@ -2,13 +2,13 @@
 //!
 //! **Deterministic metrics** — analytic (MVA) sweep points, seeded
 //! discrete-event runs, and single-threaded writer-stall phases that
-//! churn the real substrates under both RCU reclamation disciplines
-//! and read the `rcu.*` counter deltas. These are pure functions of
-//! the seed and regenerate **byte-identically**, so they live in
-//! `BENCH_scale.json` and a regenerated file must `cmp` equal to the
-//! committed one. Host wall-clock is recorded by the repo benchmark
-//! (`benchmark/README.md`), not here; the one timing this module takes
-//! is the engine-throughput smoke behind `--check-engine`.
+//! churn the real substrates and read the `rcu.*` counter deltas.
+//! These are pure functions of the seed and regenerate
+//! **byte-identically**, so they live in `BENCH_scale.json` and a
+//! regenerated file must `cmp` equal to the committed one. Host
+//! wall-clock is recorded by the repo benchmark (`benchmark/README.md`),
+//! not here; the one timing this module takes is the engine-throughput
+//! smoke behind `--check-engine`.
 //!
 //! The JSON is a flat object — one sorted dotted key per line — so
 //! reading the engine floor back needs no JSON library, just the line
@@ -30,7 +30,10 @@ use std::collections::BTreeMap;
 /// v3: added `adapt.*` adaptive-personality convergence rows.
 /// v4: four-way personality curves (stock/coarse/pk/adaptive) keyed by
 /// topology at 96 (16×6), 192 (16×12), and 1024 (64×16) cores.
-pub const SCHEMA_VERSION: u64 = 4;
+/// v5: dropped the blocking-writer rows (`stall.*.blocking.*` and each
+/// substrate's reduction percentage): every RCU writer retires through
+/// `call_rcu`.
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// A flat, sorted metric map. `BTreeMap` ordering plus the renderer's
 /// fixed float formatting is what makes the emitted JSON byte-identical
@@ -110,7 +113,7 @@ impl Metrics {
 /// phase plus the modeled writer-side stall they imply.
 #[derive(Debug, Clone, Copy)]
 pub struct StallRow {
-    /// Blocking grace periods the writers ate.
+    /// Grace periods the writers waited out.
     pub synchronize_calls: u64,
     /// Spin iterations inside those grace periods.
     pub sync_spin_iters: u64,
@@ -169,12 +172,10 @@ impl StallRow {
 
 /// Dcache insert/remove churn: the acceptance-criteria path. Every
 /// insert and remove republishes a bucket and retires the old vector.
-pub fn stall_dcache(deferred: bool, ops: usize) -> StallRow {
+pub fn stall_dcache(ops: usize) -> StallRow {
     use pk_vfs::{Dcache, DentryKey, InodeId, VfsConfig, VfsStats};
     use std::sync::Arc;
-    let mut cfg = VfsConfig::pk(8);
-    cfg.deferred_reclamation = deferred;
-    let dc = Dcache::new(64, cfg, Arc::new(VfsStats::new()));
+    let dc = Dcache::new(64, VfsConfig::pk(8), Arc::new(VfsStats::new()));
     measure_stall(|| {
         for i in 0..ops {
             let key = DentryKey::new(InodeId(1), format!("f{i}"));
@@ -188,12 +189,10 @@ pub fn stall_dcache(deferred: bool, ops: usize) -> StallRow {
 
 /// Mount/umount churn: each umount retires the table's mount reference
 /// (and any per-core cache entries) past a grace period.
-pub fn stall_mount(deferred: bool, ops: usize) -> StallRow {
+pub fn stall_mount(ops: usize) -> StallRow {
     use pk_vfs::{MountTable, VfsConfig, VfsStats};
     use std::sync::Arc;
-    let mut cfg = VfsConfig::pk(8);
-    cfg.deferred_reclamation = deferred;
-    let t = MountTable::new(cfg, Arc::new(VfsStats::new()));
+    let t = MountTable::new(VfsConfig::pk(8), Arc::new(VfsStats::new()));
     measure_stall(|| {
         for _ in 0..ops {
             t.mount("/mnt");
@@ -206,11 +205,9 @@ pub fn stall_mount(deferred: bool, ops: usize) -> StallRow {
 
 /// Socket-table churn: each bind/listen republishes the port map and
 /// retires the previous version.
-pub fn stall_net(deferred: bool, ops: usize) -> StallRow {
+pub fn stall_net(ops: usize) -> StallRow {
     use pk_net::{NetConfig, NetStack};
-    let mut cfg = NetConfig::pk(8);
-    cfg.deferred_reclamation = deferred;
-    let stack = NetStack::new(cfg);
+    let stack = NetStack::new(NetConfig::pk(8));
     measure_stall(|| {
         for i in 0..ops {
             let port = 1024 + i as u16;
@@ -222,11 +219,10 @@ pub fn stall_net(deferred: bool, ops: usize) -> StallRow {
 
 /// mmap/munmap churn: each call republishes the region list; munmap
 /// retires the unmapped region's metadata past a grace period.
-pub fn stall_mm(deferred: bool, ops: usize) -> StallRow {
+pub fn stall_mm(ops: usize) -> StallRow {
     use pk_mm::{AddressSpace, MmConfig, MmStats, NumaAllocator, PageSize};
     use std::sync::Arc;
     let mut cfg = MmConfig::pk(8);
-    cfg.deferred_reclamation = deferred;
     cfg.numa_nodes = 2;
     cfg.pages_per_node = 100_000;
     let stats = Arc::new(MmStats::new());
@@ -239,6 +235,18 @@ pub fn stall_mm(deferred: bool, ops: usize) -> StallRow {
         }
     })
 }
+
+/// A writer-stall phase: substrate name, churn, and its op count.
+type StallPhase = (&'static str, fn(usize) -> StallRow, usize);
+
+/// Every RCU-converted substrate's churn, as `deterministic_metrics`
+/// runs it.
+const STALL_PHASES: [StallPhase; 4] = [
+    ("dcache", stall_dcache, 1024),
+    ("mount", stall_mount, 256),
+    ("net", stall_net, 512),
+    ("mm", stall_mm, 256),
+];
 
 /// Computes the full deterministic metric set for `seed`.
 ///
@@ -365,29 +373,9 @@ pub fn deterministic_metrics(seed: u64) -> Metrics {
         }
     }
 
-    // Writer-stall phases: the same churn under blocking synchronize()
-    // and deferred call_rcu, on every converted substrate.
-    type StallPhase = (&'static str, fn(bool, usize) -> StallRow, usize);
-    let phases: [StallPhase; 4] = [
-        ("dcache", stall_dcache, 1024),
-        ("mount", stall_mount, 256),
-        ("net", stall_net, 512),
-        ("mm", stall_mm, 256),
-    ];
-    for (name, run, ops) in phases {
-        let blocking = run(false, ops);
-        let deferred = run(true, ops);
-        blocking.emit(&mut m, &format!("stall.{name}.blocking"));
-        deferred.emit(&mut m, &format!("stall.{name}.deferred"));
-        let saved = blocking
-            .modeled_stall_cycles
-            .saturating_sub(deferred.modeled_stall_cycles);
-        let pct = if blocking.modeled_stall_cycles == 0 {
-            0.0
-        } else {
-            100.0 * saved as f64 / blocking.modeled_stall_cycles as f64
-        };
-        m.put_f64(&format!("stall.{name}.stall_reduction_pct"), pct);
+    // Writer-stall phases: churn on every RCU-converted substrate.
+    for (name, run, ops) in STALL_PHASES {
+        run(ops).emit(&mut m, &format!("stall.{name}.deferred"));
     }
     // Leave the global queues clean for whoever runs next.
     rcu::rcu_barrier();
@@ -436,42 +424,18 @@ mod tests {
     }
 
     #[test]
-    fn deferred_dcache_writers_stall_less() {
+    fn every_substrate_retires_through_call_rcu() {
         let _serial = crate::rcu_serial();
-        let blocking = stall_dcache(false, 256);
-        let deferred = stall_dcache(true, 256);
-        assert_eq!(blocking.synchronize_calls, 512, "one grace wait per update");
-        assert_eq!(blocking.call_rcu, 0);
-        assert_eq!(deferred.call_rcu, 512, "every update retires via call_rcu");
-        assert!(
-            deferred.modeled_stall_cycles < blocking.modeled_stall_cycles,
-            "deferral must shed writer stall: {} !< {}",
-            deferred.modeled_stall_cycles,
-            blocking.modeled_stall_cycles
-        );
-        // Nothing may leak: retired objects are freed or still queued.
-        assert_eq!(
-            deferred.call_rcu,
-            deferred.deferred_freed + deferred.deferred_pending_at_end
-        );
-        rcu::rcu_barrier();
-    }
-
-    #[test]
-    fn every_converted_substrate_defers() {
-        let _serial = crate::rcu_serial();
-        for (name, run) in [
-            ("mount", stall_mount as fn(bool, usize) -> StallRow),
-            ("net", stall_net),
-            ("mm", stall_mm),
-        ] {
-            let blocking = run(false, 64);
-            let deferred = run(true, 64);
-            assert!(blocking.synchronize_calls > 0, "{name} blocking must wait");
-            assert!(deferred.call_rcu > 0, "{name} deferred must call_rcu");
-            assert!(
-                deferred.modeled_stall_cycles < blocking.modeled_stall_cycles,
-                "{name}: deferral must shed writer stall"
+        // Retires per churn iteration, in `STALL_PHASES` order.
+        for ((name, run, _), per_op) in STALL_PHASES.into_iter().zip([2, 1, 2, 2]) {
+            let row = run(64);
+            assert_eq!(row.synchronize_calls, 0, "{name}: a writer waited");
+            assert_eq!(row.call_rcu, 64 * per_op, "{name}: one call_rcu per retire");
+            // Nothing may leak: retired objects are freed or still queued.
+            assert_eq!(
+                row.deferred_freed + row.deferred_pending_at_end,
+                row.call_rcu,
+                "{name}"
             );
         }
         rcu::rcu_barrier();

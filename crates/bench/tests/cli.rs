@@ -124,6 +124,16 @@ fn a_bogus_chaos_workload_lists_the_roster() {
     );
 }
 
+/// A run with no throughput to compare is no evidence for the PK-floor
+/// gate: it fails rather than printing `NaN%` and passing.
+#[test]
+fn adaptive_without_throughput_fails_the_pk_floor() {
+    let out = pk_bench("report adaptive --ops 0 --cores 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("NaN% of PK"), "{stderr}");
+}
+
 #[test]
 fn cheap_sections_run_clean() {
     for (line, needle) in [

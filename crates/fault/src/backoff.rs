@@ -63,33 +63,9 @@ impl RetryPolicy {
         &self,
         seed: u64,
         token: u64,
-        mut op: impl FnMut(u32) -> Result<T, E>,
+        op: impl FnMut(u32) -> Result<T, E>,
     ) -> RetryOutcome<T, E> {
-        let max = self.max_attempts.max(1);
-        let mut backoff_cycles = 0;
-        let mut attempt = 0;
-        loop {
-            match op(attempt) {
-                Ok(v) => {
-                    return RetryOutcome {
-                        result: Ok(v),
-                        attempts: attempt + 1,
-                        backoff_cycles,
-                    }
-                }
-                Err(e) if attempt + 1 >= max => {
-                    return RetryOutcome {
-                        result: Err(e),
-                        attempts: attempt + 1,
-                        backoff_cycles,
-                    }
-                }
-                Err(_) => {
-                    backoff_cycles += self.delay_cycles(seed, token, attempt);
-                    attempt += 1;
-                }
-            }
-        }
+        self.run_within(seed, token, 0, op).outcome
     }
 }
 

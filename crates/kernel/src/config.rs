@@ -55,10 +55,6 @@ pub struct KernelConfig {
     fixes: [bool; NUM_FIXES],
     /// Which personality this build is (stock / coarse / PK / adaptive).
     personality: Personality,
-    /// Reclamation discipline for RCU-protected structures in every
-    /// substrate: deferred `call_rcu` (true, the default) or blocking
-    /// `synchronize()` on each writer. Orthogonal to the 16 fixes.
-    deferred_reclamation: bool,
     /// Overload-survival posture for the serving layer: admission
     /// queue bound, shedding policy, SLO budget, deadline propagation
     /// and degradation hooks. [`OverloadPolicy::NONE`] (the default in
@@ -122,7 +118,6 @@ impl KernelConfig {
             sockets: 8,
             fixes: [personality == Personality::Pk; NUM_FIXES],
             personality,
-            deferred_reclamation: true,
             overload: OverloadPolicy::NONE,
         }
     }
@@ -167,20 +162,6 @@ impl KernelConfig {
     /// Which personality this build is.
     pub fn personality(&self) -> Personality {
         self.personality
-    }
-
-    /// Returns a copy with the RCU reclamation discipline set: deferred
-    /// `call_rcu` queues (`true`) or blocking `synchronize()` writers
-    /// (`false`). Observable behaviour must be identical either way —
-    /// `tests/config_equivalence.rs` holds the substrates to that.
-    pub fn with_deferred_reclamation(mut self, deferred: bool) -> Self {
-        self.deferred_reclamation = deferred;
-        self
-    }
-
-    /// The configured RCU reclamation discipline.
-    pub fn deferred_reclamation(&self) -> bool {
-        self.deferred_reclamation
     }
 
     /// Returns a copy with the overload-survival posture set. Sweeps
@@ -228,7 +209,6 @@ impl KernelConfig {
             rcu_path_walk: self.has(FixId::RcuPathWalk),
             snzi_refs: self.has(FixId::SnziVfsRefs),
             sockets: self.sockets,
-            deferred_reclamation: self.deferred_reclamation,
         }
     }
 
@@ -252,7 +232,6 @@ impl KernelConfig {
             // RFS is a software alternative the paper cites but PK does
             // not enable (it relies on hardware steering instead).
             software_rfs: false,
-            deferred_reclamation: self.deferred_reclamation,
             accept_backlog_cap: self.overload.admission_cap as usize,
         }
     }
@@ -274,7 +253,6 @@ impl KernelConfig {
             },
             per_mapping_superpage_mutex: self.has(FixId::SuperPageFineLocking),
             nocache_superpage_zeroing: self.has(FixId::NoCacheSuperPageZeroing),
-            deferred_reclamation: self.deferred_reclamation,
             ..base
         }
     }

@@ -34,11 +34,6 @@ pub struct MmConfig {
     /// "Use non-caching instructions to zero the contents of super-pages"
     /// so zeroing does not flush the on-chip caches (Figure 1).
     pub nocache_superpage_zeroing: bool,
-    /// Retire replaced region-list snapshots through `call_rcu` per-core
-    /// deferred-free queues instead of blocking `mmap`/`munmap` on a
-    /// `synchronize()` grace period. Not a Figure-1 fix; on in both
-    /// presets, off for the blocking-writer baseline.
-    pub deferred_reclamation: bool,
 }
 
 impl MmConfig {
@@ -50,7 +45,6 @@ impl MmConfig {
             pages_per_node: 8 << 20 >> 2, // 8 GB/node of 4 KB pages
             per_mapping_superpage_mutex: false,
             nocache_superpage_zeroing: false,
-            deferred_reclamation: true,
         }
     }
 

@@ -99,8 +99,7 @@ pub struct AddressSpace {
     /// RCU-published region list: faults read a snapshot without writing
     /// shared lock state; `mmap`/`munmap` copy, update, publish, and
     /// retire the old snapshot (and with it any removed [`Region`])
-    /// through the per-core deferred-free queues — or a blocking
-    /// `synchronize()` when `deferred_reclamation` is off.
+    /// through the per-core deferred-free queues.
     regions: RcuCell<Vec<Arc<Region>>>,
     next_id: AtomicU64,
     /// Stock's single super-page mutex for the whole address space.
@@ -146,7 +145,7 @@ impl AddressSpace {
         });
         region.mapping_mutex.set_class(MAPPING_MUTEX_CLASS.id());
         self.stats.mmaps.bump();
-        self.regions.publish(self.config.deferred_reclamation, |v| {
+        self.regions.publish(|v| {
             let mut v = v.clone();
             v.push(Arc::clone(&region));
             v
@@ -170,9 +169,8 @@ impl AddressSpace {
         // retired `Arc<Region>`) is freed past a grace period. The pages
         // themselves are returned to the allocator *now* — munmap's
         // observable effect is synchronous either way.
-        self.regions.publish(self.config.deferred_reclamation, |v| {
-            v.iter().filter(|r| r.id != id).cloned().collect()
-        });
+        self.regions
+            .publish(|v| v.iter().filter(|r| r.id != id).cloned().collect());
         let _ = core;
         // Return every faulted page to the node it was allocated from.
         for (node, pages) in region

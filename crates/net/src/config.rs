@@ -32,11 +32,6 @@ pub struct NetConfig {
     /// re-steers polled packets to the core that owns the flow's socket,
     /// paying a cross-core queue hop when the hardware misdirected them.
     pub software_rfs: bool,
-    /// Retire replaced socket/listener table snapshots through `call_rcu`
-    /// deferred-free queues instead of blocking the binding thread on a
-    /// `synchronize()` grace period. Not a Figure-1 fix; on in both
-    /// presets, off for the blocking-writer baseline.
-    pub deferred_reclamation: bool,
     /// Bound on a listener's total accept backlog (across per-core
     /// queues); 0 = unbounded, the historical behaviour and the
     /// default in both presets. When the bound is hit, `enqueue`
@@ -68,7 +63,6 @@ impl NetConfig {
             percore_accept_queues: false,
             hash_flow_steering: false,
             software_rfs: false,
-            deferred_reclamation: true,
             accept_backlog_cap: 0,
             flow_table_shards: 1,
             snzi_dst_refs: false,
@@ -87,7 +81,6 @@ impl NetConfig {
             percore_accept_queues: true,
             hash_flow_steering: true,
             software_rfs: false,
-            deferred_reclamation: true,
             accept_backlog_cap: 0,
             flow_table_shards: 8,
             snzi_dst_refs: true,

@@ -124,28 +124,26 @@ impl DstCache {
 
     /// Caches an entry for `dest_ip` unless one is already there.
     ///
-    /// Publishes, so it must run outside any read-side section: under
-    /// the blocking discipline a publish waits out a grace period, which
-    /// would wait on the caller's own section.
+    /// Publishes, so callers run it outside their read-side section:
+    /// inside one, the retire's `call_rcu` only queues the old snapshot
+    /// and leaves its reap to a later retire.
     pub fn insert(&self, dest_ip: u32) {
         let config = self.config;
-        let _already_cached = self
-            .routes
-            .try_publish(config.deferred_reclamation, |routes| {
-                if routes.live.contains_key(&dest_ip) {
-                    return Err(());
-                }
-                let refcount = RefCount::new_scaled(
-                    config.sloppy_dst_refs,
-                    config.snzi_dst_refs,
-                    config.cores,
-                    config.numa_nodes,
-                );
-                let entry = DstEntry::with_refcount(dest_ip, dest_ip ^ 0x0101_0101, refcount);
-                let mut routes = routes.clone();
-                routes.live.insert(dest_ip, Arc::new(entry));
-                Ok(routes)
-            });
+        let _already_cached = self.routes.try_publish(|routes| {
+            if routes.live.contains_key(&dest_ip) {
+                return Err(());
+            }
+            let refcount = RefCount::new_scaled(
+                config.sloppy_dst_refs,
+                config.snzi_dst_refs,
+                config.cores,
+                config.numa_nodes,
+            );
+            let entry = DstEntry::with_refcount(dest_ip, dest_ip ^ 0x0101_0101, refcount);
+            let mut routes = routes.clone();
+            routes.live.insert(dest_ip, Arc::new(entry));
+            Ok(routes)
+        });
     }
 
     /// `(shared_ops, local_ops)` of the refcounts of every route this
@@ -180,25 +178,24 @@ impl DstCache {
     /// a packet that borrowed it keeps a valid entry (whose `get` now
     /// fails) until its section ends.
     pub fn evict(&self, dest_ip: u32) -> Result<(), DeallocError> {
-        self.routes
-            .try_publish(self.config.deferred_reclamation, |routes| {
-                let Some(e) = routes.live.get(&dest_ip) else {
-                    return Err(DeallocError::AlreadyDead);
-                };
-                // Drop the cache's own reference for the check, restoring
-                // it on failure.
-                e.put(CoreId(0));
-                if let Err(err) = e.try_dealloc() {
-                    e.get(CoreId(0)).expect("entry still live");
-                    return Err(err);
-                }
-                let (shared, local) = e.refcount_ops();
-                let mut routes = routes.clone();
-                routes.live.remove(&dest_ip);
-                routes.evicted_ops.0 += shared;
-                routes.evicted_ops.1 += local;
-                Ok(routes)
-            })
+        self.routes.try_publish(|routes| {
+            let Some(e) = routes.live.get(&dest_ip) else {
+                return Err(DeallocError::AlreadyDead);
+            };
+            // Drop the cache's own reference for the check, restoring
+            // it on failure.
+            e.put(CoreId(0));
+            if let Err(err) = e.try_dealloc() {
+                e.get(CoreId(0)).expect("entry still live");
+                return Err(err);
+            }
+            let (shared, local) = e.refcount_ops();
+            let mut routes = routes.clone();
+            routes.live.remove(&dest_ip);
+            routes.evicted_ops.0 += shared;
+            routes.evicted_ops.1 += local;
+            Ok(routes)
+        })
     }
 }
 

@@ -73,7 +73,7 @@ pub struct NetStack {
     /// The RCU-published port table: packet paths read a snapshot inside
     /// their read-side section without writing shared lock state; binds,
     /// listens and pins copy, update, publish, and retire the old
-    /// snapshot per the configured reclamation discipline.
+    /// snapshot through `call_rcu`.
     ports: RcuCell<PortMap>,
 }
 
@@ -141,12 +141,11 @@ impl NetStack {
 
     /// Publishes the port table with `update` applied to `port`'s entry.
     fn update_port(&self, port: u16, update: impl FnOnce(&mut Port)) {
-        self.ports
-            .publish(self.config.deferred_reclamation, |ports| {
-                let mut ports = ports.clone();
-                update(ports.entry(port).or_default());
-                ports
-            });
+        self.ports.publish(|ports| {
+            let mut ports = ports.clone();
+            update(ports.entry(port).or_default());
+            ports
+        });
     }
 
     /// Binds a UDP socket to `port`, owned (processed) by `owner`, and
@@ -163,7 +162,7 @@ impl NetStack {
         // racing binds exactly one gets the port. The pin rides the same
         // publish: a bind is one publish, not two.
         self.ports
-            .try_publish(self.config.deferred_reclamation, |ports| {
+            .try_publish(|ports| {
                 if ports.get(&port).is_some_and(|p| p.udp.is_some()) {
                     return Err(());
                 }

@@ -36,7 +36,7 @@
 //!   object: a modification writes no line but the object's own.
 //! * [`rcu`] — epoch-based read-copy-update, the mechanism behind the
 //!   RCU-optimized directory cache (§4.4, \[39\]): one publish site
-//!   ([`rcu::RcuCell::publish`]), blocking or deferred reclamation.
+//!   ([`rcu::RcuCell::publish`]), one deferred reclamation discipline.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]

@@ -8,18 +8,15 @@
 //! same shape: pointer publication via [`RcuCell`] and grace periods via
 //! epoch tracking per logical core.
 //!
-//! Two reclamation disciplines are offered:
-//!
-//! * **blocking** — [`synchronize`] spins until every reader that predates
-//!   the call has quiesced, then the caller frees the retired object. Every
-//!   writer pays a full grace period.
-//! * **deferred** — [`call_rcu`] (or the safe [`defer_drop`]) hands the
-//!   retired object to a per-core cache-aligned deferred-free queue tagged
-//!   with a *target epoch*; a grace-period state machine retires queued
-//!   batches once every core has passed a quiescent point at or beyond the
-//!   target. Writers never stall. [`rcu_barrier`] waits out one grace
-//!   period and drains everything previously deferred — the shutdown and
-//!   test hook.
+//! Writers retire through one discipline: [`call_rcu`] (or the safe
+//! [`defer_drop`], or [`RcuCell::publish`]) hands the retired object to a
+//! per-core cache-aligned deferred-free queue tagged with a *target
+//! epoch*; a grace-period state machine retires queued batches once every
+//! core has passed a quiescent point at or beyond the target. Writers
+//! never stall. [`synchronize`] spins until every reader that predates the
+//! call has quiesced; it backs the queue-overflow spill and
+//! [`rcu_barrier`], which waits out one grace period and drains
+//! everything previously deferred — the shutdown and test hook.
 //!
 //! ## Grace-period state machine
 //!
@@ -176,9 +173,9 @@ impl Drop for RcuReadGuard {
 /// Waits until every read-side critical section that began before this
 /// call has ended (a *grace period*).
 ///
-/// Equivalent to `synchronize_rcu()`. This is the blocking discipline:
-/// the caller stalls for the whole grace period. Prefer [`call_rcu`] /
-/// [`defer_drop`] on hot write paths.
+/// Equivalent to `synchronize_rcu()`: the caller stalls for the whole
+/// grace period. It backs the overflow spill and [`rcu_barrier`]; writers
+/// retire through [`call_rcu`] / [`defer_drop`] instead.
 #[track_caller]
 pub fn synchronize() {
     pk_lockdep::check_synchronize();
@@ -261,7 +258,7 @@ pub fn defer_drop<T: Send + 'static>(value: Box<T>) {
     unsafe { call_rcu(Box::into_raw(value).cast(), drop_box::<T>) }
 }
 
-/// Type-erased box destructor used by `defer_drop` and deferred
+/// Type-erased box destructor used by `defer_drop` and
 /// [`RcuCell::publish`].
 unsafe fn drop_box<T>(ptr: *mut ()) {
     // SAFETY: `ptr` came from `Box::into_raw` of a `Box<T>` and this is
@@ -427,8 +424,8 @@ pub fn stats_snapshot() -> RcuStats {
 ///
 /// Readers obtain a cheap, wait-free reference under a [`RcuReadGuard`];
 /// writers replace the snapshot wholesale with [`RcuCell::publish`],
-/// which either blocks for a grace period before freeing the previous
-/// one or retires it through the deferred-free queues without stalling.
+/// which retires the previous one through the deferred-free queues
+/// without waiting for a grace period.
 ///
 /// # Examples
 ///
@@ -440,8 +437,8 @@ pub fn stats_snapshot() -> RcuStats {
 ///     let guard = rcu::read_lock();
 ///     assert_eq!(cell.read(&guard).len(), 3);
 /// }
-/// cell.publish(false, |_| vec![4]); // waits out a grace period
-/// cell.publish(true, |v| v.iter().map(|x| x * 10).collect()); // does not
+/// cell.publish(|_| vec![4]);
+/// cell.publish(|v| v.iter().map(|x| x * 10).collect());
 /// let guard = rcu::read_lock();
 /// assert_eq!(cell.read(&guard), &[40]);
 /// ```
@@ -474,8 +471,7 @@ impl<T> RcuCell<T> {
     pub fn read<'g>(&self, _guard: &'g RcuReadGuard) -> &'g T {
         let p = self.ptr.load(Ordering::Acquire);
         // SAFETY: `p` was published by `new`/`publish` and cannot be freed
-        // before the guard's read-side section ends: a blocking publish
-        // waits for a grace period covering it, a deferred one queues the
+        // before the guard's read-side section ends: `publish` queues the
         // old snapshot with a target epoch past this reader.
         unsafe { &*p }
     }
@@ -484,13 +480,10 @@ impl<T> RcuCell<T> {
 impl<T: Send + 'static> RcuCell<T> {
     /// Applies `f` to the current snapshot to compute a replacement and
     /// publishes it (read-copy-update); writers are serialized. The
-    /// replaced snapshot is retired per `deferred`: through the
-    /// deferred-free queues (`true`: the writer never waits for a grace
-    /// period) or by blocking in [`synchronize`] and freeing it here
-    /// (`false`). Either way the writer lock is released first, so a
-    /// grace wait stalls this writer only.
-    pub fn publish(&self, deferred: bool, f: impl FnOnce(&T) -> T) {
-        self.try_publish(deferred, |cur| Ok::<T, std::convert::Infallible>(f(cur)))
+    /// replaced snapshot is retired through [`call_rcu`] after the writer
+    /// lock is released, so the writer never waits for a grace period.
+    pub fn publish(&self, f: impl FnOnce(&T) -> T) {
+        self.try_publish(|cur| Ok::<T, std::convert::Infallible>(f(cur)))
             .unwrap_or_else(|never| match never {});
     }
 
@@ -498,11 +491,7 @@ impl<T: Send + 'static> RcuCell<T> {
     /// lock: `f` sees the current snapshot with every other writer
     /// excluded, and an `Err` from it is returned with nothing published
     /// and nothing retired.
-    pub fn try_publish<E>(
-        &self,
-        deferred: bool,
-        f: impl FnOnce(&T) -> Result<T, E>,
-    ) -> Result<(), E> {
+    pub fn try_publish<E>(&self, f: impl FnOnce(&T) -> Result<T, E>) -> Result<(), E> {
         let old = {
             // Lock poisoning only means a previous writer's `f` panicked;
             // the cell itself is always in a published, consistent state.
@@ -513,19 +502,10 @@ impl<T: Send + 'static> RcuCell<T> {
             let new = Box::into_raw(Box::new(f(unsafe { &*cur })?));
             self.ptr.swap(new, Ordering::SeqCst)
         };
-        if deferred {
-            // SAFETY: `old` is unpublished (the swap removed the last
-            // shared path to it) and `T: Send + 'static`, so its drop may
-            // run later on any thread; `drop_box::<T>` frees it once.
-            unsafe { call_rcu(old.cast(), drop_box::<T>) };
-        } else {
-            synchronize();
-            // SAFETY: `old` was the published pointer; after `synchronize`
-            // no reader that could have loaded it is still in a read
-            // section, and the swap removed it from the cell, so we hold
-            // the only copy.
-            drop(unsafe { Box::from_raw(old) });
-        }
+        // SAFETY: `old` is unpublished (the swap removed the last shared
+        // path to it) and `T: Send + 'static`, so its drop may run later
+        // on any thread; `drop_box::<T>` frees it once.
+        unsafe { call_rcu(old.cast(), drop_box::<T>) };
         Ok(())
     }
 }
@@ -557,7 +537,7 @@ mod tests {
     #[test]
     fn publish_replaces_snapshot() {
         let cell = RcuCell::new(String::from("old"));
-        cell.publish(false, |_| String::from("new"));
+        cell.publish(|_| String::from("new"));
         let g = read_lock();
         assert_eq!(cell.read(&g), "new");
     }
@@ -565,30 +545,21 @@ mod tests {
     #[test]
     fn publish_reads_current() {
         let cell = RcuCell::new(10u64);
-        cell.publish(false, |v| v + 1);
-        cell.publish(false, |v| v * 2);
+        cell.publish(|v| v + 1);
+        cell.publish(|v| v * 2);
         let g = read_lock();
         assert_eq!(*cell.read(&g), 22);
+        drop(g);
+        rcu_barrier();
     }
 
     #[test]
     fn declined_publish_leaves_the_snapshot() {
         let cell = RcuCell::new(1u32);
-        assert_eq!(cell.try_publish(false, |_| Err("taken")), Err("taken"));
-        assert_eq!(cell.try_publish(false, |v| Ok::<_, ()>(v + 1)), Ok(()));
+        assert_eq!(cell.try_publish(|_| Err("taken")), Err("taken"));
+        assert_eq!(cell.try_publish(|v| Ok::<_, ()>(v + 1)), Ok(()));
         let g = read_lock();
         assert_eq!(*cell.read(&g), 2);
-    }
-
-    #[test]
-    fn deferred_publish_is_visible_immediately() {
-        let cell = RcuCell::new(10u64);
-        cell.publish(true, |_| 11);
-        cell.publish(true, |v| v * 2);
-        let g = read_lock();
-        assert_eq!(*cell.read(&g), 22);
-        drop(g);
-        rcu_barrier();
     }
 
     /// Sets a flag when dropped — the probe for "has reclamation run".
@@ -636,7 +607,7 @@ mod tests {
             std::thread::yield_now();
         }
         // Writer does not block...
-        cell.publish(true, |_| Tracked(Arc::new(AtomicBool::new(false))));
+        cell.publish(|_| Tracked(Arc::new(AtomicBool::new(false))));
         // ...and churning more deferred work must still not free the old
         // snapshot while the reader is inside.
         for _ in 0..64 {
@@ -789,7 +760,8 @@ mod tests {
             let cell = Arc::clone(&cell);
             let updated = Arc::clone(&updated);
             std::thread::spawn(move || {
-                cell.publish(false, |_| 2);
+                cell.publish(|_| 2);
+                synchronize();
                 updated.store(true, Ordering::SeqCst);
             })
         };
@@ -824,11 +796,7 @@ mod tests {
             })
             .collect();
         for i in 1..20 {
-            if i % 2 == 0 {
-                cell.publish(false, |_| vec![i; 8]);
-            } else {
-                cell.publish(true, |_| vec![i; 8]);
-            }
+            cell.publish(|_| vec![i; 8]);
         }
         stop.store(true, Ordering::Relaxed);
         for r in readers {

@@ -120,7 +120,7 @@ fn rcu_chain_of_updates_is_safe() {
         let cell = Arc::clone(&cell);
         s.spawn(move || {
             for i in 1..=50u8 {
-                cell.publish(false, |_| vec![i; 64]);
+                cell.publish(|_| vec![i; 64]);
             }
         });
     });

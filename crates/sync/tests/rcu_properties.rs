@@ -306,15 +306,16 @@ fn reader_above_the_previous_scan_bound_holds_back_reclamation() {
 
 /// The read section's exit is a `Release` store, its entry a `SeqCst`
 /// one (one fence per section). The property that pairing has to keep:
-/// a blocking update never frees a snapshot a reader is still inside.
-/// Three readers spin through `read_lock(); load; check; drop` while a
-/// writer replaces the snapshot 20 000 times; each replaced snapshot is
-/// poisoned by its `Drop` just before its memory is freed. A reader
-/// that sees its snapshot's number change under it — to the poison, or
-/// to a later generation's because the slot was reused — has caught a
-/// reclaim that did not wait for it.
+/// an update never frees a snapshot a reader is still inside. Three
+/// readers spin through `read_lock(); load; check; drop` while a writer
+/// replaces the snapshot 20 000 times, each publish followed by
+/// `rcu_barrier()`, so a `synchronize` scan gates every free; each
+/// replaced snapshot is poisoned by its `Drop` just before its memory
+/// is freed. A reader that sees its snapshot's number change under it —
+/// to the poison, or to a later generation's because the slot was
+/// reused — has caught a reclaim that did not wait for it.
 #[test]
-fn blocking_updates_never_reclaim_under_a_live_reader() {
+fn barriered_updates_never_reclaim_under_a_live_reader() {
     const GENERATIONS: u64 = 20_000;
     const POISON: u64 = u64::MAX;
     struct Snapshot(std::sync::atomic::AtomicU64);
@@ -351,9 +352,8 @@ fn blocking_updates_never_reclaim_under_a_live_reader() {
             .collect();
         start.wait();
         for _ in 0..GENERATIONS {
-            cell.publish(false, |old| {
-                Snapshot((old.0.load(Ordering::SeqCst) + 1).into())
-            });
+            cell.publish(|old| Snapshot((old.0.load(Ordering::SeqCst) + 1).into()));
+            rcu::rcu_barrier();
         }
         done.store(true, Ordering::Release);
         readers
@@ -458,7 +458,7 @@ fn miri_smoke_nested_sections_defer_until_outermost() {
 #[test]
 fn miri_smoke_rcu_cell_deferred_publish() {
     let cell = rcu::RcuCell::new(7u64);
-    cell.publish(true, |v| v + 1);
+    cell.publish(|v| v + 1);
     let g = rcu::read_lock();
     assert_eq!(*cell.read(&g), 8);
     drop(g);

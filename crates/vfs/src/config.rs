@@ -26,12 +26,6 @@ pub struct VfsConfig {
     pub avoid_inode_list_locks: bool,
     /// "Avoid acquiring the [dcache list] locks when not necessary."
     pub avoid_dcache_list_locks: bool,
-    /// Retire replaced RCU snapshots (dcache buckets, umounted mounts)
-    /// through `call_rcu` deferred-free queues instead of blocking each
-    /// writer on a full `synchronize()` grace period. Not a Figure-1 fix:
-    /// a reclamation-discipline switch, on in both presets; turn off to
-    /// measure the blocking-writer baseline.
-    pub deferred_reclamation: bool,
     /// End-to-end RCU-walk path resolution (generation-2, §7): resolve
     /// the whole path lock-free under a seqcount-validated snapshot,
     /// falling back to the locked walk when a concurrent rename/unlink
@@ -59,7 +53,6 @@ impl VfsConfig {
             atomic_lseek: false,
             avoid_inode_list_locks: false,
             avoid_dcache_list_locks: false,
-            deferred_reclamation: true,
             rcu_path_walk: false,
             snzi_refs: false,
             sockets: 8,
@@ -78,7 +71,6 @@ impl VfsConfig {
             atomic_lseek: true,
             avoid_inode_list_locks: true,
             avoid_dcache_list_locks: true,
-            deferred_reclamation: true,
             rcu_path_walk: true,
             snzi_refs: true,
             sockets: 8,

@@ -253,7 +253,7 @@ impl Dcache {
         if caller_ref {
             dentry.get(core).map_err(|_| VfsError::Stale)?;
         }
-        bucket.publish(self.config.deferred_reclamation, |v| {
+        bucket.publish(|v| {
             let mut v = v.clone();
             // Bucket rewrites are serialized, so a live match found here
             // has not been removed: its reference is taken before any
@@ -282,22 +282,21 @@ impl Dcache {
     pub fn remove<'a>(&self, key: impl Into<DentryProbe<'a>>, core: CoreId) -> bool {
         let key = &key.into();
         let mut removed = false;
-        self.bucket(key)
-            .publish(self.config.deferred_reclamation, |v| {
-                let mut kept = Vec::with_capacity(v.len());
-                for d in v.iter() {
-                    if d.is_live_match(key) {
-                        d.begin_modify().unhash();
-                        // Drop the cache's reference; the object is freed when
-                        // the last user reference goes away.
-                        d.put(core);
-                        removed = true;
-                    } else {
-                        kept.push(Arc::clone(d));
-                    }
+        self.bucket(key).publish(|v| {
+            let mut kept = Vec::with_capacity(v.len());
+            for d in v.iter() {
+                if d.is_live_match(key) {
+                    d.begin_modify().unhash();
+                    // Drop the cache's reference; the object is freed when
+                    // the last user reference goes away.
+                    d.put(core);
+                    removed = true;
+                } else {
+                    kept.push(Arc::clone(d));
                 }
-                kept
-            });
+            }
+            kept
+        });
         removed
     }
 
@@ -316,7 +315,7 @@ impl Dcache {
                 break;
             }
             let mut victims = Vec::new();
-            bucket.publish(self.config.deferred_reclamation, |v| {
+            bucket.publish(|v| {
                 let mut kept = Vec::with_capacity(v.len());
                 for d in v.iter() {
                     // Only the cache's reference remains → evictable.
@@ -490,8 +489,7 @@ mod tests {
         let planted: Vec<_> = (0..2)
             .map(|_| Dentry::new(key.clone(), InodeId(5), true, 4))
             .collect();
-        c.bucket(&key.probe())
-            .publish(c.config.deferred_reclamation, |_| planted.clone());
+        c.bucket(&key.probe()).publish(|_| planted.clone());
         assert!(c.remove(&key, CoreId(0)));
         assert!(c.is_empty());
         assert!(planted.iter().all(|d| d.is_unhashed()));
@@ -569,40 +567,36 @@ mod tests {
         // Four writers share four buckets: every insert must survive its
         // neighbours' bucket rewrites, and every remove must take out
         // exactly its own victim.
-        for deferred in [true, false] {
-            let mut cfg = VfsConfig::pk(8);
-            cfg.deferred_reclamation = deferred;
-            let c = Arc::new(Dcache::new(4, cfg, Arc::new(VfsStats::new())));
-            let writers: Vec<_> = (0..4)
-                .map(|t| {
-                    let c = Arc::clone(&c);
-                    std::thread::spawn(move || {
-                        for i in 0..100u64 {
-                            let key = DentryKey::new(InodeId(t), format!("w{i}"));
-                            let d = c
-                                .insert(key.clone(), InodeId(i), CoreId(t as usize))
-                                .unwrap();
-                            d.put(CoreId(t as usize));
-                            if i % 3 == 0 {
-                                assert!(c.remove(&key, CoreId(t as usize)));
-                            }
+        let c = Arc::new(Dcache::new(4, VfsConfig::pk(8), Arc::new(VfsStats::new())));
+        let writers: Vec<_> = (0..4)
+            .map(|t| {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || {
+                    for i in 0..100u64 {
+                        let key = DentryKey::new(InodeId(t), format!("w{i}"));
+                        let d = c
+                            .insert(key.clone(), InodeId(i), CoreId(t as usize))
+                            .unwrap();
+                        d.put(CoreId(t as usize));
+                        if i % 3 == 0 {
+                            assert!(c.remove(&key, CoreId(t as usize)));
                         }
-                    })
+                    }
                 })
-                .collect();
-            for w in writers {
-                w.join().unwrap();
-            }
-            // Per writer: 100 inserts, 34 removes → 66 survivors.
-            assert_eq!(c.len(), 4 * 66);
-            for t in 0..4u64 {
-                assert!(c
-                    .lookup(&DentryKey::new(InodeId(t), "w1"), CoreId(0))
-                    .is_some());
-                assert!(c
-                    .lookup(&DentryKey::new(InodeId(t), "w0"), CoreId(0))
-                    .is_none());
-            }
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        // Per writer: 100 inserts, 34 removes → 66 survivors.
+        assert_eq!(c.len(), 4 * 66);
+        for t in 0..4u64 {
+            assert!(c
+                .lookup(&DentryKey::new(InodeId(t), "w1"), CoreId(0))
+                .is_some());
+            assert!(c
+                .lookup(&DentryKey::new(InodeId(t), "w0"), CoreId(0))
+                .is_none());
         }
     }
 

@@ -133,7 +133,7 @@ impl MountTable {
     /// Invalidates every per-core snapshot: the new entry may be a
     /// longer prefix than anything a snapshot holds, and a stale
     /// snapshot would keep resolving paths the new mount now covers.
-    /// The retired snapshots go through the reclamation discipline.
+    /// The retired snapshots are deferred through `call_rcu`.
     pub fn mount(&self, mount_point: &str) -> Arc<VfsMount> {
         let m = VfsMount::with_refcount(
             mount_point,
@@ -156,7 +156,7 @@ impl MountTable {
         }
         let swept = self.sweep_percore_caches();
         if !swept.is_empty() {
-            self.retire(swept);
+            rcu::defer_drop(Box::new(swept));
         }
         m
     }
@@ -167,8 +167,7 @@ impl MountTable {
     /// The table's reference to the mount (and every swept snapshot) is
     /// retired past a grace period, since a resolver may have copied the
     /// `Arc` out of a snapshot moments before the sweep: deferred
-    /// through `call_rcu` by default, or via a blocking `synchronize()`
-    /// when `deferred_reclamation` is off.
+    /// through `call_rcu`.
     pub fn umount(&self, mount_point: &str) -> Option<Arc<VfsMount>> {
         let removed = {
             let mut central = self.central.lock();
@@ -177,7 +176,7 @@ impl MountTable {
         };
         if let Some(ref m) = removed {
             let swept = self.sweep_percore_caches();
-            self.retire((Arc::clone(m), swept));
+            rcu::defer_drop(Box::new((Arc::clone(m), swept)));
         }
         removed
     }
@@ -192,18 +191,6 @@ impl MountTable {
             .iter()
             .filter_map(|cache| cache.lock().take())
             .collect()
-    }
-
-    /// Retires `garbage` under the configured reclamation discipline:
-    /// `call_rcu` when `deferred_reclamation` is on, else a blocking
-    /// `synchronize()` followed by an immediate drop.
-    fn retire<T: Send + 'static>(&self, garbage: T) {
-        if self.config.deferred_reclamation {
-            rcu::defer_drop(Box::new(garbage));
-        } else {
-            rcu::synchronize();
-            drop(garbage);
-        }
     }
 
     /// Resolves the vfsmount covering `path`: the longest mount-point

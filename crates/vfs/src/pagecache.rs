@@ -60,24 +60,20 @@ pub struct PageCacheStats {
     pub invalidated: AtomicU64,
 }
 
-/// What the mappings of one cache share: the totals and the reclamation
-/// discipline.
-#[derive(Debug)]
+/// What the mappings of one cache share: the totals.
+#[derive(Debug, Default)]
 struct Shared {
     stats: PageCacheStats,
     /// Pages reachable through some inode's mapping.
     pages: AtomicUsize,
-    /// `VfsConfig::deferred_reclamation`.
-    deferred: bool,
 }
 
 type PageMap = BTreeMap<u64, Arc<CachedPage>>;
 
 /// One inode's `page index → page` map, swapped wholesale under RCU so
 /// readers never lock. Created by the inode's first fill. Writers
-/// publish per the cache's reclamation discipline while holding at most
-/// the inode's data lock, which no read-side section takes, so a
-/// blocking grace period cannot wait on a reader that waits on them.
+/// publish while holding at most the inode's data lock; the replaced
+/// map is retired through `call_rcu`, so no writer waits on a reader.
 #[derive(Debug)]
 pub(crate) struct Mapping {
     pages: RcuCell<PageMap>,
@@ -87,7 +83,7 @@ pub(crate) struct Mapping {
 impl Mapping {
     fn insert(&self, page: Arc<CachedPage>) {
         let mut fresh = false;
-        self.pages.publish(self.cache.deferred, |m| {
+        self.pages.publish(|m| {
             let mut m = m.clone();
             fresh = m.insert(page.index, page).is_none();
             m
@@ -107,12 +103,12 @@ impl Mapping {
             .range(range.clone())
             .next()
             .is_some();
-        drop(guard); // before `replace`, which may wait out a grace period
+        drop(guard); // before `publish`, so its `call_rcu` may reap
         if !cached {
             return;
         }
         let mut dropped = 0;
-        self.pages.publish(self.cache.deferred, |m| {
+        self.pages.publish(|m| {
             let mut kept = m.clone();
             kept.retain(|index, _| !range.contains(index));
             dropped = m.len() - kept.len();
@@ -138,25 +134,12 @@ impl Drop for Mapping {
 
 /// The buffer cache: lock-free reads of each inode's page mapping, and
 /// the page total and statistics across all of them.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PageCache {
     shared: Arc<Shared>,
 }
 
 impl PageCache {
-    /// Creates an empty cache whose mappings retire replaced snapshots
-    /// through `call_rcu` (`deferred_reclamation`) or a blocking grace
-    /// period.
-    pub fn new(deferred_reclamation: bool) -> Self {
-        Self {
-            shared: Arc::new(Shared {
-                stats: PageCacheStats::default(),
-                pages: AtomicUsize::new(0),
-                deferred: deferred_reclamation,
-            }),
-        }
-    }
-
     /// Lock-free lookup: finds page `index` of `inode` without taking
     /// any lock, elevating its speculative refcount and re-validating
     /// identity afterwards (the \[18\] protocol).
@@ -239,7 +222,7 @@ mod tests {
 
     #[test]
     fn fill_then_lookup_hits() {
-        let pc = PageCache::new(true);
+        let pc = PageCache::default();
         let f = file(1);
         assert!(pc.lookup(&f, 0).is_none());
         pc.fill(&f, 0, b"hello".to_vec());
@@ -254,7 +237,7 @@ mod tests {
 
     #[test]
     fn pages_are_per_inode_and_index() {
-        let pc = PageCache::new(true);
+        let pc = PageCache::default();
         let (a, b) = (file(1), file(2));
         pc.fill(&a, 0, b"a".to_vec());
         pc.fill(&a, 1, b"b".to_vec());
@@ -267,24 +250,22 @@ mod tests {
 
     #[test]
     fn invalidate_drops_only_that_inode() {
-        for deferred in [true, false] {
-            let pc = PageCache::new(deferred);
-            let (a, b) = (file(7), file(8));
-            for idx in 0..4 {
-                pc.fill(&a, idx, vec![7]);
-                pc.fill(&b, idx, vec![8]);
-            }
-            pc.invalidate(&a);
-            assert_eq!(pc.len(), 4);
-            assert!(pc.lookup(&a, 0).is_none());
-            assert!(pc.lookup(&b, 3).is_some());
-            assert_eq!(pc.stats().invalidated.load(Ordering::Relaxed), 4);
+        let pc = PageCache::default();
+        let (a, b) = (file(7), file(8));
+        for idx in 0..4 {
+            pc.fill(&a, idx, vec![7]);
+            pc.fill(&b, idx, vec![8]);
         }
+        pc.invalidate(&a);
+        assert_eq!(pc.len(), 4);
+        assert!(pc.lookup(&a, 0).is_none());
+        assert!(pc.lookup(&b, 3).is_some());
+        assert_eq!(pc.stats().invalidated.load(Ordering::Relaxed), 4);
     }
 
     #[test]
     fn refill_replaces_content() {
-        let pc = PageCache::new(true);
+        let pc = PageCache::default();
         let f = file(1);
         pc.fill(&f, 0, b"old".to_vec());
         pc.fill(&f, 0, b"new".to_vec());
@@ -295,12 +276,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "too large")]
     fn oversized_page_rejected() {
-        PageCache::new(true).fill(&file(1), 0, vec![0; PAGE_BYTES + 1]);
+        PageCache::default().fill(&file(1), 0, vec![0; PAGE_BYTES + 1]);
     }
 
     #[test]
     fn concurrent_readers_during_invalidation() {
-        let pc = PageCache::new(true);
+        let pc = PageCache::default();
         let f = file(1);
         for idx in 0..32 {
             pc.fill(&f, idx, vec![idx as u8]);
@@ -325,7 +306,7 @@ mod tests {
 
     #[test]
     fn freed_inode_takes_its_pages_out_of_the_total() {
-        let pc = PageCache::new(true);
+        let pc = PageCache::default();
         let f = file(1);
         pc.fill(&f, 0, vec![1]);
         pc.fill(&f, 1, vec![2]);

@@ -77,7 +77,7 @@ impl Vfs {
             dcache: Dcache::with_faults(4096, config, Arc::clone(&stats), faults),
             mounts: MountTable::new(config, Arc::clone(&stats)),
             sb: SuperBlock::new(config, Arc::clone(&stats)),
-            pages: PageCache::new(config.deferred_reclamation),
+            pages: PageCache::default(),
             stats,
         }
     }

@@ -145,9 +145,7 @@ proptest! {
 
     #[test]
     fn read_cached_matches_model(ops in proptest::collection::vec(op(), 1..60)) {
-        let mut blocking = VfsConfig::pk(4);
-        blocking.deferred_reclamation = false;
-        for cfg in [VfsConfig::stock(4), VfsConfig::pk(4), blocking] {
+        for cfg in [VfsConfig::stock(4), VfsConfig::pk(4)] {
             let vfs = Vfs::new(cfg);
             let core = CoreId(1);
             let mut model = Model::default();
