@@ -7,11 +7,12 @@
 //! contention alone; no workload name ever reaches the controller, so
 //! there are no hand-placed per-workload fixes to smuggle in.
 //!
-//! Gates ([`failures`]): adaptive throughput ≥ [`PK_FLOOR`] of PK on
+//! Gates ([`assess`]): adaptive throughput ≥ [`PK_FLOOR`] of PK on
 //! **every** workload, every knob changes direction at most
 //! [`MAX_FLIPS`] times per run, and the controller settles before its
 //! epoch cap on every workload.
 
+use crate::gate::{Check, Gate};
 use crate::personality::{converge, resolve};
 use pk_adapt::Decision;
 use pk_kernel::Personality;
@@ -89,35 +90,35 @@ pub fn run_all(seed: u64, cores: usize, ops: u64) -> Vec<Row> {
         .collect()
 }
 
-/// Collects the gate failures over a run (empty = pass).
-pub fn failures(rows: &[Row]) -> Vec<String> {
-    let mut out = Vec::new();
+/// The run's three gates, in order: the PK floor, the flap bound and
+/// settling, each listing the workloads that broke it.
+pub fn assess(rows: &[Row]) -> Vec<Check> {
+    let (mut below, mut flips, mut settles) = (Vec::new(), Vec::new(), Vec::new());
     for r in rows {
+        let (w, ratio) = (r.workload, r.ratio_vs_pk());
         // A NaN ratio (no throughput measured) is no evidence of
         // reaching the floor, so it fails too.
-        let ratio = r.ratio_vs_pk();
         if ratio.is_nan() || ratio < PK_FLOOR {
-            out.push(format!(
-                "{}: adaptive reached only {:.1}% of PK (floor {:.0}%)",
-                r.workload,
-                100.0 * ratio,
-                100.0 * PK_FLOOR
+            let (got, floor) = (100.0 * ratio, 100.0 * PK_FLOOR);
+            below.push(format!(
+                "{w}: adaptive reached only {got:.1}% of PK (floor {floor:.0}%)"
             ));
         }
         if r.max_flips > MAX_FLIPS {
-            out.push(format!(
-                "{}: a knob changed direction {} times (bound {MAX_FLIPS})",
-                r.workload, r.max_flips
+            let n = r.max_flips;
+            flips.push(format!(
+                "{w}: a knob changed direction {n} times (bound {MAX_FLIPS})"
             ));
         }
         if !r.converged {
-            out.push(format!(
-                "{}: controller did not settle within {} epochs",
-                r.workload, r.epochs
-            ));
+            let n = r.epochs;
+            settles.push(format!("{w}: controller did not settle within {n} epochs"));
         }
     }
-    out
+    Vec::new()
+        .none("adaptive >= PK_FLOOR × PK", below)
+        .none("flips <= MAX_FLIPS", flips)
+        .none("controller settles", settles)
 }
 
 /// The per-workload columns: a text row and a JSON object, the JSON
@@ -153,7 +154,7 @@ pub fn decision_table() -> Table<Decision> {
 
 /// Renders the deterministic JSON artifact: rows in roster order,
 /// decisions in commit order.
-pub fn report_json(seed: u64, cores: usize, ops: u64, rows: &[Row], fails: &[String]) -> String {
+pub fn report_json(seed: u64, cores: usize, ops: u64, rows: &[Row], checks: &[Check]) -> String {
     document([
         ("seed", seed.into()),
         ("cores", cores.into()),
@@ -161,7 +162,7 @@ pub fn report_json(seed: u64, cores: usize, ops: u64, rows: &[Row], fails: &[Str
         ("pk_floor", PK_FLOOR.into()),
         ("max_flips", MAX_FLIPS.into()),
         ("rows", row_table().block(rows, 1)),
-        ("pass", fails.is_empty().into()),
+        ("pass", checks.iter().all(Check::held).into()),
     ])
 }
 
@@ -182,11 +183,20 @@ mod tests {
             max_flips: MAX_FLIPS + 1,
             decisions: Vec::new(),
         };
-        let fails = failures(&[row]);
-        assert_eq!(fails.len(), 3);
-        assert!(fails[0].contains("only 50.0% of PK"));
-        assert!(fails[1].contains("changed direction 4 times"));
-        assert!(fails[2].contains("did not settle within 32 epochs"));
+        let checks = assess(&[row]);
+        let names: Vec<&str> = checks.iter().map(|c| c.name).collect();
+        assert_eq!(
+            names,
+            [
+                "adaptive >= PK_FLOOR × PK",
+                "flips <= MAX_FLIPS",
+                "controller settles"
+            ]
+        );
+        let fails: Vec<String> = checks.iter().map(Check::violation).collect();
+        assert!(fails[0].ends_with("exim: adaptive reached only 50.0% of PK (floor 90%)"));
+        assert!(fails[1].ends_with("exim: a knob changed direction 4 times (bound 3)"));
+        assert!(fails[2].ends_with("exim: controller did not settle within 32 epochs"));
     }
 
     #[test]
@@ -202,8 +212,9 @@ mod tests {
             max_flips: 0,
             decisions: Vec::new(),
         };
-        let fails = failures(&[row]);
+        let checks = assess(&[row]);
+        let fails: Vec<&Check> = checks.iter().filter(|c| !c.held()).collect();
         assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(fails[0].contains("NaN% of PK"), "{fails:?}");
+        assert!(fails[0].violation().contains("NaN% of PK"), "{fails:?}");
     }
 }

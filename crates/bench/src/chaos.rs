@@ -10,6 +10,7 @@
 //! function of the seed, so a failing soak replays from its seed alone.
 
 use crate::adaptive::MAX_FLIPS;
+use crate::gate::{Check, Gate};
 use crate::personality::converge;
 use pk_fault::{FaultEvent, FaultPlane, FaultSchedule};
 use pk_kernel::{Kernel, Personality};
@@ -20,7 +21,6 @@ use pk_workloads::apache::ApacheDriver;
 use pk_workloads::exim::EximDriver;
 use pk_workloads::memcached::MemcachedDriver;
 use pk_workloads::roster;
-use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -189,25 +189,10 @@ pub const RCU: Leg = Leg {
 };
 
 /// The check every leg carries: its fault mix injected something.
+/// Exactly two are [`Check::strict_only`], the functional and DES
+/// legs'; the adaptive, overload and RCU legs' always gate. A row's
+/// `ok?` verdict counts only the checks that always gate.
 pub const FIRED: &str = "fault mix fired";
-
-/// One named invariant of a soak row.
-///
-/// A failed check fails `report chaos` (exit 1) unless it is
-/// `strict_only`; those fail it only under `--strict`. Exactly two are
-/// strict-only: the functional and DES legs' [`FIRED`] checks. The
-/// adaptive, overload and RCU legs' [`FIRED`] checks always gate. A
-/// row's `ok?` verdict counts only the checks that always gate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Check {
-    /// The invariant, e.g. `delivered + bounced == attempted`.
-    pub name: &'static str,
-    /// Whether the check gates only under `--strict`.
-    pub strict_only: bool,
-    /// What broke (the values, where the check has them; else empty),
-    /// or `None` if the invariant held.
-    pub failure: Option<String>,
-}
 
 /// One row of the chaos matrix.
 #[derive(Debug, Clone)]
@@ -246,28 +231,6 @@ impl Soak {
         self
     }
 
-    /// Appends the always-gating check `name`: it `held`, or failed as
-    /// `why` says.
-    fn check(mut self, name: &'static str, held: bool, why: impl FnOnce() -> String) -> Self {
-        let (strict_only, failure) = (false, (!held).then(why));
-        self.checks.push(Check {
-            name,
-            strict_only,
-            failure,
-        });
-        self
-    }
-
-    /// Appends the identity check `got == want`.
-    fn eq<T: PartialEq + Display>(self, name: &'static str, got: T, want: T) -> Self {
-        self.check(name, got == want, || format!("{got} != {want}"))
-    }
-
-    /// Appends the bound check `got <= cap`.
-    fn le<T: PartialOrd + Display>(self, name: &'static str, got: T, cap: T) -> Self {
-        self.check(name, got <= cap, || format!("{got} > {cap}"))
-    }
-
     /// Appends the [`FIRED`] check: `mix` injected `injected` faults.
     fn fired(self, mix: &FaultMix, injected: u64, strict_only: bool) -> Self {
         let mut soak = self.check(FIRED, injected > 0, || format!("{} never fired", mix.label));
@@ -298,21 +261,37 @@ impl Soak {
 
     /// The `ok?` verdict: every always-gating check held.
     pub fn passed(&self) -> bool {
-        let held = |c: &Check| c.strict_only || c.failure.is_none();
-        self.checks.iter().all(held)
+        self.checks.iter().all(|c| !c.fails(false))
     }
 
     /// The checks that fail the run, with or without `--strict`.
     pub fn failures(&self, strict: bool) -> impl Iterator<Item = &Check> {
-        let gates = move |c: &&Check| c.failure.is_some() && (strict || !c.strict_only);
-        self.checks.iter().filter(gates)
+        self.checks.iter().filter(move |c| c.fails(strict))
+    }
+
+    /// The row's checks with each failure led by the row's cell
+    /// (`exim/PK`), so a run's violation lines name their rows.
+    pub fn cell_checks(&self) -> impl Iterator<Item = Check> + '_ {
+        let cell = [self.workload, self.config].join("/");
+        let cell = cell.trim_end_matches('/').to_string();
+        self.checks.iter().map(move |c| Check {
+            failure: (c.failure.as_ref())
+                .map(|w| format!("{cell}: {w}").trim_end_matches(": ").into()),
+            ..c.clone()
+        })
+    }
+}
+
+impl Gate for Soak {
+    fn gate(mut self, check: Check) -> Self {
+        self.checks.push(check);
+        self
     }
 }
 
 /// `rows` as `leg` prints them: its title, header and rows, each row
-/// followed by one violation line per check that fails the run. Returns
-/// the text and whether any check failed the run.
-pub fn render(leg: &Leg, rows: &[Soak], strict: bool) -> (String, bool) {
+/// followed by one violation line per check that fails the run.
+pub fn render(leg: &Leg, rows: &[Soak], strict: bool) -> String {
     let (mut table, mut rest) = (Table::new(), leg.layout);
     while let Some(close) = rest.find('}') {
         let end = rest[close..].find(' ').map_or(rest.len(), |n| close + n);
@@ -336,17 +315,13 @@ pub fn render(leg: &Leg, rows: &[Soak], strict: bool) -> (String, bool) {
     if leg.header {
         out += &format!("{}\n", table.header());
     }
-    let mut failed = false;
     for s in rows {
         out += &format!("{}\n", table.row(s));
         for c in s.failures(strict) {
-            failed = true;
-            let why = c.failure.as_deref().filter(|w| !w.is_empty());
-            let why = why.map(|w| format!(": {w}")).unwrap_or_default();
-            out += &format!("{:>10}   violation: {}{why}\n", "", c.name);
+            out += &format!("{:>10}   {}\n", "", c.violation());
         }
     }
-    (out, failed)
+    out
 }
 
 /// Throughput lost from `base` to `faulted`, percent of `base`.
@@ -803,9 +778,8 @@ mod tests {
         assert_eq!(failed(&s), [FIRED]);
         assert!(s.passed(), "a strict-only check leaves the row `pass`");
         let rows = [s];
-        assert!(!render(&FUNCTIONAL, &rows, false).1);
-        let (text, strict_fails) = render(&FUNCTIONAL, &rows, true);
-        assert!(strict_fails);
+        assert!(!render(&FUNCTIONAL, &rows, false).contains("violation"));
+        let text = render(&FUNCTIONAL, &rows, true);
         assert!(text.contains("violation: fault mix fired: inert never fired"));
     }
 
@@ -818,13 +792,14 @@ mod tests {
             .with("injected", 1u64)
             .with("spills", 1u64)
             .eq("call_rcu == freed", 5u64, 4);
-        let (text, failed) = render(&RCU, &[s], false);
-        assert!(failed);
+        let text = render(&RCU, std::slice::from_ref(&s), false);
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines[3].starts_with("        PK") && lines[3].ends_with("FAIL"));
         let violations: Vec<_> = lines.iter().filter(|l| l.contains("violation")).collect();
         assert_eq!(violations.len(), 1);
         assert!(violations[0].ends_with("violation: call_rcu == freed: 5 != 4"));
+        let located: Vec<_> = s.cell_checks().filter_map(|c| c.failure).collect();
+        assert_eq!(located, ["rcu/PK: 5 != 4"]);
     }
 
     #[test]
@@ -843,6 +818,11 @@ mod tests {
             |_, _, row| row,
         );
         assert_eq!(failed(&s), ["no panic", FIRED]);
+        let located: Vec<_> = s.cell_checks().filter_map(|c| c.failure).collect();
+        assert_eq!(
+            located[0], "probe/Stock",
+            "an empty failure is just the cell"
+        );
         assert!(!s.passed());
         assert_eq!((s.num("baseline"), s.num("faulted")), (7.0, 0.0));
     }

@@ -5,11 +5,12 @@
 //! in-process: the JSON artifact must be byte-identical across two
 //! full runs at the same seed. Exits 1 if any gate fails.
 
-use super::{header, print_decisions, write_artifact};
+use super::{finish, header, print_decisions, write_artifact};
 use pk_bench::adaptive::{
-    failures, report_json, row_table, run_all, MAX_FLIPS, MEASURE_OPS_PER_CORE, PK_FLOOR,
+    assess, report_json, row_table, run_all, MAX_FLIPS, MEASURE_OPS_PER_CORE, PK_FLOOR,
 };
 use pk_bench::args::{Args, Kind, Spec};
+use pk_bench::gate::Gate;
 
 pub const SPEC: Spec = Spec::flags(
     "report adaptive",
@@ -37,7 +38,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     );
 
     let rows = run_all(seed, cores, ops);
-    let mut fails = failures(&rows);
+    let checks = assess(&rows);
 
     print!("{}", row_table().text(&rows));
     println!();
@@ -51,25 +52,19 @@ pub fn run(args: &Args) -> Result<(), String> {
     // Determinism gate: a second full run at the same seed must render
     // the byte-identical artifact.
     let rerun = run_all(seed, cores, ops);
-    if report_json(seed, cores, ops, &rows, &fails)
-        != report_json(seed, cores, ops, &rerun, &failures(&rerun))
-    {
-        fails.push("artifact not byte-identical across reruns at the same seed".to_string());
-    }
+    let identical = report_json(seed, cores, ops, &rows, &checks)
+        == report_json(seed, cores, ops, &rerun, &assess(&rerun));
+    let checks = checks.check("artifact byte-identical across reruns", identical, || {
+        format!("seed {seed}")
+    });
 
     if let Some(path) = args.text("--json") {
         // Rendered last so the determinism verdict is folded into `pass`.
-        write_artifact(path, &report_json(seed, cores, ops, &rows, &fails))?;
+        write_artifact(path, &report_json(seed, cores, ops, &rows, &checks))?;
         println!("wrote {path}");
     }
 
-    if !fails.is_empty() {
-        return Err(fails
-            .iter()
-            .map(|f| format!("FAIL: {f}"))
-            .collect::<Vec<_>>()
-            .join("\n"));
-    }
+    finish(&checks, false)?;
     println!(
         "PASS: adaptive ≥ {:.0}% of PK on all {} workloads, ≤{MAX_FLIPS} flips per knob, \
          byte-identical artifact",

@@ -2,14 +2,15 @@
 //! functional drivers under the acceptance fault mix, then the DES,
 //! adaptive-controller, open-loop overload, exhausted-deadline and RCU
 //! overflow legs. Exits 1 if any row fails a check that gates (with
-//! `--strict`, any failed check: see [`pk_bench::chaos::Check`]).
+//! `--strict`, any failed check: see [`pk_bench::chaos::FIRED`]).
 //!
 //! The whole report is a pure function of its arguments: re-running
 //! with the same seed replays the identical fault trace.
 
-use super::header;
+use super::{finish, header};
 use pk_bench::args::{Args, Kind, Spec};
 use pk_bench::chaos::{self, Leg, Soak};
+use pk_bench::lockdep;
 use pk_kernel::Personality;
 use pk_workloads::roster::{self, SERVING};
 
@@ -50,11 +51,10 @@ pub fn run(args: &Args) -> Result<(), String> {
         }
     }
 
-    let mut failed = false;
+    let mut checks = Vec::new();
     let mut print = |leg: &Leg, rows: &[Soak]| {
-        let (text, leg_failed) = chaos::render(leg, rows, strict);
-        print!("{text}");
-        failed |= leg_failed;
+        print!("{}", chaos::render(leg, rows, strict));
+        checks.extend(rows.iter().flat_map(Soak::cell_checks));
     };
     let both = [Personality::Stock, Personality::Pk];
     print(&chaos::FUNCTIONAL, &reports);
@@ -71,21 +71,15 @@ pub fn run(args: &Args) -> Result<(), String> {
     // When the validator is compiled in, the soak doubles as a lockdep
     // run: faults must not induce ordering or discipline violations.
     if pk_lockdep::enabled() {
-        let violations = pk_lockdep::violations();
         println!(
             "\nlockdep (under fault mix): {} acquisitions, {} violations",
             pk_lockdep::acquisition_count(),
-            violations.len()
+            pk_lockdep::violation_count()
         );
-        for v in &violations {
-            failed = true;
-            println!("  [{}] {}", v.kind.label(), v.message);
-        }
+        checks.extend(lockdep::assess());
     }
 
-    if failed {
-        return Err("\nchaos soak FAILED (see violations above)".to_string());
-    }
+    finish(&checks, strict)?;
     println!("\nchaos soak passed: degradation was graceful and accounted for.");
     Ok(())
 }

@@ -1,14 +1,15 @@
 //! `report lockdep`: runs [`pk_bench::lockdep`]'s roster under the
 //! pk-lockdep runtime validator, then prints the observed lock classes,
 //! the lock-order graph, the validator's counters, and every recorded
-//! violation. Exits 1 if any violation was recorded.
+//! violation (on stderr). Exits 1 if any violation was recorded.
 //!
 //! Build with `--features lockdep`; without the feature the hooks are
 //! no-ops and the report says so (exit 0), so accidentally running the
 //! plain build is loud but not a false failure.
 
+use super::finish;
 use pk_bench::args::{Args, Kind, Spec};
-use pk_bench::lockdep::{run_roster, LockdepRow};
+use pk_bench::lockdep::{self, run_roster, LockdepRow};
 use pk_obs::Table;
 
 pub const SPEC: Spec = Spec::flags(
@@ -78,14 +79,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
     println!();
 
-    let violations = pk_lockdep::violations();
-    if violations.is_empty() {
-        println!("RESULT: PASS — no lockdep violations across the roster");
-        return Ok(());
-    }
-    println!("RESULT: FAIL — {} violation(s):", violations.len());
-    for v in &violations {
-        println!("  [{}] {}", v.kind.label(), v.message);
-    }
-    Err("lockdep roster FAILED (see violations above)".to_string())
+    finish(&lockdep::assess(), false)?;
+    println!("RESULT: PASS — no lockdep violations across the roster");
+    Ok(())
 }

@@ -8,7 +8,7 @@
 //! cycles" table (the adaptive column first converges the
 //! `pk_adapt::AdaptController` and profiles its promoted config).
 //!
-//! Gates, selected by core count:
+//! Gates, selected by core count ([`profile::assess`]):
 //! * **≤ 48 cores** — the Exim diagnosis: vfsmount-table lock spans
 //!   must dominate stock exclusive cycles and disappear under PK.
 //! * **> 48 cores** — the generation-2 inversions: for at least two
@@ -32,7 +32,7 @@
 //! scales down inversely with the core count above that, keeping the
 //! total traced event volume (and the ring memory) roughly constant.
 
-use super::{header, write_artifact};
+use super::{finish, header, write_artifact};
 use pk_bench::args::{Args, Kind, Spec};
 use pk_bench::{profile, resolve};
 use pk_kernel::Personality;
@@ -82,11 +82,8 @@ pub fn run(args: &Args) -> Result<(), String> {
     );
 
     let mut runs = Vec::new();
-    // (stock, pk) attribution per workload, in roster order.
-    let mut pairs: Vec<(profile::WorkloadAttribution, profile::WorkloadAttribution)> = Vec::new();
     let mut exim_stock_events = Vec::new();
     for &name in &names {
-        let mut stock_attr = None;
         for p in Personality::ALL {
             let resolved = resolve(p, name, cores, machine, seed)
                 .expect("the parser admits only roster workloads");
@@ -107,41 +104,43 @@ pub fn run(args: &Args) -> Result<(), String> {
                     attr.dropped_events
                 );
             }
-            match p {
-                Personality::Stock => {
-                    if name == "exim" {
-                        exim_stock_events = events;
-                    }
-                    stock_attr = Some(attr.clone());
-                }
-                Personality::Pk => {
-                    let stock = stock_attr.take().expect("stock runs before pk");
-                    pairs.push((stock, attr.clone()));
-                }
-                Personality::Coarse | Personality::Adaptive => {}
+            if (name, p) == ("exim", Personality::Stock) {
+                exim_stock_events = events;
             }
             runs.push(attr);
         }
     }
+    // (stock, pk) attribution per workload, in roster order.
+    let pairs: Vec<_> = (runs.chunks(Personality::ALL.len()))
+        .map(|cell| {
+            let of = |p: Personality| cell.iter().find(|r| r.config == p.label());
+            (
+                of(Personality::Stock).unwrap(),
+                of(Personality::Pk).unwrap(),
+            )
+        })
+        .collect();
 
     if names.contains(&"exim") {
         functional_exim_pass();
     }
 
-    let inversion = pairs
+    let exim = pairs
         .iter()
-        .find(|(stock, _)| stock.workload == "exim")
-        .map(|(stock, pk)| {
-            let inv = profile::exim_inversion(stock, pk);
-            println!("\nExim vfsmount attribution at {cores} cores:");
-            println!(
-                "  stock: {:5.1}% of cycles (top class: {})",
-                100.0 * inv.stock_share,
-                inv.stock_top
-            );
-            println!("  pk:    {:5.1}% of cycles", 100.0 * inv.pk_share);
-            inv
-        });
+        .copied()
+        .find(|(stock, _)| stock.workload == "exim");
+    if let Some((stock, pk)) = exim {
+        println!("\nExim vfsmount attribution at {cores} cores:");
+        println!(
+            "  stock: {:5.1}% of cycles (top class: {})",
+            100.0 * stock.share_of("vfsmount"),
+            stock.top_class()
+        );
+        println!(
+            "  pk:    {:5.1}% of cycles",
+            100.0 * pk.share_of("vfsmount")
+        );
+    }
 
     let gen2: Vec<profile::Gen2Inversion> = pairs
         .iter()
@@ -156,7 +155,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
 
     if let Some(path) = args.text("--json") {
-        let json = profile::report_json(seed, cores, &runs, inversion.as_ref(), &gen2);
+        let json = profile::report_json(seed, cores, &runs, exim, &gen2);
         write_artifact(path, &json)?;
         println!("wrote {path}");
     }
@@ -168,42 +167,18 @@ pub fn run(args: &Args) -> Result<(), String> {
         println!("wrote {path} ({} events)", exim_stock_events.len());
     }
 
-    // Gate selection: at the paper's scale the Exim headline is the
-    // gate; past 48 cores the gen-2 inversions are.
-    if cores <= 48 {
-        match &inversion {
-            Some(inv) if inv.observed => {
-                println!(
-                    "PASS: stock cycles concentrate in the vfsmount lock and the \
-                     attribution moves off it under PK"
-                );
-            }
-            Some(_) => {
-                return Err(format!(
-                    "FAIL: expected vfsmount dominance >= {:.0}% on stock and <= {:.0}% under PK",
-                    100.0 * profile::STOCK_DOMINANCE,
-                    100.0 * profile::PK_CEILING
-                ));
-            }
-            None => println!("exim filtered out; vfsmount gate skipped"),
-        }
-    } else {
-        let observed = gen2.iter().filter(|g| g.observed).count();
-        let required = gen2.len().min(2);
-        if observed >= required && required > 0 {
-            println!(
-                "PASS: {observed}/{} gen-2 structures dominate stock and vanish under PK",
-                gen2.len()
-            );
-        } else {
-            return Err(format!(
-                "FAIL: {observed}/{} gen-2 inversions observed (need >= {required}): \
-                 expected the named structure >= {:.0}% of stock cycles and <= {:.0}% under PK",
-                gen2.len(),
-                100.0 * profile::STOCK_DOMINANCE,
-                100.0 * profile::PK_CEILING
-            ));
-        }
+    finish(&profile::assess(cores, exim, &gen2), false)?;
+    let observed = gen2.iter().filter(|g| g.observed).count();
+    match (cores <= 48, exim) {
+        (true, Some(_)) => println!(
+            "PASS: stock cycles concentrate in the vfsmount lock and the \
+             attribution moves off it under PK"
+        ),
+        (true, None) => println!("exim filtered out; vfsmount gate skipped"),
+        (false, _) => println!(
+            "PASS: {observed}/{} gen-2 structures dominate stock and vanish under PK",
+            gen2.len()
+        ),
     }
     Ok(())
 }

@@ -14,7 +14,9 @@
 //! Host-cost numbers (primitive ns/op, wheel vs heap events/sec) are
 //! recorded by the repo benchmark, `benchmark/README.md`.
 
+use super::finish;
 use pk_bench::args::{Args, Kind, Spec};
+use pk_bench::gate::Gate;
 use pk_bench::scale;
 
 pub const SPEC: Spec = Spec::flags(
@@ -73,12 +75,8 @@ fn check_engine_throughput(baseline_path: &str, seed: u64) -> Result<(), String>
         "engine smoke: wheel {measured:.0} events/sec vs committed floor {floor:.0} \
          (fail below {limit:.0})"
     );
-    if measured < limit {
-        return Err(format!(
-            "scale --check-engine FAILED: {measured:.0} events/sec is more than \
-             {:.0}% below the committed floor {floor:.0}",
-            ENGINE_BUDGET * 100.0
-        ));
-    }
-    Ok(())
+    let checks = Vec::new().check("engine events/sec >= limit", measured >= limit, || {
+        format!("{measured:.0} < {limit:.0}")
+    });
+    finish(&checks, false)
 }

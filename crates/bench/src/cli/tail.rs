@@ -1,13 +1,14 @@
 //! `report tail`: prints [`pk_bench::tail`]'s per-request tail
 //! decomposition over `SERVING × {stock, coarse, pk, adaptive}`; exits
-//! 1 if any of its three derived claims fails.
+//! 1 if any of its three derived claims (or, with `--lockdep-live`,
+//! that row's two checks) fails.
 //!
 //! `--perfetto DIR` writes Perfetto-loadable traces of the exim
 //! stock/pk cells; `--lockdep-live` appends the functional-Exim
 //! overload row (meaningful under `--features lockdep`). Every
 //! artifact is a pure function of the seed.
 
-use super::{header, write_artifact};
+use super::{finish, header, write_artifact};
 use pk_bench::args::{Args, Kind, Spec};
 use pk_bench::tail;
 use pk_kernel::Personality;
@@ -60,40 +61,34 @@ pub fn run(args: &Args) -> Result<(), String> {
         grid.cells.len()
     );
 
-    let asserts = tail::assess(&grid);
+    let verdicts = tail::verdicts(&grid);
     println!("\nDerived claims:");
-    for v in &asserts.verdicts {
-        println!(
-            "  {:>10}: stock p999 {} vs PK p999 {} — {}",
-            v.workload,
-            v.stock_p999,
-            v.pk_p999,
-            if v.inverted {
-                "inverted"
-            } else {
-                "NOT inverted"
-            }
-        );
+    for v in &verdicts {
+        let (w, stock, pk) = (v.workload, v.stock_p999, v.pk_p999);
+        let inverted = if v.inverted {
+            "inverted"
+        } else {
+            "NOT inverted"
+        };
+        println!("  {w:>10}: stock p999 {stock} vs PK p999 {pk} — {inverted}");
     }
+    let exim = tail::exim_p999(&grid);
+    let mut checks = tail::assess(&verdicts, &exim);
+    let (share, class, bp) = &exim;
     println!(
         "  stock exim {} share of p999 waits: {:.1}% (floor {:.0}%)",
         tail::MOUNT_CLASS,
-        asserts.stock_exim_mount_share * 100.0,
+        share * 100.0,
         tail::STOCK_MOUNT_SHARE_FLOOR * 100.0
     );
     println!(
-        "  pk exim widest class: {} at {} bp of tail latency (ceiling {} bp)",
-        if asserts.pk_exim_max_class.is_empty() {
-            "-"
-        } else {
-            &asserts.pk_exim_max_class
-        },
-        asserts.pk_exim_max_class_bp,
+        "  pk exim widest class: {} at {bp} bp of tail latency (ceiling {} bp)",
+        if class.is_empty() { "-" } else { class },
         tail::PK_CLASS_BP_CEILING
     );
 
     if let Some(path) = args.text("--json") {
-        write_artifact(path, &tail::report_json(&grid, &asserts))?;
+        write_artifact(path, &tail::report_json(&grid, &verdicts, &exim, &checks))?;
         println!("wrote {path}");
     }
     if let Some(path) = args.text("--openmetrics") {
@@ -109,7 +104,6 @@ pub fn run(args: &Args) -> Result<(), String> {
         }
     }
 
-    let mut failed = !asserts.ok();
     if args.has("--lockdep-live") {
         let row = tail::run_lockdep_live(seed);
         println!(
@@ -122,15 +116,10 @@ pub fn run(args: &Args) -> Result<(), String> {
             row.violations,
             row.ctx_leaks
         );
-        if row.violations != 0 || row.ctx_leaks != 0 {
-            eprintln!("lockdep-live row FAILED");
-            failed = true;
-        }
+        checks.extend(row.checks());
     }
 
-    if failed {
-        return Err("\ntail report FAILED: an attribution claim did not reproduce".to_string());
-    }
+    finish(&checks, false)?;
     println!("\ntail report passed: the p999 is named, not just measured.");
     Ok(())
 }

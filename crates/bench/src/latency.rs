@@ -17,9 +17,10 @@
 //! Both are derived from the runs, not asserted as constants — if the
 //! engine stops reproducing them, `report latency` exits non-zero.
 
+use crate::gate::{held, Check, Gate};
 use pk_fault::FaultPlane;
 use pk_kernel::Personality;
-use pk_obs::{document, Table};
+use pk_obs::{document, object, Cell, Table};
 use pk_serve::{run_serving, ServeRun, SERVING};
 
 /// Core count for every serving run: past the paper's single-socket
@@ -139,29 +140,9 @@ pub struct WorkloadVerdict {
     pub shed_holds: bool,
 }
 
-/// The grid's derived assertions — the CI gate.
-#[derive(Debug, Clone)]
-pub struct OverloadAssertions {
-    /// Per-workload verdicts, in `SERVING` order.
-    pub verdicts: Vec<WorkloadVerdict>,
-    /// Workloads showing the stock-vs-PK p999 inversion.
-    pub inversions: usize,
-    /// `inversions >= INVERSION_MIN_WORKLOADS`.
-    pub inversion_observed: bool,
-    /// Every workload's shed arm held its bound, goodput, and contrast.
-    pub shedding_bounds_tail: bool,
-}
-
-impl OverloadAssertions {
-    /// Whether both headline claims held.
-    pub fn ok(&self) -> bool {
-        self.inversion_observed && self.shedding_bounds_tail
-    }
-}
-
-/// Derives the verdicts from a grid.
-pub fn assess(grid: &LatencyGrid) -> OverloadAssertions {
-    let verdicts: Vec<WorkloadVerdict> = SERVING
+/// Derives the per-workload verdicts from a grid, in `SERVING` order.
+pub fn verdicts(grid: &LatencyGrid) -> Vec<WorkloadVerdict> {
+    SERVING
         .iter()
         .map(|w| {
             let stock = grid.find(w, Personality::Stock, false, NORMAL_LOAD_PCT);
@@ -187,14 +168,24 @@ pub fn assess(grid: &LatencyGrid) -> OverloadAssertions {
                 shed_holds,
             }
         })
-        .collect();
+        .collect()
+}
+
+/// The grid's two claims over its [`verdicts`], each named after its
+/// JSON key: the inversion on at least [`INVERSION_MIN_WORKLOADS`]
+/// workloads, then shedding on every workload (its values are the
+/// verdicts of those whose shed arm did not hold).
+pub fn assess(verdicts: &[WorkloadVerdict]) -> Vec<Check> {
     let inversions = verdicts.iter().filter(|v| v.inverted).count();
-    OverloadAssertions {
-        inversion_observed: inversions >= INVERSION_MIN_WORKLOADS,
-        shedding_bounds_tail: verdicts.iter().all(|v| v.shed_holds),
-        inversions,
-        verdicts,
-    }
+    let unbounded = verdicts.iter().filter(|v| !v.shed_holds);
+    let unbounded = unbounded.map(|v| verdict_table().object(v).json());
+    let observed = inversions >= INVERSION_MIN_WORKLOADS;
+    Vec::new()
+        .check("inversion_observed", observed, || {
+            let n = verdicts.len();
+            format!("{inversions}/{n} workloads (need {INVERSION_MIN_WORKLOADS})")
+        })
+        .none("shedding_bounds_tail", unbounded.collect())
 }
 
 /// One workload's trace-ring health check: the PK serving network run
@@ -202,7 +193,8 @@ pub fn assess(grid: &LatencyGrid) -> OverloadAssertions {
 /// ([`pk_sim::flow_ring_capacity`]), reporting what each track dropped.
 /// A non-zero drop count means some request's span tree is missing
 /// events — downstream folds would silently under-attribute — so
-/// `report latency` warns loudly and `report tail` refuses to run.
+/// `report latency` fails its [`ring_check`] and `report tail` refuses
+/// to run.
 #[derive(Debug, Clone)]
 pub struct RingHealth {
     /// Roster workload name.
@@ -254,6 +246,42 @@ pub fn trace_ring_health(seed: u64) -> Vec<RingHealth> {
         .collect()
 }
 
+/// The ring-health check, separate from the two claims: no serving
+/// capture dropped an event. Its values are each overflowing
+/// workload's per-track drops.
+pub fn ring_check(health: &[RingHealth]) -> Vec<Check> {
+    let overflows = health.iter().filter(|h| h.dropped_total > 0);
+    let overflows = overflows.map(|h| format!("{} dropped {:?}", h.workload, h.dropped_by_track));
+    Vec::new().none("trace ring drops == 0", overflows.collect())
+}
+
+/// The per-workload verdict columns: a JSON object, and two text lines
+/// (the inversion at normal load, then the shed arm at overload).
+pub fn verdict_table() -> Table<WorkloadVerdict> {
+    let word = |yes, no| move |held: bool| if held { yes } else { no };
+    let inverted = word("inverted", "NOT inverted");
+    let bounded = word("bounded", "UNBOUNDED");
+    Table::<WorkloadVerdict>::new()
+        .col("  {:>10}", "workload", |v| v.workload)
+        .col(": stock p999 {}", "stock_p999", |v| v.stock_p999)
+        .col(" vs PK p999 {}", "pk_p999", |v| v.pk_p999)
+        .col(" at {}% load", "", |_| NORMAL_LOAD_PCT)
+        .col("", "inverted", |v| v.inverted)
+        .col(" — {}", "", move |v| inverted(v.inverted))
+        .col("\n              shed@{}%", "", |_| OVERLOAD_PCT)
+        .col(": p999 {}", "shed_p999", |v| v.shed_p999)
+        .col(" (bound {})", "shed_p999_bound", |v| v.shed_p999_bound)
+        .col(", goodput {:.1}% of capacity", "shed_goodput", |v| {
+            Cell::Share(v.shed_goodput)
+        })
+        .col("; unbounded queue ends at {}", "noshed_queue_end", |v| {
+            v.noshed_queue_end
+        })
+        .col(" (floor {})", "divergence_floor", |v| v.divergence_floor)
+        .col("", "shed_holds", |v| v.shed_holds)
+        .col(" — {}", "", move |v| bounded(v.shed_holds))
+}
+
 /// The per-run columns: a text row and a JSON object per run.
 pub fn run_table() -> Table<(Personality, ServeRun)> {
     let posture = |r: &ServeRun| {
@@ -299,31 +327,23 @@ pub fn run_table() -> Table<(Personality, ServeRun)> {
 }
 
 /// Renders the deterministic JSON artifact: runs in grid order —
-/// byte-identical for a fixed seed.
-pub fn report_json(grid: &LatencyGrid, asserts: &OverloadAssertions) -> String {
-    let verdicts = Table::<WorkloadVerdict>::new()
-        .col("", "workload", |v| v.workload)
-        .col("", "stock_p999", |v| v.stock_p999)
-        .col("", "pk_p999", |v| v.pk_p999)
-        .col("", "inverted", |v| v.inverted)
-        .col("", "shed_p999", |v| v.shed_p999)
-        .col("", "shed_p999_bound", |v| v.shed_p999_bound)
-        .col("", "shed_goodput", |v| v.shed_goodput)
-        .col("", "noshed_queue_end", |v| v.noshed_queue_end)
-        .col("", "divergence_floor", |v| v.divergence_floor)
-        .col("", "shed_holds", |v| v.shed_holds);
-    let assertions = Table::<OverloadAssertions>::new()
-        .col("", "inversions", |a| a.inversions)
-        .col("", "inversion_observed", |a| a.inversion_observed)
-        .col("", "shedding_bounds_tail", |a| a.shedding_bounds_tail)
-        .col("", "ok", OverloadAssertions::ok);
+/// byte-identical for a fixed seed. The `assertions` object records
+/// [`assess`]'s `checks` by name.
+pub fn report_json(grid: &LatencyGrid, verdicts: &[WorkloadVerdict], checks: &[Check]) -> String {
+    let inversions = verdicts.iter().filter(|v| v.inverted).count();
+    let assertions = object([
+        ("inversions", inversions.into()),
+        held(checks, "inversion_observed"),
+        held(checks, "shedding_bounds_tail"),
+        ("ok", checks.iter().all(Check::held).into()),
+    ]);
     document([
         ("seed", grid.seed.into()),
         ("cores", grid.cores.into()),
         ("requests", REQUESTS.into()),
         ("runs", run_table().block(&grid.runs, 1)),
-        ("verdicts", verdicts.block(&asserts.verdicts, 1)),
-        ("assertions", assertions.object(asserts)),
+        ("verdicts", verdict_table().block(verdicts, 1)),
+        ("assertions", assertions),
     ])
 }
 
@@ -335,32 +355,12 @@ mod tests {
     fn grid_covers_the_cross_product_and_both_claims_hold() {
         let grid = run_grid(42);
         assert_eq!(grid.runs.len(), SERVING.len() * 2 * POSTURES.len());
-        let asserts = assess(&grid);
-        assert!(
-            asserts.inversion_observed,
-            "stock p999 must blow past PK on >= {INVERSION_MIN_WORKLOADS} workloads: {:?}",
-            asserts
-                .verdicts
-                .iter()
-                .map(|v| (v.workload, v.stock_p999, v.pk_p999))
-                .collect::<Vec<_>>()
-        );
-        assert!(
-            asserts.shedding_bounds_tail,
-            "shed arm must bound p999, hold goodput, and contrast a diverging \
-             unbounded queue: {:?}",
-            asserts
-                .verdicts
-                .iter()
-                .map(|v| (
-                    v.workload,
-                    v.shed_p999,
-                    v.shed_p999_bound,
-                    v.shed_goodput,
-                    v.noshed_queue_end
-                ))
-                .collect::<Vec<_>>()
-        );
+        let checks = assess(&verdicts(&grid));
+        let names: Vec<&str> = checks.iter().map(|c| c.name).collect();
+        assert_eq!(names, ["inversion_observed", "shedding_bounds_tail"]);
+        for c in &checks {
+            assert!(c.held(), "{}", c.violation());
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! figures, or one of the repo's gated reports. This library holds the
 //! report computations, each row type's columns as a [`pk_obs::Table`]
 //! (its text table, JSON and OpenMetrics are renders of that one
-//! statement), and the small kit they share: the argument parser
-//! ([`args`]) and personality resolution ([`personality::resolve`]:
-//! the roster's model, or `pk-adapt`'s converged one).
+//! statement), each report's gates as named [`gate::Check`]s, and the
+//! small kit they share: the argument parser ([`args`]) and
+//! personality resolution ([`personality::resolve`]: the roster's
+//! model, or `pk-adapt`'s converged one).
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -14,6 +15,7 @@
 pub mod adaptive;
 pub mod args;
 pub mod chaos;
+pub mod gate;
 pub mod latency;
 pub mod lockdep;
 pub mod personality;

@@ -13,6 +13,7 @@
 //! (gmake, pedsort, metis) declare no acting core and exercise only the
 //! lock-order and epoch rules.
 
+use crate::gate::{Check, Gate};
 use pk_fault::{FaultPlane, FaultSchedule};
 use pk_kernel::{Kernel, Personality};
 use pk_lockdep::ActingCore;
@@ -200,6 +201,14 @@ pub fn run_roster(seed: u64, cores: usize) -> Vec<LockdepRow> {
     rows
 }
 
+/// The validator's one gate: no violation recorded so far. Its values
+/// are the `[kind] message` lines.
+pub fn assess() -> Vec<Check> {
+    let lines = pk_lockdep::violations().into_iter();
+    let lines = lines.map(|v| format!("[{}] {}", v.kind.label(), v.message));
+    Vec::new().none("lockdep violations == 0", lines.collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,10 +232,12 @@ mod tests {
         assert!(total_faults > 0, "DES leg injected no faults at all");
         // The roster itself must be violation-free; negative tests
         // construct their violations in their own processes.
-        assert_eq!(
-            pk_lockdep::violations(),
-            vec![],
-            "roster produced lockdep violations"
+        let checks = assess();
+        let names: Vec<&str> = checks.iter().map(|c| c.name).collect();
+        assert_eq!(names, ["lockdep violations == 0"]);
+        assert!(
+            checks[0].held(),
+            "roster produced lockdep violations: {checks:?}"
         );
         if pk_lockdep::enabled() {
             assert!(pk_lockdep::acquisition_count() > 0);

@@ -8,6 +8,7 @@
 //! inversion gates CI — if the traced simulation stops reproducing it,
 //! `report profile` exits non-zero.
 
+use crate::gate::{Check, Gate};
 use crate::Resolved;
 use pk_obs::{document, Cell, Table};
 use pk_trace::{Event, Tracer};
@@ -127,40 +128,28 @@ pub fn trace(
     )
 }
 
-/// The paper's Exim headline, derived rather than asserted: at 48
-/// cores the stock kernel's cycles concentrate in the vfsmount-table
-/// lock (holding + spinning), and under PK that attribution collapses.
-#[derive(Debug, Clone)]
-pub struct EximInversion {
-    /// Stock share of exclusive cycles in `*vfsmount*` classes.
-    pub stock_share: f64,
-    /// Same share under PK.
-    pub pk_share: f64,
-    /// Stock's top non-root class (must be the vfsmount lock).
-    pub stock_top: String,
-    /// Whether the inversion was observed (the CI gate).
-    pub observed: bool,
-}
-
 /// Stock share must dominate ([`STOCK_DOMINANCE`]) and the PK share
 /// must collapse below [`PK_CEILING`].
 pub const STOCK_DOMINANCE: f64 = 0.40;
 /// See [`STOCK_DOMINANCE`].
 pub const PK_CEILING: f64 = 0.05;
 
-/// Derives the inversion from the two Exim attributions.
-pub fn exim_inversion(stock: &WorkloadAttribution, pk: &WorkloadAttribution) -> EximInversion {
-    let stock_share = stock.share_of("vfsmount");
-    let pk_share = pk.share_of("vfsmount");
-    let stock_top = stock.top_class().to_string();
-    let observed =
-        stock_top.contains("vfsmount") && stock_share >= STOCK_DOMINANCE && pk_share <= PK_CEILING;
-    EximInversion {
-        stock_share,
-        pk_share,
-        stock_top,
-        observed,
-    }
+/// A workload's (stock, PK) attributions.
+pub type Pair<'a> = (&'a WorkloadAttribution, &'a WorkloadAttribution);
+
+/// The paper's Exim headline as a gate, derived rather than asserted
+/// and named after its JSON block: at 48 cores stock's top class is the
+/// vfsmount-table lock (holding + spinning) with at least
+/// [`STOCK_DOMINANCE`] of the cycles, and under PK that share collapses
+/// to at most [`PK_CEILING`].
+pub fn exim_gate((stock, pk): Pair) -> Vec<Check> {
+    let top = stock.top_class();
+    let (s, p) = (stock.share_of("vfsmount"), pk.share_of("vfsmount"));
+    let observed = top.contains("vfsmount") && s >= STOCK_DOMINANCE && p <= PK_CEILING;
+    Vec::new().check("exim_inversion", observed, || {
+        let (s, p) = (100.0 * s, 100.0 * p);
+        format!("stock top class {top}, vfsmount {s:.1}% of stock and {p:.1}% of PK cycles")
+    })
 }
 
 /// Per-workload generation-2 collapse structure: the station-name
@@ -220,6 +209,22 @@ pub fn gen2_inversion(
     })
 }
 
+/// The run's gate, selected by core count: at the paper's scale the
+/// Exim headline ([`exim_gate`]; none when Exim was filtered out), past
+/// 48 cores the gen-2 inversions, observed on at least two workloads
+/// (every one, when fewer ran).
+pub fn assess(cores: usize, exim: Option<Pair>, gen2: &[Gen2Inversion]) -> Vec<Check> {
+    if cores <= 48 {
+        return exim.map(exim_gate).unwrap_or_default();
+    }
+    let (observed, ran) = (gen2.iter().filter(|g| g.observed).count(), gen2.len());
+    let required = ran.min(2);
+    let held = required > 0 && observed >= required;
+    Vec::new().check("gen2_inversions", held, || {
+        format!("{observed}/{ran} observed (need >= {required})")
+    })
+}
+
 /// The gen-2 inversion columns: a text line (stock's share clamped to
 /// 100%) and a JSON object per workload.
 pub fn gen2_table() -> Table<Gen2Inversion> {
@@ -241,14 +246,14 @@ pub fn gen2_table() -> Table<Gen2Inversion> {
 
 /// Renders the deterministic JSON artifact: runs in roster × {stock,
 /// coarse, pk, adaptive} order — byte-identical for a fixed seed.
-/// `inversion` is `None` when Exim was filtered out of the run; `gen2`
+/// `exim` is `None` when Exim was filtered out of the run; `gen2`
 /// carries the big-topology inversions (empty on the 48-core paper
 /// machine).
 pub fn report_json(
     seed: u64,
     cores: usize,
     runs: &[WorkloadAttribution],
-    inversion: Option<&EximInversion>,
+    exim: Option<Pair>,
     gen2: &[Gen2Inversion],
 ) -> String {
     let runs_table = Table::<WorkloadAttribution>::new()
@@ -259,11 +264,11 @@ pub fn report_json(
         .col("", "top", |r| {
             class_table(r.profile.total_cycles).block(r.profile.top_exclusive(8), 2)
         });
-    let inversion_table = Table::<EximInversion>::new()
-        .col("", "stock_vfsmount_share", |i| i.stock_share)
-        .col("", "pk_vfsmount_share", |i| i.pk_share)
-        .col("", "stock_top", |i| i.stock_top.clone())
-        .col("", "observed", |i| i.observed);
+    let inversion_table = Table::<Pair>::new()
+        .col("", "stock_vfsmount_share", |(s, _)| s.share_of("vfsmount"))
+        .col("", "pk_vfsmount_share", |(_, p)| p.share_of("vfsmount"))
+        .col("", "stock_top", |(s, _)| s.top_class().to_string())
+        .col("", "observed", |&pair| exim_gate(pair)[0].held());
     let null = Cell::Json("null".to_string());
     document([
         ("seed", seed.into()),
@@ -271,7 +276,7 @@ pub fn report_json(
         ("workloads", runs_table.block(runs, 1)),
         (
             "exim_inversion",
-            inversion.map_or(null, |i| inversion_table.object(i)),
+            exim.map_or(null, |pair| inversion_table.object(&pair)),
         ),
         ("gen2_inversions", gen2_table().block(gen2, 1)),
     ])
@@ -311,12 +316,10 @@ mod tests {
             run_traced("exim", Personality::Pk, 48, 200, 42, MachineSpec::paper()).unwrap();
         assert_eq!(stock.dropped_events, 0, "ring must hold the whole run");
         assert_eq!(pk.dropped_events, 0);
-        let inv = exim_inversion(&stock, &pk);
-        assert!(
-            inv.observed,
-            "stock_top={} stock={} pk={}",
-            inv.stock_top, inv.stock_share, inv.pk_share
-        );
+        let checks = assess(48, Some((&stock, &pk)), &[]);
+        let names: Vec<&str> = checks.iter().map(|c| c.name).collect();
+        assert_eq!(names, ["exim_inversion"]);
+        assert!(checks[0].held(), "{}", checks[0].violation());
     }
 
     #[test]
@@ -344,6 +347,7 @@ mod tests {
         // workloads (one VFS-side, one net-side) gate the claim; the
         // full-roster pass lives in `report profile`/CI.
         let machine = MachineSpec::with_topology(64, 16).expect("64x16 valid");
+        let mut gen2 = Vec::new();
         for name in ["exim", "memcached"] {
             let (stock, _) = run_traced(name, Personality::Stock, 1024, 40, 42, machine).unwrap();
             let (pk, _) = run_traced(name, Personality::Pk, 1024, 40, 42, machine).unwrap();
@@ -354,6 +358,11 @@ mod tests {
                 "{name}: structure={} stock={:.3} pk={:.3}",
                 inv.structure, inv.stock_share, inv.pk_share
             );
+            gen2.push(inv);
         }
+        let checks = assess(1024, None, &gen2);
+        let names: Vec<&str> = checks.iter().map(|c| c.name).collect();
+        assert_eq!(names, ["gen2_inversions"]);
+        assert!(checks[0].held(), "{}", checks[0].violation());
     }
 }

@@ -10,7 +10,7 @@
 //! the wait cycles named by lock class instead of inferred from
 //! aggregate counters.
 //!
-//! Three claims are derived from the runs (the CI gate):
+//! [`assess`] derives three checks from the runs (the CI gate):
 //!
 //! 1. **Per-request inversion** — the exact p999 order statistic of
 //!    stock Exim's folded requests exceeds PK's at the same absolute
@@ -27,9 +27,10 @@
 //! some exemplar tree is missing a span, so the capture is sized by
 //! [`pk_sim::flow_ring_capacity`] and checked per track.
 
+use crate::gate::{held, Check, Gate};
 use crate::resolve;
 use pk_kernel::Personality;
-use pk_obs::{document, Cell, OpenMetrics, Table};
+use pk_obs::{document, object, Cell, OpenMetrics, Table};
 use pk_serve::{run_serving_flow, ServeRun, SERVING};
 use pk_sim::{flow_ring_capacity, MachineSpec};
 use pk_trace::{Event, Tracer};
@@ -232,38 +233,9 @@ pub struct TailVerdict {
     pub inverted: bool,
 }
 
-/// The grid's derived assertions — the CI gate.
-#[derive(Debug, Clone)]
-pub struct TailAssertions {
-    /// Per-workload inversion verdicts, in `SERVING` order.
-    pub verdicts: Vec<TailVerdict>,
-    /// Workloads showing the per-request inversion.
-    pub inversions: usize,
-    /// `inversions >= INVERSION_MIN_WORKLOADS`.
-    pub inversion_observed: bool,
-    /// Stock Exim's p999 share of the wait pool behind [`MOUNT_CLASS`].
-    pub stock_exim_mount_share: f64,
-    /// `stock_exim_mount_share >= STOCK_MOUNT_SHARE_FLOOR`.
-    pub stock_attribution_concentrated: bool,
-    /// The widest class in PK Exim's p999 decomposition, basis points
-    /// of tail latency.
-    pub pk_exim_max_class_bp: u64,
-    /// The class that holds `pk_exim_max_class_bp` (empty if no waits).
-    pub pk_exim_max_class: String,
-    /// `pk_exim_max_class_bp <= PK_CLASS_BP_CEILING`.
-    pub pk_attribution_flat: bool,
-}
-
-impl TailAssertions {
-    /// Whether all three headline claims held.
-    pub fn ok(&self) -> bool {
-        self.inversion_observed && self.stock_attribution_concentrated && self.pk_attribution_flat
-    }
-}
-
-/// Derives the gate verdicts from a grid.
-pub fn assess(grid: &TailGrid) -> TailAssertions {
-    let verdicts: Vec<TailVerdict> = SERVING
+/// Derives the per-workload inversion verdicts, in `SERVING` order.
+pub fn verdicts(grid: &TailGrid) -> Vec<TailVerdict> {
+    SERVING
         .iter()
         .map(|w| {
             let stock = grid.find(w, Personality::Stock).at(0.999).threshold_cycles;
@@ -275,32 +247,41 @@ pub fn assess(grid: &TailGrid) -> TailAssertions {
                 inverted: stock > pk,
             }
         })
-        .collect();
+        .collect()
+}
+
+/// What the two Exim claims judge: stock Exim's p999 share of the wait
+/// pool behind [`MOUNT_CLASS`], and the widest class in PK Exim's p999
+/// decomposition with its basis points of tail latency (an empty name
+/// if nothing waited).
+pub fn exim_p999(grid: &TailGrid) -> (f64, String, u64) {
+    let at = |p| grid.find("exim", p).at(0.999);
+    let stock = at(Personality::Stock).class(MOUNT_CLASS);
+    let widest = at(Personality::Pk).by_class.first();
+    let widest = widest.map(|c| (c.class.clone(), c.bp_of_latency));
+    let (class, bp) = widest.unwrap_or_default();
+    (stock.map_or(0.0, |c| c.share_of_waits), class, bp)
+}
+
+/// The grid's three claims over its [`verdicts`] and [`exim_p999`], in
+/// order, each named after its JSON key.
+pub fn assess(verdicts: &[TailVerdict], exim: &(f64, String, u64)) -> Vec<Check> {
     let inversions = verdicts.iter().filter(|v| v.inverted).count();
-
-    let stock_exim = grid.find("exim", Personality::Stock).at(0.999);
-    let stock_exim_mount_share = stock_exim
-        .class(MOUNT_CLASS)
-        .map(|c| c.share_of_waits)
-        .unwrap_or(0.0);
-
-    let pk_exim = grid.find("exim", Personality::Pk).at(0.999);
-    let (pk_exim_max_class, pk_exim_max_class_bp) = pk_exim
-        .by_class
-        .first()
-        .map(|c| (c.class.clone(), c.bp_of_latency))
-        .unwrap_or_default();
-
-    TailAssertions {
-        inversion_observed: inversions >= INVERSION_MIN_WORKLOADS,
-        inversions,
-        verdicts,
-        stock_attribution_concentrated: stock_exim_mount_share >= STOCK_MOUNT_SHARE_FLOOR,
-        stock_exim_mount_share,
-        pk_attribution_flat: pk_exim_max_class_bp <= PK_CLASS_BP_CEILING,
-        pk_exim_max_class,
-        pk_exim_max_class_bp,
-    }
+    let &(share, ref class, bp) = exim;
+    let observed = inversions >= INVERSION_MIN_WORKLOADS;
+    let concentrated = share >= STOCK_MOUNT_SHARE_FLOOR;
+    Vec::new()
+        .check("inversion_observed", observed, || {
+            let n = verdicts.len();
+            format!("{inversions}/{n} workloads (need {INVERSION_MIN_WORKLOADS})")
+        })
+        .check("stock_attribution_concentrated", concentrated, || {
+            let (share, floor) = (100.0 * share, 100.0 * STOCK_MOUNT_SHARE_FLOOR);
+            format!("stock exim {MOUNT_CLASS} share {share:.1}% < floor {floor:.0}%")
+        })
+        .check("pk_attribution_flat", bp <= PK_CLASS_BP_CEILING, || {
+            format!("pk exim {class} at {bp} bp > ceiling {PK_CLASS_BP_CEILING} bp")
+        })
 }
 
 /// The per-cell columns: text one row per cell with the p999
@@ -433,30 +414,33 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The grid's gate verdicts as one JSON object.
-fn assertion_table() -> Table<TailAssertions> {
-    Table::<TailAssertions>::new()
-        .col("", "inversions", |a| a.inversions)
-        .col("", "inversion_observed", |a| a.inversion_observed)
-        .col("", "stock_exim_mount_share", |a| a.stock_exim_mount_share)
-        .col("", "stock_attribution_concentrated", |a| {
-            a.stock_attribution_concentrated
-        })
-        .col("", "pk_exim_max_class", |a| a.pk_exim_max_class.clone())
-        .col("", "pk_exim_max_class_bp", |a| a.pk_exim_max_class_bp)
-        .col("", "pk_attribution_flat", |a| a.pk_attribution_flat)
-        .col("", "ok", TailAssertions::ok)
-}
-
 /// Renders the deterministic JSON artifact: cells in grid order —
-/// byte-identical per seed.
-pub fn report_json(grid: &TailGrid, asserts: &TailAssertions) -> String {
+/// byte-identical per seed. The `assertions` object records
+/// [`assess`]'s `checks` by name, each after the value it judged.
+pub fn report_json(
+    grid: &TailGrid,
+    verdicts: &[TailVerdict],
+    exim: &(f64, String, u64),
+    checks: &[Check],
+) -> String {
+    let inversions = verdicts.iter().filter(|v| v.inverted).count();
+    let &(share, ref class, bp) = exim;
+    let assertions = object([
+        ("inversions", inversions.into()),
+        held(checks, "inversion_observed"),
+        ("stock_exim_mount_share", share.into()),
+        held(checks, "stock_attribution_concentrated"),
+        ("pk_exim_max_class", class.as_str().into()),
+        ("pk_exim_max_class_bp", bp.into()),
+        held(checks, "pk_attribution_flat"),
+        ("ok", checks.iter().all(Check::held).into()),
+    ]);
     document([
         ("seed", grid.seed.into()),
         ("cores", grid.cores.into()),
         ("requests", grid.requests.into()),
         ("cells", cell_table().block(&grid.cells, 1)),
-        ("assertions", assertion_table().object(asserts)),
+        ("assertions", assertions),
     ])
 }
 
@@ -501,6 +485,15 @@ pub struct LockdepLiveRow {
     pub violations: usize,
     /// Request contexts leaked during the row (must be zero).
     pub ctx_leaks: u64,
+}
+
+impl LockdepLiveRow {
+    /// The row's two checks: no lockdep violations, no leaked contexts.
+    pub fn checks(&self) -> Vec<Check> {
+        Vec::new()
+            .eq("lockdep-live violations == 0", self.violations, 0)
+            .eq("lockdep-live ctx leaks == 0", self.ctx_leaks, 0)
+    }
 }
 
 /// Runs the lockdep-live row: `conns_per_core` connections on each of
@@ -564,27 +557,19 @@ mod tests {
             );
             assert_eq!(c.dropped_by_track.iter().sum::<u64>(), 0);
         }
-        let asserts = assess(grid);
-        assert!(
-            asserts.inversion_observed,
-            "per-request p999 inversion must show on >= {INVERSION_MIN_WORKLOADS} workloads: {:?}",
-            asserts
-                .verdicts
-                .iter()
-                .map(|v| (v.workload, v.stock_p999, v.pk_p999))
-                .collect::<Vec<_>>()
+        let checks = assess(&verdicts(grid), &exim_p999(grid));
+        let names: Vec<&str> = checks.iter().map(|c| c.name).collect();
+        assert_eq!(
+            names,
+            [
+                "inversion_observed",
+                "stock_attribution_concentrated",
+                "pk_attribution_flat"
+            ]
         );
-        assert!(
-            asserts.stock_attribution_concentrated,
-            "stock exim must attribute >= {:.0}% of p999 waits to {MOUNT_CLASS}, got {:.1}%",
-            STOCK_MOUNT_SHARE_FLOOR * 100.0,
-            asserts.stock_exim_mount_share * 100.0
-        );
-        assert!(
-            asserts.pk_attribution_flat,
-            "PK exim's widest class must stay <= {PK_CLASS_BP_CEILING} bp, got {} ({})",
-            asserts.pk_exim_max_class_bp, asserts.pk_exim_max_class
-        );
+        for c in &checks {
+            assert!(c.held(), "{}", c.violation());
+        }
     }
 
     #[test]
@@ -602,9 +587,10 @@ mod tests {
     #[test]
     fn artifacts_are_deterministic_and_shaped() {
         let grid = grid42();
-        let asserts = assess(grid);
-        let json = report_json(grid, &asserts);
-        assert_eq!(json, report_json(grid, &asserts));
+        let (verdicts, exim) = (verdicts(grid), exim_p999(grid));
+        let checks = assess(&verdicts, &exim);
+        let json = report_json(grid, &verdicts, &exim, &checks);
+        assert_eq!(json, report_json(grid, &verdicts, &exim, &checks));
         assert!(json.contains("\"seed\": 42"));
         assert!(json.contains(MOUNT_CLASS));
         let text = openmetrics(grid);
@@ -619,7 +605,8 @@ mod tests {
     fn lockdep_live_row_is_clean() {
         let row = run_lockdep_live(42);
         assert_eq!(row.delivered, row.connections * 10, "every message lands");
-        assert_eq!(row.violations, 0, "lock discipline holds under overload");
-        assert_eq!(row.ctx_leaks, 0, "every delivery scope closed");
+        for c in row.checks() {
+            assert!(c.held(), "{}", c.violation());
+        }
     }
 }

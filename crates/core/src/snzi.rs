@@ -42,10 +42,13 @@ struct Leaf {
 ///   adds/removes one unit at the root.
 ///
 /// Steady-state arrives/departs on an already-nonzero leaf touch only
-/// that core's cache line; the socket node absorbs the zero-crossing
-/// traffic of its own cores, and only socket-level crossings — rarer by
-/// a factor of `cores_per_socket` — reach the root. At 64 sockets ×
-/// 16 cores the root sees at most 64 writers instead of 1024.
+/// that core's cache line. A leaf's 1→0 crossing writes its socket
+/// node, and the root only when the socket's surplus reaches zero. A
+/// leaf's 0→1 crossing, though, writes the root once (twice when the
+/// socket was already live): the root-first order `update` needs so
+/// that an arrive never reads zero. A refcount get on an idle leaf is
+/// such a crossing, so every core writes the one root line; what that
+/// costs under cross-socket contention is unmeasured.
 ///
 /// # Indicator contract
 ///
@@ -60,7 +63,8 @@ struct Leaf {
 /// object is never freed early, only later).
 #[derive(Debug)]
 pub struct Snzi {
-    /// Number of sockets currently holding nonzero surplus.
+    /// At least the number of sockets holding nonzero surplus (exactly
+    /// that when no update is mid-crossing; see `update`).
     root: AtomicI64,
     /// Per-socket surplus: how many of the socket's leaves are nonzero.
     socket_surplus: Vec<AtomicI64>,
@@ -120,10 +124,20 @@ impl Snzi {
         if nonzero && !leaf.present {
             leaf.present = true;
             leaf.central_ops += 1;
+            // Root first, so that `root >= #sockets with surplus > 0` at
+            // every instant: each socket's 0→1 transition lands its `+1`
+            // on the root before it, every other arrival takes its `+1`
+            // back, and each 1→0 transition's `-1`, however delayed,
+            // matches an earlier 0→1's `+1`. An arrive that has returned
+            // therefore reads nonzero at the root, whoever else is
+            // mid-crossing on its socket.
+            self.root.fetch_add(1, Ordering::AcqRel);
             let prev = self.socket_surplus[socket].fetch_add(1, Ordering::AcqRel);
-            if prev == 0 {
-                // Socket surplus crossed zero: propagate to the root.
-                self.root.fetch_add(1, Ordering::AcqRel);
+            #[cfg(test)]
+            tests::run_root_probe();
+            if prev != 0 {
+                // The socket was already live: its unit is on the root.
+                self.root.fetch_sub(1, Ordering::AcqRel);
             }
         } else if !nonzero && leaf.present {
             leaf.present = false;
@@ -225,7 +239,55 @@ impl Counter for Snzi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use std::sync::Arc;
+
+    thread_local! {
+        /// Test hook, see [`with_root_probe`].
+        static ROOT_PROBE: RefCell<Option<Box<dyn FnOnce()>>> = const { RefCell::new(None) };
+    }
+
+    /// Runs `f` with `probe` installed as this thread's root probe: the
+    /// first leaf 0→1 crossing the thread makes inside `f` runs it
+    /// between the socket and the root updates, and uninstalls it (so a
+    /// crossing inside the probe does not recurse). Other threads are
+    /// unaffected; the previous probe is restored when `f` returns or
+    /// unwinds.
+    fn with_root_probe<R>(probe: impl FnOnce() + 'static, f: impl FnOnce() -> R) -> R {
+        struct Restore(Option<Box<dyn FnOnce()>>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                ROOT_PROBE.with(|p| *p.borrow_mut() = self.0.take());
+            }
+        }
+        let _restore = Restore(ROOT_PROBE.with(|p| p.borrow_mut().replace(Box::new(probe))));
+        f()
+    }
+
+    pub(super) fn run_root_probe() {
+        if let Some(probe) = ROOT_PROBE.with(|p| p.borrow_mut().take()) {
+            probe();
+        }
+    }
+
+    #[test]
+    fn an_arrive_during_its_sockets_first_crossing_reads_nonzero() {
+        // Core 0 moves socket 0's surplus 0 → 1; before its root update
+        // lands, core 1 (same socket) arrives, sees the socket already
+        // live, and asks the indicator.
+        let s = Arc::new(Snzi::new(8, 2));
+        let racer = Arc::clone(&s);
+        let probe = move || {
+            racer.arrive(CoreId(1), 1);
+            assert!(racer.query(), "core 1 has arrived, so the count is nonzero");
+        };
+        with_root_probe(probe, || s.arrive(CoreId(0), 1));
+        assert_eq!(s.root.load(Ordering::Relaxed), 1, "one live socket");
+        s.depart(CoreId(0), 1);
+        s.depart(CoreId(1), 1);
+        assert!(!s.query());
+        assert_eq!(s.root.load(Ordering::Relaxed), 0);
+    }
 
     #[test]
     fn tree_surplus_propagates_per_socket() {

@@ -250,10 +250,7 @@ impl<R> Table<R> {
     /// `row` as an inline JSON object: `{"key": value, ...}`.
     pub fn object(&self, row: &R) -> Cell {
         let keyed = self.cols.iter().filter(|c| !c.key.is_empty());
-        let fields: Vec<String> = keyed
-            .map(|c| format!("\"{}\": {}", c.key, (c.get)(row).json()))
-            .collect();
-        Cell::Json(format!("{{{}}}", fields.join(", ")))
+        object(keyed.map(|c| (c.key, (c.get)(row))))
     }
 
     /// `rows` as an inline JSON array: `[{...},{...}]`.
@@ -281,6 +278,14 @@ fn lines(indent: &str, items: impl Iterator<Item = String>) -> String {
         out.push('\n');
     }
     out
+}
+
+/// `fields` as an inline JSON object: `{"key": value, ...}`.
+pub fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Cell)>) -> Cell {
+    let fields: Vec<String> = (fields.into_iter())
+        .map(|(k, v)| format!("\"{k}\": {}", v.json()))
+        .collect();
+    Cell::Json(format!("{{{}}}", fields.join(", ")))
 }
 
 /// A JSON document: `{`, one `"key": value` per line two spaces in,
