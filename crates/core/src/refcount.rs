@@ -5,9 +5,17 @@ use crate::sloppy::SloppyCounter;
 use crate::snzi::Snzi;
 use crate::traits::Counter;
 use pk_percpu::CoreId;
+use pk_sync::SpinLock;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+
+/// Lock class of every lifecycle's `dealloc` lock, registered by the
+/// first lifecycle.
+static DEALLOC_CLASS: pk_lockdep::LazyClass = pk_lockdep::LazyClass::new(
+    "core.refcount.dealloc",
+    "pk-sloppy",
+    pk_lockdep::LockKind::Spin,
+);
 
 /// Error returned when deallocation cannot proceed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,17 +67,19 @@ pub struct Lifecycle<B> {
     dead: AtomicBool,
     // Serializes settle-and-mark between deallocators (the paper's
     // lock-free protocol falls back to locking when the refcount is 0).
-    dealloc: Mutex<()>,
+    dealloc: SpinLock<()>,
 }
 
 impl<B: Backing> Lifecycle<B> {
     /// Wraps a counter that already holds the creator's reference.
     fn holding(counter: B) -> Self {
-        Self {
+        let lifecycle = Self {
             counter,
             dead: AtomicBool::new(false),
-            dealloc: Mutex::new(()),
-        }
+            dealloc: SpinLock::new(()),
+        };
+        lifecycle.dealloc.set_class(DEALLOC_CLASS.id());
+        lifecycle
     }
 
     /// Charges the creator's reference to core 0 by convention,
@@ -108,9 +118,9 @@ impl<B: Backing> Lifecycle<B> {
     /// are relatively infrequently de-allocated" — and succeeds only if no
     /// references remain. On success the object is dead for good.
     pub fn try_dealloc(&self) -> Result<(), DeallocError> {
-        // A panicked holder must not wedge every future dealloc: the
-        // guard protects a settle-and-check that is safe to rerun.
-        let _g = self.dealloc.lock().unwrap_or_else(|e| e.into_inner());
+        // The lock does not poison: a panicked holder must not wedge
+        // every future dealloc, and the settle-and-check is safe to rerun.
+        let _g = self.dealloc.lock();
         if self.is_dead() {
             return Err(DeallocError::AlreadyDead);
         }
@@ -455,12 +465,12 @@ mod tests {
     #[derive(Default)]
     struct Scripted {
         count: std::sync::atomic::AtomicI64,
-        before_next_inc: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+        before_next_inc: SpinLock<Option<Box<dyn FnOnce() + Send>>>,
     }
 
     impl Counter for Scripted {
         fn add(&self, _: CoreId, delta: i64) {
-            let hook = self.before_next_inc.lock().unwrap().take();
+            let hook = self.before_next_inc.lock().take();
             if let Some(hook) = hook.filter(|_| delta > 0) {
                 hook();
             }
@@ -481,7 +491,7 @@ mod tests {
     fn a_get_overtaken_by_a_dealloc_backs_out() {
         let rc = Arc::new(Lifecycle::holding(Scripted::default()));
         let dealloc = Arc::clone(&rc);
-        *rc.counter.before_next_inc.lock().unwrap() =
+        *rc.counter.before_next_inc.lock() =
             Some(Box::new(move || assert_eq!(dealloc.try_dealloc(), Ok(()))));
         // Passes the first dead check, is overtaken inside the increment,
         // and must notice on the re-check.

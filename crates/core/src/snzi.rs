@@ -3,13 +3,17 @@
 //! SNZIs).
 //!
 //! The tree's operation tallies (`op_counts`) are plain fields of each
-//! leaf, written under the leaf mutex an update already holds — an
+//! leaf, written under the leaf lock an update already holds — an
 //! update's only atomics are the surplus crossings themselves.
 
 use crate::traits::Counter;
 use pk_percpu::{CoreId, PerCore};
+use pk_sync::SpinLock;
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Mutex;
+
+/// Lock class of every tree's leaves, registered by the first tree.
+static LEAF_CLASS: pk_lockdep::LazyClass =
+    pk_lockdep::LazyClass::new("core.snzi.leaf", "pk-sloppy", pk_lockdep::LockKind::Spin);
 
 /// One per-core leaf of the [`Snzi`] tree.
 #[derive(Debug, Default)]
@@ -22,7 +26,7 @@ struct Leaf {
     /// its socket node.
     present: bool,
     /// Updates applied at this leaf. Like `central_ops`, a plain field:
-    /// its writer already holds the leaf mutex.
+    /// its writer already holds the leaf lock.
     local_ops: u64,
     /// Of those, the ones that went on to write a shared line (a surplus
     /// crossing at the socket node, or a reconciliation fold).
@@ -69,7 +73,7 @@ pub struct Snzi {
     /// Per-socket surplus: how many of the socket's leaves are nonzero.
     socket_surplus: Vec<AtomicI64>,
     cores_per_socket: usize,
-    leaves: PerCore<Mutex<Leaf>>,
+    leaves: PerCore<SpinLock<Leaf>>,
     /// Exact count absorbed by reconciliation; always part of the
     /// logical value.
     central: AtomicI64,
@@ -89,7 +93,11 @@ impl Snzi {
             root: AtomicI64::new(0),
             socket_surplus: (0..sockets).map(|_| AtomicI64::new(0)).collect(),
             cores_per_socket: cores.div_ceil(sockets).max(1),
-            leaves: PerCore::new_with(cores, |_| Mutex::new(Leaf::default())),
+            leaves: PerCore::new_with(cores, |_| {
+                let leaf = SpinLock::default();
+                leaf.set_class(LEAF_CLASS.id());
+                leaf
+            }),
             central: AtomicI64::new(0),
         }
     }
@@ -117,7 +125,7 @@ impl Snzi {
         }
         pk_lockdep::check_percore_mutation("snzi.leaf", core.index());
         let socket = self.socket_of(core.index());
-        let mut leaf = self.leaves.get(core).lock().unwrap();
+        let mut leaf = self.leaves.get(core).lock();
         leaf.count += delta;
         leaf.local_ops += 1;
         let nonzero = leaf.count != 0;
@@ -180,8 +188,7 @@ impl Snzi {
     /// The exact logical value: central plus every leaf. Expensive by
     /// design — it locks each leaf in turn.
     pub fn value(&self) -> i64 {
-        self.central.load(Ordering::Acquire)
-            + self.leaves.fold(0, |a, l| a + l.lock().unwrap().count)
+        self.central.load(Ordering::Acquire) + self.leaves.fold(0, |a, l| a + l.lock().count)
     }
 
     /// Folds every leaf into the central count, clearing all surplus,
@@ -192,7 +199,7 @@ impl Snzi {
         let _migrate = pk_lockdep::MigrationScope::enter();
         for core in 0..self.leaves.cores() {
             let socket = self.socket_of(core);
-            let mut leaf = self.leaves.get(CoreId(core)).lock().unwrap();
+            let mut leaf = self.leaves.get(CoreId(core)).lock();
             if leaf.count != 0 {
                 self.central.fetch_add(leaf.count, Ordering::AcqRel);
                 leaf.central_ops += 1;
@@ -211,12 +218,12 @@ impl Snzi {
 
     /// Returns `(central_ops, local_ops)`: operations that touched a
     /// shared line (socket/root propagation, reconciliation) versus
-    /// leaf updates. Both are tallied in the leaf, under the mutex the
+    /// leaf updates. Both are tallied in the leaf, under the lock the
     /// operation already holds, so they are exact for any thread-to-core
     /// mapping; this read locks each leaf in turn to sum them.
     pub fn op_counts(&self) -> (u64, u64) {
         self.leaves.fold((0, 0), |(central, local), l| {
-            let leaf = l.lock().unwrap();
+            let leaf = l.lock();
             (central + leaf.central_ops, local + leaf.local_ops)
         })
     }

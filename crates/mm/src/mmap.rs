@@ -4,14 +4,15 @@ use crate::config::{MmConfig, PageSize};
 use crate::numa::{NumaAllocator, OutOfMemory};
 use crate::stats::MmStats;
 use pk_sync::rcu::{self, RcuCell};
-use pk_sync::AdaptiveMutex;
+use pk_sync::{AdaptiveMutex, SpinLock};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// Lock classes of the address-space-wide super-page mutex and of each
-/// region's mapping mutex, registered at first construction.
+/// Lock classes of the address-space-wide super-page mutex, of each
+/// region's mapping mutex and of its page bookkeeping, registered at
+/// first construction.
 static SUPERPAGE_CLASS: pk_lockdep::LazyClass = pk_lockdep::LazyClass::new(
     "mm.mmap.superpage_global",
     "pk-mm",
@@ -22,6 +23,8 @@ static MAPPING_MUTEX_CLASS: pk_lockdep::LazyClass = pk_lockdep::LazyClass::new(
     "pk-mm",
     pk_lockdep::LockKind::Blocking,
 );
+static REGION_PAGES_CLASS: pk_lockdep::LazyClass =
+    pk_lockdep::LazyClass::new("mm.mmap.region_pages", "pk-mm", pk_lockdep::LockKind::Spin);
 
 /// Identifies a mapping within an address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,13 +76,20 @@ struct Region {
     id: RegionId,
     pages: u64,
     page_size: PageSize,
-    /// Which pages have been faulted in.
-    present: Mutex<HashSet<u64>>,
-    /// 4 KB pages allocated per NUMA node (so munmap can return each
-    /// page to the node it came from).
-    node_pages: Mutex<Vec<(usize, u64)>>,
+    /// Which pages are in, and where they came from.
+    faulted: SpinLock<Faulted>,
     /// PK's per-mapping super-page mutex.
     mapping_mutex: AdaptiveMutex<()>,
+}
+
+/// A region's fault bookkeeping.
+#[derive(Debug, Default)]
+struct Faulted {
+    /// Which pages have been faulted in.
+    present: HashSet<u64>,
+    /// 4 KB pages allocated per NUMA node (so munmap can return each
+    /// page to the node it came from).
+    node_pages: Vec<(usize, u64)>,
 }
 
 /// A process address space (`mm_struct`).
@@ -139,11 +149,11 @@ impl AddressSpace {
             id,
             pages,
             page_size,
-            present: Mutex::new(HashSet::new()),
-            node_pages: Mutex::new(Vec::new()),
+            faulted: SpinLock::default(),
             mapping_mutex: AdaptiveMutex::new(()),
         });
         region.mapping_mutex.set_class(MAPPING_MUTEX_CLASS.id());
+        region.faulted.set_class(REGION_PAGES_CLASS.id());
         self.stats.mmaps.bump();
         self.regions.publish(|v| {
             let mut v = v.clone();
@@ -173,12 +183,7 @@ impl AddressSpace {
             .publish(|v| v.iter().filter(|r| r.id != id).cloned().collect());
         let _ = core;
         // Return every faulted page to the node it was allocated from.
-        for (node, pages) in region
-            .node_pages
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-        {
+        for (node, pages) in region.faulted.lock().node_pages.drain(..) {
             self.allocator.free_on(node, pages);
         }
         Ok(())
@@ -228,11 +233,8 @@ impl AddressSpace {
     }
 
     fn populate(&self, region: &Region, page_idx: u64, core: usize) -> Result<bool, FaultError> {
-        {
-            let mut present = region.present.lock().unwrap_or_else(|e| e.into_inner());
-            if !present.insert(page_idx) {
-                return Ok(false);
-            }
+        if !region.faulted.lock().present.insert(page_idx) {
+            return Ok(false);
         }
         let pages_4k = region.page_size.bytes() / PageSize::Base4K.bytes();
         let node = match self.allocator.alloc_local(core, pages_4k) {
@@ -240,16 +242,12 @@ impl AddressSpace {
             Err(e) => {
                 // Roll back the presence bit so a later fault can retry
                 // once memory frees up.
-                region
-                    .present
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&page_idx);
+                region.faulted.lock().present.remove(&page_idx);
                 return Err(FaultError::Oom(e));
             }
         };
         {
-            let mut np = region.node_pages.lock().unwrap_or_else(|e| e.into_inner());
+            let np = &mut region.faulted.lock().node_pages;
             match np.iter_mut().find(|(n, _)| *n == node) {
                 Some((_, p)) => *p += pages_4k,
                 None => np.push((node, pages_4k)),

@@ -4,7 +4,6 @@ use crate::config::NetConfig;
 use crate::error::{DropReason, RxDrop};
 use crate::skb::Skb;
 use crate::stats::NetStats;
-use parking_lot::RwLock;
 use pk_fault::{FaultPlane, FaultPoint};
 use pk_percpu::{CoreId, IntKeyMap, PerCore};
 use pk_sync::SpinLock;
@@ -76,9 +75,9 @@ pub struct Nic {
     queues: Vec<SpinLock<VecDeque<RxPacket>>>,
     /// Flow-director state, sharded per socket
     /// ([`NetConfig::flow_table_shards`]): a sampling update from a core
-    /// only writes its socket's shard, so the rwlock cache line stops
+    /// only writes its socket's shard, so the lock's cache line stops
     /// bouncing between packages (generation-2 fix past 48 cores).
-    flow_table: Vec<RwLock<IntKeyMap<u64, usize>>>,
+    flow_table: Vec<SpinLock<IntKeyMap<u64, usize>>>,
     tx_counters: PerCore<AtomicU64>,
     queue_capacity: usize,
     config: NetConfig,
@@ -108,6 +107,8 @@ impl Nic {
     pub fn with_faults(config: NetConfig, stats: Arc<NetStats>, faults: &FaultPlane) -> Self {
         let queue_class =
             pk_lockdep::register_class("net.nic.rx_queue", "pk-net", pk_lockdep::LockKind::Spin);
+        let flow_class =
+            pk_lockdep::register_class("net.nic.flow_table", "pk-net", pk_lockdep::LockKind::Spin);
         Self {
             queues: (0..config.cores)
                 .map(|_| {
@@ -117,7 +118,11 @@ impl Nic {
                 })
                 .collect(),
             flow_table: (0..config.flow_table_shards.max(1))
-                .map(|_| RwLock::default())
+                .map(|_| {
+                    let shard = SpinLock::default();
+                    shard.set_class(flow_class);
+                    shard
+                })
                 .collect(),
             tx_counters: PerCore::new_with(config.cores, |_| AtomicU64::new(0)),
             queue_capacity: 4096,
@@ -143,7 +148,7 @@ impl Nic {
         }
         if !self.config.hash_flow_steering {
             let h = flow.hash();
-            if let Some(&q) = self.flow_shard(h).read().get(&h) {
+            if let Some(&q) = self.flow_shard(h).lock().get(&h) {
                 return q;
             }
         }
@@ -229,7 +234,7 @@ impl Nic {
             if n.is_multiple_of(SAMPLE_PERIOD) {
                 let h = flow.hash();
                 self.flow_shard(h)
-                    .write()
+                    .lock()
                     .insert(h, core.index() % self.queues.len());
             }
         }
@@ -238,7 +243,7 @@ impl Nic {
     /// The flow-director shard holding flow hash `h`. With one shard
     /// (stock) this is the single global table; with per-socket sharding
     /// the hash picks a stable shard so steer/tx agree on placement.
-    fn flow_shard(&self, h: u64) -> &RwLock<IntKeyMap<u64, usize>> {
+    fn flow_shard(&self, h: u64) -> &SpinLock<IntKeyMap<u64, usize>> {
         &self.flow_table[(h as usize) % self.flow_table.len()]
     }
 

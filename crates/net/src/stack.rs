@@ -375,13 +375,13 @@ mod tests {
     fn racing_binds_of_one_port_yield_one_socket() {
         let stack = Arc::new(NetStack::new(NetConfig::pk(4)));
         let rival = Arc::clone(&stack);
-        let rival_sock = Arc::new(std::sync::Mutex::new(None));
+        let rival_sock = Arc::new(pk_sync::SpinLock::new(None));
         let slot = Arc::clone(&rival_sock);
         let first = crate::with_race_probe(
-            move || *slot.lock().unwrap() = rival.udp_bind(5000, CoreId(3)),
+            move || *slot.lock() = rival.udp_bind(5000, CoreId(3)),
             || stack.udp_bind(5000, CoreId(1)),
         );
-        let rival_sock = rival_sock.lock().unwrap().take();
+        let rival_sock = rival_sock.lock().take();
         assert!(rival_sock.is_some(), "the rival's bind ran first and won");
         assert!(first.is_none(), "the port was taken under the writer lock");
         assert_eq!(stack.owner_of(5000), Some(CoreId(3)));

@@ -1,10 +1,10 @@
 //! Processes and the process table.
 
-use parking_lot::RwLock;
 use pk_percpu::CoreId;
+use pk_sync::SpinLock;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A process identifier.
@@ -22,8 +22,6 @@ impl fmt::Display for Pid {
 pub enum ProcessState {
     /// On a run queue or executing.
     Runnable,
-    /// Blocked (waiting on I/O or a child).
-    Sleeping,
     /// Exited, not yet reaped by its parent.
     Zombie,
 }
@@ -62,8 +60,11 @@ pub struct Process {
     pub pid: Pid,
     /// Parent pid (`Pid(0)` for the initial process).
     pub parent: Pid,
-    /// Current state.
-    state: RwLock<ProcessState>,
+    /// Set once, by `exit`: the process is a zombie from then on.
+    /// Stored with Release and loaded with Acquire in `state`, so a
+    /// reaper that sees the zombie sees what the process did before
+    /// it exited.
+    exited: AtomicBool,
     /// The core the process was created on (its cache-affine home). Exim's
     /// foreseen bottleneck — "a per-connection process and the delivery
     /// process it forks run on different cores" (§5.2) — is observable by
@@ -74,27 +75,21 @@ pub struct Process {
 impl Process {
     /// Returns the process state.
     pub fn state(&self) -> ProcessState {
-        *self.state.read()
-    }
-
-    fn set_state(&self, s: ProcessState) {
-        *self.state.write() = s;
+        if self.exited.load(Ordering::Acquire) {
+            ProcessState::Zombie
+        } else {
+            ProcessState::Runnable
+        }
     }
 }
 
 /// The global process table.
 #[derive(Debug)]
 pub struct ProcessTable {
-    procs: RwLock<HashMap<Pid, Arc<Process>>>,
+    procs: SpinLock<HashMap<Pid, Arc<Process>>>,
     next_pid: AtomicU64,
     forks: AtomicU64,
     execs: AtomicU64,
-    exits: AtomicU64,
-    /// Forks where the child landed on a different core than the
-    /// parent's home — the §6 foreseen cost ("the costs of thread and
-    /// process creation seem likely to grow ... in the case where parent
-    /// and child are on different cores").
-    cross_core_forks: AtomicU64,
     /// `proc.fork_fail`: fork fails with EAGAIN, as when a process or
     /// memory limit is hit.
     fault_fork: pk_fault::FaultPoint,
@@ -110,14 +105,17 @@ impl ProcessTable {
     /// `faults` (`proc.fork_fail`).
     pub fn with_faults(faults: &pk_fault::FaultPlane) -> Self {
         let t = Self {
-            procs: RwLock::new(HashMap::new()),
+            procs: SpinLock::new(HashMap::new()),
             next_pid: AtomicU64::new(1),
             forks: AtomicU64::new(0),
             execs: AtomicU64::new(0),
-            exits: AtomicU64::new(0),
-            cross_core_forks: AtomicU64::new(0),
             fault_fork: faults.point("proc.fork_fail"),
         };
+        t.procs.set_class(pk_lockdep::register_class(
+            "proc.process_table",
+            "pk-proc",
+            pk_lockdep::LockKind::Spin,
+        ));
         let init = t.spawn_raw(Pid(0), CoreId(0));
         debug_assert_eq!(init.pid, Pid(1));
         t
@@ -128,26 +126,22 @@ impl ProcessTable {
         let p = Arc::new(Process {
             pid,
             parent,
-            state: RwLock::new(ProcessState::Runnable),
+            exited: AtomicBool::new(false),
             home_core: core,
         });
-        self.procs.write().insert(pid, Arc::clone(&p));
+        self.procs.lock().insert(pid, Arc::clone(&p));
         p
     }
 
     /// Forks a child of `parent` on `core`.
     pub fn fork(&self, parent: Pid, core: CoreId) -> Result<Arc<Process>, ProcError> {
-        let parent_core = match self.procs.read().get(&parent) {
-            Some(p) => p.home_core,
-            None => return Err(ProcError::NoSuchProcess),
-        };
+        if !self.procs.lock().contains_key(&parent) {
+            return Err(ProcError::NoSuchProcess);
+        }
         if self.fault_fork.should_inject() {
             return Err(ProcError::ResourceExhausted);
         }
         self.forks.fetch_add(1, Ordering::Relaxed);
-        if parent_core != core {
-            self.cross_core_forks.fetch_add(1, Ordering::Relaxed);
-        }
         Ok(self.spawn_raw(parent, core))
     }
 
@@ -155,7 +149,7 @@ impl ProcessTable {
     /// observable effect is the cost marker — which is the point: Exim's
     /// third application fix avoids "an exec() per mail message" (§5.2).
     pub fn exec(&self, pid: Pid) -> Result<(), ProcError> {
-        if !self.procs.read().contains_key(&pid) {
+        if !self.procs.lock().contains_key(&pid) {
             return Err(ProcError::NoSuchProcess);
         }
         self.execs.fetch_add(1, Ordering::Relaxed);
@@ -164,20 +158,14 @@ impl ProcessTable {
 
     /// Marks `pid` as exited (zombie until reaped).
     pub fn exit(&self, pid: Pid) -> Result<(), ProcError> {
-        let p = self
-            .procs
-            .read()
-            .get(&pid)
-            .cloned()
-            .ok_or(ProcError::NoSuchProcess)?;
-        p.set_state(ProcessState::Zombie);
-        self.exits.fetch_add(1, Ordering::Relaxed);
+        let p = self.get(pid).ok_or(ProcError::NoSuchProcess)?;
+        p.exited.store(true, Ordering::Release);
         Ok(())
     }
 
     /// Reaps a zombie child: removes it from the table (`wait`).
     pub fn reap(&self, parent: Pid, child: Pid) -> Result<(), ProcError> {
-        let mut procs = self.procs.write();
+        let mut procs = self.procs.lock();
         let p = procs.get(&child).ok_or(ProcError::NoSuchProcess)?;
         if p.parent != parent {
             return Err(ProcError::NotYourChild);
@@ -189,30 +177,14 @@ impl ProcessTable {
         Ok(())
     }
 
-    /// Puts a process to sleep / wakes it.
-    pub fn set_sleeping(&self, pid: Pid, sleeping: bool) -> Result<(), ProcError> {
-        let p = self
-            .procs
-            .read()
-            .get(&pid)
-            .cloned()
-            .ok_or(ProcError::NoSuchProcess)?;
-        p.set_state(if sleeping {
-            ProcessState::Sleeping
-        } else {
-            ProcessState::Runnable
-        });
-        Ok(())
-    }
-
     /// Fetches a process.
     pub fn get(&self, pid: Pid) -> Option<Arc<Process>> {
-        self.procs.read().get(&pid).cloned()
+        self.procs.lock().get(&pid).cloned()
     }
 
     /// Number of live (unreaped) processes.
     pub fn len(&self) -> usize {
-        self.procs.read().len()
+        self.procs.lock().len()
     }
 
     /// Returns whether only the initial process remains.
@@ -225,19 +197,9 @@ impl ProcessTable {
         self.forks.load(Ordering::Relaxed)
     }
 
-    /// Total exits performed.
-    pub fn exit_count(&self) -> u64 {
-        self.exits.load(Ordering::Relaxed)
-    }
-
     /// Total execs performed.
     pub fn exec_count(&self) -> u64 {
         self.execs.load(Ordering::Relaxed)
-    }
-
-    /// Forks whose child landed on a different core than the parent.
-    pub fn cross_core_fork_count(&self) -> u64 {
-        self.cross_core_forks.load(Ordering::Relaxed)
     }
 }
 
@@ -271,7 +233,6 @@ mod tests {
         t.reap(Pid(1), child.pid).unwrap();
         assert!(t.get(child.pid).is_none());
         assert_eq!(t.fork_count(), 1);
-        assert_eq!(t.exit_count(), 1);
     }
 
     #[test]
@@ -294,15 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn sleep_wake_cycle() {
-        let t = ProcessTable::new();
-        t.set_sleeping(Pid(1), true).unwrap();
-        assert_eq!(t.get(Pid(1)).unwrap().state(), ProcessState::Sleeping);
-        t.set_sleeping(Pid(1), false).unwrap();
-        assert_eq!(t.get(Pid(1)).unwrap().state(), ProcessState::Runnable);
-    }
-
-    #[test]
     fn exec_counts_and_validates() {
         let t = ProcessTable::new();
         assert_eq!(t.exec(Pid(99)).unwrap_err(), ProcError::NoSuchProcess);
@@ -310,15 +262,6 @@ mod tests {
         t.exec(c.pid).unwrap();
         t.exec(c.pid).unwrap();
         assert_eq!(t.exec_count(), 2);
-    }
-
-    #[test]
-    fn cross_core_forks_are_counted() {
-        let t = ProcessTable::new(); // init lives on core 0
-        t.fork(Pid(1), CoreId(0)).unwrap();
-        assert_eq!(t.cross_core_fork_count(), 0);
-        t.fork(Pid(1), CoreId(3)).unwrap();
-        assert_eq!(t.cross_core_fork_count(), 1);
     }
 
     #[test]

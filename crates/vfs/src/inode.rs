@@ -1,15 +1,14 @@
 //! Inodes: files and directories.
 
 use crate::pagecache::{CachedPage, Mapping, PageCache, PAGE_BYTES};
-use parking_lot::RwLock;
 use pk_sync::{AdaptiveMutex, SpinLock};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Lock classes of the per-directory child map and of `i_mutex`,
-/// registered (in this order) by the first inode constructed.
+/// Lock classes of the per-directory child map, of `i_mutex` and of the
+/// file data, registered (in this order) by the first inode constructed.
 static DIR_CHILDREN_CLASS: pk_lockdep::LazyClass = pk_lockdep::LazyClass::new(
     "vfs.inode.dir_children",
     "pk-vfs",
@@ -20,6 +19,8 @@ static I_MUTEX_CLASS: pk_lockdep::LazyClass = pk_lockdep::LazyClass::new(
     "pk-vfs",
     pk_lockdep::LockKind::Blocking,
 );
+static DATA_CLASS: pk_lockdep::LazyClass =
+    pk_lockdep::LazyClass::new("vfs.inode.data", "pk-vfs", pk_lockdep::LockKind::Spin);
 
 /// A unique inode number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,9 +63,9 @@ pub struct Inode {
     nlink: AtomicU64,
     /// File contents (empty for directories). Also what keeps the page
     /// cache coherent: writers drop the pages they changed before they
-    /// release it, fills read and publish under its read side. Never
-    /// taken inside an RCU read-side section.
-    data: RwLock<Vec<u8>>,
+    /// release it, fills read and publish under it. Never taken inside
+    /// an RCU read-side section.
+    data: SpinLock<Vec<u8>>,
     /// The page-cache mapping (`address_space`), made by the first fill:
     /// a file never read through the cache has none.
     pub(crate) mapping: OnceLock<Mapping>,
@@ -86,7 +87,7 @@ impl Inode {
             kind,
             size: AtomicU64::new(0),
             nlink: AtomicU64::new(1),
-            data: RwLock::new(Vec::new()),
+            data: SpinLock::new(Vec::new()),
             mapping: OnceLock::new(),
             children: SpinLock::new(HashMap::new()),
             removals: AtomicU64::new(0),
@@ -94,6 +95,7 @@ impl Inode {
         };
         inode.children.set_class(DIR_CHILDREN_CLASS.id());
         inode.i_mutex.set_class(I_MUTEX_CLASS.id());
+        inode.data.set_class(DATA_CLASS.id());
         inode
     }
 
@@ -131,7 +133,7 @@ impl Inode {
 
     /// Reads up to `len` bytes at `offset` into a fresh buffer.
     pub fn read_at(&self, offset: u64, len: usize) -> Vec<u8> {
-        let data = self.data.read();
+        let data = self.data.lock();
         let start = (offset as usize).min(data.len());
         let end = start.saturating_add(len).min(data.len());
         data[start..end].to_vec()
@@ -140,7 +142,7 @@ impl Inode {
     /// Writes `buf` at `offset`, growing the file if needed. Returns the
     /// number of bytes written.
     pub fn write_at(&self, offset: u64, buf: &[u8]) -> usize {
-        let mut data = self.data.write();
+        let mut data = self.data.lock();
         let (old_len, start) = (data.len(), offset as usize);
         let end = start + buf.len();
         if data.len() < end {
@@ -155,7 +157,7 @@ impl Inode {
 
     /// Appends `buf`, returning the offset it was written at.
     pub fn append(&self, buf: &[u8]) -> u64 {
-        let mut data = self.data.write();
+        let mut data = self.data.lock();
         let off = data.len();
         data.extend_from_slice(buf);
         self.drop_pages(off, data.len());
@@ -165,7 +167,7 @@ impl Inode {
 
     /// Truncates the file to `len` bytes.
     pub fn truncate(&self, len: u64) {
-        let mut data = self.data.write();
+        let mut data = self.data.lock();
         let old_len = data.len();
         data.truncate(len as usize);
         data.shrink_to_fit();
@@ -174,7 +176,7 @@ impl Inode {
     }
 
     /// Drops the cached pages that overlap the changed bytes
-    /// `from..to`. The caller holds the data write lock, so no fill can
+    /// `from..to`. The caller holds the data lock, so no fill can
     /// republish the old bytes behind it. One load for a file that was
     /// never read through the cache.
     fn drop_pages(&self, from: usize, to: usize) {
@@ -188,16 +190,16 @@ impl Inode {
     /// Drops every cached page (the last name is gone).
     pub(crate) fn invalidate_pages(&self) {
         if let Some(mapping) = self.mapping.get() {
-            let _data = self.data.write();
+            let _data = self.data.lock();
             mapping.drop_range(0..=u64::MAX);
         }
     }
 
     /// Reads page `index` from the file and publishes it in `cache`,
-    /// both under the data read lock: the page cannot be older than a
+    /// both under the data lock: the page cannot be older than a
     /// write that completed before it was published.
     pub(crate) fn fill_page(&self, cache: &PageCache, index: u64) -> Arc<CachedPage> {
-        let data = self.data.read();
+        let data = self.data.lock();
         let start = (index as usize * PAGE_BYTES).min(data.len());
         let end = (start + PAGE_BYTES).min(data.len());
         cache.fill(self, index, data[start..end].to_vec())

@@ -12,8 +12,8 @@
 //! §5.4).
 //!
 //! Coherence is the inode's job, not the caller's: every [`Inode`] write
-//! drops the pages it changed while it holds the data write lock, and
-//! `read_cached` fills under the data read lock, so a published page is
+//! drops the pages it changed while it holds the data lock, and
+//! `read_cached` fills under the same lock, so a published page is
 //! never older than a completed write. An inode that was never read
 //! through the cache has no mapping, and dropping its pages is one load.
 

@@ -2,21 +2,21 @@
 
 use crate::inode::{Inode, InodeId, InodeKind};
 use crate::VfsError;
-use parking_lot::RwLock;
 use pk_percpu::IntKeyMap;
+use pk_sync::SpinLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A shard of the inode table. Keys are inode numbers this file system
 /// handed out itself, so the multiply-and-fold [`IntKeyMap`] hasher
 /// replaces SipHash on [`Tmpfs::get`].
-type Shard = RwLock<IntKeyMap<u64, Arc<Inode>>>;
+type Shard = SpinLock<IntKeyMap<u64, Arc<Inode>>>;
 
 /// An in-memory file system, standing in for Linux's tmpfs.
 ///
 /// The paper runs every application "on an in-memory tmpfs file system to
 /// avoid disk bottlenecks" (§3, §5.1); all MOSBENCH file traffic lands
-/// here. The inode table is a sharded read-mostly map; directories hold
+/// here. The inode table is a sharded map under per-shard spin locks; directories hold
 /// their own children under per-directory locks (see [`Inode`]).
 #[derive(Debug)]
 pub struct Tmpfs {
@@ -34,8 +34,19 @@ const SHARDS: usize = 16;
 impl Tmpfs {
     /// Creates a file system with an empty root directory.
     pub fn new() -> Self {
+        let shard_class = pk_lockdep::register_class(
+            "vfs.tmpfs.inode_shard",
+            "pk-vfs",
+            pk_lockdep::LockKind::Spin,
+        );
         let fs = Self {
-            shards: (0..SHARDS).map(|_| Shard::default()).collect(),
+            shards: (0..SHARDS)
+                .map(|_| {
+                    let shard = Shard::default();
+                    shard.set_class(shard_class);
+                    shard
+                })
+                .collect(),
             next: AtomicU64::new(1),
             root: InodeId(1),
             #[cfg(test)]
@@ -59,7 +70,7 @@ impl Tmpfs {
     pub fn alloc(&self, kind: InodeKind) -> Arc<Inode> {
         let id = InodeId(self.next.fetch_add(1, Ordering::Relaxed));
         let inode = Arc::new(Inode::new(id, kind));
-        self.shard(id).write().insert(id.0, Arc::clone(&inode));
+        self.shard(id).lock().insert(id.0, Arc::clone(&inode));
         inode
     }
 
@@ -68,7 +79,7 @@ impl Tmpfs {
         #[cfg(test)]
         self.gets.fetch_add(1, Ordering::Relaxed);
         self.shard(id)
-            .read()
+            .lock()
             .get(&id.0)
             .cloned()
             .ok_or(VfsError::Stale)
@@ -134,12 +145,12 @@ impl Tmpfs {
 
     /// Removes an inode from the table.
     fn drop_inode(&self, id: InodeId) {
-        self.shard(id).write().remove(&id.0);
+        self.shard(id).lock().remove(&id.0);
     }
 
     /// Returns the number of live inodes.
     pub fn inode_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 }
 
