@@ -690,7 +690,7 @@ pub fn run_rcu_overflow(choice: Personality, cores: usize, seed: u64) -> Soak {
     // The probe is this thread's only, and gone again (unwind included)
     // before the run is judged.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        rcu::with_spill_probe(move || point.should_inject(), churn)
+        pk_lockdep::probe::with(rcu::SPILL_SITE, move || point.should_inject(), churn)
     }));
     plane.disable();
     rcu::rcu_barrier();

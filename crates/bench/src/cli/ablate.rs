@@ -6,10 +6,10 @@ use bytes::Bytes;
 use pk_kernel::{KernelConfig, FIXES};
 use pk_net::{FlowHash, Listener, NetConfig, NetStack, NetStats, Nic, Skb};
 use pk_percpu::CoreId;
-use pk_sim::{CoreSweep, WorkloadModel};
+use pk_sim::{CoreSweep, MachineSpec, WorkloadModel};
 use pk_sloppy::{SloppyConfig, SloppyCounter};
 use pk_vfs::{Vfs, VfsConfig};
-use pk_workloads::{apache::ApacheModel, exim::EximModel, memcached::MemcachedModel};
+use pk_workloads::roster;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -204,10 +204,14 @@ fn ratio(model: &dyn WorkloadModel) -> f64 {
     CoreSweep::figure3_ratio(model, 48)
 }
 
-fn sweep_app(name: &str, make: &dyn Fn(KernelConfig) -> Box<dyn WorkloadModel>) {
+/// Prints `workload`'s ablation rows under the heading `label`.
+fn sweep_app(label: &str, workload: &str) {
+    let make = |c: KernelConfig| {
+        roster::model_with_config(workload, &c, MachineSpec::paper()).expect("on the roster")
+    };
     let stock = ratio(make(KernelConfig::stock(48)).as_ref());
     let pk = ratio(make(KernelConfig::pk(48)).as_ref());
-    println!("\n{name}: stock={stock:.3}  PK={pk:.3}");
+    println!("\n{label}: stock={stock:.3}  PK={pk:.3}");
     println!("{:<46} {:>12} {:>14}", "fix", "stock + fix", "PK - fix");
     for fix in FIXES {
         let plus = ratio(make(KernelConfig::stock(48).with_fix(fix.id, true)).as_ref());
@@ -232,9 +236,9 @@ pub fn fixes() {
          when each fix is enabled alone (stock + fix) or removed from PK \
          (PK - fix). Rows that don't affect the application are omitted.",
     );
-    sweep_app("Exim", &|c| Box::new(EximModel::with_config(c)));
-    sweep_app("memcached", &|c| Box::new(MemcachedModel::with_config(c)));
-    sweep_app("Apache", &|c| Box::new(ApacheModel::with_config(c)));
+    sweep_app("Exim", "exim");
+    sweep_app("memcached", "memcached");
+    sweep_app("Apache", "apache");
     println!(
         "\nEach application has one make-or-break fix (Exim: the vfsmount \
          table; memcached/Apache: their dominant shared line) — removing \

@@ -7,8 +7,7 @@ use pk_kernel::Personality;
 use pk_net::{NetConfig, NetStack, SockAddr};
 use pk_percpu::CoreId;
 use pk_sim::{des, DramModel, L3Model, MachineSpec, NicModel, WorkloadModel};
-use pk_workloads::exim::EximModel;
-use pk_workloads::memcached::MemcachedModel;
+use pk_workloads::roster;
 use std::sync::atomic::Ordering;
 
 /// Prints the simulated machine's parameters next to the paper's
@@ -99,9 +98,16 @@ pub fn sim() {
          collapse knee, where the two solvers' load-dependence \
          approximations differ most.)",
     );
-    validate("Exim/Stock", &EximModel::new(Personality::Stock));
-    validate("Exim/PK", &EximModel::new(Personality::Pk));
-    validate("memcached/Stock", &MemcachedModel::new(Personality::Stock));
+    for (name, workload, personality) in [
+        ("Exim/Stock", "exim", Personality::Stock),
+        ("Exim/PK", "exim", Personality::Pk),
+        ("memcached/Stock", "memcached", Personality::Stock),
+    ] {
+        validate(
+            name,
+            &*roster::model(workload, personality).expect("on the roster"),
+        );
+    }
     println!(
         "\nThe des_validates_mva unit tests pin the two solvers against \
          each other on canonical networks; this binary shows the match on \

@@ -302,7 +302,7 @@ pub fn cell_table() -> Table<TailCell> {
         .col("", "in_flight", |c| c.in_flight)
         .col("", "exemplar_bytes", |c| c.exemplar_bytes.len())
         .col("", "exemplar_fnv64", |c| {
-            format!("{:016x}", fnv64(&c.exemplar_bytes))
+            format!("{:016x}", pk_fault::fnv64(&c.exemplar_bytes))
         })
         .col("", "quantiles", |c| {
             attribution_table().inline(&c.attributions)
@@ -401,17 +401,6 @@ pub fn decomposition(grid: &TailGrid, workload: &str) -> String {
         }
     }
     out
-}
-
-/// 64-bit FNV-1a — a stable digest for exemplar bytes in the JSON
-/// artifact, so reruns can be compared without embedding kilobytes.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Renders the deterministic JSON artifact: cells in grid order —

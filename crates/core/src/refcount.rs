@@ -17,6 +17,11 @@ static DEALLOC_CLASS: pk_lockdep::LazyClass = pk_lockdep::LazyClass::new(
     pk_lockdep::LockKind::Spin,
 );
 
+/// The [`pk_lockdep::probe`] site in [`Lifecycle::get`] between its dead
+/// check and its increment.
+#[cfg(test)]
+const GET_SITE: &str = "core.refcount.get";
+
 /// Error returned when deallocation cannot proceed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeallocError {
@@ -96,6 +101,8 @@ impl<B: Backing> Lifecycle<B> {
     pub fn get(&self, core: CoreId) -> Result<(), DeallocError> {
         // Fast path: not dead. The dealloc path re-checks under its lock.
         if !self.is_dead() {
+            #[cfg(test)]
+            pk_lockdep::probe::hit(GET_SITE);
             self.counter.add(core, 1);
             // A dealloc may have completed between the check and the
             // increment; back out if so.
@@ -459,45 +466,27 @@ mod tests {
         over_all_backings!(get_races_try_dealloc);
     }
 
-    /// A counter whose next `+1` first lets a hook run — here a whole
-    /// deallocation, forcing the one interleaving `get`'s re-check exists
-    /// for instead of waiting for two threads to find it.
-    #[derive(Default)]
-    struct Scripted {
-        count: std::sync::atomic::AtomicI64,
-        before_next_inc: SpinLock<Option<Box<dyn FnOnce() + Send>>>,
-    }
-
-    impl Counter for Scripted {
-        fn add(&self, _: CoreId, delta: i64) {
-            let hook = self.before_next_inc.lock().take();
-            if let Some(hook) = hook.filter(|_| delta > 0) {
-                hook();
-            }
-            self.count.fetch_add(delta, Ordering::SeqCst);
-        }
-        fn value(&self) -> i64 {
-            self.count.load(Ordering::SeqCst)
-        }
-    }
-
-    impl Backing for Scripted {
-        fn settle(&self) -> i64 {
-            self.value()
-        }
+    fn get_overtaken_by_dealloc<B: Backing + 'static>(make: impl Fn() -> Lifecycle<B>) {
+        let rc = Arc::new(make());
+        let name = std::any::type_name::<B>();
+        rc.put(CoreId(0));
+        let dealloc = Arc::clone(&rc);
+        // Passes the first dead check, is overtaken before the increment,
+        // and must notice on the re-check.
+        let overtake = pk_lockdep::probe::once(move || assert_eq!(dealloc.try_dealloc(), Ok(())));
+        let got = pk_lockdep::probe::with(GET_SITE, overtake, || rc.get(CoreId(0)));
+        assert_eq!(got, Err(DeallocError::AlreadyDead), "{name}");
+        assert!(rc.is_dead(), "{name}");
+        assert_eq!(
+            rc.references(),
+            0,
+            "{name}: the overtaken increment was undone"
+        );
     }
 
     #[test]
     fn a_get_overtaken_by_a_dealloc_backs_out() {
-        let rc = Arc::new(Lifecycle::holding(Scripted::default()));
-        let dealloc = Arc::clone(&rc);
-        *rc.counter.before_next_inc.lock() =
-            Some(Box::new(move || assert_eq!(dealloc.try_dealloc(), Ok(()))));
-        // Passes the first dead check, is overtaken inside the increment,
-        // and must notice on the re-check.
-        assert_eq!(rc.get(CoreId(0)), Err(DeallocError::AlreadyDead));
-        assert!(rc.is_dead());
-        assert_eq!(rc.references(), 0, "the overtaken increment was undone");
+        over_all_backings!(get_overtaken_by_dealloc);
     }
 
     #[test]

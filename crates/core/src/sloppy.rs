@@ -106,11 +106,6 @@ impl SloppyCounter {
         }
     }
 
-    /// Returns the number of per-core slots.
-    pub fn cores(&self) -> usize {
-        self.local.cores()
-    }
-
     /// Acquires `v` references on behalf of `core`.
     ///
     /// First tries to take the references from the core's spare count; on
@@ -259,11 +254,6 @@ impl SloppyCounter {
             self.central_ops.load(Ordering::Relaxed),
             self.local.fold(0, |a, s| a + s.ops.load(Ordering::Relaxed)),
         )
-    }
-
-    /// Returns the tuning configuration.
-    pub fn config(&self) -> SloppyConfig {
-        self.config
     }
 }
 

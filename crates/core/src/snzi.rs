@@ -11,6 +11,11 @@ use pk_percpu::{CoreId, PerCore};
 use pk_sync::SpinLock;
 use std::sync::atomic::{AtomicI64, Ordering};
 
+/// The [`pk_lockdep::probe`] site between a leaf 0→1 crossing's socket
+/// update and its root correction.
+#[cfg(test)]
+const ROOT_SITE: &str = "core.snzi.root";
+
 /// Lock class of every tree's leaves, registered by the first tree.
 static LEAF_CLASS: pk_lockdep::LazyClass =
     pk_lockdep::LazyClass::new("core.snzi.leaf", "pk-sloppy", pk_lockdep::LockKind::Spin);
@@ -102,16 +107,6 @@ impl Snzi {
         }
     }
 
-    /// Number of per-core leaves.
-    pub fn cores(&self) -> usize {
-        self.leaves.cores()
-    }
-
-    /// Number of socket nodes.
-    pub fn sockets(&self) -> usize {
-        self.socket_surplus.len()
-    }
-
     /// Maps a core to its socket node.
     pub fn socket_of(&self, core: usize) -> usize {
         (core / self.cores_per_socket).min(self.socket_surplus.len() - 1)
@@ -142,7 +137,7 @@ impl Snzi {
             self.root.fetch_add(1, Ordering::AcqRel);
             let prev = self.socket_surplus[socket].fetch_add(1, Ordering::AcqRel);
             #[cfg(test)]
-            tests::run_root_probe();
+            pk_lockdep::probe::hit(ROOT_SITE);
             if prev != 0 {
                 // The socket was already live: its unit is on the root.
                 self.root.fetch_sub(1, Ordering::AcqRel);
@@ -246,36 +241,8 @@ impl Counter for Snzi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use pk_lockdep::probe;
     use std::sync::Arc;
-
-    thread_local! {
-        /// Test hook, see [`with_root_probe`].
-        static ROOT_PROBE: RefCell<Option<Box<dyn FnOnce()>>> = const { RefCell::new(None) };
-    }
-
-    /// Runs `f` with `probe` installed as this thread's root probe: the
-    /// first leaf 0→1 crossing the thread makes inside `f` runs it
-    /// between the socket and the root updates, and uninstalls it (so a
-    /// crossing inside the probe does not recurse). Other threads are
-    /// unaffected; the previous probe is restored when `f` returns or
-    /// unwinds.
-    fn with_root_probe<R>(probe: impl FnOnce() + 'static, f: impl FnOnce() -> R) -> R {
-        struct Restore(Option<Box<dyn FnOnce()>>);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                ROOT_PROBE.with(|p| *p.borrow_mut() = self.0.take());
-            }
-        }
-        let _restore = Restore(ROOT_PROBE.with(|p| p.borrow_mut().replace(Box::new(probe))));
-        f()
-    }
-
-    pub(super) fn run_root_probe() {
-        if let Some(probe) = ROOT_PROBE.with(|p| p.borrow_mut().take()) {
-            probe();
-        }
-    }
 
     #[test]
     fn an_arrive_during_its_sockets_first_crossing_reads_nonzero() {
@@ -283,12 +250,12 @@ mod tests {
         // lands, core 1 (same socket) arrives, sees the socket already
         // live, and asks the indicator.
         let s = Arc::new(Snzi::new(8, 2));
-        let racer = Arc::clone(&s);
-        let probe = move || {
-            racer.arrive(CoreId(1), 1);
-            assert!(racer.query(), "core 1 has arrived, so the count is nonzero");
+        let s1 = Arc::clone(&s);
+        let racer = move || {
+            s1.arrive(CoreId(1), 1);
+            assert!(s1.query(), "core 1 has arrived, so the count is nonzero");
         };
-        with_root_probe(probe, || s.arrive(CoreId(0), 1));
+        probe::with(ROOT_SITE, probe::once(racer), || s.arrive(CoreId(0), 1));
         assert_eq!(s.root.load(Ordering::Relaxed), 1, "one live socket");
         s.depart(CoreId(0), 1);
         s.depart(CoreId(1), 1);

@@ -35,4 +35,4 @@ mod schedule;
 
 pub use backoff::{DeadlineOutcome, RetryOutcome, RetryPolicy};
 pub use plane::{FaultEvent, FaultPlane, FaultPoint, PointStats};
-pub use schedule::{mix64, FaultSchedule};
+pub use schedule::{fnv64, mix64, FaultSchedule};

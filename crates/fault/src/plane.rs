@@ -38,27 +38,17 @@ struct PlaneShared {
     enabled: AtomicBool,
     seed: u64,
     trace: Mutex<Vec<FaultEvent>>,
-    dropped_events: AtomicU64,
 }
 
 /// Per-point state behind the cheap [`FaultPoint`] handle.
 struct PointState {
     name: &'static str,
-    /// FNV-1a of `name`: the point's identity in schedule decisions, so
+    /// FNV-1a 64 of `name`: the point's identity in schedule decisions, so
     /// two points with the same schedule still fire on different arrivals.
     id: u64,
     schedule: Mutex<FaultSchedule>,
     ops: AtomicU64,
     injected: AtomicU64,
-}
-
-fn fnv1a(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A handle to one named injection point.
@@ -118,8 +108,6 @@ impl FaultPoint {
                 point: self.state.name,
                 op: n,
             });
-        } else {
-            self.shared.dropped_events.fetch_add(1, Ordering::Relaxed);
         }
         true
     }
@@ -180,7 +168,6 @@ impl FaultPlane {
                 enabled: AtomicBool::new(false),
                 seed,
                 trace: Mutex::new(Vec::new()),
-                dropped_events: AtomicU64::new(0),
             }),
             points: Mutex::new(BTreeMap::new()),
         }
@@ -195,7 +182,7 @@ impl FaultPlane {
                 shared: Arc::clone(&self.shared),
                 state: Arc::new(PointState {
                     name,
-                    id: fnv1a(name),
+                    id: crate::fnv64(name.as_bytes()),
                     schedule: Mutex::new(FaultSchedule::Never),
                     ops: AtomicU64::new(0),
                     injected: AtomicU64::new(0),
@@ -236,11 +223,6 @@ impl FaultPlane {
     /// concurrent runs replay it as a set (see the determinism proptests).
     pub fn trace(&self) -> Vec<FaultEvent> {
         self.shared.trace.lock().unwrap().clone()
-    }
-
-    /// Events not recorded because the trace hit its cap.
-    pub fn dropped_events(&self) -> u64 {
-        self.shared.dropped_events.load(Ordering::Relaxed)
     }
 
     /// Per-point counters, ordered by point name.

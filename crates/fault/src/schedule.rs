@@ -16,6 +16,14 @@ pub fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// 64-bit FNV-1a of `bytes`: the workspace's one byte-string digest,
+/// stable across runs and hosts.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Derives the decision word for the `n`th arrival at point `point_id`
 /// under `seed`.
 fn decision_word(seed: u64, point_id: u64, n: u64) -> u64 {
@@ -67,6 +75,13 @@ impl FaultSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv64_matches_the_published_vectors() {
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn never_never_fires() {

@@ -35,6 +35,10 @@
 //! [`enabled`], [`classes`], [`edges`], [`max_held_depth`],
 //! [`acquisition_count`] and [`violation_count`] are the counters that
 //! report prints.
+//!
+//! [`probe`], always compiled, is the one interleaving hook: the site
+//! where a test (or the fault plane) runs code between a check and its
+//! act, to reproduce a race deterministically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +49,7 @@ mod graph;
 #[cfg(feature = "lockdep")]
 mod held;
 mod percore;
+pub mod probe;
 mod report;
 
 pub use class::{

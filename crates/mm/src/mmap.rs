@@ -291,11 +291,6 @@ impl AddressSpace {
         let g = rcu::read_lock();
         self.regions.read(&g).len()
     }
-
-    /// The stock global super-page mutex (for starvation diagnostics).
-    pub fn superpage_mutex(&self) -> &AdaptiveMutex<()> {
-        &self.superpage_mutex
-    }
 }
 
 #[cfg(test)]

@@ -46,35 +46,3 @@ pub use skb::{Skb, SkbPool};
 pub use socket::UdpSocket;
 pub use stack::{NetStack, SockAddr};
 pub use stats::NetStats;
-
-#[cfg(test)]
-thread_local! {
-    /// Test hook, see [`with_race_probe`].
-    static RACE_PROBE: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Runs `f` with `probe` installed as this thread's race probe: the next
-/// check-then-act window `f` reaches (a bind between its "taken" check
-/// and its publish, an enqueue between its admission check and its push)
-/// runs `probe` there, once — so a competing call inside the probe does
-/// not recurse. Other threads are unaffected; the previous probe is
-/// restored when `f` returns or unwinds.
-#[cfg(test)]
-pub(crate) fn with_race_probe<R>(probe: impl FnOnce() + 'static, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Box<dyn FnOnce()>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            RACE_PROBE.with(|p| *p.borrow_mut() = self.0.take());
-        }
-    }
-    let _restore = Restore(RACE_PROBE.with(|p| p.borrow_mut().replace(Box::new(probe))));
-    f()
-}
-
-#[cfg(test)]
-fn run_race_probe() {
-    if let Some(probe) = RACE_PROBE.with(|p| p.borrow_mut().take()) {
-        probe();
-    }
-}

@@ -9,6 +9,11 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// The [`pk_lockdep::probe`] site between an enqueue's admission check
+/// and its push.
+#[cfg(test)]
+const ENQUEUE_SITE: &str = "net.listener.enqueue";
+
 /// A pending connection request (a completed TCP handshake waiting in the
 /// listen backlog).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +109,7 @@ impl Listener {
             return false;
         }
         #[cfg(test)]
-        crate::run_race_probe();
+        pk_lockdep::probe::hit(ENQUEUE_SITE);
         let req = ConnRequest {
             flow,
             arrived_on: core,
@@ -174,6 +179,7 @@ impl Listener {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pk_lockdep::probe;
 
     fn flow(p: u16) -> FlowHash {
         FlowHash {
@@ -264,8 +270,11 @@ mod tests {
             let rival = Arc::clone(&l);
             let rival_admitted = Arc::new(std::sync::atomic::AtomicBool::new(false));
             let saw = Arc::clone(&rival_admitted);
-            let admitted = crate::with_race_probe(
-                move || saw.store(rival.enqueue(flow(2), CoreId(1)), Ordering::Relaxed),
+            let admitted = probe::with(
+                ENQUEUE_SITE,
+                probe::once(move || {
+                    saw.store(rival.enqueue(flow(2), CoreId(1)), Ordering::Relaxed)
+                }),
                 || l.enqueue(flow(1), CoreId(0)),
             );
             let rival_admitted = rival_admitted.load(Ordering::Relaxed);

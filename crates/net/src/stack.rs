@@ -15,6 +15,11 @@ use pk_percpu::{CoreId, IntKeyMap};
 use pk_sync::rcu::{self, RcuCell};
 use std::sync::Arc;
 
+/// The [`pk_lockdep::probe`] site between a bind's "taken" check and
+/// its publish.
+#[cfg(test)]
+const BIND_SITE: &str = "net.udp_bind";
+
 /// An IPv4 socket address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SockAddr {
@@ -119,11 +124,6 @@ impl NetStack {
         &self.stats
     }
 
-    /// Returns the configuration.
-    pub fn config(&self) -> NetConfig {
-        self.config
-    }
-
     /// Returns the NIC model.
     pub fn nic(&self) -> &Nic {
         &self.nic
@@ -156,7 +156,7 @@ impl NetStack {
             return None;
         }
         #[cfg(test)]
-        crate::run_race_probe();
+        pk_lockdep::probe::hit(BIND_SITE);
         let s = UdpSocket::new(port);
         // "Taken" is decided again under the writer lock, so of two
         // racing binds exactly one gets the port. The pin rides the same
@@ -340,6 +340,7 @@ fn steer_in(nic: &Nic, ports: &PortMap, flow: &FlowHash) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pk_lockdep::probe;
 
     #[test]
     fn udp_round_trip() {
@@ -377,8 +378,9 @@ mod tests {
         let rival = Arc::clone(&stack);
         let rival_sock = Arc::new(pk_sync::SpinLock::new(None));
         let slot = Arc::clone(&rival_sock);
-        let first = crate::with_race_probe(
-            move || *slot.lock() = rival.udp_bind(5000, CoreId(3)),
+        let first = probe::with(
+            BIND_SITE,
+            probe::once(move || *slot.lock() = rival.udp_bind(5000, CoreId(3))),
             || stack.udp_bind(5000, CoreId(1)),
         );
         let rival_sock = rival_sock.lock().take();

@@ -39,4 +39,4 @@ mod table;
 pub use metrics::Histogram;
 pub use report::{ContentionReport, Resource};
 pub use sample::{HistogramSnapshot, LockSample, MetricValue, Sample, Snapshot};
-pub use table::{document, object, Cell, OpenMetrics, Table};
+pub use table::{document, json_escape, object, Cell, OpenMetrics, Table};

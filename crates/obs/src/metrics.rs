@@ -107,17 +107,6 @@ impl Histogram {
             sum: self.sum(),
         }
     }
-
-    /// Zeroes every shard.
-    pub fn reset(&self) {
-        for shard in self.shards.iter() {
-            for b in shard.buckets.iter() {
-                b.store(0, Ordering::Relaxed);
-            }
-            shard.count.store(0, Ordering::Relaxed);
-            shard.sum.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 #[cfg(test)]

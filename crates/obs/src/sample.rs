@@ -64,15 +64,6 @@ impl HistogramSnapshot {
         }
         u64::MAX
     }
-
-    /// Mean of the recorded samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 /// One measurement value.
@@ -184,11 +175,6 @@ impl Snapshot {
     /// Appends one sample.
     pub fn push(&mut self, sample: Sample) {
         self.samples.push(sample);
-    }
-
-    /// Appends every sample from `other`.
-    pub fn extend(&mut self, other: Snapshot) {
-        self.samples.extend(other.samples);
     }
 
     /// Returns the first sample with the given name, if any.

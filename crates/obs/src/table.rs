@@ -48,7 +48,7 @@ impl Cell {
     pub fn json(&self) -> String {
         match self {
             Cell::Float(v) | Cell::Share(v) => format!("{v:.6}"),
-            Cell::Str(s) => format!("\"{}\"", escape(s)),
+            Cell::Str(s) => format!("\"{}\"", json_escape(s)),
             _ => self.text(None),
         }
     }
@@ -84,8 +84,27 @@ cell_from! {
     String => |v| Cell::Str(v),
 }
 
-/// Escapes `s` for a JSON string or an OpenMetrics label value.
-fn escape(s: &str) -> String {
+/// Escapes `s` for the inside of a JSON string: `"`, `\` and every
+/// control character (as `\n`, `\r`, `\t` or `\u00XX`).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Escapes `s` for an OpenMetrics label value, whose rule escapes only
+/// `\`, `"` and newline.
+fn label_escape(s: &str) -> String {
     s.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
@@ -313,7 +332,7 @@ impl OpenMetrics {
         for c in &table.cols {
             let Some(f) = &c.family else { continue };
             let pairs: Vec<String> = (labels.iter().chain(f.fixed))
-                .map(|(k, v)| format!("{k}=\"{}\"", escape(v)))
+                .map(|(k, v)| format!("{k}=\"{}\"", label_escape(v)))
                 .collect();
             let block = if pairs.is_empty() {
                 String::new()
@@ -405,6 +424,18 @@ mod tests {
         let doc = document([("seed", 42u64.into()), ("rows", t.block(&rows, 1))]);
         assert!(doc.starts_with("{\n  \"seed\": 42,\n  \"rows\": [\n    {"));
         assert!(doc.ends_with("}\n  ]\n}\n"), "{doc}");
+    }
+
+    #[test]
+    fn json_escapes_every_control_character() {
+        let tab = Row {
+            name: "a\tb\r\u{1}",
+            n: 0,
+            share: 0.0,
+        };
+        let json = table().object(&tab).json();
+        assert!(json.starts_with(r#"{"name": "a\tb\r\u0001", "#), "{json}");
+        assert!(!json.chars().any(|c| c.is_control()), "{json:?}");
     }
 
     #[test]

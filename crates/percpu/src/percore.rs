@@ -79,11 +79,6 @@ impl<T> PerCore<T> {
     pub fn fold<A>(&self, init: A, f: impl FnMut(A, &T) -> A) -> A {
         self.iter().fold(init, f)
     }
-
-    /// Returns mutable access to every slot; requires exclusive ownership.
-    pub fn iter_mut(&mut self) -> impl ExactSizeIterator<Item = &mut T> {
-        self.slots.iter_mut().map(|s| &mut **s)
-    }
 }
 
 impl<T: Default> PerCore<T> {

@@ -48,7 +48,7 @@ pub use open::{
 };
 pub use workload::{Coarsened, CoreSweep, SweepPoint, WorkloadModel};
 
-/// FNV-1a 64 of a drained stream's canonical bytes
+/// [`pk_fault::fnv64`] of a drained stream's canonical bytes
 /// ([`pk_trace::encode_stream`]), with every class id renumbered in
 /// first-seen order per namespace: interned ids depend on which test in
 /// the binary interned a name first, while the digest pins what an
@@ -70,9 +70,5 @@ pub(crate) fn stream_digest(events: &[pk_trace::Event]) -> u64 {
             }
         })
         .collect();
-    pk_trace::encode_stream(&canonical)
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        })
+    pk_fault::fnv64(&pk_trace::encode_stream(&canonical))
 }

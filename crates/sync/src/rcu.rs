@@ -44,9 +44,8 @@
 //! the retirer's load of the mark, and the scan reaches its slot.
 
 use pk_percpu::{registry, CacheAligned, MAX_CORES};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -104,10 +103,13 @@ static BARRIER: Mutex<()> = Mutex::new(());
 
 thread_local! {
     static NESTING: Cell<u32> = const { Cell::new(0) };
-    /// Test hook, see [`with_spill_probe`]. Thread-scoped: a probe only
-    /// ever forces spills of the thread that installed it.
-    static SPILL_PROBE: RefCell<Option<Rc<dyn Fn() -> bool>>> = const { RefCell::new(None) };
 }
+
+/// The [`pk_lockdep::probe`] site every [`call_rcu`] made outside a
+/// read-side section reaches: a probe answering true treats the queue as
+/// over capacity and spills. The `rcu.defer_overflow` fault point is
+/// connected here.
+pub const SPILL_SITE: &str = "rcu.call_rcu.spill";
 
 /// A read-side critical section; ends when dropped.
 ///
@@ -237,11 +239,7 @@ pub unsafe fn call_rcu(ptr: *mut (), drop_fn: unsafe fn(*mut ())) {
     if NESTING.with(Cell::get) > 0 {
         return;
     }
-    // Cloned out of the cell before it runs: a probe may itself retire
-    // objects. `try_with`: a thread-local's destructor may retire too,
-    // after this one is gone.
-    let probe = SPILL_PROBE.try_with(|p| p.borrow().clone());
-    let forced = probe.ok().flatten().is_some_and(|p| p());
+    let forced = pk_lockdep::probe::hit(SPILL_SITE);
     if len > DEFER_QUEUE_CAP || forced {
         spill(core);
     } else {
@@ -364,23 +362,6 @@ pub fn rcu_barrier() {
     }
     synchronize();
     free_batch(stolen);
-}
-
-/// Runs `f` with `probe` installed as this thread's spill probe: every
-/// `call_rcu` the thread makes inside `f` (outside a read-side section)
-/// asks it, and a `true` treats the queue as over capacity and spills.
-/// The `rcu.defer_overflow` fault point is connected through this hook.
-/// Other threads are unaffected; the previous probe is restored when `f`
-/// returns or unwinds.
-pub fn with_spill_probe<R>(probe: impl Fn() -> bool + 'static, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Rc<dyn Fn() -> bool>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SPILL_PROBE.with(|p| *p.borrow_mut() = self.0.take());
-        }
-    }
-    let _restore = Restore(SPILL_PROBE.with(|p| p.borrow_mut().replace(Rc::new(probe))));
-    f()
 }
 
 /// A snapshot of the grace-period machinery's counters.
@@ -639,7 +620,8 @@ mod tests {
     fn spill_probe_forces_blocking_drain() {
         let before = stats_snapshot();
         let dropped = Arc::new(AtomicBool::new(false));
-        with_spill_probe(
+        pk_lockdep::probe::with(
+            SPILL_SITE,
             || true,
             || defer_drop(Box::new(Tracked(Arc::clone(&dropped)))),
         );
@@ -653,53 +635,6 @@ mod tests {
         // waits for it.
         rcu_barrier();
         assert!(dropped.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn spill_probe_is_scoped_to_its_thread_and_restored_on_unwind() {
-        // A sibling parks with an always-true probe installed. While the
-        // probe was process-wide this wedged: the retire below spilled
-        // into `synchronize()` and waited on this thread's own reader.
-        let (installed, release) = (AtomicBool::new(false), AtomicBool::new(false));
-        let reader_in = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                with_spill_probe(
-                    || true,
-                    || {
-                        installed.store(true, Ordering::SeqCst);
-                        while !release.load(Ordering::SeqCst) {
-                            std::thread::yield_now();
-                        }
-                    },
-                )
-            });
-            while !installed.load(Ordering::SeqCst) {
-                std::thread::yield_now();
-            }
-            let reader = s.spawn(|| {
-                let _g = read_lock();
-                reader_in.store(true, Ordering::SeqCst);
-                while !release.load(Ordering::SeqCst) {
-                    std::thread::yield_now();
-                }
-            });
-            while !reader_in.load(Ordering::SeqCst) {
-                std::thread::yield_now();
-            }
-            let dropped = Arc::new(AtomicBool::new(false));
-            defer_drop(Box::new(Tracked(Arc::clone(&dropped))));
-            let freed_early = dropped.load(Ordering::SeqCst);
-            release.store(true, Ordering::SeqCst);
-            reader.join().unwrap();
-            assert!(!freed_early, "freed under the parked reader");
-            rcu_barrier();
-            assert!(dropped.load(Ordering::SeqCst));
-        });
-        // A probe that unwinds out of its scope is gone afterwards.
-        let unwound = std::panic::catch_unwind(|| with_spill_probe(|| true, || panic!("scoped")));
-        assert!(unwound.is_err());
-        assert!(SPILL_PROBE.with(|p| p.borrow().is_none()), "probe restored");
     }
 
     #[test]

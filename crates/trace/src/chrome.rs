@@ -7,22 +7,6 @@
 
 use crate::event::{ClassKey, ClassNames, Event, EventKind};
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a drained event stream as a complete Chrome `trace_event`
 /// JSON document. Deterministic: same events, same bytes.
 pub fn chrome_trace_json(events: &[Event]) -> String {
@@ -30,7 +14,7 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
     let mut first = true;
     let mut names = ClassNames::new();
     for e in events {
-        let name = escape_json(&names.get(ClassKey::of(e)));
+        let name = pk_obs::json_escape(&names.get(ClassKey::of(e)));
         let cat = if e.kind.is_lock() {
             "lock"
         } else if e.kind.is_ctx() {

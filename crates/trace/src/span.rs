@@ -97,11 +97,6 @@ impl SpanGuard {
             state: Some((track, class)),
         }
     }
-
-    /// Whether this guard will record an end event.
-    pub fn is_live(&self) -> bool {
-        self.state.is_some()
-    }
 }
 
 #[cfg(not(feature = "trace-off"))]
@@ -125,10 +120,5 @@ impl SpanGuard {
     #[inline]
     pub fn enter(_cls: &LazySpanClass) -> Self {
         Self
-    }
-
-    /// Always `false` under `trace-off`.
-    pub fn is_live(&self) -> bool {
-        false
     }
 }

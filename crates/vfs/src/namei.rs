@@ -30,6 +30,11 @@ use crate::VfsError;
 use pk_percpu::CoreId;
 use std::sync::Arc;
 
+/// The [`pk_lockdep::probe`] site between a [`PathWalker::fill`]'s
+/// directory read and its dcache fill.
+#[cfg(test)]
+pub(crate) const FILL_SITE: &str = "vfs.namei.fill";
+
 /// Walks path names the way the kernel's `link_path_walk` does: one
 /// vfsmount resolution per walk, then a dcache lookup per component —
 /// taking and dropping a dentry reference each step.
@@ -125,7 +130,7 @@ impl<'a> PathWalker<'a> {
         core: CoreId,
     ) -> Result<bool, VfsError> {
         #[cfg(test)]
-        run_fill_probe();
+        pk_lockdep::probe::hit(FILL_SITE);
         self.dcache.cache(probe.to_key(), ino, core)?;
         if dir.removals() == seen || dir.child(probe.name()) == Some(ino) {
             return Ok(true);
@@ -251,38 +256,6 @@ impl<'a> PathWalker<'a> {
         })();
         mount.put(core);
         result
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Test hook, see [`with_fill_probe`].
-    static FILL_PROBE: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Runs `f` with `probe` installed as this thread's fill probe: the
-/// first [`PathWalker::fill`] the thread makes inside `f` runs it between
-/// reading the directory and caching the name, and uninstalls it (so a
-/// fill inside the probe does not recurse). Other threads are
-/// unaffected; the previous probe is restored when `f` returns or
-/// unwinds.
-#[cfg(test)]
-pub(crate) fn with_fill_probe<R>(probe: impl FnOnce() + 'static, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Box<dyn FnOnce()>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FILL_PROBE.with(|p| *p.borrow_mut() = self.0.take());
-        }
-    }
-    let _restore = Restore(FILL_PROBE.with(|p| p.borrow_mut().replace(Box::new(probe))));
-    f()
-}
-
-#[cfg(test)]
-fn run_fill_probe() {
-    if let Some(probe) = FILL_PROBE.with(|p| p.borrow_mut().take()) {
-        probe();
     }
 }
 

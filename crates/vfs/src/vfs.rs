@@ -91,11 +91,6 @@ impl Vfs {
         &self.stats
     }
 
-    /// Returns the configuration.
-    pub fn config(&self) -> VfsConfig {
-        self.config
-    }
-
     /// Returns the mount table (to add mounts for workloads).
     pub fn mounts(&self) -> &MountTable {
         &self.mounts
@@ -167,14 +162,6 @@ impl Vfs {
                 return Err(VfsError::NotADirectory);
             }
         }
-        Ok(())
-    }
-
-    /// Creates a directory at `path` (parent must exist).
-    pub fn mkdir(&self, path: &str, core: CoreId) -> Result<(), VfsError> {
-        let pl = self.walker().resolve_parent(path, core)?;
-        self.sb.inode_list_bookkeeping(true);
-        self.fs.create_child(&pl.parent, pl.name, InodeKind::Dir)?;
         Ok(())
     }
 
@@ -413,7 +400,8 @@ mod tests {
 
     #[test]
     fn a_fill_racing_an_unlink_does_not_poison_the_name() {
-        use crate::namei::with_fill_probe;
+        use crate::namei::FILL_SITE;
+        use pk_lockdep::probe;
         for cfg in [VfsConfig::stock(4), VfsConfig::pk(4)] {
             let vfs = Arc::new(Vfs::new(cfg));
             let core = CoreId(0);
@@ -421,20 +409,20 @@ mod tests {
             // dcache fill: `unlink` finishes in that window.
             let unlink = |path: &'static str| {
                 let vfs = Arc::clone(&vfs);
-                move || vfs.unlink(path, core).unwrap()
+                probe::once(move || vfs.unlink(path, core).unwrap())
             };
 
             // A cold walk reads `f` from the directory.
             vfs.write_file("/f", b"1", core).unwrap();
             vfs.dcache().shrink(usize::MAX, core);
-            let raced = with_fill_probe(unlink("/f"), || vfs.stat("/f", core));
+            let raced = probe::with(FILL_SITE, unlink("/f"), || vfs.stat("/f", core));
             assert_eq!(raced.unwrap_err(), VfsError::NotFound, "{cfg:?}");
             assert_eq!(vfs.stat("/f", core).unwrap_err(), VfsError::NotFound);
             vfs.write_file("/f", b"22", core).unwrap();
             assert_eq!(vfs.read_file("/f", core).unwrap(), b"22");
 
             // `create` put the name in the directory itself.
-            let f = with_fill_probe(unlink("/g"), || vfs.create("/g", core)).unwrap();
+            let f = probe::with(FILL_SITE, unlink("/g"), || vfs.create("/g", core)).unwrap();
             vfs.close(&f, core);
             assert_eq!(vfs.stat("/g", core).unwrap_err(), VfsError::NotFound);
             let f = vfs.create("/g", core).unwrap();
@@ -443,7 +431,7 @@ mod tests {
 
             // So did `link`; the inode lives on under `/f`, so a stale
             // dentry would answer with the wrong file, not `Stale`.
-            with_fill_probe(unlink("/h"), || vfs.link("/f", "/h", core)).unwrap();
+            probe::with(FILL_SITE, unlink("/h"), || vfs.link("/f", "/h", core)).unwrap();
             assert_eq!(vfs.stat("/h", core).unwrap_err(), VfsError::NotFound);
             assert_eq!(vfs.stat("/f", core).unwrap().nlink, 1);
             assert_eq!(vfs.superblock().open_files(), 0);

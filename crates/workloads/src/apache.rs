@@ -239,19 +239,6 @@ pub struct ApacheModel {
 }
 
 impl ApacheModel {
-    /// Creates the model for `choice`.
-    pub fn new(choice: Personality) -> Self {
-        Self::with_config(choice.config(48))
-    }
-
-    /// Creates the model for an arbitrary fix subset.
-    pub fn with_config(config: KernelConfig) -> Self {
-        Self {
-            config,
-            machine: MachineSpec::paper(),
-        }
-    }
-
     fn total_cycles(&self) -> f64 {
         self.machine.clock_hz / REQS_PER_SEC_1CORE
     }
@@ -347,21 +334,12 @@ impl WorkloadModel for ApacheModel {
 
 /// Runs the Figure-6 sweep for one kernel.
 pub fn figure6(choice: Personality) -> Vec<SweepPoint> {
-    CoreSweep::run(&ApacheModel::new(choice))
+    CoreSweep::run(&*crate::roster::model("apache", choice).unwrap())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn one_core_anchor() {
-        for choice in [Personality::Stock, Personality::Pk] {
-            let p = CoreSweep::point(&ApacheModel::new(choice), 1);
-            let err = (p.per_core_per_sec - REQS_PER_SEC_1CORE).abs() / REQS_PER_SEC_1CORE;
-            assert!(err < 0.01, "{choice:?}: {}", p.per_core_per_sec);
-        }
-    }
 
     #[test]
     fn figure6_shapes() {

@@ -339,19 +339,6 @@ pub struct EximModel {
 }
 
 impl EximModel {
-    /// Creates the model for `choice` on the paper machine.
-    pub fn new(choice: Personality) -> Self {
-        Self::with_config(choice.config(48))
-    }
-
-    /// Creates the model for an arbitrary fix subset.
-    pub fn with_config(config: KernelConfig) -> Self {
-        Self {
-            config,
-            machine: MachineSpec::paper(),
-        }
-    }
-
     /// Total cycles per message on one core.
     fn total_cycles(&self) -> f64 {
         self.machine.clock_hz / MSGS_PER_SEC_1CORE
@@ -442,7 +429,7 @@ impl WorkloadModel for EximModel {
 
 /// Runs the Figure-4 sweep for one kernel.
 pub fn figure4(choice: Personality) -> Vec<SweepPoint> {
-    CoreSweep::run(&EximModel::new(choice))
+    CoreSweep::run(&*crate::roster::model("exim", choice).unwrap())
 }
 
 #[cfg(test)]
@@ -599,15 +586,6 @@ mod tests {
         assert_eq!(d.bounced(), 0);
         assert_eq!(d.attempted(), MSGS_PER_CONNECTION as u64);
         assert_eq!(d.delivered(), MSGS_PER_CONNECTION as u64);
-    }
-
-    #[test]
-    fn one_core_throughputs_match_anchor() {
-        for choice in [Personality::Stock, Personality::Pk] {
-            let p = CoreSweep::point(&EximModel::new(choice), 1);
-            let err = (p.per_core_per_sec - MSGS_PER_SEC_1CORE).abs() / MSGS_PER_SEC_1CORE;
-            assert!(err < 0.01, "{choice:?}: {}", p.per_core_per_sec);
-        }
     }
 
     #[test]

@@ -34,19 +34,6 @@ pub struct GmakeModel {
 }
 
 impl GmakeModel {
-    /// Creates the model.
-    pub fn new(choice: Personality) -> Self {
-        Self::with_config(choice.config(48))
-    }
-
-    /// Creates the model for an arbitrary fix subset.
-    pub fn with_config(config: KernelConfig) -> Self {
-        Self {
-            config,
-            machine: MachineSpec::paper(),
-        }
-    }
-
     fn total_cycles(&self) -> f64 {
         self.machine.clock_hz * 3600.0 / BUILDS_PER_HOUR_1CORE
     }
@@ -101,19 +88,12 @@ impl WorkloadModel for GmakeModel {
 
 /// Runs the Figure-9 sweep for one kernel.
 pub fn figure9(choice: Personality) -> Vec<SweepPoint> {
-    CoreSweep::run(&GmakeModel::new(choice))
+    CoreSweep::run(&*crate::roster::model("gmake", choice).unwrap())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn one_core_anchor() {
-        let p = CoreSweep::point(&GmakeModel::new(Personality::Stock), 1);
-        let per_hour = p.per_core_per_sec * 3600.0;
-        assert!((per_hour - BUILDS_PER_HOUR_1CORE).abs() / BUILDS_PER_HOUR_1CORE < 0.01);
-    }
 
     #[test]
     fn figure9_shapes() {

@@ -192,19 +192,6 @@ pub struct MemcachedModel {
 }
 
 impl MemcachedModel {
-    /// Creates the model for `choice`.
-    pub fn new(choice: Personality) -> Self {
-        Self::with_config(choice.config(48))
-    }
-
-    /// Creates the model for an arbitrary fix subset.
-    pub fn with_config(config: KernelConfig) -> Self {
-        Self {
-            config,
-            machine: MachineSpec::paper(),
-        }
-    }
-
     fn total_cycles(&self) -> f64 {
         self.machine.clock_hz / REQS_PER_SEC_1CORE
     }
@@ -294,21 +281,12 @@ impl WorkloadModel for MemcachedModel {
 
 /// Runs the Figure-5 sweep for one kernel.
 pub fn figure5(choice: Personality) -> Vec<SweepPoint> {
-    CoreSweep::run(&MemcachedModel::new(choice))
+    CoreSweep::run(&*crate::roster::model("memcached", choice).unwrap())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn one_core_anchor() {
-        for choice in [Personality::Stock, Personality::Pk] {
-            let p = CoreSweep::point(&MemcachedModel::new(choice), 1);
-            let err = (p.per_core_per_sec - REQS_PER_SEC_1CORE).abs() / REQS_PER_SEC_1CORE;
-            assert!(err < 0.01, "{choice:?}: {}", p.per_core_per_sec);
-        }
-    }
 
     #[test]
     fn figure5_shapes() {

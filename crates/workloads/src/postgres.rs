@@ -267,11 +267,6 @@ impl PostgresDriver {
         &self.kernel
     }
 
-    /// Returns the lock manager.
-    pub fn locks(&self) -> &LockManager {
-        &self.locks
-    }
-
     /// Queries executed.
     pub fn queries(&self) -> u64 {
         self.queries.load(Ordering::Relaxed)

@@ -158,6 +158,27 @@ mod tests {
     }
 
     #[test]
+    fn one_core_throughput_matches_each_anchor() {
+        use pk_sim::CoreSweep;
+        let (both, stock) = (
+            &[Personality::Stock, Personality::Pk][..],
+            &[Personality::Stock][..],
+        );
+        for (name, per_sec, choices) in [
+            ("exim", exim::MSGS_PER_SEC_1CORE, both),
+            ("memcached", memcached::REQS_PER_SEC_1CORE, both),
+            ("apache", apache::REQS_PER_SEC_1CORE, both),
+            ("gmake", gmake::BUILDS_PER_HOUR_1CORE / 3600.0, stock),
+        ] {
+            for &choice in choices {
+                let p = CoreSweep::point(model(name, choice).unwrap().as_ref(), 1);
+                let err = (p.per_core_per_sec - per_sec).abs() / per_sec;
+                assert!(err < 0.01, "{name} {choice:?}: {}", p.per_core_per_sec);
+            }
+        }
+    }
+
+    #[test]
     fn names_are_case_insensitive_and_unknowns_fail() {
         assert!(model("Exim", Personality::Stock).is_some());
         assert!(model("PostgreSQL", Personality::Pk).is_some());

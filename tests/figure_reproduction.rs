@@ -2,7 +2,9 @@
 //! claims, and that regeneration is fully deterministic.
 
 use mosbench::kernel::Personality;
-use mosbench::workloads::{apache, exim, gmake, memcached, metis, pedsort, postgres, summary};
+use mosbench::workloads::{
+    apache, exim, gmake, memcached, metis, pedsort, postgres, roster, summary,
+};
 
 /// The paper's one-sentence summary of Figure 3: "except for gmake, all
 /// applications trigger scalability bottlenecks inside a recent Linux
@@ -240,15 +242,17 @@ fn figure12_no_kernel_bottlenecks_remain() {
 #[test]
 fn dominant_fix_is_load_bearing() {
     use mosbench::kernel::{FixId, KernelConfig};
-    use mosbench::sim::{CoreSweep, WorkloadModel};
+    use mosbench::sim::{CoreSweep, MachineSpec, WorkloadModel};
     let ratio = |m: &dyn WorkloadModel| CoreSweep::figure3_ratio(m, 48);
-    let pk = ratio(&exim::EximModel::new(Personality::Pk));
-    let without_vfsmount = ratio(&exim::EximModel::with_config(
+    let exim_on =
+        |c: KernelConfig| roster::model_with_config("exim", &c, MachineSpec::paper()).unwrap();
+    let pk = ratio(&*exim_on(KernelConfig::pk(48)));
+    let without_vfsmount = ratio(&*exim_on(
         KernelConfig::pk(48).with_fix(FixId::PerCoreMountCache, false),
     ));
     assert!(without_vfsmount < 0.2 * pk, "{without_vfsmount} vs {pk}");
     // And enabling it alone nearly recovers PK's ratio.
-    let only_vfsmount = ratio(&exim::EximModel::with_config(
+    let only_vfsmount = ratio(&*exim_on(
         KernelConfig::stock(48).with_fix(FixId::PerCoreMountCache, true),
     ));
     assert!(only_vfsmount > 0.9 * pk, "{only_vfsmount} vs {pk}");
@@ -276,15 +280,10 @@ fn regeneration_is_deterministic() {
 /// inverse of its throughput (no hidden cycles).
 #[test]
 fn one_core_time_accounting_balances() {
-    use mosbench::sim::{CoreSweep, MachineSpec, WorkloadModel};
+    use mosbench::sim::{CoreSweep, MachineSpec};
     let machine = MachineSpec::paper();
-    let models: Vec<Box<dyn WorkloadModel>> = vec![
-        Box::new(exim::EximModel::new(Personality::Pk)),
-        Box::new(memcached::MemcachedModel::new(Personality::Pk)),
-        Box::new(apache::ApacheModel::new(Personality::Pk)),
-        Box::new(gmake::GmakeModel::new(Personality::Pk)),
-    ];
-    for m in models {
+    for name in ["exim", "memcached", "apache", "gmake"] {
+        let m = roster::model(name, Personality::Pk).unwrap();
         let p = CoreSweep::point(m.as_ref(), 1);
         let time_per_op_sec = (p.user_usec + p.system_usec) * 1e-6;
         let throughput_time = 1.0 / p.per_core_per_sec;
