@@ -4,7 +4,6 @@
 use crate::fixes::{FixId, NUM_FIXES};
 use pk_mm::MmConfig;
 use pk_net::NetConfig;
-use pk_sim::OverloadPolicy;
 use pk_vfs::VfsConfig;
 
 /// Which kind of kernel a configuration describes — the one axis every
@@ -34,6 +33,11 @@ pub enum Personality {
     Adaptive,
 }
 
+/// Sockets of the paper machine (8×6 Opteron). The substrates are
+/// lowered for this topology: per-socket shard counts and NUMA nodes
+/// follow it.
+const SOCKETS: usize = 8;
+
 /// A kernel build: core count plus the enabled fix set.
 ///
 /// [`KernelConfig::preset`] builds a personality's boot configuration
@@ -45,22 +49,10 @@ pub enum Personality {
 pub struct KernelConfig {
     /// Number of cores the kernel serves.
     pub cores: usize,
-    /// Sockets the cores are spread over. Per-socket sharding fixes
-    /// (flow tables, page freelists) key their shard counts off this;
-    /// defaults to the paper machine's 8 and is overridden via
-    /// [`KernelConfig::with_sockets`] when lowering for a swept
-    /// topology.
-    sockets: usize,
     /// Which fixes are enabled (Figure-1 order, then generation 2).
     fixes: [bool; NUM_FIXES],
     /// Which personality this build is (stock / coarse / PK / adaptive).
     personality: Personality,
-    /// Overload-survival posture for the serving layer: admission
-    /// queue bound, shedding policy, SLO budget, deadline propagation
-    /// and degradation hooks. [`OverloadPolicy::NONE`] (the default in
-    /// both presets) reproduces the historical accept-everything
-    /// behaviour, so this axis sweeps orthogonally to the 16 fixes.
-    overload: OverloadPolicy,
 }
 
 impl Personality {
@@ -115,10 +107,8 @@ impl KernelConfig {
     pub fn preset(personality: Personality, cores: usize) -> Self {
         Self {
             cores,
-            sockets: 8,
             fixes: [personality == Personality::Pk; NUM_FIXES],
             personality,
-            overload: OverloadPolicy::NONE,
         }
     }
 
@@ -132,49 +122,14 @@ impl KernelConfig {
         Self::preset(Personality::Pk, cores)
     }
 
-    /// The coarse kernel: stock's fix set under coarse subsystem locks.
-    pub fn coarse(cores: usize) -> Self {
-        Self::preset(Personality::Coarse, cores)
-    }
-
     /// The adaptive kernel: zero fixes at boot, stock's substrates.
     pub fn adaptive(cores: usize) -> Self {
         Self::preset(Personality::Adaptive, cores)
     }
 
-    /// Returns a copy lowered for a machine with `sockets` sockets.
-    /// Shard counts of the per-socket fixes follow this value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sockets == 0`.
-    pub fn with_sockets(mut self, sockets: usize) -> Self {
-        assert!(sockets > 0, "a machine has at least one socket");
-        self.sockets = sockets;
-        self
-    }
-
-    /// Sockets this build is lowered for.
-    pub fn sockets(&self) -> usize {
-        self.sockets
-    }
-
     /// Which personality this build is.
     pub fn personality(&self) -> Personality {
         self.personality
-    }
-
-    /// Returns a copy with the overload-survival posture set. Sweeps
-    /// like any other axis: `KernelConfig::stock(48)` vs
-    /// `KernelConfig::pk(48).with_overload(OverloadPolicy::shedding(..))`.
-    pub fn with_overload(mut self, overload: OverloadPolicy) -> Self {
-        self.overload = overload;
-        self
-    }
-
-    /// The configured overload-survival posture.
-    pub fn overload(&self) -> OverloadPolicy {
-        self.overload
     }
 
     /// Returns whether `fix` is enabled. [`FixId`] is declared in
@@ -208,7 +163,7 @@ impl KernelConfig {
             avoid_dcache_list_locks: self.has(FixId::AvoidDcacheListLocks),
             rcu_path_walk: self.has(FixId::RcuPathWalk),
             snzi_refs: self.has(FixId::SnziVfsRefs),
-            sockets: self.sockets,
+            sockets: SOCKETS,
         }
     }
 
@@ -216,9 +171,9 @@ impl KernelConfig {
     pub fn net(&self) -> NetConfig {
         NetConfig {
             cores: self.cores,
-            numa_nodes: self.sockets,
+            numa_nodes: SOCKETS,
             flow_table_shards: if self.has(FixId::PerSocketFlowTables) {
-                self.sockets
+                SOCKETS
             } else {
                 1
             },
@@ -232,25 +187,17 @@ impl KernelConfig {
             // RFS is a software alternative the paper cites but PK does
             // not enable (it relies on hardware steering instead).
             software_rfs: false,
-            accept_backlog_cap: self.overload.admission_cap as usize,
         }
     }
 
     /// Lowers the fix set onto the memory substrate's configuration.
     ///
-    /// The page-freelist shard count is the NUMA node count: stock
-    /// keeps the historical fixed 8 whatever the topology (the
-    /// generation-2 problem), while [`FixId::PerSocketPageFreelists`]
-    /// keys it off the actual socket count so every socket owns a
-    /// freelist.
+    /// [`FixId::PerSocketPageFreelists`] lowers to nothing here: stock's
+    /// fixed 8 freelists already equal the paper machine's socket count,
+    /// so the generation-2 problem it fixes exists only in the models.
     pub fn mm(&self) -> MmConfig {
         let base = MmConfig::stock(self.cores);
         MmConfig {
-            numa_nodes: if self.has(FixId::PerSocketPageFreelists) {
-                self.sockets
-            } else {
-                base.numa_nodes
-            },
             per_mapping_superpage_mutex: self.has(FixId::SuperPageFineLocking),
             nocache_superpage_zeroing: self.has(FixId::NoCacheSuperPageZeroing),
             ..base
@@ -266,9 +213,10 @@ mod tests {
     fn stock_and_pk_extremes() {
         assert_eq!(KernelConfig::stock(48).enabled_count(), 0);
         assert_eq!(KernelConfig::pk(48).enabled_count(), NUM_FIXES);
-        assert_eq!(KernelConfig::coarse(48).enabled_count(), 0);
+        let coarse = Personality::Coarse.config(48);
+        assert_eq!(coarse.enabled_count(), 0);
         assert_eq!(
-            KernelConfig::coarse(48).personality(),
+            coarse.personality(),
             Personality::Coarse,
             "coarse differs from stock only by personality"
         );
@@ -290,7 +238,6 @@ mod tests {
             ["Stock", "Coarse", "PK", "Adaptive"]
         );
         assert_eq!(KernelConfig::stock(8), Personality::Stock.config(8));
-        assert_eq!(KernelConfig::coarse(8), Personality::Coarse.config(8));
         assert_eq!(KernelConfig::pk(8), Personality::Pk.config(8));
         assert_eq!(KernelConfig::adaptive(8), Personality::Adaptive.config(8));
     }
@@ -308,20 +255,6 @@ mod tests {
         // The last declared variant closes the vector: no FixId indexes
         // past it.
         assert_eq!(FixId::PerSocketPageFreelists as usize + 1, NUM_FIXES);
-    }
-
-    #[test]
-    fn sockets_key_the_per_socket_shards() {
-        let pk = KernelConfig::pk(1024).with_sockets(64);
-        assert_eq!(pk.sockets(), 64);
-        assert_eq!(pk.net().flow_table_shards, 64);
-        assert_eq!(pk.net().numa_nodes, 64);
-        assert_eq!(pk.mm().numa_nodes, 64);
-        // Stock ignores the topology: fixed shard counts are the
-        // generation-2 problem being modeled.
-        let stock = KernelConfig::stock(1024).with_sockets(64);
-        assert_eq!(stock.net().flow_table_shards, 1);
-        assert_eq!(stock.mm().numa_nodes, 8);
     }
 
     #[test]
@@ -357,21 +290,5 @@ mod tests {
         let promoted = a.with_fix(FixId::SloppyDentryRefs, true);
         assert!(promoted.vfs().sloppy_dentry_refs);
         assert_eq!(promoted.personality(), Personality::Adaptive);
-    }
-
-    #[test]
-    fn overload_policy_lowers_onto_the_accept_backlog() {
-        use pk_sim::ShedPolicy;
-        let base = KernelConfig::pk(48);
-        assert_eq!(base.overload(), OverloadPolicy::NONE);
-        assert_eq!(base.net().accept_backlog_cap, 0);
-        let shedding = base.with_overload(OverloadPolicy::shedding(
-            96,
-            ShedPolicy::DropNewest,
-            1_000_000,
-        ));
-        assert_eq!(shedding.net().accept_backlog_cap, 96);
-        // The overload axis is part of config identity, like the fixes.
-        assert_ne!(base, shedding);
     }
 }

@@ -39,9 +39,9 @@ pub enum KernelError {
     /// Carries a static description of what was malformed. Corruption
     /// is never transient: retrying re-reads the same bytes.
     Corrupt(&'static str),
-    /// The kernel refused the request at admission: the bounded
-    /// backlog configured by [`crate::OverloadPolicy`] was full, or a
-    /// load-shedding policy sacrificed this request. Transient by
+    /// The request was refused at admission: a bounded admission queue
+    /// (`pk_serve::AdmissionQueue`) was full, or a load-shedding policy
+    /// sacrificed this request. Transient by
     /// definition — shedding exists precisely so clients back off and
     /// retry into a queue that still has headroom.
     Overloaded,

@@ -6,7 +6,7 @@ use pk_fault::FaultPlane;
 use pk_mm::{AddressSpace, MmStats, NumaAllocator};
 use pk_net::NetStack;
 use pk_percpu::CoreId;
-use pk_proc::{Pid, ProcessTable, Scheduler};
+use pk_proc::{Pid, ProcessTable};
 use pk_vfs::Vfs;
 use std::sync::Arc;
 
@@ -38,7 +38,6 @@ pub struct Kernel {
     mm_stats: Arc<MmStats>,
     allocator: Arc<NumaAllocator>,
     procs: ProcessTable,
-    sched: Scheduler,
     proc_stats: crate::procfs::ProcStats,
     faults: Arc<FaultPlane>,
 }
@@ -68,7 +67,6 @@ impl Kernel {
             allocator,
             mm_stats,
             procs: ProcessTable::with_faults(&faults),
-            sched: Scheduler::new(config.cores),
             proc_stats: crate::procfs::ProcStats::default(),
             faults,
             config,
@@ -110,11 +108,6 @@ impl Kernel {
         &self.procs
     }
 
-    /// The scheduler.
-    pub fn sched(&self) -> &Scheduler {
-        &self.sched
-    }
-
     /// procfs read counters.
     pub fn proc_stats(&self) -> &crate::procfs::ProcStats {
         &self.proc_stats
@@ -137,17 +130,14 @@ impl Kernel {
         ))
     }
 
-    /// `fork(2)`: creates a child of `parent` on `core` and makes it
-    /// runnable there.
+    /// `fork(2)`: creates a child of `parent` on `core`.
     ///
     /// Fails with a transient [`KernelError::Proc`] (`EAGAIN`) when the
     /// `proc.fork_fail` fault fires; callers are expected to back off
     /// and retry.
     pub fn fork(&self, parent: Pid, core: CoreId) -> Result<Pid, KernelError> {
         let _span = pk_trace::trace_span!("kernel.fork");
-        let child = self.procs.fork(parent, core)?;
-        self.sched.enqueue(core, child.pid);
-        Ok(child.pid)
+        Ok(self.procs.fork(parent, core)?.pid)
     }
 
     /// `exit(2)` + immediate reap by the parent (the common Exim
@@ -179,11 +169,10 @@ mod tests {
     }
 
     #[test]
-    fn fork_enqueues_child() {
+    fn fork_then_exit_reaps_the_child() {
         let k = Kernel::new(KernelConfig::pk(4));
         let pid = k.fork(Pid(1), CoreId(2)).unwrap();
-        assert_eq!(k.sched().load(CoreId(2)), 1);
-        assert_eq!(k.sched().pick_next(CoreId(2)), Some(pid));
+        assert_eq!(k.procs().len(), 2);
         k.exit(pid, CoreId(2)).unwrap();
         assert_eq!(k.procs().len(), 1);
     }

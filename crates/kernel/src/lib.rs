@@ -25,7 +25,3 @@ pub use fixes::{
     fix_for_class, App, Fix, FixId, FIXES, GEN2_FIXES, LINES_ADDED, LINES_REMOVED, NUM_FIXES,
 };
 pub use kernel::Kernel;
-// The overload-policy types live in pk-sim (the open-loop engine
-// consumes them directly); re-exported here because `KernelConfig`
-// carries them as a first-class knob.
-pub use pk_sim::{OverloadPolicy, ShedPolicy};

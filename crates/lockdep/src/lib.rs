@@ -19,7 +19,7 @@
 //!    epoch read-side section, or calling `synchronize()` from one
 //!    (a reader that can never quiesce), is reported.
 //! 4. **Per-core discipline** ([`check_percore_mutation`]) — per-core
-//!    slots (sloppy-counter banks, vfsmount/skb caches, run queues)
+//!    slots (sloppy-counter banks, vfsmount/skb caches, accept queues)
 //!    must be mutated by their owning core; deliberate cross-core paths
 //!    declare themselves with [`MigrationScope`].
 //!

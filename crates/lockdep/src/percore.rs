@@ -1,12 +1,12 @@
 //! Per-core discipline: slot mutation must come from the owning core.
 //!
 //! `SloppyCounter` banking, the per-core vfsmount cache, skb free
-//! lists, and the per-core run queues all assume their slots are
+//! lists, and the per-core accept queues all assume their slots are
 //! mutated by the core that owns them — that assumption is what makes
 //! them scalable, and nothing enforced it. Workload drivers declare
 //! which logical core they are acting as with [`ActingCore::enter`];
 //! instrumented mutation sites then call [`check_percore_mutation`].
-//! Deliberate cross-core paths (reconciliation, work stealing, remote
+//! Deliberate cross-core paths (reconciliation, accept stealing, remote
 //! teardown) wrap themselves in [`MigrationScope::enter`] — the
 //! explicit escape hatch that marks them as reviewed.
 

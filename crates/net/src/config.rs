@@ -32,13 +32,6 @@ pub struct NetConfig {
     /// re-steers polled packets to the core that owns the flow's socket,
     /// paying a cross-core queue hop when the hardware misdirected them.
     pub software_rfs: bool,
-    /// Bound on a listener's total accept backlog (across per-core
-    /// queues); 0 = unbounded, the historical behaviour and the
-    /// default in both presets. When the bound is hit, `enqueue`
-    /// refuses the connection and the stack surfaces
-    /// `NetError::Backpressure` — the admission-control hook the
-    /// serving layer's `OverloadPolicy` lowers onto.
-    pub accept_backlog_cap: usize,
     /// Number of independent flow-steering table shards (generation-2,
     /// §7). Stock keeps the single global table (1); the per-socket
     /// sharding fix keys this off the machine's socket count so flow
@@ -63,7 +56,6 @@ impl NetConfig {
             percore_accept_queues: false,
             hash_flow_steering: false,
             software_rfs: false,
-            accept_backlog_cap: 0,
             flow_table_shards: 1,
             snzi_dst_refs: false,
         }
@@ -81,7 +73,6 @@ impl NetConfig {
             percore_accept_queues: true,
             hash_flow_steering: true,
             software_rfs: false,
-            accept_backlog_cap: 0,
             flow_table_shards: 8,
             snzi_dst_refs: true,
         }

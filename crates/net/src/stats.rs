@@ -25,10 +25,6 @@ pk_percpu::tally_struct! {
         pub accept_local_queue,
         /// Accepts that had to steal from another core's backlog.
         pub accept_steals,
-        /// Connections refused because the listener's bounded accept
-        /// backlog (`accept_backlog_cap`) was full — admission control in
-        /// action, not packet loss.
-        pub accept_overflows,
         /// Incoming packets steered to the core that owns the flow.
         pub rx_steered_local,
         /// Incoming packets misdirected to another core (stock sampling).

@@ -2,17 +2,13 @@
 //!
 //! Exim "forks a new process for each connection, which ... also forks
 //! twice to deliver each message" (§3.1), so process creation and
-//! destruction are on MOSBENCH's hot path. The scheduler follows the
-//! pattern the paper holds up as the model for all its fixes: "the set of
-//! runnable threads is partitioned into mostly-private per-core
-//! scheduling queues; in the common case, each core only reads, writes,
-//! and locks its own queue" (§4.1).
+//! destruction are on MOSBENCH's hot path. No workload dispatches
+//! processes, so the substrate keeps the process table and no run
+//! queues.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
 mod process;
-mod sched;
 
 pub use process::{Pid, ProcError, Process, ProcessState, ProcessTable};
-pub use sched::{SchedStats, Scheduler};

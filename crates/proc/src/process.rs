@@ -20,7 +20,7 @@ impl fmt::Display for Pid {
 /// Lifecycle state of a process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcessState {
-    /// On a run queue or executing.
+    /// Forked and not yet exited.
     Runnable,
     /// Exited, not yet reaped by its parent.
     Zombie,

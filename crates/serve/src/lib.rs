@@ -7,7 +7,7 @@
 //! paper) — into *servers*: a seeded arrival process
 //! ([`pk_sim::ArrivalPattern`]) offers requests from a population of
 //! millions of distinct simulated users ([`pk_sim::ClientMix`]), the
-//! kernel's [`pk_kernel::OverloadPolicy`] decides what to admit, shed,
+//! run's [`pk_sim::OverloadPolicy`] decides what to admit, shed,
 //! cancel, or degrade, and every completion lands in a `pk-obs` latency
 //! histogram with p50/p99/p999 and SLO-violation accounting.
 //!
@@ -29,8 +29,11 @@ pub mod admission;
 pub use admission::{serve_with_deadline, AdmissionQueue, SlotGuard};
 
 use pk_fault::FaultPlane;
-use pk_kernel::{OverloadPolicy, Personality, ShedPolicy};
-use pk_sim::{simulate_flow, simulate_open, ArrivalPattern, ClientMix, Network, OpenLoopResult};
+use pk_kernel::Personality;
+use pk_sim::{
+    simulate_flow, simulate_open, ArrivalPattern, ClientMix, Network, OpenLoopResult,
+    OverloadPolicy, ShedPolicy,
+};
 use pk_trace::Tracer;
 use pk_workloads::roster;
 

@@ -165,11 +165,6 @@ impl MachineSpec {
         Ok(())
     }
 
-    /// Converts cycles to seconds.
-    pub fn cycles_to_secs(&self, cycles: f64) -> f64 {
-        cycles / self.clock_hz
-    }
-
     /// Converts cycles to microseconds.
     pub fn cycles_to_usecs(&self, cycles: f64) -> f64 {
         cycles * 1e6 / self.clock_hz
@@ -213,7 +208,6 @@ mod tests {
     #[test]
     fn unit_conversions() {
         let m = MachineSpec::paper();
-        assert!((m.cycles_to_secs(2.4e9) - 1.0).abs() < 1e-12);
         assert!((m.cycles_to_usecs(2400.0) - 1.0).abs() < 1e-12);
     }
 

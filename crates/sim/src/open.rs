@@ -83,38 +83,6 @@ pub enum ArrivalPattern {
 }
 
 impl ArrivalPattern {
-    /// The pattern with every rate scaled by `load` (interarrival
-    /// gaps divided by it): `scaled(2.0)` doubles the offered load —
-    /// the 2× overload axis of `pk-bench report latency`.
-    #[must_use]
-    pub fn scaled(self, load: f64) -> Self {
-        match self {
-            Self::Poisson {
-                mean_interarrival_cycles,
-            } => Self::Poisson {
-                mean_interarrival_cycles: mean_interarrival_cycles / load,
-            },
-            Self::OnOff {
-                mean_interarrival_cycles,
-                on_cycles,
-                off_cycles,
-            } => Self::OnOff {
-                mean_interarrival_cycles: mean_interarrival_cycles / load,
-                on_cycles,
-                off_cycles,
-            },
-            Self::Diurnal {
-                peak_interarrival_cycles,
-                trough_interarrival_cycles,
-                phase_cycles,
-            } => Self::Diurnal {
-                peak_interarrival_cycles: peak_interarrival_cycles / load,
-                trough_interarrival_cycles: trough_interarrival_cycles / load,
-                phase_cycles,
-            },
-        }
-    }
-
     /// Long-run mean interarrival gap, cycles — the normalizing
     /// constant callers use to size horizons (`requests × mean gap`).
     pub fn mean_interarrival_cycles(&self) -> f64 {
@@ -1104,16 +1072,5 @@ mod tests {
         );
         assert!(r.nic_dropped > 0, "armed rx_drop never fired");
         assert_eq!(r.accounted(), r.arrivals);
-    }
-
-    #[test]
-    fn scaled_doubles_offered_load() {
-        let p = poisson(1_000.0).scaled(2.0);
-        assert_eq!(
-            p,
-            ArrivalPattern::Poisson {
-                mean_interarrival_cycles: 500.0
-            }
-        );
     }
 }

@@ -93,19 +93,6 @@ impl CoreSweep {
         v
     }
 
-    /// The sweep axis generalized to an arbitrary topology: 1, then
-    /// 12 evenly spaced steps up to the machine's full core count.
-    /// For the paper's 8×6 machine this reproduces
-    /// [`CoreSweep::paper_core_counts`] exactly.
-    pub fn counts_for(spec: &MachineSpec) -> Vec<usize> {
-        let total = spec.cores();
-        let step = total.div_ceil(12).max(1);
-        let mut v = vec![1];
-        v.extend((1..=12).map(|i| (i * step).min(total)));
-        v.dedup();
-        v
-    }
-
     /// Evaluates `model` at one core count, first checking that the
     /// count fits the model's machine. This is the sweep entry point
     /// every topology-parameterized caller goes through, so models may
@@ -204,23 +191,6 @@ mod tests {
         assert_eq!(counts[1], 4);
         assert_eq!(*counts.last().unwrap(), 48);
         assert_eq!(counts.len(), 13);
-    }
-
-    #[test]
-    fn generalized_counts_reproduce_the_paper_axis() {
-        assert_eq!(
-            CoreSweep::counts_for(&MachineSpec::paper()),
-            CoreSweep::paper_core_counts()
-        );
-        let big = MachineSpec::with_topology(16, 12).unwrap();
-        let counts = CoreSweep::counts_for(&big);
-        assert_eq!(counts.first(), Some(&1));
-        assert_eq!(counts.last(), Some(&192));
-        assert_eq!(counts.len(), 13);
-        let huge = MachineSpec::with_topology(128, 8).unwrap();
-        assert_eq!(*CoreSweep::counts_for(&huge).last().unwrap(), 1024);
-        let tiny = MachineSpec::with_topology(1, 1).unwrap();
-        assert_eq!(CoreSweep::counts_for(&tiny), [1]);
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl Inode {
         self.nlink.load(Ordering::Acquire)
     }
 
-    /// Increments the link count.
-    pub fn inc_nlink(&self) {
-        self.nlink.fetch_add(1, Ordering::AcqRel);
-    }
-
     /// Decrements the link count, returning the new value.
     pub fn dec_nlink(&self) -> u64 {
         self.nlink.fetch_sub(1, Ordering::AcqRel) - 1
@@ -310,9 +305,7 @@ mod tests {
     fn nlink_counts() {
         let ino = Inode::new(InodeId(1), InodeKind::File);
         assert_eq!(ino.nlink(), 1);
-        ino.inc_nlink();
-        assert_eq!(ino.nlink(), 2);
-        assert_eq!(ino.dec_nlink(), 1);
+        assert_eq!(ino.dec_nlink(), 0);
     }
 
     #[test]

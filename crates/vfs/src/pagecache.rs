@@ -190,11 +190,6 @@ impl PageCache {
         page
     }
 
-    /// Invalidates every page of `inode` (last unlink).
-    pub fn invalidate(&self, inode: &Inode) {
-        inode.invalidate_pages();
-    }
-
     /// Number of cached pages.
     pub fn len(&self) -> usize {
         self.shared.pages.load(Ordering::Relaxed)
@@ -256,7 +251,7 @@ mod tests {
             pc.fill(&a, idx, vec![7]);
             pc.fill(&b, idx, vec![8]);
         }
-        pc.invalidate(&a);
+        a.invalidate_pages();
         assert_eq!(pc.len(), 4);
         assert!(pc.lookup(&a, 0).is_none());
         assert!(pc.lookup(&b, 3).is_some());
@@ -299,7 +294,7 @@ mod tests {
                     }
                 });
             }
-            s.spawn(|| pc.invalidate(&f));
+            s.spawn(|| f.invalidate_pages());
         });
         assert!(pc.is_empty());
     }

@@ -256,44 +256,6 @@ impl Vfs {
         Ok(())
     }
 
-    /// Creates a hard link: `new` becomes another name for the inode at
-    /// `existing` (`link(2)`). Directories cannot be linked.
-    pub fn link(&self, existing: &str, new: &str, core: CoreId) -> Result<(), VfsError> {
-        if self.sb.is_read_only() {
-            return Err(VfsError::ReadOnly);
-        }
-        let inode = self.walker().resolve(existing, core)?;
-        if inode.kind == InodeKind::Dir {
-            return Err(VfsError::IsADirectory);
-        }
-        let pl = self.walker().resolve_parent(new, core)?;
-        let seen = pl.parent.removals();
-        if !pl.parent.insert_child(pl.name, inode.id) {
-            return Err(VfsError::Exists);
-        }
-        inode.inc_nlink();
-        let probe = DentryProbe::new(pl.parent.id, pl.name);
-        match self.walker().fill(&pl.parent, probe, inode.id, seen, core) {
-            Ok(_) => Ok(()),
-            Err(e) => {
-                // Roll the half-made link back: drop the directory entry
-                // and the extra nlink taken above.
-                pl.parent.remove_child(pl.name);
-                inode.dec_nlink();
-                Err(e)
-            }
-        }
-    }
-
-    /// Lists the entries of the directory at `path`, sorted.
-    pub fn readdir(&self, path: &str, core: CoreId) -> Result<Vec<String>, VfsError> {
-        let inode = self.walker().resolve(path, core)?;
-        if inode.kind != InodeKind::Dir {
-            return Err(VfsError::NotADirectory);
-        }
-        Ok(inode.child_names())
-    }
-
     /// Returns metadata for `path` — the `stat` every Apache request
     /// performs (§3.3).
     pub fn stat(&self, path: &str, core: CoreId) -> Result<Stat, VfsError> {
@@ -428,12 +390,6 @@ mod tests {
             let f = vfs.create("/g", core).unwrap();
             vfs.close(&f, core);
             vfs.open("/g", core).map(|f| vfs.close(&f, core)).unwrap();
-
-            // So did `link`; the inode lives on under `/f`, so a stale
-            // dentry would answer with the wrong file, not `Stale`.
-            probe::with(FILL_SITE, unlink("/h"), || vfs.link("/f", "/h", core)).unwrap();
-            assert_eq!(vfs.stat("/h", core).unwrap_err(), VfsError::NotFound);
-            assert_eq!(vfs.stat("/f", core).unwrap().nlink, 1);
             assert_eq!(vfs.superblock().open_files(), 0);
         }
     }
@@ -632,30 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_pages_live_until_the_last_link_goes() {
-        use std::sync::atomic::Ordering::Relaxed;
-        let vfs = pk();
-        let core = CoreId(0);
-        let inodes = vfs.tmpfs().inode_count();
-        let body = vec![b'x'; PAGE_BYTES + 1];
-        vfs.write_file("/f", &body, core).unwrap();
-        vfs.link("/f", "/g", core).unwrap();
-        assert_coherent(&vfs, "/f", &body);
-        let stats = vfs.page_cache().stats();
-        let misses = stats.misses.load(Relaxed);
-        vfs.unlink("/f", core).unwrap();
-        // The survivor keeps the pages: nothing dropped, nothing refilled.
-        assert_eq!(vfs.page_cache().len(), 2);
-        assert_coherent(&vfs, "/g", &body);
-        assert_eq!(stats.misses.load(Relaxed), misses);
-        assert_eq!(stats.invalidated.load(Relaxed), 0);
-        vfs.unlink("/g", core).unwrap();
-        assert_eq!(vfs.page_cache().len(), 0);
-        assert_eq!(stats.invalidated.load(Relaxed), 2);
-        assert_eq!(vfs.tmpfs().inode_count(), inodes);
-    }
-
-    #[test]
     fn readers_see_whole_records_while_a_writer_appends() {
         use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
         const RECORD: usize = 1000; // not a divisor of the page size
@@ -703,48 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn hard_links_share_the_inode() {
-        let vfs = pk();
-        let core = CoreId(0);
-        vfs.write_file("/a", b"shared", core).unwrap();
-        vfs.link("/a", "/b", core).unwrap();
-        assert_eq!(vfs.stat("/a", core).unwrap().nlink, 2);
-        assert_eq!(
-            vfs.stat("/a", core).unwrap().ino,
-            vfs.stat("/b", core).unwrap().ino
-        );
-        // A write through one name is visible through the other.
-        let f = vfs.open("/b", core).unwrap();
-        f.append(b"!").unwrap();
-        vfs.close(&f, core);
-        assert_eq!(vfs.read_file("/a", core).unwrap(), b"shared!");
-        // Unlinking one name keeps the data alive via the other.
-        vfs.unlink("/a", core).unwrap();
-        assert_eq!(vfs.stat("/a", core).unwrap_err(), VfsError::NotFound);
-        assert_eq!(vfs.read_file("/b", core).unwrap(), b"shared!");
-        assert_eq!(vfs.stat("/b", core).unwrap().nlink, 1);
-        vfs.unlink("/b", core).unwrap();
-        assert_eq!(vfs.tmpfs().inode_count(), 1, "inode freed with last link");
-    }
-
-    #[test]
-    fn link_error_paths() {
-        let vfs = pk();
-        let core = CoreId(0);
-        vfs.mkdir_p("/d", core).unwrap();
-        vfs.write_file("/f", b"x", core).unwrap();
-        assert_eq!(
-            vfs.link("/d", "/d2", core).unwrap_err(),
-            VfsError::IsADirectory
-        );
-        assert_eq!(
-            vfs.link("/nope", "/n2", core).unwrap_err(),
-            VfsError::NotFound
-        );
-        assert_eq!(vfs.link("/f", "/f", core).unwrap_err(), VfsError::Exists);
-    }
-
-    #[test]
     fn failed_create_rolls_back_the_inode() {
         let faults = pk_fault::FaultPlane::with_seed(3);
         faults.set("vfs.dentry_alloc", pk_fault::FaultSchedule::OneShot(0));
@@ -761,26 +651,6 @@ mod tests {
         let f = vfs.create("/f", core).unwrap();
         vfs.close(&f, core);
         assert_eq!(vfs.superblock().open_files(), 0);
-    }
-
-    #[test]
-    fn failed_link_rolls_back_nlink() {
-        let faults = pk_fault::FaultPlane::with_seed(3);
-        faults.set("vfs.dentry_alloc", pk_fault::FaultSchedule::OneShot(0));
-        let vfs = Vfs::with_faults(VfsConfig::pk(4), &faults);
-        let core = CoreId(0);
-        vfs.write_file("/a", b"x", core).unwrap();
-        // Arm only after setup so the one-shot hits the link itself.
-        faults.enable();
-        assert_eq!(
-            vfs.link("/a", "/b", core).unwrap_err(),
-            VfsError::OutOfMemory
-        );
-        assert_eq!(vfs.stat("/a", core).unwrap().nlink, 1, "nlink rolled back");
-        assert_eq!(vfs.stat("/b", core).unwrap_err(), VfsError::NotFound);
-        // Retry succeeds once the pressure passes.
-        vfs.link("/a", "/b", core).unwrap();
-        assert_eq!(vfs.stat("/a", core).unwrap().nlink, 2);
     }
 
     #[test]
@@ -808,24 +678,6 @@ mod tests {
             s.dentry_alloc_failures
                 .load(std::sync::atomic::Ordering::Relaxed)
                 > 0
-        );
-    }
-
-    #[test]
-    fn readdir_lists_sorted_entries() {
-        let vfs = pk();
-        let core = CoreId(0);
-        vfs.mkdir_p("/dir", core).unwrap();
-        for name in ["zeta", "alpha", "mid"] {
-            vfs.write_file(&format!("/dir/{name}"), b"", core).unwrap();
-        }
-        assert_eq!(
-            vfs.readdir("/dir", core).unwrap(),
-            vec!["alpha", "mid", "zeta"]
-        );
-        assert_eq!(
-            vfs.readdir("/dir/alpha", core).unwrap_err(),
-            VfsError::NotADirectory
         );
     }
 

@@ -1,9 +1,8 @@
 //! Model-based check of the per-inode page cache: whatever mix of
-//! whole-file writes, writes through open files, truncates, hard links
-//! and unlinks precedes it, `read_cached` returns the file's current
-//! bytes, and the cache holds exactly the pages the model says it does
-//! — a write drops the pages it changed and no others, and the pages go
-//! when the last name does.
+//! whole-file writes, writes through open files, truncates and unlinks
+//! precedes it, `read_cached` returns the file's current bytes, and the
+//! cache holds exactly the pages the model says it does — a write drops
+//! the pages it changed and no others, and the pages go with the name.
 
 use pk_percpu::CoreId;
 use pk_vfs::pagecache::PAGE_BYTES;
@@ -40,10 +39,6 @@ enum Op {
     ReadCached {
         name: u8,
     },
-    Link {
-        from: u8,
-        to: u8,
-    },
     Unlink {
         name: u8,
     },
@@ -73,7 +68,6 @@ fn op() -> impl Strategy<Value = Op> {
         (name(), 0..MAX_BYTES).prop_map(|(name, len)| Op::Truncate { name, len }),
         name().prop_map(|name| Op::ReadCached { name }),
         name().prop_map(|name| Op::ReadCached { name }),
-        (name(), name()).prop_map(|(from, to)| Op::Link { from, to }),
         name().prop_map(|name| Op::Unlink { name }),
     ]
 }
@@ -87,7 +81,6 @@ fn bytes(len: usize, seed: u8) -> Vec<u8> {
 struct File {
     data: Vec<u8>,
     cached: BTreeSet<u64>,
-    links: usize,
 }
 
 impl File {
@@ -122,17 +115,16 @@ impl File {
 
 #[derive(Debug, Default)]
 struct Model {
-    names: HashMap<u8, usize>,
-    files: Vec<File>,
+    files: HashMap<u8, File>,
 }
 
 impl Model {
     fn file(&mut self, name: u8) -> Option<&mut File> {
-        self.names.get(&name).map(|&i| &mut self.files[i])
+        self.files.get_mut(&name)
     }
 
     fn cached_pages(&self) -> usize {
-        self.files.iter().map(|f| f.cached.len()).sum()
+        self.files.values().map(|f| f.cached.len()).sum()
     }
 }
 
@@ -159,7 +151,7 @@ proptest! {
                         true
                     }
                     Err(VfsError::NotFound) => {
-                        assert!(!model.names.contains_key(&name));
+                        assert!(!model.files.contains_key(&name));
                         false
                     }
                     Err(e) => panic!("unexpected: {e}"),
@@ -170,11 +162,7 @@ proptest! {
                     Op::WriteFile { name, len, seed } => {
                         let data = bytes(len, seed);
                         vfs.write_file(&path(name), &data, core).unwrap();
-                        if model.file(name).is_none() {
-                            model.names.insert(name, model.files.len());
-                            model.files.push(File { links: 1, ..File::default() });
-                        }
-                        let file = model.file(name).unwrap();
+                        let file = model.files.entry(name).or_default();
                         file.truncate(0);
                         file.write_at(0, &data);
                     }
@@ -209,24 +197,9 @@ proptest! {
                         Err(VfsError::NotFound) => prop_assert!(model.file(name).is_none()),
                         Err(e) => panic!("unexpected: {e}"),
                     },
-                    Op::Link { from, to } => match vfs.link(&path(from), &path(to), core) {
-                        Ok(()) => {
-                            prop_assert!(!model.names.contains_key(&to));
-                            let i = model.names[&from];
-                            model.names.insert(to, i);
-                            model.files[i].links += 1;
-                        }
-                        Err(VfsError::NotFound) => prop_assert!(model.file(from).is_none()),
-                        Err(VfsError::Exists) => prop_assert!(model.file(to).is_some()),
-                        Err(e) => panic!("unexpected: {e}"),
-                    },
                     Op::Unlink { name } => match vfs.unlink(&path(name), core) {
                         Ok(()) => {
-                            let i = model.names.remove(&name).expect("model has the name");
-                            model.files[i].links -= 1;
-                            if model.files[i].links == 0 {
-                                model.files[i].cached.clear();
-                            }
+                            model.files.remove(&name).expect("model has the name");
                         }
                         Err(VfsError::NotFound) => prop_assert!(model.file(name).is_none()),
                         Err(e) => panic!("unexpected: {e}"),

@@ -12,7 +12,7 @@
 //! A separate negative test pins the documented fallback: a torn
 //! seqcount (modification in flight) forces the RCU leg to decline.
 
-use pk_kernel::KernelConfig;
+use pk_kernel::{KernelConfig, Personality};
 use pk_percpu::CoreId;
 use pk_vfs::{DentryKey, PathWalker, Vfs, VfsConfig, VfsError};
 use std::sync::atomic::Ordering;
@@ -29,7 +29,7 @@ const SEED: u64 = 42;
 fn personalities() -> [(&'static str, VfsConfig); 3] {
     [
         ("stock", KernelConfig::stock(CORES).vfs()),
-        ("coarse", KernelConfig::coarse(CORES).vfs()),
+        ("coarse", Personality::Coarse.config(CORES).vfs()),
         ("pk", KernelConfig::pk(CORES).vfs()),
     ]
 }

@@ -67,16 +67,7 @@ impl ApacheDriver {
     /// As [`ApacheDriver::new`], with every substrate wired to `faults`.
     /// Arm the plane only after construction so setup runs clean.
     pub fn with_faults(choice: Personality, cores: usize, faults: Arc<FaultPlane>) -> Self {
-        Self::with_config_and_faults(choice.config(cores), faults)
-    }
-
-    /// As [`ApacheDriver::with_faults`], on an explicit config — the
-    /// entry point for the overload-policy axis: a config built with
-    /// `with_overload` lowers its admission cap onto the listener's
-    /// backlog, and refused handshakes surface through
-    /// [`ApacheDriver::try_client_connect`].
-    pub fn with_config_and_faults(config: KernelConfig, faults: Arc<FaultPlane>) -> Self {
-        let kernel = Kernel::with_faults(config, faults);
+        let kernel = Kernel::with_faults(choice.config(cores), faults);
         let core = CoreId(0);
         kernel.vfs().mkdir_p("/htdocs", core).expect("docroot");
         kernel
@@ -130,20 +121,17 @@ impl ApacheDriver {
     /// A client opens a connection; the NIC steers its handshake to a
     /// core's backlog. Returns the flow for diagnostics.
     ///
-    /// Panics if the handshake is refused — use
-    /// [`ApacheDriver::try_client_connect`] when the kernel carries a
-    /// bounded-backlog overload policy.
+    /// Panics if the handshake is refused (see
+    /// [`ApacheDriver::try_client_connect`]).
     pub fn client_connect(&self, client_ip: u32) -> FlowHash {
         self.try_client_connect(client_ip)
-            .expect("handshake refused; use try_client_connect under a bounded backlog")
+            .expect("handshake refused: nothing listens on :80")
     }
 
-    /// Admission-checked connect. The driver owns the only listener
-    /// (:80), so a refused handshake can mean exactly one thing: the
-    /// bounded accept backlog from the kernel's [`pk_kernel::OverloadPolicy`]
-    /// is full. That surfaces as [`KernelError::Overloaded`] — the
-    /// typed, transient signal clients back off on — instead of a
-    /// panic.
+    /// As [`ApacheDriver::client_connect`], returning a refusal instead
+    /// of panicking. The listen backlog is unbounded, so a refusal can
+    /// only mean that nothing listens on :80; the driver listens there
+    /// from construction on. It surfaces as [`KernelError::Overloaded`].
     pub fn try_client_connect(&self, client_ip: u32) -> Result<FlowHash, KernelError> {
         let port = self.next_client_port.fetch_add(1, Ordering::Relaxed);
         let flow = FlowHash {
@@ -435,26 +423,6 @@ mod tests {
             assert!(d2.serve_one(0).is_none());
         }
         assert_eq!(d2.accept_backoff_cycles(), first);
-    }
-
-    #[test]
-    fn bounded_backlog_surfaces_typed_overload() {
-        use pk_kernel::{OverloadPolicy, ShedPolicy};
-        let config = Personality::Pk
-            .config(2)
-            .with_overload(OverloadPolicy::shedding(3, ShedPolicy::DropNewest, 0));
-        let d = ApacheDriver::with_config_and_faults(config, Arc::new(FaultPlane::disabled()));
-        // The cap admits exactly three handshakes, then refuses with a
-        // typed, transient error rather than an assert.
-        for i in 0..3 {
-            d.try_client_connect(0x0e00_0000 + i).unwrap();
-        }
-        let refused = d.try_client_connect(0x0e00_0003).unwrap_err();
-        assert_eq!(refused, KernelError::Overloaded);
-        assert!(refused.is_transient(), "clients back off and retry");
-        // Serving one request drains a slot; admission reopens.
-        assert!(d.serve_one(0).is_some() || d.serve_one(1).is_some());
-        d.try_client_connect(0x0e00_0004).unwrap();
     }
 
     #[test]

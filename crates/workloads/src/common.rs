@@ -45,7 +45,7 @@ mod tests {
     #[test]
     fn labels_cover_all_personalities() {
         assert_eq!(config_label(&KernelConfig::stock(8)), "Stock");
-        assert_eq!(config_label(&KernelConfig::coarse(8)), "Coarse");
+        assert_eq!(config_label(&Personality::Coarse.config(8)), "Coarse");
         assert_eq!(config_label(&KernelConfig::pk(8)), "PK");
         assert_eq!(
             config_label(&KernelConfig::adaptive(8).with_fix(FixId::AtomicLseek, true)),
