@@ -20,40 +20,28 @@ use pk_sim::des::{self, DesResult};
 use pk_sim::Network;
 use std::collections::BTreeMap;
 
-/// Tuning for the hysteresis state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptPolicy {
-    /// Residence share (basis points of cycles/op) above which a
-    /// structure's lever is promoted.
-    pub promote_share_bp: u64,
-    /// Residence share (basis points) below which an enabled lever is
-    /// demoted. Must be strictly less than `promote_share_bp` — the gap
-    /// is the hysteresis band.
-    pub demote_share_bp: u64,
-    /// Epochs a knob is frozen after any change (no reversal inside the
-    /// window, whatever the signal does).
-    pub cooldown_epochs: u32,
-    /// Consecutive decision-free epochs after which the controller
-    /// declares convergence.
-    pub settle_epochs: u32,
-    /// Hard epoch cap for [`AdaptController::converge_with`].
-    pub max_epochs: u32,
-    /// DES operations per core per measurement epoch.
-    pub ops_per_core: u64,
-}
-
-impl Default for AdaptPolicy {
-    fn default() -> Self {
-        Self {
-            promote_share_bp: 50, // 0.50% of cycles/op
-            demote_share_bp: 10,  // 0.10%
-            cooldown_epochs: 2,
-            settle_epochs: 2,
-            max_epochs: 32,
-            ops_per_core: 200,
-        }
-    }
-}
+/// Residence share (basis points of cycles/op) above which a
+/// structure's lever is promoted: 0.50% of cycles/op.
+pub const PROMOTE_SHARE_BP: u64 = 50;
+/// Residence share (basis points) at or below which an enabled lever is
+/// demoted: 0.10%. The gap to [`PROMOTE_SHARE_BP`] is the hysteresis
+/// band.
+pub const DEMOTE_SHARE_BP: u64 = 10;
+const _: () = assert!(
+    DEMOTE_SHARE_BP < PROMOTE_SHARE_BP,
+    "hysteresis requires demote < promote"
+);
+/// Epochs a knob is frozen after any change (no reversal inside the
+/// window, whatever the signal does).
+pub const COOLDOWN_EPOCHS: u32 = 2;
+/// Consecutive decision-free epochs after which the controller declares
+/// convergence.
+pub const SETTLE_EPOCHS: u32 = 2;
+/// Hard epoch cap for [`AdaptController::converge_with`].
+pub const MAX_EPOCHS: u32 = 32;
+/// DES operations per core per measurement epoch of
+/// [`AdaptController::converge_des`].
+pub const OPS_PER_CORE: u64 = 200;
 
 /// One epoch's contention sample for one classed kernel structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,7 +106,7 @@ pub struct ConvergeOutcome {
     pub config: KernelConfig,
     /// Measurement epochs consumed.
     pub epochs: u32,
-    /// Whether the controller settled before `max_epochs`.
+    /// Whether the controller settled before [`MAX_EPOCHS`].
     pub converged: bool,
     /// Every decision, in commit order.
     pub decisions: Vec<Decision>,
@@ -143,7 +131,6 @@ impl ConvergeOutcome {
 /// through the DES ([`AdaptController::converge_des`]).
 #[derive(Debug)]
 pub struct AdaptController {
-    policy: AdaptPolicy,
     config: KernelConfig,
     seed: u64,
     epoch: u32,
@@ -153,19 +140,9 @@ pub struct AdaptController {
 
 impl AdaptController {
     /// Creates a controller over `config` (normally
-    /// [`KernelConfig::adaptive`]) with the given policy and seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy's demote threshold is not strictly below
-    /// its promote threshold (no hysteresis band → guaranteed flapping).
-    pub fn new(config: KernelConfig, policy: AdaptPolicy, seed: u64) -> Self {
-        assert!(
-            policy.demote_share_bp < policy.promote_share_bp,
-            "hysteresis requires demote < promote"
-        );
+    /// [`KernelConfig::adaptive`]) with the given seed.
+    pub fn new(config: KernelConfig, seed: u64) -> Self {
         Self {
-            policy,
             config,
             seed,
             epoch: 0,
@@ -214,14 +191,14 @@ impl AdaptController {
                 direction_changes: 0,
             });
             if let Some(at) = knob.last_change {
-                if epoch - at < self.policy.cooldown_epochs {
+                if epoch - at < COOLDOWN_EPOCHS {
                     continue;
                 }
             }
             let flip = if !knob.enabled {
-                obs.share_bp >= self.policy.promote_share_bp
+                obs.share_bp >= PROMOTE_SHARE_BP
             } else {
-                obs.share_bp <= self.policy.demote_share_bp
+                obs.share_bp <= DEMOTE_SHARE_BP
             };
             if !flip {
                 continue;
@@ -244,9 +221,9 @@ impl AdaptController {
     }
 
     /// Runs measure→observe epochs until the policy settles (no
-    /// decision for `settle_epochs` consecutive epochs) or `max_epochs`
-    /// is hit. `measure` gets the current config and the number of
-    /// epochs observed so far (0-based), and returns that epoch's
+    /// decision for [`SETTLE_EPOCHS`] consecutive epochs) or
+    /// [`MAX_EPOCHS`] is hit. `measure` gets the current config and the
+    /// number of epochs observed so far (0-based), and returns that epoch's
     /// observations — how they are produced (which engine, which seed,
     /// with or without injected faults) is the caller's business.
     pub fn converge_with(
@@ -255,12 +232,12 @@ impl AdaptController {
     ) -> ConvergeOutcome {
         let mut quiet = 0u32;
         let mut converged = false;
-        while self.epoch < self.policy.max_epochs {
+        while self.epoch < MAX_EPOCHS {
             let observations = measure(&self.config, self.epoch);
             let made = self.observe(&observations);
             if made.is_empty() {
                 quiet += 1;
-                if quiet >= self.policy.settle_epochs {
+                if quiet >= SETTLE_EPOCHS {
                     converged = true;
                     break;
                 }
@@ -291,11 +268,11 @@ impl AdaptController {
     where
         F: Fn(&KernelConfig) -> Network,
     {
-        let (seed, ops_per_core) = (self.seed, self.policy.ops_per_core);
+        let seed = self.seed;
         self.converge_with(|config, epoch| {
             let net = build(config);
             let epoch_seed = mix64(seed ^ u64::from(epoch).wrapping_mul(0xA5A5_A5A5));
-            let r = des::simulate(&net, cores, ops_per_core, epoch_seed);
+            let r = des::simulate(&net, cores, OPS_PER_CORE, epoch_seed);
             Observation::from_des(&net, &r)
         })
     }
@@ -312,7 +289,7 @@ mod tests {
 
     #[test]
     fn promotes_above_threshold_and_maps_class_to_fix() {
-        let mut c = AdaptController::new(KernelConfig::adaptive(8), AdaptPolicy::default(), 1);
+        let mut c = AdaptController::new(KernelConfig::adaptive(8), 1);
         let made = c.observe(&[obs("vfs.mount_table", 4_000), obs("vfs.dentry_ref", 30)]);
         assert_eq!(made.len(), 1);
         assert_eq!(made[0].fix, FixId::PerCoreMountCache);
@@ -323,7 +300,7 @@ mod tests {
 
     #[test]
     fn unknown_classes_are_ignored() {
-        let mut c = AdaptController::new(KernelConfig::adaptive(8), AdaptPolicy::default(), 1);
+        let mut c = AdaptController::new(KernelConfig::adaptive(8), 1);
         let made = c.observe(&[obs("app.lock_manager", 9_999)]);
         assert!(made.is_empty());
         assert_eq!(c.config().enabled_count(), 0);
@@ -331,17 +308,12 @@ mod tests {
 
     #[test]
     fn cooldown_freezes_reversals() {
-        let policy = AdaptPolicy {
-            cooldown_epochs: 3,
-            ..AdaptPolicy::default()
-        };
-        let mut c = AdaptController::new(KernelConfig::adaptive(8), policy, 1);
+        let mut c = AdaptController::new(KernelConfig::adaptive(8), 1);
         assert_eq!(c.observe(&[obs("net.dst_ref", 800)]).len(), 1);
         // Signal collapses immediately, but the knob is frozen for the
-        // cooldown window (epochs 2 and 3; change was at epoch 1).
+        // cooldown window (epoch 2; change was at epoch 1).
         assert!(c.observe(&[obs("net.dst_ref", 0)]).is_empty());
-        assert!(c.observe(&[obs("net.dst_ref", 0)]).is_empty());
-        // Epoch 4: window over, demotion allowed.
+        // Epoch 3: window over, demotion allowed.
         let made = c.observe(&[obs("net.dst_ref", 0)]);
         assert_eq!(made.len(), 1);
         assert!(!made[0].enabled);
@@ -349,7 +321,7 @@ mod tests {
 
     #[test]
     fn absent_signal_does_not_demote() {
-        let mut c = AdaptController::new(KernelConfig::adaptive(8), AdaptPolicy::default(), 1);
+        let mut c = AdaptController::new(KernelConfig::adaptive(8), 1);
         c.observe(&[obs("vfs.dentry_ref", 900)]);
         // The fixed structure's station vanished: no observation at all.
         for _ in 0..10 {
@@ -363,7 +335,7 @@ mod tests {
 
     #[test]
     fn hysteresis_band_blocks_mid_range_flapping() {
-        let mut c = AdaptController::new(KernelConfig::adaptive(8), AdaptPolicy::default(), 1);
+        let mut c = AdaptController::new(KernelConfig::adaptive(8), 1);
         c.observe(&[obs("mm.page_line", 600)]);
         // Share in the (demote, promote) band: no decision either way.
         for _ in 0..10 {
@@ -387,7 +359,7 @@ mod tests {
             n.push(Station::spinlock("mount lock", lock, 0.4, true).with_class("vfs.mount_table"));
             n
         };
-        let c = AdaptController::new(KernelConfig::adaptive(16), AdaptPolicy::default(), 42);
+        let c = AdaptController::new(KernelConfig::adaptive(16), 42);
         let out = c.converge_des(build, 16);
         assert!(out.converged);
         assert!(out.config.has(FixId::PerCoreMountCache));
@@ -408,24 +380,10 @@ mod tests {
             n.push(Station::queue("dst refs", d, true).with_class("net.dst_ref"));
             n
         };
-        let run = || {
-            AdaptController::new(KernelConfig::adaptive(8), AdaptPolicy::default(), 7)
-                .converge_des(build, 8)
-        };
+        let run = || AdaptController::new(KernelConfig::adaptive(8), 7).converge_des(build, 8);
         let (a, b) = (run(), run());
         assert_eq!(a.decisions, b.decisions);
         assert_eq!(a.epochs, b.epochs);
         assert_eq!(a.config, b.config);
-    }
-
-    #[test]
-    #[should_panic(expected = "hysteresis")]
-    fn inverted_thresholds_panic() {
-        let policy = AdaptPolicy {
-            promote_share_bp: 10,
-            demote_share_bp: 50,
-            ..AdaptPolicy::default()
-        };
-        AdaptController::new(KernelConfig::adaptive(4), policy, 0);
     }
 }

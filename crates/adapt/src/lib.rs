@@ -29,4 +29,7 @@
 
 mod controller;
 
-pub use controller::{AdaptController, AdaptPolicy, ConvergeOutcome, Decision, Observation};
+pub use controller::{
+    AdaptController, ConvergeOutcome, Decision, Observation, COOLDOWN_EPOCHS, DEMOTE_SHARE_BP,
+    MAX_EPOCHS, OPS_PER_CORE, PROMOTE_SHARE_BP, SETTLE_EPOCHS,
+};

@@ -10,7 +10,7 @@
 //! a knob strictly alternate, and every decision's trigger share is on
 //! the correct side of the band.
 
-use pk_adapt::{AdaptController, AdaptPolicy, Observation};
+use pk_adapt::{AdaptController, Observation, COOLDOWN_EPOCHS, DEMOTE_SHARE_BP, PROMOTE_SHARE_BP};
 use pk_kernel::{FixId, KernelConfig};
 use pk_sim::{Network, Station};
 use proptest::prelude::*;
@@ -40,10 +40,7 @@ fn cascade(cfg: &KernelConfig) -> Network {
 
 #[test]
 fn decision_log_is_byte_identical_across_os_threads() {
-    let run = || {
-        AdaptController::new(KernelConfig::adaptive(48), AdaptPolicy::default(), 42)
-            .converge_des(cascade, 48)
-    };
+    let run = || AdaptController::new(KernelConfig::adaptive(48), 42).converge_des(cascade, 48);
     let reference = run();
     assert!(reference.converged, "cascade must settle");
     assert!(
@@ -67,8 +64,7 @@ fn decision_log_is_byte_identical_across_os_threads() {
 
 #[test]
 fn cascade_promotes_every_bottleneck_without_flapping() {
-    let out = AdaptController::new(KernelConfig::adaptive(48), AdaptPolicy::default(), 42)
-        .converge_des(cascade, 48);
+    let out = AdaptController::new(KernelConfig::adaptive(48), 42).converge_des(cascade, 48);
     assert!(out.config.has(FixId::PerCoreMountCache));
     assert!(out.config.has(FixId::SloppyDentryRefs));
     assert!(out.config.has(FixId::SloppyDstRefs));
@@ -83,10 +79,8 @@ fn cascade_promotes_every_bottleneck_without_flapping() {
 #[test]
 fn different_seeds_may_differ_but_each_seed_is_stable() {
     for seed in [1u64, 7, 42, 0xDEAD_BEEF] {
-        let run = |s: u64| {
-            AdaptController::new(KernelConfig::adaptive(24), AdaptPolicy::default(), s)
-                .converge_des(cascade, 24)
-        };
+        let run =
+            |s: u64| AdaptController::new(KernelConfig::adaptive(24), s).converge_des(cascade, 24);
         let (a, b) = (run(seed), run(seed));
         assert_eq!(a.decisions, b.decisions);
         assert_eq!(a.config, b.config);
@@ -116,8 +110,7 @@ proptest! {
 
     #[test]
     fn hysteresis_never_reverses_inside_cooldown(stream in observation_stream()) {
-        let policy = AdaptPolicy::default();
-        let mut c = AdaptController::new(KernelConfig::adaptive(8), policy, 1);
+        let mut c = AdaptController::new(KernelConfig::adaptive(8), 1);
         for epoch in &stream {
             let obs: Vec<Observation> = epoch
                 .iter()
@@ -134,7 +127,7 @@ proptest! {
                     "consecutive decisions for a knob must alternate"
                 );
                 prop_assert!(
-                    pair[1].epoch - pair[0].epoch >= policy.cooldown_epochs,
+                    pair[1].epoch - pair[0].epoch >= COOLDOWN_EPOCHS,
                     "reversal inside the cooldown window: {:?} then {:?}",
                     pair[0], pair[1]
                 );
@@ -143,9 +136,9 @@ proptest! {
         // Every decision fired on the correct side of the band.
         for d in c.decisions() {
             if d.enabled {
-                prop_assert!(d.share_bp >= policy.promote_share_bp);
+                prop_assert!(d.share_bp >= PROMOTE_SHARE_BP);
             } else {
-                prop_assert!(d.share_bp <= policy.demote_share_bp);
+                prop_assert!(d.share_bp <= DEMOTE_SHARE_BP);
             }
         }
     }
@@ -153,11 +146,7 @@ proptest! {
     #[test]
     fn identical_streams_give_identical_logs(stream in observation_stream()) {
         let feed = || {
-            let mut c = AdaptController::new(
-                KernelConfig::adaptive(8),
-                AdaptPolicy::default(),
-                9,
-            );
+            let mut c = AdaptController::new(KernelConfig::adaptive(8), 9);
             for epoch in &stream {
                 let obs: Vec<Observation> = epoch
                     .iter()

@@ -22,7 +22,7 @@ use pk_workloads::roster;
 
 /// Operations per core for the three measured throughput runs (the
 /// controller's own measurement epochs use
-/// [`pk_adapt::AdaptPolicy::ops_per_core`]).
+/// [`pk_adapt::OPS_PER_CORE`]).
 pub const MEASURE_OPS_PER_CORE: u64 = 2_000;
 /// The acceptance floor: adaptive must reach this fraction of PK.
 pub const PK_FLOOR: f64 = 0.90;

@@ -534,13 +534,12 @@ pub fn des_chaos(choice: Personality, cores: usize, seed: u64) -> Vec<Soak> {
 /// with 90% of the fault-free throughput of [`converge`]'s clean one.
 /// Deterministic per `(cores, seed)`.
 pub fn adaptive_chaos(cores: usize, seed: u64) -> Vec<Soak> {
-    use pk_adapt::{AdaptController, AdaptPolicy, Observation};
+    use pk_adapt::{AdaptController, Observation, OPS_PER_CORE};
     use pk_kernel::KernelConfig;
     use pk_sim::MachineSpec;
 
     let machine = MachineSpec::paper();
     let mix = FaultMix::scheduler();
-    let policy = AdaptPolicy::default();
     roster::NAMES
         .iter()
         .map(|&name| {
@@ -552,17 +551,18 @@ pub fn adaptive_chaos(cores: usize, seed: u64) -> Vec<Soak> {
             let (clean_model, clean) =
                 converge(name, cores, machine, seed).expect("roster name resolves");
             let mut injected = 0u64;
-            let out = AdaptController::new(KernelConfig::adaptive(cores), policy, seed)
-                .converge_with(|cfg, epoch| {
+            let out = AdaptController::new(KernelConfig::adaptive(cores), seed).converge_with(
+                |cfg, epoch| {
                     let net = build(cfg);
                     let epoch_seed = seed ^ (u64::from(epoch) + 1).wrapping_mul(0x9E37_79B9);
                     let plane = FaultPlane::with_seed(epoch_seed);
                     mix.arm(&plane);
-                    let ops = policy.ops_per_core;
-                    let r = des::simulate_with_faults(&net, cores, ops, epoch_seed, &plane);
+                    let r =
+                        des::simulate_with_faults(&net, cores, OPS_PER_CORE, epoch_seed, &plane);
                     injected += plane.injected_total();
                     Observation::from_des(&net, &r)
-                });
+                },
+            );
             let flips = out.max_direction_changes();
             // Judge both configs fault-free over the same seeded run.
             let tput = |net| des::simulate(&net, cores, DES_OPS_PER_CORE, seed).ops_per_cycle;
@@ -623,13 +623,12 @@ pub fn overload_chaos(choice: Personality, cores: usize, seed: u64) -> Vec<Soak>
 /// which invites retry amplification — and uncharge its admission slot;
 /// a recovery request afterwards must still be served.
 pub fn run_exhausted_deadline(seed: u64) -> Soak {
-    use pk_fault::RetryPolicy;
     use pk_kernel::KernelError;
     use pk_serve::{serve_with_deadline, AdmissionQueue};
 
     let queue = AdmissionQueue::new(4);
     let serve = |req, ok: bool| {
-        serve_with_deadline(&queue, RetryPolicy::DEFAULT, seed, req, 10, |_| {
+        serve_with_deadline(&queue, seed, req, 10, |_| {
             // Recovered, or a downstream stuck in backpressure.
             let stuck = KernelError::Net(pk_net::NetError::Backpressure);
             ok.then_some(()).ok_or(stuck)

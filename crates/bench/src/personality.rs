@@ -6,7 +6,7 @@
 //! roster and `pk-adapt`'s controller, so "boot with zero fixes,
 //! converge, then model whatever was promoted" is resolved here, once.
 
-use pk_adapt::{AdaptController, AdaptPolicy, ConvergeOutcome};
+use pk_adapt::{AdaptController, ConvergeOutcome};
 use pk_kernel::{KernelConfig, Personality};
 use pk_sim::{MachineSpec, WorkloadModel};
 use pk_workloads::roster;
@@ -54,7 +54,7 @@ pub fn converge(
             .expect("probed above")
             .network(cores)
     };
-    let out = AdaptController::new(boot, AdaptPolicy::default(), seed).converge_des(build, cores);
+    let out = AdaptController::new(boot, seed).converge_des(build, cores);
     Some((
         roster::model_with_config(workload, &out.config, machine)?,
         out,
@@ -125,8 +125,7 @@ mod tests {
                     .network(48)
             };
             let by_hand =
-                AdaptController::new(KernelConfig::adaptive(48), AdaptPolicy::default(), 42)
-                    .converge_des(build, 48);
+                AdaptController::new(KernelConfig::adaptive(48), 42).converge_des(build, 48);
             let r = resolve(Personality::Adaptive, name, 48, machine, 42)
                 .expect("roster name resolves");
             let out = r.adapt.as_ref().expect("adaptive carries its outcome");

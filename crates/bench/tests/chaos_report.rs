@@ -5,7 +5,7 @@
 //!   hidden) throughput degradation.
 
 use pk_bench::chaos::{self, FaultMix};
-use pk_fault::RetryPolicy;
+use pk_fault::backoff;
 use pk_kernel::Personality;
 
 const SEED: u64 = 0xC4A0_5EED;
@@ -62,7 +62,7 @@ fn every_workload_survives_the_acceptance_mix() {
         // Retries are bounded by the policy: no request can retry more
         // than max_attempts - 1 times, so the total is bounded by the
         // checked arrival count times the budget.
-        let budget = f64::from(RetryPolicy::DEFAULT.max_attempts);
+        let budget = f64::from(backoff::MAX_ATTEMPTS);
         assert!(
             retries <= r.num("checked").max(1.0) * budget,
             "{}/{} retried without bound: {retries} retries",

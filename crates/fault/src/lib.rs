@@ -18,7 +18,7 @@
 //!   depend only on `(seed, point, arrival index)` — never on thread
 //!   timing — so the set of injected faults is identical across thread
 //!   interleavings and replays exactly from the seed.
-//! * [`RetryPolicy`] — the handling side: bounded retries with
+//! * [`backoff`] — the handling side: bounded retries with
 //!   exponential backoff and deterministic jitter drawn from the same
 //!   seed, so a workload's recovery schedule replays too.
 //!
@@ -29,10 +29,9 @@
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-mod backoff;
+pub mod backoff;
 mod plane;
 mod schedule;
 
-pub use backoff::{DeadlineOutcome, RetryOutcome, RetryPolicy};
 pub use plane::{FaultEvent, FaultPlane, FaultPoint, PointStats};
 pub use schedule::{fnv64, mix64, FaultSchedule};

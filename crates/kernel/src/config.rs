@@ -4,6 +4,7 @@
 use crate::fixes::{FixId, NUM_FIXES};
 use pk_mm::MmConfig;
 use pk_net::NetConfig;
+use pk_percpu::SOCKETS;
 use pk_vfs::VfsConfig;
 
 /// Which kind of kernel a configuration describes — the one axis every
@@ -32,11 +33,6 @@ pub enum Personality {
     /// Fixes start off; `pk-adapt` flips them in the configuration.
     Adaptive,
 }
-
-/// Sockets of the paper machine (8×6 Opteron). The substrates are
-/// lowered for this topology: per-socket shard counts and NUMA nodes
-/// follow it.
-const SOCKETS: usize = 8;
 
 /// A kernel build: core count plus the enabled fix set.
 ///
@@ -163,7 +159,6 @@ impl KernelConfig {
             avoid_dcache_list_locks: self.has(FixId::AvoidDcacheListLocks),
             rcu_path_walk: self.has(FixId::RcuPathWalk),
             snzi_refs: self.has(FixId::SnziVfsRefs),
-            sockets: SOCKETS,
         }
     }
 
@@ -171,7 +166,6 @@ impl KernelConfig {
     pub fn net(&self) -> NetConfig {
         NetConfig {
             cores: self.cores,
-            numa_nodes: SOCKETS,
             flow_table_shards: if self.has(FixId::PerSocketFlowTables) {
                 SOCKETS
             } else {

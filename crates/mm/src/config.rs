@@ -64,12 +64,6 @@ impl MmConfig {
     }
 }
 
-impl Default for MmConfig {
-    fn default() -> Self {
-        Self::pk(48)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,7 @@
 //! Per-fix configuration switches for the network stack.
 
+use pk_percpu::SOCKETS;
+
 /// Selects, fix by fix, stock versus PK behaviour. Each flag corresponds
 /// to a Figure-1 row (plus the accept-queue and flow-steering changes of
 /// §4.2). The §4.6 `net_device` false-sharing fix has no flag: it
@@ -9,8 +11,6 @@
 pub struct NetConfig {
     /// Number of cores served (sizes per-core structures and NIC queues).
     pub cores: usize,
-    /// Number of NUMA memory nodes (for DMA-buffer placement).
-    pub numa_nodes: usize,
     /// "Use sloppy counters for IP routing table entries" (`dst_entry`).
     pub sloppy_dst_refs: bool,
     /// "Use sloppy counters for protocol usage counting."
@@ -48,7 +48,6 @@ impl NetConfig {
     pub fn stock(cores: usize) -> Self {
         Self {
             cores,
-            numa_nodes: 8,
             sloppy_dst_refs: false,
             sloppy_proto_accounting: false,
             percore_skb_pools: false,
@@ -65,7 +64,6 @@ impl NetConfig {
     pub fn pk(cores: usize) -> Self {
         Self {
             cores,
-            numa_nodes: 8,
             sloppy_dst_refs: true,
             sloppy_proto_accounting: true,
             percore_skb_pools: true,
@@ -73,22 +71,17 @@ impl NetConfig {
             percore_accept_queues: true,
             hash_flow_steering: true,
             software_rfs: false,
-            flow_table_shards: 8,
+            flow_table_shards: SOCKETS,
             snzi_dst_refs: true,
         }
     }
 
-    /// Maps a core to its NUMA memory node (6 cores per node, like the
+    /// Maps a core to its NUMA memory node, one per
+    /// [`pk_percpu::SOCKETS`] (6 cores per node at 48 cores, like the
     /// paper's 8×6 Opteron machine).
     pub fn node_of_core(&self, core: usize) -> usize {
-        let per_node = self.cores.div_ceil(self.numa_nodes).max(1);
-        (core / per_node).min(self.numa_nodes - 1)
-    }
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        Self::pk(48)
+        let per_node = self.cores.div_ceil(SOCKETS).max(1);
+        (core / per_node).min(SOCKETS - 1)
     }
 }
 

@@ -137,7 +137,7 @@ impl DstCache {
                 config.sloppy_dst_refs,
                 config.snzi_dst_refs,
                 config.cores,
-                config.numa_nodes,
+                pk_percpu::SOCKETS,
             );
             let entry = DstEntry::with_refcount(dest_ip, dest_ip ^ 0x0101_0101, refcount);
             let mut routes = routes.clone();

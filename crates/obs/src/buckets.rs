@@ -1,8 +1,7 @@
 //! The one definition of the histogram's bucket boundaries.
 //!
-//! The record path ([`crate::Histogram::record`] in `metrics.rs`) and
-//! the report path ([`crate::HistogramSnapshot::quantile`] in
-//! `sample.rs`) must agree on where buckets begin and end, or quantile
+//! The record path ([`crate::HistogramSnapshot::record`]) and the
+//! report path ([`crate::HistogramSnapshot::quantile`]) must agree on where buckets begin and end, or quantile
 //! bounds silently drift off the recorded samples. Both sides import
 //! these helpers instead of re-deriving the arithmetic; the tests below
 //! pin the two directions against each other.

@@ -5,9 +5,9 @@
 //! attribution on the 48-core machine (§3, §5). This crate is the
 //! reproduction's version of that toolchain:
 //!
-//! * [`metrics`] — the cache-aligned [`Histogram`]. Every shard lives
-//!   in its own 128-byte-aligned per-core slot, so the instrumentation
-//!   never creates the false sharing it is trying to measure.
+//! * [`HistogramSnapshot`] — the latency histogram, recorded in place
+//!   by the one engine thread that owns it, over the bucket boundaries
+//!   of [`buckets`].
 //! * [`Sample`]/[`Snapshot`] — the wire format of the functional
 //!   kernel's counters. A sample is one named measurement; the value
 //!   kinds mirror what the paper measured (lock contention, central vs.
@@ -20,8 +20,8 @@
 //!   columns, each stated once and rendered as an aligned text table,
 //!   as JSON ([`document`]) and as OpenMetrics ([`OpenMetrics`]).
 //!
-//! `pk-obs` sits at the bottom of the dependency stack (it depends only
-//! on `pk-percpu`), so every other crate can use it without cycles:
+//! `pk-obs` sits at the bottom of the dependency stack (it depends on
+//! no other crate), so every other crate can use it without cycles:
 //! `pk-sync` reports per-lock acquisition/contention/spin counts,
 //! `pk-kernel` gathers every subsystem's counters into one snapshot,
 //! `pk-sim` returns per-station queueing delay and cache-line transfers
@@ -31,12 +31,10 @@
 #![warn(missing_docs)]
 
 pub mod buckets;
-pub mod metrics;
 mod report;
 mod sample;
 mod table;
 
-pub use metrics::Histogram;
 pub use report::{ContentionReport, Resource};
 pub use sample::{HistogramSnapshot, LockSample, MetricValue, Sample, Snapshot};
 pub use table::{document, json_escape, object, Cell, OpenMetrics, Table};

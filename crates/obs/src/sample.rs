@@ -25,7 +25,15 @@ impl LockSample {
     }
 }
 
-/// A merged, immutable view of a [`crate::Histogram`].
+/// A bucketed histogram of u64 samples (latencies in cycles), recorded
+/// in place by its single owner.
+///
+/// Buckets are log2 below `2^TAIL_SPLIT` and 8-per-octave above it
+/// (see [`crate::buckets`]): a fixed footprint and a branch-free record
+/// path, like the kernel's own latency histograms, but
+/// [`HistogramSnapshot::quantile`] answers "what value do q of the
+/// samples fall below" to within 1/8 everywhere a latency tail can
+/// live.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Bucket counts with the boundaries of [`crate::buckets`]: bucket
@@ -39,17 +47,19 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Records one sample in place, exactly as [`crate::Histogram::record`]
-    /// would (same bucket, wrapping sum): the recording path of a
-    /// histogram with a single owner, which needs no per-core shards
-    /// and no atomic read-modify-writes.
+    /// Records one sample in place. The sum wraps on overflow, so it is
+    /// the same pure function of the sample multiset in debug and
+    /// release builds. The single owner needs no per-core shards and no
+    /// atomic read-modify-writes.
     pub fn record(&mut self, value: u64) {
         self.buckets[crate::buckets::bucket_of(value)] += 1;
         self.count += 1;
         self.sum = self.sum.wrapping_add(value);
     }
 
-    /// Upper bound on the `q`-quantile; see [`crate::Histogram::quantile`].
+    /// An upper bound on the `q`-quantile (e.g. `0.99`): the inclusive
+    /// upper edge of the first bucket whose cumulative count reaches
+    /// `q * count`. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -230,6 +240,24 @@ mod tests {
         assert!(snap.find("c").is_none());
         let names: Vec<_> = snap.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["a", "b"]);
+    }
+
+    #[test]
+    fn histogram_records_in_place() {
+        let mut h = HistogramSnapshot {
+            buckets: vec![0; crate::buckets::BUCKETS],
+            count: 0,
+            sum: 0,
+        };
+        assert_eq!(h.quantile(0.99), 0, "an empty histogram reports 0");
+        for v in [1u64, 2, 4, 100, 1000, u64::MAX] {
+            h.record(v);
+        }
+        assert_eq!(h.count, 6);
+        assert_eq!(h.sum, 1106, "the sum wraps: 1107 + u64::MAX");
+        // The median sample is 4; its log2 bucket's upper edge is 7.
+        assert!((4..8).contains(&h.quantile(0.5)));
+        assert_eq!(h.quantile(1.0), u64::MAX);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! dead request is exactly the retry amplification overload control
 //! exists to stop.
 
-use pk_fault::RetryPolicy;
+use pk_fault::backoff;
 use pk_kernel::KernelError;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -117,7 +117,6 @@ impl Drop for SlotGuard<'_> {
 /// The admission slot is released on every path.
 pub fn serve_with_deadline<T>(
     queue: &AdmissionQueue,
-    retry: RetryPolicy,
     seed: u64,
     token: u64,
     budget_cycles: u64,
@@ -127,7 +126,7 @@ pub fn serve_with_deadline<T>(
     // Declared after the slot: the context closes before the slot
     // frees, so no event can land outside the request's admission.
     let _scope = pk_trace::RequestScope::enter(pk_trace::request_id(seed, token, 0));
-    let d = retry.run_within(seed, token, budget_cycles, |attempt| match op(attempt) {
+    let d = backoff::run_within(seed, token, budget_cycles, |attempt| match op(attempt) {
         Ok(v) => Ok(Ok(v)),
         Err(e) if e.is_transient() => Err(e),
         // Permanent errors stop the retry loop via the Ok channel.
@@ -170,7 +169,7 @@ mod tests {
         let q = AdmissionQueue::new(4);
         // Every attempt fails transiently; the budget is smaller than
         // the first backoff, so the deadline fires with attempts left.
-        let out = serve_with_deadline(&q, RetryPolicy::DEFAULT, 42, 7, 10, |_| {
+        let out = serve_with_deadline(&q, 42, 7, 10, |_| {
             Err::<(), _>(KernelError::Net(NetError::Backpressure))
         });
         assert_eq!(
@@ -184,7 +183,7 @@ mod tests {
     #[test]
     fn attempts_exhausted_inside_budget_keep_the_last_error() {
         let q = AdmissionQueue::new(4);
-        let out = serve_with_deadline(&q, RetryPolicy::DEFAULT, 42, 7, u64::MAX, |_| {
+        let out = serve_with_deadline(&q, 42, 7, u64::MAX, |_| {
             Err::<(), _>(KernelError::Net(NetError::Backpressure))
         });
         assert_eq!(out.unwrap_err(), KernelError::Net(NetError::Backpressure));
@@ -195,7 +194,7 @@ mod tests {
     fn permanent_errors_bypass_retry() {
         let q = AdmissionQueue::new(4);
         let mut calls = 0;
-        let out = serve_with_deadline(&q, RetryPolicy::DEFAULT, 42, 7, u64::MAX, |_| {
+        let out = serve_with_deadline(&q, 42, 7, u64::MAX, |_| {
             calls += 1;
             Err::<(), _>(KernelError::NoSuchProcFile)
         });
@@ -207,7 +206,7 @@ mod tests {
     #[test]
     fn transient_recovery_succeeds_within_budget() {
         let q = AdmissionQueue::new(4);
-        let out = serve_with_deadline(&q, RetryPolicy::DEFAULT, 42, 7, u64::MAX, |a| {
+        let out = serve_with_deadline(&q, 42, 7, u64::MAX, |a| {
             if a < 2 {
                 Err(KernelError::Net(NetError::Backpressure))
             } else {
@@ -224,7 +223,7 @@ mod tests {
         let seed = 42;
         let token = 11;
         let expect = pk_trace::request_id(seed, token, 0);
-        let out = serve_with_deadline(&q, RetryPolicy::DEFAULT, seed, token, u64::MAX, |_| {
+        let out = serve_with_deadline(&q, seed, token, u64::MAX, |_| {
             Ok(pk_trace::current_request())
         });
         assert_eq!(out.unwrap(), expect, "op must see its request context");
@@ -249,10 +248,8 @@ mod tests {
         let before = pk_trace::ctx_leaks();
         let stale = pk_trace::RequestScope::enter(pk_trace::request_id(42, 1, 0));
         std::mem::forget(stale);
-        let seen = serve_with_deadline(&q, RetryPolicy::DEFAULT, 42, 2, u64::MAX, |_| {
-            Ok(pk_trace::current_request())
-        })
-        .unwrap();
+        let seen =
+            serve_with_deadline(&q, 42, 2, u64::MAX, |_| Ok(pk_trace::current_request())).unwrap();
         assert_eq!(
             pk_trace::ctx_leaks(),
             before + 1,
@@ -269,7 +266,7 @@ mod tests {
     #[test]
     fn full_queue_rejects_without_charging() {
         let q = AdmissionQueue::new(0);
-        let out = serve_with_deadline(&q, RetryPolicy::DEFAULT, 42, 7, 0, |_| Ok(1));
+        let out = serve_with_deadline(&q, 42, 7, 0, |_| Ok(1));
         assert_eq!(out.unwrap_err(), KernelError::Overloaded);
         assert_eq!(q.depth(), 0);
     }

@@ -7,16 +7,17 @@
 //! paper) — into *servers*: a seeded arrival process
 //! ([`pk_sim::ArrivalPattern`]) offers requests from a population of
 //! millions of distinct simulated users ([`pk_sim::ClientMix`]), the
-//! run's [`pk_sim::OverloadPolicy`] decides what to admit, shed,
+//! run's [`pk_sim::OverloadPolicy`] decides what to admit, reject,
 //! cancel, or degrade, and every completion lands in a `pk-obs` latency
 //! histogram with p50/p99/p999 and SLO-violation accounting.
 //!
-//! Each workload's serving personality lives in [`ServingSpec`]:
-//! arrival shape, client mix (churn, slow clients), the graceful
+//! Each workload's serving personality lives in a `ServingSpec`:
+//! arrival shape, client mix (churn, slow clients), and the graceful
 //! degradation hook the real server would reach for (memcached
 //! stale-ok reads, Apache shrinking keepalive, Exim deferring
-//! non-essential work), and its SLO budget as a multiple of the PK
-//! kernel's healthy request time. [`run_serving`] assembles the run;
+//! non-essential work). Every workload's SLO budget is the same
+//! multiple of the PK kernel's healthy request time. [`run_serving`]
+//! assembles the run;
 //! `pk-bench report latency` sweeps the
 //! {stock, PK} × {no-shed, shed} × {normal, 2× overload} grid and
 //! asserts the stock-vs-PK tail inversion.
@@ -32,7 +33,7 @@ use pk_fault::FaultPlane;
 use pk_kernel::Personality;
 use pk_sim::{
     simulate_flow, simulate_open, ArrivalPattern, ClientMix, Network, OpenLoopResult,
-    OverloadPolicy, ShedPolicy,
+    OverloadPolicy,
 };
 use pk_trace::Tracer;
 use pk_workloads::roster;
@@ -41,9 +42,13 @@ use pk_workloads::roster;
 /// is a network server with latency SLOs, not a batch job.
 pub use pk_workloads::roster::SERVING;
 
+/// SLO budget as a multiple of the PK kernel's mean closed-loop request
+/// time at the target core count, for every serving workload.
+const SLO_MULTIPLE: u32 = 8;
+
 /// How one workload behaves as a live server.
 #[derive(Debug, Clone, Copy)]
-pub struct ServingSpec {
+pub(crate) struct ServingSpec {
     /// Roster name (`exim`, `memcached`, `apache`).
     pub workload: &'static str,
     /// Arrival shape at 1.0× load; scaled by the run's load factor.
@@ -52,28 +57,23 @@ pub struct ServingSpec {
     pub pattern_kind: PatternKind,
     /// The client population behind the traffic.
     pub clients: ClientMix,
-    /// What the server gives up under pressure (report label).
-    pub degrade_label: &'static str,
     /// Service demand charged while degraded, percent.
     pub degrade_demand_pct: u8,
     /// Slow-client stall charged while degraded, percent.
     pub degrade_stall_pct: u8,
-    /// SLO budget as a multiple of the PK kernel's mean closed-loop
-    /// request time at the target core count.
-    pub slo_multiple: u32,
 }
 
 /// Which arrival process a serving spec uses (rates are anchored to
 /// measured capacity at run time, so the spec only picks the shape).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PatternKind {
+pub(crate) enum PatternKind {
     /// Memoryless arrivals.
     Poisson,
-    /// Bursty on/off traffic (duty cycle 1/4, bursts of ~1/8 of the
-    /// run horizon).
+    /// Bursty on/off traffic: on for 600 of every 800 anchor gaps, at
+    /// 4/3 the anchor rate (duty cycle 3/4).
     OnOff,
     /// Day/night alternation: peak phases at 1.5× the anchor rate,
-    /// troughs at 0.5×.
+    /// troughs at 0.75×.
     Diurnal,
 }
 
@@ -95,10 +95,8 @@ impl ServingSpec {
                     slow_per_mille: 10,
                     stall_cycles: 20_000,
                 },
-                degrade_label: "defer-fsync",
                 degrade_demand_pct: 80,
                 degrade_stall_pct: 100,
-                slo_multiple: 8,
             }),
             // Long-lived connections, tiny requests. Degradation is
             // the classic stale-ok read: skip lease revalidation and
@@ -113,10 +111,8 @@ impl ServingSpec {
                     slow_per_mille: 20,
                     stall_cycles: 10_000,
                 },
-                degrade_label: "stale-ok",
                 degrade_demand_pct: 60,
                 degrade_stall_pct: 100,
-                slo_multiple: 8,
             }),
             // Keepalive sessions with a real slow-client problem
             // (trickled requests hold a worker). Under pressure Apache
@@ -132,10 +128,8 @@ impl ServingSpec {
                     slow_per_mille: 50,
                     stall_cycles: 50_000,
                 },
-                degrade_label: "shrink-keepalive",
                 degrade_demand_pct: 100,
                 degrade_stall_pct: 10,
-                slo_multiple: 8,
             }),
             _ => None,
         }
@@ -238,36 +232,32 @@ impl ServeRun {
 ///   ops/cycle. Both kernels are measured against it — "how much of the
 ///   hardware's capacity does this kernel serve within SLO" is the
 ///   question the paper's throughput figures ask, transposed to latency;
-/// * the SLO budget in cycles, `slo_multiple` × the PK mean request
+/// * the SLO budget in cycles, [`SLO_MULTIPLE`] × the PK mean request
 ///   time. One budget per workload, shared by every kernel/policy
 ///   variant — the SLO belongs to the product, not the kernel.
 fn anchor(spec: &ServingSpec, cores: usize) -> Option<(f64, u64)> {
     let pk = roster::model(spec.workload, Personality::Pk)?
         .network(cores)
         .solve(cores);
-    let slo = (pk.cycles_per_op * spec.slo_multiple as f64) as u64;
+    let slo = (pk.cycles_per_op * SLO_MULTIPLE as f64) as u64;
     Some((pk.ops_per_cycle, slo))
 }
 
 /// The overload policy a run uses: `shed = false` observes the SLO
 /// over an unbounded queue (the historical posture); `shed = true`
-/// bounds admission, drops newest, propagates deadlines, and arms the
-/// workload's degradation hook at half the cap.
+/// bounds admission, rejects arrivals at a full queue, propagates
+/// deadlines, and arms the workload's degradation hook at half the cap.
 ///
 /// The cap is sized to the SLO, not to a constant: a request admitted
 /// to a full queue waits roughly `cap / cores` mean service times, so
-/// `cap = cores × slo_multiple / 2` pins the worst admission wait at
+/// `cap = cores × SLO_MULTIPLE / 2` pins the worst admission wait at
 /// half the SLO budget. A deeper queue would admit work that deadline
 /// propagation is doomed to cancel; a shallower one idles servers
 /// between bursts.
-pub fn policy_for(spec: &ServingSpec, cores: usize, shed: bool, slo: u64) -> OverloadPolicy {
+pub(crate) fn policy_for(spec: &ServingSpec, cores: usize, shed: bool, slo: u64) -> OverloadPolicy {
     if shed {
-        let cap = (cores as u32) * spec.slo_multiple / 2;
-        OverloadPolicy::shedding(cap, ShedPolicy::DropNewest, slo).with_degradation(
-            cap / 2,
-            spec.degrade_demand_pct,
-            spec.degrade_stall_pct,
-        )
+        let cap = (cores as u32) * SLO_MULTIPLE / 2;
+        OverloadPolicy::shedding(cap, slo, spec.degrade_demand_pct, spec.degrade_stall_pct)
     } else {
         OverloadPolicy::observe(slo)
     }
@@ -461,13 +451,13 @@ mod tests {
         )
         .unwrap();
         assert!(
-            over.result.rejected + over.result.shed_probabilistic + over.result.shed_oldest > 0,
+            over.result.rejected > 0,
             "2x overload must shed: {:?}",
             over.result
         );
         assert!(
             over.result.queue_depth_peak <= 32,
-            "cap cores x slo_multiple / 2 must bound the queue"
+            "cap cores x SLO_MULTIPLE / 2 must bound the queue"
         );
     }
 

@@ -56,12 +56,10 @@ pub const CONNECT_CLASS: &str = "serve.connect";
 /// Span class for slow-client stalls after service completes.
 pub const STALL_CLASS: &str = "serve.stall";
 /// Instant classes recorded on the admission track, `arg` = request id.
-pub const SHED_CLASS: &str = "serve.shed";
-/// See [`SHED_CLASS`].
 pub const REJECT_CLASS: &str = "serve.reject";
-/// See [`SHED_CLASS`].
+/// See [`REJECT_CLASS`].
 pub const CANCEL_CLASS: &str = "serve.cancel";
-/// See [`SHED_CLASS`].
+/// See [`REJECT_CLASS`].
 pub const NIC_DROP_CLASS: &str = "serve.nic_drop";
 
 /// Ring capacity per track that guarantees a lossless capture of a
@@ -194,7 +192,6 @@ pub fn simulate_flow(
         pk_lockdep::register_class(ADMISSION_CLASS, "pk-sim", pk_lockdep::LockKind::Ticket).raw();
     let connect_span = pk_trace::intern::intern_span(CONNECT_CLASS);
     let stall_span = pk_trace::intern::intern_span(STALL_CLASS);
-    let shed_i = pk_trace::intern::intern_span(SHED_CLASS);
     let reject_i = pk_trace::intern::intern_span(REJECT_CLASS);
     let cancel_i = pk_trace::intern::intern_span(CANCEL_CLASS);
     let nic_i = pk_trace::intern::intern_span(NIC_DROP_CLASS);
@@ -330,8 +327,6 @@ pub fn simulate_flow(
                 (_, Fate::Queued) => None,
                 (req, Fate::NicDropped) => turned_away(&mut emit, now, nic_i, &req),
                 (req, Fate::Rejected) => turned_away(&mut emit, now, reject_i, &req),
-                (req, Fate::Shed) => turned_away(&mut emit, now, shed_i, &req),
-                (_, Fate::EvictedOldest(oldest)) => turned_away(&mut emit, now, shed_i, &oldest),
             }
         } else {
             // A slot's current phase ended.
@@ -423,7 +418,6 @@ pub fn simulate_flow(
 mod tests {
     use super::*;
     use crate::mva::Station;
-    use crate::open::ShedPolicy;
     use pk_trace::encode_stream;
 
     fn toy_network() -> Network {
@@ -482,18 +476,13 @@ mod tests {
     }
 
     #[test]
-    fn accounting_identity_holds_under_every_shed_policy() {
+    fn accounting_identity_holds_bounded_and_unbounded() {
         let net = toy_network();
-        for &(cap, shed) in &[
-            (0u32, ShedPolicy::DropNewest),
-            (8, ShedPolicy::DropNewest),
-            (8, ShedPolicy::DropOldest),
-            (8, ShedPolicy::Probabilistic),
-        ] {
+        for cap in [0u32, 8] {
             let policy = if cap == 0 {
                 OverloadPolicy::observe(10_000)
             } else {
-                OverloadPolicy::shedding(cap, shed, 10_000)
+                OverloadPolicy::shedding(cap, 10_000, 100, 100)
             };
             let r = simulate_flow(
                 &net,
@@ -506,11 +495,7 @@ mod tests {
                 None,
                 &FaultPlane::disabled(),
             );
-            assert_eq!(
-                r.accounted(),
-                r.arrivals,
-                "identity broken under {shed:?} cap={cap}"
-            );
+            assert_eq!(r.accounted(), r.arrivals, "identity broken at cap={cap}");
         }
     }
 
@@ -519,7 +504,7 @@ mod tests {
         // Same seed, same pattern, same client mix, same plane: both
         // engines drive one front end, so they must see the identical
         // offered stream — arrivals, users, churn, slow clients, NIC
-        // drops — whatever the shed policy, because the service side
+        // drops — whatever the admission policy, because the service side
         // must never perturb the arrival side in either engine. And
         // every arrival the front end turns away must leave exactly
         // one instant on the traced run's admission track.
@@ -541,19 +526,14 @@ mod tests {
             plane
         };
         let mut cancels = 0;
-        for &(cap, shed) in &[
-            (0u32, ShedPolicy::DropNewest),
-            (8, ShedPolicy::DropNewest),
-            (8, ShedPolicy::DropOldest),
-            (8, ShedPolicy::Probabilistic),
-        ] {
+        for cap in [0u32, 8] {
             for drops in [false, true] {
                 let policy = if cap == 0 {
                     OverloadPolicy::observe(4_000)
                 } else {
-                    OverloadPolicy::shedding(cap, shed, 4_000)
+                    OverloadPolicy::shedding(cap, 4_000, 100, 100)
                 };
-                let case = format!("{shed:?} cap={cap} drops={drops}");
+                let case = format!("cap={cap} drops={drops}");
                 let tracer = Tracer::new(3, 1 << 18);
                 let f = simulate_flow(
                     &net,
@@ -598,22 +578,10 @@ mod tests {
                 };
                 assert_eq!(instants(NIC_DROP_CLASS), f.nic_dropped, "{case}");
                 assert_eq!(instants(REJECT_CLASS), f.rejected, "{case}");
-                assert_eq!(
-                    instants(SHED_CLASS),
-                    f.shed_oldest + f.shed_probabilistic,
-                    "{case}"
-                );
                 assert_eq!(instants(CANCEL_CLASS), f.deadline_cancelled, "{case}");
                 cancels += f.deadline_cancelled;
                 // The overloaded rows must actually exercise their path.
-                match (cap, shed) {
-                    (0, _) => assert_eq!(f.rejected + f.shed_oldest + f.shed_probabilistic, 0),
-                    (_, ShedPolicy::DropNewest) => assert!(f.rejected > 0, "{case}"),
-                    (_, ShedPolicy::DropOldest) => assert!(f.shed_oldest > 0, "{case}"),
-                    (_, ShedPolicy::Probabilistic) => {
-                        assert!(f.shed_probabilistic > 0, "{case}")
-                    }
-                }
+                assert_eq!(f.rejected > 0, cap > 0, "{case}");
             }
         }
         assert!(cancels > 0, "no row propagated a deadline");

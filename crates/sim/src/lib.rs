@@ -43,9 +43,7 @@ pub use caps::{DramModel, L3Model, NicModel};
 pub use flow::{flow_ring_capacity, simulate_flow};
 pub use machine::{MachineSpec, TopologyError};
 pub use mva::{MvaResult, Network, Station, StationKind};
-pub use open::{
-    simulate_open, ArrivalPattern, ClientMix, OpenLoopResult, OverloadPolicy, ShedPolicy,
-};
+pub use open::{simulate_open, ArrivalPattern, ClientMix, OpenLoopResult, OverloadPolicy};
 pub use workload::{Coarsened, CoreSweep, SweepPoint, WorkloadModel};
 
 /// [`pk_fault::fnv64`] of a drained stream's canonical bytes

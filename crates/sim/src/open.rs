@@ -14,12 +14,11 @@
 //! * [`ClientMix`] — a client-population abstraction: millions of
 //!   distinct users hashed statelessly from the request sequence
 //!   number, with connection churn and slow-client stalls;
-//! * [`OverloadPolicy`] / [`ShedPolicy`] — bounded admission queues,
-//!   load shedding, per-request deadline propagation, and graceful
-//!   degradation, all `Copy + Eq` so `KernelConfig` can carry them
-//!   as a sweepable axis like every other knob;
+//! * [`OverloadPolicy`] — a bounded admission queue that rejects the
+//!   arrival when full, per-request deadline propagation, and graceful
+//!   degradation; the serving layer builds one per run;
 //! * `FrontEnd` — the open side of a run, written once: arrivals,
-//!   client hashing, the `net.rx_drop` point, admission, shedding,
+//!   client hashing, the `net.rx_drop` point, admission, rejection,
 //!   deadlines, degradation and every [`OpenLoopResult`] counter. Both
 //!   open-loop engines drive it and keep only their service model;
 //! * [`simulate_open`] — the lumped engine: an M/G/c-style
@@ -192,53 +191,21 @@ impl ClientMix {
     }
 }
 
-/// Which request a bounded admission queue sacrifices when it must.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ShedPolicy {
-    /// Reject the arriving request (classic bounded backlog).
-    DropNewest,
-    /// Evict the oldest queued request in favor of the arrival — it
-    /// has burned the most SLO budget, so it is the likeliest to miss
-    /// its deadline anyway.
-    DropOldest,
-    /// Shed the arrival with probability `depth/cap` — pressure rises
-    /// smoothly instead of cliff-edging at the cap.
-    Probabilistic,
-}
-
-impl ShedPolicy {
-    /// Stable lower-case label used in reports and sweep tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::DropNewest => "drop-newest",
-            Self::DropOldest => "drop-oldest",
-            Self::Probabilistic => "probabilistic",
-        }
-    }
-}
-
-/// Overload-survival policy: every knob the serving layer exposes,
-/// integer-valued so the struct stays `Copy + Eq` and can ride inside
-/// `KernelConfig` like the fix bits.
+/// Overload-survival policy: a bounded admission queue with deadline
+/// propagation and graceful degradation, or an unbounded one that only
+/// measures against the SLO. Integer-valued so runs stay bit-exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OverloadPolicy {
     /// Bound on the admission queue (requests waiting for a worker);
     /// 0 = unbounded (stock behaviour: accept everything, queue
-    /// forever).
+    /// forever). A full queue rejects the arriving request. A bounded
+    /// queue also propagates deadlines and degrades from
+    /// [`Self::degrade_depth`].
     pub admission_cap: u32,
-    /// What to do when the admission queue is full.
-    pub shed: ShedPolicy,
     /// Per-request latency budget in cycles; 0 = no SLO. Completions
-    /// slower than this count as SLO violations whether or not
-    /// deadline propagation is on.
+    /// slower than this count as SLO violations whether or not the
+    /// queue is bounded.
     pub slo_budget_cycles: u64,
-    /// When true, a request that has already exhausted its SLO budget
-    /// while queued is cancelled at dispatch instead of occupying a
-    /// worker to produce a useless late reply.
-    pub deadline_propagation: bool,
-    /// Queue depth at which graceful degradation engages; 0 = never
-    /// degrade.
-    pub degrade_watermark: u32,
     /// Percentage of normal service demand charged while degraded
     /// (e.g. 60 = memcached stale-ok reads skip the lease check).
     pub degrade_demand_pct: u8,
@@ -253,10 +220,7 @@ impl OverloadPolicy {
     /// shedding, no degradation — the stock serving posture.
     pub const NONE: Self = Self {
         admission_cap: 0,
-        shed: ShedPolicy::DropNewest,
         slo_budget_cycles: 0,
-        deadline_propagation: false,
-        degrade_watermark: 0,
         degrade_demand_pct: 100,
         degrade_stall_pct: 100,
     };
@@ -270,46 +234,43 @@ impl OverloadPolicy {
         }
     }
 
-    /// Full overload survival: a bounded queue shedding by `shed`,
-    /// deadline propagation on, degradation at half the cap.
-    pub const fn shedding(admission_cap: u32, shed: ShedPolicy, slo_budget_cycles: u64) -> Self {
+    /// Full overload survival: a queue bounded at `admission_cap` that
+    /// rejects arrivals when full, deadline propagation, and, from
+    /// [`Self::degrade_depth`] queued requests, service demand at
+    /// `demand_pct`% and slow-client stalls at `stall_pct`%.
+    pub const fn shedding(
+        admission_cap: u32,
+        slo_budget_cycles: u64,
+        demand_pct: u8,
+        stall_pct: u8,
+    ) -> Self {
         Self {
             admission_cap,
-            shed,
             slo_budget_cycles,
-            deadline_propagation: true,
-            degrade_watermark: admission_cap / 2,
-            degrade_demand_pct: 100,
-            degrade_stall_pct: 100,
+            degrade_demand_pct: demand_pct,
+            degrade_stall_pct: stall_pct,
         }
     }
 
-    /// The same policy with degradation hooks: at `watermark` queued
-    /// requests, service demand drops to `demand_pct`% and slow-client
-    /// stalls to `stall_pct`%.
-    #[must_use]
-    pub const fn with_degradation(mut self, watermark: u32, demand_pct: u8, stall_pct: u8) -> Self {
-        self.degrade_watermark = watermark;
-        self.degrade_demand_pct = demand_pct;
-        self.degrade_stall_pct = stall_pct;
-        self
-    }
-
-    /// Whether any overload handling beyond observation is enabled.
+    /// Whether any overload handling beyond observation is enabled:
+    /// a bounded queue, and with it deadline propagation (a request
+    /// that exhausted its SLO budget while queued is cancelled at
+    /// dispatch instead of occupying a worker to produce a useless late
+    /// reply).
     pub const fn is_bounded(&self) -> bool {
         self.admission_cap > 0
     }
-}
 
-impl Default for OverloadPolicy {
-    fn default() -> Self {
-        Self::NONE
+    /// Queue depth at which graceful degradation engages: half the
+    /// admission cap; 0 (never degrade) when unbounded.
+    pub const fn degrade_depth(&self) -> u32 {
+        self.admission_cap / 2
     }
 }
 
 /// Everything one open-loop run produces. The counters satisfy the
 /// accounting identity checked by [`OpenLoopResult::accounted`]: every
-/// arrival is exactly one of completed / rejected / shed / cancelled /
+/// arrival is exactly one of completed / rejected / cancelled /
 /// NIC-dropped / still queued / still in flight.
 #[derive(Debug, Clone)]
 pub struct OpenLoopResult {
@@ -322,12 +283,15 @@ pub struct OpenLoopResult {
     pub completed: u64,
     /// Completions slower than the SLO budget.
     pub slo_violations: u64,
-    /// Arrivals refused at a full admission queue (drop-newest and
-    /// the deterministic floor of probabilistic shed).
+    /// Arrivals refused at a full admission queue.
     pub rejected: u64,
-    /// Queued requests evicted by a later arrival (drop-oldest).
+    /// Always 0: no policy evicts a queued request. Kept because the
+    /// repo benchmark's `serving_tail` workload and the `latency.json`
+    /// golden still read it.
     pub shed_oldest: u64,
-    /// Arrivals shed probabilistically below the cap.
+    /// Always 0: no policy sheds below the cap. Kept because the repo
+    /// benchmark's `serving_tail` workload and the `latency.json`
+    /// golden still read it.
     pub shed_probabilistic: u64,
     /// Requests cancelled at dispatch because their deadline had
     /// already passed (deadline propagation).
@@ -372,8 +336,6 @@ impl OpenLoopResult {
     pub fn accounted(&self) -> u64 {
         self.completed
             + self.rejected
-            + self.shed_oldest
-            + self.shed_probabilistic
             + self.deadline_cancelled
             + self.nic_dropped
             + self.queue_depth_end
@@ -402,13 +364,8 @@ pub(crate) enum Fate {
     Dispatch,
     /// Joined the admission queue.
     Queued,
-    /// Refused at a full queue (drop-newest, and the deterministic
-    /// floor of probabilistic shed).
+    /// Refused at a full queue.
     Rejected,
-    /// Admitted in place of the oldest queued request, carried here.
-    EvictedOldest(Request),
-    /// Shed probabilistically below the cap.
-    Shed,
     /// Lost to the injected NIC before admission (`net.rx_drop`).
     NicDropped,
 }
@@ -428,7 +385,7 @@ pub(crate) struct Charge {
 /// The open side of a serving run, shared by [`simulate_open`] and
 /// [`simulate_flow`](crate::flow::simulate_flow): the arrival process,
 /// the client population, the `net.rx_drop` point, the admission queue
-/// and its shed/deadline/degradation policy, and every
+/// and its reject/deadline/degradation policy, and every
 /// [`OpenLoopResult`] counter. An engine asks it four things — when the
 /// next request arrives, what becomes of an arrival, which admitted
 /// request a freed worker takes next, and what a dispatch is charged —
@@ -562,24 +519,8 @@ impl FrontEnd {
         } else if self.in_flight < self.cores {
             Fate::Dispatch
         } else if cap > 0 && depth >= cap {
-            match self.policy.shed {
-                ShedPolicy::DropNewest | ShedPolicy::Probabilistic => {
-                    self.r.rejected += 1;
-                    Fate::Rejected
-                }
-                ShedPolicy::DropOldest => {
-                    let oldest = self.queue.pop_front().expect("a full queue is not empty");
-                    self.r.shed_oldest += 1;
-                    self.queue.push_back(req);
-                    Fate::EvictedOldest(oldest)
-                }
-            }
-        } else if cap > 0
-            && self.policy.shed == ShedPolicy::Probabilistic
-            && (mix64(h ^ 3) % cap) < depth
-        {
-            self.r.shed_probabilistic += 1;
-            Fate::Shed
+            self.r.rejected += 1;
+            Fate::Rejected
         } else {
             self.queue.push_back(req);
             self.r.queue_depth_peak = self.r.queue_depth_peak.max(self.queue.len() as u64);
@@ -591,8 +532,8 @@ impl FrontEnd {
     /// Puts `req` on a worker: decides degradation from the queue depth
     /// at this instant and returns what the request is charged.
     pub(crate) fn dispatch(&mut self, req: &Request) -> Charge {
-        let degraded = self.policy.degrade_watermark > 0
-            && self.queue.len() >= self.policy.degrade_watermark as usize;
+        let watermark = self.policy.degrade_depth();
+        let degraded = watermark > 0 && self.queue.len() >= watermark as usize;
         if degraded {
             self.r.degraded += 1;
         }
@@ -633,7 +574,7 @@ impl FrontEnd {
             self.r.slo_violations += 1;
         }
         while let Some(q) = self.queue.pop_front() {
-            if self.policy.deadline_propagation && slo > 0 && now - q.arrival > slo {
+            if self.policy.is_bounded() && slo > 0 && now - q.arrival > slo {
                 self.r.deadline_cancelled += 1;
                 cancelled(&q);
                 continue;
@@ -675,7 +616,7 @@ pub(crate) fn event_queue(pattern: &ArrivalPattern, cores: usize) -> EventWheel 
 
 /// Runs an open-loop serving simulation: `pattern` offers requests to
 /// a `cores`-worker server whose per-request service is drawn from
-/// `network`'s stations, under `policy`'s admission/shedding/deadline
+/// `network`'s stations, under `policy`'s admission/deadline/degradation
 /// rules, until the horizon closes. Consults the plane's
 /// `net.rx_drop` point on every arrival (a dropped arrival never
 /// reaches admission), so chaos runs can cross overload with packet
@@ -829,16 +770,11 @@ mod tests {
     #[test]
     fn accounting_identity_holds() {
         let net = toy_network();
-        for &(cap, shed) in &[
-            (0u32, ShedPolicy::DropNewest),
-            (8, ShedPolicy::DropNewest),
-            (8, ShedPolicy::DropOldest),
-            (8, ShedPolicy::Probabilistic),
-        ] {
+        for cap in [0u32, 8] {
             let policy = if cap == 0 {
                 OverloadPolicy::observe(10_000)
             } else {
-                OverloadPolicy::shedding(cap, shed, 10_000)
+                OverloadPolicy::shedding(cap, 10_000, 100, 100)
             };
             let r = simulate_open(
                 &net,
@@ -850,11 +786,7 @@ mod tests {
                 7,
                 &FaultPlane::disabled(),
             );
-            assert_eq!(
-                r.accounted(),
-                r.arrivals,
-                "identity broken under {shed:?} cap={cap}"
-            );
+            assert_eq!(r.accounted(), r.arrivals, "identity broken at cap={cap}");
         }
     }
 
@@ -918,20 +850,23 @@ mod tests {
             1,
             poisson(200.0),
             ClientMix::uniform(1000),
-            OverloadPolicy::shedding(16, ShedPolicy::DropNewest, 50_000),
+            OverloadPolicy::shedding(16, 50_000, 100, 100),
             2_000_000,
             42,
             &FaultPlane::disabled(),
         );
         assert!(shed.queue_depth_peak <= 16, "cap violated: {shed:?}");
         assert!(shed.rejected > 0, "overload never rejected: {shed:?}");
+        assert!(shed.degraded > 0, "a full queue never degraded: {shed:?}");
 
+        // A tiny SLO over a deep queue: the observe posture measures
+        // the violations but neither cancels nor degrades.
         let noshed = simulate_open(
             &net,
             1,
             poisson(200.0),
             ClientMix::uniform(1000),
-            OverloadPolicy::observe(50_000),
+            OverloadPolicy::observe(2_000),
             2_000_000,
             42,
             &FaultPlane::disabled(),
@@ -940,36 +875,34 @@ mod tests {
             noshed.queue_depth_end > 100,
             "unbounded queue failed to diverge: {noshed:?}"
         );
-    }
+        assert!(noshed.slo_violations > 0, "{noshed:?}");
+        assert_eq!(noshed.deadline_cancelled, 0, "{noshed:?}");
+        assert_eq!(noshed.degraded, 0, "{noshed:?}");
 
-    #[test]
-    fn drop_oldest_evicts_and_probabilistic_sheds_early() {
-        let net = toy_network();
-        let oldest = simulate_open(
-            &net,
+        // The bounded posture degrades from depth cap / 2 and not
+        // before: one request on the only worker, then each queued
+        // arrival probes the dispatch decision at its depth.
+        let policy = OverloadPolicy::shedding(16, 2_000, 100, 100);
+        let mut front = FrontEnd::new(
             1,
-            poisson(150.0),
+            poisson(200.0),
             ClientMix::uniform(1000),
-            OverloadPolicy::shedding(8, ShedPolicy::DropOldest, 50_000),
-            1_000_000,
+            policy,
+            2_000_000,
             42,
             &FaultPlane::disabled(),
         );
-        assert!(oldest.shed_oldest > 0, "drop-oldest never evicted");
-        let prob = simulate_open(
-            &net,
-            1,
-            poisson(150.0),
-            ClientMix::uniform(1000),
-            OverloadPolicy::shedding(8, ShedPolicy::Probabilistic, 50_000),
-            1_000_000,
-            42,
-            &FaultPlane::disabled(),
-        );
-        assert!(
-            prob.shed_probabilistic > 0,
-            "probabilistic shed never fired below the cap"
-        );
+        let (first, fate) = front.arrive(0);
+        assert!(matches!(fate, Fate::Dispatch));
+        assert!(!front.dispatch(&first).degraded);
+        for depth in 1..=16u64 {
+            let (req, fate) = front.arrive(depth);
+            assert!(matches!(fate, Fate::Queued), "depth {depth}");
+            let degraded = front.dispatch(&req).degraded;
+            assert_eq!(degraded, depth >= 8, "depth {depth}");
+        }
+        assert!(matches!(front.arrive(17).1, Fate::Rejected));
+        assert_eq!(front.finish().degraded, 9);
     }
 
     #[test]
@@ -981,7 +914,7 @@ mod tests {
             poisson(200.0),
             ClientMix::uniform(1000),
             // Large cap, tiny SLO: queued requests blow their budget.
-            OverloadPolicy::shedding(512, ShedPolicy::DropNewest, 2_000),
+            OverloadPolicy::shedding(512, 2_000, 100, 100),
             1_000_000,
             42,
             &FaultPlane::disabled(),
@@ -992,7 +925,7 @@ mod tests {
     #[test]
     fn degradation_reduces_service_under_pressure() {
         let net = toy_network();
-        let base = OverloadPolicy::shedding(64, ShedPolicy::DropNewest, 100_000);
+        let base = OverloadPolicy::shedding(64, 100_000, 100, 100);
         let plain = simulate_open(
             &net,
             1,
@@ -1008,7 +941,7 @@ mod tests {
             1,
             poisson(250.0),
             ClientMix::uniform(1000),
-            base.with_degradation(4, 50, 0),
+            OverloadPolicy::shedding(64, 100_000, 50, 0),
             2_000_000,
             42,
             &FaultPlane::disabled(),

@@ -32,12 +32,10 @@ pub struct VfsConfig {
     /// tears the sequence. Off in stock, on in PK.
     pub rcu_path_walk: bool,
     /// Swap saturating sloppy counters for SNZI trees (generation-2,
-    /// §7): per-socket intermediate nodes with surplus propagation so
+    /// §7): per-socket intermediate nodes (one per
+    /// [`pk_percpu::SOCKETS`]) with surplus propagation so
     /// zero-detection scales past 48 cores. Off in stock, on in PK.
     pub snzi_refs: bool,
-    /// Number of sockets in the machine topology; keys the SNZI tree
-    /// fan-out (one intermediate node per socket).
-    pub sockets: usize,
 }
 
 impl VfsConfig {
@@ -55,7 +53,6 @@ impl VfsConfig {
             avoid_dcache_list_locks: false,
             rcu_path_walk: false,
             snzi_refs: false,
-            sockets: 8,
         }
     }
 
@@ -73,14 +70,7 @@ impl VfsConfig {
             avoid_dcache_list_locks: true,
             rcu_path_walk: true,
             snzi_refs: true,
-            sockets: 8,
         }
-    }
-}
-
-impl Default for VfsConfig {
-    fn default() -> Self {
-        Self::pk(48)
     }
 }
 

@@ -243,7 +243,7 @@ impl Dcache {
                 self.config.sloppy_dentry_refs,
                 self.config.snzi_refs,
                 self.config.cores,
-                self.config.sockets,
+                pk_percpu::SOCKETS,
             ),
         );
         // The cache holds the creation reference; take one for the caller.

@@ -141,7 +141,7 @@ impl MountTable {
                 self.config.sloppy_vfsmount_refs,
                 self.config.snzi_refs,
                 self.config.cores,
-                self.config.sockets,
+                pk_percpu::SOCKETS,
             ),
         );
         {

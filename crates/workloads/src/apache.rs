@@ -14,7 +14,7 @@
 //! — server idle time reaches 18% at 48 cores.
 
 use crate::common::{config_label, demand_unless, gen2_demand};
-use pk_fault::{FaultPlane, RetryPolicy};
+use pk_fault::{backoff, FaultPlane};
 use pk_kernel::{FixId, Kernel, KernelConfig, KernelError, Personality};
 use pk_net::FlowHash;
 use pk_percpu::CoreId;
@@ -55,7 +55,6 @@ pub struct ApacheDriver {
     /// Connections accepted but answered with an error after the retry
     /// budget ran out (a live server's 5xx).
     failed_requests: AtomicU64,
-    retry: RetryPolicy,
 }
 
 impl ApacheDriver {
@@ -84,7 +83,6 @@ impl ApacheDriver {
             empty_polls: AtomicU64::new(0),
             request_tempfails: AtomicU64::new(0),
             failed_requests: AtomicU64::new(0),
-            retry: RetryPolicy::DEFAULT,
         }
     }
 
@@ -164,8 +162,7 @@ impl ApacheDriver {
                 // the fault seed) instead of hammering the accept queue.
                 let attempt = self.empty_polls.fetch_add(1, Ordering::Relaxed).min(12) as u32;
                 let delay =
-                    self.retry
-                        .delay_cycles(self.kernel.faults().seed(), core as u64, attempt);
+                    backoff::delay_cycles(self.kernel.faults().seed(), core as u64, attempt);
                 self.accept_backoffs.fetch_add(1, Ordering::Relaxed);
                 self.accept_backoff_cycles
                     .fetch_add(delay, Ordering::Relaxed);
@@ -177,13 +174,11 @@ impl ApacheDriver {
         // the worker; an exhausted budget is the live server's 5xx.
         let seed = self.kernel.faults().seed();
         let token = (u64::from(conn.flow.src_ip) << 16) ^ u64::from(conn.flow.src_port);
-        let out = self
-            .retry
-            .run(seed, token, |_| match self.serve_file(core_id) {
-                Ok(()) => Ok(Ok(())),
-                Err(e) if e.is_transient() => Err(e),
-                Err(e) => Ok(Err(e)),
-            });
+        let out = backoff::run(seed, token, |_| match self.serve_file(core_id) {
+            Ok(()) => Ok(Ok(())),
+            Err(e) if e.is_transient() => Err(e),
+            Err(e) => Ok(Err(e)),
+        });
         if out.attempts > 1 {
             self.request_tempfails
                 .fetch_add(u64::from(out.attempts) - 1, Ordering::Relaxed);

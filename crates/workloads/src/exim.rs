@@ -13,7 +13,7 @@
 //! locks of the spool directories.
 
 use crate::common::{config_label, demand_unless, gen2_demand};
-use pk_fault::{FaultPlane, RetryPolicy};
+use pk_fault::{backoff, FaultPlane};
 use pk_kernel::{FixId, Kernel, KernelConfig, KernelError, Personality};
 use pk_percpu::CoreId;
 use pk_proc::Pid;
@@ -52,7 +52,6 @@ pub struct EximDriver {
     bounced: AtomicU64,
     /// Total simulated backoff charged by requeues, in cycles.
     retry_backoff_cycles: AtomicU64,
-    retry: RetryPolicy,
     /// §5.2's third application fix: "We configured Exim to avoid an
     /// exec() per mail message, using deliver_drop_privilege." `false` =
     /// stock Exim, exec()ing a delivery binary per message.
@@ -137,7 +136,6 @@ impl EximDriver {
             tempfails: AtomicU64::new(0),
             bounced: AtomicU64::new(0),
             retry_backoff_cycles: AtomicU64::new(0),
-            retry: RetryPolicy::DEFAULT,
             avoid_exec,
             bdb_caches_cpu_count,
             cached_cpu_count: std::sync::OnceLock::new(),
@@ -306,7 +304,7 @@ impl EximDriver {
         result
     }
 
-    /// Runs `op` under the driver's retry policy, retrying only
+    /// Runs `op` under [`backoff::run`], retrying only
     /// transient errors and charging the backoff to the driver's books.
     fn retry_transient<T>(
         &self,
@@ -314,7 +312,7 @@ impl EximDriver {
         token: u64,
         mut op: impl FnMut(u32) -> Result<T, KernelError>,
     ) -> Result<T, KernelError> {
-        let out = self.retry.run(seed, token, |attempt| match op(attempt) {
+        let out = backoff::run(seed, token, |attempt| match op(attempt) {
             Ok(v) => Ok(Ok(v)),
             Err(e) if e.is_transient() => Err(e), // requeue
             Err(e) => Ok(Err(e)),                 // permanent: stop retrying

@@ -14,7 +14,7 @@
 
 use crate::common::{config_label, demand_unless, gen2_demand};
 use bytes::Bytes;
-use pk_fault::{FaultPlane, RetryPolicy};
+use pk_fault::{backoff, FaultPlane};
 use pk_kernel::{FixId, Kernel, KernelConfig, Personality};
 use pk_net::{SockAddr, UdpSocket};
 use pk_percpu::CoreId;
@@ -48,7 +48,6 @@ pub struct MemcachedDriver {
     /// Packets abandoned after the retry budget ran out — reported, not
     /// silently lost.
     client_drops: AtomicU64,
-    retry: RetryPolicy,
 }
 
 impl MemcachedDriver {
@@ -75,7 +74,6 @@ impl MemcachedDriver {
             served: AtomicU64::new(0),
             client_retries: AtomicU64::new(0),
             client_drops: AtomicU64::new(0),
-            retry: RetryPolicy::DEFAULT,
         }
     }
 
@@ -104,7 +102,7 @@ impl MemcachedDriver {
     fn send_with_retry(&self, core: CoreId, from: SockAddr, to: SockAddr, body: Bytes) -> bool {
         let seed = self.kernel.faults().seed();
         let token = (u64::from(from.ip) << 24) ^ (u64::from(to.port) << 8) ^ core.0 as u64;
-        let out = self.retry.run(seed, token, |_| {
+        let out = backoff::run(seed, token, |_| {
             self.kernel.net().udp_send(core, from, to, body.clone())
         });
         if out.attempts > 1 {
