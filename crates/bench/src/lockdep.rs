@@ -248,11 +248,16 @@ mod tests {
             "vfs.inode.data",
             "proc.process_table",
             "mm.mmap.region_pages",
-            "core.snzi.leaf",
             "core.refcount.dealloc",
         ] {
             assert!(classes.iter().any(|c| c == name), "{name} never registered");
         }
+        // The generation-2 refcounts are per-core counts with no lock:
+        // no kernel object builds a SNZI tree, whose leaves were locks.
+        assert!(
+            !classes.iter().any(|c| c == "core.snzi.leaf"),
+            "a kernel object built a SNZI tree"
+        );
         if pk_lockdep::enabled() {
             assert!(pk_lockdep::acquisition_count() > 0);
             // Two edges were all the validator saw while these locks

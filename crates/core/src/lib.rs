@@ -25,10 +25,12 @@
 //! just the contended *uses* of a counter. [`SloppyCounter::central`]
 //! exposes that view. The dentry-style object lifecycle (creator's
 //! reference, get/put, the expensive settle-on-dealloc, no resurrection)
-//! is written once and runs over any of three counters: [`SloppyRefCount`]
-//! and [`SnziRefCount`] are its aliases over a sloppy counter and a SNZI
-//! tree, and [`RefCount`] picks between those and the stock kernel's
-//! shared atomic word at object-creation time.
+//! is written once and runs over any of the counters: [`SloppyRefCount`]
+//! and [`PerCoreRefCount`] are its aliases over a sloppy counter and over
+//! per-core counts summed on deallocation (Linux's later `percpu_ref`),
+//! and [`RefCount`] picks between those and the stock kernel's shared
+//! atomic word at object-creation time. [`SnziRefCount`], the lifecycle
+//! over a SNZI tree, is kept for comparison; no kernel object uses it.
 //!
 //! The [`Counter`] trait (`add` fast, `value` exact) is what a
 //! [`Lifecycle`] counts in and what protocol-memory accounting charges;
@@ -39,13 +41,17 @@
 #![warn(missing_docs)]
 
 mod atomic;
+mod percore;
 mod refcount;
 mod sloppy;
 mod snzi;
 mod traits;
 
 pub use atomic::AtomicCounter;
-pub use refcount::{DeallocError, Lifecycle, RefCount, SloppyRefCount, SnziRefCount};
+pub use percore::PerCoreCount;
+pub use refcount::{
+    DeallocError, Lifecycle, PerCoreRefCount, RefCount, SloppyRefCount, SnziRefCount,
+};
 pub use sloppy::{SloppyConfig, SloppyCounter};
 pub use snzi::Snzi;
 pub use traits::Counter;

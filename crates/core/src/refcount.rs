@@ -1,6 +1,7 @@
 //! Reference counting for kernel objects: the dentry lifecycle, stated
-//! once ([`Lifecycle`]) over the three counters that can back it.
+//! once ([`Lifecycle`]) over the counters that can back it.
 
+use crate::percore::PerCoreCount;
 use crate::sloppy::SloppyCounter;
 use crate::snzi::Snzi;
 use crate::traits::Counter;
@@ -190,12 +191,49 @@ impl Backing for SloppyCounter {
     }
 }
 
-/// A SNZI-tree reference count: the generation-2 (§7) backing for
-/// objects whose sloppy counters saturate past 48 cores. Gets and puts
-/// drive a [`Snzi`] tree shaped like the machine (per-core leaves,
-/// per-socket intermediate nodes), so zero-crossing traffic aggregates
-/// per socket instead of all landing on one central word; cross-socket
-/// releases are fine, the tree tolerates migrated departs.
+/// A per-core reference count: the generation-2 (§7) backing PK's
+/// dentries, vfsmounts and dst entries run on, the fast path of Linux's
+/// `percpu_ref`. A get or put is one RMW on the acting core's own line,
+/// whichever core took the reference, with no threshold to trip and no
+/// central word behind it; `try_dealloc` sums the cores.
+///
+/// # Examples
+///
+/// ```
+/// use pk_percpu::CoreId;
+/// use pk_sloppy::PerCoreRefCount;
+///
+/// let rc = PerCoreRefCount::new(4);
+/// rc.get(CoreId(1)).unwrap();
+/// rc.put(CoreId(2)); // dropped on another core
+/// assert_eq!(rc.op_counts(), (0, 3), "creator's reference, get, put: all local");
+/// rc.put(CoreId(0));
+/// assert_eq!(rc.try_dealloc(), Ok(()));
+/// ```
+pub type PerCoreRefCount = Lifecycle<PerCoreCount>;
+
+impl PerCoreRefCount {
+    /// Creates a refcount of 1 (the creator's reference) over `cores`.
+    pub fn new(cores: usize) -> Self {
+        Self::charged(PerCoreCount::new(cores))
+    }
+}
+
+impl Backing for PerCoreCount {
+    /// The sum of every core's count (see [`PerCoreCount`] for what a
+    /// reference migrating under the sum does to it).
+    fn settle(&self) -> i64 {
+        self.value()
+    }
+}
+
+/// A SNZI-tree reference count: gets and puts drive a [`Snzi`] tree
+/// shaped like the machine (per-core leaves, per-socket intermediate
+/// nodes), so zero-crossing traffic aggregates per socket instead of
+/// all landing on one central word; cross-socket releases are fine, the
+/// tree tolerates migrated departs. No kernel object uses it: its leaf
+/// lock and crossing RMWs cost more per get/put than
+/// [`PerCoreRefCount`]'s one add, and nothing reads its indicator.
 pub type SnziRefCount = Lifecycle<Snzi>;
 
 impl SnziRefCount {
@@ -297,7 +335,7 @@ impl Backing for CountAndOps {
 
 /// A reference count whose backing is chosen at object-creation time:
 /// a single shared atomic (the stock kernel), a sloppy counter (PK),
-/// or a SNZI tree (PK generation-2, for structures whose sloppy
+/// or per-core counts (PK generation-2, for structures whose sloppy
 /// counters saturate at high core counts).
 ///
 /// This is the switch Figure 1 toggles for `dentry`, `vfsmount`, and
@@ -310,8 +348,8 @@ pub enum RefCount {
     Atomic(Lifecycle<CountAndOps>),
     /// A sloppy counter (PK).
     Sloppy(SloppyRefCount),
-    /// A per-socket SNZI tree (PK generation-2).
-    Snzi(SnziRefCount),
+    /// Per-core counts summed on deallocation (PK generation-2).
+    PerCore(PerCoreRefCount),
 }
 
 /// Delegates to whichever lifecycle `self` holds.
@@ -320,7 +358,7 @@ macro_rules! delegate {
         match $self {
             Self::Atomic($rc) => $call,
             Self::Sloppy($rc) => $call,
-            Self::Snzi($rc) => $call,
+            Self::PerCore($rc) => $call,
         }
     };
 }
@@ -328,15 +366,16 @@ macro_rules! delegate {
 impl RefCount {
     /// Creates the variant selected by `sloppy`.
     pub fn new(sloppy: bool, cores: usize) -> Self {
-        Self::new_scaled(sloppy, false, cores, 1)
+        Self::new_scaled(sloppy, false, cores)
     }
 
-    /// Picks the backing by fix generation: the SNZI tree when both the
-    /// sloppy-counter fix and its generation-2 upgrade are enabled, the
-    /// flat sloppy counter under plain PK, the shared atomic otherwise.
-    pub fn new_scaled(sloppy: bool, snzi: bool, cores: usize, sockets: usize) -> Self {
-        match (sloppy, snzi) {
-            (true, true) => Self::Snzi(SnziRefCount::new(cores, sockets)),
+    /// Picks the backing by fix generation: per-core counts when both
+    /// the sloppy-counter fix and its generation-2 upgrade are enabled,
+    /// the flat sloppy counter under plain PK, the shared atomic
+    /// otherwise.
+    pub fn new_scaled(sloppy: bool, percore: bool, cores: usize) -> Self {
+        match (sloppy, percore) {
+            (true, true) => Self::PerCore(PerCoreRefCount::new(cores)),
             (true, false) => Self::Sloppy(SloppyRefCount::new(cores)),
             // The creator's reference is the initial value, not an op.
             (false, _) => Self::Atomic(Lifecycle::holding(CountAndOps::new(1))),
@@ -377,11 +416,12 @@ mod tests {
     use std::sync::Arc;
 
     /// Runs a generic lifecycle test body over a fresh refcount of each
-    /// of the three backings.
+    /// backing.
     macro_rules! over_all_backings {
         ($body:ident) => {{
             $body(|| Lifecycle::holding(CountAndOps::new(1)));
             $body(|| SloppyRefCount::new(4));
+            $body(|| PerCoreRefCount::new(4));
             $body(|| SnziRefCount::new(4, 2));
         }};
     }
@@ -506,21 +546,35 @@ mod tests {
 
     #[test]
     fn new_scaled_picks_backing_by_fix_generation() {
-        let rc = RefCount::new_scaled(true, true, 16, 4);
-        assert!(matches!(rc, RefCount::Snzi(_)));
+        let rc = RefCount::new_scaled(true, true, 16);
+        assert!(matches!(rc, RefCount::PerCore(_)));
         rc.get(CoreId(9)).unwrap();
         rc.put(CoreId(2));
         assert_eq!(rc.references(), 1);
+        assert_eq!(rc.op_counts(), (0, 3), "every operation core-local");
         // Sloppy without the gen-2 flag stays sloppy, no sloppy at all
-        // stays atomic whatever the snzi flag says.
+        // stays atomic whatever the per-core flag says.
         assert!(matches!(
-            RefCount::new_scaled(true, false, 8, 2),
+            RefCount::new_scaled(true, false, 8),
             RefCount::Sloppy(_)
         ));
         assert!(matches!(
-            RefCount::new_scaled(false, true, 8, 2),
+            RefCount::new_scaled(false, true, 8),
             RefCount::Atomic { .. }
         ));
+    }
+
+    #[test]
+    fn percore_settle_sums_counts_past_the_32_bit_range() {
+        // One add each, not a loop: a core's count far outside ±2³¹.
+        let count = PerCoreCount::new(4);
+        count.add(CoreId(1), 3 << 31);
+        count.add(CoreId(2), -(5 << 31));
+        count.add(CoreId(3), 2 << 31);
+        assert_eq!(count.settle(), 0);
+        count.add(CoreId(0), 1);
+        assert_eq!(count.settle(), 1);
+        assert_eq!(count.op_counts(), (0, 4));
     }
 
     fn churn_then_dealloc<B: Backing>(make: impl Fn() -> Lifecycle<B>) {

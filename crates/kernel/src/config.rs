@@ -158,7 +158,7 @@ impl KernelConfig {
             avoid_inode_list_locks: self.has(FixId::AvoidInodeListLocks),
             avoid_dcache_list_locks: self.has(FixId::AvoidDcacheListLocks),
             rcu_path_walk: self.has(FixId::RcuPathWalk),
-            snzi_refs: self.has(FixId::SnziVfsRefs),
+            percore_refs: self.has(FixId::SnziVfsRefs),
         }
     }
 
@@ -171,7 +171,7 @@ impl KernelConfig {
             } else {
                 1
             },
-            snzi_dst_refs: self.has(FixId::SnziNetRefs),
+            percore_dst_refs: self.has(FixId::SnziNetRefs),
             sloppy_dst_refs: self.has(FixId::SloppyDstRefs),
             sloppy_proto_accounting: self.has(FixId::SloppyProtoAccounting),
             percore_skb_pools: self.has(FixId::LocalDmaBuffers),

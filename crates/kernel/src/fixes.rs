@@ -80,11 +80,13 @@ pub enum FixId {
     /// lock-free and reference-free, validated by dentry seqcounts,
     /// falling back to the locked walk on a torn generation.
     RcuPathWalk,
-    /// SNZI-tree refcounts for VFS objects (dentry/vfsmount): a
-    /// per-socket counter tree whose surplus propagation keeps the
-    /// root line quiet where flat sloppy counters saturate.
+    /// Generation-2 refcounts for VFS objects (dentry/vfsmount), where
+    /// flat sloppy counters saturate past 48 cores. The name is the
+    /// model station's; the substrate lowers the fix to per-core counts
+    /// (`VfsConfig::percore_refs`), which have no central line at all.
     SnziVfsRefs,
-    /// SNZI-tree refcounts for network objects (dst entries).
+    /// Generation-2 refcounts for network objects (dst entries),
+    /// lowered to per-core counts (`NetConfig::percore_dst_refs`).
     SnziNetRefs,
     /// Per-socket sharding of the NIC flow-steering tables.
     PerSocketFlowTables,
@@ -291,8 +293,8 @@ pub const GEN2_FIXES: [Fix; 5] = [
         name: "SNZI-tree VFS reference counts",
         problem: "Flat per-core refcount banks still funnel misses into one central line, \
                   which saturates past 48 cores.",
-        solution: "Use an SNZI tree of per-socket counters with surplus propagation for \
-                   dentry and vfsmount references.",
+        solution: "Count dentry and vfsmount references per core with no central line, \
+                   summing the cores only to deallocate.",
         apps: &[App::Exim, App::Apache],
     },
     Fix {
@@ -301,7 +303,7 @@ pub const GEN2_FIXES: [Fix; 5] = [
         name: "SNZI-tree network reference counts",
         problem: "dst-entry refcount misses contend on the central counter line at high \
                   core counts.",
-        solution: "Use an SNZI tree of per-socket counters for dst entries.",
+        solution: "Count dst-entry references per core with no central line.",
         apps: &[App::Memcached, App::Apache],
     },
     Fix {

@@ -37,10 +37,10 @@ pub struct NetConfig {
     /// sharding fix keys this off the machine's socket count so flow
     /// registration contends only within a socket.
     pub flow_table_shards: usize,
-    /// Swap the `dst_entry` sloppy counters for SNZI trees
-    /// (generation-2, §7) where the flat per-core banks saturate past
-    /// 48 cores. Off in stock, on in PK.
-    pub snzi_dst_refs: bool,
+    /// Swap the `dst_entry` sloppy counters for per-core reference
+    /// counts (generation-2, §7), where the flat per-core banks saturate
+    /// past 48 cores. Off in stock, on in PK.
+    pub percore_dst_refs: bool,
 }
 
 impl NetConfig {
@@ -56,7 +56,7 @@ impl NetConfig {
             hash_flow_steering: false,
             software_rfs: false,
             flow_table_shards: 1,
-            snzi_dst_refs: false,
+            percore_dst_refs: false,
         }
     }
 
@@ -72,7 +72,7 @@ impl NetConfig {
             hash_flow_steering: true,
             software_rfs: false,
             flow_table_shards: SOCKETS,
-            snzi_dst_refs: true,
+            percore_dst_refs: true,
         }
     }
 

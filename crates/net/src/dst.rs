@@ -29,8 +29,8 @@ impl DstEntry {
     }
 
     /// [`DstEntry::new`] with an explicit refcount backing — how the
-    /// cache selects the generation-2 SNZI tree when
-    /// `NetConfig::snzi_dst_refs` is set.
+    /// cache selects the generation-2 per-core count when
+    /// `NetConfig::percore_dst_refs` is set.
     pub fn with_refcount(dest_ip: u32, gateway: u32, refcount: RefCount) -> Self {
         Self {
             dest_ip,
@@ -135,9 +135,8 @@ impl DstCache {
             }
             let refcount = RefCount::new_scaled(
                 config.sloppy_dst_refs,
-                config.snzi_dst_refs,
+                config.percore_dst_refs,
                 config.cores,
-                pk_percpu::SOCKETS,
             );
             let entry = DstEntry::with_refcount(dest_ip, dest_ip ^ 0x0101_0101, refcount);
             let mut routes = routes.clone();
@@ -206,9 +205,9 @@ mod tests {
     fn cache(sloppy: bool) -> DstCache {
         let cfg = if sloppy {
             // Pin the flat sloppy backing: these tests exercise the
-            // §4.3 protocol; the SNZI tree has its own test below.
+            // §4.3 protocol; the per-core count has its own test below.
             NetConfig {
-                snzi_dst_refs: false,
+                percore_dst_refs: false,
                 ..NetConfig::pk(4)
             }
         } else {
@@ -274,25 +273,21 @@ mod tests {
     }
 
     #[test]
-    fn pk_preset_routes_through_the_snzi_tree() {
-        // The full PK preset (snzi_dst_refs on) backs dst refcounts with
-        // the per-socket tree. Under sustained load a core always has
-        // packets in flight, so its leaf stays nonzero and further
-        // get/put pairs never leave the leaf.
+    fn pk_preset_routes_through_per_core_counts() {
+        // The full PK preset (percore_dst_refs on) backs dst refcounts
+        // with per-core counts: every get and put stays on the acting
+        // core's line, warm or cold, and a packet released on another
+        // core than it was routed on is no exception.
         let c = DstCache::new(NetConfig::pk(8));
-        c.insert(1);
+        send(&c, 1, CoreId(2));
         let g = rcu::read_lock();
-        let pin = c.route(1, CoreId(2), &g).unwrap(); // keeps core 2's leaf nonzero
-        let (shared_before, _) = pin.refcount_ops();
-        for _ in 0..1_000 {
-            c.route(1, CoreId(2), &g).unwrap().put(CoreId(2));
+        for core in 0..8 {
+            c.route(1, CoreId(core), &g).unwrap().put(CoreId(7 - core));
         }
-        assert_eq!(
-            shared_before,
-            pin.refcount_ops().0,
-            "loaded leaf must stay core-local under the SNZI tree"
-        );
-        pin.put(CoreId(2));
+        drop(g);
+        // The creator's reference, then 9 get/put pairs.
+        assert_eq!(ops_of(&c, 1), (0, 1 + 2 * 9));
+        assert_eq!(c.evict(1), Ok(()));
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use registry::{CoreId, CoreToken, RegistryError, MAX_CORES};
 pub use tally::{owner_add, Tally, MAX_TALLIES};
 
 /// Sockets of the paper machine (8×6 Opteron), one NUMA memory node
-/// each. The substrates are lowered for this topology: SNZI trees get
-/// one intermediate node per socket, packet buffers one home node per
-/// socket, and per-socket flow tables one shard per socket.
+/// each. The substrates are lowered for this topology: packet buffers
+/// get one home node per socket, and per-socket flow tables one shard
+/// per socket.
 pub const SOCKETS: usize = 8;

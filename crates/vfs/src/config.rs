@@ -31,11 +31,11 @@ pub struct VfsConfig {
     /// falling back to the locked walk when a concurrent rename/unlink
     /// tears the sequence. Off in stock, on in PK.
     pub rcu_path_walk: bool,
-    /// Swap saturating sloppy counters for SNZI trees (generation-2,
-    /// §7): per-socket intermediate nodes (one per
-    /// [`pk_percpu::SOCKETS`]) with surplus propagation so
-    /// zero-detection scales past 48 cores. Off in stock, on in PK.
-    pub snzi_refs: bool,
+    /// Swap saturating sloppy counters for per-core reference counts
+    /// (generation-2, §7): a get or put adds on the acting core's own
+    /// line with no threshold and no central word, and deallocation sums
+    /// the cores. Off in stock, on in PK.
+    pub percore_refs: bool,
 }
 
 impl VfsConfig {
@@ -52,7 +52,7 @@ impl VfsConfig {
             avoid_inode_list_locks: false,
             avoid_dcache_list_locks: false,
             rcu_path_walk: false,
-            snzi_refs: false,
+            percore_refs: false,
         }
     }
 
@@ -69,7 +69,7 @@ impl VfsConfig {
             avoid_inode_list_locks: true,
             avoid_dcache_list_locks: true,
             rcu_path_walk: true,
-            snzi_refs: true,
+            percore_refs: true,
         }
     }
 }

@@ -10,6 +10,28 @@ use pk_percpu::CoreId;
 use pk_sync::rcu::{self, RcuCell};
 use std::sync::Arc;
 
+/// One bucket entry: a dentry and its key's hash, the tag PK's lookups
+/// compare before they touch the dentry.
+#[derive(Debug, Clone)]
+struct Tagged {
+    hash: u64,
+    dentry: Arc<Dentry>,
+}
+
+/// The dentries in `bucket` whose tag is `probe`'s hash: the only ones
+/// PK's lookups visit.
+#[inline]
+fn tagged<'b>(
+    bucket: &'b [Tagged],
+    probe: &DentryProbe<'_>,
+) -> impl Iterator<Item = &'b Arc<Dentry>> {
+    let hash = probe.hash();
+    bucket
+        .iter()
+        .filter(move |t| t.hash == hash)
+        .map(|t| &t.dentry)
+}
+
 /// A hash table of dentries with RCU buckets.
 ///
 /// Readers traverse bucket snapshots without writing shared memory (the
@@ -31,11 +53,18 @@ use std::sync::Arc;
 /// the hash the probe already carries; nothing is hashed here. A bucket
 /// holds at most one live dentry per key: [`Dcache::insert`] returns the
 /// existing one instead of pushing a duplicate.
+///
+/// Each bucket entry carries its dentry's key hash beside the pointer.
+/// PK's lookups ([`Dcache::lookup`] under `lockfree_dlookup`, and the RCU
+/// walk's [`Dcache::peek`]) skip a neighbour whose tag differs from the
+/// probe's hash without touching the dentry, as Linux's
+/// `__d_lookup_rcu` rejects on `hash_len`; stock still takes `d_lock` on
+/// every candidate, so its counts do not depend on the tags.
 #[derive(Debug)]
 pub struct Dcache {
     /// One RCU-published snapshot per hash bucket; the bucket count is
     /// fixed at construction.
-    buckets: Box<[RcuCell<Vec<Arc<Dentry>>>]>,
+    buckets: Box<[RcuCell<Vec<Tagged>>]>,
     mask: usize,
     config: VfsConfig,
     stats: Arc<VfsStats>,
@@ -73,7 +102,7 @@ impl Dcache {
         }
     }
 
-    fn bucket(&self, probe: &DentryProbe<'_>) -> &RcuCell<Vec<Arc<Dentry>>> {
+    fn bucket(&self, probe: &DentryProbe<'_>) -> &RcuCell<Vec<Tagged>> {
         &self.buckets[(probe.hash() as usize) & self.mask]
     }
 
@@ -114,8 +143,8 @@ impl Dcache {
         }
         let guard = rcu::read_lock();
         let bucket = self.bucket(key).read(&guard);
-        for d in bucket.iter() {
-            if self.config.lockfree_dlookup {
+        if self.config.lockfree_dlookup {
+            for d in tagged(bucket, key) {
                 match d.compare_lockfree(key, core) {
                     Some(true) => {
                         self.stats.lockfree_lookups.bump();
@@ -134,7 +163,9 @@ impl Dcache {
                         continue;
                     }
                 }
-            } else {
+            }
+        } else {
+            for Tagged { dentry: d, .. } in bucket.iter() {
                 self.stats.dentry_lock_acquisitions.bump();
                 if d.compare_locked(key, core) {
                     self.stats.dcache_hits.bump();
@@ -167,7 +198,7 @@ impl Dcache {
         }
         let guard = rcu::read_lock();
         let bucket = self.bucket(key).read(&guard);
-        for d in bucket.iter() {
+        for d in tagged(bucket, key) {
             match d.peek(key) {
                 Some(Some(ino)) => {
                     self.stats.dcache_hits.bump();
@@ -235,15 +266,15 @@ impl Dcache {
             self.stats.dentry_alloc_failures.bump();
             return Err(VfsError::OutOfMemory);
         }
+        let hash = key.probe().hash();
         let bucket = self.bucket(&key.probe());
         let mut dentry = Dentry::with_refcount(
             key,
             inode,
             pk_sloppy::RefCount::new_scaled(
                 self.config.sloppy_dentry_refs,
-                self.config.snzi_refs,
+                self.config.percore_refs,
                 self.config.cores,
-                pk_percpu::SOCKETS,
             ),
         );
         // The cache holds the creation reference; take one for the caller.
@@ -260,14 +291,17 @@ impl Dcache {
             // remove or shrink can drop the cache's.
             let live =
                 |d: &&Arc<Dentry>| d.is_live_match(&dentry.key.probe()) && d.get(core).is_ok();
-            match v.iter().find(live) {
+            match v.iter().map(|t| &t.dentry).find(live) {
                 Some(existing) => {
                     if !caller_ref {
                         existing.put(core);
                     }
                     dentry = Arc::clone(existing);
                 }
-                None => v.push(Arc::clone(&dentry)),
+                None => v.push(Tagged {
+                    hash,
+                    dentry: Arc::clone(&dentry),
+                }),
             }
             v
         });
@@ -284,15 +318,15 @@ impl Dcache {
         let mut removed = false;
         self.bucket(key).publish(|v| {
             let mut kept = Vec::with_capacity(v.len());
-            for d in v.iter() {
-                if d.is_live_match(key) {
-                    d.begin_modify().unhash();
+            for t in v.iter() {
+                if t.dentry.is_live_match(key) {
+                    t.dentry.begin_modify().unhash();
                     // Drop the cache's reference; the object is freed when
                     // the last user reference goes away.
-                    d.put(core);
+                    t.dentry.put(core);
                     removed = true;
                 } else {
-                    kept.push(Arc::clone(d));
+                    kept.push(t.clone());
                 }
             }
             kept
@@ -317,12 +351,12 @@ impl Dcache {
             let mut victims = Vec::new();
             bucket.publish(|v| {
                 let mut kept = Vec::with_capacity(v.len());
-                for d in v.iter() {
+                for t in v.iter() {
                     // Only the cache's reference remains → evictable.
-                    if evicted + victims.len() < target && d.references() == 1 {
-                        victims.push(Arc::clone(d));
+                    if evicted + victims.len() < target && t.dentry.references() == 1 {
+                        victims.push(Arc::clone(&t.dentry));
                     } else {
-                        kept.push(Arc::clone(d));
+                        kept.push(t.clone());
                     }
                 }
                 kept
@@ -455,7 +489,7 @@ mod tests {
             let d = c.insert(key, InodeId(9), core).unwrap();
             let guard = rcu::read_lock();
             let bucket = c.buckets[h.finish() as usize & c.mask].read(&guard);
-            assert!(bucket.iter().any(|b| Arc::ptr_eq(b, &d)));
+            assert!(bucket.iter().any(|b| Arc::ptr_eq(&b.dentry, &d)));
         }
     }
 
@@ -487,12 +521,122 @@ mod tests {
         let c = cache(true);
         let key = DentryKey::new(InodeId(1), "f");
         let planted: Vec<_> = (0..2)
-            .map(|_| Dentry::new(key.clone(), InodeId(5), true, 4))
+            .map(|_| Tagged {
+                hash: key.probe().hash(),
+                dentry: Dentry::new(key.clone(), InodeId(5), true, 4),
+            })
             .collect();
         c.bucket(&key.probe()).publish(|_| planted.clone());
         assert!(c.remove(&key, CoreId(0)));
         assert!(c.is_empty());
-        assert!(planted.iter().all(|d| d.is_unhashed()));
+        assert!(planted.iter().all(|t| t.dentry.is_unhashed()));
+    }
+
+    /// Every bucket entry's tag is its dentry's key hash, and it sits in
+    /// the bucket that hash selects.
+    fn assert_tags_match(c: &Dcache) {
+        let guard = rcu::read_lock();
+        for (i, bucket) in c.buckets.iter().enumerate() {
+            for t in bucket.read(&guard).iter() {
+                assert_eq!(t.hash, t.dentry.key.probe().hash(), "{:?}", t.dentry.key);
+                assert_eq!(t.hash as usize & c.mask, i, "{:?}", t.dentry.key);
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_tags_follow_insert_cache_remove_and_shrink() {
+        for lockfree in [false, true] {
+            // Eight buckets for forty names: most buckets chain.
+            let mut cfg = VfsConfig::pk(4);
+            cfg.lockfree_dlookup = lockfree;
+            let c = Dcache::new(8, cfg, Arc::new(VfsStats::new()));
+            let key = |i: u64| DentryKey::new(InodeId(i % 3), format!("n{i}"));
+            let core = CoreId(1);
+            for i in 0..20 {
+                c.insert(key(i), InodeId(i), core).unwrap().put(core);
+            }
+            for i in 20..40 {
+                c.cache(key(i), InodeId(i), core).unwrap();
+            }
+            // A repeat insert finds the live dentry and pushes nothing.
+            c.insert(key(3), InodeId(3), core).unwrap().put(core);
+            assert_eq!(c.len(), 40);
+            assert_tags_match(&c);
+            for i in (0..40).step_by(3) {
+                assert!(c.remove(&key(i), core));
+            }
+            assert_tags_match(&c);
+            let held = c.lookup(&key(1), core).unwrap();
+            assert_eq!(c.shrink(10, core), 10);
+            assert_tags_match(&c);
+            for i in (0..40).filter(|i| i % 3 != 0) {
+                if let Some(d) = c.lookup(&key(i), core) {
+                    assert_eq!(d.inode(), InodeId(i), "a tag led to the wrong dentry");
+                    d.put(core);
+                }
+            }
+            assert!(
+                c.lookup(&key(1), core).is_some(),
+                "a held entry is not shrunk"
+            );
+            held.put(core);
+        }
+    }
+
+    #[test]
+    fn pk_skips_a_neighbour_under_modification_by_its_tag() {
+        // One bucket, so the neighbour is the first candidate every
+        // lookup meets.
+        let neighbour = DentryKey::new(InodeId(1), "neighbour");
+        let target = DentryKey::new(InodeId(1), "target");
+        let fill = |c: &Dcache| {
+            let n = c.insert(neighbour.clone(), InodeId(2), CoreId(0)).unwrap();
+            c.cache(target.clone(), InodeId(3), CoreId(0)).unwrap();
+            n
+        };
+        let stats = Arc::new(VfsStats::new());
+        let pk = Arc::new(Dcache::new(1, VfsConfig::pk(4), Arc::clone(&stats)));
+        let held = fill(&pk);
+        {
+            // A rename or unlink of the neighbour in flight: its `d_lock`
+            // held, its generation parked at 0.
+            let _modify = held.begin_modify();
+            assert_eq!(pk.peek(&target), Some(Some(InodeId(3))));
+            // Without the tag the lookup falls back to the neighbour's
+            // `d_lock` and spins on it: run it where a bounded wait can
+            // say so.
+            let (done, hit) = std::sync::mpsc::channel();
+            let (pk, target) = (Arc::clone(&pk), target.clone());
+            let walker = std::thread::spawn(move || {
+                let hit = pk.lookup(&target, CoreId(1)).map(|d| {
+                    d.put(CoreId(1));
+                    d.inode()
+                });
+                done.send(hit).expect("the test waits for the lookup");
+            });
+            let hit = hit
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("the lookup stopped at the neighbour's d_lock");
+            assert_eq!(hit, Some(InodeId(3)));
+            walker.join().expect("the lookup thread");
+        }
+        let load = |c: &pk_percpu::Tally| c.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(load(&stats.lockfree_fallbacks), 0);
+        assert_eq!(load(&stats.dentry_lock_acquisitions), 0);
+        assert_eq!(load(&stats.lockfree_lookups), 1);
+        // Stock locks every candidate it compares, tag or no tag: the
+        // neighbour, then the target.
+        let stock_stats = Arc::new(VfsStats::new());
+        let stock = Dcache::new(1, VfsConfig::stock(4), Arc::clone(&stock_stats));
+        fill(&stock).put(CoreId(0));
+        stock.lookup(&target, CoreId(1)).unwrap().put(CoreId(1));
+        assert_eq!(load(&stock_stats.dentry_lock_acquisitions), 2);
+        assert!(stock
+            .lookup(&DentryKey::new(InodeId(1), "absent"), CoreId(1))
+            .is_none());
+        assert_eq!(load(&stock_stats.dentry_lock_acquisitions), 4);
+        held.put(CoreId(0));
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //! placement (and with it every collision the goldens pin) is the one
 //! the cache has always had.
 //!
-//! Inside a comparison the stored hash is the first reject, but only
-//! *after* `d_lock` is taken (stock) or the generation is read (PK):
-//! the protocols touch the same shared state in the same order whether
-//! or not the hashes differ, so no `VfsStats` counter depends on it.
+//! PK rejects on the hash before it reaches a dentry: each dcache bucket
+//! entry carries its dentry's hash as a tag (Linux's `hash_len`, which
+//! `__d_lookup_rcu` compares first), so PK's lookups skip a neighbour
+//! whose tag differs without reading its generation or taking its lock.
+//! Stock takes `d_lock` on every candidate and only then compares, the
+//! stored hash first, so its `d_lock` counts do not depend on the
+//! hashes.
 
 use crate::inode::InodeId;
 use pk_percpu::CoreId;
@@ -107,7 +110,8 @@ impl<'a> From<&'a DentryKey> for DentryProbe<'a> {
 ///
 /// Carries the paper's full §4.4 machinery:
 ///
-/// * a reference count that is atomic (stock) or sloppy (PK),
+/// * a reference count that is atomic (stock), sloppy (PK) or per-core
+///   (PK generation-2),
 /// * the per-dentry spin lock the stock `dlookup` takes to compare
 ///   fields,
 /// * the generation counter PK uses for lock-free comparison (0 while a
@@ -122,7 +126,7 @@ pub struct Dentry {
     /// Unhashed flag: set when the entry is removed from the cache
     /// (unlink/rename); lookups must then miss.
     unhashed: AtomicBool,
-    /// Reference count (atomic in stock, sloppy in PK).
+    /// Reference count (atomic in stock, sloppy or per-core in PK).
     refcount: RefCount,
     /// The per-dentry spin lock (`d_lock`).
     lock: SpinLock<()>,
@@ -137,8 +141,8 @@ impl Dentry {
     }
 
     /// [`Dentry::new`] with an explicit refcount backing — how the
-    /// dcache selects the generation-2 SNZI tree when
-    /// `VfsConfig::snzi_refs` is set.
+    /// dcache selects the generation-2 per-core count when
+    /// `VfsConfig::percore_refs` is set.
     pub fn with_refcount(key: DentryKey, inode: InodeId, refcount: RefCount) -> Arc<Self> {
         let d = Arc::new(Self {
             key,

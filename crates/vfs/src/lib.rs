@@ -3,7 +3,8 @@
 //! The paper's file-system bottlenecks (Figure 1) all live here:
 //!
 //! * **dentry reference counting** — [`Dentry`] refcounts are atomic in
-//!   the stock configuration and sloppy in PK (§4.3).
+//!   the stock configuration, sloppy in PK (§4.3) and per-core under
+//!   PK's generation-2 fix (§7).
 //! * **dentry spin locks during lookup** — [`Dcache::lookup`] uses either
 //!   the locking compare or the lock-free generation-counter protocol
 //!   (§4.4).

@@ -33,8 +33,8 @@ impl VfsMount {
     }
 
     /// [`VfsMount::new`] with an explicit refcount backing — how the
-    /// mount table selects the generation-2 SNZI tree when
-    /// `VfsConfig::snzi_refs` is set.
+    /// mount table selects the generation-2 per-core count when
+    /// `VfsConfig::percore_refs` is set.
     pub fn with_refcount(mount_point: impl Into<String>, refcount: RefCount) -> Arc<Self> {
         Arc::new(Self {
             mount_point: mount_point.into(),
@@ -139,9 +139,8 @@ impl MountTable {
             mount_point,
             pk_sloppy::RefCount::new_scaled(
                 self.config.sloppy_vfsmount_refs,
-                self.config.snzi_refs,
+                self.config.percore_refs,
                 self.config.cores,
-                pk_percpu::SOCKETS,
             ),
         );
         {

@@ -5,7 +5,8 @@
 //! examples and downstream users can depend on a single package:
 //!
 //! * [`sloppy`] — sloppy counters, the paper's new technique (§4.3), plus
-//!   the comparison counters (SNZI, distributed, approximate).
+//!   per-core reference counts and the comparison counters (SNZI, plain
+//!   atomic).
 //! * [`percpu`] / [`sync`] — per-CPU infrastructure and the lock zoo.
 //! * [`vfs`] / [`net`] / [`mm`] / [`proc`] — the kernel subsystems the
 //!   paper's 16 fixes live in, each with stock and PK variants.
