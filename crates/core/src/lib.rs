@@ -27,10 +27,12 @@
 //! reference, get/put, the expensive settle-on-dealloc, no resurrection)
 //! is written once and runs over any of the counters: [`SloppyRefCount`]
 //! and [`PerCoreRefCount`] are its aliases over a sloppy counter and over
-//! per-core counts summed on deallocation (Linux's later `percpu_ref`),
-//! and [`RefCount`] picks between those and the stock kernel's shared
-//! atomic word at object-creation time. [`SnziRefCount`], the lifecycle
-//! over a SNZI tree, is kept for comparison; no kernel object uses it.
+//! per-core counts summed on deallocation (Linux's later `percpu_ref`,
+//! its shares one lane of a [`pk_percpu::PerCoreArena`] the caller
+//! owns), and [`RefCount`] picks between those and the stock kernel's
+//! shared atomic word at object-creation time. [`SnziRefCount`], the
+//! lifecycle over a SNZI tree, is kept for comparison; no kernel object
+//! uses it.
 //!
 //! The [`Counter`] trait (`add` fast, `value` exact) is what a
 //! [`Lifecycle`] counts in and what protocol-memory accounting charges;

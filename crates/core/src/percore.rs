@@ -7,10 +7,19 @@
 //! count is whatever its gets minus its puts come to, negative where
 //! references taken elsewhere were dropped, and only the sum over every
 //! core means anything.
+//!
+//! The shares live in a [`PerCoreArena`] owned by whoever creates the
+//! counts (the dcache, the mount table, the dst cache), as `percpu_ref`'s
+//! live in `alloc_percpu` memory: a count is one 16-byte lane per core,
+//! packed 64 objects to a per-core row. Only core `c` writes row `c`, so
+//! the eight counts that share a line are all written by the core that
+//! owns it, and the dense rows cost a count `cores × 16` bytes where a
+//! cache-aligned line per core cost `cores × 128` (see
+//! [`pk_percpu::arena`] for the full argument).
 
 use crate::traits::Counter;
-use pk_percpu::{owner_add, CoreId, PerCore};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use pk_percpu::{owner_add, CoreId, PerCoreArena, PerCoreLane};
+use std::sync::atomic::Ordering;
 
 /// One counter split into per-core counts that are never reconciled
 /// into a central word: the value is their sum.
@@ -28,10 +37,11 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 /// # Examples
 ///
 /// ```
-/// use pk_percpu::CoreId;
+/// use pk_percpu::{CoreId, PerCoreArena};
 /// use pk_sloppy::{Counter, PerCoreCount};
 ///
-/// let c = PerCoreCount::new(4);
+/// let arena = PerCoreArena::new(4);
+/// let c = PerCoreCount::new(&arena);
 /// c.add(CoreId(1), 1); // a get on core 1
 /// c.add(CoreId(3), -1); // its put, migrated to core 3
 /// assert_eq!(c.value(), 0);
@@ -39,26 +49,19 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 /// ```
 #[derive(Debug)]
 pub struct PerCoreCount {
-    slots: PerCore<Slot>,
-}
-
-/// One core's share of the count and the operations that moved it, on
-/// one line.
-#[derive(Debug, Default)]
-struct Slot {
-    count: AtomicI64,
-    /// Operations on this slot. Written with a relaxed load + store by
-    /// the acting core, so it is exact under the one-thread-per-core
-    /// discipline `check_percore_mutation` enforces; threads sharing a
-    /// `CoreId` may lose counts here (never references).
-    ops: AtomicU64,
+    /// This count's slot in each core's row. A slot's `ops` is written
+    /// with a relaxed load + store by the acting core, so it is exact
+    /// under the one-thread-per-core discipline `check_percore_mutation`
+    /// enforces; threads sharing a `CoreId` may lose counts there (never
+    /// references).
+    lane: PerCoreLane,
 }
 
 impl PerCoreCount {
-    /// Creates a zeroed counter with one slot per core.
-    pub fn new(cores: usize) -> Self {
+    /// Creates a zeroed counter with one slot per `arena` core.
+    pub fn new(arena: &PerCoreArena) -> Self {
         Self {
-            slots: PerCore::new(cores),
+            lane: arena.alloc(),
         }
     }
 }
@@ -67,7 +70,7 @@ impl Counter for PerCoreCount {
     #[inline]
     fn add(&self, core: CoreId, delta: i64) {
         pk_lockdep::check_percore_mutation("percore.ref.slot", core.index());
-        let slot = self.slots.get(core);
+        let slot = self.lane.get(core);
         // A put's release pairs with `value`'s acquire loads: what a
         // holder did before its put happens-before a settle that sums
         // the put.
@@ -75,17 +78,22 @@ impl Counter for PerCoreCount {
         owner_add(&slot.ops, 1);
     }
 
-    /// Sums every core's count: one read of each core's line.
+    /// Sums every core's count: one read of each core's row.
     fn value(&self) -> i64 {
-        self.slots
-            .fold(0, |a, s| a + s.count.load(Ordering::Acquire))
+        self.lane
+            .iter()
+            .map(|s| s.count.load(Ordering::Acquire))
+            .sum()
     }
 
     /// No operation writes a shared line.
     fn op_counts(&self) -> (u64, u64) {
         (
             0,
-            self.slots.fold(0, |a, s| a + s.ops.load(Ordering::Relaxed)),
+            self.lane
+                .iter()
+                .map(|s| s.ops.load(Ordering::Relaxed))
+                .sum(),
         )
     }
 }
@@ -96,7 +104,7 @@ mod tests {
 
     #[test]
     fn migrated_operations_sum_exactly_and_stay_local() {
-        let c = PerCoreCount::new(4);
+        let c = PerCoreCount::new(&PerCoreArena::new(4));
         for core in 0..4 {
             c.add(CoreId(core), 3);
             c.add(CoreId(3 - core), -1);
@@ -107,7 +115,7 @@ mod tests {
         c.add(CoreId(6), -8);
         assert_eq!(c.value(), 0);
         assert_eq!(
-            c.slots.get(CoreId(2)).count.load(Ordering::Relaxed),
+            c.lane.get(CoreId(2)).count.load(Ordering::Relaxed),
             3 - 1 - 8
         );
     }

@@ -5,7 +5,7 @@ use crate::percore::PerCoreCount;
 use crate::sloppy::SloppyCounter;
 use crate::snzi::Snzi;
 use crate::traits::Counter;
-use pk_percpu::CoreId;
+use pk_percpu::{CoreId, PerCoreArena};
 use pk_sync::SpinLock;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -195,15 +195,17 @@ impl Backing for SloppyCounter {
 /// dentries, vfsmounts and dst entries run on, the fast path of Linux's
 /// `percpu_ref`. A get or put is one RMW on the acting core's own line,
 /// whichever core took the reference, with no threshold to trip and no
-/// central word behind it; `try_dealloc` sums the cores.
+/// central word behind it; `try_dealloc` sums the cores. Its per-core
+/// shares are one lane of the [`PerCoreArena`] it is created from.
 ///
 /// # Examples
 ///
 /// ```
-/// use pk_percpu::CoreId;
+/// use pk_percpu::{CoreId, PerCoreArena};
 /// use pk_sloppy::PerCoreRefCount;
 ///
-/// let rc = PerCoreRefCount::new(4);
+/// let arena = PerCoreArena::new(4);
+/// let rc = PerCoreRefCount::new(&arena);
 /// rc.get(CoreId(1)).unwrap();
 /// rc.put(CoreId(2)); // dropped on another core
 /// assert_eq!(rc.op_counts(), (0, 3), "creator's reference, get, put: all local");
@@ -213,9 +215,10 @@ impl Backing for SloppyCounter {
 pub type PerCoreRefCount = Lifecycle<PerCoreCount>;
 
 impl PerCoreRefCount {
-    /// Creates a refcount of 1 (the creator's reference) over `cores`.
-    pub fn new(cores: usize) -> Self {
-        Self::charged(PerCoreCount::new(cores))
+    /// Creates a refcount of 1 (the creator's reference) in a lane of
+    /// `arena`.
+    pub fn new(arena: &PerCoreArena) -> Self {
+        Self::charged(PerCoreCount::new(arena))
     }
 }
 
@@ -364,21 +367,26 @@ macro_rules! delegate {
 }
 
 impl RefCount {
-    /// Creates the variant selected by `sloppy`.
+    /// Creates the variant selected by `sloppy`: a sloppy counter over
+    /// `cores`, or the shared atomic.
     pub fn new(sloppy: bool, cores: usize) -> Self {
-        Self::new_scaled(sloppy, false, cores)
+        if sloppy {
+            Self::Sloppy(SloppyRefCount::new(cores))
+        } else {
+            // The creator's reference is the initial value, not an op.
+            Self::Atomic(Lifecycle::holding(CountAndOps::new(1)))
+        }
     }
 
-    /// Picks the backing by fix generation: per-core counts when both
-    /// the sloppy-counter fix and its generation-2 upgrade are enabled,
-    /// the flat sloppy counter under plain PK, the shared atomic
-    /// otherwise.
-    pub fn new_scaled(sloppy: bool, percore: bool, cores: usize) -> Self {
-        match (sloppy, percore) {
-            (true, true) => Self::PerCore(PerCoreRefCount::new(cores)),
-            (true, false) => Self::Sloppy(SloppyRefCount::new(cores)),
-            // The creator's reference is the initial value, not an op.
-            (false, _) => Self::Atomic(Lifecycle::holding(CountAndOps::new(1))),
+    /// Picks the backing by fix generation: per-core counts in a lane of
+    /// `arena` when both the sloppy-counter fix and its generation-2
+    /// upgrade are enabled, otherwise [`RefCount::new`] over the
+    /// arena's cores.
+    pub fn new_scaled(sloppy: bool, percore: bool, arena: &PerCoreArena) -> Self {
+        if sloppy && percore {
+            Self::PerCore(PerCoreRefCount::new(arena))
+        } else {
+            Self::new(sloppy, arena.cores())
         }
     }
 
@@ -421,7 +429,8 @@ mod tests {
         ($body:ident) => {{
             $body(|| Lifecycle::holding(CountAndOps::new(1)));
             $body(|| SloppyRefCount::new(4));
-            $body(|| PerCoreRefCount::new(4));
+            let arena = PerCoreArena::new(4);
+            $body(|| PerCoreRefCount::new(&arena));
             $body(|| SnziRefCount::new(4, 2));
         }};
     }
@@ -546,7 +555,8 @@ mod tests {
 
     #[test]
     fn new_scaled_picks_backing_by_fix_generation() {
-        let rc = RefCount::new_scaled(true, true, 16);
+        let arena = PerCoreArena::new(16);
+        let rc = RefCount::new_scaled(true, true, &arena);
         assert!(matches!(rc, RefCount::PerCore(_)));
         rc.get(CoreId(9)).unwrap();
         rc.put(CoreId(2));
@@ -555,11 +565,11 @@ mod tests {
         // Sloppy without the gen-2 flag stays sloppy, no sloppy at all
         // stays atomic whatever the per-core flag says.
         assert!(matches!(
-            RefCount::new_scaled(true, false, 8),
+            RefCount::new_scaled(true, false, &arena),
             RefCount::Sloppy(_)
         ));
         assert!(matches!(
-            RefCount::new_scaled(false, true, 8),
+            RefCount::new_scaled(false, true, &arena),
             RefCount::Atomic { .. }
         ));
     }
@@ -567,7 +577,7 @@ mod tests {
     #[test]
     fn percore_settle_sums_counts_past_the_32_bit_range() {
         // One add each, not a loop: a core's count far outside ±2³¹.
-        let count = PerCoreCount::new(4);
+        let count = PerCoreCount::new(&PerCoreArena::new(4));
         count.add(CoreId(1), 3 << 31);
         count.add(CoreId(2), -(5 << 31));
         count.add(CoreId(3), 2 << 31);

@@ -1,7 +1,7 @@
 //! The destination (routing) cache and its reference counts.
 
 use crate::config::NetConfig;
-use pk_percpu::{CoreId, IntKeyMap};
+use pk_percpu::{CoreId, IntKeyMap, PerCoreArena};
 use pk_sloppy::{DeallocError, RefCount};
 use pk_sync::rcu::{self, RcuCell, RcuReadGuard};
 use std::sync::Arc;
@@ -88,6 +88,9 @@ struct Routes {
 #[derive(Debug)]
 pub struct DstCache {
     routes: RcuCell<Routes>,
+    /// The per-core shares of the routes' reference counts under
+    /// `percore_dst_refs`.
+    arena: PerCoreArena,
     config: NetConfig,
 }
 
@@ -96,6 +99,7 @@ impl DstCache {
     pub fn new(config: NetConfig) -> Self {
         Self {
             routes: RcuCell::new(Routes::default()),
+            arena: PerCoreArena::new(config.cores),
             config,
         }
     }
@@ -128,16 +132,13 @@ impl DstCache {
     /// inside one, the retire's `call_rcu` only queues the old snapshot
     /// and leaves its reap to a later retire.
     pub fn insert(&self, dest_ip: u32) {
-        let config = self.config;
+        let (config, arena) = (self.config, &self.arena);
         let _already_cached = self.routes.try_publish(|routes| {
             if routes.live.contains_key(&dest_ip) {
                 return Err(());
             }
-            let refcount = RefCount::new_scaled(
-                config.sloppy_dst_refs,
-                config.percore_dst_refs,
-                config.cores,
-            );
+            let refcount =
+                RefCount::new_scaled(config.sloppy_dst_refs, config.percore_dst_refs, arena);
             let entry = DstEntry::with_refcount(dest_ip, dest_ip ^ 0x0101_0101, refcount);
             let mut routes = routes.clone();
             routes.live.insert(dest_ip, Arc::new(entry));

@@ -13,6 +13,9 @@
 //! * [`PerCore`] — a fixed array of cache-aligned slots indexed by
 //!   [`CoreId`], standing in for the kernel's `DEFINE_PER_CPU` machinery
 //!   (paper §4.5).
+//! * [`PerCoreArena`] — per-object `{count, ops}` slots packed densely
+//!   into per-core rows, standing in for `alloc_percpu`: what a per-core
+//!   reference count's shares live in.
 //! * [`Tally`] — event counters bumped with a plain load
 //!   and store on a row only the calling thread writes, standing in for
 //!   `this_cpu_inc` statistics.
@@ -35,12 +38,14 @@
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
+pub mod arena;
 mod inthash;
 mod padded;
 mod percore;
 pub mod registry;
 mod tally;
 
+pub use arena::{CountSlot, PerCoreArena, PerCoreLane, ARENA_LANES};
 pub use inthash::{IntKeyHasher, IntKeyMap};
 pub use padded::{CacheAligned, CACHE_LINE_BYTES};
 pub use percore::PerCore;

@@ -6,7 +6,7 @@ use crate::error::VfsError;
 use crate::inode::InodeId;
 use crate::stats::VfsStats;
 use pk_fault::{FaultPlane, FaultPoint};
-use pk_percpu::CoreId;
+use pk_percpu::{CoreId, PerCoreArena};
 use pk_sync::rcu::{self, RcuCell};
 use std::sync::Arc;
 
@@ -67,6 +67,9 @@ pub struct Dcache {
     buckets: Box<[RcuCell<Vec<Tagged>>]>,
     mask: usize,
     config: VfsConfig,
+    /// The per-core shares of the dentries' reference counts under
+    /// `percore_refs`.
+    arena: PerCoreArena,
     stats: Arc<VfsStats>,
     /// `vfs.dentry_alloc`: a dentry allocation fails with ENOMEM.
     fault_alloc: FaultPoint,
@@ -95,6 +98,7 @@ impl Dcache {
         Self {
             buckets: (0..n).map(|_| RcuCell::new(Vec::new())).collect(),
             mask: n - 1,
+            arena: PerCoreArena::new(config.cores),
             config,
             stats,
             fault_alloc: faults.point("vfs.dentry_alloc"),
@@ -274,7 +278,7 @@ impl Dcache {
             pk_sloppy::RefCount::new_scaled(
                 self.config.sloppy_dentry_refs,
                 self.config.percore_refs,
-                self.config.cores,
+                &self.arena,
             ),
         );
         // The cache holds the creation reference; take one for the caller.
@@ -660,6 +664,32 @@ mod tests {
                 .load(std::sync::atomic::Ordering::Relaxed),
             0
         );
+    }
+
+    #[test]
+    fn pk_dentries_take_sixteen_bytes_per_core_of_arena() {
+        const N: usize = 5_000;
+        const CORES: usize = 4;
+        let c = Dcache::new(1_024, VfsConfig::pk(CORES), Arc::new(VfsStats::new()));
+        let before = c.arena.bytes();
+        for i in 0..N {
+            let key = DentryKey::new(InodeId(1), format!("f{i}"));
+            c.cache(key, InodeId(i as u64 + 2), CoreId(i % CORES))
+                .unwrap();
+        }
+        let grown = c.arena.bytes() - before;
+        let group = CORES * pk_percpu::ARENA_LANES * 16;
+        assert!(
+            grown <= N * CORES * 16 + group,
+            "{grown} bytes of arena for {N} dentries"
+        );
+        // Stock dentries count on one shared word: no arena at all.
+        let stock = Dcache::new(64, VfsConfig::stock(CORES), Arc::new(VfsStats::new()));
+        for i in 0..100 {
+            let key = DentryKey::new(InodeId(1), format!("f{i}"));
+            stock.cache(key, InodeId(2), CoreId(0)).unwrap();
+        }
+        assert_eq!(stock.arena.bytes(), 0);
     }
 
     #[test]

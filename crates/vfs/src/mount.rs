@@ -8,7 +8,7 @@
 
 use crate::config::VfsConfig;
 use crate::stats::VfsStats;
-use pk_percpu::{CoreId, PerCore};
+use pk_percpu::{CoreId, PerCore, PerCoreArena};
 use pk_sloppy::{DeallocError, RefCount};
 use pk_sync::{rcu, SpinLock};
 use std::sync::Arc;
@@ -96,6 +96,9 @@ pub struct MountTable {
     /// core's cache. A full snapshot gives exactly the central answer
     /// until the next mount/umount invalidates it.
     percore: PerCore<SpinLock<Option<MountMap>>>,
+    /// The per-core shares of the mounts' reference counts under
+    /// `percore_refs`.
+    arena: PerCoreArena,
     config: VfsConfig,
     stats: Arc<VfsStats>,
 }
@@ -115,6 +118,7 @@ impl MountTable {
                 l.set_class(percore_class);
                 l
             }),
+            arena: PerCoreArena::new(config.cores),
             config,
             stats,
         };
@@ -140,7 +144,7 @@ impl MountTable {
             pk_sloppy::RefCount::new_scaled(
                 self.config.sloppy_vfsmount_refs,
                 self.config.percore_refs,
-                self.config.cores,
+                &self.arena,
             ),
         );
         {

@@ -59,6 +59,43 @@ pub struct ParentAndLeaf<'p> {
     pub name: &'p str,
 }
 
+/// Whether absolute `path` has a `..` component: a `/..` followed by a
+/// `/` or the end. One substring search answers for the paths without
+/// any `/..`, which is nearly all of them.
+fn has_dotdot(path: &str) -> bool {
+    path.contains("/..")
+        && path
+            .match_indices("/..")
+            .any(|(at, _)| matches!(path.as_bytes().get(at + 3), None | Some(b'/')))
+}
+
+/// The components of an absolute path, found by scanning its bytes for
+/// `/`: empty components (`//`, a trailing `/`) and `.` are skipped.
+struct Components<'p> {
+    rest: &'p str,
+}
+
+impl<'p> Iterator for Components<'p> {
+    type Item = &'p str;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'p str> {
+        loop {
+            let bytes = self.rest.as_bytes();
+            let start = bytes.iter().position(|&b| b != b'/')?;
+            let end = bytes[start..]
+                .iter()
+                .position(|&b| b == b'/')
+                .map_or(bytes.len(), |len| start + len);
+            let component = &self.rest[start..end];
+            self.rest = &self.rest[end..];
+            if component != "." {
+                return Some(component);
+            }
+        }
+    }
+}
+
 impl<'a> PathWalker<'a> {
     /// Creates a walker over the given structures.
     pub fn new(fs: &'a Tmpfs, dcache: &'a Dcache, mounts: &'a MountTable) -> Self {
@@ -72,10 +109,10 @@ impl<'a> PathWalker<'a> {
     /// — both checked here, before the first component is yielded, so a
     /// malformed path fails before any of it is walked.
     pub fn components(path: &str) -> Result<impl Iterator<Item = &str>, VfsError> {
-        if !path.starts_with('/') || path.split('/').any(|c| c == "..") {
+        if !path.starts_with('/') || has_dotdot(path) {
             return Err(VfsError::InvalidArgument);
         }
-        Ok(path.split('/').filter(|c| !matches!(*c, "" | ".")))
+        Ok(Components { rest: path })
     }
 
     /// Resolves one component under directory `dir`, going through the
@@ -295,10 +332,47 @@ mod tests {
         let split = |p| PathWalker::components(p).map(|c| c.collect::<Vec<_>>());
         assert_eq!(split("/a//b/./c"), Ok(vec!["a", "b", "c"]));
         assert_eq!(split("/"), Ok(vec![]));
+        assert_eq!(split("//"), Ok(vec![]));
+        assert_eq!(split("//a///b"), Ok(vec!["a", "b"]));
+        assert_eq!(split("/./."), Ok(vec![]));
+        assert_eq!(split("/a/./.b/."), Ok(vec!["a", ".b"]));
+        assert_eq!(split("/a/b/"), Ok(vec!["a", "b"]));
+        assert_eq!(
+            split("/htdocs/index.html"),
+            Ok(vec!["htdocs", "index.html"])
+        );
+        // Names that merely contain dots are names.
+        assert_eq!(
+            split("/.../a..b/..c/d.."),
+            Ok(vec!["...", "a..b", "..c", "d.."])
+        );
+        assert_eq!(split(""), Err(VfsError::InvalidArgument));
+        assert_eq!(split("rel"), Err(VfsError::InvalidArgument));
         assert_eq!(split("rel/path"), Err(VfsError::InvalidArgument));
         assert_eq!(split("/a/../b"), Err(VfsError::InvalidArgument));
         // `..` anywhere fails the whole path before a component is yielded.
         assert_eq!(split("/a/b/.."), Err(VfsError::InvalidArgument));
+        assert_eq!(split("/.."), Err(VfsError::InvalidArgument));
+        assert_eq!(split("/a/..//"), Err(VfsError::InvalidArgument));
+        assert_eq!(split("/a/.../.."), Err(VfsError::InvalidArgument));
+    }
+
+    proptest::proptest! {
+        /// The byte scanner yields what the `split('/')` definition
+        /// yields, and fails exactly where it fails.
+        #[test]
+        fn components_match_the_split_definition(
+            chars in proptest::collection::vec(0..3usize, 0..12),
+        ) {
+            let path: String = chars.into_iter().map(|c| ['/', '.', 'a'][c]).collect();
+            let reference = if !path.starts_with('/') || path.split('/').any(|c| c == "..") {
+                Err(VfsError::InvalidArgument)
+            } else {
+                Ok(path.split('/').filter(|c| !matches!(*c, "" | ".")).collect::<Vec<_>>())
+            };
+            let scanned = PathWalker::components(&path).map(|c| c.collect::<Vec<_>>());
+            proptest::prop_assert_eq!(scanned, reference);
+        }
     }
 
     #[test]
