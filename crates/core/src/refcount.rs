@@ -349,8 +349,12 @@ impl Backing for CountAndOps {
 pub enum RefCount {
     /// One shared atomic counter; every get/put bounces its cache line.
     Atomic(Lifecycle<CountAndOps>),
-    /// A sloppy counter (PK).
-    Sloppy(SloppyRefCount),
+    /// A sloppy counter (PK). Boxed: it is the widest backing (88 B),
+    /// and inline it would size every dentry, vfsmount and dst, stock
+    /// and per-core ones included. Only a fix set with a sloppy fix but
+    /// not its generation-2 upgrade builds this arm — the adaptive
+    /// personality promoting `SloppyDentryRefs`, or an ablation.
+    Sloppy(Box<SloppyRefCount>),
     /// Per-core counts summed on deallocation (PK generation-2).
     PerCore(PerCoreRefCount),
 }
@@ -371,7 +375,7 @@ impl RefCount {
     /// `cores`, or the shared atomic.
     pub fn new(sloppy: bool, cores: usize) -> Self {
         if sloppy {
-            Self::Sloppy(SloppyRefCount::new(cores))
+            Self::Sloppy(Box::new(SloppyRefCount::new(cores)))
         } else {
             // The creator's reference is the initial value, not an op.
             Self::Atomic(Lifecycle::holding(CountAndOps::new(1)))
@@ -572,6 +576,16 @@ mod tests {
             RefCount::new_scaled(false, true, &arena),
             RefCount::Atomic { .. }
         ));
+    }
+
+    /// The enum is as wide as its widest inline arm, and it sits in
+    /// every dentry, vfsmount and dst: the sloppy arm is boxed so that
+    /// the per-core and atomic backings set the size.
+    #[test]
+    fn refcount_is_sized_by_its_inline_backings() {
+        use std::mem::size_of;
+        assert!(size_of::<SloppyRefCount>() > size_of::<RefCount>());
+        assert!(size_of::<RefCount>() <= 80, "{} B", size_of::<RefCount>());
     }
 
     #[test]

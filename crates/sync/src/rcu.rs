@@ -711,6 +711,81 @@ mod tests {
         assert!(updated.load(Ordering::SeqCst));
     }
 
+    /// Runs `grace` on a writer thread beside one reader thread and
+    /// checks the writer cannot finish while the reader is in its
+    /// section. `grace` is handed the reader's entry: a call that starts
+    /// the section and returns once the reader is inside, with nothing
+    /// published or retired in between, so the reader holds the epoch
+    /// that is current at that moment — the one a grace period started
+    /// next must still wait out.
+    fn grace_outlasts_a_reader_of_the_current_epoch(
+        grace: impl FnOnce(Box<dyn Fn() + Send>) + Send + 'static,
+    ) {
+        let flag = || Arc::new(AtomicBool::new(false));
+        let (enter, inside, release, done) = (flag(), flag(), flag(), flag());
+        let reader = {
+            let (enter, inside, release) = (enter.clone(), inside.clone(), release.clone());
+            std::thread::spawn(move || {
+                while !enter.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                let g = read_lock();
+                inside.store(true, Ordering::SeqCst);
+                while !release.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                drop(g);
+            })
+        };
+        let writer = {
+            let (inside, done) = (inside.clone(), done.clone());
+            std::thread::spawn(move || {
+                grace(Box::new(move || {
+                    enter.store(true, Ordering::SeqCst);
+                    while !inside.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                }));
+                done.store(true, Ordering::SeqCst);
+            })
+        };
+        while !inside.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!done.load(Ordering::SeqCst), "grace period ended early");
+        release.store(true, Ordering::SeqCst);
+        reader.join().unwrap();
+        writer.join().unwrap();
+        assert!(done.load(Ordering::SeqCst));
+    }
+
+    /// `synchronize` must open a new epoch, not wait on the current
+    /// one: a reader that entered in the current epoch predates the
+    /// call. No writer advances the epoch first here, unlike
+    /// `synchronize_waits_for_reader`, whose `publish` does.
+    #[test]
+    fn synchronize_waits_for_a_reader_of_the_current_epoch() {
+        grace_outlasts_a_reader_of_the_current_epoch(|enter| {
+            enter();
+            synchronize();
+        });
+    }
+
+    /// The same through the overflow spill: the probe runs inside
+    /// `call_rcu` after its epoch advance, so the reader enters in the
+    /// epoch the spill's `synchronize` starts from.
+    #[test]
+    fn a_forced_spill_waits_for_a_reader_of_the_current_epoch() {
+        let before = stats_snapshot().spills;
+        grace_outlasts_a_reader_of_the_current_epoch(|enter| {
+            pk_lockdep::probe::with(SPILL_SITE, pk_lockdep::probe::once(enter), || {
+                defer_drop(Box::new(0u8))
+            });
+        });
+        assert!(stats_snapshot().spills > before, "took the spill path");
+    }
+
     #[test]
     fn concurrent_readers_and_writers() {
         let cell = Arc::new(RcuCell::new(vec![0u64; 8]));

@@ -11,12 +11,16 @@
 //!
 //! The capacity is a promise, not an allocation: slots live in
 //! [`CHUNK`]-slot chunks published on first touch through a
-//! `OnceLock`, so a ring costs memory only for the prefix it filled
-//! (a traced flow cell fills ≈ 8 % of `flow_ring_capacity`). The one
-//! thing a writer can now wait on is another writer of the *same ring*
-//! allocating the chunk both landed in — a one-off 64 KB zeroed
-//! allocation per chunk, never a drain and never a full ring. Chunks
-//! stay allocated across [`reset`](Ring::reset); a refill reuses them.
+//! `OnceLock`, so a ring costs memory only for the prefix it filled,
+//! rounded up to one chunk. A traced flow cell fills ≈ 8 % of
+//! `flow_ring_capacity`, spread over one track per core plus the
+//! admission track, so the last, partly filled chunk of every track is
+//! what the rounding costs: 16 KB chunks keep it to 8 KB a track on
+//! average, where 64 KB chunks wasted ≈ 32 KB. The one thing a writer
+//! can wait on is another writer of the *same ring* allocating the
+//! chunk both landed in — a one-off 16 KB zeroed allocation per chunk,
+//! never a drain and never a full ring. Chunks stay allocated across
+//! [`reset`](Ring::reset); a refill reuses them.
 //!
 //! Draining is the pull model: a quiescent reader (a test, the
 //! profiler) walks the claimed prefix in slot order, clearing each tag
@@ -31,8 +35,8 @@ use std::sync::OnceLock;
 /// Bit set in the tag word when the slot's payload words are visible.
 const PUBLISHED: u64 = 1 << 63;
 
-const CHUNK_BITS: u32 = 11;
-/// Slots per chunk: 2 048 × 32 bytes = 64 KB.
+const CHUNK_BITS: u32 = 9;
+/// Slots per chunk: 512 × 32 bytes = 16 KB.
 pub(crate) const CHUNK: usize = 1 << CHUNK_BITS;
 
 #[derive(Default)]
@@ -42,6 +46,8 @@ struct Slot {
     ids: AtomicU64, // class | site << 32
     tag: AtomicU64, // track | kind << 32 | PUBLISHED
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() * CHUNK == 16 << 10);
 
 impl Slot {
     /// Writes `e`'s payload, then publishes it.
@@ -306,6 +312,27 @@ mod tests {
         assert_eq!(r.resident_slots(), 2 * CHUNK);
     }
 
+    /// What a partly filled track costs: the events it holds, rounded
+    /// up to one chunk, however they were pushed.
+    #[test]
+    fn resident_slots_round_up_to_one_chunk() {
+        for n in [1, 37, CHUNK - 1, CHUNK, CHUNK + 1, 5 * CHUNK + 300] {
+            let events: Vec<Event> = (0..n as u64).map(ev).collect();
+            let single = Ring::new(1 << 20);
+            for &e in &events {
+                single.push(e);
+            }
+            let batched = Ring::new(1 << 20);
+            for run in splits(n, 700, n as u64) {
+                batched.push_slice(&events[run]);
+            }
+            for r in [single, batched] {
+                assert!(r.resident_slots() <= n.next_multiple_of(CHUNK), "n = {n}");
+                assert!(r.resident_slots() >= n, "n = {n}");
+            }
+        }
+    }
+
     #[test]
     fn reset_reopens_a_full_ring_and_reuses_its_chunks() {
         let r = Ring::new(CHUNK + 2);
@@ -357,7 +384,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_lose_nothing_across_chunk_boundaries() {
-        // 4 × 2 000 events cross three chunk boundaries; at each one
+        // 4 × 2 000 events cross fifteen chunk boundaries; at each one
         // the writers race to publish the same chunk. Writers push one
         // event at a time, then claim seeded runs of 1..=300 slots with
         // one `push_slice` each, runs straddling the boundaries: nothing

@@ -18,6 +18,7 @@
 //!   near zero *of the latency*, not merely balanced among themselves.
 
 use crate::fold::RequestCost;
+use pk_trace::ClassKey;
 use std::collections::BTreeMap;
 
 /// One lock class's share of the tail.
@@ -69,6 +70,10 @@ impl Attribution {
 /// `ceil(q·n)`, matching `pk-obs`'s histogram quantile, so the exact
 /// threshold here and the bucketed quantile there select the same
 /// request.
+///
+/// Waits pool by lock class id; each pooled class's name is resolved
+/// once, and the rows are ordered by name among equal waits, so the
+/// result does not depend on the order classes were registered in.
 pub fn attribute(costs: &[RequestCost], q: f64) -> Option<Attribution> {
     if costs.is_empty() {
         return None;
@@ -89,22 +94,22 @@ pub fn attribute(costs: &[RequestCost], q: f64) -> Option<Attribution> {
         wait_total: 0,
         by_class: Vec::new(),
     };
-    let mut pool: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut pool: BTreeMap<u32, u64> = BTreeMap::new();
     for c in costs.iter().filter(|c| c.latency >= threshold) {
         a.requests += 1;
         a.total_latency += c.latency;
         a.queue += c.queue;
         a.service += c.service;
         a.slack += c.slack;
-        for (class, w) in &c.waits {
-            *pool.entry(&**class).or_default() += w;
+        for &(class, w) in c.waits {
+            *pool.entry(class).or_default() += w;
         }
     }
     a.wait_total = pool.values().sum();
     a.by_class = pool
         .into_iter()
         .map(|(class, wait)| ClassShare {
-            class: class.to_string(),
+            class: ClassKey::Lock(class).name(),
             wait,
             share_of_waits: if a.wait_total == 0 {
                 0.0
@@ -122,18 +127,24 @@ pub fn attribute(costs: &[RequestCost], q: f64) -> Option<Attribution> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
-    fn cost(ctx: u64, queue: u64, service: u64, waits: &[(&str, u64)]) -> RequestCost {
-        let waits: BTreeMap<Arc<str>, u64> = waits.iter().map(|&(k, v)| (k.into(), v)).collect();
-        let wait_sum: u64 = waits.values().sum();
+    /// A cost over `waits` listed by name, each name registered as a
+    /// lock class in the order given. A cost borrows its wait list from
+    /// a record; here the list is leaked instead, a few bytes a test.
+    fn cost(ctx: u64, queue: u64, service: u64, waits: &[(&str, u64)]) -> RequestCost<'static> {
+        let spin = pk_lockdep::LockKind::Spin;
+        let waits: Box<[(u32, u64)]> = waits
+            .iter()
+            .map(|&(name, w)| (pk_lockdep::register_class(name, "pk-why", spin).raw(), w))
+            .collect();
+        let wait_sum: u64 = waits.iter().map(|w| w.1).sum();
         RequestCost {
             ctx,
             latency: queue + service + wait_sum,
             queue,
             service,
             slack: 0,
-            waits,
+            waits: Box::leak(waits),
         }
     }
 
@@ -177,6 +188,24 @@ mod tests {
         assert!(a.class("serve.admission_queue").is_none());
         // Ordering: widest first.
         assert_eq!(a.by_class[0].class, "hot");
+    }
+
+    /// Rows pool by id but order by name: `zz` registers first, so its
+    /// id sorts below `aa`'s, and at equal waits `aa` must still lead.
+    /// Two requests wait on both, so each row pools two entries.
+    #[test]
+    fn equal_waits_order_by_name_not_by_registration() {
+        let (zz, aa) = ("test.why.attr.zz", "test.why.attr.aa");
+        let costs = vec![
+            cost(1, 0, 10, &[(zz, 30), (aa, 20)]),
+            cost(2, 0, 10, &[(aa, 10), (zz, 0)]),
+        ];
+        let ids = costs[0].waits;
+        assert!(ids[0].0 < ids[1].0, "zz registered first, lower id");
+        let a = attribute(&costs, 0.0).unwrap();
+        let rows: Vec<(&str, u64)> = a.by_class.iter().map(|c| (&*c.class, c.wait)).collect();
+        assert_eq!(rows, [(aa, 30), (zz, 30)]);
+        assert_eq!(a.wait_total, 60);
     }
 
     #[test]

@@ -82,12 +82,14 @@ impl SpanNode {
 /// One complete request: the `CtxBegin..CtxEnd` envelope, priced, with
 /// the events it spans. The priced terms are private — a record comes
 /// out of [`fold`] or not at all, so it cannot disagree with its events.
+///
+/// A record holds class *ids*, as its events do; names are resolved
+/// only where bytes leave the crate ([`Self::kind_name`],
+/// [`RequestCost::waits_by_name`], [`crate::attribute`]).
 #[derive(Debug, Clone)]
 pub struct RequestTree<'a> {
     /// The deterministic request id (`pk_trace::request_id`).
     pub ctx: u64,
-    /// Resolved name of the context class (`serve.request`).
-    pub kind_name: Arc<str>,
     /// Envelope open (dispatch time in the flow engine).
     pub start: u64,
     /// Envelope close (completion).
@@ -96,9 +98,10 @@ pub struct RequestTree<'a> {
     queue: u64,
     /// Σ widths of the envelope's top-level spans and lock holds.
     covered: u64,
-    /// Σ wait per other lock class seen under the envelope (a class
-    /// acquired without waiting is listed with 0), in first-seen order.
-    waits: Vec<(Arc<str>, u64)>,
+    /// `(lock class id, Σ wait)` per other lock class seen under the
+    /// envelope (a class acquired without waiting is listed with 0), in
+    /// first-seen order: the pricer's accumulator, copied at its length.
+    waits: Box<[(u32, u64)]>,
     /// The envelope's events, `CtxBegin ..= CtxEnd` on its track:
     /// borrowed from a stream that was already grouped by track, owned
     /// when the fold had to regroup an interleaved one.
@@ -116,6 +119,13 @@ impl RequestTree<'_> {
     /// accounting identity's left-hand side ([`RequestCost::latency`]).
     pub fn latency(&self) -> u64 {
         self.queue + self.envelope()
+    }
+
+    /// Resolved name of the context class (`serve.request`), read off
+    /// the envelope's `CtxBegin`. It takes the span table's mutex and
+    /// allocates: the exemplar encoder calls it once per exemplar.
+    pub fn kind_name(&self) -> String {
+        ClassKey::of(&self.events[0]).name()
     }
 
     /// Builds the request's span tree: its top-level children, in
@@ -267,7 +277,6 @@ struct Pricer<'a, K> {
     /// How a record keeps its events: borrow them, or copy them out of
     /// a regrouped stream that will not outlive the fold.
     keep: K,
-    names: ClassNames,
     /// `(lock class id, is it the admission class)`, one name
     /// comparison per id. A stream holds a few dozen lock classes at
     /// most (they are static registrations), so this too is a scan.
@@ -284,7 +293,7 @@ impl<K> Pricer<'_, K> {
         if let Some(&(_, admission)) = self.lock_classes.iter().find(|c| c.0 == class) {
             return admission;
         }
-        let admission = &*self.names.get(ClassKey::Lock(class)) == ADMISSION_QUEUE_CLASS;
+        let admission = ClassKey::Lock(class).name() == ADMISSION_QUEUE_CLASS;
         self.lock_classes.push((class, admission));
         admission
     }
@@ -319,16 +328,11 @@ impl<'t, 'a, K: Fn(&'t [Event]) -> Cow<'a, [Event]>> Sink<'t> for Pricer<'a, K> 
             if let Some(own) = own {
                 self.trees.push(RequestTree {
                     ctx,
-                    kind_name: self.names.get(f.key),
                     start: f.start,
                     end,
                     queue: inner.queue,
                     covered: inner.covered,
-                    waits: inner
-                        .waits
-                        .iter()
-                        .map(|&(class, wait)| (self.names.get(ClassKey::Lock(class)), wait))
-                        .collect(),
+                    waits: inner.waits.as_slice().into(),
                     events: (self.keep)(own),
                 });
                 return;
@@ -420,14 +424,20 @@ impl Sink<'_> for NodeSink {
 /// theirs. Events outside any request envelope — the admission track's
 /// shed/reject instants, driver spans between requests — are dropped.
 ///
-/// Per event the walk takes no lock and allocates nothing; each class
-/// name is resolved once per fold ([`ClassNames`]), and a record costs
-/// one allocation, its wait list.
+/// Per event the walk takes no lock and allocates nothing; each lock
+/// class name is resolved once per fold, to tell the admission class
+/// apart, and a record costs one allocation, its wait list. The record
+/// vector is allocated once: every record closes at a `CtxEnd`, so
+/// their count bounds it, exactly on a well-formed stream.
 pub fn fold(events: &[Event]) -> FoldOutput<'_> {
+    let ends = events
+        .iter()
+        .filter(|e| e.kind == EventKind::CtxEnd)
+        .count();
     by_track(
         events,
-        |tracks| price(tracks, Cow::Borrowed),
-        |tracks| price(tracks, |own| Cow::Owned(own.to_vec())),
+        |tracks| price(tracks, ends, Cow::Borrowed),
+        |tracks| price(tracks, ends, |own| Cow::Owned(own.to_vec())),
     )
 }
 
@@ -489,17 +499,19 @@ fn by_track<'e, R>(
     regrouped(&mut Tracks::new(&grouped))
 }
 
+/// Prices every track into records; `ends` (the stream's `CtxEnd`
+/// count) sizes the record vector.
 fn price<'t, 'a>(
     tracks: &mut Tracks<'t>,
+    ends: usize,
     keep: impl Fn(&'t [Event]) -> Cow<'a, [Event]>,
 ) -> FoldOutput<'a> {
     let mut pricer = Pricer {
         keep,
-        names: ClassNames::new(),
         lock_classes: Vec::new(),
         accumulators: Vec::new(),
         depth: 0,
-        trees: Vec::new(),
+        trees: Vec::with_capacity(ends),
     };
     let (mut malformed, mut in_flight) = (0, 0);
     for track in tracks {
@@ -522,15 +534,18 @@ fn price<'t, 'a>(
 /// `latency = queue + service + Σ waits + slack` (DESIGN.md §15).
 /// All five terms are exact by construction — the struct cannot
 /// represent a tree that violates the identity.
+///
+/// A cost borrows its record's wait list rather than copying it: it is
+/// a view of the [`RequestTree`] it was priced from, and lives no longer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RequestCost {
+pub struct RequestCost<'t> {
     /// The request id.
     pub ctx: u64,
     /// End-to-end latency: admission wait + envelope width. This is
     /// the same number the engine's latency histogram recorded.
     pub latency: u64,
     /// Cycles queued at admission ([`ADMISSION_QUEUE_CLASS`]) — the
-    /// *queue* term, deliberately not part of [`Self::waits`].
+    /// *queue* term, deliberately not part of the lock-class waits.
     pub queue: u64,
     /// Cycles doing work: envelope covered by spans, minus lock waits.
     pub service: u64,
@@ -538,33 +553,39 @@ pub struct RequestCost {
     /// flow engine (its spans are contiguous), possibly positive for
     /// functional drivers with untraced gaps.
     pub slack: u64,
-    /// Cycles waited per lock class, admission excluded. Keyed by
-    /// resolved class name — the shared `pk-lockdep` vocabulary.
-    pub waits: BTreeMap<Arc<str>, u64>,
+    /// `(lock class id, cycles waited)`, admission excluded, one entry
+    /// per class in first-seen order: the record's own list.
+    pub(crate) waits: &'t [(u32, u64)],
 }
 
-impl RequestCost {
+impl<'t> RequestCost<'t> {
     /// The identity's terms for one request, from what the fold priced.
-    pub fn of(tree: &RequestTree) -> Self {
-        let mut waits = BTreeMap::new();
-        let mut wait_sum = 0;
-        for (class, wait) in &tree.waits {
-            *waits.entry(class.clone()).or_default() += wait;
-            wait_sum += wait;
-        }
+    pub fn of(tree: &'t RequestTree<'_>) -> Self {
+        let wait_sum: u64 = tree.waits.iter().map(|w| w.1).sum();
         Self {
             ctx: tree.ctx,
             latency: tree.latency(),
             queue: tree.queue,
             service: tree.covered.saturating_sub(wait_sum),
             slack: tree.envelope().saturating_sub(tree.covered),
-            waits,
+            waits: &tree.waits,
         }
     }
 
     /// Σ lock-class waits (admission excluded).
     pub fn wait_total(&self) -> u64 {
-        self.waits.values().sum()
+        self.waits.iter().map(|w| w.1).sum()
+    }
+
+    /// Cycles waited per lock class, admission excluded, keyed by
+    /// resolved class name — the shared `pk-lockdep` vocabulary. It
+    /// resolves every class it lists, so it is for inspecting a few
+    /// costs, not for pooling many: [`crate::attribute`] pools by id.
+    pub fn waits_by_name(&self) -> BTreeMap<String, u64> {
+        self.waits
+            .iter()
+            .map(|&(class, wait)| (ClassKey::Lock(class).name(), wait))
+            .collect()
     }
 }
 
@@ -741,7 +762,7 @@ mod tests {
 
     /// Everything a record says about its request, track-free: the
     /// canonical bytes (id, kind, envelope, span tree) and the cost.
-    fn shapes(f: &FoldOutput) -> Vec<(Vec<u8>, RequestCost)> {
+    fn shapes<'f>(f: &'f FoldOutput) -> Vec<(Vec<u8>, RequestCost<'f>)> {
         f.trees
             .iter()
             .map(|t| {
@@ -769,13 +790,22 @@ mod tests {
         let c = RequestCost::of(t);
         assert_eq!(c.latency, 100);
         assert_eq!(c.queue, 40);
-        assert_eq!(c.waits["test.why.lock"], 30);
+        assert_eq!(c.waits_by_name()["test.why.lock"], 30);
         assert_eq!(c.slack, 0);
         assert_eq!(
             c.latency,
             c.queue + c.service + c.wait_total() + c.slack,
             "the identity must be exact"
         );
+    }
+
+    #[test]
+    fn the_record_vector_is_sized_once_to_its_records() {
+        let mut events: Vec<Event> = (0..5).flat_map(|r| one_request(0, r, 100 * r)).collect();
+        events.extend((5..12).flat_map(|r| one_request(1, r, 100 * r)));
+        let f = fold(&events);
+        assert_eq!(f.trees.len(), 12);
+        assert_eq!(f.trees.capacity(), f.trees.len(), "no doubling slack");
     }
 
     #[test]
@@ -864,7 +894,8 @@ mod tests {
         let outer = RequestCost::of(&f.trees[0]);
         assert_eq!(outer.queue, 11, "inherited from the forced-shut envelope");
         assert_eq!(
-            outer.waits["test.why.lock"], 3,
+            outer.waits_by_name()["test.why.lock"],
+            3,
             "request 3's 100 stay its own"
         );
         assert_eq!(outer.slack, 20, "only the work span covers: 50 - 30");
@@ -872,7 +903,10 @@ mod tests {
         assert_eq!(kids.len(), 1, "request 3 is not a child of request 1");
         assert_eq!(kids[0].children[0].kind, NodeKind::Span);
         assert_eq!(kids[0].children[0].children.len(), 2);
-        assert_eq!(RequestCost::of(&f.trees[1]).waits["test.why.lock"], 100);
+        assert_eq!(
+            RequestCost::of(&f.trees[1]).waits_by_name()["test.why.lock"],
+            100
+        );
     }
 
     #[test]

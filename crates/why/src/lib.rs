@@ -33,11 +33,15 @@
 //!
 //! Two contracts the rest of the tree relies on:
 //!
-//! * **Names, not raw ids.** Records, span trees and exemplar encodings
-//!   embed *resolved* class names (`pk-lockdep` registry for lock events,
-//!   the pk-trace intern table for spans). Raw interned ids are
-//!   registration-order-dependent and must never appear in canonical
-//!   bytes.
+//! * **Ids in records, names in canonical bytes.** Records and costs
+//!   hold class *ids*, as the events do — the way `perf` keeps
+//!   addresses until it reports: a record's waits are `(lock class id,
+//!   cycles)` pairs and its kind is its envelope's class. Names are
+//!   resolved (`pk-lockdep` registry for lock events, the pk-trace
+//!   intern table for spans) once per class wherever bytes leave the
+//!   crate: span trees, [`Attribution`] rows, exemplar encodings.
+//!   Raw ids are registration-order-dependent and must never reach
+//!   canonical bytes — neither as a value nor as a tie-break.
 //! * **Admission wait is not a lock wait.** Time in
 //!   [`ADMISSION_QUEUE_CLASS`] is the identity's *queue* term: under
 //!   overload it dwarfs every real lock class, so pooling it with

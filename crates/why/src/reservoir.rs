@@ -77,9 +77,9 @@ fn encode_node(n: &SpanNode, out: &mut Vec<u8>) {
 /// class ids.
 pub fn encode_tree(t: &RequestTree, out: &mut Vec<u8>) {
     out.extend_from_slice(&t.ctx.to_le_bytes());
-    let name = t.kind_name.as_bytes();
+    let name = t.kind_name();
     out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-    out.extend_from_slice(name);
+    out.extend_from_slice(name.as_bytes());
     out.extend_from_slice(&t.start.to_le_bytes());
     out.extend_from_slice(&t.end.to_le_bytes());
     let children = t.children();

@@ -58,7 +58,7 @@ fn traced_run(seed: u64) -> (u64, Vec<Event>) {
 
 /// Everything the fold says about each request, with no track in it:
 /// the canonical bytes (id, kind, envelope, span tree) and the cost.
-fn materialise(f: &FoldOutput) -> Vec<(Vec<u8>, RequestCost)> {
+fn materialise<'f>(f: &'f FoldOutput) -> Vec<(Vec<u8>, RequestCost<'f>)> {
     f.trees
         .iter()
         .map(|t| {

@@ -71,11 +71,12 @@ const REQUESTS: u64 = 2_000;
 const TRACKS: u64 = 4;
 /// What `fold` may allocate per request: the record's wait list.
 const FOLD_PER_REQUEST: usize = 1;
-/// …and per call, whatever the stream's length: the growth of the
-/// record vector (≈ log₂ requests), the sort's scratch, the frame
-/// stack, the accumulators, and the name cache with one name per
-/// class. Measured: 31, at 16 and at 40 events per request alike.
-const FOLD_FIXED_MAX: usize = 64;
+/// …and per call, whatever the stream's length: the record vector,
+/// sized once from the `CtxEnd` count, the sort's scratch, the frame
+/// stack, the accumulators, and one name per lock class. Measured: 13,
+/// at 16 and at 40 events per request alike; a record vector grown by
+/// doubling would add ≈ log₂ requests (11) more.
+const FOLD_FIXED_MAX: usize = 20;
 /// What `exemplars` may allocate: the ranking keys and the result.
 const EXEMPLARS_MAX: usize = 3;
 
@@ -147,10 +148,11 @@ fn trees_are_built_only_for_the_exemplars_encoded() {
     );
 
     // Every request here has one shape, so one tree costs a fixed
-    // number of allocations (measured: 21) — more than the output
-    // buffer's doublings from empty to a few KB, which is all that
-    // separates k trees' worth from an encoding of k exemplars.
-    let (kids, per_tree) = allocations(|| top[0].children());
+    // number of allocations, its nodes and its kind name (measured: 22)
+    // — more than the output buffer's doublings from empty to a few KB,
+    // which is all that separates k trees' worth from an encoding of k
+    // exemplars.
+    let ((kids, _), per_tree) = allocations(|| (top[0].children(), top[0].kind_name()));
     assert_eq!(kids.len(), 4, "the admission pair and three stations");
     let grows = 12;
     assert!(per_tree > grows, "a tree costs {per_tree} allocations");

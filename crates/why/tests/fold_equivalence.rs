@@ -128,14 +128,39 @@ fn fold_by_name(events: &[Event]) -> OracleFold {
     out
 }
 
+/// A request's cost with its waits keyed by name, as `RequestCost` was
+/// when it owned them.
+#[derive(Debug, PartialEq)]
+struct OracleCost {
+    ctx: u64,
+    latency: u64,
+    queue: u64,
+    service: u64,
+    slack: u64,
+    waits: BTreeMap<String, u64>,
+}
+
+impl From<RequestCost<'_>> for OracleCost {
+    fn from(c: RequestCost) -> Self {
+        Self {
+            ctx: c.ctx,
+            latency: c.latency,
+            queue: c.queue,
+            service: c.service,
+            slack: c.slack,
+            waits: c.waits_by_name(),
+        }
+    }
+}
+
 /// `RequestCost::of` as it stood when it walked the tree.
-fn cost_by_walk(tree: &OracleTree) -> RequestCost {
-    fn walk(n: &SpanNode, queue: &mut u64, waits: &mut BTreeMap<Arc<str>, u64>) {
+fn cost_by_walk(tree: &OracleTree) -> OracleCost {
+    fn walk(n: &SpanNode, queue: &mut u64, waits: &mut BTreeMap<String, u64>) {
         if n.kind == NodeKind::Lock {
             if &*n.name == ADMISSION_QUEUE_CLASS {
                 *queue += n.wait;
             } else {
-                *waits.entry(n.name.clone()).or_default() += n.wait;
+                *waits.entry(n.name.to_string()).or_default() += n.wait;
             }
         }
         for c in &n.children {
@@ -155,7 +180,7 @@ fn cost_by_walk(tree: &OracleTree) -> RequestCost {
         .sum();
     let envelope = tree.end - tree.start;
     let wait_sum: u64 = waits.values().sum();
-    RequestCost {
+    OracleCost {
         ctx: tree.ctx,
         latency: queue + envelope,
         queue,
@@ -433,18 +458,19 @@ proptest! {
         for (t, o) in new.trees.iter().zip(&old.trees) {
             let materialised = OracleTree {
                 ctx: t.ctx,
-                kind_name: t.kind_name.clone(),
+                kind_name: t.kind_name().into(),
                 start: t.start,
                 end: t.end,
                 children: t.children(),
             };
             prop_assert_eq!(&materialised, o);
-            prop_assert_eq!(RequestCost::of(t), cost_by_walk(o));
+            prop_assert_eq!(OracleCost::from(RequestCost::of(t)), cost_by_walk(o));
         }
         prop_assert_eq!(new.in_flight, old.in_flight);
         prop_assert_eq!(new.malformed, old.malformed);
         if !broken {
             prop_assert_eq!(new.malformed, 0, "the generator's well-formed half is well-formed");
+            prop_assert_eq!(new.trees.capacity(), new.trees.len(), "sized once, exactly");
         }
         let n = new.trees.len();
         for k in [0, 1, 4, n, n + 5] {
