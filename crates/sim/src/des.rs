@@ -30,8 +30,11 @@
 //! faults)` they produce byte-identical results and event traces
 //! (`tests/engine_equivalence.rs` pins this; see `DESIGN.md` §11).
 
+mod exp;
 pub mod reference;
 pub mod wheel;
+
+pub use exp::exp_cycles;
 
 use crate::mva::{Network, StationKind};
 use pk_fault::{FaultPlane, FaultPoint};
@@ -81,11 +84,13 @@ pub struct DesResult {
 /// at least one cycle. Both engines call this at the same points, so
 /// the RNG streams stay aligned. The uniform draw inlines the vendored
 /// `rand` `f64` sampling (53 mantissa bits) without the `dyn RngCore`
-/// hop `Rng::gen` takes — identical bits, fewer indirect calls.
+/// hop `Rng::gen` takes — identical bits, fewer indirect calls — and
+/// [`exp_cycles`] turns it into cycles without a libm call on the
+/// common path, with the result of the pinned `ln` expression.
 #[inline]
 pub(crate) fn service(rng: &mut SmallRng, mean: f64) -> u64 {
     let u = ((rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)).max(1e-12);
-    (-mean * u.ln()).max(1.0) as u64
+    exp_cycles(u, mean)
 }
 
 /// Adds to a saturating `u64` accumulator. At 1024 simulated cores a

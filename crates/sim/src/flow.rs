@@ -40,8 +40,8 @@
 
 use crate::mva::{Network, StationKind};
 use crate::open::{
-    event_queue, ArrivalPattern, ClientMix, Fate, FrontEnd, OpenLoopResult, OverloadPolicy,
-    Request, ARRIVAL,
+    event_queue, scale_pct, schedule, ArrivalPattern, ClientMix, Fate, FrontEnd, OpenLoopResult,
+    OverloadPolicy, Request, ARRIVAL,
 };
 use pk_fault::FaultPlane;
 use pk_trace::{EventKind, TraceWriter, Tracer};
@@ -246,7 +246,7 @@ pub fn simulate_flow(
     let draw = |rng: &mut SmallRng, mean: f64, degraded: bool| -> u64 {
         let s = crate::des::service(rng, mean);
         if degraded {
-            (s * policy.degrade_demand_pct as u64 / 100).max(1)
+            scale_pct(s, policy.degrade_demand_pct).max(1)
         } else {
             s
         }
@@ -278,7 +278,7 @@ pub fn simulate_flow(
             }
             req.phase = Phase::InService(si);
             st_q[si].busy = true;
-            events.push(now + svc, slot);
+            schedule(&mut events, horizon_cycles, now, svc, slot);
         }};
     }
 
@@ -295,7 +295,7 @@ pub fn simulate_flow(
                 StationKind::Delay => {
                     let svc = draw(&mut svc_rng, stations[si].demand_cycles, req.degraded);
                     req.phase = Phase::InService(si);
-                    events.push(now + svc, slot);
+                    schedule(&mut events, horizon_cycles, now, svc, slot);
                 }
                 StationKind::Queue | StationKind::NonScalable { .. } => {
                     if st_q[si].busy {
@@ -356,7 +356,7 @@ pub fn simulate_flow(
                     } else if req.stall_cycles > 0 {
                         emit.rec(slot, now, EventKind::SpanBegin, stall_span, 0);
                         slots[slot as usize].as_mut().unwrap().phase = Phase::Stalling;
-                        events.push(now + req.stall_cycles, slot);
+                        schedule(&mut events, horizon_cycles, now, req.stall_cycles, slot);
                         false
                     } else {
                         true
@@ -405,7 +405,13 @@ pub fn simulate_flow(
             emit.rec(slot, now, EventKind::LockEnd, admission_lock, 0);
             if charge.connect_cycles > 0 {
                 emit.rec(slot, now, EventKind::SpanBegin, connect_span, 0);
-                events.push(now + charge.connect_cycles, slot);
+                schedule(
+                    &mut events,
+                    horizon_cycles,
+                    now,
+                    charge.connect_cycles,
+                    slot,
+                );
             } else {
                 enter_station!(slot, 0, now);
             }
@@ -658,6 +664,63 @@ mod tests {
             hot_wait as f64 > 0.9 * total as f64,
             "bottleneck wait share {hot_wait}/{total}"
         );
+    }
+
+    #[test]
+    fn huge_demands_saturate_in_both_engines() {
+        // Every draw, connect and stall saturates at `u64::MAX` cycles:
+        // completions land past any horizon, so the workers stay busy
+        // to the end instead of wrapping to a time before `now`.
+        let mut net = Network::new();
+        net.push(Station::delay("huge", 1e20, false));
+        let clients = ClientMix {
+            population: 1000,
+            mean_session_requests: 1,
+            connect_cycles: u64::MAX,
+            slow_per_mille: 1000,
+            stall_cycles: u64::MAX,
+        };
+        let plane = FaultPlane::disabled();
+        for policy in [
+            OverloadPolicy::observe(0),
+            OverloadPolicy::shedding(4, 1_000, 60, 50),
+        ] {
+            let (gap, horizon) = (poisson(500.0), 1_000_000);
+            let flow = simulate_flow(&net, 2, gap, clients, policy, horizon, 42, None, &plane);
+            let open =
+                crate::open::simulate_open(&net, 2, gap, clients, policy, horizon, 42, &plane);
+            for r in [flow, open] {
+                assert_eq!(r.completed, 0, "{policy:?}");
+                assert_eq!(r.in_flight_end, 2, "{policy:?}");
+                assert_eq!(r.accounted(), r.arrivals, "{policy:?}");
+            }
+        }
+        // Slow clients stall a worker for `u64::MAX` cycles, so the
+        // queue fills behind them and degraded dispatches scale that
+        // stall.
+        let mut net = Network::new();
+        net.push(Station::delay("fast", 2_000.0, false));
+        let clients = ClientMix {
+            population: 1000,
+            mean_session_requests: 0,
+            connect_cycles: 0,
+            slow_per_mille: 300,
+            stall_cycles: u64::MAX,
+        };
+        let policy = OverloadPolicy::shedding(4, 1_000_000_000, 60, 50);
+        let (gap, horizon) = (poisson(500.0), 2_000_000);
+        let flow = simulate_flow(&net, 8, gap, clients, policy, horizon, 42, None, &plane);
+        let open = crate::open::simulate_open(&net, 8, gap, clients, policy, horizon, 42, &plane);
+        for r in [flow, open] {
+            assert!(r.degraded > 0, "{r:?}");
+            assert_eq!(r.accounted(), r.arrivals);
+        }
+        assert_eq!(
+            scale_pct(u64::MAX, 60),
+            (u128::from(u64::MAX) * 3 / 5) as u64
+        );
+        assert_eq!(scale_pct(u64::MAX, 200), u64::MAX);
+        assert_eq!(scale_pct(1_777, 60), 1_777 * 60 / 100);
     }
 
     #[test]

@@ -39,11 +39,9 @@
 use crate::des::wheel::EventWheel;
 use crate::mva::{Network, StationKind};
 use pk_fault::{mix64, FaultPlane, FaultPoint};
-use pk_percpu::IntKeyHasher;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::{HashSet, VecDeque};
-use std::hash::BuildHasherDefault;
+use std::collections::VecDeque;
 
 /// A deterministic seeded arrival process. All rates are expressed as
 /// mean interarrival gaps in cycles, so patterns compose with any
@@ -117,13 +115,13 @@ impl ArrivalPattern {
         match *self {
             Self::Poisson {
                 mean_interarrival_cycles,
-            } => now + crate::des::service(rng, mean_interarrival_cycles),
+            } => now.saturating_add(crate::des::service(rng, mean_interarrival_cycles)),
             Self::OnOff {
                 mean_interarrival_cycles,
                 on_cycles,
                 off_cycles,
             } => {
-                let t = now + crate::des::service(rng, mean_interarrival_cycles);
+                let t = now.saturating_add(crate::des::service(rng, mean_interarrival_cycles));
                 let period = on_cycles.saturating_add(off_cycles);
                 if period == 0 || on_cycles == 0 {
                     return t;
@@ -148,7 +146,7 @@ impl ArrivalPattern {
                 } else {
                     trough_interarrival_cycles
                 };
-                now + crate::des::service(rng, mean)
+                now.saturating_add(crate::des::service(rng, mean))
             }
         }
     }
@@ -156,14 +154,16 @@ impl ArrivalPattern {
 
 /// The client population behind an arrival stream. Users are hashed
 /// statelessly from the request sequence number, so "millions of
-/// distinct users" costs no per-user state: request `i` belongs to
+/// distinct users" costs one bit per user (the run's record of who
+/// it has seen) and nothing else: request `i` belongs to
 /// user `hash(i) % population`, opens a fresh connection with
 /// probability `1/mean_session_requests` (connection churn), and is a
 /// slow client with probability `slow_per_mille/1000`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientMix {
-    /// Distinct simulated users.
-    pub population: u64,
+    /// Distinct simulated users; 0 counts as 1. A `u32` bounds the
+    /// run's seen-user bitmap at 512 MB.
+    pub population: u32,
     /// Mean requests per connection before the client reconnects
     /// (0 = no churn, every request rides one warm connection).
     pub mean_session_requests: u32,
@@ -180,7 +180,7 @@ pub struct ClientMix {
 impl ClientMix {
     /// A uniform, frictionless population: one fast user per request
     /// with no churn and no stalls.
-    pub const fn uniform(population: u64) -> Self {
+    pub const fn uniform(population: u32) -> Self {
         Self {
             population,
             mean_session_requests: 0,
@@ -407,10 +407,10 @@ pub(crate) struct FrontEnd {
     queue: VecDeque<Request>,
     /// Requests on a worker.
     in_flight: usize,
-    /// Every user seen. User ids are `mix64` outputs reduced by the
-    /// population, made by this program, so the integer-key hasher's
-    /// "no outside keys" rule holds.
-    users: HashSet<u64, BuildHasherDefault<IntKeyHasher>>,
+    /// Every user seen, one bit per user of the population (word
+    /// `user / 64`, bit `user % 64`): population ÷ 8 bytes, allocated
+    /// once per run and touched once per arrival.
+    seen: Vec<u64>,
     r: OpenLoopResult,
 }
 
@@ -424,14 +424,6 @@ impl FrontEnd {
         seed: u64,
         faults: &FaultPlane,
     ) -> Self {
-        // Sized for the whole run up front (arrivals are at least a
-        // cycle apart), so the per-arrival insert never regrows the
-        // table inside the event loop.
-        let expected = horizon_cycles as f64 / pattern.mean_interarrival_cycles().max(1.0);
-        let users = HashSet::with_capacity_and_hasher(
-            expected.min(clients.population as f64) as usize,
-            BuildHasherDefault::default(),
-        );
         Self {
             pattern,
             clients,
@@ -442,7 +434,7 @@ impl FrontEnd {
             rx_drop: faults.point("net.rx_drop"),
             queue: VecDeque::new(),
             in_flight: 0,
-            users,
+            seen: vec![0; clients.population.max(1).div_ceil(64) as usize],
             r: OpenLoopResult {
                 latency: pk_obs::HistogramSnapshot {
                     buckets: vec![0; pk_obs::buckets::BUCKETS],
@@ -491,8 +483,10 @@ impl FrontEnd {
         // Client population: stateless hashes of the arrival index,
         // seeded separately from service and arrivals.
         let h = mix64(self.seed ^ mix64(index.wrapping_add(0x5eed_c11e)));
-        let user = h % self.clients.population.max(1);
-        self.users.insert(user);
+        let user = h % self.clients.population.max(1) as u64;
+        let (word, bit) = (&mut self.seen[(user / 64) as usize], 1u64 << (user % 64));
+        self.r.distinct_users += u64::from(*word & bit == 0);
+        *word |= bit;
         let new_connection = self.clients.mean_session_requests > 0
             && mix64(h ^ 1).is_multiple_of(self.clients.mean_session_requests as u64);
         let slow = self.clients.slow_per_mille > 0
@@ -541,7 +535,7 @@ impl FrontEnd {
         let stall_cycles = match (req.slow, degraded) {
             (false, _) => 0,
             (true, false) => self.clients.stall_cycles,
-            (true, true) => self.clients.stall_cycles * self.policy.degrade_stall_pct as u64 / 100,
+            (true, true) => scale_pct(self.clients.stall_cycles, self.policy.degrade_stall_pct),
         };
         Charge {
             degraded,
@@ -588,14 +582,30 @@ impl FrontEnd {
     pub(crate) fn finish(mut self) -> OpenLoopResult {
         self.r.queue_depth_end = self.queue.len() as u64;
         self.r.in_flight_end = self.in_flight as u64;
-        self.r.distinct_users = self.users.len() as u64;
         self.r
     }
+}
+
+/// `cycles × pct / 100`, saturating: a degraded demand or stall is
+/// never smaller for being huge.
+pub(crate) fn scale_pct(cycles: u64, pct: u8) -> u64 {
+    u64::try_from(u128::from(cycles) * u128::from(pct) / 100).unwrap_or(u64::MAX)
 }
 
 /// Sentinel event id for arrivals; worker completions use their slot
 /// index.
 pub(crate) const ARRIVAL: u32 = u32::MAX;
+
+/// Schedules `id` at `now + delay`, saturating. A time at or past the
+/// horizon would end the run when popped and is never processed, so it
+/// is not queued at all: the wheel cannot bucket times near `u64::MAX`.
+#[inline]
+pub(crate) fn schedule(events: &mut EventWheel, horizon: u64, now: u64, delay: u64, id: u32) {
+    let t = now.saturating_add(delay);
+    if t < horizon {
+        events.push(t, id);
+    }
+}
 
 /// Queue sizing both open engines share: lanes for every worker plus
 /// the arrival stream, and buckets one mean arrival gap wide.
@@ -681,7 +691,7 @@ pub fn simulate_open(
             total = total.saturating_add(inflated as u64);
         }
         if degraded {
-            total = total * policy.degrade_demand_pct as u64 / 100;
+            total = scale_pct(total, policy.degrade_demand_pct);
         }
         total.max(1)
     };
@@ -717,7 +727,7 @@ pub fn simulate_open(
                 .saturating_add(charge.stall_cycles);
             let slot = free.pop().expect("dispatch with no free worker");
             slots[slot as usize] = Some(req.arrival);
-            events.push(now + service, slot);
+            schedule(&mut events, horizon_cycles, now, service, slot);
         }
     }
     front.finish()
@@ -985,6 +995,41 @@ mod tests {
             r.distinct_users,
             r.arrivals
         );
+    }
+
+    /// Populations at the seen-user bitmap's word edges, and SERVING's
+    /// largest.
+    const POPULATIONS: [u32; 6] = [1, 63, 64, 65, 1_000, 4_000_000];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// The bitmap counts exactly the users a `BTreeSet` over the
+        /// same `mix64` user stream holds.
+        #[test]
+        fn distinct_users_match_a_set_of_the_hashed_users(
+            seed in proptest::prelude::any::<u64>(),
+            arrivals in 0u64..3_000,
+            pop in 0usize..POPULATIONS.len(),
+        ) {
+            let population = POPULATIONS[pop];
+            let mut front = FrontEnd::new(
+                1,
+                poisson(500.0),
+                ClientMix::uniform(population),
+                OverloadPolicy::NONE,
+                u64::MAX,
+                seed,
+                &FaultPlane::disabled(),
+            );
+            let mut reference = std::collections::BTreeSet::new();
+            for i in 0..arrivals {
+                let user = mix64(seed ^ mix64(i.wrapping_add(0x5eed_c11e))) % population as u64;
+                reference.insert(user);
+                proptest::prop_assert_eq!(front.arrive(i).0.user, user);
+            }
+            proptest::prop_assert_eq!(front.finish().distinct_users, reference.len() as u64);
+        }
     }
 
     #[test]
