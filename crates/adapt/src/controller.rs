@@ -347,7 +347,7 @@ mod tests {
     #[test]
     fn converge_des_promotes_the_modeled_bottleneck() {
         // Model world: a classed spinlock whose demand disappears once
-        // its fix is on — the demand_unless idiom in miniature.
+        // its fix is on — `network_from`'s class lowering in miniature.
         let build = |cfg: &KernelConfig| {
             let mut n = Network::new();
             n.push(Station::delay("user", 10_000.0, false));

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use std::thread;
 
 /// A three-bottleneck synthetic network: each classed station's demand
-/// vanishes once its fix is promoted (the `demand_unless` idiom), at
+/// vanishes once its fix is promoted (as `network_from` lowers a row), at
 /// which point the next-worst bottleneck dominates — forcing the
 /// controller through a multi-epoch promotion cascade.
 fn cascade(cfg: &KernelConfig) -> Network {

@@ -410,15 +410,11 @@ impl Hot {
     ) -> (u64, Option<u64>) {
         // A stalled core arrives late; the delay shifts both its service
         // and (if the server is busy) its enqueue time.
-        let now = if stall.should_inject() {
-            now + STALL_CYCLES
-        } else {
-            now
-        };
+        let now = now.saturating_add(STALL_CYCLES * u64::from(stall.should_inject()));
         match self.kind[st] {
             StationKind::Delay => {
                 let d = self.demand[st];
-                (now, Some(now + service(&mut self.rng, d)))
+                (now, Some(now.saturating_add(service(&mut self.rng, d))))
             }
             StationKind::Queue | StationKind::NonScalable { .. } => {
                 if self.busy[st] {
@@ -428,9 +424,9 @@ impl Hot {
                     self.busy[st] = true;
                     let (mean, pollers) = self.service_params(st);
                     self.start_service(st, c, pollers);
-                    let mut done = now + service(&mut self.rng, mean);
+                    let mut done = now.saturating_add(service(&mut self.rng, mean));
                     if preempt.should_inject() {
-                        done += PREEMPT_CYCLES;
+                        done = done.saturating_add(PREEMPT_CYCLES);
                     }
                     (now, Some(done))
                 }
@@ -534,9 +530,9 @@ fn run<S: TraceHooks>(
                 sink.wait_end(next_c as usize, now.max(enqueued_at), station);
                 let (mean, pollers) = hot.service_params(station);
                 hot.start_service(station, next_c, pollers);
-                let mut done = now + service(&mut hot.rng, mean);
+                let mut done = now.saturating_add(service(&mut hot.rng, mean));
                 if fault_preempt.should_inject() {
-                    done += PREEMPT_CYCLES;
+                    done = done.saturating_add(PREEMPT_CYCLES);
                 }
                 events.push(done, next_c);
                 // next_c stays at the same station until its own departure.
@@ -906,5 +902,16 @@ mod tests {
             0x69c3_9a08_0e12_bad6,
             "stream digest"
         );
+    }
+
+    #[test]
+    fn clock_saturates_instead_of_overflowing() {
+        // A draw past 2⁶⁴ cycles pins the clock at `u64::MAX`: every
+        // later event is filed there, and both engines agree on it.
+        let mut net = Network::new();
+        net.push(Station::delay("huge", 1e20, false));
+        let wheel = simulate(&net, 2, 10, 42);
+        assert_eq!(wheel, reference::simulate(&net, 2, 10, 42));
+        assert_eq!(wheel.completed_ops, 20);
     }
 }

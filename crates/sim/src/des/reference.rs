@@ -176,14 +176,13 @@ fn run<S: TraceHooks>(
     ) -> (u64, Option<u64>) {
         // A stalled core arrives late; the delay shifts both its service
         // and (if the server is busy) its enqueue time.
-        let now = if stall.should_inject() {
-            now + STALL_CYCLES
-        } else {
-            now
-        };
+        let now = now.saturating_add(STALL_CYCLES * u64::from(stall.should_inject()));
         let st = &stations[station];
         match st.kind {
-            StationKind::Delay => (now, Some(now + service(rng, st.demand_cycles))),
+            StationKind::Delay => (
+                now,
+                Some(now.saturating_add(service(rng, st.demand_cycles))),
+            ),
             StationKind::Queue | StationKind::NonScalable { .. } => {
                 let s = &mut state[station];
                 if s.busy {
@@ -199,9 +198,9 @@ fn run<S: TraceHooks>(
                         _ => (st.demand_cycles, 0),
                     };
                     s.start_service(c, pollers);
-                    let mut done = now + service(rng, mean);
+                    let mut done = now.saturating_add(service(rng, mean));
                     if preempt.should_inject() {
-                        done += PREEMPT_CYCLES;
+                        done = done.saturating_add(PREEMPT_CYCLES);
                     }
                     (now, Some(done))
                 }
@@ -262,9 +261,9 @@ fn run<S: TraceHooks>(
                     _ => (st.demand_cycles, 0),
                 };
                 s.start_service(next_c, pollers);
-                let mut done = now + service(&mut rng, mean);
+                let mut done = now.saturating_add(service(&mut rng, mean));
                 if fault_preempt.should_inject() {
-                    done += PREEMPT_CYCLES;
+                    done = done.saturating_add(PREEMPT_CYCLES);
                 }
                 events.push(Reverse((done, seq, next_c)));
                 seq += 1;

@@ -153,7 +153,7 @@ impl EventWheel {
             self.pos = 0;
             self.batch.push(e);
             if t >= self.horizon {
-                self.horizon = t + 1;
+                self.horizon = t.saturating_add(1);
                 self.advance_to(t);
             }
         } else if t < self.horizon {
@@ -260,17 +260,17 @@ impl EventWheel {
         unreachable!("len > 0 but the occupancy bitmap is empty");
     }
 
-    /// Moves every event of bucket `b` due before `win_end` into `out`,
+    /// Moves every event of bucket `b` due by `win_last` into `out`,
     /// returning their slots to the free list; later-rotation events
     /// stay chained in their original order.
     #[inline]
-    fn drain_bucket(&mut self, b: usize, win_end: u64, out: &mut Vec<WheelEvent>) {
+    fn drain_bucket(&mut self, b: usize, win_last: u64, out: &mut Vec<WheelEvent>) {
         let mut prev = NIL;
         let mut slot = self.heads[b];
         while slot != NIL {
             let i = slot as usize;
             let after = self.next[i];
-            if self.slab[i].0 < win_end {
+            if self.slab[i].0 <= win_last {
                 out.push(self.slab[i]);
                 if prev == NIL {
                     self.heads[b] = after;
@@ -289,7 +289,8 @@ impl EventWheel {
         }
     }
 
-    /// Earliest time filed in any bucket, visiting only occupied ones.
+    /// Earliest time filed in any bucket, visiting only occupied ones;
+    /// the wheel must hold an event (`u64::MAX` is a time, not "none").
     fn min_filed_time(&self) -> u64 {
         let mut min_t = u64::MAX;
         for (wi, &word) in self.occupied.iter().enumerate() {
@@ -340,21 +341,21 @@ impl EventWheel {
             if drained > 0 && (drained >= TARGET_BATCH || advanced + skip > self.mask) {
                 break; // batch full, or the next event is a rotation out
             }
+            // Saturating: the last window ends at `u64::MAX` inclusive.
             self.cursor = (self.cursor + skip) & self.mask;
-            self.win_start += skip as u64 * width;
+            self.win_start = self.win_start.saturating_add(skip as u64 * width);
             advanced += skip;
 
-            let win_end = self.win_start + width;
-            self.drain_bucket(self.cursor, win_end, out);
+            let win_last = self.win_start.saturating_add(width - 1);
+            self.drain_bucket(self.cursor, win_last, out);
             self.cursor = (self.cursor + 1) & self.mask;
-            self.win_start = win_end;
+            self.win_start = win_last.saturating_add(1);
             advanced += 1;
             if out.len() == start && advanced > self.mask {
                 // A full rotation with nothing due: every pending
                 // event is at least one wheel-span away. Jump the
                 // window straight to the earliest one.
                 let min_t = self.min_filed_time();
-                debug_assert_ne!(min_t, u64::MAX, "len > 0 but no events in any bucket");
                 self.win_start = min_t & !(width - 1);
                 self.cursor = self.bucket_of(min_t);
                 advanced = 0;
@@ -496,6 +497,28 @@ mod tests {
         assert_eq!(batch, [(1_000_000, 0, 0)]);
         assert!(horizon > 1_000_000);
         assert!(w.next_batch(&mut batch).is_none());
+    }
+
+    #[test]
+    fn events_file_and_pop_at_the_top_of_the_clock() {
+        // The last window ends at `u64::MAX` inclusive; pushes there,
+        // through the buckets and the batch, keep `(time, seq)` order.
+        let mut w = EventWheel::new(1_000.0, 4);
+        w.push(5, 0);
+        w.push(u64::MAX, 1);
+        w.push(u64::MAX - 3, 2);
+        assert_eq!(w.pop(), Some((5, 0)));
+        w.push(u64::MAX, 3);
+        assert_eq!(w.pop(), Some((u64::MAX - 3, 2)));
+        assert_eq!(w.pop(), Some((u64::MAX, 1)));
+        w.push(u64::MAX, 4);
+        assert_eq!(w.pop(), Some((u64::MAX, 3)));
+        assert_eq!(w.pop(), Some((u64::MAX, 4)));
+        assert_eq!(w.pop(), None);
+        w.push(u64::MAX, 5);
+        w.push(u64::MAX, 6);
+        assert_eq!(w.pop(), Some((u64::MAX, 5)));
+        assert_eq!(w.pop(), Some((u64::MAX, 6)));
     }
 
     #[test]

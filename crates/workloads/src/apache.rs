@@ -13,12 +13,12 @@
 //! cannot keep up ... the card's internal receive packet FIFO overflows"
 //! — server idle time reaches 18% at 48 cores.
 
-use crate::common::{config_label, demand_unless, gen2_demand};
+use crate::stations::{Class::*, Demand::*, *};
 use pk_fault::{backoff, FaultPlane};
-use pk_kernel::{FixId, Kernel, KernelConfig, KernelError, Personality};
+use pk_kernel::{Kernel, KernelError, Personality};
 use pk_net::FlowHash;
 use pk_percpu::CoreId;
-use pk_sim::{CoreSweep, MachineSpec, Network, Station, SweepPoint, WorkloadModel};
+use pk_sim::{CoreSweep, SweepPoint};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -212,106 +212,55 @@ impl ApacheDriver {
     }
 }
 
-/// Which Figure-6 line.
-#[derive(Debug, Clone, Copy)]
-pub struct ApacheModel {
-    /// The kernel's fix set (any subset of the 16, for ablations).
-    pub config: KernelConfig,
-    /// The modelled machine.
-    pub machine: MachineSpec,
-}
-
-impl ApacheModel {
-    fn total_cycles(&self) -> f64 {
-        self.machine.clock_hz / REQS_PER_SEC_1CORE
-    }
-
-    /// Total request rate the card sustains with `q` queues: flat until
-    /// the RX FIFO knee, then declining as overflow drops grow (§5.4).
-    /// The decline is measured out to the paper's 48 queues; past that
-    /// the card has no more queues to fragment its FIFO over (extra
-    /// cores share queues), so the delivered rate holds at the
-    /// 48-queue level instead of extrapolating below zero.
-    pub fn nic_request_cap(q: usize) -> f64 {
-        let q = q.min(48);
-        let flat = NIC_FIFO_KNEE as f64 * REQS_PER_SEC_1CORE;
-        if q <= NIC_FIFO_KNEE {
-            flat
-        } else {
-            flat - (q - NIC_FIFO_KNEE) as f64 * 5_500.0
-        }
-    }
-}
-
-impl WorkloadModel for ApacheModel {
-    fn name(&self) -> String {
-        format!("Apache/{}", config_label(&self.config))
-    }
-
-    fn machine(&self) -> MachineSpec {
-        self.machine
-    }
-
-    fn network(&self, cores: usize) -> Network {
-        let t = self.total_cycles();
-        let user = t * (1.0 - KERNEL_FRACTION);
-        // Stock shared demands per request (stock runs per-core
-        // instances, so the accept mutex is absent; the VFS and network
-        // shared lines remain). Knee ≈ 5 cores.
-        let cfg = &self.config;
-        let dentry_refs = demand_unless(cfg, FixId::SloppyDentryRefs, t * 0.075);
-        let dcache_locks = demand_unless(cfg, FixId::LockFreeDlookup, t * 0.075);
-        let open_list = demand_unless(cfg, FixId::PerCoreOpenLists, t * 0.030);
-        let dst_refcount = demand_unless(cfg, FixId::SloppyDstRefs, t * 0.012);
-        let proto_counters = demand_unless(cfg, FixId::SloppyProtoAccounting, t * 0.008);
-        let shared = dentry_refs + dcache_locks + open_list + dst_refcount + proto_counters;
-        let kernel_local = t * KERNEL_FRACTION - shared;
+/// Figure-6 performance model: cycles per request.
+#[rustfmt::skip]
+pub const SPEC: Spec = Spec {
+    title: "Apache",
+    anchor: Anchor::PerSec(REQS_PER_SEC_1CORE),
+    table: &[
+        Row("user", DELAY, USER, Unclassed, Frac(1.0 - KERNEL_FRACTION)),
+        Row("kernel-local", DELAY, SYS, Unclassed, shaped!(kernel_local)),
         // Cross-core kernel data misses. Figure 6 shows PK's per-core
         // throughput staying near the anchor through 36 cores, so the
         // CPU-side decline is kept small; the post-36 droop is the card.
-        let cross_core = if cores > 1 { t * 0.06 } else { 0.0 };
-        // Generation-2 growth stations: flat sloppy dentry counters
-        // saturate first (every request opens the same few files), with
-        // the reference walk's per-component get/put close behind.
-        let dentry_ref_scale =
-            demand_unless(cfg, FixId::SnziVfsRefs, gen2_demand(t, 0.000_12, cores));
-        let path_walk = demand_unless(cfg, FixId::RcuPathWalk, gen2_demand(t, 0.000_06, cores));
+        Row("cross-core misses", DELAY, SYS, Unclassed, PastOne(0.06)),
+        // Generation-2 growth stations, ahead of the gen-1 locks in
+        // visit order so the first to saturate past ~96 cores is a gen-2
+        // one: flat sloppy dentry counters saturate first (every request
+        // opens the same few files), with the reference walk's
+        // per-component get/put close behind.
+        Row("dentry ref saturation", spin(0.3), SYS, Lowered("vfs.dentry_ref_scale"), Gen2(0.000_12)),
+        Row("per-component path-walk refs", spin(0.25), SYS, Lowered("vfs.path_walk"), Gen2(0.000_06)),
+        // Stock shared demands (stock runs per-core instances, so the
+        // accept mutex is absent; the VFS and network shared lines
+        // remain). Knee ≈ 5 cores.
+        Row("dentry refcounts", QUEUE, SYS, Lowered("vfs.dentry_ref"), Frac(0.075)),
+        Row("dentry d_lock", spin(0.4), SYS, Lowered("vfs.dentry_lock"), Frac(0.075)),
+        Row("open-file list", QUEUE, SYS, Lowered("vfs.open_list"), Frac(0.030)),
+        Row("dst_entry refcount", QUEUE, SYS, Lowered("net.dst_ref"), Frac(0.012)),
+        Row("proto memory counters", QUEUE, SYS, Lowered("net.proto_accounting"), Frac(0.008)),
+    ],
+    cap: Some(nic_request_cap),
+};
 
-        let mut net = Network::new();
-        net.push(Station::delay("user", user, false));
-        net.push(Station::delay("kernel-local", kernel_local, true));
-        net.push(Station::delay("cross-core misses", cross_core, true));
-        // Gen-2 stations precede the gen-1 locks in visit order so the
-        // first station to saturate past ~96 cores — and therefore the
-        // one that captures the collapse queue — is the gen-2 one.
-        net.push(
-            Station::spinlock("dentry ref saturation", dentry_ref_scale, 0.3, true)
-                .with_class("vfs.dentry_ref_scale"),
-        );
-        net.push(
-            Station::spinlock("per-component path-walk refs", path_walk, 0.25, true)
-                .with_class("vfs.path_walk"),
-        );
-        net.push(
-            Station::queue("dentry refcounts", dentry_refs, true).with_class("vfs.dentry_ref"),
-        );
-        net.push(
-            Station::spinlock("dentry d_lock", dcache_locks, 0.4, true)
-                .with_class("vfs.dentry_lock"),
-        );
-        net.push(Station::queue("open-file list", open_list, true).with_class("vfs.open_list"));
-        net.push(
-            Station::queue("dst_entry refcount", dst_refcount, true).with_class("net.dst_ref"),
-        );
-        net.push(
-            Station::queue("proto memory counters", proto_counters, true)
-                .with_class("net.proto_accounting"),
-        );
-        net
-    }
+/// Kernel work that stays core-local, plus the fixed shared demands.
+fn kernel_local(c: &Ctx<KernelModel>) -> f64 {
+    c.t * KERNEL_FRACTION - c.shared()
+}
 
-    fn throughput_cap(&self, cores: usize) -> Option<f64> {
-        Some(Self::nic_request_cap(cores))
+/// Total request rate the card sustains with `q` queues: flat until the
+/// RX FIFO knee, then declining as overflow drops grow (§5.4). The
+/// decline is measured out to the paper's 48 queues; past that the card
+/// has no more queues to fragment its FIFO over (extra cores share
+/// queues), so the delivered rate holds at the 48-queue level instead of
+/// extrapolating below zero.
+pub fn nic_request_cap(q: usize) -> f64 {
+    let q = q.min(48);
+    let flat = NIC_FIFO_KNEE as f64 * REQS_PER_SEC_1CORE;
+    if q <= NIC_FIFO_KNEE {
+        flat
+    } else {
+        flat - (q - NIC_FIFO_KNEE) as f64 * 5_500.0
     }
 }
 

@@ -12,12 +12,12 @@
 //! residual limit is application-induced contention on the per-directory
 //! locks of the spool directories.
 
-use crate::common::{config_label, demand_unless, gen2_demand};
+use crate::stations::{Class::*, Demand::*, *};
 use pk_fault::{backoff, FaultPlane};
-use pk_kernel::{FixId, Kernel, KernelConfig, KernelError, Personality};
+use pk_kernel::{Kernel, KernelError, Personality};
 use pk_percpu::CoreId;
 use pk_proc::Pid;
-use pk_sim::{CoreSweep, MachineSpec, Network, Station, SweepPoint, WorkloadModel};
+use pk_sim::{CoreSweep, SweepPoint};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -327,102 +327,56 @@ impl EximDriver {
     }
 }
 
-/// Figure-4 performance model.
-#[derive(Debug, Clone, Copy)]
-pub struct EximModel {
-    /// The kernel's fix set (any subset of the 16, for ablations).
-    pub config: KernelConfig,
-    /// The modelled machine.
-    pub machine: MachineSpec,
+/// Figure-4 performance model: cycles per message.
+#[rustfmt::skip]
+pub const SPEC: Spec = Spec {
+    title: "Exim",
+    anchor: Anchor::PerSec(MSGS_PER_SEC_1CORE),
+    table: &[
+        Row("user", DELAY, USER, Unclassed, Frac(1.0 - KERNEL_FRACTION)),
+        Row("kernel-local", DELAY, SYS, Unclassed, shaped!(kernel_local)),
+        Row("cross-core misses", DELAY, SYS, Unclassed, shaped!(cross_core)),
+        // Generation-2 growth stations, *before* the gen-1 locks in
+        // visit order: under-saturated at 48 cores the pile-up passes
+        // through to the vfsmount lock, past ~96 they saturate first and
+        // own the collapse. The per-component get/put of the reference
+        // walk is invisible under the 48-core roster and the top
+        // collapse at 1024; flat sloppy dentry counters saturate
+        // (reconciles scan every core).
+        Row("per-component path-walk refs", spin(0.3), SYS, Lowered("vfs.path_walk"), Gen2(0.000_12)),
+        Row("dentry ref saturation", spin(0.25), SYS, Lowered("vfs.dentry_ref_scale"), Gen2(0.000_06)),
+        // Stock shared demands. The vfsmount-table spin lock dominates
+        // ("dozens of [accesses] for each message"); dentry refcounts,
+        // per-dentry d_lock acquisitions, and the falsely shared
+        // `struct page` line make up the rest. Sized so the stock knee
+        // lands near 12 cores as in Figure 4.
+        Row("vfsmount-table lock", spin(0.35), SYS, Lowered("vfs.mount_table"), Frac(0.052)),
+        Row("dentry refcounts", QUEUE, SYS, Lowered("vfs.dentry_ref"), Frac(0.018)),
+        Row("dentry d_lock", QUEUE, SYS, Lowered("vfs.dentry_lock"), Frac(0.010)),
+        Row("page false sharing", QUEUE, SYS, Lowered("mm.page_line"), Frac(0.003)),
+        Row("spool directories", QUEUE, SYS, Unclassed, shaped!(spool)),
+    ],
+    cap: None,
+};
+
+/// Kernel work that stays core-local (plus, under PK, the now-local
+/// sloppy/per-core replacements of the shared demands).
+fn kernel_local(c: &Ctx<KernelModel>) -> f64 {
+    c.t * KERNEL_FRACTION - c.shared()
 }
 
-impl EximModel {
-    /// Total cycles per message on one core.
-    fn total_cycles(&self) -> f64 {
-        self.machine.clock_hz / MSGS_PER_SEC_1CORE
-    }
+/// Cross-core misses on kernel data once more than one core runs (the
+/// 1→2 core drop of §5.2), growing slowly as more chips participate;
+/// zero at one core.
+fn cross_core(c: &Ctx<KernelModel>) -> f64 {
+    c.t * 0.30 * (1.0 - 1.0 / (c.cores as f64).sqrt())
 }
 
-impl WorkloadModel for EximModel {
-    fn name(&self) -> String {
-        format!("Exim/{}", config_label(&self.config))
-    }
-
-    fn machine(&self) -> MachineSpec {
-        self.machine
-    }
-
-    fn network(&self, cores: usize) -> Network {
-        let t = self.total_cycles();
-        let user = t * (1.0 - KERNEL_FRACTION);
-        // Stock shared demands (cycles per message). The vfsmount-table
-        // spin lock dominates ("dozens of [accesses] for each message");
-        // dentry refcounts, per-dentry d_lock acquisitions, and the
-        // falsely shared `struct page` line make up the rest. Sized so
-        // the stock knee lands near 12 cores as in Figure 4.
-        let cfg = &self.config;
-        let vfsmount_lock = demand_unless(cfg, FixId::PerCoreMountCache, t * 0.052);
-        let dentry_refs = demand_unless(cfg, FixId::SloppyDentryRefs, t * 0.018);
-        let dlookup_locks = demand_unless(cfg, FixId::LockFreeDlookup, t * 0.010);
-        let page_false_sharing = demand_unless(cfg, FixId::PageFalseSharing, t * 0.003);
-        let shared = vfsmount_lock + dentry_refs + dlookup_locks + page_false_sharing;
-        // Kernel work that stays core-local (plus, under PK, the now
-        //-local sloppy/per-core replacements of the shared demands).
-        let kernel_local = t * KERNEL_FRACTION - shared;
-        // Cross-core misses on kernel data once more than one core runs
-        // (the 1→2 core drop of §5.2), growing slowly as more chips
-        // participate.
-        let cross_core = if cores > 1 {
-            t * 0.30 * (1.0 - 1.0 / (cores as f64).sqrt())
-        } else {
-            0.0
-        };
-        // Application-induced spool-directory contention: the probability
-        // two concurrent deliveries pick the same of the 62 directories
-        // grows with core count (§5.2's residual PK bottleneck).
-        let spool = 20_000.0 * cores as f64 / SPOOL_DIRS as f64;
-        // Generation-2 growth stations (past 48 cores): the per-component
-        // get/put of the reference walk — invisible under the 48-core
-        // roster, the top collapse at 1024 — and the saturation point of
-        // flat sloppy dentry counters (reconciles scan every core).
-        let path_walk = demand_unless(cfg, FixId::RcuPathWalk, gen2_demand(t, 0.000_12, cores));
-        let dentry_ref_scale =
-            demand_unless(cfg, FixId::SnziVfsRefs, gen2_demand(t, 0.000_06, cores));
-
-        let mut net = Network::new();
-        net.push(Station::delay("user", user, false));
-        net.push(Station::delay("kernel-local", kernel_local, true));
-        net.push(Station::delay("cross-core misses", cross_core, true));
-        // The gen-2 stations sit *before* the gen-1 locks in visit
-        // order: under-saturated at 48 cores the pile-up passes through
-        // to the vfsmount lock, past ~96 they saturate first and own
-        // the collapse (first saturated station in order captures the
-        // queue under the §4.1 collapse feedback).
-        net.push(
-            Station::spinlock("per-component path-walk refs", path_walk, 0.3, true)
-                .with_class("vfs.path_walk"),
-        );
-        net.push(
-            Station::spinlock("dentry ref saturation", dentry_ref_scale, 0.25, true)
-                .with_class("vfs.dentry_ref_scale"),
-        );
-        net.push(
-            Station::spinlock("vfsmount-table lock", vfsmount_lock, 0.35, true)
-                .with_class("vfs.mount_table"),
-        );
-        net.push(
-            Station::queue("dentry refcounts", dentry_refs, true).with_class("vfs.dentry_ref"),
-        );
-        net.push(
-            Station::queue("dentry d_lock", dlookup_locks, true).with_class("vfs.dentry_lock"),
-        );
-        net.push(
-            Station::queue("page false sharing", page_false_sharing, true)
-                .with_class("mm.page_line"),
-        );
-        net.push(Station::queue("spool directories", spool, true));
-        net
-    }
+/// Application-induced spool-directory contention: the probability two
+/// concurrent deliveries pick the same of the 62 directories grows with
+/// core count (§5.2's residual PK bottleneck).
+fn spool(c: &Ctx<KernelModel>) -> f64 {
+    20_000.0 * c.cores as f64 / SPOOL_DIRS as f64
 }
 
 /// Runs the Figure-4 sweep for one kernel.

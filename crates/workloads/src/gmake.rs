@@ -11,9 +11,9 @@
 //! [`ParallelMake`](crate::gmake_exec::ParallelMake) over
 //! [`BuildGraph::kernel_build`](crate::gmake_exec::BuildGraph::kernel_build).
 
-use crate::common::{config_label, demand_unless, gen2_demand};
-use pk_kernel::{FixId, KernelConfig, Personality};
-use pk_sim::{CoreSweep, MachineSpec, Network, Station, SweepPoint, WorkloadModel};
+use crate::stations::{Class::*, Demand::*, *};
+use pk_kernel::Personality;
+use pk_sim::{CoreSweep, SweepPoint};
 
 /// Single-core throughput anchor, builds/hour/core (Figure 9).
 pub const BUILDS_PER_HOUR_1CORE: f64 = 5.5;
@@ -23,67 +23,44 @@ pub const SYSTEM_FRACTION: f64 = 0.076;
 /// `48 / (1 + 47 f) = 35`.
 pub const SERIAL_FRACTION: f64 = 0.0079;
 
-/// Figure-9 performance model.
-#[derive(Debug, Clone, Copy)]
-pub struct GmakeModel {
-    /// The kernel's fix set (any subset of the 16, for ablations; the
-    /// Stock and PK lines nearly coincide).
-    pub config: KernelConfig,
-    /// The modelled machine.
-    pub machine: MachineSpec,
-}
-
-impl GmakeModel {
-    fn total_cycles(&self) -> f64 {
-        self.machine.clock_hz * 3600.0 / BUILDS_PER_HOUR_1CORE
-    }
-}
-
-impl WorkloadModel for GmakeModel {
-    fn name(&self) -> String {
-        format!("gmake/{}", config_label(&self.config))
-    }
-
-    fn machine(&self) -> MachineSpec {
-        self.machine
-    }
-
-    fn network(&self, cores: usize) -> Network {
-        let t = self.total_cycles();
-        // Serial stages + stragglers: while one core runs the serial
-        // work, the other `cores − 1` wait, so per-build the serial
-        // phases cost every participant `f·t·cores` cycles of wall time
-        // — Amdahl's law expressed as an n-scaled delay:
-        // X(n) = n / (t(1−f) + f·t·n) = n / (t(1 + f(n−1))).
-        let serial = t * SERIAL_FRACTION * cores as f64;
+/// Figure-9 performance model: cycles per build. The Stock and PK lines
+/// nearly coincide.
+#[rustfmt::skip]
+pub const SPEC: Spec = Spec {
+    title: "gmake",
+    anchor: Anchor::PerHour(BUILDS_PER_HOUR_1CORE),
+    table: &[
+        Row("compiler (user)", DELAY, USER, Unclassed, shaped!(user)),
+        Row("kernel-local", DELAY, SYS, Unclassed, shaped!(system_local)),
+        Row("serial stages + stragglers", DELAY, USER, Unclassed, shaped!(serial)),
+        // Generation-2 growth station, first in visit order: every
+        // compiler process's fork/exec/exit churns pages through the
+        // global freelist — nothing at 48 cores, the kernel-side
+        // collapse at 1024; past ~96 cores it is the first to saturate
+        // and captures the collapse queue.
+        Row("global page freelist", spin(0.25), SYS, Lowered("mm.page_freelist"), Gen2(0.000_06)),
         // A little dentry-refcount traffic on the stock kernel ("the PK
-        // kernel shows slightly lower system time owing to the changes to
-        // the dentry cache"), far too small to matter.
-        let dentry = demand_unless(&self.config, FixId::SloppyDentryRefs, t * 0.0006);
-        let system_local = t * SYSTEM_FRACTION - dentry - t * SERIAL_FRACTION;
-        let user = t - t * SYSTEM_FRACTION;
-        // Generation-2 growth station: every compiler process's
-        // fork/exec/exit churns pages through the global freelist —
-        // nothing at 48 cores, the kernel-side collapse at 1024.
-        let page_freelist = demand_unless(
-            &self.config,
-            FixId::PerSocketPageFreelists,
-            gen2_demand(t, 0.000_06, cores),
-        );
+        // kernel shows slightly lower system time owing to the changes
+        // to the dentry cache"), far too small to matter.
+        Row("dentry refcounts", QUEUE, SYS, Lowered("vfs.dentry_ref"), Frac(0.0006)),
+    ],
+    cap: None,
+};
 
-        let mut net = Network::new();
-        net.push(Station::delay("compiler (user)", user, false));
-        net.push(Station::delay("kernel-local", system_local, true));
-        net.push(Station::delay("serial stages + stragglers", serial, false));
-        // Gen-2 station first in visit order: past ~96 cores it is the
-        // first to saturate and captures the collapse queue.
-        net.push(
-            Station::spinlock("global page freelist", page_freelist, 0.25, true)
-                .with_class("mm.page_freelist"),
-        );
-        net.push(Station::queue("dentry refcounts", dentry, true).with_class("vfs.dentry_ref"));
-        net
-    }
+fn user(c: &Ctx<KernelModel>) -> f64 {
+    c.t - c.t * SYSTEM_FRACTION
+}
+
+fn system_local(c: &Ctx<KernelModel>) -> f64 {
+    c.t * SYSTEM_FRACTION - c.demand("dentry refcounts") - c.t * SERIAL_FRACTION
+}
+
+/// Serial stages + stragglers: while one core runs the serial work, the
+/// other `cores − 1` wait, so per build the serial phases cost every
+/// participant `f·t·cores` cycles of wall time — Amdahl's law expressed
+/// as an n-scaled delay: X(n) = n / (t(1−f) + f·t·n) = n / (t(1 + f(n−1))).
+fn serial(c: &Ctx<KernelModel>) -> f64 {
+    c.t * SERIAL_FRACTION * c.cores as f64
 }
 
 /// Runs the Figure-9 sweep for one kernel.

@@ -16,19 +16,18 @@
 //! (PostgreSQL, pedsort, Metis), driver and model take the same variant,
 //! and [`roster::pairing`] says which one a personality runs.
 //!
-//! Model parameters are documented constants: per-operation cycle totals
-//! come from the paper's own single-core throughput and in-kernel time
-//! fractions (§3), and shared-resource demands are set so the stock
-//! curves reproduce the published bottlenecks (each constant cites its
-//! figure). The stock/PK switch works by zeroing the demands of stations
-//! whose Figure-1 fix is enabled — exactly how the real fixes work: they
-//! do not speed anything up, they stop touching shared lines.
+//! Each model is a `const` station table ([`stations`]). Per-operation
+//! cycle totals come from the paper's own single-core throughput and
+//! in-kernel time fractions (§3), and shared-resource demands are set so
+//! the stock curves reproduce the published bottlenecks (each constant
+//! cites its figure). The stock/PK switch zeroes the rows whose class
+//! the registry binds to an enabled fix — exactly how the real fixes
+//! work: they do not speed anything up, they stop touching shared lines.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
 pub mod apache;
-mod common;
 pub mod exim;
 pub mod gmake;
 pub mod gmake_exec;
@@ -38,9 +37,10 @@ pub mod pedsort;
 pub mod pedsort_indexer;
 pub mod postgres;
 pub mod roster;
+pub mod stations;
 pub mod summary;
 
-pub use common::{config_label, demand_unless};
+pub use stations::config_label;
 // `benchmark/` is frozen and predates the merge of the personality
 // enums: this is a second name for the one type, not a second type, and
 // goes when `benchmark/src/*.rs` say `pk_kernel::Personality`.

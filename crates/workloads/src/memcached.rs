@@ -12,13 +12,13 @@
 //! number of virtual queues increases" — throughput per core drops off
 //! after 16 cores.
 
-use crate::common::{config_label, demand_unless, gen2_demand};
+use crate::stations::{Class::*, Demand::*, *};
 use bytes::Bytes;
 use pk_fault::{backoff, FaultPlane};
-use pk_kernel::{FixId, Kernel, KernelConfig, Personality};
+use pk_kernel::{Kernel, Personality};
 use pk_net::{SockAddr, UdpSocket};
 use pk_percpu::CoreId;
-use pk_sim::{CoreSweep, MachineSpec, Network, Station, SweepPoint, WorkloadModel};
+use pk_sim::{CoreSweep, SweepPoint};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -180,101 +180,47 @@ impl MemcachedDriver {
     }
 }
 
-/// Figure-5 performance model.
-#[derive(Debug, Clone, Copy)]
-pub struct MemcachedModel {
-    /// The kernel's fix set (any subset of the 16, for ablations).
-    pub config: KernelConfig,
-    /// The modelled machine.
-    pub machine: MachineSpec,
+/// Figure-5 performance model: cycles per request.
+#[rustfmt::skip]
+pub const SPEC: Spec = Spec {
+    title: "memcached",
+    anchor: Anchor::PerSec(REQS_PER_SEC_1CORE),
+    table: &[
+        Row("user", DELAY, USER, Unclassed, Frac(1.0 - KERNEL_FRACTION)),
+        Row("kernel-local", DELAY, SYS, Unclassed, shaped!(kernel_local)),
+        Row("cross-core misses", DELAY, SYS, Unclassed, PastOne(0.05)),
+        // Generation-2 growth stations, ahead of the gen-1 locks in
+        // visit order so the first to saturate past ~96 cores — and so
+        // the one that captures the collapse queue — is a gen-2 one: the
+        // flow-director table's rwlock goes write-hot once thousands of
+        // flows churn per poll interval, and flat sloppy dst counters
+        // hit their reconcile wall. Both are invisible at 48 cores.
+        Row("flow-director table lock", spin(0.3), SYS, Lowered("net.flow_table"), Gen2(0.000_12)),
+        Row("dst ref saturation", spin(0.25), SYS, Lowered("net.dst_ref_scale"), Gen2(0.000_06)),
+        // Stock shared demands, sized so the stock knee lands at ~3–4
+        // cores (Figure 5's steep initial drop).
+        Row("dst_entry refcount", QUEUE, SYS, Lowered("net.dst_ref"), Frac(0.100)),
+        Row("proto memory counters", QUEUE, SYS, Lowered("net.proto_accounting"), Frac(0.050)),
+        Row("node-0 allocator", spin(0.15), SYS, Lowered("net.dma_node0"), Frac(0.060)),
+        Row("net_device false sharing", QUEUE, SYS, Lowered("net.device_line"), Frac(0.035)),
+    ],
+    // The card degrades with queue count for both kernels, but stock
+    // never reaches the cap — CPU-side contention binds first.
+    cap: Some(nic_request_cap),
+};
+
+/// Kernel work that stays core-local, plus the fixed shared demands.
+fn kernel_local(c: &Ctx<KernelModel>) -> f64 {
+    c.t * KERNEL_FRACTION - c.shared()
 }
 
-impl MemcachedModel {
-    fn total_cycles(&self) -> f64 {
-        self.machine.clock_hz / REQS_PER_SEC_1CORE
-    }
-
-    /// The card's sustainable request rate with `q` active virtual
-    /// queues: a saturating curve calibrated to Figure 5's PK line
-    /// (knee after 16 cores, per-core throughput ≈115 k at 48; aggregate
-    /// still grows 16→48 as §5.3 reports).
-    pub fn nic_request_cap(q: usize) -> f64 {
-        let q = q as f64;
-        710_000.0 * q / (1.0 + q / 9.25)
-    }
-}
-
-impl WorkloadModel for MemcachedModel {
-    fn name(&self) -> String {
-        format!("memcached/{}", config_label(&self.config))
-    }
-
-    fn machine(&self) -> MachineSpec {
-        self.machine
-    }
-
-    fn network(&self, cores: usize) -> Network {
-        let t = self.total_cycles();
-        let user = t * (1.0 - KERNEL_FRACTION);
-        // Stock shared demands per request, sized so the stock knee lands
-        // at ~3–4 cores (Figure 5's steep initial drop).
-        let cfg = &self.config;
-        let dst_refcount = demand_unless(cfg, FixId::SloppyDstRefs, t * 0.100);
-        let proto_counters = demand_unless(cfg, FixId::SloppyProtoAccounting, t * 0.050);
-        let node0_alloc = demand_unless(cfg, FixId::LocalDmaBuffers, t * 0.060);
-        let netdev_false_sharing = demand_unless(cfg, FixId::NetDeviceFalseSharing, t * 0.035);
-        let shared = dst_refcount + proto_counters + node0_alloc + netdev_false_sharing;
-        let kernel_local = t * KERNEL_FRACTION - shared;
-        let cross_core = if cores > 1 { t * 0.05 } else { 0.0 };
-        // Generation-2 growth stations: the flow-director table's rwlock
-        // becomes write-hot once thousands of flows churn per poll
-        // interval, and flat sloppy dst counters hit their reconcile
-        // wall — both invisible at 48 cores.
-        let flow_table = demand_unless(
-            cfg,
-            FixId::PerSocketFlowTables,
-            gen2_demand(t, 0.000_12, cores),
-        );
-        let dst_ref_scale = demand_unless(cfg, FixId::SnziNetRefs, gen2_demand(t, 0.000_06, cores));
-
-        let mut net = Network::new();
-        net.push(Station::delay("user", user, false));
-        net.push(Station::delay("kernel-local", kernel_local, true));
-        net.push(Station::delay("cross-core misses", cross_core, true));
-        // Gen-2 stations precede the gen-1 locks in visit order so the
-        // first station to saturate past ~96 cores — and therefore the
-        // one that captures the collapse queue — is the gen-2 one.
-        net.push(
-            Station::spinlock("flow-director table lock", flow_table, 0.3, true)
-                .with_class("net.flow_table"),
-        );
-        net.push(
-            Station::spinlock("dst ref saturation", dst_ref_scale, 0.25, true)
-                .with_class("net.dst_ref_scale"),
-        );
-        net.push(
-            Station::queue("dst_entry refcount", dst_refcount, true).with_class("net.dst_ref"),
-        );
-        net.push(
-            Station::queue("proto memory counters", proto_counters, true)
-                .with_class("net.proto_accounting"),
-        );
-        net.push(
-            Station::spinlock("node-0 allocator", node0_alloc, 0.15, true)
-                .with_class("net.dma_node0"),
-        );
-        net.push(
-            Station::queue("net_device false sharing", netdev_false_sharing, true)
-                .with_class("net.device_line"),
-        );
-        net
-    }
-
-    fn throughput_cap(&self, cores: usize) -> Option<f64> {
-        // The card degrades with queue count for both kernels, but stock
-        // never reaches the cap — CPU-side contention binds first.
-        Some(Self::nic_request_cap(cores))
-    }
+/// The card's sustainable request rate with `q` active virtual queues: a
+/// saturating curve calibrated to Figure 5's PK line (knee after 16
+/// cores, per-core throughput ≈115 k at 48; aggregate still grows 16→48
+/// as §5.3 reports).
+pub fn nic_request_cap(q: usize) -> f64 {
+    let q = q as f64;
+    710_000.0 * q / (1.0 + q / 9.25)
 }
 
 /// Runs the Figure-5 sweep for one kernel.
@@ -385,9 +331,9 @@ mod tests {
 
     #[test]
     fn nic_cap_is_saturating() {
-        let c1 = MemcachedModel::nic_request_cap(1);
-        let c16 = MemcachedModel::nic_request_cap(16);
-        let c48 = MemcachedModel::nic_request_cap(48);
+        let c1 = nic_request_cap(1);
+        let c16 = nic_request_cap(16);
+        let c48 = nic_request_cap(48);
         assert!(c16 > c1);
         assert!(c48 > c16, "aggregate still grows");
         assert!(c48 / 48.0 < c16 / 16.0, "per-queue rate degrades");

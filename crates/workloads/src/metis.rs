@@ -13,12 +13,12 @@
 //!   scalability is limited primarily by the DRAM bandwidth required by
 //!   the reduce phase" (50.0 of 51.5 GB/s at 48 cores).
 
-use crate::common::{demand_unless, gen2_demand};
+use crate::stations::{Class::*, Demand::*, *};
 use pk_fault::FaultPlane;
-use pk_kernel::{FixId, Kernel, KernelConfig, KernelError, Personality};
+use pk_kernel::{Kernel, KernelConfig, KernelError, Personality};
 use pk_mapreduce::{InvertedIndex, MapReduce, MapReduceConfig, MemoryHook};
 use pk_mm::PageSize;
-use pk_sim::{CoreSweep, DramModel, MachineSpec, Network, Station, SweepPoint, WorkloadModel};
+use pk_sim::{CoreSweep, DramModel, MachineSpec, Network, SweepPoint, WorkloadModel};
 use std::sync::Arc;
 
 /// Input size (§5.8).
@@ -136,14 +136,6 @@ impl MetisModel {
             machine: MachineSpec::paper(),
         }
     }
-
-    fn total_cycles(&self) -> f64 {
-        let anchor = match self.variant {
-            MetisVariant::StockSmallPages => JOBS_PER_HOUR_1CORE_4K,
-            MetisVariant::PkSuperPages => JOBS_PER_HOUR_1CORE_2M,
-        };
-        self.machine.clock_hz * 3600.0 / anchor
-    }
 }
 
 impl WorkloadModel for MetisModel {
@@ -151,10 +143,9 @@ impl WorkloadModel for MetisModel {
         // The figure legend names the variant; an adaptive kernel has
         // no legend line, so it shows its promoted-fix count.
         match self.config.personality() {
-            Personality::Adaptive => format!(
-                "Metis/2MB pages + {}",
-                crate::common::config_label(&self.config)
-            ),
+            Personality::Adaptive => {
+                format!("Metis/2MB pages + {}", crate::config_label(&self.config))
+            }
             _ => format!("Metis/{}", self.variant.label()),
         }
     }
@@ -164,70 +155,12 @@ impl WorkloadModel for MetisModel {
     }
 
     fn network(&self, cores: usize) -> Network {
-        let t = self.total_cycles();
-        let cfg = &self.config;
-        let mut net = Network::new();
-        // Generation-2 growth station: table allocation frees and
-        // refills through the global page freelist; even with super-page
-        // faults fixed, the freelist lock is the collapse at 1024.
-        let freelist = Station::spinlock(
-            "global page freelist",
-            demand_unless(
-                cfg,
-                FixId::PerSocketPageFreelists,
-                gen2_demand(t, 0.000_08, cores),
-            ),
-            0.25,
-            true,
-        )
-        .with_class("mm.page_freelist");
-        match self.variant {
-            MetisVariant::StockSmallPages => {
-                // ~524k soft faults per job; the shared region-list lock
-                // word costs a coherence transaction per fault even in
-                // read mode. Sized so the per-core decline matches the
-                // figure (knee ≈ 17 cores, ratio ≈ 0.35 at 48).
-                let region_lock = t * 0.0595;
-                let fault_local = t * 0.006; // local fault handling
-                let user = t - region_lock - fault_local;
-                net.push(Station::delay("map/reduce (user)", user, false));
-                net.push(Station::delay("fault handling", fault_local, true));
-                // Gen-2 station first in visit order: past ~96 cores it
-                // is the first to saturate and captures the collapse
-                // queue.
-                net.push(freelist);
-                // The rw-semaphore's shared lock word serializes (reader
-                // counter updates are fair handoffs, so the station
-                // saturates without collapsing).
-                net.push(Station::queue("region-list lock word", region_lock, true));
-            }
-            MetisVariant::PkSuperPages => {
-                // 512× fewer faults. Until the super-page fixes land,
-                // every super-page fault funnels through one allocation
-                // mutex and zeroes 2 MB through the cache, evicting
-                // every core's working set (§4.5). SuperPageFineLocking
-                // gives each mapping its own mutex and
-                // NoCacheSuperPageZeroing moves the zeroing off the
-                // caches: on PK kernel time "becomes negligible."
-                let super_mutex = demand_unless(cfg, FixId::SuperPageFineLocking, t * 0.040);
-                let zeroing = demand_unless(cfg, FixId::NoCacheSuperPageZeroing, t * 0.012);
-                let fault_local = t * 0.0015;
-                let user = t - super_mutex - zeroing - fault_local;
-                net.push(Station::delay("map/reduce (user)", user, false));
-                net.push(Station::delay("fault handling", fault_local, true));
-                // Gen-2 station first in visit order (see above).
-                net.push(freelist);
-                net.push(
-                    Station::queue("super-page alloc mutex", super_mutex, true)
-                        .with_class("mm.super_page_mutex"),
-                );
-                net.push(
-                    Station::queue("super-page zeroing", zeroing, true)
-                        .with_class("mm.super_page_zeroing"),
-                );
-            }
-        }
-        net
+        let (anchor, table) = match self.variant {
+            MetisVariant::StockSmallPages => (JOBS_PER_HOUR_1CORE_4K, SMALL_PAGES),
+            MetisVariant::PkSuperPages => (JOBS_PER_HOUR_1CORE_2M, SUPER_PAGES),
+        };
+        let t = Anchor::PerHour(anchor).cycles(&self.machine);
+        network_from(table, self, t, Some(&self.config), cores)
     }
 
     fn throughput_cap(&self, _cores: usize) -> Option<f64> {
@@ -241,6 +174,50 @@ impl WorkloadModel for MetisModel {
             }
         }
     }
+}
+
+/// Stock + 4 KB pages: ~524k soft faults per job; the shared
+/// region-list lock word costs a coherence transaction per fault even in
+/// read mode. Sized so the per-core decline matches the figure (knee ≈
+/// 17 cores, ratio ≈ 0.35 at 48).
+#[rustfmt::skip]
+pub const SMALL_PAGES: &[Row<MetisModel>] = &[
+    Row("map/reduce (user)", DELAY, USER, Unclassed, shaped!(small_pages_user)),
+    Row("fault handling", DELAY, SYS, Unclassed, Frac(0.006)),
+    // Generation-2 growth station, first in visit order: table allocation
+    // frees and refills through the global page freelist; even with
+    // super-page faults fixed, the freelist lock is the collapse at 1024,
+    // where it is the first to saturate and captures the collapse queue.
+    Row("global page freelist", spin(0.25), SYS, Lowered("mm.page_freelist"), Gen2(0.000_08)),
+    // The rw-semaphore's shared lock word serializes (reader counter
+    // updates are fair handoffs, so the station saturates without
+    // collapsing).
+    Row("region-list lock word", QUEUE, SYS, Unclassed, Frac(0.0595)),
+];
+
+/// PK + 2 MB pages: 512× fewer faults. Until the super-page fixes land,
+/// every super-page fault funnels through one allocation mutex and zeroes
+/// 2 MB through the cache, evicting every core's working set (§4.5).
+/// SuperPageFineLocking gives each mapping its own mutex and
+/// NoCacheSuperPageZeroing moves the zeroing off the caches: on PK kernel
+/// time "becomes negligible."
+#[rustfmt::skip]
+pub const SUPER_PAGES: &[Row<MetisModel>] = &[
+    Row("map/reduce (user)", DELAY, USER, Unclassed, shaped!(super_pages_user)),
+    Row("fault handling", DELAY, SYS, Unclassed, Frac(0.0015)),
+    Row("global page freelist", spin(0.25), SYS, Lowered("mm.page_freelist"), Gen2(0.000_08)),
+    Row("super-page alloc mutex", QUEUE, SYS, Lowered("mm.super_page_mutex"), Frac(0.040)),
+    Row("super-page zeroing", QUEUE, SYS, Lowered("mm.super_page_zeroing"), Frac(0.012)),
+];
+
+fn small_pages_user(c: &Ctx<MetisModel>) -> f64 {
+    c.t - c.demand("region-list lock word") - c.demand("fault handling")
+}
+
+fn super_pages_user(c: &Ctx<MetisModel>) -> f64 {
+    c.t - c.demand("super-page alloc mutex")
+        - c.demand("super-page zeroing")
+        - c.demand("fault handling")
 }
 
 /// Runs the Figure-11 sweep for one variant.

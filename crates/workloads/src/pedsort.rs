@@ -22,8 +22,8 @@
 //! [`Indexer`](crate::pedsort_indexer::Indexer), which runs a variant
 //! over one shared address space or one per worker.
 
-use crate::common::gen2_demand;
-use pk_sim::{CoreSweep, MachineSpec, Network, Station, SweepPoint, WorkloadModel};
+use crate::stations::{Class::*, Demand::*, *};
+use pk_sim::{CoreSweep, MachineSpec, Network, SweepPoint, WorkloadModel};
 
 /// Corpus size (§5.7).
 pub const CORPUS_BYTES: u64 = 368 << 20;
@@ -80,10 +80,6 @@ impl PedsortModel {
         }
     }
 
-    fn total_cycles(&self) -> f64 {
-        self.machine.clock_hz * 3600.0 / JOBS_PER_HOUR_1CORE
-    }
-
     /// Active cores per socket under this variant's placement.
     fn cores_per_socket(&self, cores: usize) -> f64 {
         let sockets = match self.variant {
@@ -105,55 +101,63 @@ impl WorkloadModel for PedsortModel {
     }
 
     fn network(&self, cores: usize) -> Network {
-        let t = self.total_cycles();
-        let system = SYSTEM_SECONDS_1CORE * self.machine.clock_hz;
-        let mut user = t - system;
-        // Cache-capacity pressure: each active core's sorting working set
-        // competes for the socket's L3; more cores per socket → higher
-        // miss rate in msort_with_tmp → more user cycles (§5.7). The
-        // per-entry working set far exceeds L3, so the *marginal* effect
-        // is modelled as a linear user-time inflation per extra core on
-        // the socket, calibrated to Figure 10's packed-procs decline.
-        let cps = self.cores_per_socket(cores);
-        user *= 1.0 + 0.065 * (cps - 1.0);
-        let mut net = Network::new();
-        match self.variant {
-            PedsortVariant::Threads => {
-                // Thread-safe libc is slower even at one core, and the
-                // shared address space serializes mmap/munmap in the
-                // kernel.
-                user *= THREAD_LIBC_PENALTY;
-                let mmap_sem = system * 0.75;
-                net.push(Station::delay("kernel-local", system - mmap_sem, true));
-                // Generation-2 growth station, ahead of mmap_sem in
-                // visit order: the shared address space frees sort
-                // temporaries through the global page freelist, and past
-                // ~96 cores it saturates first and owns the collapse.
-                // The per-process variants (the paper's fix) keep frees
-                // socket-local, so only Threads pays it.
-                net.push(
-                    Station::spinlock(
-                        "global page freelist",
-                        gen2_demand(t, 0.000_05, cores),
-                        0.25,
-                        true,
-                    )
-                    .with_class("mm.page_freelist"),
-                );
-                net.push(Station::spinlock(
-                    "mmap_sem (shared AS)",
-                    mmap_sem,
-                    1.5,
-                    true,
-                ));
-            }
-            _ => {
-                net.push(Station::delay("kernel-local", system, true));
-            }
-        }
-        net.push(Station::delay("msort_with_tmp (user)", user, false));
-        net
+        let table = match self.variant {
+            PedsortVariant::Threads => THREADS,
+            PedsortVariant::Procs | PedsortVariant::ProcsRoundRobin => PROCS,
+        };
+        let t = Anchor::PerHour(JOBS_PER_HOUR_1CORE).cycles(&self.machine);
+        network_from(table, self, t, None, cores)
     }
+}
+
+/// Stock + Threads: thread-safe libc is slower even at one core, and the
+/// shared address space serializes mmap/munmap in the kernel.
+#[rustfmt::skip]
+pub const THREADS: &[Row<PedsortModel>] = &[
+    Row("kernel-local", DELAY, SYS, Unclassed, shaped!(threads_kernel_local)),
+    // Generation-2 growth station, ahead of mmap_sem in visit order: the
+    // shared address space frees sort temporaries through the global page
+    // freelist, and past ~96 cores it saturates first and owns the
+    // collapse. The per-process variants (the paper's fix) keep frees
+    // socket-local, so only Threads pays it; no kernel config lowers it.
+    Row("global page freelist", spin(0.25), SYS, Unlowered("mm.page_freelist"), Gen2(0.000_05)),
+    Row("mmap_sem (shared AS)", spin(1.5), SYS, Unclassed, shaped!(mmap_sem)),
+    Row("msort_with_tmp (user)", DELAY, USER, Unclassed, shaped!(threads_user)),
+];
+
+/// Stock + Procs and Stock + Procs RR: one process per core; they differ
+/// only in placement, which `procs_user` reads.
+#[rustfmt::skip]
+pub const PROCS: &[Row<PedsortModel>] = &[
+    Row("kernel-local", DELAY, SYS, Unclassed, shaped!(system)),
+    Row("msort_with_tmp (user)", DELAY, USER, Unclassed, shaped!(procs_user)),
+];
+
+/// Single-core system time, in cycles.
+fn system(c: &Ctx<PedsortModel>) -> f64 {
+    SYSTEM_SECONDS_1CORE * c.model.machine.clock_hz
+}
+
+fn mmap_sem(c: &Ctx<PedsortModel>) -> f64 {
+    system(c) * 0.75
+}
+
+fn threads_kernel_local(c: &Ctx<PedsortModel>) -> f64 {
+    system(c) - mmap_sem(c)
+}
+
+/// User time under cache-capacity pressure: each active core's sorting
+/// working set competes for the socket's L3; more cores per socket →
+/// higher miss rate in msort_with_tmp → more user cycles (§5.7). The
+/// per-entry working set far exceeds L3, so the *marginal* effect is
+/// modelled as a linear user-time inflation per extra core on the
+/// socket, calibrated to Figure 10's packed-procs decline.
+fn procs_user(c: &Ctx<PedsortModel>) -> f64 {
+    (c.t - system(c)) * (1.0 + 0.065 * (c.model.cores_per_socket(c.cores) - 1.0))
+}
+
+fn threads_user(c: &Ctx<PedsortModel>) -> f64 {
+    procs_user(c) * THREAD_LIBC_PENALTY
 }
 
 /// Runs the Figure-10 sweep for one variant.

@@ -19,10 +19,10 @@
 //!   residual limit is an application-level spin lock on the buffer-cache
 //!   page holding the root of the table index.
 
-use crate::common::{demand_unless, gen2_demand};
-use pk_kernel::{FixId, Kernel, KernelConfig, KernelError, Personality};
+use crate::stations::{Class::*, Demand::*, *};
+use pk_kernel::{Kernel, KernelConfig, KernelError, Personality};
 use pk_percpu::{CacheAligned, CoreId};
-use pk_sim::{CoreSweep, MachineSpec, Network, Station, SweepPoint, WorkloadModel};
+use pk_sim::{CoreSweep, MachineSpec, Network, SweepPoint, WorkloadModel};
 use pk_sync::AdaptiveMutex;
 use pk_vfs::Whence;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -355,10 +355,6 @@ impl PostgresModel {
             machine: MachineSpec::paper(),
         }
     }
-
-    fn total_cycles(&self) -> f64 {
-        self.machine.clock_hz / QUERIES_PER_SEC_1CORE
-    }
 }
 
 impl WorkloadModel for PostgresModel {
@@ -366,7 +362,7 @@ impl WorkloadModel for PostgresModel {
         // The figure legend names the application variant; an adaptive
         // kernel has no legend line, so it shows its promoted-fix count.
         let kernel = match self.config.personality() {
-            Personality::Adaptive => crate::common::config_label(&self.config),
+            Personality::Adaptive => crate::config_label(&self.config),
             _ => self.variant.label().to_string(),
         };
         format!(
@@ -381,58 +377,53 @@ impl WorkloadModel for PostgresModel {
     }
 
     fn network(&self, cores: usize) -> Network {
-        let t = self.total_cycles();
-        // The kernel-side lseek inode mutex: present until the atomic-
-        // read fix removes it. The starvation-prone adaptive mutex gives
-        // it a collapse term (knee ≈36 cores).
-        let lseek = demand_unless(&self.config, FixId::AtomicLseek, t * 0.028);
-        // The user-level lock manager. Unmodified: 16 partitions; heavy
-        // for the read/write mix, light for read-only (which "makes
-        // little use of row- and table-level locks"). Modified: 64× more
-        // partitions plus the lock-free path.
-        let lm_base = if self.read_only { t * 0.005 } else { t * 0.042 };
-        let lock_manager = if self.variant.modified_pg() {
-            lm_base / 64.0
-        } else {
-            lm_base
-        };
-        // The residual buffer-cache root-page spin lock (application).
-        let root_page = if self.read_only { t * 0.038 } else { t * 0.046 };
-        let kernel_local = t * 0.010;
-        let user = t - kernel_local - lseek - lock_manager - root_page;
-        let cross_core = if cores > 1 { t * 0.03 } else { 0.0 };
-        // Generation-2 growth station: each query's open/lseek cycle
-        // still pays the reference walk per component; linear in cores,
-        // it owns the stock curve past a few hundred cores.
-        let path_walk = demand_unless(
-            &self.config,
-            FixId::RcuPathWalk,
-            gen2_demand(t, 0.000_08, cores),
-        );
-
-        let mut net = Network::new();
-        net.push(Station::delay("user", user, false));
-        net.push(Station::delay("kernel-local", kernel_local, true));
-        net.push(Station::delay("cross-core misses", cross_core, true));
-        // Gen-2 station first in visit order: past ~96 cores it is the
-        // first to saturate and captures the collapse queue.
-        net.push(
-            Station::spinlock("per-component path-walk refs", path_walk, 0.25, true)
-                .with_class("vfs.path_walk"),
-        );
-        net.push(
-            Station::spinlock("lseek inode mutex", lseek, 0.13, true)
-                .with_class("vfs.inode_lseek_mutex"),
-        );
-        net.push(Station::spinlock(
-            "PG lock manager",
-            lock_manager,
-            0.10,
-            false,
-        ));
-        net.push(Station::queue("root index page lock", root_page, false));
-        net
+        let t = Anchor::PerSec(QUERIES_PER_SEC_1CORE).cycles(&self.machine);
+        network_from(TABLE, self, t, Some(&self.config), cores)
     }
+}
+
+/// Figure-7/8 stations: cycles per query.
+#[rustfmt::skip]
+pub const TABLE: &[Row<PostgresModel>] = &[
+    Row("user", DELAY, USER, Unclassed, shaped!(user)),
+    Row("kernel-local", DELAY, SYS, Unclassed, Frac(0.010)),
+    Row("cross-core misses", DELAY, SYS, Unclassed, PastOne(0.03)),
+    // Generation-2 growth station, first in visit order: each query's
+    // open/lseek cycle still pays the reference walk per component;
+    // linear in cores, it owns the stock curve past a few hundred cores,
+    // where it is the first to saturate and captures the collapse queue.
+    Row("per-component path-walk refs", spin(0.25), SYS, Lowered("vfs.path_walk"), Gen2(0.000_08)),
+    // The kernel-side lseek inode mutex: present until the atomic-read
+    // fix removes it. The starvation-prone adaptive mutex gives it a
+    // collapse term (knee ≈36 cores).
+    Row("lseek inode mutex", spin(0.13), SYS, Lowered("vfs.inode_lseek_mutex"), Frac(0.028)),
+    Row("PG lock manager", spin(0.10), USER, Unclassed, shaped!(lock_manager)),
+    // The residual buffer-cache root-page spin lock (application).
+    Row("root index page lock", QUEUE, USER, Unclassed, shaped!(root_page)),
+];
+
+fn user(c: &Ctx<PostgresModel>) -> f64 {
+    c.t - c.demand("kernel-local")
+        - c.demand("lseek inode mutex")
+        - c.demand("PG lock manager")
+        - c.demand("root index page lock")
+}
+
+/// The user-level lock manager. Unmodified: 16 partitions; heavy for the
+/// read/write mix, light for read-only (which "makes little use of row-
+/// and table-level locks"). Modified: 64× more partitions plus the
+/// lock-free path.
+fn lock_manager(c: &Ctx<PostgresModel>) -> f64 {
+    let base = c.t * if c.model.read_only { 0.005 } else { 0.042 };
+    if c.model.variant.modified_pg() {
+        base / 64.0
+    } else {
+        base
+    }
+}
+
+fn root_page(c: &Ctx<PostgresModel>) -> f64 {
+    c.t * if c.model.read_only { 0.038 } else { 0.046 }
 }
 
 /// Runs the Figure-7 (read-only) or Figure-8 (read/write) sweep.

@@ -7,6 +7,7 @@
 //! which PostgreSQL, pedsort and Metis a personality runs — is
 //! [`pairing`], stated once and shared with the functional drivers.
 
+use crate::stations::{KernelModel, Spec};
 use crate::{apache, exim, gmake, memcached, metis, pedsort, postgres};
 use pk_kernel::{KernelConfig, Personality};
 use pk_sim::{MachineSpec, WorkloadModel};
@@ -91,17 +92,24 @@ pub fn model_with_config(
 ) -> Option<Box<dyn WorkloadModel>> {
     let config = *config;
     let app = pairing(config.personality());
+    let kernel = |spec: &'static Spec| -> Box<dyn WorkloadModel> {
+        Box::new(KernelModel {
+            spec,
+            config,
+            machine,
+        })
+    };
     let m: Box<dyn WorkloadModel> = match name.to_ascii_lowercase().as_str() {
-        "exim" => Box::new(exim::EximModel { config, machine }),
-        "memcached" => Box::new(memcached::MemcachedModel { config, machine }),
-        "apache" => Box::new(apache::ApacheModel { config, machine }),
+        "exim" => kernel(&exim::SPEC),
+        "memcached" => kernel(&memcached::SPEC),
+        "apache" => kernel(&apache::SPEC),
         "postgres" | "postgresql" => Box::new(postgres::PostgresModel {
             variant: app.postgres,
             read_only: true,
             config,
             machine,
         }),
-        "gmake" => Box::new(gmake::GmakeModel { config, machine }),
+        "gmake" => kernel(&gmake::SPEC),
         // Purely application-level: no kernel fix moves pedsort.
         "pedsort" => Box::new(pedsort::PedsortModel {
             variant: app.pedsort,
