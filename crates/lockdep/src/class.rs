@@ -150,6 +150,11 @@ impl LazyClass {
         }
     }
 
+    /// The declared name.
+    pub const fn name(&self) -> &'static str {
+        self.name
+    }
+
     /// The class id, registering the class on first use.
     #[inline]
     pub fn id(&self) -> ClassId {

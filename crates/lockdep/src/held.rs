@@ -131,11 +131,6 @@ pub(crate) fn check_rcu_barrier(loc: &'static Location<'static>) {
     }
 }
 
-/// Current epoch nesting depth of this thread.
-pub(crate) fn epoch_depth() -> u32 {
-    EPOCH_DEPTH.with(Cell::get)
-}
-
 /// Deepest held-lock stack any thread has reached.
 pub(crate) fn max_depth() -> usize {
     MAX_DEPTH.load(Ordering::Relaxed)

@@ -141,17 +141,6 @@ pub fn check_rcu_barrier() {
     held::check_rcu_barrier(std::panic::Location::caller());
 }
 
-/// Current epoch read-section nesting depth of this thread.
-#[inline]
-pub fn epoch_depth() -> u32 {
-    #[cfg(feature = "lockdep")]
-    {
-        held::epoch_depth()
-    }
-    #[cfg(not(feature = "lockdep"))]
-    0
-}
-
 /// Returns every observed class→class edge (empty when the feature is
 /// off). The graph is kept acyclic — offending edges are reported, not
 /// inserted — so these edges define the canonical lock hierarchy.

@@ -89,10 +89,38 @@ impl NetConfig {
 mod tests {
     use super::*;
 
+    /// Every field of `c`, destructured without `..`: a new field does
+    /// not compile until this test states its value in both presets.
+    /// Returns `(cores, the seven fixes, software_rfs, flow_table_shards)`.
+    fn fields(c: NetConfig) -> (usize, [bool; 7], bool, usize) {
+        let NetConfig {
+            cores,
+            sloppy_dst_refs,
+            sloppy_proto_accounting,
+            percore_skb_pools,
+            local_dma_alloc,
+            percore_accept_queues,
+            hash_flow_steering,
+            software_rfs,
+            flow_table_shards,
+            percore_dst_refs,
+        } = c;
+        let fixes = [
+            sloppy_dst_refs,
+            sloppy_proto_accounting,
+            percore_skb_pools,
+            local_dma_alloc,
+            percore_accept_queues,
+            hash_flow_steering,
+            percore_dst_refs,
+        ];
+        (cores, fixes, software_rfs, flow_table_shards)
+    }
+
     #[test]
     fn presets_differ() {
-        assert!(NetConfig::pk(8).sloppy_dst_refs);
-        assert!(!NetConfig::stock(8).sloppy_dst_refs);
+        assert_eq!(fields(NetConfig::stock(8)), (8, [false; 7], false, 1));
+        assert_eq!(fields(NetConfig::pk(8)), (8, [true; 7], false, SOCKETS));
     }
 
     #[test]

@@ -49,8 +49,6 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 
-/// Lock-class name charged for time spent in the admission queue.
-pub const ADMISSION_CLASS: &str = "serve.admission_queue";
 /// Span class for connection-establishment work (churned arrivals).
 pub const CONNECT_CLASS: &str = "serve.connect";
 /// Span class for slow-client stalls after service completes.
@@ -134,7 +132,7 @@ impl Emit<'_> {
     #[inline]
     fn rec(&mut self, track: u32, ts: u64, kind: EventKind, class: u32, arg: u64) {
         if let Some(w) = &mut self.writer {
-            w.record_at(track as usize, ts, kind, class, 0, arg);
+            w.record_at(track as usize, ts, kind, class, arg);
         }
     }
 }
@@ -188,8 +186,7 @@ pub fn simulate_flow(
 
     // Resolve every class id up front; zero ring work on the hot path.
     let ctx_class = pk_trace::REQUEST_CLASS.class_id();
-    let admission_lock =
-        pk_lockdep::register_class(ADMISSION_CLASS, "pk-sim", pk_lockdep::LockKind::Ticket).raw();
+    let admission_lock = pk_trace::ADMISSION_CLASS.id().raw();
     let connect_span = pk_trace::intern::intern_span(CONNECT_CLASS);
     let stall_span = pk_trace::intern::intern_span(STALL_CLASS);
     let reject_i = pk_trace::intern::intern_span(REJECT_CLASS);
@@ -476,7 +473,7 @@ mod tests {
         assert_eq!(ea.len(), 59_482, "event count");
         assert_eq!(
             crate::stream_digest(&ea),
-            0x20bd_fa68_a2a9_66f7,
+            0xb3f8_26db_cc91_1357,
             "stream digest"
         );
     }
@@ -648,9 +645,7 @@ mod tests {
         // Admission wait is the "queue" term of the accounting
         // identity, not a lock-class wait — exclude it from the pool
         // (pk-why does the same).
-        let adm =
-            pk_lockdep::register_class(ADMISSION_CLASS, "pk-sim", pk_lockdep::LockKind::Ticket)
-                .raw();
+        let adm = pk_trace::ADMISSION_CLASS.id().raw();
         let mut by_class: std::collections::BTreeMap<u32, u64> = Default::default();
         for e in &events {
             if e.kind == EventKind::LockBegin && e.class != adm {

@@ -1,9 +1,10 @@
 //! Chrome `trace_event` JSON export (perfetto/`chrome://tracing`).
 //!
 //! Emits the stable subset of the trace-event format: duration events
-//! (`ph: "B"`/`"E"`), instants (`"i"`) and counters (`"C"`), one `tid`
-//! per track, timestamps in virtual cycles (the format nominally wants
-//! microseconds; cycles render fine and keep the export deterministic).
+//! (`ph: "B"`/`"E"`), async request pairs (`"b"`/`"e"`) and instants
+//! (`"i"`), one `tid` per track, timestamps in virtual cycles (the
+//! format nominally wants microseconds; cycles render fine and keep the
+//! export deterministic).
 
 use crate::event::{ClassKey, ClassNames, Event, EventKind};
 
@@ -45,12 +46,6 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 format!("{{{common},\"ph\":\"e\",\"id\":\"{:#x}\"}}", e.arg)
             }
             EventKind::Instant => format!("{{{common},\"ph\":\"i\",\"s\":\"t\"}}"),
-            EventKind::Counter => {
-                format!(
-                    "{{{common},\"ph\":\"C\",\"args\":{{\"value\":{}}}}}",
-                    e.arg as i64
-                )
-            }
         };
         if !first {
             out.push(',');
@@ -72,7 +67,6 @@ mod tests {
             ts,
             arg,
             class,
-            site: 0,
             track: 2,
             kind,
         }
@@ -91,13 +85,6 @@ mod tests {
         assert!(json.contains("\"name\":\"test.chrome.span\""));
         assert!(json.contains("\"tid\":2"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn counter_arg_round_trips_negative_deltas() {
-        let c = intern::intern_span("test.chrome.counter");
-        let json = chrome_trace_json(&[ev(0, EventKind::Counter, c, (-4i64) as u64)]);
-        assert!(json.contains("\"value\":-4"), "{json}");
     }
 
     #[test]

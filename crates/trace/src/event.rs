@@ -1,10 +1,9 @@
 //! The compact trace event record.
 //!
-//! One `Event` is 32 bytes: a virtual timestamp, a payload word, two
-//! interned-name ids, the track (core / DES customer) it was recorded
-//! on, and the kind tag. Everything wider (class names, call sites)
-//! lives in the intern tables and is resolved post-hoc, never on the
-//! hot path.
+//! One `Event` is 32 bytes: a virtual timestamp, a payload word, an
+//! interned class id, the track (core / DES customer) it was recorded
+//! on, and the kind tag. Class names live in the intern tables and are
+//! resolved post-hoc, never on the hot path.
 
 use crate::intern;
 use std::sync::Arc;
@@ -14,14 +13,12 @@ use std::sync::Arc;
 #[repr(u8)]
 pub enum EventKind {
     /// A span opened. `class` is a span-class id from the pk-trace
-    /// intern table; `site` (0 = unknown) is an interned call site.
+    /// intern table.
     SpanBegin = 0,
     /// The matching close of the innermost open span of `class`.
     SpanEnd = 1,
     /// A point event (fault fired, signal, …). `arg` is free-form.
     Instant = 2,
-    /// A counter delta: `arg` is the delta as an `i64` in disguise.
-    Counter = 3,
     /// A lock hold span opened. `class` is a **pk-lockdep** `ClassId`
     /// (the shared naming registry); `arg` is the spins paid waiting.
     LockBegin = 4,
@@ -37,13 +34,13 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Decodes the wire tag; `None` for values never produced.
+    /// Decodes the wire tag; `None` for values never produced (3 is a
+    /// retired kind, so the other tags keep their values).
     pub fn from_u8(v: u8) -> Option<Self> {
         Some(match v {
             0 => Self::SpanBegin,
             1 => Self::SpanEnd,
             2 => Self::Instant,
-            3 => Self::Counter,
             4 => Self::LockBegin,
             5 => Self::LockEnd,
             6 => Self::CtxBegin,
@@ -80,12 +77,10 @@ pub struct Event {
     /// Virtual timestamp: DES simulation cycles under `pk-sim`, the
     /// per-core monotone op counter in the functional drivers.
     pub ts: u64,
-    /// Kind-specific payload (spins waited, counter delta, …).
+    /// Kind-specific payload (spins waited, request id, …).
     pub arg: u64,
     /// Interned class id; namespace selected by `kind.is_lock()`.
     pub class: u32,
-    /// Interned call-site id (0 = not recorded).
-    pub site: u32,
     /// Track the event belongs to: core id in the functional domain,
     /// customer id in the DES domain.
     pub track: u32,
@@ -166,8 +161,8 @@ impl ClassNames {
     }
 }
 
-/// Wire size of one encoded event (`ts, arg, class, site, track, kind`).
-pub const ENCODED_EVENT_BYTES: usize = 8 + 8 + 4 + 4 + 4 + 1;
+/// Wire size of one encoded event (`ts, arg, class, track, kind`).
+pub const ENCODED_EVENT_BYTES: usize = 8 + 8 + 4 + 4 + 1;
 
 impl Event {
     /// Appends the canonical little-endian encoding to `out`. Used by
@@ -177,7 +172,6 @@ impl Event {
         out.extend_from_slice(&self.ts.to_le_bytes());
         out.extend_from_slice(&self.arg.to_le_bytes());
         out.extend_from_slice(&self.class.to_le_bytes());
-        out.extend_from_slice(&self.site.to_le_bytes());
         out.extend_from_slice(&self.track.to_le_bytes());
         out.push(self.kind as u8);
     }
@@ -205,10 +199,11 @@ mod tests {
 
     #[test]
     fn kind_round_trips() {
-        for raw in 0..=7u8 {
+        for raw in [0, 1, 2, 4, 5, 6, 7u8] {
             let k = EventKind::from_u8(raw).unwrap();
             assert_eq!(k as u8, raw);
         }
+        assert_eq!(EventKind::from_u8(3), None);
         assert_eq!(EventKind::from_u8(8), None);
     }
 
@@ -246,7 +241,6 @@ mod tests {
             ts: 1,
             arg: 2,
             class: 3,
-            site: 4,
             track: 5,
             kind: EventKind::SpanBegin,
         };

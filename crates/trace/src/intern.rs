@@ -1,4 +1,4 @@
-//! Global intern tables for span-class names and call sites.
+//! The global intern table for span-class names.
 //!
 //! Hot paths record `u32` ids; the string forms are resolved post-hoc
 //! by the profiler and exporters. Interning is idempotent (same string,
@@ -31,20 +31,15 @@ impl Table {
         id
     }
 
-    fn name_of(&self, id: u32, what: &str) -> String {
+    fn name_of(&self, id: u32) -> String {
         self.names
             .get(id.wrapping_sub(1) as usize)
             .cloned()
-            .unwrap_or_else(|| format!("{what}#{id}"))
+            .unwrap_or_else(|| format!("span#{id}"))
     }
 }
 
 fn spans() -> &'static Mutex<Table> {
-    static T: OnceLock<Mutex<Table>> = OnceLock::new();
-    T.get_or_init(|| Mutex::new(Table::default()))
-}
-
-fn sites() -> &'static Mutex<Table> {
     static T: OnceLock<Mutex<Table>> = OnceLock::new();
     T.get_or_init(|| Mutex::new(Table::default()))
 }
@@ -62,26 +57,7 @@ pub fn span_name(id: u32) -> String {
     spans()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .name_of(id, "span")
-}
-
-/// Interns a call site (`file:line`), returning its stable id (≥ 1).
-pub fn intern_site(site: &str) -> u32 {
-    sites()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .intern(site)
-}
-
-/// Resolves a site id back to its `file:line` form.
-pub fn site_name(id: u32) -> String {
-    if id == 0 {
-        return String::new();
-    }
-    sites()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .name_of(id, "site")
+        .name_of(id)
 }
 
 #[cfg(test)]
@@ -102,12 +78,5 @@ mod tests {
     #[test]
     fn unknown_ids_get_placeholders_not_panics() {
         assert!(span_name(u32::MAX).starts_with("span#"));
-        assert_eq!(site_name(0), "");
-    }
-
-    #[test]
-    fn sites_are_a_separate_namespace() {
-        let s = intern_site("file.rs:10");
-        assert_eq!(site_name(s), "file.rs:10");
     }
 }

@@ -13,11 +13,11 @@
 //!   under `pk-sim`, a monotone per-core op counter in the functional
 //!   drivers. Overflow is counted-and-dropped; a hot path never blocks
 //!   on the tracer.
-//! * **Spans** — [`trace_span!`] RAII guards (`#[track_caller]` call
-//!   sites) wired through the `pk-kernel` syscalls, every `pk-sync`
-//!   lock guard (named via the always-compiled `pk-lockdep` class
-//!   registry), RCU read sections and grace periods, `pk-fault`
-//!   injection points, and the DES station service/wait edges.
+//! * **Spans** — [`trace_span!`] RAII guards wired through the
+//!   `pk-kernel` syscalls, every `pk-sync` lock guard (named via the
+//!   always-compiled `pk-lockdep` class registry), RCU read sections
+//!   and grace periods, `pk-fault` injection points, and the DES
+//!   station service/wait edges.
 //! * **Export** — drains are pull-model: harnesses call
 //!   [`Tracer::drain`] at quiescent points (read [`Tracer::dropped`]
 //!   first); [`chrome_trace_json`] turns a drained stream into a
@@ -41,7 +41,8 @@ mod tracer;
 pub use chrome::chrome_trace_json;
 pub use event::{encode_stream, ClassKey, ClassNames, Event, EventKind, ENCODED_EVENT_BYTES};
 pub use request::{
-    ctx_leaks, current_request, request_id, RequestScope, CTX_LEAK_CLASS, REQUEST_CLASS,
+    ctx_leaks, current_request, request_id, RequestScope, ADMISSION_CLASS, CTX_LEAK_CLASS,
+    REQUEST_CLASS,
 };
 pub use span::{LazySpanClass, SpanGuard};
 pub use tracer::{global, install_global, TraceWriter, Tracer, DEFAULT_RING_CAPACITY};
@@ -73,15 +74,6 @@ macro_rules! trace_instant {
     }};
 }
 
-/// Records a counter delta of the named class.
-#[macro_export]
-macro_rules! trace_counter {
-    ($name:expr, $delta:expr) => {{
-        static __PK_TRACE_CLASS: $crate::LazySpanClass = $crate::LazySpanClass::new($name);
-        $crate::counter(&__PK_TRACE_CLASS, $delta)
-    }};
-}
-
 #[cfg(not(feature = "trace-off"))]
 #[inline]
 fn with_live_tracer(f: impl FnOnce(&'static Tracer, usize)) {
@@ -100,7 +92,7 @@ fn with_live_tracer(f: impl FnOnce(&'static Tracer, usize)) {
 pub fn span_begin(cls: &LazySpanClass) {
     #[cfg(not(feature = "trace-off"))]
     with_live_tracer(|t, track| {
-        t.record(track, EventKind::SpanBegin, cls.class_id(), 0, 0);
+        t.record(track, EventKind::SpanBegin, cls.class_id(), 0);
     });
     #[cfg(feature = "trace-off")]
     let _ = cls;
@@ -111,7 +103,7 @@ pub fn span_begin(cls: &LazySpanClass) {
 pub fn span_end(cls: &LazySpanClass) {
     #[cfg(not(feature = "trace-off"))]
     with_live_tracer(|t, track| {
-        t.record(track, EventKind::SpanEnd, cls.class_id(), 0, 0);
+        t.record(track, EventKind::SpanEnd, cls.class_id(), 0);
     });
     #[cfg(feature = "trace-off")]
     let _ = cls;
@@ -122,7 +114,7 @@ pub fn span_end(cls: &LazySpanClass) {
 pub fn instant(cls: &LazySpanClass, arg: u64) {
     #[cfg(not(feature = "trace-off"))]
     with_live_tracer(|t, track| {
-        t.record(track, EventKind::Instant, cls.class_id(), 0, arg);
+        t.record(track, EventKind::Instant, cls.class_id(), arg);
     });
     #[cfg(feature = "trace-off")]
     let _ = (cls, arg);
@@ -134,21 +126,10 @@ pub fn instant(cls: &LazySpanClass, arg: u64) {
 pub fn instant_named(name: &str) {
     #[cfg(not(feature = "trace-off"))]
     with_live_tracer(|t, track| {
-        t.record(track, EventKind::Instant, intern::intern_span(name), 0, 0);
+        t.record(track, EventKind::Instant, intern::intern_span(name), 0);
     });
     #[cfg(feature = "trace-off")]
     let _ = name;
-}
-
-/// Records a counter delta of `cls` (prefer [`trace_counter!`]).
-#[inline]
-pub fn counter(cls: &LazySpanClass, delta: i64) {
-    #[cfg(not(feature = "trace-off"))]
-    with_live_tracer(|t, track| {
-        t.record(track, EventKind::Counter, cls.class_id(), 0, delta as u64);
-    });
-    #[cfg(feature = "trace-off")]
-    let _ = (cls, delta);
 }
 
 /// Opens a lock hold span: called by every `pk-sync` guard constructor
@@ -161,7 +142,7 @@ pub fn lock_acquired(cell: &pk_lockdep::ClassCell, kind: pk_lockdep::LockKind, w
     #[cfg(not(feature = "trace-off"))]
     with_live_tracer(|t, track| {
         let class = pk_lockdep::classify(cell, kind).raw();
-        t.record(track, EventKind::LockBegin, class, 0, wait_spins);
+        t.record(track, EventKind::LockBegin, class, wait_spins);
     });
     #[cfg(feature = "trace-off")]
     let _ = (cell, kind, wait_spins);
@@ -173,7 +154,7 @@ pub fn lock_released(cell: &pk_lockdep::ClassCell, kind: pk_lockdep::LockKind) {
     #[cfg(not(feature = "trace-off"))]
     with_live_tracer(|t, track| {
         let class = pk_lockdep::classify(cell, kind).raw();
-        t.record(track, EventKind::LockEnd, class, 0, 0);
+        t.record(track, EventKind::LockEnd, class, 0);
     });
     #[cfg(feature = "trace-off")]
     let _ = (cell, kind);
@@ -191,7 +172,6 @@ mod tests {
         {
             let _g = trace_span!("test.lib.outer");
             trace_instant!("test.lib.tick");
-            trace_counter!("test.lib.bytes", 17);
         }
         let cell = pk_lockdep::ClassCell::new();
         cell.set_class(pk_lockdep::register_class(
@@ -205,7 +185,6 @@ mod tests {
         let names: Vec<String> = events.iter().map(|e| ClassKey::of(e).name()).collect();
         assert!(names.iter().any(|n| n == "test.lib.outer"));
         assert!(names.iter().any(|n| n == "test.lib.tick"));
-        assert!(names.iter().any(|n| n == "test.lib.bytes"));
         assert!(names.iter().any(|n| n == "test.lib.lock"));
         let begins = events.iter().filter(|e| e.kind.is_begin()).count();
         let ends = events.iter().filter(|e| e.kind.is_end()).count();

@@ -34,6 +34,15 @@ pub static REQUEST_CLASS: LazySpanClass = LazySpanClass::new("serve.request");
 /// The instant class recorded when a scope catches a leaked context.
 pub static CTX_LEAK_CLASS: LazySpanClass = LazySpanClass::new("trace.ctx_leak");
 
+/// The lock class charged for time in the admission queue: `pk_sim::flow`
+/// stamps a zero-width pair of it at dispatch, and `pk-why` reads it as
+/// the accounting identity's *queue* term rather than a lock wait.
+pub static ADMISSION_CLASS: pk_lockdep::LazyClass = pk_lockdep::LazyClass::new(
+    "serve.admission_queue",
+    "pk-sim",
+    pk_lockdep::LockKind::Ticket,
+);
+
 /// Mints the deterministic request id for the `arrival_seq`-th arrival
 /// of `user` under `seed` (splitmix64 finalizer chain). Never returns
 /// zero — zero is the "no active request" sentinel.
@@ -106,18 +115,12 @@ impl RequestScope {
         if stale != 0 {
             CTX_LEAKS.fetch_add(1, Ordering::Relaxed);
             with_live_tracer(|t, track| {
-                t.record(
-                    track,
-                    EventKind::Instant,
-                    CTX_LEAK_CLASS.class_id(),
-                    0,
-                    stale,
-                );
-                t.record(track, EventKind::CtxEnd, REQUEST_CLASS.class_id(), 0, stale);
+                t.record(track, EventKind::Instant, CTX_LEAK_CLASS.class_id(), stale);
+                t.record(track, EventKind::CtxEnd, REQUEST_CLASS.class_id(), stale);
             });
         }
         with_live_tracer(|t, track| {
-            t.record(track, EventKind::CtxBegin, REQUEST_CLASS.class_id(), 0, ctx);
+            t.record(track, EventKind::CtxBegin, REQUEST_CLASS.class_id(), ctx);
         });
         Self { ctx }
     }
@@ -132,13 +135,7 @@ impl RequestScope {
 impl Drop for RequestScope {
     fn drop(&mut self) {
         with_live_tracer(|t, track| {
-            t.record(
-                track,
-                EventKind::CtxEnd,
-                REQUEST_CLASS.class_id(),
-                0,
-                self.ctx,
-            );
+            t.record(track, EventKind::CtxEnd, REQUEST_CLASS.class_id(), self.ctx);
         });
         ACTIVE_CTX.with(|c| {
             // Only clear if still ours: a nested (leaked-over) scope

@@ -43,8 +43,8 @@ pub(crate) const CHUNK: usize = 1 << CHUNK_BITS;
 struct Slot {
     ts: AtomicU64,
     arg: AtomicU64,
-    ids: AtomicU64, // class | site << 32
-    tag: AtomicU64, // track | kind << 32 | PUBLISHED
+    class: AtomicU64, // the u32 class id
+    tag: AtomicU64,   // track | kind << 32 | PUBLISHED
 }
 
 const _: () = assert!(std::mem::size_of::<Slot>() * CHUNK == 16 << 10);
@@ -55,10 +55,7 @@ impl Slot {
     fn publish(&self, e: &Event) {
         self.ts.store(e.ts, Ordering::Relaxed);
         self.arg.store(e.arg, Ordering::Relaxed);
-        self.ids.store(
-            u64::from(e.class) | u64::from(e.site) << 32,
-            Ordering::Relaxed,
-        );
+        self.class.store(u64::from(e.class), Ordering::Relaxed);
         let tag = u64::from(e.track) | (e.kind as u64) << 32 | PUBLISHED;
         self.tag.store(tag, Ordering::Release);
     }
@@ -167,13 +164,11 @@ impl Ring {
                     continue;
                 }
                 slot.tag.store(0, Ordering::Relaxed);
-                let ids = slot.ids.load(Ordering::Relaxed);
                 let kind = (tag >> 32 & 0xff) as u8;
                 out.push(Event {
                     ts: slot.ts.load(Ordering::Relaxed),
                     arg: slot.arg.load(Ordering::Relaxed),
-                    class: ids as u32,
-                    site: (ids >> 32) as u32,
+                    class: slot.class.load(Ordering::Relaxed) as u32,
                     track: tag as u32,
                     // A published tag always carries a tag we wrote.
                     kind: EventKind::from_u8(kind).unwrap_or(EventKind::Instant),
@@ -219,7 +214,6 @@ mod tests {
             ts,
             arg: ts * 10,
             class: 7,
-            site: 9,
             track: 3,
             kind: EventKind::Instant,
         }

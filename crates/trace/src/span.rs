@@ -1,26 +1,24 @@
 //! The span API: lazily-interned class statics and the RAII guard.
 //!
 //! `trace_span!("kernel.fork")` expands to a private [`LazySpanClass`]
-//! static plus [`SpanGuard::enter`]. The static caches both the class
-//! id and the call-site id after first use, so steady-state recording
-//! is: one `OnceLock::get`, one enabled load, two cached relaxed loads,
-//! one ring push. With the `trace-off` feature the guard is a ZST and
-//! `enter` is an empty inline function.
+//! static plus [`SpanGuard::enter`]. The static caches the class id
+//! after first use, so steady-state recording is: one `OnceLock::get`,
+//! one enabled load, one cached relaxed load, one ring push. With the
+//! `trace-off` feature the guard is a ZST and `enter` is an empty
+//! inline function.
 
 #[cfg(not(feature = "trace-off"))]
 use crate::event::EventKind;
 use crate::intern;
 #[cfg(not(feature = "trace-off"))]
 use crate::tracer;
-use std::panic::Location;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A span class declared at a macro call site: a dotted name (same
-/// convention as the lockdep lock classes) plus cached intern ids.
+/// convention as the lockdep lock classes) plus its cached intern id.
 pub struct LazySpanClass {
     name: &'static str,
     class: AtomicU32,
-    site: AtomicU32,
 }
 
 impl LazySpanClass {
@@ -29,7 +27,6 @@ impl LazySpanClass {
         Self {
             name,
             class: AtomicU32::new(0),
-            site: AtomicU32::new(0),
         }
     }
 
@@ -50,19 +47,6 @@ impl LazySpanClass {
         self.class.store(fresh, Ordering::Relaxed);
         fresh
     }
-
-    /// The call-site id for `loc`, cached after first use. A static is
-    /// tied to one macro expansion, so one location suffices.
-    #[inline]
-    pub fn site_id(&self, loc: &Location<'_>) -> u32 {
-        let id = self.site.load(Ordering::Relaxed);
-        if id != 0 {
-            return id;
-        }
-        let fresh = intern::intern_site(&format!("{}:{}", loc.file(), loc.line()));
-        self.site.store(fresh, Ordering::Relaxed);
-        fresh
-    }
 }
 
 /// RAII span: records `SpanBegin` on construction and the matching
@@ -80,7 +64,6 @@ pub struct SpanGuard {
 impl SpanGuard {
     /// Opens a span of class `cls` on the current core's track, if the
     /// global tracer is installed and enabled.
-    #[track_caller]
     #[inline]
     pub fn enter(cls: &LazySpanClass) -> Self {
         let Some(t) = tracer::global() else {
@@ -91,8 +74,7 @@ impl SpanGuard {
         }
         let track = pk_percpu::registry::current_or_register().index();
         let class = cls.class_id();
-        let site = cls.site_id(Location::caller());
-        t.record(track, EventKind::SpanBegin, class, site, 0);
+        t.record(track, EventKind::SpanBegin, class, 0);
         Self {
             state: Some((track, class)),
         }
@@ -104,7 +86,7 @@ impl Drop for SpanGuard {
     #[inline]
     fn drop(&mut self) {
         if let (Some((track, class)), Some(t)) = (self.state, tracer::global()) {
-            t.record(track, EventKind::SpanEnd, class, 0, 0);
+            t.record(track, EventKind::SpanEnd, class, 0);
         }
     }
 }

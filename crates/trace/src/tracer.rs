@@ -88,26 +88,18 @@ impl Tracer {
     /// Records an event in the **driver domain**: the timestamp is the
     /// track's next tick. Overflow is counted-and-dropped.
     #[inline]
-    pub fn record(&self, track: usize, kind: EventKind, class: u32, site: u32, arg: u64) {
+    pub fn record(&self, track: usize, kind: EventKind, class: u32, arg: u64) {
         let Some(tick) = self.ticks.get(track) else {
             self.out_of_range.fetch_add(1, Ordering::Relaxed);
             return;
         };
         let ts = tick.fetch_add(1, Ordering::Relaxed);
-        self.record_at(track, ts, kind, class, site, arg);
+        self.record_at(track, ts, kind, class, arg);
     }
 
     /// Records an event with an explicit timestamp (**sim domain**).
     #[inline]
-    pub fn record_at(
-        &self,
-        track: usize,
-        ts: u64,
-        kind: EventKind,
-        class: u32,
-        site: u32,
-        arg: u64,
-    ) {
+    pub fn record_at(&self, track: usize, ts: u64, kind: EventKind, class: u32, arg: u64) {
         let Some(ring) = self.rings.get(track) else {
             self.out_of_range.fetch_add(1, Ordering::Relaxed);
             return;
@@ -116,7 +108,6 @@ impl Tracer {
             ts,
             arg,
             class,
-            site,
             track: track as u32,
             kind,
         });
@@ -210,15 +201,7 @@ pub struct TraceWriter<'a> {
 impl TraceWriter<'_> {
     /// [`Tracer::record_at`], buffered.
     #[inline]
-    pub fn record_at(
-        &mut self,
-        track: usize,
-        ts: u64,
-        kind: EventKind,
-        class: u32,
-        site: u32,
-        arg: u64,
-    ) {
+    pub fn record_at(&mut self, track: usize, ts: u64, kind: EventKind, class: u32, arg: u64) {
         let Some(pending) = self.pending.get_mut(track) else {
             self.tracer.out_of_range.fetch_add(1, Ordering::Relaxed);
             return;
@@ -227,7 +210,6 @@ impl TraceWriter<'_> {
             ts,
             arg,
             class,
-            site,
             track: track as u32,
             kind,
         });
@@ -271,9 +253,9 @@ mod tests {
     #[test]
     fn driver_domain_ticks_are_per_track() {
         let t = Tracer::new(2, 16);
-        t.record(0, EventKind::Instant, 1, 0, 0);
-        t.record(0, EventKind::Instant, 1, 0, 0);
-        t.record(1, EventKind::Instant, 1, 0, 0);
+        t.record(0, EventKind::Instant, 1, 0);
+        t.record(0, EventKind::Instant, 1, 0);
+        t.record(1, EventKind::Instant, 1, 0);
         let events = t.drain();
         assert_eq!(
             events.iter().map(|e| (e.track, e.ts)).collect::<Vec<_>>(),
@@ -284,14 +266,14 @@ mod tests {
     #[test]
     fn drain_resets_clocks_and_rings() {
         let t = Tracer::new(1, 2);
-        t.record(0, EventKind::Instant, 1, 0, 0);
-        t.record(0, EventKind::Instant, 1, 0, 0);
-        t.record(0, EventKind::Instant, 1, 0, 0); // overflow
+        t.record(0, EventKind::Instant, 1, 0);
+        t.record(0, EventKind::Instant, 1, 0);
+        t.record(0, EventKind::Instant, 1, 0); // overflow
         assert_eq!(t.dropped(), 1);
         assert_eq!(t.dropped_by_track(), vec![1]);
         assert_eq!(t.drain().len(), 2);
         assert_eq!(t.dropped(), 0);
-        t.record(0, EventKind::Instant, 1, 0, 0);
+        t.record(0, EventKind::Instant, 1, 0);
         let again = t.drain();
         assert_eq!(again.len(), 1);
         assert_eq!(again[0].ts, 0, "tick clock must rewind on drain");
@@ -300,7 +282,7 @@ mod tests {
     #[test]
     fn a_torn_drain_is_counted_and_the_count_survives_the_drain() {
         let t = Tracer::new(2, 8);
-        t.record(1, EventKind::Instant, 1, 0, 0);
+        t.record(1, EventKind::Instant, 1, 0);
         t.rings[1].claim_unpublished();
         assert_eq!(t.torn(), 0);
         assert_eq!(t.drain().len(), 1);
@@ -318,7 +300,7 @@ mod tests {
         let resident = |t: &Tracer| t.rings.iter().map(Ring::resident_slots).sum::<usize>();
         assert_eq!(resident(&t), 0);
         for i in 0..10 {
-            t.record(i % 3, EventKind::Instant, 1, 0, 0);
+            t.record(i % 3, EventKind::Instant, 1, 0);
         }
         assert_eq!(resident(&t), 3 * crate::ring::CHUNK);
         assert_eq!(t.drain().len(), 10);
@@ -327,9 +309,9 @@ mod tests {
     #[test]
     fn out_of_range_track_is_counted_not_panicking() {
         let t = Tracer::new(1, 4);
-        t.record(9, EventKind::Instant, 1, 0, 0);
-        t.record_at(9, 5, EventKind::Instant, 1, 0, 0);
-        t.writer().record_at(9, 5, EventKind::Instant, 1, 0, 0);
+        t.record(9, EventKind::Instant, 1, 0);
+        t.record_at(9, 5, EventKind::Instant, 1, 0);
+        t.writer().record_at(9, 5, EventKind::Instant, 1, 0);
         assert_eq!(t.dropped(), 3);
         assert!(t.drain().is_empty());
     }
@@ -347,8 +329,8 @@ mod tests {
         {
             let mut w = batched.writer();
             for &(track, ts) in &calls {
-                direct.record_at(track, ts, EventKind::Instant, 1, 2, ts * 3);
-                w.record_at(track, ts, EventKind::Instant, 1, 2, ts * 3);
+                direct.record_at(track, ts, EventKind::Instant, 1, ts * 3);
+                w.record_at(track, ts, EventKind::Instant, 1, ts * 3);
             }
             assert!(
                 batched.recorded() < direct.recorded(),
@@ -366,7 +348,7 @@ mod tests {
         let t = Tracer::new(2, 16);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut w = t.writer();
-            w.record_at(1, 4, EventKind::Instant, 1, 0, 0);
+            w.record_at(1, 4, EventKind::Instant, 1, 0);
             panic!("engine bug");
         }));
         assert!(unwound.is_err());
@@ -381,7 +363,7 @@ mod tests {
         let t = Tracer::new(1, 4);
         t.disable();
         assert!(!t.is_enabled());
-        t.record(0, EventKind::Instant, 1, 0, 0);
+        t.record(0, EventKind::Instant, 1, 0);
         assert_eq!(t.drain().len(), 1);
     }
 }

@@ -27,8 +27,7 @@ fn kind_of(x: u64) -> EventKind {
     match x % 4 {
         0 => EventKind::SpanBegin,
         1 => EventKind::SpanEnd,
-        2 => EventKind::Instant,
-        _ => EventKind::Counter,
+        _ => EventKind::Instant,
     }
 }
 
@@ -59,7 +58,7 @@ fn run_plan(
                         }
                         for i in 0..per_stage {
                             let x = mix(seed ^ ((k as u64) << 40) ^ ((stage as u64) << 20) ^ i);
-                            tracer.record(k, kind_of(x), (x >> 8) as u32 % 64, 0, x >> 32);
+                            tracer.record(k, kind_of(x), (x >> 8) as u32 % 64, x >> 32);
                         }
                     }
                 }
@@ -133,7 +132,6 @@ mod trace_off {
         {
             let _g = pk_trace::trace_span!("off.outer");
             pk_trace::trace_instant!("off.tick");
-            pk_trace::trace_counter!("off.bytes", 9);
         }
         let cell = pk_lockdep::ClassCell::new();
         cell.set_class(pk_lockdep::register_class(

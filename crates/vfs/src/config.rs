@@ -78,34 +78,44 @@ impl VfsConfig {
 mod tests {
     use super::*;
 
+    /// Every flag of `c`, destructured without `..`: a new field does
+    /// not compile until the preset tests state its value.
+    fn flags(c: VfsConfig) -> (usize, [bool; 10]) {
+        let VfsConfig {
+            cores,
+            sloppy_dentry_refs,
+            sloppy_vfsmount_refs,
+            lockfree_dlookup,
+            percore_mount_cache,
+            percore_open_lists,
+            atomic_lseek,
+            avoid_inode_list_locks,
+            avoid_dcache_list_locks,
+            rcu_path_walk,
+            percore_refs,
+        } = c;
+        let fixes = [
+            sloppy_dentry_refs,
+            sloppy_vfsmount_refs,
+            lockfree_dlookup,
+            percore_mount_cache,
+            percore_open_lists,
+            atomic_lseek,
+            avoid_inode_list_locks,
+            avoid_dcache_list_locks,
+            rcu_path_walk,
+            percore_refs,
+        ];
+        (cores, fixes)
+    }
+
     #[test]
     fn stock_disables_everything() {
-        let c = VfsConfig::stock(8);
-        assert!(
-            !(c.sloppy_dentry_refs
-                || c.sloppy_vfsmount_refs
-                || c.lockfree_dlookup
-                || c.percore_mount_cache
-                || c.percore_open_lists
-                || c.atomic_lseek
-                || c.avoid_inode_list_locks
-                || c.avoid_dcache_list_locks)
-        );
-        assert_eq!(c.cores, 8);
+        assert_eq!(flags(VfsConfig::stock(8)), (8, [false; 10]));
     }
 
     #[test]
     fn pk_enables_everything() {
-        let c = VfsConfig::pk(48);
-        assert!(
-            c.sloppy_dentry_refs
-                && c.sloppy_vfsmount_refs
-                && c.lockfree_dlookup
-                && c.percore_mount_cache
-                && c.percore_open_lists
-                && c.atomic_lseek
-                && c.avoid_inode_list_locks
-                && c.avoid_dcache_list_locks
-        );
+        assert_eq!(flags(VfsConfig::pk(48)), (48, [true; 10]));
     }
 }

@@ -374,7 +374,6 @@ impl Dcache {
                 // way the entry left the cache.
                 let _ = d.try_dealloc();
                 evicted += 1;
-                self.stats.dcache_evictions.bump();
             }
         }
         evicted

@@ -42,8 +42,6 @@ pk_percpu::tally_struct! {
         pub dcache_hits,
         /// Dcache misses (demand-populated from the backing file system).
         pub dcache_misses,
-        /// Dentries evicted by the shrinker (each one paid a reconcile).
-        pub dcache_evictions,
         /// Dentry allocations that failed with ENOMEM (injected faults).
         pub dentry_alloc_failures,
         /// Lookup misses forced by injected dcache memory pressure.

@@ -185,7 +185,7 @@ mod tests {
         assert_eq!(hot.bp_of_latency, 7_200);
         // Queue cycles are in the latency denominator but not the pool.
         assert_eq!(a.queue, 100);
-        assert!(a.class("serve.admission_queue").is_none());
+        assert!(a.class(pk_trace::ADMISSION_CLASS.name()).is_none());
         // Ordering: widest first.
         assert_eq!(a.by_class[0].class, "hot");
     }

@@ -21,8 +21,7 @@
 //! renumbering workers or migrating a request's events to a different
 //! track (with per-track order preserved) cannot change a byte of it.
 
-use crate::ADMISSION_QUEUE_CLASS;
-use pk_trace::{ClassKey, ClassNames, Event, EventKind};
+use pk_trace::{ClassKey, ClassNames, Event, EventKind, ADMISSION_CLASS};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -36,8 +35,6 @@ pub enum NodeKind {
     Lock,
     /// A point event; zero width, `wait` carries the payload.
     Instant,
-    /// A counter delta; zero width, `wait` carries the raw delta.
-    Counter,
 }
 
 impl NodeKind {
@@ -47,7 +44,6 @@ impl NodeKind {
             NodeKind::Span => 0,
             NodeKind::Lock => 1,
             NodeKind::Instant => 2,
-            NodeKind::Counter => 3,
         }
     }
 }
@@ -66,7 +62,7 @@ pub struct SpanNode {
     pub start: u64,
     /// Close timestamp; equals `start` for zero-width nodes.
     pub end: u64,
-    /// Lock: cycles waited to acquire. Instant/counter: the payload.
+    /// Lock: cycles waited to acquire. Instant: the payload.
     pub wait: u64,
     /// Nested nodes, in stream order.
     pub children: Vec<SpanNode>,
@@ -229,7 +225,7 @@ fn walk<'t>(track: &'t [Event], sink: &mut impl Sink<'t>) -> (usize, usize) {
                     }
                 }
             }
-            EventKind::Instant | EventKind::Counter => {
+            EventKind::Instant => {
                 if !stack.is_empty() {
                     sink.point(e);
                 }
@@ -293,7 +289,7 @@ impl<K> Pricer<'_, K> {
         if let Some(&(_, admission)) = self.lock_classes.iter().find(|c| c.0 == class) {
             return admission;
         }
-        let admission = ClassKey::Lock(class).name() == ADMISSION_QUEUE_CLASS;
+        let admission = ClassKey::Lock(class).name() == ADMISSION_CLASS.name();
         self.lock_classes.push((class, admission));
         admission
     }
@@ -389,11 +385,7 @@ impl Sink<'_> for NodeSink {
         let top = self.open.last_mut().expect("one node per open frame");
         top.children.push(SpanNode {
             name: self.names.get(ClassKey::of(e)),
-            kind: if e.kind == EventKind::Instant {
-                NodeKind::Instant
-            } else {
-                NodeKind::Counter
-            },
+            kind: NodeKind::Instant,
             start: e.ts,
             end: e.ts,
             wait: e.arg,
@@ -544,7 +536,7 @@ pub struct RequestCost<'t> {
     /// End-to-end latency: admission wait + envelope width. This is
     /// the same number the engine's latency histogram recorded.
     pub latency: u64,
-    /// Cycles queued at admission ([`ADMISSION_QUEUE_CLASS`]) — the
+    /// Cycles queued at admission ([`ADMISSION_CLASS`]) — the
     /// *queue* term, deliberately not part of the lock-class waits.
     pub queue: u64,
     /// Cycles doing work: envelope covered by spans, minus lock waits.
@@ -606,8 +598,7 @@ pub struct ClassTotals {
 /// of cycles in function Y" tables (§4). A span's *inclusive* cycles
 /// are end − begin; its *exclusive* cycles are that less the inclusive
 /// cycles of its direct children, a sampling profiler's self time.
-/// Envelopes fold like any span; instant and counter events carry no
-/// cycles.
+/// Envelopes fold like any span; instant events carry no cycles.
 #[derive(Debug, Clone)]
 pub struct Profile {
     totals: Vec<ClassTotals>,
@@ -723,7 +714,6 @@ mod tests {
             ts,
             arg,
             class,
-            site: 0,
             track,
             kind,
         }
@@ -732,12 +722,7 @@ mod tests {
     fn classes() -> (u32, u32, u32, u32) {
         let ctx = pk_trace::REQUEST_CLASS.class_id();
         let work = pk_trace::intern::intern_span("test.why.work");
-        let adm = pk_lockdep::register_class(
-            ADMISSION_QUEUE_CLASS,
-            "pk-why",
-            pk_lockdep::LockKind::Ticket,
-        )
-        .raw();
+        let adm = ADMISSION_CLASS.id().raw();
         let lock =
             pk_lockdep::register_class("test.why.lock", "pk-why", pk_lockdep::LockKind::Spin).raw();
         (ctx, work, adm, lock)

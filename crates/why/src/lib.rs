@@ -43,7 +43,7 @@
 //!   Raw ids are registration-order-dependent and must never reach
 //!   canonical bytes — neither as a value nor as a tie-break.
 //! * **Admission wait is not a lock wait.** Time in
-//!   [`ADMISSION_QUEUE_CLASS`] is the identity's *queue* term: under
+//!   [`pk_trace::ADMISSION_CLASS`] is the identity's *queue* term: under
 //!   overload it dwarfs every real lock class, so pooling it with
 //!   lock-class waits would hide exactly the inversion the tables
 //!   exist to show.
@@ -65,9 +65,3 @@ pub use fold::{
     fold, ClassTotals, FoldOutput, NodeKind, Profile, RequestCost, RequestTree, SpanNode,
 };
 pub use reservoir::{encode_exemplars, encode_tree, exemplars};
-
-/// Resolved class name of the admission-queue wait (the zero-width
-/// lock pair the flow engine stamps at dispatch). This is the *queue*
-/// term of the accounting identity, excluded from the lock-class wait
-/// pool by [`RequestCost`] and [`attribute`].
-pub const ADMISSION_QUEUE_CLASS: &str = "serve.admission_queue";

@@ -122,7 +122,6 @@ mod tests {
                     ts,
                     arg,
                     class,
-                    site: 0,
                     track: track as u32,
                     kind,
                 });

@@ -4,7 +4,7 @@
 //! global allocator, and the one test owns the thread it counts on.
 
 use pk_trace::{Event, EventKind};
-use pk_why::{encode_exemplars, exemplars, fold, ADMISSION_QUEUE_CLASS};
+use pk_why::{encode_exemplars, exemplars, fold};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -87,7 +87,7 @@ const EXEMPLARS_MAX: usize = 3;
 fn stream(stations: u64) -> Vec<Event> {
     let spin = pk_lockdep::LockKind::Spin;
     let ctx_class = pk_trace::REQUEST_CLASS.class_id();
-    let admission = pk_lockdep::register_class(ADMISSION_QUEUE_CLASS, "pk-why", spin).raw();
+    let admission = pk_trace::ADMISSION_CLASS.id().raw();
     let span = pk_trace::intern::intern_span("test.why.allocs.station");
     let locks = ["a", "b", "c"]
         .map(|l| pk_lockdep::register_class(&format!("test.why.allocs.{l}"), "pk-why", spin).raw());
@@ -100,7 +100,6 @@ fn stream(stations: u64) -> Vec<Event> {
                     ts,
                     arg,
                     class,
-                    site: 0,
                     track: track as u32,
                     kind,
                 })

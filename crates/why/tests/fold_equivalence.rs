@@ -13,10 +13,9 @@
 //! walk, which it replaced, is kept here too, and the two must agree
 //! on the same streams wherever their nesting rules do.
 
-use pk_trace::{ClassKey, Event, EventKind};
+use pk_trace::{ClassKey, Event, EventKind, ADMISSION_CLASS};
 use pk_why::{
     encode_exemplars, exemplars, fold, ClassTotals, NodeKind, Profile, RequestCost, SpanNode,
-    ADMISSION_QUEUE_CLASS,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -115,11 +114,6 @@ fn fold_by_name(events: &[Event]) -> OracleFold {
                         top.node.children.push(leaf(e, NodeKind::Instant, e.arg));
                     }
                 }
-                EventKind::Counter => {
-                    if let Some(top) = stack.last_mut() {
-                        top.node.children.push(leaf(e, NodeKind::Counter, e.arg));
-                    }
-                }
             }
         }
         out.in_flight += stack.iter().filter(|f| f.ctx.is_some()).count();
@@ -157,7 +151,7 @@ impl From<RequestCost<'_>> for OracleCost {
 fn cost_by_walk(tree: &OracleTree) -> OracleCost {
     fn walk(n: &SpanNode, queue: &mut u64, waits: &mut BTreeMap<String, u64>) {
         if n.kind == NodeKind::Lock {
-            if &*n.name == ADMISSION_QUEUE_CLASS {
+            if &*n.name == ADMISSION_CLASS.name() {
                 *queue += n.wait;
             } else {
                 *waits.entry(n.name.to_string()).or_default() += n.wait;
@@ -199,7 +193,6 @@ fn exemplar_bytes_by_sort(trees: &[OracleTree], k: usize, seed: u64) -> Vec<u8> 
             NodeKind::Span => 0,
             NodeKind::Lock => 1,
             NodeKind::Instant => 2,
-            NodeKind::Counter => 3,
         });
         out.extend_from_slice(&(n.name.len() as u16).to_le_bytes());
         out.extend_from_slice(n.name.as_bytes());
@@ -289,7 +282,7 @@ fn profile_by_stack_walk(events: &[Event]) -> (Vec<ClassTotals>, u64) {
                     close(state, &mut flat, e.ts);
                 }
             }
-            EventKind::Instant | EventKind::Counter => {}
+            EventKind::Instant => {}
         }
     }
     for state in tracks.values_mut() {
@@ -359,14 +352,14 @@ fn class_pools() -> ([u32; 5], [u32; 5]) {
             pk_trace::intern::intern_span("test.why.eq.span"),
             0,
             3_000_000_000,
-            pk_trace::intern::intern_span(ADMISSION_QUEUE_CLASS),
+            pk_trace::intern::intern_span(ADMISSION_CLASS.name()),
         ],
         [
             pk_lockdep::register_class("test.why.eq.shared", "pk-why", spin).raw(),
             pk_lockdep::register_class("test.why.eq.lock", "pk-why", spin).raw(),
             0,
             3_000_000_001,
-            pk_lockdep::register_class(ADMISSION_QUEUE_CLASS, "pk-why", spin).raw(),
+            ADMISSION_CLASS.id().raw(),
         ],
     )
 }
@@ -390,7 +383,6 @@ fn stream(ops: &[(u32, u8, usize, u64)], broken: bool) -> Vec<Event> {
                 ts: events.len() as u64 * 3,
                 arg,
                 class,
-                site: 0,
                 track,
                 kind,
             })
@@ -401,8 +393,7 @@ fn stream(ops: &[(u32, u8, usize, u64)], broken: bool) -> Vec<Event> {
             0 => (EventKind::SpanBegin, spans[class], 0),
             1 => (EventKind::LockBegin, locks[class], ctx * 7),
             2 => (EventKind::CtxBegin, spans[class], ctx),
-            3 => (EventKind::Instant, spans[class], ctx),
-            4 => (EventKind::Counter, spans[class], ctx),
+            3 | 4 => (EventKind::Instant, spans[class], ctx),
             5 if broken && stack.len() >= 2 => stack.remove(stack.len() - 2),
             6 if broken => (
                 [EventKind::SpanEnd, EventKind::LockEnd, EventKind::CtxEnd][class % 3],
