@@ -18,10 +18,17 @@
 //! The public entry points run the **fast engine**: `push`/`pop` on a
 //! calendar-queue event wheel ([`wheel::EventWheel`], which behind
 //! that interface drains one bucket-width window of simulated time at
-//! a time as a sorted batch), over struct-of-arrays hot state
-//! (per-station and per-customer fields in parallel vectors, station
-//! FIFO queues as an intrusive index-linked list — no per-event
-//! allocation anywhere in the loop). The [`reference`](mod@reference)
+//! a time as a sorted batch), over hot state laid out for the dispatch:
+//! one row per station of the fields a dispatch reads and writes
+//! (demand, kind, busy flag, queue head, tail and length, last line
+//! owner), a separate tally row of the counters it only adds to,
+//! per-customer fields in dense vectors, and station FIFO queues as an
+//! intrusive index-linked list — no per-event allocation anywhere in the
+//! loop. The loop is instantiated per trace sink and per fault-plane
+//! state: a run whose plane is disabled when it starts carries no fault
+//! checks. Its uniforms are drawn ahead, 16 at a time from the same
+//! stream, each with its logarithm, so a service start only decides
+//! `−mean·ln u` against a guard band. The [`reference`](mod@reference)
 //! module keeps the original `BinaryHeap` engine as the
 //! differential oracle: both engines process events in the canonical
 //! `(time, seq)` order — FIFO among simultaneous events — draw from
@@ -80,17 +87,76 @@ pub struct DesResult {
     pub events_processed: u64,
 }
 
+/// The uniform behind every service draw: the vendored `rand` `f64`
+/// sampling (53 mantissa bits) inlined without the `dyn RngCore` hop
+/// `Rng::gen` takes — identical bits, fewer indirect calls — clamped to
+/// the draws' domain `[10⁻¹², 1)`.
+#[inline]
+pub(crate) fn uniform(rng: &mut SmallRng) -> f64 {
+    ((rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)).max(exp::U_MIN)
+}
+
 /// Draws an exponential service time with the given mean, clamped to
-/// at least one cycle. Both engines call this at the same points, so
-/// the RNG streams stay aligned. The uniform draw inlines the vendored
-/// `rand` `f64` sampling (53 mantissa bits) without the `dyn RngCore`
-/// hop `Rng::gen` takes — identical bits, fewer indirect calls — and
-/// [`exp_cycles`] turns it into cycles without a libm call on the
-/// common path, with the result of the pinned `ln` expression.
+/// at least one cycle. Both engines draw at the same points, so the RNG
+/// streams stay aligned; [`exp_cycles`] turns the uniform into cycles
+/// without a libm call on the common path, with the result of the
+/// pinned `ln` expression.
 #[inline]
 pub(crate) fn service(rng: &mut SmallRng, mean: f64) -> u64 {
-    let u = ((rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)).max(1e-12);
-    exp_cycles(u, mean)
+    exp_cycles(uniform(rng), mean)
+}
+
+/// Uniforms a [`Draws`] block holds.
+const BLOCK: usize = 16;
+
+/// [`service`] with the uniforms drawn ahead: [`BLOCK`] at a time from
+/// the same stream, each stored with its inline logarithm, so a
+/// dispatch only decides `−mean·ln u` against the guard band. The
+/// stream is consumed in order, so the `k`-th draw is [`service`]'s
+/// `k`-th; the uniforms left in the block when a run ends are never
+/// read.
+struct Draws {
+    rng: SmallRng,
+    /// The uniforms and their `exp::ln_draw`, consumed from `next` up.
+    u: [f64; BLOCK],
+    l: [f64; BLOCK],
+    next: usize,
+}
+
+impl Draws {
+    fn new(seed: u64) -> Self {
+        Self {
+            rng: SmallRng::seed_from_u64(seed),
+            u: [0.0; BLOCK],
+            l: [0.0; BLOCK],
+            next: BLOCK,
+        }
+    }
+
+    /// The next service time at `mean`.
+    #[inline]
+    fn service(&mut self, mean: f64) -> u64 {
+        if self.next == BLOCK {
+            self.refill();
+        }
+        let i = self.next;
+        self.next += 1;
+        exp::exp_cycles_ln(self.u[i], self.l[i], mean)
+    }
+
+    #[inline(never)]
+    fn refill(&mut self) {
+        // A local copy keeps the generator's state in registers.
+        let mut rng = self.rng.clone();
+        for u in &mut self.u {
+            *u = uniform(&mut rng);
+        }
+        self.rng = rng;
+        for (l, &u) in self.l.iter_mut().zip(&self.u) {
+            *l = exp::ln_draw(u);
+        }
+        self.next = 0;
+    }
 }
 
 /// Adds to a saturating `u64` accumulator. At 1024 simulated cores a
@@ -231,9 +297,13 @@ pub fn simulate(net: &Network, cores: usize, ops_per_core: u64, seed: u64) -> De
 /// * `sim.core_stall` — checked at every dispatch; when it fires the
 ///   customer arrives `STALL_CYCLES` late, modeling a stalled core.
 ///
-/// With the plane disabled this is byte-for-byte [`simulate`]: the
-/// fault checks cost one relaxed atomic load and draw nothing from the
-/// service-time RNG, so fault-free runs replay exactly.
+/// The plane is read once, when the run starts. Enabled, both points
+/// are checked at every arrival as above; disabled, the run takes an
+/// instantiation without fault checks and is byte-for-byte [`simulate`]
+/// (both points are still registered, so [`FaultPlane::stats`] lists
+/// them, with nothing checked). A plane enabled mid-run is not seen by
+/// that run. The checks draw nothing from the service-time RNG, so
+/// fault-free runs replay exactly.
 pub fn simulate_with_faults(
     net: &Network,
     cores: usize,
@@ -263,7 +333,7 @@ pub fn simulate_traced(
     assert!(cores > 0, "need at least one core");
     assert!(!net.stations().is_empty(), "need at least one station");
     match tracer {
-        Some(t) => run(
+        Some(t) => run_on(
             net,
             cores,
             ops_per_core,
@@ -271,71 +341,145 @@ pub fn simulate_traced(
             faults,
             &mut SimTrace::new(t, net.stations()),
         ),
-        None => run(net, cores, ops_per_core, seed, faults, &mut NoTrace),
+        None => run_on(net, cores, ops_per_core, seed, faults, &mut NoTrace),
+    }
+}
+
+/// Fault hooks the engine loop calls, one per injection point. Like
+/// [`TraceHooks`], the no-op implementation compiles to nothing.
+trait FaultHooks {
+    /// `sim.lock_holder_preempt`, at a Queue/NonScalable service start.
+    fn preempt(&self) -> bool;
+    /// `sim.core_stall`, at a dispatch.
+    fn stall(&self) -> bool;
+}
+
+/// The hooks of a run whose plane was disabled when it started.
+struct NoFaults;
+
+impl FaultHooks for NoFaults {
+    #[inline(always)]
+    fn preempt(&self) -> bool {
+        false
+    }
+    #[inline(always)]
+    fn stall(&self) -> bool {
+        false
+    }
+}
+
+/// The hooks of a run whose plane was enabled when it started.
+struct PlaneFaults {
+    preempt: FaultPoint,
+    stall: FaultPoint,
+}
+
+impl FaultHooks for PlaneFaults {
+    #[inline]
+    fn preempt(&self) -> bool {
+        self.preempt.should_inject()
+    }
+    #[inline]
+    fn stall(&self) -> bool {
+        self.stall.should_inject()
+    }
+}
+
+/// Registers both points, then runs the instantiation the plane's state
+/// at entry selects.
+fn run_on<S: TraceHooks>(
+    net: &Network,
+    cores: usize,
+    ops_per_core: u64,
+    seed: u64,
+    faults: &FaultPlane,
+    sink: &mut S,
+) -> DesResult {
+    let points = PlaneFaults {
+        preempt: faults.point("sim.lock_holder_preempt"),
+        stall: faults.point("sim.core_stall"),
+    };
+    if faults.is_enabled() {
+        run(net, cores, ops_per_core, seed, &points, sink)
+    } else {
+        run(net, cores, ops_per_core, seed, &NoFaults, sink)
     }
 }
 
 /// Sentinel for "no customer" in the intrusive queue links and "no
-/// owner" in the cache-line ownership column.
+/// owner" in a station's `last_owner`.
 const NONE: u32 = u32::MAX;
 
-/// The engine's hot state, struct-of-arrays: every per-station and
-/// per-customer field lives in its own dense vector so the event loop
-/// touches only the cache lines it needs. Station wait queues are an
-/// intrusive FIFO over `qnext` (each customer queues at most once, so
-/// one link per customer is a complete slab — no allocation per
-/// enqueue, ever).
-struct Hot {
-    // Stations.
-    kind: Vec<StationKind>,
-    demand: Vec<f64>,
-    busy: Vec<bool>,
-    qhead: Vec<u32>,
-    qtail: Vec<u32>,
-    qlen: Vec<u32>,
+/// One station's state the dispatch reads and writes, in one row.
+/// The station's wait queue is an intrusive FIFO from `qhead` to
+/// `qtail` over the customers' `qnext` links.
+struct Row {
+    demand: f64,
+    kind: StationKind,
+    busy: bool,
+    qlen: u32,
+    qhead: u32,
+    qtail: u32,
+    /// The customer whose service last held the station's line.
+    last_owner: u32,
+}
+
+/// One station's counters: only added to during the run, read once by
+/// [`Hot::into_result`].
+#[derive(Default)]
+struct Tally {
     /// Exact integer sum of departure-sampled queue lengths. An `f64`
     /// running sum silently loses precision past 2^53; the integer sum
     /// is exact (and saturates loudly via [`add_sat`]).
-    qlen_sum: Vec<u64>,
-    samples: Vec<u64>,
+    qlen_sum: u64,
+    samples: u64,
+    service_starts: u64,
+    transfers: u64,
     /// 128-bit: 1024 cores × multi-billion-cycle soaks can push the
     /// summed wait past `u64::MAX`.
-    wait_cycles: Vec<u128>,
-    service_starts: Vec<u64>,
-    transfers: Vec<u64>,
-    last_owner: Vec<u32>,
+    wait_cycles: u128,
+}
+
+/// The engine's hot state: a [`Row`] per station, the counters in a
+/// separate [`Tally`] per station, and per-customer fields in dense
+/// vectors. Each customer queues at most once, so one `qnext` link per
+/// customer is a complete slab for the station FIFOs — no allocation
+/// per enqueue, ever.
+struct Hot {
+    rows: Vec<Row>,
+    tallies: Vec<Tally>,
     // Customers.
     cust_station: Vec<u32>,
     cust_ops: Vec<u64>,
     cust_op_start: Vec<u64>,
     qnext: Vec<u32>,
     enq_at: Vec<u64>,
-    rng: SmallRng,
+    draws: Draws,
 }
 
 impl Hot {
     fn new(net: &Network, cores: usize, seed: u64) -> Self {
         let stations = net.stations();
-        let n = stations.len();
         Self {
-            kind: stations.iter().map(|s| s.kind).collect(),
-            demand: stations.iter().map(|s| s.demand_cycles).collect(),
-            busy: vec![false; n],
-            qhead: vec![NONE; n],
-            qtail: vec![NONE; n],
-            qlen: vec![0; n],
-            qlen_sum: vec![0; n],
-            samples: vec![0; n],
-            wait_cycles: vec![0; n],
-            service_starts: vec![0; n],
-            transfers: vec![0; n],
-            last_owner: vec![NONE; n],
+            rows: stations
+                .iter()
+                .map(|s| Row {
+                    demand: s.demand_cycles,
+                    kind: s.kind,
+                    busy: false,
+                    qlen: 0,
+                    qhead: NONE,
+                    qtail: NONE,
+                    last_owner: NONE,
+                })
+                .collect(),
+            tallies: stations.iter().map(|_| Tally::default()).collect(),
             cust_station: vec![0; cores],
             cust_ops: vec![0; cores],
             cust_op_start: vec![0; cores],
             qnext: vec![NONE; cores],
             enq_at: vec![0; cores],
-            rng: SmallRng::seed_from_u64(seed),
+            draws: Draws::new(seed),
         }
     }
 
@@ -344,93 +488,88 @@ impl Hot {
         let ci = c as usize;
         self.qnext[ci] = NONE;
         self.enq_at[ci] = t;
-        let tail = self.qtail[st];
-        if tail == NONE {
-            self.qhead[st] = c;
+        let row = &mut self.rows[st];
+        if row.qtail == NONE {
+            row.qhead = c;
         } else {
-            self.qnext[tail as usize] = c;
+            self.qnext[row.qtail as usize] = c;
         }
-        self.qtail[st] = c;
-        self.qlen[st] += 1;
+        row.qtail = c;
+        row.qlen += 1;
     }
 
     #[inline]
     fn dequeue(&mut self, st: usize) -> Option<(u32, u64)> {
-        let head = self.qhead[st];
+        let row = &mut self.rows[st];
+        let head = row.qhead;
         if head == NONE {
             return None;
         }
         let hi = head as usize;
         let next = self.qnext[hi];
-        self.qhead[st] = next;
+        row.qhead = next;
         if next == NONE {
-            self.qtail[st] = NONE;
+            row.qtail = NONE;
         }
-        self.qlen[st] -= 1;
+        row.qlen -= 1;
         Some((head, self.enq_at[hi]))
     }
 
-    /// Mean service time and poller count for a service starting at
-    /// `st` with the station's *current* queue length.
-    #[inline]
-    fn service_params(&self, st: usize) -> (f64, u32) {
-        let pollers = match self.kind[st] {
-            StationKind::NonScalable { .. } => self.qlen[st],
+    /// Starts customer `c`'s service at the busy Queue/NonScalable
+    /// station `st` at `now`: charges the coherence cost, draws the
+    /// service time at the station's *current* queue length and returns
+    /// the completion time. Forced inline, like [`Hot::dispatch`]: as
+    /// calls, the two cost 3–5 % of a 48-core run.
+    #[inline(always)]
+    fn start_service<F: FaultHooks>(&mut self, st: usize, c: u32, now: u64, faults: &F) -> u64 {
+        let row = &mut self.rows[st];
+        let pollers = match row.kind {
+            StationKind::NonScalable { .. } => row.qlen,
             _ => 0,
         };
-        let mean = self.kind[st].service_mean(self.demand[st], pollers as usize);
-        (mean, pollers)
-    }
-
-    /// Charges the coherence cost of customer `c` starting service.
-    #[inline]
-    fn start_service(&mut self, st: usize, c: u32, pollers: u32) {
-        add_sat(&mut self.service_starts[st], 1);
-        if self.last_owner[st] != c {
-            add_sat(&mut self.transfers[st], 1);
+        let mean = row.kind.service_mean(row.demand, pollers as usize);
+        let moved = row.last_owner != c;
+        row.last_owner = c;
+        let tally = &mut self.tallies[st];
+        add_sat(&mut tally.service_starts, 1);
+        // A handoff to another core moves the line, and every waiter
+        // polling a non-scalable lock pulls it away from the new holder
+        // at least once.
+        add_sat(&mut tally.transfers, u64::from(moved) + u64::from(pollers));
+        let done = now.saturating_add(self.draws.service(mean));
+        if faults.preempt() {
+            done.saturating_add(PREEMPT_CYCLES)
+        } else {
+            done
         }
-        self.last_owner[st] = c;
-        // Every waiter polling a non-scalable lock pulls the line
-        // away from the new holder at least once per handoff.
-        add_sat(&mut self.transfers[st], pollers as u64);
     }
 
     /// Dispatches customer `c` into station `st` at time `now`.
     /// Returns the (possibly stall-shifted) arrival time and, when
     /// service started immediately, the completion time (`None` means
     /// the customer queued).
-    #[inline]
-    fn dispatch(
+    #[inline(always)]
+    fn dispatch<F: FaultHooks>(
         &mut self,
         st: usize,
         c: u32,
         now: u64,
-        preempt: &FaultPoint,
-        stall: &FaultPoint,
+        faults: &F,
     ) -> (u64, Option<u64>) {
         // A stalled core arrives late; the delay shifts both its service
         // and (if the server is busy) its enqueue time.
-        let now = now.saturating_add(STALL_CYCLES * u64::from(stall.should_inject()));
-        match self.kind[st] {
-            StationKind::Delay => {
-                let d = self.demand[st];
-                (now, Some(now.saturating_add(service(&mut self.rng, d))))
-            }
-            StationKind::Queue | StationKind::NonScalable { .. } => {
-                if self.busy[st] {
-                    self.enqueue(st, c, now);
-                    (now, None)
-                } else {
-                    self.busy[st] = true;
-                    let (mean, pollers) = self.service_params(st);
-                    self.start_service(st, c, pollers);
-                    let mut done = now.saturating_add(service(&mut self.rng, mean));
-                    if preempt.should_inject() {
-                        done = done.saturating_add(PREEMPT_CYCLES);
-                    }
-                    (now, Some(done))
-                }
-            }
+        let now = now.saturating_add(STALL_CYCLES * u64::from(faults.stall()));
+        let row = &mut self.rows[st];
+        if matches!(row.kind, StationKind::Delay) {
+            let d = row.demand;
+            return (now, Some(now.saturating_add(self.draws.service(d))));
+        }
+        if row.busy {
+            self.enqueue(st, c, now);
+            (now, None)
+        } else {
+            row.busy = true;
+            (now, Some(self.start_service(st, c, now, faults)))
         }
     }
 
@@ -441,6 +580,7 @@ impl Hot {
         span: u64,
         events_processed: u64,
     ) -> DesResult {
+        let mean = |sum: f64, n: u64| if n == 0 { 0.0 } else { sum / n as f64 };
         DesResult {
             ops_per_cycle: measured_ops as f64 / span as f64,
             completed_ops: measured_ops,
@@ -450,39 +590,35 @@ impl Hot {
                 0.0
             },
             mean_queue_len: self
-                .qlen_sum
+                .tallies
                 .iter()
-                .zip(&self.samples)
-                .map(|(&sum, &n)| if n == 0 { 0.0 } else { sum as f64 / n as f64 })
+                .map(|t| mean(t.qlen_sum as f64, t.samples))
                 .collect(),
             mean_wait_cycles: self
-                .wait_cycles
+                .tallies
                 .iter()
-                .zip(&self.service_starts)
-                .map(|(&w, &n)| if n == 0 { 0.0 } else { w as f64 / n as f64 })
+                .map(|t| mean(t.wait_cycles as f64, t.service_starts))
                 .collect(),
-            line_transfers: self.transfers,
+            line_transfers: self.tallies.iter().map(|t| t.transfers).collect(),
             events_processed,
         }
     }
 }
 
-/// The fast engine: monomorphized over the trace sink so untraced runs
-/// pay nothing for the hooks.
-fn run<S: TraceHooks>(
+/// The fast engine: monomorphized over the fault hooks and the trace
+/// sink, so a run on a disabled plane checks no fault point and an
+/// untraced run pays nothing for the hooks.
+fn run<F: FaultHooks, S: TraceHooks>(
     net: &Network,
     cores: usize,
     ops_per_core: u64,
     seed: u64,
-    faults: &FaultPlane,
+    faults: &F,
     sink: &mut S,
 ) -> DesResult {
-    let stations = net.stations();
-    let n_stations = stations.len();
-    let fault_preempt = faults.point("sim.lock_holder_preempt");
-    let fault_stall = faults.point("sim.core_stall");
+    let n_stations = net.stations().len();
     let mut hot = Hot::new(net, cores, seed);
-    let max_demand = hot.demand.iter().cloned().fold(1.0_f64, f64::max);
+    let max_demand = hot.rows.iter().map(|r| r.demand).fold(1.0_f64, f64::max);
     let mut events = EventWheel::new(max_demand, cores);
 
     let warmup_ops = (ops_per_core / 5).max(1);
@@ -497,7 +633,7 @@ fn run<S: TraceHooks>(
     // Seed: every customer enters station 0.
     for c in 0..cores as u32 {
         sink.op_begin(c as usize, 0);
-        let (arrival, done) = hot.dispatch(0, c, 0, &fault_preempt, &fault_stall);
+        let (arrival, done) = hot.dispatch(0, c, 0, faults);
         sink.station_begin(c as usize, arrival, 0);
         if done.is_none() {
             sink.wait_begin(c as usize, arrival, 0);
@@ -514,26 +650,21 @@ fn run<S: TraceHooks>(
         let station = hot.cust_station[ci] as usize;
         sink.station_end(ci, now, station);
         // Departure from `station`.
-        if matches!(
-            hot.kind[station],
-            StationKind::Queue | StationKind::NonScalable { .. }
-        ) {
-            add_sat(&mut hot.qlen_sum[station], hot.qlen[station] as u64);
-            add_sat(&mut hot.samples[station], 1);
-            hot.busy[station] = false;
+        let row = &mut hot.rows[station];
+        if !matches!(row.kind, StationKind::Delay) {
+            let qlen = row.qlen;
+            row.busy = false;
+            let tally = &mut hot.tallies[station];
+            add_sat(&mut tally.qlen_sum, u64::from(qlen));
+            add_sat(&mut tally.samples, 1);
             if let Some((next_c, enqueued_at)) = hot.dequeue(station) {
                 // Start the next waiter; the server stays busy.
-                hot.busy[station] = true;
+                hot.rows[station].busy = true;
                 // A stall-injected waiter can carry an enqueue stamp later
                 // than this departure; it effectively waited zero cycles.
-                hot.wait_cycles[station] += now.saturating_sub(enqueued_at) as u128;
+                hot.tallies[station].wait_cycles += now.saturating_sub(enqueued_at) as u128;
                 sink.wait_end(next_c as usize, now.max(enqueued_at), station);
-                let (mean, pollers) = hot.service_params(station);
-                hot.start_service(station, next_c, pollers);
-                let mut done = now.saturating_add(service(&mut hot.rng, mean));
-                if fault_preempt.should_inject() {
-                    done = done.saturating_add(PREEMPT_CYCLES);
-                }
+                let done = hot.start_service(station, next_c, now, faults);
                 events.push(done, next_c);
                 // next_c stays at the same station until its own departure.
             }
@@ -567,7 +698,7 @@ fn run<S: TraceHooks>(
             }
         }
         hot.cust_station[ci] = next_station as u32;
-        let (arrival, done) = hot.dispatch(next_station, c, now, &fault_preempt, &fault_stall);
+        let (arrival, done) = hot.dispatch(next_station, c, now, faults);
         sink.station_begin(ci, arrival, next_station);
         if done.is_none() {
             sink.wait_begin(ci, arrival, next_station);
@@ -800,6 +931,75 @@ mod tests {
         assert_eq!(plain.ops_per_cycle, with.ops_per_cycle);
         assert_eq!(plain.completed_ops, with.completed_ops);
         assert!(plane.trace().is_empty());
+    }
+
+    #[test]
+    fn an_enabled_plane_that_never_fires_replays_the_fault_free_run() {
+        // The enabled plane takes the checked instantiation, the disabled
+        // one the instantiation without checks: same result, and the
+        // enabled plane counts one check per service start at the lock
+        // and one per dispatch (values pinned from the engine before the
+        // split).
+        let net = faulted_net();
+        let off = pk_fault::FaultPlane::with_seed(21);
+        let plain = simulate_with_faults(&net, 8, 3_000, 21, &off);
+        let plane = pk_fault::FaultPlane::with_seed(21);
+        plane.set("sim.lock_holder_preempt", pk_fault::FaultSchedule::Never);
+        plane.set("sim.core_stall", pk_fault::FaultSchedule::Never);
+        plane.enable();
+        let checked = simulate_with_faults(&net, 8, 3_000, 21, &plane);
+        assert_eq!(plain, checked);
+        let counts = |p: &pk_fault::FaultPlane| {
+            p.stats()
+                .iter()
+                .map(|s| (s.name, s.checked, s.injected))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            counts(&plane),
+            [
+                ("sim.core_stall", 57_600, 0),
+                ("sim.lock_holder_preempt", 28_800, 0)
+            ]
+        );
+        // The disabled run still registers both points, and checks none.
+        assert_eq!(
+            counts(&off),
+            [("sim.core_stall", 0, 0), ("sim.lock_holder_preempt", 0, 0)]
+        );
+    }
+
+    #[test]
+    fn draws_ahead_equal_service_bit_for_bit() {
+        // `Draws` against [`service`] on one stream, with the mean changing
+        // on every draw: 20 000 draws cross 1 250 refills.
+        let special = [
+            0.0,
+            -3.0,
+            f64::NAN,
+            exp::MEAN_MAX.next_down(),
+            exp::MEAN_MAX,
+            exp::MEAN_MAX.next_up(),
+            1.27e13,
+            f64::INFINITY,
+        ];
+        for seed in [42, 7] {
+            let mut draws = Draws::new(seed);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for i in 0..20_000 {
+                let mean = if i % 3 == 0 {
+                    special[i / 3 % special.len()]
+                } else {
+                    10f64.powf((i % 97) as f64 / 7.0)
+                };
+                let want = service(&mut rng, mean);
+                assert_eq!(
+                    draws.service(mean),
+                    want,
+                    "seed {seed} draw {i} mean={mean}"
+                );
+            }
+        }
     }
 
     #[test]

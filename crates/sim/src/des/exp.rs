@@ -9,10 +9,23 @@
 //! a guard band, and trusts `y` only where an error that small cannot
 //! move the truncated result: `y` clearly below 1 (the clamp), or `y`
 //! whose fraction sits more than the guard away from an integer. Every
-//! other input (`y` near an integer, NaN, infinite or past 2⁵³, `u`
-//! outside the positive normals, or a mean so large that the guard
-//! would refuse a good share of its draws) takes the pinned expression
-//! itself.
+//! other input (`y` near an integer, NaN, infinite or past 2⁵³, or a
+//! mean so large that the guard would refuse a good share of its draws)
+//! takes the pinned expression itself.
+//!
+//! The guard band is sized to the draws' domain. The engines clamp `u`
+//! to `[10⁻¹², 1)`, where the inline logarithm is within
+//! `LN_ABS + LN_REL·|ln u|` of libm's: a constant 8·10⁻¹⁶ from the
+//! series and the table, and `2.5·ε·|ln u|` from the roundings of the
+//! sums and of libm. With the products' rounding that bounds
+//! `|y − pinned|` by `mean·LN_ABS + |y|·(LN_REL + ε)`, and the band,
+//! half as much again, is `mean·GUARD_ABS + |y|·GUARD_REL + 10⁻⁹`:
+//! about 2.4·10⁻¹⁵ per cycle of mean on an average draw. A `u` outside
+//! the domain, where `|ln u|` reaches 745, never takes the inline path.
+//!
+//! The decision needs only `ln u`, so a caller may take the logarithms
+//! of a block of uniforms ahead (`ln_draw`) and decide each draw later
+//! (`exp_cycles_ln`); [`exp_cycles`] is the two in one.
 //!
 //! The logarithm splits `u = 2^e · m`, `m ∈ [1, 2)`, and reduces `m` by
 //! the centre `c` of its 1/128-wide cell: `r = m·(1/c) − 1`, so
@@ -54,23 +67,39 @@ const fn ln_series(x: f64) -> f64 {
     2.0 * sum
 }
 
-/// Error per cycle of mean the guard band allows for. `|ln_inline(u) −
-/// u.ln()|` is under 2·10⁻¹⁵ over the draws' range `[10⁻¹², 1)` and
-/// under 3·10⁻¹³ over all positive normals, where `|ln u|` reaches 709
-/// and its last bit is worth 10⁻¹³ (the tests hold the draws' range to
-/// 10⁻¹³); the two products' rounding adds at most
-/// `2⁻⁵²·|y| ≤ 1.6·10⁻¹³·mean`.
-const LN_ERROR: f64 = 1e-12;
+/// The draws' domain: the engines clamp every uniform to `[U_MIN, 1)`,
+/// so `|ln u| ≤ 27.7` wherever the inline path answers.
+pub(crate) const U_MIN: f64 = 1e-12;
+
+/// The bound on `|ln_inline(u) − u.ln()|` over `[U_MIN, 1)` is
+/// `LN_ABS + LN_REL·|ln u|`. The constant part is the series' truncation
+/// (`r⁶/6 ≤ 6·10⁻¹⁶`) and the roundings of `r` and of the table, 7.7·10⁻¹⁶
+/// in all. The proportional part is the roundings of `e·ln 2`, of the two
+/// sums and of libm's `ln`, about 2.2 ulps of `ln u`. Measured, the
+/// difference is at most two ulps of `ln u` where `|ln u| ≥ 1` (7.1·10⁻¹⁵
+/// at `u ≈ 2·10⁻¹²`) and 7.8·10⁻¹⁶ below.
+/// `inline_ln_error_over_the_draws_domain` pins the bound.
+const LN_ABS: f64 = 8e-16;
+const LN_REL: f64 = 2.5 * f64::EPSILON;
+
+/// The guard band's parts. `y = −mean·ln_inline(u)` and the pinned
+/// `−mean·ln u` differ by at most `mean·(LN_ABS + LN_REL·|ln u|)` plus
+/// the two products' rounding, `2⁻⁵³·(|y| + |pinned|)`: within
+/// `mean·LN_ABS + |y|·(LN_REL + ε)`, to first order. The band is half as
+/// much again for margin.
+const GUARD_ABS: f64 = 1.5 * LN_ABS;
+const GUARD_REL: f64 = 1.5 * (LN_REL + f64::EPSILON);
 
 /// Means from here up draw through the pinned expression directly. The
-/// guard band `mean·10⁻¹²` sends about `2·mean·10⁻¹²` of the draws there
-/// anyway, ≥ 0.9 % from 2³² cycles and all of them from 5·10¹¹ (the
-/// whole-build and whole-sort stations of gmake, pedsort and Metis),
-/// and computing `y` first only adds a mispredicted branch to each.
-const MEAN_MAX: f64 = (1u64 << 32) as f64;
+/// guard band, `mean·(GUARD_ABS + GUARD_REL)` on an average draw, sends
+/// about twice that share of the draws there anyway, 17 % at 2⁴⁵ cycles,
+/// and computing `y` first only adds a mispredicted branch to each. Every
+/// roster mean sits below it; the largest, gmake's 1.27·10¹³ cycles at
+/// 1 024 cores, sends 6 % of its draws to libm.
+pub(crate) const MEAN_MAX: f64 = (1u64 << 45) as f64;
 
-/// Natural logarithm of a positive normal `u`, to within a few 10⁻¹⁵
-/// of `f64::ln`.
+/// Natural logarithm of a positive normal `u`, to within
+/// `LN_ABS + LN_REL·|ln u|` of `f64::ln` on the draws' domain.
 #[inline]
 fn ln_inline(u: f64) -> f64 {
     let bits = u.to_bits();
@@ -82,18 +111,31 @@ fn ln_inline(u: f64) -> f64 {
     e as f64 * std::f64::consts::LN_2 - ln_inv_c + log1p
 }
 
-/// `(-mean * u.ln()).max(1.0) as u64` when the inline logarithm decides
-/// it exactly; `None` when the result could depend on the last bits of
+/// `ln_inline(u)` where the guard band covers its error, `u ∈ [U_MIN,
+/// 1)`; NaN elsewhere, which no decision trusts.
+#[inline]
+pub(crate) fn ln_draw(u: f64) -> f64 {
+    if (U_MIN..1.0).contains(&u) {
+        ln_inline(u)
+    } else {
+        f64::NAN
+    }
+}
+
+/// `(-mean * u.ln()).max(1.0) as u64` when `l = ln_draw(u)` decides it
+/// exactly; `None` when the result could depend on the last bits of
 /// `ln` and only the pinned expression may answer.
 #[inline]
-fn exp_cycles_inline(u: f64, mean: f64) -> Option<u64> {
-    if !(f64::MIN_POSITIVE..=f64::MAX).contains(&u) || !(..MEAN_MAX).contains(&mean) {
+fn decide(l: f64, mean: f64) -> Option<u64> {
+    if !(..MEAN_MAX).contains(&mean) {
         return None;
     }
-    let y = -mean * ln_inline(u);
-    // The constant covers small means. For a negative mean every `y` is
-    // below `1 − g`, as the pinned clamp wants.
-    let g = mean * LN_ERROR + 1e-9;
+    let y = -mean * l;
+    // `−l·mean` is `|y|` for a positive mean; taken from `l`, not `y`, it
+    // adds no step after `y` to the band. The constant covers small
+    // means. For a negative mean every `y` is below `1 − g`, as the
+    // pinned clamp wants.
+    let g = (mean * GUARD_ABS + 1e-9) - l * (mean * GUARD_REL);
     if y < 1.0 - g {
         return Some(1);
     }
@@ -116,35 +158,58 @@ fn exp_cycles_libm(u: f64, mean: f64) -> u64 {
     (-mean * u.ln()).max(1.0) as u64
 }
 
-/// The exponential inverse-CDF draw: cycles for the uniform `u` at the
-/// given mean, clamped to at least one. Equal to
-/// `(-mean * u.ln()).max(1.0) as u64` for every input, bit for bit; it
-/// calls `f64::ln` only where `−mean·ln u` lies within
-/// `mean·10⁻¹² + 10⁻⁹` of an integer or is not a finite value below 2⁵³,
-/// and for means of 2³² cycles or more (see the module docs).
+/// [`exp_cycles`] for a `u` whose `ln_draw(u)` is already known: the
+/// decision alone, for draws whose logarithms were taken ahead.
 #[inline]
-pub fn exp_cycles(u: f64, mean: f64) -> u64 {
-    match exp_cycles_inline(u, mean) {
+pub(crate) fn exp_cycles_ln(u: f64, l: f64, mean: f64) -> u64 {
+    match decide(l, mean) {
         Some(cycles) => cycles,
         None => exp_cycles_libm(u, mean),
     }
+}
+
+/// The exponential inverse-CDF draw: cycles for the uniform `u` at the
+/// given mean, clamped to at least one. Equal to
+/// `(-mean * u.ln()).max(1.0) as u64` for every input, bit for bit; it
+/// calls `f64::ln` only where `y = −mean·ln u` lies within
+/// `mean·GUARD_ABS + |y|·GUARD_REL + 10⁻⁹` (about 1.2·10⁻¹⁵ each) of an
+/// integer or is not a finite value below 2⁵³, for `u` outside
+/// `[10⁻¹², 1)` and for means of 2⁴⁵ cycles or more (see the module
+/// docs).
+#[inline]
+pub fn exp_cycles(u: f64, mean: f64) -> u64 {
+    exp_cycles_ln(u, ln_draw(u), mean)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::{RngCore, SeedableRng};
+    use rand::SeedableRng;
 
-    /// From nothing to gmake's whole-build station, which is past
-    /// `MEAN_MAX`.
-    const MEANS: [f64; 9] = [0.0, 1e-12, 0.5, 1.0, 1_777.0, 2.3e6, 1e7, 1e9, 1.45152e12];
+    /// From nothing to past `MEAN_MAX`: the roster's largest means
+    /// (Metis, pedsort and gmake whole-job stations) and the values
+    /// either side of `MEAN_MAX`.
+    const MEANS: [f64; 13] = [
+        0.0,
+        1e-12,
+        0.5,
+        1.0,
+        1_777.0,
+        2.3e6,
+        1e7,
+        1e9,
+        2.6e11,
+        1.45152e12,
+        1.27e13,
+        MEAN_MAX.next_down(),
+        MEAN_MAX.next_up(),
+    ];
 
     /// The uniforms `des::service` draws, from one seeded stream.
     fn uniforms(seed: u64, n: usize) -> impl Iterator<Item = f64> {
         let mut rng = SmallRng::seed_from_u64(seed);
-        (0..n)
-            .map(move |_| ((rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)).max(1e-12))
+        (0..n).map(move |_| crate::des::uniform(&mut rng))
     }
 
     /// Every cell boundary of the table in a few binades of the draw's
@@ -157,7 +222,7 @@ mod tests {
                 us.extend([edge.next_down(), edge, edge.next_up()]);
             }
         }
-        us.extend([1e-12, 1.0 - 2f64.powi(-53)]);
+        us.extend([U_MIN, 1.0 - 2f64.powi(-53)]);
         us
     }
 
@@ -183,6 +248,34 @@ mod tests {
     }
 
     #[test]
+    fn inline_ln_error_over_the_draws_domain() {
+        // The seed-42 and seed-7 draw streams, every cell edge, 2¹²
+        // evenly spaced mantissas in each binade of `[U_MIN, 1)` and the
+        // 2¹² doubles below 1, where `ln u` nears 0 and the constant part
+        // dominates: the bound the guard band is derived from.
+        let mut us = cell_edges();
+        us.extend(uniforms(42, 1_000_000).chain(uniforms(7, 1_000_000)));
+        for e in -40..0 {
+            let binade = 2f64.powi(e);
+            us.extend((0..1 << 12).map(|i| binade * (1.0 + i as f64 / 4096.0)));
+        }
+        us.extend((1..=1 << 12).map(|i| 1.0 - i as f64 * 2f64.powi(-53)));
+        let mut worst = (f64::MIN, 0.0);
+        for u in us.into_iter().filter(|u| (U_MIN..1.0).contains(u)) {
+            let excess = (ln_inline(u) - u.ln()).abs() - LN_REL * -u.ln();
+            if excess > worst.0 {
+                worst = (excess, u);
+            }
+        }
+        assert!(
+            worst.0 <= LN_ABS,
+            "|ln_inline − ln| − LN_REL·|ln u| = {:e} at u = {:e}",
+            worst.0,
+            worst.1
+        );
+    }
+
+    #[test]
     fn equals_the_pinned_expression_on_edges_and_seeded_draws() {
         for mean in MEANS {
             for u in cell_edges().into_iter().chain(uniforms(7, 1_000_000)) {
@@ -198,7 +291,7 @@ mod tests {
         for (i, u) in uniforms(42, 20_000).enumerate() {
             let k = 1 + (i as u64 * 7_919) % 1_000_000;
             let mean = k as f64 / -u.ln();
-            assert_eq!(exp_cycles_inline(u, mean), None, "u={u:e} k={k}");
+            assert_eq!(decide(ln_draw(u), mean), None, "u={u:e} k={k}");
             assert_eq!(exp_cycles(u, mean), pinned(u, mean), "u={u:e} k={k}");
         }
     }
@@ -213,14 +306,19 @@ mod tests {
             (1e-12, 1e300),
             (0.0, 5.0),
             (f64::MIN_POSITIVE / 2.0, 5.0),
+            (U_MIN.next_down(), 5.0),
+            (1e-300, 5.0),
             (1.0, 5.0),
             (f64::NAN, 5.0),
         ] {
             assert_eq!(exp_cycles(u, mean), pinned(u, mean), "u={u:e} mean={mean}");
         }
-        assert_eq!(exp_cycles_inline(0.5, f64::NAN), None);
-        assert_eq!(exp_cycles_inline(0.5, MEAN_MAX), None);
-        assert_eq!(exp_cycles_inline(1e-12, 1e300), None);
-        assert_eq!(exp_cycles_inline(0.0, 5.0), None);
+        assert_eq!(decide(ln_draw(0.5), f64::NAN), None);
+        assert_eq!(decide(ln_draw(0.5), MEAN_MAX), None);
+        assert_eq!(decide(ln_draw(1e-12), 1e300), None);
+        for u in [0.0, U_MIN.next_down(), 1e-300, 1.0, f64::NAN] {
+            assert!(ln_draw(u).is_nan(), "u={u:e}");
+            assert_eq!(decide(ln_draw(u), 5.0), None, "u={u:e}");
+        }
     }
 }
