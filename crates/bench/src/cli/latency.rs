@@ -57,10 +57,10 @@ pub fn run(args: &Args) -> Result<(), String> {
             h.workload,
             h.events,
             h.dropped_total,
-            if h.dropped_total == 0 {
-                "ok"
-            } else {
-                "OVERFLOW"
+            match (h.dropped_total, h.torn) {
+                (0, 0) => "ok",
+                (0, _) => "TORN",
+                _ => "OVERFLOW",
             }
         );
     }

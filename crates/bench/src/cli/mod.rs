@@ -103,6 +103,7 @@ mod tests {
             events: 10,
             dropped_total: 3,
             dropped_by_track: vec![0, 3],
+            torn: 0,
         };
         let err = finish(&latency::ring_check(&[health]), false).unwrap_err();
         assert_eq!(err, "violation: trace ring drops == 0: exim dropped [0, 3]");

@@ -196,6 +196,11 @@ fn functional_exim_pass() {
             .expect("fault-free delivery");
     }
     let events = tracer.drain();
+    assert_eq!(
+        tracer.torn(),
+        0,
+        "the drain found claimed but unpublished slots"
+    );
     let p = pk_why::Profile::build(&events);
     println!("--- exim functional driver (driver clock domain) ---");
     let table = profile::class_table(p.total_cycles);

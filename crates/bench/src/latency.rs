@@ -190,11 +190,11 @@ pub fn assess(verdicts: &[WorkloadVerdict]) -> Vec<Check> {
 
 /// One workload's trace-ring health check: the PK serving network run
 /// through the flow engine with a tracer sized by the documented rule
-/// ([`pk_sim::flow_ring_capacity`]), reporting what each track dropped.
-/// A non-zero drop count means some request's span tree is missing
-/// events — downstream folds would silently under-attribute — so
-/// `report latency` fails its [`ring_check`] and `report tail` refuses
-/// to run.
+/// ([`pk_sim::flow_ring_capacity`]), reporting what each track dropped
+/// and what the drain found torn. A non-zero count of either means some
+/// request's span tree is missing events — downstream folds would
+/// silently under-attribute — so `report latency` fails its
+/// [`ring_check`] and `report tail` refuses to run.
 #[derive(Debug, Clone)]
 pub struct RingHealth {
     /// Roster workload name.
@@ -205,6 +205,9 @@ pub struct RingHealth {
     pub dropped_total: u64,
     /// Drops per track; track [`CORES`] is the admission track.
     pub dropped_by_track: Vec<u64>,
+    /// Slots the drain found claimed but never published
+    /// ([`pk_trace::Tracer::torn`]; must be zero).
+    pub torn: u64,
 }
 
 /// Runs the normal-load traced flow for every serving workload and
@@ -236,23 +239,30 @@ pub fn trace_ring_health(seed: u64) -> Vec<RingHealth> {
             .expect("serving spec exists");
             let dropped_total = tracer.dropped();
             let dropped_by_track = tracer.dropped_by_track();
+            let events = tracer.drain().len();
             RingHealth {
                 workload: w,
-                events: tracer.drain().len(),
+                events,
                 dropped_total,
                 dropped_by_track,
+                torn: tracer.torn(),
             }
         })
         .collect()
 }
 
-/// The ring-health check, separate from the two claims: no serving
-/// capture dropped an event. Its values are each overflowing
-/// workload's per-track drops.
+/// The ring-health checks, separate from the two claims: no serving
+/// capture dropped an event, and no drain tore one. Their values are
+/// each overflowing workload's per-track drops and each torn
+/// workload's torn slots.
 pub fn ring_check(health: &[RingHealth]) -> Vec<Check> {
     let overflows = health.iter().filter(|h| h.dropped_total > 0);
     let overflows = overflows.map(|h| format!("{} dropped {:?}", h.workload, h.dropped_by_track));
-    Vec::new().none("trace ring drops == 0", overflows.collect())
+    let tears = health.iter().filter(|h| h.torn > 0);
+    let tears = tears.map(|h| format!("{} tore {} slots", h.workload, h.torn));
+    Vec::new()
+        .none("trace ring drops == 0", overflows.collect())
+        .none("trace ring tears == 0", tears.collect())
 }
 
 /// The per-workload verdict columns: a JSON object, and two text lines
@@ -372,6 +382,7 @@ mod tests {
                 "{}: flow_ring_capacity must cover the run, dropped {:?}",
                 h.workload, h.dropped_by_track
             );
+            assert_eq!(h.torn, 0, "{}: a drain tore the capture", h.workload);
         }
     }
 }

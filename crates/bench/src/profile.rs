@@ -116,6 +116,11 @@ pub fn trace(
     );
     let dropped_events = tracer.dropped();
     let events = tracer.drain();
+    assert_eq!(
+        tracer.torn(),
+        0,
+        "{workload}: the drain found claimed but unpublished slots"
+    );
     (
         WorkloadAttribution {
             workload: workload.to_string(),

@@ -117,9 +117,9 @@ impl TailGrid {
 }
 
 /// Runs one cell and returns it with the raw capture (for Perfetto
-/// export). Panics — failing the report — on ring overflow, context
-/// leaks, or a fold that disagrees with the engine's counters: each
-/// means the exemplar evidence would be incomplete.
+/// export). Panics — failing the report — on ring overflow, a torn
+/// drain, context leaks, or a fold that disagrees with the engine's
+/// counters: each means the exemplar evidence would be incomplete.
 pub fn run_cell(
     workload: &'static str,
     personality: Personality,
@@ -168,6 +168,13 @@ pub fn run_cell(
     );
 
     let events = tracer.drain();
+    assert_eq!(
+        tracer.torn(),
+        0,
+        "{workload}/{}: the drain found claimed but unpublished slots — \
+         exemplar trees would be incomplete",
+        personality.label()
+    );
     let f = fold(&events);
     assert_eq!(
         f.malformed,

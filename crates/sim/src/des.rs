@@ -97,10 +97,11 @@ pub(crate) fn uniform(rng: &mut SmallRng) -> f64 {
 }
 
 /// Draws an exponential service time with the given mean, clamped to
-/// at least one cycle. Both engines draw at the same points, so the RNG
-/// streams stay aligned; [`exp_cycles`] turns the uniform into cycles
-/// without a libm call on the common path, with the result of the
-/// pinned `ln` expression.
+/// at least one cycle: the on-the-spot draw the [`reference`](mod@reference)
+/// engine takes as the oracle. Every other engine draws the same stream
+/// ahead through [`Draws`], whose `k`-th draw is this function's `k`-th;
+/// [`exp_cycles`] turns the uniform into cycles without a libm call on
+/// the common path, with the result of the pinned `ln` expression.
 #[inline]
 pub(crate) fn service(rng: &mut SmallRng, mean: f64) -> u64 {
     exp_cycles(uniform(rng), mean)
@@ -114,8 +115,9 @@ const BLOCK: usize = 16;
 /// dispatch only decides `−mean·ln u` against the guard band. The
 /// stream is consumed in order, so the `k`-th draw is [`service`]'s
 /// `k`-th; the uniforms left in the block when a run ends are never
-/// read.
-struct Draws {
+/// read. The closed engine's service times, and the open engines'
+/// service times and arrival gaps, all come from one of these.
+pub(crate) struct Draws {
     rng: SmallRng,
     /// The uniforms and their `exp::ln_draw`, consumed from `next` up.
     u: [f64; BLOCK],
@@ -124,7 +126,7 @@ struct Draws {
 }
 
 impl Draws {
-    fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self {
             rng: SmallRng::seed_from_u64(seed),
             u: [0.0; BLOCK],
@@ -135,7 +137,7 @@ impl Draws {
 
     /// The next service time at `mean`.
     #[inline]
-    fn service(&mut self, mean: f64) -> u64 {
+    pub(crate) fn service(&mut self, mean: f64) -> u64 {
         if self.next == BLOCK {
             self.refill();
         }

@@ -1,5 +1,11 @@
-//! The calendar-queue event wheel: the one event queue behind the
-//! closed DES (`des::run`) and both open-loop engines (`open`, `flow`).
+//! The calendar-queue event wheel: the event queue behind the closed
+//! DES (`des::run`) and both open-loop engines (`open`, `flow`). The
+//! closed DES queues every event in it. The open engines queue their
+//! workers' events in it, and keep their next arrival beside it: the
+//! front end holds that arrival under the `(time, seq)` key
+//! [`EventWheel::take_seq`] gives it, and pops the wheel through
+//! [`EventWheel::pop_before`] that key, which keeps the order a wheel
+//! holding the arrival would give.
 //!
 //! A classic binary heap costs `O(log n)` comparisons per push/pop and
 //! scatters events across the heap array. The calendar queue instead
@@ -9,7 +15,8 @@
 //! simulated time one bucket covers — at a time, sorts that handful of
 //! events once, and pops them off as a batch (the synchronization
 //! horizon; see `DESIGN.md` §11). All of that is private: callers see
-//! [`EventWheel::push`] and [`EventWheel::pop`] and nothing else.
+//! [`EventWheel::push`] and [`EventWheel::pop`], and the two calls an
+//! event held outside needs, and nothing else.
 //!
 //! Event storage: every filed event lives in one slab, and each bucket
 //! is an intrusive index-linked chain through it (`heads[bucket]`, then
@@ -24,6 +31,8 @@
 //! ascending `(time, seq)` order — FIFO among simultaneous events,
 //! exactly the canonical tie-break the heap engine pins. `seq` is
 //! unique, so the order is total and independent of bucket layout.
+//! `take_seq` takes a value of the same counter without filing an
+//! event, so a held event sorts among the filed ones as if pushed.
 //! Callers never push earlier than the time of the last pop.
 //!
 //! Sizing is a pure function of `(max service demand, lanes)`, so the
@@ -146,8 +155,7 @@ impl EventWheel {
             self.pos == 0 || t >= self.batch[self.pos - 1].0,
             "event scheduled before the last pop"
         );
-        let e = (t, self.seq, id);
-        self.seq += 1;
+        let e = (t, self.take_seq(), id);
         if self.pos == self.batch.len() && self.len == 0 {
             self.batch.clear();
             self.pos = 0;
@@ -174,6 +182,25 @@ impl EventWheel {
     /// `None` when nothing is pending.
     #[inline]
     pub fn pop(&mut self) -> Option<(u64, u32)> {
+        self.pop_before((u64::MAX, u64::MAX))
+    }
+
+    /// Takes the next FIFO sequence number for an event the caller
+    /// keeps outside the wheel: its `(time, seq)` key is the one
+    /// [`Self::push`] would have given it at this moment.
+    #[inline]
+    pub fn take_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    /// Removes and returns the earliest pending event as `(time, id)`
+    /// if its `(time, seq)` key is below `key`, the key of an event
+    /// held outside the wheel; `None` when that event comes first or
+    /// nothing is pending. Popping that way keeps the total `(time,
+    /// seq)` order of a schedule pushed wholly into the wheel.
+    #[inline]
+    pub fn pop_before(&mut self, key: (u64, u64)) -> Option<(u64, u32)> {
         if self.pos == self.batch.len() {
             let mut batch = std::mem::take(&mut self.batch);
             batch.clear();
@@ -182,7 +209,10 @@ impl EventWheel {
             self.pos = 0;
             self.horizon = horizon?;
         }
-        let (t, _, id) = self.batch[self.pos];
+        let (t, seq, id) = self.batch[self.pos];
+        if (t, seq) > key {
+            return None;
+        }
         self.pos += 1;
         Some((t, id))
     }
@@ -436,6 +466,112 @@ mod tests {
             // Long cases must have taken every route through `push`.
             prop_assert!(seq < 100 || routes.iter().all(|&n| n > 0), "routes {routes:?}");
         }
+
+        /// The open engines' arrival stream, differentially: a source
+        /// kept outside the wheel — keyed by `take_seq` when it is
+        /// scheduled, merged by `pop_before` — pops in exactly the
+        /// `(time, seq)` order of the same schedule pushed wholly into
+        /// the wheel, events on one time included.
+        #[test]
+        fn a_source_held_outside_pops_in_the_wholly_pushed_order(
+            steps in proptest::collection::vec((0u64..3, 0u8..8, 0u64..4), 1..400),
+            width_bits in 0u32..12,
+            lanes in 1usize..64,
+        ) {
+            const SOURCE: u32 = u32::MAX;
+            let max_demand = lanes as f64 * (1u64 << width_bits) as f64;
+            let mut whole = EventWheel::new(max_demand, lanes);
+            let mut split = EventWheel::new(max_demand, lanes);
+            let rotation = whole.width() * (whole.mask as u64 + 1);
+            // One pop of the split schedule: the wheel's event if its
+            // key is below the held one's, else the held event.
+            let pop_split = |split: &mut EventWheel, held: &mut Option<(u64, u64)>| match *held {
+                Some(key) => split.pop_before(key).or_else(|| {
+                    *held = None;
+                    Some((key.0, SOURCE))
+                }),
+                None => split.pop(),
+            };
+            whole.push(0, SOURCE);
+            let mut held = Some((0, split.take_seq()));
+            let (mut ties, mut last) = (0u32, (u64::MAX, 0u32));
+            for (id, &(gap, kind, near)) in steps.iter().enumerate() {
+                let want = whole.pop();
+                prop_assert_eq!(pop_split(&mut split, &mut held), want);
+                let (now, popped) = want.expect("the source is always pending");
+                ties += u32::from(now == last.0 && (popped == SOURCE || last.1 == SOURCE));
+                last = (now, popped);
+                // A worker event at `now` or just past it, or several
+                // rotations out, pushed before or after the source
+                // schedules its next event (which it does at its own
+                // pop, `gap` cycles on).
+                let t = match kind {
+                    0..=3 => Some(now + near),
+                    4 => Some(now + rotation * (1 + near) + near),
+                    _ => None,
+                };
+                let worker_first = kind % 2 == 1;
+                for turn in [worker_first, !worker_first] {
+                    if turn {
+                        if let Some(t) = t {
+                            whole.push(t, id as u32);
+                            split.push(t, id as u32);
+                        }
+                    } else if popped == SOURCE {
+                        whole.push(now + gap, SOURCE);
+                        held = Some((now + gap, split.take_seq()));
+                    }
+                }
+            }
+            loop {
+                let want = whole.pop();
+                prop_assert_eq!(pop_split(&mut split, &mut held), want);
+                if want.is_none() {
+                    break;
+                }
+            }
+            prop_assert!(steps.len() < 100 || ties > 0, "no same-time pop beside the source");
+        }
+    }
+
+    #[test]
+    fn pop_before_on_an_empty_wheel_is_none() {
+        let mut w = EventWheel::new(32.0, 4);
+        assert_eq!(w.pop_before((u64::MAX, u64::MAX)), None);
+        assert_eq!(w.pop_before((0, 0)), None);
+        // The wheel stays usable, and the held key still decides.
+        let held = (7, w.take_seq());
+        w.push(7, 1);
+        assert_eq!(
+            w.pop_before(held),
+            None,
+            "the held event keeps its lower seq"
+        );
+        assert_eq!(w.pop_before((7, held.1 + 2)), Some((7, 1)));
+        assert_eq!(w.pop_before((u64::MAX, u64::MAX)), None);
+    }
+
+    #[test]
+    fn a_push_below_the_horizon_after_a_refill_by_pop_before_merges() {
+        let mut w = EventWheel::new(32.0, 4);
+        assert_eq!(w.width(), 8);
+        w.push(5, 0);
+        w.push(20, 1);
+        w.push(40, 2);
+        assert_eq!(w.pop(), Some((5, 0)));
+        // The batch is spent: this call refills it from the buckets,
+        // and the held event at 12 still comes first.
+        let held = (12, w.take_seq());
+        assert_eq!(w.pop_before(held), None);
+        assert_eq!((w.pos, w.batch.len(), w.len, w.horizon), (0, 2, 0, 48));
+        // The caller handles its held event at 12 and pushes one below
+        // the new horizon: it joins the live batch, in order.
+        w.push(30, 3);
+        assert_eq!((w.batch.len(), w.len), (3, 0), "merged, not filed");
+        assert_eq!(w.pop(), Some((20, 1)));
+        assert_eq!(w.pop(), Some((30, 3)));
+        assert_eq!(w.pop(), Some((40, 2)));
+        assert_eq!(w.pop(), None);
     }
 
     fn drain_all(wheel: &mut EventWheel) -> Vec<WheelEvent> {

@@ -38,15 +38,14 @@
 //! Determinism contract: identical to `simulate_open` — every output,
 //! including the trace stream, is a pure function of the inputs.
 
+use crate::des::Draws;
 use crate::mva::{Network, StationKind};
 use crate::open::{
-    event_queue, scale_pct, schedule, ArrivalPattern, ClientMix, Fate, FrontEnd, OpenLoopResult,
-    OverloadPolicy, Request, ARRIVAL,
+    scale_pct, schedule, ArrivalPattern, ClientMix, Event, Fate, FrontEnd, OpenLoopResult,
+    OverloadPolicy, Request,
 };
 use pk_fault::FaultPlane;
 use pk_trace::{EventKind, TraceWriter, Tracer};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::collections::VecDeque;
 
 /// Span class for connection-establishment work (churned arrivals).
@@ -173,8 +172,8 @@ pub fn simulate_flow(
         );
     }
     let stations = network.stations();
-    let mut svc_rng = SmallRng::seed_from_u64(seed);
-    let mut front = FrontEnd::new(
+    let mut draws = Draws::new(seed);
+    let (mut front, mut events) = FrontEnd::new(
         cores,
         pattern,
         clients,
@@ -221,8 +220,6 @@ pub fn simulate_flow(
         None
     };
 
-    let mut events = event_queue(&pattern, cores);
-
     let mut slots: Vec<Option<FlowReq>> = vec![None; cores];
     // Round-robin slot reuse spreads requests evenly across trace
     // tracks (the ring-sizing rule in `flow_ring_capacity` relies on
@@ -240,8 +237,8 @@ pub fn simulate_flow(
     // Draws one station service, applying degradation. Inflation is
     // applied to the *mean* (`StationKind::service_mean`), not the
     // drawn value, so the exponential shape is preserved.
-    let draw = |rng: &mut SmallRng, mean: f64, degraded: bool| -> u64 {
-        let s = crate::des::service(rng, mean);
+    let draw = |draws: &mut Draws, mean: f64, degraded: bool| -> u64 {
+        let s = draws.service(mean);
         if degraded {
             scale_pct(s, policy.degrade_demand_pct).max(1)
         } else {
@@ -263,7 +260,7 @@ pub fn simulate_flow(
             let mean = stations[si]
                 .kind
                 .service_mean(stations[si].demand_cycles, st_q[si].fifo.len());
-            let svc = draw(&mut svc_rng, mean, req.degraded);
+            let svc = draw(&mut draws, mean, req.degraded);
             // A request that queued opened a wait span at entry; close
             // it even when the wait was zero-width (dequeued the same
             // cycle), or the stream leaves an unbalanced span.
@@ -290,7 +287,7 @@ pub fn simulate_flow(
             req.enqueued_at = now;
             match stations[si].kind {
                 StationKind::Delay => {
-                    let svc = draw(&mut svc_rng, stations[si].demand_cycles, req.degraded);
+                    let svc = draw(&mut draws, stations[si].demand_cycles, req.degraded);
                     req.phase = Phase::InService(si);
                     schedule(&mut events, horizon_cycles, now, svc, slot);
                 }
@@ -307,73 +304,62 @@ pub fn simulate_flow(
         }};
     }
 
-    if let Some(first) = front.next_arrival(0) {
-        events.push(first, ARRIVAL);
-    }
-    while let Some((now, id)) = events.pop() {
-        if now >= horizon_cycles {
-            break;
-        }
-        // Either branch may hand a request to a free worker slot.
-        let next = if id == ARRIVAL {
-            if let Some(t) = front.next_arrival(now) {
-                events.push(t, ARRIVAL);
-            }
-            match front.arrive(now) {
-                (req, Fate::Dispatch) => Some(req),
-                (_, Fate::Queued) => None,
-                (req, Fate::NicDropped) => turned_away(&mut emit, now, nic_i, &req),
-                (req, Fate::Rejected) => turned_away(&mut emit, now, reject_i, &req),
-            }
-        } else {
+    while let Some((now, event)) = front.next_event(&mut events) {
+        // Either arm may hand a request to a free worker slot.
+        let next = match event {
+            Event::Arrival(req, Fate::Dispatch) => Some(req),
+            Event::Arrival(_, Fate::Queued) => None,
+            Event::Arrival(req, Fate::NicDropped) => turned_away(&mut emit, now, nic_i, &req),
+            Event::Arrival(req, Fate::Rejected) => turned_away(&mut emit, now, reject_i, &req),
             // A slot's current phase ended.
-            let slot = id;
-            let req = *slots[slot as usize].as_ref().expect("event for empty slot");
-            let finished = match req.phase {
-                Phase::Connect => {
-                    emit.rec(slot, now, EventKind::SpanEnd, connect_span, 0);
-                    enter_station!(slot, 0, now);
-                    false
-                }
-                Phase::Waiting(_) => unreachable!("waiting requests have no scheduled event"),
-                Phase::InService(si) => {
-                    if let Some(lock) = st_ids[si].lock {
-                        emit.rec(slot, now, EventKind::LockEnd, lock, 0);
+            Event::Slot(slot) => {
+                let req = *slots[slot as usize].as_ref().expect("event for empty slot");
+                let finished = match req.phase {
+                    Phase::Connect => {
+                        emit.rec(slot, now, EventKind::SpanEnd, connect_span, 0);
+                        enter_station!(slot, 0, now);
+                        false
                     }
-                    emit.rec(slot, now, EventKind::SpanEnd, st_ids[si].span, 0);
-                    if st_ids[si].lock.is_some() {
-                        st_q[si].busy = false;
-                        if let Some(next) = st_q[si].fifo.pop_front() {
-                            start_service!(next, si, now);
+                    Phase::Waiting(_) => unreachable!("waiting requests have no scheduled event"),
+                    Phase::InService(si) => {
+                        if let Some(lock) = st_ids[si].lock {
+                            emit.rec(slot, now, EventKind::LockEnd, lock, 0);
+                        }
+                        emit.rec(slot, now, EventKind::SpanEnd, st_ids[si].span, 0);
+                        if st_ids[si].lock.is_some() {
+                            st_q[si].busy = false;
+                            if let Some(next) = st_q[si].fifo.pop_front() {
+                                start_service!(next, si, now);
+                            }
+                        }
+                        if si + 1 < stations.len() {
+                            enter_station!(slot, si + 1, now);
+                            false
+                        } else if req.stall_cycles > 0 {
+                            emit.rec(slot, now, EventKind::SpanBegin, stall_span, 0);
+                            slots[slot as usize].as_mut().unwrap().phase = Phase::Stalling;
+                            schedule(&mut events, horizon_cycles, now, req.stall_cycles, slot);
+                            false
+                        } else {
+                            true
                         }
                     }
-                    if si + 1 < stations.len() {
-                        enter_station!(slot, si + 1, now);
-                        false
-                    } else if req.stall_cycles > 0 {
-                        emit.rec(slot, now, EventKind::SpanBegin, stall_span, 0);
-                        slots[slot as usize].as_mut().unwrap().phase = Phase::Stalling;
-                        schedule(&mut events, horizon_cycles, now, req.stall_cycles, slot);
-                        false
-                    } else {
+                    Phase::Stalling => {
+                        emit.rec(slot, now, EventKind::SpanEnd, stall_span, 0);
                         true
                     }
+                };
+                if !finished {
+                    continue;
                 }
-                Phase::Stalling => {
-                    emit.rec(slot, now, EventKind::SpanEnd, stall_span, 0);
-                    true
-                }
-            };
-            if !finished {
-                continue;
+                // Retire the request and pull the next admitted one.
+                slots[slot as usize] = None;
+                free.push_back(slot);
+                emit.rec(slot, now, EventKind::CtxEnd, ctx_class, req.ctx);
+                front.complete(now, req.arrival, |q| {
+                    turned_away(&mut emit, now, cancel_i, q);
+                })
             }
-            // Retire the request and pull the next admitted one.
-            slots[slot as usize] = None;
-            free.push_back(slot);
-            emit.rec(slot, now, EventKind::CtxEnd, ctx_class, req.ctx);
-            front.complete(now, req.arrival, |q| {
-                turned_away(&mut emit, now, cancel_i, q);
-            })
         };
         if let Some(p) = next {
             // Dispatch an admitted request into the network.

@@ -20,14 +20,17 @@
 //! * `FrontEnd` — the open side of a run, written once: arrivals,
 //!   client hashing, the `net.rx_drop` point, admission, rejection,
 //!   deadlines, degradation and every [`OpenLoopResult`] counter. Both
-//!   open-loop engines drive it and keep only their service model;
+//!   open-loop engines drive it and keep only their service model. It
+//!   hands them their events in `(time, seq)` order: worker events
+//!   from the calendar-queue [`EventWheel`](crate::des::wheel), and
+//!   the next arrival, which waits beside the wheel rather than in it;
 //! * [`simulate_open`] — the lumped engine: an M/G/c-style
-//!   discrete-event loop over the calendar-queue
-//!   [`EventWheel`](crate::des::wheel), drawing per-request service
-//!   from the same exponential stream the closed engines use, with
-//!   closed-MVA-style inflation (`Queue` stations serialize,
-//!   `NonScalable` stations collapse) so a stock kernel's tail
-//!   degrades *faster* than PK's as load climbs.
+//!   discrete-event loop, drawing per-request service from the same
+//!   exponential stream the closed engines use, drawn ahead like
+//!   theirs (`des::Draws`; the arrival gaps too), with closed-MVA-style
+//!   inflation (`Queue` stations serialize, `NonScalable` stations
+//!   collapse) so a stock kernel's tail degrades *faster* than PK's as
+//!   load climbs.
 //!   [`simulate_flow`](crate::flow::simulate_flow) is the per-station
 //!   engine behind the same front end.
 //!
@@ -37,10 +40,9 @@
 //! platforms, and opt levels, like the closed engines.
 
 use crate::des::wheel::EventWheel;
+use crate::des::Draws;
 use crate::mva::{Network, StationKind};
 use pk_fault::{mix64, FaultPlane, FaultPoint};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::collections::VecDeque;
 
 /// A deterministic seeded arrival process. All rates are expressed as
@@ -111,17 +113,17 @@ impl ArrivalPattern {
     }
 
     /// Draws the next arrival time strictly after `now`.
-    fn next_after(&self, now: u64, rng: &mut SmallRng) -> u64 {
+    fn next_after(&self, now: u64, gaps: &mut Draws) -> u64 {
         match *self {
             Self::Poisson {
                 mean_interarrival_cycles,
-            } => now.saturating_add(crate::des::service(rng, mean_interarrival_cycles)),
+            } => now.saturating_add(gaps.service(mean_interarrival_cycles)),
             Self::OnOff {
                 mean_interarrival_cycles,
                 on_cycles,
                 off_cycles,
             } => {
-                let t = now.saturating_add(crate::des::service(rng, mean_interarrival_cycles));
+                let t = now.saturating_add(gaps.service(mean_interarrival_cycles));
                 let period = on_cycles.saturating_add(off_cycles);
                 if period == 0 || on_cycles == 0 {
                     return t;
@@ -146,7 +148,7 @@ impl ArrivalPattern {
                 } else {
                     trough_interarrival_cycles
                 };
-                now.saturating_add(crate::des::service(rng, mean))
+                now.saturating_add(gaps.service(mean))
             }
         }
     }
@@ -358,6 +360,14 @@ pub(crate) struct Request {
     slow: bool,
 }
 
+/// The next event of a run, in `(time, seq)` order.
+pub(crate) enum Event {
+    /// A request arrived, and the front end decided its fate.
+    Arrival(Request, Fate),
+    /// The event worker slot `id` scheduled in the wheel is due.
+    Slot(u32),
+}
+
 /// What the front end decided about one arrival.
 pub(crate) enum Fate {
     /// A worker is free: the engine dispatches the request now.
@@ -386,10 +396,17 @@ pub(crate) struct Charge {
 /// [`simulate_flow`](crate::flow::simulate_flow): the arrival process,
 /// the client population, the `net.rx_drop` point, the admission queue
 /// and its reject/deadline/degradation policy, and every
-/// [`OpenLoopResult`] counter. An engine asks it four things — when the
-/// next request arrives, what becomes of an arrival, which admitted
-/// request a freed worker takes next, and what a dispatch is charged —
-/// and keeps only its own service model.
+/// [`OpenLoopResult`] counter. An engine asks it three things — what
+/// happens next (a worker slot's event from the wheel, or an arrival
+/// and what becomes of it), which admitted request a freed worker takes
+/// next, and what a dispatch is charged — and keeps only its own
+/// service model.
+///
+/// The next arrival waits beside the wheel, not in it: the front end
+/// holds it as the `(time, seq)` key the wheel would have given it,
+/// taking the `seq` from the wheel when the arrival before it is
+/// handled, and pops the wheel only for events below that key. The pop
+/// order is the one a wheel holding the arrival would give.
 ///
 /// One engine thread owns it for the whole run, so its bookkeeping is
 /// plain single-owner state: no per-core shards, no atomics.
@@ -399,9 +416,13 @@ pub(crate) struct FrontEnd {
     policy: OverloadPolicy,
     seed: u64,
     cores: usize,
-    /// Seeded apart from the service stream, so the arrival schedule
-    /// never depends on admission or service decisions.
-    arr_rng: SmallRng,
+    /// The arrival gaps, drawn ahead. Seeded apart from the service
+    /// stream, so the arrival schedule never depends on admission or
+    /// service decisions.
+    gaps: Draws,
+    /// The next arrival's `(time, seq)` key; `None` once the stream has
+    /// run past the horizon.
+    next: Option<(u64, u64)>,
     rx_drop: FaultPoint,
     /// Admitted requests waiting for a worker.
     queue: VecDeque<Request>,
@@ -415,6 +436,8 @@ pub(crate) struct FrontEnd {
 }
 
 impl FrontEnd {
+    /// The front end of a run and the event wheel its engine schedules
+    /// worker events in, with the first arrival drawn.
     pub(crate) fn new(
         cores: usize,
         pattern: ArrivalPattern,
@@ -423,14 +446,16 @@ impl FrontEnd {
         horizon_cycles: u64,
         seed: u64,
         faults: &FaultPlane,
-    ) -> Self {
-        Self {
+    ) -> (Self, EventWheel) {
+        let mut events = event_queue(&pattern, cores);
+        let mut front = Self {
             pattern,
             clients,
             policy,
             seed,
             cores,
-            arr_rng: SmallRng::seed_from_u64(seed ^ 0xa5a5_5a5a_1234_5678),
+            gaps: Draws::new(seed ^ 0xa5a5_5a5a_1234_5678),
+            next: None,
             rx_drop: faults.point("net.rx_drop"),
             queue: VecDeque::new(),
             in_flight: 0,
@@ -458,15 +483,35 @@ impl FrontEnd {
                 in_flight_end: 0,
                 horizon_cycles,
             },
-        }
+        };
+        front.next = front.arrival_after(0, &mut events);
+        (front, events)
     }
 
-    /// The next arrival time strictly after `now`; `None` once the
-    /// stream runs past the horizon. Engines schedule it before they
-    /// handle the arrival at `now`.
-    pub(crate) fn next_arrival(&mut self, now: u64) -> Option<u64> {
-        let t = self.pattern.next_after(now, &mut self.arr_rng);
-        (t < self.r.horizon_cycles).then_some(t)
+    /// Draws the arrival after `now` and keys it with the wheel's next
+    /// `seq`; `None` once the stream runs past the horizon.
+    #[inline]
+    fn arrival_after(&mut self, now: u64, events: &mut EventWheel) -> Option<(u64, u64)> {
+        let t = self.pattern.next_after(now, &mut self.gaps);
+        (t < self.r.horizon_cycles).then(|| (t, events.take_seq()))
+    }
+
+    /// The run's next event and its time: the earliest worker event in
+    /// `events` or the held arrival, whichever has the lower `(time,
+    /// seq)` key; `None` when neither is left. An arrival draws the one
+    /// after it first, then is offered to [`Self::arrive`].
+    #[inline]
+    pub(crate) fn next_event(&mut self, events: &mut EventWheel) -> Option<(u64, Event)> {
+        let Some(key) = self.next else {
+            return events.pop().map(|(now, id)| (now, Event::Slot(id)));
+        };
+        if let Some((now, id)) = events.pop_before(key) {
+            return Some((now, Event::Slot(id)));
+        }
+        let now = key.0;
+        self.next = self.arrival_after(now, events);
+        let (req, fate) = self.arrive(now);
+        Some((now, Event::Arrival(req, fate)))
     }
 
     /// Requests on a worker, the one being dispatched included.
@@ -592,10 +637,6 @@ pub(crate) fn scale_pct(cycles: u64, pct: u8) -> u64 {
     u64::try_from(u128::from(cycles) * u128::from(pct) / 100).unwrap_or(u64::MAX)
 }
 
-/// Sentinel event id for arrivals; worker completions use their slot
-/// index.
-pub(crate) const ARRIVAL: u32 = u32::MAX;
-
 /// Schedules `id` at `now + delay`, saturating. A time at or past the
 /// horizon would end the run when popped and is never processed, so it
 /// is not queued at all: the wheel cannot bucket times near `u64::MAX`.
@@ -607,18 +648,19 @@ pub(crate) fn schedule(events: &mut EventWheel, horizon: u64, now: u64, delay: u
     }
 }
 
-/// Queue sizing both open engines share: lanes for every worker plus
-/// the arrival stream, and buckets one mean arrival gap wide.
+/// Queue sizing both open engines share: a lane for every worker and
+/// one for the arrival stream, and buckets one mean arrival gap wide.
+/// The stream's next arrival waits beside the wheel
+/// ([`FrontEnd::next_event`]), but the stream still paces the run.
 ///
 /// An open engine's event rate is set by its arrivals: each one makes
 /// at most one completion, so a bucket one gap wide holds about one
-/// arrival and one completion, however long service runs. A width
-/// drawn from service time instead (the closed engine's spacing with
-/// every worker serialized behind the slowest station, which is a
-/// whole service time) piles most pending completions into the bucket
-/// being drained. Completions past the ring's span (at least `2·lanes`
+/// completion, however long service runs. A width drawn from service
+/// time instead (the closed engine's spacing with every worker
+/// serialized behind the slowest station, which is a whole service
+/// time) piles most pending completions into the bucket being drained. Completions past the ring's span (at least `2·lanes`
 /// gaps) wait in their bucket for their rotation.
-pub(crate) fn event_queue(pattern: &ArrivalPattern, cores: usize) -> EventWheel {
+fn event_queue(pattern: &ArrivalPattern, cores: usize) -> EventWheel {
     let lanes = cores + 1;
     // `EventWheel::new` spaces buckets `max_demand / lanes` apart.
     EventWheel::new(pattern.mean_interarrival_cycles() * lanes as f64, lanes)
@@ -654,8 +696,8 @@ pub fn simulate_open(
         !network.stations().is_empty(),
         "open-loop serving needs at least one station"
     );
-    let mut svc_rng = SmallRng::seed_from_u64(seed);
-    let mut front = FrontEnd::new(
+    let mut draws = Draws::new(seed);
+    let (mut front, mut events) = FrontEnd::new(
         cores,
         pattern,
         clients,
@@ -664,7 +706,6 @@ pub fn simulate_open(
         seed,
         faults,
     );
-    let mut events = event_queue(&pattern, cores);
 
     // Worker slots, reused LIFO: `slots[i]` holds the arrival time of
     // the request slot `i` is serving.
@@ -680,7 +721,7 @@ pub fn simulate_open(
             if st.demand_cycles <= 0.0 {
                 continue;
             }
-            let base = crate::des::service(&mut svc_rng, st.demand_cycles);
+            let base = draws.service(st.demand_cycles);
             let inflated = match st.kind {
                 StationKind::Delay => base as f64,
                 StationKind::Queue => base as f64 * nf,
@@ -696,28 +737,18 @@ pub fn simulate_open(
         total.max(1)
     };
 
-    if let Some(first) = front.next_arrival(0) {
-        events.push(first, ARRIVAL);
-    }
-    while let Some((now, id)) = events.pop() {
-        if now >= horizon_cycles {
-            break;
-        }
-        let next = if id == ARRIVAL {
-            if let Some(t) = front.next_arrival(now) {
-                events.push(t, ARRIVAL);
+    while let Some((now, event)) = front.next_event(&mut events) {
+        let next = match event {
+            Event::Arrival(req, Fate::Dispatch) => Some(req),
+            Event::Arrival(..) => None,
+            Event::Slot(id) => {
+                // A worker finished.
+                let arrival = slots[id as usize]
+                    .take()
+                    .expect("completion for an empty slot");
+                free.push(id);
+                front.complete(now, arrival, |_| {})
             }
-            match front.arrive(now) {
-                (req, Fate::Dispatch) => Some(req),
-                _ => None,
-            }
-        } else {
-            // A worker finished.
-            let arrival = slots[id as usize]
-                .take()
-                .expect("completion for an empty slot");
-            free.push(id);
-            front.complete(now, arrival, |_| {})
         };
         if let Some(req) = next {
             // Start service on a free worker.
@@ -893,7 +924,7 @@ mod tests {
         // before: one request on the only worker, then each queued
         // arrival probes the dispatch decision at its depth.
         let policy = OverloadPolicy::shedding(16, 2_000, 100, 100);
-        let mut front = FrontEnd::new(
+        let (mut front, _) = FrontEnd::new(
             1,
             poisson(200.0),
             ClientMix::uniform(1000),
@@ -1013,7 +1044,7 @@ mod tests {
             pop in 0usize..POPULATIONS.len(),
         ) {
             let population = POPULATIONS[pop];
-            let mut front = FrontEnd::new(
+            let (mut front, _) = FrontEnd::new(
                 1,
                 poisson(500.0),
                 ClientMix::uniform(population),

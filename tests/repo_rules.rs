@@ -22,7 +22,7 @@ struct Rule {
     plants: &'static [&'static str],
 }
 
-const RULES: [Rule; 5] = [
+const RULES: [Rule; 6] = [
     // Every substrate lock is a classed `pk_sync` lock, the one shell
     // lockdep, `LockStats` and the tracer see: no `parking_lot`, no std
     // `Mutex`/`RwLock` in the kernel crates' `src`, their unit tests
@@ -90,6 +90,17 @@ const RULES: [Rule; 5] = [
             "refs: SnziRefCount,",
             "let r = RefCount::Snzi(tree);",
         ],
+    },
+    // The open engines draw ahead: their service times and arrival
+    // gaps come from `des::Draws`, whose `k`-th draw is `des::service`'s
+    // `k`-th. The on-the-spot draw is the reference engine's, the
+    // oracle's, alone.
+    Rule {
+        name: "the open engines draw ahead",
+        flags: "-nE",
+        pattern: r"des::service\(",
+        paths: "crates/sim/src/{open,flow}.rs",
+        plants: &["let s = crate::des::service(rng, mean);"],
     },
 ];
 
