@@ -34,4 +34,4 @@ mod plane;
 mod schedule;
 
 pub use plane::{FaultEvent, FaultPlane, FaultPoint, PointStats};
-pub use schedule::{fnv64, mix64, FaultSchedule};
+pub use schedule::{fnv64, fnv64_continue, mix64, FaultSchedule, FNV64_BASIS};

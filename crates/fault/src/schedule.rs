@@ -16,10 +16,21 @@ pub fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// FNV-1a's starting state, its 64-bit offset basis.
+pub const FNV64_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// 64-bit FNV-1a of `bytes`: the workspace's one byte-string digest,
 /// stable across runs and hosts.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+    fnv64_continue(FNV64_BASIS, bytes)
+}
+
+/// Continues an FNV-1a digest whose state is `state` over `bytes`:
+/// `fnv64_continue(fnv64(a), b) == fnv64(a ++ b)`. What a streaming
+/// `Hasher` built on [`fnv64`] calls per write.
+#[inline]
+pub fn fnv64_continue(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
@@ -81,6 +92,12 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn fnv64_continues_across_writes() {
+        assert_eq!(fnv64_continue(fnv64(b"foo"), b"bar"), fnv64(b"foobar"));
+        assert_eq!(fnv64_continue(FNV64_BASIS, b""), fnv64(b""));
     }
 
     #[test]

@@ -141,17 +141,10 @@ impl Kernel {
     }
 
     /// `exit(2)` + immediate reap by the parent (the common Exim
-    /// pattern).
+    /// pattern): one process-table call, one hold of its lock.
     pub fn exit(&self, pid: Pid, _core: CoreId) -> Result<(), KernelError> {
         let _span = pk_trace::trace_span!("kernel.exit");
-        let parent = self
-            .procs
-            .get(pid)
-            .ok_or(pk_proc::ProcError::NoSuchProcess)?
-            .parent;
-        self.procs.exit(pid)?;
-        self.procs.reap(parent, pid)?;
-        Ok(())
+        Ok(self.procs.exit(pid)?)
     }
 }
 
@@ -175,6 +168,17 @@ mod tests {
         assert_eq!(k.procs().len(), 2);
         k.exit(pid, CoreId(2)).unwrap();
         assert_eq!(k.procs().len(), 1);
+    }
+
+    #[test]
+    fn fork_and_exit_hold_the_process_table_once_each() {
+        let k = Kernel::new(KernelConfig::pk(4));
+        let holds = || k.procs().lock_stats().acquisitions();
+        let before = holds();
+        let pid = k.fork(Pid(1), CoreId(1)).unwrap();
+        assert_eq!(holds() - before, 1, "one hold per fork");
+        k.exit(pid, CoreId(1)).unwrap();
+        assert_eq!(holds() - before, 2, "one hold per exit");
     }
 
     #[test]

@@ -5,7 +5,6 @@ use crate::numa::{NumaAllocator, OutOfMemory};
 use crate::stats::MmStats;
 use pk_sync::rcu::{self, RcuCell};
 use pk_sync::{AdaptiveMutex, SpinLock};
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -85,8 +84,9 @@ struct Region {
 /// A region's fault bookkeeping.
 #[derive(Debug, Default)]
 struct Faulted {
-    /// Which pages have been faulted in.
-    present: HashSet<u64>,
+    /// Which pages have been faulted in (page indices of the region,
+    /// hashed as the integers they are).
+    present: pk_percpu::IntKeySet<u64>,
     /// 4 KB pages allocated per NUMA node (so munmap can return each
     /// page to the node it came from).
     node_pages: Vec<(usize, u64)>,

@@ -292,7 +292,7 @@ mod tests {
     #[test]
     fn hash_steering_spreads_flows() {
         let nic = Nic::new(NetConfig::pk(8), Arc::new(NetStats::new()));
-        let mut used = std::collections::HashSet::new();
+        let mut used = std::collections::BTreeSet::new();
         for p in 0..200 {
             used.insert(nic.steer(&flow(p), None));
         }

@@ -1,6 +1,6 @@
 //! A hasher for maps keyed by small integers.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Hasher of maps whose keys are integers this program hands out itself
@@ -15,6 +15,10 @@ pub struct IntKeyHasher(u64);
 /// A `HashMap` over `u16`, `u32` or `u64` keys hashed by
 /// [`IntKeyHasher`]; built with `IntKeyMap::default()`.
 pub type IntKeyMap<K, V> = HashMap<K, V, BuildHasherDefault<IntKeyHasher>>;
+
+/// A `HashSet` of `u16`, `u32` or `u64` keys (or newtypes over one)
+/// hashed by [`IntKeyHasher`]; built with `IntKeySet::default()`.
+pub type IntKeySet<K> = HashSet<K, BuildHasherDefault<IntKeyHasher>>;
 
 impl Hasher for IntKeyHasher {
     fn write(&mut self, _: &[u8]) {

@@ -19,8 +19,9 @@
 //! * [`Tally`] — event counters bumped with a plain load
 //!   and store on a row only the calling thread writes, standing in for
 //!   `this_cpu_inc` statistics.
-//! * [`IntKeyMap`] / [`IntKeyHasher`] — maps keyed by integers this
-//!   program hands out itself (inode numbers, ports, flow hashes), hashed
+//! * [`IntKeyMap`] / [`IntKeySet`] / [`IntKeyHasher`] — maps and sets
+//!   keyed by integers this program hands out itself (inode numbers,
+//!   pids, open-file ids, ports, flow hashes), hashed
 //!   with one multiply instead of SipHash.
 //!
 //! # Examples
@@ -46,7 +47,7 @@ pub mod registry;
 mod tally;
 
 pub use arena::{CountSlot, PerCoreArena, PerCoreLane, ARENA_LANES};
-pub use inthash::{IntKeyHasher, IntKeyMap};
+pub use inthash::{IntKeyHasher, IntKeyMap, IntKeySet};
 pub use padded::{CacheAligned, CACHE_LINE_BYTES};
 pub use percore::PerCore;
 pub use registry::{CoreId, CoreToken, RegistryError, MAX_CORES};

@@ -11,4 +11,4 @@
 
 mod process;
 
-pub use process::{Pid, ProcError, Process, ProcessState, ProcessTable};
+pub use process::{Pid, ProcError, Process, ProcessTable};

@@ -1,10 +1,9 @@
 //! Processes and the process table.
 
-use pk_percpu::CoreId;
+use pk_percpu::{owner_add, CoreId, IntKeyMap};
 use pk_sync::SpinLock;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A process identifier.
@@ -17,24 +16,11 @@ impl fmt::Display for Pid {
     }
 }
 
-/// Lifecycle state of a process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProcessState {
-    /// Forked and not yet exited.
-    Runnable,
-    /// Exited, not yet reaped by its parent.
-    Zombie,
-}
-
 /// Errors from process operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcError {
     /// Unknown pid.
     NoSuchProcess,
-    /// Attempted to reap a child that has not exited.
-    NotAZombie,
-    /// Attempted to reap a process that is not a child of the caller.
-    NotYourChild,
     /// Fork failed for lack of resources (`EAGAIN`); retrying later may
     /// succeed.
     ResourceExhausted,
@@ -44,8 +30,6 @@ impl fmt::Display for ProcError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::NoSuchProcess => f.write_str("no such process"),
-            Self::NotAZombie => f.write_str("child has not exited"),
-            Self::NotYourChild => f.write_str("not a child of the caller"),
             Self::ResourceExhausted => f.write_str("resource temporarily unavailable"),
         }
     }
@@ -60,11 +44,6 @@ pub struct Process {
     pub pid: Pid,
     /// Parent pid (`Pid(0)` for the initial process).
     pub parent: Pid,
-    /// Set once, by `exit`: the process is a zombie from then on.
-    /// Stored with Release and loaded with Acquire in `state`, so a
-    /// reaper that sees the zombie sees what the process did before
-    /// it exited.
-    exited: AtomicBool,
     /// The core the process was created on (its cache-affine home). Exim's
     /// foreseen bottleneck — "a per-connection process and the delivery
     /// process it forks run on different cores" (§5.2) — is observable by
@@ -72,22 +51,20 @@ pub struct Process {
     pub home_core: CoreId,
 }
 
-impl Process {
-    /// Returns the process state.
-    pub fn state(&self) -> ProcessState {
-        if self.exited.load(Ordering::Acquire) {
-            ProcessState::Zombie
-        } else {
-            ProcessState::Runnable
-        }
-    }
-}
-
 /// The global process table.
+///
+/// Every operation is one hold of the table lock: `fork` checks the
+/// parent, takes the next pid and inserts the child under it; `exit`
+/// finds the process and removes it under it (the parent reaps at once,
+/// so no zombie outlives the call). Pids are handed out by the table
+/// itself, so the map hashes them with [`IntKeyMap`]'s multiply-and-fold
+/// rather than SipHash.
 #[derive(Debug)]
 pub struct ProcessTable {
-    procs: SpinLock<HashMap<Pid, Arc<Process>>>,
+    procs: SpinLock<IntKeyMap<u64, Arc<Process>>>,
+    /// Written only under the `procs` lock.
     next_pid: AtomicU64,
+    /// Written only under the `procs` lock.
     forks: AtomicU64,
     execs: AtomicU64,
     /// `proc.fork_fail`: fork fails with EAGAIN, as when a process or
@@ -105,7 +82,7 @@ impl ProcessTable {
     /// `faults` (`proc.fork_fail`).
     pub fn with_faults(faults: &pk_fault::FaultPlane) -> Self {
         let t = Self {
-            procs: SpinLock::new(HashMap::new()),
+            procs: SpinLock::new(IntKeyMap::default()),
             next_pid: AtomicU64::new(1),
             forks: AtomicU64::new(0),
             execs: AtomicU64::new(0),
@@ -116,70 +93,67 @@ impl ProcessTable {
             "pk-proc",
             pk_lockdep::LockKind::Spin,
         ));
-        let init = t.spawn_raw(Pid(0), CoreId(0));
+        let mut procs = t.procs.lock();
+        let init = t.spawn_locked(&mut procs, Pid(0), CoreId(0));
         debug_assert_eq!(init.pid, Pid(1));
+        drop(procs);
         t
     }
 
-    fn spawn_raw(&self, parent: Pid, core: CoreId) -> Arc<Process> {
-        let pid = Pid(self.next_pid.fetch_add(1, Ordering::Relaxed));
+    /// Takes the next pid and inserts a process under it; the caller
+    /// holds the table lock.
+    fn spawn_locked(
+        &self,
+        procs: &mut IntKeyMap<u64, Arc<Process>>,
+        parent: Pid,
+        core: CoreId,
+    ) -> Arc<Process> {
+        let pid = Pid(self.next_pid.load(Ordering::Relaxed));
+        owner_add(&self.next_pid, 1);
         let p = Arc::new(Process {
             pid,
             parent,
-            exited: AtomicBool::new(false),
             home_core: core,
         });
-        self.procs.lock().insert(pid, Arc::clone(&p));
+        procs.insert(pid.0, Arc::clone(&p));
         p
     }
 
     /// Forks a child of `parent` on `core`.
+    ///
+    /// The `proc.fork_fail` point is consulted first, outside the table
+    /// lock (an armed point takes the fault plane's own locks); then one
+    /// hold checks the parent, takes the pid and inserts the child.
     pub fn fork(&self, parent: Pid, core: CoreId) -> Result<Arc<Process>, ProcError> {
-        if !self.procs.lock().contains_key(&parent) {
-            return Err(ProcError::NoSuchProcess);
-        }
         if self.fault_fork.should_inject() {
             return Err(ProcError::ResourceExhausted);
         }
-        self.forks.fetch_add(1, Ordering::Relaxed);
-        Ok(self.spawn_raw(parent, core))
+        let mut procs = self.procs.lock();
+        if !procs.contains_key(&parent.0) {
+            return Err(ProcError::NoSuchProcess);
+        }
+        owner_add(&self.forks, 1);
+        Ok(self.spawn_locked(&mut procs, parent, core))
     }
 
     /// `exec(2)`: replaces the process image. In this model the only
     /// observable effect is the cost marker — which is the point: Exim's
     /// third application fix avoids "an exec() per mail message" (§5.2).
     pub fn exec(&self, pid: Pid) -> Result<(), ProcError> {
-        if !self.procs.lock().contains_key(&pid) {
+        if !self.procs.lock().contains_key(&pid.0) {
             return Err(ProcError::NoSuchProcess);
         }
         self.execs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Marks `pid` as exited (zombie until reaped).
+    /// `exit(2)` followed at once by the parent's `wait`: removes `pid`
+    /// from the table in one hold.
     pub fn exit(&self, pid: Pid) -> Result<(), ProcError> {
-        let p = self.get(pid).ok_or(ProcError::NoSuchProcess)?;
-        p.exited.store(true, Ordering::Release);
-        Ok(())
-    }
-
-    /// Reaps a zombie child: removes it from the table (`wait`).
-    pub fn reap(&self, parent: Pid, child: Pid) -> Result<(), ProcError> {
-        let mut procs = self.procs.lock();
-        let p = procs.get(&child).ok_or(ProcError::NoSuchProcess)?;
-        if p.parent != parent {
-            return Err(ProcError::NotYourChild);
+        match self.procs.lock().remove(&pid.0) {
+            Some(_) => Ok(()),
+            None => Err(ProcError::NoSuchProcess),
         }
-        if p.state() != ProcessState::Zombie {
-            return Err(ProcError::NotAZombie);
-        }
-        procs.remove(&child);
-        Ok(())
-    }
-
-    /// Fetches a process.
-    pub fn get(&self, pid: Pid) -> Option<Arc<Process>> {
-        self.procs.lock().get(&pid).cloned()
     }
 
     /// Number of live (unreaped) processes.
@@ -187,7 +161,7 @@ impl ProcessTable {
         self.procs.lock().len()
     }
 
-    /// Returns whether only the initial process remains.
+    /// Returns whether the table is empty (never, while init lives).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -200,6 +174,11 @@ impl ProcessTable {
     /// Total execs performed.
     pub fn exec_count(&self) -> u64 {
         self.execs.load(Ordering::Relaxed)
+    }
+
+    /// Returns the table lock's statistics.
+    pub fn lock_stats(&self) -> &pk_sync::LockStats {
+        self.procs.stats()
     }
 }
 
@@ -217,32 +196,20 @@ mod tests {
     fn init_process_exists() {
         let t = ProcessTable::new();
         assert_eq!(t.len(), 1);
-        assert_eq!(t.get(Pid(1)).unwrap().parent, Pid(0));
+        assert!(!t.is_empty());
     }
 
     #[test]
-    fn fork_exit_reap_lifecycle() {
+    fn fork_exit_lifecycle() {
         let t = ProcessTable::new();
         let child = t.fork(Pid(1), CoreId(2)).unwrap();
         assert_eq!(child.parent, Pid(1));
         assert_eq!(child.home_core, CoreId(2));
-        assert_eq!(child.state(), ProcessState::Runnable);
-        assert_eq!(t.reap(Pid(1), child.pid), Err(ProcError::NotAZombie));
+        assert_eq!(t.len(), 2);
         t.exit(child.pid).unwrap();
-        assert_eq!(t.get(child.pid).unwrap().state(), ProcessState::Zombie);
-        t.reap(Pid(1), child.pid).unwrap();
-        assert!(t.get(child.pid).is_none());
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.exit(child.pid), Err(ProcError::NoSuchProcess));
         assert_eq!(t.fork_count(), 1);
-    }
-
-    #[test]
-    fn reap_requires_parentage() {
-        let t = ProcessTable::new();
-        let a = t.fork(Pid(1), CoreId(0)).unwrap();
-        let b = t.fork(a.pid, CoreId(0)).unwrap();
-        t.exit(b.pid).unwrap();
-        assert_eq!(t.reap(Pid(1), b.pid), Err(ProcError::NotYourChild));
-        t.reap(a.pid, b.pid).unwrap();
     }
 
     #[test]
@@ -252,6 +219,8 @@ mod tests {
             t.fork(Pid(99), CoreId(0)).unwrap_err(),
             ProcError::NoSuchProcess
         );
+        assert_eq!(t.fork_count(), 0);
+        assert_eq!(t.len(), 1);
     }
 
     #[test]
@@ -288,13 +257,36 @@ mod tests {
         let conn = t.fork(Pid(1), CoreId(0)).unwrap();
         let d1 = t.fork(conn.pid, CoreId(0)).unwrap();
         let d2 = t.fork(conn.pid, CoreId(1)).unwrap();
+        assert_eq!((d1.parent, d2.parent), (conn.pid, conn.pid));
         assert_eq!(t.len(), 4);
-        for p in [d1.pid, d2.pid] {
+        for p in [d1.pid, d2.pid, conn.pid] {
             t.exit(p).unwrap();
-            t.reap(conn.pid, p).unwrap();
         }
-        t.exit(conn.pid).unwrap();
-        t.reap(Pid(1), conn.pid).unwrap();
         assert_eq!(t.len(), 1);
+        assert_eq!(t.fork_count(), 3);
+    }
+
+    #[test]
+    fn concurrent_forks_get_distinct_pids() {
+        let t = Arc::new(ProcessTable::new());
+        let handles: Vec<_> = (0..4)
+            .map(|c| {
+                let t = Arc::clone(&t);
+                std::thread::spawn(move || {
+                    (0..200)
+                        .map(|_| t.fork(Pid(1), CoreId(c)).unwrap().pid)
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut pids: Vec<Pid> = handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        pids.sort_unstable();
+        pids.dedup();
+        assert_eq!(pids.len(), 800);
+        assert_eq!(t.fork_count(), 800);
+        assert_eq!(t.len(), 801);
     }
 }

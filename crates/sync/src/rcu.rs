@@ -43,7 +43,7 @@
 //! has to find — the same chain orders that reader's `fetch_max` before
 //! the retirer's load of the mark, and the scan reaches its slot.
 
-use pk_percpu::{registry, CacheAligned, MAX_CORES};
+use pk_percpu::{owner_add, registry, CacheAligned, MAX_CORES};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
@@ -75,13 +75,39 @@ struct Deferred {
 // requires the payload to be `Send`.
 unsafe impl Send for Deferred {}
 
-/// Per-core cache-aligned deferred-free queues.
-static DEFER_QUEUES: [CacheAligned<Mutex<VecDeque<Deferred>>>; MAX_CORES] = {
+/// One core's deferred-free queue and the retirement counters its
+/// owning thread keeps.
+struct CoreQueue {
+    queue: Mutex<VecDeque<Deferred>>,
+    /// Objects this slot's thread retired. Written only by that thread
+    /// (`owner_add`): no `lock`-prefixed bump, no line another core
+    /// writes; [`stats_snapshot`] sums the slots.
+    calls: AtomicU64,
+    /// Deferred drops this slot's thread ran, written the same way.
+    freed: AtomicU64,
+}
+
+impl CoreQueue {
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<Deferred>> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// Per-core cache-aligned deferred-free queues, indexed by registry slot.
+static DEFER_QUEUES: [CacheAligned<CoreQueue>; MAX_CORES] = {
     #[allow(clippy::declare_interior_mutable_const)]
-    const Q: CacheAligned<Mutex<VecDeque<Deferred>>> =
-        CacheAligned::new(Mutex::new(VecDeque::new()));
+    const Q: CacheAligned<CoreQueue> = CacheAligned::new(CoreQueue {
+        queue: Mutex::new(VecDeque::new()),
+        calls: AtomicU64::new(0),
+        freed: AtomicU64::new(0),
+    });
     [Q; MAX_CORES]
 };
+
+/// Elapsed entries one [`call_rcu`] frees at most, from a batch on its
+/// stack; the rest wait for the core's next call. Each call queues one
+/// entry, so a backlog still drains.
+const REAP_BATCH: usize = 8;
 
 /// Entries a core may queue before `call_rcu` falls back to a blocking
 /// spill (grace wait + drain) to bound memory.
@@ -90,8 +116,6 @@ pub const DEFER_QUEUE_CAP: usize = 4096;
 /// Grace-period and deferral counters (process-wide, monotonic).
 static SYNCHRONIZE_CALLS: AtomicU64 = AtomicU64::new(0);
 static SYNC_SPIN_ITERS: AtomicU64 = AtomicU64::new(0);
-static CALL_RCU_CALLS: AtomicU64 = AtomicU64::new(0);
-static DEFERRED_FREED: AtomicU64 = AtomicU64::new(0);
 static DEFER_SPILLS: AtomicU64 = AtomicU64::new(0);
 static BARRIER_CALLS: AtomicU64 = AtomicU64::new(0);
 
@@ -219,31 +243,40 @@ pub fn synchronize() {
 /// * `drop_fn` must free `ptr` exactly once.
 pub unsafe fn call_rcu(ptr: *mut (), drop_fn: unsafe fn(*mut ())) {
     pk_trace::trace_instant!("rcu.call_rcu");
-    CALL_RCU_CALLS.fetch_add(1, Ordering::Relaxed);
     let target = GLOBAL_EPOCH.load(Ordering::SeqCst) + 1;
     // Advance the epoch so future readers start at or beyond the target;
     // concurrent retirers in the same epoch share one advance.
     GLOBAL_EPOCH.fetch_max(target, Ordering::SeqCst);
     let core = registry::current_or_register().index();
-    let len = {
-        let mut q = DEFER_QUEUES[core].lock().unwrap_or_else(|e| e.into_inner());
+    // Reclamation (and especially a blocking spill) must not run inside a
+    // read-side section: the spill's grace wait would wait on the caller.
+    // The probe runs before the queue lock is taken: it may run code.
+    let nested = NESTING.with(Cell::get) > 0;
+    let forced = !nested && pk_lockdep::probe::hit(SPILL_SITE);
+    let slot = &DEFER_QUEUES[core];
+    owner_add(&slot.calls, 1);
+    // One hold: queue the entry, then pop whatever has elapsed.
+    let mut batch = [const { None }; REAP_BATCH];
+    let overflowed = {
+        let mut q = slot.lock();
         q.push_back(Deferred {
             target,
             ptr,
             drop_fn,
         });
-        q.len()
+        if nested {
+            return;
+        }
+        let overflowed = q.len() > DEFER_QUEUE_CAP || forced;
+        if !overflowed {
+            pop_elapsed(&mut q, &mut batch);
+        }
+        overflowed
     };
-    // Reclamation (and especially a blocking spill) must not run inside a
-    // read-side section: the spill's grace wait would wait on the caller.
-    if NESTING.with(Cell::get) > 0 {
-        return;
-    }
-    let forced = pk_lockdep::probe::hit(SPILL_SITE);
-    if len > DEFER_QUEUE_CAP || forced {
+    if overflowed {
         spill(core);
     } else {
-        reap_core(core);
+        free_batch(core, batch.iter_mut().map_while(Option::take));
     }
 }
 
@@ -282,25 +315,16 @@ fn min_active_reader_epoch() -> u64 {
     min
 }
 
-/// Frees every entry at the front of `core`'s queue whose grace period
-/// has elapsed. Returns the number reclaimed.
-fn reap_core(core: usize) -> usize {
-    let mut batch = Vec::new();
-    {
-        let mut q = DEFER_QUEUES[core].lock().unwrap_or_else(|e| e.into_inner());
-        if q.is_empty() {
-            return 0;
-        }
-        let elapsed = min_active_reader_epoch();
-        while let Some(front) = q.front() {
-            if front.target <= elapsed {
-                batch.push(q.pop_front().expect("front exists"));
-            } else {
-                break;
-            }
+/// Pops the entries at the front of a locked queue whose grace period
+/// has elapsed into `batch`, as many as it holds.
+fn pop_elapsed(q: &mut VecDeque<Deferred>, batch: &mut [Option<Deferred>]) {
+    let elapsed = min_active_reader_epoch();
+    for slot in batch {
+        match q.front() {
+            Some(front) if front.target <= elapsed => *slot = q.pop_front(),
+            _ => break,
         }
     }
-    free_batch(batch)
 }
 
 /// Blocking overflow path: wait one grace period (which covers every
@@ -308,27 +332,25 @@ fn reap_core(core: usize) -> usize {
 fn spill(core: usize) {
     DEFER_SPILLS.fetch_add(1, Ordering::Relaxed);
     synchronize();
-    let batch: Vec<Deferred> = {
-        let mut q = DEFER_QUEUES[core].lock().unwrap_or_else(|e| e.into_inner());
-        q.drain(..).collect()
-    };
-    free_batch(batch);
+    let batch: Vec<Deferred> = DEFER_QUEUES[core].lock().drain(..).collect();
+    free_batch(core, batch);
 }
 
 /// Runs the deferred drops outside any queue lock (a drop may itself
-/// retire more objects).
-fn free_batch(batch: Vec<Deferred>) -> usize {
-    let n = batch.len();
+/// retire more objects) and counts them on `core`, the calling thread's
+/// slot.
+fn free_batch(core: usize, batch: impl IntoIterator<Item = Deferred>) {
+    let mut n = 0;
     for d in batch {
         // SAFETY: The entry was popped under the queue lock, so this is
         // its unique owner, and its grace period has elapsed (reap) or a
         // full grace period was waited out (spill/barrier).
         unsafe { (d.drop_fn)(d.ptr) };
+        n += 1;
     }
     if n > 0 {
-        DEFERRED_FREED.fetch_add(n as u64, Ordering::Relaxed);
+        owner_add(&DEFER_QUEUES[core].freed, n);
     }
-    n
 }
 
 /// Waits for the grace periods of everything deferred so far and runs
@@ -353,15 +375,14 @@ pub fn rcu_barrier() {
     // ever registered has any), then wait one grace period: the epoch is
     // monotonic, so that single wait covers every stolen target.
     let mut stolen = Vec::new();
-    for q in &DEFER_QUEUES[..registry::high_water()] {
-        let mut q = q.lock().unwrap_or_else(|e| e.into_inner());
-        stolen.extend(q.drain(..));
+    for slot in &DEFER_QUEUES[..registry::high_water()] {
+        stolen.extend(slot.lock().drain(..));
     }
     if stolen.is_empty() {
         return;
     }
     synchronize();
-    free_batch(stolen);
+    free_batch(registry::current_or_register().index(), stolen);
 }
 
 /// A snapshot of the grace-period machinery's counters.
@@ -386,10 +407,15 @@ pub struct RcuStats {
     pub barriers: u64,
 }
 
-/// Reads the current counter values.
+/// Reads the current counter values: exact once the threads that
+/// retire and free have finished (or otherwise published their work);
+/// while they run, a lower bound of each.
 pub fn stats_snapshot() -> RcuStats {
-    let call_rcu_calls = CALL_RCU_CALLS.load(Ordering::Relaxed);
-    let deferred_freed = DEFERRED_FREED.load(Ordering::Relaxed);
+    let slots = &DEFER_QUEUES[..registry::high_water()];
+    // Freed first: a drop is counted after its retirement was, so the
+    // later sum of retirements covers it.
+    let deferred_freed = slots.iter().map(|s| s.freed.load(Ordering::Relaxed)).sum();
+    let call_rcu_calls = slots.iter().map(|s| s.calls.load(Ordering::Relaxed)).sum();
     RcuStats {
         synchronize_calls: SYNCHRONIZE_CALLS.load(Ordering::Relaxed),
         sync_spin_iters: SYNC_SPIN_ITERS.load(Ordering::Relaxed),
@@ -587,14 +613,20 @@ mod tests {
         while !reader_in.load(Ordering::SeqCst) {
             std::thread::yield_now();
         }
+        let old_flag = Arc::clone(&cell.read(&read_lock()).0);
         // Writer does not block...
         cell.publish(|_| Tracked(Arc::new(AtomicBool::new(false))));
-        // ...and churning more deferred work must still not free the old
+        // ...and churning more deferred work — each call queues its entry
+        // and reaps the queue in one hold — must still not free the old
         // snapshot while the reader is inside.
         for _ in 0..64 {
             defer_drop(Box::new(0u8));
             std::thread::yield_now();
         }
+        assert!(
+            !old_flag.load(Ordering::SeqCst),
+            "a retirement's own reap freed the snapshot under a live reader"
+        );
         release.store(true, Ordering::SeqCst);
         let old_flag = r.join().unwrap();
         rcu_barrier();

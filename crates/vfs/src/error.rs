@@ -65,7 +65,7 @@ mod tests {
             VfsError::Stale,
             VfsError::OutOfMemory,
         ];
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for e in all {
             assert!(seen.insert(e.to_string()), "duplicate message for {e:?}");
         }

@@ -4,6 +4,7 @@ use crate::pagecache::{CachedPage, Mapping, PageCache, PAGE_BYTES};
 use pk_sync::{AdaptiveMutex, SpinLock};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -41,6 +42,34 @@ pub enum InodeKind {
     Dir,
 }
 
+/// Hasher of a directory's entry names: FNV-1a ([`pk_fault::fnv64`])
+/// continued over each write. Unkeyed, like Linux's `full_name_hash`,
+/// so an empty map costs no `RandomState` keys, and a short name hashes
+/// in a few multiplies instead of a SipHash-1-3 digest. The names come
+/// from this program's own drivers, so no key is chosen to collide.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NameHasher(u64);
+
+impl Default for NameHasher {
+    fn default() -> Self {
+        Self(pk_fault::FNV64_BASIS)
+    }
+}
+
+impl Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = pk_fault::fnv64_continue(self.0, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A directory's entries: name → (inode, kind). The kind rides along so
+/// an unlink tells a file from a directory without fetching the inode.
+type Children = HashMap<String, (InodeId, InodeKind), BuildHasherDefault<NameHasher>>;
+
 /// An in-memory inode.
 ///
 /// Two contention points from the paper live here:
@@ -71,7 +100,7 @@ pub struct Inode {
     pub(crate) mapping: OnceLock<Mapping>,
     /// Directory entries (empty for files); the lock is the per-directory
     /// lock serializing creation/removal in that directory.
-    children: SpinLock<HashMap<String, InodeId>>,
+    children: SpinLock<Children>,
     /// Names removed from `children` so far, bumped under its lock: a
     /// dcache fill that read a name re-validates it with one load.
     removals: AtomicU64,
@@ -89,7 +118,7 @@ impl Inode {
             nlink: AtomicU64::new(1),
             data: SpinLock::new(Vec::new()),
             mapping: OnceLock::new(),
-            children: SpinLock::new(HashMap::new()),
+            children: SpinLock::new(Children::default()),
             removals: AtomicU64::new(0),
             i_mutex: AdaptiveMutex::new(()),
         };
@@ -202,16 +231,17 @@ impl Inode {
 
     /// Looks up a child by name (directories only).
     pub fn child(&self, name: &str) -> Option<InodeId> {
-        self.children.lock().get(name).copied()
+        self.children.lock().get(name).map(|&(id, _)| id)
     }
 
-    /// Inserts a child entry; returns `false` if the name already exists.
-    pub fn insert_child(&self, name: &str, id: InodeId) -> bool {
+    /// Inserts a child entry for inode `id` of `kind`; returns `false` if
+    /// the name already exists.
+    pub fn insert_child(&self, name: &str, id: InodeId, kind: InodeKind) -> bool {
         use std::collections::hash_map::Entry;
         match self.children.lock().entry(name.to_string()) {
             Entry::Occupied(_) => false,
             Entry::Vacant(v) => {
-                v.insert(id);
+                v.insert((id, kind));
                 true
             }
         }
@@ -220,11 +250,25 @@ impl Inode {
     /// Removes a child entry, returning its inode id if present.
     pub fn remove_child(&self, name: &str) -> Option<InodeId> {
         let mut children = self.children.lock();
-        let removed = children.remove(name);
+        let removed = children.remove(name).map(|(id, _)| id);
         if removed.is_some() {
             pk_percpu::owner_add(&self.removals, 1);
         }
         removed
+    }
+
+    /// Removes `name` if it names a file, in one hold of the children
+    /// lock, and returns the entry it found: a directory's entry stays,
+    /// for the caller to check its emptiness first. `None` when there is
+    /// no such name.
+    pub(crate) fn remove_file_child(&self, name: &str) -> Option<(InodeId, InodeKind)> {
+        let mut children = self.children.lock();
+        let entry = *children.get(name)?;
+        if entry.1 == InodeKind::File {
+            children.remove(name);
+            pk_percpu::owner_add(&self.removals, 1);
+        }
+        Some(entry)
     }
 
     /// How many names have been removed from this directory. A name read
@@ -293,12 +337,36 @@ mod tests {
     #[test]
     fn directory_children() {
         let dir = Inode::new(InodeId(2), InodeKind::Dir);
-        assert!(dir.insert_child("a", InodeId(3)));
-        assert!(!dir.insert_child("a", InodeId(4)), "duplicate rejected");
+        assert!(dir.insert_child("a", InodeId(3), InodeKind::File));
+        assert!(
+            !dir.insert_child("a", InodeId(4), InodeKind::File),
+            "duplicate rejected"
+        );
         assert_eq!(dir.child("a"), Some(InodeId(3)));
         assert_eq!(dir.child_count(), 1);
         assert_eq!(dir.remove_child("a"), Some(InodeId(3)));
         assert_eq!(dir.child("a"), None);
+        assert_eq!(dir.removals(), 1);
+    }
+
+    #[test]
+    fn only_a_file_entry_is_removed_in_one_hold() {
+        let dir = Inode::new(InodeId(2), InodeKind::Dir);
+        dir.insert_child("f", InodeId(3), InodeKind::File);
+        dir.insert_child("d", InodeId(4), InodeKind::Dir);
+        let holds = dir.children.stats().acquisitions();
+        assert_eq!(
+            dir.remove_file_child("f"),
+            Some((InodeId(3), InodeKind::File))
+        );
+        assert_eq!(dir.children.stats().acquisitions() - holds, 1);
+        assert_eq!(
+            dir.remove_file_child("d"),
+            Some((InodeId(4), InodeKind::Dir))
+        );
+        assert_eq!(dir.remove_file_child("f"), None);
+        assert_eq!(dir.child_names(), ["d"], "a directory's entry stays");
+        assert_eq!(dir.removals(), 1);
     }
 
     #[test]

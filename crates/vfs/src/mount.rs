@@ -284,13 +284,13 @@ impl MountTable {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     /// The resolver this table had while mounts lived in a map, kept as
     /// the reference: probe with the trimmed path, then with the path
     /// cut at each `/` from the right, then with `/`.
     fn reference_longest_prefix(
-        map: &HashMap<String, Arc<VfsMount>>,
+        map: &BTreeMap<String, Arc<VfsMount>>,
         path: &str,
     ) -> Option<Arc<VfsMount>> {
         let mut candidate = path.trim_end_matches('/').to_string();
@@ -386,7 +386,7 @@ mod tests {
                 let t = table(percore);
                 let root = t.resolve("/", CoreId(0)).unwrap();
                 root.put(CoreId(0));
-                let mut model = HashMap::from([("/".to_string(), root)]);
+                let mut model = BTreeMap::from([("/".to_string(), root)]);
                 for op in &ops {
                     match *op {
                         Op::Mount(p) => {

@@ -2,13 +2,13 @@
 
 use crate::config::VfsConfig;
 use crate::stats::VfsStats;
-use pk_percpu::{CoreId, PerCore};
+use pk_percpu::{CoreId, IntKeySet, PerCore};
 use pk_sync::SpinLock;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A unique open-file identifier within a super block.
+/// A unique open-file identifier within a super block, handed out by
+/// its own counter (so the open-file sets hash it as an [`IntKeySet`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OpenFileId(pub u64);
 
@@ -24,8 +24,8 @@ pub struct OpenFileId(pub u64);
 #[derive(Debug)]
 pub struct SuperBlock {
     next_file: AtomicU64,
-    global_list: SpinLock<HashSet<OpenFileId>>,
-    percore_lists: PerCore<SpinLock<HashSet<OpenFileId>>>,
+    global_list: SpinLock<IntKeySet<OpenFileId>>,
+    percore_lists: PerCore<SpinLock<IntKeySet<OpenFileId>>>,
     read_only: AtomicBool,
     // The global inode-list and dcache-list locks (Figure 1: "inode
     // lists" / "dcache lists"). Stock acquires them on every inode/dentry
@@ -43,9 +43,9 @@ impl SuperBlock {
         let percore_class = register_class("vfs.sb.open_list_percore", "pk-vfs", LockKind::Spin);
         let sb = Self {
             next_file: AtomicU64::new(1),
-            global_list: SpinLock::new(HashSet::new()),
+            global_list: SpinLock::new(IntKeySet::default()),
             percore_lists: PerCore::new_with(config.cores, |_| {
-                let l = SpinLock::new(HashSet::new());
+                let l = SpinLock::new(IntKeySet::default());
                 l.set_class(percore_class);
                 l
             }),

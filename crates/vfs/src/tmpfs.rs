@@ -105,7 +105,7 @@ impl Tmpfs {
             return Err(VfsError::InvalidArgument);
         }
         let inode = self.alloc(kind);
-        if parent.insert_child(name, inode.id) {
+        if parent.insert_child(name, inode.id, kind) {
             Ok(inode)
         } else {
             // Lost the race (or the name pre-existed): roll back.
@@ -126,21 +126,40 @@ impl Tmpfs {
     /// Unlinks `name` from `parent`. Directories must be empty. When the
     /// link count reaches zero the inode is freed and its cached pages
     /// are released with it.
+    ///
+    /// A file's name goes in one hold of `parent`'s children lock (the
+    /// entry records its kind), and its inode in one hold of its table
+    /// shard. A directory's inode is fetched first, for the emptiness
+    /// check.
     pub fn unlink_child(&self, parent: &Inode, name: &str) -> Result<InodeId, VfsError> {
         if parent.kind != InodeKind::Dir {
             return Err(VfsError::NotADirectory);
         }
-        let id = parent.child(name).ok_or(VfsError::NotFound)?;
-        let inode = self.get(id)?;
-        if inode.kind == InodeKind::Dir && inode.child_count() > 0 {
-            return Err(VfsError::NotEmpty);
-        }
-        parent.remove_child(name).ok_or(VfsError::NotFound)?;
-        if inode.dec_nlink() == 0 {
-            inode.invalidate_pages();
-            self.drop_inode(id);
+        let id = match parent.remove_file_child(name).ok_or(VfsError::NotFound)? {
+            (id, InodeKind::File) => id,
+            (id, InodeKind::Dir) => {
+                if self.get(id)?.child_count() > 0 {
+                    return Err(VfsError::NotEmpty);
+                }
+                parent.remove_child(name).ok_or(VfsError::NotFound)?
+            }
+        };
+        if let Some(freed) = self.put_link(id)? {
+            freed.invalidate_pages();
         }
         Ok(id)
+    }
+
+    /// Drops one link of inode `id`, in one hold of its shard: the last
+    /// link takes it out of the table, and it is returned.
+    fn put_link(&self, id: InodeId) -> Result<Option<Arc<Inode>>, VfsError> {
+        let mut shard = self.shard(id).lock();
+        let inode = shard.get(&id.0).ok_or(VfsError::Stale)?;
+        Ok(if inode.dec_nlink() == 0 {
+            shard.remove(&id.0)
+        } else {
+            None
+        })
     }
 
     /// Removes an inode from the table.

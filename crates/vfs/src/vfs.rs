@@ -244,7 +244,10 @@ impl Vfs {
         let old_pl = self.walker().resolve_parent(old, core)?;
         let new_pl = self.walker().resolve_parent(new, core)?;
         let inode = self.fs.lookup_child(&old_pl.parent, old_pl.name)?;
-        if !new_pl.parent.insert_child(new_pl.name, inode.id) {
+        if !new_pl
+            .parent
+            .insert_child(new_pl.name, inode.id, inode.kind)
+        {
             return Err(VfsError::Exists);
         }
         old_pl.parent.remove_child(old_pl.name);

@@ -463,6 +463,20 @@ mod tests {
     }
 
     #[test]
+    fn a_delivered_message_holds_the_process_table_four_times() {
+        // Two forks and two exits, one hold each; the connection's own
+        // fork and exit aside.
+        let d = EximDriver::new(Personality::Pk, 2).unwrap();
+        let k = d.kernel();
+        let conn = k.fork(Pid(1), CoreId(0)).unwrap();
+        let holds = || k.procs().lock_stats().acquisitions();
+        let before = holds();
+        d.deliver_message(CoreId(0), conn, 0, 0).unwrap();
+        assert_eq!(holds() - before, 4);
+        k.exit(conn, CoreId(0)).unwrap();
+    }
+
+    #[test]
     fn deliver_drop_privilege_avoids_execs() {
         let stock_app = EximDriver::with_app_config(Personality::Pk, 2, true, false).unwrap();
         stock_app.run_connection(CoreId(0), 0).unwrap();

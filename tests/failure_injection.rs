@@ -117,8 +117,8 @@ fn rx_overflow_burst_then_recovery() {
     assert!(sock.recv().is_some());
 }
 
-/// Process-table misuse: forking from a dead parent, double exits, and
-/// reaping strangers all fail without damaging the table.
+/// Process-table misuse: forking from a dead parent, double exits and
+/// execs of a dead process all fail without damaging the table.
 #[test]
 fn process_lifecycle_misuse() {
     use mosbench::proc::{Pid, ProcError};

@@ -22,7 +22,7 @@ struct Rule {
     plants: &'static [&'static str],
 }
 
-const RULES: [Rule; 6] = [
+const RULES: [Rule; 7] = [
     // Every substrate lock is a classed `pk_sync` lock, the one shell
     // lockdep, `LockStats` and the tracer see: no `parking_lot`, no std
     // `Mutex`/`RwLock` in the kernel crates' `src`, their unit tests
@@ -58,7 +58,7 @@ const RULES: [Rule; 6] = [
     Rule {
         name: "removed names stay removed",
         flags: "-rnE",
-        pattern: r"degrade_to_central|restore_per_core|set_ref_banking|split_buckets|refs_start_degraded|Governor|ApproxCounter|DistributedCounter|SnziCounter|PackedPage|SplitPage|PageLayout|fields_share_line|split_page_layout|isolate_false_sharing|pk.sim::bounds|stats_accuracy|json::lines|MetricSet|ProfileNode|check_against_baseline|GmakeDriver|PedsortDriver|check_report|REGRESSION_BUDGET|inflate_user_cycles|StationSample|MetricValue::Station|Sample::station|from_snapshot|pk_obs::Collect|Collect for|RcuObs|LockdepSource|TraceSink|pk_trace::Profile|CpuAccounting|charge_user|charge_system|share_where|udp_ports|port_table|deferred_reclamation|with_deferred_reclamation|stall_reduction_pct|OverloadAssertions|TailAssertions|EximInversion::observed|Scheduler|pick_next|SchedStats|with_overload|accept_backlog_cap|accept_overflows|with_sockets|with_config_and_faults|fn readdir|fn link\(|inc_nlink|/proc/loadavg|/proc/cpuinfo|/proc/meminfo|counts_for|cycles_to_secs|AdaptPolicy|RetryPolicy|ShedPolicy|DropOldest|with_degradation|degrade_watermark|degrade_label|slo_multiple|HistShard|mod metrics|demand_unless|gen2_demand|EximModel|MemcachedModel|ApacheModel|GmakeModel|intern_site|site_name|site_id|trace_counter|EventKind::Counter|NodeKind::Counter|ADMISSION_QUEUE_CLASS|dcache_evictions|epoch_depth",
+        pattern: r"degrade_to_central|restore_per_core|set_ref_banking|split_buckets|refs_start_degraded|Governor|ApproxCounter|DistributedCounter|SnziCounter|PackedPage|SplitPage|PageLayout|fields_share_line|split_page_layout|isolate_false_sharing|pk.sim::bounds|stats_accuracy|json::lines|MetricSet|ProfileNode|check_against_baseline|GmakeDriver|PedsortDriver|check_report|REGRESSION_BUDGET|inflate_user_cycles|StationSample|MetricValue::Station|Sample::station|from_snapshot|pk_obs::Collect|Collect for|RcuObs|LockdepSource|TraceSink|pk_trace::Profile|CpuAccounting|charge_user|charge_system|share_where|udp_ports|port_table|deferred_reclamation|with_deferred_reclamation|stall_reduction_pct|OverloadAssertions|TailAssertions|EximInversion::observed|Scheduler|pick_next|SchedStats|with_overload|accept_backlog_cap|accept_overflows|with_sockets|with_config_and_faults|fn readdir|fn link\(|inc_nlink|/proc/loadavg|/proc/cpuinfo|/proc/meminfo|counts_for|cycles_to_secs|AdaptPolicy|RetryPolicy|ShedPolicy|DropOldest|with_degradation|degrade_watermark|degrade_label|slo_multiple|HistShard|mod metrics|demand_unless|gen2_demand|EximModel|MemcachedModel|ApacheModel|GmakeModel|intern_site|site_name|site_id|trace_counter|EventKind::Counter|NodeKind::Counter|ADMISSION_QUEUE_CLASS|dcache_evictions|epoch_depth|NotYourChild|NotAZombie|ProcessState|reap_core",
         paths: "crates src tests examples DESIGN.md README.md benchmark/src .claude/skills",
         plants: &[],
     },
@@ -101,6 +101,30 @@ const RULES: [Rule; 6] = [
         pattern: r"des::service\(",
         paths: "crates/sim/src/{open,flow}.rs",
         plants: &["let s = crate::des::service(rng, mean);"],
+    },
+    // Kernel tables name their hasher: ids this program hands out (pids,
+    // inode numbers, open-file ids, page indices) hash with
+    // `pk_percpu::IntKeyMap`/`IntKeySet`, directory-entry names with the
+    // FNV-64 `NameHasher`. A map with std's default `RandomState` pays a
+    // SipHash-1-3 digest per probe and a keyed state per construction.
+    // The rule catches a map built with `::new`/`::with_capacity`/`::from`
+    // and a type written with no hasher parameter. The named exception
+    // is `dentry.rs`'s `DefaultHasher` (and `dcache.rs`'s test that
+    // reproduces it): it places dentries in dcache buckets, that
+    // placement decides which dentries collide, and the committed
+    // goldens pin those collisions (`vfs.stock.dentry_lock_acquisitions_first_rep`).
+    Rule {
+        name: "kernel tables name their hasher",
+        flags: "-rnE",
+        pattern: r"Hash(Map|Set)::(new|with_capacity|from)|HashMap<[^<>,]+(<[^<>]*>)?,[^<>,]+(<[^<>]*>)?>|HashSet<[^<>,]+(<[^<>]*>)?>",
+        paths: "crates/{proc,vfs,mm,net,kernel}/src",
+        plants: &[
+            "children: SpinLock<HashMap<String, InodeId>>,",
+            "children: SpinLock::new(HashMap::new()),",
+            "procs: SpinLock<HashMap<Pid, Arc<Process>>>,",
+            "present: HashSet<u64>,",
+            "let mut seen = std::collections::HashSet::new();",
+        ],
     },
 ];
 
